@@ -9,11 +9,11 @@
 //! the "approximation guarantees" the evaluation keeps intact while
 //! accelerating sampling.
 
-use laqy_engine::{AggInput, AggKind, AggSpec, GroupKey};
-use laqy_sampling::StratifiedSampler;
+use laqy_engine::{AggInput, AggKind, AggSpec};
 
 use crate::descriptor::Predicates;
-use crate::sampler_ops::{SampleSchema, SampleTuple, SlotKind};
+use crate::interval::IntervalSet;
+use crate::sampler_ops::{Sample, SampleSchema, SampleTuple, SlotKind};
 
 /// Estimation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,8 +217,12 @@ fn resolve_input(schema: &SampleSchema, input: &AggInput) -> Result<ResolvedInpu
 }
 
 /// Compiled tightening filter over payload slots.
-struct Tighten {
-    checks: Vec<(usize, crate::interval::IntervalSet)>,
+enum Tighten {
+    /// One column, one interval — a narrower query reusing a sample: two
+    /// compares per tuple.
+    Range { slot: usize, lo: i64, hi: i64 },
+    /// Any conjunction of per-column interval sets.
+    Sets(Vec<(usize, IntervalSet)>),
 }
 
 impl Tighten {
@@ -231,20 +235,22 @@ impl Tighten {
             }
             checks.push((slot, preds.get(col).unwrap().clone()));
         }
-        Ok(Self { checks })
-    }
-
-    #[inline]
-    fn matches(&self, t: &SampleTuple) -> bool {
-        self.checks
-            .iter()
-            .all(|(slot, set)| set.contains(t.int(*slot)))
+        if let [(slot, set)] = checks.as_slice() {
+            if let [iv] = set.intervals() {
+                return Ok(Tighten::Range {
+                    slot: *slot,
+                    lo: iv.lo,
+                    hi: iv.hi,
+                });
+            }
+        }
+        Ok(Tighten::Sets(checks))
     }
 }
 
 /// Per-group, per-aggregate accumulation across strata. Strata are sampled
 /// independently, so variances add.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 enum EstAcc {
     Sum {
         est: f64,
@@ -344,9 +350,160 @@ impl EstAcc {
     }
 }
 
-/// Estimate aggregates over a stratified sample.
+/// One aggregate input's sums over a stratum's matching tuples: sum, sum
+/// of squares and extrema of the zero-extended variable `y_i` (`x_i` if
+/// matching else 0).
+struct Moments {
+    s1: f64,
+    s2: f64,
+    lo: f64,
+    hi: f64,
+}
+
+impl Moments {
+    /// Moments of `x` over `items`, of which those flagged in `hits`
+    /// match. A tightened sample matches unpredictably, so non-matching
+    /// tuples are masked (selects), not branched around.
+    #[inline]
+    fn of(items: &[SampleTuple], hits: &[bool], x: impl Fn(&SampleTuple) -> f64) -> Self {
+        let (mut s1, mut s2) = (0.0f64, 0.0f64);
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (t, &hit) in items.iter().zip(hits) {
+            let x = x(t);
+            let y = if hit { x } else { 0.0 };
+            s1 += y;
+            s2 += y * y;
+            lo = if hit { lo.min(x) } else { lo };
+            hi = if hit { hi.max(x) } else { hi };
+        }
+        Moments { s1, s2, lo, hi }
+    }
+}
+
+impl ResolvedInput {
+    /// Moments over `items`, of which the `mq` flagged in `hits` match.
+    /// The slot kind is resolved outside the tuple loop.
+    fn moments(&self, items: &[SampleTuple], hits: &[bool], mq: usize) -> Moments {
+        match *self {
+            ResolvedInput::One => Moments {
+                s1: mq as f64,
+                s2: mq as f64,
+                lo: 1.0,
+                hi: 1.0,
+            },
+            ResolvedInput::Col(s, SlotKind::Int) => Moments::of(items, hits, |t| t.int(s) as f64),
+            ResolvedInput::Col(s, SlotKind::Float) => Moments::of(items, hits, |t| t.float(s)),
+            ResolvedInput::Mul(..) => Moments::of(items, hits, |t| self.eval(t)),
+        }
+    }
+}
+
+/// Fold stratum `{items, weight}` (`items` non-empty) into `accs`, one
+/// accumulator per aggregate. The tightening filter runs once per tuple
+/// (into the `hits` scratch), not once per aggregate, and no tuple is
+/// copied.
+fn fold_stratum(
+    accs: &mut [EstAcc],
+    hits: &mut Vec<bool>,
+    inputs: &[ResolvedInput],
+    tighten: Option<&Tighten>,
+    items: &[SampleTuple],
+    weight: u64,
+) {
+    hits.clear();
+    match tighten {
+        None => hits.resize(items.len(), true),
+        Some(Tighten::Range { slot, lo, hi }) => {
+            hits.extend(items.iter().map(|t| (*lo..=*hi).contains(&t.int(*slot))))
+        }
+        Some(Tighten::Sets(checks)) => hits.extend(
+            items
+                .iter()
+                .map(|t| checks.iter().all(|(slot, set)| set.contains(t.int(*slot)))),
+        ),
+    }
+    let mq = hits.iter().filter(|&&hit| hit).count();
+    let m = items.len() as f64;
+    let w = weight as f64;
+    let scale = w / m;
+    // Finite-population correction: the reservoir holds m of w tuples.
+    let fpc = (1.0 - m / w).max(0.0);
+    for (acc, input) in accs.iter_mut().zip(inputs) {
+        let mo = input.moments(items, hits, mq);
+        let mean_y = mo.s1 / m;
+        // Sample variance of y over all m items (non-matching are 0).
+        let var_y = if m > 1.0 {
+            ((mo.s2 - m * mean_y * mean_y) / (m - 1.0)).max(0.0)
+        } else {
+            0.0
+        };
+        let sum_est = scale * mo.s1;
+        // Var(w·ȳ) = w² · s²_y / m · fpc
+        let sum_var = w * w * var_y / m * fpc;
+        match acc {
+            EstAcc::Sum { est, var, support } => {
+                *est += sum_est;
+                *var += sum_var;
+                *support += mq;
+            }
+            EstAcc::Count { est, var, support } => {
+                let p = mq as f64 / m;
+                *est += w * p;
+                let var_p = if m > 1.0 {
+                    p * (1.0 - p) * m / (m - 1.0)
+                } else {
+                    0.0
+                };
+                *var += w * w * var_p / m * fpc;
+                *support += mq;
+            }
+            EstAcc::Avg {
+                sum,
+                var,
+                n_est,
+                support,
+            } => {
+                *sum += sum_est;
+                *var += sum_var;
+                *n_est += w * mq as f64 / m;
+                *support += mq;
+            }
+            EstAcc::Min { val, support } => {
+                if mq > 0 {
+                    *val = val.min(mo.lo);
+                    *support += mq;
+                }
+            }
+            EstAcc::Max { val, support } => {
+                if mq > 0 {
+                    *val = val.max(mo.hi);
+                    *support += mq;
+                }
+            }
+        }
+    }
+}
+
+/// Project a stratification key onto the output group key.
+fn project(parts: &[i64], positions: Option<&[usize]>) -> Result<Vec<i64>, EstimateError> {
+    match positions {
+        None => Ok(parts.to_vec()),
+        Some(positions) => positions
+            .iter()
+            .map(|&p| {
+                parts
+                    .get(p)
+                    .copied()
+                    .ok_or(EstimateError::BadGroupPosition(p))
+            })
+            .collect(),
+    }
+}
+
+/// Estimate aggregates over a stratified sample. Groups come out in key
+/// order; strata holding no tuples contribute nothing.
 pub fn estimate(
-    sample: &StratifiedSampler<GroupKey, SampleTuple>,
+    sample: &Sample,
     schema: &SampleSchema,
     aggs: &[AggSpec],
     opts: &EstimateOptions<'_>,
@@ -359,117 +516,58 @@ pub fn estimate(
         .tighten
         .map(|p| Tighten::compile(schema, p))
         .transpose()?;
+    let fresh: Vec<EstAcc> = aggs.iter().map(|a| EstAcc::new(a.kind)).collect();
+    let mut hits = Vec::new();
+    let strata = sample.iter().filter(|(_, items, _)| !items.is_empty());
+
+    if opts.group_positions.is_none() && opts.exact.is_none() {
+        // Output groups are the strata themselves (QCS = GROUP BY, every
+        // query template): one linear pass, no regrouping.
+        // Strata are folded in arena order (sequential reads) and
+        // emitted in key order; sorting compares the first key part
+        // inline and the rest only on ties.
+        let strata: Vec<_> = strata.collect();
+        let mut order: Vec<(i64, u32)> = strata
+            .iter()
+            .enumerate()
+            .map(|(i, (key, _, _))| (key.parts().first().copied().unwrap_or(0), i as u32))
+            .collect();
+        order.sort_unstable_by(|a, b| {
+            let parts = |i: u32| strata[i as usize].0.parts();
+            a.0.cmp(&b.0).then_with(|| parts(a.1).cmp(parts(b.1)))
+        });
+        let mut accs = fresh.clone();
+        let mut groups: Vec<Option<GroupEstimate>> = strata
+            .iter()
+            .map(|&(key, items, weight)| {
+                accs.copy_from_slice(&fresh);
+                fold_stratum(
+                    &mut accs,
+                    &mut hits,
+                    &inputs,
+                    tighten.as_ref(),
+                    items,
+                    weight,
+                );
+                Some(GroupEstimate {
+                    key: key.parts().to_vec(),
+                    values: accs.iter().map(|a| a.finalize(opts.z)).collect(),
+                })
+            })
+            .collect();
+        return Ok(order
+            .into_iter()
+            .filter_map(|(_, i)| groups[i as usize].take())
+            .collect());
+    }
 
     let mut groups: laqy_engine::FxHashMap<Vec<i64>, Vec<EstAcc>> =
         laqy_engine::FxHashMap::default();
-    // Scratch buffer of matching items, reused across strata so the
-    // tightening filter runs once per stratum rather than once per
-    // aggregate (the full-reuse path is pure estimation, so this loop is
-    // its entire query cost).
-    let mut matching: Vec<SampleTuple> = Vec::new();
-
-    for (key, items, weight) in sample.iter() {
-        // Project the stratum key onto the output group key.
-        let group_key: Vec<i64> = match opts.group_positions {
-            None => key.parts().to_vec(),
-            Some(positions) => positions
-                .iter()
-                .map(|&p| {
-                    key.parts()
-                        .get(p)
-                        .copied()
-                        .ok_or(EstimateError::BadGroupPosition(p))
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let m = items.len();
-        if m == 0 {
-            continue;
-        }
-        let scale = weight as f64 / m as f64;
-        // Finite-population correction: the reservoir holds m of w tuples.
-        let fpc = (1.0 - m as f64 / weight as f64).max(0.0);
-
-        let selected: &[SampleTuple] = match &tighten {
-            None => items,
-            Some(tt) => {
-                matching.clear();
-                matching.extend(items.iter().filter(|t| tt.matches(t)).copied());
-                &matching
-            }
-        };
-
+    for (key, items, weight) in strata {
         let accs = groups
-            .entry(group_key)
-            .or_insert_with(|| aggs.iter().map(|a| EstAcc::new(a.kind)).collect());
-
-        for (agg_idx, acc) in accs.iter_mut().enumerate() {
-            let input = &inputs[agg_idx];
-            // Matching count, sum, and sum of squares of the zero-extended
-            // variable y_i (x_i if matching else 0).
-            let mq = selected.len();
-            let (mut s1, mut s2) = (0.0f64, 0.0f64);
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for t in selected {
-                let x = input.eval(t);
-                s1 += x;
-                s2 += x * x;
-                lo = lo.min(x);
-                hi = hi.max(x);
-            }
-            let mean_y = s1 / m as f64;
-            // Sample variance of y over all m items (non-matching are 0).
-            let var_y = if m > 1 {
-                ((s2 - m as f64 * mean_y * mean_y) / (m as f64 - 1.0)).max(0.0)
-            } else {
-                0.0
-            };
-            let w = weight as f64;
-            let sum_est = scale * s1;
-            // Var(w·ȳ) = w² · s²_y / m · fpc
-            let sum_var = w * w * var_y / m as f64 * fpc;
-            match acc {
-                EstAcc::Sum { est, var, support } => {
-                    *est += sum_est;
-                    *var += sum_var;
-                    *support += mq;
-                }
-                EstAcc::Count { est, var, support } => {
-                    let p = mq as f64 / m as f64;
-                    *est += w * p;
-                    let var_p = if m > 1 {
-                        p * (1.0 - p) * m as f64 / (m as f64 - 1.0)
-                    } else {
-                        0.0
-                    };
-                    *var += w * w * var_p / m as f64 * fpc;
-                    *support += mq;
-                }
-                EstAcc::Avg {
-                    sum,
-                    var,
-                    n_est,
-                    support,
-                } => {
-                    *sum += sum_est;
-                    *var += sum_var;
-                    *n_est += w * mq as f64 / m as f64;
-                    *support += mq;
-                }
-                EstAcc::Min { val, support } => {
-                    if mq > 0 {
-                        *val = val.min(lo);
-                        *support += mq;
-                    }
-                }
-                EstAcc::Max { val, support } => {
-                    if mq > 0 {
-                        *val = val.max(hi);
-                        *support += mq;
-                    }
-                }
-            }
-        }
+            .entry(project(key.parts(), opts.group_positions)?)
+            .or_insert_with(|| fresh.clone());
+        fold_stratum(accs, &mut hits, &inputs, tighten.as_ref(), items, weight);
     }
 
     // Hybrid blending: covered spans contribute exact partial aggregates
@@ -482,20 +580,9 @@ pub fn estimate(
             if mass.rows == 0 {
                 continue;
             }
-            let group_key: Vec<i64> = match opts.group_positions {
-                None => key.to_vec(),
-                Some(positions) => positions
-                    .iter()
-                    .map(|&p| {
-                        key.get(p)
-                            .copied()
-                            .ok_or(EstimateError::BadGroupPosition(p))
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
             let accs = groups
-                .entry(group_key)
-                .or_insert_with(|| aggs.iter().map(|a| EstAcc::new(a.kind)).collect());
+                .entry(project(key, opts.group_positions)?)
+                .or_insert_with(|| fresh.clone());
             for (agg_idx, acc) in accs.iter_mut().enumerate() {
                 let (x_sum, x_min, x_max) = match &inputs[agg_idx] {
                     ResolvedInput::Col(s, _) => {
@@ -557,7 +644,9 @@ pub fn estimate(
 mod tests {
     use super::*;
     use crate::interval::{Interval, IntervalSet};
+    use laqy_engine::GroupKey;
     use laqy_sampling::Lehmer64;
+    use proptest::prelude::*;
 
     fn schema() -> SampleSchema {
         SampleSchema::new(vec![
@@ -568,9 +657,9 @@ mod tests {
 
     /// Full-population "sample": k large enough to retain everything, so
     /// estimates must be exact.
-    fn full_sample(groups: i64, per: i64) -> StratifiedSampler<GroupKey, SampleTuple> {
+    fn full_sample(groups: i64, per: i64) -> Sample {
         let mut rng = Lehmer64::new(1);
-        let mut s = StratifiedSampler::new((per as usize) + 1);
+        let mut s = Sample::new((per as usize) + 1);
         for g in 0..groups {
             for i in 0..per {
                 let x = g * per + i;
@@ -632,7 +721,7 @@ mod tests {
         let trials = 50;
         for seed in 0..trials {
             let mut rng = Lehmer64::new(100 + seed);
-            let mut s = StratifiedSampler::new(k);
+            let mut s = Sample::new(k);
             for i in 0..per {
                 let tuple = SampleTuple::from_slice(&[i, (i as f64).to_bits() as i64]);
                 s.offer(GroupKey::new(&[0]), tuple, &mut rng);
@@ -663,7 +752,7 @@ mod tests {
         let trials = 40;
         for seed in 0..trials {
             let mut rng = Lehmer64::new(300 + seed);
-            let mut s = StratifiedSampler::new(100);
+            let mut s = Sample::new(100);
             for i in 0..per {
                 s.offer(
                     GroupKey::new(&[0]),
@@ -690,7 +779,7 @@ mod tests {
     fn group_projection_aggregates_across_strata() {
         // Strata keyed by (g, h); group output by position 0 only.
         let mut rng = Lehmer64::new(9);
-        let mut s = StratifiedSampler::new(1000);
+        let mut s = Sample::new(1000);
         for g in 0..2i64 {
             for h in 0..3i64 {
                 for i in 0..10 {
@@ -902,6 +991,159 @@ mod tests {
         };
         let err = estimate(&s, &schema(), &[AggSpec::sum_product("x", "v")], &opts).unwrap_err();
         assert_eq!(err, EstimateError::ExactProductInput);
+    }
+
+    /// A random sample over `(g, h)` strata: some strata full (weight ≫ k),
+    /// some complete populations.
+    fn random_sample(k: usize, g: i64, h: i64, per: i64, seed: u64) -> Sample {
+        let mut rng = Lehmer64::new(seed);
+        let mut s = Sample::new(k);
+        for _ in 0..g * h * per {
+            let x = rng.next_below(1_000) as i64;
+            let v = (rng.next_below(10_000) as f64 / 7.0).to_bits() as i64;
+            // Skewed routing: low strata see many more tuples.
+            let stratum = (rng.next_below((g * h) as u64) * rng.next_below(3) / 2) as i64;
+            s.offer(
+                GroupKey::new(&[stratum / h, stratum % h]),
+                SampleTuple::from_slice(&[x, v]),
+                &mut rng,
+            );
+        }
+        s
+    }
+
+    fn close(a: f64, b: f64) -> bool {
+        (a.is_nan() && b.is_nan()) || (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0)
+    }
+
+    fn all_aggs() -> Vec<AggSpec> {
+        vec![
+            AggSpec::sum("v"),
+            AggSpec::count(),
+            AggSpec {
+                kind: AggKind::Min,
+                input: AggInput::Col("x".into()),
+            },
+            AggSpec {
+                kind: AggKind::Max,
+                input: AggInput::Col("v".into()),
+            },
+            AggSpec::avg("v"),
+            AggSpec::sum_product("x", "v"),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn linear_path_agrees_with_the_general_path(
+            k in 1usize..12,
+            g in 1i64..5,
+            h in 1i64..5,
+            per in 1i64..30,
+            seed in 0u64..10_000,
+            cuts in prop::collection::vec(0i64..1_000, 0..5),
+        ) {
+            let sample = random_sample(k, g, h, per, seed);
+            // 0 cuts: no tightening; 1–2: one interval; more: several.
+            let mut cuts = cuts;
+            cuts.sort_unstable();
+            cuts.dedup();
+            let set = IntervalSet::from_intervals(
+                cuts.chunks(2).map(|c| Interval::new(c[0], *c.last().unwrap())).collect(),
+            );
+            let tighten = Predicates::on("x", set);
+            let tighten = (!cuts.is_empty()).then_some(&tighten);
+            let aggs = all_aggs();
+            let linear = estimate(
+                &sample,
+                &schema(),
+                &aggs,
+                &EstimateOptions { tighten, ..Default::default() },
+            )
+            .unwrap();
+            prop_assert!(linear.windows(2).all(|w| w[0].key < w[1].key), "key order");
+
+            // The identity projection regroups strata onto themselves.
+            let general = estimate(
+                &sample,
+                &schema(),
+                &aggs,
+                &EstimateOptions { tighten, group_positions: Some(&[0, 1]), ..Default::default() },
+            )
+            .unwrap();
+            prop_assert_eq!(linear.len(), general.len());
+            for (l, r) in linear.iter().zip(&general) {
+                prop_assert_eq!(&l.key, &r.key);
+                for (a, b) in l.values.iter().zip(&r.values) {
+                    prop_assert!(close(a.value, b.value), "{} vs {}", a.value, b.value);
+                    prop_assert!(close(a.ci_half_width, b.ci_half_width));
+                    prop_assert_eq!(a.support, b.support);
+                }
+            }
+
+            // A real projection must equal regrouping the linear answer by
+            // hand: sums, counts and variances add, extrema combine.
+            let projected = estimate(
+                &sample,
+                &schema(),
+                &aggs,
+                &EstimateOptions { tighten, group_positions: Some(&[0]), ..Default::default() },
+            )
+            .unwrap();
+            for p in &projected {
+                let parts: Vec<&GroupEstimate> =
+                    linear.iter().filter(|l| l.key[0] == p.key[0]).collect();
+                prop_assert!(!parts.is_empty());
+                for agg in [0, 1, 5] {
+                    let value: f64 = parts.iter().map(|l| l.values[agg].value).sum();
+                    let var: f64 = parts.iter().map(|l| l.values[agg].ci_half_width.powi(2)).sum();
+                    prop_assert!(close(p.values[agg].value, value));
+                    prop_assert!(
+                        (p.values[agg].ci_half_width - var.sqrt()).abs()
+                            <= 1e-9 * var.sqrt().max(1.0)
+                    );
+                }
+                let supported = |agg: usize| parts.iter().filter(move |l| l.values[agg].support > 0);
+                let min = supported(2).map(|l| l.values[2].value).fold(f64::INFINITY, f64::min);
+                let max = supported(3).map(|l| l.values[3].value).fold(f64::NEG_INFINITY, f64::max);
+                if supported(2).count() > 0 {
+                    prop_assert_eq!(p.values[2].value, min);
+                    prop_assert_eq!(p.values[3].value, max);
+                }
+            }
+
+            // Exact lane mass (the general path again) adds to the linear
+            // answer group by group, with no variance of its own.
+            let mut exact = ExactMass::new();
+            let slot = |sum: f64| ExactSlot { sum, min: 2.0, max: 3.0 };
+            exact.add(&[0, 0], 40, vec![slot(100.0), slot(250.0)]);
+            exact.add(&[g, h], 7, vec![slot(14.0), slot(21.0)]);
+            let blended = estimate(
+                &sample,
+                &schema(),
+                &aggs[..2],
+                &EstimateOptions { tighten, exact: Some(&exact), ..Default::default() },
+            )
+            .unwrap();
+            let lookup = |key: &[i64]| linear.iter().find(|l| l.key == key);
+            for b in &blended {
+                let (sum, rows) = match b.key.as_slice() {
+                    [0, 0] => (250.0, 40.0),
+                    key if key == [g, h] => (21.0, 7.0),
+                    _ => (0.0, 0.0),
+                };
+                let base = lookup(&b.key);
+                let base_of = |agg: usize| base.map_or((0.0, 0.0), |l| {
+                    (l.values[agg].value, l.values[agg].ci_half_width)
+                });
+                prop_assert!(close(b.values[0].value, base_of(0).0 + sum));
+                prop_assert!(close(b.values[0].ci_half_width, base_of(0).1));
+                prop_assert!(close(b.values[1].value, base_of(1).0 + rows));
+                prop_assert!(close(b.values[1].ci_half_width, base_of(1).1));
+            }
+            prop_assert!(blended.iter().any(|b| b.key == [g, h]), "covered-only group");
+        }
     }
 
     #[test]

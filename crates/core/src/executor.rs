@@ -11,19 +11,22 @@
 //!
 //! Two sampler placements from the evaluation are supported: pushed down
 //! to the fact scan (query template Q1) and above a star join (Q2) — both
-//! fall out of the same pipeline because the engine's group-by hosts the
-//! reservoir aggregation either way.
+//! fall out of the same pipeline because every morsel's selected rows,
+//! whichever tables they index, go through one admission function
+//! ([`crate::sampler_ops`]).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use laqy_engine::ops::{group_by, BoundCol, GroupTable, Inputs};
+use laqy_engine::ops::BoundCol;
 use laqy_engine::parallel::{parallel_fold, DEFAULT_MORSEL_ROWS};
 use laqy_engine::plan::PreparedJoins;
 use laqy_engine::{
-    execute_exact_counted, scan_count_pruned, AggInput, Catalog, EngineError, GroupKey, Predicate,
-    PruneCounts, QueryPlan, QueryResult,
+    execute_exact_counted, scan_count_pruned, AggInput, Catalog, Column, EngineError, GroupKey,
+    Predicate, PruneCounts, QueryPlan, QueryResult,
 };
-use laqy_sampling::Lehmer64;
+use laqy_sampling::{merge_stratified_k, merge_stratified_refs, Lehmer64};
+use laqy_sync::atomic::{AtomicU64, Ordering};
 
 use crate::budget::{
     apply_degradation, blended_degradation, CancelToken, Degradation, DegradeReason,
@@ -34,13 +37,10 @@ use crate::estimate::{
 };
 use crate::interval::{Interval, IntervalSet};
 use crate::lazy::{plan_lazy, plan_lazy_capped, LazyPlan};
-use crate::sampler_ops::{
-    group_table_into_sample, ReservoirAgg, ReservoirAggFactory, SampleSchema, SampleTuple, SlotKind,
-};
+use crate::sampler_ops::{Admission, Sample, SampleSchema, SampleTuple, SlotKind};
 use crate::stats::{ExecStats, ReuseClass};
-use crate::store::{union_single_column, SampleStore};
+use crate::store::{union_single_column, SampleId, SampleStore, StoredSample, TailFragment};
 use crate::support::{check_support, SupportPolicy, SupportReport};
-use laqy_sampling::{merge_stratified, merge_stratified_k, Reservoir, StratifiedSampler};
 
 /// Errors from the LAQy execution layer.
 #[derive(Debug)]
@@ -144,6 +144,8 @@ pub struct LaqyExecutor {
     rng: Lehmer64,
     seed_counter: u64,
     budget: CancelToken,
+    /// Scan morsel size; fixed outside this module's tests.
+    morsel_rows: usize,
 }
 
 impl LaqyExecutor {
@@ -156,6 +158,7 @@ impl LaqyExecutor {
             rng: Lehmer64::new(seed),
             seed_counter: seed,
             budget: CancelToken::unbounded(),
+            morsel_rows: DEFAULT_MORSEL_ROWS,
         }
     }
 
@@ -170,11 +173,6 @@ impl LaqyExecutor {
     /// answer on expiry (see [`crate::budget`]).
     pub fn set_budget_token(&mut self, token: CancelToken) {
         self.budget = token;
-    }
-
-    /// The budget token currently attached to this executor.
-    pub(crate) fn budget(&self) -> &CancelToken {
-        &self.budget
     }
 
     /// The active reuse mode.
@@ -328,175 +326,40 @@ impl LaqyExecutor {
                 tails,
             } => {
                 let (_, schema) = self.payload_schema(catalog, query)?;
-                // One zone-map-pruned Δ-scan per residual fragment, each
-                // internally fanned through the worker pool.
-                let mut stats = ExecStats::default();
-                let mut fragment_samples = Vec::with_capacity(fragments.len());
-                let mut fragment_boundaries = Vec::with_capacity(fragments.len());
-                let mut exact_mass = ExactMass::new();
-                let mut fragment_coverage = 0.0f64;
-                let mut fragments_skipped = 0u64;
-                for frag in &fragments {
-                    // An expired budget skips remaining fragments outright
-                    // (their regions contribute nothing; the CI widening
-                    // below accounts for the hole).
-                    if self.budget.expired() {
-                        fragments_skipped += 1;
-                        continue;
-                    }
-                    let ranges = frag
-                        .get(&query.range_column)
-                        .cloned()
-                        .unwrap_or_else(|| IntervalSet::of(query.range));
-                    let extra = fragment_extra_predicate(frag, &query.range_column);
-                    let run =
-                        self.sample_pipeline_hybrid(catalog, query, &ranges, &extra, true, 0)?;
-                    fragment_coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
-                    stats.accumulate(&run.stats);
-                    exact_mass.merge(&run.exact);
-                    fragment_boundaries.push(run.boundary);
-                    fragment_samples.push(run.sample);
-                }
-                // Δ-scan the append tails of stale selected samples: the
-                // same pipeline, restricted to the sample's full predicate
-                // box with the row floor pushed down to its watermark. The
-                // tail sample is merged in below and absorbed back into
-                // its source sample (advancing the watermark).
-                let mut tail_samples = Vec::with_capacity(tails.len());
-                let mut tails_skipped = 0u64;
-                for tail in &tails {
-                    if self.budget.expired() {
-                        tails_skipped += 1;
-                        continue;
-                    }
-                    let ranges = tail
-                        .predicates
-                        .get(&query.range_column)
-                        .cloned()
-                        .unwrap_or_else(|| IntervalSet::of(query.range));
-                    let extra = fragment_extra_predicate(&tail.predicates, &query.range_column);
-                    let run = self.sample_pipeline_hybrid(
-                        catalog,
-                        query,
-                        &ranges,
-                        &extra,
-                        false,
-                        tail.from_row as usize,
-                    )?;
-                    fragment_coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
-                    stats.accumulate(&run.stats);
-                    tail_samples.push(run.sample);
-                }
-                let degradation = blended_degradation(
+                // One zone-map-pruned Δ-scan per residual fragment and per
+                // stale sample's append tail, each internally fanned
+                // through the worker pool.
+                let mut scans = self.scan_coverage(
+                    catalog,
+                    query,
+                    fragments.iter().enumerate(),
+                    tails.iter().enumerate(),
+                )?;
+                let mut stats = std::mem::take(&mut scans.stats);
+                stats.degraded = blended_degradation(
                     stats.degraded.take(),
-                    fragment_coverage,
+                    scans.coverage,
                     fragments.len() + tails.len(),
-                    fragments_skipped + tails_skipped,
+                    scans.skipped,
                     effective,
                 );
-                stats.degraded = degradation;
-                stats.fragments_scanned =
-                    (fragments.len() + tails.len()) as u64 - fragments_skipped - tails_skipped;
+                stats.fragments_scanned = (scans.fragments.len() + scans.tails.len()) as u64;
                 stats.fragments_reused = samples.len() as u64;
-                // Clone the selected stored samples BEFORE mutating the
-                // store: absorption below may merge a fragment into one of
-                // them.
-                let mut inputs = Vec::with_capacity(samples.len() + fragments.len());
-                let mut parts: Vec<Predicates> = Vec::with_capacity(samples.len());
-                for &id in &samples {
-                    let stored = store
-                        .get(id)
-                        .ok_or_else(|| LaqyError::Unsupported("stored sample vanished".into()))?;
-                    inputs.push(stored.sample.clone());
-                    parts.push(stored.descriptor.predicates.clone());
-                }
-                // When lane mass was harvested, estimation uses a second
-                // merge over the *boundary* fragment samples (covered rows
-                // excluded), so the exact mass can be blended in without
-                // double counting; absorption always uses the full merge.
-                let mut est_inputs = (!exact_mass.is_empty()).then(|| inputs.clone());
-                inputs.extend(fragment_samples.iter().cloned());
-                inputs.extend(tail_samples.iter().cloned());
-                if let Some(ei) = est_inputs.as_mut() {
-                    for (b, full) in fragment_boundaries.iter().zip(&fragment_samples) {
-                        ei.push(b.clone().unwrap_or_else(|| full.clone()));
-                    }
-                    // Tail scans never harvest lanes, so the full tail
-                    // sample is its own boundary.
-                    ei.extend(tail_samples.iter().cloned());
-                }
-                let t_merge = Instant::now();
-                let merged = merge_stratified_k(inputs, &mut self.rng);
-                let merged_est = est_inputs.map(|ei| merge_stratified_k(ei, &mut self.rng));
-                stats.merge = t_merge.elapsed();
-                // Sample-as-you-query absorption. If the merged region is
-                // itself a predicate box (all constituents vary along one
-                // column), consolidate: the merged sample replaces its
-                // parts, exactly the old single-sample Δ-merge end state.
-                // Otherwise absorb each fragment box individually and keep
-                // the stored samples untouched (the union region is not
-                // expressible as one descriptor). Degraded fragments are
-                // never absorbed: their descriptors would overclaim
-                // coverage for regions the scan never reached.
-                if stats.degraded.is_none() {
-                    let constituents: Vec<&Predicates> =
-                        parts.iter().chain(fragments.iter()).collect();
-                    // Tail absorption first: merge each tail sample back
-                    // into its source sample and advance its watermark to
-                    // the pinned epoch's — the sample now fully represents
-                    // its predicate box again. Consolidation is skipped
-                    // when tails exist: the union replacement would drop
-                    // the per-sample watermark bookkeeping mid-catch-up.
-                    if tails.is_empty() {
-                        if let Some(union_preds) = union_single_column(&constituents) {
-                            for &id in &samples {
-                                store.remove(id);
-                            }
-                            let mut union_desc = descriptor.clone();
-                            union_desc.predicates = union_preds;
-                            store.absorb(
-                                union_desc,
-                                schema.clone(),
-                                merged.clone(),
-                                watermark,
-                                &mut self.rng,
-                            );
-                        } else {
-                            for (frag, s) in fragments.iter().zip(fragment_samples) {
-                                let mut frag_desc = descriptor.clone();
-                                frag_desc.predicates = frag.clone();
-                                store.absorb(
-                                    frag_desc,
-                                    schema.clone(),
-                                    s,
-                                    watermark,
-                                    &mut self.rng,
-                                );
-                            }
-                        }
-                    } else {
-                        for (tail, s) in tails.iter().zip(tail_samples) {
-                            store.absorb_tail(tail.id, s, tail.from_row, watermark, &mut self.rng);
-                        }
-                        for (frag, s) in fragments.iter().zip(fragment_samples) {
-                            let mut frag_desc = descriptor.clone();
-                            frag_desc.predicates = frag.clone();
-                            store.absorb(frag_desc, schema.clone(), s, watermark, &mut self.rng);
-                        }
-                    }
-                }
-                let t_est = Instant::now();
-                let opts = EstimateOptions {
-                    tighten: Some(&tighten),
-                    exact: (!exact_mass.is_empty()).then_some(&exact_mass),
-                    ..Default::default()
+                let plan = CoveragePlanRef {
+                    descriptor: &descriptor,
+                    schema: &schema,
+                    watermark,
+                    samples: &samples,
+                    fragments: &fragments,
+                    tails: &tails,
                 };
-                let mut groups = estimate(
-                    merged_est.as_ref().unwrap_or(&merged),
-                    &schema,
-                    &query.plan.aggs,
-                    &opts,
-                )?;
+                let t_merge = Instant::now();
+                let merge = scans
+                    .merge_and_absorb(store, &mut self.rng, &plan, stats.degraded.is_some())
+                    .ok_or_else(|| LaqyError::Unsupported("stored sample vanished".into()))?;
+                stats.merge = t_merge.elapsed();
+                let t_est = Instant::now();
+                let mut groups = merge.estimate(&schema, &query.plan.aggs, &tighten)?;
                 if let Some(deg) = &stats.degraded {
                     apply_degradation(&mut groups, &query.plan.aggs, deg);
                 }
@@ -773,6 +636,59 @@ impl LaqyExecutor {
         Ok((groups, support, t.elapsed()))
     }
 
+    /// Δ-scan the given residual fragments and append tails of a coverage
+    /// plan (each with its index in the plan, so a caller may pass only the
+    /// ones it owns) against `catalog`. A tail scan pushes its sample's own
+    /// predicates down with the row floor at the sample's watermark, and
+    /// never harvests lanes: they span whole blocks from row 0 and would
+    /// double-count below the floor.
+    pub(crate) fn scan_coverage<'p>(
+        &mut self,
+        catalog: &Catalog,
+        query: &ApproxQuery,
+        fragments: impl Iterator<Item = (usize, &'p Predicates)>,
+        tails: impl Iterator<Item = (usize, &'p TailFragment)>,
+    ) -> Result<CoverageScans> {
+        let mut out = CoverageScans::default();
+        let work = fragments
+            .map(|(i, frag)| (i, frag, true, 0))
+            .chain(tails.map(|(i, t)| (i, &t.predicates, false, t.from_row as usize)));
+        for (index, preds, is_fragment, row_floor) in work {
+            if self.budget.expired() {
+                out.skipped += 1;
+                continue;
+            }
+            let ranges = preds
+                .get(&query.range_column)
+                .cloned()
+                .unwrap_or_else(|| IntervalSet::of(query.range));
+            let extra = fragment_extra_predicate(preds, &query.range_column);
+            let run = self.sample_pipeline_hybrid(
+                catalog,
+                query,
+                &ranges,
+                &extra,
+                is_fragment,
+                row_floor,
+            )?;
+            out.coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
+            out.stats.accumulate(&run.stats);
+            out.exact.merge(&run.exact);
+            let scan = Scan {
+                index,
+                sample: run.sample,
+                boundary: run.boundary,
+                clean: run.stats.degraded.is_none(),
+            };
+            if is_fragment {
+                out.fragments.push(scan);
+            } else {
+                out.tails.push(scan);
+            }
+        }
+        Ok(out)
+    }
+
     /// Build a stratified sample of the query's pipeline restricted to
     /// `ranges` on the range column — the Δ (or full online) sampler with
     /// the predicate pushed down (Figure 7 step 3). Plain (non-hybrid)
@@ -783,7 +699,7 @@ impl LaqyExecutor {
         query: &ApproxQuery,
         ranges: &IntervalSet,
         extra: &Predicate,
-    ) -> Result<(StratifiedSampler<GroupKey, SampleTuple>, ExecStats)> {
+    ) -> Result<(Sample, ExecStats)> {
         let run = self.sample_pipeline_hybrid(catalog, query, ranges, extra, false, 0)?;
         Ok((run.sample, run.stats))
     }
@@ -884,14 +800,33 @@ impl LaqyExecutor {
         }
         let covered_mask: &[bool] = &covered_blocks;
         let covered_seed = self.next_seed();
-        let factory = ReservoirAggFactory::new(k, &schema, self.next_seed());
-        let payload_inputs: Vec<AggInput> = payload_cols
-            .iter()
-            .map(|c| AggInput::Col(c.clone()))
-            .collect();
+        // Resolve the stratum-key and payload columns once: the column and
+        // the joined dimension whose row ids index it (`None` = the fact
+        // table).
+        let mut key_cols: Vec<(&Column, Option<usize>)> = Vec::new();
+        for c in &query.plan.group_by {
+            key_cols.push(match &c.table {
+                None => (fact.column(&c.column)?, None),
+                Some(t) => {
+                    let idx = joins.dim_index(t).ok_or_else(|| {
+                        LaqyError::Unsupported(format!(
+                            "group-by table `{t}` is not part of the join plan"
+                        ))
+                    })?;
+                    (catalog.table(t)?.column(&c.column)?, Some(idx))
+                }
+            });
+        }
+        let mut value_cols: Vec<(&Column, Option<usize>, SlotKind)> = Vec::new();
+        for (slot, name) in payload_cols.iter().enumerate() {
+            let (dim, table) = resolve_by_name(catalog, &query.plan, name)?;
+            value_cols.push((table.column(name)?, dim, schema.kind(slot)));
+        }
 
         struct Partial {
-            table: GroupTable<ReservoirAgg>,
+            /// This worker's sample: every morsel it pulls continues
+            /// Algorithm R into it.
+            admission: Admission,
             scan_ns: u64,
             sample_ns: u64,
             scanned: u64,
@@ -928,70 +863,51 @@ impl LaqyExecutor {
                 &mut acc.lane_rows,
             );
             acc.scanned += range.len() as u64 - (acc.lane_rows - lane_before);
-            if query.plan.joins.is_empty() {
-                acc.scan_ns += t0.elapsed().as_nanos() as u64;
-                if sel.is_empty() {
-                    return Ok(());
-                }
-                let t1 = Instant::now();
-                let mut keys = Vec::with_capacity(query.plan.group_by.len());
-                for c in &query.plan.group_by {
-                    keys.push(BoundCol::new(fact.column(&c.column)?, Some(&sel)));
-                }
-                let inputs = Inputs::bind(&payload_inputs, |name| {
-                    Ok(BoundCol::new(fact.column(name)?, Some(&sel)))
-                })?;
-                let partial = group_by(&keys, &inputs, sel.len(), &factory);
-                acc.sampled_input += sel.len() as u64;
-                acc.table.merge(partial);
-                acc.sample_ns += t1.elapsed().as_nanos() as u64;
+            // Sampler above a star join: the probe's aligned per-table row
+            // ids replace the selection.
+            let probed = if query.plan.joins.is_empty() {
+                None
             } else {
-                let out = laqy_engine::ops::star_probe(fact, &sel, &joins.probes())?;
-                acc.scan_ns += t0.elapsed().as_nanos() as u64;
-                if out.is_empty() {
-                    return Ok(());
+                Some(laqy_engine::ops::star_probe(fact, &sel, &joins.probes())?)
+            };
+            acc.scan_ns += t0.elapsed().as_nanos() as u64;
+            let t1 = Instant::now();
+            let rows_of = |dim: Option<usize>| -> &[u32] {
+                match (&probed, dim) {
+                    (None, _) => &sel,
+                    (Some(out), None) => &out.fact_rows,
+                    (Some(out), Some(d)) => &out.dim_rows[d],
                 }
-                let t1 = Instant::now();
-                let mut keys = Vec::with_capacity(query.plan.group_by.len());
-                for c in &query.plan.group_by {
-                    keys.push(match &c.table {
-                        None => BoundCol::new(fact.column(&c.column)?, Some(&out.fact_rows)),
-                        Some(t) => {
-                            let idx = joins.dim_index(t).ok_or_else(|| {
-                                LaqyError::Unsupported(format!(
-                                    "group-by table `{t}` is not part of the join plan"
-                                ))
-                            })?;
-                            let dim = catalog.table(t)?;
-                            BoundCol::new(dim.column(&c.column)?, Some(&out.dim_rows[idx]))
-                        }
-                    });
-                }
-                let inputs = Inputs::bind(&payload_inputs, |name| {
-                    let (dim_idx, table) = resolve_by_name(catalog, &query.plan, name)?;
-                    let rows = match dim_idx {
-                        None => &out.fact_rows,
-                        Some(i) => &out.dim_rows[i],
-                    };
-                    Ok(BoundCol::new(table.column(name)?, Some(rows)))
-                })?;
-                let partial = group_by(&keys, &inputs, out.len(), &factory);
-                acc.sampled_input += out.len() as u64;
-                acc.table.merge(partial);
-                acc.sample_ns += t1.elapsed().as_nanos() as u64;
-            }
+            };
+            let rows = rows_of(None).len();
+            let keys: Vec<BoundCol<'_>> = key_cols
+                .iter()
+                .map(|&(col, dim)| BoundCol::new(col, Some(rows_of(dim))))
+                .collect();
+            let payload: Vec<(BoundCol<'_>, SlotKind)> = value_cols
+                .iter()
+                .map(|&(col, dim, kind)| (BoundCol::new(col, Some(rows_of(dim))), kind))
+                .collect();
+            acc.admission.admit(&keys, &payload, rows);
+            acc.sampled_input += rows as u64;
+            acc.sample_ns += t1.elapsed().as_nanos() as u64;
             Ok(())
         };
 
+        // Each worker's RNG stream is seeded off this counter as the
+        // worker starts. The tag keeps admission streams off the
+        // `seed + n·γ` lattice executors' own (merge) RNGs are seeded on —
+        // the service hands consecutive executors seeds one γ apart.
+        let worker_seed = AtomicU64::new(self.next_seed() ^ 0xAD31_55A7_C0DE_5EED);
         let token = &self.budget;
         let t_pipeline = Instant::now();
         let n_rows = fact.num_rows();
         let partials = parallel_fold(
             n_rows,
-            DEFAULT_MORSEL_ROWS,
+            self.morsel_rows,
             self.threads,
             || Partial {
-                table: GroupTable::new(),
+                admission: Admission::new(k, worker_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed)),
                 scan_ns: 0,
                 sample_ns: 0,
                 scanned: 0,
@@ -1039,7 +955,7 @@ impl LaqyExecutor {
         );
         let pipeline_wall = t_pipeline.elapsed();
 
-        let mut merged = GroupTable::new();
+        let mut samples = Vec::with_capacity(partials.len());
         let (mut scan_ns, mut sample_ns, mut scanned, mut sampled_input) = (0u64, 0u64, 0u64, 0u64);
         let mut covered = 0u64;
         let mut lane_rows = 0u64;
@@ -1049,7 +965,7 @@ impl LaqyExecutor {
             if let Some(e) = p.error {
                 return Err(e);
             }
-            merged.merge(p.table);
+            samples.push(p.admission.into_sample());
             scan_ns += p.scan_ns;
             sample_ns += p.sample_ns;
             scanned += p.scanned;
@@ -1059,7 +975,10 @@ impl LaqyExecutor {
             degraded = degraded.or(p.degraded);
             prune.accumulate(&p.prune);
         }
-        let boundary_sample = group_table_into_sample(merged, k);
+        // Workers scanned disjoint row sets, so their samples combine by
+        // Algorithm 3 (into the largest, in place); a lone worker's sample
+        // is the result as it stands.
+        let mut boundary_sample = merge_stratified_k(samples, &mut self.rng);
 
         // Fold the covered strata back into the stored sample: a uniform
         // k-subset of the span's rows with the span's row count as weight
@@ -1068,29 +987,20 @@ impl LaqyExecutor {
         let (sample, boundary) = if exact.is_empty() {
             (boundary_sample, None)
         } else {
-            let mut bound_cols = Vec::with_capacity(payload_cols.len());
-            for (slot, c) in payload_cols.iter().enumerate() {
-                bound_cols.push((fact.column(c)?, schema.kind(slot)));
-            }
-            let mut covered_sampler: StratifiedSampler<GroupKey, SampleTuple> =
-                StratifiedSampler::with_strata_hint(k, covered_rows.len());
+            let mut covered_sampler = Sample::with_strata_hint(k, covered_rows.len());
             let mut draw_rng = Lehmer64::new(covered_seed);
+            let mut items = Vec::with_capacity(k);
             for (key, spans, total) in &covered_rows {
-                let take = k.min(*total as usize);
-                let mut items = Vec::with_capacity(take);
-                for idx in floyd_k_subset(*total, take, &mut draw_rng) {
+                items.clear();
+                for idx in floyd_k_subset(*total, k.min(*total as usize), &mut draw_rng) {
                     let row = row_at(spans, idx);
-                    let mut vals = Vec::with_capacity(bound_cols.len());
-                    for (col, kind) in &bound_cols {
-                        vals.push(match kind {
-                            SlotKind::Int => col.i64_at(row),
-                            SlotKind::Float => col.f64_at(row).to_bits() as i64,
-                        });
+                    let mut vals = [0i64; crate::sampler_ops::MAX_SAMPLE_COLS];
+                    for (v, (col, _, kind)) in vals.iter_mut().zip(&value_cols) {
+                        *v = kind.read(col, row);
                     }
-                    items.push(SampleTuple::from_slice(&vals));
+                    items.push(SampleTuple::new(vals));
                 }
-                covered_sampler
-                    .insert_stratum(GroupKey::new(key), Reservoir::from_parts(k, items, *total));
+                covered_sampler.insert_items(GroupKey::new(key), &items, *total);
             }
             if degraded.is_some() {
                 // A cut-short scan cannot blend cleanly: estimate from the
@@ -1098,13 +1008,11 @@ impl LaqyExecutor {
                 // weighted strata, so the degraded-answer path stays
                 // valid) and drop the exact mass.
                 exact = ExactMass::new();
-                (
-                    merge_stratified(boundary_sample, covered_sampler, &mut self.rng),
-                    None,
-                )
+                boundary_sample.absorb(&covered_sampler, &mut self.rng);
+                (boundary_sample, None)
             } else {
                 let full =
-                    merge_stratified(boundary_sample.clone(), covered_sampler, &mut self.rng);
+                    merge_stratified_refs(&[&boundary_sample, &covered_sampler], &mut self.rng);
                 (full, Some(boundary_sample))
             }
         };
@@ -1173,15 +1081,204 @@ impl LaqyExecutor {
     }
 }
 
+/// One Δ-scan (residual fragment or append tail) of a coverage plan.
+pub(crate) struct Scan {
+    /// Position in the plan's `fragments` / `tails`.
+    pub index: usize,
+    /// Full-region sample — what the store absorbs.
+    pub sample: Sample,
+    /// Boundary-only sample, when lane mass was harvested.
+    pub boundary: Option<Sample>,
+    /// The scan ran to completion. Only clean scans may enter the store: a
+    /// degraded sample's descriptor would overclaim coverage.
+    pub clean: bool,
+}
+
+/// What the Δ-scans of one coverage plan produced.
+#[derive(Default)]
+pub(crate) struct CoverageScans {
+    /// Accumulated scan-side timing and cardinalities.
+    pub stats: ExecStats,
+    /// Exact lane mass harvested by fragment scans.
+    pub exact: ExactMass,
+    /// Σ of per-scan coverage fractions (1.0 for a clean scan).
+    pub coverage: f64,
+    /// Scans skipped outright because the budget had already expired
+    /// (their regions contribute nothing; the CI widening accounts for the
+    /// hole).
+    pub skipped: u64,
+    /// Fragment scans, in plan order.
+    pub fragments: Vec<Scan>,
+    /// Tail scans, in plan order.
+    pub tails: Vec<Scan>,
+}
+
+/// The plan a coverage merge is validated and absorbed against.
+pub(crate) struct CoveragePlanRef<'a> {
+    pub descriptor: &'a SampleDescriptor,
+    pub schema: &'a SampleSchema,
+    /// The pinned epoch's row watermark.
+    pub watermark: u64,
+    pub samples: &'a [SampleId],
+    pub fragments: &'a [Predicates],
+    pub tails: &'a [TailFragment],
+}
+
+/// A coverage plan's merged sample, ready to estimate from.
+pub(crate) struct CoverageMerge {
+    /// Stored samples ⊎ every scan: the full region (what the store got).
+    pub merged: Arc<Sample>,
+    /// The same merge over *boundary* fragment samples (lane-covered rows
+    /// excluded) when lane mass was harvested, so `exact` blends in without
+    /// double counting.
+    pub boundary: Option<Sample>,
+    pub exact: ExactMass,
+}
+
+impl CoverageMerge {
+    /// Estimate the query from the merged sample (plus exact lane mass).
+    pub fn estimate(
+        &self,
+        schema: &SampleSchema,
+        aggs: &[laqy_engine::AggSpec],
+        tighten: &Predicates,
+    ) -> Result<Vec<GroupEstimate>> {
+        let opts = EstimateOptions {
+            tighten: Some(tighten),
+            exact: (!self.exact.is_empty()).then_some(&self.exact),
+            ..Default::default()
+        };
+        let sample = self.boundary.as_ref().unwrap_or(&self.merged);
+        Ok(estimate(sample, schema, aggs, &opts)?)
+    }
+}
+
+impl CoverageScans {
+    /// Absorb every clean scan on its own: tails back into their source
+    /// samples (advancing watermarks — the `from_row` guard rejects a
+    /// replayed or overlapping tail instead of double-counting it), then
+    /// fragments under their own predicate boxes.
+    pub fn absorb_clean(
+        self,
+        store: &mut SampleStore,
+        rng: &mut Lehmer64,
+        plan: &CoveragePlanRef<'_>,
+    ) {
+        for t in self.tails.into_iter().filter(|t| t.clean) {
+            let tail = &plan.tails[t.index];
+            store.absorb_tail(tail.id, &t.sample, tail.from_row, plan.watermark, rng);
+        }
+        for f in self.fragments.into_iter().filter(|f| f.clean) {
+            let mut frag_desc = plan.descriptor.clone();
+            frag_desc.predicates = plan.fragments[f.index].clone();
+            store.absorb(
+                frag_desc,
+                plan.schema.clone(),
+                f.sample,
+                plan.watermark,
+                rng,
+            );
+        }
+    }
+
+    /// The coverage plan's write step: merge the planned stored samples
+    /// with every scan, then sample-as-you-query absorption. When nothing
+    /// was degraded, no tail is in play and the merged region is itself a
+    /// predicate box, the stored parts leave the store, the Δs are merged
+    /// into the largest of them *in place*, and the result goes back under
+    /// the union descriptor. Otherwise the merge is made on a copy and each
+    /// clean scan is absorbed on its own (a multi-column union is not
+    /// expressible as one descriptor, a union replacement would drop
+    /// per-sample watermark bookkeeping mid catch-up, and a degraded merge
+    /// would overclaim coverage). `None` if a planned sample is no longer
+    /// stored.
+    pub fn merge_and_absorb(
+        mut self,
+        store: &mut SampleStore,
+        rng: &mut Lehmer64,
+        plan: &CoveragePlanRef<'_>,
+        degraded: bool,
+    ) -> Option<CoverageMerge> {
+        let stored: Vec<&StoredSample> = plan
+            .samples
+            .iter()
+            .map(|id| store.get(*id))
+            .collect::<Option<_>>()?;
+        let exact = std::mem::take(&mut self.exact);
+        let scans = || self.fragments.iter().chain(&self.tails);
+        // Tail scans never harvest lanes: the full tail sample is its own
+        // boundary.
+        let boundary = (!exact.is_empty()).then(|| {
+            let inputs: Vec<&Sample> = stored
+                .iter()
+                .map(|s| &*s.sample)
+                .chain(scans().map(|s| s.boundary.as_ref().unwrap_or(&s.sample)))
+                .collect();
+            merge_stratified_refs(&inputs, rng)
+        });
+        let union = if degraded || !self.tails.is_empty() {
+            None
+        } else {
+            let parts: Vec<&Predicates> = stored
+                .iter()
+                .map(|s| &s.descriptor.predicates)
+                .chain(plan.fragments)
+                .collect();
+            union_single_column(&parts)
+        };
+        let merged = match union {
+            Some(union_preds) => {
+                let mut inputs: Vec<Sample> = plan
+                    .samples
+                    .iter()
+                    .filter_map(|id| store.take(*id))
+                    .map(|s| Arc::unwrap_or_clone(s.sample))
+                    .collect();
+                inputs.extend(self.fragments.into_iter().map(|s| s.sample));
+                let mut merged = merge_stratified_k(inputs, rng);
+                // Shared with the store from here on, which therefore
+                // cannot settle it itself.
+                merged.shrink_to_fit();
+                let merged = Arc::new(merged);
+                let mut union_desc = plan.descriptor.clone();
+                union_desc.predicates = union_preds;
+                store.absorb(
+                    union_desc,
+                    plan.schema.clone(),
+                    Arc::clone(&merged),
+                    plan.watermark,
+                    rng,
+                );
+                merged
+            }
+            None => {
+                let inputs: Vec<&Sample> = stored
+                    .iter()
+                    .map(|s| &*s.sample)
+                    .chain(scans().map(|s| &s.sample))
+                    .collect();
+                let merged = Arc::new(merge_stratified_refs(&inputs, rng));
+                self.absorb_clean(store, rng, plan);
+                merged
+            }
+        };
+        Some(CoverageMerge {
+            merged,
+            boundary,
+            exact,
+        })
+    }
+}
+
 /// Outcome of one sampling pipeline run.
 pub(crate) struct PipelineRun {
     /// Stratified sample over the whole scanned region, lane-covered
     /// strata included — statistically equivalent to a plain reservoir
     /// pass, so it is what the store absorbs.
-    pub sample: StratifiedSampler<GroupKey, SampleTuple>,
+    pub sample: Sample,
     /// Boundary-only sample (covered rows excluded) for estimation;
     /// `None` when no lane mass was harvested (estimate from `sample`).
-    pub boundary: Option<StratifiedSampler<GroupKey, SampleTuple>>,
+    pub boundary: Option<Sample>,
     /// Exact covered mass to blend into estimation alongside `boundary`.
     pub exact: ExactMass,
     /// Timing/cardinality breakdown.
@@ -1434,6 +1531,160 @@ mod tests {
         assert_eq!(report.supported, 1);
         assert_eq!(report.under_supported, vec![GroupKey::new(&[1])]);
         assert_eq!(report.empty, vec![GroupKey::new(&[2])]);
+    }
+
+    /// `rows` rows over `strata` strata: `key` is a permutation of the row
+    /// ids (so a range predicate selects scattered rows), `v` the row id.
+    fn admission_catalog(rows: i64, strata: i64) -> Catalog {
+        let mut cat = Catalog::new();
+        cat.register(
+            Table::new(
+                "t",
+                vec![
+                    (
+                        "key".into(),
+                        Column::Int64((0..rows).map(|i| (i * 7919) % rows).collect()),
+                    ),
+                    (
+                        "g".into(),
+                        Column::Int64((0..rows).map(|i| (i * 31) % strata).collect()),
+                    ),
+                    ("v".into(), Column::Int64((0..rows).collect())),
+                ],
+            )
+            .unwrap(),
+        );
+        cat
+    }
+
+    /// Sample `query` over `catalog` with the given scan shape.
+    fn sample_with(
+        catalog: &Catalog,
+        query: &ApproxQuery,
+        threads: usize,
+        morsel_rows: usize,
+        seed: u64,
+    ) -> Sample {
+        let mut exec = LaqyExecutor::new(threads, SupportPolicy::default(), seed);
+        exec.morsel_rows = morsel_rows;
+        let ranges = IntervalSet::of(query.range);
+        exec.sample_pipeline(catalog, query, &ranges, &Predicate::True)
+            .unwrap()
+            .0
+    }
+
+    /// The admission path this pipeline replaced, kept as the oracle: one
+    /// independently allocated [`Reservoir`] per stratum, fed the selected
+    /// rows' `v` in row order.
+    fn reference_sample(
+        catalog: &Catalog,
+        query: &ApproxQuery,
+        seed: u64,
+    ) -> std::collections::BTreeMap<i64, laqy_sampling::Reservoir<i64>> {
+        let t = catalog.table("t").unwrap();
+        let col = |name: &str| t.column(name).unwrap();
+        let mut rng = Lehmer64::new(seed);
+        let mut strata = std::collections::BTreeMap::new();
+        for row in 0..t.num_rows() {
+            if query.range.contains(col("key").i64_at(row)) {
+                strata
+                    .entry(col("g").i64_at(row))
+                    .or_insert_with(|| laqy_sampling::Reservoir::new(query.k))
+                    .offer(col("v").i64_at(row), &mut rng);
+            }
+        }
+        strata
+    }
+
+    #[test]
+    fn one_thread_sample_is_independent_of_morsel_size() {
+        let rows = 150_000;
+        let catalog = admission_catalog(rows, 50);
+        let query = mini_query(10_000, 99_999);
+        let whole = sample_with(&catalog, &query, 1, rows as usize, 7);
+        assert_eq!(whole.num_strata(), 50);
+        assert_eq!(whole.total_weight(), 90_000);
+        for morsel_rows in [4_096, DEFAULT_MORSEL_ROWS] {
+            let cut = sample_with(&catalog, &query, 1, morsel_rows, 7);
+            assert_eq!(
+                cut.iter().collect::<Vec<_>>(),
+                whole.iter().collect::<Vec<_>>(),
+                "{morsel_rows}-row morsels changed the sample"
+            );
+        }
+        // Same seed, same answer; another seed, another sample.
+        let again = sample_with(&catalog, &query, 1, 4_096, 7);
+        assert_eq!(
+            again.iter().collect::<Vec<_>>(),
+            whole.iter().collect::<Vec<_>>()
+        );
+        let other = sample_with(&catalog, &query, 1, 4_096, 8);
+        assert_ne!(
+            other.iter().collect::<Vec<_>>(),
+            whole.iter().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn admission_matches_reference_weights_and_is_uniform() {
+        // Every scan shape must retain min(k, w) tuples of the w selected
+        // per stratum, and include each selected row with probability k/w.
+        let (rows, strata, seeds) = (960i64, 4i64, 300u64);
+        let catalog = admission_catalog(rows, strata);
+        let mut query = mini_query(100, 819);
+        query.k = 8;
+        let t = catalog.table("t").unwrap();
+        let v_slot = LaqyExecutor::new(1, SupportPolicy::default(), 0)
+            .payload_schema(&catalog, &query)
+            .unwrap()
+            .1
+            .slot("v")
+            .unwrap();
+        // Multi-morsel on one worker, and multi-worker (the fold hands
+        // the 60 morsels to 8 task units).
+        for threads in [1, 8] {
+            let mut included = vec![0u64; rows as usize];
+            for seed in 0..seeds {
+                let sample = sample_with(&catalog, &query, threads, 16, seed);
+                let reference = reference_sample(&catalog, &query, seed);
+                assert_eq!(sample.num_strata(), reference.len());
+                for (key, items, weight) in sample.iter() {
+                    let r = &reference[&key.parts()[0]];
+                    assert_eq!(weight, r.weight(), "threads={threads} seed={seed}");
+                    assert_eq!(items.len(), r.len(), "threads={threads} seed={seed}");
+                    for item in items {
+                        included[item.int(v_slot) as usize] += 1;
+                    }
+                }
+            }
+            let reference = reference_sample(&catalog, &query, 0);
+            for (g, r) in &reference {
+                // Inclusion counts over the seeds are Binomial(seeds, k/w)
+                // per selected row: Pearson's statistic over the stratum's
+                // w rows is ≈ χ²(w − 1).
+                let w = r.weight() as f64;
+                let p = query.k as f64 / w;
+                let chi2: f64 = (0..rows as usize)
+                    .filter(|&row| {
+                        t.column("g").unwrap().i64_at(row) == *g
+                            && query.range.contains(t.column("key").unwrap().i64_at(row))
+                    })
+                    .map(|row| {
+                        let expected = seeds as f64 * p;
+                        (included[row] as f64 - expected).powi(2) / (expected * (1.0 - p))
+                    })
+                    .sum();
+                let df = w - 1.0;
+                assert!(
+                    chi2 < df + 5.0 * (2.0 * df).sqrt(),
+                    "threads={threads} stratum {g}: χ² {chi2:.1} over {df} df"
+                );
+                assert!(
+                    chi2 > df - 5.0 * (2.0 * df).sqrt(),
+                    "threads={threads} stratum {g}: χ² {chi2:.1} suspiciously even"
+                );
+            }
+        }
     }
 
     #[test]

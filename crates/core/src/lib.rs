@@ -19,8 +19,8 @@
 //!   Δ-merging (with optional byte-budgeted LRU eviction);
 //! - [`lazy`] — Algorithm 1, the lazy sampling planner, generalized to
 //!   multi-sample, multi-fragment coverage reuse;
-//! - [`sampler_ops`] — reservoir sampling as an engine aggregation
-//!   function (stratified sampling = group-by with reservoir aggregation);
+//! - [`sampler_ops`] — sampled-tuple payloads and the admission path
+//!   (every scan worker continues Algorithm R into one dense sample);
 //! - [`executor`] / [`session`] — the end-to-end flow of Figure 7 for both
 //!   sampler placements (pushed to scan, and above star joins);
 //! - [`service`] — the concurrent, shared-store deployment of the same
@@ -119,7 +119,6 @@ pub mod stats;
 pub mod store;
 pub mod support;
 pub mod wal;
-pub mod window;
 
 pub use bounded::{run_bounded, BoundedResult, ErrorTarget};
 pub use budget::{CancelToken, Degradation, DegradeReason, QueryBudget};
@@ -138,10 +137,7 @@ pub use persist::{
     load_from_file, load_store, recover_snapshot, save_snapshot, save_store, save_to_file,
     PersistError, RecoveryReport, KEEP_GENERATIONS, MAX_SNAPSHOT_BYTES,
 };
-pub use sampler_ops::{
-    group_table_into_sample, ReservoirAgg, ReservoirAggFactory, SampleSchema, SampleTuple,
-    SlotKind, MAX_SAMPLE_COLS,
-};
+pub use sampler_ops::{Sample, SampleSchema, SampleTuple, SlotKind, MAX_SAMPLE_COLS};
 pub use service::LaqyService;
 pub use session::{LaqySession, SessionConfig};
 pub use sql::{approx_query, approx_query_on};
@@ -155,4 +151,3 @@ pub use wal::{
     replay as replay_wal, WalAppender, WalPosition, WalRecord, WalReplayReport,
     MAX_WAL_SEGMENT_BYTES, WAL_SEGMENT_PREFIX,
 };
-pub use window::SlidingSampler;

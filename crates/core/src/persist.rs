@@ -41,11 +41,10 @@ use std::path::Path;
 
 use bytes::{Buf, BufMut};
 use laqy_engine::GroupKey;
-use laqy_sampling::{Reservoir, StratifiedSampler};
 
 use crate::descriptor::{Predicates, SampleDescriptor};
 use crate::interval::{Interval, IntervalSet};
-use crate::sampler_ops::{SampleSchema, SampleTuple, SlotKind, MAX_SAMPLE_COLS};
+use crate::sampler_ops::{Sample, SampleSchema, SampleTuple, SlotKind, MAX_SAMPLE_COLS};
 use crate::store::SampleStore;
 
 const MAGIC: &[u8; 4] = b"LAQY";
@@ -63,6 +62,12 @@ pub const SNAPSHOT_PREFIX: &str = "store.snap.";
 /// How many trailing generations [`save_snapshot`] retains. The newest
 /// is the live snapshot; the rest are recovery fallbacks.
 pub const KEEP_GENERATIONS: usize = 2;
+
+/// Cap on the payload-arena bytes one [`load_store`] call may allocate
+/// across all the samples it restores. A restored sample's arena is
+/// `strata × capacity` tuples whatever its strata hold, so a few corrupt
+/// bytes declaring a huge capacity must not become a huge allocation.
+const MAX_RESTORED_ARENA_BYTES: u64 = MAX_SNAPSHOT_BYTES;
 
 /// Smallest possible wire footprint of one sample (empty strings, zero
 /// columns, zero strata); bounds pre-validation of the sample count.
@@ -138,11 +143,12 @@ pub fn load_store(mut data: &[u8]) -> Result<SampleStore, PersistError> {
         )));
     }
     let mut store = SampleStore::new();
+    let mut arena_budget = MAX_RESTORED_ARENA_BYTES;
     for _ in 0..count {
         let descriptor = read_descriptor(buf)?;
         let schema = read_schema(buf)?;
         let watermark = read_u64(buf)?;
-        let sampler = read_sampler(buf, schema.len(), descriptor.k)?;
+        let sampler = read_sampler(buf, schema.len(), descriptor.k, &mut arena_budget)?;
         store.insert_raw(descriptor, schema, sampler, watermark);
     }
     if buf.has_remaining() {
@@ -370,11 +376,7 @@ fn write_schema(buf: &mut Vec<u8>, schema: &SampleSchema) {
     }
 }
 
-fn write_sampler(
-    buf: &mut Vec<u8>,
-    sampler: &StratifiedSampler<GroupKey, SampleTuple>,
-    width: usize,
-) {
+fn write_sampler(buf: &mut Vec<u8>, sampler: &Sample, width: usize) {
     buf.put_u64_le(sampler.capacity() as u64);
     buf.put_u32_le(sampler.num_strata() as u32);
     // Canonical order: the in-memory stratum map iterates in hash-table
@@ -511,7 +513,8 @@ fn read_sampler(
     buf: &mut &[u8],
     width: usize,
     expected_k: usize,
-) -> Result<StratifiedSampler<GroupKey, SampleTuple>, PersistError> {
+    arena_budget: &mut u64,
+) -> Result<Sample, PersistError> {
     let capacity = read_u64(buf)? as usize;
     if capacity == 0 {
         return Err(PersistError::Corrupt("zero reservoir capacity".into()));
@@ -523,14 +526,26 @@ fn read_sampler(
     }
     let strata = read_u32(buf)? as usize;
     // Every stratum needs at least key-len(1) + weight(8) + count(4)
-    // bytes; bound the hash-table pre-allocation so corrupt counts cannot
-    // trigger giant allocations.
+    // bytes; bound the pre-allocation so corrupt counts cannot trigger
+    // giant allocations.
     if strata > buf.remaining() / 13 {
         return Err(PersistError::Corrupt(format!(
             "stratum count {strata} exceeds snapshot size"
         )));
     }
-    let mut sampler = StratifiedSampler::with_strata_hint(capacity, strata);
+    let arena_bytes = (strata as u64)
+        .checked_mul(capacity as u64)
+        .and_then(|slots| slots.checked_mul(std::mem::size_of::<SampleTuple>() as u64));
+    match arena_bytes {
+        Some(bytes) if bytes <= *arena_budget => *arena_budget -= bytes,
+        _ => {
+            return Err(PersistError::Corrupt(format!(
+                "{strata} strata of capacity {capacity} exceed the restorable sample size"
+            )));
+        }
+    }
+    let mut sampler = Sample::with_strata_hint(capacity, strata);
+    let mut items = Vec::new();
     for _ in 0..strata {
         let key_len = read_u8(buf)? as usize;
         if key_len > laqy_engine::MAX_KEY_COLS {
@@ -548,7 +563,7 @@ fn read_sampler(
                 "stratum holds {count} items over capacity {capacity}"
             )));
         }
-        if (weight as usize) < count {
+        if weight < count as u64 {
             return Err(PersistError::Corrupt(
                 "stratum weight below item count".into(),
             ));
@@ -558,7 +573,7 @@ fn read_sampler(
                 "stratum item count {count} exceeds snapshot size"
             )));
         }
-        let mut items = Vec::with_capacity(count);
+        items.clear();
         for _ in 0..count {
             let mut vals = [0i64; MAX_SAMPLE_COLS];
             for v in vals.iter_mut().take(width) {
@@ -566,7 +581,7 @@ fn read_sampler(
             }
             items.push(SampleTuple::new(vals));
         }
-        sampler.insert_stratum(key, Reservoir::from_parts(capacity, items, weight));
+        sampler.insert_items(key, &items, weight);
     }
     Ok(sampler)
 }
@@ -597,7 +612,7 @@ mod tests {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(1);
         for (i, (lo, hi)) in [(0i64, 99i64), (200, 399)].iter().enumerate() {
-            let mut s = StratifiedSampler::new(4);
+            let mut s = Sample::new(4);
             for g in 0..3i64 {
                 for x in *lo..(*lo + 20) {
                     s.offer(
@@ -815,6 +830,46 @@ mod tests {
         bytes.put_u32_le(VERSION);
         bytes.put_u32_le(u32::MAX);
         assert!(matches!(load_store(&bytes), Err(PersistError::Corrupt(_))));
+    }
+
+    #[test]
+    fn hostile_capacity_rejected_without_allocation() {
+        // A well-formed snapshot whose one-stratum sampler claims the given
+        // capacity — and so a strata × capacity arena.
+        let forge = |capacity: u64| {
+            let mut bytes = Vec::new();
+            bytes.put_slice(MAGIC);
+            bytes.put_u32_le(VERSION);
+            bytes.put_u32_le(1);
+            write_descriptor(&mut bytes, &descriptor(0, 9));
+            write_schema(&mut bytes, &schema());
+            bytes.put_u64_le(0); // watermark
+            let sampler_at = bytes.len();
+            bytes.put_u64_le(capacity);
+            bytes.put_u32_le(1); // strata
+            bytes.put_u8(1);
+            bytes.put_i64_le(7); // key
+            bytes.put_u64_le(0); // weight
+            bytes.put_u32_le(0); // items
+            (bytes, sampler_at)
+        };
+        assert_eq!(load_store(&forge(4).0).unwrap().len(), 1);
+        for capacity in [1u64 << 40, u64::MAX] {
+            assert!(matches!(
+                load_store(&forge(capacity).0),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+        // The budget is cumulative over a snapshot's samples: each restored
+        // arena (here 4 slots × 64 B) is charged against what is left.
+        let (bytes, sampler_at) = forge(4);
+        let mut budget = 300u64;
+        assert!(read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut budget).is_ok());
+        assert_eq!(budget, 300 - 256);
+        assert!(matches!(
+            read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut budget),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]

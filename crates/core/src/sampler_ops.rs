@@ -1,22 +1,17 @@
-//! Sampling operators as engine aggregation functions (paper §6.2).
+//! Sampled-tuple payloads and the admission path (paper §4.1, §6.2).
 //!
-//! "We introduced reservoir sampling as a new aggregation function that
-//! produces a bag of items. Stratified sampling is then implemented as a
-//! group-by that aggregates the input using the reservoir aggregation
-//! function." — this module is exactly that: [`ReservoirAggFactory`]
-//! implements the engine's [`AggregatorFactory`], so the engine's hash
-//! group-by (keyed by the QCS columns) produces one reservoir per stratum.
-//! A keyless group-by (reduction) yields a simple reservoir sample.
-//!
-//! The produced group-by hash table is converted into a
-//! [`StratifiedSampler`] without copying tuple payloads (ownership
-//! transfer, §6.3).
+//! The paper implements stratified sampling as a group-by whose aggregation
+//! function is a reservoir. Here the group-by *is* the sampler: every
+//! scan worker owns one [`Sample`] and one RNG ([`Admission`]), and each
+//! morsel's selected rows — straight off the fact scan or above a star
+//! join — continue Algorithm R directly into it. No per-morsel hash table
+//! is built and nothing is merged until different workers' samples are
+//! combined (Algorithm 3). DESIGN.md, "Sample layout and the admission
+//! path", has the layout and the cost model.
 
-use laqy_sync::atomic::{AtomicU64, Ordering};
-
-use laqy_engine::ops::{Aggregator, AggregatorFactory, GroupTable, Inputs};
-use laqy_engine::GroupKey;
-use laqy_sampling::{Lehmer64, Reservoir, StratifiedSampler};
+use laqy_engine::ops::BoundCol;
+use laqy_engine::{Column, GroupKey, MAX_KEY_COLS};
+use laqy_sampling::{Lehmer64, StratifiedSampler};
 
 /// Maximum payload columns carried per sampled tuple.
 pub const MAX_SAMPLE_COLS: usize = 8;
@@ -30,9 +25,19 @@ pub enum SlotKind {
     Float,
 }
 
+impl SlotKind {
+    /// Row `row` of `col` as a payload slot value (floats bit-cast).
+    pub(crate) fn read(self, col: &Column, row: usize) -> i64 {
+        match self {
+            SlotKind::Int => col.i64_at(row),
+            SlotKind::Float => col.f64_at(row).to_bits() as i64,
+        }
+    }
+}
+
 /// A fixed-width sampled tuple: the QVS payload of one input row. Floats
 /// are stored bit-cast so the tuple stays `Copy` and branch-free to move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SampleTuple {
     vals: [i64; MAX_SAMPLE_COLS],
 }
@@ -115,116 +120,65 @@ impl SampleSchema {
     }
 }
 
-/// Per-group reservoir aggregation state. Each group keeps its own inlined
-/// RNG so admission draws never contend and stay register-resident, as the
-/// paper's generated code does with its Lehmer generator.
-pub struct ReservoirAgg {
-    reservoir: Reservoir<SampleTuple>,
+/// A stratified sample of [`SampleTuple`]s, strata keyed by the QCS
+/// values.
+pub type Sample = StratifiedSampler<GroupKey, SampleTuple>;
+
+/// One scan worker's admission state: the sample its morsels fold into and
+/// the RNG driving Algorithm R. The RNG is per worker, not per stratum, so
+/// at one thread the sample depends only on the order rows arrive in —
+/// never on how the scan was cut into morsels.
+pub(crate) struct Admission {
+    sample: Sample,
     rng: Lehmer64,
-    kinds: [SlotKind; MAX_SAMPLE_COLS],
-    width: usize,
 }
 
-impl ReservoirAgg {
-    /// The reservoir accumulated so far.
-    pub fn reservoir(&self) -> &Reservoir<SampleTuple> {
-        &self.reservoir
-    }
-
-    /// Take the reservoir out.
-    pub fn into_reservoir(self) -> Reservoir<SampleTuple> {
-        self.reservoir
-    }
-}
-
-impl Aggregator for ReservoirAgg {
-    #[inline]
-    fn update(&mut self, inputs: &Inputs<'_>, i: usize) {
-        let mut vals = [0i64; MAX_SAMPLE_COLS];
-        for (slot, v) in vals.iter_mut().enumerate().take(self.width) {
-            *v = match self.kinds[slot] {
-                SlotKind::Int => inputs.i64(slot, i),
-                SlotKind::Float => inputs.f64(slot, i).to_bits() as i64,
-            };
-        }
-        self.reservoir.offer(SampleTuple { vals }, &mut self.rng);
-    }
-
-    fn merge(&mut self, other: Self) {
-        // Exchange-operator path: combine per-thread partial reservoirs of
-        // the same stratum (Algorithm 2).
-        let merged = laqy_sampling::merge_reservoirs(
-            Some(&self.reservoir),
-            Some(&other.reservoir),
-            &mut self.rng,
-        );
-        self.reservoir = merged;
-    }
-}
-
-/// Factory producing [`ReservoirAgg`] states; implements the engine's
-/// pluggable aggregate interface, turning its group-by into a stratified
-/// sampler.
-pub struct ReservoirAggFactory {
-    k: usize,
-    kinds: [SlotKind; MAX_SAMPLE_COLS],
-    width: usize,
-    seed: AtomicU64,
-}
-
-impl ReservoirAggFactory {
-    /// `k`: per-stratum reservoir capacity; `schema`: payload layout;
-    /// `seed`: base RNG seed (each created state derives a distinct
-    /// stream).
-    pub fn new(k: usize, schema: &SampleSchema, seed: u64) -> Self {
-        let mut kinds = [SlotKind::Int; MAX_SAMPLE_COLS];
-        for (i, (_, kind)) in schema.columns.iter().enumerate() {
-            kinds[i] = *kind;
-        }
+impl Admission {
+    /// Empty sample with per-stratum capacity `k`.
+    pub fn new(k: usize, seed: u64) -> Self {
         Self {
-            k,
-            kinds,
-            width: schema.len(),
-            seed: AtomicU64::new(seed),
+            sample: Sample::new(k),
+            rng: Lehmer64::new(seed),
         }
     }
-}
 
-impl AggregatorFactory for ReservoirAggFactory {
-    type Agg = ReservoirAgg;
-
-    fn create(&self) -> ReservoirAgg {
-        let s = self.seed.fetch_add(0x9E37_79B9, Ordering::Relaxed);
-        ReservoirAgg {
-            reservoir: Reservoir::new(self.k),
-            rng: Lehmer64::new(s),
-            kinds: self.kinds,
-            width: self.width,
+    /// Offer logical rows `0..rows` of the bound columns: `keys` form the
+    /// stratum key, `payload` the tuple (built only when admitted).
+    pub fn admit(
+        &mut self,
+        keys: &[BoundCol<'_>],
+        payload: &[(BoundCol<'_>, SlotKind)],
+        rows: usize,
+    ) {
+        let mut key = [0i64; MAX_KEY_COLS];
+        for i in 0..rows {
+            for (part, col) in key.iter_mut().zip(keys) {
+                *part = col.i64(i);
+            }
+            self.sample
+                .offer_with(GroupKey::new(&key[..keys.len()]), &mut self.rng, || {
+                    let mut vals = [0i64; MAX_SAMPLE_COLS];
+                    for (v, (col, kind)) in vals.iter_mut().zip(payload) {
+                        *v = match kind {
+                            SlotKind::Int => col.i64(i),
+                            SlotKind::Float => col.f64(i).to_bits() as i64,
+                        };
+                    }
+                    SampleTuple { vals }
+                });
         }
     }
-}
 
-/// Transfer ownership of a reservoir group-by hash table into a stratified
-/// sample (paper §6.3: "we transfer the ownership of the hash-table used
-/// by our group-by... This process does not require moving or copying the
-/// data" — here the tuple storage moves by pointer inside each
-/// `Reservoir`).
-pub fn group_table_into_sample(
-    table: GroupTable<ReservoirAgg>,
-    k: usize,
-) -> StratifiedSampler<GroupKey, SampleTuple> {
-    let mut out = StratifiedSampler::with_strata_hint(k, table.len());
-    for (key, agg) in table.map {
-        out.insert_stratum(key, agg.into_reservoir());
+    /// The sample built so far.
+    pub fn into_sample(self) -> Sample {
+        self.sample
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laqy_engine::ops::{group_by, BoundCol};
-    use laqy_engine::{AggInput, Column, Table};
+    use laqy_engine::Table;
 
     fn schema() -> SampleSchema {
         SampleSchema::new(vec![
@@ -251,22 +205,31 @@ mod tests {
         .unwrap()
     }
 
-    fn sample_table(k: usize) -> StratifiedSampler<GroupKey, SampleTuple> {
-        let t = table();
-        let factory = ReservoirAggFactory::new(k, &schema(), 42);
-        let key = BoundCol::new(t.column("g").unwrap(), None);
-        let inputs = Inputs::bind(
-            &[AggInput::Col("v".into()), AggInput::Col("w".into())],
-            |name| Ok(BoundCol::new(t.column(name).unwrap(), None)),
-        )
-        .unwrap();
-        let gt = group_by(&[key], &inputs, t.num_rows(), &factory);
-        group_table_into_sample(gt, k)
+    /// Admit `t`'s rows in the given batches of row ids (`None` = one dense
+    /// batch over the whole table).
+    fn admit_batches(t: &Table, k: usize, keyed: bool, batches: &[Option<&[u32]>]) -> Sample {
+        let mut admission = Admission::new(k, 42);
+        for rows in batches {
+            let keys: Vec<BoundCol<'_>> = keyed
+                .then(|| BoundCol::new(t.column("g").unwrap(), *rows))
+                .into_iter()
+                .collect();
+            let payload = [
+                (BoundCol::new(t.column("v").unwrap(), *rows), SlotKind::Int),
+                (
+                    BoundCol::new(t.column("w").unwrap(), *rows),
+                    SlotKind::Float,
+                ),
+            ];
+            let n = rows.map_or(t.num_rows(), |r| r.len());
+            admission.admit(&keys, &payload, n);
+        }
+        admission.into_sample()
     }
 
     #[test]
-    fn stratified_sampling_via_group_by() {
-        let s = sample_table(8);
+    fn admission_routes_rows_to_strata() {
+        let s = admit_batches(&table(), 8, true, &[None]);
         assert_eq!(s.num_strata(), 5);
         assert_eq!(s.total_weight(), 1000);
         for g in 0..5 {
@@ -282,72 +245,34 @@ mod tests {
     }
 
     #[test]
-    fn small_k_keeps_reservoirs_at_capacity() {
-        let s = sample_table(2);
-        assert_eq!(s.total_items(), 10);
-    }
-
-    #[test]
-    fn large_k_keeps_whole_strata() {
-        let s = sample_table(500);
+    fn capacity_bounds_retained_tuples() {
+        assert_eq!(admit_batches(&table(), 2, true, &[None]).total_items(), 10);
         // Each stratum has only 200 tuples < k ⇒ everything retained.
-        assert_eq!(s.total_items(), 1000);
+        assert_eq!(
+            admit_batches(&table(), 500, true, &[None]).total_items(),
+            1000
+        );
     }
 
     #[test]
-    fn partial_merge_combines_thread_reservoirs() {
+    fn batches_continue_one_reservoir_pass() {
+        // Two selection-vector batches are the same Algorithm R stream as
+        // one dense pass: identical strata, weights and tuples.
         let t = table();
-        let factory = ReservoirAggFactory::new(16, &schema(), 7);
-        let key = BoundCol::new(t.column("g").unwrap(), None);
-        let inputs = Inputs::bind(
-            &[AggInput::Col("v".into()), AggInput::Col("w".into())],
-            |name| Ok(BoundCol::new(t.column(name).unwrap(), None)),
-        )
-        .unwrap();
-        // Simulate two morsels.
-        let rows_a: Vec<u32> = (0..500).collect();
-        let rows_b: Vec<u32> = (500..1000).collect();
-        let key_a = BoundCol::new(t.column("g").unwrap(), Some(&rows_a));
-        let inputs_a = Inputs::bind(
-            &[AggInput::Col("v".into()), AggInput::Col("w".into())],
-            |name| Ok(BoundCol::new(t.column(name).unwrap(), Some(&rows_a))),
-        )
-        .unwrap();
-        let key_b = BoundCol::new(t.column("g").unwrap(), Some(&rows_b));
-        let inputs_b = Inputs::bind(
-            &[AggInput::Col("v".into()), AggInput::Col("w".into())],
-            |name| Ok(BoundCol::new(t.column(name).unwrap(), Some(&rows_b))),
-        )
-        .unwrap();
-        let mut ga = group_by(&[key_a], &inputs_a, rows_a.len(), &factory);
-        let gb = group_by(&[key_b], &inputs_b, rows_b.len(), &factory);
-        ga.merge(gb);
-        let merged = group_table_into_sample(ga, 16);
-        assert_eq!(merged.total_weight(), 1000);
-        assert_eq!(merged.num_strata(), 5);
-
-        // Single-pass reference for comparison of weights.
-        let gt = group_by(&[key], &inputs, t.num_rows(), &factory);
-        let single = group_table_into_sample(gt, 16);
-        for g in 0..5 {
-            let (_, wm) = merged.stratum(&GroupKey::new(&[g])).unwrap();
-            let (_, ws) = single.stratum(&GroupKey::new(&[g])).unwrap();
-            assert_eq!(wm, ws);
-        }
+        let first: Vec<u32> = (0..500).collect();
+        let second: Vec<u32> = (500..1000).collect();
+        let split = admit_batches(&t, 16, true, &[Some(&first), Some(&second)]);
+        let whole = admit_batches(&t, 16, true, &[None]);
+        assert_eq!(
+            split.iter().collect::<Vec<_>>(),
+            whole.iter().collect::<Vec<_>>()
+        );
     }
 
     #[test]
-    fn keyless_group_by_is_simple_reservoir() {
-        let t = table();
-        let factory = ReservoirAggFactory::new(32, &schema(), 11);
-        let inputs = Inputs::bind(
-            &[AggInput::Col("v".into()), AggInput::Col("w".into())],
-            |name| Ok(BoundCol::new(t.column(name).unwrap(), None)),
-        )
-        .unwrap();
-        let gt = group_by(&[], &inputs, t.num_rows(), &factory);
-        assert_eq!(gt.len(), 1);
-        let s = group_table_into_sample(gt, 32);
+    fn keyless_admission_is_a_simple_reservoir() {
+        let s = admit_batches(&table(), 32, false, &[None]);
+        assert_eq!(s.num_strata(), 1);
         let (items, w) = s.stratum(&GroupKey::new(&[])).unwrap();
         assert_eq!(w, 1000);
         assert_eq!(items.len(), 32);

@@ -72,18 +72,16 @@ use laqy_sync::{Condvar, Mutex, RwLock, RwLockReadGuard};
 use crate::budget::{apply_degradation, blended_degradation, CancelToken, QueryBudget};
 use crate::descriptor::{Predicates, SampleDescriptor};
 use crate::executor::{
-    fragment_extra_predicate, support_from_groups, ApproxQuery, ApproxResult, LaqyError,
-    LaqyExecutor, Result, ReuseMode,
+    support_from_groups, ApproxQuery, ApproxResult, CoveragePlanRef, LaqyError, LaqyExecutor,
+    Result, ReuseMode,
 };
 use crate::interval::IntervalSet;
 use crate::lazy::{plan_lazy, plan_lazy_capped, LazyPlan};
 use crate::session::SessionConfig;
 use crate::stats::{ExecStats, ReuseClass, ServiceStats};
-use crate::store::{
-    union_single_column, SampleId, SampleStore, ShardedStore, TailFragment, STORE_SHARDS,
-};
+use crate::store::{SampleId, SampleStore, ShardedStore, TailFragment, STORE_SHARDS};
 use crate::wal::{WalAppender, WalRecord};
-use laqy_sampling::{merge_stratified_k, Lehmer64};
+use laqy_sampling::Lehmer64;
 
 // One static lock-class name per in-flight registry shard, from the
 // canonical registry (`laqy_sync::classes`), mirroring the store's
@@ -877,111 +875,37 @@ impl LaqyService {
         }
 
         // Scan the fragments and tails we own — lock-free, the expensive
-        // part — against the pinned epoch. The bool marks a *clean*
-        // (full-coverage) sample: only those may be absorbed into the
-        // shared store, since a degraded sample would overclaim coverage.
-        let mut stats = ExecStats::default();
-        // Per owned fragment: index, full-region sample (absorbable),
-        // clean flag, and the boundary sample for hybrid estimation.
-        let mut scanned: Vec<(usize, _, bool, Option<_>)> = Vec::with_capacity(owned.len());
-        // Per owned tail: index, tail Δ sample, clean flag. Tail scans
-        // push the sample's own predicates down with the row floor at
-        // `from_row`, so they only visit the appended rows.
-        let mut tail_scanned: Vec<(usize, _, bool)> = Vec::with_capacity(owned_tails.len());
-        let mut exact_mass = crate::estimate::ExactMass::new();
-        let mut fragment_coverage = 0.0f64;
-        let mut fragments_skipped = 0u64;
-        let schema = {
-            let (_, schema) = executor.payload_schema(pinned, query)?;
-            for (i, _) in &owned {
-                if executor.budget().expired() {
-                    // Budget already gone: skip the fragment outright; the
-                    // blended degradation below accounts for the hole.
-                    fragments_skipped += 1;
-                    continue;
-                }
-                let frag = &fragments[*i];
-                let ranges = frag
-                    .get(&query.range_column)
-                    .cloned()
-                    .unwrap_or_else(|| IntervalSet::of(query.range));
-                let extra = fragment_extra_predicate(frag, &query.range_column);
-                let run =
-                    executor.sample_pipeline_hybrid(pinned, query, &ranges, &extra, true, 0)?;
-                fragment_coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
-                let clean = run.stats.degraded.is_none();
-                stats.accumulate(&run.stats);
-                exact_mass.merge(&run.exact);
-                scanned.push((*i, run.sample, clean, run.boundary));
-            }
-            for (i, _) in &owned_tails {
-                if executor.budget().expired() {
-                    fragments_skipped += 1;
-                    continue;
-                }
-                let tail = &tails[*i];
-                let ranges = tail
-                    .predicates
-                    .get(&query.range_column)
-                    .cloned()
-                    .unwrap_or_else(|| IntervalSet::of(query.range));
-                let extra = fragment_extra_predicate(&tail.predicates, &query.range_column);
-                // No lane harvest (`hybrid = false`): lanes span whole
-                // blocks from row 0 and would double-count below the
-                // floor.
-                let run = executor.sample_pipeline_hybrid(
-                    pinned,
-                    query,
-                    &ranges,
-                    &extra,
-                    false,
-                    tail.from_row as usize,
-                )?;
-                fragment_coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
-                let clean = run.stats.degraded.is_none();
-                stats.accumulate(&run.stats);
-                tail_scanned.push((*i, run.sample, clean));
-            }
-            schema
+        // part — against the pinned epoch.
+        let (_, schema) = executor.payload_schema(pinned, query)?;
+        let mut scans = executor.scan_coverage(
+            pinned,
+            query,
+            owned.iter().map(|(i, _)| (*i, &fragments[*i])),
+            owned_tails.iter().map(|(i, _)| (*i, &tails[*i])),
+        )?;
+        let mut stats = std::mem::take(&mut scans.stats);
+        let scanned = (scans.fragments.len() + scans.tails.len()) as u64;
+        c.delta_scans.fetch_add(scanned, Ordering::Relaxed);
+        c.fragments_scanned.fetch_add(scanned, Ordering::Relaxed);
+        stats.fragments_scanned = scanned;
+        let plan = CoveragePlanRef {
+            descriptor,
+            schema: &schema,
+            watermark,
+            samples: &samples,
+            fragments: &fragments,
+            tails: &tails,
         };
-        c.delta_scans.fetch_add(
-            (scanned.len() + tail_scanned.len()) as u64,
-            Ordering::Relaxed,
-        );
-        c.fragments_scanned.fetch_add(
-            (scanned.len() + tail_scanned.len()) as u64,
-            Ordering::Relaxed,
-        );
-        stats.fragments_scanned = (scanned.len() + tail_scanned.len()) as u64;
 
         if !busy.is_empty() {
             // Concurrent clients are scanning the rest of our fragments.
-            // Keep our own scan work — each fragment sample is a valid
-            // sample of its box — then release our claims, wait
+            // Keep our own scan work — each clean fragment sample is a
+            // valid sample of its box — then release our claims, wait
             // guard-free for the others, and re-plan (normally upgrading
             // to full or pure-merge reuse).
-            if scanned.iter().any(|(_, _, clean, _)| *clean)
-                || tail_scanned.iter().any(|(_, _, clean)| *clean)
-            {
+            if scans.fragments.iter().chain(&scans.tails).any(|s| s.clean) {
                 let mut store = self.timed(|i| i.store.write_shard(home));
-                for (i, s, clean, _) in scanned {
-                    if !clean {
-                        continue;
-                    }
-                    let mut frag_desc = descriptor.clone();
-                    frag_desc.predicates = fragments[i].clone();
-                    store.absorb(frag_desc, schema.clone(), s, watermark, executor.rng_mut());
-                }
-                for (i, s, clean) in tail_scanned {
-                    if !clean {
-                        continue;
-                    }
-                    // Safe even against a concurrent absorber: the
-                    // from_row guard rejects a replayed or overlapping
-                    // tail instead of double-counting it.
-                    let tail = &tails[i];
-                    store.absorb_tail(tail.id, s, tail.from_row, watermark, executor.rng_mut());
-                }
+                scans.absorb_clean(&mut store, executor.rng_mut(), &plan);
             }
             c.fragments_deduped
                 .fetch_add(busy.len() as u64, Ordering::Relaxed);
@@ -996,187 +920,54 @@ impl LaqyService {
         // All fragments and tails are ours: fold the per-scan coverage
         // into one query-level degradation record (None when every scan
         // ran to completion).
-        let degradation = blended_degradation(
+        stats.degraded = blended_degradation(
             stats.degraded.take(),
-            fragment_coverage,
+            scans.coverage,
             fragments.len() + tails.len(),
-            fragments_skipped,
+            scans.skipped,
             effective,
         );
-        stats.degraded = degradation;
 
         // Merge under the write lock, after revalidating that every
         // selected sample still has exactly the coverage *and* the
         // watermark the plan was made against (a competing merge,
         // eviction, or tail absorb would otherwise double-count rows or
-        // lose the sample entirely).
+        // lose the sample entirely). The stored samples are read in place
+        // and the merged sample is shared with the store, not copied, so
+        // the lock is held for the merge itself and nothing else.
         let t_merge = Instant::now();
-        let merged = {
+        let merge = {
             let mut store = self.timed(|i| i.store.write_shard(home));
-            // Revalidate and collect inputs in one pass: any sample that
-            // vanished, changed coverage, or moved its watermark
-            // invalidates the whole plan.
-            let mut inputs = Vec::with_capacity(samples.len() + scanned.len() + tail_scanned.len());
-            let mut valid = samples.len() == snapshot.len();
+            let valid = samples.len() == snapshot.len()
+                && samples.iter().zip(&snapshot).all(|(id, snap)| {
+                    store
+                        .peek(*id)
+                        .is_some_and(|s| s.descriptor.predicates == snap.0 && s.watermark == snap.1)
+                });
             if valid {
-                for (id, snap) in samples.iter().zip(&snapshot) {
-                    match store.peek(*id) {
-                        Some(s) if s.descriptor.predicates == snap.0 && s.watermark == snap.1 => {
-                            inputs.push(s.sample.clone())
-                        }
-                        _ => {
-                            valid = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            if valid {
-                // Hybrid estimation needs a second merge over boundary
-                // samples (covered rows excluded) so the exact lane mass
-                // is not double counted; the full merge is what answers
-                // degraded queries and feeds absorption. Tail scans never
-                // harvest lanes, so the full tail sample is its own
-                // boundary.
-                let mut est_inputs = (!exact_mass.is_empty()).then(|| inputs.clone());
-                inputs.extend(scanned.iter().map(|(_, s, _, _)| s.clone()));
-                inputs.extend(tail_scanned.iter().map(|(_, s, _)| s.clone()));
-                if let Some(ei) = est_inputs.as_mut() {
-                    for (_, s, _, boundary) in &scanned {
-                        ei.push(boundary.clone().unwrap_or_else(|| s.clone()));
-                    }
-                    ei.extend(tail_scanned.iter().map(|(_, s, _)| s.clone()));
-                }
-                let merged = merge_stratified_k(inputs, executor.rng_mut());
-                let merged_est = est_inputs.map(|ei| merge_stratified_k(ei, executor.rng_mut()));
-                if stats.degraded.is_none() {
-                    // Sample-as-you-query absorption. With no tails in
-                    // play: consolidate when the union region is itself a
-                    // predicate box, else absorb the fragments
-                    // individually (mirrors the single-owner executor's
-                    // coverage arm). With tails: catch each stale sample
-                    // up via its tail Δ first — union replacement would
-                    // throw away per-sample watermark bookkeeping mid
-                    // catch-up. Every scan is clean here — a degraded one
-                    // would have set `stats.degraded`.
-                    let constituents: Vec<&Predicates> = snapshot
-                        .iter()
-                        .map(|(p, _)| p)
-                        .chain(fragments.iter())
-                        .collect();
-                    if tails.is_empty() {
-                        if let Some(union_preds) = union_single_column(&constituents) {
-                            for &id in &samples {
-                                store.remove(id);
-                            }
-                            let mut union_desc = descriptor.clone();
-                            union_desc.predicates = union_preds;
-                            store.absorb(
-                                union_desc,
-                                schema.clone(),
-                                merged.clone(),
-                                watermark,
-                                executor.rng_mut(),
-                            );
-                        } else {
-                            for (i, s, _, _) in scanned {
-                                let mut frag_desc = descriptor.clone();
-                                frag_desc.predicates = fragments[i].clone();
-                                store.absorb(
-                                    frag_desc,
-                                    schema.clone(),
-                                    s,
-                                    watermark,
-                                    executor.rng_mut(),
-                                );
-                            }
-                        }
-                    } else {
-                        for (i, s, _) in tail_scanned {
-                            let tail = &tails[i];
-                            store.absorb_tail(
-                                tail.id,
-                                s,
-                                tail.from_row,
-                                watermark,
-                                executor.rng_mut(),
-                            );
-                        }
-                        for (i, s, _, _) in scanned {
-                            let mut frag_desc = descriptor.clone();
-                            frag_desc.predicates = fragments[i].clone();
-                            store.absorb(
-                                frag_desc,
-                                schema.clone(),
-                                s,
-                                watermark,
-                                executor.rng_mut(),
-                            );
-                        }
-                    }
-                } else {
-                    // Degraded query: the merged sample answers it, but
-                    // only clean samples may enter the store — and never
-                    // a consolidated union, which would claim coverage
-                    // the budget cut short.
-                    for (i, s, clean, _) in scanned {
-                        if !clean {
-                            continue;
-                        }
-                        let mut frag_desc = descriptor.clone();
-                        frag_desc.predicates = fragments[i].clone();
-                        store.absorb(frag_desc, schema.clone(), s, watermark, executor.rng_mut());
-                    }
-                    for (i, s, clean) in tail_scanned {
-                        if !clean {
-                            continue;
-                        }
-                        let tail = &tails[i];
-                        store.absorb_tail(tail.id, s, tail.from_row, watermark, executor.rng_mut());
-                    }
-                }
-                Some((merged, merged_est))
+                scans.merge_and_absorb(
+                    &mut store,
+                    executor.rng_mut(),
+                    &plan,
+                    stats.degraded.is_some(),
+                )
             } else {
                 // Stale plan: keep the (clean) scan work anyway, then
                 // re-plan. Tail absorbs stay safe against whatever
                 // invalidated the plan — the from_row guard rejects a
                 // tail whose sample moved on.
-                for (i, s, clean, _) in scanned {
-                    if !clean {
-                        continue;
-                    }
-                    let mut frag_desc = descriptor.clone();
-                    frag_desc.predicates = fragments[i].clone();
-                    store.absorb(frag_desc, schema.clone(), s, watermark, executor.rng_mut());
-                }
-                for (i, s, clean) in tail_scanned {
-                    if !clean {
-                        continue;
-                    }
-                    let tail = &tails[i];
-                    store.absorb_tail(tail.id, s, tail.from_row, watermark, executor.rng_mut());
-                }
+                scans.absorb_clean(&mut store, executor.rng_mut(), &plan);
                 None
             }
         };
         stats.merge = t_merge.elapsed();
-        let Some((merged, merged_est)) = merged else {
+        let Some(merge) = merge else {
             c.merge_retries.fetch_add(1, Ordering::Relaxed);
             return Ok(Attempt::Retry);
         };
 
         let t_est = Instant::now();
-        let opts = crate::estimate::EstimateOptions {
-            tighten: Some(tighten),
-            exact: (!exact_mass.is_empty()).then_some(&exact_mass),
-            ..Default::default()
-        };
-        let mut groups = crate::estimate::estimate(
-            merged_est.as_ref().unwrap_or(&merged),
-            &schema,
-            &query.plan.aggs,
-            &opts,
-        )?;
+        let mut groups = merge.estimate(&schema, &query.plan.aggs, tighten)?;
         if let Some(deg) = &stats.degraded {
             apply_degradation(&mut groups, &query.plan.aggs, deg);
         }

@@ -13,14 +13,16 @@
 //! budget with LRU eviction hooks this store into Taster-style storage
 //! management (paper §8).
 
+use std::sync::Arc;
+
 use laqy_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use laqy_sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use laqy_engine::GroupKey;
-use laqy_sampling::{merge_stratified, Lehmer64, StratifiedSampler};
+use laqy_sampling::Lehmer64;
 
 use crate::descriptor::{Predicates, SampleDescriptor};
-use crate::sampler_ops::{SampleSchema, SampleTuple};
+use crate::sampler_ops::{Sample, SampleSchema, SampleTuple};
 
 /// Stable identity of a stored sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,9 +34,11 @@ pub struct StoredSample {
     pub descriptor: SampleDescriptor,
     /// Payload tuple layout.
     pub schema: SampleSchema,
-    /// The stratified sample itself (ownership of the group-by hash table,
-    /// §6.3).
-    pub sample: StratifiedSampler<GroupKey, SampleTuple>,
+    /// The stratified sample itself. Shared, so a query that just merged
+    /// it can estimate from it after releasing the shard lock and a store
+    /// snapshot copies a pointer; mutation (append absorb) is
+    /// copy-on-write and replaces are a pointer swap.
+    pub sample: Arc<Sample>,
     /// Row watermark this sample was drawn at: it fully represents its
     /// predicate box over base rows `0..watermark`. Appended rows land
     /// past the watermark; [`SampleStore::absorb_appended`] offers them to
@@ -49,11 +53,23 @@ pub struct StoredSample {
 }
 
 impl StoredSample {
-    fn measure_bytes(&mut self) {
+    /// Settle the sample after an insert or merge: release any growth
+    /// slack (samples come to rest here; a sample a query still shares is
+    /// left as it is) and re-measure.
+    fn settle(&mut self) {
+        if let Some(sample) = Arc::get_mut(&mut self.sample) {
+            sample.shrink_to_fit();
+        }
         self.bytes = self.sample.heap_bytes();
     }
 
-    /// Estimated payload heap bytes (the unit of budget accounting).
+    /// Algorithm-3 merge `other` (which must cover a disjoint population)
+    /// into the sample, in place unless a reader still shares it.
+    fn merge_in(&mut self, other: &Sample, rng: &mut Lehmer64) {
+        Arc::make_mut(&mut self.sample).absorb(other, rng);
+    }
+
+    /// Heap bytes the sample occupies (the unit of budget accounting).
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -456,7 +472,7 @@ impl SampleStore {
         &mut self,
         descriptor: SampleDescriptor,
         schema: SampleSchema,
-        sample: StratifiedSampler<GroupKey, SampleTuple>,
+        sample: impl Into<Arc<Sample>>,
         watermark: u64,
     ) -> SampleId {
         let clock = self.tick();
@@ -464,12 +480,12 @@ impl SampleStore {
         let mut stored = StoredSample {
             descriptor,
             schema,
-            sample,
+            sample: sample.into(),
             watermark,
             last_used: AtomicU64::new(clock),
             bytes: 0,
         };
-        stored.measure_bytes();
+        stored.settle();
         self.samples.push((id, stored));
         self.enforce_budget(id);
         id
@@ -484,7 +500,7 @@ impl SampleStore {
         id: SampleId,
         descriptor: SampleDescriptor,
         schema: SampleSchema,
-        sample: StratifiedSampler<GroupKey, SampleTuple>,
+        sample: Arc<Sample>,
         watermark: u64,
         last_used: u64,
     ) {
@@ -496,7 +512,7 @@ impl SampleStore {
             last_used: AtomicU64::new(last_used),
             bytes: 0,
         };
-        stored.measure_bytes();
+        stored.settle();
         self.samples.push((id, stored));
         if id.0 >= self.next_id {
             self.next_id = id.0 + self.id_stride;
@@ -537,10 +553,11 @@ impl SampleStore {
         &mut self,
         descriptor: SampleDescriptor,
         schema: SampleSchema,
-        sample: StratifiedSampler<GroupKey, SampleTuple>,
+        sample: impl Into<Arc<Sample>>,
         watermark: u64,
         rng: &mut Lehmer64,
     ) -> SampleId {
+        let sample: Arc<Sample> = sample.into();
         let clock = self.tick();
         // Try to merge with an existing disjoint sample of the same
         // shape; find the position and the varying column in one pass.
@@ -556,18 +573,14 @@ impl SampleStore {
         });
         if let Some((pos, varying)) = target {
             let (id, stored) = &mut self.samples[pos];
-            let old = std::mem::replace(
-                &mut stored.sample,
-                StratifiedSampler::new(descriptor.k.max(1)),
-            );
-            stored.sample = merge_stratified(old, sample, rng);
+            stored.merge_in(&sample, rng);
             stored.descriptor.predicates = stored
                 .descriptor
                 .predicates
                 .union_on(&varying, &descriptor.predicates);
             stored.watermark = stored.watermark.min(watermark);
             stored.last_used.store(clock, Ordering::Relaxed);
-            stored.measure_bytes();
+            stored.settle();
             let id = *id;
             self.enforce_budget(id);
             return id;
@@ -587,7 +600,7 @@ impl SampleStore {
             last_used: AtomicU64::new(clock),
             bytes: 0,
         };
-        stored.measure_bytes();
+        stored.settle();
         self.samples.push((id, stored));
         self.enforce_budget(id);
         id
@@ -599,7 +612,7 @@ impl SampleStore {
     pub fn merge_delta(
         &mut self,
         id: SampleId,
-        delta_sample: StratifiedSampler<GroupKey, SampleTuple>,
+        delta_sample: Sample,
         delta_predicates: &Predicates,
         varying: &str,
         watermark: u64,
@@ -609,18 +622,14 @@ impl SampleStore {
         let Some((_, stored)) = self.samples.iter_mut().find(|(i, _)| *i == id) else {
             return false;
         };
-        let old = std::mem::replace(
-            &mut stored.sample,
-            StratifiedSampler::new(stored.descriptor.k.max(1)),
-        );
-        stored.sample = merge_stratified(old, delta_sample, rng);
+        stored.merge_in(&delta_sample, rng);
         stored.descriptor.predicates = stored
             .descriptor
             .predicates
             .union_on(varying, delta_predicates);
         stored.watermark = stored.watermark.min(watermark);
         stored.last_used.store(clock, Ordering::Relaxed);
-        stored.measure_bytes();
+        stored.settle();
         self.enforce_budget(id);
         true
     }
@@ -638,7 +647,7 @@ impl SampleStore {
     pub fn absorb_tail(
         &mut self,
         id: SampleId,
-        tail_sample: StratifiedSampler<GroupKey, SampleTuple>,
+        tail_sample: &Sample,
         from_row: u64,
         new_watermark: u64,
         rng: &mut Lehmer64,
@@ -650,14 +659,10 @@ impl SampleStore {
         if stored.watermark != from_row || new_watermark <= from_row {
             return false;
         }
-        let old = std::mem::replace(
-            &mut stored.sample,
-            StratifiedSampler::new(stored.descriptor.k.max(1)),
-        );
-        stored.sample = merge_stratified(old, tail_sample, rng);
+        stored.merge_in(tail_sample, rng);
         stored.watermark = stored.watermark.max(new_watermark);
         stored.last_used.store(clock, Ordering::Relaxed);
-        stored.measure_bytes();
+        stored.settle();
         self.enforce_budget(id);
         true
     }
@@ -731,6 +736,7 @@ impl SampleStore {
             }
             let mut key = Vec::with_capacity(key_cols.len());
             let mut vals = Vec::with_capacity(val_cols.len());
+            let sample = Arc::make_mut(&mut stored.sample);
             for row in stored.watermark as usize..new_w as usize {
                 if !pred_cols
                     .iter()
@@ -741,18 +747,13 @@ impl SampleStore {
                 key.clear();
                 key.extend(key_cols.iter().map(|c| c.i64_at(row)));
                 vals.clear();
-                vals.extend(val_cols.iter().map(|(col, kind)| match kind {
-                    crate::sampler_ops::SlotKind::Int => col.i64_at(row),
-                    crate::sampler_ops::SlotKind::Float => col.f64_at(row).to_bits() as i64,
-                }));
-                stored
-                    .sample
-                    .offer(GroupKey::new(&key), SampleTuple::from_slice(&vals), rng);
+                vals.extend(val_cols.iter().map(|(col, kind)| kind.read(col, row)));
+                sample.offer(GroupKey::new(&key), SampleTuple::from_slice(&vals), rng);
                 report.rows_absorbed += 1;
             }
             stored.watermark = new_w;
             stored.last_used.store(clock, Ordering::Relaxed);
-            stored.measure_bytes();
+            stored.settle();
             report.samples_absorbed += 1;
         }
         report
@@ -778,9 +779,13 @@ impl SampleStore {
 
     /// Drop a sample.
     pub fn remove(&mut self, id: SampleId) -> bool {
-        let before = self.samples.len();
-        self.samples.retain(|(i, _)| *i != id);
-        self.samples.len() != before
+        self.take(id).is_some()
+    }
+
+    /// Remove a sample and hand it over.
+    pub(crate) fn take(&mut self, id: SampleId) -> Option<StoredSample> {
+        let pos = self.samples.iter().position(|(i, _)| *i == id)?;
+        Some(self.samples.remove(pos).1)
     }
 
     /// Drop everything.
@@ -967,7 +972,7 @@ impl ShardedStore {
                     id,
                     s.descriptor.clone(),
                     s.schema.clone(),
-                    s.sample.clone(),
+                    Arc::clone(&s.sample),
                     s.watermark,
                     s.last_used.load(Ordering::Relaxed),
                 );
@@ -1146,9 +1151,9 @@ mod tests {
 
     /// Build a toy stratified sample: strata 0..strata, `per` tuples each,
     /// intkey values drawn from [lo, hi].
-    fn toy_sample(strata: i64, per: i64, lo: i64) -> StratifiedSampler<GroupKey, SampleTuple> {
+    fn toy_sample(strata: i64, per: i64, lo: i64) -> Sample {
         let mut rng = Lehmer64::new(1);
-        let mut s = StratifiedSampler::new(8);
+        let mut s = Sample::new(8);
         for g in 0..strata {
             for i in 0..per {
                 s.offer(
@@ -1337,8 +1342,10 @@ mod tests {
     #[test]
     fn budget_evicts_lru() {
         let mut rng = Lehmer64::new(9);
-        // Each toy sample: 2 strata × 8-cap reservoirs of 64-byte tuples.
+        // Each toy sample: an arena of 2 strata × 8 slots of 64-byte tuples
+        // plus the per-stratum arrays and the key index, as allocated.
         let one = toy_sample(2, 10, 0).heap_bytes();
+        assert!(one >= 2 * 8 * 64);
         let mut store = SampleStore::with_budget(one * 2);
         let a = store.absorb(desc(0, 9), schema(), toy_sample(2, 10, 0), 0, &mut rng);
         // A different shape so it cannot merge with `a`.
@@ -1694,14 +1701,14 @@ mod tests {
         // absorb_tail advances the watermark, after which the same plan is
         // tail-free full reuse again.
         let mut rng = Lehmer64::new(24);
-        assert!(store.absorb_tail(id, toy_sample(3, 2, 30), 30, 50, &mut rng));
+        assert!(store.absorb_tail(id, &toy_sample(3, 2, 30), 30, 50, &mut rng));
         assert_eq!(store.peek(id).unwrap().watermark, 50);
         let caught_up = store.plan_coverage_at(&desc_live(0, 99), 4, 50);
         assert_eq!(caught_up.samples, vec![id]);
         assert!(caught_up.tails.is_empty());
         // A concurrent client replaying the same tail is rejected — the
         // from_row guard makes tail absorption idempotent.
-        assert!(!store.absorb_tail(id, toy_sample(3, 2, 30), 30, 50, &mut rng));
+        assert!(!store.absorb_tail(id, &toy_sample(3, 2, 30), 30, 50, &mut rng));
         assert_eq!(store.peek(id).unwrap().watermark, 50);
     }
 

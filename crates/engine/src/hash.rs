@@ -71,12 +71,25 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 pub const MAX_KEY_COLS: usize = 4;
 
 /// A compact, copyable composite group key of up to [`MAX_KEY_COLS`] i64
-/// parts. Unused slots are zero so derived `Eq`/`Hash` over the full array
-/// are consistent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// parts. Unused slots are zero so the derived `Eq`/`Ord` over the full
+/// array are consistent with [`GroupKey::parts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct GroupKey {
     vals: [i64; MAX_KEY_COLS],
     len: u8,
+}
+
+/// Hashes the live parts only: one multiply-rotate round per key column
+/// (a one-column key is a single round, not the six a derive over the
+/// padded array, its length prefix and `len` would spend). Keys equal
+/// under `Eq` have equal parts, so `Hash` stays consistent with it.
+impl Hash for GroupKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &part in self.parts() {
+            state.write_i64(part);
+        }
+    }
 }
 
 impl GroupKey {
@@ -132,6 +145,23 @@ mod tests {
         let c = GroupKey::new(&[5, 0]);
         // Same padded array but different length ⇒ different key.
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn hash_covers_exactly_the_live_parts() {
+        let bh = FxBuildHasher::default();
+        let mut one_round = FxHasher::default();
+        one_round.write_i64(5);
+        assert_eq!(bh.hash_one(GroupKey::new(&[5])), one_round.finish());
+        // Unequal keys sharing a padded array still hash apart.
+        assert_ne!(
+            bh.hash_one(GroupKey::new(&[5])),
+            bh.hash_one(GroupKey::new(&[5, 0]))
+        );
+        assert_eq!(
+            bh.hash_one(GroupKey::new(&[1, -2, 3])),
+            bh.hash_one(GroupKey::new(&[1, -2, 3]))
+        );
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! |QCS|, join-dominated pipelines), which a morsel-parallel vectorized
 //! engine reproduces.
 //!
-//! Key integration point for LAQy (paper §6.2): aggregation is driven by a
-//! pluggable [`ops::AggregatorFactory`], so reservoir sampling plugs into
-//! the same hash group-by as exact aggregates, and the group-by hash table
-//! is returned by value so a sample manager can take ownership without
-//! copying (§6.3).
+//! Key integration point for LAQy (paper §6.2): a selection — a scan's
+//! matching row ids or a star join's aligned per-table row ids — is read
+//! through [`ops::BoundCol`]s and keyed by [`GroupKey`], by the exact hash
+//! group-by here and by the stratified sampler in the `laqy` crate alike.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,11 @@
-//! Hash aggregation with pluggable aggregate functions.
+//! Hash aggregation: the exact group-by, and the bound-column views
+//! (`BoundCol`, `Inputs`) every consumer of a selection reads through.
 //!
-//! Following the paper's integration strategy (§6.2), stratified sampling
-//! is *not* a bespoke operator: it is this group-by parameterized with a
-//! reservoir aggregation function supplied by the `laqy` crate. The
-//! group-by returns its hash table by value so a sample manager can take
-//! ownership of it without copying (§6.3).
+//! The paper hosts stratified sampling in this group-by as a reservoir
+//! aggregation function (§6.2). Here the sampler keeps its own dense strata
+//! instead (`laqy::sampler_ops`) and shares only [`BoundCol`] and
+//! [`GroupKey`] with the group-by — the same random-access pattern keyed by
+//! the grouping columns, without a per-group allocation.
 
 use std::ops::Range;
 
@@ -163,60 +164,17 @@ impl<'a> Inputs<'a> {
     }
 }
 
-/// Per-group aggregation state.
-///
-/// The masked/dense entry points exist for the fused filter+aggregate
-/// path: rows selected by a chunk bitmask (or a whole `TakeAll` range)
-/// fold straight into the state without a selection vector in between.
-/// Both defaults delegate to [`Aggregator::update`] in strictly ascending
-/// row order, so implementations that don't override them (e.g. reservoir
-/// samplers) stay exactly equivalent to filter-then-update.
-pub trait Aggregator: Send {
-    /// Fold logical row `i` of `inputs` into the state.
-    fn update(&mut self, inputs: &Inputs<'_>, i: usize);
-
-    /// Fold every physical row selected by `mask` over `base .. base +
-    /// len` (bit `i` of the mask words is row `base + i`; bits at and
-    /// beyond `len` must be clear). Rows are visited ascending.
-    fn update_masked(&mut self, inputs: &Inputs<'_>, base: usize, len: usize, mask: &[u64]) {
-        for_each_masked(base, len, mask, |i| self.update(inputs, i));
-    }
-
-    /// Fold every physical row of a dense range (a zone-map `TakeAll`
-    /// block) in ascending order.
-    fn update_dense(&mut self, inputs: &Inputs<'_>, rows: Range<usize>) {
-        for i in rows {
-            self.update(inputs, i);
-        }
-    }
-
-    /// Merge another partial state (parallel execution / exchange).
-    fn merge(&mut self, other: Self)
-    where
-        Self: Sized;
-}
-
-/// Creates per-group aggregation states.
-pub trait AggregatorFactory: Sync {
-    /// The aggregator this factory creates.
-    type Agg: Aggregator;
-    /// Create a fresh state for a new group.
-    fn create(&self) -> Self::Agg;
-}
-
-/// The group-by result: ownership of this hash table is what the sample
-/// manager takes over when the aggregator is a reservoir (§6.3).
-pub struct GroupTable<A> {
+/// The group-by result.
+#[derive(Default)]
+pub struct GroupTable {
     /// Group key → aggregation state.
-    pub map: FxHashMap<GroupKey, A>,
+    pub map: FxHashMap<GroupKey, ExactAgg>,
 }
 
-impl<A: Aggregator> GroupTable<A> {
+impl GroupTable {
     /// Empty table.
     pub fn new() -> Self {
-        Self {
-            map: FxHashMap::default(),
-        }
+        Self::default()
     }
 
     /// Number of groups.
@@ -231,7 +189,7 @@ impl<A: Aggregator> GroupTable<A> {
 
     /// Merge another partial table into this one (exchange-operator step of
     /// the parallel plan).
-    pub fn merge(&mut self, other: GroupTable<A>) {
+    pub fn merge(&mut self, other: GroupTable) {
         for (k, v) in other.map {
             match self.map.entry(k) {
                 std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(v),
@@ -243,20 +201,14 @@ impl<A: Aggregator> GroupTable<A> {
     }
 }
 
-impl<A: Aggregator> Default for GroupTable<A> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Hash group-by over `len` logical rows: key columns are read per row to
 /// form a [`GroupKey`]; each group's aggregator folds the row in.
-pub fn group_by<F: AggregatorFactory>(
+pub fn group_by(
     keys: &[BoundCol<'_>],
     inputs: &Inputs<'_>,
     len: usize,
-    factory: &F,
-) -> GroupTable<F::Agg> {
+    factory: &ExactAggFactory,
+) -> GroupTable {
     let mut table = GroupTable::new();
     let mut key_buf = [0i64; crate::hash::MAX_KEY_COLS];
     for i in 0..len {
@@ -277,14 +229,14 @@ pub fn group_by<F: AggregatorFactory>(
 /// since the mask addresses physical rows. The keyless group is created
 /// lazily — a chunk with no matching rows adds nothing, exactly like
 /// [`group_by`] over an empty selection.
-pub fn group_by_masked<F: AggregatorFactory>(
+pub fn group_by_masked(
     keys: &[BoundCol<'_>],
     inputs: &Inputs<'_>,
     base: usize,
     len: usize,
     mask: &[u64],
-    table: &mut GroupTable<F::Agg>,
-    factory: &F,
+    table: &mut GroupTable,
+    factory: &ExactAggFactory,
 ) {
     if keys.is_empty() {
         let any = mask[..len.div_ceil(64)].iter().any(|&w| w != 0);
@@ -314,12 +266,12 @@ pub fn group_by_masked<F: AggregatorFactory>(
 /// Fused aggregate over a dense physical row range (a zone-map `TakeAll`
 /// block): no mask, no selection vector. Binding contract as in
 /// [`group_by_masked`].
-pub fn group_by_range<F: AggregatorFactory>(
+pub fn group_by_range(
     keys: &[BoundCol<'_>],
     inputs: &Inputs<'_>,
     rows: Range<usize>,
-    table: &mut GroupTable<F::Agg>,
-    factory: &F,
+    table: &mut GroupTable,
+    factory: &ExactAggFactory,
 ) {
     if rows.is_empty() {
         return;
@@ -346,7 +298,13 @@ pub fn group_by_range<F: AggregatorFactory>(
     }
 }
 
-/// Built-in exact aggregation state covering SUM / COUNT / MIN / MAX / AVG.
+/// Per-group exact aggregation state covering SUM / COUNT / MIN / MAX /
+/// AVG.
+///
+/// The masked/dense entry points exist for the fused filter+aggregate
+/// path: rows selected by a chunk bitmask (or a whole `TakeAll` range)
+/// fold straight into the state without a selection vector in between,
+/// visiting rows in ascending order exactly as filter-then-update would.
 #[derive(Debug, Clone)]
 pub struct ExactAgg {
     accs: Vec<Acc>,
@@ -383,9 +341,10 @@ impl ExactAgg {
     }
 }
 
-impl Aggregator for ExactAgg {
+impl ExactAgg {
+    /// Fold logical row `i` of `inputs` into the state.
     #[inline]
-    fn update(&mut self, inputs: &Inputs<'_>, i: usize) {
+    pub fn update(&mut self, inputs: &Inputs<'_>, i: usize) {
         for (pos, acc) in self.accs.iter_mut().enumerate() {
             match acc {
                 Acc::Sum(s) => *s += inputs.f64(pos, i),
@@ -400,7 +359,10 @@ impl Aggregator for ExactAgg {
         }
     }
 
-    fn update_masked(&mut self, inputs: &Inputs<'_>, base: usize, len: usize, mask: &[u64]) {
+    /// Fold every physical row selected by `mask` over `base .. base +
+    /// len` (bit `i` of the mask words is row `base + i`; bits at and
+    /// beyond `len` must be clear).
+    pub fn update_masked(&mut self, inputs: &Inputs<'_>, base: usize, len: usize, mask: &[u64]) {
         // Pure COUNT never touches column data: the popcount is the answer.
         if self.accs.iter().all(|a| matches!(a, Acc::Count(_))) {
             let n: u64 = mask[..len.div_ceil(64)]
@@ -417,7 +379,9 @@ impl Aggregator for ExactAgg {
         for_each_masked(base, len, mask, |i| self.update(inputs, i));
     }
 
-    fn update_dense(&mut self, inputs: &Inputs<'_>, rows: Range<usize>) {
+    /// Fold every physical row of a dense range (a zone-map `TakeAll`
+    /// block).
+    pub fn update_dense(&mut self, inputs: &Inputs<'_>, rows: Range<usize>) {
         // Per-accumulator loops over the dense range: each accumulator
         // still folds values in ascending row order (the same f64 add
         // sequence as row-at-a-time), but the inner loop is a single
@@ -451,7 +415,8 @@ impl Aggregator for ExactAgg {
         }
     }
 
-    fn merge(&mut self, other: Self) {
+    /// Merge another partial state (parallel execution / exchange).
+    pub fn merge(&mut self, other: Self) {
         for (a, b) in self.accs.iter_mut().zip(other.accs) {
             match (a, b) {
                 (Acc::Sum(x), Acc::Sum(y)) => *x += y,
@@ -483,10 +448,9 @@ impl ExactAggFactory {
     }
 }
 
-impl AggregatorFactory for ExactAggFactory {
-    type Agg = ExactAgg;
-
-    fn create(&self) -> ExactAgg {
+impl ExactAggFactory {
+    /// Create a fresh state for a new group.
+    pub fn create(&self) -> ExactAgg {
         ExactAgg {
             accs: self
                 .kinds
@@ -529,7 +493,7 @@ mod tests {
         .unwrap()
     }
 
-    fn run_exact(t: &Table, specs: &[AggSpec], rows: Option<&[u32]>) -> GroupTable<ExactAgg> {
+    fn run_exact(t: &Table, specs: &[AggSpec], rows: Option<&[u32]>) -> GroupTable {
         let key = BoundCol::new(t.column("g").unwrap(), rows);
         let inputs = Inputs::bind(
             &specs.iter().map(|s| s.input.clone()).collect::<Vec<_>>(),
@@ -540,7 +504,7 @@ mod tests {
         group_by(&[key], &inputs, len, &ExactAggFactory::new(specs))
     }
 
-    fn group_value(gt: &GroupTable<ExactAgg>, key: i64, pos: usize) -> f64 {
+    fn group_value(gt: &GroupTable, key: i64, pos: usize) -> f64 {
         gt.map.get(&GroupKey::new(&[key])).unwrap().finalize()[pos]
     }
 

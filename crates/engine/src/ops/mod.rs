@@ -1,5 +1,4 @@
-//! Physical operators: filtering scans, hash joins, and hash aggregation
-//! with pluggable aggregate functions.
+//! Physical operators: filtering scans, hash joins, and hash aggregation.
 
 pub mod aggregate;
 pub mod filter;
@@ -8,8 +7,8 @@ pub mod project;
 pub mod reference;
 
 pub use aggregate::{
-    group_by, group_by_masked, group_by_range, Aggregator, AggregatorFactory, BoundCol, ExactAgg,
-    ExactAggFactory, GroupTable, Inputs, ResolvedCol,
+    group_by, group_by_masked, group_by_range, BoundCol, ExactAgg, ExactAggFactory, GroupTable,
+    Inputs, ResolvedCol,
 };
 pub use filter::{
     refine_selection, scan_filter, scan_filter_pruned, scan_filter_pruned_masked, PreparedScan,

@@ -273,7 +273,7 @@ pub fn execute_exact_counted_prepared(
             fact.num_rows(),
             DEFAULT_MORSEL_ROWS,
             threads,
-            || (GroupTable::<ExactAgg>::new(), PruneCounts::default()),
+            || (GroupTable::new(), PruneCounts::default()),
             |(acc, counts), range| {
                 scan.walk(range, counts, |ev| match ev {
                     ScanEvent::TakeAll(rows) => {
@@ -298,7 +298,7 @@ pub fn execute_exact_counted_prepared(
             fact.num_rows(),
             DEFAULT_MORSEL_ROWS,
             threads,
-            || (GroupTable::<ExactAgg>::new(), PruneCounts::default()),
+            || (GroupTable::new(), PruneCounts::default()),
             |(acc, counts), range| {
                 let sel = scan.scan_pruned(range, counts);
                 let partial = run_morsel(catalog, plan, joins, fact, &factory, &agg_inputs, &sel)
@@ -307,7 +307,7 @@ pub fn execute_exact_counted_prepared(
             },
         )
     };
-    let mut merged = GroupTable::<ExactAgg>::new();
+    let mut merged = GroupTable::new();
     let mut counts = PruneCounts::default();
     for (p, c) in partials {
         merged.merge(p);
@@ -325,7 +325,7 @@ fn run_morsel(
     factory: &ExactAggFactory,
     agg_inputs: &[AggInput],
     sel: &[u32],
-) -> Result<GroupTable<ExactAgg>> {
+) -> Result<GroupTable> {
     if plan.joins.is_empty() {
         let keys = bind_keys(catalog, plan, fact, Some(sel), None, None)?;
         let inputs = Inputs::bind(agg_inputs, |name| {
@@ -381,11 +381,7 @@ fn bind_keys<'a>(
         .collect()
 }
 
-fn finalize_result(
-    catalog: &Catalog,
-    plan: &QueryPlan,
-    table: GroupTable<ExactAgg>,
-) -> Result<QueryResult> {
+fn finalize_result(catalog: &Catalog, plan: &QueryPlan, table: GroupTable) -> Result<QueryResult> {
     // Decoders map raw i64 key parts back to values (dict codes → strings).
     let key_cols: Vec<&crate::column::Column> = plan
         .group_by

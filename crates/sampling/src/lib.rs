@@ -16,11 +16,12 @@
 //!   full resample of the combined input. §5.1's argument is associative,
 //!   so the module also provides a k-way merge used by the coverage
 //!   planner to combine several stored samples and Δ fragments at once.
-//! - [`stratified`]: stratified reservoir sampling — a hash table of strata
-//!   keyed by the Query Column Set values, with admission state kept compact
-//!   and reservoir storage held behind a pointer (paper §4.1, §6.3).
+//! - [`stratified`]: stratified reservoir sampling — strata keyed by the
+//!   Query Column Set values, held in one dense layout: parallel per-stratum
+//!   arrays plus a single payload arena (paper §4.1).
 //! - [`stratified_merge`]: stratified sample merging (paper Algorithm 3) —
-//!   a group-by over strata keys whose aggregation function is Algorithm 2.
+//!   a group-by over strata keys whose aggregation function is Algorithm 2,
+//!   run as linear passes over that layout.
 //! - [`universe`]: hash-based universe sampling (Quickr-style), whose
 //!   join-consistency complements reservoir samplers.
 //!
@@ -40,6 +41,6 @@ pub use merge::{merge_reservoirs, merge_reservoirs_k, merge_reservoirs_with_capa
 pub use reservoir::Reservoir;
 pub use rng::{Lehmer64, MinStd, SplitMix64};
 pub use stratified::{StratifiedSampler, StratumKey};
-pub use stratified_merge::{merge_stratified, merge_stratified_k};
+pub use stratified_merge::{merge_stratified, merge_stratified_k, merge_stratified_refs};
 pub use universe::UniverseSampler;
 pub use weighted::WeightedReservoir;

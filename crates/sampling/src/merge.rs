@@ -1,25 +1,171 @@
-//! Reservoir merging — paper **Algorithm 2**.
+//! Reservoir merging — paper **Algorithm 2**, generalized k-way.
 //!
-//! Two independent reservoirs `{R1, w1}` and `{R2, w2}` merge into
-//! `{Rm, w1 + w2}`, statistically equivalent to having run a single
-//! reservoir over the union of both original inputs, without touching the
-//! original data. The cases follow the paper exactly:
+//! Independent reservoirs `{R_i, w_i}` over pairwise-disjoint inputs merge
+//! into `{Rm, Σ w_i}`, statistically equivalent to having run a single
+//! reservoir over the union of the original inputs, without touching the
+//! original data. The cases follow the paper:
 //!
 //! - *only a single reservoir defined*: the defined one is the merge result
-//!   (`DefinedReservoir`);
-//! - *either reservoir array not full*: the not-full reservoir's items are
-//!   its complete considered population, so they can simply be offered into
-//!   the other reservoir with plain reservoir sampling
-//!   (`ReservoirSampling`);
-//! - *both full, `k1 == k2`*: `ProportionalSampling` — weighted reservoir
-//!   sampling where elements of `R_i` carry weight `w_i / k_i`, so `R1`
-//!   elements are selected with aggregate probability `w1 / (w1 + w2)`;
-//! - *both full, `k1 != k2`*: `ScaledPropSampling` — the same weighted
-//!   sampling; the per-element weight `w_i / k_i` is precisely the paper's
-//!   scaling of the weight factor by the reservoir-size ratio.
+//!   (`DefinedReservoir`), downsampled uniformly if it exceeds the output
+//!   capacity;
+//! - *a reservoir array not full*: its items are its complete considered
+//!   population, so they are simply offered into the merge of the others
+//!   with plain reservoir sampling (`ReservoirSampling`);
+//! - *several full reservoirs*: `ProportionalSampling` — a uniform
+//!   `k`-subset of the `Σ w_i` union tuples contains `C_i` tuples from
+//!   source `i`, with the `C_i` jointly multivariate-hypergeometric, and
+//!   conditioned on `C_i` those tuples are a uniform subset of input `i` —
+//!   which a uniform `C_i`-subset of `R_i`'s items also is. So: draw the
+//!   per-source counts by sequential without-replacement draws at source
+//!   granularity, then take uniform subsets of each reservoir's items.
+//!   Because the counts are driven by the represented weights rather than
+//!   the reservoir sizes, this degrades gracefully to `ScaledPropSampling`
+//!   when the `k_i` differ.
+//!
+//! A drawn count must never exceed its source's retained items, or the
+//! merge would have to over-draw from another source and bias the
+//! composition. The merged size of the full sources is therefore capped at
+//! `min(capacity, min_i |R_i|)`: for the common equal-`k` merge this is the
+//! full `k`; for unequal sizes the merge shrinks to the smallest side's
+//! support — trading support for unbiasedness exactly as the paper trades
+//! support in under-supported strata (§5.2.3).
+//!
+//! One slice-level routine, [`merge_sources`], implements all of it; the
+//! [`Reservoir`] entry points here and the stratified k-way merge
+//! ([`crate::stratified_merge`]) both write through it, the latter
+//! straight into its output arena.
 
 use crate::reservoir::Reservoir;
 use crate::rng::Lehmer64;
+
+/// One merge input: a reservoir's retained items and state, by reference.
+pub(crate) struct Source<'a, T> {
+    pub items: &'a [T],
+    pub weight: u64,
+    /// The owning reservoir's capacity (decides "not full").
+    pub capacity: usize,
+}
+
+impl<'a, T> Source<'a, T> {
+    fn of(r: &'a Reservoir<T>) -> Self {
+        Self {
+            items: r.items(),
+            weight: r.weight(),
+            capacity: r.capacity(),
+        }
+    }
+
+    /// Not full and every considered element retained: the items *are*
+    /// the input.
+    fn is_population(&self) -> bool {
+        self.items.len() < self.capacity && self.weight == self.items.len() as u64
+    }
+}
+
+/// Buffers [`merge_sources`] reuses across calls, so a merge over
+/// thousands of strata allocates them once.
+#[derive(Default)]
+pub(crate) struct MergeScratch {
+    remaining: Vec<u64>,
+    take: Vec<usize>,
+    idx: Vec<u32>,
+}
+
+/// Merge `sources` into at most `capacity` items appended to `out`,
+/// returning the merged weight `Σ w_i`.
+pub(crate) fn merge_sources<T: Clone>(
+    sources: &[Source<'_, T>],
+    capacity: usize,
+    rng: &mut Lehmer64,
+    out: &mut Vec<T>,
+    scratch: &mut MergeScratch,
+) -> u64 {
+    let base = out.len();
+    let full = || sources.iter().filter(|s| !s.is_population());
+    let k = full()
+        .map(|s| s.items.len())
+        .min()
+        .map_or(0, |m| m.min(capacity));
+    let mut weight: u64 = full().map(|s| s.weight).sum();
+    if full().count() == 1 {
+        let s = full().next().expect("one full source");
+        uniform_subset(s.items, k, rng, out, &mut scratch.idx);
+    } else if k > 0 {
+        // Sequential multi-source hypergeometric draw of how many of the
+        // k merged slots each source contributes.
+        scratch.remaining.clear();
+        scratch.remaining.extend(full().map(|s| s.weight));
+        scratch.take.clear();
+        scratch.take.resize(scratch.remaining.len(), 0);
+        for drawn in 0..k as u64 {
+            let mut x = rng.next_below(weight - drawn);
+            for (t, rem) in scratch.take.iter_mut().zip(scratch.remaining.iter_mut()) {
+                if x < *rem {
+                    *t += 1;
+                    *rem -= 1;
+                    break;
+                }
+                x -= *rem;
+            }
+        }
+        for (s, &t) in full().zip(&scratch.take) {
+            uniform_subset(s.items, t, rng, out, &mut scratch.idx);
+        }
+    }
+    // Complete populations continue Algorithm R over the merged prefix.
+    for s in sources.iter().filter(|s| s.is_population()) {
+        for item in s.items {
+            weight += 1;
+            if out.len() - base < capacity {
+                out.push(item.clone());
+            } else {
+                let j = rng.next_below(weight) as usize;
+                if j < capacity {
+                    out[base + j] = item.clone();
+                }
+            }
+        }
+    }
+    weight
+}
+
+/// Append a uniform `count`-subset of `src` to `out` (partial Fisher–Yates
+/// over the index scratch array).
+fn uniform_subset<T: Clone>(
+    src: &[T],
+    count: usize,
+    rng: &mut Lehmer64,
+    out: &mut Vec<T>,
+    idx: &mut Vec<u32>,
+) {
+    debug_assert!(count <= src.len());
+    if count == src.len() {
+        out.extend_from_slice(src);
+        return;
+    }
+    idx.clear();
+    idx.extend(0..src.len() as u32);
+    for i in 0..count {
+        idx.swap(i, i + rng.next_index(src.len() - i));
+        out.push(src[idx[i] as usize].clone());
+    }
+}
+
+fn merge_to_reservoir<T: Clone>(
+    sources: &[Source<'_, T>],
+    capacity: usize,
+    rng: &mut Lehmer64,
+) -> Reservoir<T> {
+    let mut items = Vec::with_capacity(capacity.min(sources.iter().map(|s| s.items.len()).sum()));
+    let weight = merge_sources(
+        sources,
+        capacity,
+        rng,
+        &mut items,
+        &mut MergeScratch::default(),
+    );
+    Reservoir::from_parts(capacity, items, weight)
+}
 
 /// Merge two optional reservoirs into one with capacity
 /// `max(k1, k2)` (or the defined reservoir's capacity when only one input is
@@ -33,13 +179,13 @@ pub fn merge_reservoirs<T: Clone>(
     r2: Option<&Reservoir<T>>,
     rng: &mut Lehmer64,
 ) -> Reservoir<T> {
-    let capacity = match (r1, r2) {
-        (Some(a), Some(b)) => a.capacity().max(b.capacity()),
-        (Some(a), None) => a.capacity(),
-        (None, Some(b)) => b.capacity(),
-        (None, None) => panic!("merge of two undefined reservoirs"),
-    };
-    merge_reservoirs_with_capacity(r1, r2, capacity, rng)
+    let capacity = r1.into_iter().chain(r2).map(|r| r.capacity()).max();
+    merge_reservoirs_with_capacity(
+        r1,
+        r2,
+        capacity.expect("merge of two undefined reservoirs"),
+        rng,
+    )
 }
 
 /// Merge two optional reservoirs into one with the given output capacity.
@@ -49,99 +195,19 @@ pub fn merge_reservoirs_with_capacity<T: Clone>(
     capacity: usize,
     rng: &mut Lehmer64,
 ) -> Reservoir<T> {
-    match (r1, r2) {
-        (None, None) => panic!("merge of two undefined reservoirs"),
-        // DefinedReservoir: only one input exists.
-        (Some(a), None) => resize_into(a, capacity, rng),
-        (None, Some(b)) => resize_into(b, capacity, rng),
-        (Some(a), Some(b)) => {
-            let a_population = !a.is_full() && a.weight() == a.len() as u64;
-            let b_population = !b.is_full() && b.weight() == b.len() as u64;
-            if a_population || b_population {
-                // ReservoirSampling path: offer the complete population of
-                // the not-full side into (a resized copy of) the other.
-                let (population, other) = if b_population { (b, a) } else { (a, b) };
-                // If both are complete populations, either order is valid.
-                let mut out = resize_into(other, capacity, rng);
-                out.offer_all(population.items(), rng);
-                out
-            } else {
-                // Proportional / ScaledProp sampling: weighted reservoir
-                // sampling with per-element weight w_i / |R_i|.
-                proportional_merge(a, b, capacity, rng)
-            }
-        }
-    }
-}
-
-/// Weighted merge of two (conceptually full) reservoirs.
-///
-/// Exact construction of a sample equivalent to a full resample of the
-/// union input: a uniform `k`-subset of the `w1 + w2` union tuples contains
-/// `C1 ~ Hypergeometric(w1 + w2, w1, k)` tuples from input 1, and
-/// conditioned on `C1` those tuples are a uniform subset of input 1 — which
-/// a uniform `C1`-subset of `R1`'s items also is (uniform subsample of a
-/// uniform sample). So: draw the per-source counts by sequential
-/// without-replacement draws at source granularity, then take uniform
-/// subsets of each reservoir's items. This is the paper's
-/// `ProportionalSampling`, and, because the counts are driven by the
-/// represented weights rather than the reservoir sizes, it degrades
-/// gracefully to `ScaledPropSampling` when `k1 != k2`.
-///
-/// The drawn count for a source must never exceed its retained items, or
-/// the merge would have to over-draw from the other source and bias the
-/// composition. The effective merged size is therefore capped at
-/// `min(capacity, |R1|, |R2|)`: for the common equal-`k` merge this is the
-/// full `k` (each side can always supply up to `k` items); for unequal
-/// sizes the merge shrinks to the smaller side's support — the honest
-/// `ScaledPropSampling` outcome, trading support for unbiasedness exactly
-/// as the paper trades support in under-supported strata (§5.2.3).
-fn proportional_merge<T: Clone>(
-    a: &Reservoir<T>,
-    b: &Reservoir<T>,
-    capacity: usize,
-    rng: &mut Lehmer64,
-) -> Reservoir<T> {
-    let k = capacity.min(a.len()).min(b.len());
-    // Sequential hypergeometric draw of how many of the k merged slots come
-    // from input A.
-    let mut remaining_a = a.weight();
-    let mut remaining_total = a.weight() + b.weight();
-    let mut take_a = 0usize;
-    for _ in 0..k {
-        if rng.next_below(remaining_total) < remaining_a {
-            take_a += 1;
-            remaining_a -= 1;
-        }
-        remaining_total -= 1;
-    }
-    let take_b = k - take_a;
-
-    let mut items = Vec::with_capacity(take_a + take_b);
-    sample_without_replacement(a.items(), take_a, rng, &mut items);
-    sample_without_replacement(b.items(), take_b, rng, &mut items);
-    Reservoir::from_parts(capacity, items, a.weight() + b.weight())
+    let sources: Vec<Source<'_, T>> = r1.into_iter().chain(r2).map(Source::of).collect();
+    assert!(!sources.is_empty(), "merge of two undefined reservoirs");
+    merge_to_reservoir(&sources, capacity, rng)
 }
 
 /// Merge `k` reservoirs into one with the given output capacity — the
 /// generalized (k-way) Algorithm 2.
 ///
-/// §5.1's merge argument is associative: folding `merge_reservoirs` over a
-/// list of pairwise-disjoint inputs yields a valid sample of the union, but
-/// a fold re-draws the already-merged prefix at every step. This function
-/// instead draws the per-source composition of the merged reservoir in one
-/// sequential multi-source hypergeometric pass (a uniform `k`-subset of the
-/// `Σ w_i` union tuples contains `C_i` tuples from source `i`, with the
-/// `C_i` jointly multivariate-hypergeometric), then takes a uniform
-/// `C_i`-subset of each source's retained items. For two inputs this
-/// reproduces the pairwise `ProportionalSampling`/`ScaledPropSampling`
-/// draw exactly.
-///
-/// Inputs that are complete populations (not full, `weight == len`) are
-/// streamed in afterwards with plain reservoir sampling, mirroring the
-/// pairwise `ReservoirSampling` case. The effective merged size is capped
-/// at `min(capacity, min_i |R_i|)` over the sampled (non-population)
-/// inputs, for the same unbiasedness reason as the pairwise merge.
+/// §5.1's merge argument is associative: folding [`merge_reservoirs`] over
+/// a list of pairwise-disjoint inputs yields a valid sample of the union,
+/// but a fold re-draws the already-merged prefix at every step. This draws
+/// the per-source composition once (see the module docs). For two inputs
+/// it is the pairwise merge exactly.
 ///
 /// Panics if `inputs` is empty.
 ///
@@ -169,114 +235,8 @@ pub fn merge_reservoirs_k<T: Clone>(
     rng: &mut Lehmer64,
 ) -> Reservoir<T> {
     assert!(!inputs.is_empty(), "merge of zero reservoirs");
-    // Complete populations stream in at the end; everything else takes
-    // part in the weighted composition draw.
-    let (populations, sampled): (Vec<Reservoir<T>>, Vec<Reservoir<T>>) = inputs
-        .into_iter()
-        .partition(|r| !r.is_full() && r.weight() == r.len() as u64);
-    let mut out = match sampled.len() {
-        0 => {
-            let capacity = capacity.max(1);
-            Reservoir::new(capacity)
-        }
-        1 => {
-            let r = sampled.into_iter().next().expect("one sampled input");
-            resize_owned(r, capacity, rng)
-        }
-        _ => {
-            let k = capacity.min(sampled.iter().map(|r| r.len()).min().unwrap_or(0));
-            let total_weight: u64 = sampled.iter().map(|r| r.weight()).sum();
-            // Sequential multi-source hypergeometric draw of how many of
-            // the k merged slots each source contributes.
-            let mut remaining: Vec<u64> = sampled.iter().map(|r| r.weight()).collect();
-            let mut remaining_total = total_weight;
-            let mut take = vec![0usize; sampled.len()];
-            for _ in 0..k {
-                let mut x = rng.next_below(remaining_total);
-                for (t, rem) in take.iter_mut().zip(remaining.iter_mut()) {
-                    if x < *rem {
-                        *t += 1;
-                        *rem -= 1;
-                        break;
-                    }
-                    x -= *rem;
-                }
-                remaining_total -= 1;
-            }
-            let mut items = Vec::with_capacity(k);
-            for (r, t) in sampled.iter().zip(take) {
-                sample_without_replacement(r.items(), t, rng, &mut items);
-            }
-            Reservoir::from_parts(capacity, items, total_weight)
-        }
-    };
-    for p in populations {
-        for item in p.into_items() {
-            out.offer(item, rng);
-        }
-    }
-    out
-}
-
-/// Append a uniform `count`-subset of `src` to `out` (partial Fisher–Yates
-/// over an index array).
-fn sample_without_replacement<T: Clone>(
-    src: &[T],
-    count: usize,
-    rng: &mut Lehmer64,
-    out: &mut Vec<T>,
-) {
-    debug_assert!(count <= src.len());
-    if count == src.len() {
-        out.extend_from_slice(src);
-        return;
-    }
-    let mut idx: Vec<u32> = (0..src.len() as u32).collect();
-    for i in 0..count {
-        let j = i + rng.next_index(idx.len() - i);
-        idx.swap(i, j);
-        out.push(src[idx[i] as usize].clone());
-    }
-}
-
-/// Copy a reservoir into a (possibly different) capacity.
-///
-/// Growing a full reservoir cannot recover items that were already sampled
-/// out, so the items are carried over as-is with the original weight — the
-/// sample stays valid, merely with less support than a native-capacity
-/// sample would have. Shrinking downsamples uniformly.
-fn resize_into<T: Clone>(r: &Reservoir<T>, capacity: usize, rng: &mut Lehmer64) -> Reservoir<T> {
-    if capacity == r.capacity() {
-        return r.clone();
-    }
-    if r.len() <= capacity {
-        return Reservoir::from_parts(capacity, r.items().to_vec(), r.weight());
-    }
-    // Downsample uniformly: plain reservoir over the retained items.
-    let mut out = Reservoir::new(capacity);
-    out.offer_all(r.items(), rng);
-    // The output represents the same considered population as the input;
-    // offer_all recorded len() offers, so reconcile to the true weight.
-    let already = out.weight();
-    out.add_weight(r.weight() - already);
-    out
-}
-
-/// Owned variant of [`resize_into`]: moves the items instead of cloning
-/// when no downsampling is needed.
-pub(crate) fn resize_owned<T: Clone>(
-    r: Reservoir<T>,
-    capacity: usize,
-    rng: &mut Lehmer64,
-) -> Reservoir<T> {
-    if capacity == r.capacity() {
-        return r;
-    }
-    if r.len() <= capacity {
-        let weight = r.weight();
-        return Reservoir::from_parts(capacity, r.into_items(), weight);
-    }
-    resize_into(&r, capacity, rng)
+    let sources: Vec<Source<'_, T>> = inputs.iter().map(Source::of).collect();
+    merge_to_reservoir(&sources, capacity, rng)
 }
 
 #[cfg(test)]

@@ -133,12 +133,6 @@ impl<T> Reservoir<T> {
         }
     }
 
-    /// Add `extra` to the recorded weight without offering items. Used when
-    /// reconciling weights after merging paths that consumed items directly.
-    pub(crate) fn add_weight(&mut self, extra: u64) {
-        self.weight += extra;
-    }
-
     /// Approximate heap footprint in bytes (items only), used by budgeted
     /// sample stores.
     pub fn heap_bytes(&self) -> usize {

@@ -7,20 +7,72 @@
 //! `DefinedReservoir` case. §5.1's merge argument is associative, so the
 //! same construction extends from two inputs to `k` — the coverage
 //! planner leans on this to combine several stored samples plus several
-//! Δ fragments in one pass instead of a chain of pairwise merges.
+//! Δ fragments.
+//!
+//! The primitive is [`StratifiedSampler::absorb`]: one sample takes
+//! another in *in place*, one linear pass over the incoming strata. A Δ
+//! stratum that is its own complete population — the usual case, a Δ-scan
+//! rarely fills a reservoir — simply continues Algorithm R into the
+//! stored stratum's slots, so a Δ-merge costs work proportional to the Δ,
+//! allocates nothing and leaves every stratum the Δ does not touch alone.
+//! The merge functions pick the input to merge into and fold the others
+//! over it.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
-use crate::merge::{merge_reservoirs_k, resize_owned};
-use crate::reservoir::Reservoir;
+use crate::merge::{merge_sources, MergeScratch, Source};
 use crate::rng::Lehmer64;
-use crate::stratified::{FxBuildHasher, StratifiedSampler, StratumKey};
+use crate::stratified::{StratifiedSampler, StratumKey};
 
-/// Merge two stratified samples into a new one whose per-stratum reservoirs
+impl<K: StratumKey, T: Clone + Default> StratifiedSampler<K, T> {
+    /// Merge `other` into this sample in place (Algorithm 3; the capacity
+    /// stays this sample's). Strata only `other` holds are appended, in its
+    /// order, with their tuples bit-identical; shared strata merge as in
+    /// [`crate::merge_reservoirs`].
+    ///
+    /// Statistical validity requires the two underlying populations to be
+    /// disjoint (the §5.1 non-overlap requirement).
+    pub fn absorb(&mut self, other: &Self, rng: &mut Lehmer64) {
+        let k = self.capacity;
+        // Find the shared strata first, so the ones only `other` holds are
+        // appended into exactly-sized storage.
+        let hits: Vec<Option<usize>> = other.keys().map(|key| self.index_of(key)).collect();
+        self.reserve_strata(hits.iter().filter(|hit| hit.is_none()).count());
+        let mut scratch = MergeScratch::default();
+        let mut merged: Vec<T> = Vec::new();
+        for ((key, items, weight), hit) in other.iter().zip(hits) {
+            let i = hit.unwrap_or_else(|| self.stratum_index(key));
+            let base = i * k;
+            if items.len() < other.capacity && weight == items.len() as u64 {
+                // `items` is the stratum's whole population: Algorithm R
+                // simply goes on over it.
+                for item in items {
+                    self.offer_at(i, rng, || item.clone());
+                }
+                continue;
+            }
+            let sources = [
+                Source {
+                    items: &self.arena[base..base + self.lens[i] as usize],
+                    weight: self.weights[i],
+                    capacity: k,
+                },
+                Source {
+                    items,
+                    weight,
+                    capacity: other.capacity,
+                },
+            ];
+            merged.clear();
+            self.weights[i] = merge_sources(&sources, k, rng, &mut merged, &mut scratch);
+            self.lens[i] = merged.len() as u32;
+            self.arena[base..base + merged.len()].clone_from_slice(&merged);
+        }
+    }
+}
+
+/// Merge two stratified samples into one whose per-stratum reservoirs
 /// are Algorithm-2 merges. The output capacity is the maximum of the two
 /// input capacities (`ScaledPropSampling` reconciles unequal sizes).
-pub fn merge_stratified<K: StratumKey, T: Clone>(
+pub fn merge_stratified<K: StratumKey, T: Clone + Default>(
     a: StratifiedSampler<K, T>,
     b: StratifiedSampler<K, T>,
     rng: &mut Lehmer64,
@@ -28,60 +80,56 @@ pub fn merge_stratified<K: StratumKey, T: Clone>(
     merge_stratified_k(vec![a, b], rng)
 }
 
-/// Merge `k` stratified samples into one — the k-way Algorithm 3.
-///
-/// A group-by over the union of all inputs' strata keys; each key's
-/// reservoirs merge via [`merge_reservoirs_k`]. The output capacity is the
-/// maximum input capacity. Strata held by a single input pass through with
-/// their tuple storage moved, not copied (§6.3's zero-copy ownership
-/// transfer). Key order is first-seen across inputs in order, so the merge
-/// is deterministic given the inputs and the RNG seed.
+/// Position of the input the others are folded into: the largest
+/// capacity (the output's), then the most strata (the fewest appends),
+/// then the first.
+fn base_of<'a, K: StratumKey + 'a, T: 'a>(
+    inputs: impl Iterator<Item = &'a StratifiedSampler<K, T>>,
+) -> usize {
+    let mut best = None;
+    for (i, s) in inputs.enumerate() {
+        let size = (s.capacity(), s.num_strata());
+        if best.is_none_or(|(_, largest)| size > largest) {
+            best = Some((i, size));
+        }
+    }
+    best.expect("merge of zero stratified samples").0
+}
+
+/// Merge `k` stratified samples into one — the k-way Algorithm 3, reusing
+/// the largest input's storage: the others are [absorbed] into it in input
+/// order. Strata held by a single input come out bit-identical. The key
+/// order (the largest input's, then first-seen) and the result are
+/// deterministic given the inputs and the RNG seed.
 ///
 /// Statistical validity requires the inputs' underlying populations to be
 /// pairwise disjoint (the §5.1 non-overlap requirement) — the coverage
 /// planner guarantees this by construction.
 ///
 /// Panics if `inputs` is empty.
-pub fn merge_stratified_k<K: StratumKey, T: Clone>(
-    inputs: Vec<StratifiedSampler<K, T>>,
+///
+/// [absorbed]: StratifiedSampler::absorb
+pub fn merge_stratified_k<K: StratumKey, T: Clone + Default>(
+    mut inputs: Vec<StratifiedSampler<K, T>>,
     rng: &mut Lehmer64,
 ) -> StratifiedSampler<K, T> {
-    assert!(!inputs.is_empty(), "merge of zero stratified samples");
-    let capacity = inputs
-        .iter()
-        .map(|s| s.capacity())
-        .max()
-        .expect("nonempty inputs");
-    let hint: usize = inputs.iter().map(|s| s.num_strata()).sum();
-    let mut out = StratifiedSampler::with_strata_hint(capacity, hint);
-
-    // Gather each key's reservoirs across all inputs, preserving
-    // first-seen key order for a deterministic merge order.
-    let mut order: Vec<K> = Vec::with_capacity(hint);
-    let mut gathered: HashMap<K, Vec<Reservoir<T>>, FxBuildHasher> =
-        HashMap::with_capacity_and_hasher(hint, FxBuildHasher::default());
-    for s in inputs {
-        for (key, r) in s.into_strata() {
-            match gathered.entry(key.clone()) {
-                Entry::Occupied(mut e) => e.get_mut().push(r),
-                Entry::Vacant(e) => {
-                    e.insert(vec![r]);
-                    order.push(key);
-                }
-            }
-        }
+    let mut out = inputs.remove(base_of(inputs.iter()));
+    for other in &inputs {
+        out.absorb(other, rng);
     }
-    for key in order {
-        let rs = gathered.remove(&key).expect("gathered above");
-        let merged = if rs.len() == 1 {
-            // DefinedReservoir pass-through: move the stratum without
-            // copying its tuple storage.
-            let r = rs.into_iter().next().expect("one reservoir");
-            resize_owned(r, capacity, rng)
-        } else {
-            merge_reservoirs_k(rs, capacity, rng)
-        };
-        out.insert_stratum(key, merged);
+    out
+}
+
+/// [`merge_stratified_k`] over borrowed inputs: the largest is copied once
+/// and the others absorbed into the copy.
+pub fn merge_stratified_refs<K: StratumKey, T: Clone + Default>(
+    inputs: &[&StratifiedSampler<K, T>],
+    rng: &mut Lehmer64,
+) -> StratifiedSampler<K, T> {
+    let base = base_of(inputs.iter().copied());
+    let mut out = inputs[base].clone();
+    for (_, other) in inputs.iter().enumerate().filter(|(i, _)| *i != base) {
+        out.absorb(other, rng);
     }
     out
 }
@@ -201,6 +249,41 @@ mod tests {
         // Stratum 3 exists only in the third input.
         let (_, w3) = m.stratum(&3).unwrap();
         assert_eq!(w3, 100);
+    }
+
+    #[test]
+    fn k_way_by_reference_passes_single_owner_strata_through() {
+        // Stratum 0 is shared by all three inputs, 1 by two, and 5, 6, 7
+        // are each held by exactly one input.
+        let mut rng = Lehmer64::new(30);
+        let mut parts = [
+            build(2, 400, 4, 31, 0),
+            build(2, 300, 4, 32, 10_000),
+            build(1, 100, 4, 33, 20_000),
+        ];
+        for (i, p) in parts.iter_mut().enumerate() {
+            let mut rng_p = Lehmer64::new(40 + i as u64);
+            for j in 0..(3 + 40 * i as i64) {
+                p.offer(5 + i as i64, 30_000 + j, &mut rng_p);
+            }
+        }
+        let refs: Vec<&StratifiedSampler<i64, i64>> = parts.iter().collect();
+        let m = merge_stratified_refs(&refs, &mut rng);
+        let order: Vec<i64> = m.iter().map(|(k, _, _)| *k).collect();
+        assert_eq!(order, vec![0, 1, 5, 6, 7], "first-seen key order");
+        for (i, p) in parts.iter().enumerate() {
+            let key = 5 + i as i64;
+            assert_eq!(m.stratum(&key), p.stratum(&key), "pass-through {key}");
+        }
+        assert_eq!(m.stratum(&0).unwrap().1, 200 + 150 + 100);
+        assert_eq!(m.stratum(&1).unwrap().1, 200 + 150);
+        assert_eq!(
+            m.total_weight(),
+            parts.iter().map(|p| p.total_weight()).sum()
+        );
+        // The borrowed inputs are untouched.
+        assert_eq!(parts[0].num_strata(), 3);
+        assert_eq!(parts[0].stratum(&0).unwrap().1, 200);
     }
 
     #[test]
