@@ -44,13 +44,16 @@ pub mod points {
     /// `Io` drops the connection on the floor — the client sees a reset,
     /// never a hang.
     pub const NET_ACCEPT: &str = "net.accept";
-    /// Hit before each read of a length-framed request. `Io` models a
-    /// client vanishing mid-request (half-written ingest included).
+    /// Hit before each `read` call the frame reader issues (a frame may
+    /// take several: header, then payload as it arrives). `Io` models a
+    /// peer vanishing mid-frame (half-written ingest included).
     pub const NET_READ: &str = "net.read";
-    /// Hit before each write of a length-framed response. `Io` models a
-    /// response torn mid-frame on the wire.
+    /// Hit once per written frame, before its single `write_all` of
+    /// length prefix + payload. `Io` drops the whole frame: the peer
+    /// sees the connection close, never a prefix without its payload.
     pub const NET_WRITE: &str = "net.write";
-    /// Hit once per frame in both directions; armed with
+    /// Hit once per frame in both directions, ahead of `net.read` /
+    /// `net.write`; armed with
     /// [`FaultKind::Latency`](super::FaultKind::Latency) it models a slow
     /// or stalled peer (the write-timeout path). Error kinds armed here
     /// propagate like [`NET_WRITE`].

@@ -7,11 +7,18 @@
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::protocol::{read_frame, write_frame, FrameRead, Request, Response};
+use crate::protocol::{
+    begin_frame, configure_stream, read_frame, write_frame, FrameRead, Request, Response,
+};
 
 /// A blocking protocol client. Not `Sync`; give each thread its own.
 pub struct Client {
-    stream: TcpStream,
+    /// `None` once an I/O error left the stream at an unknown offset
+    /// inside a frame.
+    stream: Option<TcpStream>,
+    /// The connection's frame buffers, reused by every request.
+    inbox: Vec<u8>,
+    outbox: Vec<u8>,
 }
 
 impl Client {
@@ -24,19 +31,42 @@ impl Client {
             .next()
             .ok_or_else(|| std::io::Error::other("address resolved to nothing"))?;
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Ok(Client { stream })
+        configure_stream(&stream, timeout, timeout)?;
+        Ok(Client {
+            stream: Some(stream),
+            inbox: Vec::new(),
+            outbox: Vec::new(),
+        })
     }
 
-    /// Send one request and read its response.
+    /// Send one request and read its response. Fails closed: after any
+    /// `Err` the stream may sit mid-frame, where the next read would
+    /// parse payload bytes as a length prefix, so the connection is
+    /// dropped and every later call returns `NotConnected` until the
+    /// caller reconnects.
     pub fn request(&mut self, request: &Request) -> std::io::Result<Response> {
-        write_frame(&mut self.stream, &request.encode())?;
+        let result = self.exchange(request);
+        if result.is_err() {
+            self.stream = None;
+        }
+        result
+    }
+
+    fn exchange(&mut self, request: &Request) -> std::io::Result<Response> {
+        let stream = self.stream.as_mut().ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::NotConnected,
+                "connection dropped after an I/O error; reconnect",
+            )
+        })?;
+        begin_frame(&mut self.outbox);
+        request.encode_into(&mut self.outbox);
+        write_frame(stream, &mut self.outbox)?;
         // An `Idle` here means the read timeout elapsed with no reply
         // started: for a client that just asked a question, that is a
         // timeout, not an idle peer.
-        match read_frame(&mut self.stream)? {
-            FrameRead::Frame(payload) => Response::decode(&payload)
+        match read_frame(stream, &mut self.inbox)? {
+            FrameRead::Frame => Response::decode(&self.inbox)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())),
             FrameRead::Eof => Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -46,6 +76,57 @@ impl Client {
                 std::io::ErrorKind::TimedOut,
                 "no response within the read timeout",
             )),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+
+    #[test]
+    fn client_socket_runs_with_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = Client::connect(listener.local_addr().expect("addr"), Duration::from_secs(5))
+            .expect("connect");
+        let stream = client.stream.as_ref().expect("connected");
+        assert!(stream.nodelay().expect("nodelay"));
+    }
+
+    #[test]
+    fn an_io_error_mid_frame_closes_the_client_for_good() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        // A peer that answers the first request with a frame announcing
+        // 100 bytes, sends 10 of them, stalls past the client's timeout,
+        // then delivers the rest: bytes a desynchronised client would
+        // read as its next length prefix.
+        let (stalled_tx, stalled_rx) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut request = [0u8; 5];
+            stream.read_exact(&mut request).expect("ping frame");
+            stream.write_all(&100u32.to_le_bytes()).expect("header");
+            stream.write_all(&[0x81; 10]).expect("torn body");
+            stalled_rx.recv().expect("client timed out");
+            // The client may already have hung up; that is the point.
+            let _ = stream.write_all(&[0x81; 90]);
+        });
+
+        let mut client = Client::connect(addr, Duration::from_millis(100)).expect("connect");
+        let torn = client
+            .request(&Request::Ping)
+            .expect_err("stalled mid-frame");
+        assert_eq!(torn.kind(), std::io::ErrorKind::TimedOut);
+        stalled_tx.send(()).expect("peer alive");
+        peer.join().expect("peer");
+
+        // Not a frame parsed from the leftover bytes, not a hang.
+        for _ in 0..2 {
+            let dead = client.request(&Request::Ping).expect_err("fails closed");
+            assert_eq!(dead.kind(), std::io::ErrorKind::NotConnected);
         }
     }
 }

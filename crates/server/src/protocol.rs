@@ -12,13 +12,19 @@
 //! [`Column`]-typed vectors, mirroring
 //! [`LaqyService::ingest`](laqy::LaqyService::ingest).
 //!
-//! The frame reader and writer are the protocol's fault surface: each
-//! hits the `net.read` / `net.write` / `net.latency` points from
-//! [`laqy_faults::points`], so a chaos schedule can tear a request or a
-//! response mid-frame deterministically by seed.
+//! A frame is built once, in its connection's reused write buffer, and
+//! handed to the socket in a single write; every socket runs with
+//! `TCP_NODELAY` (see [`configure_stream`]). The frame reader and writer
+//! are the protocol's fault surface: the writer hits `net.latency` and
+//! `net.write` once per frame, the reader `net.latency` once per frame
+//! and `net.read` before each read (points from
+//! [`laqy_faults::points`]), so a chaos schedule can drop a frame or
+//! tear a request mid-read deterministically by seed.
 
 use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use laqy_engine::{Column, Value};
 use laqy_faults::points;
@@ -208,11 +214,40 @@ pub struct TenantSnapshot {
 // Framing
 // ---------------------------------------------------------------------------
 
+/// Bytes of length prefix ahead of every payload.
+const HEADER_BYTES: usize = 4;
+
+/// Least the frame reader grows its buffer by. Past the first step it
+/// grows by what has already arrived, so the buffer never holds more
+/// than twice the bytes the peer actually sent plus one step — whatever
+/// length the 4-byte prefix announced.
+const READ_STEP: usize = 64 << 10;
+
+/// Capacity a connection's buffer keeps between frames; one frame above
+/// this is given back to the allocator before the next, so a single
+/// large ingest does not pin its size for the connection's lifetime.
+const RETAIN_BYTES: usize = 1 << 20;
+
+/// The socket options every protocol connection runs with, on both
+/// ends. `TCP_NODELAY` because the protocol is strict request/response
+/// with one write per frame: there is never a second small segment for
+/// Nagle to coalesce, only a peer's delayed ACK (40 ms) to wait behind.
+/// The timeouts are the no-hang contract: a stalled peer is an `Err`.
+pub(crate) fn configure_stream(
+    stream: &TcpStream,
+    read_timeout: Duration,
+    write_timeout: Duration,
+) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(read_timeout))?;
+    stream.set_write_timeout(Some(write_timeout))
+}
+
 /// Outcome of one framed read.
-#[derive(Debug)]
-pub enum FrameRead {
-    /// A complete payload.
-    Frame(Vec<u8>),
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum FrameRead {
+    /// A complete payload, left in the buffer handed to [`read_frame`].
+    Frame,
     /// The peer closed the connection cleanly between frames.
     Eof,
     /// The read timed out with *zero* bytes of the next frame received:
@@ -221,43 +256,63 @@ pub enum FrameRead {
     Idle,
 }
 
-/// Read one frame. Distinguishes idle peers (no bytes of the next frame
-/// yet) from slow peers (a frame started but stalled): the former is
-/// [`FrameRead::Idle`], the latter a `TimedOut` error, so the
-/// connection loop can keep idle clients and drop slow ones.
-pub fn read_frame(stream: &mut impl Read) -> std::io::Result<FrameRead> {
-    laqy_faults::point(points::NET_LATENCY).map_err(std::io::Error::from)?;
-    let mut header = [0u8; 4];
-    let mut got = 0usize;
-    while got < header.len() {
-        laqy_faults::point(points::NET_READ).map_err(std::io::Error::from)?;
-        match stream.read(&mut header[got..]) {
-            Ok(0) => {
-                if got == 0 {
-                    return Ok(FrameRead::Eof);
-                }
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "eof mid-header",
-                ));
-            }
-            Ok(n) => got += n,
+/// One `read` into `dst`, classified.
+enum ReadStep {
+    Got(usize),
+    Eof,
+    TimedOut,
+}
+
+fn read_step(stream: &mut impl Read, dst: &mut [u8]) -> std::io::Result<ReadStep> {
+    loop {
+        laqy_faults::io_point(points::NET_READ)?;
+        match stream.read(dst) {
+            Ok(0) => return Ok(ReadStep::Eof),
+            Ok(n) => return Ok(ReadStep::Got(n)),
             Err(e)
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                if got == 0 {
-                    return Ok(FrameRead::Idle);
-                }
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "slow client: frame header stalled",
-                ));
+                return Ok(ReadStep::TimedOut)
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Read one frame's payload into `buf`, replacing what it held; its
+/// capacity is reused from frame to frame. Distinguishes idle peers (no
+/// bytes of the next frame yet) from slow peers (a frame started but
+/// stalled): the former is [`FrameRead::Idle`], the latter a `TimedOut`
+/// error, so the connection loop can keep idle clients and drop slow
+/// ones. The buffer grows as payload bytes arrive (see [`READ_STEP`]),
+/// never from the length prefix alone.
+pub(crate) fn read_frame(stream: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<FrameRead> {
+    laqy_faults::io_point(points::NET_LATENCY)?;
+    buf.clear();
+    buf.shrink_to(RETAIN_BYTES);
+    let mut header = [0u8; HEADER_BYTES];
+    let mut got = 0usize;
+    while got < HEADER_BYTES {
+        match read_step(stream, &mut header[got..])? {
+            ReadStep::Got(n) => got += n,
+            ReadStep::Eof if got == 0 => return Ok(FrameRead::Eof),
+            ReadStep::TimedOut if got == 0 => return Ok(FrameRead::Idle),
+            ReadStep::Eof => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "eof mid-header",
+                ))
+            }
+            ReadStep::TimedOut => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    "slow client: frame header stalled",
+                ))
+            }
         }
     }
     let len = u32::from_le_bytes(header) as usize;
@@ -267,43 +322,51 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<FrameRead> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    let mut read = 0usize;
-    while read < len {
-        laqy_faults::point(points::NET_READ).map_err(std::io::Error::from)?;
-        match stream.read(&mut payload[read..]) {
-            Ok(0) => {
+    let mut filled = 0usize;
+    while filled < len {
+        if filled == buf.len() {
+            let grown = len.min(filled + filled.max(READ_STEP));
+            buf.reserve_exact(grown - filled);
+            buf.resize(grown, 0);
+        }
+        match read_step(stream, &mut buf[filled..])? {
+            ReadStep::Got(n) => filled += n,
+            ReadStep::Eof => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "eof mid-frame",
                 ))
             }
-            Ok(n) => read += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
+            ReadStep::TimedOut => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
                     "slow client: frame body stalled",
-                ));
+                ))
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
         }
     }
-    Ok(FrameRead::Frame(payload))
+    Ok(FrameRead::Frame)
 }
 
-/// Write one frame (length prefix + payload).
-pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    laqy_faults::point(points::NET_LATENCY).map_err(std::io::Error::from)?;
-    laqy_faults::point(points::NET_WRITE).map_err(std::io::Error::from)?;
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    laqy_faults::point(points::NET_WRITE).map_err(std::io::Error::from)?;
-    stream.write_all(payload)?;
+/// Start a frame in `buf`: drop what it held (keeping its capacity) and
+/// leave room for the length prefix [`write_frame`] fills in. The
+/// payload is whatever the caller appends next.
+pub(crate) fn begin_frame(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.shrink_to(RETAIN_BYTES);
+    buf.extend_from_slice(&[0; HEADER_BYTES]);
+}
+
+/// Write one frame started with [`begin_frame`]: patch the length
+/// prefix in place and hand prefix + payload to the socket in a single
+/// `write_all`, so a frame is never two segments with a delayed ACK
+/// between them. One `net.latency` and one `net.write` point per frame.
+pub(crate) fn write_frame(stream: &mut impl Write, frame: &mut [u8]) -> std::io::Result<()> {
+    laqy_faults::io_point(points::NET_LATENCY)?;
+    laqy_faults::io_point(points::NET_WRITE)?;
+    let len = (frame.len() - HEADER_BYTES) as u32;
+    frame[..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    stream.write_all(frame)?;
     stream.flush()
 }
 
@@ -536,9 +599,16 @@ impl<'a> Reader<'a> {
 }
 
 impl Request {
-    /// Encode into a frame payload.
+    /// Encode into a fresh frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the frame payload to `buf` (a connection's reused write
+    /// buffer, after [`begin_frame`]).
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Ping => buf.push(0x01),
             Request::Query {
@@ -548,10 +618,10 @@ impl Request {
                 timeout_ms,
             } => {
                 buf.push(0x02);
-                put_str(&mut buf, tenant);
-                put_str(&mut buf, sql);
-                put_u32(&mut buf, *k);
-                put_u32(&mut buf, *timeout_ms);
+                put_str(buf, tenant);
+                put_str(buf, sql);
+                put_u32(buf, *k);
+                put_u32(buf, *timeout_ms);
             }
             Request::Ingest {
                 tenant,
@@ -559,20 +629,19 @@ impl Request {
                 columns,
             } => {
                 buf.push(0x03);
-                put_str(&mut buf, tenant);
-                put_str(&mut buf, table);
-                put_u32(&mut buf, columns.len() as u32);
+                put_str(buf, tenant);
+                put_str(buf, table);
+                put_u32(buf, columns.len() as u32);
                 for (name, col) in columns {
-                    put_str(&mut buf, name);
-                    put_column(&mut buf, col);
+                    put_str(buf, name);
+                    put_column(buf, col);
                 }
             }
             Request::Stats { tenant } => {
                 buf.push(0x04);
-                put_str(&mut buf, tenant);
+                put_str(buf, tenant);
             }
         }
-        buf
     }
 
     /// Decode a frame payload.
@@ -609,60 +678,84 @@ impl Request {
     }
 }
 
+/// Append an answer payload to `buf`: the one encoder of the `0x82`
+/// message. `Response::Answer` feeds it from the decoded
+/// [`AnswerGroup`]s; the server feeds it straight from the engine's
+/// group estimates, without building those first.
+pub(crate) fn put_answer<'a, A>(
+    buf: &mut Vec<u8>,
+    degraded: Option<&DegradedInfo>,
+    groups: impl ExactSizeIterator<Item = (&'a [Value], A)>,
+) where
+    A: ExactSizeIterator<Item = AnswerAgg>,
+{
+    buf.push(0x82);
+    match degraded {
+        None => buf.push(0),
+        Some(d) => {
+            buf.push(1);
+            put_f64(buf, d.coverage);
+            put_f64(buf, d.ci_inflation);
+        }
+    }
+    put_u32(buf, groups.len() as u32);
+    for (key, aggs) in groups {
+        put_u32(buf, key.len() as u32);
+        for v in key {
+            put_value(buf, v);
+        }
+        put_u32(buf, aggs.len() as u32);
+        for e in aggs {
+            put_f64(buf, e.value);
+            put_f64(buf, e.ci_half_width);
+            put_u64(buf, e.support);
+        }
+    }
+}
+
 impl Response {
-    /// Encode into a frame payload.
+    /// Encode into a fresh frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the frame payload to `buf` (a connection's reused write
+    /// buffer, after [`begin_frame`]).
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Response::Pong => buf.push(0x81),
-            Response::Answer(a) => {
-                buf.push(0x82);
-                match &a.degraded {
-                    None => buf.push(0),
-                    Some(d) => {
-                        buf.push(1);
-                        put_f64(&mut buf, d.coverage);
-                        put_f64(&mut buf, d.ci_inflation);
-                    }
-                }
-                put_u32(&mut buf, a.groups.len() as u32);
-                for g in &a.groups {
-                    put_u32(&mut buf, g.key.len() as u32);
-                    for v in &g.key {
-                        put_value(&mut buf, v);
-                    }
-                    put_u32(&mut buf, g.values.len() as u32);
-                    for e in &g.values {
-                        put_f64(&mut buf, e.value);
-                        put_f64(&mut buf, e.ci_half_width);
-                        put_u64(&mut buf, e.support);
-                    }
-                }
-            }
+            Response::Answer(a) => put_answer(
+                buf,
+                a.degraded.as_ref(),
+                a.groups
+                    .iter()
+                    .map(|g| (g.key.as_slice(), g.values.iter().copied())),
+            ),
             Response::IngestAck { watermark } => {
                 buf.push(0x83);
-                put_u64(&mut buf, *watermark);
+                put_u64(buf, *watermark);
             }
             Response::Overloaded { retry_after_ms } => {
                 buf.push(0x84);
-                put_u32(&mut buf, *retry_after_ms);
+                put_u32(buf, *retry_after_ms);
             }
             Response::Error { code, message } => {
                 buf.push(0x85);
                 buf.push(*code as u8);
-                put_str(&mut buf, message);
+                put_str(buf, message);
             }
             Response::StatsReply(s) => {
                 buf.push(0x86);
-                put_u64(&mut buf, s.answers);
-                put_u64(&mut buf, s.degraded);
-                put_u64(&mut buf, s.shed);
-                put_u64(&mut buf, s.rejected_draining);
-                put_u64(&mut buf, s.ingest_acks);
-                put_u64(&mut buf, s.errors);
+                put_u64(buf, s.answers);
+                put_u64(buf, s.degraded);
+                put_u64(buf, s.shed);
+                put_u64(buf, s.rejected_draining);
+                put_u64(buf, s.ingest_acks);
+                put_u64(buf, s.errors);
             }
         }
-        buf
     }
 
     /// Decode a frame payload.
@@ -847,6 +940,60 @@ mod tests {
         assert!(Request::decode(&padded).is_err());
     }
 
+    /// A `Write` that counts calls and accepts at most `cap` bytes per
+    /// call (a socket under back-pressure).
+    struct CountingWriter {
+        wire: Vec<u8>,
+        writes: usize,
+        cap: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let n = buf.len().min(self.cap);
+            self.wire.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `Read` that hands out `data` at most `chunk` bytes per call,
+    /// then reads as a stalled socket (`stall`) or a closed one.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        chunk: usize,
+        stall: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, dst: &mut [u8]) -> std::io::Result<usize> {
+            if self.data.is_empty() && self.stall {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.chunk.min(dst.len()).min(self.data.len());
+            dst[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// `payload` framed through `frame` the way a connection frames it.
+    fn write_payload(out: &mut impl Write, frame: &mut Vec<u8>, payload: &[u8]) {
+        begin_frame(frame);
+        frame.extend_from_slice(payload);
+        write_frame(out, frame).expect("write");
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_payload(&mut wire, &mut Vec::new(), payload);
+        wire
+    }
+
     #[test]
     fn framing_roundtrips_over_a_buffer() {
         let payload = Request::Query {
@@ -856,18 +1003,18 @@ mod tests {
             timeout_ms: 0,
         }
         .encode();
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).expect("write");
-        let mut cursor = std::io::Cursor::new(wire);
-        match read_frame(&mut cursor).expect("read") {
-            FrameRead::Frame(got) => assert_eq!(got, payload),
-            other => panic!("expected a frame, got {other:?}"),
-        }
+        let mut cursor = std::io::Cursor::new(framed(&payload));
+        let mut got = Vec::new();
+        assert_eq!(
+            read_frame(&mut cursor, &mut got).expect("read"),
+            FrameRead::Frame
+        );
+        assert_eq!(got, payload);
         // A second read on the drained buffer is a clean EOF.
-        assert!(matches!(
-            read_frame(&mut cursor).expect("eof"),
+        assert_eq!(
+            read_frame(&mut cursor, &mut got).expect("eof"),
             FrameRead::Eof
-        ));
+        );
     }
 
     #[test]
@@ -875,7 +1022,280 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&(u32::MAX).to_le_bytes());
         let mut cursor = std::io::Cursor::new(wire);
-        let err = read_frame(&mut cursor).expect_err("cap enforced");
+        let err = read_frame(&mut cursor, &mut Vec::new()).expect_err("cap enforced");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_survives_short_writes_and_one_byte_reads() {
+        for len in [0usize, 1, 1 << 20] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut expected = (len as u32).to_le_bytes().to_vec();
+            expected.extend_from_slice(&payload);
+
+            // Prefix and payload reach the socket in a single `write`:
+            // two writes are what parks the second behind a delayed ACK.
+            let mut whole = CountingWriter {
+                wire: Vec::new(),
+                writes: 0,
+                cap: usize::MAX,
+            };
+            write_payload(&mut whole, &mut Vec::new(), &payload);
+            assert_eq!(whole.writes, 1, "{len}-byte payload");
+            assert_eq!(whole.wire, expected);
+
+            // A socket that takes 7 bytes at a time still gets it all.
+            let mut short = CountingWriter {
+                wire: Vec::new(),
+                writes: 0,
+                cap: 7,
+            };
+            write_payload(&mut short, &mut Vec::new(), &payload);
+            assert_eq!(short.writes, expected.len().div_ceil(7));
+            assert_eq!(short.wire, expected);
+
+            // And a reader fed one byte per `read` reassembles it.
+            let mut trickle = Trickle {
+                data: &expected,
+                chunk: 1,
+                stall: false,
+            };
+            let mut got = Vec::new();
+            assert_eq!(
+                read_frame(&mut trickle, &mut got).expect("read"),
+                FrameRead::Frame
+            );
+            assert_eq!(got, payload);
+            assert_eq!(
+                read_frame(&mut trickle, &mut got).expect("eof"),
+                FrameRead::Eof
+            );
+        }
+    }
+
+    #[test]
+    fn idle_slow_and_torn_peers_stay_distinct() {
+        let wire = framed(b"0123456789");
+        let read = |sent: usize, stall: bool| {
+            let mut peer = Trickle {
+                data: &wire[..sent],
+                chunk: usize::MAX,
+                stall,
+            };
+            read_frame(&mut peer, &mut Vec::new())
+        };
+        // Nothing of the next frame yet: idle (kept) or closed (clean).
+        assert_eq!(read(0, true).expect("idle"), FrameRead::Idle);
+        assert_eq!(read(0, false).expect("eof"), FrameRead::Eof);
+        // A frame that started and stalled is the slow-client error; one
+        // that started and ended is a torn frame.
+        for sent in [2, 4, 9] {
+            let slow = read(sent, true).expect_err("slow client");
+            assert_eq!(slow.kind(), std::io::ErrorKind::TimedOut, "{sent} bytes");
+            let torn = read(sent, false).expect_err("torn frame");
+            assert_eq!(
+                torn.kind(),
+                std::io::ErrorKind::UnexpectedEof,
+                "{sent} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn read_buffer_grows_with_bytes_received_not_with_the_announced_length() {
+        // The 1 GiB pin: `max_connections` peers that each send only a
+        // header announcing MAX_FRAME_BYTES. Nothing may be allocated
+        // for payload that has not arrived.
+        let mut wire = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        let mut buf = Vec::new();
+        let mut header_only = Trickle {
+            data: &wire,
+            chunk: usize::MAX,
+            stall: true,
+        };
+        let err = read_frame(&mut header_only, &mut buf).expect_err("stalled body");
+        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
+        assert!(buf.capacity() <= READ_STEP, "{} bytes", buf.capacity());
+
+        // With part of the payload sent, at most twice that plus a step.
+        let received = 300 << 10;
+        wire.resize(HEADER_BYTES + received, 7);
+        let mut partial = Trickle {
+            data: &wire,
+            chunk: 1500,
+            stall: true,
+        };
+        let err = read_frame(&mut partial, &mut buf).expect_err("stalled body");
+        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
+        assert!(
+            buf.capacity() <= 2 * received + READ_STEP,
+            "{} bytes for {received} received",
+            buf.capacity()
+        );
+    }
+
+    #[test]
+    fn reused_buffers_never_leak_a_longer_frames_tail() {
+        let long: Vec<u8> = (0..2 * RETAIN_BYTES).map(|i| (i % 253) as u8 | 1).collect();
+        let short = Request::Ping.encode();
+
+        // Write side: the short frame's bytes are those of a fresh buffer.
+        let mut frame = Vec::new();
+        let mut wire = Vec::new();
+        write_payload(&mut wire, &mut frame, &long);
+        let long_wire_len = wire.len();
+        write_payload(&mut wire, &mut frame, &short);
+        assert_eq!(wire[long_wire_len..], framed(&short));
+
+        // Read side: the payload is exactly the short frame's.
+        let mut cursor = std::io::Cursor::new(wire);
+        let mut buf = Vec::new();
+        assert_eq!(
+            read_frame(&mut cursor, &mut buf).expect("long"),
+            FrameRead::Frame
+        );
+        assert_eq!(buf, long);
+        assert_eq!(
+            read_frame(&mut cursor, &mut buf).expect("short"),
+            FrameRead::Frame
+        );
+        assert_eq!(buf, short);
+
+        // And neither buffer pins the large frame's size afterwards.
+        assert!(frame.capacity() <= RETAIN_BYTES, "{}", frame.capacity());
+        assert!(buf.capacity() <= RETAIN_BYTES, "{}", buf.capacity());
+    }
+
+    fn every_request() -> Vec<Request> {
+        vec![
+            Request::Ping,
+            Request::Query {
+                tenant: "t".into(),
+                sql: "q".into(),
+                k: 8,
+                timeout_ms: 250,
+            },
+            Request::Ingest {
+                tenant: "t".into(),
+                table: "l".into(),
+                columns: vec![
+                    ("a".into(), Column::Int32(vec![-2])),
+                    ("b".into(), Column::Int64(vec![1])),
+                    ("c".into(), Column::Float64(vec![0.5])),
+                    (
+                        "d".into(),
+                        Column::Dict {
+                            codes: vec![0],
+                            dict: Arc::new(vec!["x".into()]),
+                        },
+                    ),
+                ],
+            },
+            Request::Stats { tenant: "t".into() },
+        ]
+    }
+
+    fn every_response() -> Vec<Response> {
+        vec![
+            Response::Pong,
+            Response::Answer(Answer {
+                degraded: Some(DegradedInfo {
+                    coverage: 0.25,
+                    ci_inflation: 8.0,
+                }),
+                groups: vec![AnswerGroup {
+                    key: vec![
+                        Value::Int(7),
+                        Value::Str("M".into()),
+                        Value::Null,
+                        Value::Float(1.5),
+                    ],
+                    values: vec![AnswerAgg {
+                        value: 123.5,
+                        ci_half_width: f64::NAN,
+                        support: 42,
+                    }],
+                }],
+            }),
+            Response::Answer(Answer {
+                degraded: None,
+                groups: vec![],
+            }),
+            Response::IngestAck { watermark: 9001 },
+            Response::Overloaded {
+                retry_after_ms: 100,
+            },
+            Response::Error {
+                code: ErrorCode::Draining,
+                message: "no".into(),
+            },
+            Response::StatsReply(TenantSnapshot {
+                answers: 1,
+                degraded: 2,
+                shed: 3,
+                rejected_draining: 4,
+                ingest_acks: 5,
+                errors: 6,
+            }),
+        ]
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_what_encode_returns() {
+        let prefix = b"already here";
+        let check = |fresh: Vec<u8>, append: &dyn Fn(&mut Vec<u8>)| {
+            let mut buf = prefix.to_vec();
+            append(&mut buf);
+            assert_eq!(buf[..prefix.len()], prefix[..]);
+            assert_eq!(buf[prefix.len()..], fresh[..]);
+        };
+        for req in every_request() {
+            check(req.encode(), &|buf| req.encode_into(buf));
+        }
+        for resp in every_response() {
+            check(resp.encode(), &|buf| resp.encode_into(buf));
+        }
+    }
+
+    #[test]
+    fn golden_frames_pin_the_wire_format() {
+        // Length prefix + payload per message type, as emitted before
+        // the frame path was rebuilt: an old peer and a new one must
+        // keep reading each other's bytes.
+        let hex = |frame: Vec<u8>| -> String { frame.iter().map(|b| format!("{b:02x}")).collect() };
+        let requests: Vec<String> = every_request()
+            .iter()
+            .map(|r| hex(framed(&r.encode())))
+            .collect();
+        assert_eq!(
+            requests,
+            [
+                "0100000001",
+                "13000000020100000074010000007108000000fa000000",
+                "58000000030100000074010000006c0400000001000000610101000000feffffff\
+                 01000000620201000000010000000000000001000000630301000000000000000000\
+                 e03f0100000064040100000001000000780100000000000000",
+                "06000000040100000074",
+            ]
+        );
+        let responses: Vec<String> = every_response()
+            .iter()
+            .map(|r| hex(framed(&r.encode())))
+            .collect();
+        assert_eq!(
+            responses,
+            [
+                "0100000081",
+                "4f0000008201000000000000d03f0000000000002040010000000400000001070000\
+                 000000000003010000004d0002000000000000f83f010000000000000000e05e4000\
+                 0000000000f87f2a00000000000000",
+                "06000000820000000000",
+                "09000000832923000000000000",
+                "050000008464000000",
+                "080000008502020000006e6f",
+                "3100000086010000000000000002000000000000000300000000000000040000000000\
+                 000005000000000000000600000000000000",
+            ]
+        );
     }
 }

@@ -30,16 +30,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use laqy::estimate::GroupEstimate;
 use laqy::executor::LaqyError;
 use laqy::QueryBudget;
-use laqy_engine::Catalog;
+use laqy_engine::{Catalog, Value};
 use laqy_faults::points;
 use laqy_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crate::admission::Admission;
 use crate::protocol::{
-    read_frame, write_frame, Answer, AnswerAgg, AnswerGroup, DegradedInfo, ErrorCode, FrameRead,
-    Request, Response, TenantSnapshot,
+    begin_frame, configure_stream, put_answer, read_frame, write_frame, AnswerAgg, DegradedInfo,
+    ErrorCode, FrameRead, Request, Response, TenantSnapshot,
 };
 use crate::tenant::{queue_wait_cap, TenantRegistry, TenantState};
 
@@ -253,12 +254,14 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// write may fail (the peer is a stranger); either way the socket
 /// closes and nothing is retained.
 fn shed_connection(mut stream: TcpStream, config: &ServerConfig) {
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let payload = Response::Overloaded {
+    let _ = configure_stream(&stream, config.read_timeout, config.write_timeout);
+    let mut outbox = Vec::new();
+    begin_frame(&mut outbox);
+    Response::Overloaded {
         retry_after_ms: config.retry_after.as_millis() as u32,
     }
-    .encode();
-    let _ = write_frame(&mut stream, &payload);
+    .encode_into(&mut outbox);
+    let _ = write_frame(&mut stream, &mut outbox);
 }
 
 /// RAII connection-cap slot.
@@ -286,17 +289,16 @@ impl Drop for ConnSlot {
 }
 
 fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>, _slot: ConnSlot) {
-    if stream
-        .set_read_timeout(Some(shared.config.read_timeout))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(shared.config.write_timeout))
-            .is_err()
-    {
+    let config = &shared.config;
+    if configure_stream(&stream, config.read_timeout, config.write_timeout).is_err() {
         return;
     }
+    // The connection's two frame buffers, reused by every request: the
+    // request payload is read into `inbox`, the response is encoded into
+    // `outbox` once and written from there.
+    let (mut inbox, mut outbox) = (Vec::new(), Vec::new());
     loop {
-        match read_frame(&mut stream) {
+        match read_frame(&mut stream, &mut inbox) {
             Ok(FrameRead::Idle) => {
                 // Idle clients are kept — unless the server is leaving.
                 if shared.stopping.load(Ordering::SeqCst) {
@@ -304,20 +306,22 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>, _slot: ConnSlot)
                 }
             }
             Ok(FrameRead::Eof) => return,
-            Ok(FrameRead::Frame(payload)) => {
+            Ok(FrameRead::Frame) => {
                 let t_recv = Instant::now();
                 // Sampled before dispatch: a request already in flight
                 // when drain flips the flag keeps its connection; only
                 // requests *processed* while draining close it below.
                 let draining = shared.stopping.load(Ordering::SeqCst);
-                let response = match Request::decode(&payload) {
-                    Ok(request) => dispatch(&shared, request, t_recv),
+                begin_frame(&mut outbox);
+                match Request::decode(&inbox) {
+                    Ok(request) => dispatch(&shared, request, t_recv, &mut outbox),
                     Err(e) => Response::Error {
                         code: ErrorCode::BadRequest,
                         message: e.to_string(),
-                    },
-                };
-                if write_frame(&mut stream, &response.encode()).is_err() {
+                    }
+                    .encode_into(&mut outbox),
+                }
+                if write_frame(&mut stream, &mut outbox).is_err() {
                     // Slow, gone, or chaos-injected: drop the connection.
                     return;
                 }
@@ -336,9 +340,10 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>, _slot: ConnSlot)
     }
 }
 
-fn dispatch(shared: &Arc<Shared>, request: Request, t_recv: Instant) -> Response {
+/// Run `request` and append its response payload to `out`.
+fn dispatch(shared: &Arc<Shared>, request: Request, t_recv: Instant, out: &mut Vec<u8>) {
     match request {
-        Request::Ping => Response::Pong,
+        Request::Ping => Response::Pong.encode_into(out),
         // Stats is a read-only probe: it must never allocate a tenant
         // (service, dirs, WAL) or consume a `max_tenants` slot. A
         // never-served tenant reports all-zero counters.
@@ -349,20 +354,25 @@ fn dispatch(shared: &Arc<Shared>, request: Request, t_recv: Instant) -> Response
                 code: e.code(),
                 message: e.message(),
             },
-        },
+        }
+        .encode_into(out),
         Request::Query {
             tenant,
             sql,
             k,
             timeout_ms,
-        } => with_admission(shared, &tenant, t_recv, |t, budget| {
-            run_query(t, &sql, k as usize, requested_budget(timeout_ms, budget))
+        } => with_admission(shared, &tenant, t_recv, out, |t, budget, out| {
+            let budget = requested_budget(timeout_ms, budget);
+            if let Err(e) = run_query(t, &sql, k as usize, budget, out) {
+                t.counters.note_error();
+                error_response(&e).encode_into(out);
+            }
         }),
         Request::Ingest {
             tenant,
             table,
             columns,
-        } => with_admission(shared, &tenant, t_recv, |t, _budget| {
+        } => with_admission(shared, &tenant, t_recv, out, |t, _budget, out| {
             match t.service.ingest(&table, columns) {
                 Ok(watermark) => {
                     t.counters.note_ingest_ack();
@@ -373,19 +383,22 @@ fn dispatch(shared: &Arc<Shared>, request: Request, t_recv: Instant) -> Response
                     error_response(&e)
                 }
             }
+            .encode_into(out)
         }),
     }
 }
 
 /// Resolve the tenant, pass its gate, and run `body` holding the
 /// permit, with the queue wait already charged against the budget
-/// handed in.
+/// handed in. `body` appends the response to `out`; a request that
+/// never ran gets its typed refusal appended here.
 fn with_admission(
     shared: &Arc<Shared>,
     tenant: &str,
     t_recv: Instant,
-    body: impl FnOnce(&TenantState, QueryBudget) -> Response,
-) -> Response {
+    out: &mut Vec<u8>,
+    body: impl FnOnce(&TenantState, QueryBudget, &mut Vec<u8>),
+) {
     let t = match shared.registry.get_or_create(tenant) {
         Ok(t) => t,
         Err(e) => {
@@ -393,14 +406,16 @@ fn with_admission(
                 code: e.code(),
                 message: e.message(),
             }
+            .encode_into(out)
         }
     };
-    let outcome = match t.gate.admit(queue_wait_cap(&shared.config)) {
+    match t.gate.admit(queue_wait_cap(&shared.config)) {
         Admission::Shed => {
             t.counters.note_shed();
             Response::Overloaded {
                 retry_after_ms: shared.config.retry_after.as_millis() as u32,
             }
+            .encode_into(out)
         }
         Admission::Draining => {
             t.counters.note_rejected_draining();
@@ -408,18 +423,17 @@ fn with_admission(
                 code: ErrorCode::Draining,
                 message: "server is draining; admissions are closed".to_string(),
             }
+            .encode_into(out)
         }
         Admission::Granted(permit) => {
             // Everything since the frame arrived — decode plus queue
             // wait — is charged against the allowance: an admitted
             // request degrades rather than overstaying its contract.
             let budget = t.default_budget.after_wait(t_recv.elapsed());
-            let response = body(&t, budget);
+            body(&t, budget, out);
             drop(permit);
-            response
         }
     };
-    outcome
 }
 
 /// Fold the client's own `timeout_ms` (0 = tenant default) into the
@@ -434,54 +448,49 @@ fn requested_budget(timeout_ms: u32, tenant_budget: QueryBudget) -> QueryBudget 
     )))
 }
 
-fn run_query(t: &TenantState, sql: &str, k: usize, budget: QueryBudget) -> Response {
-    let planned = {
-        let catalog = t.service.catalog();
-        laqy::approx_query(&catalog, sql, k)
-    };
-    let query = match planned {
-        Ok(q) => q,
-        Err(e) => {
-            t.counters.note_error();
-            return error_response(&e);
-        }
-    };
-    let result = match t.service.run_with_budget(&query, budget) {
-        Ok(r) => r,
-        Err(e) => {
-            t.counters.note_error();
-            return error_response(&e);
-        }
-    };
-    let keys = match t.service.decode_keys(&query, &result) {
-        Ok(k) => k,
-        Err(e) => {
-            t.counters.note_error();
-            return error_response(&e);
-        }
-    };
+/// Plan and run `sql`, appending the answer payload to `out` straight
+/// from the engine's group estimates. Nothing is appended on `Err`.
+fn run_query(
+    t: &TenantState,
+    sql: &str,
+    k: usize,
+    budget: QueryBudget,
+    out: &mut Vec<u8>,
+) -> Result<(), LaqyError> {
+    let query = laqy::approx_query(&t.service.catalog(), sql, k)?;
+    let result = t.service.run_with_budget(&query, budget)?;
+    let keys = t.service.decode_keys(&query, &result)?;
     let degraded = result.stats.degraded.as_ref().map(|d| DegradedInfo {
         coverage: d.coverage,
         ci_inflation: d.ci_inflation,
     });
-    let groups = keys
-        .into_iter()
-        .zip(result.groups.iter())
-        .map(|(key, g)| AnswerGroup {
-            key,
-            values: g
-                .values
-                .iter()
-                .map(|v| AnswerAgg {
-                    value: v.value,
-                    ci_half_width: v.ci_half_width,
-                    support: v.support as u64,
-                })
-                .collect(),
-        })
-        .collect();
+    put_estimates(out, degraded.as_ref(), &keys, &result.groups);
     t.counters.note_answer(degraded.is_some());
-    Response::Answer(Answer { degraded, groups })
+    Ok(())
+}
+
+/// The answer payload for `groups` under their decoded `keys`: the
+/// bytes `Response::Answer` would encode to, without the intermediate
+/// `AnswerGroup`/`AnswerAgg` vectors (two allocations per group that
+/// would live only until the encode).
+fn put_estimates(
+    out: &mut Vec<u8>,
+    degraded: Option<&DegradedInfo>,
+    keys: &[Vec<Value>],
+    groups: &[GroupEstimate],
+) {
+    put_answer(
+        out,
+        degraded,
+        keys.iter().zip(groups).map(|(key, g)| {
+            let aggs = g.values.iter().map(|v| AnswerAgg {
+                value: v.value,
+                ci_half_width: v.ci_half_width,
+                support: v.support as u64,
+            });
+            (key.as_slice(), aggs)
+        }),
+    );
 }
 
 /// Map an engine failure onto the wire. Every failure class a request
@@ -497,5 +506,81 @@ fn error_response(e: &LaqyError) -> Response {
     Response::Error {
         code,
         message: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{Answer, AnswerGroup};
+    use laqy::estimate::AggEstimate;
+    use proptest::prelude::*;
+
+    fn value() -> impl Strategy<Value = Value> {
+        (0u8..4, any::<u64>(), "[a-zA-Z0-9#]{0,12}").prop_map(|(tag, bits, s)| match tag {
+            0 => Value::Null,
+            1 => Value::Int(bits as i64),
+            2 => Value::Float(f64::from_bits(bits)),
+            _ => Value::Str(s),
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn direct_answer_bytes_equal_the_response_encoding(
+            degraded in (0u8..2, any::<u64>(), any::<u64>()),
+            shape in prop::collection::vec(
+                (
+                    prop::collection::vec(value(), 0..4),
+                    // (value bits, half-width bits, support); `any` bits
+                    // cover NaN half-widths (MIN/MAX) and their payloads.
+                    prop::collection::vec((any::<u64>(), any::<u64>(), 0usize..1_000_000), 0..4),
+                ),
+                0..24,
+            ),
+        ) {
+            let degraded = (degraded.0 == 1).then(|| DegradedInfo {
+                coverage: f64::from_bits(degraded.1),
+                ci_inflation: f64::from_bits(degraded.2),
+            });
+            let (keys, groups): (Vec<Vec<Value>>, Vec<GroupEstimate>) = shape
+                .into_iter()
+                .map(|(key, aggs)| {
+                    let values = aggs
+                        .into_iter()
+                        .map(|(value, half, support)| AggEstimate {
+                            value: f64::from_bits(value),
+                            ci_half_width: f64::from_bits(half),
+                            support,
+                        })
+                        .collect();
+                    (key, GroupEstimate { key: Vec::new(), values })
+                })
+                .unzip();
+
+            let mut direct = Vec::new();
+            put_estimates(&mut direct, degraded.as_ref(), &keys, &groups);
+
+            let materialised = Response::Answer(Answer {
+                degraded,
+                groups: keys
+                    .iter()
+                    .zip(&groups)
+                    .map(|(key, g)| AnswerGroup {
+                        key: key.clone(),
+                        values: g
+                            .values
+                            .iter()
+                            .map(|v| AnswerAgg {
+                                value: v.value,
+                                ci_half_width: v.ci_half_width,
+                                support: v.support as u64,
+                            })
+                            .collect(),
+                    })
+                    .collect(),
+            });
+            prop_assert_eq!(direct, materialised.encode());
+        }
     }
 }

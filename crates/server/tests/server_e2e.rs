@@ -439,3 +439,71 @@ fn loadgen_smoke_reports_sane_numbers() {
     assert!(report.p99_ms >= report.p50_ms);
     server.shutdown();
 }
+
+/// Median round trip of `n` copies of `request` on `client`, in ms.
+fn median_rtt_ms(client: &mut Client, request: &Request, n: usize) -> f64 {
+    let mut samples: Vec<f64> = (0..n)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            client.request(request).expect("response");
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[n / 2]
+}
+
+#[test]
+fn ping_and_full_hit_round_trips_are_off_the_delayed_ack_timer() {
+    // Two writes per frame on a socket without TCP_NODELAY park the
+    // second write behind the peer's delayed ACK: ~44 ms per frame,
+    // ~88 ms per ping. One write per frame + NODELAY on both ends puts
+    // a loopback round trip in the tens of microseconds; 5 ms leaves
+    // two orders of magnitude for a loaded box.
+    let server = start(test_config());
+    let mut client = connect(&server);
+    let ping = median_rtt_ms(&mut client, &Request::Ping, 200);
+    assert!(ping < 5.0, "median ping round trip {ping:.2} ms");
+
+    // Same for a query: after one warm-up the window is a full hit, so
+    // what is left is wire + plan + estimate (a narrow window keeps the
+    // estimate well under a millisecond in a debug build too).
+    let hit = q1("rtt", 0, 299);
+    let warm = client.request(&hit).expect("warm-up");
+    assert!(matches!(warm, Response::Answer(_)), "{warm:?}");
+    let query = median_rtt_ms(&mut client, &hit, 200);
+    assert!(query < 5.0, "median full-hit round trip {query:.2} ms");
+    server.shutdown();
+}
+
+#[test]
+fn header_only_peer_is_dropped_at_the_read_timeout() {
+    use std::io::{Read, Write};
+    // A peer that announces a maximum-size frame and never sends a
+    // payload byte is a slow client: dropped once `read_timeout` passes
+    // mid-frame (what it could pin meanwhile is bounded by the frame
+    // reader's unit tests), without disturbing anyone else.
+    let server = start(test_config());
+    let mut hostile = std::net::TcpStream::connect(server.addr()).expect("connect");
+    hostile
+        .set_read_timeout(Some(IO_TIMEOUT))
+        .expect("read timeout");
+    let announced = laqy_server::protocol::MAX_FRAME_BYTES as u32;
+    hostile.write_all(&announced.to_le_bytes()).expect("header");
+    let sent = std::time::Instant::now();
+    let mut byte = [0u8; 1];
+    assert_eq!(hostile.read(&mut byte).expect("closed, not reset"), 0);
+    let waited = sent.elapsed();
+    let read_timeout = test_config().read_timeout;
+    assert!(
+        waited >= read_timeout / 2 && waited < read_timeout * 10,
+        "dropped after {waited:?} with a {read_timeout:?} read timeout"
+    );
+
+    let mut client = connect(&server);
+    assert!(matches!(
+        client.request(&Request::Ping).expect("ping"),
+        Response::Pong
+    ));
+    server.shutdown();
+}

@@ -1,6 +1,8 @@
 //! Chaos suite for the serving layer, driven by the `laqy-faults`
 //! registry (`--cfg laqy_faults` builds only). Three invariants, each
-//! swept over 32 seeds:
+//! swept over 32 seeds, plus two single-shot checks — `net.write`
+//! fires once per frame, and the client fails closed after a `net.read`
+//! fault:
 //!
 //! - **No hangs under wire faults.** With `net.read` / `net.write` /
 //!   `net.accept` / `net.latency` faults live on both sides of the
@@ -113,6 +115,65 @@ fn wire_faults_yield_typed_outcomes_or_io_errors_never_hangs() {
         server.shutdown();
     }
     laqy_faults::clear();
+}
+
+#[test]
+fn net_write_fires_once_per_frame() {
+    let _guard = CHAOS_LOCK.lock();
+    laqy_faults::clear();
+    let server = start(ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.addr(), IO_TIMEOUT).expect("connect");
+    // A zero-length stall on every trigger turns the injected-fault
+    // counter into a trigger counter for the point.
+    laqy_faults::install(FaultPlan::new(1).fail_every(
+        "net.write",
+        FaultKind::Latency(Duration::ZERO),
+        1,
+    ));
+    for _ in 0..10 {
+        let resp = client.request(&Request::Ping).expect("ping");
+        assert!(matches!(resp, Response::Pong), "{resp:?}");
+    }
+    // Ten request frames + ten response frames: a schedule's "n-th
+    // write" is the n-th frame, not a syscall inside one.
+    assert_eq!(laqy_faults::injected_count(), 20);
+    laqy_faults::clear();
+    server.shutdown();
+}
+
+#[test]
+fn client_fails_closed_after_an_injected_read_fault() {
+    let _guard = CHAOS_LOCK.lock();
+    laqy_faults::clear();
+    let server = start(ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.addr(), IO_TIMEOUT).expect("connect");
+    let resp = client.request(&Request::Ping).expect("clean ping");
+    assert!(matches!(resp, Response::Pong), "{resp:?}");
+
+    // Every read faults, on both sides of the socket: the request dies
+    // somewhere inside a frame.
+    laqy_faults::install(FaultPlan::new(1).fail_every("net.read", FaultKind::Io, 1));
+    client
+        .request(&q1("chaos", 0, 499))
+        .expect_err("read fault surfaces as an I/O error");
+    laqy_faults::clear();
+
+    // The stream's offset is unknown now. With the faults gone, the
+    // client must refuse to reuse it rather than read a length prefix
+    // from wherever it stopped...
+    let dead = client.request(&Request::Ping).expect_err("fails closed");
+    assert_eq!(dead.kind(), std::io::ErrorKind::NotConnected, "{dead}");
+    // ...and a reconnect is all it takes.
+    let mut client = Client::connect(server.addr(), IO_TIMEOUT).expect("reconnect");
+    let resp = client.request(&q1("chaos", 0, 499)).expect("query");
+    assert!(matches!(resp, Response::Answer(_)), "{resp:?}");
+    server.shutdown();
 }
 
 #[test]
