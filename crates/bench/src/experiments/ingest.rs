@@ -34,18 +34,6 @@ const BASE_FRACTION: f64 = 0.5;
 /// Queries in the driven stream (appends are spread evenly between them).
 const STREAM_QUERIES: usize = 20;
 
-fn slice_column(col: &Column, range: std::ops::Range<usize>) -> Column {
-    match col {
-        Column::Int32(v) => Column::Int32(v[range].to_vec()),
-        Column::Int64(v) => Column::Int64(v[range].to_vec()),
-        Column::Float64(v) => Column::Float64(v[range].to_vec()),
-        Column::Dict { codes, dict } => Column::Dict {
-            codes: codes[range].to_vec(),
-            dict: dict.clone(),
-        },
-    }
-}
-
 /// The catalog with `lineorder` truncated to its base prefix, plus the
 /// held-back tail split into `batches` append batches in storage order.
 #[allow(clippy::type_complexity)]
@@ -55,7 +43,7 @@ fn split_catalog(catalog: &Catalog, batches: usize) -> (Catalog, Vec<Vec<(String
     let base_rows = (BASE_FRACTION * n as f64) as usize;
     let slice_rows = |lo: usize, hi: usize| -> Vec<(String, Column)> {
         fact.columns()
-            .map(|(name, col)| (name.to_string(), slice_column(col, lo..hi)))
+            .map(|(name, col)| (name.to_string(), col.take(lo..hi)))
             .collect()
     };
     let mut base = Catalog::new();

@@ -18,12 +18,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use laqy_engine::ops::BoundCol;
+use laqy_engine::ops::{BoundCol, ResolvedCol};
 use laqy_engine::parallel::{parallel_fold, DEFAULT_MORSEL_ROWS};
 use laqy_engine::plan::PreparedJoins;
 use laqy_engine::{
-    execute_exact_counted, scan_count_pruned, AggInput, Catalog, Column, EngineError, GroupKey,
-    Predicate, PruneCounts, QueryPlan, QueryResult,
+    execute_exact_counted, scan_count_pruned, AggInput, Catalog, EngineError, GroupKey, Predicate,
+    PruneCounts, QueryPlan, QueryResult, StoredColumn,
 };
 use laqy_sampling::{merge_stratified_k, merge_stratified_refs, Lehmer64};
 use laqy_sync::atomic::{AtomicU64, Ordering};
@@ -803,7 +803,7 @@ impl LaqyExecutor {
         // Resolve the stratum-key and payload columns once: the column and
         // the joined dimension whose row ids index it (`None` = the fact
         // table).
-        let mut key_cols: Vec<(&Column, Option<usize>)> = Vec::new();
+        let mut key_cols: Vec<(&StoredColumn, Option<usize>)> = Vec::new();
         for c in &query.plan.group_by {
             key_cols.push(match &c.table {
                 None => (fact.column(&c.column)?, None),
@@ -817,7 +817,7 @@ impl LaqyExecutor {
                 }
             });
         }
-        let mut value_cols: Vec<(&Column, Option<usize>, SlotKind)> = Vec::new();
+        let mut value_cols: Vec<(&StoredColumn, Option<usize>, SlotKind)> = Vec::new();
         for (slot, name) in payload_cols.iter().enumerate() {
             let (dim, table) = resolve_by_name(catalog, &query.plan, name)?;
             value_cols.push((table.column(name)?, dim, schema.kind(slot)));
@@ -990,12 +990,16 @@ impl LaqyExecutor {
             let mut covered_sampler = Sample::with_strata_hint(k, covered_rows.len());
             let mut draw_rng = Lehmer64::new(covered_seed);
             let mut items = Vec::with_capacity(k);
+            let payload: Vec<(ResolvedCol<'_>, SlotKind)> = value_cols
+                .iter()
+                .map(|&(col, _, kind)| (ResolvedCol::from_column(col), kind))
+                .collect();
             for (key, spans, total) in &covered_rows {
                 items.clear();
                 for idx in floyd_k_subset(*total, k.min(*total as usize), &mut draw_rng) {
                     let row = row_at(spans, idx);
                     let mut vals = [0i64; crate::sampler_ops::MAX_SAMPLE_COLS];
-                    for (v, (col, _, kind)) in vals.iter_mut().zip(&value_cols) {
+                    for (v, (col, kind)) in vals.iter_mut().zip(&payload) {
                         *v = kind.read(col, row);
                     }
                     items.push(SampleTuple::new(vals));
@@ -1056,7 +1060,7 @@ impl LaqyExecutor {
         query: &ApproxQuery,
         groups: &[GroupEstimate],
     ) -> Result<Vec<Vec<laqy_engine::Value>>> {
-        let cols: Vec<&laqy_engine::Column> = query
+        let cols: Vec<&StoredColumn> = query
             .plan
             .group_by
             .iter()

@@ -9,8 +9,8 @@
 //! combined (Algorithm 3). DESIGN.md, "Sample layout and the admission
 //! path", has the layout and the cost model.
 
-use laqy_engine::ops::BoundCol;
-use laqy_engine::{Column, GroupKey, MAX_KEY_COLS};
+use laqy_engine::ops::{BoundCol, ResolvedCol};
+use laqy_engine::{GroupKey, MAX_KEY_COLS};
 use laqy_sampling::{Lehmer64, StratifiedSampler};
 
 /// Maximum payload columns carried per sampled tuple.
@@ -27,10 +27,10 @@ pub enum SlotKind {
 
 impl SlotKind {
     /// Row `row` of `col` as a payload slot value (floats bit-cast).
-    pub(crate) fn read(self, col: &Column, row: usize) -> i64 {
+    pub(crate) fn read(self, col: &ResolvedCol<'_>, row: usize) -> i64 {
         match self {
-            SlotKind::Int => col.i64_at(row),
-            SlotKind::Float => col.f64_at(row).to_bits() as i64,
+            SlotKind::Int => col.i64(row),
+            SlotKind::Float => col.f64(row).to_bits() as i64,
         }
     }
 }
@@ -178,7 +178,7 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laqy_engine::Table;
+    use laqy_engine::{Column, Table};
 
     fn schema() -> SampleSchema {
         SampleSchema::new(vec![

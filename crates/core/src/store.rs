@@ -18,6 +18,7 @@ use std::sync::Arc;
 use laqy_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use laqy_sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+use laqy_engine::ops::ResolvedCol;
 use laqy_engine::GroupKey;
 use laqy_sampling::Lehmer64;
 
@@ -698,25 +699,26 @@ impl SampleStore {
             if stored.descriptor.input != simple || stored.watermark >= new_w {
                 continue;
             }
-            // Resolve every column the absorb loop touches up front; a
-            // miss (schema drift) leaves the sample stale rather than
-            // corrupting it — the planner's tail fragments still apply.
-            let mut pred_cols = Vec::new();
-            let mut resolvable = true;
-            for c in stored.descriptor.predicates.columns() {
-                match (table.column(c), stored.descriptor.predicates.get(c)) {
-                    (Ok(col), Some(set)) => pred_cols.push((col, set)),
-                    _ => {
-                        resolvable = false;
-                        break;
-                    }
-                }
-            }
+            // Resolve every column the absorb loop touches to its typed
+            // view up front; a miss (schema drift) leaves the sample stale
+            // rather than corrupting it — the planner's tail fragments
+            // still apply.
+            let resolve = |c: &str| table.column(c).map(ResolvedCol::from_column);
+            let Ok(pred_cols) = stored
+                .descriptor
+                .predicates
+                .columns()
+                .filter_map(|c| Some((c, stored.descriptor.predicates.get(c)?)))
+                .map(|(c, set)| Ok((resolve(c)?, set)))
+                .collect::<laqy_engine::Result<Vec<_>>>()
+            else {
+                continue;
+            };
             let Ok(key_cols) = stored
                 .descriptor
                 .qcs
                 .iter()
-                .map(|c| table.column(c))
+                .map(|c| resolve(c))
                 .collect::<laqy_engine::Result<Vec<_>>>()
             else {
                 continue;
@@ -726,26 +728,23 @@ impl SampleStore {
                 .column_names()
                 .iter()
                 .enumerate()
-                .map(|(slot, c)| Ok((table.column(c)?, stored.schema.kind(slot))))
+                .map(|(slot, c)| Ok((resolve(c)?, stored.schema.kind(slot))))
                 .collect::<laqy_engine::Result<Vec<_>>>()
             else {
                 continue;
             };
-            if !resolvable {
-                continue;
-            }
             let mut key = Vec::with_capacity(key_cols.len());
             let mut vals = Vec::with_capacity(val_cols.len());
             let sample = Arc::make_mut(&mut stored.sample);
             for row in stored.watermark as usize..new_w as usize {
                 if !pred_cols
                     .iter()
-                    .all(|(col, set)| set.contains(col.i64_at(row)))
+                    .all(|(col, set)| set.contains(col.i64(row)))
                 {
                     continue;
                 }
                 key.clear();
-                key.extend(key_cols.iter().map(|c| c.i64_at(row)));
+                key.extend(key_cols.iter().map(|c| c.i64(row)));
                 vals.clear();
                 vals.extend(val_cols.iter().map(|(col, kind)| kind.read(col, row)));
                 sample.offer(GroupKey::new(&key), SampleTuple::from_slice(&vals), rng);

@@ -47,6 +47,15 @@ pub enum EngineError {
         /// Entries in the dictionary the code was checked against.
         dict_len: usize,
     },
+    /// A table would grow past what `u32` row ids can address.
+    RowLimitExceeded {
+        /// Table being built or appended to.
+        table: String,
+        /// Rows it holds.
+        rows: usize,
+        /// Rows the rejected batch would add.
+        added: usize,
+    },
     /// Plan shape is invalid (e.g. group-by with no keys and no aggregates).
     InvalidPlan(String),
 }
@@ -79,6 +88,10 @@ impl fmt::Display for EngineError {
             } => write!(
                 f,
                 "dict code {code} out of range for column `{column}` ({dict_len} dictionary entries)"
+            ),
+            EngineError::RowLimitExceeded { table, rows, added } => write!(
+                f,
+                "table `{table}` holds {rows} rows; {added} more would pass the u32 row-id limit"
             ),
             EngineError::InvalidPlan(msg) => write!(f, "invalid plan: {msg}"),
         }

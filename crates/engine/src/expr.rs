@@ -5,7 +5,7 @@
 //! filters, conjunctions/disjunctions) with vectorized evaluation into
 //! selection vectors.
 
-use crate::column::Column;
+use crate::column::StoredColumn;
 use crate::error::Result;
 use crate::table::Table;
 
@@ -198,7 +198,7 @@ pub enum Compiled<'a> {
         /// Source column name (keys zone-map lookups).
         column: &'a str,
         /// Resolved column.
-        col: &'a Column,
+        col: &'a StoredColumn,
         /// Inclusive lower bound.
         lo: i64,
         /// Inclusive upper bound.
@@ -209,7 +209,7 @@ pub enum Compiled<'a> {
         /// Source column name (keys zone-map lookups).
         column: &'a str,
         /// Resolved column.
-        col: &'a Column,
+        col: &'a StoredColumn,
         /// Accepted values, sorted ascending and deduplicated
         /// ([`Predicate::compile`] normalizes them) so evaluation can
         /// binary-search.
@@ -315,7 +315,7 @@ impl AggSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::dict_column;
+    use crate::column::{dict_column, Column};
 
     fn table() -> Table {
         Table::new(

@@ -2,12 +2,14 @@
 //!
 //! A [`BatchKernel`] is a [`Compiled`] predicate flattened into typed,
 //! monomorphized loops that evaluate [`CHUNK_ROWS`] rows at a time into a
-//! 64-bit-word bitmask ([`Mask`]). Range checks run branch-free over the
-//! column's contiguous storage (`(v >= lo) & (v <= hi)`, written so LLVM
-//! autovectorizes), `IN` lists use a dense value bitmap when the value
-//! domain is small and sorted-slice binary search otherwise, and
-//! `And`/`Or`/`Not` combine whole mask words instead of short-circuiting
-//! per row.
+//! 64-bit-word bitmask ([`Mask`]). Range checks run branch-free over a
+//! contiguous slice of the column (`(v >= lo) & (v <= hi)`, written so
+//! LLVM autovectorizes) — borrowed straight from the stored piece that
+//! holds the chunk, staged through a stack buffer only where a chunk
+//! straddles two pieces (`Rows::with_chunk`). `IN` lists use a dense value
+//! bitmap when the value domain is small and sorted-slice binary search
+//! otherwise, and `And`/`Or`/`Not` combine whole mask words instead of
+//! short-circuiting per row.
 //!
 //! Invariants:
 //!
@@ -21,7 +23,7 @@
 //!   per-row `matches` scan loops are permitted (`xtask lint`
 //!   rule `row-at-a-time`).
 
-use crate::column::Column;
+use crate::column::{Rows, StoredColumn};
 use crate::expr::Compiled;
 
 /// Rows evaluated per kernel invocation.
@@ -37,25 +39,25 @@ pub type Mask = [u64; MASK_WORDS];
 /// wider domains binary-search the sorted value slice instead.
 const IN_BITMAP_MAX_SPAN: i64 = 4096;
 
-/// A typed borrow of one column's contiguous storage, read through the
-/// same integer view as `Column::i64_at` (Int32 widens, Dict yields its
+/// A typed borrow of one stored column's rows, read through the same
+/// integer view as `StoredColumn::i64_at` (Int32 widens, Dict yields its
 /// code, Float64 truncates — predicates never reference floats, but the
 /// view stays total so kernels mirror the reference evaluator exactly).
 #[derive(Clone, Copy)]
 enum IntView<'a> {
-    I32(&'a [i32]),
-    I64(&'a [i64]),
-    F64(&'a [f64]),
-    Dict(&'a [u32]),
+    I32(Rows<'a, i32>),
+    I64(Rows<'a, i64>),
+    F64(Rows<'a, f64>),
+    Dict(Rows<'a, u32>),
 }
 
 impl<'a> IntView<'a> {
-    fn of(col: &'a Column) -> Self {
+    fn of(col: &'a StoredColumn) -> Self {
         match col {
-            Column::Int32(v) => IntView::I32(v),
-            Column::Int64(v) => IntView::I64(v),
-            Column::Float64(v) => IntView::F64(v),
-            Column::Dict { codes, .. } => IntView::Dict(codes),
+            StoredColumn::Int32(p) => IntView::I32(p.rows()),
+            StoredColumn::Int64(p) => IntView::I64(p.rows()),
+            StoredColumn::Float64(p) => IntView::F64(p.rows()),
+            StoredColumn::Dict { codes, .. } => IntView::Dict(codes.rows()),
         }
     }
 }
@@ -65,11 +67,23 @@ enum Node<'a> {
     /// Constant verdict (True/False predicates, statically-empty ranges).
     Const(bool),
     /// Monomorphized inclusive range over `i64` storage.
-    RangeI64 { data: &'a [i64], lo: i64, hi: i64 },
+    RangeI64 {
+        data: Rows<'a, i64>,
+        lo: i64,
+        hi: i64,
+    },
     /// Monomorphized inclusive range over `i32` storage, bounds pre-clamped.
-    RangeI32 { data: &'a [i32], lo: i32, hi: i32 },
+    RangeI32 {
+        data: Rows<'a, i32>,
+        lo: i32,
+        hi: i32,
+    },
     /// Monomorphized inclusive range over dictionary codes, bounds pre-clamped.
-    RangeDict { codes: &'a [u32], lo: u32, hi: u32 },
+    RangeDict {
+        codes: Rows<'a, u32>,
+        lo: u32,
+        hi: u32,
+    },
     /// Range over the generic integer view (Float64 fallback only).
     RangeGeneric { view: IntView<'a>, lo: i64, hi: i64 },
     /// Membership via binary search on a sorted, deduplicated value slice.
@@ -130,35 +144,39 @@ fn compile_node<'a>(compiled: &Compiled<'a>) -> Node<'a> {
 
 /// Clamp an `i64` range onto a narrower column type, degenerating to
 /// `Const(false)` when the intersection is empty.
-fn compile_range<'a>(col: &'a Column, lo: i64, hi: i64) -> Node<'a> {
+fn compile_range<'a>(col: &'a StoredColumn, lo: i64, hi: i64) -> Node<'a> {
     if lo > hi {
         return Node::Const(false);
     }
     match col {
-        Column::Int64(data) => Node::RangeI64 { data, lo, hi },
-        Column::Int32(data) => {
+        StoredColumn::Int64(data) => Node::RangeI64 {
+            data: data.rows(),
+            lo,
+            hi,
+        },
+        StoredColumn::Int32(data) => {
             if hi < i32::MIN as i64 || lo > i32::MAX as i64 {
                 Node::Const(false)
             } else {
                 Node::RangeI32 {
-                    data,
+                    data: data.rows(),
                     lo: lo.max(i32::MIN as i64) as i32,
                     hi: hi.min(i32::MAX as i64) as i32,
                 }
             }
         }
-        Column::Dict { codes, .. } => {
+        StoredColumn::Dict { codes, .. } => {
             if hi < 0 || lo > u32::MAX as i64 {
                 Node::Const(false)
             } else {
                 Node::RangeDict {
-                    codes,
+                    codes: codes.rows(),
                     lo: lo.max(0) as u32,
                     hi: hi.min(u32::MAX as i64) as u32,
                 }
             }
         }
-        Column::Float64(_) => Node::RangeGeneric {
+        StoredColumn::Float64(_) => Node::RangeGeneric {
             view: IntView::of(col),
             lo,
             hi,
@@ -166,7 +184,7 @@ fn compile_range<'a>(col: &'a Column, lo: i64, hi: i64) -> Node<'a> {
     }
 }
 
-fn compile_in<'a>(col: &'a Column, values: &[i64]) -> Node<'a> {
+fn compile_in<'a>(col: &'a StoredColumn, values: &[i64]) -> Node<'a> {
     // `Predicate::compile` sorts and deduplicates, but a hand-built
     // `Compiled::In` may not have — normalizing here is a one-time cost.
     let mut values = values.to_vec();
@@ -204,13 +222,19 @@ impl Node<'_> {
             Node::Const(true) => fill_ones(out, len),
             Node::Const(false) => *out = [0; MASK_WORDS],
             Node::RangeI64 { data, lo, hi } => {
-                build_words(&data[base..base + len], out, |v| (v >= *lo) & (v <= *hi));
+                data.with_chunk(base, len, |d| {
+                    build_words(d, out, |v| (v >= *lo) & (v <= *hi))
+                });
             }
             Node::RangeI32 { data, lo, hi } => {
-                build_words(&data[base..base + len], out, |v| (v >= *lo) & (v <= *hi));
+                data.with_chunk(base, len, |d| {
+                    build_words(d, out, |v| (v >= *lo) & (v <= *hi))
+                });
             }
             Node::RangeDict { codes, lo, hi } => {
-                build_words(&codes[base..base + len], out, |v| (v >= *lo) & (v <= *hi));
+                codes.with_chunk(base, len, |d| {
+                    build_words(d, out, |v| (v >= *lo) & (v <= *hi))
+                });
             }
             Node::RangeGeneric { view, lo, hi } => {
                 eval_view(view, base, len, out, |v| (v >= *lo) & (v <= *hi));
@@ -274,10 +298,10 @@ impl Node<'_> {
 /// is hoisted into the monomorphized closure, not re-matched per row).
 fn eval_view(view: &IntView<'_>, base: usize, len: usize, out: &mut Mask, f: impl Fn(i64) -> bool) {
     match view {
-        IntView::I32(d) => build_words(&d[base..base + len], out, |v| f(v as i64)),
-        IntView::I64(d) => build_words(&d[base..base + len], out, f),
-        IntView::F64(d) => build_words(&d[base..base + len], out, |v| f(v as i64)),
-        IntView::Dict(d) => build_words(&d[base..base + len], out, |v| f(v as i64)),
+        IntView::I32(r) => r.with_chunk(base, len, |d| build_words(d, out, |v| f(v as i64))),
+        IntView::I64(r) => r.with_chunk(base, len, |d| build_words(d, out, f)),
+        IntView::F64(r) => r.with_chunk(base, len, |d| build_words(d, out, |v| f(v as i64))),
+        IntView::Dict(r) => r.with_chunk(base, len, |d| build_words(d, out, |v| f(v as i64))),
     }
 }
 
@@ -377,7 +401,7 @@ pub fn for_each_masked(base: usize, len: usize, mask: &[u64], mut f: impl FnMut(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::dict_column;
+    use crate::column::{dict_column, Column};
     use crate::expr::Predicate;
     use crate::table::Table;
 

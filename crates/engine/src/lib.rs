@@ -33,7 +33,7 @@ pub mod synopsis;
 pub mod table;
 pub mod types;
 
-pub use column::{dict_column, Column};
+pub use column::{dict_column, Column, StoredColumn, STORED_CHUNK_ROWS};
 pub use error::{EngineError, Result};
 pub use expr::{AggInput, AggKind, AggSpec, Predicate};
 pub use hash::{FxBuildHasher, FxHashMap, GroupKey, MAX_KEY_COLS};

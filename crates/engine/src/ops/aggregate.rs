@@ -9,34 +9,37 @@
 
 use std::ops::Range;
 
-use crate::column::Column;
+use crate::column::{Rows, StoredColumn};
 use crate::error::Result;
 use crate::expr::{AggInput, AggKind, AggSpec};
 use crate::hash::{FxHashMap, GroupKey};
 use crate::kernel::for_each_masked;
 use crate::table::Table;
 
-/// A column resolved to its typed storage.
+/// A stored column resolved to its typed rows: the one random-access view
+/// (group-by keys and inputs, join build and probe, sampler admission).
+/// A row inside the column's base piece costs the compare a slice bounds
+/// check makes; only rows appended since construction take the chunk path.
 #[derive(Clone, Copy)]
 pub enum ResolvedCol<'a> {
     /// 32-bit ints.
-    I32(&'a [i32]),
+    I32(Rows<'a, i32>),
     /// 64-bit ints.
-    I64(&'a [i64]),
+    I64(Rows<'a, i64>),
     /// 64-bit floats.
-    F64(&'a [f64]),
+    F64(Rows<'a, f64>),
     /// Dictionary codes.
-    Dict(&'a [u32]),
+    Dict(Rows<'a, u32>),
 }
 
 impl<'a> ResolvedCol<'a> {
-    /// Resolve from a [`Column`].
-    pub fn from_column(col: &'a Column) -> Self {
+    /// Resolve from a [`StoredColumn`].
+    pub fn from_column(col: &'a StoredColumn) -> Self {
         match col {
-            Column::Int32(v) => ResolvedCol::I32(v),
-            Column::Int64(v) => ResolvedCol::I64(v),
-            Column::Float64(v) => ResolvedCol::F64(v),
-            Column::Dict { codes, .. } => ResolvedCol::Dict(codes),
+            StoredColumn::Int32(p) => ResolvedCol::I32(p.rows()),
+            StoredColumn::Int64(p) => ResolvedCol::I64(p.rows()),
+            StoredColumn::Float64(p) => ResolvedCol::F64(p.rows()),
+            StoredColumn::Dict { codes, .. } => ResolvedCol::Dict(codes.rows()),
         }
     }
 
@@ -44,10 +47,10 @@ impl<'a> ResolvedCol<'a> {
     #[inline(always)]
     pub fn i64(&self, row: usize) -> i64 {
         match self {
-            ResolvedCol::I32(v) => v[row] as i64,
-            ResolvedCol::I64(v) => v[row],
-            ResolvedCol::F64(v) => v[row] as i64,
-            ResolvedCol::Dict(v) => v[row] as i64,
+            ResolvedCol::I32(v) => v.get(row) as i64,
+            ResolvedCol::I64(v) => v.get(row),
+            ResolvedCol::F64(v) => v.get(row) as i64,
+            ResolvedCol::Dict(v) => v.get(row) as i64,
         }
     }
 
@@ -55,10 +58,10 @@ impl<'a> ResolvedCol<'a> {
     #[inline(always)]
     pub fn f64(&self, row: usize) -> f64 {
         match self {
-            ResolvedCol::I32(v) => v[row] as f64,
-            ResolvedCol::I64(v) => v[row] as f64,
-            ResolvedCol::F64(v) => v[row],
-            ResolvedCol::Dict(v) => v[row] as f64,
+            ResolvedCol::I32(v) => v.get(row) as f64,
+            ResolvedCol::I64(v) => v.get(row) as f64,
+            ResolvedCol::F64(v) => v.get(row),
+            ResolvedCol::Dict(v) => v.get(row) as f64,
         }
     }
 }
@@ -75,7 +78,7 @@ pub struct BoundCol<'a> {
 
 impl<'a> BoundCol<'a> {
     /// Bind a column to a row-id vector.
-    pub fn new(col: &'a Column, rows: Option<&'a [u32]>) -> Self {
+    pub fn new(col: &'a StoredColumn, rows: Option<&'a [u32]>) -> Self {
         Self {
             col: ResolvedCol::from_column(col),
             rows,
@@ -479,6 +482,7 @@ pub fn bind_table_cols<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Column;
     use crate::expr::AggSpec;
 
     fn table() -> Table {

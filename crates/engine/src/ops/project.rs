@@ -6,23 +6,13 @@
 //! sampler may consume (paper §4.2: "the input relation T can be a base
 //! table or a subquery result").
 
-use std::sync::Arc;
-
-use crate::column::Column;
+use crate::column::{Column, StoredColumn};
 use crate::error::Result;
 use crate::table::Table;
 
-/// Gather `rows` of `column` into a new column of the same type.
-pub fn gather(column: &Column, rows: &[u32]) -> Column {
-    match column {
-        Column::Int32(v) => Column::Int32(rows.iter().map(|&r| v[r as usize]).collect()),
-        Column::Int64(v) => Column::Int64(rows.iter().map(|&r| v[r as usize]).collect()),
-        Column::Float64(v) => Column::Float64(rows.iter().map(|&r| v[r as usize]).collect()),
-        Column::Dict { codes, dict } => Column::Dict {
-            codes: rows.iter().map(|&r| codes[r as usize]).collect(),
-            dict: Arc::clone(dict),
-        },
-    }
+/// Gather `rows` of `column` into a new flat column of the same type.
+pub fn gather(column: &StoredColumn, rows: &[u32]) -> Column {
+    column.take(rows.iter().map(|&r| r as usize))
 }
 
 /// Materialize a projection of `table`: the named columns, restricted to

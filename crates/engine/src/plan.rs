@@ -383,7 +383,7 @@ fn bind_keys<'a>(
 
 fn finalize_result(catalog: &Catalog, plan: &QueryPlan, table: GroupTable) -> Result<QueryResult> {
     // Decoders map raw i64 key parts back to values (dict codes → strings).
-    let key_cols: Vec<&crate::column::Column> = plan
+    let key_cols: Vec<&crate::column::StoredColumn> = plan
         .group_by
         .iter()
         .map(|c| resolve_table(catalog, plan, c).and_then(|t| t.column(&c.column)))

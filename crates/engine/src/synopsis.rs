@@ -28,7 +28,7 @@
 //!
 //! Invariants (see DESIGN.md, "Scan pruning and the worker pool"):
 //!
-//! - Bounds are over [`Column::i64_at`]'s integer view, the same view
+//! - Bounds are over [`StoredColumn::i64_at`]'s integer view, the same view
 //!   compiled predicates evaluate — dictionary columns are mapped by
 //!   *code*, so equality (a width-zero code range) prunes soundly, but
 //!   arbitrary code ranges are only meaningful for the verdict, never
@@ -42,7 +42,7 @@
 
 use std::ops::Range;
 
-use crate::column::Column;
+use crate::column::{Rows, StoredColumn};
 use crate::expr::Compiled;
 
 /// Default zone-map block size: one block per default scan morsel, so the
@@ -209,9 +209,9 @@ pub struct LaneAgg {
 /// Zone maps over every integer-comparable column of one table, plus
 /// hierarchical pre-aggregate lanes over every column. Built at table
 /// construction and *extended* on append ([`TableSynopsis::extend`]):
-/// complete blocks keep their level-0 entries, only the partial tail
-/// block and new tail blocks are scanned, and coarsening levels are
-/// re-folded from level 0 (O(blocks), never O(rows)).
+/// complete blocks keep their level-0 entries, the open block's entry is
+/// continued with the appended rows alone, and coarsening levels are
+/// re-folded from level 0 (O(appended rows + blocks), never O(rows)).
 #[derive(Debug, Clone)]
 pub struct TableSynopsis {
     block_rows: usize,
@@ -224,81 +224,77 @@ pub struct TableSynopsis {
 
 impl TableSynopsis {
     /// Build zone maps at `block_rows` granularity over the given columns.
-    /// Float columns are ignored (predicates cannot reference them).
-    pub fn build(columns: &[(String, Column)], block_rows: usize) -> Self {
+    /// Float columns get lanes but no zone map (predicates cannot
+    /// reference them).
+    pub fn build(columns: &[(String, StoredColumn)], block_rows: usize) -> Self {
         assert!(block_rows > 0, "zone-map block size must be nonzero");
-        let rows = columns.first().map(|(_, c)| c.len()).unwrap_or(0);
-        let blocks = rows.div_ceil(block_rows);
-        let levels = levels_for(blocks);
-        let mut maps = Vec::new();
-        let mut lanes = Vec::new();
-        for (name, col) in columns {
-            lanes.push((name.clone(), build_lanes(col, block_rows, blocks, levels)));
-            let Some(zone) = build_column(col, block_rows, blocks) else {
-                continue;
-            };
-            maps.push((name.clone(), zone));
-        }
-        Self {
+        let empty = Self {
             block_rows,
-            rows,
-            columns: maps,
-            lanes,
-            levels,
-        }
+            rows: 0,
+            columns: Vec::new(),
+            lanes: Vec::new(),
+            levels: 0,
+        };
+        empty.extend(columns)
     }
 
     /// Incrementally extend this synopsis to cover `columns`, which must
     /// be the table's columns *after* an append (same schema, row count ≥
     /// the count this synopsis was built over). Level-0 entries of every
-    /// complete old block are reused verbatim; only the old partial tail
-    /// block (whose bounds may widen) and the new tail blocks are
-    /// scanned, then the coarsening hierarchy is re-folded from level 0 —
-    /// O(appended rows + total blocks), never a full-table rescan. New
+    /// complete old block are reused verbatim; the old open block's entry
+    /// is *continued* — its `(sum, min, max)` folded on over the appended
+    /// rows, the same sequence of operations a from-scratch pass makes, so
+    /// the result is identical to the last bit — new blocks are folded
+    /// fresh, and the coarsening hierarchy is re-folded from level 0:
+    /// O(appended rows + total blocks), no stored row is re-read. New
     /// levels appear automatically when the block count crosses a power
     /// of two.
-    pub fn extend(&self, columns: &[(String, Column)]) -> TableSynopsis {
+    pub fn extend(&self, columns: &[(String, StoredColumn)]) -> TableSynopsis {
         let rows = columns.first().map(|(_, c)| c.len()).unwrap_or(0);
         assert!(rows >= self.rows, "extend never shrinks a table");
         let block_rows = self.block_rows;
         let blocks = rows.div_ceil(block_rows);
         let levels = levels_for(blocks);
-        // Complete old blocks keep their entries; the partial tail block
-        // (if any) is rescanned because appended rows land inside it.
-        let keep = self.rows / block_rows;
         let mut maps = Vec::new();
         let mut lanes = Vec::new();
         for (name, col) in columns {
-            let base = match self.lane(name).and_then(|l| l.level(0)) {
-                Some(old) if lane_type_matches(old, col) => {
-                    let mut base = truncate_lane(old, keep);
-                    extend_lane(&mut base, scan_lane_blocks(col, block_rows, keep..blocks));
-                    base
+            // A column unseen by the old synopsis (or re-typed) has
+            // nothing to continue: its lanes are folded from row 0.
+            let (old, old_rows) = match self.lane(name).and_then(|l| l.level(0)) {
+                Some(old) if old.is_float() == matches!(col, StoredColumn::Float64(_)) => {
+                    (Some(old), self.rows)
                 }
-                // Column unseen by the old synopsis (or re-typed): build
-                // its lanes from scratch.
-                _ => scan_lane_blocks(col, block_rows, 0..blocks),
+                _ => (None, 0),
             };
-            lanes.push((name.clone(), coarsen(base, levels)));
-            if matches!(col, Column::Float64(_)) {
-                continue;
-            }
-            let zone = match self.column(name) {
-                Some(old) => {
-                    let tail = scan_zone_blocks(col, block_rows, keep..blocks);
-                    let mut mins = old.mins[..keep].to_vec();
-                    let mut maxs = old.maxs[..keep].to_vec();
-                    mins.extend(tail.mins);
-                    maxs.extend(tail.maxs);
-                    ColumnZoneMap {
-                        mins,
-                        maxs,
-                        nulls: vec![0; blocks],
+            let mut level0 = match old {
+                Some(old) => old.prefix(old_rows / block_rows, blocks),
+                None => LaneValues::with_capacity(col, blocks),
+            };
+            for block in level0.len()..blocks {
+                let start = block * block_rows;
+                let end = (start + block_rows).min(rows);
+                // Only the old open block starts below `old_rows`.
+                let node = match old {
+                    Some(old) if start < old_rows => {
+                        fold_rows(col, old_rows..end, Some(old.node(block)))
                     }
-                }
-                None => scan_zone_blocks(col, block_rows, 0..blocks),
-            };
-            maps.push((name.clone(), zone));
+                    _ => fold_rows(col, start..end, None),
+                };
+                level0.push(node);
+            }
+            // Zone bounds are the integer lanes' level-0 bounds: the same
+            // view, already folded.
+            if let LaneValues::Int { mins, maxs, .. } = &level0 {
+                maps.push((
+                    name.clone(),
+                    ColumnZoneMap {
+                        mins: mins.clone(),
+                        maxs: maxs.clone(),
+                        nulls: vec![0; blocks],
+                    },
+                ));
+            }
+            lanes.push((name.clone(), coarsen(level0, levels)));
         }
         Self {
             block_rows,
@@ -613,141 +609,131 @@ fn levels_for(blocks: usize) -> usize {
     l
 }
 
-fn build_column(col: &Column, block_rows: usize, blocks: usize) -> Option<ColumnZoneMap> {
-    // Only integer-comparable columns participate in predicates.
-    if matches!(col, Column::Float64(_)) {
-        return None;
-    }
-    Some(scan_zone_blocks(col, block_rows, 0..blocks))
+/// One level-0 lane entry: the aggregates of one block of one column.
+#[derive(Clone, Copy)]
+enum LaneNode {
+    Int { sum: i128, min: i64, max: i64 },
+    Float { sum: f64, min: f64, max: f64 },
 }
 
-/// Scan min/max bounds for the blocks in `blocks` only.
-fn scan_zone_blocks(col: &Column, block_rows: usize, blocks: Range<usize>) -> ColumnZoneMap {
-    let rows = col.len();
-    let n = blocks.len();
-    let mut mins = Vec::with_capacity(n);
-    let mut maxs = Vec::with_capacity(n);
-    for b in blocks {
-        let start = b * block_rows;
-        let end = ((b + 1) * block_rows).min(rows);
-        let (mut min, mut max) = (i64::MAX, i64::MIN);
-        for r in start..end {
-            let v = col.i64_at(r);
-            min = min.min(v);
-            max = max.max(v);
-        }
-        mins.push(min);
-        maxs.push(max);
-    }
-    ColumnZoneMap {
-        mins,
-        maxs,
-        nulls: vec![0; n],
-    }
-}
-
-/// Scan level-0 lane nodes for the blocks in `blocks` only.
-fn scan_lane_blocks(col: &Column, block_rows: usize, blocks: Range<usize>) -> LaneValues {
-    let rows = col.len();
-    let n = blocks.len();
-    if matches!(col, Column::Float64(_)) {
-        let mut sums = Vec::with_capacity(n);
-        let mut mins = Vec::with_capacity(n);
-        let mut maxs = Vec::with_capacity(n);
-        for b in blocks {
-            let start = b * block_rows;
-            let end = ((b + 1) * block_rows).min(rows);
-            let (mut sum, mut min, mut max) = (0.0f64, f64::INFINITY, f64::NEG_INFINITY);
-            for r in start..end {
-                let v = col.f64_at(r);
-                sum += v;
-                min = min.min(v);
-                max = max.max(v);
+impl LaneValues {
+    /// An empty lane of `col`'s arm with room for `nodes` entries.
+    fn with_capacity(col: &StoredColumn, nodes: usize) -> Self {
+        if matches!(col, StoredColumn::Float64(_)) {
+            LaneValues::Float {
+                sums: Vec::with_capacity(nodes),
+                mins: Vec::with_capacity(nodes),
+                maxs: Vec::with_capacity(nodes),
             }
-            sums.push(sum);
-            mins.push(min);
-            maxs.push(max);
+        } else {
+            LaneValues::Int {
+                sums: Vec::with_capacity(nodes),
+                mins: Vec::with_capacity(nodes),
+                maxs: Vec::with_capacity(nodes),
+            }
         }
-        LaneValues::Float { sums, mins, maxs }
-    } else {
-        let mut sums = Vec::with_capacity(n);
-        let mut mins = Vec::with_capacity(n);
-        let mut maxs = Vec::with_capacity(n);
-        for b in blocks {
-            let start = b * block_rows;
-            let end = ((b + 1) * block_rows).min(rows);
-            let (mut sum, mut min, mut max) = (0i128, i64::MAX, i64::MIN);
-            for r in start..end {
-                let v = col.i64_at(r);
+    }
+
+    fn is_float(&self) -> bool {
+        matches!(self, LaneValues::Float { .. })
+    }
+
+    /// The first `keep` nodes, cloned into vectors with room for `nodes`.
+    fn prefix(&self, keep: usize, nodes: usize) -> Self {
+        fn cut<T: Copy>(v: &[T], keep: usize, nodes: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(nodes);
+            out.extend_from_slice(&v[..keep]);
+            out
+        }
+        match self {
+            LaneValues::Int { sums, mins, maxs } => LaneValues::Int {
+                sums: cut(sums, keep, nodes),
+                mins: cut(mins, keep, nodes),
+                maxs: cut(maxs, keep, nodes),
+            },
+            LaneValues::Float { sums, mins, maxs } => LaneValues::Float {
+                sums: cut(sums, keep, nodes),
+                mins: cut(mins, keep, nodes),
+                maxs: cut(maxs, keep, nodes),
+            },
+        }
+    }
+
+    fn node(&self, idx: usize) -> LaneNode {
+        match self {
+            LaneValues::Int { sums, mins, maxs } => LaneNode::Int {
+                sum: sums[idx],
+                min: mins[idx],
+                max: maxs[idx],
+            },
+            LaneValues::Float { sums, mins, maxs } => LaneNode::Float {
+                sum: sums[idx],
+                min: mins[idx],
+                max: maxs[idx],
+            },
+        }
+    }
+
+    fn push(&mut self, node: LaneNode) {
+        match (self, node) {
+            (LaneValues::Int { sums, mins, maxs }, LaneNode::Int { sum, min, max }) => {
+                sums.push(sum);
+                mins.push(min);
+                maxs.push(max);
+            }
+            (LaneValues::Float { sums, mins, maxs }, LaneNode::Float { sum, min, max }) => {
+                sums.push(sum);
+                mins.push(min);
+                maxs.push(max);
+            }
+            _ => unreachable!("lane arm follows the column type"),
+        }
+    }
+}
+
+/// Fold rows `range` of `col` into one lane entry, in row order through
+/// the typed view, continuing from `init` (the entry of the rows before
+/// `range` in the same block) when there is one. Integer sums are exact
+/// in `i128`; a float sum continued this way performs exactly the
+/// additions a pass from the block's first row would.
+fn fold_rows(col: &StoredColumn, range: Range<usize>, init: Option<LaneNode>) -> LaneNode {
+    fn ints<T: Copy + Into<i64>>(
+        rows: Rows<'_, T>,
+        range: Range<usize>,
+        init: Option<LaneNode>,
+    ) -> LaneNode {
+        let (mut sum, mut min, mut max) = match init {
+            Some(LaneNode::Int { sum, min, max }) => (sum, min, max),
+            _ => (0i128, i64::MAX, i64::MIN),
+        };
+        for run in rows.runs(range) {
+            for &v in run {
+                let v: i64 = v.into();
                 sum += v as i128;
                 min = min.min(v);
                 max = max.max(v);
             }
-            sums.push(sum);
-            mins.push(min);
-            maxs.push(max);
         }
-        LaneValues::Int { sums, mins, maxs }
+        LaneNode::Int { sum, min, max }
     }
-}
-
-/// Whether a column still produces the same lane arm (int vs float) as an
-/// existing level-0 lane, so its prefix can be reused on extend.
-fn lane_type_matches(lane: &LaneValues, col: &Column) -> bool {
-    matches!(
-        (lane, col),
-        (LaneValues::Float { .. }, Column::Float64(_))
-            | (
-                LaneValues::Int { .. },
-                Column::Int32(_) | Column::Int64(_) | Column::Dict { .. }
-            )
-    )
-}
-
-/// Clone the first `keep` nodes of a level-0 lane.
-fn truncate_lane(lane: &LaneValues, keep: usize) -> LaneValues {
-    match lane {
-        LaneValues::Int { sums, mins, maxs } => LaneValues::Int {
-            sums: sums[..keep].to_vec(),
-            mins: mins[..keep].to_vec(),
-            maxs: maxs[..keep].to_vec(),
-        },
-        LaneValues::Float { sums, mins, maxs } => LaneValues::Float {
-            sums: sums[..keep].to_vec(),
-            mins: mins[..keep].to_vec(),
-            maxs: maxs[..keep].to_vec(),
-        },
-    }
-}
-
-/// Append `tail`'s nodes to `base` (both level-0, same arm).
-fn extend_lane(base: &mut LaneValues, tail: LaneValues) {
-    match (base, tail) {
-        (
-            LaneValues::Int { sums, mins, maxs },
-            LaneValues::Int {
-                sums: s,
-                mins: mn,
-                maxs: mx,
-            },
-        ) => {
-            sums.extend(s);
-            mins.extend(mn);
-            maxs.extend(mx);
+    match col {
+        StoredColumn::Int32(p) => ints(p.rows(), range, init),
+        StoredColumn::Int64(p) => ints(p.rows(), range, init),
+        StoredColumn::Dict { codes, .. } => ints(codes.rows(), range, init),
+        StoredColumn::Float64(p) => {
+            let (mut sum, mut min, mut max) = match init {
+                Some(LaneNode::Float { sum, min, max }) => (sum, min, max),
+                _ => (0.0f64, f64::INFINITY, f64::NEG_INFINITY),
+            };
+            for run in p.rows().runs(range) {
+                for &v in run {
+                    sum += v;
+                    min = min.min(v);
+                    max = max.max(v);
+                }
+            }
+            LaneNode::Float { sum, min, max }
         }
-        (
-            LaneValues::Float { sums, mins, maxs },
-            LaneValues::Float {
-                sums: s,
-                mins: mn,
-                maxs: mx,
-            },
-        ) => {
-            sums.extend(s);
-            mins.extend(mn);
-            maxs.extend(mx);
-        }
-        _ => unreachable!("extend_lane called across lane arms"),
     }
 }
 
@@ -823,21 +809,16 @@ fn coarsen(base: LaneValues, levels: usize) -> ColumnLanes {
     }
 }
 
-/// Build the pre-aggregate lane hierarchy for one column: level 0 scans
-/// the rows once, each coarser level folds pairs of the previous one.
-fn build_lanes(col: &Column, block_rows: usize, blocks: usize, levels: usize) -> ColumnLanes {
-    if levels == 0 {
-        return ColumnLanes { levels: Vec::new() };
-    }
-    coarsen(scan_lane_blocks(col, block_rows, 0..blocks), levels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::dict_column;
+    use crate::column::{dict_column, Column};
     use crate::expr::Predicate;
     use crate::table::Table;
+
+    fn stored(columns: Vec<(String, Column)>) -> Vec<(String, StoredColumn)> {
+        columns.into_iter().map(|(n, c)| (n, c.into())).collect()
+    }
 
     fn columns() -> Vec<(String, Column)> {
         vec![
@@ -859,7 +840,7 @@ mod tests {
 
     fn synopsis() -> (Table, TableSynopsis) {
         let table = Table::new("t", columns()).unwrap();
-        let syn = TableSynopsis::build(&columns(), 10);
+        let syn = TableSynopsis::build(&stored(columns()), 10);
         (table, syn)
     }
 
@@ -1036,20 +1017,9 @@ mod tests {
         assert!(spans.iter().all(|s| s.blocks.start >= 1));
     }
 
-    fn prefix_columns(cols: &[(String, Column)], rows: usize) -> Vec<(String, Column)> {
+    fn prefix_columns(cols: &[(String, StoredColumn)], rows: usize) -> Vec<(String, StoredColumn)> {
         cols.iter()
-            .map(|(n, c)| {
-                let cut = match c {
-                    Column::Int32(v) => Column::Int32(v[..rows].to_vec()),
-                    Column::Int64(v) => Column::Int64(v[..rows].to_vec()),
-                    Column::Float64(v) => Column::Float64(v[..rows].to_vec()),
-                    Column::Dict { codes, dict } => Column::Dict {
-                        codes: codes[..rows].to_vec(),
-                        dict: dict.clone(),
-                    },
-                };
-                (n.clone(), cut)
-            })
+            .map(|(n, c)| (n.clone(), c.take(0..rows).into()))
             .collect()
     }
 
@@ -1073,9 +1043,9 @@ mod tests {
 
     #[test]
     fn extend_matches_from_scratch_at_every_level() {
-        let full = wide_columns();
-        // 95 rows: block 9 is partial and must be rescanned on extend;
-        // 90 rows: block-aligned, nothing old is rescanned. Both must
+        let full = stored(wide_columns());
+        // 95 rows: block 9 is open and its entry is continued on extend;
+        // 90 rows: block-aligned, no old entry is touched. Both must
         // match a from-scratch build over the final 200 rows exactly.
         for prefix_rows in [95usize, 90] {
             let old = TableSynopsis::build(&prefix_columns(&full, prefix_rows), 10);
@@ -1116,10 +1086,10 @@ mod tests {
 
     #[test]
     fn extend_from_empty_equals_fresh_build() {
-        let empty: Vec<(String, Column)> = vec![("a".into(), Column::Int64(vec![]))];
+        let empty = stored(vec![("a".into(), Column::Int64(vec![]))]);
         let old = TableSynopsis::build(&empty, 10);
         assert_eq!(old.lane_levels(), 0);
-        let full = vec![("a".into(), Column::Int64((0..25).collect()))];
+        let full = stored(vec![("a".into(), Column::Int64((0..25).collect()))]);
         let ext = old.extend(&full);
         let fresh = TableSynopsis::build(&full, 10);
         assert_eq!(ext.num_blocks(), 3);

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::column::Column;
+use crate::column::{Column, StoredColumn};
 use crate::error::{EngineError, Result};
 use crate::synopsis::{TableSynopsis, DEFAULT_ZONE_ROWS};
 use crate::types::DataType;
@@ -11,23 +11,41 @@ use crate::types::DataType;
 /// scans always see a frozen set of rows — but the table grows through
 /// [`Table::append_batch`], which produces the next version with the
 /// batch's rows at the tail, the epoch counter bumped, and the per-morsel
-/// zone maps / pre-aggregate lanes extended incrementally (only the tail
-/// is scanned; see [`TableSynopsis::extend`]). Readers pin a version by
-/// cloning the catalog's `Arc<Table>`, so concurrent appends can never
-/// produce a torn read.
+/// zone maps / pre-aggregate lanes extended incrementally (only the
+/// appended rows are read; see [`TableSynopsis::extend`]). Versions are
+/// persistent values: consecutive ones share their columns' base piece
+/// and sealed chunks ([`StoredColumn`]), so the next version costs
+/// O(batch + one chunk per column) and a clone is reference-count bumps.
+/// Readers pin a version by cloning the catalog's `Arc<Table>`, so
+/// concurrent appends can never produce a torn read.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
-    columns: Vec<(String, Column)>,
+    columns: Vec<(String, StoredColumn)>,
     rows: usize,
     synopsis: Arc<TableSynopsis>,
     /// Version counter: 0 at construction, +1 per appended batch.
     epoch: u64,
 }
 
+/// `rows + added`, or the typed error when it passes what a `u32` row id
+/// can address (selection vectors, join outputs and mask decoding all
+/// carry `u32`, so a longer table would silently alias rows).
+fn checked_row_count(table: &str, rows: usize, added: usize) -> Result<usize> {
+    rows.checked_add(added)
+        .filter(|&total| total <= u32::MAX as usize)
+        .ok_or_else(|| EngineError::RowLimitExceeded {
+            table: table.to_string(),
+            rows,
+            added,
+        })
+}
+
 impl Table {
     /// Construct a table; all columns must have equal length. Zone maps
-    /// are built at the default scan-morsel granularity.
+    /// are built at the default scan-morsel granularity. The columns'
+    /// vectors become the table's base pieces as they are — nothing is
+    /// copied or re-chunked.
     pub fn new(name: impl Into<String>, columns: Vec<(String, Column)>) -> Result<Self> {
         Self::with_zone_map_rows(name, columns, DEFAULT_ZONE_ROWS)
     }
@@ -39,15 +57,19 @@ impl Table {
         columns: Vec<(String, Column)>,
         zone_rows: usize,
     ) -> Result<Self> {
+        let name = name.into();
         let rows = columns.first().map(|(_, c)| c.len()).unwrap_or(0);
         if columns.iter().any(|(_, c)| c.len() != rows) {
             return Err(EngineError::LengthMismatch {
                 context: "table construction",
             });
         }
+        checked_row_count(&name, rows, 0)?;
+        let columns: Vec<(String, StoredColumn)> =
+            columns.into_iter().map(|(n, c)| (n, c.into())).collect();
         let synopsis = Arc::new(TableSynopsis::build(&columns, zone_rows));
         Ok(Self {
-            name: name.into(),
+            name,
             columns,
             rows,
             synopsis,
@@ -57,11 +79,16 @@ impl Table {
 
     /// Append a batch of rows, producing the table's next version. The
     /// batch must carry exactly this table's columns (matched by name,
-    /// any order) with equal lengths; dictionary codes are remapped onto
-    /// the table's dictionary. The synopsis is extended incrementally —
-    /// only the tail past the last complete zone-map block is scanned —
-    /// and the epoch advances by one. The receiver is untouched, so
-    /// readers holding the old version keep a consistent snapshot.
+    /// any order) with equal lengths, and the grown table must stay
+    /// addressable by `u32` row ids; dictionary codes are remapped onto
+    /// the table's dictionary. Every check runs before anything is built,
+    /// so a rejected batch allocates and shares nothing. The new version
+    /// shares each column's base piece and sealed chunks with this one and
+    /// copies only the open chunk; the synopsis is extended by folding the
+    /// appended rows alone, and the epoch advances by one. The receiver
+    /// is untouched, so readers holding the old version keep a consistent
+    /// snapshot, and two appends to the same version yield independent
+    /// siblings.
     pub fn append_batch(&self, batch: &[(String, Column)]) -> Result<Table> {
         let added = batch.first().map(|(_, c)| c.len()).unwrap_or(0);
         if batch.iter().any(|(_, c)| c.len() != added) {
@@ -74,23 +101,33 @@ impl Table {
                 context: "append batch schema",
             });
         }
-        let mut columns = self.columns.clone();
-        for (name, col) in &mut columns {
-            let incoming = batch
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, c)| c)
-                .ok_or_else(|| EngineError::UnknownColumn {
-                    table: self.name.clone(),
-                    column: name.clone(),
-                })?;
-            col.append(name, incoming)?;
-        }
+        let rows = checked_row_count(&self.name, self.rows, added)?;
+        let pending = self
+            .columns
+            .iter()
+            .map(|(name, col)| {
+                let incoming = batch
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map(|(_, c)| c)
+                    .ok_or_else(|| EngineError::UnknownColumn {
+                        table: self.name.clone(),
+                        column: name.clone(),
+                    })?;
+                col.check_append(name, incoming)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let columns: Vec<(String, StoredColumn)> = self
+            .columns
+            .iter()
+            .zip(pending)
+            .map(|((name, _), append)| (name.clone(), append.finish()))
+            .collect();
         let synopsis = Arc::new(self.synopsis.extend(&columns));
         Ok(Self {
             name: self.name.clone(),
             columns,
-            rows: self.rows + added,
+            rows,
             synopsis,
             epoch: self.epoch + 1,
         })
@@ -130,7 +167,7 @@ impl Table {
     }
 
     /// Look up a column by name.
-    pub fn column(&self, name: &str) -> Result<&Column> {
+    pub fn column(&self, name: &str) -> Result<&StoredColumn> {
         self.columns
             .iter()
             .find(|(n, _)| n == name)
@@ -155,7 +192,7 @@ impl Table {
     }
 
     /// Iterate columns as `(name, column)`.
-    pub fn columns(&self) -> impl Iterator<Item = (&str, &Column)> {
+    pub fn columns(&self) -> impl Iterator<Item = (&str, &StoredColumn)> {
         self.columns.iter().map(|(n, c)| (n.as_str(), c))
     }
 
@@ -206,6 +243,8 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::{dict_column, STORED_CHUNK_ROWS};
+    use crate::types::Value;
 
     fn sample_table() -> Table {
         Table::new(
@@ -294,14 +333,61 @@ mod tests {
         assert_eq!(
             (zone.mins[2], zone.maxs[2]),
             (20, 29),
-            "partial block rescanned"
+            "open block continued"
         );
         assert_eq!((zone.mins[3], zone.maxs[3]), (30, 39));
+    }
+
+    /// Everything a reader can observe of one version: identity, every
+    /// value, dictionaries, and the synopsis.
+    fn observe(t: &Table) -> String {
+        let mut out = format!("{} rows={} epoch={}\n", t.name(), t.num_rows(), t.epoch());
+        for (name, col) in t.columns() {
+            let values: Vec<_> = (0..t.num_rows()).map(|r| col.value(r)).collect();
+            out += &format!("{name}: {:?} {values:?}\n", col.data_type());
+        }
+        let syn = t.synopsis().unwrap();
+        for (name, _) in t.columns() {
+            out += &format!(
+                "{name}: zone {:?} lanes {:?}\n",
+                syn.column(name),
+                syn.lane(name)
+            );
+        }
+        out
+    }
+
+    /// A mixed-type table whose rows encode their own position: `base`
+    /// rows at construction.
+    fn typed_table(base: usize) -> Table {
+        Table::with_zone_map_rows("t", typed_rows(0..base), 1000).unwrap()
+    }
+
+    fn typed_rows(rows: std::ops::Range<usize>) -> Vec<(String, Column)> {
+        vec![
+            (
+                "a".into(),
+                Column::Int64(rows.clone().map(|i| i as i64).collect()),
+            ),
+            (
+                "b".into(),
+                Column::Int32(rows.clone().map(|i| (i % 97) as i32).collect()),
+            ),
+            (
+                "f".into(),
+                Column::Float64(rows.clone().map(|i| i as f64 * 0.25).collect()),
+            ),
+            (
+                "tag".into(),
+                dict_column(rows.map(|i| if i % 3 == 0 { "x" } else { "y" })),
+            ),
+        ]
     }
 
     #[test]
     fn append_batch_rejects_bad_shapes() {
         let t = sample_table();
+        let before = observe(&t);
         // Ragged batch.
         assert!(matches!(
             t.append_batch(&[
@@ -331,6 +417,162 @@ mod tests {
             ]),
             Err(EngineError::TypeMismatch { .. })
         ));
+        assert_eq!(observe(&t), before, "a rejected batch changes nothing");
+        // The receiver still takes a well-formed batch.
+        let next = t
+            .append_batch(&[
+                ("a".into(), Column::Int64(vec![4])),
+                ("b".into(), Column::Float64(vec![3.5])),
+            ])
+            .unwrap();
+        assert_eq!(next.num_rows(), 4);
+        assert_eq!(observe(&t), before);
+    }
+
+    #[test]
+    fn corrupt_dict_codes_reject_the_whole_batch_untouched() {
+        // One append first, so the receiver has an open chunk and a
+        // dictionary a half-applied batch could have corrupted.
+        let t = typed_table(10).append_batch(&typed_rows(10..15)).unwrap();
+        let before = observe(&t);
+        let mut batch = typed_rows(15..17);
+        // `a`, `b` and `f` are valid and come first; the hostile codes
+        // must be caught before any of them is appended.
+        batch[3].1 = Column::Dict {
+            codes: vec![0, 9],
+            dict: Arc::new(vec!["unseen".into()]),
+        };
+        let err = t.append_batch(&batch).unwrap_err();
+        assert!(matches!(err, EngineError::CorruptDictCodes { code: 9, .. }));
+        assert_eq!(observe(&t), before);
+        assert!(
+            t.column("tag").unwrap().dict_code("tag", "unseen").is_err(),
+            "the rejected batch's strings never reach the dictionary"
+        );
+    }
+
+    #[test]
+    fn row_count_is_checked_against_u32_row_ids() {
+        let max = u32::MAX as usize;
+        assert_eq!(checked_row_count("t", 0, 0).unwrap(), 0);
+        assert_eq!(checked_row_count("t", max - 5, 5).unwrap(), max);
+        assert_eq!(checked_row_count("t", max, 0).unwrap(), max);
+        for (rows, added) in [(max, 1), (max - 5, 6), (1, max), (usize::MAX, 1)] {
+            assert_eq!(
+                checked_row_count("t", rows, added),
+                Err(EngineError::RowLimitExceeded {
+                    table: "t".into(),
+                    rows,
+                    added
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn readers_keep_their_version_while_the_table_grows() {
+        let v0 = typed_table(2_500);
+        let seen = observe(&v0);
+        let mut versions = vec![v0.clone()];
+        let mut at = 2_500;
+        // Batches that stay inside the open chunk, fill it exactly, and
+        // spill over several chunks.
+        for added in [
+            1,
+            700,
+            STORED_CHUNK_ROWS - 701,
+            0,
+            2 * STORED_CHUNK_ROWS + 3,
+            5,
+        ] {
+            let next = versions
+                .last()
+                .unwrap()
+                .append_batch(&typed_rows(at..at + added))
+                .unwrap();
+            at += added;
+            versions.push(next);
+        }
+        assert_eq!(observe(&v0), seen, "version 0 is frozen");
+        for (epoch, v) in versions.iter().enumerate() {
+            let rows = v.num_rows();
+            // Each version equals a flat table of its own prefix.
+            let flat = Table::with_zone_map_rows("t", typed_rows(0..rows), 1000).unwrap();
+            assert_eq!(v.epoch(), epoch as u64);
+            assert_eq!(
+                observe(v).replace(&format!("epoch={epoch}"), "epoch=0"),
+                observe(&flat),
+                "version {epoch}"
+            );
+        }
+    }
+
+    #[test]
+    fn appends_to_one_version_yield_independent_siblings() {
+        // The parent has an open chunk both siblings copy and write into.
+        let parent = typed_table(100)
+            .append_batch(&typed_rows(100..150))
+            .unwrap();
+        let seen = observe(&parent);
+        let left = parent.append_batch(&typed_rows(150..160)).unwrap();
+        let mut right_rows = typed_rows(1_000..1_020);
+        // Only the right sibling's batch brings a new string.
+        right_rows[3].1 = dict_column((0..20).map(|i| if i % 2 == 0 { "z" } else { "x" }));
+        let right = parent.append_batch(&right_rows).unwrap();
+        assert_eq!(observe(&parent), seen);
+        assert_eq!((left.num_rows(), right.num_rows()), (160, 170));
+        assert_eq!((left.epoch(), right.epoch()), (2, 2));
+        let (la, ra) = (left.column("a").unwrap(), right.column("a").unwrap());
+        assert_eq!((la.i64_at(149), ra.i64_at(149)), (149, 149));
+        assert_eq!((la.i64_at(150), ra.i64_at(150)), (150, 1_000));
+        let (lt, rt) = (left.column("tag").unwrap(), right.column("tag").unwrap());
+        assert!(lt.dict_code("tag", "z").is_err(), "left never saw `z`");
+        assert!(parent.column("tag").unwrap().dict_code("tag", "z").is_err());
+        assert_eq!(rt.value(150), Value::Str("z".into()));
+        assert_eq!(rt.value(151), Value::Str("x".into()));
+        assert_eq!(lt.value(150), Value::Str("x".into()));
+        // Equal to the flat tables of the same rows.
+        let mut flat = typed_rows(0..150);
+        for ((_, col), (name, more)) in flat.iter_mut().zip(&right_rows) {
+            col.append(name, more).unwrap();
+        }
+        let flat = Table::with_zone_map_rows("t", flat, 1000).unwrap();
+        assert_eq!(
+            observe(&right).replace("epoch=2", "epoch=0"),
+            observe(&flat)
+        );
+    }
+
+    #[test]
+    fn consecutive_versions_share_all_but_one_open_chunk() {
+        let mut version = typed_table(3 * STORED_CHUNK_ROWS + 17);
+        let mut at = version.num_rows();
+        for added in [
+            9,
+            2_000,
+            STORED_CHUNK_ROWS - 2_009,
+            2_000,
+            3 * STORED_CHUNK_ROWS,
+            0,
+            2_000,
+        ] {
+            let next = version.append_batch(&typed_rows(at..at + added)).unwrap();
+            at += added;
+            for ((name, child), (_, parent)) in next.columns().zip(version.columns()) {
+                let width = match child.data_type() {
+                    DataType::Int64 | DataType::Float64 => 8,
+                    DataType::Int32 | DataType::Dict => 4,
+                };
+                let (unshared, sealed_shared) = child.sharing(parent);
+                assert!(sealed_shared, "{name}: base and sealed chunks are shared");
+                assert!(
+                    unshared <= (added + STORED_CHUNK_ROWS) * width,
+                    "{name}: {unshared} fresh bytes for a {added}-row batch"
+                );
+            }
+            version = next;
+        }
+        assert_eq!(version.num_rows(), at);
     }
 
     #[test]

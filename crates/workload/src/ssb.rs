@@ -99,16 +99,19 @@ pub fn generate(config: &SsbConfig) -> Catalog {
     let mut catalog = Catalog::new();
 
     let date = generate_date();
-    let date_keys: Vec<i64> = match date.column("d_datekey").unwrap() {
-        Column::Int32(v) => v.iter().map(|&x| x as i64).collect(),
-        _ => unreachable!("d_datekey is Int32"),
-    };
+    let date_keys = date_keys_of(&date);
     catalog.register(date);
     catalog.register(generate_supplier(config, &mut rng));
     catalog.register(generate_part(config, &mut rng));
     catalog.register(generate_customer(config, &mut rng));
     catalog.register(generate_lineorder(config, &date_keys, &mut rng));
     catalog
+}
+
+/// Every `d_datekey` of the `date` dimension, in storage order.
+fn date_keys_of(date: &Table) -> Vec<i64> {
+    let keys = date.column("d_datekey").expect("date has d_datekey");
+    (0..date.num_rows()).map(|r| keys.i64_at(r)).collect()
 }
 
 /// The `date` dimension: one row per day over 1992–1998.
@@ -313,10 +316,7 @@ fn generate_lineorder(config: &SsbConfig, date_keys: &[i64], rng: &mut Lehmer64)
 /// a catalog generated with `start_row` resident fact rows keeps both
 /// keys unique across the grown table.
 pub fn lineorder_batch(config: &SsbConfig, start_row: usize, rows: usize) -> Vec<(String, Column)> {
-    let date_keys: Vec<i64> = match generate_date().column("d_datekey").unwrap() {
-        Column::Int32(v) => v.iter().map(|&x| x as i64).collect(),
-        _ => unreachable!("d_datekey is Int32"),
-    };
+    let date_keys = date_keys_of(&generate_date());
     let mut rng = Lehmer64::new(config.seed);
     lineorder_columns(config, &date_keys, &mut rng, rows, start_row as i64)
 }

@@ -176,20 +176,6 @@ fn concurrent_merge_matches_full_resample_error_distribution() {
     );
 }
 
-/// Slice a column to a storage-row range (dictionary columns share the
-/// dictionary; only the codes are sliced).
-fn slice_column(col: &Column, range: std::ops::Range<usize>) -> Column {
-    match col {
-        Column::Int32(v) => Column::Int32(v[range].to_vec()),
-        Column::Int64(v) => Column::Int64(v[range].to_vec()),
-        Column::Float64(v) => Column::Float64(v[range].to_vec()),
-        Column::Dict { codes, dict } => Column::Dict {
-            codes: codes[range].to_vec(),
-            dict: dict.clone(),
-        },
-    }
-}
-
 /// The full SSB catalog with `lineorder` truncated to its first
 /// `base_rows` storage rows (dimensions untouched), plus the held-back
 /// tail as `batches` equal append batches in storage order.
@@ -210,7 +196,7 @@ fn truncated_catalog(
     }
     let slice_rows = |lo: usize, hi: usize| -> Vec<(String, Column)> {
         fact.columns()
-            .map(|(name, col)| (name.to_string(), slice_column(col, lo..hi)))
+            .map(|(name, col)| (name.to_string(), col.take(lo..hi)))
             .collect()
     };
     truncated.register(Table::new("lineorder", slice_rows(0, base_rows)).unwrap());
