@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use laqy::Interval;
-use laqy::{LaqySession, SessionConfig};
-use laqy_engine::{scan_count, Predicate};
+use laqy::{LaqyService, SessionConfig};
+use laqy_engine::{scan_count_pruned, Predicate};
 use laqy_workload::{generate, strat, SsbConfig};
 use std::hint::black_box;
 
@@ -26,7 +26,7 @@ fn bench_scan(c: &mut Criterion) {
     for sel in [0.01f64, 0.5, 1.0] {
         let pred = Predicate::between("lo_intkey", 0, (n as f64 * sel) as i64 - 1);
         group.bench_with_input(BenchmarkId::from_parameter(sel), &pred, |b, pred| {
-            b.iter(|| black_box(scan_count(&cat, "lineorder", pred, 1).unwrap()))
+            b.iter(|| black_box(scan_count_pruned(&cat, "lineorder", pred, 1).unwrap().0))
         });
     }
     group.finish();
@@ -42,7 +42,7 @@ fn bench_strat_vs_groupby(c: &mut Criterion) {
     for cols in [1usize, 3] {
         let query = strat(cols, "lo_intkey", Interval::new(0, n - 1), 64);
         group.bench_function(BenchmarkId::new("groupby", cols), |b| {
-            let session = LaqySession::with_config(
+            let session = LaqyService::with_config(
                 cat.clone(),
                 SessionConfig {
                     threads: 1,
@@ -52,7 +52,7 @@ fn bench_strat_vs_groupby(c: &mut Criterion) {
             b.iter(|| black_box(session.run_exact(&query).unwrap().0.rows.len()))
         });
         group.bench_function(BenchmarkId::new("stratified_sample", cols), |b| {
-            let mut session = LaqySession::with_config(
+            let session = LaqyService::with_config(
                 cat.clone(),
                 SessionConfig {
                     threads: 1,

@@ -3,7 +3,7 @@
 //! sampling — the per-query regimes of Figures 12/13.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use laqy::{Interval, LaqySession, SessionConfig};
+use laqy::{Interval, LaqyService, SessionConfig};
 use laqy_workload::{generate, q1, SsbConfig};
 use std::hint::black_box;
 
@@ -24,7 +24,7 @@ fn bench_lazy_paths(c: &mut Criterion) {
     group.bench_function("online_cold", |b| {
         let query = q1(Interval::new(0, n / 2), 32);
         b.iter(|| {
-            let mut s = LaqySession::with_config(
+            let s = LaqyService::with_config(
                 cat.clone(),
                 SessionConfig {
                     threads: 1,
@@ -39,7 +39,7 @@ fn bench_lazy_paths(c: &mut Criterion) {
     group.bench_function("partial_delta_merge", |b| {
         b.iter_with_setup(
             || {
-                let mut s = LaqySession::with_config(
+                let s = LaqyService::with_config(
                     cat.clone(),
                     SessionConfig {
                         threads: 1,
@@ -49,7 +49,7 @@ fn bench_lazy_paths(c: &mut Criterion) {
                 s.run(&q1(Interval::new(0, n / 2), 32)).unwrap();
                 s
             },
-            |mut s| {
+            |s| {
                 let query = q1(Interval::new(0, (n as f64 * 0.6) as i64), 32);
                 black_box(s.run(&query).unwrap().groups.len())
             },
@@ -58,7 +58,7 @@ fn bench_lazy_paths(c: &mut Criterion) {
 
     // Full reuse: answer entirely from the stored sample.
     group.bench_function("full_reuse", |b| {
-        let mut s = LaqySession::with_config(
+        let s = LaqyService::with_config(
             cat.clone(),
             SessionConfig {
                 threads: 1,

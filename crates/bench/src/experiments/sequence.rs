@@ -1,7 +1,7 @@
 //! Figures 9–15, Table 1, and the headline speedup: the exploratory
 //! query-sequence evaluation.
 
-use laqy::{ApproxQuery, Interval, IntervalSet, LaqySession, SessionConfig};
+use laqy::{ApproxQuery, Interval, IntervalSet, LaqyService, SessionConfig};
 use laqy_engine::Catalog;
 use laqy_workload::{q1, q2, selectivity, ExploreConfig};
 
@@ -161,8 +161,8 @@ fn cumsum(v: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-fn session(cfg: &BenchConfig, catalog: &Catalog) -> LaqySession {
-    LaqySession::with_config(
+fn session(cfg: &BenchConfig, catalog: &Catalog) -> LaqyService {
+    LaqyService::with_config(
         catalog.clone(),
         SessionConfig {
             threads: cfg.threads,
@@ -189,7 +189,7 @@ pub fn run_sequence_times(
     let mut methods: Vec<(&'static str, Vec<f64>)> = Vec::new();
 
     // LAQy lazy sampling (fresh store).
-    let mut s = session(cfg, catalog);
+    let s = session(cfg, catalog);
     let laqy: Vec<f64> = seq
         .iter()
         .map(|&iv| {
@@ -200,7 +200,7 @@ pub fn run_sequence_times(
     methods.push(("LAQy", laqy));
 
     // Workload-oblivious online sampling.
-    let mut s = session(cfg, catalog);
+    let s = session(cfg, catalog);
     let online: Vec<f64> = seq
         .iter()
         .map(|&iv| {
@@ -314,7 +314,7 @@ pub fn fig11(cfg: &BenchConfig, catalog: &Catalog) -> Figure {
     let phases = ["scan", "processing", "merge", "estimate"];
 
     let run = |lazy: bool| -> [f64; 4] {
-        let mut s = session(cfg, catalog);
+        let s = session(cfg, catalog);
         let mut acc = [0.0f64; 4];
         for &iv in &seq {
             let q = q1(iv, cfg.k);
@@ -417,7 +417,7 @@ pub fn ablation(cfg: &BenchConfig, catalog: &Catalog) -> Figure {
     use laqy::ReuseMode;
     let seq = sequence(cfg, catalog, SequenceKind::Long);
     let run_mode = |mode: Option<ReuseMode>| -> Vec<f64> {
-        let mut s = LaqySession::with_config(
+        let s = LaqyService::with_config(
             catalog.clone(),
             SessionConfig {
                 threads: cfg.threads,
@@ -525,7 +525,7 @@ pub fn rate_sensitivity(cfg: &BenchConfig, catalog: &Catalog) -> Figure {
             ..ExploreConfig::long_running(d, cfg.seed)
         });
         let run = |lazy: bool| -> f64 {
-            let mut s = session(cfg, catalog);
+            let s = session(cfg, catalog);
             seq.iter()
                 .map(|&iv| {
                     let q = q1(iv, cfg.k);

@@ -1,7 +1,7 @@
 //! Figures 6 and 8: the cost of predicate (un)predictability, and
 //! stratified sampling vs. exact GroupBy.
 
-use laqy::{Interval, LaqySession, SessionConfig};
+use laqy::{Interval, LaqyService, SessionConfig};
 use laqy_engine::Catalog;
 use laqy_workload::strat;
 
@@ -124,7 +124,7 @@ pub fn fig8(cfg: &BenchConfig, catalog: &Catalog, variant: Fig8Variant) -> Figur
                 ),
             };
             let query = strat(cols, range_col, range, cfg.k);
-            let mut session = LaqySession::with_config(
+            let session = LaqyService::with_config(
                 catalog.clone(),
                 SessionConfig {
                     threads: cfg.threads,

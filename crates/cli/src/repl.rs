@@ -1,12 +1,12 @@
 //! REPL state machine: parses dot-commands and SQL, executes against a
-//! [`LaqySession`], and renders results as text tables. Kept free of I/O
+//! [`LaqyService`], and renders results as text tables. Kept free of I/O
 //! so the whole command surface is unit-testable.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use laqy::{
-    approx_query, run_bounded, save_to_file, ErrorTarget, LaqySession, QueryBudget, ReuseMode,
+    approx_query, run_bounded, save_to_file, ErrorTarget, LaqyService, QueryBudget, ReuseMode,
     SessionConfig,
 };
 use laqy_engine::{load_csv_file, Catalog, DataType, Value};
@@ -27,7 +27,7 @@ pub enum ExecMode {
 
 /// The interactive shell state.
 pub struct Repl {
-    session: Option<LaqySession>,
+    service: Option<LaqyService>,
     mode: ExecMode,
     k: usize,
     error_target: Option<f64>,
@@ -52,7 +52,7 @@ impl Repl {
     /// Fresh shell with no data loaded.
     pub fn new() -> Self {
         Self {
-            session: None,
+            service: None,
             mode: ExecMode::Lazy,
             k: 128,
             error_target: None,
@@ -93,12 +93,12 @@ impl Repl {
             Some("mode") => Some(match parts.get(1).copied() {
                 Some("lazy") => {
                     self.mode = ExecMode::Lazy;
-                    self.rebuild_session();
+                    self.rebuild_service();
                     "mode = lazy (LAQy partial reuse)".into()
                 }
                 Some("strict") => {
                     self.mode = ExecMode::Strict;
-                    self.rebuild_session();
+                    self.rebuild_service();
                     "mode = strict (full-match-only caching)".into()
                 }
                 Some("online") => {
@@ -155,15 +155,15 @@ impl Repl {
         }
     }
 
-    fn rebuild_session(&mut self) {
-        if let Some(old) = self.session.take() {
+    fn rebuild_service(&mut self) {
+        if let Some(old) = self.service.take() {
             let catalog = old.catalog().clone();
-            self.session = Some(self.make_session(catalog));
+            self.service = Some(self.make_service(catalog));
         }
     }
 
-    fn make_session(&self, catalog: Catalog) -> LaqySession {
-        LaqySession::with_config(
+    fn make_service(&self, catalog: Catalog) -> LaqyService {
+        LaqyService::with_config(
             catalog,
             SessionConfig {
                 seed: self.seed,
@@ -189,7 +189,7 @@ impl Repl {
                     .table("lineorder")
                     .map(|t| t.num_rows())
                     .unwrap_or(0);
-                self.session = Some(self.make_session(catalog));
+                self.service = Some(self.make_service(catalog));
                 self.ssb_sf = Some(sf);
                 format!("loaded SSB at SF {sf}: lineorder has {rows} rows")
             }
@@ -208,12 +208,12 @@ impl Repl {
                 match load_csv_file(*name, path, &schema) {
                     Ok(table) => {
                         let rows = table.num_rows();
-                        match &mut self.session {
+                        match &self.service {
                             Some(s) => s.register_table(table),
                             None => {
                                 let mut catalog = Catalog::new();
                                 catalog.register(table);
-                                self.session = Some(self.make_session(catalog));
+                                self.service = Some(self.make_service(catalog));
                                 self.ssb_sf = None;
                             }
                         }
@@ -227,7 +227,7 @@ impl Repl {
     }
 
     fn tables(&self) -> String {
-        match &self.session {
+        match &self.service {
             None => "no data loaded (try `.load ssb 0.01`)".into(),
             Some(s) => {
                 let mut out = String::new();
@@ -280,10 +280,10 @@ impl Repl {
         let Some(sf) = self.ssb_sf else {
             return "`.ingest` extends a generated SSB catalog (try `.load ssb 0.01` first)".into();
         };
-        let Some(session) = &mut self.session else {
-            return "no session".into();
+        let Some(service) = &self.service else {
+            return "no data loaded (try `.load ssb 0.01`)".into();
         };
-        let start = session
+        let start = service
             .catalog()
             .table("lineorder")
             .map(|t| t.num_rows())
@@ -296,7 +296,7 @@ impl Repl {
             start,
             rows,
         );
-        match session.ingest("lineorder", batch) {
+        match service.ingest("lineorder", batch) {
             Ok(watermark) => format!(
                 "appended {rows} rows to lineorder; row watermark now {watermark} \
                  (stored samples absorbed the batch in place)"
@@ -306,10 +306,10 @@ impl Repl {
     }
 
     fn stats(&self) -> String {
-        match &self.session {
-            None => "no session".into(),
+        match &self.service {
+            None => "no data loaded (try `.load ssb 0.01`)".into(),
             Some(s) => {
-                let svc = s.service().stats();
+                let svc = s.stats();
                 let morsels = svc.morsels_skipped + svc.morsels_fast_pathed + svc.morsels_scanned;
                 format!(
                     "sample store: {} samples, {:.2} MiB; mode {:?}, k {}{}{}\n\
@@ -357,8 +357,8 @@ impl Repl {
     /// the store has shattered into many small fragments that coverage
     /// plans must stitch back together.
     fn samples(&self) -> String {
-        let Some(s) = &self.session else {
-            return "no session".into();
+        let Some(s) = &self.service else {
+            return "no data loaded (try `.load ssb 0.01`)".into();
         };
         let store = s.store();
         if store.is_empty() {
@@ -418,11 +418,11 @@ impl Repl {
     }
 
     /// `.concurrent <threads> <sql>`: run the same approximate query from
-    /// N client threads sharing this session's sample store, then report
+    /// N client threads sharing the loaded service's sample store, then report
     /// per-client reuse outcomes and the service's dedup counters.
     fn concurrent(&mut self, args: &str) -> String {
         const USAGE: &str = ".concurrent <threads 1..=64> <sql>";
-        let Some(session) = &self.session else {
+        let Some(service) = &self.service else {
             return "no data loaded (try `.load ssb 0.01`)".into();
         };
         let mut split = args.splitn(2, char::is_whitespace);
@@ -434,11 +434,10 @@ impl Repl {
         if sql.is_empty() {
             return format!("usage: {USAGE}");
         }
-        let query = match approx_query(&session.catalog(), sql, self.k) {
+        let query = match approx_query(&service.catalog(), sql, self.k) {
             Ok(q) => q,
             Err(e) => return format!("error: {e}"),
         };
-        let service = session.service();
         let before = service.stats();
         let t = std::time::Instant::now();
         let outcomes: Vec<_> = std::thread::scope(|scope| {
@@ -477,8 +476,8 @@ impl Repl {
             after.online_scans - before.online_scans,
             after.scans_deduped() - before.scans_deduped(),
             after.merge_retries - before.merge_retries,
-            session.store().len(),
-            session.store().total_bytes(),
+            service.store().len(),
+            service.store().total_bytes(),
         )
     }
 
@@ -486,8 +485,8 @@ impl Repl {
         let Some(path) = path else {
             return "usage: .save <path>".into();
         };
-        match &self.session {
-            None => "no session".into(),
+        match &self.service {
+            None => "no data loaded (try `.load ssb 0.01`)".into(),
             Some(s) => {
                 // Crash-safe write: tmp file + fsync + rename via the
                 // persistence layer, never an in-place overwrite.
@@ -504,13 +503,13 @@ impl Repl {
         let Some(path) = path else {
             return "usage: .restore <path>".into();
         };
-        let Some(session) = &mut self.session else {
+        let Some(service) = &self.service else {
             return "load data first, then restore samples".into();
         };
         match std::fs::read(path) {
             Err(e) => format!("read failed: {e}"),
-            Ok(bytes) => match session.import_samples(&bytes) {
-                Ok(()) => format!("restored {} samples", session.store().len()),
+            Ok(bytes) => match service.import_samples(&bytes) {
+                Ok(()) => format!("restored {} samples", service.store().len()),
                 Err(e) => format!("restore failed: {e}"),
             },
         }
@@ -525,7 +524,7 @@ impl Repl {
         if self.server.is_some() {
             return "a server is already running (`.drain` to stop it)".into();
         }
-        let Some(session) = &self.session else {
+        let Some(service) = &self.service else {
             return "no data loaded (try `.load ssb 0.01`)".into();
         };
         let config = laqy_server::ServerConfig {
@@ -533,7 +532,7 @@ impl Repl {
             seed: self.seed,
             ..Default::default()
         };
-        match laqy_server::Server::start(session.catalog().clone(), config) {
+        match laqy_server::Server::start(service.catalog().clone(), config) {
             Ok(server) => {
                 let bound = server.addr();
                 self.server = Some(server);
@@ -570,17 +569,17 @@ impl Repl {
     }
 
     fn run_sql(&mut self, sql: &str) -> String {
-        let Some(session) = &mut self.session else {
+        let Some(service) = &self.service else {
             return "no data loaded (try `.load ssb 0.01`)".into();
         };
         if self.mode == ExecMode::Exact {
             // Exact path accepts SQL without a BETWEEN range.
-            let plan = match laqy_engine::sql::plan(&session.catalog(), sql) {
+            let plan = match laqy_engine::sql::plan(&service.catalog(), sql) {
                 Ok(p) => p,
                 Err(e) => return format!("error: {e}"),
             };
             let t = std::time::Instant::now();
-            return match laqy_engine::execute_exact(&session.catalog(), &plan, 1) {
+            return match laqy_engine::execute_exact(&service.catalog(), &plan, 1) {
                 Ok(result) => {
                     let mut out = render_exact(&result);
                     let _ = writeln!(
@@ -595,16 +594,16 @@ impl Repl {
             };
         }
 
-        let query = match approx_query(&session.catalog(), sql, self.k) {
+        let query = match approx_query(&service.catalog(), sql, self.k) {
             Ok(q) => q,
             Err(e) => return format!("error: {e}"),
         };
         let outcome = match (self.mode, self.error_target) {
-            (ExecMode::Online, _) => session.run_online_oblivious(&query),
+            (ExecMode::Online, _) => service.run_online_oblivious(&query),
             (_, Some(target)) => {
-                return match run_bounded(session, &query, &ErrorTarget::relative(target)) {
+                return match run_bounded(service, &query, &ErrorTarget::relative(target)) {
                     Ok(b) => {
-                        let mut out = render_approx(session, &query, &b.result);
+                        let mut out = render_approx(service, &query, &b.result);
                         let _ = writeln!(
                             out,
                             "({} groups, reuse {}, k {} after {} attempt(s), worst rel err {:.4}{}, {:?})",
@@ -622,16 +621,16 @@ impl Repl {
                 };
             }
             _ => match self.budget_ms {
-                Some(ms) => session.run_with_budget(
+                Some(ms) => service.run_with_budget(
                     &query,
                     QueryBudget::with_deadline(Duration::from_millis(ms)),
                 ),
-                None => session.run(&query),
+                None => service.run(&query),
             },
         };
         match outcome {
             Ok(result) => {
-                let mut out = render_approx(session, &query, &result);
+                let mut out = render_approx(service, &query, &result);
                 let lanes = if result.stats.lane_covered_rows > 0 {
                     format!(
                         ", {} rows exact from {} lane span(s)",
@@ -684,11 +683,11 @@ fn parse_schema(spec: &str) -> Result<laqy_engine::CsvSchema, String> {
 const MAX_ROWS: usize = 20;
 
 fn render_approx(
-    session: &LaqySession,
+    service: &LaqyService,
     query: &laqy::ApproxQuery,
     result: &laqy::ApproxResult,
 ) -> String {
-    let keys = session.decode_keys(query, result).unwrap_or_else(|_| {
+    let keys = service.decode_keys(query, result).unwrap_or_else(|_| {
         result
             .groups
             .iter()

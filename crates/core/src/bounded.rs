@@ -2,7 +2,7 @@
 //!
 //! LAQy's lineage (BlinkDB) frames AQP as "queries with bounded errors":
 //! the user states an error target instead of a reservoir capacity. This
-//! module provides that contract on top of the lazy executor: run at the
+//! module provides that contract on top of the shared service: run at the
 //! query's `k`, measure the realized confidence intervals, and — since the
 //! CLT half-width shrinks as `1/√k` — escalate `k` quadratically until the
 //! worst per-group relative error meets the target (or a cap is hit).
@@ -13,7 +13,7 @@
 //! escalation cost is paid once per exploration, not per query.
 
 use crate::executor::{ApproxQuery, ApproxResult, Result};
-use crate::session::LaqySession;
+use crate::service::LaqyService;
 
 /// An error target for bounded-error execution.
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +73,7 @@ pub fn worst_relative_error(result: &ApproxResult, agg_position: usize) -> Optio
 
 /// Run a query under an error target, escalating `k` as needed.
 pub fn run_bounded(
-    session: &mut LaqySession,
+    service: &LaqyService,
     query: &ApproxQuery,
     target: &ErrorTarget,
 ) -> Result<BoundedResult> {
@@ -84,7 +84,7 @@ pub fn run_bounded(
         attempts += 1;
         let mut q = query.clone();
         q.k = k;
-        let result = session.run(&q)?;
+        let result = service.run(&q)?;
         let worst = worst_relative_error(&result, target.agg_position).unwrap_or(0.0);
         let met = worst <= target.max_relative_error;
         if met || attempts >= MAX_ATTEMPTS || k >= target.max_k {
@@ -108,7 +108,6 @@ pub fn run_bounded(
 mod tests {
     use super::*;
     use crate::interval::Interval;
-    use crate::session::SessionConfig;
     use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table};
 
     fn catalog(n: i64) -> Catalog {
@@ -149,8 +148,8 @@ mod tests {
     #[test]
     fn tight_target_escalates_k() {
         let n = 40_000;
-        let mut session = LaqySession::with_config(catalog(n), SessionConfig::default());
-        let out = run_bounded(&mut session, &query(n, 16), &ErrorTarget::relative(0.02)).unwrap();
+        let service = LaqyService::new(catalog(n));
+        let out = run_bounded(&service, &query(n, 16), &ErrorTarget::relative(0.02)).unwrap();
         assert!(out.met, "target should be reachable: {out:?}");
         assert!(out.attempts > 1, "k=16 cannot meet 2% on 10k-row groups");
         assert!(out.k_used > 16);
@@ -160,8 +159,8 @@ mod tests {
     #[test]
     fn loose_target_met_first_try() {
         let n = 10_000;
-        let mut session = LaqySession::with_config(catalog(n), SessionConfig::default());
-        let out = run_bounded(&mut session, &query(n, 512), &ErrorTarget::relative(0.5)).unwrap();
+        let service = LaqyService::new(catalog(n));
+        let out = run_bounded(&service, &query(n, 512), &ErrorTarget::relative(0.5)).unwrap();
         assert!(out.met);
         assert_eq!(out.attempts, 1);
         assert_eq!(out.k_used, 512);
@@ -170,13 +169,13 @@ mod tests {
     #[test]
     fn k_cap_limits_escalation() {
         let n = 40_000;
-        let mut session = LaqySession::with_config(catalog(n), SessionConfig::default());
+        let service = LaqyService::new(catalog(n));
         let target = ErrorTarget {
             max_relative_error: 1e-6, // unreachable
             agg_position: 0,
             max_k: 64,
         };
-        let out = run_bounded(&mut session, &query(n, 16), &target).unwrap();
+        let out = run_bounded(&service, &query(n, 16), &target).unwrap();
         assert!(!out.met);
         assert!(out.k_used <= 64);
     }
@@ -184,9 +183,8 @@ mod tests {
     #[test]
     fn population_sample_has_zero_error() {
         let n = 1_000;
-        let mut session = LaqySession::with_config(catalog(n), SessionConfig::default());
-        let out =
-            run_bounded(&mut session, &query(n, 10_000), &ErrorTarget::relative(0.0)).unwrap();
+        let service = LaqyService::new(catalog(n));
+        let out = run_bounded(&service, &query(n, 10_000), &ErrorTarget::relative(0.0)).unwrap();
         assert!(out.met);
         assert_eq!(out.worst_relative_error, 0.0);
     }
@@ -194,15 +192,15 @@ mod tests {
     #[test]
     fn repeated_bounded_queries_reuse_escalated_samples() {
         let n = 40_000;
-        let mut session = LaqySession::with_config(catalog(n), SessionConfig::default());
+        let service = LaqyService::new(catalog(n));
         let target = ErrorTarget::relative(0.02);
-        let first = run_bounded(&mut session, &query(n, 16), &target).unwrap();
+        let first = run_bounded(&service, &query(n, 16), &target).unwrap();
         assert!(first.attempts > 1);
         // Second identical query: the escalated sample is in the store, so
         // one attempt at the escalated k... but the caller passes k=16
         // again; the first attempt misses the target, and the escalation
         // path hits the stored high-k sample fully.
-        let second = run_bounded(&mut session, &query(n, first.k_used), &target).unwrap();
+        let second = run_bounded(&service, &query(n, first.k_used), &target).unwrap();
         assert!(second.met);
         assert_eq!(second.attempts, 1);
         assert_eq!(

@@ -1,18 +1,20 @@
-//! The LAQy query executor: runs approximable queries through the lazy
-//! sampling flow of Figure 7.
+//! The LAQy query executor: the scan, sample and estimate kernels of the
+//! lazy sampling flow of Figure 7.
 //!
 //! 1. Derive the logical sampler's [`SampleDescriptor`] from the query.
-//! 2. Ask the store for the reuse classification (**Algorithm 1**).
+//! 2. The store plans the reuse ([`crate::lazy`], **Algorithm 1**).
 //! 3. Full reuse → estimate straight from the stored sample (tightening to
-//!    the query predicate); partial reuse → push the Δ predicate down the
-//!    plan, build only the Δ sample, merge (**Algorithms 2–3**), estimate;
-//!    no reuse → full online sampling, which is then absorbed by the store
-//!    for future queries.
+//!    the query predicate); coverage reuse → push each Δ predicate down the
+//!    plan, build only the Δ samples, merge (**Algorithms 2–3**), estimate;
+//!    no reuse → full online sampling, which the store then absorbs for
+//!    future queries.
 //!
-//! Two sampler placements from the evaluation are supported: pushed down
-//! to the fact scan (query template Q1) and above a star join (Q2) — both
-//! fall out of the same pipeline because every morsel's selected rows,
-//! whichever tables they index, go through one admission function
+//! [`crate::service`] sequences these steps as named stages against the
+//! shared store; this module holds what each stage runs. Two sampler
+//! placements from the evaluation are supported: pushed down to the fact
+//! scan (query template Q1) and above a star join (Q2) — both fall out of
+//! the same pipeline because every morsel's selected rows, whichever
+//! tables they index, go through one admission function
 //! ([`crate::sampler_ops`]).
 
 use std::sync::Arc;
@@ -28,18 +30,15 @@ use laqy_engine::{
 use laqy_sampling::{merge_stratified_k, merge_stratified_refs, Lehmer64};
 use laqy_sync::atomic::{AtomicU64, Ordering};
 
-use crate::budget::{
-    apply_degradation, blended_degradation, CancelToken, Degradation, DegradeReason,
-};
+use crate::budget::{CancelToken, Degradation, DegradeReason};
 use crate::descriptor::{Predicates, SampleDescriptor};
 use crate::estimate::{
     estimate, EstimateError, EstimateOptions, ExactMass, ExactSlot, GroupEstimate,
 };
 use crate::interval::{Interval, IntervalSet};
-use crate::lazy::{plan_lazy, plan_lazy_capped, LazyPlan};
 use crate::sampler_ops::{Admission, Sample, SampleSchema, SampleTuple, SlotKind};
 use crate::stats::{ExecStats, ReuseClass};
-use crate::store::{union_single_column, SampleId, SampleStore, StoredSample, TailFragment};
+use crate::store::{CoveragePlan, SampleId, SampleStore};
 use crate::support::{check_support, SupportPolicy, SupportReport};
 
 /// Errors from the LAQy execution layer.
@@ -117,30 +116,11 @@ pub struct ApproxResult {
     pub support: SupportReport,
 }
 
-/// How aggressively stored samples are reused — the axis the paper's
-/// contribution moves along (Figure 2's design space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReuseMode {
-    /// LAQy with coverage planning: full reuse, multi-sample coverage
-    /// (k-way Δ + merge) reuse, or online.
-    #[default]
-    Lazy,
-    /// The paper's original single-sample Algorithm 1: at most one stored
-    /// sample per query (coverage planning capped at one). Ablation
-    /// baseline for the fragmentation experiment.
-    SingleSample,
-    /// Taster-style all-or-none caching: a stored sample is used only when
-    /// it fully subsumes the query; otherwise full online sampling (the
-    /// "strict sample matching" baseline of §2, Issue #1).
-    FullMatchOnly,
-}
-
 /// The executor. Owns RNG state and configuration; catalog and sample
-/// store are passed per call so sessions control sharing.
+/// store are passed per call, so the service controls sharing.
 pub struct LaqyExecutor {
     threads: usize,
     policy: SupportPolicy,
-    mode: ReuseMode,
     rng: Lehmer64,
     seed_counter: u64,
     budget: CancelToken,
@@ -154,7 +134,6 @@ impl LaqyExecutor {
         Self {
             threads,
             policy,
-            mode: ReuseMode::Lazy,
             rng: Lehmer64::new(seed),
             seed_counter: seed,
             budget: CancelToken::unbounded(),
@@ -162,32 +141,11 @@ impl LaqyExecutor {
         }
     }
 
-    /// Set the reuse mode (ablation: disable partial reuse).
-    pub fn with_mode(mut self, mode: ReuseMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Attach a started budget token: every sampling pipeline this
     /// executor runs checks it per morsel and finalizes a degraded
     /// answer on expiry (see [`crate::budget`]).
     pub fn set_budget_token(&mut self, token: CancelToken) {
         self.budget = token;
-    }
-
-    /// The active reuse mode.
-    pub fn mode(&self) -> ReuseMode {
-        self.mode
-    }
-
-    /// Worker thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The support policy in force.
-    pub fn policy(&self) -> &SupportPolicy {
-        &self.policy
     }
 
     /// The merge RNG (the service's write path drives merges itself).
@@ -262,211 +220,37 @@ impl LaqyExecutor {
         Ok((cols, SampleSchema::new(schema_cols)))
     }
 
-    /// Run a query through the lazy sampling flow (the LAQy path in
-    /// Figures 12–15).
-    pub fn run_lazy(
+    /// Online sampling over the query's full range, estimated: the one
+    /// body behind both the workload-oblivious "Online Sampling" baseline
+    /// and the lazy flow's no-reuse arm. With `hybrid` set, lane-covered
+    /// mass is harvested exactly and only the boundary is estimated from
+    /// the sample (hybrid estimation); the full-region sample is what the
+    /// support check inspects and what a caller may hand the store.
+    pub(crate) fn run_online(
         &mut self,
         catalog: &Catalog,
-        store: &mut SampleStore,
         query: &ApproxQuery,
-    ) -> Result<ApproxResult> {
-        let t_start = Instant::now();
-        let descriptor = self.descriptor(catalog, query)?;
-        // The pinned epoch's row watermark: stored samples drawn below it
-        // carry an un-absorbed append tail the plan must Δ-scan.
-        let watermark = catalog.table(&query.plan.fact)?.row_watermark();
-        let mut lazy = match self.mode {
-            ReuseMode::SingleSample => plan_lazy_capped(store, &descriptor, 1, watermark),
-            _ => plan_lazy(store, &descriptor, watermark),
-        };
-        if self.mode == ReuseMode::FullMatchOnly {
-            // All-or-none matching: partial overlap is not good enough.
-            if let LazyPlan::CoverageReuse { .. } = lazy {
-                lazy = LazyPlan::Online;
-            }
-        }
-        let effective = lazy.uncovered_fraction(&descriptor);
-        let tighten = Predicates::on(query.range_column.clone(), IntervalSet::of(query.range));
-
-        let result = match lazy {
-            LazyPlan::FullReuse { id } => {
-                let (mut groups, mut support, est_time) =
-                    self.estimate_stored(store, id, query, &tighten)?;
-                let mut stats = ExecStats {
-                    estimate: est_time,
-                    effective_selectivity: 0.0,
-                    reuse: Some(ReuseClass::Full),
-                    ..Default::default()
-                };
-                if self.policy.conservative && !support.fully_supported() {
-                    // §5.2.3 conservative fallback: re-sample online, with
-                    // the filter pushed down, only the under-supported
-                    // strata — validating whether low support reflects the
-                    // data or a sampling artifact.
-                    if !self.refine_support(
-                        catalog,
-                        query,
-                        &mut groups,
-                        &mut support,
-                        &mut stats,
-                    )? {
-                        return self.run_online_and_absorb(catalog, store, query, t_start);
-                    }
-                }
-                stats.total = t_start.elapsed();
-                ApproxResult {
-                    groups,
-                    stats,
-                    support,
-                }
-            }
-            LazyPlan::CoverageReuse {
-                samples,
-                fragments,
-                tails,
-            } => {
-                let (_, schema) = self.payload_schema(catalog, query)?;
-                // One zone-map-pruned Δ-scan per residual fragment and per
-                // stale sample's append tail, each internally fanned
-                // through the worker pool.
-                let mut scans = self.scan_coverage(
-                    catalog,
-                    query,
-                    fragments.iter().enumerate(),
-                    tails.iter().enumerate(),
-                )?;
-                let mut stats = std::mem::take(&mut scans.stats);
-                stats.degraded = blended_degradation(
-                    stats.degraded.take(),
-                    scans.coverage,
-                    fragments.len() + tails.len(),
-                    scans.skipped,
-                    effective,
-                );
-                stats.fragments_scanned = (scans.fragments.len() + scans.tails.len()) as u64;
-                stats.fragments_reused = samples.len() as u64;
-                let plan = CoveragePlanRef {
-                    descriptor: &descriptor,
-                    schema: &schema,
-                    watermark,
-                    samples: &samples,
-                    fragments: &fragments,
-                    tails: &tails,
-                };
-                let t_merge = Instant::now();
-                let merge = scans
-                    .merge_and_absorb(store, &mut self.rng, &plan, stats.degraded.is_some())
-                    .ok_or_else(|| LaqyError::Unsupported("stored sample vanished".into()))?;
-                stats.merge = t_merge.elapsed();
-                let t_est = Instant::now();
-                let mut groups = merge.estimate(&schema, &query.plan.aggs, &tighten)?;
-                if let Some(deg) = &stats.degraded {
-                    apply_degradation(&mut groups, &query.plan.aggs, deg);
-                }
-                let mut support = support_from_groups(&groups, &self.policy);
-                stats.estimate = t_est.elapsed();
-                stats.effective_selectivity = effective;
-                stats.reuse = Some(ReuseClass::Partial);
-                if self.policy.conservative
-                    && stats.degraded.is_none()
-                    && !support.fully_supported()
-                    && !self.refine_support(
-                        catalog,
-                        query,
-                        &mut groups,
-                        &mut support,
-                        &mut stats,
-                    )?
-                {
-                    return self.run_online_and_absorb(catalog, store, query, t_start);
-                }
-                stats.total = t_start.elapsed();
-                ApproxResult {
-                    groups,
-                    stats,
-                    support,
-                }
-            }
-            LazyPlan::Online => {
-                return self.run_online_and_absorb(catalog, store, query, t_start);
-            }
-        };
-        Ok(result)
-    }
-
-    /// Workload-oblivious online sampling (the "Online Sampling" baseline):
-    /// sample the full query range, estimate, discard.
-    pub fn run_online(&mut self, catalog: &Catalog, query: &ApproxQuery) -> Result<ApproxResult> {
-        let t_start = Instant::now();
+        hybrid: bool,
+    ) -> Result<OnlineRun> {
         let ranges = IntervalSet::of(query.range);
-        let (sample, mut stats) =
-            self.sample_pipeline(catalog, query, &ranges, &Predicate::True)?;
+        let run = self.sample_pipeline(catalog, query, &ranges, &Predicate::True, hybrid, 0)?;
         let (_, schema) = self.payload_schema(catalog, query)?;
         let t_est = Instant::now();
-        let mut groups = estimate(
-            &sample,
-            &schema,
-            &query.plan.aggs,
-            &EstimateOptions::default(),
-        )?;
-        if let Some(deg) = &stats.degraded {
-            apply_degradation(&mut groups, &query.plan.aggs, deg);
-        }
-        let support = check_support(&sample, &schema, None, &self.policy)?;
-        stats.estimate = t_est.elapsed();
-        stats.effective_selectivity = 1.0;
-        stats.reuse = Some(ReuseClass::Online);
-        stats.total = t_start.elapsed();
-        Ok(ApproxResult {
-            groups,
-            stats,
-            support,
-        })
-    }
-
-    fn run_online_and_absorb(
-        &mut self,
-        catalog: &Catalog,
-        store: &mut SampleStore,
-        query: &ApproxQuery,
-        t_start: Instant,
-    ) -> Result<ApproxResult> {
-        let descriptor = self.descriptor(catalog, query)?;
-        let (_, schema) = self.payload_schema(catalog, query)?;
-        let watermark = catalog.table(&query.plan.fact)?.row_watermark();
-        let ranges = IntervalSet::of(query.range);
-        let run =
-            self.sample_pipeline_hybrid(catalog, query, &ranges, &Predicate::True, true, 0)?;
-        let mut stats = run.stats;
-        let t_est = Instant::now();
-        // Hybrid estimation: sampled boundary mass plus exact lane mass
-        // (when harvested); the stored sample always covers the full
-        // region.
         let opts = EstimateOptions {
             exact: (!run.exact.is_empty()).then_some(&run.exact),
             ..Default::default()
         };
         let est_sample = run.boundary.as_ref().unwrap_or(&run.sample);
-        let mut groups = estimate(est_sample, &schema, &query.plan.aggs, &opts)?;
-        if let Some(deg) = &stats.degraded {
-            apply_degradation(&mut groups, &query.plan.aggs, deg);
-        }
+        let groups = estimate(est_sample, &schema, &query.plan.aggs, &opts)?;
         let support = check_support(&run.sample, &schema, None, &self.policy)?;
+        let mut stats = run.stats;
         stats.estimate = t_est.elapsed();
-        // Capture the sample for future reuse (sample-as-you-query: the
-        // sample was needed anyway, so storing it costs only space) —
-        // unless the budget cut the scan short: a degraded sample's
-        // descriptor would claim coverage the scan never delivered.
-        if stats.degraded.is_none() {
-            store.absorb(descriptor, schema, run.sample, watermark, &mut self.rng);
-        }
-        stats.effective_selectivity = 1.0;
-        stats.reuse = Some(ReuseClass::Online);
-        stats.total = t_start.elapsed();
-        Ok(ApproxResult {
+        Ok(OnlineRun {
+            sample: run.sample,
+            schema,
             groups,
-            stats,
             support,
+            stats,
         })
     }
 
@@ -570,24 +354,19 @@ impl LaqyExecutor {
                 .collect(),
         );
         let ranges = IntervalSet::of(query.range);
-        let (fresh, fresh_stats) = self.sample_pipeline(catalog, query, &ranges, &stratum_pred)?;
-        if fresh_stats.degraded.is_some() {
+        let fresh = self.sample_pipeline(catalog, query, &ranges, &stratum_pred, false, 0)?;
+        if fresh.stats.degraded.is_some() {
             // The probe itself was cut short by the budget: an empty or
             // partial probe must not be read as "stratum confirmed empty".
             return Ok(false);
         }
-        stats.scan += fresh_stats.scan;
-        stats.processing += fresh_stats.processing;
-        stats.scanned_rows += fresh_stats.scanned_rows;
-        stats.sampled_input_rows += fresh_stats.sampled_input_rows;
-        stats.morsels_skipped += fresh_stats.morsels_skipped;
-        stats.morsels_fast_pathed += fresh_stats.morsels_fast_pathed;
-        stats.morsels_scanned += fresh_stats.morsels_scanned;
+        // A plain, clean pipeline run: only scan-side fields are set.
+        stats.accumulate(&fresh.stats);
 
         let (_, schema) = self.payload_schema(catalog, query)?;
         let t_est = Instant::now();
         let fresh_groups = estimate(
-            &fresh,
+            &fresh.sample,
             &schema,
             &query.plan.aggs,
             &EstimateOptions::default(),
@@ -612,100 +391,86 @@ impl LaqyExecutor {
         Ok(true)
     }
 
-    /// Estimate from a stored sample with tightening + support check.
+    /// Estimate from stored sample `id`, tightened to the query predicate.
+    /// `None` if the sample is no longer stored.
     pub(crate) fn estimate_stored(
         &self,
         store: &SampleStore,
-        id: crate::store::SampleId,
+        id: SampleId,
         query: &ApproxQuery,
         tighten: &Predicates,
-    ) -> Result<(Vec<GroupEstimate>, SupportReport, Duration)> {
+    ) -> Result<Option<(Vec<GroupEstimate>, Duration)>> {
         let t = Instant::now();
-        let stored = store
-            .get(id)
-            .ok_or_else(|| LaqyError::Unsupported("stored sample vanished".into()))?;
+        let Some(stored) = store.get(id) else {
+            return Ok(None);
+        };
         let opts = EstimateOptions {
             tighten: Some(tighten),
             ..Default::default()
         };
         let groups = estimate(&stored.sample, &stored.schema, &query.plan.aggs, &opts)?;
-        // Estimation already counted the tightened support per stratum
-        // (strata and output groups coincide: QCS = GROUP BY); derive the
-        // report from it instead of re-filtering the sample.
-        let support = support_from_groups(&groups, &self.policy);
-        Ok((groups, support, t.elapsed()))
+        Ok(Some((groups, t.elapsed())))
     }
 
-    /// Δ-scan the given residual fragments and append tails of a coverage
-    /// plan (each with its index in the plan, so a caller may pass only the
-    /// ones it owns) against `catalog`. A tail scan pushes its sample's own
-    /// predicates down with the row floor at the sample's watermark, and
-    /// never harvests lanes: they span whole blocks from row 0 and would
+    /// Δ-scan `parts` of a coverage plan against `catalog`. A part indexes
+    /// `plan.fragments` followed by `plan.tails`, so a caller may pass only
+    /// the ones it owns. A tail scan pushes its sample's own predicates
+    /// down with the row floor at the sample's watermark, and never
+    /// harvests lanes: they span whole blocks from row 0 and would
     /// double-count below the floor.
-    pub(crate) fn scan_coverage<'p>(
+    pub(crate) fn scan_coverage(
         &mut self,
         catalog: &Catalog,
         query: &ApproxQuery,
-        fragments: impl Iterator<Item = (usize, &'p Predicates)>,
-        tails: impl Iterator<Item = (usize, &'p TailFragment)>,
+        plan: &CoveragePlan,
+        parts: impl Iterator<Item = usize>,
     ) -> Result<CoverageScans> {
-        let mut out = CoverageScans::default();
-        let work = fragments
-            .map(|(i, frag)| (i, frag, true, 0))
-            .chain(tails.map(|(i, t)| (i, &t.predicates, false, t.from_row as usize)));
-        for (index, preds, is_fragment, row_floor) in work {
+        let (_, schema) = self.payload_schema(catalog, query)?;
+        let mut out = CoverageScans {
+            stats: ExecStats::default(),
+            schema,
+            exact: ExactMass::new(),
+            coverage: 0.0,
+            skipped: 0,
+            scans: Vec::new(),
+        };
+        for part in parts {
             if self.budget.expired() {
                 out.skipped += 1;
                 continue;
             }
+            let (preds, is_fragment, row_floor) = match plan.fragments.get(part) {
+                Some(fragment) => (fragment, true, 0),
+                None => {
+                    let tail = &plan.tails[part - plan.fragments.len()];
+                    (&tail.predicates, false, tail.from_row as usize)
+                }
+            };
             let ranges = preds
                 .get(&query.range_column)
                 .cloned()
                 .unwrap_or_else(|| IntervalSet::of(query.range));
             let extra = fragment_extra_predicate(preds, &query.range_column);
-            let run = self.sample_pipeline_hybrid(
-                catalog,
-                query,
-                &ranges,
-                &extra,
-                is_fragment,
-                row_floor,
-            )?;
+            let run =
+                self.sample_pipeline(catalog, query, &ranges, &extra, is_fragment, row_floor)?;
             out.coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
             out.stats.accumulate(&run.stats);
             out.exact.merge(&run.exact);
-            let scan = Scan {
-                index,
+            out.scans.push(Scan {
+                part,
                 sample: run.sample,
                 boundary: run.boundary,
                 clean: run.stats.degraded.is_none(),
-            };
-            if is_fragment {
-                out.fragments.push(scan);
-            } else {
-                out.tails.push(scan);
-            }
+            });
         }
         Ok(out)
     }
 
     /// Build a stratified sample of the query's pipeline restricted to
     /// `ranges` on the range column — the Δ (or full online) sampler with
-    /// the predicate pushed down (Figure 7 step 3). Plain (non-hybrid)
-    /// entry point: lane coverage is not harvested.
-    pub(crate) fn sample_pipeline(
-        &mut self,
-        catalog: &Catalog,
-        query: &ApproxQuery,
-        ranges: &IntervalSet,
-        extra: &Predicate,
-    ) -> Result<(Sample, ExecStats)> {
-        let run = self.sample_pipeline_hybrid(catalog, query, ranges, extra, false, 0)?;
-        Ok((run.sample, run.stats))
-    }
-
-    /// [`Self::sample_pipeline`] with optional hybrid lane harvesting: when
-    /// `hybrid` is set and the plan is eligible, predicate-covered,
+    /// the predicate pushed down (Figure 7 step 3).
+    ///
+    /// When `hybrid` is set and the plan is eligible, predicate-covered,
     /// group-constant block spans are excluded from the scan; their
     /// aggregates are read exactly from the table's pre-aggregate lanes and
     /// their sample strata are drawn directly (a uniform k-subset with the
@@ -717,7 +482,7 @@ impl LaqyExecutor {
     /// by a stored sample's reservoirs). A non-zero floor disables lane
     /// harvesting: lane spans aggregate whole blocks from row 0, so their
     /// mass would double-count the already-sampled prefix.
-    pub(crate) fn sample_pipeline_hybrid(
+    pub(crate) fn sample_pipeline(
         &mut self,
         catalog: &Catalog,
         query: &ApproxQuery,
@@ -1087,8 +852,9 @@ impl LaqyExecutor {
 
 /// One Δ-scan (residual fragment or append tail) of a coverage plan.
 pub(crate) struct Scan {
-    /// Position in the plan's `fragments` / `tails`.
-    pub index: usize,
+    /// Which part of the plan: an index into `fragments` followed by
+    /// `tails`.
+    pub part: usize,
     /// Full-region sample — what the store absorbs.
     pub sample: Sample,
     /// Boundary-only sample, when lane mass was harvested.
@@ -1099,10 +865,11 @@ pub(crate) struct Scan {
 }
 
 /// What the Δ-scans of one coverage plan produced.
-#[derive(Default)]
 pub(crate) struct CoverageScans {
     /// Accumulated scan-side timing and cardinalities.
     pub stats: ExecStats,
+    /// Payload layout of every scan's sample.
+    pub schema: SampleSchema,
     /// Exact lane mass harvested by fragment scans.
     pub exact: ExactMass,
     /// Σ of per-scan coverage fractions (1.0 for a clean scan).
@@ -1111,39 +878,26 @@ pub(crate) struct CoverageScans {
     /// (their regions contribute nothing; the CI widening accounts for the
     /// hole).
     pub skipped: u64,
-    /// Fragment scans, in plan order.
-    pub fragments: Vec<Scan>,
-    /// Tail scans, in plan order.
-    pub tails: Vec<Scan>,
-}
-
-/// The plan a coverage merge is validated and absorbed against.
-pub(crate) struct CoveragePlanRef<'a> {
-    pub descriptor: &'a SampleDescriptor,
-    pub schema: &'a SampleSchema,
-    /// The pinned epoch's row watermark.
-    pub watermark: u64,
-    pub samples: &'a [SampleId],
-    pub fragments: &'a [Predicates],
-    pub tails: &'a [TailFragment],
+    /// The scans that ran, in the order their parts were given.
+    pub scans: Vec<Scan>,
 }
 
 /// A coverage plan's merged sample, ready to estimate from.
 pub(crate) struct CoverageMerge {
     /// Stored samples ⊎ every scan: the full region (what the store got).
-    pub merged: Arc<Sample>,
+    merged: Arc<Sample>,
     /// The same merge over *boundary* fragment samples (lane-covered rows
     /// excluded) when lane mass was harvested, so `exact` blends in without
     /// double counting.
-    pub boundary: Option<Sample>,
-    pub exact: ExactMass,
+    boundary: Option<Sample>,
+    exact: ExactMass,
+    schema: SampleSchema,
 }
 
 impl CoverageMerge {
     /// Estimate the query from the merged sample (plus exact lane mass).
     pub fn estimate(
         &self,
-        schema: &SampleSchema,
         aggs: &[laqy_engine::AggSpec],
         tighten: &Predicates,
     ) -> Result<Vec<GroupEstimate>> {
@@ -1153,125 +907,67 @@ impl CoverageMerge {
             ..Default::default()
         };
         let sample = self.boundary.as_ref().unwrap_or(&self.merged);
-        Ok(estimate(sample, schema, aggs, &opts)?)
+        Ok(estimate(sample, &self.schema, aggs, &opts)?)
     }
 }
 
 impl CoverageScans {
-    /// Absorb every clean scan on its own: tails back into their source
-    /// samples (advancing watermarks — the `from_row` guard rejects a
-    /// replayed or overlapping tail instead of double-counting it), then
-    /// fragments under their own predicate boxes.
-    pub fn absorb_clean(
+    /// Hand the scans to the store's coverage write step
+    /// ([`SampleStore::absorb_coverage`], which decides what is stored and
+    /// `merge`s on request), keeping the hybrid bookkeeping on this side:
+    /// when lane mass was harvested, the same merge is first made over the
+    /// *boundary* samples (a tail scan never harvests lanes, so its full
+    /// sample is its own boundary) for the estimate to blend `exact` into.
+    /// `None` when nothing was merged.
+    pub fn merge_into(
         self,
         store: &mut SampleStore,
         rng: &mut Lehmer64,
-        plan: &CoveragePlanRef<'_>,
-    ) {
-        for t in self.tails.into_iter().filter(|t| t.clean) {
-            let tail = &plan.tails[t.index];
-            store.absorb_tail(tail.id, &t.sample, tail.from_row, plan.watermark, rng);
-        }
-        for f in self.fragments.into_iter().filter(|f| f.clean) {
-            let mut frag_desc = plan.descriptor.clone();
-            frag_desc.predicates = plan.fragments[f.index].clone();
-            store.absorb(
-                frag_desc,
-                plan.schema.clone(),
-                f.sample,
-                plan.watermark,
-                rng,
-            );
-        }
-    }
-
-    /// The coverage plan's write step: merge the planned stored samples
-    /// with every scan, then sample-as-you-query absorption. When nothing
-    /// was degraded, no tail is in play and the merged region is itself a
-    /// predicate box, the stored parts leave the store, the Δs are merged
-    /// into the largest of them *in place*, and the result goes back under
-    /// the union descriptor. Otherwise the merge is made on a copy and each
-    /// clean scan is absorbed on its own (a multi-column union is not
-    /// expressible as one descriptor, a union replacement would drop
-    /// per-sample watermark bookkeeping mid catch-up, and a degraded merge
-    /// would overclaim coverage). `None` if a planned sample is no longer
-    /// stored.
-    pub fn merge_and_absorb(
-        mut self,
-        store: &mut SampleStore,
-        rng: &mut Lehmer64,
-        plan: &CoveragePlanRef<'_>,
-        degraded: bool,
+        query: &SampleDescriptor,
+        plan: &CoveragePlan,
+        merge: bool,
     ) -> Option<CoverageMerge> {
-        let stored: Vec<&StoredSample> = plan
-            .samples
-            .iter()
-            .map(|id| store.get(*id))
-            .collect::<Option<_>>()?;
-        let exact = std::mem::take(&mut self.exact);
-        let scans = || self.fragments.iter().chain(&self.tails);
-        // Tail scans never harvest lanes: the full tail sample is its own
-        // boundary.
-        let boundary = (!exact.is_empty()).then(|| {
-            let inputs: Vec<&Sample> = stored
-                .iter()
-                .map(|s| &*s.sample)
-                .chain(scans().map(|s| s.boundary.as_ref().unwrap_or(&s.sample)))
-                .collect();
-            merge_stratified_refs(&inputs, rng)
-        });
-        let union = if degraded || !self.tails.is_empty() {
-            None
-        } else {
-            let parts: Vec<&Predicates> = stored
-                .iter()
-                .map(|s| &s.descriptor.predicates)
-                .chain(plan.fragments)
-                .collect();
-            union_single_column(&parts)
-        };
-        let merged = match union {
-            Some(union_preds) => {
-                let mut inputs: Vec<Sample> = plan
+        let boundary = (merge && !self.exact.is_empty())
+            .then(|| {
+                let stored = plan
                     .samples
                     .iter()
-                    .filter_map(|id| store.take(*id))
-                    .map(|s| Arc::unwrap_or_clone(s.sample))
-                    .collect();
-                inputs.extend(self.fragments.into_iter().map(|s| s.sample));
-                let mut merged = merge_stratified_k(inputs, rng);
-                // Shared with the store from here on, which therefore
-                // cannot settle it itself.
-                merged.shrink_to_fit();
-                let merged = Arc::new(merged);
-                let mut union_desc = plan.descriptor.clone();
-                union_desc.predicates = union_preds;
-                store.absorb(
-                    union_desc,
-                    plan.schema.clone(),
-                    Arc::clone(&merged),
-                    plan.watermark,
-                    rng,
-                );
-                merged
-            }
-            None => {
-                let inputs: Vec<&Sample> = stored
+                    .map(|id| Some(&*store.peek(*id)?.sample));
+                let scanned = self
+                    .scans
                     .iter()
-                    .map(|s| &*s.sample)
-                    .chain(scans().map(|s| &s.sample))
-                    .collect();
-                let merged = Arc::new(merge_stratified_refs(&inputs, rng));
-                self.absorb_clean(store, rng, plan);
-                merged
-            }
-        };
+                    .map(|s| Some(s.boundary.as_ref().unwrap_or(&s.sample)));
+                let inputs: Vec<&Sample> = stored.chain(scanned).collect::<Option<_>>()?;
+                Some(merge_stratified_refs(&inputs, rng))
+            })
+            .flatten();
+        let scans = self
+            .scans
+            .into_iter()
+            .map(|s| (s.part, s.sample, s.clean))
+            .collect();
+        let merged = store.absorb_coverage(query, &self.schema, plan, scans, merge, rng)?;
         Some(CoverageMerge {
             merged,
             boundary,
-            exact,
+            exact: self.exact,
+            schema: self.schema,
         })
     }
+}
+
+/// [`LaqyExecutor::run_online`]'s outcome.
+pub(crate) struct OnlineRun {
+    /// Full-region sample (lane-covered strata included).
+    pub sample: Sample,
+    /// Its payload layout.
+    pub schema: SampleSchema,
+    /// Estimates, before any degradation is applied.
+    pub groups: Vec<GroupEstimate>,
+    /// Per-stratum support of `sample`.
+    pub support: SupportReport,
+    /// Scan-side stats plus the estimate time.
+    pub stats: ExecStats,
 }
 
 /// Outcome of one sampling pipeline run.
@@ -1572,9 +1268,9 @@ mod tests {
         let mut exec = LaqyExecutor::new(threads, SupportPolicy::default(), seed);
         exec.morsel_rows = morsel_rows;
         let ranges = IntervalSet::of(query.range);
-        exec.sample_pipeline(catalog, query, &ranges, &Predicate::True)
+        exec.sample_pipeline(catalog, query, &ranges, &Predicate::True, false, 0)
             .unwrap()
-            .0
+            .sample
     }
 
     /// The admission path this pipeline replaced, kept as the oracle: one
@@ -1689,24 +1385,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn unknown_table_is_engine_error() {
-        let cat = Catalog::new();
-        let mut exec = LaqyExecutor::new(1, SupportPolicy::default(), 1);
-        let mut store = SampleStore::new();
-        let err = exec
-            .run_lazy(&cat, &mut store, &mini_query(0, 10))
-            .unwrap_err();
-        assert!(matches!(err, LaqyError::Engine(_)));
-    }
-
-    #[test]
-    fn executor_mode_roundtrip() {
-        let exec =
-            LaqyExecutor::new(2, SupportPolicy::default(), 1).with_mode(ReuseMode::FullMatchOnly);
-        assert_eq!(exec.mode(), ReuseMode::FullMatchOnly);
-        assert_eq!(exec.threads(), 2);
     }
 }

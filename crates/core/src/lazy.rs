@@ -23,13 +23,31 @@
 //! Algorithm 1 (the `SingleSample` reuse mode keeps that behavior
 //! available as an ablation baseline).
 
-use crate::descriptor::{Predicates, SampleDescriptor};
-use crate::store::{SampleId, SampleStore, TailFragment};
+use crate::descriptor::SampleDescriptor;
+use crate::store::{CoveragePlan, SampleId, SampleStore};
 
 /// Default cap on how many stored samples one coverage plan may merge.
 /// Beyond a handful the per-sample clone + merge cost outweighs the
 /// residual-measure reduction.
 pub const MAX_COVERAGE_SAMPLES: usize = 4;
+
+/// How aggressively stored samples are reused — the axis the paper's
+/// contribution moves along (Figure 2's design space).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ReuseMode {
+    /// LAQy with coverage planning: full reuse, multi-sample coverage
+    /// (k-way Δ + merge) reuse, or online.
+    #[default]
+    Lazy,
+    /// The paper's original single-sample Algorithm 1: at most one stored
+    /// sample per query (coverage planning capped at one). Ablation
+    /// baseline for the fragmentation experiment.
+    SingleSample,
+    /// Taster-style all-or-none caching: a stored sample is used only when
+    /// it fully subsumes the query; otherwise full online sampling (the
+    /// "strict sample matching" baseline of §2, Issue #1).
+    FullMatchOnly,
+}
 
 /// The execution plan for one logical sampler.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,21 +59,11 @@ pub enum LazyPlan {
         id: SampleId,
     },
     /// Merge a set of stored samples with Δ samples of the residual
-    /// fragments — the coverage-planning generalization of the paper's
-    /// partial reuse (one sample, one Δ interval is the `samples.len() ==
-    /// 1`, `fragments.len() <= 1` special case).
-    CoverageReuse {
-        /// Stored samples to merge, pairwise disjoint in population.
-        samples: Vec<SampleId>,
-        /// Residual uncovered boxes, each Δ-scanned once. Pairwise
-        /// disjoint and disjoint from every selected sample's population.
-        fragments: Vec<Predicates>,
-        /// Un-absorbed append tails of stale selected samples: each is
-        /// Δ-scanned with its row floor pushed down, merged in, and
-        /// absorbed back into its source sample (advancing its
-        /// watermark). Row-disjoint from everything above.
-        tails: Vec<TailFragment>,
-    },
+    /// fragments and of stale samples' append tails — the coverage-planning
+    /// generalization of the paper's partial reuse (one sample, one Δ
+    /// interval is the `samples.len() == 1`, `fragments.len() <= 1`
+    /// special case).
+    CoverageReuse(CoveragePlan),
     /// Full online sampling over the query predicate.
     Online,
 }
@@ -72,13 +80,12 @@ impl LazyPlan {
         match self {
             LazyPlan::FullReuse { .. } => 0.0,
             LazyPlan::Online => 1.0,
-            LazyPlan::CoverageReuse { fragments, .. } => {
+            LazyPlan::CoverageReuse(plan) => {
                 let query_m = query.predicates.box_measure();
                 if query_m == 0 {
                     return 0.0;
                 }
-                let delta_m: u128 = fragments.iter().map(|f| f.box_measure()).sum();
-                delta_m as f64 / query_m as f64
+                plan.residual_measure() as f64 / query_m as f64
             }
         }
     }
@@ -110,16 +117,13 @@ pub fn plan_lazy_capped(
             id: plan.samples[0],
         };
     }
-    LazyPlan::CoverageReuse {
-        samples: plan.samples,
-        fragments: plan.fragments,
-        tails: plan.tails,
-    }
+    LazyPlan::CoverageReuse(plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::descriptor::Predicates;
     use crate::interval::{Interval, IntervalSet};
     use crate::sampler_ops::{SampleSchema, SampleTuple, SlotKind};
     use laqy_engine::GroupKey;
@@ -179,11 +183,12 @@ mod tests {
         let store = store_with(0, 99);
         let plan = plan_lazy(&store, &desc(10, 20), 500);
         match &plan {
-            LazyPlan::CoverageReuse {
+            LazyPlan::CoverageReuse(CoveragePlan {
                 samples,
                 fragments,
                 tails,
-            } => {
+                ..
+            }) => {
                 assert_eq!(samples.len(), 1);
                 assert!(fragments.is_empty());
                 assert_eq!(tails.len(), 1);
@@ -199,11 +204,12 @@ mod tests {
         let q = desc(50, 149);
         let plan = plan_lazy(&store, &q, 0);
         match &plan {
-            LazyPlan::CoverageReuse {
+            LazyPlan::CoverageReuse(CoveragePlan {
                 samples,
                 fragments,
                 tails,
-            } => {
+                ..
+            }) => {
                 assert_eq!(samples.len(), 1);
                 assert_eq!(fragments.len(), 1);
                 assert!(tails.is_empty());
@@ -235,9 +241,9 @@ mod tests {
 
         let plan = plan_lazy(&store, &q, 0);
         match &plan {
-            LazyPlan::CoverageReuse {
+            LazyPlan::CoverageReuse(CoveragePlan {
                 samples, fragments, ..
-            } => {
+            }) => {
                 assert_eq!(samples.len(), 2);
                 assert_eq!(fragments.len(), 1);
             }
@@ -257,7 +263,7 @@ mod tests {
         let mut q = desc(0, 99);
         q.predicates = Predicates::on("x", IntervalSet::of(Interval::new(0, 99)))
             .with("y", IntervalSet::of(Interval::new(0, 9)));
-        let plan = LazyPlan::CoverageReuse {
+        let plan = LazyPlan::CoverageReuse(CoveragePlan {
             samples: vec![],
             fragments: vec![
                 Predicates::on("x", IntervalSet::of(Interval::new(0, 39)))
@@ -266,7 +272,8 @@ mod tests {
                     .with("y", IntervalSet::of(Interval::new(0, 0))),
             ],
             tails: vec![],
-        };
+            watermark: 0,
+        });
         assert!((plan.uncovered_fraction(&q) - 0.46).abs() < 1e-12);
     }
 }

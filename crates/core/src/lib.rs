@@ -14,20 +14,23 @@
 //! - [`interval`] / [`descriptor`] — predicate algebra and the sample
 //!   metadata (Query Input, QCS, QVS, Query Predicate, k) that makes
 //!   samples malleable;
-//! - [`store`] — sample lifetime management, reuse classification,
-//!   coverage planning (greedy set cover over stored samples), and
-//!   Δ-merging (with optional byte-budgeted LRU eviction);
+//! - [`store`] — sample lifetime management, coverage planning (greedy
+//!   set cover over stored samples) and the coverage write step that
+//!   brings a plan's Δ samples to rest (with optional byte-budgeted LRU
+//!   eviction);
 //! - [`lazy`] — Algorithm 1, the lazy sampling planner, generalized to
 //!   multi-sample, multi-fragment coverage reuse;
 //! - [`sampler_ops`] — sampled-tuple payloads and the admission path
 //!   (every scan worker continues Algorithm R into one dense sample);
-//! - [`executor`] / [`session`] — the end-to-end flow of Figure 7 for both
-//!   sampler placements (pushed to scan, and above star joins);
-//! - [`service`] — the concurrent, shared-store deployment of the same
-//!   flow: a `Send + Sync` handle many client threads clone, with an
-//!   in-flight registry deduplicating concurrent Δ/online scans, plus the
-//!   streaming-ingest path (epoch-pinned appends with incremental sample
-//!   absorption);
+//! - [`executor`] — the scan, sample and estimate kernels of Figure 7's
+//!   flow for both sampler placements (pushed to scan, and above star
+//!   joins);
+//! - [`service`] — the flow itself, as named stages (plan → fetch / scan →
+//!   merge → estimate → finish) against a shared store: a `Send + Sync`
+//!   handle many client threads clone, with an in-flight registry
+//!   deduplicating concurrent Δ/online scans, plus the streaming-ingest
+//!   path (epoch-pinned appends with incremental sample absorption);
+//! - [`bounded`] — error-target execution (escalating `k`) on that handle;
 //! - [`persist`] / [`wal`] — crash-safe store snapshots and the ingest
 //!   write-ahead log; together they recover base rows and stored samples
 //!   to one consistent `(snapshot generation, WAL position)` point;
@@ -35,7 +38,7 @@
 //!   error bounds, tightening, and sample-support policies.
 //!
 //! ```
-//! use laqy::{ApproxQuery, Interval, LaqySession};
+//! use laqy::{ApproxQuery, Interval, LaqyService};
 //! use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table};
 //!
 //! let mut catalog = Catalog::new();
@@ -44,7 +47,7 @@
 //!     ("grp".into(), Column::Int64((0..10_000).map(|i| i % 7).collect())),
 //!     ("val".into(), Column::Int64((0..10_000).map(|i| i % 100).collect())),
 //! ]).unwrap());
-//! let mut session = LaqySession::new(catalog);
+//! let service = LaqyService::new(catalog);
 //! let query = ApproxQuery {
 //!     plan: QueryPlan {
 //!         fact: "t".into(),
@@ -57,11 +60,11 @@
 //!     range: Interval::new(0, 4_999),
 //!     k: 256,
 //! };
-//! let result = session.run(&query).unwrap();
+//! let result = service.run(&query).unwrap();
 //! assert_eq!(result.groups.len(), 7);
 //! ```
 //!
-//! For concurrent clients, hand out clones of a [`LaqyService`]: all
+//! For concurrent clients, hand out clones of the [`LaqyService`]: all
 //! clones share one catalog, one sample store, and one set of counters,
 //! so samples materialized by one client are reused by the others.
 //!
@@ -113,7 +116,6 @@ pub mod lazy;
 pub mod persist;
 pub mod sampler_ops;
 pub mod service;
-pub mod session;
 pub mod sql;
 pub mod stats;
 pub mod store;
@@ -129,22 +131,20 @@ pub use estimate::{
 };
 pub use executor::{
     input_identity, range_predicate, ApproxQuery, ApproxResult, LaqyError, LaqyExecutor, Result,
-    ReuseMode,
 };
 pub use interval::{Interval, IntervalSet};
-pub use lazy::{plan_lazy, plan_lazy_capped, LazyPlan, MAX_COVERAGE_SAMPLES};
+pub use lazy::{plan_lazy, plan_lazy_capped, LazyPlan, ReuseMode, MAX_COVERAGE_SAMPLES};
 pub use persist::{
     load_from_file, load_store, recover_snapshot, save_snapshot, save_store, save_to_file,
     PersistError, RecoveryReport, KEEP_GENERATIONS, MAX_SNAPSHOT_BYTES,
 };
 pub use sampler_ops::{Sample, SampleSchema, SampleTuple, SlotKind, MAX_SAMPLE_COLS};
-pub use service::LaqyService;
-pub use session::{LaqySession, SessionConfig};
+pub use service::{LaqyService, SessionConfig};
 pub use sql::{approx_query, approx_query_on};
 pub use stats::{ExecStats, ReuseClass, ServiceStats};
 pub use store::{
-    AbsorbReport, CoveragePlan, ReuseDecision, SampleId, SampleStore, ShardWriteGuard,
-    ShardedStore, StoredSample, TailFragment, STORE_SHARDS,
+    AbsorbReport, CoveragePlan, SampleId, SampleStore, ShardWriteGuard, ShardedStore, StoredSample,
+    TailFragment, STORE_SHARDS,
 };
 pub use support::{check_support, SupportPolicy, SupportReport};
 pub use wal::{

@@ -651,21 +651,54 @@ mod tests {
     }
 
     #[test]
-    fn restored_store_classifies_like_original() {
-        let store = populated_store();
-        let restored = load_store(&save_store(&store)).unwrap();
-        let q = descriptor(10, 50);
-        // Compare decision *kinds* (ids differ).
-        let kind = |d: &crate::store::ReuseDecision| match d {
-            crate::store::ReuseDecision::Full { .. } => 0,
-            crate::store::ReuseDecision::Partial { .. } => 1,
-            crate::store::ReuseDecision::None => 2,
+    fn restored_store_plans_and_merges_like_original() {
+        use crate::lazy::{plan_lazy, LazyPlan};
+        let mut store = populated_store();
+        let mut restored = load_store(&save_store(&store)).unwrap();
+        // Full reuse, coverage reuse (Δ = [100, 150]), no reuse: the same
+        // plan on both sides (ids differ, so compare what they select).
+        for (lo, hi, kind) in [(10, 50, 0), (50, 150, 1), (1000, 2000, 2)] {
+            let q = descriptor(lo, hi);
+            let shape = |store: &SampleStore| match plan_lazy(store, &q, 0) {
+                LazyPlan::FullReuse { id } => {
+                    (0, vec![store.peek(id).unwrap().descriptor.clone()], vec![])
+                }
+                LazyPlan::CoverageReuse(plan) => {
+                    let selected = plan.samples.iter().map(|id| store.peek(*id).unwrap());
+                    let selected = selected.map(|s| s.descriptor.clone()).collect();
+                    (1, selected, plan.fragments)
+                }
+                LazyPlan::Online => (2, vec![], vec![]),
+            };
+            let expected = shape(&store);
+            assert_eq!(expected.0, kind);
+            assert_eq!(expected, shape(&restored));
+        }
+        // And the coverage write step lands both stores in the same place.
+        let q = descriptor(50, 150);
+        for side in [&mut store, &mut restored] {
+            let LazyPlan::CoverageReuse(plan) = plan_lazy(side, &q, 0) else {
+                panic!("expected coverage reuse");
+            };
+            let mut rng = Lehmer64::new(9);
+            let mut delta = Sample::new(4);
+            for x in 100..=150 {
+                let tuple = SampleTuple::from_slice(&[x, 0]);
+                delta.offer(GroupKey::new(&[0, 0]), tuple, &mut rng);
+            }
+            let stored: u64 = side.iter_samples().map(|s| s.sample.total_weight()).sum();
+            let scans = vec![(0, delta, true)];
+            let merged = side.absorb_coverage(&q, &schema(), &plan, scans, true, &mut rng);
+            assert_eq!(merged.unwrap().total_weight(), stored + 51);
+        }
+        let coverage = |store: &SampleStore| -> Vec<SampleDescriptor> {
+            store.descriptors().map(|(_, d)| d.clone()).collect()
         };
-        assert_eq!(kind(&store.classify(&q)), kind(&restored.classify(&q)));
-        let q2 = descriptor(50, 150);
-        assert_eq!(kind(&store.classify(&q2)), kind(&restored.classify(&q2)));
-        let q3 = descriptor(1000, 2000);
-        assert_eq!(kind(&store.classify(&q3)), kind(&restored.classify(&q3)));
+        assert_eq!(coverage(&store), coverage(&restored));
+        assert!(matches!(
+            plan_lazy(&restored, &q, 0),
+            LazyPlan::FullReuse { .. }
+        ));
     }
 
     #[test]

@@ -22,22 +22,28 @@
 //! - **Write path** (absorb / Δ-merge / eviction) takes the home shard's
 //!   write lock only around the in-memory merge — never around the
 //!   sampling scan, which is the expensive part and runs lock-free.
-//! - **Per-fragment in-flight dedup registry**: coverage plans claim one
-//!   registry slot *per residual fragment* with non-blocking try-claims.
-//!   When two clients' plans share fragments, each fragment is scanned by
-//!   exactly one of them: a client that could not claim every fragment
-//!   scans and absorbs the fragments it did claim, releases its claims,
-//!   waits guard-free for the others, and re-plans (typically upgrading
-//!   to full or pure-merge reuse). Claims are never held while waiting,
-//!   so overlapping claim sets cannot deadlock. Online misses dedup the
-//!   same way on a whole-query key.
+//! - **Per-part in-flight dedup registry**: a coverage plan try-claims
+//!   (never blocking) one registry slot per residual fragment and per
+//!   append tail; an online miss claims one slot for the whole query. All
+//!   of an attempt's slots live in one `Claims` value. When two clients'
+//!   plans share parts, each part is scanned by exactly one of them: a
+//!   client that could not claim everything scans and absorbs what it did
+//!   claim, releases *all* its claims, waits for the others, and re-plans
+//!   (typically upgrading to full or pure-merge reuse). `Claims` is
+//!   consumed by the one function that waits, so overlapping claim sets
+//!   cannot deadlock.
 //! - **Optimistic revalidation**: a coverage merge is validated under the
 //!   write lock (every selected sample still present with the exact
-//!   coverage it was planned against). If another client's merge or an
-//!   eviction invalidated the plan, the fragment samples are absorbed
-//!   individually — the scan work is kept, never double-counted — and
-//!   the query retries, degrading to online sampling after a bounded
+//!   coverage and watermark it was planned against). If another client's
+//!   merge or an eviction invalidated the plan, the clean scans are
+//!   absorbed individually — the scan work is kept, never double-counted —
+//!   and the query retries, degrading to online sampling after a bounded
 //!   number of attempts.
+//!
+//! The query flow itself is a sequence of named stages — **plan**,
+//! **fetch**, **scan**, **merge**, **estimate** and one **finish** every
+//! arm goes through — over one per-attempt context; DESIGN.md "Query
+//! flow: stages" says what each reads, writes and locks.
 //!
 //! Lock ordering: registry mutexes, shard locks, and the catalog lock
 //! are never held while waiting on an in-flight entry; a query path
@@ -61,27 +67,27 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-
-use laqy_sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use laqy_engine::{Catalog, Column, Predicate, QueryResult, Table, Value};
+use laqy_engine::{Catalog, Column, QueryResult, Table, Value};
+use laqy_sampling::Lehmer64;
+use laqy_sync::atomic::{AtomicU64, Ordering};
 use laqy_sync::classes;
 use laqy_sync::{Condvar, Mutex, RwLock, RwLockReadGuard};
 
 use crate::budget::{apply_degradation, blended_degradation, CancelToken, QueryBudget};
 use crate::descriptor::{Predicates, SampleDescriptor};
+use crate::estimate::GroupEstimate;
 use crate::executor::{
-    support_from_groups, ApproxQuery, ApproxResult, CoveragePlanRef, LaqyError, LaqyExecutor,
-    Result, ReuseMode,
+    support_from_groups, ApproxQuery, ApproxResult, CoverageMerge, CoverageScans, LaqyError,
+    LaqyExecutor, Result,
 };
 use crate::interval::IntervalSet;
-use crate::lazy::{plan_lazy, plan_lazy_capped, LazyPlan};
-use crate::session::SessionConfig;
-use crate::stats::{ExecStats, ReuseClass, ServiceStats};
-use crate::store::{SampleId, SampleStore, ShardedStore, TailFragment, STORE_SHARDS};
+use crate::lazy::{plan_lazy_capped, LazyPlan, ReuseMode, MAX_COVERAGE_SAMPLES};
+use crate::stats::{Counters, ExecStats, ReuseClass, ServiceStats};
+use crate::store::{CoveragePlan, SampleId, SampleStore, ShardedStore, STORE_SHARDS};
+use crate::support::{SupportPolicy, SupportReport};
 use crate::wal::{WalAppender, WalRecord};
-use laqy_sampling::Lehmer64;
 
 // One static lock-class name per in-flight registry shard, from the
 // canonical registry (`laqy_sync::classes`), mirroring the store's
@@ -110,39 +116,6 @@ impl Inflight {
     }
 }
 
-/// Monotonic service-wide counters (all relaxed; they are telemetry, not
-/// synchronization).
-#[derive(Default)]
-struct Counters {
-    queries: AtomicU64,
-    full_hits: AtomicU64,
-    partial_merges: AtomicU64,
-    online_runs: AtomicU64,
-    delta_scans: AtomicU64,
-    online_scans: AtomicU64,
-    merges_deduped: AtomicU64,
-    online_deduped: AtomicU64,
-    merge_retries: AtomicU64,
-    support_fallbacks: AtomicU64,
-    lock_wait_nanos: AtomicU64,
-    morsels_skipped: AtomicU64,
-    morsels_fast_pathed: AtomicU64,
-    morsels_scanned: AtomicU64,
-    lane_covered_rows: AtomicU64,
-    fragments_reused: AtomicU64,
-    fragments_scanned: AtomicU64,
-    fragments_deduped: AtomicU64,
-    degraded_answers: AtomicU64,
-    faults_injected: AtomicU64,
-    snapshots_recovered: AtomicU64,
-    ingest_batches: AtomicU64,
-    ingest_rows: AtomicU64,
-    absorbed_samples: AtomicU64,
-    absorbed_rows: AtomicU64,
-    wal_appends: AtomicU64,
-    wal_replays: AtomicU64,
-}
-
 struct ServiceInner {
     catalog: RwLock<Catalog>,
     store: ShardedStore,
@@ -154,7 +127,7 @@ struct ServiceInner {
     inflight: Vec<Mutex<HashMap<String, Arc<Inflight>>>>,
     counters: Counters,
     threads: usize,
-    policy: crate::support::SupportPolicy,
+    policy: SupportPolicy,
     mode: ReuseMode,
     seed: AtomicU64,
     /// Fault-injection hook (nanoseconds; 0 = off): owners of an
@@ -185,12 +158,87 @@ impl Clone for LaqyService {
     }
 }
 
+/// Service configuration.
+#[derive(Debug, Clone)]
+pub struct SessionConfig {
+    /// Worker threads (defaults to available parallelism).
+    pub threads: usize,
+    /// Support / oversampling policy.
+    pub policy: SupportPolicy,
+    /// Base RNG seed (determinism across runs).
+    pub seed: u64,
+    /// Optional sample-store byte budget (LRU-evicted, global across
+    /// shards).
+    pub store_budget_bytes: Option<usize>,
+    /// Reuse aggressiveness (ablation switch; default lazy/partial reuse).
+    pub reuse_mode: ReuseMode,
+    /// Sample-store shard count, clamped to `1..=`[`STORE_SHARDS`]. One
+    /// shard reproduces the single-lock layout (the bench baseline).
+    pub store_shards: usize,
+}
+
+impl Default for SessionConfig {
+    fn default() -> Self {
+        Self {
+            threads: laqy_engine::parallel::default_threads(),
+            policy: SupportPolicy::default(),
+            seed: 0xACE1,
+            store_budget_bytes: None,
+            reuse_mode: ReuseMode::default(),
+            store_shards: STORE_SHARDS,
+        }
+    }
+}
+
 /// Outcome of one plan-and-execute attempt.
-enum Attempt {
+enum Outcome {
     Done(Box<ApproxResult>),
     /// The store changed under us (eviction, competing merge, or an
     /// in-flight wait completed): re-plan from scratch.
     Retry,
+}
+
+/// What one plan-and-execute attempt works against, fixed when it starts.
+struct Attempt<'q> {
+    executor: LaqyExecutor,
+    query: &'q ApproxQuery,
+    /// One epoch pinned for the whole attempt: every scan runs against
+    /// this clone's frozen table versions (cheap `Arc` clones), so a
+    /// concurrent ingest can never tear the query across epochs.
+    pinned: Catalog,
+    descriptor: SampleDescriptor,
+    /// The pinned fact table's row watermark.
+    watermark: u64,
+    /// The query predicate a reused sample is tightened to.
+    tighten: Predicates,
+    /// When the query (not this attempt) started.
+    t_start: Instant,
+}
+
+/// The arm an answer came from: what [`LaqyService::finish`] stamps and
+/// counts.
+#[derive(Clone, Copy)]
+enum Arm {
+    Full,
+    Coverage,
+    Online,
+    /// Online sampling that bypasses the store (the baseline): counted
+    /// nowhere.
+    Oblivious,
+}
+
+/// An arm's estimate on its way into [`LaqyService::finish`].
+struct Estimated {
+    groups: Vec<GroupEstimate>,
+    stats: ExecStats,
+    /// Support of the full-region sample, from the arms that drew one; a
+    /// reuse arm's is derived from the groups' tightened counts.
+    support: Option<SupportReport>,
+}
+
+/// `counter += n` (relaxed: telemetry).
+fn add(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
 }
 
 impl LaqyService {
@@ -223,8 +271,7 @@ impl LaqyService {
 
     /// Register (or replace) a table. Waits for in-progress queries'
     /// catalog reads to drain. Samples built from a replaced table keep
-    /// their old contents until evicted or cleared (same caveat as the
-    /// single-owner session).
+    /// their old contents until evicted or cleared.
     pub fn register_table(&self, table: Table) {
         self.inner.catalog.write().register(table);
     }
@@ -243,36 +290,7 @@ impl LaqyService {
 
     /// Snapshot of the per-service counters.
     pub fn stats(&self) -> ServiceStats {
-        let c = &self.inner.counters;
-        ServiceStats {
-            queries: c.queries.load(Ordering::Relaxed),
-            full_hits: c.full_hits.load(Ordering::Relaxed),
-            partial_merges: c.partial_merges.load(Ordering::Relaxed),
-            online_runs: c.online_runs.load(Ordering::Relaxed),
-            delta_scans: c.delta_scans.load(Ordering::Relaxed),
-            online_scans: c.online_scans.load(Ordering::Relaxed),
-            merges_deduped: c.merges_deduped.load(Ordering::Relaxed),
-            online_deduped: c.online_deduped.load(Ordering::Relaxed),
-            merge_retries: c.merge_retries.load(Ordering::Relaxed),
-            support_fallbacks: c.support_fallbacks.load(Ordering::Relaxed),
-            lock_wait_nanos: c.lock_wait_nanos.load(Ordering::Relaxed),
-            morsels_skipped: c.morsels_skipped.load(Ordering::Relaxed),
-            morsels_fast_pathed: c.morsels_fast_pathed.load(Ordering::Relaxed),
-            morsels_scanned: c.morsels_scanned.load(Ordering::Relaxed),
-            lane_covered_rows: c.lane_covered_rows.load(Ordering::Relaxed),
-            fragments_reused: c.fragments_reused.load(Ordering::Relaxed),
-            fragments_scanned: c.fragments_scanned.load(Ordering::Relaxed),
-            fragments_deduped: c.fragments_deduped.load(Ordering::Relaxed),
-            degraded_answers: c.degraded_answers.load(Ordering::Relaxed),
-            faults_injected: c.faults_injected.load(Ordering::Relaxed),
-            snapshots_recovered: c.snapshots_recovered.load(Ordering::Relaxed),
-            ingest_batches: c.ingest_batches.load(Ordering::Relaxed),
-            ingest_rows: c.ingest_rows.load(Ordering::Relaxed),
-            absorbed_samples: c.absorbed_samples.load(Ordering::Relaxed),
-            absorbed_rows: c.absorbed_rows.load(Ordering::Relaxed),
-            wal_appends: c.wal_appends.load(Ordering::Relaxed),
-            wal_replays: c.wal_replays.load(Ordering::Relaxed),
-        }
+        self.inner.counters.snapshot()
     }
 
     /// Clear all materialized samples (cold-start experiments).
@@ -600,20 +618,18 @@ impl LaqyService {
         budget: QueryBudget,
     ) -> Result<ApproxResult> {
         let t_start = Instant::now();
-        self.inner.counters.queries.fetch_add(1, Ordering::Relaxed);
+        let c = &self.inner.counters;
+        add(&c.queries, 1);
         let token = budget.start();
         let mut attempts = 0u32;
         let result = loop {
             attempts += 1;
             match self.try_run(query, &token, t_start, attempts > MAX_PLAN_RETRIES) {
-                Ok(Attempt::Done(result)) => break result,
-                Ok(Attempt::Retry) => continue,
+                Ok(Outcome::Done(result)) => break result,
+                Ok(Outcome::Retry) => continue,
                 Err(e) => {
                     if matches!(e, LaqyError::Injected(_) | LaqyError::WorkerPanic(_)) {
-                        self.inner
-                            .counters
-                            .faults_injected
-                            .fetch_add(1, Ordering::Relaxed);
+                        add(&c.faults_injected, 1);
                     }
                     return Err(e);
                 }
@@ -621,10 +637,7 @@ impl LaqyService {
         };
         self.note_prune(&result.stats);
         if result.stats.degraded.is_some() {
-            self.inner
-                .counters
-                .degraded_answers
-                .fetch_add(1, Ordering::Relaxed);
+            add(&c.degraded_answers, 1);
         }
         Ok(*result)
     }
@@ -633,9 +646,19 @@ impl LaqyService {
     /// the full range, stores nothing, touches no shared state beyond a
     /// catalog read.
     pub fn run_online_oblivious(&self, query: &ApproxQuery) -> Result<ApproxResult> {
-        let mut executor = self.executor();
-        let catalog = self.catalog();
-        executor.run_online(&catalog, query)
+        let mut at = self.begin(query, &CancelToken::unbounded(), Instant::now())?;
+        let run = at.executor.run_online(&at.pinned, query, false)?;
+        let est = Estimated {
+            groups: run.groups,
+            stats: run.stats,
+            support: Some(run.support),
+        };
+        match self.finish(&mut at, Arm::Oblivious, 1.0, est)? {
+            Outcome::Done(result) => Ok(*result),
+            Outcome::Retry => Err(LaqyError::Unsupported(
+                "an oblivious run has no plan to retry".into(),
+            )),
+        }
     }
 
     /// Run exactly (baseline). Returns engine results plus stats.
@@ -683,14 +706,10 @@ impl LaqyService {
     /// service totals.
     fn note_prune(&self, stats: &ExecStats) {
         let c = &self.inner.counters;
-        c.morsels_skipped
-            .fetch_add(stats.morsels_skipped, Ordering::Relaxed);
-        c.morsels_fast_pathed
-            .fetch_add(stats.morsels_fast_pathed, Ordering::Relaxed);
-        c.morsels_scanned
-            .fetch_add(stats.morsels_scanned, Ordering::Relaxed);
-        c.lane_covered_rows
-            .fetch_add(stats.lane_covered_rows, Ordering::Relaxed);
+        add(&c.morsels_skipped, stats.morsels_skipped);
+        add(&c.morsels_fast_pathed, stats.morsels_fast_pathed);
+        add(&c.morsels_scanned, stats.morsels_scanned);
+        add(&c.lane_covered_rows, stats.lane_covered_rows);
     }
 
     /// A fresh per-query executor. Seeds advance through a service-wide
@@ -700,7 +719,7 @@ impl LaqyService {
             .inner
             .seed
             .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-        LaqyExecutor::new(self.inner.threads, self.inner.policy, seed).with_mode(self.inner.mode)
+        LaqyExecutor::new(self.inner.threads, self.inner.policy, seed)
     }
 
     fn hold_for_test(&self) {
@@ -710,497 +729,402 @@ impl LaqyService {
         }
     }
 
-    /// One optimistic plan-and-execute attempt.
+    /// Start an attempt: a fresh executor under the query's budget, one
+    /// pinned catalog epoch, and the sampler identity derived from it.
+    fn begin<'q>(
+        &self,
+        query: &'q ApproxQuery,
+        token: &CancelToken,
+        t_start: Instant,
+    ) -> Result<Attempt<'q>> {
+        let mut executor = self.executor();
+        executor.set_budget_token(token.clone());
+        let pinned: Catalog = self.catalog().clone();
+        let descriptor = executor.descriptor(&pinned, query)?;
+        let watermark = pinned.table(&query.plan.fact)?.row_watermark();
+        Ok(Attempt {
+            executor,
+            query,
+            pinned,
+            descriptor,
+            watermark,
+            tighten: Predicates::on(query.range_column.clone(), IntervalSet::of(query.range)),
+            t_start,
+        })
+    }
+
+    /// One optimistic plan-and-execute attempt: the stages in order.
     fn try_run(
         &self,
         query: &ApproxQuery,
         token: &CancelToken,
         t_start: Instant,
         force_online: bool,
-    ) -> Result<Attempt> {
-        let mut executor = self.executor();
-        executor.set_budget_token(token.clone());
-        // Pin one epoch for the whole attempt: every scan below runs
-        // against this clone's frozen table versions (cheap `Arc`
-        // clones), so a concurrent ingest can never tear this query
-        // across epochs.
-        let pinned: Catalog = self.catalog().clone();
-        let descriptor = executor.descriptor(&pinned, query)?;
-        let watermark = pinned.table(&query.plan.fact)?.row_watermark();
-        let tighten = Predicates::on(query.range_column.clone(), IntervalSet::of(query.range));
+    ) -> Result<Outcome> {
+        let mut at = self.begin(query, token, t_start)?;
+        let (plan, snapshot) = self.plan(&at, force_online);
+        let effective = plan.uncovered_fraction(&at.descriptor);
+        let (arm, estimated) = match plan {
+            LazyPlan::FullReuse { id } => (Arm::Full, self.fetch(&at, id)?),
+            LazyPlan::CoverageReuse(plan) => {
+                let estimated = self.run_coverage(&mut at, &plan, &snapshot, effective)?;
+                (Arm::Coverage, estimated)
+            }
+            LazyPlan::Online => return self.run_online_absorbing(&mut at),
+        };
+        match estimated {
+            Some(est) => self.finish(&mut at, arm, effective, est),
+            None => Ok(Outcome::Retry),
+        }
+    }
 
-        let (mut plan, snapshot) = if force_online {
-            (LazyPlan::Online, Vec::new())
-        } else {
-            // Every reuse candidate shares the descriptor's fingerprint,
-            // so planning only ever needs the home shard's read guard.
-            let home = self.inner.store.shard_for(&descriptor);
-            let store = self.timed(|i| i.store.read_shard(home));
-            let plan = match self.inner.mode {
-                ReuseMode::SingleSample => plan_lazy_capped(&store, &descriptor, 1, watermark),
-                _ => plan_lazy(&store, &descriptor, watermark),
-            };
-            // Snapshot the selected samples' coverage *and* watermarks
-            // under the same read guard the plan was made under:
-            // run_coverage revalidates the store against this exact
-            // snapshot before merging, so a concurrent absorb (which
-            // moves a watermark) invalidates the plan instead of
-            // double-counting tail rows.
-            let snapshot = if let LazyPlan::CoverageReuse { samples, .. } = &plan {
-                // Every planned sample is present under this same read
-                // guard; if one were somehow missing the snapshot comes
+    /// **Plan**: Algorithm 1 against the home shard, under its read guard
+    /// (every reuse candidate shares the descriptor's fingerprint, so
+    /// planning never needs another shard). The reuse mode caps how many
+    /// samples a plan may select and, for all-or-none matching, demotes a
+    /// coverage plan to online. For a coverage plan the selected samples'
+    /// coverage *and* watermarks are snapshotted under the same guard:
+    /// [`Self::merge`] revalidates the store against exactly this
+    /// snapshot, so a concurrent absorb (which moves a watermark)
+    /// invalidates the plan instead of double-counting tail rows.
+    fn plan(&self, at: &Attempt<'_>, force_online: bool) -> (LazyPlan, Vec<(Predicates, u64)>) {
+        if force_online {
+            return (LazyPlan::Online, Vec::new());
+        }
+        let home = self.inner.store.shard_for(&at.descriptor);
+        let store = self.timed(|i| i.store.read_shard(home));
+        let cap = match self.inner.mode {
+            ReuseMode::SingleSample => 1,
+            _ => MAX_COVERAGE_SAMPLES,
+        };
+        match plan_lazy_capped(&store, &at.descriptor, cap, at.watermark) {
+            LazyPlan::CoverageReuse(_) if self.inner.mode == ReuseMode::FullMatchOnly => {
+                (LazyPlan::Online, Vec::new())
+            }
+            LazyPlan::CoverageReuse(plan) => {
+                // Were a planned sample somehow missing, the snapshot comes
                 // up short, revalidation fails, and the attempt re-plans
                 // instead of panicking on a hot path.
-                samples
+                let snapshot = plan
+                    .samples
                     .iter()
-                    .filter_map(|id| {
-                        store
-                            .peek(*id)
-                            .map(|s| (s.descriptor.predicates.clone(), s.watermark))
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            (plan, snapshot)
-        };
-        if self.inner.mode == ReuseMode::FullMatchOnly {
-            if let LazyPlan::CoverageReuse { .. } = plan {
-                plan = LazyPlan::Online;
+                    .filter_map(|id| store.peek(*id))
+                    .map(|s| (s.descriptor.predicates.clone(), s.watermark))
+                    .collect();
+                (LazyPlan::CoverageReuse(plan), snapshot)
             }
-        }
-        let effective = plan.uncovered_fraction(&descriptor);
-
-        match plan {
-            LazyPlan::FullReuse { id } => {
-                let pre = ExecStats {
-                    effective_selectivity: 0.0,
-                    reuse: Some(ReuseClass::Full),
-                    ..Default::default()
-                };
-                match self.estimate_reused(
-                    &mut executor,
-                    id,
-                    query,
-                    &pinned,
-                    &tighten,
-                    pre,
-                    t_start,
-                )? {
-                    Some(result) => {
-                        self.inner
-                            .counters
-                            .full_hits
-                            .fetch_add(1, Ordering::Relaxed);
-                        Ok(Attempt::Done(Box::new(result)))
-                    }
-                    None => Ok(Attempt::Retry),
-                }
-            }
-            LazyPlan::CoverageReuse {
-                samples,
-                fragments,
-                tails,
-            } => self.run_coverage(
-                &mut executor,
-                query,
-                &descriptor,
-                &pinned,
-                watermark,
-                samples,
-                snapshot,
-                fragments,
-                tails,
-                effective,
-                &tighten,
-                t_start,
-            ),
-            LazyPlan::Online => {
-                self.run_online_absorbing(&mut executor, query, &descriptor, &pinned, t_start)
-            }
+            other => (other, Vec::new()),
         }
     }
 
-    /// Coverage execution: one Δ-scan per residual fragment and per
-    /// stale-sample append tail (each deduplicated against concurrent
-    /// clients), a k-way merge with the selected stored samples, then
-    /// estimation — with optimistic revalidation under the write lock.
-    #[allow(clippy::too_many_arguments)]
-    fn run_coverage(
-        &self,
-        executor: &mut LaqyExecutor,
-        query: &ApproxQuery,
-        descriptor: &SampleDescriptor,
-        pinned: &Catalog,
-        watermark: u64,
-        samples: Vec<SampleId>,
-        snapshot: Vec<(Predicates, u64)>,
-        fragments: Vec<Predicates>,
-        tails: Vec<TailFragment>,
-        effective: f64,
-        tighten: &Predicates,
-        t_start: Instant,
-    ) -> Result<Attempt> {
-        let c = &self.inner.counters;
-        let home = self.inner.store.shard_for(descriptor);
-        // Non-blocking try-claim of every fragment and tail. Claims are
-        // never held while waiting, so two clients with overlapping claim
-        // sets cannot deadlock on each other. Keys hash to different
-        // registry shards, so concurrent plans spanning many fragments
-        // spread their claims instead of serializing on one mutex.
-        let mut owned: Vec<(usize, InflightGuard<'_>)> = Vec::new();
-        let mut owned_tails: Vec<(usize, InflightGuard<'_>)> = Vec::new();
-        let mut busy: Vec<Arc<Inflight>> = Vec::new();
-        for (i, frag) in fragments.iter().enumerate() {
-            let key = format!("F|{}|{:?}", descriptor.fingerprint(), frag);
-            match self.try_begin_inflight(&key) {
-                Claim::Owner(guard) => owned.push((i, guard)),
-                Claim::Busy(entry) => busy.push(entry),
-            }
-        }
-        for (i, tail) in tails.iter().enumerate() {
-            let key = format!(
-                "T|{}|{:?}|{}",
-                descriptor.fingerprint(),
-                tail.id,
-                tail.from_row
-            );
-            match self.try_begin_inflight(&key) {
-                Claim::Owner(guard) => owned_tails.push((i, guard)),
-                Claim::Busy(entry) => busy.push(entry),
-            }
-        }
-        if !owned.is_empty() || !owned_tails.is_empty() {
-            self.hold_for_test();
-        }
-
-        // Scan the fragments and tails we own — lock-free, the expensive
-        // part — against the pinned epoch.
-        let (_, schema) = executor.payload_schema(pinned, query)?;
-        let mut scans = executor.scan_coverage(
-            pinned,
-            query,
-            owned.iter().map(|(i, _)| (*i, &fragments[*i])),
-            owned_tails.iter().map(|(i, _)| (*i, &tails[*i])),
-        )?;
-        let mut stats = std::mem::take(&mut scans.stats);
-        let scanned = (scans.fragments.len() + scans.tails.len()) as u64;
-        c.delta_scans.fetch_add(scanned, Ordering::Relaxed);
-        c.fragments_scanned.fetch_add(scanned, Ordering::Relaxed);
-        stats.fragments_scanned = scanned;
-        let plan = CoveragePlanRef {
-            descriptor,
-            schema: &schema,
-            watermark,
-            samples: &samples,
-            fragments: &fragments,
-            tails: &tails,
-        };
-
-        if !busy.is_empty() {
-            // Concurrent clients are scanning the rest of our fragments.
-            // Keep our own scan work — each clean fragment sample is a
-            // valid sample of its box — then release our claims, wait
-            // guard-free for the others, and re-plan (normally upgrading
-            // to full or pure-merge reuse).
-            if scans.fragments.iter().chain(&scans.tails).any(|s| s.clean) {
-                let mut store = self.timed(|i| i.store.write_shard(home));
-                scans.absorb_clean(&mut store, executor.rng_mut(), &plan);
-            }
-            c.fragments_deduped
-                .fetch_add(busy.len() as u64, Ordering::Relaxed);
-            c.merges_deduped.fetch_add(1, Ordering::Relaxed);
-            drop(owned);
-            for entry in busy {
-                Self::wait_inflight(&entry);
-            }
-            return Ok(Attempt::Retry);
-        }
-
-        // All fragments and tails are ours: fold the per-scan coverage
-        // into one query-level degradation record (None when every scan
-        // ran to completion).
-        stats.degraded = blended_degradation(
-            stats.degraded.take(),
-            scans.coverage,
-            fragments.len() + tails.len(),
-            scans.skipped,
-            effective,
-        );
-
-        // Merge under the write lock, after revalidating that every
-        // selected sample still has exactly the coverage *and* the
-        // watermark the plan was made against (a competing merge,
-        // eviction, or tail absorb would otherwise double-count rows or
-        // lose the sample entirely). The stored samples are read in place
-        // and the merged sample is shared with the store, not copied, so
-        // the lock is held for the merge itself and nothing else.
-        let t_merge = Instant::now();
-        let merge = {
-            let mut store = self.timed(|i| i.store.write_shard(home));
-            let valid = samples.len() == snapshot.len()
-                && samples.iter().zip(&snapshot).all(|(id, snap)| {
-                    store
-                        .peek(*id)
-                        .is_some_and(|s| s.descriptor.predicates == snap.0 && s.watermark == snap.1)
-                });
-            if valid {
-                scans.merge_and_absorb(
-                    &mut store,
-                    executor.rng_mut(),
-                    &plan,
-                    stats.degraded.is_some(),
-                )
-            } else {
-                // Stale plan: keep the (clean) scan work anyway, then
-                // re-plan. Tail absorbs stay safe against whatever
-                // invalidated the plan — the from_row guard rejects a
-                // tail whose sample moved on.
-                scans.absorb_clean(&mut store, executor.rng_mut(), &plan);
-                None
-            }
-        };
-        stats.merge = t_merge.elapsed();
-        let Some(merge) = merge else {
-            c.merge_retries.fetch_add(1, Ordering::Relaxed);
-            return Ok(Attempt::Retry);
-        };
-
-        let t_est = Instant::now();
-        let mut groups = merge.estimate(&schema, &query.plan.aggs, tighten)?;
-        if let Some(deg) = &stats.degraded {
-            apply_degradation(&mut groups, &query.plan.aggs, deg);
-        }
-        let mut support = support_from_groups(&groups, &self.inner.policy);
-        stats.estimate += t_est.elapsed();
-        stats.effective_selectivity = effective;
-        stats.fragments_reused = samples.len() as u64;
-        stats.reuse = Some(ReuseClass::Partial);
-        c.fragments_reused
-            .fetch_add(samples.len() as u64, Ordering::Relaxed);
-
-        if self.inner.policy.conservative && stats.degraded.is_none() && !support.fully_supported()
-        {
-            let refined =
-                executor.refine_support(pinned, query, &mut groups, &mut support, &mut stats)?;
-            if !refined {
-                c.support_fallbacks.fetch_add(1, Ordering::Relaxed);
-                return self.run_online_absorbing(executor, query, descriptor, pinned, t_start);
-            }
-        }
-        stats.total = t_start.elapsed();
-        c.partial_merges.fetch_add(1, Ordering::Relaxed);
-        Ok(Attempt::Done(Box::new(ApproxResult {
+    /// **Fetch**: estimate the query from stored sample `id` under its
+    /// shard's read guard. `None` when the sample vanished since planning.
+    fn fetch(&self, at: &Attempt<'_>, id: SampleId) -> Result<Option<Estimated>> {
+        let store = self.timed(|i| i.store.read_shard(i.store.shard_for_id(id)));
+        let estimated = at
+            .executor
+            .estimate_stored(&store, id, at.query, &at.tighten)?;
+        Ok(estimated.map(|(groups, estimate)| Estimated {
             groups,
-            stats,
-            support,
-        })))
-    }
-
-    /// Estimate a query from stored sample `id` (full or freshly merged
-    /// partial reuse), applying the conservative support fallback.
-    /// Returns `None` when the sample vanished and the caller must
-    /// re-plan.
-    #[allow(clippy::too_many_arguments)]
-    fn estimate_reused(
-        &self,
-        executor: &mut LaqyExecutor,
-        id: SampleId,
-        query: &ApproxQuery,
-        pinned: &Catalog,
-        tighten: &Predicates,
-        mut stats: ExecStats,
-        t_start: Instant,
-    ) -> Result<Option<ApproxResult>> {
-        let estimated = {
-            let store = self.timed(|i| i.store.read_shard(i.store.shard_for_id(id)));
-            if store.peek(id).is_none() {
-                None
-            } else {
-                Some(executor.estimate_stored(&store, id, query, tighten)?)
-            }
-        };
-        let Some((mut groups, mut support, est_time)) = estimated else {
-            return Ok(None);
-        };
-        stats.estimate += est_time;
-        if self.inner.policy.conservative && !support.fully_supported() {
-            let refined =
-                executor.refine_support(pinned, query, &mut groups, &mut support, &mut stats)?;
-            if !refined {
-                // Low support not recoverable per-stratum: validate with a
-                // full online run, as the single-owner path does.
-                self.inner
-                    .counters
-                    .support_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-                let descriptor = executor.descriptor(pinned, query)?;
-                return match self.run_online_absorbing(
-                    executor,
-                    query,
-                    &descriptor,
-                    pinned,
-                    t_start,
-                )? {
-                    Attempt::Done(result) => Ok(Some(*result)),
-                    Attempt::Retry => Ok(None),
-                };
-            }
-        }
-        stats.total = t_start.elapsed();
-        Ok(Some(ApproxResult {
-            groups,
-            stats,
-            support,
+            stats: ExecStats {
+                estimate,
+                ..Default::default()
+            },
+            support: None,
         }))
     }
 
-    /// Full online sampling + absorb into the shared store, deduplicating
-    /// identical concurrent misses.
-    fn run_online_absorbing(
+    /// **Scan**: try-claim every fragment and tail of the plan, then
+    /// Δ-scan the ones we own — lock-free, the expensive part — against
+    /// the pinned epoch. Keys hash to different registry shards, so
+    /// concurrent plans spanning many parts spread their claims instead of
+    /// serializing on one mutex.
+    fn scan(
         &self,
-        executor: &mut LaqyExecutor,
-        query: &ApproxQuery,
-        descriptor: &crate::descriptor::SampleDescriptor,
-        pinned: &Catalog,
-        t_start: Instant,
-    ) -> Result<Attempt> {
-        let key = format!("O|{}|{:?}", descriptor.fingerprint(), descriptor.predicates);
-        let Some(_guard) = self.begin_inflight(&key) else {
-            self.inner
-                .counters
-                .online_deduped
-                .fetch_add(1, Ordering::Relaxed);
-            return Ok(Attempt::Retry);
+        at: &mut Attempt<'_>,
+        plan: &CoveragePlan,
+    ) -> Result<(Claims<'_>, CoverageScans)> {
+        let fingerprint = at.descriptor.fingerprint();
+        let fragments = plan
+            .fragments
+            .iter()
+            .map(|f| format!("F|{fingerprint}|{f:?}"));
+        let tails = plan
+            .tails
+            .iter()
+            .map(|t| format!("T|{fingerprint}|{:?}|{}", t.id, t.from_row));
+        let claims = self.claim(fragments.chain(tails));
+        if !claims.owned.is_empty() {
+            self.hold_for_test();
+        }
+        let owned = claims.owned.iter().map(|(part, _)| *part);
+        let scans = at
+            .executor
+            .scan_coverage(&at.pinned, at.query, plan, owned)?;
+        let scanned = scans.scans.len() as u64;
+        add(&self.inner.counters.delta_scans, scanned);
+        add(&self.inner.counters.fragments_scanned, scanned);
+        Ok((claims, scans))
+    }
+
+    /// **Merge**: under the home shard's write guard, revalidate that
+    /// every selected sample still has exactly the coverage *and* the
+    /// watermark of the plan-time `snapshot` (a competing merge, eviction,
+    /// or tail absorb would otherwise double-count rows or lose the sample
+    /// entirely), then run the store's coverage write step. The stored
+    /// samples are read in place and the merged sample is shared with the
+    /// store, not copied, so the lock is held for the merge itself and
+    /// nothing else. A stale plan — or no snapshot at all, when other
+    /// clients are still scanning the rest of the plan — keeps the clean
+    /// scan work without merging (tail absorbs stay safe against whatever
+    /// invalidated the plan: the `from_row` guard rejects a tail whose
+    /// sample moved on) and returns `None`.
+    fn merge(
+        &self,
+        at: &mut Attempt<'_>,
+        plan: &CoveragePlan,
+        snapshot: Option<&[(Predicates, u64)]>,
+        scans: CoverageScans,
+    ) -> Option<CoverageMerge> {
+        if snapshot.is_none() && !scans.scans.iter().any(|s| s.clean) {
+            return None;
+        }
+        let home = self.inner.store.shard_for(&at.descriptor);
+        let mut store = self.timed(|i| i.store.write_shard(home));
+        let valid = snapshot.is_some_and(|snapshot| {
+            plan.samples.len() == snapshot.len()
+                && plan.samples.iter().zip(snapshot).all(|(id, snap)| {
+                    store
+                        .peek(*id)
+                        .is_some_and(|s| s.descriptor.predicates == snap.0 && s.watermark == snap.1)
+                })
+        });
+        let rng = at.executor.rng_mut();
+        scans.merge_into(&mut store, rng, &at.descriptor, plan, valid)
+    }
+
+    /// Coverage execution: **scan** what we can claim, **merge** with the
+    /// selected stored samples, **estimate**. `None` when the attempt must
+    /// re-plan: other clients own part of the plan, or it went stale.
+    fn run_coverage(
+        &self,
+        at: &mut Attempt<'_>,
+        plan: &CoveragePlan,
+        snapshot: &[(Predicates, u64)],
+        effective: f64,
+    ) -> Result<Option<Estimated>> {
+        let c = &self.inner.counters;
+        let (claims, mut scans) = self.scan(at, plan)?;
+        let mut stats = std::mem::take(&mut scans.stats);
+        stats.fragments_scanned = scans.scans.len() as u64;
+
+        if !claims.busy.is_empty() {
+            // Concurrent clients are scanning the rest of our plan. Keep
+            // our own scan work — each clean Δ sample is a valid sample of
+            // its box — then release our claims, wait for the others, and
+            // re-plan (normally upgrading to full or pure-merge reuse).
+            self.merge(at, plan, None, scans);
+            add(&c.fragments_deduped, claims.busy.len() as u64);
+            add(&c.merges_deduped, 1);
+            claims.release_and_wait();
+            return Ok(None);
+        }
+
+        // Every part is ours: fold the per-scan coverage into one
+        // query-level degradation record (None when every scan ran to
+        // completion).
+        stats.degraded = blended_degradation(
+            stats.degraded.take(),
+            scans.coverage,
+            plan.fragments.len() + plan.tails.len(),
+            scans.skipped,
+            effective,
+        );
+        let t_merge = Instant::now();
+        let merge = self.merge(at, plan, Some(snapshot), scans);
+        stats.merge = t_merge.elapsed();
+        // The store now holds the scan work: waiters may re-plan.
+        drop(claims);
+        let Some(merge) = merge else {
+            add(&c.merge_retries, 1);
+            return Ok(None);
         };
+
+        // **Estimate** — lock-free: the merged sample is shared with the
+        // store, not borrowed from it.
+        let t_est = Instant::now();
+        let groups = merge.estimate(&at.query.plan.aggs, &at.tighten)?;
+        stats.estimate += t_est.elapsed();
+        stats.fragments_reused = plan.samples.len() as u64;
+        add(&c.fragments_reused, plan.samples.len() as u64);
+        Ok(Some(Estimated {
+            groups,
+            stats,
+            support: None,
+        }))
+    }
+
+    /// The no-reuse arm: full online sampling, deduplicating identical
+    /// concurrent misses, absorbed into the shared store.
+    fn run_online_absorbing(&self, at: &mut Attempt<'_>) -> Result<Outcome> {
+        let c = &self.inner.counters;
+        let key = format!(
+            "O|{}|{:?}",
+            at.descriptor.fingerprint(),
+            at.descriptor.predicates
+        );
+        let claims = self.claim(std::iter::once(key));
+        if !claims.busy.is_empty() {
+            add(&c.online_deduped, 1);
+            claims.release_and_wait();
+            return Ok(Outcome::Retry);
+        }
         self.hold_for_test();
 
-        let ranges = IntervalSet::of(query.range);
-        let (sample, mut stats, schema, groups, support) = {
-            let run = executor.sample_pipeline_hybrid(
-                pinned,
-                query,
-                &ranges,
-                &Predicate::True,
-                true,
-                0,
-            )?;
-            let (_, schema) = executor.payload_schema(pinned, query)?;
-            let t_est = Instant::now();
-            // Hybrid estimation: boundary sample plus exact lane mass
-            // when harvested; the full-region sample is what the store
-            // absorbs and what the support check inspects.
-            let opts = crate::estimate::EstimateOptions {
-                exact: (!run.exact.is_empty()).then_some(&run.exact),
-                ..Default::default()
-            };
-            let est_sample = run.boundary.as_ref().unwrap_or(&run.sample);
-            let mut groups =
-                crate::estimate::estimate(est_sample, &schema, &query.plan.aggs, &opts)?;
-            if let Some(deg) = &run.stats.degraded {
-                apply_degradation(&mut groups, &query.plan.aggs, deg);
-            }
-            let support =
-                crate::support::check_support(&run.sample, &schema, None, &self.inner.policy)?;
-            let mut stats = run.stats;
-            stats.estimate = t_est.elapsed();
-            (run.sample, stats, schema, groups, support)
-        };
-        self.inner
-            .counters
-            .online_scans
-            .fetch_add(1, Ordering::Relaxed);
-
-        // A degraded sample never enters the shared store: its descriptor
-        // would claim coverage the budget cut short, poisoning every
-        // future reuse decision.
-        if stats.degraded.is_none() {
-            let watermark = pinned
-                .table(&query.plan.fact)
-                .map(|t| t.row_watermark())
-                .unwrap_or(0);
-            let home = self.inner.store.shard_for(descriptor);
+        let run = at.executor.run_online(&at.pinned, at.query, true)?;
+        add(&c.online_scans, 1);
+        // Capture the sample for future reuse (sample-as-you-query: it was
+        // needed anyway, so storing it costs only space) — unless the
+        // budget cut the scan short: a degraded sample's descriptor would
+        // claim coverage the scan never delivered, poisoning every future
+        // reuse decision.
+        if run.stats.degraded.is_none() {
+            let home = self.inner.store.shard_for(&at.descriptor);
             let mut store = self.timed(|i| i.store.write_shard(home));
             store.absorb(
-                descriptor.clone(),
-                schema,
-                sample,
-                watermark,
-                executor.rng_mut(),
+                at.descriptor.clone(),
+                run.schema,
+                run.sample,
+                at.watermark,
+                at.executor.rng_mut(),
             );
         }
-        self.inner
-            .counters
-            .online_runs
-            .fetch_add(1, Ordering::Relaxed);
+        drop(claims);
+        let est = Estimated {
+            groups: run.groups,
+            stats: run.stats,
+            support: Some(run.support),
+        };
+        self.finish(at, Arm::Online, 1.0, est)
+    }
 
-        stats.effective_selectivity = 1.0;
-        stats.reuse = Some(ReuseClass::Online);
-        stats.total = t_start.elapsed();
-        Ok(Attempt::Done(Box::new(ApproxResult {
+    /// **Finish** — the one exit every arm's estimate takes: apply the
+    /// degradation record, derive the support report, run the §5.2.3
+    /// conservative fallback (re-sample online, filter pushed down, only
+    /// the under-supported strata of a reused sample — validating whether
+    /// low support reflects the data or a sampling artifact — or, where
+    /// that does not apply, answer from a full online run instead), stamp
+    /// the arm and the clock, count the answer.
+    fn finish(
+        &self,
+        at: &mut Attempt<'_>,
+        arm: Arm,
+        effective: f64,
+        est: Estimated,
+    ) -> Result<Outcome> {
+        let c = &self.inner.counters;
+        let policy = &self.inner.policy;
+        let Estimated {
+            mut groups,
+            mut stats,
+            support,
+        } = est;
+        let t = Instant::now();
+        if let Some(deg) = &stats.degraded {
+            apply_degradation(&mut groups, &at.query.plan.aggs, deg);
+        }
+        // Estimation already counted the tightened support per stratum
+        // (strata and output groups coincide: QCS = GROUP BY).
+        let mut support = support.unwrap_or_else(|| support_from_groups(&groups, policy));
+        stats.estimate += t.elapsed();
+
+        let (class, counter) = match arm {
+            Arm::Full => (ReuseClass::Full, Some(&c.full_hits)),
+            Arm::Coverage => (ReuseClass::Partial, Some(&c.partial_merges)),
+            Arm::Online => (ReuseClass::Online, Some(&c.online_runs)),
+            Arm::Oblivious => (ReuseClass::Online, None),
+        };
+        if matches!(arm, Arm::Full | Arm::Coverage)
+            && policy.conservative
+            && stats.degraded.is_none()
+            && !support.fully_supported()
+            && !at.executor.refine_support(
+                &at.pinned,
+                at.query,
+                &mut groups,
+                &mut support,
+                &mut stats,
+            )?
+        {
+            add(&c.support_fallbacks, 1);
+            return self.run_online_absorbing(at);
+        }
+        stats.reuse = Some(class);
+        stats.effective_selectivity = effective;
+        stats.total = at.t_start.elapsed();
+        if let Some(counter) = counter {
+            add(counter, 1);
+        }
+        Ok(Outcome::Done(Box::new(ApproxResult {
             groups,
             stats,
             support,
         })))
     }
 
-    /// Claim the in-flight sampling slot for `key` without blocking.
-    ///
-    /// Returns [`Claim::Owner`] with a guard (releases waiters on drop,
-    /// including on error paths) if this thread now owns the slot, or
-    /// [`Claim::Busy`] with the entry to wait on later — after dropping
-    /// any claims of our own, so overlapping claim sets never deadlock.
-    fn try_begin_inflight(&self, key: &str) -> Claim<'_> {
-        let shard = self.inner.store.registry_shard(key);
-        let mut registry = self.inner.inflight[shard].lock();
-        match registry.get(key) {
-            Some(entry) => Claim::Busy(Arc::clone(entry)),
-            None => {
-                registry.insert(key.to_string(), Arc::new(Inflight::new()));
-                Claim::Owner(InflightGuard {
-                    inner: &self.inner,
-                    shard,
-                    key: key.to_string(),
-                })
+    /// Try-claim — never blocking — the in-flight slot of every key, in
+    /// order.
+    fn claim(&self, keys: impl Iterator<Item = String>) -> Claims<'_> {
+        let mut claims = Claims {
+            owned: Vec::new(),
+            busy: Vec::new(),
+        };
+        for (position, key) in keys.enumerate() {
+            let shard = self.inner.store.registry_shard(&key);
+            let mut registry = self.inner.inflight[shard].lock();
+            match registry.get(&key) {
+                Some(entry) => claims.busy.push(Arc::clone(entry)),
+                None => {
+                    registry.insert(key.clone(), Arc::new(Inflight::new()));
+                    let guard = InflightGuard {
+                        inner: &self.inner,
+                        shard,
+                        key,
+                    };
+                    claims.owned.push((position, guard));
+                }
             }
         }
-    }
-
-    /// Block until a concurrent owner's in-flight operation completes.
-    /// Must be called guard-free: no registry, store, or catalog lock and
-    /// no in-flight claims held.
-    fn wait_inflight(entry: &Inflight) {
-        let mut done = entry.done.lock();
-        while !*done {
-            entry.cv.wait(&mut done);
-        }
-    }
-
-    /// Claim or wait on the in-flight sampling slot for `key`.
-    ///
-    /// Returns `Some(guard)` if this thread is now the owner, or `None`
-    /// after having waited for a concurrent owner to finish. No store,
-    /// catalog, or registry lock is held while waiting.
-    fn begin_inflight(&self, key: &str) -> Option<InflightGuard<'_>> {
-        match self.try_begin_inflight(key) {
-            Claim::Owner(guard) => Some(guard),
-            Claim::Busy(entry) => {
-                Self::wait_inflight(&entry);
-                None
-            }
-        }
+        claims
     }
 }
 
-/// Outcome of a non-blocking in-flight claim
-/// ([`LaqyService::try_begin_inflight`]).
-enum Claim<'a> {
-    /// This thread owns the slot; the guard releases waiters on drop.
-    Owner(InflightGuard<'a>),
-    /// Another client owns the slot. Wait on the entry with
-    /// [`LaqyService::wait_inflight`] — only after releasing claims of
-    /// your own.
-    Busy(Arc<Inflight>),
+/// Every in-flight slot one attempt claimed — fragments, tails, or the
+/// online key alike — and the slots it found taken. Dropping it releases
+/// the owned slots, waking their waiters.
+struct Claims<'a> {
+    /// `(position among the claimed keys, guard)` per slot this attempt
+    /// owns.
+    owned: Vec<(usize, InflightGuard<'a>)>,
+    /// Slots other clients own.
+    busy: Vec<Arc<Inflight>>,
+}
+
+impl Claims<'_> {
+    /// Release every owned slot, then block until each busy slot's owner
+    /// completes (successfully or not). The one place the service waits on
+    /// an in-flight entry, and it consumes the claims to get here: call it
+    /// with no registry, store, or catalog lock held, and two clients with
+    /// overlapping claim sets can never wait on each other.
+    fn release_and_wait(self) {
+        drop(self.owned);
+        for entry in self.busy {
+            let mut done = entry.done.lock();
+            while !*done {
+                entry.cv.wait(&mut done);
+            }
+        }
+    }
 }
 
 /// Releases an in-flight slot on drop, waking all waiters — also on
@@ -1230,7 +1154,7 @@ fn _assert_service_is_shareable() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laqy_engine::{AggSpec, ColRef, Column, QueryPlan};
+    use laqy_engine::{AggSpec, ColRef, Column, Predicate, QueryPlan};
 
     use crate::interval::Interval;
 
@@ -1242,6 +1166,7 @@ mod tests {
                 vec![
                     ("key".into(), Column::Int64((0..n).collect())),
                     ("g".into(), Column::Int64((0..n).map(|i| i % 4).collect())),
+                    ("h".into(), Column::Int64((0..n).map(|i| i % 200).collect())),
                     ("v".into(), Column::Int64((0..n).map(|i| i % 100).collect())),
                 ],
             )
@@ -1265,21 +1190,237 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reuse_arms_and_counters_line_up() {
-        let service = LaqyService::with_config(
-            catalog(4000),
+    /// Rows of the arm table's fact table: several 64Ki-row morsels, so a
+    /// row cap can cut a scan short.
+    const N: i64 = 200_000;
+
+    fn single_threaded(rows: i64, conservative: bool) -> LaqyService {
+        let policy = SupportPolicy {
+            conservative,
+            ..Default::default()
+        };
+        LaqyService::with_config(
+            catalog(rows),
             SessionConfig {
                 threads: 1,
+                policy,
                 ..Default::default()
             },
-        );
+        )
+    }
+
+    /// `query` with a fixed fact predicate every row passes: part of the
+    /// sampler's identity, so ingest leaves this family's samples stale.
+    fn gated(lo: i64, hi: i64) -> ApproxQuery {
+        let mut q = query(lo, hi);
+        q.plan.predicate = Predicate::between("v", 0, 99);
+        q
+    }
+
+    /// `query` over 200 strata: a narrow window under-supports more of
+    /// them than the per-stratum fallback re-samples.
+    fn many_strata(lo: i64, hi: i64) -> ApproxQuery {
+        let mut q = query(lo, hi);
+        q.plan.group_by = vec![ColRef::fact("h")];
+        q
+    }
+
+    /// Store samples of `ranges` side by side (`absorb` would union them).
+    fn import_apart(service: &LaqyService, ranges: &[(i64, i64)]) {
+        let mut parts = SampleStore::new();
+        for &(lo, hi) in ranges {
+            let warm = single_threaded(N, false);
+            warm.run(&query(lo, hi)).unwrap();
+            for s in warm.store().iter_samples() {
+                let sample = Arc::clone(&s.sample);
+                parts.insert_raw(s.descriptor.clone(), s.schema.clone(), sample, s.watermark);
+            }
+        }
+        service
+            .import_samples(&crate::persist::save_store(&parts))
+            .unwrap();
+    }
+
+    /// One row of the arm table: what to store first, the measured query,
+    /// and what `finish` must have stamped and counted for it.
+    struct ArmCase {
+        name: &'static str,
+        conservative: bool,
+        setup: fn(&LaqyService),
+        run: fn(&LaqyService) -> Result<ApproxResult>,
+        reuse: ReuseClass,
+        /// Which of `[full_hits, partial_merges, online_runs]` moves.
+        counter: Option<usize>,
+        selectivity: f64,
+        degraded: bool,
+        /// `(fragments_reused, fragments_scanned)` of the answer.
+        parts: (u64, u64),
+    }
+
+    #[test]
+    fn every_arm_goes_through_one_finish() {
+        let case = |name, reuse, counter, selectivity| ArmCase {
+            name,
+            conservative: false,
+            setup: |_| {},
+            run: |s| s.run(&query(0, N / 2 - 1)),
+            reuse,
+            counter,
+            selectivity,
+            degraded: false,
+            parts: (0, 0),
+        };
+        let warm_half: fn(&LaqyService) = |s| {
+            s.run(&query(0, N / 2 - 1)).unwrap();
+        };
+        let cases = [
+            case("online, absorbed", ReuseClass::Online, Some(2), 1.0),
+            ArmCase {
+                setup: warm_half,
+                run: |s| s.run(&query(0, N - 1)),
+                parts: (1, 1),
+                ..case("coverage: fragment only", ReuseClass::Partial, Some(1), 0.5)
+            },
+            ArmCase {
+                setup: |s| {
+                    s.run(&gated(0, N + 999)).unwrap();
+                    s.ingest("t", batch(N, 1000)).unwrap();
+                },
+                run: |s| s.run(&gated(0, N + 999)),
+                parts: (1, 1),
+                ..case("coverage: tail only", ReuseClass::Partial, Some(1), 0.0)
+            },
+            ArmCase {
+                setup: |s| import_apart(s, &[(0, N / 4 - 1), (N / 2, N - 1)]),
+                run: |s| s.run(&query(0, N - 1)),
+                parts: (2, 1),
+                ..case("coverage: k-way", ReuseClass::Partial, Some(1), 0.25)
+            },
+            ArmCase {
+                setup: warm_half,
+                ..case("full hit", ReuseClass::Full, Some(0), 0.0)
+            },
+            ArmCase {
+                setup: warm_half,
+                run: |s| s.run(&query(N / 8, N / 4)),
+                ..case("tightened full hit", ReuseClass::Full, Some(0), 0.0)
+            },
+            ArmCase {
+                run: |s| s.run_with_budget(&query(0, N - 1), QueryBudget::with_row_cap(70_000)),
+                degraded: true,
+                ..case("degraded online", ReuseClass::Online, Some(2), 1.0)
+            },
+            ArmCase {
+                setup: warm_half,
+                run: |s| s.run_with_budget(&query(0, N - 1), QueryBudget::with_row_cap(70_000)),
+                degraded: true,
+                parts: (1, 1),
+                ..case("degraded coverage", ReuseClass::Partial, Some(1), 0.5)
+            },
+            ArmCase {
+                run: |s| s.run_online_oblivious(&query(0, N / 2 - 1)),
+                ..case("oblivious", ReuseClass::Online, None, 1.0)
+            },
+            ArmCase {
+                conservative: true,
+                setup: warm_half,
+                run: |s| s.run(&query(1000, 5000)),
+                ..case("conservative: refined", ReuseClass::Full, Some(0), 0.0)
+            },
+            ArmCase {
+                conservative: true,
+                setup: |s| {
+                    s.run(&many_strata(0, N / 2 - 1)).unwrap();
+                },
+                run: |s| s.run(&many_strata(1000, 5000)),
+                ..case("conservative: fell back", ReuseClass::Online, Some(2), 1.0)
+            },
+        ];
+
+        let stored = |s: &LaqyService| -> Vec<(Predicates, u64, u64)> {
+            let store = s.store();
+            let rows = store.iter_samples().map(|s| {
+                (
+                    s.descriptor.predicates.clone(),
+                    s.watermark,
+                    s.sample.total_weight(),
+                )
+            });
+            rows.collect()
+        };
+        let arms = |s: &ServiceStats| [s.full_hits, s.partial_merges, s.online_runs];
+        for case in cases {
+            let name = case.name;
+            let service = single_threaded(N, case.conservative);
+            (case.setup)(&service);
+            let (before, stored_before) = (service.stats(), stored(&service));
+            let result = (case.run)(&service).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let after = service.stats();
+
+            assert_eq!(result.stats.reuse, Some(case.reuse), "{name}");
+            let selectivity = result.stats.effective_selectivity;
+            assert!(
+                (selectivity - case.selectivity).abs() < 1e-3,
+                "{name}: {selectivity}"
+            );
+            assert!(result.stats.total >= result.stats.phases_total(), "{name}");
+            assert!(!result.groups.is_empty(), "{name}");
+            let parts = (
+                result.stats.fragments_reused,
+                result.stats.fragments_scanned,
+            );
+            assert_eq!(parts, case.parts, "{name}");
+            assert_eq!(result.stats.degraded.is_some(), case.degraded, "{name}");
+            if case.degraded {
+                assert_eq!(
+                    stored(&service),
+                    stored_before,
+                    "{name}: degraded ⇒ nothing absorbed"
+                );
+                assert_eq!(
+                    after.degraded_answers,
+                    before.degraded_answers + 1,
+                    "{name}"
+                );
+            }
+            let moved: Vec<u64> = arms(&after)
+                .iter()
+                .zip(arms(&before))
+                .map(|(a, b)| a - b)
+                .collect();
+            let mut expected = vec![0; 3];
+            if let Some(counter) = case.counter {
+                expected[counter] = 1;
+            }
+            assert_eq!(moved, expected, "{name}: exactly the arm's counter moves");
+            assert_eq!(
+                after.queries,
+                after.full_hits + after.partial_merges + after.online_runs,
+                "{name}"
+            );
+            let fell_back = name == "conservative: fell back";
+            assert_eq!(after.support_fallbacks, u64::from(fell_back), "{name}");
+            if case.conservative {
+                assert!(result.stats.scanned_rows > 0, "{name}: the fallback scans");
+                // A per-stratum probe validates every thin stratum.
+                assert!(fell_back || result.support.fully_supported(), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn reuse_arms_and_counters_line_up() {
+        let service = single_threaded(4000, false);
         let a = service.run(&query(0, 1999)).unwrap();
         assert_eq!(a.stats.reuse, Some(ReuseClass::Online));
         let b = service.run(&query(500, 1500)).unwrap();
         assert_eq!(b.stats.reuse, Some(ReuseClass::Full));
         let c = service.run(&query(0, 2999)).unwrap();
         assert_eq!(c.stats.reuse, Some(ReuseClass::Partial));
+        assert_eq!(
+            (c.stats.fragments_reused, c.stats.fragments_scanned),
+            (1, 1)
+        );
         let stats = service.stats();
         assert_eq!(stats.queries, 3);
         assert_eq!(stats.online_runs, 1);
@@ -1287,6 +1428,15 @@ mod tests {
         assert_eq!(stats.partial_merges, 1);
         assert_eq!(stats.delta_scans, 1);
         assert_eq!(stats.merges_deduped, 0);
+    }
+
+    #[test]
+    fn unknown_table_is_engine_error() {
+        let service = LaqyService::new(Catalog::new());
+        let err = service.run(&query(0, 10)).unwrap_err();
+        assert!(matches!(err, LaqyError::Engine(_)));
+        let err = service.run_online_oblivious(&query(0, 10)).unwrap_err();
+        assert!(matches!(err, LaqyError::Engine(_)));
     }
 
     #[test]
@@ -1327,6 +1477,10 @@ mod tests {
             (
                 "g".into(),
                 Column::Int64((from..from + rows).map(|i| i % 4).collect()),
+            ),
+            (
+                "h".into(),
+                Column::Int64((from..from + rows).map(|i| i % 200).collect()),
             ),
             (
                 "v".into(),
@@ -1441,11 +1595,17 @@ mod tests {
     #[test]
     fn inflight_guard_releases_on_drop() {
         let service = LaqyService::new(catalog(100));
+        let claim = || service.claim(std::iter::once("k".to_string()));
         {
-            let guard = service.begin_inflight("k");
-            assert!(guard.is_some());
+            let first = claim();
+            assert_eq!((first.owned.len(), first.busy.len()), (1, 0));
+            let second = claim();
+            assert_eq!((second.owned.len(), second.busy.len()), (0, 1));
+            drop(first);
+            // The owner is done: waiting returns at once.
+            second.release_and_wait();
         }
-        // Slot free again: claiming succeeds instead of waiting.
-        assert!(service.begin_inflight("k").is_some());
+        // Slot free again: claiming succeeds.
+        assert_eq!(claim().owned.len(), 1);
     }
 }

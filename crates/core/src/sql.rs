@@ -180,16 +180,16 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_via_session() {
+    fn end_to_end_via_service() {
         let cat = catalog();
-        let mut session = crate::LaqySession::new(cat.clone());
+        let service = crate::LaqyService::new(cat.clone());
         let q = approx_query(
             &cat,
             "SELECT g, SUM(v), COUNT(*) FROM t WHERE key BETWEEN 0 AND 59 GROUP BY g",
             1000,
         )
         .unwrap();
-        let r = session.run(&q).unwrap();
+        let r = service.run(&q).unwrap();
         assert_eq!(r.groups.len(), 3);
         // k=1000 retains the population ⇒ exact counts.
         let total: f64 = r.groups.iter().map(|g| g.values[1].value).sum();

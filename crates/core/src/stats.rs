@@ -6,6 +6,8 @@
 
 use std::time::Duration;
 
+use laqy_sync::atomic::{AtomicU64, Ordering};
+
 use crate::budget::Degradation;
 
 /// Which reuse path a query took (Algorithm 1's three arms).
@@ -112,78 +114,105 @@ impl ExecStats {
     }
 }
 
-/// Cumulative counters of a [`LaqyService`](crate::service::LaqyService):
-/// how the concurrent workload actually hit the shared store.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceStats {
+/// Declares the service's counters once: the public [`ServiceStats`]
+/// snapshot, the live `Counters` behind it, and the copy between them.
+macro_rules! service_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Cumulative counters of a
+        /// [`LaqyService`](crate::service::LaqyService): how the concurrent
+        /// workload actually hit the shared store.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct ServiceStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        /// The live counters (all relaxed; they are telemetry, not
+        /// synchronization).
+        #[derive(Default)]
+        pub(crate) struct Counters {
+            $(pub $name: AtomicU64,)*
+        }
+
+        impl Counters {
+            /// Read every counter.
+            pub fn snapshot(&self) -> ServiceStats {
+                ServiceStats {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+service_counters! {
     /// Queries accepted by [`run`](crate::service::LaqyService::run).
-    pub queries: u64,
+    queries,
     /// Queries answered by full reuse (no sampling scan at all).
-    pub full_hits: u64,
+    full_hits,
     /// Queries answered via a successful Δ-merge (partial reuse).
-    pub partial_merges: u64,
+    partial_merges,
     /// Queries that ran full online sampling and absorbed the result.
-    pub online_runs: u64,
+    online_runs,
     /// Δ sampling scans actually performed.
-    pub delta_scans: u64,
+    delta_scans,
     /// Full online sampling scans actually performed.
-    pub online_scans: u64,
+    online_scans,
     /// Δ scans *avoided* because an identical uncovered interval was
     /// already being sampled by a concurrent client (piggyback).
-    pub merges_deduped: u64,
+    merges_deduped,
     /// Online scans avoided the same way.
-    pub online_deduped: u64,
+    online_deduped,
     /// Δ merges discarded at revalidation (store changed concurrently;
     /// the query re-planned).
-    pub merge_retries: u64,
+    merge_retries,
     /// Reused estimates that failed the conservative support check and
     /// fell back to a full online run (§5.2.3 fallback, service-side).
-    pub support_fallbacks: u64,
+    support_fallbacks,
     /// Total nanoseconds threads spent waiting to acquire the store and
     /// catalog locks (contention telemetry).
-    pub lock_wait_nanos: u64,
+    lock_wait_nanos,
     /// Morsels skipped by zone-map pruning across all served scans.
-    pub morsels_skipped: u64,
+    morsels_skipped,
     /// Morsels fast-pathed (all-matching, no per-row eval) across all
     /// served scans.
-    pub morsels_fast_pathed: u64,
+    morsels_fast_pathed,
     /// Morsels that needed per-row evaluation across all served scans.
-    pub morsels_scanned: u64,
+    morsels_scanned,
     /// Rows answered exactly from pre-aggregate lanes (never scanned or
     /// sampled) across all served queries.
-    pub lane_covered_rows: u64,
+    lane_covered_rows,
     /// Stored samples merged by coverage plans across all queries.
-    pub fragments_reused: u64,
+    fragments_reused,
     /// Residual coverage fragments Δ-scanned across all queries.
-    pub fragments_scanned: u64,
+    fragments_scanned,
     /// Fragment Δ-scans avoided because a concurrent client was already
     /// scanning the identical fragment (per-fragment piggyback).
-    pub fragments_deduped: u64,
+    fragments_deduped,
     /// Queries answered from a partial sample after their budget expired
     /// (degraded answers with widened CIs).
-    pub degraded_answers: u64,
+    degraded_answers,
     /// Faults the `laqy_faults` registry injected into this service's
     /// queries (always 0 outside `--cfg laqy_faults` builds).
-    pub faults_injected: u64,
+    faults_injected,
     /// Snapshot recoveries that had to fall back past a corrupt or
     /// truncated generation.
-    pub snapshots_recovered: u64,
+    snapshots_recovered,
     /// Ingest batches accepted by
     /// [`ingest`](crate::service::LaqyService::ingest).
-    pub ingest_batches: u64,
+    ingest_batches,
     /// Rows appended across all ingest batches.
-    pub ingest_rows: u64,
+    ingest_rows,
     /// Stored-sample absorb passes that caught a sample up to a newer
     /// row watermark (incremental reservoir maintenance, not eviction).
-    pub absorbed_samples: u64,
+    absorbed_samples,
     /// Appended rows offered to stored samples' reservoirs by those
     /// absorb passes.
-    pub absorbed_rows: u64,
+    absorbed_rows,
     /// Ingest batches durably appended to the write-ahead log before
     /// being applied (0 when the WAL is disabled).
-    pub wal_appends: u64,
+    wal_appends,
     /// WAL records replayed during recovery.
-    pub wal_replays: u64,
+    wal_replays,
 }
 
 impl ServiceStats {

@@ -1,17 +1,18 @@
-//! The sample store: sample lifetime management and reuse classification
-//! (paper §6, "sample lifetime management module that captures the
-//! generated samples to allow reuse on subsequent queries").
+//! The sample store: sample lifetime management, coverage planning and
+//! the coverage write step (paper §6, "sample lifetime management module
+//! that captures the generated samples to allow reuse on subsequent
+//! queries").
 //!
 //! The store owns materialized stratified samples together with their
-//! [`SampleDescriptor`]s. For an incoming logical sampler it classifies the
-//! best reuse opportunity (full / partial / none — the dispatch of
-//! Algorithm 1) and merges Δ samples into stored ones, extending their
-//! predicate coverage. The generalized [`SampleStore::plan_coverage`]
-//! extends single-sample classification to a greedy set cover: several
-//! pairwise-disjoint stored samples plus the residual uncovered region as
-//! interval boxes, feeding the k-way reservoir merge. An optional byte
-//! budget with LRU eviction hooks this store into Taster-style storage
-//! management (paper §8).
+//! [`SampleDescriptor`]s. For an incoming logical sampler
+//! [`SampleStore::plan_coverage_at`] runs a greedy set cover — the
+//! store-side half of Algorithm 1: several pairwise-disjoint stored samples
+//! plus the residual uncovered region as interval boxes, feeding the k-way
+//! reservoir merge — and [`SampleStore::absorb_coverage`] is the matching
+//! write step: it decides which planned samples a finished plan replaces
+//! and how each Δ sample comes to rest. An optional byte budget with LRU
+//! eviction hooks this store into Taster-style storage management (paper
+//! §8).
 
 use std::sync::Arc;
 
@@ -20,7 +21,7 @@ use laqy_sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use laqy_engine::ops::ResolvedCol;
 use laqy_engine::GroupKey;
-use laqy_sampling::Lehmer64;
+use laqy_sampling::{merge_stratified_k, merge_stratified_refs, Lehmer64};
 
 use crate::descriptor::{Predicates, SampleDescriptor};
 use crate::sampler_ops::{Sample, SampleSchema, SampleTuple};
@@ -76,36 +77,13 @@ impl StoredSample {
     }
 }
 
-/// How a query's sampler requirement relates to the store's contents.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReuseDecision {
-    /// A stored sample's predicates subsume the query's: use it directly
-    /// ("full reuse: offline"), possibly tightening.
-    Full {
-        /// The subsuming sample.
-        id: SampleId,
-    },
-    /// A stored sample partially overlaps: build a Δ sample on `delta` and
-    /// merge ("partial reuse: delta range sample").
-    Partial {
-        /// The partially-matching sample.
-        id: SampleId,
-        /// Predicates for the Δ sampler (pushed down the plan).
-        delta: Predicates,
-        /// The single predicate column along which coverage is extended.
-        varying: String,
-    },
-    /// Nothing usable: full online sampling.
-    None,
-}
-
 /// A multi-sample reuse plan — the coverage-planning generalization of
-/// [`ReuseDecision`]: instead of one stored sample and one Δ interval, a
-/// *set* of stored samples (pairwise disjoint in population, §5.1's
-/// merge precondition) plus the residual uncovered region of the query
-/// box as a union of pairwise-disjoint per-column interval boxes. Each
-/// fragment is Δ-scanned once; the lazy sample is the k-way reservoir
-/// merge of the selected samples and the fragment samples.
+/// Algorithm 1's one stored sample and one Δ interval: a *set* of stored
+/// samples (pairwise disjoint in population, §5.1's merge precondition)
+/// plus the residual uncovered region of the query box as a union of
+/// pairwise-disjoint per-column interval boxes. Each fragment is Δ-scanned
+/// once; the lazy sample is the k-way reservoir merge of the selected
+/// samples and the fragment samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoveragePlan {
     /// Selected stored samples, pairwise disjoint in population.
@@ -121,6 +99,9 @@ pub struct CoveragePlan {
     /// before the k-way merge. Row-disjoint from the sample itself, so the
     /// merge precondition still holds.
     pub tails: Vec<TailFragment>,
+    /// The table row watermark the plan was made against: what `tails` are
+    /// measured up to, and what every Δ sample of this plan is drawn at.
+    pub watermark: u64,
 }
 
 /// One selected sample's un-absorbed append tail (see
@@ -251,61 +232,9 @@ impl SampleStore {
         self.samples.iter().map(|(id, s)| (*id, s))
     }
 
-    /// Classify the best reuse opportunity for a query's logical sampler —
-    /// the store-side decision of **Algorithm 1**.
-    pub fn classify(&self, query: &SampleDescriptor) -> ReuseDecision {
-        if query.predicates.is_unsatisfiable() {
-            return ReuseDecision::None;
-        }
-        let mut best_partial: Option<(SampleId, Predicates, String, u64, u64)> = None;
-        for (id, stored) in &self.samples {
-            if !stored.descriptor.matches_characteristics(query) {
-                continue;
-            }
-            if stored.descriptor.predicates.subsumes(&query.predicates) {
-                return ReuseDecision::Full { id: *id };
-            }
-            if let Some((delta, varying)) = query
-                .predicates
-                .delta_against(&stored.descriptor.predicates)
-            {
-                let delta_measure = delta.get(&varying).map(|s| s.measure()).unwrap_or(0);
-                // Normalize unbounded predicates explicitly: a query column
-                // without a constraint has no finite measure, so such a
-                // candidate cannot be ranked (and `delta_against` never
-                // names one as varying) — skip it rather than rank with a
-                // `u64::MAX` sentinel, which mis-ordered candidates.
-                let Some(query_set) = query.predicates.get(&varying) else {
-                    continue;
-                };
-                let query_measure = query_set.measure();
-                // Partial reuse only pays off if some of the query range is
-                // already covered.
-                if delta_measure < query_measure {
-                    // Candidates may vary along *different* columns, so raw
-                    // Δ measures are not comparable — rank by fractional
-                    // residual Δ/query via cross-multiplication.
-                    let better = match &best_partial {
-                        Some((_, _, _, best_d, best_q)) => {
-                            (delta_measure as u128) * (*best_q as u128)
-                                < (*best_d as u128) * (query_measure as u128)
-                        }
-                        None => true,
-                    };
-                    if better {
-                        best_partial = Some((*id, delta, varying, delta_measure, query_measure));
-                    }
-                }
-            }
-        }
-        match best_partial {
-            Some((id, delta, varying, _, _)) => ReuseDecision::Partial { id, delta, varying },
-            None => ReuseDecision::None,
-        }
-    }
-
-    /// Plan multi-sample coverage for a query — the coverage-planning
-    /// generalization of [`SampleStore::classify`].
+    /// Plan multi-sample coverage for a query against a table at row
+    /// watermark `watermark` — the store-side decision of **Algorithm 1**,
+    /// generalized to several stored samples.
     ///
     /// Greedy weighted set cover over the query box: repeatedly select the
     /// candidate sample removing the largest residual measure, keeping the
@@ -321,17 +250,13 @@ impl SampleStore {
     /// different tuple layout, so it can serve full reuse but cannot be
     /// merged with fragment samples) and must not constrain columns the
     /// query leaves free (their residual would be unbounded).
-    pub fn plan_coverage(&self, query: &SampleDescriptor, max_samples: usize) -> CoveragePlan {
-        self.plan_coverage_at(query, max_samples, 0)
-    }
-
-    /// [`SampleStore::plan_coverage`] against a table at row watermark
-    /// `watermark`: selected samples drawn below the watermark additionally
-    /// contribute a [`TailFragment`] — the appended rows of their own
-    /// population they have not absorbed — so the executor Δ-scans the
-    /// tail (row floor pushed down) and the merge still covers every base
-    /// row up to the watermark. Passing `0` recovers the static-table
-    /// behavior (no sample can be stale).
+    ///
+    /// Selected samples drawn below `watermark` additionally contribute a
+    /// [`TailFragment`] — the appended rows of their own population they
+    /// have not absorbed — so the executor Δ-scans the tail (row floor
+    /// pushed down) and the merge still covers every base row up to the
+    /// watermark. Passing `0` is the static-table case (no sample can be
+    /// stale).
     pub fn plan_coverage_at(
         &self,
         query: &SampleDescriptor,
@@ -343,6 +268,7 @@ impl SampleStore {
                 samples: Vec::new(),
                 fragments: Vec::new(),
                 tails: Vec::new(),
+                watermark,
             };
         }
         // Full subsumption short-circuits: no merge happens, so a
@@ -358,6 +284,7 @@ impl SampleStore {
                     samples: vec![*id],
                     fragments: Vec::new(),
                     tails: Vec::new(),
+                    watermark,
                 };
             }
         }
@@ -432,6 +359,7 @@ impl SampleStore {
             samples: selected.into_iter().map(|(id, _, _)| id).collect(),
             fragments,
             tails,
+            watermark,
         }
     }
 
@@ -607,34 +535,6 @@ impl SampleStore {
         id
     }
 
-    /// Merge a Δ sample into the stored sample `id`, extending its coverage
-    /// along `varying` by `delta_predicates` (step 4 of Figure 7). The
-    /// stored watermark drops to the conservative minimum of both sides.
-    pub fn merge_delta(
-        &mut self,
-        id: SampleId,
-        delta_sample: Sample,
-        delta_predicates: &Predicates,
-        varying: &str,
-        watermark: u64,
-        rng: &mut Lehmer64,
-    ) -> bool {
-        let clock = self.tick();
-        let Some((_, stored)) = self.samples.iter_mut().find(|(i, _)| *i == id) else {
-            return false;
-        };
-        stored.merge_in(&delta_sample, rng);
-        stored.descriptor.predicates = stored
-            .descriptor
-            .predicates
-            .union_on(varying, delta_predicates);
-        stored.watermark = stored.watermark.min(watermark);
-        stored.last_used.store(clock, Ordering::Relaxed);
-        stored.settle();
-        self.enforce_budget(id);
-        true
-    }
-
     /// Merge a tail Δ sample — rows `[from_row, new_watermark)` of the
     /// stored sample's own population — into sample `id`, advancing its
     /// watermark to `new_watermark`. The two sides are row-disjoint by
@@ -666,6 +566,105 @@ impl SampleStore {
         stored.settle();
         self.enforce_budget(id);
         true
+    }
+
+    /// The write step of a coverage plan (Figure 7 step 4, generalized):
+    /// bring the plan's Δ samples to rest and, when `merge` is set, return
+    /// the k-way merge of the planned stored samples with every Δ — the
+    /// lazy sample `query` is answered from.
+    ///
+    /// `scans` holds one `(part, sample, clean)` per Δ-scan that ran, in
+    /// scan order; `part` indexes `plan.fragments` followed by `plan.tails`,
+    /// and `clean` is false for a scan the budget cut short. The policy:
+    ///
+    /// - When every part of a tail-free plan was scanned cleanly and the
+    ///   merged region is itself a predicate box, the planned samples
+    ///   leave the store, the Δs are merged into the largest of them *in
+    ///   place*, and the result replaces them under the union descriptor
+    ///   (shared with the caller, not copied).
+    /// - Otherwise the merge is made on a copy and each clean scan is
+    ///   absorbed on its own — tails back into their source samples (the
+    ///   `from_row` guard of [`SampleStore::absorb_tail`] rejects a
+    ///   replayed or overlapping tail instead of double-counting it), then
+    ///   fragments under their own predicate boxes: a multi-column union
+    ///   is not expressible as one descriptor, a union replacement would
+    ///   drop per-sample watermark bookkeeping mid catch-up, and a sample
+    ///   of a cut-short scan would overclaim coverage, so unclean scans
+    ///   take part in the returned merge only.
+    ///
+    /// With `merge` unset (the caller's plan went stale, or other clients
+    /// are still scanning the rest of it) only the second half runs: the
+    /// scan work is kept, nothing is merged. Returns `None` then, and when
+    /// a planned sample is no longer stored.
+    pub fn absorb_coverage(
+        &mut self,
+        query: &SampleDescriptor,
+        schema: &SampleSchema,
+        plan: &CoveragePlan,
+        scans: Vec<(usize, Sample, bool)>,
+        merge: bool,
+        rng: &mut Lehmer64,
+    ) -> Option<Arc<Sample>> {
+        let n_fragments = plan.fragments.len();
+        let stored: Option<Vec<&StoredSample>> = merge
+            .then(|| plan.samples.iter().map(|id| self.get(*id)).collect())
+            .flatten();
+        let complete = plan.tails.is_empty()
+            && scans.len() == n_fragments
+            && scans.iter().all(|(_, _, clean)| *clean);
+        let union = match &stored {
+            Some(stored) if complete => {
+                let parts: Vec<&Predicates> = stored
+                    .iter()
+                    .map(|s| &s.descriptor.predicates)
+                    .chain(&plan.fragments)
+                    .collect();
+                union_single_column(&parts)
+            }
+            _ => None,
+        };
+        let at = |predicates: Predicates| SampleDescriptor {
+            predicates,
+            ..query.clone()
+        };
+        if let Some(union) = union {
+            let mut inputs: Vec<Sample> = plan
+                .samples
+                .iter()
+                .filter_map(|id| self.take(*id))
+                .map(|s| Arc::unwrap_or_clone(s.sample))
+                .collect();
+            inputs.extend(scans.into_iter().map(|(_, sample, _)| sample));
+            let mut merged = merge_stratified_k(inputs, rng);
+            // Shared with the caller from here on, so `settle` cannot
+            // shrink it.
+            merged.shrink_to_fit();
+            let merged = Arc::new(merged);
+            let shared = Arc::clone(&merged);
+            self.absorb(at(union), schema.clone(), shared, plan.watermark, rng);
+            return Some(merged);
+        }
+        let merged = stored.map(|stored| {
+            let inputs: Vec<&Sample> = stored
+                .iter()
+                .map(|s| &*s.sample)
+                .chain(scans.iter().map(|(_, sample, _)| sample))
+                .collect();
+            Arc::new(merge_stratified_refs(&inputs, rng))
+        });
+        let (fragments, tails): (Vec<_>, Vec<_>) = scans
+            .into_iter()
+            .filter(|(_, _, clean)| *clean)
+            .partition(|(part, _, _)| *part < n_fragments);
+        for (part, sample, _) in tails {
+            let tail = &plan.tails[part - n_fragments];
+            self.absorb_tail(tail.id, &sample, tail.from_row, plan.watermark, rng);
+        }
+        for (part, sample, _) in fragments {
+            let descriptor = at(plan.fragments[part].clone());
+            self.absorb(descriptor, schema.clone(), sample, plan.watermark, rng);
+        }
+        merged
     }
 
     /// Incremental sample maintenance on append: offer the appended tail
@@ -782,7 +781,7 @@ impl SampleStore {
     }
 
     /// Remove a sample and hand it over.
-    pub(crate) fn take(&mut self, id: SampleId) -> Option<StoredSample> {
+    fn take(&mut self, id: SampleId) -> Option<StoredSample> {
         let pos = self.samples.iter().position(|(i, _)| *i == id)?;
         Some(self.samples.remove(pos).1)
     }
@@ -1064,7 +1063,7 @@ impl Drop for ShardWriteGuard<'_> {
 /// merged region is itself expressible as a predicate box, so the merged
 /// sample can be absorbed back into the store (a multi-column union of
 /// boxes is generally not a box and must stay ephemeral).
-pub(crate) fn union_single_column(preds: &[&Predicates]) -> Option<Predicates> {
+fn union_single_column(preds: &[&Predicates]) -> Option<Predicates> {
     let first = *preds.first()?;
     let cols: Vec<&str> = first.columns().collect();
     for p in &preds[1..] {
@@ -1168,143 +1167,89 @@ mod tests {
     use crate::sampler_ops::SampleTuple;
 
     #[test]
-    fn classify_empty_store_is_none() {
-        let store = SampleStore::new();
-        assert_eq!(store.classify(&desc(0, 99)), ReuseDecision::None);
-    }
-
-    #[test]
-    fn full_partial_none_classification() {
-        let mut store = SampleStore::new();
-        let mut rng = Lehmer64::new(2);
-        let id = store.absorb(desc(0, 99), schema(), toy_sample(3, 20, 0), 0, &mut rng);
-
-        // Subsumed ⇒ full reuse.
-        assert_eq!(store.classify(&desc(10, 50)), ReuseDecision::Full { id });
-        // Overlapping ⇒ partial with the uncovered remainder as Δ.
-        match store.classify(&desc(50, 149)) {
-            ReuseDecision::Partial {
-                id: pid,
-                delta,
-                varying,
-            } => {
-                assert_eq!(pid, id);
-                assert_eq!(varying, "lo_intkey");
-                assert_eq!(delta.get("lo_intkey").unwrap(), &iv(100, 149));
-            }
-            other => panic!("expected partial reuse, got {other:?}"),
-        }
-        // Disjoint ⇒ none.
-        assert_eq!(store.classify(&desc(200, 300)), ReuseDecision::None);
-    }
-
-    #[test]
-    fn classify_prefers_smaller_delta() {
-        let mut store = SampleStore::new();
-        let mut rng = Lehmer64::new(3);
-        let _small = store.absorb(desc(0, 49), schema(), toy_sample(2, 10, 0), 0, &mut rng);
-        let big = store.absorb(
-            desc(200, 349),
-            schema(),
-            toy_sample(2, 10, 200),
-            0,
-            &mut rng,
-        );
-        // Query [150, 360]: vs sample A delta = [150,360] minus [0,49] → still
-        // [150,360] (no overlap ⇒ not partial); vs sample B delta = [150,199] ∪ [350,360].
-        match store.classify(&desc(150, 360)) {
-            ReuseDecision::Partial { id, delta, .. } => {
-                assert_eq!(id, big);
-                assert_eq!(delta.get("lo_intkey").unwrap().measure(), 50 + 11);
-            }
-            other => panic!("expected partial, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn classify_ranks_by_fractional_residual() {
-        // Query: x∈[0,999] ∧ y∈[0,9]. Candidate A covers 90% along x
-        // (raw Δ = 100); candidate B covers 50% along y (raw Δ = 5).
-        // Raw-measure ranking would pick B; fractional ranking picks A.
-        let mut store = SampleStore::new();
-        let with_preds = |p: Predicates| {
-            let mut d = desc(0, 0);
-            d.predicates = p;
-            d
-        };
-        let query = with_preds(Predicates::on("x", iv(0, 999)).with("y", iv(0, 9)));
-        let a = store.insert_raw(
-            with_preds(Predicates::on("x", iv(0, 899)).with("y", iv(0, 9))),
-            schema(),
-            toy_sample(2, 10, 0),
-            0,
-        );
-        let _b = store.insert_raw(
-            with_preds(Predicates::on("x", iv(0, 999)).with("y", iv(0, 4))),
-            schema(),
-            toy_sample(2, 10, 0),
-            0,
-        );
-        match store.classify(&query) {
-            ReuseDecision::Partial { id, varying, .. } => {
-                assert_eq!(id, a, "must rank by Δ/query fraction, not raw Δ");
-                assert_eq!(varying, "x");
-            }
-            other => panic!("expected partial reuse, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn characteristics_mismatch_prevents_reuse() {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(4);
         store.absorb(desc(0, 99), schema(), toy_sample(2, 10, 0), 0, &mut rng);
+        assert_eq!(store.plan_coverage_at(&desc(10, 20), 4, 0).samples.len(), 1);
         // Different QCS.
         let mut q = desc(10, 20);
         q.qcs = vec!["lo_quantity".into()];
-        assert_eq!(store.classify(&q), ReuseDecision::None);
+        assert!(store.plan_coverage_at(&q, 4, 0).samples.is_empty());
         // Different k.
         let mut q = desc(10, 20);
         q.k = 16;
-        assert_eq!(store.classify(&q), ReuseDecision::None);
+        assert!(store.plan_coverage_at(&q, 4, 0).samples.is_empty());
         // QVS requiring a column the sample lacks.
         let mut q = desc(10, 20);
         q.qvs = vec!["lo_tax".into()];
-        assert_eq!(store.classify(&q), ReuseDecision::None);
+        assert!(store.plan_coverage_at(&q, 4, 0).samples.is_empty());
     }
 
     #[test]
-    fn merge_delta_extends_coverage() {
+    fn absorb_coverage_consolidates_a_single_column_union_in_place() {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(5);
         let id = store.absorb(desc(0, 99), schema(), toy_sample(2, 30, 0), 0, &mut rng);
-        let delta_pred = Predicates::on("lo_intkey", iv(100, 199));
-        assert!(store.merge_delta(
-            id,
-            toy_sample(2, 30, 100),
-            &delta_pred,
-            "lo_intkey",
-            0,
-            &mut rng
-        ));
-        // Coverage is now [0, 199] ⇒ full reuse for [0, 150].
-        assert_eq!(store.classify(&desc(0, 150)), ReuseDecision::Full { id });
-        let stored = store.peek(id).unwrap();
-        assert_eq!(stored.sample.total_weight(), 120);
+        let query = desc(0, 199);
+        let plan = store.plan_coverage_at(&query, 4, 0);
+        assert_eq!(plan.samples, vec![id]);
+        assert_eq!(plan.fragments, vec![desc(100, 199).predicates]);
+        let scans = vec![(0, toy_sample(2, 30, 100), true)];
+        let merged = store
+            .absorb_coverage(&query, &schema(), &plan, scans, true, &mut rng)
+            .expect("planned sample is stored");
+        assert_eq!(merged.total_weight(), 120);
+        // The planned sample left the store; the union replaced it and is
+        // the very sample the caller estimates from.
+        assert!(store.peek(id).is_none());
+        assert_eq!(store.len(), 1);
+        let (_, s) = store.iter().next().unwrap();
+        assert_eq!(s.descriptor.predicates, query.predicates);
+        assert!(Arc::ptr_eq(&s.sample, &merged));
+        let full = store.plan_coverage_at(&desc(0, 150), 4, 0);
+        assert!(full.fragments.is_empty() && full.tails.is_empty());
     }
 
     #[test]
-    fn merge_delta_unknown_id_is_false() {
+    fn absorb_coverage_keeps_unclean_and_unmerged_scans_out_of_the_store() {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(6);
-        assert!(!store.merge_delta(
-            SampleId(999),
-            toy_sample(1, 1, 0),
-            &Predicates::none(),
-            "x",
-            0,
-            &mut rng
-        ));
+        let id = store.absorb(desc(0, 99), schema(), toy_sample(2, 30, 0), 0, &mut rng);
+        let query = desc(0, 299);
+        let mut plan = store.plan_coverage_at(&query, 4, 0);
+        // Two fragments, as if the residual had been split.
+        plan.fragments = vec![desc(100, 199).predicates, desc(200, 299).predicates];
+        let scans = |second_clean| {
+            vec![
+                (0, toy_sample(2, 30, 100), true),
+                (1, toy_sample(2, 30, 200), second_clean),
+            ]
+        };
+        // A cut-short scan takes part in the answer's merge but is not
+        // stored, and the plan is not consolidated: the clean fragment is
+        // absorbed on its own (here: unioned into the stored sample).
+        let merged = store
+            .absorb_coverage(&query, &schema(), &plan, scans(false), true, &mut rng)
+            .unwrap();
+        assert_eq!(merged.total_weight(), 180);
+        let kept = store.peek(id).expect("no consolidation on a degraded plan");
+        assert_eq!(kept.sample.total_weight(), 120);
+        assert_eq!(kept.descriptor.predicates, desc(0, 199).predicates);
+        // Without `merge` the clean scans are kept and nothing is returned.
+        let mut other = SampleStore::new();
+        let oid = other.absorb(desc(0, 99), schema(), toy_sample(2, 30, 0), 0, &mut rng);
+        assert!(other
+            .absorb_coverage(&query, &schema(), &plan, scans(true), false, &mut rng)
+            .is_none());
+        assert_eq!(other.peek(oid).unwrap().sample.total_weight(), 180);
+        // A vanished planned sample: same, whatever `merge` says.
+        let mut gone = SampleStore::new();
+        assert!(gone
+            .absorb_coverage(&query, &schema(), &plan, scans(true), true, &mut rng)
+            .is_none());
+        let kept: u64 = gone.iter_samples().map(|s| s.sample.total_weight()).sum();
+        assert_eq!(kept, 120);
     }
 
     #[test]
@@ -1375,7 +1320,7 @@ mod tests {
         let query = desc(0, 999);
         let query_measure = query.predicates.box_measure();
 
-        let plan = store.plan_coverage(&query, 4);
+        let plan = store.plan_coverage_at(&query, 4, 0);
         assert_eq!(plan.samples.len(), 2);
         assert!(plan.samples.contains(&a) && plan.samples.contains(&b));
         let frac = plan.residual_measure() as f64 / query_measure as f64;
@@ -1386,7 +1331,7 @@ mod tests {
             assert_eq!(f.get("lo_intkey").unwrap(), &iv(400, 599));
         }
 
-        let single = store.plan_coverage(&query, 1);
+        let single = store.plan_coverage_at(&query, 1, 0);
         assert_eq!(single.samples.len(), 1);
         let frac1 = single.residual_measure() as f64 / query_measure as f64;
         assert!(
@@ -1400,7 +1345,7 @@ mod tests {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(11);
         let id = store.absorb(desc(0, 999), schema(), toy_sample(2, 10, 0), 0, &mut rng);
-        let plan = store.plan_coverage(&desc(100, 200), 4);
+        let plan = store.plan_coverage_at(&desc(100, 200), 4, 0);
         assert_eq!(plan.samples, vec![id]);
         assert!(plan.fragments.is_empty());
         assert_eq!(plan.residual_measure(), 0);
@@ -1413,7 +1358,7 @@ mod tests {
         let mut store = SampleStore::new();
         store.insert_raw(desc(0, 599), schema(), toy_sample(2, 10, 0), 0);
         store.insert_raw(desc(400, 899), schema(), toy_sample(2, 10, 400), 0);
-        let plan = store.plan_coverage(&desc(0, 999), 4);
+        let plan = store.plan_coverage_at(&desc(0, 999), 4, 0);
         assert_eq!(
             plan.samples.len(),
             1,
@@ -1440,11 +1385,11 @@ mod tests {
         let mut wide = desc(0, 399);
         wide.qvs.push("lo_tax".into());
         store.insert_raw(wide.clone(), schema(), toy_sample(2, 10, 0), 0);
-        let plan = store.plan_coverage(&desc(0, 999), 4);
+        let plan = store.plan_coverage_at(&desc(0, 999), 4, 0);
         assert!(plan.samples.is_empty(), "superset QVS cannot merge");
         assert_eq!(plan.fragments, vec![desc(0, 999).predicates]);
         // Full subsumption still allowed.
-        let full = store.plan_coverage(&desc(100, 200), 4);
+        let full = store.plan_coverage_at(&desc(100, 200), 4, 0);
         assert_eq!(full.samples.len(), 1);
         assert!(full.fragments.is_empty());
     }
@@ -1457,7 +1402,7 @@ mod tests {
         store.insert_raw(d, schema(), toy_sample(2, 10, 0), 0);
         // Query leaves lo_extra free: the sample covers only a slice of
         // that dimension, so it cannot contribute box coverage.
-        let plan = store.plan_coverage(&desc(0, 999), 4);
+        let plan = store.plan_coverage_at(&desc(0, 999), 4, 0);
         assert!(plan.samples.is_empty());
         assert_eq!(plan.fragments, vec![desc(0, 999).predicates]);
     }
@@ -1469,7 +1414,7 @@ mod tests {
         store.absorb(desc(0, 99), schema(), toy_sample(2, 10, 0), 0, &mut rng);
         let mut q = desc(0, 0);
         q.predicates = Predicates::on("lo_intkey", IntervalSet::empty());
-        assert_eq!(store.classify(&q), ReuseDecision::None);
+        assert!(store.plan_coverage_at(&q, 4, 0).samples.is_empty());
     }
 
     /// A descriptor with a distinct fingerprint (different QCS).
@@ -1550,8 +1495,9 @@ mod tests {
             let d = desc_shaped(s, 0, 99);
             let idx = store.shard_for(&d);
             let g = store.read_shard(idx);
-            assert!(
-                matches!(g.classify(&d), ReuseDecision::Full { .. }),
+            assert_eq!(
+                g.plan_coverage_at(&d, 1, 0).samples.len(),
+                1,
                 "restored sample must live on its home shard"
             );
         }

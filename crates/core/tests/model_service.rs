@@ -378,3 +378,73 @@ fn revalidation_survives_concurrent_eviction() {
         "expected hundreds of interleavings, got {report:?}"
     );
 }
+
+/// `query_k` over a plan with a fixed fact predicate (every row passes it).
+/// The predicate is part of the sampler's input identity, so ingest's
+/// `absorb_appended` leaves this family's samples stale and the next plan
+/// carries one `TailFragment` per selected sample.
+fn gated_query(lo: i64, hi: i64) -> ApproxQuery {
+    let mut q = query(lo, hi);
+    q.plan.predicate = Predicate::between("v", 0, 9);
+    q
+}
+
+/// Two clients issue the same covering query over two stale stored samples
+/// of one family: the plan has a fragment and *two* tails, so the clients
+/// can each own one tail and be `Busy` on the other. Claims — fragment and
+/// tail alike — must all be released before either waits, or the two wait
+/// on each other forever (the scheduler reports that interleaving as a
+/// deadlock). Every interleaving must terminate with exact-weight answers.
+#[test]
+fn clients_sharing_two_stale_tails_never_wait_on_each_other() {
+    let report = model_with(
+        ModelOptions {
+            preemption_bound: 2,
+            max_interleavings: 1500,
+        },
+        || {
+            // Two same-family samples, [0, 99] and [140, 299], kept apart by
+            // importing them (`absorb` would union them along `key`).
+            let mut parts = laqy::SampleStore::new();
+            for (lo, hi) in [(0, 99), (140, ROWS + APPEND - 1)] {
+                let warm = service();
+                warm.run(&gated_query(lo, hi)).unwrap();
+                for s in warm.store().iter_samples() {
+                    parts.insert_raw(
+                        s.descriptor.clone(),
+                        s.schema.clone(),
+                        std::sync::Arc::clone(&s.sample),
+                        s.watermark,
+                    );
+                }
+            }
+            let svc = service();
+            svc.import_samples(&laqy::save_store(&parts)).unwrap();
+            svc.ingest("t", append_batch()).unwrap();
+            let stale = svc.store();
+            assert_eq!(stale.len(), 2);
+            assert!(stale.iter_samples().all(|s| s.watermark == ROWS as u64));
+
+            let svc_b = svc.clone();
+            let t = thread::spawn(move || {
+                let r = svc_b.run(&gated_query(0, ROWS + APPEND - 1)).unwrap();
+                assert_weight_identity(&r, 0, ROWS + APPEND - 1);
+            });
+            let r = svc.run(&gated_query(0, ROWS + APPEND - 1)).unwrap();
+            assert_weight_identity(&r, 0, ROWS + APPEND - 1);
+            t.join().unwrap();
+
+            // Both tails were caught up exactly once: the quiescent store
+            // answers the same query as a plain full hit.
+            let r = svc.run(&gated_query(0, ROWS + APPEND - 1)).unwrap();
+            assert_weight_identity(&r, 0, ROWS + APPEND - 1);
+            assert_eq!(r.stats.reuse, Some(laqy::ReuseClass::Full));
+            assert_eq!(svc.stats().queries, 3);
+        },
+    );
+    eprintln!("two-tail model: {report:?}");
+    assert!(
+        report.interleavings >= 200,
+        "expected hundreds of interleavings, got {report:?}"
+    );
+}

@@ -21,8 +21,6 @@ use crate::kernel::{count_mask, decode_mask, BatchKernel, Mask, CHUNK_ROWS, MASK
 use crate::synopsis::{PruneCounts, Verdict};
 use crate::table::Table;
 
-use super::reference;
-
 /// What a prepared scan found in one piece of the walked range.
 pub enum ScanEvent<'m> {
     /// Every row in the range matches (zone-map `TakeAll` verdict); no
@@ -200,58 +198,10 @@ impl<'a> PreparedScan<'a> {
 /// ids via the batch kernels.
 ///
 /// This is the *unpruned* scan: it never consults the table's zone maps.
-/// Production scan paths use [`scan_filter_pruned`] or hold a
-/// [`PreparedScan`] directly to amortize predicate compilation.
+/// Production scan paths hold a [`PreparedScan`], which compiles the
+/// predicate once and consults the zone maps ([`PreparedScan::scan_pruned`]).
 pub fn scan_filter(table: &Table, range: Range<usize>, predicate: &Predicate) -> Result<Vec<u32>> {
     Ok(PreparedScan::new(table, predicate)?.scan_all(range))
-}
-
-/// [`scan_filter`] consulting the table's per-morsel zone maps: blocks
-/// provably outside the predicate are skipped without reading a row, and
-/// blocks provably inside emit their full range as the selection vector.
-/// `counts` records the per-block verdicts (Figure 9's effective
-/// selectivity, made observable).
-///
-/// The result is always identical to [`scan_filter`]'s (verdicts are
-/// conservative; see the `synopsis` module invariants).
-pub fn scan_filter_pruned(
-    table: &Table,
-    range: Range<usize>,
-    predicate: &Predicate,
-    counts: &mut PruneCounts,
-) -> Result<Vec<u32>> {
-    Ok(PreparedScan::new(table, predicate)?.scan_pruned(range, counts))
-}
-
-/// [`scan_filter_pruned`] with a per-block exclusion mask: blocks whose
-/// `covered` bit is set are lane-covered — their aggregate contribution
-/// is taken exactly from the table's pre-aggregate lanes — so the scan
-/// must *not* emit their rows. `lane_rows` accumulates how many rows the
-/// mask excluded (the "rows made free" metric). Covered blocks are
-/// always full-match blocks by construction, so exclusion is the only
-/// difference from [`scan_filter_pruned`]; a mask shorter than the block
-/// count treats missing entries as uncovered.
-pub fn scan_filter_pruned_masked(
-    table: &Table,
-    range: Range<usize>,
-    predicate: &Predicate,
-    counts: &mut PruneCounts,
-    covered: &[bool],
-    lane_rows: &mut u64,
-) -> Result<Vec<u32>> {
-    Ok(PreparedScan::new(table, predicate)?.scan_pruned_masked(range, counts, covered, lane_rows))
-}
-
-/// Narrow an existing selection with an additional predicate. Selections
-/// are sparse row-id lists, so this stays on the row-at-a-time reference
-/// path rather than rebuilding chunk masks.
-pub fn refine_selection(
-    table: &Table,
-    selection: &[u32],
-    predicate: &Predicate,
-) -> Result<Vec<u32>> {
-    let compiled = predicate.compile(table)?;
-    Ok(reference::refine_rows(&compiled, selection))
 }
 
 #[cfg(test)]
@@ -259,6 +209,7 @@ mod tests {
     use super::*;
     use crate::column::dict_column;
     use crate::column::Column;
+    use crate::ops::reference;
 
     fn table() -> Table {
         Table::new(
@@ -318,14 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn refine_existing_selection() {
-        let t = table();
-        let sel = scan_filter(&t, 0..100, &Predicate::between("x", 0, 19)).unwrap();
-        let refined = refine_selection(&t, &sel, &Predicate::eq_str("tag", "odd")).unwrap();
-        assert_eq!(refined, vec![1, 3, 5, 7, 9, 11, 13, 15, 17, 19]);
-    }
-
-    #[test]
     fn kernel_scan_agrees_with_reference() {
         let t = table();
         let p = Predicate::between("x", 23, 71);
@@ -380,7 +323,9 @@ mod tests {
         let t = blocked_table();
         let p = Predicate::between("x", 25, 44);
         let mut counts = PruneCounts::default();
-        let pruned = scan_filter_pruned(&t, 0..100, &p, &mut counts).unwrap();
+        let pruned = PreparedScan::new(&t, &p)
+            .unwrap()
+            .scan_pruned(0..100, &mut counts);
         assert_eq!(pruned, scan_filter(&t, 0..100, &p).unwrap());
         // Blocks [0,1,5..9] skip, block 3 fast-paths, blocks 2 and 4 scan.
         assert_eq!(counts.skipped, 7);
@@ -394,7 +339,9 @@ mod tests {
         let p = Predicate::between("x", 25, 44).and(Predicate::eq_str("tag", "lo"));
         for (lo, hi) in [(0, 100), (7, 93), (23, 31), (44, 45), (60, 60)] {
             let mut counts = PruneCounts::default();
-            let pruned = scan_filter_pruned(&t, lo..hi, &p, &mut counts).unwrap();
+            let pruned = PreparedScan::new(&t, &p)
+                .unwrap()
+                .scan_pruned(lo..hi, &mut counts);
             assert_eq!(pruned, scan_filter(&t, lo..hi, &p).unwrap(), "{lo}..{hi}");
         }
     }
@@ -409,8 +356,8 @@ mod tests {
         covered[3] = true;
         let mut counts = PruneCounts::default();
         let mut lane_rows = 0u64;
-        let sel = scan_filter_pruned_masked(&t, 0..100, &p, &mut counts, &covered, &mut lane_rows)
-            .unwrap();
+        let scan = PreparedScan::new(&t, &p).unwrap();
+        let sel = scan.scan_pruned_masked(0..100, &mut counts, &covered, &mut lane_rows);
         assert_eq!(lane_rows, 20);
         let expected: Vec<u32> = (10..60).filter(|r| !(20..40).contains(r)).collect();
         assert_eq!(sel, expected);
@@ -420,13 +367,9 @@ mod tests {
         // An all-false (or short) mask degenerates to the plain pruned scan.
         let mut counts2 = PruneCounts::default();
         let mut lane_rows2 = 0u64;
-        let plain =
-            scan_filter_pruned_masked(&t, 0..100, &p, &mut counts2, &[], &mut lane_rows2).unwrap();
+        let plain = scan.scan_pruned_masked(0..100, &mut counts2, &[], &mut lane_rows2);
         let mut counts3 = PruneCounts::default();
-        assert_eq!(
-            plain,
-            scan_filter_pruned(&t, 0..100, &p, &mut counts3).unwrap()
-        );
+        assert_eq!(plain, scan.scan_pruned(0..100, &mut counts3));
         assert_eq!(lane_rows2, 0);
     }
 
@@ -434,7 +377,9 @@ mod tests {
     fn true_predicate_fast_paths_every_block() {
         let t = blocked_table();
         let mut counts = PruneCounts::default();
-        let sel = scan_filter_pruned(&t, 0..100, &Predicate::True, &mut counts).unwrap();
+        let sel = PreparedScan::new(&t, &Predicate::True)
+            .unwrap()
+            .scan_pruned(0..100, &mut counts);
         assert_eq!(sel.len(), 100);
         assert_eq!(counts.fast_pathed, 10);
         assert_eq!(counts.scanned, 0);

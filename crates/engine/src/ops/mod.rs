@@ -10,9 +10,6 @@ pub use aggregate::{
     group_by, group_by_masked, group_by_range, BoundCol, ExactAgg, ExactAggFactory, GroupTable,
     Inputs, ResolvedCol,
 };
-pub use filter::{
-    refine_selection, scan_filter, scan_filter_pruned, scan_filter_pruned_masked, PreparedScan,
-    ScanEvent,
-};
+pub use filter::{scan_filter, PreparedScan, ScanEvent};
 pub use join::{build_join_map, star_probe, JoinMap, StarJoinOutput};
 pub use project::{gather, materialize, materialize_view};

@@ -23,12 +23,3 @@ pub fn eval_rows(compiled: &Compiled<'_>, range: Range<usize>) -> Vec<u32> {
         .map(|r| r as u32)
         .collect()
 }
-
-/// Narrow an existing selection row by row.
-pub fn refine_rows(compiled: &Compiled<'_>, selection: &[u32]) -> Vec<u32> {
-    selection
-        .iter()
-        .copied()
-        .filter(|&r| compiled.matches(r as usize))
-        .collect()
-}

@@ -225,6 +225,12 @@ pub fn execute_exact(catalog: &Catalog, plan: &QueryPlan, threads: usize) -> Res
 }
 
 /// [`execute_exact`], also reporting per-morsel zone-map prune verdicts.
+///
+/// Single-table plans take the **fused** filter+aggregate path: the
+/// predicate is compiled into batch kernels once, and every morsel's
+/// chunk masks / `TakeAll` ranges feed the hash group-by directly — no
+/// selection vector is materialized. Join plans still decode masks to row
+/// ids, since the star probe genuinely needs them.
 pub fn execute_exact_counted(
     catalog: &Catalog,
     plan: &QueryPlan,
@@ -232,32 +238,6 @@ pub fn execute_exact_counted(
 ) -> Result<(QueryResult, PruneCounts)> {
     validate_plan(catalog, plan)?;
     let joins = PreparedJoins::build(catalog, plan)?;
-    execute_exact_counted_prepared(catalog, plan, &joins, threads)
-}
-
-/// Execute with pre-built join maps (reused across a query sequence).
-pub fn execute_exact_prepared(
-    catalog: &Catalog,
-    plan: &QueryPlan,
-    joins: &PreparedJoins,
-    threads: usize,
-) -> Result<QueryResult> {
-    execute_exact_counted_prepared(catalog, plan, joins, threads).map(|(r, _)| r)
-}
-
-/// [`execute_exact_prepared`], also reporting zone-map prune verdicts.
-///
-/// Single-table plans take the **fused** filter+aggregate path: the
-/// predicate is compiled into batch kernels once, and every morsel's
-/// chunk masks / `TakeAll` ranges feed the hash group-by directly — no
-/// selection vector is materialized. Join plans still decode masks to row
-/// ids, since the star probe genuinely needs them.
-pub fn execute_exact_counted_prepared(
-    catalog: &Catalog,
-    plan: &QueryPlan,
-    joins: &PreparedJoins,
-    threads: usize,
-) -> Result<(QueryResult, PruneCounts)> {
     let fact = catalog.table(&plan.fact)?;
     let factory = ExactAggFactory::new(&plan.aggs);
     let agg_inputs: Vec<AggInput> = plan.aggs.iter().map(|a| a.input.clone()).collect();
@@ -301,7 +281,7 @@ pub fn execute_exact_counted_prepared(
             || (GroupTable::new(), PruneCounts::default()),
             |(acc, counts), range| {
                 let sel = scan.scan_pruned(range, counts);
-                let partial = run_morsel(catalog, plan, joins, fact, &factory, &agg_inputs, &sel)
+                let partial = run_morsel(catalog, plan, &joins, fact, &factory, &agg_inputs, &sel)
                     .expect("plan validated before execution");
                 acc.merge(partial);
             },
@@ -407,17 +387,8 @@ fn finalize_result(catalog: &Catalog, plan: &QueryPlan, table: GroupTable) -> Re
 }
 
 /// Count rows matching a predicate with a parallel scan — the
-/// memory-bandwidth floor the paper's figures plot as "scan".
-pub fn scan_count(
-    catalog: &Catalog,
-    fact: &str,
-    predicate: &Predicate,
-    threads: usize,
-) -> Result<usize> {
-    scan_count_pruned(catalog, fact, predicate, threads).map(|(n, _)| n)
-}
-
-/// [`scan_count`], also reporting per-morsel zone-map prune verdicts.
+/// memory-bandwidth floor the paper's figures plot as "scan" — also
+/// reporting per-morsel zone-map prune verdicts.
 pub fn scan_count_pruned(
     catalog: &Catalog,
     fact: &str,
@@ -588,9 +559,10 @@ mod tests {
     #[test]
     fn scan_count_matches_selectivity() {
         let cat = catalog();
-        let n = scan_count(&cat, "fact", &Predicate::between("id", 100, 299), 4).unwrap();
+        let (n, _) =
+            scan_count_pruned(&cat, "fact", &Predicate::between("id", 100, 299), 4).unwrap();
         assert_eq!(n, 200);
-        let all = scan_count(&cat, "fact", &Predicate::True, 4).unwrap();
+        let (all, _) = scan_count_pruned(&cat, "fact", &Predicate::True, 4).unwrap();
         assert_eq!(all, 1000);
     }
 

@@ -12,8 +12,7 @@
 
 use laqy_engine::ops::aggregate::bind_table_cols;
 use laqy_engine::ops::{
-    group_by, reference, scan_filter, scan_filter_pruned, BoundCol, ExactAggFactory, Inputs,
-    PreparedScan,
+    group_by, reference, scan_filter, BoundCol, ExactAggFactory, Inputs, PreparedScan,
 };
 use laqy_engine::{
     dict_column, execute_exact, AggSpec, Catalog, Column, Predicate, PruneCounts, QueryPlan, Table,
@@ -201,11 +200,11 @@ proptest! {
         let compiled = predicate.compile(&table).unwrap();
         let expected = reference::eval_rows(&compiled, 0..rows);
 
+        let scan = PreparedScan::new(&table, &predicate).unwrap();
         let mut counts = PruneCounts::default();
-        let pruned = scan_filter_pruned(&table, 0..rows, &predicate, &mut counts).unwrap();
+        let pruned = scan.scan_pruned(0..rows, &mut counts);
         prop_assert_eq!(&pruned, &expected);
 
-        let scan = PreparedScan::new(&table, &predicate).unwrap();
         let mut count_counts = PruneCounts::default();
         let n = scan.count_pruned(0..rows, &mut count_counts);
         prop_assert_eq!(n, expected.len() as u64);

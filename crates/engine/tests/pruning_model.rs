@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use laqy_engine::ops::{scan_filter, scan_filter_pruned, scan_filter_pruned_masked};
+use laqy_engine::ops::{scan_filter, PreparedScan};
 use laqy_engine::{dict_column, Column, Predicate, PruneCounts, Table};
 use proptest::prelude::*;
 
@@ -133,7 +133,8 @@ proptest! {
 
         let reference = scan_filter(&table, lo..hi, &predicate).unwrap();
         let mut counts = PruneCounts::default();
-        let pruned = scan_filter_pruned(&table, lo..hi, &predicate, &mut counts).unwrap();
+        let scan = PreparedScan::new(&table, &predicate).unwrap();
+        let pruned = scan.scan_pruned(lo..hi, &mut counts);
         prop_assert_eq!(&pruned, &reference);
 
         // Every block the range touches got exactly one verdict.
@@ -197,9 +198,8 @@ proptest! {
 
         let mut counts = PruneCounts::default();
         let mut lane_rows = 0u64;
-        let sel =
-            scan_filter_pruned_masked(&table, 0..rows, &predicate, &mut counts, &covered, &mut lane_rows)
-                .unwrap();
+        let scan = PreparedScan::new(&table, &predicate).unwrap();
+        let sel = scan.scan_pruned_masked(0..rows, &mut counts, &covered, &mut lane_rows);
         prop_assert_eq!(lane_rows, total_covered, "mask excluded a different row count");
 
         // Partition: boundary selection ∪ span rows == reference, disjoint.
@@ -237,7 +237,8 @@ proptest! {
         ] {
             let reference = scan_filter(&table, 0..rows, &predicate).unwrap();
             let mut counts = PruneCounts::default();
-            let pruned = scan_filter_pruned(&table, 0..rows, &predicate, &mut counts).unwrap();
+            let scan = PreparedScan::new(&table, &predicate).unwrap();
+            let pruned = scan.scan_pruned(0..rows, &mut counts);
             prop_assert_eq!(pruned, reference);
         }
     }

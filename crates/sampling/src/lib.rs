@@ -9,8 +9,6 @@
 //! - [`reservoir`]: single-reservoir sampling with Algorithm R admission and
 //!   a running *weight* (the number of considered elements), the state that
 //!   makes reservoirs mergeable (paper §5.1).
-//! - [`weighted`]: weighted reservoir sampling (Chao's algorithm), the
-//!   primitive behind proportional reservoir merging.
 //! - [`merge`]: reservoir merging (paper Algorithm 2) — merging `{R1, w1}`
 //!   and `{R2, w2}` yields `{Rm, w1 + w2}`, statistically equivalent to a
 //!   full resample of the combined input. §5.1's argument is associative,
@@ -35,7 +33,6 @@ pub mod rng;
 pub mod stratified;
 pub mod stratified_merge;
 pub mod universe;
-pub mod weighted;
 
 pub use merge::{merge_reservoirs, merge_reservoirs_k, merge_reservoirs_with_capacity};
 pub use reservoir::Reservoir;
@@ -43,4 +40,3 @@ pub use rng::{Lehmer64, MinStd, SplitMix64};
 pub use stratified::{StratifiedSampler, StratumKey};
 pub use stratified_merge::{merge_stratified, merge_stratified_k, merge_stratified_refs};
 pub use universe::UniverseSampler;
-pub use weighted::WeightedReservoir;

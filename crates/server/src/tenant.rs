@@ -126,9 +126,7 @@ impl TenantError {
                 format!("invalid tenant name {n:?}: 1..={MAX_TENANT_NAME} chars of [A-Za-z0-9_-]")
             }
             TenantError::Limit => "tenant limit reached".to_string(),
-            TenantError::Draining => {
-                "server is draining; new tenants are not accepted".to_string()
-            }
+            TenantError::Draining => "server is draining; new tenants are not accepted".to_string(),
             TenantError::Persist(e) => format!("tenant persistence setup failed: {e}"),
         }
     }
@@ -361,7 +359,10 @@ mod tests {
         let reg = TenantRegistry::new(tiny_catalog(), test_config());
         assert!(reg.lookup("ghost").expect("valid name").is_none());
         assert_eq!(reg.list().len(), 0, "lookup must not allocate a tenant");
-        assert!(matches!(reg.lookup("../evil"), Err(TenantError::BadName(_))));
+        assert!(matches!(
+            reg.lookup("../evil"),
+            Err(TenantError::BadName(_))
+        ));
         let a = reg.get_or_create("a").expect("a");
         let found = reg.lookup("a").expect("valid name").expect("exists");
         assert!(Arc::ptr_eq(&a, &found));
@@ -377,7 +378,9 @@ mod tests {
             matches!(reg.get_or_create("b"), Err(TenantError::Draining)),
             "new tenants are refused after close"
         );
-        let a2 = reg.get_or_create("a").expect("existing tenants still resolve");
+        let a2 = reg
+            .get_or_create("a")
+            .expect("existing tenants still resolve");
         assert!(Arc::ptr_eq(&a, &a2));
     }
 

@@ -127,7 +127,7 @@ pub fn q2(range: Interval, k: usize) -> ApproxQuery {
 mod tests {
     use super::*;
     use crate::ssb::{generate, SsbConfig};
-    use laqy::LaqySession;
+    use laqy::LaqyService;
 
     #[test]
     fn qcs_mappings_match_table1() {
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn q1_runs_end_to_end() {
         let catalog = generate(&SsbConfig::tiny());
-        let mut session = LaqySession::new(catalog);
+        let session = LaqyService::new(catalog);
         let q = q1(Interval::new(0, 2999), 64);
         let result = session.run(&q).unwrap();
         assert!(!result.groups.is_empty());
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn q2_runs_end_to_end() {
         let catalog = generate(&SsbConfig::tiny());
-        let mut session = LaqySession::new(catalog);
+        let session = LaqyService::new(catalog);
         let q = q2(Interval::new(0, 5999), 64);
         let result = session.run(&q).unwrap();
         assert!(!result.groups.is_empty());
@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn strat_template_stratifies_on_qcs() {
         let catalog = generate(&SsbConfig::tiny());
-        let mut session = LaqySession::new(catalog);
+        let session = LaqyService::new(catalog);
         let q = strat(2, "lo_intkey", Interval::new(0, 5999), 16);
         let result = session.run(&q).unwrap();
         assert_eq!(result.groups.len(), 450);

@@ -7,7 +7,7 @@
 //! cargo run --release --example accuracy_bounds [trials]
 //! ```
 
-use laqy::{Interval, LaqySession, SessionConfig};
+use laqy::{Interval, LaqyService, SessionConfig};
 use laqy_engine::Value;
 use laqy_workload::{generate, q1, SsbConfig};
 
@@ -26,14 +26,14 @@ fn main() {
     let target = q1(Interval::new(0, (n as f64 * 0.7) as i64 - 1), 8);
 
     // Ground truth once.
-    let session = LaqySession::new(catalog.clone());
+    let session = LaqyService::new(catalog.clone());
     let (exact, _) = session.run_exact(&target).expect("exact");
 
     let report = |label: &str, merged_path: bool| {
         let mut rel_err_sum = 0.0f64;
         let (mut covered, mut groups_total) = (0usize, 0usize);
         for t in 0..trials {
-            let mut s = LaqySession::with_config(
+            let s = LaqyService::with_config(
                 catalog.clone(),
                 SessionConfig {
                     seed: 1000 + t as u64,

@@ -12,7 +12,7 @@
 //! cargo run --release --example dashboard_joins [scale_factor]
 //! ```
 
-use laqy::{Interval, LaqySession, SessionConfig};
+use laqy::{Interval, LaqyService, SessionConfig};
 use laqy_workload::{generate, q2, short_running, ExploreConfig, SsbConfig};
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     // 3 dashboards × 20 queries, each over its own focus region.
     let sequence = short_running(&ExploreConfig::short_batch(domain, 1234), 3);
 
-    let mut session = LaqySession::with_config(catalog, SessionConfig::default());
+    let session = LaqyService::with_config(catalog, SessionConfig::default());
     let (mut lazy_total, mut online_total) = (0.0f64, 0.0f64);
     println!("\npanel | query | reuse   | LAQy time  | online time");
     println!("------+-------+---------+------------+------------");

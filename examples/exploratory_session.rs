@@ -7,7 +7,7 @@
 //! cargo run --release --example exploratory_session [scale_factor]
 //! ```
 
-use laqy::{Interval, LaqySession, ReuseClass, SessionConfig};
+use laqy::{Interval, LaqyService, ReuseClass, SessionConfig};
 use laqy_workload::{generate, long_running, q1, ExploreConfig, SsbConfig};
 
 fn main() {
@@ -27,8 +27,8 @@ fn main() {
     let domain = Interval::new(0, n - 1);
     let sequence = long_running(&ExploreConfig::long_running(domain, 7));
 
-    let mut lazy_session = LaqySession::with_config(catalog.clone(), SessionConfig::default());
-    let mut online_session = LaqySession::with_config(catalog, SessionConfig::default());
+    let lazy_session = LaqyService::with_config(catalog.clone(), SessionConfig::default());
+    let online_session = LaqyService::with_config(catalog, SessionConfig::default());
 
     println!("\n#  | range sel | reuse   | LAQy       | online     | exact");
     println!("---+-----------+---------+------------+------------+-----------");

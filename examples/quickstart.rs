@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use laqy::{ApproxQuery, Interval, LaqySession};
+use laqy::{ApproxQuery, Interval, LaqyService};
 use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table};
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
         .expect("aligned columns"),
     );
 
-    let mut session = LaqySession::new(catalog);
+    let session = LaqyService::new(catalog);
     let query = |lo: i64, hi: i64| ApproxQuery {
         plan: QueryPlan {
             fact: "events".into(),

@@ -7,7 +7,7 @@
 //! cargo run --release --example sql_session
 //! ```
 
-use laqy::{approx_query, LaqySession};
+use laqy::{approx_query, LaqyService};
 use laqy_workload::{generate, SsbConfig};
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
         seed: 3,
     });
     let n = catalog.table("lineorder").unwrap().num_rows() as i64;
-    let mut session = LaqySession::new(catalog.clone());
+    let session = LaqyService::new(catalog.clone());
 
     // An exploration session written as SQL; ranges grow then zoom in.
     let statements = [

@@ -19,8 +19,8 @@ use std::sync::Barrier;
 use std::time::Duration;
 
 use laqy::{
-    save_store, ApproxResult, Interval, IntervalSet, LaqyService, LaqySession, ReuseClass,
-    SampleStore, SessionConfig,
+    save_store, ApproxResult, Interval, IntervalSet, LaqyService, ReuseClass, SampleStore,
+    SessionConfig,
 };
 use laqy_engine::{Catalog, QueryResult, Value};
 use laqy_workload::{generate, q1, SsbConfig};
@@ -151,7 +151,7 @@ fn stress_overlapping_clients_preserve_store_invariants() {
     // Single-threaded oracle replay of the same multiset ends with the
     // same coverage: the union of all query ranges, independent of
     // interleaving.
-    let mut replay = LaqySession::with_config(cat, config(None));
+    let replay = LaqyService::with_config(cat, config(None));
     let mut requested = IntervalSet::empty();
     for t in 0..THREADS {
         for j in 0..QUERIES_PER_THREAD {

@@ -2,7 +2,7 @@
 //! data, checking reuse classification, estimate accuracy against exact
 //! answers, and the statistical equivalence of merged samples.
 
-use laqy::{ApproxQuery, Interval, LaqySession, ReuseClass, SessionConfig};
+use laqy::{ApproxQuery, Interval, LaqyService, ReuseClass, SessionConfig};
 use laqy_engine::{AggSpec, Catalog, ColRef, Predicate, QueryPlan, Value};
 use laqy_workload::{generate, q1, q2, strat, SsbConfig};
 
@@ -13,8 +13,8 @@ fn catalog() -> Catalog {
     })
 }
 
-fn session(cat: &Catalog, seed: u64) -> LaqySession {
-    LaqySession::with_config(
+fn session(cat: &Catalog, seed: u64) -> LaqyService {
+    LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 2,
@@ -32,7 +32,7 @@ fn n_rows(cat: &Catalog) -> i64 {
 fn reuse_classes_follow_algorithm_one() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = session(&cat, 1);
+    let s = session(&cat, 1);
 
     // Cold store: online.
     let r = s.run(&q1(Interval::new(0, n / 2), 64)).unwrap();
@@ -59,7 +59,7 @@ fn reuse_classes_follow_algorithm_one() {
 fn estimates_track_exact_answers_q1() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = session(&cat, 2);
+    let s = session(&cat, 2);
     let query = q1(Interval::new(0, (0.6 * n as f64) as i64), 512);
 
     let approx = s.run(&query).unwrap();
@@ -98,14 +98,14 @@ fn merged_sample_estimates_match_fresh_online_estimates() {
     let trials = 10;
     for t in 0..trials {
         // Fresh online.
-        let mut s = session(&cat, 100 + t);
+        let s = session(&cat, 100 + t);
         let r = s.run(&target).unwrap();
         assert_eq!(r.stats.reuse, Some(ReuseClass::Online));
         let total: f64 = r.groups.iter().map(|g| g.values[0].value).sum();
         err_online += (total - truth_total).abs() / truth_total;
 
         // Warm up with a prefix range, forcing delta + merge.
-        let mut s = session(&cat, 200 + t);
+        let s = session(&cat, 200 + t);
         s.run(&q1(Interval::new(0, (0.4 * n as f64) as i64), 256))
             .unwrap();
         let r = s.run(&target).unwrap();
@@ -127,7 +127,7 @@ fn merged_sample_estimates_match_fresh_online_estimates() {
 fn q2_join_pipeline_matches_exact_groups() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = session(&cat, 3);
+    let s = session(&cat, 3);
     let query = q2(Interval::new(0, n - 1), 512);
 
     let approx = s.run(&query).unwrap();
@@ -146,7 +146,7 @@ fn q2_join_pipeline_matches_exact_groups() {
 fn full_reuse_after_join_heavy_query_skips_scan() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = session(&cat, 4);
+    let s = session(&cat, 4);
     s.run(&q2(Interval::new(0, n / 2), 64)).unwrap();
     let r = s.run(&q2(Interval::new(n / 8, n / 4), 64)).unwrap();
     assert_eq!(r.stats.reuse, Some(ReuseClass::Full));
@@ -157,7 +157,7 @@ fn full_reuse_after_join_heavy_query_skips_scan() {
 fn different_templates_do_not_share_samples() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = session(&cat, 5);
+    let s = session(&cat, 5);
     s.run(&q1(Interval::new(0, n - 1), 64)).unwrap();
     // Q2 has a different sampler input (join subtree) — no reuse.
     let r = s.run(&q2(Interval::new(0, n / 2), 64)).unwrap();
@@ -171,7 +171,7 @@ fn different_templates_do_not_share_samples() {
 fn strat_template_produces_table1_strata() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = session(&cat, 6);
+    let s = session(&cat, 6);
     for (cols, expected) in [(1usize, 50usize), (2, 450), (3, 4950)] {
         let r = s
             .run(&strat(cols, "lo_intkey", Interval::new(0, n - 1), 8))
@@ -189,7 +189,7 @@ fn strat_template_produces_table1_strata() {
 fn online_oblivious_baseline_never_reuses() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = session(&cat, 7);
+    let s = session(&cat, 7);
     for _ in 0..3 {
         let r = s
             .run_online_oblivious(&q1(Interval::new(0, n / 2), 64))
@@ -203,7 +203,7 @@ fn online_oblivious_baseline_never_reuses() {
 fn repeated_identical_query_is_free_after_first() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = session(&cat, 8);
+    let s = session(&cat, 8);
     let query = q1(Interval::new(n / 4, n / 2), 64);
     let first = s.run(&query).unwrap();
     assert_eq!(first.stats.reuse, Some(ReuseClass::Online));
@@ -215,7 +215,7 @@ fn repeated_identical_query_is_free_after_first() {
 #[test]
 fn zero_width_range_is_handled() {
     let cat = catalog();
-    let mut s = session(&cat, 9);
+    let s = session(&cat, 9);
     let r = s.run(&q1(Interval::new(5, 5), 16)).unwrap();
     // One matching row lands in exactly one stratum.
     let total: f64 = r
@@ -229,7 +229,7 @@ fn zero_width_range_is_handled() {
 #[test]
 fn k_larger_than_input_keeps_population_and_is_exact() {
     let cat = catalog();
-    let mut s = session(&cat, 10);
+    let s = session(&cat, 10);
     let query = q1(Interval::new(0, 499), 100_000);
     let approx = s.run(&query).unwrap();
     let (exact, _) = s.run_exact(&query).unwrap();
@@ -247,7 +247,7 @@ fn k_larger_than_input_keeps_population_and_is_exact() {
 fn store_budget_eviction_degrades_to_online_not_wrong_answers() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = LaqySession::with_config(
+    let s = LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 2,
@@ -280,7 +280,7 @@ fn custom_plan_with_fixed_predicate_is_part_of_identity() {
         range: Interval::new(0, n / 2),
         k: 32,
     };
-    let mut s = session(&cat, 12);
+    let s = session(&cat, 12);
     s.run(&make(25)).unwrap();
     // Same range but different fixed predicate ⇒ different sampler input
     // ⇒ no reuse.
@@ -298,7 +298,7 @@ fn full_ssb_benchmark_approximates_exact_results() {
     // generous k — and compare against exact execution.
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut session = session(&cat, 77);
+    let session = session(&cat, 77);
     for (name, plan) in laqy_workload::all_queries() {
         let query = ApproxQuery {
             plan,

@@ -1,7 +1,7 @@
 //! Integration tests for the support policies (§5.2), oversampling, the
 //! conservative fallback, and the reuse-mode ablation switch.
 
-use laqy::{Interval, LaqySession, ReuseClass, ReuseMode, SessionConfig, SupportPolicy};
+use laqy::{Interval, LaqyService, ReuseClass, ReuseMode, SessionConfig, SupportPolicy};
 use laqy_engine::Catalog;
 use laqy_workload::{generate, q1, SsbConfig};
 
@@ -20,7 +20,7 @@ fn n_rows(cat: &Catalog) -> i64 {
 fn full_match_only_mode_never_reports_partial() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = LaqySession::with_config(
+    let s = LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 2,
@@ -46,7 +46,7 @@ fn lazy_mode_beats_full_match_only_on_overlapping_sequences() {
     // A growing sequence where every step extends the previous range.
     let steps: Vec<Interval> = (1..=8).map(|i| Interval::new(0, n * i / 8 - 1)).collect();
     let run = |mode: ReuseMode| -> (u64, u64) {
-        let mut s = LaqySession::with_config(
+        let s = LaqyService::with_config(
             cat.clone(),
             SessionConfig {
                 threads: 2,
@@ -80,7 +80,7 @@ fn oversampling_alpha_scales_reservoirs() {
     let cat = catalog();
     let n = n_rows(&cat);
     let run_support = |alpha: f64| -> usize {
-        let mut s = LaqySession::with_config(
+        let s = LaqyService::with_config(
             cat.clone(),
             SessionConfig {
                 threads: 2,
@@ -111,7 +111,7 @@ fn oversampling_alpha_scales_reservoirs() {
 fn conservative_policy_falls_back_to_online_on_thin_support() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = LaqySession::with_config(
+    let s = LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 2,
@@ -133,7 +133,7 @@ fn conservative_policy_falls_back_to_online_on_thin_support() {
 
     // Without the conservative flag the same query is a full reuse with
     // the available (wider) bounds.
-    let mut s = LaqySession::with_config(
+    let s = LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 2,
@@ -156,7 +156,7 @@ fn conservative_policy_falls_back_to_online_on_thin_support() {
 fn support_report_flags_empty_strata_after_tightening() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = LaqySession::with_config(
+    let s = LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 2,
@@ -182,7 +182,7 @@ fn per_stratum_fallback_validates_thin_strata_without_full_online() {
     // under-supported strata are re-sampled online and validated.
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = LaqySession::with_config(
+    let s = LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 2,

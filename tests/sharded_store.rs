@@ -26,8 +26,8 @@ use std::sync::Barrier;
 use std::time::Duration;
 
 use laqy::{
-    save_store, ApproxResult, Interval, IntervalSet, LaqyService, LaqySession, ReuseClass,
-    SampleStore, SessionConfig, ShardedStore, STORE_SHARDS,
+    save_store, ApproxResult, Interval, IntervalSet, LaqyService, ReuseClass, SampleStore,
+    SessionConfig, ShardedStore, STORE_SHARDS,
 };
 use laqy_engine::{Catalog, QueryResult, Value};
 use laqy_workload::{generate, q1, SsbConfig};
@@ -226,7 +226,7 @@ fn sharded_stress_preserves_store_invariants_per_family() {
 
     // Per-family coverage matches a single-threaded oracle replay of the
     // same query multiset: sharding must not lose or cross-wire coverage.
-    let mut replay = LaqySession::with_config(cat, config(None));
+    let replay = LaqyService::with_config(cat, config(None));
     let mut requested: HashMap<usize, IntervalSet> = HashMap::new();
     for t in 0..THREADS {
         let k = ks[t % ks.len()];

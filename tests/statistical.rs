@@ -4,8 +4,7 @@
 //! fresh online samples and for merged (partial-reuse) samples alike.
 
 use laqy::{
-    save_store, ApproxQuery, Interval, LaqyService, LaqySession, ReuseClass, SampleStore,
-    SessionConfig,
+    save_store, ApproxQuery, Interval, LaqyService, ReuseClass, SampleStore, SessionConfig,
 };
 use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table, Value};
 use laqy_workload::{generate, q1, SsbConfig};
@@ -17,8 +16,8 @@ fn catalog() -> Catalog {
     })
 }
 
-fn session(cat: &Catalog, seed: u64) -> LaqySession {
-    LaqySession::with_config(
+fn session(cat: &Catalog, seed: u64) -> LaqyService {
+    LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 1,
@@ -47,7 +46,7 @@ fn merged_sample_total_is_unbiased_across_seeds() {
     let trials = 30;
     let mut sum_est = 0.0;
     for t in 0..trials {
-        let mut s = session(&cat, 5_000 + t);
+        let s = session(&cat, 5_000 + t);
         // Warm coverage of the first 40% so the target query merges.
         s.run(&q1(Interval::new(0, (0.4 * n as f64) as i64), 12))
             .unwrap();
@@ -76,7 +75,7 @@ fn per_group_ci_coverage_is_near_nominal_for_merged_samples() {
     let trials = 15;
     let (mut covered, mut total) = (0usize, 0usize);
     for t in 0..trials {
-        let mut s = session(&cat, 9_000 + t);
+        let s = session(&cat, 9_000 + t);
         s.run(&q1(Interval::new(0, (0.4 * n as f64) as i64), 16))
             .unwrap();
         let r = s.run(&target).unwrap();
@@ -152,7 +151,7 @@ fn concurrent_merge_matches_full_resample_error_distribution() {
         merged_errs.push(((est - truth) / truth).abs());
 
         // (b) Full resample of the same range at the same seed budget.
-        let mut s = session(&cat, 40_000 + t);
+        let s = session(&cat, 40_000 + t);
         let r = s.run(&target).unwrap();
         assert_eq!(r.stats.reuse, Some(ReuseClass::Online));
         assert_eq!(r.groups.len(), exact_groups, "resample lost a group");
@@ -266,7 +265,7 @@ fn incremental_absorb_matches_from_scratch_sample_at_final_watermark() {
 
         // (b) From-scratch online sample of the final table at a matched
         // seed budget.
-        let mut s = session(&cat, 80_000 + t);
+        let s = session(&cat, 80_000 + t);
         let r = s.run(&target).unwrap();
         assert_eq!(r.stats.reuse, Some(ReuseClass::Online));
         assert_eq!(r.groups.len(), exact_groups, "scratch sample lost a group");
@@ -388,7 +387,7 @@ fn coverage_planned_merge_matches_full_resample_of_the_union() {
         planned_ests.push(r.groups.iter().map(|g| g.values[0].value).sum::<f64>());
 
         // (b) Full online resample of the same union at a matched seed.
-        let mut s = session(&cat, 70_000 + t);
+        let s = session(&cat, 70_000 + t);
         let r = s.run(&target).unwrap();
         assert_eq!(r.stats.reuse, Some(ReuseClass::Online));
         assert_eq!(r.groups.len(), exact_groups, "resample lost a group");
@@ -430,7 +429,7 @@ fn estimate_variance_shrinks_with_k() {
         let mut total = 0.0;
         let mut count = 0usize;
         for t in 0..5 {
-            let mut s = session(&cat, 20_000 + t);
+            let s = session(&cat, 20_000 + t);
             let r = s.run(&q1(Interval::new(0, n - 1), k)).unwrap();
             for g in &r.groups {
                 let est = &g.values[0];
@@ -500,14 +499,14 @@ fn lane_coverage_strictly_shrinks_ci_width_on_clustered_data() {
         seed,
         ..SessionConfig::default()
     };
-    let (exact, _) = LaqySession::with_config(cat.clone(), config(0))
+    let (exact, _) = LaqyService::with_config(cat.clone(), config(0))
         .run_exact(&query)
         .unwrap();
 
     for seed in [11u64, 12, 13] {
-        let mut hybrid_s = LaqySession::with_config(cat.clone(), config(seed));
+        let hybrid_s = LaqyService::with_config(cat.clone(), config(seed));
         let hybrid = hybrid_s.run(&query).unwrap();
-        let mut oblivious_s = LaqySession::with_config(cat.clone(), config(seed));
+        let oblivious_s = LaqyService::with_config(cat.clone(), config(seed));
         let oblivious = oblivious_s.run_online_oblivious(&query).unwrap();
         assert_eq!(hybrid.stats.reuse, Some(ReuseClass::Online));
         assert_eq!(oblivious.stats.reuse, Some(ReuseClass::Online));
@@ -669,7 +668,7 @@ fn repeated_full_reuse_returns_identical_answers() {
     // Determinism: full reuse is a pure function of the stored sample.
     let cat = catalog();
     let n = cat.table("lineorder").unwrap().num_rows() as i64;
-    let mut s = session(&cat, 31);
+    let s = session(&cat, 31);
     let query = q1(Interval::new(0, n / 2), 32);
     s.run(&query).unwrap();
     let a = s.run(&query).unwrap();

@@ -1,22 +1,26 @@
-//! Model-based property test for the sample store: random sequences of
-//! absorb / merge-delta / classify operations are checked against a simple
-//! reference model (a coverage `IntervalSet` per sample family).
+//! Model-based property tests for the sample store: random sequences of
+//! queries are driven through the planner and write step the service runs
+//! ([`plan_lazy`] → fetch / [`SampleStore::absorb_coverage`] / `absorb`)
+//! and checked against a simple reference model (a coverage `IntervalSet`
+//! per sample family).
 //!
 //! The invariants under test are the ones Algorithm 1's correctness rests
 //! on:
-//! - `Full` is returned iff some stored sample's coverage subsumes the
+//! - full reuse is planned iff some stored sample's coverage subsumes the
 //!   query range;
-//! - `Partial` implies the returned Δ equals `query − coverage` of the
-//!   chosen sample and is strictly smaller than the query;
-//! - `None` implies no stored same-family sample overlaps usefully;
+//! - coverage reuse implies the residual fragments equal `query −
+//!   coverage` of the selected samples and are strictly smaller than the
+//!   query;
+//! - online implies no stored same-family sample overlaps the query;
 //! - stored weights always equal the number of tuples absorbed into the
-//!   family region (no tuple is ever double-counted by a merge).
+//!   family region (no tuple is ever double-counted by a merge) — Σ
+//!   stratum weights == covered measure after every write.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use laqy::{
-    Interval, IntervalSet, Predicates, ReuseDecision, SampleDescriptor, SampleId, SampleSchema,
-    SampleStore, SampleTuple, SlotKind,
+    plan_lazy, Interval, IntervalSet, LazyPlan, Predicates, SampleDescriptor, SampleId,
+    SampleSchema, SampleStore, SampleTuple, SlotKind,
 };
 use laqy_engine::GroupKey;
 use laqy_sampling::{Lehmer64, StratifiedSampler};
@@ -54,42 +58,150 @@ fn interval() -> impl Strategy<Value = Interval> {
     (0i64..300, 0i64..80).prop_map(|(lo, w)| Interval::new(lo, lo + w))
 }
 
+fn coverage(store: &SampleStore, id: SampleId) -> IntervalSet {
+    let stored = store.peek(id).expect("sample is stored");
+    stored.descriptor.predicates.get("x").unwrap().clone()
+}
+
+/// What one query did to the store.
+struct Driven {
+    /// The plan it ran.
+    plan: LazyPlan,
+    /// The sample it read (full reuse) or that holds what it wrote.
+    subject: SampleId,
+    /// Planned samples the write step took out of the store (their union
+    /// went back in).
+    consolidated: Vec<SampleId>,
+    /// The coverage the write step handed to `absorb` (empty on a hit).
+    absorbed: IntervalSet,
+}
+
+/// Drive one query exactly as the service does: plan, then full reuse
+/// touches the sample (fetch), coverage reuse Δ-scans every fragment and
+/// runs the store's coverage write step, no reuse samples online and
+/// absorbs.
+fn drive(store: &mut SampleStore, q: &IntervalSet, rng: &mut Lehmer64) -> Driven {
+    let desc = descriptor(q.clone());
+    let plan = plan_lazy(store, &desc, 0);
+    let mut absorbed = IntervalSet::empty();
+    let mut consolidated = Vec::new();
+    let subject = match &plan {
+        LazyPlan::FullReuse { id } => {
+            store.get(*id);
+            *id
+        }
+        LazyPlan::CoverageReuse(cover) => {
+            prop_assert!(cover.tails.is_empty(), "static table: nothing is stale");
+            absorbed = q.clone();
+            for id in &cover.samples {
+                absorbed = absorbed.union(&coverage(store, *id));
+            }
+            let scans = cover
+                .fragments
+                .iter()
+                .enumerate()
+                .map(|(part, f)| (part, sample_for(f.get("x").unwrap(), rng), true))
+                .collect();
+            let merged = store.absorb_coverage(&desc, &schema(), cover, scans, true, rng);
+            // The lazy sample covers the planned samples and the query,
+            // every integer exactly once.
+            let merged = merged.expect("every planned sample is stored");
+            prop_assert_eq!(merged.total_weight(), absorbed.measure());
+            // One predicate column: the merged region is always a box, so
+            // the planned samples were consolidated.
+            for id in &cover.samples {
+                prop_assert!(store.peek(*id).is_none());
+            }
+            consolidated = cover.samples.clone();
+            let holder = store
+                .descriptors()
+                .find(|(_, d)| d.predicates.get("x").unwrap().subsumes(&absorbed));
+            holder.expect("the union is stored").0
+        }
+        LazyPlan::Online => {
+            absorbed = q.clone();
+            store.absorb(desc, schema(), sample_for(q, rng), 0, rng)
+        }
+    };
+    // Whatever arm ran, the store now answers the query as a full hit.
+    let hit = matches!(
+        plan_lazy(store, &descriptor(q.clone()), 0),
+        LazyPlan::FullReuse { .. }
+    );
+    prop_assert!(hit);
+    Driven {
+        plan,
+        subject,
+        consolidated,
+        absorbed,
+    }
+}
+
+/// A plan for `qset` agrees with the stored coverages it was made from.
+fn check_plan(store: &SampleStore, qset: &IntervalSet) {
+    match plan_lazy(store, &descriptor(qset.clone()), 0) {
+        LazyPlan::FullReuse { id } => {
+            prop_assert!(coverage(store, id).subsumes(qset));
+        }
+        LazyPlan::CoverageReuse(cover) => {
+            let mut selected = IntervalSet::empty();
+            for id in &cover.samples {
+                let set = coverage(store, *id);
+                prop_assert!(!set.overlaps(&selected), "selected populations overlap");
+                selected = selected.union(&set);
+            }
+            let mut residual = IntervalSet::empty();
+            for f in &cover.fragments {
+                residual = residual.union(f.get("x").unwrap());
+            }
+            prop_assert_eq!(&residual, &qset.difference(&selected));
+            prop_assert_eq!(cover.residual_measure(), residual.measure() as u128);
+            prop_assert!(residual.measure() < qset.measure());
+        }
+        LazyPlan::Online => {
+            // No stored sample may subsume or usefully overlap the query.
+            for (_, d) in store.descriptors() {
+                let set = d.predicates.get("x").unwrap();
+                prop_assert!(!set.subsumes(qset));
+                prop_assert!(!set.overlaps(qset));
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
     #[test]
-    fn classify_agrees_with_coverage_model(
+    fn plans_agree_with_coverage_model(
         ops in prop::collection::vec(interval(), 1..12),
         queries in prop::collection::vec(interval(), 1..8),
     ) {
         let mut rng = Lehmer64::new(7);
         let mut store = SampleStore::new();
 
-        // Drive the store exactly as the executor would: classify, then
-        // absorb/merge according to the decision. The model tracks total
-        // covered ground.
+        // Drive the store exactly as the service would: plan, then reuse /
+        // Δ-scan + coverage write / online absorb according to the plan.
+        // The model tracks total covered ground.
         let mut model_coverage = IntervalSet::empty();
         for iv in &ops {
             let q = IntervalSet::of(*iv);
-            let desc = descriptor(q.clone());
-            match store.classify(&desc) {
-                ReuseDecision::Full { .. } => {
+            match drive(&mut store, &q, &mut rng).plan {
+                LazyPlan::FullReuse { .. } => {
                     // Model: already covered.
                     prop_assert!(model_coverage.subsumes(&q));
                 }
-                ReuseDecision::Partial { id, delta, varying } => {
-                    let delta_set = delta.get(&varying).cloned().unwrap_or_default();
-                    prop_assert!(!delta_set.overlaps(&model_coverage) ||
-                        // The chosen sample's coverage may be a subset of the
-                        // union model when several families split coverage;
-                        // but single-family workloads keep them equal.
-                        store.len() > 1);
-                    let delta_sample = sample_for(&delta_set, &mut rng);
-                    store.merge_delta(id, delta_sample, &delta, &varying, 0, &mut rng);
+                LazyPlan::CoverageReuse(cover) => {
+                    for f in &cover.fragments {
+                        // The selected samples' coverage may be a subset of
+                        // the union model when several families split
+                        // coverage; but single-family workloads keep them
+                        // equal.
+                        prop_assert!(
+                            !f.get("x").unwrap().overlaps(&model_coverage) || store.len() > 1
+                        );
+                    }
                 }
-                ReuseDecision::None => {
-                    let s = sample_for(&q, &mut rng);
-                    store.absorb(desc, schema(), s, 0, &mut rng);
-                }
+                LazyPlan::Online => prop_assert!(!q.overlaps(&model_coverage)),
             }
             model_coverage = model_coverage.union(&q);
         }
@@ -106,44 +218,16 @@ proptest! {
         let total_weight: u64 = store.iter_samples().map(|s| s.sample.total_weight()).sum();
         prop_assert_eq!(total_weight, model_coverage.measure());
 
-        // Classification of arbitrary queries agrees with the model.
+        // Plans for arbitrary queries agree with the model.
         for q in &queries {
-            let qset = IntervalSet::of(*q);
-            match store.classify(&descriptor(qset.clone())) {
-                ReuseDecision::Full { id } => {
-                    let stored = store.peek(id).unwrap();
-                    prop_assert!(stored.descriptor.predicates.get("x").unwrap().subsumes(&qset));
-                }
-                ReuseDecision::Partial { id, delta, varying } => {
-                    let stored_set = store
-                        .peek(id)
-                        .unwrap()
-                        .descriptor
-                        .predicates
-                        .get("x")
-                        .unwrap()
-                        .clone();
-                    let delta_set = delta.get(&varying).cloned().unwrap_or_default();
-                    prop_assert_eq!(&delta_set, &qset.difference(&stored_set));
-                    prop_assert!(delta_set.measure() < qset.measure());
-                }
-                ReuseDecision::None => {
-                    // No single stored sample may subsume or usefully
-                    // overlap the query.
-                    for (_, d) in store.descriptors() {
-                        let set = d.predicates.get("x").unwrap();
-                        prop_assert!(!set.subsumes(&qset));
-                        prop_assert!(!set.overlaps(&qset));
-                    }
-                }
-            }
+            check_plan(&store, &IntervalSet::of(*q));
         }
     }
 }
 
 // Coverage-planner model: for arbitrary fragmented stores (raw-inserted,
 // possibly overlapping boxes on up to two columns) and arbitrary query
-// boxes, `plan_coverage` must produce a plan that exactly tiles the
+// boxes, `plan_coverage_at` must produce a plan that exactly tiles the
 // query region:
 //
 // - at most `cap` selected samples, with pairwise-disjoint populations;
@@ -188,7 +272,7 @@ proptest! {
 
         for (x, y, cy) in &queries {
             let qp = boxed(x, y, *cy);
-            let plan = store.plan_coverage(&descriptor2(qp.clone()), cap);
+            let plan = store.plan_coverage_at(&descriptor2(qp.clone()), cap, 0);
             prop_assert!(plan.samples.len() <= cap);
 
             let selected: Vec<Predicates> = plan
@@ -235,14 +319,17 @@ proptest! {
     }
 }
 
-// Second model: arbitrary interleavings of query-driven absorb/merge,
-// raw insertion (snapshot restore), and explicit eviction, optionally
-// under a byte budget with LRU eviction. The reference model tracks,
-// after every single operation:
+// Second model: arbitrary interleavings of query-driven fetch / coverage
+// write / online absorb, raw insertion (snapshot restore), and explicit
+// eviction, optionally under a byte budget with LRU eviction. The
+// reference model tracks, after every single operation:
 //
 // - the just-written sample is never evicted by its own insertion;
 // - the byte budget holds (down to a single protected sample);
-// - budget evictions remove exactly the least-recently-used samples;
+// - samples leave the store only as the write step allows — planned
+//   samples consolidated into their union, samples the absorbed coverage
+//   subsumes replaced by it — or as budget evictions, which remove exactly
+//   the least-recently-used samples;
 // - every surviving sample's total weight equals its coverage measure
 //   (no interleaving of merges and evictions double-counts or loses a
 //   tuple);
@@ -255,12 +342,13 @@ proptest! {
         budgeted in any::<bool>(),
     ) {
         let mut rng = Lehmer64::new(11);
-        // Roughly three full reservoirs fit: eviction pressure is real but
-        // not degenerate.
+        // Two full reservoirs fit: the coverage write step consolidates the
+        // samples it touches, so only a budget this tight keeps eviction
+        // choosing between several candidates.
         let budget =
             sample_for(&IntervalSet::of(Interval::new(0, 299)), &mut Lehmer64::new(1))
                 .heap_bytes()
-                * 3;
+                * 2;
         let mut store = if budgeted {
             SampleStore::with_budget(budget)
         } else {
@@ -273,29 +361,32 @@ proptest! {
         for (kind, lo, w, pick) in &ops {
             let q = IntervalSet::of(Interval::new(*lo, lo + w));
             let evictions_before = store.evictions();
+            let before: HashMap<SampleId, IntervalSet> = store
+                .descriptors()
+                .map(|(id, d)| (id, d.predicates.get("x").unwrap().clone()))
+                .collect();
             // The sample this op writes or touches; protected from the
             // op's own budget enforcement.
             let mut subject: Option<SampleId> = None;
+            // Samples the op's write step itself takes out of the store.
+            let mut superseded: Vec<SampleId> = Vec::new();
             match kind {
-                // Query-driven, exactly as the executor behaves: classify,
-                // then reuse / Δ-merge / absorb per the decision.
+                // Query-driven, exactly as the service behaves.
                 0 | 1 => {
                     requested = requested.union(&q);
-                    match store.classify(&descriptor(q.clone())) {
-                        ReuseDecision::Full { id } => {
-                            store.get(id); // full reuse touches the LRU stamp
-                            subject = Some(id);
-                        }
-                        ReuseDecision::Partial { id, delta, varying } => {
-                            let dset = delta.get(&varying).cloned().unwrap_or_default();
-                            let dsample = sample_for(&dset, &mut rng);
-                            prop_assert!(store.merge_delta(id, dsample, &delta, &varying, 0, &mut rng));
-                            subject = Some(id);
-                        }
-                        ReuseDecision::None => {
-                            let s = sample_for(&q, &mut rng);
-                            subject = Some(store.absorb(descriptor(q.clone()), schema(), s, 0, &mut rng));
-                        }
+                    let driven = drive(&mut store, &q, &mut rng);
+                    subject = Some(driven.subject);
+                    superseded = driven.consolidated;
+                    // A new sample replaces every stored one it subsumes;
+                    // a write merged into a stored (disjoint) sample
+                    // replaces nothing.
+                    if !before.contains_key(&driven.subject) {
+                        superseded.extend(
+                            before
+                                .iter()
+                                .filter(|(_, set)| driven.absorbed.subsumes(set))
+                                .map(|(id, _)| *id),
+                        );
                     }
                 }
                 // Raw insertion (snapshot restore): bypasses merge/replace,
@@ -315,6 +406,10 @@ proptest! {
                     }
                 }
             }
+            for id in &superseded {
+                prop_assert!(store.peek(*id).is_none());
+            }
+            mru.retain(|i| !superseded.contains(i));
             if let Some(id) = subject {
                 mru.retain(|i| *i != id);
                 mru.insert(0, id);
@@ -365,34 +460,9 @@ proptest! {
             prop_assert!(requested.subsumes(&union));
         }
 
-        // Surviving coverage still classifies consistently.
+        // Surviving coverage still plans consistently.
         for (_, lo, w, _) in &ops {
-            let qset = IntervalSet::of(Interval::new(*lo, lo + w));
-            match store.classify(&descriptor(qset.clone())) {
-                ReuseDecision::Full { id } => {
-                    let stored = store.peek(id).unwrap();
-                    prop_assert!(stored.descriptor.predicates.get("x").unwrap().subsumes(&qset));
-                }
-                ReuseDecision::Partial { id, delta, varying } => {
-                    let stored_set = store
-                        .peek(id)
-                        .unwrap()
-                        .descriptor
-                        .predicates
-                        .get("x")
-                        .unwrap()
-                        .clone();
-                    let delta_set = delta.get(&varying).cloned().unwrap_or_default();
-                    prop_assert_eq!(&delta_set, &qset.difference(&stored_set));
-                    prop_assert!(delta_set.measure() < qset.measure());
-                }
-                ReuseDecision::None => {
-                    for (_, d) in store.descriptors() {
-                        let set = d.predicates.get("x").unwrap();
-                        prop_assert!(!set.subsumes(&qset));
-                    }
-                }
-            }
+            check_plan(&store, &IntervalSet::of(Interval::new(*lo, lo + w)));
         }
     }
 }
