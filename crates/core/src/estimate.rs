@@ -9,7 +9,9 @@
 //! the "approximation guarantees" the evaluation keeps intact while
 //! accelerating sampling.
 
-use laqy_engine::{AggInput, AggKind, AggSpec};
+use std::ops::Range;
+
+use laqy_engine::{AggInput, AggKind, AggSpec, GroupKey};
 
 use crate::descriptor::Predicates;
 use crate::interval::IntervalSet;
@@ -361,6 +363,16 @@ struct Moments {
 }
 
 impl Moments {
+    /// Moments of the constant input `1` over `mq` matching tuples.
+    fn ones(mq: usize) -> Self {
+        Moments {
+            s1: mq as f64,
+            s2: mq as f64,
+            lo: 1.0,
+            hi: 1.0,
+        }
+    }
+
     /// Moments of `x` over `items`, of which those flagged in `hits`
     /// match. A tightened sample matches unpredictably, so non-matching
     /// tuples are masked (selects), not branched around.
@@ -378,6 +390,29 @@ impl Moments {
         }
         Moments { s1, s2, lo, hi }
     }
+
+    /// Moments of `x(i)` over the rows `i` whose bit is set in `bits`, in
+    /// row order. Bit for bit what [`Moments::of`] computes over the same
+    /// rows: the terms it adds for a non-matching tuple are `+0.0`, and
+    /// neither sum can be `-0.0` (both start at `+0.0`), so skipping them
+    /// is the identity.
+    #[inline]
+    fn over_bits(bits: &[u64], x: impl Fn(usize) -> f64) -> Self {
+        let (mut s1, mut s2) = (0.0f64, 0.0f64);
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (w, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let x = x(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+                s1 += x;
+                s2 += x * x;
+                lo = lo.min(x);
+                hi = hi.max(x);
+            }
+        }
+        Moments { s1, s2, lo, hi }
+    }
 }
 
 impl ResolvedInput {
@@ -385,12 +420,7 @@ impl ResolvedInput {
     /// The slot kind is resolved outside the tuple loop.
     fn moments(&self, items: &[SampleTuple], hits: &[bool], mq: usize) -> Moments {
         match *self {
-            ResolvedInput::One => Moments {
-                s1: mq as f64,
-                s2: mq as f64,
-                lo: 1.0,
-                hi: 1.0,
-            },
+            ResolvedInput::One => Moments::ones(mq),
             ResolvedInput::Col(s, SlotKind::Int) => Moments::of(items, hits, |t| t.int(s) as f64),
             ResolvedInput::Col(s, SlotKind::Float) => Moments::of(items, hits, |t| t.float(s)),
             ResolvedInput::Mul(..) => Moments::of(items, hits, |t| self.eval(t)),
@@ -398,11 +428,10 @@ impl ResolvedInput {
     }
 }
 
-/// Fold stratum `{items, weight}` (`items` non-empty) into `accs`, one
-/// accumulator per aggregate. The tightening filter runs once per tuple
-/// (into the `hits` scratch), not once per aggregate, and no tuple is
-/// copied.
-fn fold_stratum(
+/// Fold stratum `{items, weight}` (`items` non-empty) into `accs`. The
+/// tightening filter runs once per tuple (into the `hits` scratch), not
+/// once per aggregate, and no tuple is copied.
+fn fold_tuples(
     accs: &mut [EstAcc],
     hits: &mut Vec<bool>,
     inputs: &[ResolvedInput],
@@ -423,13 +452,31 @@ fn fold_stratum(
         ),
     }
     let mq = hits.iter().filter(|&&hit| hit).count();
-    let m = items.len() as f64;
+    fold_stratum(accs, inputs, items.len(), weight, mq, |input| {
+        input.moments(items, hits, mq)
+    });
+}
+
+/// The per-stratum estimator: fold a stratum of `len > 0` retained tuples
+/// standing for `weight` considered ones, `mq` of which match the
+/// tightening, into `accs` — one accumulator per aggregate, each fed the
+/// `moments` of its input over the matching tuples. Where those moments
+/// come from (sample tuples, an at-rest image) is the caller's business.
+fn fold_stratum(
+    accs: &mut [EstAcc],
+    inputs: &[ResolvedInput],
+    len: usize,
+    weight: u64,
+    mq: usize,
+    moments: impl Fn(&ResolvedInput) -> Moments,
+) {
+    let m = len as f64;
     let w = weight as f64;
     let scale = w / m;
     // Finite-population correction: the reservoir holds m of w tuples.
     let fpc = (1.0 - m / w).max(0.0);
     for (acc, input) in accs.iter_mut().zip(inputs) {
-        let mo = input.moments(items, hits, mq);
+        let mo = moments(input);
         let mean_y = mo.s1 / m;
         // Sample variance of y over all m items (non-matching are 0).
         let var_y = if m > 1.0 {
@@ -500,6 +547,41 @@ fn project(parts: &[i64], positions: Option<&[usize]>) -> Result<Vec<i64>, Estim
     }
 }
 
+/// Indices of `strata` (`(key, items, weight)` triples) in group-key
+/// order. The sort compares the first key part inline and the rest only
+/// on ties.
+fn key_order(strata: &[(&GroupKey, &[SampleTuple], u64)]) -> impl Iterator<Item = usize> {
+    let mut order: Vec<(i64, u32)> = strata
+        .iter()
+        .enumerate()
+        .map(|(i, (key, _, _))| (key.parts().first().copied().unwrap_or(0), i as u32))
+        .collect();
+    order.sort_unstable_by(|a, b| {
+        let parts = |i: u32| strata[i as usize].0.parts();
+        a.0.cmp(&b.0).then_with(|| parts(a.1).cmp(parts(b.1)))
+    });
+    order.into_iter().map(|(_, i)| i as usize)
+}
+
+/// What both estimate paths resolve against the schema up front: each
+/// aggregate's input, the tightening filter, and one fresh accumulator
+/// per aggregate.
+type Compiled = (Vec<ResolvedInput>, Option<Tighten>, Vec<EstAcc>);
+
+fn compile(
+    schema: &SampleSchema,
+    aggs: &[AggSpec],
+    tighten: Option<&Predicates>,
+) -> Result<Compiled, EstimateError> {
+    let inputs = aggs
+        .iter()
+        .map(|a| resolve_input(schema, &a.input))
+        .collect::<Result<_, _>>()?;
+    let tighten = tighten.map(|p| Tighten::compile(schema, p)).transpose()?;
+    let fresh = aggs.iter().map(|a| EstAcc::new(a.kind)).collect();
+    Ok((inputs, tighten, fresh))
+}
+
 /// Estimate aggregates over a stratified sample. Groups come out in key
 /// order; strata holding no tuples contribute nothing.
 pub fn estimate(
@@ -508,15 +590,7 @@ pub fn estimate(
     aggs: &[AggSpec],
     opts: &EstimateOptions<'_>,
 ) -> Result<Vec<GroupEstimate>, EstimateError> {
-    let inputs: Vec<ResolvedInput> = aggs
-        .iter()
-        .map(|a| resolve_input(schema, &a.input))
-        .collect::<Result<_, _>>()?;
-    let tighten = opts
-        .tighten
-        .map(|p| Tighten::compile(schema, p))
-        .transpose()?;
-    let fresh: Vec<EstAcc> = aggs.iter().map(|a| EstAcc::new(a.kind)).collect();
+    let (inputs, tighten, fresh) = compile(schema, aggs, opts.tighten)?;
     let mut hits = Vec::new();
     let strata = sample.iter().filter(|(_, items, _)| !items.is_empty());
 
@@ -524,24 +598,14 @@ pub fn estimate(
         // Output groups are the strata themselves (QCS = GROUP BY, every
         // query template): one linear pass, no regrouping.
         // Strata are folded in arena order (sequential reads) and
-        // emitted in key order; sorting compares the first key part
-        // inline and the rest only on ties.
+        // emitted in key order.
         let strata: Vec<_> = strata.collect();
-        let mut order: Vec<(i64, u32)> = strata
-            .iter()
-            .enumerate()
-            .map(|(i, (key, _, _))| (key.parts().first().copied().unwrap_or(0), i as u32))
-            .collect();
-        order.sort_unstable_by(|a, b| {
-            let parts = |i: u32| strata[i as usize].0.parts();
-            a.0.cmp(&b.0).then_with(|| parts(a.1).cmp(parts(b.1)))
-        });
         let mut accs = fresh.clone();
         let mut groups: Vec<Option<GroupEstimate>> = strata
             .iter()
             .map(|&(key, items, weight)| {
                 accs.copy_from_slice(&fresh);
-                fold_stratum(
+                fold_tuples(
                     &mut accs,
                     &mut hits,
                     &inputs,
@@ -555,9 +619,8 @@ pub fn estimate(
                 })
             })
             .collect();
-        return Ok(order
-            .into_iter()
-            .filter_map(|(_, i)| groups[i as usize].take())
+        return Ok(key_order(&strata)
+            .filter_map(|i| groups[i].take())
             .collect());
     }
 
@@ -567,7 +630,7 @@ pub fn estimate(
         let accs = groups
             .entry(project(key.parts(), opts.group_positions)?)
             .or_insert_with(|| fresh.clone());
-        fold_stratum(accs, &mut hits, &inputs, tighten.as_ref(), items, weight);
+        fold_tuples(accs, &mut hits, &inputs, tighten.as_ref(), items, weight);
     }
 
     // Hybrid blending: covered spans contribute exact partial aggregates
@@ -638,6 +701,196 @@ pub fn estimate(
         .collect();
     out.sort_by(|a, b| a.key.cmp(&b.key));
     Ok(out)
+}
+
+/// One stratum of a [`SampleImage`]: its rows of every packed column.
+struct ImageStratum {
+    key: GroupKey,
+    weight: u64,
+    rows: Range<usize>,
+}
+
+/// The at-rest image of a sample: what a full hit reads instead of the
+/// tuple arena. Non-empty strata laid out in group-key order (a hit emits
+/// groups as it folds them), and one packed `i64` column per slot the
+/// schema has — not [`MAX_SAMPLE_COLS`](crate::MAX_SAMPLE_COLS) — with a
+/// stratum's tuples kept in arena order, so folding the matching ones in
+/// row order adds the same terms in the same order as [`estimate`] and
+/// every answer is bit-identical to it. Derived and never persisted: the
+/// store builds it on the first full hit after a write and drops it on
+/// the next write (DESIGN.md, "At-rest image").
+pub struct SampleImage {
+    strata: Vec<ImageStratum>,
+    cols: Vec<Vec<i64>>,
+    /// `(num_strata, total_items, total_weight)` of the sample this was
+    /// built from: a stale image is a bug, and this makes it a loud one.
+    built_from: (usize, usize, u64),
+}
+
+impl SampleImage {
+    /// Lay out `sample`, whose tuples carry `schema`'s slots: one pass
+    /// over the arena, strata visited in key order.
+    pub fn build(sample: &Sample, schema: &SampleSchema) -> Self {
+        let strata: Vec<_> = sample
+            .iter()
+            .filter(|(_, items, _)| !items.is_empty())
+            .collect();
+        let items: usize = strata.iter().map(|(_, items, _)| items.len()).sum();
+        let mut image = SampleImage {
+            strata: Vec::with_capacity(strata.len()),
+            cols: (0..schema.len())
+                .map(|_| Vec::with_capacity(items))
+                .collect(),
+            built_from: Self::identity(sample),
+        };
+        let mut offset = 0;
+        for i in key_order(&strata) {
+            let (key, items, weight) = strata[i];
+            image.strata.push(ImageStratum {
+                key: *key,
+                weight,
+                rows: offset..offset + items.len(),
+            });
+            offset += items.len();
+            for (slot, col) in image.cols.iter_mut().enumerate() {
+                col.extend(items.iter().map(|t| t.int(slot)));
+            }
+        }
+        image
+    }
+
+    fn identity(sample: &Sample) -> (usize, usize, u64) {
+        (
+            sample.num_strata(),
+            sample.total_items(),
+            sample.total_weight(),
+        )
+    }
+
+    /// Whether this image was built from a sample with `sample`'s strata,
+    /// item and weight totals — every write to a sample moves at least
+    /// one of them or replaces the sample.
+    pub(crate) fn is_of(&self, sample: &Sample) -> bool {
+        self.built_from == Self::identity(sample)
+    }
+
+    /// Upper bound on [`Self::heap_bytes`] of an image of `sample` under
+    /// `schema` (exact when no stratum is empty), from the strata count,
+    /// the item count and the schema width alone: what the store charges
+    /// a sample for its image whether or not it has been built.
+    pub(crate) fn footprint(sample: &Sample, schema: &SampleSchema) -> usize {
+        use std::mem::size_of;
+        sample.num_strata() * size_of::<ImageStratum>()
+            + sample.total_items() * schema.len() * size_of::<i64>()
+    }
+
+    /// Heap bytes the image occupies.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.strata.capacity() * size_of::<ImageStratum>()
+            + self
+                .cols
+                .iter()
+                .map(|c| c.capacity() * size_of::<i64>())
+                .sum::<usize>()
+    }
+
+    /// What [`estimate`] answers for the sample this image was built
+    /// from, under `tighten` and `z` with groups = strata (no projection,
+    /// no exact mass), bit for bit. `schema` must be the one it was built
+    /// with.
+    pub fn estimate(
+        &self,
+        schema: &SampleSchema,
+        aggs: &[AggSpec],
+        tighten: Option<&Predicates>,
+        z: f64,
+    ) -> Result<Vec<GroupEstimate>, EstimateError> {
+        debug_assert_eq!(schema.len(), self.cols.len());
+        let (inputs, tighten, fresh) = compile(schema, aggs, tighten)?;
+        let mut accs = fresh.clone();
+        let mut bits = Vec::new();
+        Ok(self
+            .strata
+            .iter()
+            .map(|s| {
+                let mq = self.hit_bits(&mut bits, tighten.as_ref(), s.rows.clone());
+                accs.copy_from_slice(&fresh);
+                fold_stratum(&mut accs, &inputs, s.rows.len(), s.weight, mq, |input| {
+                    self.moments(input, s.rows.clone(), &bits, mq)
+                });
+                GroupEstimate {
+                    key: s.key.parts().to_vec(),
+                    values: accs.iter().map(|a| a.finalize(z)).collect(),
+                }
+            })
+            .collect())
+    }
+
+    /// Fill `bits` with the hit bitset of `rows` under `tighten` (bit `i`
+    /// = row `rows.start + i` matches), 64 rows a word; returns its
+    /// popcount.
+    fn hit_bits(
+        &self,
+        bits: &mut Vec<u64>,
+        tighten: Option<&Tighten>,
+        rows: Range<usize>,
+    ) -> usize {
+        match tighten {
+            None => pack_bits(bits, rows.len(), |_| true),
+            Some(Tighten::Range { slot, lo, hi }) => {
+                let col = &self.cols[*slot][rows];
+                pack_bits(bits, col.len(), |i| (*lo..=*hi).contains(&col[i]))
+            }
+            Some(Tighten::Sets(checks)) => pack_bits(bits, rows.len(), |i| {
+                checks
+                    .iter()
+                    .all(|(slot, set)| set.contains(self.cols[*slot][rows.start + i]))
+            }),
+        }
+    }
+
+    /// Moments of `input` over the rows of `rows` set in `bits` (`mq` of
+    /// them).
+    fn moments(
+        &self,
+        input: &ResolvedInput,
+        rows: Range<usize>,
+        bits: &[u64],
+        mq: usize,
+    ) -> Moments {
+        let col = |slot: usize| &self.cols[slot][rows.clone()];
+        match *input {
+            ResolvedInput::One => Moments::ones(mq),
+            ResolvedInput::Col(s, SlotKind::Int) => {
+                let col = col(s);
+                Moments::over_bits(bits, |i| col[i] as f64)
+            }
+            ResolvedInput::Col(s, SlotKind::Float) => {
+                let col = col(s);
+                Moments::over_bits(bits, |i| f64::from_bits(col[i] as u64))
+            }
+            ResolvedInput::Mul((a, ka), (b, kb)) => {
+                let (a, b) = (col(a), col(b));
+                Moments::over_bits(bits, |i| ka.numeric(a[i]) * kb.numeric(b[i]))
+            }
+        }
+    }
+}
+
+/// Fill `bits` with `hit(0..len)`, 64 rows a word (the last one
+/// zero-padded); returns how many hit.
+#[inline]
+fn pack_bits(bits: &mut Vec<u64>, len: usize, hit: impl Fn(usize) -> bool) -> usize {
+    bits.clear();
+    let mut hits = 0;
+    for base in (0..len).step_by(64) {
+        let word =
+            (base..len.min(base + 64)).fold(0u64, |word, i| word | (hit(i) as u64) << (i - base));
+        hits += word.count_ones() as usize;
+        bits.push(word);
+    }
+    hits
 }
 
 #[cfg(test)]
@@ -1144,6 +1397,106 @@ mod tests {
             }
             prop_assert!(blended.iter().any(|b| b.key == [g, h]), "covered-only group");
         }
+    }
+
+    /// One row per group and aggregate, value and half-width as bit
+    /// patterns: `==` on these is bit identity, `NaN` half-widths
+    /// (MIN/MAX) included.
+    fn bits(groups: &[GroupEstimate]) -> Vec<(&[i64], u64, u64, usize)> {
+        let of = |a: &AggEstimate| (a.value.to_bits(), a.ci_half_width.to_bits(), a.support);
+        let rows = groups.iter().flat_map(|g| {
+            let row = move |a| {
+                let (value, half_width, support) = of(a);
+                (g.key.as_slice(), value, half_width, support)
+            };
+            g.values.iter().map(row)
+        });
+        rows.collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn image_agrees_with_estimate_bit_for_bit(
+            k in prop::sample::select(vec![1usize, 7, 32, 64, 65, 200]),
+            key_parts in 1usize..4,
+            strata in 0i64..9,
+            seed in 0u64..10_000,
+            mode in 0u8..4,
+            cuts in prop::collection::vec(0i64..100, 1..7),
+        ) {
+            let schema = SampleSchema::new(vec![
+                ("x".into(), SlotKind::Int),
+                ("y".into(), SlotKind::Int),
+                ("v".into(), SlotKind::Float),
+            ]);
+            // Strata of 0..3k offers each (some below k, some sampled), in
+            // a first-offer order that is not key order; float payloads
+            // include negatives and both zeros.
+            let floats = [-0.0, 0.0, -2.5, 1.0 / 3.0, 7.0, -1e9, 1e-3];
+            let mut rng = Lehmer64::new(seed);
+            let mut sample = Sample::new(k);
+            for _ in 0..strata * k as i64 * 3 / 2 {
+                let g = (rng.next_below(strata as u64) * rng.next_below(3) / 2) as i64;
+                let key = [-g, g % 2, 5][..key_parts].to_vec();
+                let v: f64 = floats[rng.next_below(floats.len() as u64) as usize];
+                let tuple = [
+                    rng.next_below(100) as i64,
+                    rng.next_below(100) as i64 - 50,
+                    v.to_bits() as i64,
+                ];
+                sample.offer(GroupKey::new(&key), SampleTuple::from_slice(&tuple), &mut rng);
+            }
+
+            let mut cuts = cuts;
+            cuts.sort_unstable();
+            cuts.dedup();
+            let range = IntervalSet::of(Interval::new(cuts[0], *cuts.last().unwrap()));
+            let several = IntervalSet::from_intervals(
+                cuts.chunks(2).map(|c| Interval::new(c[0], *c.last().unwrap())).collect(),
+            );
+            let tighten = match mode {
+                0 => None,
+                1 => Some(Predicates::on("x", range)),
+                2 => Some(Predicates::on("x", several)),
+                _ => Some(Predicates::on("x", range).with("y", Interval::new(-50, cuts[0] - 50))),
+            };
+            let inputs = [
+                AggInput::Col("x".into()),
+                AggInput::Col("v".into()),
+                AggInput::Mul("y".into(), "v".into()),
+                AggInput::None,
+            ];
+            let kinds = [AggKind::Sum, AggKind::Count, AggKind::Avg, AggKind::Min, AggKind::Max];
+            let aggs: Vec<AggSpec> = kinds
+                .iter()
+                .flat_map(|&kind| inputs.iter().map(move |input| AggSpec { kind, input: input.clone() }))
+                .collect();
+
+            let opts = EstimateOptions { tighten: tighten.as_ref(), ..Default::default() };
+            let oracle = estimate(&sample, &schema, &aggs, &opts).unwrap();
+            let image = SampleImage::build(&sample, &schema);
+            prop_assert!(image.is_of(&sample));
+            prop_assert!(image.heap_bytes() <= SampleImage::footprint(&sample, &schema));
+            let folded = image.estimate(&schema, &aggs, tighten.as_ref(), opts.z).unwrap();
+            prop_assert_eq!(bits(&folded), bits(&oracle));
+            prop_assert_eq!(oracle.len(), sample.num_strata());
+        }
+    }
+
+    #[test]
+    fn image_rejects_what_estimate_rejects() {
+        let s = full_sample(1, 10);
+        let image = SampleImage::build(&s, &schema());
+        let err = image
+            .estimate(&schema(), &[AggSpec::sum("missing")], None, 1.96)
+            .unwrap_err();
+        assert_eq!(err, EstimateError::UnknownColumn("missing".into()));
+        let tighten = Predicates::on("v", IntervalSet::of(Interval::new(0, 1)));
+        let err = image
+            .estimate(&schema(), &[AggSpec::count()], Some(&tighten), 1.96)
+            .unwrap_err();
+        assert_eq!(err, EstimateError::NonIntegerPredicate("v".into()));
     }
 
     #[test]

@@ -391,25 +391,24 @@ impl LaqyExecutor {
         Ok(true)
     }
 
-    /// Estimate from stored sample `id`, tightened to the query predicate.
-    /// `None` if the sample is no longer stored.
+    /// Estimate from stored sample `id`'s at-rest image, tightened to the
+    /// query predicate; the flag says whether this call had to build the
+    /// image. `None` if the sample is no longer stored.
     pub(crate) fn estimate_stored(
         &self,
         store: &SampleStore,
         id: SampleId,
         query: &ApproxQuery,
         tighten: &Predicates,
-    ) -> Result<Option<(Vec<GroupEstimate>, Duration)>> {
+    ) -> Result<Option<(Vec<GroupEstimate>, Duration, bool)>> {
         let t = Instant::now();
         let Some(stored) = store.get(id) else {
             return Ok(None);
         };
-        let opts = EstimateOptions {
-            tighten: Some(tighten),
-            ..Default::default()
-        };
-        let groups = estimate(&stored.sample, &stored.schema, &query.plan.aggs, &opts)?;
-        Ok(Some((groups, t.elapsed())))
+        let (image, built) = stored.image();
+        let z = EstimateOptions::default().z;
+        let groups = image.estimate(&stored.schema, &query.plan.aggs, Some(tighten), z)?;
+        Ok(Some((groups, t.elapsed(), built)))
     }
 
     /// Δ-scan `parts` of a coverage plan against `catalog`. A part indexes

@@ -127,7 +127,7 @@ pub use budget::{CancelToken, Degradation, DegradeReason, QueryBudget};
 pub use descriptor::{Predicates, SampleDescriptor};
 pub use estimate::{
     estimate, AggEstimate, EstimateError, EstimateOptions, ExactGroup, ExactMass, ExactSlot,
-    GroupEstimate,
+    GroupEstimate, SampleImage,
 };
 pub use executor::{
     input_identity, range_predicate, ApproxQuery, ApproxResult, LaqyError, LaqyExecutor, Result,

@@ -26,6 +26,15 @@ pub enum SlotKind {
 }
 
 impl SlotKind {
+    /// Numeric view of a raw slot value of this kind.
+    #[inline]
+    pub(crate) fn numeric(self, raw: i64) -> f64 {
+        match self {
+            SlotKind::Int => raw as f64,
+            SlotKind::Float => f64::from_bits(raw as u64),
+        }
+    }
+
     /// Row `row` of `col` as a payload slot value (floats bit-cast).
     pub(crate) fn read(self, col: &ResolvedCol<'_>, row: usize) -> i64 {
         match self {
@@ -71,10 +80,7 @@ impl SampleTuple {
     /// Numeric view of a slot under its declared kind.
     #[inline]
     pub fn numeric(&self, slot: usize, kind: SlotKind) -> f64 {
-        match kind {
-            SlotKind::Int => self.vals[slot] as f64,
-            SlotKind::Float => self.float(slot),
-        }
+        kind.numeric(self.vals[slot])
     }
 }
 

@@ -817,20 +817,27 @@ impl LaqyService {
         }
     }
 
-    /// **Fetch**: estimate the query from stored sample `id` under its
-    /// shard's read guard. `None` when the sample vanished since planning.
+    /// **Fetch**: estimate the query from stored sample `id`'s at-rest
+    /// image under its shard's read guard (the first hit after a write
+    /// builds the image there). `None` when the sample vanished since
+    /// planning.
     fn fetch(&self, at: &Attempt<'_>, id: SampleId) -> Result<Option<Estimated>> {
         let store = self.timed(|i| i.store.read_shard(i.store.shard_for_id(id)));
         let estimated = at
             .executor
             .estimate_stored(&store, id, at.query, &at.tighten)?;
-        Ok(estimated.map(|(groups, estimate)| Estimated {
-            groups,
-            stats: ExecStats {
-                estimate,
-                ..Default::default()
-            },
-            support: None,
+        Ok(estimated.map(|(groups, estimate, built)| {
+            if built {
+                add(&self.inner.counters.image_builds, 1);
+            }
+            Estimated {
+                groups,
+                stats: ExecStats {
+                    estimate,
+                    ..Default::default()
+                },
+                support: None,
+            }
         }))
     }
 
@@ -1404,6 +1411,166 @@ mod tests {
                 assert!(result.stats.scanned_rows > 0, "{name}: the fallback scans");
                 // A per-stratum probe validates every thin stratum.
                 assert!(fell_back || result.support.fully_supported(), "{name}");
+            }
+        }
+    }
+
+    /// What `estimate()` — the oracle the at-rest image is tested against
+    /// — answers `q` from the stored sample a full hit on it reads *now*.
+    fn hit_oracle(service: &LaqyService, q: &ApproxQuery) -> Vec<GroupEstimate> {
+        let catalog = service.catalog().clone();
+        let executor = LaqyExecutor::new(1, SupportPolicy::default(), 0);
+        let descriptor = executor.descriptor(&catalog, q).unwrap();
+        let watermark = catalog.table("t").unwrap().row_watermark();
+        let store = service.store();
+        let plan = plan_lazy_capped(&store, &descriptor, MAX_COVERAGE_SAMPLES, watermark);
+        let LazyPlan::FullReuse { id } = plan else {
+            panic!("not a full hit: {plan:?}");
+        };
+        let stored = store.peek(id).unwrap();
+        let tighten = Predicates::on(q.range_column.clone(), IntervalSet::of(q.range));
+        let opts = crate::estimate::EstimateOptions {
+            tighten: Some(&tighten),
+            ..Default::default()
+        };
+        crate::estimate::estimate(&stored.sample, &stored.schema, &q.plan.aggs, &opts).unwrap()
+    }
+
+    #[test]
+    fn every_write_step_is_followed_by_a_fresh_image() {
+        /// One row: a store holding `before`'s sample with its image
+        /// built, the write step, and a query the written sample fully
+        /// covers.
+        struct WriteCase {
+            name: &'static str,
+            config: fn() -> SessionConfig,
+            before: ApproxQuery,
+            write: fn(&LaqyService),
+            hit: ApproxQuery,
+        }
+        let one_thread = || SessionConfig {
+            threads: 1,
+            ..Default::default()
+        };
+        let case = |name, write, hit| WriteCase {
+            name,
+            config: one_thread,
+            before: query(0, N / 4 - 1),
+            write,
+            hit,
+        };
+        let cases = [
+            case(
+                "absorb: disjoint range merged into the stored sample",
+                |s| {
+                    let r = s.run(&query(N / 2, N - 1)).unwrap();
+                    assert_eq!(r.stats.reuse, Some(ReuseClass::Online));
+                },
+                query(N / 2, N / 2 + N / 8),
+            ),
+            WriteCase {
+                config: || SessionConfig {
+                    threads: 1,
+                    reuse_mode: ReuseMode::FullMatchOnly,
+                    ..Default::default()
+                },
+                ..case(
+                    "absorb: subsuming sample replaces the stored one",
+                    |s| {
+                        let r = s.run(&query(0, N - 1)).unwrap();
+                        assert_eq!(r.stats.reuse, Some(ReuseClass::Online));
+                    },
+                    query(10, N / 8),
+                )
+            },
+            case(
+                "absorb_coverage: planned sample and Δ consolidated in place",
+                |s| {
+                    let r = s.run(&query(0, N / 2 - 1)).unwrap();
+                    assert_eq!(r.stats.reuse, Some(ReuseClass::Partial));
+                },
+                query(10, N / 8),
+            ),
+            WriteCase {
+                before: gated(0, N + 999),
+                ..case(
+                    "absorb_coverage copy arm + absorb_tail: a stale sample caught up",
+                    |s| {
+                        s.ingest("t", batch(N, 1000)).unwrap();
+                        let r = s.run(&gated(0, N + 999)).unwrap();
+                        assert_eq!(r.stats.reuse, Some(ReuseClass::Partial));
+                        assert_eq!(r.stats.fragments_scanned, 1, "the tail");
+                    },
+                    gated(N - 5000, N + 500),
+                )
+            },
+            WriteCase {
+                before: query(0, N + 999),
+                ..case(
+                    "absorb_appended: ingest offers the batch to the reservoirs",
+                    |s| {
+                        s.ingest("t", batch(N, 1000)).unwrap();
+                        assert_eq!(s.stats().absorbed_samples, 1);
+                    },
+                    query(N - 5000, N + 500),
+                )
+            },
+            case(
+                "import_samples: the store replaced from a snapshot",
+                |s| import_apart(s, &[(N / 2, N - 1)]),
+                query(N / 2, N / 2 + N / 8),
+            ),
+            case(
+                "clear_samples, then the same range sampled again",
+                |s| {
+                    s.clear_samples();
+                    let r = s.run(&query(0, N / 4 - 1)).unwrap();
+                    assert_eq!(r.stats.reuse, Some(ReuseClass::Online));
+                },
+                query(10, N / 8),
+            ),
+            WriteCase {
+                // One shard with room for one sample: the second family
+                // evicts the first.
+                config: || SessionConfig {
+                    threads: 1,
+                    store_budget_bytes: Some(1),
+                    store_shards: 1,
+                    ..Default::default()
+                },
+                ..case(
+                    "budget eviction: the survivor is the sample just written",
+                    |s| {
+                        s.run(&many_strata(0, N / 4 - 1)).unwrap();
+                        assert_eq!(s.store().len(), 1);
+                    },
+                    many_strata(10, N / 8),
+                )
+            },
+        ];
+        for case in cases {
+            let name = case.name;
+            let service = LaqyService::with_config(catalog(N), (case.config)());
+            service.run(&case.before).unwrap();
+            // A hit builds the image of the sample the write step is about
+            // to change; a second one reuses it.
+            for builds in [1, 1] {
+                let r = service.run(&case.before).unwrap();
+                assert_eq!(r.stats.reuse, Some(ReuseClass::Full), "{name}");
+                assert_eq!(r.groups, hit_oracle(&service, &case.before), "{name}");
+                assert_eq!(service.stats().image_builds, builds, "{name}");
+            }
+            (case.write)(&service);
+            assert_eq!(service.stats().image_builds, 1, "{name}: writes build none");
+            for builds in [2, 2] {
+                let r = service.run(&case.hit).unwrap();
+                assert_eq!(r.stats.reuse, Some(ReuseClass::Full), "{name}");
+                assert_eq!(r.groups, hit_oracle(&service, &case.hit), "{name}");
+                assert_eq!(
+                    service.stats().image_builds,
+                    builds,
+                    "{name}: one build per write-then-hit cycle"
+                );
             }
         }
     }

@@ -14,7 +14,7 @@
 //! eviction hooks this store into Taster-style storage management (paper
 //! §8).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use laqy_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use laqy_sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -24,6 +24,7 @@ use laqy_engine::GroupKey;
 use laqy_sampling::{merge_stratified_k, merge_stratified_refs, Lehmer64};
 
 use crate::descriptor::{Predicates, SampleDescriptor};
+use crate::estimate::SampleImage;
 use crate::sampler_ops::{Sample, SampleSchema, SampleTuple};
 
 /// Stable identity of a stored sample.
@@ -52,17 +53,63 @@ pub struct StoredSample {
     // the LRU stamp without taking the write lock.
     last_used: AtomicU64,
     bytes: usize,
+    // What full hits read instead of the arena. Derived from `sample` and
+    // `schema` by the first hit after a write, under the shard's *read*
+    // guard (hence the `OnceLock`: racing readers build it once); every
+    // write step ends in `settle`, which drops it.
+    image: OnceLock<SampleImage>,
 }
 
 impl StoredSample {
+    /// A sample come to rest in the store. Every way in goes through here,
+    /// so every stored sample has been settled.
+    fn new(
+        descriptor: SampleDescriptor,
+        schema: SampleSchema,
+        sample: Arc<Sample>,
+        watermark: u64,
+        last_used: u64,
+    ) -> Self {
+        let mut stored = StoredSample {
+            descriptor,
+            schema,
+            sample,
+            watermark,
+            last_used: AtomicU64::new(last_used),
+            bytes: 0,
+            image: OnceLock::new(),
+        };
+        stored.settle();
+        stored
+    }
+
     /// Settle the sample after an insert or merge: release any growth
     /// slack (samples come to rest here; a sample a query still shares is
-    /// left as it is) and re-measure.
+    /// left as it is), drop the image of what it was, and re-measure. The
+    /// image is charged here, built or not, so a byte budget bounds
+    /// resident bytes whatever the hits have done since.
     fn settle(&mut self) {
         if let Some(sample) = Arc::get_mut(&mut self.sample) {
             sample.shrink_to_fit();
         }
-        self.bytes = self.sample.heap_bytes();
+        self.image = OnceLock::new();
+        self.bytes = self.sample.heap_bytes() + SampleImage::footprint(&self.sample, &self.schema);
+    }
+
+    /// The sample's at-rest image, and whether this call built it.
+    pub(crate) fn image(&self) -> (&SampleImage, bool) {
+        let mut built = false;
+        let image = self.image.get_or_init(|| {
+            built = true;
+            let image = SampleImage::build(&self.sample, &self.schema);
+            debug_assert!(
+                image.heap_bytes() <= SampleImage::footprint(&self.sample, &self.schema),
+                "settle charged the image less than it occupies"
+            );
+            image
+        });
+        debug_assert!(image.is_of(&self.sample), "stale at-rest image");
+        (image, built)
     }
 
     /// Algorithm-3 merge `other` (which must cover a disjoint population)
@@ -71,7 +118,8 @@ impl StoredSample {
         Arc::make_mut(&mut self.sample).absorb(other, rng);
     }
 
-    /// Heap bytes the sample occupies (the unit of budget accounting).
+    /// Heap bytes the sample and its at-rest image occupy (the unit of
+    /// budget accounting).
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -406,15 +454,7 @@ impl SampleStore {
     ) -> SampleId {
         let clock = self.tick();
         let id = self.alloc_id();
-        let mut stored = StoredSample {
-            descriptor,
-            schema,
-            sample: sample.into(),
-            watermark,
-            last_used: AtomicU64::new(clock),
-            bytes: 0,
-        };
-        stored.settle();
+        let stored = StoredSample::new(descriptor, schema, sample.into(), watermark, clock);
         self.samples.push((id, stored));
         self.enforce_budget(id);
         id
@@ -433,15 +473,7 @@ impl SampleStore {
         watermark: u64,
         last_used: u64,
     ) {
-        let mut stored = StoredSample {
-            descriptor,
-            schema,
-            sample,
-            watermark,
-            last_used: AtomicU64::new(last_used),
-            bytes: 0,
-        };
-        stored.settle();
+        let stored = StoredSample::new(descriptor, schema, sample, watermark, last_used);
         self.samples.push((id, stored));
         if id.0 >= self.next_id {
             self.next_id = id.0 + self.id_stride;
@@ -521,15 +553,7 @@ impl SampleStore {
                 && descriptor.predicates.subsumes(&s.descriptor.predicates))
         });
         let id = self.alloc_id();
-        let mut stored = StoredSample {
-            descriptor,
-            schema,
-            sample,
-            watermark,
-            last_used: AtomicU64::new(clock),
-            bytes: 0,
-        };
-        stored.settle();
+        let stored = StoredSample::new(descriptor, schema, sample, watermark, clock);
         self.samples.push((id, stored));
         self.enforce_budget(id);
         id
@@ -1166,6 +1190,13 @@ mod tests {
 
     use crate::sampler_ops::SampleTuple;
 
+    /// What the store charges for one `toy_sample(2, 10, _)`.
+    fn toy_bytes() -> usize {
+        let mut store = SampleStore::new();
+        let id = store.insert_raw(desc(0, 9), schema(), toy_sample(2, 10, 0), 0);
+        store.peek(id).unwrap().bytes()
+    }
+
     #[test]
     fn characteristics_mismatch_prevents_reuse() {
         let mut store = SampleStore::new();
@@ -1287,9 +1318,10 @@ mod tests {
     fn budget_evicts_lru() {
         let mut rng = Lehmer64::new(9);
         // Each toy sample: an arena of 2 strata × 8 slots of 64-byte tuples
-        // plus the per-stratum arrays and the key index, as allocated.
-        let one = toy_sample(2, 10, 0).heap_bytes();
-        assert!(one >= 2 * 8 * 64);
+        // plus the per-stratum arrays and the key index, as allocated, plus
+        // its image's 2 packed slots per tuple.
+        let one = toy_bytes();
+        assert!(one >= 2 * 8 * 64 + 2 * 8 * 16);
         let mut store = SampleStore::with_budget(one * 2);
         let a = store.absorb(desc(0, 9), schema(), toy_sample(2, 10, 0), 0, &mut rng);
         // A different shape so it cannot merge with `a`.
@@ -1507,7 +1539,7 @@ mod tests {
     fn global_budget_enforced_across_guard_drops() {
         // Samples sharing a fingerprint land on one shard, so overflow
         // there is evictable; insert_raw keeps them as separate entries.
-        let one = toy_sample(2, 10, 0).heap_bytes();
+        let one = toy_bytes();
         let store = ShardedStore::new(STORE_SHARDS, Some(one * 2));
         let home = store.shard_for(&desc(0, 99));
         for s in 0..4 {

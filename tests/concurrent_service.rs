@@ -19,8 +19,8 @@ use std::sync::Barrier;
 use std::time::Duration;
 
 use laqy::{
-    save_store, ApproxResult, Interval, IntervalSet, LaqyService, ReuseClass, SampleStore,
-    SessionConfig,
+    estimate, save_store, ApproxResult, EstimateOptions, Interval, IntervalSet, LaqyService,
+    Predicates, ReuseClass, SampleStore, SessionConfig,
 };
 use laqy_engine::{Catalog, QueryResult, Value};
 use laqy_workload::{generate, q1, SsbConfig};
@@ -442,4 +442,73 @@ fn concurrent_coverage_misses_scan_each_fragment_exactly_once() {
         IntervalSet::of(Interval::new(0, n - 1))
     );
     assert_eq!(service.store().len(), 1, "fragments consolidated away");
+}
+
+#[test]
+fn clients_racing_the_first_hit_after_a_write_share_one_image() {
+    // A write leaves its sample without an at-rest image; the first full
+    // hit builds it under the shard *read* guard, so several may arrive
+    // at once. They must all read one image — built once — and answer as
+    // `estimate()` does over the sample itself.
+    let cat = catalog();
+    let n = cat.table("lineorder").unwrap().num_rows() as i64;
+    let k = 32;
+    let service = LaqyService::with_config(
+        cat,
+        SessionConfig {
+            seed: 0x5EED,
+            ..Default::default() // engine threads from LAQY_THREADS / cores
+        },
+    );
+    let hit = q1(Interval::new(n / 8, n / 4), k);
+    // Round 0 samples online, round 1 Δ-merges: two different write steps.
+    let writes = [
+        (0, n / 2 - 1, ReuseClass::Online),
+        (0, n - 1, ReuseClass::Partial),
+    ];
+    for (round, (lo, hi, class)) in writes.into_iter().enumerate() {
+        let written = service.run(&q1(Interval::new(lo, hi), k)).expect("write");
+        assert_eq!(written.stats.reuse, Some(class));
+        assert_eq!(
+            service.stats().image_builds,
+            round as u64,
+            "writes build none"
+        );
+
+        let barrier = Barrier::new(THREADS);
+        let answers: Vec<ApproxResult> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let service = service.clone();
+                    let (barrier, hit) = (&barrier, &hit);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        service.run(hit).expect("hit")
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client"))
+                .collect()
+        });
+        assert_eq!(
+            service.stats().image_builds,
+            round as u64 + 1,
+            "one build for {THREADS} racing clients"
+        );
+
+        let store = service.store();
+        let stored = store.iter_samples().next().expect("one sample stored");
+        let tighten = Predicates::on("lo_intkey", IntervalSet::of(hit.range));
+        let opts = EstimateOptions {
+            tighten: Some(&tighten),
+            ..Default::default()
+        };
+        let oracle = estimate(&stored.sample, &stored.schema, &hit.plan.aggs, &opts).unwrap();
+        for answer in &answers {
+            assert_eq!(answer.stats.reuse, Some(ReuseClass::Full));
+            assert_eq!(answer.groups, oracle, "round {round}");
+        }
+    }
 }

@@ -345,10 +345,15 @@ proptest! {
         // Two full reservoirs fit: the coverage write step consolidates the
         // samples it touches, so only a budget this tight keeps eviction
         // choosing between several candidates.
-        let budget =
-            sample_for(&IntervalSet::of(Interval::new(0, 299)), &mut Lehmer64::new(1))
-                .heap_bytes()
-                * 2;
+        let full = IntervalSet::of(Interval::new(0, 299));
+        let mut scratch = SampleStore::new();
+        scratch.insert_raw(
+            descriptor(full.clone()),
+            schema(),
+            sample_for(&full, &mut Lehmer64::new(1)),
+            0,
+        );
+        let budget = scratch.total_bytes() * 2;
         let mut store = if budgeted {
             SampleStore::with_budget(budget)
         } else {
