@@ -48,6 +48,11 @@ impl Predicates {
         self.map.keys().map(|s| s.as_str())
     }
 
+    /// `(column, constraint)` pairs in sorted column order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &IntervalSet)> {
+        self.map.iter().map(|(col, set)| (col.as_str(), set))
+    }
+
     /// Number of constrained columns.
     pub fn len(&self) -> usize {
         self.map.len()

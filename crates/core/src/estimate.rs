@@ -26,8 +26,9 @@ pub enum EstimateError {
     /// A tightening predicate references a float payload column; interval
     /// predicates are integer-valued.
     NonIntegerPredicate(String),
-    /// A grouping position exceeds the stratification key width.
-    BadGroupPosition(usize),
+    /// Exact lane mass carries no aggregates for a payload slot an
+    /// aggregate reads: it was harvested under another payload layout.
+    MissingLaneSlot(usize),
     /// Exact lane mass cannot blend into a product-input aggregate (the
     /// lanes hold per-column sums, not per-row products); callers must not
     /// enable hybrid estimation for `SUM(a*b)` plans.
@@ -41,7 +42,9 @@ impl std::fmt::Display for EstimateError {
             EstimateError::NonIntegerPredicate(c) => {
                 write!(f, "tightening predicate on non-integer column `{c}`")
             }
-            EstimateError::BadGroupPosition(p) => write!(f, "group position {p} out of range"),
+            EstimateError::MissingLaneSlot(s) => {
+                write!(f, "exact lane mass has no aggregates for payload slot {s}")
+            }
             EstimateError::ExactProductInput => {
                 write!(
                     f,
@@ -80,9 +83,6 @@ pub struct GroupEstimate {
 pub struct EstimateOptions<'a> {
     /// Stricter predicate applied to sampled tuples (tightening, §5.2.1).
     pub tighten: Option<&'a Predicates>,
-    /// Positions within the stratification key that form the output group;
-    /// `None` groups by the full key.
-    pub group_positions: Option<&'a [usize]>,
     /// Normal quantile for the confidence interval (1.96 ≈ 95 %).
     pub z: f64,
     /// Exact aggregate mass from lane-covered spans, blended in with zero
@@ -96,7 +96,6 @@ impl Default for EstimateOptions<'_> {
     fn default() -> Self {
         Self {
             tighten: None,
-            group_positions: None,
             z: 1.96,
             exact: None,
         }
@@ -187,17 +186,6 @@ enum ResolvedInput {
     One,
 }
 
-impl ResolvedInput {
-    #[inline]
-    fn eval(&self, t: &SampleTuple) -> f64 {
-        match self {
-            ResolvedInput::Col(s, k) => t.numeric(*s, *k),
-            ResolvedInput::Mul((a, ka), (b, kb)) => t.numeric(*a, *ka) * t.numeric(*b, *kb),
-            ResolvedInput::One => 1.0,
-        }
-    }
-}
-
 fn resolve_slot(schema: &SampleSchema, col: &str) -> Result<(usize, SlotKind), EstimateError> {
     let slot = schema
         .slot(col)
@@ -230,12 +218,12 @@ enum Tighten {
 impl Tighten {
     fn compile(schema: &SampleSchema, preds: &Predicates) -> Result<Self, EstimateError> {
         let mut checks = Vec::new();
-        for col in preds.columns() {
+        for (col, set) in preds.iter() {
             let (slot, kind) = resolve_slot(schema, col)?;
             if kind != SlotKind::Int {
                 return Err(EstimateError::NonIntegerPredicate(col.to_string()));
             }
-            checks.push((slot, preds.get(col).unwrap().clone()));
+            checks.push((slot, set.clone()));
         }
         if let [(slot, set)] = checks.as_slice() {
             if let [iv] = set.intervals() {
@@ -253,102 +241,80 @@ impl Tighten {
 /// Per-group, per-aggregate accumulation across strata. Strata are sampled
 /// independently, so variances add.
 #[derive(Clone, Copy)]
-enum EstAcc {
-    Sum {
-        est: f64,
-        var: f64,
-        support: usize,
-    },
-    Count {
-        est: f64,
-        var: f64,
-        support: usize,
-    },
-    Avg {
-        sum: f64,
-        var: f64,
-        n_est: f64,
-        support: usize,
-    },
-    Min {
-        val: f64,
-        support: usize,
-    },
-    Max {
-        val: f64,
-        support: usize,
-    },
+struct EstAcc {
+    kind: AggKind,
+    /// The running estimate of the total (SUM, COUNT, AVG's numerator) or
+    /// the extremum so far (MIN, MAX).
+    value: f64,
+    var: f64,
+    /// AVG's denominator: the estimated matching row count.
+    n_est: f64,
+    support: usize,
 }
 
 impl EstAcc {
     fn new(kind: AggKind) -> Self {
-        match kind {
-            AggKind::Sum => EstAcc::Sum {
-                est: 0.0,
-                var: 0.0,
-                support: 0,
-            },
-            AggKind::Count => EstAcc::Count {
-                est: 0.0,
-                var: 0.0,
-                support: 0,
-            },
-            AggKind::Avg => EstAcc::Avg {
-                sum: 0.0,
-                var: 0.0,
-                n_est: 0.0,
-                support: 0,
-            },
-            AggKind::Min => EstAcc::Min {
-                val: f64::INFINITY,
-                support: 0,
-            },
-            AggKind::Max => EstAcc::Max {
-                val: f64::NEG_INFINITY,
-                support: 0,
-            },
+        let value = match kind {
+            AggKind::Min => f64::INFINITY,
+            AggKind::Max => f64::NEG_INFINITY,
+            AggKind::Sum | AggKind::Count | AggKind::Avg => 0.0,
+        };
+        EstAcc {
+            kind,
+            value,
+            var: 0.0,
+            n_est: 0.0,
+            support: 0,
         }
     }
 
     fn finalize(&self, z: f64) -> AggEstimate {
-        match self {
-            EstAcc::Sum { est, var, support } | EstAcc::Count { est, var, support } => {
-                AggEstimate {
-                    value: *est,
-                    ci_half_width: z * var.max(0.0).sqrt(),
-                    support: *support,
-                }
-            }
-            EstAcc::Avg {
-                sum,
-                var,
-                n_est,
-                support,
-            } => {
-                // Ratio estimate sum/n; the CI scales the sum CI by 1/n.
-                let value = if *n_est > 0.0 { sum / n_est } else { f64::NAN };
-                let ci = if *n_est > 0.0 {
-                    z * var.max(0.0).sqrt() / n_est
-                } else {
-                    f64::NAN
-                };
-                AggEstimate {
-                    value,
-                    ci_half_width: ci,
-                    support: *support,
-                }
-            }
-            EstAcc::Min { val, support } => AggEstimate {
-                value: if *support == 0 { f64::NAN } else { *val },
-                ci_half_width: f64::NAN,
-                support: *support,
-            },
-            EstAcc::Max { val, support } => AggEstimate {
-                value: if *support == 0 { f64::NAN } else { *val },
-                ci_half_width: f64::NAN,
-                support: *support,
-            },
+        let half_width = z * self.var.max(0.0).sqrt();
+        let (value, ci_half_width) = match self.kind {
+            AggKind::Sum | AggKind::Count => (self.value, half_width),
+            // Ratio estimate sum/n; the CI scales the sum CI by 1/n.
+            AggKind::Avg if self.n_est > 0.0 => (self.value / self.n_est, half_width / self.n_est),
+            // Biased sample extrema: no interval.
+            AggKind::Min | AggKind::Max if self.support > 0 => (self.value, f64::NAN),
+            AggKind::Avg | AggKind::Min | AggKind::Max => (f64::NAN, f64::NAN),
+        };
+        AggEstimate {
+            value,
+            ci_half_width,
+            support: self.support,
         }
+    }
+}
+
+impl ExactGroup {
+    /// Blend this group's covered mass into its accumulators, one per
+    /// `inputs` entry: exact partial aggregates with zero variance. COUNT
+    /// mass is the covered row count; SUM/AVG/MIN/MAX mass is read from
+    /// the per-slot lane aggregates.
+    fn blend(&self, accs: &mut [EstAcc], inputs: &[ResolvedInput]) -> Result<(), EstimateError> {
+        let rows = self.rows as f64;
+        for (acc, input) in accs.iter_mut().zip(inputs) {
+            let (x_sum, x_min, x_max) = match *input {
+                ResolvedInput::Col(s, _) => {
+                    let slot = self.slots.get(s).ok_or(EstimateError::MissingLaneSlot(s))?;
+                    (slot.sum, slot.min, slot.max)
+                }
+                ResolvedInput::One => (rows, 1.0, 1.0),
+                ResolvedInput::Mul(..) => return Err(EstimateError::ExactProductInput),
+            };
+            match acc.kind {
+                AggKind::Sum => acc.value += x_sum,
+                AggKind::Count => acc.value += rows,
+                AggKind::Avg => {
+                    acc.value += x_sum;
+                    acc.n_est += rows;
+                }
+                AggKind::Min => acc.value = acc.value.min(x_min),
+                AggKind::Max => acc.value = acc.value.max(x_max),
+            }
+            acc.support += self.rows as usize;
+        }
+        Ok(())
     }
 }
 
@@ -373,29 +339,11 @@ impl Moments {
         }
     }
 
-    /// Moments of `x` over `items`, of which those flagged in `hits`
-    /// match. A tightened sample matches unpredictably, so non-matching
-    /// tuples are masked (selects), not branched around.
-    #[inline]
-    fn of(items: &[SampleTuple], hits: &[bool], x: impl Fn(&SampleTuple) -> f64) -> Self {
-        let (mut s1, mut s2) = (0.0f64, 0.0f64);
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for (t, &hit) in items.iter().zip(hits) {
-            let x = x(t);
-            let y = if hit { x } else { 0.0 };
-            s1 += y;
-            s2 += y * y;
-            lo = if hit { lo.min(x) } else { lo };
-            hi = if hit { hi.max(x) } else { hi };
-        }
-        Moments { s1, s2, lo, hi }
-    }
-
     /// Moments of `x(i)` over the rows `i` whose bit is set in `bits`, in
-    /// row order. Bit for bit what [`Moments::of`] computes over the same
-    /// rows: the terms it adds for a non-matching tuple are `+0.0`, and
-    /// neither sum can be `-0.0` (both start at `+0.0`), so skipping them
-    /// is the identity.
+    /// row order. Bit for bit what a loop over *every* row that masks the
+    /// non-matching ones to `y = 0` computes: the terms that loop adds for
+    /// a non-matching tuple are `+0.0`, and neither sum can be `-0.0`
+    /// (both start at `+0.0`), so skipping them is the identity.
     #[inline]
     fn over_bits(bits: &[u64], x: impl Fn(usize) -> f64) -> Self {
         let (mut s1, mut s2) = (0.0f64, 0.0f64);
@@ -413,55 +361,101 @@ impl Moments {
         }
         Moments { s1, s2, lo, hi }
     }
-}
 
-impl ResolvedInput {
-    /// Moments over `items`, of which the `mq` flagged in `hits` match.
-    /// The slot kind is resolved outside the tuple loop.
-    fn moments(&self, items: &[SampleTuple], hits: &[bool], mq: usize) -> Moments {
-        match *self {
+    /// Moments of `input` over the rows of `rows` set in `bits` (`mq` of
+    /// them). The slot kind is resolved outside the row loop.
+    fn for_input(input: &ResolvedInput, rows: &impl Rows, bits: &[u64], mq: usize) -> Self {
+        match *input {
             ResolvedInput::One => Moments::ones(mq),
-            ResolvedInput::Col(s, SlotKind::Int) => Moments::of(items, hits, |t| t.int(s) as f64),
-            ResolvedInput::Col(s, SlotKind::Float) => Moments::of(items, hits, |t| t.float(s)),
-            ResolvedInput::Mul(..) => Moments::of(items, hits, |t| self.eval(t)),
+            ResolvedInput::Col(s, SlotKind::Int) => {
+                let col = rows.slot(s);
+                Moments::over_bits(bits, |i| col(i) as f64)
+            }
+            ResolvedInput::Col(s, SlotKind::Float) => {
+                let col = rows.slot(s);
+                Moments::over_bits(bits, |i| f64::from_bits(col(i) as u64))
+            }
+            ResolvedInput::Mul((a, ka), (b, kb)) => {
+                let (a, b) = (rows.slot(a), rows.slot(b));
+                Moments::over_bits(bits, |i| ka.numeric(a(i)) * kb.numeric(b(i)))
+            }
         }
     }
 }
 
-/// Fold stratum `{items, weight}` (`items` non-empty) into `accs`. The
-/// tightening filter runs once per tuple (into the `hits` scratch), not
-/// once per aggregate, and no tuple is copied.
-fn fold_tuples(
-    accs: &mut [EstAcc],
-    hits: &mut Vec<bool>,
-    inputs: &[ResolvedInput],
-    tighten: Option<&Tighten>,
-    items: &[SampleTuple],
-    weight: u64,
-) {
-    hits.clear();
-    match tighten {
-        None => hits.resize(items.len(), true),
-        Some(Tighten::Range { slot, lo, hi }) => {
-            hits.extend(items.iter().map(|t| (*lo..=*hi).contains(&t.int(*slot))))
-        }
-        Some(Tighten::Sets(checks)) => hits.extend(
-            items
-                .iter()
-                .map(|t| checks.iter().all(|(slot, set)| set.contains(t.int(*slot)))),
-        ),
+/// What the stratum walk reads one stratum's retained tuples through: how
+/// many there are, and each payload slot's raw `i64` by row. Rows keep the
+/// order the sampler retained them in, whatever the layout, so every
+/// source folds the same terms in the same order.
+trait Rows {
+    /// Retained tuples.
+    fn len(&self) -> usize;
+
+    /// Payload slot `slot` as a function of the row (`0..len`).
+    fn slot(&self, slot: usize) -> impl Fn(usize) -> i64;
+}
+
+/// A stratum of a [`Sample`]: its tuples in the arena.
+impl Rows for &[SampleTuple] {
+    fn len(&self) -> usize {
+        <[SampleTuple]>::len(self)
     }
-    let mq = hits.iter().filter(|&&hit| hit).count();
-    fold_stratum(accs, inputs, items.len(), weight, mq, |input| {
-        input.moments(items, hits, mq)
-    });
+
+    fn slot(&self, slot: usize) -> impl Fn(usize) -> i64 {
+        move |row| self[row].int(slot)
+    }
+}
+
+/// Fill `bits` with the hit bitset of `rows` under `tighten` (bit `i` =
+/// row `i` matches), 64 rows a word, the last one zero-padded; returns its
+/// popcount. The one place a tightening meets tuples.
+fn hit_bits(bits: &mut Vec<u64>, tighten: Option<&Tighten>, rows: &impl Rows) -> usize {
+    #[inline]
+    fn pack(bits: &mut Vec<u64>, len: usize, hit: impl Fn(usize) -> bool) -> usize {
+        bits.clear();
+        let mut hits = 0;
+        for base in (0..len).step_by(64) {
+            let word = (base..len.min(base + 64))
+                .fold(0u64, |word, i| word | (hit(i) as u64) << (i - base));
+            hits += word.count_ones() as usize;
+            bits.push(word);
+        }
+        hits
+    }
+    match tighten {
+        None => pack(bits, rows.len(), |_| true),
+        Some(Tighten::Range { slot, lo, hi }) => {
+            let col = rows.slot(*slot);
+            pack(bits, rows.len(), |i| (*lo..=*hi).contains(&col(i)))
+        }
+        Some(Tighten::Sets(checks)) => pack(bits, rows.len(), |i| {
+            checks
+                .iter()
+                .all(|(slot, set)| set.contains(rows.slot(*slot)(i)))
+        }),
+    }
+}
+
+/// How many retained tuples of each stratum of `sample` match `tighten`,
+/// in the sample's stratum order (a stratum retaining nothing counts 0):
+/// what a support check classifies.
+pub(crate) fn matching_rows(
+    sample: &Sample,
+    schema: &SampleSchema,
+    tighten: Option<&Predicates>,
+) -> Result<Vec<(GroupKey, usize)>, EstimateError> {
+    let tighten = tighten.map(|p| Tighten::compile(schema, p)).transpose()?;
+    let mut bits = Vec::new();
+    Ok(sample
+        .iter()
+        .map(|(key, items, _)| (*key, hit_bits(&mut bits, tighten.as_ref(), &items)))
+        .collect())
 }
 
 /// The per-stratum estimator: fold a stratum of `len > 0` retained tuples
 /// standing for `weight` considered ones, `mq` of which match the
 /// tightening, into `accs` — one accumulator per aggregate, each fed the
-/// `moments` of its input over the matching tuples. Where those moments
-/// come from (sample tuples, an at-rest image) is the caller's business.
+/// `moments` of its input over the matching tuples.
 fn fold_stratum(
     accs: &mut [EstAcc],
     inputs: &[ResolvedInput],
@@ -487,63 +481,31 @@ fn fold_stratum(
         let sum_est = scale * mo.s1;
         // Var(w·ȳ) = w² · s²_y / m · fpc
         let sum_var = w * w * var_y / m * fpc;
-        match acc {
-            EstAcc::Sum { est, var, support } => {
-                *est += sum_est;
-                *var += sum_var;
-                *support += mq;
+        match acc.kind {
+            AggKind::Sum => {
+                acc.value += sum_est;
+                acc.var += sum_var;
             }
-            EstAcc::Count { est, var, support } => {
+            AggKind::Count => {
                 let p = mq as f64 / m;
-                *est += w * p;
+                acc.value += w * p;
                 let var_p = if m > 1.0 {
                     p * (1.0 - p) * m / (m - 1.0)
                 } else {
                     0.0
                 };
-                *var += w * w * var_p / m * fpc;
-                *support += mq;
+                acc.var += w * w * var_p / m * fpc;
             }
-            EstAcc::Avg {
-                sum,
-                var,
-                n_est,
-                support,
-            } => {
-                *sum += sum_est;
-                *var += sum_var;
-                *n_est += w * mq as f64 / m;
-                *support += mq;
+            AggKind::Avg => {
+                acc.value += sum_est;
+                acc.var += sum_var;
+                acc.n_est += w * mq as f64 / m;
             }
-            EstAcc::Min { val, support } => {
-                if mq > 0 {
-                    *val = val.min(mo.lo);
-                    *support += mq;
-                }
-            }
-            EstAcc::Max { val, support } => {
-                if mq > 0 {
-                    *val = val.max(mo.hi);
-                    *support += mq;
-                }
-            }
+            AggKind::Min if mq > 0 => acc.value = acc.value.min(mo.lo),
+            AggKind::Max if mq > 0 => acc.value = acc.value.max(mo.hi),
+            AggKind::Min | AggKind::Max => {}
         }
-    }
-}
-
-/// Project a stratification key onto the output group key.
-fn project(parts: &[i64], positions: Option<&[usize]>) -> Result<Vec<i64>, EstimateError> {
-    match positions {
-        None => Ok(parts.to_vec()),
-        Some(positions) => positions
-            .iter()
-            .map(|&p| {
-                parts
-                    .get(p)
-                    .copied()
-                    .ok_or(EstimateError::BadGroupPosition(p))
-            })
-            .collect(),
+        acc.support += mq;
     }
 }
 
@@ -563,23 +525,61 @@ fn key_order(strata: &[(&GroupKey, &[SampleTuple], u64)]) -> impl Iterator<Item 
     order.into_iter().map(|(_, i)| i as usize)
 }
 
-/// What both estimate paths resolve against the schema up front: each
+/// What an estimate resolves against the schema up front: each
 /// aggregate's input, the tightening filter, and one fresh accumulator
 /// per aggregate.
-type Compiled = (Vec<ResolvedInput>, Option<Tighten>, Vec<EstAcc>);
+struct Compiled {
+    inputs: Vec<ResolvedInput>,
+    tighten: Option<Tighten>,
+    fresh: Vec<EstAcc>,
+}
 
-fn compile(
-    schema: &SampleSchema,
-    aggs: &[AggSpec],
-    tighten: Option<&Predicates>,
-) -> Result<Compiled, EstimateError> {
-    let inputs = aggs
-        .iter()
-        .map(|a| resolve_input(schema, &a.input))
-        .collect::<Result<_, _>>()?;
-    let tighten = tighten.map(|p| Tighten::compile(schema, p)).transpose()?;
-    let fresh = aggs.iter().map(|a| EstAcc::new(a.kind)).collect();
-    Ok((inputs, tighten, fresh))
+impl Compiled {
+    fn compile(
+        schema: &SampleSchema,
+        aggs: &[AggSpec],
+        tighten: Option<&Predicates>,
+    ) -> Result<Self, EstimateError> {
+        Ok(Compiled {
+            inputs: aggs
+                .iter()
+                .map(|a| resolve_input(schema, &a.input))
+                .collect::<Result<_, _>>()?,
+            tighten: tighten.map(|p| Tighten::compile(schema, p)).transpose()?,
+            fresh: aggs.iter().map(|a| EstAcc::new(a.kind)).collect(),
+        })
+    }
+
+    /// The estimator's one walk: every stratum of a source (`key`,
+    /// `weight`, non-empty `rows`), in the source's order, is tightened
+    /// once into a hit bitset — not once per aggregate — and folded into
+    /// fresh accumulators, which `emit` receives. Output groups are the
+    /// strata themselves (QCS = GROUP BY, every query template).
+    fn walk<'k, R: Rows>(
+        &self,
+        strata: impl Iterator<Item = (&'k GroupKey, u64, R)>,
+        mut emit: impl FnMut(&'k GroupKey, &[EstAcc]),
+    ) {
+        let mut accs = self.fresh.clone();
+        let mut bits = Vec::new();
+        for (key, weight, rows) in strata {
+            let mq = hit_bits(&mut bits, self.tighten.as_ref(), &rows);
+            accs.copy_from_slice(&self.fresh);
+            fold_stratum(&mut accs, &self.inputs, rows.len(), weight, mq, |input| {
+                Moments::for_input(input, &rows, &bits, mq)
+            });
+            emit(key, &accs);
+        }
+    }
+}
+
+/// The answer row of the group keyed `key` whose aggregates folded to
+/// `accs`.
+fn group_estimate(key: &[i64], accs: &[EstAcc], z: f64) -> GroupEstimate {
+    GroupEstimate {
+        key: key.to_vec(),
+        values: accs.iter().map(|a| a.finalize(z)).collect(),
+    }
 }
 
 /// Estimate aggregates over a stratified sample. Groups come out in key
@@ -590,117 +590,47 @@ pub fn estimate(
     aggs: &[AggSpec],
     opts: &EstimateOptions<'_>,
 ) -> Result<Vec<GroupEstimate>, EstimateError> {
-    let (inputs, tighten, fresh) = compile(schema, aggs, opts.tighten)?;
-    let mut hits = Vec::new();
-    let strata = sample.iter().filter(|(_, items, _)| !items.is_empty());
-
-    if opts.group_positions.is_none() && opts.exact.is_none() {
-        // Output groups are the strata themselves (QCS = GROUP BY, every
-        // query template): one linear pass, no regrouping.
-        // Strata are folded in arena order (sequential reads) and
-        // emitted in key order.
-        let strata: Vec<_> = strata.collect();
-        let mut accs = fresh.clone();
-        let mut groups: Vec<Option<GroupEstimate>> = strata
-            .iter()
-            .map(|&(key, items, weight)| {
-                accs.copy_from_slice(&fresh);
-                fold_tuples(
-                    &mut accs,
-                    &mut hits,
-                    &inputs,
-                    tighten.as_ref(),
-                    items,
-                    weight,
-                );
-                Some(GroupEstimate {
-                    key: key.parts().to_vec(),
-                    values: accs.iter().map(|a| a.finalize(opts.z)).collect(),
-                })
-            })
-            .collect();
-        return Ok(key_order(&strata)
-            .filter_map(|i| groups[i].take())
-            .collect());
-    }
-
-    let mut groups: laqy_engine::FxHashMap<Vec<i64>, Vec<EstAcc>> =
-        laqy_engine::FxHashMap::default();
-    for (key, items, weight) in strata {
-        let accs = groups
-            .entry(project(key.parts(), opts.group_positions)?)
-            .or_insert_with(|| fresh.clone());
-        fold_tuples(accs, &mut hits, &inputs, tighten.as_ref(), items, weight);
-    }
-
-    // Hybrid blending: covered spans contribute exact partial aggregates
-    // with zero variance. COUNT mass is the covered row count; SUM/AVG/
-    // MIN/MAX mass is read from the per-slot lane aggregates. Groups that
-    // exist only in the covered region are created here (their estimates
-    // are fully exact).
-    if let Some(exact) = opts.exact {
-        for (key, mass) in exact.iter() {
-            if mass.rows == 0 {
-                continue;
-            }
-            let accs = groups
-                .entry(project(key, opts.group_positions)?)
-                .or_insert_with(|| fresh.clone());
-            for (agg_idx, acc) in accs.iter_mut().enumerate() {
-                let (x_sum, x_min, x_max) = match &inputs[agg_idx] {
-                    ResolvedInput::Col(s, _) => {
-                        let slot = mass
-                            .slots
-                            .get(*s)
-                            .copied()
-                            .ok_or(EstimateError::BadGroupPosition(*s))?;
-                        (slot.sum, slot.min, slot.max)
-                    }
-                    ResolvedInput::One => (mass.rows as f64, 1.0, 1.0),
-                    ResolvedInput::Mul(..) => return Err(EstimateError::ExactProductInput),
-                };
-                let rows = mass.rows as usize;
-                match acc {
-                    EstAcc::Sum { est, support, .. } => {
-                        *est += x_sum;
-                        *support += rows;
-                    }
-                    EstAcc::Count { est, support, .. } => {
-                        *est += mass.rows as f64;
-                        *support += rows;
-                    }
-                    EstAcc::Avg {
-                        sum,
-                        n_est,
-                        support,
-                        ..
-                    } => {
-                        *sum += x_sum;
-                        *n_est += mass.rows as f64;
-                        *support += rows;
-                    }
-                    EstAcc::Min { val, support } => {
-                        *val = val.min(x_min);
-                        *support += rows;
-                    }
-                    EstAcc::Max { val, support } => {
-                        *val = val.max(x_max);
-                        *support += rows;
-                    }
-                }
-            }
-        }
-    }
-
-    let mut out: Vec<GroupEstimate> = groups
-        .into_iter()
-        .map(|(key, accs)| GroupEstimate {
-            key,
-            values: accs.iter().map(|a| a.finalize(opts.z)).collect(),
-        })
+    let compiled = Compiled::compile(schema, aggs, opts.tighten)?;
+    let strata: Vec<_> = sample
+        .iter()
+        .filter(|(_, items, _)| !items.is_empty())
         .collect();
-    out.sort_by(|a, b| a.key.cmp(&b.key));
-    Ok(out)
+    // Strata are folded in arena order (sequential reads) into one slot of
+    // `aggs.len()` accumulators each, and emitted in key order.
+    let width = aggs.len();
+    let mut folded = Vec::with_capacity(strata.len() * width);
+    compiled.walk(
+        strata
+            .iter()
+            .map(|&(key, items, weight)| (key, weight, items)),
+        |_, accs| folded.extend_from_slice(accs),
+    );
+    let mut slots: Vec<(&[i64], usize)> = key_order(&strata)
+        .map(|i| (strata[i].0.parts(), i))
+        .collect();
+
+    // Hybrid blending, by key: a stratum's sample terms first, then its
+    // group's lane terms. A group only the covered region has gets a slot
+    // of its own (its estimates are fully exact).
+    for (key, mass) in opts.exact.into_iter().flat_map(ExactMass::iter) {
+        let sampled = slots[..strata.len()].binary_search_by(|(k, _)| k.cmp(&key));
+        let slot = match sampled {
+            Ok(at) => slots[at].1,
+            Err(_) => {
+                folded.extend_from_slice(&compiled.fresh);
+                slots.push((key, slots.len()));
+                slots.len() - 1
+            }
+        };
+        mass.blend(&mut folded[slot * width..][..width], &compiled.inputs)?;
+    }
+    if slots.len() > strata.len() {
+        slots.sort_unstable_by_key(|&(key, _)| key);
+    }
+    Ok(slots
+        .iter()
+        .map(|&(key, slot)| group_estimate(key, &folded[slot * width..][..width], opts.z))
+        .collect())
 }
 
 /// One stratum of a [`SampleImage`]: its rows of every packed column.
@@ -710,15 +640,32 @@ struct ImageStratum {
     rows: Range<usize>,
 }
 
+/// A stratum of a [`SampleImage`] as the walk reads it.
+struct PackedRows<'a> {
+    cols: &'a [Vec<i64>],
+    rows: Range<usize>,
+}
+
+impl Rows for PackedRows<'_> {
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn slot(&self, slot: usize) -> impl Fn(usize) -> i64 {
+        let col = &self.cols[slot][self.rows.clone()];
+        move |row| col[row]
+    }
+}
+
 /// The at-rest image of a sample: what a full hit reads instead of the
 /// tuple arena. Non-empty strata laid out in group-key order (a hit emits
 /// groups as it folds them), and one packed `i64` column per slot the
 /// schema has — not [`MAX_SAMPLE_COLS`](crate::MAX_SAMPLE_COLS) — with a
-/// stratum's tuples kept in arena order, so folding the matching ones in
-/// row order adds the same terms in the same order as [`estimate`] and
-/// every answer is bit-identical to it. Derived and never persisted: the
-/// store builds it on the first full hit after a write and drops it on
-/// the next write (DESIGN.md, "At-rest image").
+/// stratum's tuples kept in arena order, so the walk folds the same terms
+/// in the same order as over the sample and every answer is bit-identical
+/// to [`estimate`]'s. Derived and never persisted: the store builds it on
+/// the first full hit after a write and drops it on the next write
+/// (DESIGN.md, "At-rest image").
 pub struct SampleImage {
     strata: Vec<ImageStratum>,
     cols: Vec<Vec<i64>>,
@@ -796,9 +743,8 @@ impl SampleImage {
     }
 
     /// What [`estimate`] answers for the sample this image was built
-    /// from, under `tighten` and `z` with groups = strata (no projection,
-    /// no exact mass), bit for bit. `schema` must be the one it was built
-    /// with.
+    /// from, under `tighten` and `z` with no exact mass, bit for bit.
+    /// `schema` must be the one it was built with.
     pub fn estimate(
         &self,
         schema: &SampleSchema,
@@ -807,90 +753,20 @@ impl SampleImage {
         z: f64,
     ) -> Result<Vec<GroupEstimate>, EstimateError> {
         debug_assert_eq!(schema.len(), self.cols.len());
-        let (inputs, tighten, fresh) = compile(schema, aggs, tighten)?;
-        let mut accs = fresh.clone();
-        let mut bits = Vec::new();
-        Ok(self
-            .strata
-            .iter()
-            .map(|s| {
-                let mq = self.hit_bits(&mut bits, tighten.as_ref(), s.rows.clone());
-                accs.copy_from_slice(&fresh);
-                fold_stratum(&mut accs, &inputs, s.rows.len(), s.weight, mq, |input| {
-                    self.moments(input, s.rows.clone(), &bits, mq)
-                });
-                GroupEstimate {
-                    key: s.key.parts().to_vec(),
-                    values: accs.iter().map(|a| a.finalize(z)).collect(),
-                }
-            })
-            .collect())
+        let compiled = Compiled::compile(schema, aggs, tighten)?;
+        let mut groups = Vec::with_capacity(self.strata.len());
+        let strata = self.strata.iter().map(|s| {
+            let rows = PackedRows {
+                cols: &self.cols,
+                rows: s.rows.clone(),
+            };
+            (&s.key, s.weight, rows)
+        });
+        compiled.walk(strata, |key, accs| {
+            groups.push(group_estimate(key.parts(), accs, z))
+        });
+        Ok(groups)
     }
-
-    /// Fill `bits` with the hit bitset of `rows` under `tighten` (bit `i`
-    /// = row `rows.start + i` matches), 64 rows a word; returns its
-    /// popcount.
-    fn hit_bits(
-        &self,
-        bits: &mut Vec<u64>,
-        tighten: Option<&Tighten>,
-        rows: Range<usize>,
-    ) -> usize {
-        match tighten {
-            None => pack_bits(bits, rows.len(), |_| true),
-            Some(Tighten::Range { slot, lo, hi }) => {
-                let col = &self.cols[*slot][rows];
-                pack_bits(bits, col.len(), |i| (*lo..=*hi).contains(&col[i]))
-            }
-            Some(Tighten::Sets(checks)) => pack_bits(bits, rows.len(), |i| {
-                checks
-                    .iter()
-                    .all(|(slot, set)| set.contains(self.cols[*slot][rows.start + i]))
-            }),
-        }
-    }
-
-    /// Moments of `input` over the rows of `rows` set in `bits` (`mq` of
-    /// them).
-    fn moments(
-        &self,
-        input: &ResolvedInput,
-        rows: Range<usize>,
-        bits: &[u64],
-        mq: usize,
-    ) -> Moments {
-        let col = |slot: usize| &self.cols[slot][rows.clone()];
-        match *input {
-            ResolvedInput::One => Moments::ones(mq),
-            ResolvedInput::Col(s, SlotKind::Int) => {
-                let col = col(s);
-                Moments::over_bits(bits, |i| col[i] as f64)
-            }
-            ResolvedInput::Col(s, SlotKind::Float) => {
-                let col = col(s);
-                Moments::over_bits(bits, |i| f64::from_bits(col[i] as u64))
-            }
-            ResolvedInput::Mul((a, ka), (b, kb)) => {
-                let (a, b) = (col(a), col(b));
-                Moments::over_bits(bits, |i| ka.numeric(a[i]) * kb.numeric(b[i]))
-            }
-        }
-    }
-}
-
-/// Fill `bits` with `hit(0..len)`, 64 rows a word (the last one
-/// zero-padded); returns how many hit.
-#[inline]
-fn pack_bits(bits: &mut Vec<u64>, len: usize, hit: impl Fn(usize) -> bool) -> usize {
-    bits.clear();
-    let mut hits = 0;
-    for base in (0..len).step_by(64) {
-        let word =
-            (base..len.min(base + 64)).fold(0u64, |word, i| word | (hit(i) as u64) << (i - base));
-        hits += word.count_ones() as usize;
-        bits.push(word);
-    }
-    hits
 }
 
 #[cfg(test)]
@@ -1026,34 +902,6 @@ mod tests {
             (mean - 1000.0).abs() < 150.0,
             "mean count estimate {mean} should be near 1000"
         );
-    }
-
-    #[test]
-    fn group_projection_aggregates_across_strata() {
-        // Strata keyed by (g, h); group output by position 0 only.
-        let mut rng = Lehmer64::new(9);
-        let mut s = Sample::new(1000);
-        for g in 0..2i64 {
-            for h in 0..3i64 {
-                for i in 0..10 {
-                    s.offer(
-                        GroupKey::new(&[g, h]),
-                        SampleTuple::from_slice(&[i, (1.0f64).to_bits() as i64]),
-                        &mut rng,
-                    );
-                }
-            }
-        }
-        let positions = [0usize];
-        let opts = EstimateOptions {
-            group_positions: Some(&positions),
-            ..Default::default()
-        };
-        let ests = estimate(&s, &schema(), &[AggSpec::count()], &opts).unwrap();
-        assert_eq!(ests.len(), 2);
-        for e in &ests {
-            assert_eq!(e.values[0].value, 30.0);
-        }
     }
 
     #[test]
@@ -1246,6 +1094,28 @@ mod tests {
         assert_eq!(err, EstimateError::ExactProductInput);
     }
 
+    #[test]
+    fn exact_mass_without_the_slot_an_aggregate_reads_is_its_own_error() {
+        // Lane mass harvested under a one-slot payload, blended into an
+        // aggregate over slot 1 (`v`).
+        let s = full_sample(1, 10);
+        let mut exact = ExactMass::new();
+        let slot = ExactSlot {
+            sum: 1.0,
+            min: 1.0,
+            max: 1.0,
+        };
+        exact.add(&[0], 1, vec![slot]);
+        let opts = EstimateOptions {
+            exact: Some(&exact),
+            ..Default::default()
+        };
+        let err = estimate(&s, &schema(), &[AggSpec::sum("v")], &opts).unwrap_err();
+        assert_eq!(err, EstimateError::MissingLaneSlot(1));
+        // Slot 0 it does carry, and COUNT reads no slot at all.
+        assert!(estimate(&s, &schema(), &[AggSpec::sum("x"), AggSpec::count()], &opts).is_ok());
+    }
+
     /// A random sample over `(g, h)` strata: some strata full (weight ≫ k),
     /// some complete populations.
     fn random_sample(k: usize, g: i64, h: i64, per: i64, seed: u64) -> Sample {
@@ -1265,10 +1135,6 @@ mod tests {
         s
     }
 
-    fn close(a: f64, b: f64) -> bool {
-        (a.is_nan() && b.is_nan()) || (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0)
-    }
-
     fn all_aggs() -> Vec<AggSpec> {
         vec![
             AggSpec::sum("v"),
@@ -1286,10 +1152,23 @@ mod tests {
         ]
     }
 
+    /// `cuts` as a tightening on `x`: none for no cuts, one interval for
+    /// 1–2, several beyond.
+    fn tightening(mut cuts: Vec<i64>) -> Option<Predicates> {
+        cuts.sort_unstable();
+        cuts.dedup();
+        let set = IntervalSet::from_intervals(
+            cuts.chunks(2)
+                .map(|c| Interval::new(c[0], *c.last().unwrap()))
+                .collect(),
+        );
+        (!cuts.is_empty()).then(|| Predicates::on("x", set))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
-        fn linear_path_agrees_with_the_general_path(
+        fn lane_mass_adds_group_by_group_with_no_variance(
             k in 1usize..12,
             g in 1i64..5,
             h in 1i64..5,
@@ -1298,76 +1177,19 @@ mod tests {
             cuts in prop::collection::vec(0i64..1_000, 0..5),
         ) {
             let sample = random_sample(k, g, h, per, seed);
-            // 0 cuts: no tightening; 1–2: one interval; more: several.
-            let mut cuts = cuts;
-            cuts.sort_unstable();
-            cuts.dedup();
-            let set = IntervalSet::from_intervals(
-                cuts.chunks(2).map(|c| Interval::new(c[0], *c.last().unwrap())).collect(),
-            );
-            let tighten = Predicates::on("x", set);
-            let tighten = (!cuts.is_empty()).then_some(&tighten);
+            let tighten = tightening(cuts);
+            let tighten = tighten.as_ref();
             let aggs = all_aggs();
-            let linear = estimate(
+            let plain = estimate(
                 &sample,
                 &schema(),
                 &aggs,
                 &EstimateOptions { tighten, ..Default::default() },
             )
             .unwrap();
-            prop_assert!(linear.windows(2).all(|w| w[0].key < w[1].key), "key order");
+            prop_assert!(plain.windows(2).all(|w| w[0].key < w[1].key), "key order");
 
-            // The identity projection regroups strata onto themselves.
-            let general = estimate(
-                &sample,
-                &schema(),
-                &aggs,
-                &EstimateOptions { tighten, group_positions: Some(&[0, 1]), ..Default::default() },
-            )
-            .unwrap();
-            prop_assert_eq!(linear.len(), general.len());
-            for (l, r) in linear.iter().zip(&general) {
-                prop_assert_eq!(&l.key, &r.key);
-                for (a, b) in l.values.iter().zip(&r.values) {
-                    prop_assert!(close(a.value, b.value), "{} vs {}", a.value, b.value);
-                    prop_assert!(close(a.ci_half_width, b.ci_half_width));
-                    prop_assert_eq!(a.support, b.support);
-                }
-            }
-
-            // A real projection must equal regrouping the linear answer by
-            // hand: sums, counts and variances add, extrema combine.
-            let projected = estimate(
-                &sample,
-                &schema(),
-                &aggs,
-                &EstimateOptions { tighten, group_positions: Some(&[0]), ..Default::default() },
-            )
-            .unwrap();
-            for p in &projected {
-                let parts: Vec<&GroupEstimate> =
-                    linear.iter().filter(|l| l.key[0] == p.key[0]).collect();
-                prop_assert!(!parts.is_empty());
-                for agg in [0, 1, 5] {
-                    let value: f64 = parts.iter().map(|l| l.values[agg].value).sum();
-                    let var: f64 = parts.iter().map(|l| l.values[agg].ci_half_width.powi(2)).sum();
-                    prop_assert!(close(p.values[agg].value, value));
-                    prop_assert!(
-                        (p.values[agg].ci_half_width - var.sqrt()).abs()
-                            <= 1e-9 * var.sqrt().max(1.0)
-                    );
-                }
-                let supported = |agg: usize| parts.iter().filter(move |l| l.values[agg].support > 0);
-                let min = supported(2).map(|l| l.values[2].value).fold(f64::INFINITY, f64::min);
-                let max = supported(3).map(|l| l.values[3].value).fold(f64::NEG_INFINITY, f64::max);
-                if supported(2).count() > 0 {
-                    prop_assert_eq!(p.values[2].value, min);
-                    prop_assert_eq!(p.values[3].value, max);
-                }
-            }
-
-            // Exact lane mass (the general path again) adds to the linear
-            // answer group by group, with no variance of its own.
+            // Lane mass on a group the sample has, and on one it cannot.
             let mut exact = ExactMass::new();
             let slot = |sum: f64| ExactSlot { sum, min: 2.0, max: 3.0 };
             exact.add(&[0, 0], 40, vec![slot(100.0), slot(250.0)]);
@@ -1379,23 +1201,52 @@ mod tests {
                 &EstimateOptions { tighten, exact: Some(&exact), ..Default::default() },
             )
             .unwrap();
-            let lookup = |key: &[i64]| linear.iter().find(|l| l.key == key);
+            prop_assert!(blended.windows(2).all(|w| w[0].key < w[1].key), "key order");
+            prop_assert_eq!(blended.len(), plain.len() + 1, "one covered-only group");
+            prop_assert_eq!(&blended.last().unwrap().key, &vec![g, h]);
             for b in &blended {
                 let (sum, rows) = match b.key.as_slice() {
-                    [0, 0] => (250.0, 40.0),
-                    key if key == [g, h] => (21.0, 7.0),
-                    _ => (0.0, 0.0),
+                    [0, 0] => (250.0, 40),
+                    key if key == [g, h] => (21.0, 7),
+                    _ => (0.0, 0),
                 };
-                let base = lookup(&b.key);
-                let base_of = |agg: usize| base.map_or((0.0, 0.0), |l| {
-                    (l.values[agg].value, l.values[agg].ci_half_width)
-                });
-                prop_assert!(close(b.values[0].value, base_of(0).0 + sum));
-                prop_assert!(close(b.values[0].ci_half_width, base_of(0).1));
-                prop_assert!(close(b.values[1].value, base_of(1).0 + rows));
-                prop_assert!(close(b.values[1].ci_half_width, base_of(1).1));
+                // SUM(v) and COUNT(*) of the same group un-blended; a
+                // covered-only group starts from nothing.
+                let base = plain.iter().find(|p| p.key == b.key);
+                for (agg, mass) in [(0, sum), (1, rows as f64)] {
+                    let (value, half_width, support) = base.map_or((0.0, 0.0, 0), |p| {
+                        let a = &p.values[agg];
+                        (a.value, a.ci_half_width, a.support)
+                    });
+                    prop_assert_eq!(b.values[agg].value, value + mass);
+                    prop_assert_eq!(b.values[agg].ci_half_width, half_width);
+                    prop_assert_eq!(b.values[agg].support, support + rows);
+                }
             }
-            prop_assert!(blended.iter().any(|b| b.key == [g, h]), "covered-only group");
+        }
+
+        #[test]
+        fn support_check_counts_what_the_estimate_counts(
+            k in 1usize..40,
+            g in 1i64..5,
+            h in 1i64..5,
+            per in 1i64..30,
+            seed in 0u64..10_000,
+            cuts in prop::collection::vec(0i64..1_000, 0..5),
+            min_rows in 1usize..12,
+        ) {
+            let sample = random_sample(k, g, h, per, seed);
+            let tighten = tightening(cuts);
+            let policy = crate::SupportPolicy { min_rows_per_stratum: min_rows, ..Default::default() };
+            let checked = crate::check_support(&sample, &schema(), tighten.as_ref(), &policy).unwrap();
+            let groups = estimate(
+                &sample,
+                &schema(),
+                &all_aggs(),
+                &EstimateOptions { tighten: tighten.as_ref(), ..Default::default() },
+            )
+            .unwrap();
+            prop_assert_eq!(checked, crate::executor::support_from_groups(&groups, &policy));
         }
     }
 
@@ -1497,6 +1348,125 @@ mod tests {
             .estimate(&schema(), &[AggSpec::count()], Some(&tighten), 1.96)
             .unwrap_err();
         assert_eq!(err, EstimateError::NonIntegerPredicate("v".into()));
+    }
+
+    /// FNV-1a over every group's key, and every aggregate's value and
+    /// half-width bit patterns and support.
+    fn digest(groups: &[GroupEstimate]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for g in groups {
+            g.key.iter().for_each(|&part| eat(part as u64));
+            for a in &g.values {
+                eat(a.value.to_bits());
+                eat(a.ci_half_width.to_bits());
+                eat(a.support as u64);
+            }
+        }
+        h
+    }
+
+    /// `estimate()` over three seeded samples (12 strata of k = 5 and of
+    /// k = 32, all sampled; 4 complete populations) for no / `Range` /
+    /// `Sets` tightening, all five kinds over `Col`, `Mul` and `None`
+    /// inputs, without and with lane mass (`Mul` cannot take it): one
+    /// digest per (sample, tightening, lanes), as computed at the commit
+    /// before the estimator became one walk (4b70d7e) — every answer bit
+    /// is pinned to the three paths it replaced.
+    #[test]
+    fn answers_are_bit_identical_to_the_three_path_estimator() {
+        let kinds = [
+            AggKind::Sum,
+            AggKind::Count,
+            AggKind::Avg,
+            AggKind::Min,
+            AggKind::Max,
+        ];
+        let aggs_over = |inputs: &[AggInput]| -> Vec<AggSpec> {
+            let of = |&kind| {
+                inputs.iter().map(move |input| AggSpec {
+                    kind,
+                    input: input.clone(),
+                })
+            };
+            kinds.iter().flat_map(of).collect()
+        };
+        let cols = [
+            AggInput::Col("x".into()),
+            AggInput::Col("v".into()),
+            AggInput::None,
+        ];
+        let mut with_mul = cols.to_vec();
+        with_mul.push(AggInput::Mul("x".into(), "v".into()));
+        let tightenings = [
+            None,
+            Some(Predicates::on(
+                "x",
+                IntervalSet::of(Interval::new(100, 449)),
+            )),
+            Some(Predicates::on(
+                "x",
+                IntervalSet::from_intervals(vec![
+                    Interval::new(0, 99),
+                    Interval::new(300, 520),
+                    Interval::new(900, 999),
+                ]),
+            )),
+        ];
+        // Lane mass on a sampled group, and on one no stratum has.
+        let mut exact = ExactMass::new();
+        let slot = |sum: f64, min: f64, max: f64| ExactSlot { sum, min, max };
+        let on_sampled = vec![slot(1234.5, -3.0, 700.25), slot(250.125, 0.5, 9.75)];
+        exact.add(&[0, 1], 40, on_sampled);
+        exact.add(
+            &[9, 9],
+            7,
+            vec![slot(14.0, 2.0, 2.0), slot(21.5, 3.0, 3.25)],
+        );
+        let samples = [
+            random_sample(5, 4, 3, 40, 11),
+            random_sample(32, 3, 4, 120, 12),
+            random_sample(70, 2, 2, 30, 13),
+        ];
+        let mut digests = Vec::new();
+        for sample in &samples {
+            for tighten in &tightenings {
+                for lanes in [None, Some(&exact)] {
+                    let aggs = aggs_over(if lanes.is_some() { &cols } else { &with_mul });
+                    let opts = EstimateOptions {
+                        tighten: tighten.as_ref(),
+                        exact: lanes,
+                        ..Default::default()
+                    };
+                    digests.push(digest(&estimate(sample, &schema(), &aggs, &opts).unwrap()));
+                }
+            }
+        }
+        let at_the_parent: [u64; 18] = [
+            0x9d3015647aeffe7d,
+            0xfc01904dd7cc9296,
+            0x423cc61a41a4ce77,
+            0xecf5b224c7093039,
+            0xc086210966a579cf,
+            0x81634a6e562551cc,
+            0x156550f02530b454,
+            0x4e3f1a74c299728b,
+            0x4be49304f7da6ad2,
+            0x14aae0cf3487de41,
+            0x2c4c036269fde1ec,
+            0x5f2eafc4bbeda114,
+            0x709428f0a5fb357e,
+            0x874008dec35fbecb,
+            0x06750f0248381071,
+            0x339da17ee0bd25f5,
+            0x0b977ebe980002f6,
+            0xef71ec757a4254e0,
+        ];
+        assert_eq!(digests, at_the_parent);
     }
 
     #[test]

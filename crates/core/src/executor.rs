@@ -161,63 +161,7 @@ impl LaqyExecutor {
     /// Derive the logical sampler descriptor for a query (Figure 7 step 1:
     /// the optimizer has placed the sampler; this records its identity).
     pub fn descriptor(&self, catalog: &Catalog, query: &ApproxQuery) -> Result<SampleDescriptor> {
-        let (_, schema) = self.payload_schema(catalog, query)?;
-        let qcs: Vec<String> = query
-            .plan
-            .group_by
-            .iter()
-            .map(|c| match &c.table {
-                Some(t) => format!("{t}.{}", c.column),
-                None => c.column.clone(),
-            })
-            .collect();
-        let qvs: Vec<String> = schema
-            .column_names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        Ok(SampleDescriptor::new(
-            input_identity(&query.plan),
-            qcs,
-            qvs,
-            Predicates::on(query.range_column.clone(), IntervalSet::of(query.range)),
-            query.k,
-        ))
-    }
-
-    /// Payload columns the sample must carry: every aggregate input plus
-    /// the explored range column (for tightening).
-    pub(crate) fn payload_schema(
-        &self,
-        catalog: &Catalog,
-        query: &ApproxQuery,
-    ) -> Result<(Vec<String>, SampleSchema)> {
-        let mut cols: Vec<String> = Vec::new();
-        for a in &query.plan.aggs {
-            let names: Vec<&str> = match &a.input {
-                AggInput::Col(c) => vec![c.as_str()],
-                AggInput::Mul(x, y) => vec![x.as_str(), y.as_str()],
-                AggInput::None => vec![],
-            };
-            for n in names {
-                if !cols.iter().any(|c| c == n) {
-                    cols.push(n.to_string());
-                }
-            }
-        }
-        if !cols.iter().any(|c| c == &query.range_column) {
-            cols.push(query.range_column.clone());
-        }
-        let mut schema_cols = Vec::with_capacity(cols.len());
-        for c in &cols {
-            let (_, table) = resolve_by_name(catalog, &query.plan, c)?;
-            let kind = match table.column(c)?.data_type() {
-                laqy_engine::DataType::Float64 => SlotKind::Float,
-                _ => SlotKind::Int,
-            };
-            schema_cols.push((c.clone(), kind));
-        }
-        Ok((cols, SampleSchema::new(schema_cols)))
+        Ok(descriptor_for(query, &payload_schema(catalog, query)?))
     }
 
     /// Online sampling over the query's full range, estimated: the one
@@ -226,28 +170,22 @@ impl LaqyExecutor {
     /// mass is harvested exactly and only the boundary is estimated from
     /// the sample (hybrid estimation); the full-region sample is what the
     /// support check inspects and what a caller may hand the store.
-    pub(crate) fn run_online(
-        &mut self,
-        catalog: &Catalog,
-        query: &ApproxQuery,
-        hybrid: bool,
-    ) -> Result<OnlineRun> {
+    pub(crate) fn run_online(&mut self, scope: Scope<'_>, hybrid: bool) -> Result<OnlineRun> {
+        let Scope { query, schema, .. } = scope;
         let ranges = IntervalSet::of(query.range);
-        let run = self.sample_pipeline(catalog, query, &ranges, &Predicate::True, hybrid, 0)?;
-        let (_, schema) = self.payload_schema(catalog, query)?;
+        let run = self.sample_pipeline(scope, &ranges, &Predicate::True, hybrid, 0)?;
         let t_est = Instant::now();
         let opts = EstimateOptions {
             exact: (!run.exact.is_empty()).then_some(&run.exact),
             ..Default::default()
         };
         let est_sample = run.boundary.as_ref().unwrap_or(&run.sample);
-        let groups = estimate(est_sample, &schema, &query.plan.aggs, &opts)?;
-        let support = check_support(&run.sample, &schema, None, &self.policy)?;
+        let groups = estimate(est_sample, schema, &query.plan.aggs, &opts)?;
+        let support = check_support(&run.sample, schema, None, &self.policy)?;
         let mut stats = run.stats;
         stats.estimate = t_est.elapsed();
         Ok(OnlineRun {
             sample: run.sample,
-            schema,
             groups,
             support,
             stats,
@@ -312,12 +250,12 @@ impl LaqyExecutor {
     /// caller should fall back to a full online query instead.
     pub(crate) fn refine_support(
         &mut self,
-        catalog: &Catalog,
-        query: &ApproxQuery,
+        scope: Scope<'_>,
         groups: &mut Vec<GroupEstimate>,
         support: &mut SupportReport,
         stats: &mut ExecStats,
     ) -> Result<bool> {
+        let Scope { query, schema, .. } = scope;
         // The stratum filter must be expressible on the fact table.
         if query.plan.group_by.iter().any(|c| c.table.is_some()) {
             return Ok(false);
@@ -354,7 +292,7 @@ impl LaqyExecutor {
                 .collect(),
         );
         let ranges = IntervalSet::of(query.range);
-        let fresh = self.sample_pipeline(catalog, query, &ranges, &stratum_pred, false, 0)?;
+        let fresh = self.sample_pipeline(scope, &ranges, &stratum_pred, false, 0)?;
         if fresh.stats.degraded.is_some() {
             // The probe itself was cut short by the budget: an empty or
             // partial probe must not be read as "stratum confirmed empty".
@@ -363,11 +301,10 @@ impl LaqyExecutor {
         // A plain, clean pipeline run: only scan-side fields are set.
         stats.accumulate(&fresh.stats);
 
-        let (_, schema) = self.payload_schema(catalog, query)?;
         let t_est = Instant::now();
         let fresh_groups = estimate(
             &fresh.sample,
-            &schema,
+            schema,
             &query.plan.aggs,
             &EstimateOptions::default(),
         )?;
@@ -419,15 +356,13 @@ impl LaqyExecutor {
     /// double-count below the floor.
     pub(crate) fn scan_coverage(
         &mut self,
-        catalog: &Catalog,
-        query: &ApproxQuery,
+        scope: Scope<'_>,
         plan: &CoveragePlan,
         parts: impl Iterator<Item = usize>,
     ) -> Result<CoverageScans> {
-        let (_, schema) = self.payload_schema(catalog, query)?;
+        let query = scope.query;
         let mut out = CoverageScans {
             stats: ExecStats::default(),
-            schema,
             exact: ExactMass::new(),
             coverage: 0.0,
             skipped: 0,
@@ -450,8 +385,7 @@ impl LaqyExecutor {
                 .cloned()
                 .unwrap_or_else(|| IntervalSet::of(query.range));
             let extra = fragment_extra_predicate(preds, &query.range_column);
-            let run =
-                self.sample_pipeline(catalog, query, &ranges, &extra, is_fragment, row_floor)?;
+            let run = self.sample_pipeline(scope, &ranges, &extra, is_fragment, row_floor)?;
             out.coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
             out.stats.accumulate(&run.stats);
             out.exact.merge(&run.exact);
@@ -483,15 +417,19 @@ impl LaqyExecutor {
     /// mass would double-count the already-sampled prefix.
     pub(crate) fn sample_pipeline(
         &mut self,
-        catalog: &Catalog,
-        query: &ApproxQuery,
+        scope: Scope<'_>,
         ranges: &IntervalSet,
         extra: &Predicate,
         hybrid: bool,
         row_floor: usize,
     ) -> Result<PipelineRun> {
+        let Scope {
+            catalog,
+            query,
+            schema,
+        } = scope;
         let k = self.policy.effective_k(query.k);
-        let (payload_cols, schema) = self.payload_schema(catalog, query)?;
+        let payload_cols = schema.column_names();
         let fact = catalog.table(&query.plan.fact)?;
         let full_pred = query
             .plan
@@ -867,8 +805,6 @@ pub(crate) struct Scan {
 pub(crate) struct CoverageScans {
     /// Accumulated scan-side timing and cardinalities.
     pub stats: ExecStats,
-    /// Payload layout of every scan's sample.
-    pub schema: SampleSchema,
     /// Exact lane mass harvested by fragment scans.
     pub exact: ExactMass,
     /// Σ of per-scan coverage fractions (1.0 for a clean scan).
@@ -890,13 +826,13 @@ pub(crate) struct CoverageMerge {
     /// double counting.
     boundary: Option<Sample>,
     exact: ExactMass,
-    schema: SampleSchema,
 }
 
 impl CoverageMerge {
     /// Estimate the query from the merged sample (plus exact lane mass).
     pub fn estimate(
         &self,
+        schema: &SampleSchema,
         aggs: &[laqy_engine::AggSpec],
         tighten: &Predicates,
     ) -> Result<Vec<GroupEstimate>> {
@@ -906,7 +842,7 @@ impl CoverageMerge {
             ..Default::default()
         };
         let sample = self.boundary.as_ref().unwrap_or(&self.merged);
-        Ok(estimate(sample, &self.schema, aggs, &opts)?)
+        Ok(estimate(sample, schema, aggs, &opts)?)
     }
 }
 
@@ -923,6 +859,7 @@ impl CoverageScans {
         store: &mut SampleStore,
         rng: &mut Lehmer64,
         query: &SampleDescriptor,
+        schema: &SampleSchema,
         plan: &CoveragePlan,
         merge: bool,
     ) -> Option<CoverageMerge> {
@@ -945,12 +882,11 @@ impl CoverageScans {
             .into_iter()
             .map(|s| (s.part, s.sample, s.clean))
             .collect();
-        let merged = store.absorb_coverage(query, &self.schema, plan, scans, merge, rng)?;
+        let merged = store.absorb_coverage(query, schema, plan, scans, merge, rng)?;
         Some(CoverageMerge {
             merged,
             boundary,
             exact: self.exact,
-            schema: self.schema,
         })
     }
 }
@@ -959,8 +895,6 @@ impl CoverageScans {
 pub(crate) struct OnlineRun {
     /// Full-region sample (lane-covered strata included).
     pub sample: Sample,
-    /// Its payload layout.
-    pub schema: SampleSchema,
     /// Estimates, before any degradation is applied.
     pub groups: Vec<GroupEstimate>,
     /// Per-stratum support of `sample`.
@@ -982,6 +916,58 @@ pub(crate) struct PipelineRun {
     pub exact: ExactMass,
     /// Timing/cardinality breakdown.
     pub stats: ExecStats,
+}
+
+/// What every pipeline of one attempt runs against: one catalog epoch,
+/// the query, and the payload layout its samples carry — resolved once
+/// ([`payload_schema`]), not once per pipeline.
+#[derive(Clone, Copy)]
+pub(crate) struct Scope<'a> {
+    pub catalog: &'a Catalog,
+    pub query: &'a ApproxQuery,
+    pub schema: &'a SampleSchema,
+}
+
+/// Payload columns the sample must carry: every aggregate input plus the
+/// explored range column (for tightening).
+pub(crate) fn payload_schema(catalog: &Catalog, query: &ApproxQuery) -> Result<SampleSchema> {
+    let mut cols: Vec<&str> = Vec::new();
+    let inputs = query.plan.aggs.iter().flat_map(|a| match &a.input {
+        AggInput::Col(c) => vec![c.as_str()],
+        AggInput::Mul(x, y) => vec![x.as_str(), y.as_str()],
+        AggInput::None => vec![],
+    });
+    for name in inputs.chain([query.range_column.as_str()]) {
+        if !cols.contains(&name) {
+            cols.push(name);
+        }
+    }
+    let mut schema_cols = Vec::with_capacity(cols.len());
+    for c in cols {
+        let (_, table) = resolve_by_name(catalog, &query.plan, c)?;
+        let kind = match table.column(c)?.data_type() {
+            laqy_engine::DataType::Float64 => SlotKind::Float,
+            _ => SlotKind::Int,
+        };
+        schema_cols.push((c.to_string(), kind));
+    }
+    Ok(SampleSchema::new(schema_cols))
+}
+
+/// The sampler identity of `query` whose samples carry `schema`.
+pub(crate) fn descriptor_for(query: &ApproxQuery, schema: &SampleSchema) -> SampleDescriptor {
+    let qcs = query.plan.group_by.iter().map(|c| match &c.table {
+        Some(t) => format!("{t}.{}", c.column),
+        None => c.column.clone(),
+    });
+    let qvs = schema.column_names().into_iter().map(String::from);
+    SampleDescriptor::new(
+        input_identity(&query.plan),
+        qcs.collect(),
+        qvs.collect(),
+        Predicates::on(query.range_column.clone(), IntervalSet::of(query.range)),
+        query.k,
+    )
 }
 
 /// Whether a plan can take the hybrid lane path: lanes live on the fact
@@ -1033,25 +1019,11 @@ pub(crate) fn support_from_groups(
     groups: &[GroupEstimate],
     policy: &SupportPolicy,
 ) -> SupportReport {
-    let mut report = SupportReport {
-        supported: 0,
-        under_supported: Vec::new(),
-        empty: Vec::new(),
-    };
-    for g in groups {
-        let matching = g.values.first().map(|v| v.support).unwrap_or(0);
-        let key = GroupKey::new(&g.key);
-        if matching == 0 {
-            report.empty.push(key);
-        } else if matching < policy.min_rows_per_stratum {
-            report.under_supported.push(key);
-        } else {
-            report.supported += 1;
-        }
-    }
-    report.under_supported.sort();
-    report.empty.sort();
-    report
+    let matching = |g: &GroupEstimate| g.values.first().map_or(0, |v| v.support);
+    SupportReport::classify(
+        groups.iter().map(|g| (GroupKey::new(&g.key), matching(g))),
+        policy,
+    )
 }
 
 /// Canonical identity of the sampler input: fact, fixed predicates, and
@@ -1267,7 +1239,13 @@ mod tests {
         let mut exec = LaqyExecutor::new(threads, SupportPolicy::default(), seed);
         exec.morsel_rows = morsel_rows;
         let ranges = IntervalSet::of(query.range);
-        exec.sample_pipeline(catalog, query, &ranges, &Predicate::True, false, 0)
+        let schema = payload_schema(catalog, query).unwrap();
+        let scope = Scope {
+            catalog,
+            query,
+            schema: &schema,
+        };
+        exec.sample_pipeline(scope, &ranges, &Predicate::True, false, 0)
             .unwrap()
             .sample
     }
@@ -1333,12 +1311,7 @@ mod tests {
         let mut query = mini_query(100, 819);
         query.k = 8;
         let t = catalog.table("t").unwrap();
-        let v_slot = LaqyExecutor::new(1, SupportPolicy::default(), 0)
-            .payload_schema(&catalog, &query)
-            .unwrap()
-            .1
-            .slot("v")
-            .unwrap();
+        let v_slot = payload_schema(&catalog, &query).unwrap().slot("v").unwrap();
         // Multi-morsel on one worker, and multi-worker (the fold hands
         // the 60 morsels to 8 task units).
         for threads in [1, 8] {

@@ -79,11 +79,12 @@ use crate::budget::{apply_degradation, blended_degradation, CancelToken, QueryBu
 use crate::descriptor::{Predicates, SampleDescriptor};
 use crate::estimate::GroupEstimate;
 use crate::executor::{
-    support_from_groups, ApproxQuery, ApproxResult, CoverageMerge, CoverageScans, LaqyError,
-    LaqyExecutor, Result,
+    descriptor_for, payload_schema, support_from_groups, ApproxQuery, ApproxResult, CoverageMerge,
+    CoverageScans, LaqyError, LaqyExecutor, Result, Scope,
 };
 use crate::interval::IntervalSet;
 use crate::lazy::{plan_lazy_capped, LazyPlan, ReuseMode, MAX_COVERAGE_SAMPLES};
+use crate::sampler_ops::SampleSchema;
 use crate::stats::{Counters, ExecStats, ReuseClass, ServiceStats};
 use crate::store::{CoveragePlan, SampleId, SampleStore, ShardedStore, STORE_SHARDS};
 use crate::support::{SupportPolicy, SupportReport};
@@ -206,6 +207,9 @@ struct Attempt<'q> {
     /// this clone's frozen table versions (cheap `Arc` clones), so a
     /// concurrent ingest can never tear the query across epochs.
     pinned: Catalog,
+    /// The payload layout the query's samples carry, resolved once
+    /// against the pinned epoch.
+    schema: SampleSchema,
     descriptor: SampleDescriptor,
     /// The pinned fact table's row watermark.
     watermark: u64,
@@ -213,6 +217,18 @@ struct Attempt<'q> {
     tighten: Predicates,
     /// When the query (not this attempt) started.
     t_start: Instant,
+}
+
+impl Attempt<'_> {
+    /// The executor, and what its pipelines run against.
+    fn pipeline(&mut self) -> (&mut LaqyExecutor, Scope<'_>) {
+        let scope = Scope {
+            catalog: &self.pinned,
+            query: self.query,
+            schema: &self.schema,
+        };
+        (&mut self.executor, scope)
+    }
 }
 
 /// The arm an answer came from: what [`LaqyService::finish`] stamps and
@@ -635,7 +651,7 @@ impl LaqyService {
                 }
             }
         };
-        self.note_prune(&result.stats);
+        c.note_served(&result.stats);
         if result.stats.degraded.is_some() {
             add(&c.degraded_answers, 1);
         }
@@ -647,7 +663,8 @@ impl LaqyService {
     /// catalog read.
     pub fn run_online_oblivious(&self, query: &ApproxQuery) -> Result<ApproxResult> {
         let mut at = self.begin(query, &CancelToken::unbounded(), Instant::now())?;
-        let run = at.executor.run_online(&at.pinned, query, false)?;
+        let (executor, scope) = at.pipeline();
+        let run = executor.run_online(scope, false)?;
         let est = Estimated {
             groups: run.groups,
             stats: run.stats,
@@ -702,16 +719,6 @@ impl LaqyService {
         guard
     }
 
-    /// Fold one finished query's zone-map verdict counters into the
-    /// service totals.
-    fn note_prune(&self, stats: &ExecStats) {
-        let c = &self.inner.counters;
-        add(&c.morsels_skipped, stats.morsels_skipped);
-        add(&c.morsels_fast_pathed, stats.morsels_fast_pathed);
-        add(&c.morsels_scanned, stats.morsels_scanned);
-        add(&c.lane_covered_rows, stats.lane_covered_rows);
-    }
-
     /// A fresh per-query executor. Seeds advance through a service-wide
     /// atomic so concurrent queries draw distinct, reproducible streams.
     fn executor(&self) -> LaqyExecutor {
@@ -740,12 +747,14 @@ impl LaqyService {
         let mut executor = self.executor();
         executor.set_budget_token(token.clone());
         let pinned: Catalog = self.catalog().clone();
-        let descriptor = executor.descriptor(&pinned, query)?;
+        let schema = payload_schema(&pinned, query)?;
+        let descriptor = descriptor_for(query, &schema);
         let watermark = pinned.table(&query.plan.fact)?.row_watermark();
         Ok(Attempt {
             executor,
             query,
             pinned,
+            schema,
             descriptor,
             watermark,
             tighten: Predicates::on(query.range_column.clone(), IntervalSet::of(query.range)),
@@ -865,9 +874,8 @@ impl LaqyService {
             self.hold_for_test();
         }
         let owned = claims.owned.iter().map(|(part, _)| *part);
-        let scans = at
-            .executor
-            .scan_coverage(&at.pinned, at.query, plan, owned)?;
+        let (executor, scope) = at.pipeline();
+        let scans = executor.scan_coverage(scope, plan, owned)?;
         let scanned = scans.scans.len() as u64;
         add(&self.inner.counters.delta_scans, scanned);
         add(&self.inner.counters.fragments_scanned, scanned);
@@ -907,7 +915,7 @@ impl LaqyService {
                 })
         });
         let rng = at.executor.rng_mut();
-        scans.merge_into(&mut store, rng, &at.descriptor, plan, valid)
+        scans.merge_into(&mut store, rng, &at.descriptor, &at.schema, plan, valid)
     }
 
     /// Coverage execution: **scan** what we can claim, **merge** with the
@@ -960,7 +968,7 @@ impl LaqyService {
         // **Estimate** — lock-free: the merged sample is shared with the
         // store, not borrowed from it.
         let t_est = Instant::now();
-        let groups = merge.estimate(&at.query.plan.aggs, &at.tighten)?;
+        let groups = merge.estimate(&at.schema, &at.query.plan.aggs, &at.tighten)?;
         stats.estimate += t_est.elapsed();
         stats.fragments_reused = plan.samples.len() as u64;
         add(&c.fragments_reused, plan.samples.len() as u64);
@@ -988,7 +996,8 @@ impl LaqyService {
         }
         self.hold_for_test();
 
-        let run = at.executor.run_online(&at.pinned, at.query, true)?;
+        let (executor, scope) = at.pipeline();
+        let run = executor.run_online(scope, true)?;
         add(&c.online_scans, 1);
         // Capture the sample for future reuse (sample-as-you-query: it was
         // needed anyway, so storing it costs only space) — unless the
@@ -1000,7 +1009,7 @@ impl LaqyService {
             let mut store = self.timed(|i| i.store.write_shard(home));
             store.absorb(
                 at.descriptor.clone(),
-                run.schema,
+                at.schema.clone(),
                 run.sample,
                 at.watermark,
                 at.executor.rng_mut(),
@@ -1051,17 +1060,12 @@ impl LaqyService {
             Arm::Online => (ReuseClass::Online, Some(&c.online_runs)),
             Arm::Oblivious => (ReuseClass::Online, None),
         };
+        let (executor, scope) = at.pipeline();
         if matches!(arm, Arm::Full | Arm::Coverage)
             && policy.conservative
             && stats.degraded.is_none()
             && !support.fully_supported()
-            && !at.executor.refine_support(
-                &at.pinned,
-                at.query,
-                &mut groups,
-                &mut support,
-                &mut stats,
-            )?
+            && !executor.refine_support(scope, &mut groups, &mut support, &mut stats)?
         {
             add(&c.support_fallbacks, 1);
             return self.run_online_absorbing(at);

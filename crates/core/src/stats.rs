@@ -35,82 +35,99 @@ impl ReuseClass {
     }
 }
 
-/// Timing and cardinality breakdown of one query execution.
-#[derive(Debug, Clone, Default)]
-pub struct ExecStats {
+/// Declares [`ExecStats`]' additive fields once: the struct, the `+=` of
+/// every one of them in [`ExecStats::accumulate`], and — for a field
+/// marked `=> counter` — its fold into the service-wide counter of that
+/// name after each served query.
+macro_rules! exec_stats {
+    ($($(#[$doc:meta])* $name:ident: $ty:ty $(=> $counter:ident)?,)*) => {
+        /// Timing and cardinality breakdown of one query execution.
+        #[derive(Debug, Clone, Default)]
+        pub struct ExecStats {
+            $($(#[$doc])* pub $name: $ty,)*
+            /// Present when the budget expired mid-scan and the answer was
+            /// finalized from a partial sample (CI widened accordingly).
+            pub degraded: Option<Degradation>,
+            /// Which reuse arm ran.
+            pub reuse: Option<ReuseClass>,
+        }
+
+        impl ExecStats {
+            /// Accumulate another query's stats (cumulative series).
+            pub fn accumulate(&mut self, other: &ExecStats) {
+                $(self.$name += other.$name;)*
+                // Keep the most severe degradation across accumulated
+                // pipelines.
+                self.degraded = match (self.degraded.take(), other.degraded) {
+                    (Some(a), Some(b)) => Some(a.merge(b)),
+                    (a, b) => a.or(b),
+                };
+            }
+
+            /// Every additive field by name, as a number: tests iterate
+            /// the list the struct was declared from.
+            #[cfg(test)]
+            fn additive(&self) -> Vec<(&'static str, f64)> {
+                use tests::Number;
+                vec![$((stringify!($name), self.$name.number()),)*]
+            }
+        }
+
+        impl Counters {
+            /// Fold one served query's scan verdict counts into the
+            /// service totals.
+            pub fn note_served(&self, stats: &ExecStats) {
+                $($(self.$counter.fetch_add(stats.$name, Ordering::Relaxed);)?)*
+            }
+        }
+    };
+}
+
+exec_stats! {
     /// Time in the filtered scan (and joins, for sampler-above-join
     /// plans) feeding the sampler.
-    pub scan: Duration,
+    scan: Duration,
     /// Time spent in sampling / aggregation processing.
-    pub processing: Duration,
+    processing: Duration,
     /// Time merging the Δ sample with the stored sample.
-    pub merge: Duration,
+    merge: Duration,
     /// Time spent producing estimates from the (merged) sample.
-    pub estimate: Duration,
+    estimate: Duration,
     /// Wall-clock total.
-    pub total: Duration,
+    total: Duration,
     /// Rows the scan had to consider (0 on full reuse).
-    pub scanned_rows: u64,
+    scanned_rows: u64,
     /// Rows that reached the sampler after filters/joins.
-    pub sampled_input_rows: u64,
+    sampled_input_rows: u64,
     /// Effective selectivity actually processed: Δ-range measure divided by
     /// the predicate-domain measure (Figure 9's y-axis).
-    pub effective_selectivity: f64,
+    effective_selectivity: f64,
     /// Morsels the scan skipped outright via zone maps (provably empty
     /// under the pushed-down predicate).
-    pub morsels_skipped: u64,
+    morsels_skipped: u64 => morsels_skipped,
     /// Morsels fast-pathed via zone maps (provably all-matching; emitted
     /// without per-row evaluation).
-    pub morsels_fast_pathed: u64,
+    morsels_fast_pathed: u64 => morsels_fast_pathed,
     /// Morsels that needed per-row predicate evaluation.
-    pub morsels_scanned: u64,
+    morsels_scanned: u64 => morsels_scanned,
     /// Rows whose aggregate contribution came exactly from pre-aggregate
     /// lanes — excluded from the scan *and* from the sampler's input
     /// (hybrid estimation; "rows made free").
-    pub lane_covered_rows: u64,
+    lane_covered_rows: u64 => lane_covered_rows,
     /// Lane-covered spans (contiguous TakeAll, group-constant block runs)
     /// this query's scans turned into exact mass.
-    pub lane_spans: u64,
+    lane_spans: u64,
     /// Stored samples this query's coverage plan merged (0 when the query
     /// ran online or hit a single subsuming sample).
-    pub fragments_reused: u64,
+    fragments_reused: u64,
     /// Residual coverage fragments Δ-scanned for this query.
-    pub fragments_scanned: u64,
-    /// Present when the budget expired mid-scan and the answer was
-    /// finalized from a partial sample (CI widened accordingly).
-    pub degraded: Option<Degradation>,
-    /// Which reuse arm ran.
-    pub reuse: Option<ReuseClass>,
+    fragments_scanned: u64,
 }
 
 impl ExecStats {
     /// Sum of the instrumented phases (excludes untimed slack).
     pub fn phases_total(&self) -> Duration {
         self.scan + self.processing + self.merge + self.estimate
-    }
-
-    /// Accumulate another query's stats (cumulative series).
-    pub fn accumulate(&mut self, other: &ExecStats) {
-        self.scan += other.scan;
-        self.processing += other.processing;
-        self.merge += other.merge;
-        self.estimate += other.estimate;
-        self.total += other.total;
-        self.scanned_rows += other.scanned_rows;
-        self.sampled_input_rows += other.sampled_input_rows;
-        self.effective_selectivity += other.effective_selectivity;
-        self.morsels_skipped += other.morsels_skipped;
-        self.morsels_fast_pathed += other.morsels_fast_pathed;
-        self.morsels_scanned += other.morsels_scanned;
-        self.lane_covered_rows += other.lane_covered_rows;
-        self.lane_spans += other.lane_spans;
-        self.fragments_reused += other.fragments_reused;
-        self.fragments_scanned += other.fragments_scanned;
-        // Keep the most severe degradation across accumulated pipelines.
-        self.degraded = match (self.degraded.take(), other.degraded) {
-            (Some(a), Some(b)) => Some(a.merge(b)),
-            (a, b) => a.or(b),
-        };
     }
 }
 
@@ -235,9 +252,28 @@ impl ServiceStats {
 mod tests {
     use super::*;
 
-    #[test]
-    fn accumulate_adds_everything() {
-        let mut a = ExecStats {
+    /// An additive field's value as a number.
+    pub(super) trait Number {
+        fn number(self) -> f64;
+    }
+    impl Number for Duration {
+        fn number(self) -> f64 {
+            self.as_secs_f64()
+        }
+    }
+    impl Number for u64 {
+        fn number(self) -> f64 {
+            self as f64
+        }
+    }
+    impl Number for f64 {
+        fn number(self) -> f64 {
+            self
+        }
+    }
+
+    fn every_field_set() -> ExecStats {
+        ExecStats {
             scan: Duration::from_millis(10),
             processing: Duration::from_millis(5),
             merge: Duration::from_millis(1),
@@ -255,20 +291,33 @@ mod tests {
             fragments_scanned: 1,
             degraded: None,
             reuse: Some(ReuseClass::Partial),
-        };
+        }
+    }
+
+    #[test]
+    fn accumulate_adds_everything() {
+        let mut a = every_field_set();
         let b = a.clone();
         a.accumulate(&b);
-        assert_eq!(a.scan, Duration::from_millis(20));
-        assert_eq!(a.total, Duration::from_millis(40));
-        assert_eq!(a.scanned_rows, 200);
-        assert_eq!(a.effective_selectivity, 1.0);
-        assert_eq!(a.morsels_skipped, 14);
-        assert_eq!(a.morsels_fast_pathed, 4);
-        assert_eq!(a.morsels_scanned, 6);
-        assert_eq!(a.lane_covered_rows, 60);
-        assert_eq!(a.lane_spans, 8);
-        assert_eq!(a.fragments_reused, 4);
-        assert_eq!(a.fragments_scanned, 2);
+        for ((name, doubled), (_, once)) in a.additive().into_iter().zip(b.additive()) {
+            assert!(once != 0.0, "the fixture leaves `{name}` at zero");
+            assert_eq!(doubled, 2.0 * once, "{name}");
+        }
+    }
+
+    #[test]
+    fn served_counters_take_their_marked_fields_only() {
+        let counters = Counters::default();
+        counters.note_served(&every_field_set());
+        counters.note_served(&every_field_set());
+        let expected = ServiceStats {
+            morsels_skipped: 14,
+            morsels_fast_pathed: 4,
+            morsels_scanned: 6,
+            lane_covered_rows: 60,
+            ..Default::default()
+        };
+        assert_eq!(counters.snapshot(), expected);
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! stricter predicates.
 
 use laqy_engine::GroupKey;
-use laqy_sampling::StratifiedSampler;
 
 use crate::descriptor::Predicates;
-use crate::estimate::EstimateError;
-use crate::sampler_ops::{SampleSchema, SampleTuple, SlotKind};
+use crate::estimate::{matching_rows, EstimateError};
+use crate::sampler_ops::{Sample, SampleSchema};
 
 /// Support requirements and the oversampling knob.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,72 +64,58 @@ impl SupportReport {
     pub fn fully_supported(&self) -> bool {
         self.under_supported.is_empty() && self.empty.is_empty()
     }
+
+    /// Compare each stratum's matching-tuple count against the policy.
+    pub(crate) fn classify(
+        matching: impl IntoIterator<Item = (GroupKey, usize)>,
+        policy: &SupportPolicy,
+    ) -> Self {
+        let mut report = SupportReport {
+            supported: 0,
+            under_supported: Vec::new(),
+            empty: Vec::new(),
+        };
+        for (key, matching) in matching {
+            if matching == 0 {
+                report.empty.push(key);
+            } else if matching < policy.min_rows_per_stratum {
+                report.under_supported.push(key);
+            } else {
+                report.supported += 1;
+            }
+        }
+        report.under_supported.sort();
+        report.empty.sort();
+        report
+    }
 }
 
-/// Count per-stratum tuples matching `tighten` and compare against the
-/// policy.
+/// Count per-stratum tuples matching `tighten` (through the estimator's
+/// own tightening filter) and compare against the policy.
 pub fn check_support(
-    sample: &StratifiedSampler<GroupKey, SampleTuple>,
+    sample: &Sample,
     schema: &SampleSchema,
     tighten: Option<&Predicates>,
     policy: &SupportPolicy,
 ) -> Result<SupportReport, EstimateError> {
-    // Pre-resolve tightening columns.
-    let mut checks: Vec<(usize, crate::interval::IntervalSet)> = Vec::new();
-    if let Some(preds) = tighten {
-        for col in preds.columns() {
-            let slot = preds
-                .get(col)
-                .map(|set| (col, set))
-                .expect("column listed by columns()");
-            let idx = schema
-                .slot(slot.0)
-                .ok_or_else(|| EstimateError::UnknownColumn(slot.0.to_string()))?;
-            if schema.kind(idx) != SlotKind::Int {
-                return Err(EstimateError::NonIntegerPredicate(slot.0.to_string()));
-            }
-            checks.push((idx, slot.1.clone()));
-        }
-    }
-
-    let mut report = SupportReport {
-        supported: 0,
-        under_supported: Vec::new(),
-        empty: Vec::new(),
-    };
-    for (key, items, _weight) in sample.iter() {
-        let matching = items
-            .iter()
-            .filter(|t| checks.iter().all(|(slot, set)| set.contains(t.int(*slot))))
-            .count();
-        if matching == 0 {
-            report.empty.push(*key);
-        } else if matching < policy.min_rows_per_stratum {
-            report.under_supported.push(*key);
-        } else {
-            report.supported += 1;
-        }
-    }
-    report.under_supported.sort();
-    report.empty.sort();
-    Ok(report)
+    let matching = matching_rows(sample, schema, tighten)?;
+    Ok(SupportReport::classify(matching, policy))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interval::{Interval, IntervalSet};
+    use crate::sampler_ops::{SampleTuple, SlotKind};
     use laqy_sampling::Lehmer64;
 
     fn schema() -> SampleSchema {
         SampleSchema::new(vec![("x".into(), SlotKind::Int)])
     }
 
-    fn sample(
-        per_stratum: &[(i64, std::ops::Range<i64>)],
-    ) -> StratifiedSampler<GroupKey, SampleTuple> {
+    fn sample(per_stratum: &[(i64, std::ops::Range<i64>)]) -> Sample {
         let mut rng = Lehmer64::new(1);
-        let mut s = StratifiedSampler::new(10_000);
+        let mut s = Sample::new(10_000);
         for (g, range) in per_stratum {
             for x in range.clone() {
                 s.offer(

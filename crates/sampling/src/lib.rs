@@ -20,8 +20,6 @@
 //! - [`stratified_merge`]: stratified sample merging (paper Algorithm 3) —
 //!   a group-by over strata keys whose aggregation function is Algorithm 2,
 //!   run as linear passes over that layout.
-//! - [`universe`]: hash-based universe sampling (Quickr-style), whose
-//!   join-consistency complements reservoir samplers.
 //!
 //! All sampling is deterministic given a seed, which the paper also relies on
 //! for repeatable experiments (§7, Workload).
@@ -32,11 +30,9 @@ pub mod reservoir;
 pub mod rng;
 pub mod stratified;
 pub mod stratified_merge;
-pub mod universe;
 
 pub use merge::{merge_reservoirs, merge_reservoirs_k, merge_reservoirs_with_capacity};
 pub use reservoir::Reservoir;
 pub use rng::{Lehmer64, MinStd, SplitMix64};
 pub use stratified::{StratifiedSampler, StratumKey};
 pub use stratified_merge::{merge_stratified, merge_stratified_k, merge_stratified_refs};
-pub use universe::UniverseSampler;

@@ -117,10 +117,12 @@ const PARALLEL_ALLOWLIST: &str = "crates/engine/src/parallel.rs";
 
 /// Hot-path files for the unwrap/expect ban (rule 4) and the analyzer's
 /// SeqCst-needs-a-reason atomic-ordering policy.
-pub(crate) const HOT_PATHS: [&str; 3] = [
+pub(crate) const HOT_PATHS: [&str; 5] = [
     "crates/core/src/service.rs",
     "crates/core/src/executor.rs",
     "crates/core/src/store.rs",
+    "crates/core/src/estimate.rs",
+    "crates/core/src/support.rs",
 ];
 
 /// Tokens banned from `crates/sampling/src` (rule 5): wall clocks, OS
