@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use laqy_engine::ops::{BoundCol, ResolvedCol};
+use laqy_engine::ops::{star_probe, BoundCol, ResolvedCol};
 use laqy_engine::parallel::{parallel_fold, DEFAULT_MORSEL_ROWS};
 use laqy_engine::plan::PreparedJoins;
 use laqy_engine::{
@@ -36,7 +36,9 @@ use crate::estimate::{
     estimate, EstimateError, EstimateOptions, ExactMass, ExactSlot, GroupEstimate,
 };
 use crate::interval::{Interval, IntervalSet};
-use crate::sampler_ops::{Admission, Sample, SampleSchema, SampleTuple, SlotKind};
+use crate::sampler_ops::{
+    materialise, retained_rows, Admission, RowSample, Sample, SampleSchema, SlotKind,
+};
 use crate::stats::{ExecStats, ReuseClass};
 use crate::store::{CoveragePlan, SampleId, SampleStore};
 use crate::support::{check_support, SupportPolicy, SupportReport};
@@ -427,6 +429,7 @@ impl LaqyExecutor {
             catalog,
             query,
             schema,
+            strata_hint,
         } = scope;
         let k = self.policy.effective_k(query.k);
         let payload_cols = schema.column_names();
@@ -526,8 +529,8 @@ impl LaqyExecutor {
         }
 
         struct Partial {
-            /// This worker's sample: every morsel it pulls continues
-            /// Algorithm R into it.
+            /// This worker's row-id sample: every morsel it pulls
+            /// continues Algorithm R into it.
             admission: Admission,
             scan_ns: u64,
             sample_ns: u64,
@@ -570,7 +573,7 @@ impl LaqyExecutor {
             let probed = if query.plan.joins.is_empty() {
                 None
             } else {
-                Some(laqy_engine::ops::star_probe(fact, &sel, &joins.probes())?)
+                Some(star_probe(fact, &sel, &joins.probes())?)
             };
             acc.scan_ns += t0.elapsed().as_nanos() as u64;
             let t1 = Instant::now();
@@ -581,17 +584,13 @@ impl LaqyExecutor {
                     (Some(out), Some(d)) => &out.dim_rows[d],
                 }
             };
-            let rows = rows_of(None).len();
+            let rows = rows_of(None);
             let keys: Vec<BoundCol<'_>> = key_cols
                 .iter()
                 .map(|&(col, dim)| BoundCol::new(col, Some(rows_of(dim))))
                 .collect();
-            let payload: Vec<(BoundCol<'_>, SlotKind)> = value_cols
-                .iter()
-                .map(|&(col, dim, kind)| (BoundCol::new(col, Some(rows_of(dim))), kind))
-                .collect();
-            acc.admission.admit(&keys, &payload, rows);
-            acc.sampled_input += rows as u64;
+            acc.admission.admit(&keys, rows);
+            acc.sampled_input += rows.len() as u64;
             acc.sample_ns += t1.elapsed().as_nanos() as u64;
             Ok(())
         };
@@ -609,7 +608,11 @@ impl LaqyExecutor {
             self.morsel_rows,
             self.threads,
             || Partial {
-                admission: Admission::new(k, worker_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed)),
+                admission: Admission::new(
+                    k,
+                    worker_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed),
+                    strata_hint,
+                ),
                 scan_ns: 0,
                 sample_ns: 0,
                 scanned: 0,
@@ -667,7 +670,7 @@ impl LaqyExecutor {
             if let Some(e) = p.error {
                 return Err(e);
             }
-            samples.push(p.admission.into_sample());
+            samples.push(p.admission.into_rows());
             scan_ns += p.scan_ns;
             sample_ns += p.sample_ns;
             scanned += p.scanned;
@@ -677,34 +680,55 @@ impl LaqyExecutor {
             degraded = degraded.or(p.degraded);
             prune.accumulate(&p.prune);
         }
-        // Workers scanned disjoint row sets, so their samples combine by
-        // Algorithm 3 (into the largest, in place); a lone worker's sample
-        // is the result as it stands.
-        let mut boundary_sample = merge_stratified_k(samples, &mut self.rng);
+        // Workers scanned disjoint row sets, so their row-id samples
+        // combine by Algorithm 3 (into the largest, in place) before any
+        // payload exists; a lone worker's sample is the result as it
+        // stands. From here to the finished sample is sampling work too:
+        // it is timed and reported as `processing`.
+        let t_materialise = Instant::now();
+        let mut boundary_rows = merge_stratified_k(samples, &mut self.rng);
+
+        // The retained rows' payload is read once per scan, here, one typed
+        // column at a time; dimension-resident columns through one probe of
+        // the survivors (every survivor joined once already, so the probe
+        // keeps them all, in order).
+        let tuples_of = |rows: RowSample| -> Result<Sample> {
+            let survivors = retained_rows(&rows);
+            let probed = if value_cols.iter().any(|(_, dim, _)| dim.is_some()) {
+                let probed = star_probe(fact, &survivors, &joins.probes())?;
+                if probed.fact_rows != survivors {
+                    return Err(LaqyError::Unsupported(
+                        "a sampled row no longer joins its dimensions".into(),
+                    ));
+                }
+                Some(probed)
+            } else {
+                None
+            };
+            let columns = value_cols.iter().map(|&(col, dim, kind)| {
+                let at: &[u32] = match (&probed, dim) {
+                    (Some(out), Some(d)) => &out.dim_rows[d],
+                    _ => &survivors,
+                };
+                (ResolvedCol::from_column(col), at, kind)
+            });
+            Ok(materialise(rows, columns))
+        };
 
         // Fold the covered strata back into the stored sample: a uniform
         // k-subset of the span's rows with the span's row count as weight
         // is distributed exactly like a reservoir pass over those rows, so
         // `merge(boundary, covered)` is statistically a full-region sample.
         let (sample, boundary) = if exact.is_empty() {
-            (boundary_sample, None)
+            (tuples_of(boundary_rows)?, None)
         } else {
-            let mut covered_sampler = Sample::with_strata_hint(k, covered_rows.len());
+            let mut covered_sampler = RowSample::with_strata_hint(k, covered_rows.len());
             let mut draw_rng = Lehmer64::new(covered_seed);
             let mut items = Vec::with_capacity(k);
-            let payload: Vec<(ResolvedCol<'_>, SlotKind)> = value_cols
-                .iter()
-                .map(|&(col, _, kind)| (ResolvedCol::from_column(col), kind))
-                .collect();
             for (key, spans, total) in &covered_rows {
                 items.clear();
                 for idx in floyd_k_subset(*total, k.min(*total as usize), &mut draw_rng) {
-                    let row = row_at(spans, idx);
-                    let mut vals = [0i64; crate::sampler_ops::MAX_SAMPLE_COLS];
-                    for (v, (col, kind)) in vals.iter_mut().zip(&payload) {
-                        *v = kind.read(col, row);
-                    }
-                    items.push(SampleTuple::new(vals));
+                    items.push(row_at(spans, idx) as u32);
                 }
                 covered_sampler.insert_items(GroupKey::new(key), &items, *total);
             }
@@ -714,14 +738,15 @@ impl LaqyExecutor {
                 // weighted strata, so the degraded-answer path stays
                 // valid) and drop the exact mass.
                 exact = ExactMass::new();
-                boundary_sample.absorb(&covered_sampler, &mut self.rng);
-                (boundary_sample, None)
+                boundary_rows.absorb(&covered_sampler, &mut self.rng);
+                (tuples_of(boundary_rows)?, None)
             } else {
                 let full =
-                    merge_stratified_refs(&[&boundary_sample, &covered_sampler], &mut self.rng);
-                (full, Some(boundary_sample))
+                    merge_stratified_refs(&[&boundary_rows, &covered_sampler], &mut self.rng);
+                (tuples_of(full)?, Some(tuples_of(boundary_rows)?))
             }
         };
+        let materialise_wall = t_materialise.elapsed();
 
         // The per-thread phase timers measure CPU time; scale them onto the
         // wall-clock pipeline time so the breakdown sums to what a user
@@ -730,7 +755,8 @@ impl LaqyExecutor {
         let wall = pipeline_wall.as_secs_f64();
         let stats = ExecStats {
             scan: Duration::from_secs_f64(wall * scan_ns as f64 / cpu_total as f64),
-            processing: Duration::from_secs_f64(wall * sample_ns as f64 / cpu_total as f64),
+            processing: Duration::from_secs_f64(wall * sample_ns as f64 / cpu_total as f64)
+                + materialise_wall,
             scanned_rows: scanned,
             sampled_input_rows: sampled_input,
             morsels_skipped: prune.skipped,
@@ -926,6 +952,10 @@ pub(crate) struct Scope<'a> {
     pub catalog: &'a Catalog,
     pub query: &'a ApproxQuery,
     pub schema: &'a SampleSchema,
+    /// Strata a scan of this attempt should expect: the largest selected
+    /// stored sample's count (a Δ-scan stratifies the same population), 0
+    /// for a cold start. Sizes each worker's key index once.
+    pub strata_hint: usize,
 }
 
 /// Payload columns the sample must carry: every aggregate input plus the
@@ -1204,8 +1234,12 @@ mod tests {
         assert_eq!(report.empty, vec![GroupKey::new(&[2])]);
     }
 
+    /// Rows of the dimension `fk` points into.
+    const DIMS: i64 = 40;
+
     /// `rows` rows over `strata` strata: `key` is a permutation of the row
-    /// ids (so a range predicate selects scattered rows), `v` the row id.
+    /// ids (so a range predicate selects scattered rows), `v` the row id,
+    /// `fk` a dimension row.
     fn admission_catalog(rows: i64, strata: i64) -> Catalog {
         let mut cat = Catalog::new();
         cat.register(
@@ -1221,6 +1255,10 @@ mod tests {
                         Column::Int64((0..rows).map(|i| (i * 31) % strata).collect()),
                     ),
                     ("v".into(), Column::Int64((0..rows).collect())),
+                    (
+                        "fk".into(),
+                        Column::Int64((0..rows).map(|i| i % DIMS).collect()),
+                    ),
                 ],
             )
             .unwrap(),
@@ -1244,6 +1282,7 @@ mod tests {
             catalog,
             query,
             schema: &schema,
+            strata_hint: 0,
         };
         exec.sample_pipeline(scope, &ranges, &Predicate::True, false, 0)
             .unwrap()
@@ -1271,6 +1310,112 @@ mod tests {
             }
         }
         strata
+    }
+
+    /// `admission_catalog` plus the dimension `d` its `fk` column joins:
+    /// `dk` the key, `dg` a group column, `dw` a float payload column.
+    fn star_catalog(rows: i64) -> Catalog {
+        let mut cat = admission_catalog(rows, 7);
+        cat.register(
+            Table::new(
+                "d",
+                vec![
+                    ("dk".into(), Column::Int64((0..DIMS).collect())),
+                    (
+                        "dg".into(),
+                        Column::Int64((0..DIMS).map(|i| i % 5).collect()),
+                    ),
+                    (
+                        "dw".into(),
+                        Column::Float64((0..DIMS).map(|i| i as f64 * -1.5).collect()),
+                    ),
+                ],
+            )
+            .unwrap(),
+        );
+        cat
+    }
+
+    #[test]
+    fn above_join_sample_matches_tuple_admission() {
+        // Sampler above a join, stratified on a dimension column, carrying
+        // a dimension-resident payload column: the pipeline admits fact row
+        // ids per morsel and reads `dw` once, through one probe of the
+        // survivors. The oracle is the admission it replaced — a tuple
+        // built from the probe's aligned rows whenever one is admitted —
+        // under the same worker seed.
+        let rows = 20_000i64;
+        let catalog = star_catalog(rows);
+        let query = ApproxQuery {
+            plan: QueryPlan {
+                fact: "t".into(),
+                predicate: Predicate::True,
+                joins: vec![laqy_engine::JoinSpec {
+                    dim_table: "d".into(),
+                    dim_key: "dk".into(),
+                    fact_key: "fk".into(),
+                    predicate: Predicate::between("dg", 1, 3),
+                }],
+                group_by: vec![ColRef::dim("d", "dg"), ColRef::fact("g")],
+                aggs: vec![AggSpec::sum("dw"), AggSpec::sum("v")],
+            },
+            range_column: "key".into(),
+            range: Interval::new(2_000, 15_999),
+            k: 8,
+        };
+        let schema = payload_schema(&catalog, &query).unwrap();
+        assert_eq!(schema.column_names(), vec!["dw", "v", "key"]);
+        let seed = 11u64;
+        for morsel_rows in [1_024, rows as usize] {
+            let sample = sample_with(&catalog, &query, 1, morsel_rows, seed);
+
+            let (fact, dim) = (catalog.table("t").unwrap(), catalog.table("d").unwrap());
+            let sel: Vec<u32> = (0..rows as u32)
+                .filter(|&r| {
+                    query
+                        .range
+                        .contains(fact.column("key").unwrap().i64_at(r as usize))
+                })
+                .collect();
+            let joins = PreparedJoins::build(&catalog, &query.plan).unwrap();
+            let probed = star_probe(fact, &sel, &joins.probes()).unwrap();
+            let (at_fact, at_dim) = (&probed.fact_rows[..], &probed.dim_rows[0][..]);
+            let keys = [
+                BoundCol::new(dim.column("dg").unwrap(), Some(at_dim)),
+                BoundCol::new(fact.column("g").unwrap(), Some(at_fact)),
+            ];
+            let payload = [
+                (
+                    BoundCol::new(dim.column("dw").unwrap(), Some(at_dim)),
+                    SlotKind::Float,
+                ),
+                (
+                    BoundCol::new(fact.column("v").unwrap(), Some(at_fact)),
+                    SlotKind::Int,
+                ),
+                (
+                    BoundCol::new(fact.column("key").unwrap(), Some(at_fact)),
+                    SlotKind::Int,
+                ),
+            ];
+            // The pipeline draws the lane seed, then the worker seed.
+            let gamma = 0x9E37_79B9_7F4A_7C15u64;
+            let worker_seed = seed.wrapping_add(gamma).wrapping_add(gamma) ^ 0xAD31_55A7_C0DE_5EED;
+            let mut oracle = Sample::new(query.k);
+            crate::sampler_ops::admit_tuples(
+                &mut oracle,
+                &mut Lehmer64::new(worker_seed),
+                &keys,
+                &payload,
+                at_fact.len(),
+            );
+            assert!(oracle.iter().any(|(_, items, w)| w > items.len() as u64));
+            assert_eq!(
+                sample.iter().collect::<Vec<_>>(),
+                oracle.iter().collect::<Vec<_>>(),
+                "{morsel_rows}-row morsels"
+            );
+        }
     }
 
     #[test]

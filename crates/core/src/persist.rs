@@ -64,9 +64,11 @@ pub const SNAPSHOT_PREFIX: &str = "store.snap.";
 pub const KEEP_GENERATIONS: usize = 2;
 
 /// Cap on the payload-arena bytes one [`load_store`] call may allocate
-/// across all the samples it restores. A restored sample's arena is
-/// `strata × capacity` tuples whatever its strata hold, so a few corrupt
-/// bytes declaring a huge capacity must not become a huge allocation.
+/// across all the samples it restores. A restored stratum owns exactly the
+/// tuples it holds, so a sample is charged what its strata hold; the
+/// declared capacity is what one stratum grows to at its first offer, so a
+/// few corrupt bytes declaring a huge one are refused before they can
+/// become a huge allocation later.
 const MAX_RESTORED_ARENA_BYTES: u64 = MAX_SNAPSHOT_BYTES;
 
 /// Smallest possible wire footprint of one sample (empty strings, zero
@@ -533,16 +535,14 @@ fn read_sampler(
             "stratum count {strata} exceeds snapshot size"
         )));
     }
-    let arena_bytes = (strata as u64)
-        .checked_mul(capacity as u64)
-        .and_then(|slots| slots.checked_mul(std::mem::size_of::<SampleTuple>() as u64));
-    match arena_bytes {
-        Some(bytes) if bytes <= *arena_budget => *arena_budget -= bytes,
-        _ => {
-            return Err(PersistError::Corrupt(format!(
-                "{strata} strata of capacity {capacity} exceed the restorable sample size"
-            )));
-        }
+    let tuple_bytes = std::mem::size_of::<SampleTuple>() as u64;
+    if (capacity as u64)
+        .checked_mul(tuple_bytes)
+        .is_none_or(|b| b > *arena_budget)
+    {
+        return Err(PersistError::Corrupt(format!(
+            "a stratum of capacity {capacity} exceeds the restorable sample size"
+        )));
     }
     let mut sampler = Sample::with_strata_hint(capacity, strata);
     let mut items = Vec::new();
@@ -572,6 +572,15 @@ fn read_sampler(
             return Err(PersistError::Corrupt(format!(
                 "stratum item count {count} exceeds snapshot size"
             )));
+        }
+        // `count ≤ capacity`, whose bytes fit the budget's `u64`.
+        match arena_budget.checked_sub(count as u64 * tuple_bytes) {
+            Some(left) => *arena_budget = left,
+            None => {
+                return Err(PersistError::Corrupt(format!(
+                    "{strata} strata of capacity {capacity} exceed the restorable sample size"
+                )));
+            }
         }
         items.clear();
         for _ in 0..count {
@@ -868,8 +877,8 @@ mod tests {
     #[test]
     fn hostile_capacity_rejected_without_allocation() {
         // A well-formed snapshot whose one-stratum sampler claims the given
-        // capacity — and so a strata × capacity arena.
-        let forge = |capacity: u64| {
+        // capacity — what the stratum would grow to at its first offer.
+        let forge_strata = |capacity: u64, strata: u32| {
             let mut bytes = Vec::new();
             bytes.put_slice(MAGIC);
             bytes.put_u32_le(VERSION);
@@ -879,13 +888,19 @@ mod tests {
             bytes.put_u64_le(0); // watermark
             let sampler_at = bytes.len();
             bytes.put_u64_le(capacity);
-            bytes.put_u32_le(1); // strata
-            bytes.put_u8(1);
-            bytes.put_i64_le(7); // key
-            bytes.put_u64_le(0); // weight
-            bytes.put_u32_le(0); // items
+            bytes.put_u32_le(strata);
+            for key in 0..strata {
+                bytes.put_u8(1);
+                bytes.put_i64_le(key as i64);
+                bytes.put_u64_le(3); // weight
+                bytes.put_u32_le(3); // items, two slots each
+                for v in 0..6 {
+                    bytes.put_i64_le(v);
+                }
+            }
             (bytes, sampler_at)
         };
+        let forge = |capacity: u64| forge_strata(capacity, 1);
         assert_eq!(load_store(&forge(4).0).unwrap().len(), 1);
         for capacity in [1u64 << 40, u64::MAX] {
             assert!(matches!(
@@ -894,15 +909,28 @@ mod tests {
             ));
         }
         // The budget is cumulative over a snapshot's samples: each restored
-        // arena (here 4 slots × 64 B) is charged against what is left.
+        // sample is charged what its strata hold (here 3 tuples × 64 B, not
+        // the 4 × 64 B the stratum may grow to), and a capacity the rest of
+        // the budget could not hold even once is refused.
         let (bytes, sampler_at) = forge(4);
-        let mut budget = 300u64;
+        let mut budget = 460u64;
+        let restored = read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut budget).unwrap();
+        assert_eq!(budget, 460 - 192);
+        assert_eq!(restored.total_items(), 3);
         assert!(read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut budget).is_ok());
-        assert_eq!(budget, 300 - 256);
+        assert_eq!(budget, 460 - 2 * 192);
         assert!(matches!(
             read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut budget),
             Err(PersistError::Corrupt(_))
         ));
+        // ... and so is a sample whose strata together hold more than is
+        // left, though each alone would fit.
+        let (bytes, sampler_at) = forge_strata(4, 3);
+        assert!(matches!(
+            read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut 460),
+            Err(PersistError::Corrupt(_))
+        ));
+        assert!(read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut 576).is_ok());
     }
 
     #[test]

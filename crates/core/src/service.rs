@@ -217,6 +217,10 @@ struct Attempt<'q> {
     tighten: Predicates,
     /// When the query (not this attempt) started.
     t_start: Instant,
+    /// Strata of the largest stored sample the plan selected (0 until a
+    /// coverage plan is made): what this attempt's Δ-scans size their
+    /// samplers for.
+    strata_hint: usize,
 }
 
 impl Attempt<'_> {
@@ -226,6 +230,7 @@ impl Attempt<'_> {
             catalog: &self.pinned,
             query: self.query,
             schema: &self.schema,
+            strata_hint: self.strata_hint,
         };
         (&mut self.executor, scope)
     }
@@ -759,6 +764,7 @@ impl LaqyService {
             watermark,
             tighten: Predicates::on(query.range_column.clone(), IntervalSet::of(query.range)),
             t_start,
+            strata_hint: 0,
         })
     }
 
@@ -771,7 +777,7 @@ impl LaqyService {
         force_online: bool,
     ) -> Result<Outcome> {
         let mut at = self.begin(query, token, t_start)?;
-        let (plan, snapshot) = self.plan(&at, force_online);
+        let (plan, snapshot) = self.plan(&mut at, force_online);
         let effective = plan.uncovered_fraction(&at.descriptor);
         let (arm, estimated) = match plan {
             LazyPlan::FullReuse { id } => (Arm::Full, self.fetch(&at, id)?),
@@ -796,7 +802,7 @@ impl LaqyService {
     /// [`Self::merge`] revalidates the store against exactly this
     /// snapshot, so a concurrent absorb (which moves a watermark)
     /// invalidates the plan instead of double-counting tail rows.
-    fn plan(&self, at: &Attempt<'_>, force_online: bool) -> (LazyPlan, Vec<(Predicates, u64)>) {
+    fn plan(&self, at: &mut Attempt<'_>, force_online: bool) -> (LazyPlan, Vec<(Predicates, u64)>) {
         if force_online {
             return (LazyPlan::Online, Vec::new());
         }
@@ -814,10 +820,9 @@ impl LaqyService {
                 // Were a planned sample somehow missing, the snapshot comes
                 // up short, revalidation fails, and the attempt re-plans
                 // instead of panicking on a hot path.
-                let snapshot = plan
-                    .samples
-                    .iter()
-                    .filter_map(|id| store.peek(*id))
+                let selected = || plan.samples.iter().filter_map(|id| store.peek(*id));
+                at.strata_hint = selected().map(|s| s.sample.num_strata()).max().unwrap_or(0);
+                let snapshot = selected()
                     .map(|s| (s.descriptor.predicates.clone(), s.watermark))
                     .collect();
                 (LazyPlan::CoverageReuse(plan), snapshot)

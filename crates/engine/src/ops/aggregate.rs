@@ -66,6 +66,31 @@ impl<'a> ResolvedCol<'a> {
     }
 }
 
+impl ResolvedCol<'_> {
+    /// Call `f` with the integer view of each of `rows`, in order: the
+    /// type dispatch happens once for the batch, not once per row.
+    #[inline]
+    pub fn for_each_i64(&self, rows: impl Iterator<Item = usize>, mut f: impl FnMut(i64)) {
+        match self {
+            ResolvedCol::I32(v) => rows.for_each(|r| f(v.get(r) as i64)),
+            ResolvedCol::I64(v) => rows.for_each(|r| f(v.get(r))),
+            ResolvedCol::F64(v) => rows.for_each(|r| f(v.get(r) as i64)),
+            ResolvedCol::Dict(v) => rows.for_each(|r| f(v.get(r) as i64)),
+        }
+    }
+
+    /// [`Self::for_each_i64`] over the float view.
+    #[inline]
+    pub fn for_each_f64(&self, rows: impl Iterator<Item = usize>, mut f: impl FnMut(f64)) {
+        match self {
+            ResolvedCol::I32(v) => rows.for_each(|r| f(v.get(r) as f64)),
+            ResolvedCol::I64(v) => rows.for_each(|r| f(v.get(r) as f64)),
+            ResolvedCol::F64(v) => rows.for_each(|r| f(v.get(r))),
+            ResolvedCol::Dict(v) => rows.for_each(|r| f(v.get(r) as f64)),
+        }
+    }
+}
+
 /// A resolved column bound to a logical row mapping: `rows[i]` gives the
 /// physical row for logical position `i`; `None` means identity (dense
 /// scan). Join outputs bind fact and dimension columns through their
@@ -97,6 +122,17 @@ impl<'a> BoundCol<'a> {
     #[inline(always)]
     pub fn i64(&self, i: usize) -> i64 {
         self.col.i64(self.physical(i))
+    }
+
+    /// Append the integer values at logical positions `0..n` to `out`,
+    /// through the column's typed view (one dispatch for the batch).
+    pub fn gather_i64(&self, n: usize, out: &mut Vec<i64>) {
+        match self.rows {
+            Some(rows) => self
+                .col
+                .for_each_i64(rows[..n].iter().map(|&r| r as usize), |v| out.push(v)),
+            None => self.col.for_each_i64(0..n, |v| out.push(v)),
+        }
     }
 
     /// Float value at logical position `i`.

@@ -35,23 +35,20 @@ impl<K: StratumKey, T: Clone + Default> StratifiedSampler<K, T> {
         // Find the shared strata first, so the ones only `other` holds are
         // appended into exactly-sized storage.
         let hits: Vec<Option<usize>> = other.keys().map(|key| self.index_of(key)).collect();
-        self.reserve_strata(hits.iter().filter(|hit| hit.is_none()).count());
+        self.open(hits.iter().filter(|hit| hit.is_none()).count());
         let mut scratch = MergeScratch::default();
         let mut merged: Vec<T> = Vec::new();
         for ((key, items, weight), hit) in other.iter().zip(hits) {
             let i = hit.unwrap_or_else(|| self.stratum_index(key));
-            let base = i * k;
             if items.len() < other.capacity && weight == items.len() as u64 {
                 // `items` is the stratum's whole population: Algorithm R
                 // simply goes on over it.
-                for item in items {
-                    self.offer_at(i, rng, || item.clone());
-                }
+                self.offer_all_at(i, items, rng);
                 continue;
             }
             let sources = [
                 Source {
-                    items: &self.arena[base..base + self.lens[i] as usize],
+                    items: self.items_at(i),
                     weight: self.weights[i],
                     capacity: k,
                 },
@@ -63,8 +60,7 @@ impl<K: StratumKey, T: Clone + Default> StratifiedSampler<K, T> {
             ];
             merged.clear();
             self.weights[i] = merge_sources(&sources, k, rng, &mut merged, &mut scratch);
-            self.lens[i] = merged.len() as u32;
-            self.arena[base..base + merged.len()].clone_from_slice(&merged);
+            self.set_items(i, &merged);
         }
     }
 }

@@ -17,8 +17,9 @@
 //!    preceded by a `// SAFETY:` comment (or a `# Safety` doc section for
 //!    `unsafe fn`) within a few lines.
 //! 4. **hot-path-unwrap** — no `.unwrap()` / `.expect(...)` in non-test code
-//!    of the service/executor/store hot paths; errors must be hoisted into
-//!    `LaqyError` so a malformed query cannot poison a shared lock.
+//!    of the service/executor/store/estimate/support/admission hot paths
+//!    (`HOT_PATHS`); errors must be hoisted into `LaqyError` so a
+//!    malformed query cannot poison a shared lock or a pool worker.
 //! 5. **sampling-determinism** — `crates/sampling` must stay a pure function
 //!    of (input, seed): no wall clocks, no OS entropy, no `RandomState`
 //!    hash maps whose iteration order varies per process.
@@ -117,12 +118,13 @@ const PARALLEL_ALLOWLIST: &str = "crates/engine/src/parallel.rs";
 
 /// Hot-path files for the unwrap/expect ban (rule 4) and the analyzer's
 /// SeqCst-needs-a-reason atomic-ordering policy.
-pub(crate) const HOT_PATHS: [&str; 5] = [
+pub(crate) const HOT_PATHS: [&str; 6] = [
     "crates/core/src/service.rs",
     "crates/core/src/executor.rs",
     "crates/core/src/store.rs",
     "crates/core/src/estimate.rs",
     "crates/core/src/support.rs",
+    "crates/core/src/sampler_ops.rs",
 ];
 
 /// Tokens banned from `crates/sampling/src` (rule 5): wall clocks, OS
