@@ -316,7 +316,7 @@ impl Repl {
                      scan pruning: {} morsels skipped, {} fast-pathed, {} scanned ({} total)\n\
                      hybrid lanes: {} rows answered exactly from pre-aggregates\n\
                      coverage: {} stored fragments merged, {} residual fragments Δ-scanned\n\
-                     full hits: {} answered from at-rest images, {} of them built one\n\
+                     full hits: {} answered from stored samples as they rest\n\
                      robustness: {} degraded answers, {} faults injected, {} snapshot recoveries\n\
                      streaming: {} append batches ({} rows) ingested, {} samples absorbed \
                      {} rows, {} WAL appends",
@@ -338,7 +338,6 @@ impl Repl {
                     svc.fragments_reused,
                     svc.fragments_scanned,
                     svc.full_hits,
-                    svc.image_builds,
                     svc.degraded_answers,
                     svc.faults_injected,
                     svc.snapshots_recovered,
@@ -923,7 +922,7 @@ mod tests {
         let out = r.handle(".stats").unwrap();
         assert!(out.contains("1 stored fragments merged"), "{out}");
         assert!(out.contains("1 residual fragments Δ-scanned"), "{out}");
-        // Two hits on the merged sample: the first builds its image.
+        // Two hits on the merged sample, each read where it rests.
         for _ in 0..2 {
             r.handle(
                 "SELECT lo_orderdate, SUM(lo_revenue) FROM lineorder \
@@ -932,7 +931,7 @@ mod tests {
             .unwrap();
         }
         let out = r.handle(".stats").unwrap();
-        let line = "full hits: 2 answered from at-rest images, 1 of them built one";
+        let line = "full hits: 2 answered from stored samples as they rest";
         assert!(out.contains(line), "{out}");
     }
 

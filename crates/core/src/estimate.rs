@@ -9,13 +9,11 @@
 //! the "approximation guarantees" the evaluation keeps intact while
 //! accelerating sampling.
 
-use std::ops::Range;
-
 use laqy_engine::{AggInput, AggKind, AggSpec, GroupKey};
 
 use crate::descriptor::Predicates;
 use crate::interval::IntervalSet;
-use crate::sampler_ops::{Sample, SampleSchema, SampleTuple, SlotKind};
+use crate::sampler_ops::{each_width, Sample, SampleSchema, SlotKind};
 
 /// Estimation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -364,79 +362,59 @@ impl Moments {
 
     /// Moments of `input` over the rows of `rows` set in `bits` (`mq` of
     /// them). The slot kind is resolved outside the row loop.
-    fn for_input(input: &ResolvedInput, rows: &impl Rows, bits: &[u64], mq: usize) -> Self {
+    fn for_input<const W: usize>(
+        input: &ResolvedInput,
+        rows: &[[i64; W]],
+        bits: &[u64],
+        mq: usize,
+    ) -> Self {
         match *input {
             ResolvedInput::One => Moments::ones(mq),
-            ResolvedInput::Col(s, SlotKind::Int) => {
-                let col = rows.slot(s);
-                Moments::over_bits(bits, |i| col(i) as f64)
-            }
+            ResolvedInput::Col(s, SlotKind::Int) => Moments::over_bits(bits, |i| rows[i][s] as f64),
             ResolvedInput::Col(s, SlotKind::Float) => {
-                let col = rows.slot(s);
-                Moments::over_bits(bits, |i| f64::from_bits(col(i) as u64))
+                Moments::over_bits(bits, |i| f64::from_bits(rows[i][s] as u64))
             }
             ResolvedInput::Mul((a, ka), (b, kb)) => {
-                let (a, b) = (rows.slot(a), rows.slot(b));
-                Moments::over_bits(bits, |i| ka.numeric(a(i)) * kb.numeric(b(i)))
+                Moments::over_bits(bits, |i| ka.numeric(rows[i][a]) * kb.numeric(rows[i][b]))
             }
         }
     }
 }
 
-/// What the stratum walk reads one stratum's retained tuples through: how
-/// many there are, and each payload slot's raw `i64` by row. Rows keep the
-/// order the sampler retained them in, whatever the layout, so every
-/// source folds the same terms in the same order.
-trait Rows {
-    /// Retained tuples.
-    fn len(&self) -> usize;
-
-    /// Payload slot `slot` as a function of the row (`0..len`).
-    fn slot(&self, slot: usize) -> impl Fn(usize) -> i64;
-}
-
-/// A stratum of a [`Sample`]: its tuples in the arena.
-impl Rows for &[SampleTuple] {
-    fn len(&self) -> usize {
-        <[SampleTuple]>::len(self)
-    }
-
-    fn slot(&self, slot: usize) -> impl Fn(usize) -> i64 {
-        move |row| self[row].int(slot)
-    }
-}
-
-/// Fill `bits` with the hit bitset of `rows` under `tighten` (bit `i` =
-/// row `i` matches), 64 rows a word, the last one zero-padded; returns its
-/// popcount. The one place a tightening meets tuples.
-fn hit_bits(bits: &mut Vec<u64>, tighten: Option<&Tighten>, rows: &impl Rows) -> usize {
+/// Fill `bits` with the hit bitset of a stratum's `rows` under `tighten`
+/// (bit `i` = row `i` matches), 64 rows a word, the last one zero-padded;
+/// returns its popcount. The one place a tightening meets rows: each word
+/// is packed from one 64-row chunk of the stratum.
+fn hit_bits<const W: usize>(
+    bits: &mut Vec<u64>,
+    tighten: Option<&Tighten>,
+    rows: &[[i64; W]],
+) -> usize {
     #[inline]
-    fn pack(bits: &mut Vec<u64>, len: usize, hit: impl Fn(usize) -> bool) -> usize {
-        bits.clear();
-        let mut hits = 0;
-        for base in (0..len).step_by(64) {
-            let word = (base..len.min(base + 64))
-                .fold(0u64, |word, i| word | (hit(i) as u64) << (i - base));
-            hits += word.count_ones() as usize;
-            bits.push(word);
-        }
-        hits
+    fn pack<const W: usize>(chunk: &[[i64; W]], hit: impl Fn(&[i64; W]) -> bool) -> u64 {
+        (chunk.iter().enumerate()).fold(0, |word, (j, row)| word | u64::from(hit(row)) << j)
     }
+    bits.clear();
+    let chunks = rows.chunks(64);
     match tighten {
-        None => pack(bits, rows.len(), |_| true),
-        Some(Tighten::Range { slot, lo, hi }) => {
-            let col = rows.slot(*slot);
-            pack(bits, rows.len(), |i| (*lo..=*hi).contains(&col(i)))
+        None => bits.extend(chunks.map(|chunk| u64::MAX >> (64 - chunk.len()))),
+        Some(&Tighten::Range { slot, lo, hi }) => {
+            assert!(slot < W, "tightening slot outside the row");
+            // `lo ≤ v ≤ hi` as one unsigned compare (`lo ≤ hi` always).
+            let span = hi.wrapping_sub(lo) as u64;
+            let hit = |row: &[i64; W]| row[slot].wrapping_sub(lo) as u64 <= span;
+            bits.extend(chunks.map(|chunk| pack(chunk, hit)));
         }
-        Some(Tighten::Sets(checks)) => pack(bits, rows.len(), |i| {
-            checks
-                .iter()
-                .all(|(slot, set)| set.contains(rows.slot(*slot)(i)))
-        }),
+        Some(Tighten::Sets(checks)) => bits.extend(chunks.map(|chunk| {
+            pack(chunk, |row| {
+                checks.iter().all(|(slot, set)| set.contains(row[*slot]))
+            })
+        })),
     }
+    bits.iter().map(|word| word.count_ones() as usize).sum()
 }
 
-/// How many retained tuples of each stratum of `sample` match `tighten`,
+/// How many retained rows of each stratum of `sample` match `tighten`,
 /// in the sample's stratum order (a stratum retaining nothing counts 0):
 /// what a support check classifies.
 pub(crate) fn matching_rows(
@@ -446,10 +424,10 @@ pub(crate) fn matching_rows(
 ) -> Result<Vec<(GroupKey, usize)>, EstimateError> {
     let tighten = tighten.map(|p| Tighten::compile(schema, p)).transpose()?;
     let mut bits = Vec::new();
-    Ok(sample
+    Ok(each_width!(&sample.rows, s => s
         .iter()
-        .map(|(key, items, _)| (*key, hit_bits(&mut bits, tighten.as_ref(), &items)))
-        .collect())
+        .map(|(key, rows, _)| (*key, hit_bits(&mut bits, tighten.as_ref(), rows)))
+        .collect()))
 }
 
 /// The per-stratum estimator: fold a stratum of `len > 0` retained tuples
@@ -509,38 +487,22 @@ fn fold_stratum(
     }
 }
 
-/// Indices of `strata` (`(key, items, weight)` triples) in group-key
-/// order. The sort compares the first key part inline and the rest only
-/// on ties.
-fn key_order(strata: &[(&GroupKey, &[SampleTuple], u64)]) -> impl Iterator<Item = usize> {
-    let mut order: Vec<(i64, u32)> = strata
-        .iter()
-        .enumerate()
-        .map(|(i, (key, _, _))| (key.parts().first().copied().unwrap_or(0), i as u32))
-        .collect();
-    order.sort_unstable_by(|a, b| {
-        let parts = |i: u32| strata[i as usize].0.parts();
-        a.0.cmp(&b.0).then_with(|| parts(a.1).cmp(parts(b.1)))
-    });
-    order.into_iter().map(|(_, i)| i as usize)
-}
-
-/// What an estimate resolves against the schema up front: each
-/// aggregate's input, the tightening filter, and one fresh accumulator
-/// per aggregate.
-struct Compiled {
+/// An estimate resolved against a schema up front — each aggregate's
+/// input, the tightening filter, one fresh accumulator per aggregate —
+/// ready to walk any sample of that schema's rows.
+pub(crate) struct Estimator {
     inputs: Vec<ResolvedInput>,
     tighten: Option<Tighten>,
     fresh: Vec<EstAcc>,
 }
 
-impl Compiled {
-    fn compile(
+impl Estimator {
+    pub(crate) fn compile(
         schema: &SampleSchema,
         aggs: &[AggSpec],
         tighten: Option<&Predicates>,
     ) -> Result<Self, EstimateError> {
-        Ok(Compiled {
+        Ok(Estimator {
             inputs: aggs
                 .iter()
                 .map(|a| resolve_input(schema, &a.input))
@@ -550,26 +512,68 @@ impl Compiled {
         })
     }
 
-    /// The estimator's one walk: every stratum of a source (`key`,
-    /// `weight`, non-empty `rows`), in the source's order, is tightened
-    /// once into a hit bitset — not once per aggregate — and folded into
-    /// fresh accumulators, which `emit` receives. Output groups are the
-    /// strata themselves (QCS = GROUP BY, every query template).
-    fn walk<'k, R: Rows>(
+    /// The estimator's one walk: every non-empty stratum of `strata`
+    /// (`key`, `rows`, `weight`), in the order given, is tightened once
+    /// into a hit bitset — not once per aggregate — and folded into fresh
+    /// accumulators, which `emit` receives. Output groups are the strata
+    /// themselves (QCS = GROUP BY, every query template).
+    fn walk<'k, const W: usize, E>(
         &self,
-        strata: impl Iterator<Item = (&'k GroupKey, u64, R)>,
-        mut emit: impl FnMut(&'k GroupKey, &[EstAcc]),
-    ) {
+        strata: impl Iterator<Item = (&'k GroupKey, &'k [[i64; W]], u64)>,
+        mut emit: impl FnMut(&'k GroupKey, &mut [EstAcc]) -> Result<(), E>,
+    ) -> Result<(), E> {
         let mut accs = self.fresh.clone();
         let mut bits = Vec::new();
-        for (key, weight, rows) in strata {
-            let mq = hit_bits(&mut bits, self.tighten.as_ref(), &rows);
+        for (key, rows, weight) in strata.filter(|(_, rows, _)| !rows.is_empty()) {
+            let mq = hit_bits(&mut bits, self.tighten.as_ref(), rows);
             accs.copy_from_slice(&self.fresh);
             fold_stratum(&mut accs, &self.inputs, rows.len(), weight, mq, |input| {
-                Moments::for_input(input, &rows, &bits, mq)
+                Moments::for_input(input, rows, &bits, mq)
             });
-            emit(key, &accs);
+            emit(key, &mut accs)?;
         }
+        Ok(())
+    }
+
+    /// Estimate from `sample`, where it rests: its strata walked in the
+    /// group-key order it keeps, each finished group pushed straight into
+    /// the answer (no collect, no sort). `exact` lane mass is blended by
+    /// key on the way: a stratum's sample terms first, then its group's
+    /// lane terms; a group only the covered region has gets accumulators
+    /// of its own, in key order among the others.
+    pub(crate) fn estimate(
+        &self,
+        sample: &Sample,
+        z: f64,
+        exact: Option<&ExactMass>,
+    ) -> Result<Vec<GroupEstimate>, EstimateError> {
+        let mut lanes: Vec<(&[i64], &ExactGroup)> =
+            exact.into_iter().flat_map(ExactMass::iter).collect();
+        lanes.sort_unstable_by_key(|&(key, _)| key);
+        let mut lanes = lanes.into_iter().peekable();
+        let covered_only = |key: &[i64], mass: &ExactGroup| {
+            let mut accs = self.fresh.clone();
+            mass.blend(&mut accs, &self.inputs)?;
+            Ok::<_, EstimateError>(group_estimate(key, &accs, z))
+        };
+        let mut groups = Vec::with_capacity(sample.num_strata() + lanes.len());
+        let order = sample.key_order();
+        let indices = order.iter().map(|&i| i as usize);
+        each_width!(&sample.rows, s => self.walk(indices.map(|i| s.stratum_at(i)), |key, accs| {
+            let key = key.parts();
+            while let Some((lane, mass)) = lanes.next_if(|&(lane, _)| lane < key) {
+                groups.push(covered_only(lane, mass)?);
+            }
+            if let Some((_, mass)) = lanes.next_if(|&(lane, _)| lane == key) {
+                mass.blend(accs, &self.inputs)?;
+            }
+            groups.push(group_estimate(key, accs, z));
+            Ok(())
+        }))?;
+        for (lane, mass) in lanes {
+            groups.push(covered_only(lane, mass)?);
+        }
+        Ok(groups)
     }
 }
 
@@ -590,183 +594,7 @@ pub fn estimate(
     aggs: &[AggSpec],
     opts: &EstimateOptions<'_>,
 ) -> Result<Vec<GroupEstimate>, EstimateError> {
-    let compiled = Compiled::compile(schema, aggs, opts.tighten)?;
-    let strata: Vec<_> = sample
-        .iter()
-        .filter(|(_, items, _)| !items.is_empty())
-        .collect();
-    // Strata are folded in arena order (sequential reads) into one slot of
-    // `aggs.len()` accumulators each, and emitted in key order.
-    let width = aggs.len();
-    let mut folded = Vec::with_capacity(strata.len() * width);
-    compiled.walk(
-        strata
-            .iter()
-            .map(|&(key, items, weight)| (key, weight, items)),
-        |_, accs| folded.extend_from_slice(accs),
-    );
-    let mut slots: Vec<(&[i64], usize)> = key_order(&strata)
-        .map(|i| (strata[i].0.parts(), i))
-        .collect();
-
-    // Hybrid blending, by key: a stratum's sample terms first, then its
-    // group's lane terms. A group only the covered region has gets a slot
-    // of its own (its estimates are fully exact).
-    for (key, mass) in opts.exact.into_iter().flat_map(ExactMass::iter) {
-        let sampled = slots[..strata.len()].binary_search_by(|(k, _)| k.cmp(&key));
-        let slot = match sampled {
-            Ok(at) => slots[at].1,
-            Err(_) => {
-                folded.extend_from_slice(&compiled.fresh);
-                slots.push((key, slots.len()));
-                slots.len() - 1
-            }
-        };
-        mass.blend(&mut folded[slot * width..][..width], &compiled.inputs)?;
-    }
-    if slots.len() > strata.len() {
-        slots.sort_unstable_by_key(|&(key, _)| key);
-    }
-    Ok(slots
-        .iter()
-        .map(|&(key, slot)| group_estimate(key, &folded[slot * width..][..width], opts.z))
-        .collect())
-}
-
-/// One stratum of a [`SampleImage`]: its rows of every packed column.
-struct ImageStratum {
-    key: GroupKey,
-    weight: u64,
-    rows: Range<usize>,
-}
-
-/// A stratum of a [`SampleImage`] as the walk reads it.
-struct PackedRows<'a> {
-    cols: &'a [Vec<i64>],
-    rows: Range<usize>,
-}
-
-impl Rows for PackedRows<'_> {
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn slot(&self, slot: usize) -> impl Fn(usize) -> i64 {
-        let col = &self.cols[slot][self.rows.clone()];
-        move |row| col[row]
-    }
-}
-
-/// The at-rest image of a sample: what a full hit reads instead of the
-/// tuple arena. Non-empty strata laid out in group-key order (a hit emits
-/// groups as it folds them), and one packed `i64` column per slot the
-/// schema has — not [`MAX_SAMPLE_COLS`](crate::MAX_SAMPLE_COLS) — with a
-/// stratum's tuples kept in arena order, so the walk folds the same terms
-/// in the same order as over the sample and every answer is bit-identical
-/// to [`estimate`]'s. Derived and never persisted: the store builds it on
-/// the first full hit after a write and drops it on the next write
-/// (DESIGN.md, "At-rest image").
-pub struct SampleImage {
-    strata: Vec<ImageStratum>,
-    cols: Vec<Vec<i64>>,
-    /// `(num_strata, total_items, total_weight)` of the sample this was
-    /// built from: a stale image is a bug, and this makes it a loud one.
-    built_from: (usize, usize, u64),
-}
-
-impl SampleImage {
-    /// Lay out `sample`, whose tuples carry `schema`'s slots: one pass
-    /// over the arena, strata visited in key order.
-    pub fn build(sample: &Sample, schema: &SampleSchema) -> Self {
-        let strata: Vec<_> = sample
-            .iter()
-            .filter(|(_, items, _)| !items.is_empty())
-            .collect();
-        let items: usize = strata.iter().map(|(_, items, _)| items.len()).sum();
-        let mut image = SampleImage {
-            strata: Vec::with_capacity(strata.len()),
-            cols: (0..schema.len())
-                .map(|_| Vec::with_capacity(items))
-                .collect(),
-            built_from: Self::identity(sample),
-        };
-        let mut offset = 0;
-        for i in key_order(&strata) {
-            let (key, items, weight) = strata[i];
-            image.strata.push(ImageStratum {
-                key: *key,
-                weight,
-                rows: offset..offset + items.len(),
-            });
-            offset += items.len();
-            for (slot, col) in image.cols.iter_mut().enumerate() {
-                col.extend(items.iter().map(|t| t.int(slot)));
-            }
-        }
-        image
-    }
-
-    fn identity(sample: &Sample) -> (usize, usize, u64) {
-        (
-            sample.num_strata(),
-            sample.total_items(),
-            sample.total_weight(),
-        )
-    }
-
-    /// Whether this image was built from a sample with `sample`'s strata,
-    /// item and weight totals — every write to a sample moves at least
-    /// one of them or replaces the sample.
-    pub(crate) fn is_of(&self, sample: &Sample) -> bool {
-        self.built_from == Self::identity(sample)
-    }
-
-    /// Upper bound on [`Self::heap_bytes`] of an image of `sample` under
-    /// `schema` (exact when no stratum is empty), from the strata count,
-    /// the item count and the schema width alone: what the store charges
-    /// a sample for its image whether or not it has been built.
-    pub(crate) fn footprint(sample: &Sample, schema: &SampleSchema) -> usize {
-        use std::mem::size_of;
-        sample.num_strata() * size_of::<ImageStratum>()
-            + sample.total_items() * schema.len() * size_of::<i64>()
-    }
-
-    /// Heap bytes the image occupies.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.strata.capacity() * size_of::<ImageStratum>()
-            + self
-                .cols
-                .iter()
-                .map(|c| c.capacity() * size_of::<i64>())
-                .sum::<usize>()
-    }
-
-    /// What [`estimate`] answers for the sample this image was built
-    /// from, under `tighten` and `z` with no exact mass, bit for bit.
-    /// `schema` must be the one it was built with.
-    pub fn estimate(
-        &self,
-        schema: &SampleSchema,
-        aggs: &[AggSpec],
-        tighten: Option<&Predicates>,
-        z: f64,
-    ) -> Result<Vec<GroupEstimate>, EstimateError> {
-        debug_assert_eq!(schema.len(), self.cols.len());
-        let compiled = Compiled::compile(schema, aggs, tighten)?;
-        let mut groups = Vec::with_capacity(self.strata.len());
-        let strata = self.strata.iter().map(|s| {
-            let rows = PackedRows {
-                cols: &self.cols,
-                rows: s.rows.clone(),
-            };
-            (&s.key, s.weight, rows)
-        });
-        compiled.walk(strata, |key, accs| {
-            groups.push(group_estimate(key.parts(), accs, z))
-        });
-        Ok(groups)
-    }
+    Estimator::compile(schema, aggs, opts.tighten)?.estimate(sample, opts.z, opts.exact)
 }
 
 #[cfg(test)]
@@ -788,12 +616,12 @@ mod tests {
     /// estimates must be exact.
     fn full_sample(groups: i64, per: i64) -> Sample {
         let mut rng = Lehmer64::new(1);
-        let mut s = Sample::new((per as usize) + 1);
+        let mut s = Sample::new(&schema(), (per as usize) + 1);
         for g in 0..groups {
             for i in 0..per {
                 let x = g * per + i;
-                let tuple = SampleTuple::from_slice(&[x, (x as f64 * 0.5).to_bits() as i64]);
-                s.offer(GroupKey::new(&[g]), tuple, &mut rng);
+                let tuple = [x, (x as f64 * 0.5).to_bits() as i64];
+                s.offer(GroupKey::new(&[g]), &tuple, &mut rng);
             }
         }
         s
@@ -850,10 +678,10 @@ mod tests {
         let trials = 50;
         for seed in 0..trials {
             let mut rng = Lehmer64::new(100 + seed);
-            let mut s = Sample::new(k);
+            let mut s = Sample::new(&schema(), k);
             for i in 0..per {
-                let tuple = SampleTuple::from_slice(&[i, (i as f64).to_bits() as i64]);
-                s.offer(GroupKey::new(&[0]), tuple, &mut rng);
+                let tuple = [i, (i as f64).to_bits() as i64];
+                s.offer(GroupKey::new(&[0]), &tuple, &mut rng);
             }
             let ests = estimate(
                 &s,
@@ -881,13 +709,9 @@ mod tests {
         let trials = 40;
         for seed in 0..trials {
             let mut rng = Lehmer64::new(300 + seed);
-            let mut s = Sample::new(100);
+            let mut s = Sample::new(&schema(), 100);
             for i in 0..per {
-                s.offer(
-                    GroupKey::new(&[0]),
-                    SampleTuple::from_slice(&[i, 0]),
-                    &mut rng,
-                );
+                s.offer(GroupKey::new(&[0]), &[i, 0], &mut rng);
             }
             let tighten = Predicates::on("x", IntervalSet::of(Interval::new(0, 999)));
             let opts = EstimateOptions {
@@ -1120,7 +944,7 @@ mod tests {
     /// some complete populations.
     fn random_sample(k: usize, g: i64, h: i64, per: i64, seed: u64) -> Sample {
         let mut rng = Lehmer64::new(seed);
-        let mut s = Sample::new(k);
+        let mut s = Sample::new(&schema(), k);
         for _ in 0..g * h * per {
             let x = rng.next_below(1_000) as i64;
             let v = (rng.next_below(10_000) as f64 / 7.0).to_bits() as i64;
@@ -1128,7 +952,7 @@ mod tests {
             let stratum = (rng.next_below((g * h) as u64) * rng.next_below(3) / 2) as i64;
             s.offer(
                 GroupKey::new(&[stratum / h, stratum % h]),
-                SampleTuple::from_slice(&[x, v]),
+                &[x, v],
                 &mut rng,
             );
         }
@@ -1248,106 +1072,6 @@ mod tests {
             .unwrap();
             prop_assert_eq!(checked, crate::executor::support_from_groups(&groups, &policy));
         }
-    }
-
-    /// One row per group and aggregate, value and half-width as bit
-    /// patterns: `==` on these is bit identity, `NaN` half-widths
-    /// (MIN/MAX) included.
-    fn bits(groups: &[GroupEstimate]) -> Vec<(&[i64], u64, u64, usize)> {
-        let of = |a: &AggEstimate| (a.value.to_bits(), a.ci_half_width.to_bits(), a.support);
-        let rows = groups.iter().flat_map(|g| {
-            let row = move |a| {
-                let (value, half_width, support) = of(a);
-                (g.key.as_slice(), value, half_width, support)
-            };
-            g.values.iter().map(row)
-        });
-        rows.collect()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-        #[test]
-        fn image_agrees_with_estimate_bit_for_bit(
-            k in prop::sample::select(vec![1usize, 7, 32, 64, 65, 200]),
-            key_parts in 1usize..4,
-            strata in 0i64..9,
-            seed in 0u64..10_000,
-            mode in 0u8..4,
-            cuts in prop::collection::vec(0i64..100, 1..7),
-        ) {
-            let schema = SampleSchema::new(vec![
-                ("x".into(), SlotKind::Int),
-                ("y".into(), SlotKind::Int),
-                ("v".into(), SlotKind::Float),
-            ]);
-            // Strata of 0..3k offers each (some below k, some sampled), in
-            // a first-offer order that is not key order; float payloads
-            // include negatives and both zeros.
-            let floats = [-0.0, 0.0, -2.5, 1.0 / 3.0, 7.0, -1e9, 1e-3];
-            let mut rng = Lehmer64::new(seed);
-            let mut sample = Sample::new(k);
-            for _ in 0..strata * k as i64 * 3 / 2 {
-                let g = (rng.next_below(strata as u64) * rng.next_below(3) / 2) as i64;
-                let key = [-g, g % 2, 5][..key_parts].to_vec();
-                let v: f64 = floats[rng.next_below(floats.len() as u64) as usize];
-                let tuple = [
-                    rng.next_below(100) as i64,
-                    rng.next_below(100) as i64 - 50,
-                    v.to_bits() as i64,
-                ];
-                sample.offer(GroupKey::new(&key), SampleTuple::from_slice(&tuple), &mut rng);
-            }
-
-            let mut cuts = cuts;
-            cuts.sort_unstable();
-            cuts.dedup();
-            let range = IntervalSet::of(Interval::new(cuts[0], *cuts.last().unwrap()));
-            let several = IntervalSet::from_intervals(
-                cuts.chunks(2).map(|c| Interval::new(c[0], *c.last().unwrap())).collect(),
-            );
-            let tighten = match mode {
-                0 => None,
-                1 => Some(Predicates::on("x", range)),
-                2 => Some(Predicates::on("x", several)),
-                _ => Some(Predicates::on("x", range).with("y", Interval::new(-50, cuts[0] - 50))),
-            };
-            let inputs = [
-                AggInput::Col("x".into()),
-                AggInput::Col("v".into()),
-                AggInput::Mul("y".into(), "v".into()),
-                AggInput::None,
-            ];
-            let kinds = [AggKind::Sum, AggKind::Count, AggKind::Avg, AggKind::Min, AggKind::Max];
-            let aggs: Vec<AggSpec> = kinds
-                .iter()
-                .flat_map(|&kind| inputs.iter().map(move |input| AggSpec { kind, input: input.clone() }))
-                .collect();
-
-            let opts = EstimateOptions { tighten: tighten.as_ref(), ..Default::default() };
-            let oracle = estimate(&sample, &schema, &aggs, &opts).unwrap();
-            let image = SampleImage::build(&sample, &schema);
-            prop_assert!(image.is_of(&sample));
-            prop_assert!(image.heap_bytes() <= SampleImage::footprint(&sample, &schema));
-            let folded = image.estimate(&schema, &aggs, tighten.as_ref(), opts.z).unwrap();
-            prop_assert_eq!(bits(&folded), bits(&oracle));
-            prop_assert_eq!(oracle.len(), sample.num_strata());
-        }
-    }
-
-    #[test]
-    fn image_rejects_what_estimate_rejects() {
-        let s = full_sample(1, 10);
-        let image = SampleImage::build(&s, &schema());
-        let err = image
-            .estimate(&schema(), &[AggSpec::sum("missing")], None, 1.96)
-            .unwrap_err();
-        assert_eq!(err, EstimateError::UnknownColumn("missing".into()));
-        let tighten = Predicates::on("v", IntervalSet::of(Interval::new(0, 1)));
-        let err = image
-            .estimate(&schema(), &[AggSpec::count()], Some(&tighten), 1.96)
-            .unwrap_err();
-        assert_eq!(err, EstimateError::NonIntegerPredicate("v".into()));
     }
 
     /// FNV-1a over every group's key, and every aggregate's value and

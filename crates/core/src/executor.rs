@@ -17,6 +17,7 @@
 //! tables they index, go through one admission function
 //! ([`crate::sampler_ops`]).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,9 +39,10 @@ use crate::estimate::{
 use crate::interval::{Interval, IntervalSet};
 use crate::sampler_ops::{
     materialise, retained_rows, Admission, RowSample, Sample, SampleSchema, SlotKind,
+    MAX_SAMPLE_COLS,
 };
 use crate::stats::{ExecStats, ReuseClass};
-use crate::store::{CoveragePlan, SampleId, SampleStore};
+use crate::store::{CoveragePlan, SampleStore};
 use crate::support::{check_support, SupportPolicy, SupportReport};
 
 /// Errors from the LAQy execution layer.
@@ -175,8 +177,9 @@ impl LaqyExecutor {
     pub(crate) fn run_online(&mut self, scope: Scope<'_>, hybrid: bool) -> Result<OnlineRun> {
         let Scope { query, schema, .. } = scope;
         let ranges = IntervalSet::of(query.range);
-        let run = self.sample_pipeline(scope, &ranges, &Predicate::True, hybrid, 0)?;
+        let mut run = self.sample_pipeline(scope, &ranges, &Predicate::True, hybrid, 0)?;
         let t_est = Instant::now();
+        run.sample.settle(); // so the store keeps the key order walked here
         let opts = EstimateOptions {
             exact: (!run.exact.is_empty()).then_some(&run.exact),
             ..Default::default()
@@ -328,26 +331,6 @@ impl LaqyExecutor {
         support.under_supported.clear();
         support.empty.clear();
         Ok(true)
-    }
-
-    /// Estimate from stored sample `id`'s at-rest image, tightened to the
-    /// query predicate; the flag says whether this call had to build the
-    /// image. `None` if the sample is no longer stored.
-    pub(crate) fn estimate_stored(
-        &self,
-        store: &SampleStore,
-        id: SampleId,
-        query: &ApproxQuery,
-        tighten: &Predicates,
-    ) -> Result<Option<(Vec<GroupEstimate>, Duration, bool)>> {
-        let t = Instant::now();
-        let Some(stored) = store.get(id) else {
-            return Ok(None);
-        };
-        let (image, built) = stored.image();
-        let z = EstimateOptions::default().z;
-        let groups = image.estimate(&stored.schema, &query.plan.aggs, Some(tighten), z)?;
-        Ok(Some((groups, t.elapsed(), built)))
     }
 
     /// Δ-scan `parts` of a coverage plan against `catalog`. A part indexes
@@ -712,7 +695,7 @@ impl LaqyExecutor {
                 };
                 (ResolvedCol::from_column(col), at, kind)
             });
-            Ok(materialise(rows, columns))
+            Ok(materialise(rows, value_cols.len(), columns))
         };
 
         // Fold the covered strata back into the stored sample: a uniform
@@ -899,8 +882,8 @@ impl CoverageScans {
                     .scans
                     .iter()
                     .map(|s| Some(s.boundary.as_ref().unwrap_or(&s.sample)));
-                let inputs: Vec<&Sample> = stored.chain(scanned).collect::<Option<_>>()?;
-                Some(merge_stratified_refs(&inputs, rng))
+                let inputs = stored.chain(scanned).map(|s| s.map(Cow::Borrowed));
+                Some(Sample::combine(inputs.collect::<Option<_>>()?, rng))
             })
             .flatten();
         let scans = self
@@ -971,6 +954,10 @@ pub(crate) fn payload_schema(catalog: &Catalog, query: &ApproxQuery) -> Result<S
         if !cols.contains(&name) {
             cols.push(name);
         }
+    }
+    if cols.len() > MAX_SAMPLE_COLS {
+        let msg = format!("{} payload columns exceed {MAX_SAMPLE_COLS}", cols.len());
+        return Err(LaqyError::Unsupported(msg));
     }
     let mut schema_cols = Vec::with_capacity(cols.len());
     for c in cols {
@@ -1401,7 +1388,7 @@ mod tests {
             // The pipeline draws the lane seed, then the worker seed.
             let gamma = 0x9E37_79B9_7F4A_7C15u64;
             let worker_seed = seed.wrapping_add(gamma).wrapping_add(gamma) ^ 0xAD31_55A7_C0DE_5EED;
-            let mut oracle = Sample::new(query.k);
+            let mut oracle = crate::sampler_ops::TupleSample::new(query.k);
             crate::sampler_ops::admit_tuples(
                 &mut oracle,
                 &mut Lehmer64::new(worker_seed),
@@ -1411,8 +1398,8 @@ mod tests {
             );
             assert!(oracle.iter().any(|(_, items, w)| w > items.len() as u64));
             assert_eq!(
-                sample.iter().collect::<Vec<_>>(),
-                oracle.iter().collect::<Vec<_>>(),
+                sample.contents(),
+                crate::sampler_ops::tuple_contents(&oracle, schema.len()),
                 "{morsel_rows}-row morsels"
             );
         }
@@ -1469,8 +1456,8 @@ mod tests {
                     let r = &reference[&key.parts()[0]];
                     assert_eq!(weight, r.weight(), "threads={threads} seed={seed}");
                     assert_eq!(items.len(), r.len(), "threads={threads} seed={seed}");
-                    for item in items {
-                        included[item.int(v_slot) as usize] += 1;
+                    for row in items.iter() {
+                        included[row[v_slot] as usize] += 1;
                     }
                 }
             }

@@ -125,9 +125,9 @@ mod tests {
     use super::*;
     use crate::descriptor::Predicates;
     use crate::interval::{Interval, IntervalSet};
-    use crate::sampler_ops::{SampleSchema, SampleTuple, SlotKind};
+    use crate::sampler_ops::{Sample, SampleSchema, SlotKind};
     use laqy_engine::GroupKey;
-    use laqy_sampling::{Lehmer64, StratifiedSampler};
+    use laqy_sampling::Lehmer64;
 
     fn desc(lo: i64, hi: i64) -> SampleDescriptor {
         SampleDescriptor::new(
@@ -139,11 +139,11 @@ mod tests {
         )
     }
 
-    fn sample_over(lo: i64, hi: i64) -> StratifiedSampler<GroupKey, SampleTuple> {
+    fn sample_over(lo: i64, hi: i64) -> Sample {
         let mut rng = Lehmer64::new(1);
-        let mut s = StratifiedSampler::new(4);
+        let mut s = Sample::new(&schema(), 4);
         for i in lo..=hi {
-            s.offer(GroupKey::new(&[0]), SampleTuple::from_slice(&[i]), &mut rng);
+            s.offer(GroupKey::new(&[0]), &[i], &mut rng);
         }
         s
     }

@@ -20,8 +20,9 @@
 //!   eviction);
 //! - [`lazy`] — Algorithm 1, the lazy sampling planner, generalized to
 //!   multi-sample, multi-fragment coverage reuse;
-//! - [`sampler_ops`] — sampled-tuple payloads and the admission path
-//!   (every scan worker continues Algorithm R into one dense sample);
+//! - [`sampler_ops`] — the stored sample (rows as wide as their schema,
+//!   strata kept in key order beside first-offer order) and the admission
+//!   path (every scan worker continues Algorithm R into one dense sample);
 //! - [`executor`] — the scan, sample and estimate kernels of Figure 7's
 //!   flow for both sampler placements (pushed to scan, and above star
 //!   joins);
@@ -127,7 +128,7 @@ pub use budget::{CancelToken, Degradation, DegradeReason, QueryBudget};
 pub use descriptor::{Predicates, SampleDescriptor};
 pub use estimate::{
     estimate, AggEstimate, EstimateError, EstimateOptions, ExactGroup, ExactMass, ExactSlot,
-    GroupEstimate, SampleImage,
+    GroupEstimate,
 };
 pub use executor::{
     input_identity, range_predicate, ApproxQuery, ApproxResult, LaqyError, LaqyExecutor, Result,
@@ -138,7 +139,7 @@ pub use persist::{
     load_from_file, load_store, recover_snapshot, save_snapshot, save_store, save_to_file,
     PersistError, RecoveryReport, KEEP_GENERATIONS, MAX_SNAPSHOT_BYTES,
 };
-pub use sampler_ops::{Sample, SampleSchema, SampleTuple, SlotKind, MAX_SAMPLE_COLS};
+pub use sampler_ops::{Sample, SampleRows, SampleSchema, SampleTuple, SlotKind, MAX_SAMPLE_COLS};
 pub use service::{LaqyService, SessionConfig};
 pub use sql::{approx_query, approx_query_on};
 pub use stats::{ExecStats, ReuseClass, ServiceStats};

@@ -44,7 +44,7 @@ use laqy_engine::GroupKey;
 
 use crate::descriptor::{Predicates, SampleDescriptor};
 use crate::interval::{Interval, IntervalSet};
-use crate::sampler_ops::{Sample, SampleSchema, SampleTuple, SlotKind, MAX_SAMPLE_COLS};
+use crate::sampler_ops::{row_width, Sample, SampleSchema, SlotKind, MAX_SAMPLE_COLS};
 use crate::store::SampleStore;
 
 const MAGIC: &[u8; 4] = b"LAQY";
@@ -116,7 +116,7 @@ pub fn save_store(store: &SampleStore) -> Vec<u8> {
         write_descriptor(&mut buf, &s.descriptor);
         write_schema(&mut buf, &s.schema);
         buf.put_u64_le(s.watermark);
-        write_sampler(&mut buf, &s.sample, s.schema.len());
+        write_sampler(&mut buf, &s.sample);
     }
     buf
 }
@@ -378,7 +378,7 @@ fn write_schema(buf: &mut Vec<u8>, schema: &SampleSchema) {
     }
 }
 
-fn write_sampler(buf: &mut Vec<u8>, sampler: &Sample, width: usize) {
+fn write_sampler(buf: &mut Vec<u8>, sampler: &Sample) {
     buf.put_u64_le(sampler.capacity() as u64);
     buf.put_u32_le(sampler.num_strata() as u32);
     // Canonical order: the in-memory stratum map iterates in hash-table
@@ -395,10 +395,8 @@ fn write_sampler(buf: &mut Vec<u8>, sampler: &Sample, width: usize) {
         }
         buf.put_u64_le(weight);
         buf.put_u32_le(items.len() as u32);
-        for t in items {
-            for slot in 0..width {
-                buf.put_i64_le(t.int(slot));
-            }
+        for &v in items.iter().flatten() {
+            buf.put_i64_le(v);
         }
     }
 }
@@ -526,6 +524,10 @@ fn read_sampler(
             "sampler capacity {capacity} below descriptor k {expected_k}"
         )));
     }
+    if width == 0 {
+        // Every payload carries at least the range column.
+        return Err(PersistError::Corrupt("zero-width sample schema".into()));
+    }
     let strata = read_u32(buf)? as usize;
     // Every stratum needs at least key-len(1) + weight(8) + count(4)
     // bytes; bound the pre-allocation so corrupt counts cannot trigger
@@ -535,17 +537,19 @@ fn read_sampler(
             "stratum count {strata} exceeds snapshot size"
         )));
     }
-    let tuple_bytes = std::mem::size_of::<SampleTuple>() as u64;
+    // What one restored row occupies: the row width the schema rounds up
+    // to, not the `width` slots it carries on the wire.
+    let row_bytes = (row_width(width) * std::mem::size_of::<i64>()) as u64;
     if (capacity as u64)
-        .checked_mul(tuple_bytes)
+        .checked_mul(row_bytes)
         .is_none_or(|b| b > *arena_budget)
     {
         return Err(PersistError::Corrupt(format!(
             "a stratum of capacity {capacity} exceeds the restorable sample size"
         )));
     }
-    let mut sampler = Sample::with_strata_hint(capacity, strata);
-    let mut items = Vec::new();
+    let mut sampler = Sample::with_strata_hint(width, capacity, strata);
+    let mut vals = Vec::new();
     for _ in 0..strata {
         let key_len = read_u8(buf)? as usize;
         if key_len > laqy_engine::MAX_KEY_COLS {
@@ -568,13 +572,13 @@ fn read_sampler(
                 "stratum weight below item count".into(),
             ));
         }
-        if width > 0 && count > buf.remaining() / (width * 8) {
+        if count > buf.remaining() / (width * 8) {
             return Err(PersistError::Corrupt(format!(
                 "stratum item count {count} exceeds snapshot size"
             )));
         }
         // `count ≤ capacity`, whose bytes fit the budget's `u64`.
-        match arena_budget.checked_sub(count as u64 * tuple_bytes) {
+        match arena_budget.checked_sub(count as u64 * row_bytes) {
             Some(left) => *arena_budget = left,
             None => {
                 return Err(PersistError::Corrupt(format!(
@@ -582,15 +586,11 @@ fn read_sampler(
                 )));
             }
         }
-        items.clear();
-        for _ in 0..count {
-            let mut vals = [0i64; MAX_SAMPLE_COLS];
-            for v in vals.iter_mut().take(width) {
-                *v = read_i64(buf)?;
-            }
-            items.push(SampleTuple::new(vals));
+        vals.clear();
+        for _ in 0..count * width {
+            vals.push(read_i64(buf)?);
         }
-        sampler.insert_items(key, &items, weight);
+        sampler.insert_rows(key, &vals, weight);
     }
     Ok(sampler)
 }
@@ -621,12 +621,12 @@ mod tests {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(1);
         for (i, (lo, hi)) in [(0i64, 99i64), (200, 399)].iter().enumerate() {
-            let mut s = Sample::new(4);
+            let mut s = Sample::new(&schema(), 4);
             for g in 0..3i64 {
                 for x in *lo..(*lo + 20) {
                     s.offer(
                         GroupKey::new(&[g, i as i64]),
-                        SampleTuple::from_slice(&[x, (x as f64 * 0.5).to_bits() as i64]),
+                        &[x, (x as f64 * 0.5).to_bits() as i64],
                         &mut rng,
                     );
                 }
@@ -652,7 +652,8 @@ mod tests {
             assert_eq!(o.sample.num_strata(), r.sample.num_strata());
             assert_eq!(o.sample.total_weight(), r.sample.total_weight());
             for (key, items, weight) in o.sample.iter() {
-                let (r_items, r_weight) = r.sample.stratum(key).expect("stratum survives");
+                let restored = r.sample.iter().find(|(k, _, _)| k == &key);
+                let (_, r_items, r_weight) = restored.expect("stratum survives");
                 assert_eq!(weight, r_weight);
                 assert_eq!(items, r_items);
             }
@@ -690,10 +691,9 @@ mod tests {
                 panic!("expected coverage reuse");
             };
             let mut rng = Lehmer64::new(9);
-            let mut delta = Sample::new(4);
+            let mut delta = Sample::new(&schema(), 4);
             for x in 100..=150 {
-                let tuple = SampleTuple::from_slice(&[x, 0]);
-                delta.offer(GroupKey::new(&[0, 0]), tuple, &mut rng);
+                delta.offer(GroupKey::new(&[0, 0]), &[x, 0], &mut rng);
             }
             let stored: u64 = side.iter_samples().map(|s| s.sample.total_weight()).sum();
             let scans = vec![(0, delta, true)];
@@ -909,16 +909,18 @@ mod tests {
             ));
         }
         // The budget is cumulative over a snapshot's samples: each restored
-        // sample is charged what its strata hold (here 3 tuples × 64 B, not
-        // the 4 × 64 B the stratum may grow to), and a capacity the rest of
-        // the budget could not hold even once is refused.
+        // sample is charged the rows its strata hold at the width they
+        // occupy (here 3 rows × 16 B, two slots: not the 4 rows the stratum
+        // may grow to, nor 64 B tuples), and a capacity the rest of the
+        // budget could not hold even once is refused.
         let (bytes, sampler_at) = forge(4);
-        let mut budget = 460u64;
+        let mut budget = 150u64;
         let restored = read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut budget).unwrap();
-        assert_eq!(budget, 460 - 192);
+        assert_eq!(budget, 150 - 48);
         assert_eq!(restored.total_items(), 3);
+        assert_eq!(restored.row_width(), 2);
         assert!(read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut budget).is_ok());
-        assert_eq!(budget, 460 - 2 * 192);
+        assert_eq!(budget, 150 - 2 * 48);
         assert!(matches!(
             read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut budget),
             Err(PersistError::Corrupt(_))
@@ -927,10 +929,16 @@ mod tests {
         // left, though each alone would fit.
         let (bytes, sampler_at) = forge_strata(4, 3);
         assert!(matches!(
-            read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut 460),
+            read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut 100),
             Err(PersistError::Corrupt(_))
         ));
-        assert!(read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut 576).is_ok());
+        assert!(read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut 144).is_ok());
+        // No writer produces a zero-width schema; a snapshot claiming one
+        // is corrupt, not a sample of empty rows.
+        assert!(matches!(
+            read_sampler(&mut &bytes[sampler_at..], 0, 4, &mut (1 << 20)),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -77,7 +77,7 @@ use laqy_sync::{Condvar, Mutex, RwLock, RwLockReadGuard};
 
 use crate::budget::{apply_degradation, blended_degradation, CancelToken, QueryBudget};
 use crate::descriptor::{Predicates, SampleDescriptor};
-use crate::estimate::GroupEstimate;
+use crate::estimate::{EstimateOptions, Estimator, GroupEstimate};
 use crate::executor::{
     descriptor_for, payload_schema, support_from_groups, ApproxQuery, ApproxResult, CoverageMerge,
     CoverageScans, LaqyError, LaqyExecutor, Result, Scope,
@@ -831,27 +831,27 @@ impl LaqyService {
         }
     }
 
-    /// **Fetch**: estimate the query from stored sample `id`'s at-rest
-    /// image under its shard's read guard (the first hit after a write
-    /// builds the image there). `None` when the sample vanished since
-    /// planning.
+    /// **Fetch**: estimate the query from stored sample `id` where it
+    /// rests, compiled against its schema under the shard's read guard and
+    /// walked after releasing it. `None` if the sample vanished since.
     fn fetch(&self, at: &Attempt<'_>, id: SampleId) -> Result<Option<Estimated>> {
         let store = self.timed(|i| i.store.read_shard(i.store.shard_for_id(id)));
-        let estimated = at
-            .executor
-            .estimate_stored(&store, id, at.query, &at.tighten)?;
-        Ok(estimated.map(|(groups, estimate, built)| {
-            if built {
-                add(&self.inner.counters.image_builds, 1);
-            }
-            Estimated {
-                groups,
-                stats: ExecStats {
-                    estimate,
-                    ..Default::default()
-                },
-                support: None,
-            }
+        let started = Instant::now();
+        let Some(stored) = store.get(id) else {
+            return Ok(None);
+        };
+        let estimator = Estimator::compile(&stored.schema, &at.query.plan.aggs, Some(&at.tighten))?;
+        let sample = Arc::clone(&stored.sample);
+        drop(store);
+        let groups = estimator.estimate(&sample, EstimateOptions::default().z, None)?;
+        let stats = ExecStats {
+            estimate: started.elapsed(),
+            ..Default::default()
+        };
+        Ok(Some(Estimated {
+            groups,
+            stats,
+            support: None,
         }))
     }
 
@@ -1173,6 +1173,8 @@ mod tests {
     use laqy_engine::{AggSpec, ColRef, Column, Predicate, QueryPlan};
 
     use crate::interval::Interval;
+    use crate::sampler_ops::Sample;
+    use std::borrow::Cow;
 
     fn catalog(n: i64) -> Catalog {
         let mut cat = Catalog::new();
@@ -1424,9 +1426,9 @@ mod tests {
         }
     }
 
-    /// What `estimate()` — the oracle the at-rest image is tested against
-    /// — answers `q` from the stored sample a full hit on it reads *now*.
-    fn hit_oracle(service: &LaqyService, q: &ApproxQuery) -> Vec<GroupEstimate> {
+    /// The stored sample a full hit on `q` reads *now*, and what
+    /// `estimate()` answers `q` from it.
+    fn hit_oracle(service: &LaqyService, q: &ApproxQuery) -> (Arc<Sample>, Vec<GroupEstimate>) {
         let catalog = service.catalog().clone();
         let executor = LaqyExecutor::new(1, SupportPolicy::default(), 0);
         let descriptor = executor.descriptor(&catalog, q).unwrap();
@@ -1442,14 +1444,14 @@ mod tests {
             tighten: Some(&tighten),
             ..Default::default()
         };
-        crate::estimate::estimate(&stored.sample, &stored.schema, &q.plan.aggs, &opts).unwrap()
+        let groups = crate::estimate::estimate(&stored.sample, &stored.schema, &q.plan.aggs, &opts);
+        (Arc::clone(&stored.sample), groups.unwrap())
     }
 
     #[test]
     fn every_write_step_is_followed_by_a_fresh_image() {
-        /// One row: a store holding `before`'s sample with its image
-        /// built, the write step, and a query the written sample fully
-        /// covers.
+        /// One row: a store holding `before`'s sample, already hit, the
+        /// write step, and a query the written sample fully covers.
         struct WriteCase {
             name: &'static str,
             config: fn() -> SessionConfig,
@@ -1561,26 +1563,30 @@ mod tests {
             let name = case.name;
             let service = LaqyService::with_config(catalog(N), (case.config)());
             service.run(&case.before).unwrap();
-            // A hit builds the image of the sample the write step is about
-            // to change; a second one reuses it.
-            for builds in [1, 1] {
-                let r = service.run(&case.before).unwrap();
-                assert_eq!(r.stats.reuse, Some(ReuseClass::Full), "{name}");
-                assert_eq!(r.groups, hit_oracle(&service, &case.before), "{name}");
-                assert_eq!(service.stats().image_builds, builds, "{name}");
-            }
-            (case.write)(&service);
-            assert_eq!(service.stats().image_builds, 1, "{name}: writes build none");
-            for builds in [2, 2] {
-                let r = service.run(&case.hit).unwrap();
-                assert_eq!(r.stats.reuse, Some(ReuseClass::Full), "{name}");
-                assert_eq!(r.groups, hit_oracle(&service, &case.hit), "{name}");
+            // Hits on the sample the write step is about to change, then
+            // on the one it leaves: each answers as `estimate()` over the
+            // sample as it rests, and none builds anything — the store's
+            // bytes and the sample it holds are what the write left.
+            let hit_twice = |q: &ApproxQuery| {
+                let (sample, oracle) = hit_oracle(&service, q);
+                let at_rest = matches!(sample.key_order(), Cow::Borrowed(_));
+                assert!(at_rest, "{name}: the store keeps the key order a hit walks");
+                let bytes = service.store().total_bytes();
+                for _ in 0..2 {
+                    let r = service.run(q).unwrap();
+                    assert_eq!(r.stats.reuse, Some(ReuseClass::Full), "{name}");
+                    assert_eq!(r.groups, oracle, "{name}");
+                }
+                assert!(Arc::ptr_eq(&hit_oracle(&service, q).0, &sample), "{name}");
                 assert_eq!(
-                    service.stats().image_builds,
-                    builds,
-                    "{name}: one build per write-then-hit cycle"
+                    service.store().total_bytes(),
+                    bytes,
+                    "{name}: a hit builds nothing"
                 );
-            }
+            };
+            hit_twice(&case.before);
+            (case.write)(&service);
+            hit_twice(&case.hit);
         }
     }
 

@@ -230,9 +230,6 @@ service_counters! {
     wal_appends,
     /// WAL records replayed during recovery.
     wal_replays,
-    /// At-rest images built: full hits that were the first after a write
-    /// to their sample (every other full hit reuses the image).
-    image_builds,
 }
 
 impl ServiceStats {

@@ -14,18 +14,18 @@
 //! eviction hooks this store into Taster-style storage management (paper
 //! §8).
 
-use std::sync::{Arc, OnceLock};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use laqy_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use laqy_sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use laqy_engine::ops::ResolvedCol;
 use laqy_engine::GroupKey;
-use laqy_sampling::{merge_stratified_k, merge_stratified_refs, Lehmer64};
+use laqy_sampling::Lehmer64;
 
 use crate::descriptor::{Predicates, SampleDescriptor};
-use crate::estimate::SampleImage;
-use crate::sampler_ops::{Sample, SampleSchema, SampleTuple};
+use crate::sampler_ops::{Sample, SampleSchema};
 
 /// Stable identity of a stored sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,11 +53,6 @@ pub struct StoredSample {
     // the LRU stamp without taking the write lock.
     last_used: AtomicU64,
     bytes: usize,
-    // What full hits read instead of the arena. Derived from `sample` and
-    // `schema` by the first hit after a write, under the shard's *read*
-    // guard (hence the `OnceLock`: racing readers build it once); every
-    // write step ends in `settle`, which drops it.
-    image: OnceLock<SampleImage>,
 }
 
 impl StoredSample {
@@ -77,39 +72,19 @@ impl StoredSample {
             watermark,
             last_used: AtomicU64::new(last_used),
             bytes: 0,
-            image: OnceLock::new(),
         };
         stored.settle();
         stored
     }
 
-    /// Settle the sample after an insert or merge: release any growth
-    /// slack (samples come to rest here; a sample a query still shares is
-    /// left as it is), drop the image of what it was, and re-measure. The
-    /// image is charged here, built or not, so a byte budget bounds
-    /// resident bytes whatever the hits have done since.
+    /// Settle the sample after an insert or merge (release growth slack,
+    /// extend the key order: samples come to rest here; one a query still
+    /// shares is left as it is, already at rest) and re-measure it.
     fn settle(&mut self) {
         if let Some(sample) = Arc::get_mut(&mut self.sample) {
-            sample.shrink_to_fit();
+            sample.settle();
         }
-        self.image = OnceLock::new();
-        self.bytes = self.sample.heap_bytes() + SampleImage::footprint(&self.sample, &self.schema);
-    }
-
-    /// The sample's at-rest image, and whether this call built it.
-    pub(crate) fn image(&self) -> (&SampleImage, bool) {
-        let mut built = false;
-        let image = self.image.get_or_init(|| {
-            built = true;
-            let image = SampleImage::build(&self.sample, &self.schema);
-            debug_assert!(
-                image.heap_bytes() <= SampleImage::footprint(&self.sample, &self.schema),
-                "settle charged the image less than it occupies"
-            );
-            image
-        });
-        debug_assert!(image.is_of(&self.sample), "stale at-rest image");
-        (image, built)
+        self.bytes = self.sample.heap_bytes();
     }
 
     /// Algorithm-3 merge `other` (which must cover a disjoint population)
@@ -118,8 +93,7 @@ impl StoredSample {
         Arc::make_mut(&mut self.sample).absorb(other, rng);
     }
 
-    /// Heap bytes the sample and its at-rest image occupy (the unit of
-    /// budget accounting).
+    /// Heap bytes the sample occupies (the unit of budget accounting).
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -652,29 +626,26 @@ impl SampleStore {
             ..query.clone()
         };
         if let Some(union) = union {
-            let mut inputs: Vec<Sample> = plan
-                .samples
-                .iter()
-                .filter_map(|id| self.take(*id))
-                .map(|s| Arc::unwrap_or_clone(s.sample))
+            let stored = plan.samples.iter().filter_map(|id| self.take(*id));
+            let mut inputs: Vec<_> = stored
+                .map(|s| Cow::Owned(Arc::unwrap_or_clone(s.sample)))
                 .collect();
-            inputs.extend(scans.into_iter().map(|(_, sample, _)| sample));
-            let mut merged = merge_stratified_k(inputs, rng);
+            inputs.extend(scans.into_iter().map(|(_, sample, _)| Cow::Owned(sample)));
+            let mut merged = Sample::combine(inputs, rng);
             // Shared with the caller from here on, so `settle` cannot
-            // shrink it.
-            merged.shrink_to_fit();
+            // reach it.
+            merged.settle();
             let merged = Arc::new(merged);
             let shared = Arc::clone(&merged);
             self.absorb(at(union), schema.clone(), shared, plan.watermark, rng);
             return Some(merged);
         }
         let merged = stored.map(|stored| {
-            let inputs: Vec<&Sample> = stored
+            let inputs = stored
                 .iter()
-                .map(|s| &*s.sample)
-                .chain(scans.iter().map(|(_, sample, _)| sample))
-                .collect();
-            Arc::new(merge_stratified_refs(&inputs, rng))
+                .map(|s| Cow::Borrowed(&*s.sample))
+                .chain(scans.iter().map(|(_, sample, _)| Cow::Borrowed(sample)));
+            Arc::new(Sample::combine(inputs.collect(), rng))
         });
         let (fragments, tails): (Vec<_>, Vec<_>) = scans
             .into_iter()
@@ -770,7 +741,7 @@ impl SampleStore {
                 key.extend(key_cols.iter().map(|c| c.i64(row)));
                 vals.clear();
                 vals.extend(val_cols.iter().map(|(col, kind)| kind.read(col, row)));
-                sample.offer(GroupKey::new(&key), SampleTuple::from_slice(&vals), rng);
+                sample.offer(GroupKey::new(&key), &vals, rng);
                 report.rows_absorbed += 1;
             }
             stored.watermark = new_w;
@@ -1175,20 +1146,14 @@ mod tests {
     /// intkey values drawn from [lo, hi].
     fn toy_sample(strata: i64, per: i64, lo: i64) -> Sample {
         let mut rng = Lehmer64::new(1);
-        let mut s = Sample::new(8);
+        let mut s = Sample::new(&schema(), 8);
         for g in 0..strata {
             for i in 0..per {
-                s.offer(
-                    GroupKey::new(&[g]),
-                    SampleTuple::from_slice(&[lo + i, 100 + i]),
-                    &mut rng,
-                );
+                s.offer(GroupKey::new(&[g]), &[lo + i, 100 + i], &mut rng);
             }
         }
         s
     }
-
-    use crate::sampler_ops::SampleTuple;
 
     /// What the store charges for one `toy_sample(2, 10, _)`.
     fn toy_bytes() -> usize {
@@ -1317,11 +1282,11 @@ mod tests {
     #[test]
     fn budget_evicts_lru() {
         let mut rng = Lehmer64::new(9);
-        // Each toy sample: an arena of 2 strata × 8 slots of 64-byte tuples
-        // plus the per-stratum arrays and the key index, as allocated, plus
-        // its image's 2 packed slots per tuple.
+        // Each toy sample: an arena of 2 strata × 8 slots of 16-byte rows
+        // plus the per-stratum arrays, the key index and the key order, as
+        // allocated.
         let one = toy_bytes();
-        assert!(one >= 2 * 8 * 64 + 2 * 8 * 16);
+        assert!(one >= 2 * 8 * 16);
         let mut store = SampleStore::with_budget(one * 2);
         let a = store.absorb(desc(0, 9), schema(), toy_sample(2, 10, 0), 0, &mut rng);
         // A different shape so it cannot merge with `a`.

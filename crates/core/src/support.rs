@@ -106,7 +106,7 @@ pub fn check_support(
 mod tests {
     use super::*;
     use crate::interval::{Interval, IntervalSet};
-    use crate::sampler_ops::{SampleTuple, SlotKind};
+    use crate::sampler_ops::SlotKind;
     use laqy_sampling::Lehmer64;
 
     fn schema() -> SampleSchema {
@@ -115,14 +115,10 @@ mod tests {
 
     fn sample(per_stratum: &[(i64, std::ops::Range<i64>)]) -> Sample {
         let mut rng = Lehmer64::new(1);
-        let mut s = Sample::new(10_000);
+        let mut s = Sample::new(&schema(), 10_000);
         for (g, range) in per_stratum {
             for x in range.clone() {
-                s.offer(
-                    GroupKey::new(&[*g]),
-                    SampleTuple::from_slice(&[x]),
-                    &mut rng,
-                );
+                s.offer(GroupKey::new(&[*g]), &[x], &mut rng);
             }
         }
         s

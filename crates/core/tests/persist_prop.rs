@@ -14,11 +14,11 @@
 //! 3. arbitrary single-byte corruption never panics the loader.
 
 use laqy::{
-    load_store, save_store, Interval, IntervalSet, Predicates, SampleDescriptor, SampleSchema,
-    SampleStore, SampleTuple, SlotKind,
+    load_store, save_store, Interval, IntervalSet, Predicates, Sample, SampleDescriptor,
+    SampleSchema, SampleStore, SlotKind,
 };
 use laqy_engine::GroupKey;
-use laqy_sampling::{Lehmer64, StratifiedSampler};
+use laqy_sampling::Lehmer64;
 use proptest::prelude::*;
 
 /// Build a store from a generated spec: one entry per inserted sample,
@@ -32,13 +32,17 @@ fn build_store(spec: &[(usize, usize, i64)], seed: i64) -> SampleStore {
     for (i, &(k, strata, tag)) in spec.iter().enumerate() {
         let base = i as i64 * 1_000;
         let span = 100 + 40 * strata as i64;
-        let mut sampler = StratifiedSampler::new(k);
+        let schema = SampleSchema::new(vec![
+            ("x".into(), SlotKind::Int),
+            ("v".into(), SlotKind::Float),
+        ]);
+        let mut sampler = Sample::new(&schema, k);
         for g in 0..strata as i64 {
             // Offer more tuples than capacity so weights exceed |R|.
             for x in base..base + span {
                 sampler.offer(
                     GroupKey::new(&[g, tag]),
-                    SampleTuple::from_slice(&[x, (x as f64 * 0.25).to_bits() as i64]),
+                    &[x, (x as f64 * 0.25).to_bits() as i64],
                     &mut rng,
                 );
             }
@@ -50,10 +54,6 @@ fn build_store(spec: &[(usize, usize, i64)], seed: i64) -> SampleStore {
             Predicates::on("x", IntervalSet::of(Interval::new(base, base + span - 1))),
             k,
         );
-        let schema = SampleSchema::new(vec![
-            ("x".into(), SlotKind::Int),
-            ("v".into(), SlotKind::Float),
-        ]);
         store.absorb(descriptor, schema, sampler, base as u64, &mut rng);
     }
     store
@@ -67,7 +67,8 @@ fn assert_stores_identical(a: &SampleStore, b: &SampleStore) {
         assert_eq!(o.sample.num_strata(), r.sample.num_strata());
         assert_eq!(o.sample.total_weight(), r.sample.total_weight());
         for (key, items, weight) in o.sample.iter() {
-            let (r_items, r_weight) = r.sample.stratum(key).expect("stratum survives restore");
+            let restored = r.sample.iter().find(|(k, _, _)| k == &key);
+            let (_, r_items, r_weight) = restored.expect("stratum survives restore");
             assert_eq!(weight, r_weight, "stratum weight drifted for {key:?}");
             assert_eq!(items, r_items, "reservoir contents drifted for {key:?}");
         }

@@ -76,20 +76,24 @@ pub fn merge_stratified<K: StratumKey, T: Clone + Default>(
     merge_stratified_k(vec![a, b], rng)
 }
 
-/// Position of the input the others are folded into: the largest
-/// capacity (the output's), then the most strata (the fewest appends),
-/// then the first.
-fn base_of<'a, K: StratumKey + 'a, T: 'a>(
-    inputs: impl Iterator<Item = &'a StratifiedSampler<K, T>>,
-) -> usize {
+/// Position of the input [`merge_stratified_k`] and
+/// [`merge_stratified_refs`] fold the others into, given each input's
+/// `(capacity, strata)`: the largest capacity (the output's), then the
+/// most strata (the fewest appends), then the first. The merged sample's
+/// strata start with this input's, in its order.
+pub fn merge_base(sizes: impl Iterator<Item = (usize, usize)>) -> usize {
     let mut best = None;
-    for (i, s) in inputs.enumerate() {
-        let size = (s.capacity(), s.num_strata());
+    for (i, size) in sizes.enumerate() {
         if best.is_none_or(|(_, largest)| size > largest) {
             best = Some((i, size));
         }
     }
     best.expect("merge of zero stratified samples").0
+}
+
+/// `(capacity, strata)` of a merge input.
+fn size<K: StratumKey, T>(s: &StratifiedSampler<K, T>) -> (usize, usize) {
+    (s.capacity(), s.num_strata())
 }
 
 /// Merge `k` stratified samples into one — the k-way Algorithm 3, reusing
@@ -109,7 +113,7 @@ pub fn merge_stratified_k<K: StratumKey, T: Clone + Default>(
     mut inputs: Vec<StratifiedSampler<K, T>>,
     rng: &mut Lehmer64,
 ) -> StratifiedSampler<K, T> {
-    let mut out = inputs.remove(base_of(inputs.iter()));
+    let mut out = inputs.remove(merge_base(inputs.iter().map(size)));
     for other in &inputs {
         out.absorb(other, rng);
     }
@@ -122,7 +126,7 @@ pub fn merge_stratified_refs<K: StratumKey, T: Clone + Default>(
     inputs: &[&StratifiedSampler<K, T>],
     rng: &mut Lehmer64,
 ) -> StratifiedSampler<K, T> {
-    let base = base_of(inputs.iter().copied());
+    let base = merge_base(inputs.iter().map(|s| size(s)));
     let mut out = inputs[base].clone();
     for (_, other) in inputs.iter().enumerate().filter(|(i, _)| *i != base) {
         out.absorb(other, rng);

@@ -200,6 +200,41 @@ fn hostile_dict_codes_are_typed_bad_request() {
 }
 
 #[test]
+fn too_wide_a_payload_is_a_typed_bad_request() {
+    let server = start(test_config());
+    let mut client = connect(&server);
+    // Nine aggregate inputs plus the range column: one payload column more
+    // than a sampled row holds. This used to panic the connection's thread
+    // while building the sample schema, dropping the client.
+    let sql = "SELECT lo_orderdate, SUM(lo_quantity), SUM(lo_extendedprice), \
+               SUM(lo_orderkey), SUM(lo_discount), SUM(lo_revenue), SUM(lo_suppkey), \
+               SUM(lo_tax), SUM(lo_partkey), SUM(lo_custkey) FROM lineorder \
+               WHERE lo_intkey BETWEEN 0 AND 100 GROUP BY lo_orderdate";
+    let resp = client
+        .request(&Request::Query {
+            tenant: "t".to_string(),
+            sql: sql.to_string(),
+            k: 64,
+            timeout_ms: 0,
+        })
+        .expect("typed response");
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                ..
+            }
+        ),
+        "{resp:?}"
+    );
+    // The same connection answers its next query.
+    let next = client.request(&q1("t", 0, 2999)).expect("query");
+    assert!(matches!(next, Response::Answer(_)), "{next:?}");
+    server.shutdown();
+}
+
+#[test]
 fn stats_probe_never_creates_a_tenant() {
     let server = start(test_config());
     let mut client = connect(&server);

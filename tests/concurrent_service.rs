@@ -15,7 +15,7 @@
 //!   perform the Δ-sampling scan exactly once (the in-flight dedup).
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use laqy::{
@@ -446,10 +446,11 @@ fn concurrent_coverage_misses_scan_each_fragment_exactly_once() {
 
 #[test]
 fn clients_racing_the_first_hit_after_a_write_share_one_image() {
-    // A write leaves its sample without an at-rest image; the first full
-    // hit builds it under the shard *read* guard, so several may arrive
-    // at once. They must all read one image — built once — and answer as
-    // `estimate()` does over the sample itself.
+    // The first full hits after a write arrive together. There is one
+    // representation to share — the stored sample as the write step left
+    // it — so they must all answer as `estimate()` does over that sample,
+    // and none of them may build anything: the store's bytes and the
+    // sample a hit reads are the ones the write left.
     let cat = catalog();
     let n = cat.table("lineorder").unwrap().num_rows() as i64;
     let k = 32;
@@ -469,11 +470,8 @@ fn clients_racing_the_first_hit_after_a_write_share_one_image() {
     for (round, (lo, hi, class)) in writes.into_iter().enumerate() {
         let written = service.run(&q1(Interval::new(lo, hi), k)).expect("write");
         assert_eq!(written.stats.reuse, Some(class));
-        assert_eq!(
-            service.stats().image_builds,
-            round as u64,
-            "writes build none"
-        );
+        let at_rest = service.store();
+        let sample = Arc::clone(&at_rest.iter_samples().next().expect("stored").sample);
 
         let barrier = Barrier::new(THREADS);
         let answers: Vec<ApproxResult> = std::thread::scope(|scope| {
@@ -492,14 +490,19 @@ fn clients_racing_the_first_hit_after_a_write_share_one_image() {
                 .map(|h| h.join().expect("client"))
                 .collect()
         });
-        assert_eq!(
-            service.stats().image_builds,
-            round as u64 + 1,
-            "one build for {THREADS} racing clients"
-        );
 
         let store = service.store();
-        let stored = store.iter_samples().next().expect("one sample stored");
+        assert_eq!(store.len(), 1, "round {round}: one sample stored");
+        let stored = store.iter_samples().next().unwrap();
+        assert!(
+            Arc::ptr_eq(&stored.sample, &sample),
+            "round {round}: hits read the sample the write left"
+        );
+        assert_eq!(
+            store.total_bytes(),
+            at_rest.total_bytes(),
+            "round {round}: {THREADS} racing hits built nothing"
+        );
         let tighten = Predicates::on("lo_intkey", IntervalSet::of(hit.range));
         let opts = EstimateOptions {
             tighten: Some(&tighten),

@@ -226,6 +226,25 @@ fn zero_width_range_is_handled() {
     assert_eq!(total, 1.0);
 }
 
+/// Nine aggregate inputs plus the range column: one payload column more
+/// than a sampled row holds.
+const TOO_WIDE_SQL: &str = "SELECT lo_orderdate, SUM(lo_quantity), SUM(lo_extendedprice), \
+     SUM(lo_orderkey), SUM(lo_discount), SUM(lo_revenue), SUM(lo_suppkey), SUM(lo_tax), \
+     SUM(lo_partkey), SUM(lo_custkey) FROM lineorder WHERE lo_intkey BETWEEN 0 AND 100 \
+     GROUP BY lo_orderdate";
+
+#[test]
+fn too_wide_a_payload_is_unsupported_not_a_panic() {
+    let cat = catalog();
+    let s = session(&cat, 11);
+    let query = laqy::approx_query(&cat, TOO_WIDE_SQL, 32).expect("the SQL plans");
+    let err = s.run(&query).expect_err("ten payload columns");
+    assert!(matches!(err, laqy::LaqyError::Unsupported(_)), "{err}");
+    // The service is unharmed: the next query answers.
+    let r = s.run(&q1(Interval::new(0, 99), 16)).unwrap();
+    assert!(!r.groups.is_empty());
+}
+
 #[test]
 fn k_larger_than_input_keeps_population_and_is_exact() {
     let cat = catalog();

@@ -2,7 +2,7 @@
 //! (the soundness basis of Δ-predicate computation), reservoir/merge state
 //! invariants, and estimator exactness on population samples.
 
-use laqy::{Interval, IntervalSet, Predicates, SampleSchema, SampleTuple, SlotKind};
+use laqy::{Interval, IntervalSet, Predicates, Sample, SampleSchema, SlotKind};
 use laqy_engine::{AggSpec, GroupKey};
 use laqy_sampling::{merge_reservoirs, Lehmer64, Reservoir, StratifiedSampler};
 use proptest::prelude::*;
@@ -181,12 +181,11 @@ proptest! {
         // estimates must then equal the exact values with zero CI.
         let schema = SampleSchema::new(vec![("v".into(), SlotKind::Int)]);
         let mut rng = Lehmer64::new(1);
-        let mut s: StratifiedSampler<GroupKey, SampleTuple> =
-            StratifiedSampler::new((per as usize).max(vals.len()) + 1);
+        let mut s = Sample::new(&schema, (per as usize).max(vals.len()) + 1);
         let mut exact: std::collections::HashMap<i64, (f64, u64)> = Default::default();
         for (i, &v) in vals.iter().enumerate() {
             let g = i as i64 % groups;
-            s.offer(GroupKey::new(&[g]), SampleTuple::from_slice(&[v]), &mut rng);
+            s.offer(GroupKey::new(&[g]), &[v], &mut rng);
             let e = exact.entry(g).or_insert((0.0, 0));
             e.0 += v as f64;
             e.1 += 1;
@@ -213,10 +212,9 @@ proptest! {
     ) {
         let schema = SampleSchema::new(vec![("v".into(), SlotKind::Int)]);
         let mut rng = Lehmer64::new(2);
-        let mut s: StratifiedSampler<GroupKey, SampleTuple> =
-            StratifiedSampler::new(vals.len() + 1);
+        let mut s = Sample::new(&schema, vals.len() + 1);
         for &v in &vals {
-            s.offer(GroupKey::new(&[0]), SampleTuple::from_slice(&[v]), &mut rng);
+            s.offer(GroupKey::new(&[0]), &[v], &mut rng);
         }
         let tighten = Predicates::on("v", IntervalSet::of(Interval::new(0, cut)));
         let opts = laqy::EstimateOptions {

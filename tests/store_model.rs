@@ -19,11 +19,11 @@
 use std::collections::{HashMap, HashSet};
 
 use laqy::{
-    plan_lazy, Interval, IntervalSet, LazyPlan, Predicates, SampleDescriptor, SampleId,
-    SampleSchema, SampleStore, SampleTuple, SlotKind,
+    plan_lazy, Interval, IntervalSet, LazyPlan, Predicates, Sample, SampleDescriptor, SampleId,
+    SampleSchema, SampleStore, SlotKind,
 };
 use laqy_engine::GroupKey;
-use laqy_sampling::{Lehmer64, StratifiedSampler};
+use laqy_sampling::Lehmer64;
 use proptest::prelude::*;
 
 const K: usize = 4;
@@ -44,11 +44,11 @@ fn schema() -> SampleSchema {
 
 /// Build a sample whose tuples are exactly the integers of `set` (one
 /// stratum), so weights are checkable against interval measures.
-fn sample_for(set: &IntervalSet, rng: &mut Lehmer64) -> StratifiedSampler<GroupKey, SampleTuple> {
-    let mut s = StratifiedSampler::new(K);
+fn sample_for(set: &IntervalSet, rng: &mut Lehmer64) -> Sample {
+    let mut s = Sample::new(&schema(), K);
     for iv in set.intervals() {
         for x in iv.lo..=iv.hi {
-            s.offer(GroupKey::new(&[0]), SampleTuple::from_slice(&[x]), rng);
+            s.offer(GroupKey::new(&[0]), &[x], rng);
         }
     }
     s
