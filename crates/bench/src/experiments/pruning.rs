@@ -15,30 +15,52 @@
 //! min/max synopsis). Pruning claims hold only for the clustered column;
 //! the shuffled one bounds the overhead of consulting the maps in vain.
 
-use laqy_engine::ops::scan_filter;
+use laqy_engine::kernel::count_mask;
 use laqy_engine::parallel::{parallel_fold, DEFAULT_MORSEL_ROWS};
-use laqy_engine::{scan_count_pruned, Catalog, Predicate, Table};
+use laqy_engine::{
+    execute_exact, AggSpec, BatchKernel, Catalog, Predicate, PruneCounts, QueryPlan, Table,
+    CHUNK_ROWS, MASK_WORDS,
+};
 
 use crate::report::{Figure, Series};
 use crate::time_best;
 
 use super::BenchConfig;
 
-/// Reference Δ-scan that never consults zone maps (the pre-synopsis scan
-/// path): parallel morsel fold over the unpruned `scan_filter`.
+/// Reference Δ-scan that never consults zone maps: a parallel morsel
+/// fold of the batch kernel over every chunk, counting each mask.
 fn unpruned_count(table: &Table, predicate: &Predicate, threads: usize) -> usize {
+    let compiled = predicate.compile(table).expect("predicate validated");
+    let kernel = BatchKernel::compile(&compiled);
     let partials = parallel_fold(
         table.num_rows(),
         DEFAULT_MORSEL_ROWS,
         threads,
         || 0usize,
         |acc, range| {
-            *acc += scan_filter(table, range, predicate)
-                .expect("predicate validated")
-                .len();
+            let mut mask = [0u64; MASK_WORDS];
+            for base in range.clone().step_by(CHUNK_ROWS) {
+                kernel.eval_chunk(base, CHUNK_ROWS.min(range.end - base), &mut mask);
+                *acc += count_mask(&mask) as usize;
+            }
         },
     );
     partials.into_iter().sum()
+}
+
+/// The pruned Δ-scan: the scan floor, a keyless `COUNT(*)` whose walk
+/// consults the zone maps. Returns the count and the walk's verdicts.
+fn pruned_count(catalog: &Catalog, predicate: &Predicate, threads: usize) -> (usize, PruneCounts) {
+    let plan = QueryPlan {
+        fact: "lineorder".into(),
+        predicate: predicate.clone(),
+        joins: vec![],
+        group_by: vec![],
+        aggs: vec![AggSpec::count()],
+    };
+    let (result, counts) = execute_exact(catalog, &plan, threads).expect("pruned scan");
+    let rows = result.rows.first().map_or(0.0, |r| r.values[0]);
+    (rows as usize, counts)
 }
 
 /// The `pruning` experiment: uncovered-fraction sweep of Δ-scan morsel
@@ -66,9 +88,8 @@ pub fn pruning(cfg: &BenchConfig, catalog: &Catalog) -> Figure {
         let lo = ((1.0 - f) * n as f64).round() as i64;
         for (column, clustered) in [("lo_orderkey", true), ("lo_intkey", false)] {
             let pred = Predicate::between(column, lo, n - 1);
-            let ((rows, counts), pruned_time) = time_best(|| {
-                scan_count_pruned(catalog, "lineorder", &pred, cfg.threads).expect("pruned scan")
-            });
+            let ((rows, counts), pruned_time) =
+                time_best(|| pruned_count(catalog, &pred, cfg.threads));
             let skip_pct = 100.0 * counts.skipped as f64 / counts.total().max(1) as f64;
             if clustered {
                 let (ref_rows, unpruned_time) =
@@ -167,10 +188,8 @@ mod tests {
         assert!(blocks >= 4, "need several morsels, got {blocks}");
         // Δ = top 10% of the domain.
         let pred = |col: &str| Predicate::between(col, (n as f64 * 0.9) as i64, n - 1);
-        let (_, clustered) =
-            scan_count_pruned(&catalog, "lineorder", &pred("lo_orderkey"), 2).unwrap();
-        let (_, shuffled) =
-            scan_count_pruned(&catalog, "lineorder", &pred("lo_intkey"), 2).unwrap();
+        let (_, clustered) = pruned_count(&catalog, &pred("lo_orderkey"), 2);
+        let (_, shuffled) = pruned_count(&catalog, &pred("lo_intkey"), 2);
         // Clustered: all but the top ~10% of morsels skip.
         assert!(
             clustered.skipped as f64 >= 0.8 * blocks as f64,

@@ -582,7 +582,7 @@ impl Repl {
             };
             let t = std::time::Instant::now();
             return match laqy_engine::execute_exact(&service.catalog(), &plan, 1) {
-                Ok(result) => {
+                Ok((result, _)) => {
                     let mut out = render_exact(&result);
                     let _ = writeln!(
                         out,

@@ -25,7 +25,7 @@ use laqy_engine::ops::{star_probe, BoundCol, ResolvedCol};
 use laqy_engine::parallel::{parallel_fold, DEFAULT_MORSEL_ROWS};
 use laqy_engine::plan::PreparedJoins;
 use laqy_engine::{
-    execute_exact_counted, scan_count_pruned, AggInput, Catalog, EngineError, GroupKey, Predicate,
+    execute_exact, resolve_by_name, AggInput, AggSpec, Catalog, EngineError, GroupKey, Predicate,
     PruneCounts, QueryPlan, QueryResult, StoredColumn,
 };
 use laqy_sampling::{merge_stratified_k, merge_stratified_refs, Lehmer64};
@@ -205,41 +205,38 @@ impl LaqyExecutor {
     ) -> Result<(QueryResult, ExecStats)> {
         let t = Instant::now();
         let mut plan = query.plan.clone();
-        plan.predicate = plan.predicate.and(range_predicate(
-            &query.range_column,
-            &IntervalSet::of(query.range),
-        ));
-        let (result, prune) = execute_exact_counted(catalog, &plan, self.threads)?;
+        plan.predicate = exact_predicate(query);
+        let (result, prune) = execute_exact(catalog, &plan, self.threads)?;
         let stats = ExecStats {
             total: t.elapsed(),
             effective_selectivity: 1.0,
-            morsels_skipped: prune.skipped,
-            morsels_fast_pathed: prune.fast_pathed,
-            morsels_scanned: prune.scanned,
             reuse: Some(ReuseClass::Exact),
-            ..Default::default()
+            ..prune_stats(prune)
         };
         Ok((result, stats))
     }
 
     /// Pure filtered scan over the query's predicate — the
-    /// memory-bandwidth floor series in Figures 12–15.
+    /// memory-bandwidth floor series in Figures 12–15: a keyless
+    /// `COUNT(*)` over the fact table, the same walk with a popcount for
+    /// its consumer.
     pub fn scan_floor(&self, catalog: &Catalog, query: &ApproxQuery) -> Result<ExecStats> {
         let t = Instant::now();
-        let pred = query.plan.predicate.clone().and(range_predicate(
-            &query.range_column,
-            &IntervalSet::of(query.range),
-        ));
-        let (rows, prune) = scan_count_pruned(catalog, &query.plan.fact, &pred, self.threads)?;
+        let plan = QueryPlan {
+            fact: query.plan.fact.clone(),
+            predicate: exact_predicate(query),
+            joins: vec![],
+            group_by: vec![],
+            aggs: vec![AggSpec::count()],
+        };
+        let (result, prune) = execute_exact(catalog, &plan, self.threads)?;
+        let rows = result.rows.first().map_or(0.0, |r| r.values[0]);
         Ok(ExecStats {
             total: t.elapsed(),
             scan: t.elapsed(),
             scanned_rows: rows as u64,
             effective_selectivity: 1.0,
-            morsels_skipped: prune.skipped,
-            morsels_fast_pathed: prune.fast_pathed,
-            morsels_scanned: prune.scanned,
-            ..Default::default()
+            ..prune_stats(prune)
         })
     }
 
@@ -987,6 +984,23 @@ pub(crate) fn descriptor_for(query: &ApproxQuery, schema: &SampleSchema) -> Samp
     )
 }
 
+/// The fact predicate of `query` as an exact plan runs it: the fixed
+/// predicates and the explored range.
+fn exact_predicate(query: &ApproxQuery) -> Predicate {
+    let range = range_predicate(&query.range_column, &IntervalSet::of(query.range));
+    query.plan.predicate.clone().and(range)
+}
+
+/// Stats carrying one walk's zone-map verdicts.
+fn prune_stats(prune: PruneCounts) -> ExecStats {
+    ExecStats {
+        morsels_skipped: prune.skipped,
+        morsels_fast_pathed: prune.fast_pathed,
+        morsels_scanned: prune.scanned,
+        ..Default::default()
+    }
+}
+
 /// Whether a plan can take the hybrid lane path: lanes live on the fact
 /// table only and hold per-column sums, so joins, dimension-side group
 /// keys, and product-input aggregates are out.
@@ -1090,29 +1104,6 @@ pub fn range_predicate(column: &str, ranges: &IntervalSet) -> Predicate {
             Predicate::Or(parts)
         }
     }
-}
-
-/// Resolve an unqualified column name against the plan's fact table, then
-/// joined dimensions (join order), mirroring the engine's resolution.
-fn resolve_by_name<'a>(
-    catalog: &'a Catalog,
-    plan: &QueryPlan,
-    name: &str,
-) -> laqy_engine::Result<(Option<usize>, &'a laqy_engine::Table)> {
-    let fact = catalog.table(&plan.fact)?;
-    if fact.has_column(name) {
-        return Ok((None, fact));
-    }
-    for (i, j) in plan.joins.iter().enumerate() {
-        let dim = catalog.table(&j.dim_table)?;
-        if dim.has_column(name) {
-            return Ok((Some(i), dim));
-        }
-    }
-    Err(EngineError::UnknownColumn {
-        table: plan.fact.clone(),
-        column: name.to_string(),
-    })
 }
 
 #[cfg(test)]

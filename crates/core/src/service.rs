@@ -329,7 +329,7 @@ impl LaqyService {
     pub fn import_samples(&self, bytes: &[u8]) -> Result<()> {
         let loaded =
             crate::persist::load_store(bytes).map_err(|e| LaqyError::Unsupported(e.to_string()))?;
-        self.timed(|i| i.store.replace_from(loaded));
+        self.restore_store(loaded, false);
         Ok(())
     }
 
@@ -394,14 +394,30 @@ impl LaqyService {
         dir: &std::path::Path,
     ) -> std::result::Result<crate::persist::RecoveryReport, crate::persist::PersistError> {
         let (loaded, report) = crate::persist::recover_snapshot(dir)?;
+        self.restore_store(loaded, report.fell_back());
+        Ok(report)
+    }
+
+    /// Replace the sample store with `loaded` — the one step behind every
+    /// restore (import, snapshot recovery, WAL recovery). Counts a
+    /// snapshot recovery that `fell_back` past a damaged generation, and
+    /// drops every sample whose watermark runs past its live table: a
+    /// snapshot cut from a longer table than this one would otherwise
+    /// answer with rows the table does not hold.
+    fn restore_store(&self, loaded: SampleStore, fell_back: bool) {
         self.timed(|i| i.store.replace_from(loaded));
-        if report.fell_back() {
+        if fell_back {
             self.inner
                 .counters
                 .snapshots_recovered
                 .fetch_add(1, Ordering::Relaxed);
         }
-        Ok(report)
+        for t in self.pinned_tables() {
+            for shard in 0..self.inner.store.num_shards() {
+                self.timed(|i| i.store.write_shard(shard))
+                    .drop_beyond(t.name(), t.row_watermark());
+            }
+        }
     }
 
     /// Append a batch of rows to registered table `table`, returning the
@@ -501,13 +517,6 @@ impl LaqyService {
     ) -> std::result::Result<crate::persist::RecoveryReport, crate::persist::PersistError> {
         let mut wal = self.timed(|i| i.wal.lock());
         let (loaded, mut report) = crate::persist::recover_snapshot(snapshot_dir)?;
-        self.timed(|i| i.store.replace_from(loaded));
-        if report.fell_back() {
-            self.inner
-                .counters
-                .snapshots_recovered
-                .fetch_add(1, Ordering::Relaxed);
-        }
         let (records, replay) = crate::wal::replay(wal_dir)?;
         report.wal_records = replay.records;
         report.wal_torn_tail = replay.torn_tail;
@@ -516,17 +525,14 @@ impl LaqyService {
             .wal_replays
             .fetch_add(replay.records, Ordering::Relaxed);
         self.apply_wal_batches(&records)?;
-        // The snapshot may postdate the last durable batch (its samples
-        // were cut from a table state whose rows never hit the log):
-        // drop samples past each recovered watermark, then absorb the
-        // rest forward. Either way the store lands exactly at the
-        // recovered `(generation, WAL position)` point.
+        // Restore against the recovered tables: the snapshot may postdate
+        // the last durable batch (its samples were cut from a table state
+        // whose rows never hit the log), so samples past each recovered
+        // watermark go; the rest absorb forward. Either way the store
+        // lands exactly at the recovered `(generation, WAL position)`
+        // point.
+        self.restore_store(loaded, report.fell_back());
         for t in self.pinned_tables() {
-            let w = t.row_watermark();
-            for shard in 0..self.inner.store.num_shards() {
-                self.timed(|i| i.store.write_shard(shard))
-                    .drop_beyond(t.name(), w);
-            }
             self.absorb_published(&t);
         }
         // laqy-lint: allow(guard-blocking-op) -- recovery must hold `laqy.wal` from replay through appender open: an ingest slipping in between would append at a position the replay never saw.

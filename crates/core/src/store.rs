@@ -752,21 +752,17 @@ impl SampleStore {
         report
     }
 
-    /// Drop every sample over `table` whose watermark exceeds `watermark`
-    /// — the recovery guard: after a crash replays the WAL to a shorter
-    /// table than the one a snapshot's samples were drawn against, those
-    /// samples would reference rows that no longer exist. Samples over
-    /// other tables (including joins *through* other tables) are
+    /// Drop every sample whose fact table is `table` and whose watermark
+    /// exceeds `watermark` — the restore guard: a sample drawn against a
+    /// longer table than the live one would reference rows that do not
+    /// exist. A watermark counts fact rows, so samples over other fact
+    /// tables (including joins *through* `table` as a dimension) are
     /// untouched. Returns the number dropped.
     pub fn drop_beyond(&mut self, table: &str, watermark: u64) -> u64 {
-        let base = format!("{table}[");
-        let join_token = format!("⋈{table}(");
+        let fact = format!("{table}[");
         let before = self.samples.len();
-        self.samples.retain(|(_, s)| {
-            s.watermark <= watermark
-                || !(s.descriptor.input.starts_with(&base)
-                    || s.descriptor.input.contains(&join_token))
-        });
+        self.samples
+            .retain(|(_, s)| s.watermark <= watermark || !s.descriptor.input.starts_with(&fact));
         (before - self.samples.len()) as u64
     }
 
@@ -1664,10 +1660,16 @@ mod tests {
         let mut foreign = desc(0, 99);
         foreign.input = "orders[True]".into();
         let other = store.insert_raw(foreign, schema(), toy_sample(3, 20, 0), 500);
+        // Nor is one joining `lineorder` as a dimension: its watermark
+        // counts its own fact table's rows.
+        let mut joined = desc(0, 99);
+        joined.input = "orders[True]⋈lineorder(o_key=lo_key)[True]".into();
+        let through = store.insert_raw(joined, schema(), toy_sample(3, 20, 0), 500);
         assert_eq!(store.drop_beyond("lineorder", 50), 1);
         assert!(store.peek(keep).is_some());
         assert!(store.peek(drop).is_none());
         assert!(store.peek(other).is_some());
+        assert!(store.peek(through).is_some());
     }
 
     #[test]

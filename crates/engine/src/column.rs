@@ -363,8 +363,7 @@ impl<T: Copy> Pieces<T> {
 }
 
 /// A borrowed, typed view of a stored column's rows: what kernels,
-/// [`ResolvedCol`](crate::ops::ResolvedCol) and the synopsis read
-/// through. Rows inside the base piece — every row of a table that was
+/// [`ResolvedCol`] and the synopsis read through. Rows inside the base piece — every row of a table that was
 /// never appended to — cost the one compare a slice bounds check makes.
 pub struct Rows<'a, T> {
     base: &'a [T],
@@ -469,6 +468,80 @@ impl<'a, T: Copy + Default> Rows<'a, T> {
             filled += run.len();
         }
         buf
+    }
+}
+
+/// A stored column resolved to its typed rows, read through the integer
+/// view of [`StoredColumn::i64_at`] (Int32 widens, Dict yields its code,
+/// Float64 truncates) or the float view: the one typed view of a column
+/// (group-by keys and inputs, join build and probe, sampler admission,
+/// the kernels' generic nodes).
+#[derive(Clone, Copy)]
+pub enum ResolvedCol<'a> {
+    /// 32-bit ints.
+    I32(Rows<'a, i32>),
+    /// 64-bit ints.
+    I64(Rows<'a, i64>),
+    /// 64-bit floats.
+    F64(Rows<'a, f64>),
+    /// Dictionary codes.
+    Dict(Rows<'a, u32>),
+}
+
+impl<'a> ResolvedCol<'a> {
+    /// Resolve from a [`StoredColumn`].
+    pub fn from_column(col: &'a StoredColumn) -> Self {
+        match col {
+            StoredColumn::Int32(p) => ResolvedCol::I32(p.rows()),
+            StoredColumn::Int64(p) => ResolvedCol::I64(p.rows()),
+            StoredColumn::Float64(p) => ResolvedCol::F64(p.rows()),
+            StoredColumn::Dict { codes, .. } => ResolvedCol::Dict(codes.rows()),
+        }
+    }
+
+    /// Integer view of the value at physical row `row`.
+    #[inline(always)]
+    pub fn i64(&self, row: usize) -> i64 {
+        match self {
+            ResolvedCol::I32(v) => v.get(row) as i64,
+            ResolvedCol::I64(v) => v.get(row),
+            ResolvedCol::F64(v) => v.get(row) as i64,
+            ResolvedCol::Dict(v) => v.get(row) as i64,
+        }
+    }
+
+    /// Float view of the value at physical row `row`.
+    #[inline(always)]
+    pub fn f64(&self, row: usize) -> f64 {
+        match self {
+            ResolvedCol::I32(v) => v.get(row) as f64,
+            ResolvedCol::I64(v) => v.get(row) as f64,
+            ResolvedCol::F64(v) => v.get(row),
+            ResolvedCol::Dict(v) => v.get(row) as f64,
+        }
+    }
+
+    /// Call `f` with the integer view of each of `rows`, in order: the
+    /// type dispatch happens once for the batch, not once per row.
+    #[inline]
+    pub fn for_each_i64(&self, rows: impl Iterator<Item = usize>, mut f: impl FnMut(i64)) {
+        match self {
+            ResolvedCol::I32(v) => rows.for_each(|r| f(v.get(r) as i64)),
+            ResolvedCol::I64(v) => rows.for_each(|r| f(v.get(r))),
+            ResolvedCol::F64(v) => rows.for_each(|r| f(v.get(r) as i64)),
+            ResolvedCol::Dict(v) => rows.for_each(|r| f(v.get(r) as i64)),
+        }
+    }
+
+    /// [`Self::for_each_i64`] over the float view.
+    #[inline]
+    pub fn for_each_f64(&self, rows: impl Iterator<Item = usize>, mut f: impl FnMut(f64)) {
+        match self {
+            ResolvedCol::I32(v) => rows.for_each(|r| f(v.get(r) as f64)),
+            ResolvedCol::I64(v) => rows.for_each(|r| f(v.get(r) as f64)),
+            ResolvedCol::F64(v) => rows.for_each(|r| f(v.get(r))),
+            ResolvedCol::Dict(v) => rows.for_each(|r| f(v.get(r) as f64)),
+        }
     }
 }
 

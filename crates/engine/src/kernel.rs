@@ -23,7 +23,7 @@
 //!   per-row `matches` scan loops are permitted (`xtask lint`
 //!   rule `row-at-a-time`).
 
-use crate::column::{Rows, StoredColumn};
+use crate::column::{ResolvedCol, Rows, StoredColumn};
 use crate::expr::Compiled;
 
 /// Rows evaluated per kernel invocation.
@@ -38,29 +38,6 @@ pub type Mask = [u64; MASK_WORDS];
 /// Largest `max − min + 1` span an `IN` list compiles to a dense bitmap;
 /// wider domains binary-search the sorted value slice instead.
 const IN_BITMAP_MAX_SPAN: i64 = 4096;
-
-/// A typed borrow of one stored column's rows, read through the same
-/// integer view as `StoredColumn::i64_at` (Int32 widens, Dict yields its
-/// code, Float64 truncates — predicates never reference floats, but the
-/// view stays total so kernels mirror the reference evaluator exactly).
-#[derive(Clone, Copy)]
-enum IntView<'a> {
-    I32(Rows<'a, i32>),
-    I64(Rows<'a, i64>),
-    F64(Rows<'a, f64>),
-    Dict(Rows<'a, u32>),
-}
-
-impl<'a> IntView<'a> {
-    fn of(col: &'a StoredColumn) -> Self {
-        match col {
-            StoredColumn::Int32(p) => IntView::I32(p.rows()),
-            StoredColumn::Int64(p) => IntView::I64(p.rows()),
-            StoredColumn::Float64(p) => IntView::F64(p.rows()),
-            StoredColumn::Dict { codes, .. } => IntView::Dict(codes.rows()),
-        }
-    }
-}
 
 /// One node of the flattened kernel tree.
 enum Node<'a> {
@@ -84,13 +61,20 @@ enum Node<'a> {
         lo: u32,
         hi: u32,
     },
-    /// Range over the generic integer view (Float64 fallback only).
-    RangeGeneric { view: IntView<'a>, lo: i64, hi: i64 },
+    /// Range over the column's integer view (Float64 fallback only).
+    RangeGeneric {
+        view: ResolvedCol<'a>,
+        lo: i64,
+        hi: i64,
+    },
     /// Membership via binary search on a sorted, deduplicated value slice.
-    InSorted { view: IntView<'a>, values: Vec<i64> },
+    InSorted {
+        view: ResolvedCol<'a>,
+        values: Vec<i64>,
+    },
     /// Membership via a dense bitmap over `[min, min + span)`.
     InBitmap {
-        view: IntView<'a>,
+        view: ResolvedCol<'a>,
         min: i64,
         span: i64,
         bits: Vec<u64>,
@@ -177,7 +161,7 @@ fn compile_range<'a>(col: &'a StoredColumn, lo: i64, hi: i64) -> Node<'a> {
             }
         }
         StoredColumn::Float64(_) => Node::RangeGeneric {
-            view: IntView::of(col),
+            view: ResolvedCol::from_column(col),
             lo,
             hi,
         },
@@ -198,7 +182,7 @@ fn compile_in<'a>(col: &'a StoredColumn, values: &[i64]) -> Node<'a> {
         // Contiguous run (covers the single-value case): a plain range.
         return compile_range(col, min, max);
     }
-    let view = IntView::of(col);
+    let view = ResolvedCol::from_column(col);
     if span <= IN_BITMAP_MAX_SPAN {
         let mut bits = vec![0u64; (span as usize).div_ceil(64)];
         for &v in &values {
@@ -296,12 +280,18 @@ impl Node<'_> {
 
 /// Dispatch a generic `i64`-view check to a typed loop (the widening cast
 /// is hoisted into the monomorphized closure, not re-matched per row).
-fn eval_view(view: &IntView<'_>, base: usize, len: usize, out: &mut Mask, f: impl Fn(i64) -> bool) {
+fn eval_view(
+    view: &ResolvedCol<'_>,
+    base: usize,
+    len: usize,
+    out: &mut Mask,
+    f: impl Fn(i64) -> bool,
+) {
     match view {
-        IntView::I32(r) => r.with_chunk(base, len, |d| build_words(d, out, |v| f(v as i64))),
-        IntView::I64(r) => r.with_chunk(base, len, |d| build_words(d, out, f)),
-        IntView::F64(r) => r.with_chunk(base, len, |d| build_words(d, out, |v| f(v as i64))),
-        IntView::Dict(r) => r.with_chunk(base, len, |d| build_words(d, out, |v| f(v as i64))),
+        ResolvedCol::I32(r) => r.with_chunk(base, len, |d| build_words(d, out, |v| f(v as i64))),
+        ResolvedCol::I64(r) => r.with_chunk(base, len, |d| build_words(d, out, f)),
+        ResolvedCol::F64(r) => r.with_chunk(base, len, |d| build_words(d, out, |v| f(v as i64))),
+        ResolvedCol::Dict(r) => r.with_chunk(base, len, |d| build_words(d, out, |v| f(v as i64))),
     }
 }
 

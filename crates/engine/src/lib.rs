@@ -40,8 +40,8 @@ pub use hash::{FxBuildHasher, FxHashMap, GroupKey, MAX_KEY_COLS};
 pub use io::{load_csv, load_csv_file, CsvSchema};
 pub use kernel::{BatchKernel, Mask, CHUNK_ROWS, MASK_WORDS};
 pub use plan::{
-    execute_exact, execute_exact_counted, scan_count_pruned, validate_plan, ColRef, GroupedRow,
-    JoinSpec, PreparedJoins, QueryPlan, QueryResult,
+    execute_exact, resolve_by_name, validate_plan, ColRef, GroupedRow, JoinSpec, PreparedJoins,
+    QueryPlan, QueryResult,
 };
 pub use synopsis::{
     ColumnLanes, CoveredSpan, LaneAgg, LaneValues, PruneCounts, TableSynopsis, Verdict,

@@ -1,23 +1,26 @@
-//! Filtering scans producing selection vectors or chunk masks.
+//! The scan: one zone-map walk every consumer of a filtered table reads.
 //!
 //! Predicate pushdown below samplers is the engine-level mechanism behind
 //! the paper's selectivity-driven savings (Figures 6 and 8): a filtered
 //! scan reduces both the tuples reaching a sampler and, when the filter is
 //! on a stratification column, the number of strata touched.
 //!
-//! Since the vectorized-kernel rework, all production scans go through
-//! [`PreparedScan`]: the predicate is compiled and flattened into a
-//! [`BatchKernel`] **once** per (query, table) pair, then every morsel
-//! walks its zone-map blocks emitting [`ScanEvent`]s — whole `TakeAll`
-//! ranges, or 1024-row chunk bitmasks for `Scan`-verdict blocks. Callers
-//! that genuinely need row ids (reservoir insertion, joins) decode masks
-//! to selection vectors; fused aggregation consumes the masks directly.
+//! A [`PreparedScan`] compiles the predicate and flattens it into a
+//! [`BatchKernel`] **once** per (query, table) pair; [`PreparedScan::walk`]
+//! then walks a morsel's zone-map blocks emitting [`ScanEvent`]s — whole
+//! `TakeAll` ranges, or 1024-row chunk bitmasks for `Scan`-verdict blocks.
+//! The consumers differ only in what they do with an event: the Δ-sampler
+//! and the star join decode it to row ids ([`PreparedScan::scan_pruned`]),
+//! the exact group-by folds masks and ranges straight into its groups, and
+//! the scan floor — a keyless `COUNT(*)` through the same group-by — adds
+//! up popcounts. The paper's baselines therefore pay exactly the scan the
+//! sampler pays.
 
 use std::ops::Range;
 
 use crate::error::Result;
 use crate::expr::{Compiled, Predicate};
-use crate::kernel::{count_mask, decode_mask, BatchKernel, Mask, CHUNK_ROWS, MASK_WORDS};
+use crate::kernel::{decode_mask, BatchKernel, Mask, CHUNK_ROWS, MASK_WORDS};
 use crate::synopsis::{PruneCounts, Verdict};
 use crate::table::Table;
 
@@ -33,8 +36,7 @@ pub enum ScanEvent<'m> {
 }
 
 /// A predicate compiled and flattened into batch kernels for one table,
-/// reusable across every morsel and residual fragment of a query. Fixes
-/// the historical cost of re-compiling the predicate once per call.
+/// reusable across every morsel and residual fragment of a query.
 pub struct PreparedScan<'a> {
     table: &'a Table,
     compiled: Compiled<'a>,
@@ -61,24 +63,13 @@ impl<'a> PreparedScan<'a> {
 
     /// Walk `range` consulting zone maps, emitting a [`ScanEvent`] for
     /// every piece that may hold matches. `counts` records one verdict
-    /// per zone-map block exactly as the historical row-at-a-time scans
-    /// did (chunking within a `Scan` block does not multiply counts).
+    /// per zone-map block (chunking within a `Scan` block does not
+    /// multiply counts); a table without zone maps counts one `Scan`.
+    /// Blocks whose `covered` bit is set are left out (their aggregate
+    /// contribution comes exactly from pre-aggregate lanes) and their rows
+    /// accumulate into `lane_rows`; a mask shorter than the block count
+    /// treats missing entries as uncovered, so `&[]` walks every block.
     pub fn walk(
-        &self,
-        range: Range<usize>,
-        counts: &mut PruneCounts,
-        visit: impl FnMut(ScanEvent<'_>),
-    ) {
-        let mut lane_rows = 0;
-        self.walk_masked(range, counts, &[], &mut lane_rows, visit);
-    }
-
-    /// [`PreparedScan::walk`] with a per-block lane-coverage mask: blocks
-    /// whose `covered` bit is set are excluded from the walk (their
-    /// aggregate contribution comes exactly from pre-aggregate lanes) and
-    /// their row counts accumulate into `lane_rows`. A mask shorter than
-    /// the block count treats missing entries as uncovered.
-    pub fn walk_masked(
         &self,
         range: Range<usize>,
         counts: &mut PruneCounts,
@@ -123,40 +114,16 @@ impl<'a> PreparedScan<'a> {
         }
     }
 
-    /// Exact lower bound on the selection size, from zone-map verdicts
-    /// alone: `TakeAll` block sizes are known without reading a row, so
-    /// the output `Vec` never reallocates while appending them.
-    fn reserve_hint(&self, range: Range<usize>, covered: &[bool]) -> usize {
-        let Some(syn) = self.table.synopsis() else {
-            return 0;
-        };
-        let mut hint = 0;
-        for (block, sub) in syn.blocks_of(range) {
-            if covered.get(block).copied().unwrap_or(false) {
-                continue;
-            }
-            if syn.verdict(&self.compiled, block) == Verdict::TakeAll {
-                hint += sub.len();
-            }
-        }
-        hint
-    }
-
-    /// Pruned scan decoding to a selection vector (for consumers that
-    /// need row ids). The result is always identical to the row-at-a-time
-    /// reference scan's (verdicts are conservative; kernels are
-    /// proptested equivalent to [`Compiled::matches`]).
+    /// The walk decoded to a selection vector, for consumers that need
+    /// row ids. Always identical to the row-at-a-time reference scan's
+    /// (verdicts are conservative; kernels are proptested equivalent to
+    /// [`Compiled::matches`]).
     pub fn scan_pruned(&self, range: Range<usize>, counts: &mut PruneCounts) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.reserve_hint(range.clone(), &[]));
-        self.walk(range, counts, |ev| match ev {
-            ScanEvent::TakeAll(rows) => out.extend(rows.map(|r| r as u32)),
-            ScanEvent::Chunk(rows, mask) => decode_mask(mask, rows.start, &mut out),
-        });
-        out
+        self.scan_pruned_masked(range, counts, &[], &mut 0)
     }
 
     /// [`PreparedScan::scan_pruned`] with lane-coverage exclusion (see
-    /// [`PreparedScan::walk_masked`]).
+    /// [`PreparedScan::walk`]).
     pub fn scan_pruned_masked(
         &self,
         range: Range<usize>,
@@ -164,44 +131,13 @@ impl<'a> PreparedScan<'a> {
         covered: &[bool],
         lane_rows: &mut u64,
     ) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.reserve_hint(range.clone(), covered));
-        self.walk_masked(range, counts, covered, lane_rows, |ev| match ev {
-            ScanEvent::TakeAll(rows) => out.extend(rows.map(|r| r as u32)),
-            ScanEvent::Chunk(rows, mask) => decode_mask(mask, rows.start, &mut out),
-        });
-        out
-    }
-
-    /// Count matching rows without materializing a selection vector:
-    /// `TakeAll` ranges contribute their length, chunks a popcount.
-    pub fn count_pruned(&self, range: Range<usize>, counts: &mut PruneCounts) -> u64 {
-        let mut n = 0u64;
-        self.walk(range, counts, |ev| match ev {
-            ScanEvent::TakeAll(rows) => n += rows.len() as u64,
-            ScanEvent::Chunk(_, mask) => n += count_mask(mask),
-        });
-        n
-    }
-
-    /// Unpruned chunked scan over `range` (never consults zone maps).
-    pub fn scan_all(&self, range: Range<usize>) -> Vec<u32> {
         let mut out = Vec::new();
-        self.chunks(range, &mut |ev| match ev {
+        self.walk(range, counts, covered, lane_rows, |ev| match ev {
             ScanEvent::TakeAll(rows) => out.extend(rows.map(|r| r as u32)),
             ScanEvent::Chunk(rows, mask) => decode_mask(mask, rows.start, &mut out),
         });
         out
     }
-}
-
-/// Evaluate `predicate` over `range` of `table`, returning the matching row
-/// ids via the batch kernels.
-///
-/// This is the *unpruned* scan: it never consults the table's zone maps.
-/// Production scan paths hold a [`PreparedScan`], which compiles the
-/// predicate once and consults the zone maps ([`PreparedScan::scan_pruned`]).
-pub fn scan_filter(table: &Table, range: Range<usize>, predicate: &Predicate) -> Result<Vec<u32>> {
-    Ok(PreparedScan::new(table, predicate)?.scan_all(range))
 }
 
 #[cfg(test)]
@@ -229,17 +165,29 @@ mod tests {
         .unwrap()
     }
 
+    /// The pruned walk decoded to row ids.
+    fn scan(t: &Table, range: Range<usize>, p: &Predicate) -> Vec<u32> {
+        PreparedScan::new(t, p)
+            .unwrap()
+            .scan_pruned(range, &mut PruneCounts::default())
+    }
+
+    /// The row-at-a-time oracle.
+    fn reference_rows(t: &Table, range: Range<usize>, p: &Predicate) -> Vec<u32> {
+        reference::eval_rows(&p.compile(t).unwrap(), range)
+    }
+
     #[test]
     fn between_fast_path_i64() {
         let t = table();
-        let sel = scan_filter(&t, 0..100, &Predicate::between("x", 10, 14)).unwrap();
+        let sel = scan(&t, 0..100, &Predicate::between("x", 10, 14));
         assert_eq!(sel, vec![10, 11, 12, 13, 14]);
     }
 
     #[test]
     fn between_fast_path_i32_respects_range_offset() {
         let t = table();
-        let sel = scan_filter(&t, 50..100, &Predicate::between("y", 0, 1)).unwrap();
+        let sel = scan(&t, 50..100, &Predicate::between("y", 0, 1));
         // In rows 50..100, y == 0 or 1 at rows 50, 51, 60, 61, ...
         assert!(sel.iter().all(|&r| (50..100).contains(&(r as usize))));
         assert_eq!(sel.len(), 10);
@@ -251,7 +199,7 @@ mod tests {
     fn conjunction_refines() {
         let t = table();
         let p = Predicate::between("x", 0, 49).and(Predicate::eq_str("tag", "even"));
-        let sel = scan_filter(&t, 0..100, &p).unwrap();
+        let sel = scan(&t, 0..100, &p);
         assert_eq!(sel.len(), 25);
         assert!(sel.iter().all(|&r| r % 2 == 0 && r < 50));
     }
@@ -259,46 +207,22 @@ mod tests {
     #[test]
     fn true_and_false_predicates() {
         let t = table();
-        assert_eq!(
-            scan_filter(&t, 0..100, &Predicate::True).unwrap().len(),
-            100
-        );
-        assert!(scan_filter(&t, 0..100, &Predicate::False)
-            .unwrap()
-            .is_empty());
+        assert_eq!(scan(&t, 0..100, &Predicate::True).len(), 100);
+        assert!(scan(&t, 0..100, &Predicate::False).is_empty());
     }
 
     #[test]
     fn kernel_scan_agrees_with_reference() {
         let t = table();
         let p = Predicate::between("x", 23, 71);
-        let fast = scan_filter(&t, 0..100, &p).unwrap();
-        let slow = {
-            let c = p.compile(&t).unwrap();
-            reference::eval_rows(&c, 0..100)
-        };
-        assert_eq!(fast, slow);
+        assert_eq!(scan(&t, 0..100, &p), reference_rows(&t, 0..100, &p));
     }
 
     #[test]
     fn empty_range_yields_empty_selection() {
         let t = table();
-        let sel = scan_filter(&t, 40..40, &Predicate::True).unwrap();
+        let sel = scan(&t, 40..40, &Predicate::True);
         assert!(sel.is_empty());
-    }
-
-    #[test]
-    fn count_pruned_matches_selection_length() {
-        let t = blocked_table();
-        let p = Predicate::between("x", 25, 44);
-        let scan = PreparedScan::new(&t, &p).unwrap();
-        let mut c1 = PruneCounts::default();
-        let mut c2 = PruneCounts::default();
-        assert_eq!(
-            scan.count_pruned(0..100, &mut c1),
-            scan.scan_pruned(0..100, &mut c2).len() as u64
-        );
-        assert_eq!(c1, c2);
     }
 
     /// A table whose zone maps use a small block size, so pruning is
@@ -326,7 +250,7 @@ mod tests {
         let pruned = PreparedScan::new(&t, &p)
             .unwrap()
             .scan_pruned(0..100, &mut counts);
-        assert_eq!(pruned, scan_filter(&t, 0..100, &p).unwrap());
+        assert_eq!(pruned, reference_rows(&t, 0..100, &p));
         // Blocks [0,1,5..9] skip, block 3 fast-paths, blocks 2 and 4 scan.
         assert_eq!(counts.skipped, 7);
         assert_eq!(counts.fast_pathed, 1);
@@ -342,7 +266,7 @@ mod tests {
             let pruned = PreparedScan::new(&t, &p)
                 .unwrap()
                 .scan_pruned(lo..hi, &mut counts);
-            assert_eq!(pruned, scan_filter(&t, lo..hi, &p).unwrap(), "{lo}..{hi}");
+            assert_eq!(pruned, reference_rows(&t, lo..hi, &p), "{lo}..{hi}");
         }
     }
 

@@ -6,12 +6,17 @@
 //! this operator, so the join's random-access cost is what a reduced Δ
 //! input saves (Figures 12b/14b).
 
-use crate::error::Result;
+use crate::column::ResolvedCol;
+use crate::error::{EngineError, Result};
 use crate::expr::Predicate;
 use crate::hash::FxHashMap;
-use crate::ops::aggregate::ResolvedCol;
-use crate::ops::filter::scan_filter;
+use crate::ops::filter::PreparedScan;
+use crate::synopsis::PruneCounts;
 use crate::table::Table;
+
+/// Most dimensions one star probe joins: the probe keeps a fact row's
+/// matched dimension rows in a fixed array of this length.
+pub const MAX_JOINS: usize = 8;
 
 /// A build-side hash map from join key to dimension row id. SSB dimension
 /// keys are unique, so a single row per key suffices; duplicate keys keep
@@ -39,9 +44,11 @@ impl JoinMap {
     }
 }
 
-/// Build a join map over the dimension rows matching `predicate`.
+/// Build a join map over the dimension rows matching `predicate`, found
+/// by the same pruned walk every fact scan takes.
 pub fn build_join_map(dim: &Table, key_column: &str, predicate: &Predicate) -> Result<JoinMap> {
-    let rows = scan_filter(dim, 0..dim.num_rows(), predicate)?;
+    let rows = PreparedScan::new(dim, predicate)?
+        .scan_pruned(0..dim.num_rows(), &mut PruneCounts::default());
     let key_col = dim.column(key_column)?;
     key_col.check_int(key_column)?;
     let key = ResolvedCol::from_column(key_col);
@@ -79,12 +86,16 @@ impl StarJoinOutput {
 }
 
 /// Probe a selection of fact rows against a set of `(map, fact key column)`
-/// pairs. Rows must match every map to survive.
+/// pairs. Rows must match every map to survive. More than [`MAX_JOINS`]
+/// probes is an error.
 pub fn star_probe(
     fact: &Table,
     selection: &[u32],
     probes: &[(&JoinMap, &str)],
 ) -> Result<StarJoinOutput> {
+    if probes.len() > MAX_JOINS {
+        return Err(too_many_joins(probes.len()));
+    }
     let mut key_cols = Vec::with_capacity(probes.len());
     for (_, col) in probes {
         let c = fact.column(col)?;
@@ -94,8 +105,7 @@ pub fn star_probe(
     let mut fact_rows = Vec::new();
     let mut dim_rows: Vec<Vec<u32>> = vec![Vec::new(); probes.len()];
     'rows: for &r in selection {
-        let mut matched = [0u32; 8];
-        debug_assert!(probes.len() <= 8, "too many star-join dimensions");
+        let mut matched = [0u32; MAX_JOINS];
         for (i, (map, _)) in probes.iter().enumerate() {
             match map.get(key_cols[i].i64(r as usize)) {
                 Some(d) => matched[i] = d,
@@ -111,6 +121,13 @@ pub fn star_probe(
         fact_rows,
         dim_rows,
     })
+}
+
+/// The error for a plan joining `n` > [`MAX_JOINS`] dimensions.
+pub(crate) fn too_many_joins(n: usize) -> EngineError {
+    EngineError::InvalidPlan(format!(
+        "{n} joins exceed the {MAX_JOINS} a star probe holds"
+    ))
 }
 
 #[cfg(test)]
@@ -196,6 +213,17 @@ mod tests {
         // Row 1 fails d2 (fk2=9).
         assert_eq!(out.fact_rows, vec![0, 2]);
         assert_eq!(out.dim_rows[1], vec![0, 1]);
+    }
+
+    #[test]
+    fn probe_rejects_more_dimensions_than_it_holds() {
+        let d = dim();
+        let f = fact();
+        let m = build_join_map(&d, "key", &Predicate::True).unwrap();
+        let probes = vec![(&m, "fk"); MAX_JOINS + 1];
+        assert!(star_probe(&f, &[0], &probes).is_err());
+        let out = star_probe(&f, &[0, 2], &probes[..MAX_JOINS]).unwrap();
+        assert_eq!(out.fact_rows, vec![0]);
     }
 
     #[test]

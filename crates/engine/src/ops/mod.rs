@@ -6,10 +6,11 @@ pub mod join;
 pub mod project;
 pub mod reference;
 
+pub use crate::column::ResolvedCol;
 pub use aggregate::{
     group_by, group_by_masked, group_by_range, BoundCol, ExactAgg, ExactAggFactory, GroupTable,
-    Inputs, ResolvedCol,
+    Inputs,
 };
-pub use filter::{scan_filter, PreparedScan, ScanEvent};
-pub use join::{build_join_map, star_probe, JoinMap, StarJoinOutput};
+pub use filter::{PreparedScan, ScanEvent};
+pub use join::{build_join_map, star_probe, JoinMap, StarJoinOutput, MAX_JOINS};
 pub use project::{gather, materialize, materialize_view};

@@ -50,7 +50,7 @@ mod tests {
     use super::*;
     use crate::column::dict_column;
     use crate::expr::Predicate;
-    use crate::ops::filter::scan_filter;
+    use crate::ops::filter::PreparedScan;
     use crate::ops::join::{build_join_map, star_probe};
     use crate::types::Value;
 
@@ -89,7 +89,10 @@ mod tests {
     #[test]
     fn materialize_filtered_subset() {
         let t = table();
-        let sel = scan_filter(&t, 0..10, &Predicate::between("a", 2, 5)).unwrap();
+        let p = Predicate::between("a", 2, 5);
+        let sel = PreparedScan::new(&t, &p)
+            .unwrap()
+            .scan_pruned(0..10, &mut Default::default());
         let m = materialize("sub", &t, &["a", "c"], &sel).unwrap();
         assert_eq!(m.num_rows(), 4);
         assert_eq!(m.num_columns(), 2);

@@ -14,7 +14,9 @@ use crate::ops::aggregate::{
     Inputs,
 };
 use crate::ops::filter::{PreparedScan, ScanEvent};
-use crate::ops::join::{build_join_map, star_probe, JoinMap};
+use crate::ops::join::{
+    build_join_map, star_probe, too_many_joins, JoinMap, StarJoinOutput, MAX_JOINS,
+};
 use crate::parallel::{parallel_fold, DEFAULT_MORSEL_ROWS};
 use crate::synopsis::PruneCounts;
 use crate::table::{Catalog, Table};
@@ -142,13 +144,17 @@ impl PreparedJoins {
     }
 }
 
-/// Validate a plan against a catalog (columns exist, group-key width OK).
+/// Validate a plan against a catalog (columns exist, group-key width and
+/// join count within what execution holds).
 pub fn validate_plan(catalog: &Catalog, plan: &QueryPlan) -> Result<()> {
     let fact = catalog.table(&plan.fact)?;
     if plan.group_by.len() > MAX_KEY_COLS {
         return Err(EngineError::InvalidPlan(format!(
             "at most {MAX_KEY_COLS} group-by columns supported"
         )));
+    }
+    if plan.joins.len() > MAX_JOINS {
+        return Err(too_many_joins(plan.joins.len()));
     }
     if plan.group_by.is_empty() && plan.aggs.is_empty() {
         return Err(EngineError::InvalidPlan(
@@ -197,8 +203,9 @@ fn resolve_table<'a>(catalog: &'a Catalog, plan: &QueryPlan, c: &ColRef) -> Resu
 }
 
 /// Resolve an unqualified column name: the fact table wins, then joined
-/// dimensions in join order.
-fn resolve_by_name<'a>(
+/// dimensions in join order. Returns the join index (`None` = the fact
+/// table) and the owning table.
+pub fn resolve_by_name<'a>(
     catalog: &'a Catalog,
     plan: &QueryPlan,
     name: &str,
@@ -219,19 +226,17 @@ fn resolve_by_name<'a>(
     })
 }
 
-/// Execute a plan exactly, in parallel.
-pub fn execute_exact(catalog: &Catalog, plan: &QueryPlan, threads: usize) -> Result<QueryResult> {
-    execute_exact_counted(catalog, plan, threads).map(|(r, _)| r)
-}
-
-/// [`execute_exact`], also reporting per-morsel zone-map prune verdicts.
+/// Execute a plan exactly, in parallel — the paper's GroupBy baseline —
+/// also reporting the zone-map verdicts its scan met.
 ///
-/// Single-table plans take the **fused** filter+aggregate path: the
-/// predicate is compiled into batch kernels once, and every morsel's
-/// chunk masks / `TakeAll` ranges feed the hash group-by directly — no
-/// selection vector is materialized. Join plans still decode masks to row
-/// ids, since the star probe genuinely needs them.
-pub fn execute_exact_counted(
+/// Every morsel of the fact table is one [`PreparedScan::walk`]. A
+/// single-table plan folds the walk's chunk masks and `TakeAll` ranges
+/// straight into the hash group-by: no selection vector exists, and a
+/// keyless `COUNT(*)` (the scan floor) adds up popcounts. A join plan
+/// decodes the walk to row ids, probes the star and groups the joined
+/// rows; a failure there folds into the morsel's partial and is returned
+/// after the fold.
+pub fn execute_exact(
     catalog: &Catalog,
     plan: &QueryPlan,
     threads: usize,
@@ -242,123 +247,77 @@ pub fn execute_exact_counted(
     let factory = ExactAggFactory::new(&plan.aggs);
     let agg_inputs: Vec<AggInput> = plan.aggs.iter().map(|a| a.input.clone()).collect();
     let scan = PreparedScan::new(fact, &plan.predicate)?;
-
-    let partials = if plan.joins.is_empty() {
-        let keys = bind_keys(catalog, plan, fact, None, None, None)?;
-        let inputs = Inputs::bind(&agg_inputs, |name| {
-            let (_, table) = resolve_by_name(catalog, plan, name)?;
-            Ok(BoundCol::new(table.column(name)?, None))
-        })?;
-        parallel_fold(
-            fact.num_rows(),
-            DEFAULT_MORSEL_ROWS,
-            threads,
-            || (GroupTable::new(), PruneCounts::default()),
-            |(acc, counts), range| {
-                scan.walk(range, counts, |ev| match ev {
-                    ScanEvent::TakeAll(rows) => {
-                        group_by_range(&keys, &inputs, rows, acc, &factory);
-                    }
-                    ScanEvent::Chunk(rows, mask) => {
-                        group_by_masked(
-                            &keys,
-                            &inputs,
-                            rows.start,
-                            rows.len(),
-                            mask,
-                            acc,
-                            &factory,
-                        );
-                    }
-                });
-            },
-        )
-    } else {
-        parallel_fold(
-            fact.num_rows(),
-            DEFAULT_MORSEL_ROWS,
-            threads,
-            || (GroupTable::new(), PruneCounts::default()),
-            |(acc, counts), range| {
+    let fused = plan
+        .joins
+        .is_empty()
+        .then(|| bind(catalog, plan, &joins, &agg_inputs, None))
+        .transpose()?;
+    let partials = parallel_fold(
+        fact.num_rows(),
+        DEFAULT_MORSEL_ROWS,
+        threads,
+        || (GroupTable::new(), PruneCounts::default(), None),
+        |(acc, counts, error), range| match &fused {
+            Some((keys, inputs)) => scan.walk(range, counts, &[], &mut 0, |ev| match ev {
+                ScanEvent::TakeAll(rows) => group_by_range(keys, inputs, rows, acc, &factory),
+                ScanEvent::Chunk(rows, mask) => {
+                    group_by_masked(keys, inputs, rows.start, rows.len(), mask, acc, &factory)
+                }
+            }),
+            None if error.is_none() => {
                 let sel = scan.scan_pruned(range, counts);
-                let partial = run_morsel(catalog, plan, &joins, fact, &factory, &agg_inputs, &sel)
-                    .expect("plan validated before execution");
-                acc.merge(partial);
-            },
-        )
-    };
+                let joined = star_probe(fact, &sel, &joins.probes()).and_then(|out| {
+                    let (keys, inputs) = bind(catalog, plan, &joins, &agg_inputs, Some(&out))?;
+                    Ok(group_by(&keys, &inputs, out.len(), &factory))
+                });
+                match joined {
+                    Ok(partial) => acc.merge(partial),
+                    Err(e) => *error = Some(e),
+                }
+            }
+            None => {}
+        },
+    );
     let mut merged = GroupTable::new();
     let mut counts = PruneCounts::default();
-    for (p, c) in partials {
+    for (p, c, error) in partials {
+        if let Some(e) = error {
+            return Err(e);
+        }
         merged.merge(p);
         counts.accumulate(&c);
     }
     Ok((finalize_result(catalog, plan, merged)?, counts))
 }
 
-/// Aggregate one morsel's already-filtered selection.
-fn run_morsel(
-    catalog: &Catalog,
-    plan: &QueryPlan,
-    joins: &PreparedJoins,
-    fact: &Table,
-    factory: &ExactAggFactory,
-    agg_inputs: &[AggInput],
-    sel: &[u32],
-) -> Result<GroupTable> {
-    if plan.joins.is_empty() {
-        let keys = bind_keys(catalog, plan, fact, Some(sel), None, None)?;
-        let inputs = Inputs::bind(agg_inputs, |name| {
-            let (_, table) = resolve_by_name(catalog, plan, name)?;
-            Ok(BoundCol::new(table.column(name)?, Some(sel)))
-        })?;
-        Ok(group_by(&keys, &inputs, sel.len(), factory))
-    } else {
-        let out = star_probe(fact, sel, &joins.probes())?;
-        let keys = bind_keys(
-            catalog,
-            plan,
-            fact,
-            Some(&out.fact_rows),
-            Some(joins),
-            Some(&out.dim_rows),
-        )?;
-        let inputs = Inputs::bind(agg_inputs, |name| {
-            let (dim_idx, table) = resolve_by_name(catalog, plan, name)?;
-            let rows = match dim_idx {
-                None => &out.fact_rows,
-                Some(i) => &out.dim_rows[i],
-            };
-            Ok(BoundCol::new(table.column(name)?, Some(rows)))
-        })?;
-        Ok(group_by(&keys, &inputs, out.len(), factory))
-    }
-}
-
-fn bind_keys<'a>(
+/// Bind the plan's group keys and aggregate inputs: to physical rows
+/// (`rows: None`, the fused single-table walk) or to a star probe's
+/// aligned fact and dimension rows.
+fn bind<'a>(
     catalog: &'a Catalog,
     plan: &QueryPlan,
-    fact: &'a Table,
-    fact_rows: Option<&'a [u32]>,
-    joins: Option<&PreparedJoins>,
-    dim_rows: Option<&'a [Vec<u32>]>,
-) -> Result<Vec<BoundCol<'a>>> {
-    plan.group_by
-        .iter()
-        .map(|c| match &c.table {
-            None => Ok(BoundCol::new(fact.column(&c.column)?, fact_rows)),
-            Some(t) => {
-                let idx = joins
-                    .and_then(|j| j.dim_index(t))
-                    .ok_or_else(|| EngineError::InvalidPlan(format!("table `{t}` not joined")))?;
-                let dim = catalog.table(t)?;
-                Ok(BoundCol::new(
-                    dim.column(&c.column)?,
-                    dim_rows.map(|d| d[idx].as_slice()),
-                ))
-            }
+    joins: &PreparedJoins,
+    agg_inputs: &[AggInput],
+    rows: Option<&'a StarJoinOutput>,
+) -> Result<(Vec<BoundCol<'a>>, Inputs<'a>)> {
+    let rows_of = |dim: Option<usize>| {
+        rows.map(|out| match dim {
+            None => out.fact_rows.as_slice(),
+            Some(i) => out.dim_rows[i].as_slice(),
         })
-        .collect()
+    };
+    let mut keys = Vec::with_capacity(plan.group_by.len());
+    for c in &plan.group_by {
+        // `resolve_table` rejects a key on a table the plan does not join.
+        let col = resolve_table(catalog, plan, c)?.column(&c.column)?;
+        let dim = c.table.as_deref().and_then(|t| joins.dim_index(t));
+        keys.push(BoundCol::new(col, rows_of(dim)));
+    }
+    let inputs = Inputs::bind(agg_inputs, |name| {
+        let (dim, table) = resolve_by_name(catalog, plan, name)?;
+        Ok(BoundCol::new(table.column(name)?, rows_of(dim)))
+    })?;
+    Ok((keys, inputs))
 }
 
 fn finalize_result(catalog: &Catalog, plan: &QueryPlan, table: GroupTable) -> Result<QueryResult> {
@@ -384,37 +343,6 @@ fn finalize_result(catalog: &Catalog, plan: &QueryPlan, table: GroupTable) -> Re
         })
         .collect();
     Ok(QueryResult { rows })
-}
-
-/// Count rows matching a predicate with a parallel scan — the
-/// memory-bandwidth floor the paper's figures plot as "scan" — also
-/// reporting per-morsel zone-map prune verdicts.
-pub fn scan_count_pruned(
-    catalog: &Catalog,
-    fact: &str,
-    predicate: &Predicate,
-    threads: usize,
-) -> Result<(usize, PruneCounts)> {
-    let table = catalog.table(fact)?;
-    let scan = PreparedScan::new(table, predicate)?;
-    let partials = parallel_fold(
-        table.num_rows(),
-        DEFAULT_MORSEL_ROWS,
-        threads,
-        || (0usize, PruneCounts::default()),
-        |(acc, counts), range| {
-            // Fused count: TakeAll lengths plus chunk popcounts — no
-            // selection vector.
-            *acc += scan.count_pruned(range, counts) as usize;
-        },
-    );
-    let mut n = 0;
-    let mut counts = PruneCounts::default();
-    for (p, c) in partials {
-        n += p;
-        counts.accumulate(&c);
-    }
-    Ok((n, counts))
 }
 
 #[cfg(test)]
@@ -474,7 +402,7 @@ mod tests {
     #[test]
     fn exact_group_by_matches_reference() {
         let cat = catalog();
-        let res = execute_exact(&cat, &simple_plan(), 4).unwrap();
+        let res = execute_exact(&cat, &simple_plan(), 4).unwrap().0;
         assert_eq!(res.rows.len(), 4);
         // Reference: group g over ids 0..500, sum of 2*id.
         for row in &res.rows {
@@ -489,8 +417,8 @@ mod tests {
     #[test]
     fn parallel_equals_serial() {
         let cat = catalog();
-        let serial = execute_exact(&cat, &simple_plan(), 1).unwrap();
-        let parallel = execute_exact(&cat, &simple_plan(), 8).unwrap();
+        let serial = execute_exact(&cat, &simple_plan(), 1).unwrap().0;
+        let parallel = execute_exact(&cat, &simple_plan(), 8).unwrap().0;
         assert_eq!(serial, parallel);
     }
 
@@ -509,7 +437,7 @@ mod tests {
             group_by: vec![ColRef::dim("dim", "cat")],
             aggs: vec![AggSpec::count()],
         };
-        let res = execute_exact(&cat, &plan, 4).unwrap();
+        let res = execute_exact(&cat, &plan, 4).unwrap().0;
         assert_eq!(res.rows.len(), 2);
         // dkey = id % 10: 5 of 10 values are "low" → 500 rows each.
         for row in &res.rows {
@@ -533,7 +461,7 @@ mod tests {
             group_by: vec![ColRef::fact("g")],
             aggs: vec![AggSpec::count()],
         };
-        let res = execute_exact(&cat, &plan, 2).unwrap();
+        let res = execute_exact(&cat, &plan, 2).unwrap().0;
         let total: f64 = res.rows.iter().map(|r| r.values[0]).sum();
         assert_eq!(total, 500.0);
     }
@@ -557,13 +485,57 @@ mod tests {
     }
 
     #[test]
-    fn scan_count_matches_selectivity() {
+    fn keyless_count_is_the_scan_floor() {
+        // The scan floor is a keyless COUNT(*): the fused walk's
+        // popcounts, with the verdicts the decoding walk meets.
         let cat = catalog();
-        let (n, _) =
-            scan_count_pruned(&cat, "fact", &Predicate::between("id", 100, 299), 4).unwrap();
-        assert_eq!(n, 200);
-        let (all, _) = scan_count_pruned(&cat, "fact", &Predicate::True, 4).unwrap();
-        assert_eq!(all, 1000);
+        let floor = |predicate: Predicate| {
+            let plan = QueryPlan {
+                fact: "fact".into(),
+                predicate,
+                joins: vec![],
+                group_by: vec![],
+                aggs: vec![AggSpec::count()],
+            };
+            let (res, counts) = execute_exact(&cat, &plan, 4).unwrap();
+            (res.rows.first().map_or(0.0, |r| r.values[0]), counts)
+        };
+        let fact = cat.table("fact").unwrap();
+        for (p, n) in [
+            (Predicate::between("id", 100, 299), 200.0),
+            (Predicate::True, 1000.0),
+            (Predicate::False, 0.0),
+        ] {
+            let mut counts = PruneCounts::default();
+            let sel = PreparedScan::new(fact, &p)
+                .unwrap()
+                .scan_pruned(0..fact.num_rows(), &mut counts);
+            assert_eq!(floor(p), (n, counts));
+            assert_eq!(sel.len() as f64, n);
+        }
+    }
+
+    #[test]
+    fn more_joins_than_the_probe_holds_are_rejected() {
+        let cat = catalog();
+        let join = JoinSpec {
+            dim_table: "dim".into(),
+            dim_key: "key".into(),
+            fact_key: "dkey".into(),
+            predicate: Predicate::True,
+        };
+        let mut plan = simple_plan();
+        plan.joins = vec![join; MAX_JOINS + 1];
+        assert!(matches!(
+            validate_plan(&cat, &plan),
+            Err(EngineError::InvalidPlan(_))
+        ));
+        assert!(execute_exact(&cat, &plan, 1).is_err());
+        plan.joins.truncate(MAX_JOINS);
+        assert_eq!(
+            execute_exact(&cat, &plan, 1).unwrap().0,
+            execute_exact(&cat, &simple_plan(), 1).unwrap().0
+        );
     }
 
     #[test]
@@ -576,7 +548,7 @@ mod tests {
             group_by: vec![],
             aggs: vec![AggSpec::sum("v")],
         };
-        let res = execute_exact(&cat, &plan, 4).unwrap();
+        let res = execute_exact(&cat, &plan, 4).unwrap().0;
         assert_eq!(res.rows.len(), 1);
         assert_eq!(
             res.rows[0].values[0],
@@ -597,7 +569,7 @@ mod tests {
             group_by: vec![],
             aggs: vec![AggSpec::sum("v"), AggSpec::count()],
         };
-        let res = execute_exact(&cat, &plan, 2).unwrap();
+        let res = execute_exact(&cat, &plan, 2).unwrap().0;
         assert!(res.rows.is_empty());
     }
 
@@ -606,7 +578,7 @@ mod tests {
         // Same logical query once through the fused single-table path and
         // once forced through the selection-vector path via a join.
         let cat = catalog();
-        let fused = execute_exact(&cat, &simple_plan(), 2).unwrap();
+        let fused = execute_exact(&cat, &simple_plan(), 2).unwrap().0;
         let mut joined = simple_plan();
         joined.joins = vec![JoinSpec {
             dim_table: "dim".into(),
@@ -614,7 +586,7 @@ mod tests {
             fact_key: "dkey".into(),
             predicate: Predicate::True,
         }];
-        let via_join = execute_exact(&cat, &joined, 2).unwrap();
+        let via_join = execute_exact(&cat, &joined, 2).unwrap().0;
         assert_eq!(fused, via_join);
     }
 }

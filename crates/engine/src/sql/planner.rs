@@ -338,7 +338,7 @@ mod tests {
         .unwrap();
         assert_eq!(p.fact, "fact");
         assert!(p.joins.is_empty());
-        let result = execute_exact(&cat, &p, 1).unwrap();
+        let result = execute_exact(&cat, &p, 1).unwrap().0;
         assert_eq!(result.rows.len(), 4);
         let total: f64 = result.rows.iter().map(|r| r.values[1]).sum();
         assert_eq!(total, 50.0);
@@ -357,7 +357,7 @@ mod tests {
         assert_eq!(p.joins[0].fact_key, "dk");
         assert_eq!(p.joins[0].dim_key, "key");
         assert_eq!(p.joins[0].predicate, Predicate::eq_str("name", "a"));
-        let result = execute_exact(&cat, &p, 1).unwrap();
+        let result = execute_exact(&cat, &p, 1).unwrap().0;
         assert_eq!(result.rows.len(), 1);
         assert_eq!(result.rows[0].values[0], 20.0);
     }
@@ -366,10 +366,10 @@ mod tests {
     fn comparison_operators_become_ranges() {
         let cat = catalog();
         let p = plan(&cat, "SELECT COUNT(*) FROM fact WHERE id >= 90").unwrap();
-        let result = execute_exact(&cat, &p, 1).unwrap();
+        let result = execute_exact(&cat, &p, 1).unwrap().0;
         assert_eq!(result.rows[0].values[0], 10.0);
         let p = plan(&cat, "SELECT COUNT(*) FROM fact WHERE id < 10").unwrap();
-        let result = execute_exact(&cat, &p, 1).unwrap();
+        let result = execute_exact(&cat, &p, 1).unwrap().0;
         assert_eq!(result.rows[0].values[0], 10.0);
     }
 
@@ -428,7 +428,7 @@ mod tests {
     fn in_list_plans() {
         let cat = catalog();
         let p = plan(&cat, "SELECT COUNT(*) FROM fact WHERE g IN (1, 3)").unwrap();
-        let result = execute_exact(&cat, &p, 1).unwrap();
+        let result = execute_exact(&cat, &p, 1).unwrap().0;
         assert_eq!(result.rows[0].values[0], 50.0);
     }
 

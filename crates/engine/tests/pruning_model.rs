@@ -3,13 +3,13 @@
 //! For random tables (Int64 / Int32 / dictionary columns, random value
 //! distributions), random zone-map block sizes, random scan sub-ranges,
 //! and random interval/membership predicate trees, the pruned scan must
-//! return exactly the selection the unpruned reference scan returns, and
+//! return exactly the selection the row-at-a-time reference returns, and
 //! its per-block verdict counts must account for every block the range
 //! touches.
 
 use std::collections::HashMap;
 
-use laqy_engine::ops::{scan_filter, PreparedScan};
+use laqy_engine::ops::{reference, PreparedScan};
 use laqy_engine::{dict_column, Column, Predicate, PruneCounts, Table};
 use proptest::prelude::*;
 
@@ -131,7 +131,7 @@ proptest! {
         let b = rng.below(rows as u64 + 1) as usize;
         let (lo, hi) = (a.min(b), a.max(b));
 
-        let reference = scan_filter(&table, lo..hi, &predicate).unwrap();
+        let reference = reference::eval_rows(&predicate.compile(&table).unwrap(), lo..hi);
         let mut counts = PruneCounts::default();
         let scan = PreparedScan::new(&table, &predicate).unwrap();
         let pruned = scan.scan_pruned(lo..hi, &mut counts);
@@ -153,7 +153,7 @@ proptest! {
     /// Hybrid estimation's engine-level invariant: covered spans plus the
     /// masked boundary scan partition the full-scan selection exactly, so
     /// blended per-group counts (exact span rows + scanned rows) equal the
-    /// unpruned full-scan counts for every group.
+    /// reference full-scan counts for every group.
     #[test]
     fn hybrid_partition_matches_full_scan(
         seed in 0u64..100_000,
@@ -203,7 +203,7 @@ proptest! {
         prop_assert_eq!(lane_rows, total_covered, "mask excluded a different row count");
 
         // Partition: boundary selection ∪ span rows == reference, disjoint.
-        let reference = scan_filter(&table, 0..rows, &predicate).unwrap();
+        let reference = reference::eval_rows(&compiled, 0..rows);
         let mut union: Vec<u32> = sel.iter().copied().chain(span_rows.iter().copied()).collect();
         union.sort_unstable();
         prop_assert_eq!(union.len(), sel.len() + span_rows.len(), "overlap between boundary and spans");
@@ -235,7 +235,7 @@ proptest! {
             Predicate::eq_str("tag", "a"),
             Predicate::Not(Box::new(Predicate::between("ck", 0, rows as i64 / 2))),
         ] {
-            let reference = scan_filter(&table, 0..rows, &predicate).unwrap();
+            let reference = reference::eval_rows(&predicate.compile(&table).unwrap(), 0..rows);
             let mut counts = PruneCounts::default();
             let scan = PreparedScan::new(&table, &predicate).unwrap();
             let pruned = scan.scan_pruned(0..rows, &mut counts);

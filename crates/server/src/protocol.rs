@@ -26,8 +26,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use laqy_engine::{Column, Value};
+use laqy_engine::{Column, Value, MAX_KEY_COLS};
 use laqy_faults::points;
+
+pub use crate::tenant::TenantSnapshot;
 
 /// Hard cap on one frame's payload, requests and responses alike. Large
 /// enough for any realistic ingest batch at bench scale, small enough
@@ -193,29 +195,19 @@ pub struct AnswerAgg {
     pub support: u64,
 }
 
-/// Per-tenant serving counters, as reported to clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TenantSnapshot {
-    /// Queries answered (degraded answers included).
-    pub answers: u64,
-    /// Answers that were degraded (budget expired mid-scan).
-    pub degraded: u64,
-    /// Requests shed at admission (queue full or admission timeout).
-    pub shed: u64,
-    /// Requests rejected because the server was draining.
-    pub rejected_draining: u64,
-    /// Ingest batches acknowledged.
-    pub ingest_acks: u64,
-    /// Requests that failed with a typed error.
-    pub errors: u64,
-}
-
 // ---------------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------------
 
 /// Bytes of length prefix ahead of every payload.
 const HEADER_BYTES: usize = 4;
+
+/// Least encoded size of one ingest column entry: the name's length, the
+/// column tag and the row count.
+const MIN_COLUMN_ENTRY_BYTES: usize = 4 + 1 + 4;
+
+/// Least encoded size of one answer group: its key and value counts.
+const MIN_GROUP_BYTES: usize = 4 + 4;
 
 /// Least the frame reader grows its buffer by. Past the first step it
 /// grows by what has already arrived, so the buffer never holds more
@@ -502,9 +494,11 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    /// A length prefix that must leave room for `unit`-byte elements —
-    /// rejects lengths that could not possibly fit the remaining bytes,
-    /// so a corrupt count never drives a huge allocation.
+    /// A count of elements that each take at least `unit` encoded bytes —
+    /// rejects counts that could not possibly fit the remaining bytes, so
+    /// a corrupt count never drives a huge allocation. A reservation of
+    /// `n` elements is bounded by `remaining / unit` of them: pass the
+    /// element's least encoded size, or cap what is reserved.
     fn len(&mut self, unit: usize) -> Result<usize, WireError> {
         let n = self.u32()? as usize;
         if n.saturating_mul(unit.max(1)) > self.buf.len() - self.at {
@@ -658,7 +652,7 @@ impl Request {
             0x03 => {
                 let tenant = r.str()?;
                 let table = r.str()?;
-                let n = r.len(1)?;
+                let n = r.len(MIN_COLUMN_ENTRY_BYTES)?;
                 let mut columns = Vec::with_capacity(n);
                 for _ in 0..n {
                     let name = r.str()?;
@@ -748,12 +742,9 @@ impl Response {
             }
             Response::StatsReply(s) => {
                 buf.push(0x86);
-                put_u64(buf, s.answers);
-                put_u64(buf, s.degraded);
-                put_u64(buf, s.shed);
-                put_u64(buf, s.rejected_draining);
-                put_u64(buf, s.ingest_acks);
-                put_u64(buf, s.errors);
+                for v in s.values() {
+                    put_u64(buf, v);
+                }
             }
         }
     }
@@ -772,11 +763,13 @@ impl Response {
                     }),
                     t => return Err(WireError(format!("unknown degraded tag {t}"))),
                 };
-                let gn = r.len(1)?;
+                let gn = r.len(MIN_GROUP_BYTES)?;
                 let mut groups = Vec::with_capacity(gn);
                 for _ in 0..gn {
+                    // A value can be one byte on the wire and 32 in
+                    // memory: reserve no more than an answer key holds.
                     let kn = r.len(1)?;
-                    let mut key = Vec::with_capacity(kn);
+                    let mut key = Vec::with_capacity(kn.min(MAX_KEY_COLS));
                     for _ in 0..kn {
                         key.push(r.value()?);
                     }
@@ -803,14 +796,13 @@ impl Response {
                 code: ErrorCode::from_u8(r.u8()?)?,
                 message: r.str()?,
             },
-            0x86 => Response::StatsReply(TenantSnapshot {
-                answers: r.u64()?,
-                degraded: r.u64()?,
-                shed: r.u64()?,
-                rejected_draining: r.u64()?,
-                ingest_acks: r.u64()?,
-                errors: r.u64()?,
-            }),
+            0x86 => {
+                let mut values = [0; TenantSnapshot::FIELDS];
+                for v in &mut values {
+                    *v = r.u64()?;
+                }
+                Response::StatsReply(TenantSnapshot::from_values(values))
+            }
             t => return Err(WireError(format!("unknown response tag {t:#x}"))),
         };
         r.done()?;
@@ -828,6 +820,11 @@ mod tests {
         let bytes = req.encode();
         let reencoded = Request::decode(&bytes).expect("decodes").encode();
         assert_eq!(reencoded, bytes);
+    }
+
+    /// Every counter set to its 1-based position in the field list.
+    fn numbered_snapshot() -> TenantSnapshot {
+        TenantSnapshot::from_values(std::array::from_fn(|i| i as u64 + 1))
     }
 
     fn roundtrip_resp(resp: Response) {
@@ -890,14 +887,7 @@ mod tests {
             code: ErrorCode::Draining,
             message: "server draining".into(),
         });
-        roundtrip_resp(Response::StatsReply(TenantSnapshot {
-            answers: 1,
-            degraded: 2,
-            shed: 3,
-            rejected_draining: 4,
-            ingest_acks: 5,
-            errors: 6,
-        }));
+        roundtrip_resp(Response::StatsReply(numbered_snapshot()));
     }
 
     #[test]
@@ -938,6 +928,28 @@ mod tests {
         let mut padded = Request::Ping.encode();
         padded.push(0);
         assert!(Request::decode(&padded).is_err());
+    }
+
+    #[test]
+    fn counts_their_bytes_cannot_hold_are_rejected_before_reserving() {
+        // Ten ingest columns and ten answer groups announced, twenty
+        // bytes left: a column entry takes at least nine, a group eight,
+        // so the count itself is refused — nothing is reserved for it.
+        let mut ingest = vec![0x03];
+        put_str(&mut ingest, "t");
+        put_str(&mut ingest, "t");
+        put_u32(&mut ingest, 10);
+        ingest.extend_from_slice(&[0; 20]);
+        let mut answer = vec![0x82, 0];
+        put_u32(&mut answer, 10);
+        answer.extend_from_slice(&[0; 20]);
+        for err in [
+            Request::decode(&ingest).map(drop),
+            Response::decode(&answer).map(drop),
+        ] {
+            let err = err.expect_err("count past the payload");
+            assert!(err.0.contains("exceeds remaining payload"), "{err}");
+        }
     }
 
     /// A `Write` that counts calls and accepts at most `cap` bytes per
@@ -1229,14 +1241,7 @@ mod tests {
                 code: ErrorCode::Draining,
                 message: "no".into(),
             },
-            Response::StatsReply(TenantSnapshot {
-                answers: 1,
-                degraded: 2,
-                shed: 3,
-                rejected_draining: 4,
-                ingest_acks: 5,
-                errors: 6,
-            }),
+            Response::StatsReply(numbered_snapshot()),
         ]
     }
 

@@ -22,7 +22,7 @@ use laqy_sync::atomic::{AtomicU64, Ordering};
 use laqy_sync::{classes, RwLock};
 
 use crate::admission::Gate;
-use crate::protocol::{ErrorCode, TenantSnapshot};
+use crate::protocol::ErrorCode;
 use crate::ServerConfig;
 
 /// Longest accepted tenant name; names become directory components.
@@ -45,15 +45,64 @@ pub struct TenantState {
     pub dirs: Option<(PathBuf, PathBuf)>,
 }
 
-/// Per-tenant serving counters (the wire-visible half of the stats).
-#[derive(Default)]
-pub struct TenantCounters {
-    answers: AtomicU64,
-    degraded: AtomicU64,
-    shed: AtomicU64,
-    rejected_draining: AtomicU64,
-    ingest_acks: AtomicU64,
-    errors: AtomicU64,
+/// Generates the per-tenant serving counters from one field list: the
+/// wire-visible [`TenantSnapshot`], its live atomics in
+/// [`TenantCounters`], `snapshot()`, and the order the `0x86` stats frame
+/// carries them in (the list's).
+macro_rules! tenant_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Per-tenant serving counters, as reported to clients.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct TenantSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl TenantSnapshot {
+            /// Number of counters.
+            pub(crate) const FIELDS: usize = [$(stringify!($name),)*].len();
+
+            /// Every counter, in wire order.
+            pub(crate) fn values(&self) -> [u64; Self::FIELDS] {
+                [$(self.$name,)*]
+            }
+
+            /// The snapshot whose counters, in wire order, are `values`.
+            pub(crate) fn from_values(values: [u64; Self::FIELDS]) -> Self {
+                let [$($name,)*] = values;
+                Self { $($name,)* }
+            }
+        }
+
+        /// Per-tenant serving counters (the wire-visible half of the stats).
+        #[derive(Default)]
+        pub struct TenantCounters {
+            $($name: AtomicU64,)*
+        }
+
+        impl TenantCounters {
+            /// Snapshot for a `StatsReply`.
+            pub fn snapshot(&self) -> TenantSnapshot {
+                TenantSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+tenant_counters! {
+    /// Queries answered (degraded answers included).
+    answers,
+    /// Answers that were degraded (budget expired mid-scan).
+    degraded,
+    /// Requests shed at admission (queue full or admission timeout).
+    shed,
+    /// Requests rejected because the server was draining.
+    rejected_draining,
+    /// Ingest batches acknowledged.
+    ingest_acks,
+    /// Requests that failed with a typed error.
+    errors,
 }
 
 impl TenantCounters {
@@ -78,18 +127,6 @@ impl TenantCounters {
 
     pub(crate) fn note_error(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot for a `StatsReply`.
-    pub fn snapshot(&self) -> TenantSnapshot {
-        TenantSnapshot {
-            answers: self.answers.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            rejected_draining: self.rejected_draining.load(Ordering::Relaxed),
-            ingest_acks: self.ingest_acks.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-        }
     }
 }
 

@@ -325,8 +325,9 @@ mod tests {
         });
         for (name, plan) in all_queries() {
             validate_plan(&catalog, &plan).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let result =
-                execute_exact(&catalog, &plan, 2).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let result = execute_exact(&catalog, &plan, 2)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .0;
             // Flight 1 is a global aggregate; the rest group.
             if name.starts_with("Q1") {
                 assert_eq!(result.rows.len(), 1, "{name}");
@@ -345,8 +346,8 @@ mod tests {
             seed: 0x55B,
         });
         // Q1.1 (one year) should see more revenue than Q1.2 (one month).
-        let r11 = execute_exact(&catalog, &q1_1(), 2).unwrap().rows[0].values[0];
-        let r12 = execute_exact(&catalog, &q1_2(), 2).unwrap().rows[0].values[0];
+        let r11 = execute_exact(&catalog, &q1_1(), 2).unwrap().0.rows[0].values[0];
+        let r12 = execute_exact(&catalog, &q1_2(), 2).unwrap().0.rows[0].values[0];
         assert!(r11 > 0.0);
         assert!(
             r11 > r12,
@@ -360,7 +361,7 @@ mod tests {
             scale_factor: 0.005,
             seed: 0x55B,
         });
-        let result = execute_exact(&catalog, &q2_1(), 2).unwrap();
+        let result = execute_exact(&catalog, &q2_1(), 2).unwrap().0;
         assert!(!result.rows.is_empty());
         // ≤ 7 years × 40 brands in the category.
         assert!(result.rows.len() <= 7 * 40);
@@ -372,7 +373,7 @@ mod tests {
             scale_factor: 0.005,
             seed: 0x55B,
         });
-        let result = execute_exact(&catalog, &q3_2(), 2).unwrap();
+        let result = execute_exact(&catalog, &q3_2(), 2).unwrap().0;
         // ≤ 10 cities × 10 cities × 6 years.
         assert!(result.rows.len() <= 600);
     }

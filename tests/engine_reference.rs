@@ -121,7 +121,7 @@ proptest! {
             group_by: vec![ColRef::fact("g")],
             aggs: vec![AggSpec::sum("v"), AggSpec::count()],
         };
-        let result = execute_exact(&cat, &plan, threads).unwrap();
+        let result = execute_exact(&cat, &plan, threads).unwrap().0;
         let reference = reference_single(&cat, lo, hi);
         prop_assert_eq!(result.rows.len(), reference.len());
         for row in &result.rows {
@@ -154,7 +154,7 @@ proptest! {
             group_by: vec![ColRef::dim("d", "cat")],
             aggs: vec![AggSpec::sum("v")],
         };
-        let result = execute_exact(&cat, &plan, 2).unwrap();
+        let result = execute_exact(&cat, &plan, 2).unwrap().0;
         let reference = reference_join(&cat, lo, hi);
         prop_assert_eq!(result.rows.len(), reference.len());
         for row in &result.rows {
@@ -176,7 +176,7 @@ proptest! {
             group_by: vec![ColRef::fact("g")],
             aggs: vec![AggSpec::sum_product("v", "w")],
         };
-        let result = execute_exact(&cat, &plan, 1).unwrap();
+        let result = execute_exact(&cat, &plan, 1).unwrap().0;
         // Reference.
         let f = cat.table("f").unwrap();
         let (g, v, w) = (
@@ -216,7 +216,7 @@ fn min_max_avg_agree_with_reference() {
             AggSpec::avg("v"),
         ],
     };
-    let result = execute_exact(&cat, &plan, 3).unwrap();
+    let result = execute_exact(&cat, &plan, 3).unwrap().0;
     let f = cat.table("f").unwrap();
     let (g, v) = (f.column("g").unwrap(), f.column("v").unwrap());
     for row in &result.rows {
@@ -257,7 +257,7 @@ fn dict_group_keys_decode_in_results() {
         group_by: vec![ColRef::fact("tag")],
         aggs: vec![AggSpec::count()],
     };
-    let result = execute_exact(&cat, &plan, 1).unwrap();
+    let result = execute_exact(&cat, &plan, 1).unwrap().0;
     let a = result.row_by_key(&[Value::Str("a".into())]).unwrap();
     assert_eq!(a.values[0], 4.0);
     let b = result.row_by_key(&[Value::Str("b".into())]).unwrap();

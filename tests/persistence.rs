@@ -2,8 +2,8 @@
 //! keep answering with full/partial reuse — online samples become offline
 //! samples.
 
-use laqy::{Interval, LaqyService, ReuseClass, SessionConfig};
-use laqy_engine::Catalog;
+use laqy::{ApproxQuery, Interval, LaqyService, ReuseClass, SessionConfig};
+use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table};
 use laqy_workload::{generate, q1, q2, SsbConfig};
 
 fn catalog() -> Catalog {
@@ -81,4 +81,60 @@ fn corrupt_snapshot_is_rejected_not_panicking() {
     // The session keeps working after a failed import.
     let n = cat.table("lineorder").unwrap().num_rows() as i64;
     assert!(s.run(&q1(Interval::new(0, n / 2), 16)).is_ok());
+}
+
+/// `key` and `g = key % 4` over `keys`.
+fn stream_columns(keys: std::ops::Range<i64>) -> Vec<(String, Column)> {
+    vec![
+        ("key".into(), Column::Int64(keys.clone().collect())),
+        ("g".into(), Column::Int64(keys.map(|k| k % 4).collect())),
+    ]
+}
+
+#[test]
+fn restored_samples_never_answer_rows_the_table_does_not_hold() {
+    // A snapshot cut after an ingest, restored over the table as it was
+    // before the ingest: every restore must drop the sample past the live
+    // watermark instead of answering a full hit over 2 500 rows of a
+    // 2 000-row table.
+    let mut base = Catalog::new();
+    base.register(Table::new("t", stream_columns(0..2_000)).unwrap());
+    let query = ApproxQuery {
+        plan: QueryPlan {
+            fact: "t".into(),
+            predicate: Predicate::True,
+            joins: vec![],
+            group_by: vec![ColRef::fact("g")],
+            aggs: vec![AggSpec::count()],
+        },
+        range_column: "key".into(),
+        range: Interval::new(0, 2_499),
+        k: 16,
+    };
+    let grown = session(&base, 5);
+    grown.ingest("t", stream_columns(2_000..2_500)).unwrap();
+    grown.run(&query).unwrap();
+    let snapshot = grown.export_samples();
+    let dir = std::env::temp_dir().join(format!("laqy-phantom-rows-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    grown.save_snapshot(&dir).unwrap();
+
+    let imported = session(&base, 6);
+    imported.import_samples(&snapshot).unwrap();
+    let recovered = session(&base, 7);
+    recovered.recover_from_dir(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    for restored in [imported, recovered] {
+        assert_eq!(
+            restored.store().len(),
+            0,
+            "the sample past the watermark stays"
+        );
+        let (exact, _) = restored.run_exact(&query).unwrap();
+        let answer = restored.run(&query).unwrap();
+        assert_ne!(answer.stats.reuse, Some(ReuseClass::Full));
+        let total: f64 = answer.groups.iter().map(|g| g.values[0].value).sum();
+        let exact_total: f64 = exact.rows.iter().map(|r| r.values[0]).sum();
+        assert_eq!((total, exact_total), (2_000.0, 2_000.0));
+    }
 }

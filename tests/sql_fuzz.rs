@@ -80,8 +80,8 @@ proptest! {
             group_by: if use_group { vec![ColRef::fact("g")] } else { vec![] },
             aggs: vec![AggSpec::sum("v"), AggSpec::count()],
         };
-        let a = execute_exact(&cat, &planned, 1).unwrap();
-        let b = execute_exact(&cat, &direct, 1).unwrap();
+        let a = execute_exact(&cat, &planned, 1).unwrap().0;
+        let b = execute_exact(&cat, &direct, 1).unwrap().0;
         prop_assert_eq!(a, b);
     }
 }

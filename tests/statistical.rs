@@ -632,7 +632,7 @@ fn fused_aggregation_equals_filter_then_aggregate_on_ssb() {
             },
             aggs: specs.clone(),
         };
-        let fused = execute_exact(&cat, &plan, 1).unwrap();
+        let fused = execute_exact(&cat, &plan, 1).unwrap().0;
 
         let key_cols: Vec<BoundCol> = if keyless {
             vec![]
@@ -654,7 +654,7 @@ fn fused_aggregation_equals_filter_then_aggregate_on_ssb() {
         }
 
         // Parallel morsels through the fused path agree with serial.
-        let fused8 = execute_exact(&cat, &plan, 8).unwrap();
+        let fused8 = execute_exact(&cat, &plan, 8).unwrap().0;
         assert_eq!(fused.rows.len(), fused8.rows.len());
         for row in &fused.rows {
             let other = fused8.row_by_key(&row.key).unwrap();
