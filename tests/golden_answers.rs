@@ -13,7 +13,9 @@
 //! scan cardinalities; then the service counters and the exported store.
 //! The counters are hashed by name since a commit whose answers matched
 //! the digests then pinned; the answers digests were re-pinned there, on
-//! that tree, and nowhere else. The store-bytes digests never moved.
+//! that tree, and nowhere else. Dropping the lane-covered-rows counter
+//! from the list re-pinned them once more, the same way, on the tree
+//! that still had lanes. The store-bytes digests never moved.
 
 use laqy::{ApproxResult, Interval, IntervalSet, LaqyService, ServiceStats, SessionConfig};
 use laqy_sampling::SplitMix64;
@@ -89,7 +91,6 @@ impl Digest {
             ("morsels_skipped", s.morsels_skipped),
             ("morsels_fast_pathed", s.morsels_fast_pathed),
             ("morsels_scanned", s.morsels_scanned),
-            ("lane_covered_rows", s.lane_covered_rows),
             ("fragments_reused", s.fragments_reused),
             ("fragments_scanned", s.fragments_scanned),
             ("fragments_deduped", s.fragments_deduped),
@@ -216,7 +217,7 @@ fn short_q2_digest(sf: f64) -> (u64, u64) {
 fn explore_q1_answers_and_snapshot_bytes_are_the_parents() {
     assert_eq!(
         explore_q1_digest(0.02, 4),
-        (9722128481069154616, 11531443906033912511),
+        (6452891430104084962, 11531443906033912511),
         "(answers, store bytes) moved"
     );
 }
@@ -225,7 +226,7 @@ fn explore_q1_answers_and_snapshot_bytes_are_the_parents() {
 fn short_running_q2_answers_and_snapshot_bytes_are_the_parents() {
     assert_eq!(
         short_q2_digest(0.02),
-        (13818646717690516167, 333790791842216025),
+        (11258750995418674339, 333790791842216025),
         "(answers, store bytes) moved"
     );
 }
@@ -238,12 +239,12 @@ fn short_running_q2_answers_and_snapshot_bytes_are_the_parents() {
 fn full_scale_answers_and_snapshot_bytes_are_the_parents() {
     assert_eq!(
         explore_q1_digest(0.1, 12),
-        (13978435690813510267, 17657302255739893510),
+        (1034346920562854167, 17657302255739893510),
         "explore_q1 moved"
     );
     assert_eq!(
         short_q2_digest(0.1),
-        (2562681717855155698, 1598462428724985659),
+        (4754411026873059164, 1598462428724985659),
         "Q2 moved"
     );
 }
