@@ -1,4 +1,4 @@
-//! Sharded-store scalability and hybrid-lane effectiveness.
+//! Sharded-store scalability.
 //!
 //! Many client threads hammer one [`LaqyService`] with queries from
 //! several descriptor families (same plan, different reservoir capacity
@@ -10,17 +10,8 @@
 //! - **single lock** — `store_shards: 1`, the pre-sharding layout where
 //!   every query serializes on one store lock.
 //!
-//! Each layout runs against two data orders:
-//!
-//! - **clustered** — the group column is constant over long runs, so
-//!   zone-map pre-aggregate lanes answer most blocks exactly and the
-//!   hybrid estimator scans only boundary blocks;
-//! - **shuffled** — the group column varies within every block, so lanes
-//!   never fire and every query pays the full sampling scan.
-//!
 //! The sharded layout must win at high client counts (the acceptance
-//! criterion is ≥16 threads), and the clustered runs expose how many
-//! rows the lanes made free (`lane_covered_rows` in the notes).
+//! criterion is ≥16 threads).
 
 use laqy::{ApproxQuery, Interval, LaqyService, SessionConfig, STORE_SHARDS};
 use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table};
@@ -32,38 +23,24 @@ use super::BenchConfig;
 /// Queries each client issues per drive.
 const QUERIES_PER_CLIENT: usize = 6;
 
-/// Zone-map block size: small enough that the clustered group runs span
-/// many whole blocks, so pre-aggregate lanes get interior coverage.
-const ZONE_ROWS: usize = 256;
-
 /// Client-thread counts swept (acceptance band: 8–48).
 const CLIENTS: [usize; 4] = [8, 16, 32, 48];
 
-/// Synthetic fact table sized like the SSB catalog at this scale factor.
-/// `clustered` keeps the group column constant over `rows / 8` runs (so
-/// pre-aggregate lanes cover interior blocks); shuffled scatters it so
-/// no block is ever group-constant.
-fn build_table(cfg: &BenchConfig, clustered: bool) -> Table {
+/// Synthetic fact table sized like the SSB catalog at this scale factor,
+/// its eight groups scattered over the rows.
+fn build_table(cfg: &BenchConfig) -> Table {
     let rows = ((6_000_000.0 * cfg.sf) as usize).max(20_000);
-    let run = (rows / 8).max(1);
     let grp: Vec<i64> = (0..rows)
-        .map(|i| {
-            if clustered {
-                (i / run) as i64
-            } else {
-                (i as i64).wrapping_mul(0x9E37_79B9) & 7
-            }
-        })
+        .map(|i| (i as i64).wrapping_mul(0x9E37_79B9) & 7)
         .collect();
     let val: Vec<i64> = (0..rows).map(|i| (i as i64 * 37) % 1000).collect();
-    Table::with_zone_map_rows(
+    Table::new(
         "fact",
         vec![
             ("key".into(), Column::Int64((0..rows as i64).collect())),
             ("grp".into(), Column::Int64(grp)),
             ("val".into(), Column::Int64(val)),
         ],
-        ZONE_ROWS,
     )
     .expect("bench table")
 }
@@ -117,50 +94,46 @@ fn drive(service: &LaqyService, n: i64, base_k: usize, clients: usize) -> f64 {
 }
 
 /// The `sharding` experiment: answers/sec at 8–48 client threads,
-/// sharded vs. single-lock store, clustered vs. shuffled data.
+/// sharded vs. single-lock store.
 pub fn sharding(cfg: &BenchConfig, _catalog: &Catalog) -> Figure {
     let mut series = Vec::new();
     let mut notes = Vec::new();
-    for (order, clustered) in [("clustered", true), ("shuffled", false)] {
-        let table = build_table(cfg, clustered);
-        let n = table.num_rows() as i64;
-        for (layout, shards) in [("sharded", STORE_SHARDS), ("single lock", 1)] {
-            let mut points = Vec::new();
-            for &clients in &CLIENTS {
-                let mut catalog = Catalog::new();
-                catalog.register(table.clone());
-                let service = LaqyService::with_config(
-                    catalog,
-                    SessionConfig {
-                        threads: 1, // clients are the parallelism under test
-                        seed: cfg.seed,
-                        store_shards: shards,
-                        ..Default::default()
-                    },
-                );
-                let qps = drive(&service, n, cfg.k, clients);
-                points.push((clients as f64, qps));
-                let stats = service.stats();
-                notes.push(format!(
-                    "{layout} / {order}, {clients} clients: {:.0} answers/s; \
-                     {} full + {} partial + {} online, lane rows {}, \
-                     lock wait {:.1} ms",
-                    qps,
-                    stats.full_hits,
-                    stats.partial_merges,
-                    stats.online_runs,
-                    stats.lane_covered_rows,
-                    stats.lock_wait_nanos as f64 / 1e6,
-                ));
-            }
-            series.push(Series::new(format!("{layout} / {order}"), points));
+    let table = build_table(cfg);
+    let n = table.num_rows() as i64;
+    for (layout, shards) in [("sharded", STORE_SHARDS), ("single lock", 1)] {
+        let mut points = Vec::new();
+        for &clients in &CLIENTS {
+            let mut catalog = Catalog::new();
+            catalog.register(table.clone());
+            let service = LaqyService::with_config(
+                catalog,
+                SessionConfig {
+                    threads: 1, // clients are the parallelism under test
+                    seed: cfg.seed,
+                    store_shards: shards,
+                    ..Default::default()
+                },
+            );
+            let qps = drive(&service, n, cfg.k, clients);
+            points.push((clients as f64, qps));
+            let stats = service.stats();
+            notes.push(format!(
+                "{layout}, {clients} clients: {:.0} answers/s; \
+                 {} full + {} partial + {} online, lock wait {:.1} ms",
+                qps,
+                stats.full_hits,
+                stats.partial_merges,
+                stats.online_runs,
+                stats.lock_wait_nanos as f64 / 1e6,
+            ));
         }
+        series.push(Series::new(layout, points));
     }
 
     let mut fig = Figure::new(
         "sharding",
         "Sharded store scalability: answers/sec by client count, \
-         sharded vs. single-lock store, clustered vs. shuffled data",
+         sharded vs. single-lock store",
         "client threads",
         "answers/second",
     );

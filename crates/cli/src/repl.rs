@@ -314,7 +314,6 @@ impl Repl {
                 format!(
                     "sample store: {} samples, {:.2} MiB; mode {:?}, k {}{}{}\n\
                      scan pruning: {} morsels skipped, {} fast-pathed, {} scanned ({} total)\n\
-                     hybrid lanes: {} rows answered exactly from pre-aggregates\n\
                      coverage: {} stored fragments merged, {} residual fragments Δ-scanned\n\
                      full hits: {} answered from stored samples as they rest\n\
                      robustness: {} degraded answers, {} faults injected, {} snapshot recoveries\n\
@@ -334,7 +333,6 @@ impl Repl {
                     svc.morsels_fast_pathed,
                     svc.morsels_scanned,
                     morsels,
-                    svc.lane_covered_rows,
                     svc.fragments_reused,
                     svc.fragments_scanned,
                     svc.full_hits,
@@ -633,17 +631,9 @@ impl Repl {
         match outcome {
             Ok(result) => {
                 let mut out = render_approx(service, &query, &result);
-                let lanes = if result.stats.lane_covered_rows > 0 {
-                    format!(
-                        ", {} rows exact from {} lane span(s)",
-                        result.stats.lane_covered_rows, result.stats.lane_spans
-                    )
-                } else {
-                    String::new()
-                };
                 let _ = writeln!(
                     out,
-                    "({} groups, reuse {}{lanes}, {:?})",
+                    "({} groups, reuse {}, {:?})",
                     result.groups.len(),
                     result.stats.reuse.map(|r| r.label()).unwrap_or("?"),
                     result.stats.total

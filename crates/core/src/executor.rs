@@ -17,8 +17,6 @@
 //! tables they index, go through one admission function
 //! ([`crate::sampler_ops`]).
 
-use std::borrow::Cow;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use laqy_engine::ops::{star_probe, BoundCol, ResolvedCol};
@@ -28,21 +26,18 @@ use laqy_engine::{
     execute_exact, resolve_by_name, AggInput, AggSpec, Catalog, EngineError, GroupKey, Predicate,
     PruneCounts, QueryPlan, QueryResult, StoredColumn,
 };
-use laqy_sampling::{merge_stratified_k, merge_stratified_refs, Lehmer64};
+use laqy_sampling::{merge_stratified_k, Lehmer64};
 use laqy_sync::atomic::{AtomicU64, Ordering};
 
 use crate::budget::{CancelToken, Degradation, DegradeReason};
 use crate::descriptor::{Predicates, SampleDescriptor};
-use crate::estimate::{
-    estimate, EstimateError, EstimateOptions, ExactMass, ExactSlot, GroupEstimate,
-};
+use crate::estimate::{estimate, EstimateError, EstimateOptions, GroupEstimate};
 use crate::interval::{Interval, IntervalSet};
 use crate::sampler_ops::{
-    materialise, retained_rows, Admission, RowSample, Sample, SampleSchema, SlotKind,
-    MAX_SAMPLE_COLS,
+    materialise, retained_rows, Admission, Sample, SampleSchema, SlotKind, MAX_SAMPLE_COLS,
 };
 use crate::stats::{ExecStats, ReuseClass};
-use crate::store::{CoveragePlan, SampleStore};
+use crate::store::CoveragePlan;
 use crate::support::{check_support, SupportPolicy, SupportReport};
 
 /// Errors from the LAQy execution layer.
@@ -170,22 +165,20 @@ impl LaqyExecutor {
 
     /// Online sampling over the query's full range, estimated: the one
     /// body behind both the workload-oblivious "Online Sampling" baseline
-    /// and the lazy flow's no-reuse arm. With `hybrid` set, lane-covered
-    /// mass is harvested exactly and only the boundary is estimated from
-    /// the sample (hybrid estimation); the full-region sample is what the
-    /// support check inspects and what a caller may hand the store.
-    pub(crate) fn run_online(&mut self, scope: Scope<'_>, hybrid: bool) -> Result<OnlineRun> {
+    /// and the lazy flow's no-reuse arm. The sample is what the support
+    /// check inspects and what a caller may hand the store.
+    pub(crate) fn run_online(&mut self, scope: Scope<'_>) -> Result<OnlineRun> {
         let Scope { query, schema, .. } = scope;
         let ranges = IntervalSet::of(query.range);
-        let mut run = self.sample_pipeline(scope, &ranges, &Predicate::True, hybrid, 0)?;
+        let mut run = self.sample_pipeline(scope, &ranges, &Predicate::True, 0)?;
         let t_est = Instant::now();
         run.sample.settle(); // so the store keeps the key order walked here
-        let opts = EstimateOptions {
-            exact: (!run.exact.is_empty()).then_some(&run.exact),
-            ..Default::default()
-        };
-        let est_sample = run.boundary.as_ref().unwrap_or(&run.sample);
-        let groups = estimate(est_sample, schema, &query.plan.aggs, &opts)?;
+        let groups = estimate(
+            &run.sample,
+            schema,
+            &query.plan.aggs,
+            &EstimateOptions::default(),
+        )?;
         let support = check_support(&run.sample, schema, None, &self.policy)?;
         let mut stats = run.stats;
         stats.estimate = t_est.elapsed();
@@ -294,7 +287,7 @@ impl LaqyExecutor {
                 .collect(),
         );
         let ranges = IntervalSet::of(query.range);
-        let fresh = self.sample_pipeline(scope, &ranges, &stratum_pred, false, 0)?;
+        let fresh = self.sample_pipeline(scope, &ranges, &stratum_pred, 0)?;
         if fresh.stats.degraded.is_some() {
             // The probe itself was cut short by the budget: an empty or
             // partial probe must not be read as "stratum confirmed empty".
@@ -333,9 +326,7 @@ impl LaqyExecutor {
     /// Δ-scan `parts` of a coverage plan against `catalog`. A part indexes
     /// `plan.fragments` followed by `plan.tails`, so a caller may pass only
     /// the ones it owns. A tail scan pushes its sample's own predicates
-    /// down with the row floor at the sample's watermark, and never
-    /// harvests lanes: they span whole blocks from row 0 and would
-    /// double-count below the floor.
+    /// down with the row floor at the sample's watermark.
     pub(crate) fn scan_coverage(
         &mut self,
         scope: Scope<'_>,
@@ -345,7 +336,6 @@ impl LaqyExecutor {
         let query = scope.query;
         let mut out = CoverageScans {
             stats: ExecStats::default(),
-            exact: ExactMass::new(),
             coverage: 0.0,
             skipped: 0,
             scans: Vec::new(),
@@ -355,11 +345,11 @@ impl LaqyExecutor {
                 out.skipped += 1;
                 continue;
             }
-            let (preds, is_fragment, row_floor) = match plan.fragments.get(part) {
-                Some(fragment) => (fragment, true, 0),
+            let (preds, row_floor) = match plan.fragments.get(part) {
+                Some(fragment) => (fragment, 0),
                 None => {
                     let tail = &plan.tails[part - plan.fragments.len()];
-                    (&tail.predicates, false, tail.from_row as usize)
+                    (&tail.predicates, tail.from_row as usize)
                 }
             };
             let ranges = preds
@@ -367,14 +357,12 @@ impl LaqyExecutor {
                 .cloned()
                 .unwrap_or_else(|| IntervalSet::of(query.range));
             let extra = fragment_extra_predicate(preds, &query.range_column);
-            let run = self.sample_pipeline(scope, &ranges, &extra, is_fragment, row_floor)?;
+            let run = self.sample_pipeline(scope, &ranges, &extra, row_floor)?;
             out.coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
             out.stats.accumulate(&run.stats);
-            out.exact.merge(&run.exact);
             out.scans.push(Scan {
                 part,
                 sample: run.sample,
-                boundary: run.boundary,
                 clean: run.stats.degraded.is_none(),
             });
         }
@@ -385,24 +373,14 @@ impl LaqyExecutor {
     /// `ranges` on the range column — the Δ (or full online) sampler with
     /// the predicate pushed down (Figure 7 step 3).
     ///
-    /// When `hybrid` is set and the plan is eligible, predicate-covered,
-    /// group-constant block spans are excluded from the scan; their
-    /// aggregates are read exactly from the table's pre-aggregate lanes and
-    /// their sample strata are drawn directly (a uniform k-subset with the
-    /// span's row count as weight — exactly reservoir sampling's end state,
-    /// so the merged full-region sample stays valid for absorption).
-    ///
     /// `row_floor` restricts the scan to fact rows at or past the floor —
     /// the append-tail Δ-scan (rows below the floor are already represented
-    /// by a stored sample's reservoirs). A non-zero floor disables lane
-    /// harvesting: lane spans aggregate whole blocks from row 0, so their
-    /// mass would double-count the already-sampled prefix.
+    /// by a stored sample's reservoirs).
     pub(crate) fn sample_pipeline(
         &mut self,
         scope: Scope<'_>,
         ranges: &IntervalSet,
         extra: &Predicate,
-        hybrid: bool,
         row_floor: usize,
     ) -> Result<PipelineRun> {
         let Scope {
@@ -426,65 +404,10 @@ impl LaqyExecutor {
         let prepared = laqy_engine::ops::PreparedScan::new(fact, &full_pred)?;
         let joins = PreparedJoins::build(catalog, &query.plan)?;
 
-        // Hybrid lane pre-pass: find maximal block spans where the
-        // predicate provably holds everywhere and every group column is
-        // lane-constant. Their mass is exact (zero variance) and their
-        // rows never reach the scan or the sampler.
-        let mut covered_blocks: Vec<bool> = Vec::new();
-        let mut exact = ExactMass::new();
-        // Per-group covered row ranges, for the direct stratum draw.
-        let mut covered_rows: Vec<(Vec<i64>, Vec<std::ops::Range<usize>>, u64)> = Vec::new();
-        let mut lane_spans = 0u64;
-        if hybrid && row_floor == 0 && hybrid_eligible(query) {
-            if let Some(syn) = fact.synopsis() {
-                let compiled = prepared.compiled();
-                let group_cols: Vec<&str> = query
-                    .plan
-                    .group_by
-                    .iter()
-                    .map(|c| c.column.as_str())
-                    .collect();
-                for span in syn.covered_spans(compiled, &group_cols) {
-                    if span.rows.is_empty() {
-                        continue;
-                    }
-                    let mut slots = Vec::with_capacity(payload_cols.len());
-                    for c in &payload_cols {
-                        match syn.lane_sum(c, span.blocks.clone()) {
-                            Some(a) => slots.push(ExactSlot {
-                                sum: a.sum,
-                                min: a.min,
-                                max: a.max,
-                            }),
-                            None => break,
-                        }
-                    }
-                    if slots.len() != payload_cols.len() {
-                        continue;
-                    }
-                    if covered_blocks.is_empty() {
-                        covered_blocks = vec![false; syn.num_blocks()];
-                    }
-                    for b in span.blocks.clone() {
-                        covered_blocks[b] = true;
-                    }
-                    let rows = span.rows.len() as u64;
-                    exact.add(&span.key, rows, slots);
-                    match covered_rows.iter_mut().find(|(key, _, _)| *key == span.key) {
-                        Some((_, spans, total)) => {
-                            spans.push(span.rows.clone());
-                            *total += rows;
-                        }
-                        None => {
-                            covered_rows.push((span.key.clone(), vec![span.rows.clone()], rows))
-                        }
-                    }
-                    lane_spans += 1;
-                }
-            }
-        }
-        let covered_mask: &[bool] = &covered_blocks;
-        let covered_seed = self.next_seed();
+        // One seed is drawn and discarded before the worker seed: every
+        // admission stream is cut from the seed sequence after it, so
+        // dropping the draw would change every answer.
+        let _ = self.next_seed();
         // Resolve the stratum-key and payload columns once: the column and
         // the joined dimension whose row ids index it (`None` = the fact
         // table).
@@ -515,9 +438,6 @@ impl LaqyExecutor {
             scan_ns: u64,
             sample_ns: u64,
             scanned: u64,
-            /// Rows this worker's scan excluded because their blocks are
-            /// lane-covered (answered exactly, never read).
-            lane_rows: u64,
             sampled_input: u64,
             /// Rows of morsels this worker fully processed (the numerator
             /// of the degraded answer's coverage fraction).
@@ -537,17 +457,11 @@ impl LaqyExecutor {
         // `Result` after the scan.
         let process = |acc: &mut Partial, range: std::ops::Range<usize>| -> Result<()> {
             let t0 = Instant::now();
-            let lane_before = acc.lane_rows;
             // Vectorized pruned scan through the pre-built kernels; the
             // selection vector is kept because reservoir insertion needs
             // row ids (the sanctioned mask→selection decode).
-            let sel = prepared.scan_pruned_masked(
-                range.clone(),
-                &mut acc.prune,
-                covered_mask,
-                &mut acc.lane_rows,
-            );
-            acc.scanned += range.len() as u64 - (acc.lane_rows - lane_before);
+            acc.scanned += range.len() as u64;
+            let sel = prepared.scan_pruned(range, &mut acc.prune);
             // Sampler above a star join: the probe's aligned per-table row
             // ids replace the selection.
             let probed = if query.plan.joins.is_empty() {
@@ -596,7 +510,6 @@ impl LaqyExecutor {
                 scan_ns: 0,
                 sample_ns: 0,
                 scanned: 0,
-                lane_rows: 0,
                 sampled_input: 0,
                 covered: 0,
                 prune: PruneCounts::default(),
@@ -643,7 +556,6 @@ impl LaqyExecutor {
         let mut samples = Vec::with_capacity(partials.len());
         let (mut scan_ns, mut sample_ns, mut scanned, mut sampled_input) = (0u64, 0u64, 0u64, 0u64);
         let mut covered = 0u64;
-        let mut lane_rows = 0u64;
         let mut degraded: Option<DegradeReason> = None;
         let mut prune = PruneCounts::default();
         for p in partials {
@@ -654,7 +566,6 @@ impl LaqyExecutor {
             scan_ns += p.scan_ns;
             sample_ns += p.sample_ns;
             scanned += p.scanned;
-            lane_rows += p.lane_rows;
             sampled_input += p.sampled_input;
             covered += p.covered;
             degraded = degraded.or(p.degraded);
@@ -666,13 +577,13 @@ impl LaqyExecutor {
         // stands. From here to the finished sample is sampling work too:
         // it is timed and reported as `processing`.
         let t_materialise = Instant::now();
-        let mut boundary_rows = merge_stratified_k(samples, &mut self.rng);
+        let rows = merge_stratified_k(samples, &mut self.rng);
 
         // The retained rows' payload is read once per scan, here, one typed
         // column at a time; dimension-resident columns through one probe of
         // the survivors (every survivor joined once already, so the probe
         // keeps them all, in order).
-        let tuples_of = |rows: RowSample| -> Result<Sample> {
+        let sample = {
             let survivors = retained_rows(&rows);
             let probed = if value_cols.iter().any(|(_, dim, _)| dim.is_some()) {
                 let probed = star_probe(fact, &survivors, &joins.probes())?;
@@ -692,39 +603,7 @@ impl LaqyExecutor {
                 };
                 (ResolvedCol::from_column(col), at, kind)
             });
-            Ok(materialise(rows, value_cols.len(), columns))
-        };
-
-        // Fold the covered strata back into the stored sample: a uniform
-        // k-subset of the span's rows with the span's row count as weight
-        // is distributed exactly like a reservoir pass over those rows, so
-        // `merge(boundary, covered)` is statistically a full-region sample.
-        let (sample, boundary) = if exact.is_empty() {
-            (tuples_of(boundary_rows)?, None)
-        } else {
-            let mut covered_sampler = RowSample::with_strata_hint(k, covered_rows.len());
-            let mut draw_rng = Lehmer64::new(covered_seed);
-            let mut items = Vec::with_capacity(k);
-            for (key, spans, total) in &covered_rows {
-                items.clear();
-                for idx in floyd_k_subset(*total, k.min(*total as usize), &mut draw_rng) {
-                    items.push(row_at(spans, idx) as u32);
-                }
-                covered_sampler.insert_items(GroupKey::new(key), &items, *total);
-            }
-            if degraded.is_some() {
-                // A cut-short scan cannot blend cleanly: estimate from the
-                // full merged sample instead (covered strata are proper
-                // weighted strata, so the degraded-answer path stays
-                // valid) and drop the exact mass.
-                exact = ExactMass::new();
-                boundary_rows.absorb(&covered_sampler, &mut self.rng);
-                (tuples_of(boundary_rows)?, None)
-            } else {
-                let full =
-                    merge_stratified_refs(&[&boundary_rows, &covered_sampler], &mut self.rng);
-                (tuples_of(full)?, Some(tuples_of(boundary_rows)?))
-            }
+            materialise(rows, value_cols.len(), columns)
         };
         let materialise_wall = t_materialise.elapsed();
 
@@ -742,8 +621,6 @@ impl LaqyExecutor {
             morsels_skipped: prune.skipped,
             morsels_fast_pathed: prune.fast_pathed,
             morsels_scanned: prune.scanned,
-            lane_covered_rows: lane_rows,
-            lane_spans,
             degraded: degraded.map(|reason| {
                 Degradation::at_coverage(
                     reason,
@@ -752,12 +629,7 @@ impl LaqyExecutor {
             }),
             ..Default::default()
         };
-        Ok(PipelineRun {
-            sample,
-            boundary,
-            exact,
-            stats,
-        })
+        Ok(PipelineRun { sample, stats })
     }
 
     /// Decode raw group-key parts into display values using the plan's key
@@ -798,10 +670,8 @@ pub(crate) struct Scan {
     /// Which part of the plan: an index into `fragments` followed by
     /// `tails`.
     pub part: usize,
-    /// Full-region sample — what the store absorbs.
+    /// The scan's sample — what the store absorbs.
     pub sample: Sample,
-    /// Boundary-only sample, when lane mass was harvested.
-    pub boundary: Option<Sample>,
     /// The scan ran to completion. Only clean scans may enter the store: a
     /// degraded sample's descriptor would overclaim coverage.
     pub clean: bool,
@@ -811,8 +681,6 @@ pub(crate) struct Scan {
 pub(crate) struct CoverageScans {
     /// Accumulated scan-side timing and cardinalities.
     pub stats: ExecStats,
-    /// Exact lane mass harvested by fragment scans.
-    pub exact: ExactMass,
     /// Σ of per-scan coverage fractions (1.0 for a clean scan).
     pub coverage: f64,
     /// Scans skipped outright because the budget had already expired
@@ -823,83 +691,9 @@ pub(crate) struct CoverageScans {
     pub scans: Vec<Scan>,
 }
 
-/// A coverage plan's merged sample, ready to estimate from.
-pub(crate) struct CoverageMerge {
-    /// Stored samples ⊎ every scan: the full region (what the store got).
-    merged: Arc<Sample>,
-    /// The same merge over *boundary* fragment samples (lane-covered rows
-    /// excluded) when lane mass was harvested, so `exact` blends in without
-    /// double counting.
-    boundary: Option<Sample>,
-    exact: ExactMass,
-}
-
-impl CoverageMerge {
-    /// Estimate the query from the merged sample (plus exact lane mass).
-    pub fn estimate(
-        &self,
-        schema: &SampleSchema,
-        aggs: &[laqy_engine::AggSpec],
-        tighten: &Predicates,
-    ) -> Result<Vec<GroupEstimate>> {
-        let opts = EstimateOptions {
-            tighten: Some(tighten),
-            exact: (!self.exact.is_empty()).then_some(&self.exact),
-            ..Default::default()
-        };
-        let sample = self.boundary.as_ref().unwrap_or(&self.merged);
-        Ok(estimate(sample, schema, aggs, &opts)?)
-    }
-}
-
-impl CoverageScans {
-    /// Hand the scans to the store's coverage write step
-    /// ([`SampleStore::absorb_coverage`], which decides what is stored and
-    /// `merge`s on request), keeping the hybrid bookkeeping on this side:
-    /// when lane mass was harvested, the same merge is first made over the
-    /// *boundary* samples (a tail scan never harvests lanes, so its full
-    /// sample is its own boundary) for the estimate to blend `exact` into.
-    /// `None` when nothing was merged.
-    pub fn merge_into(
-        self,
-        store: &mut SampleStore,
-        rng: &mut Lehmer64,
-        query: &SampleDescriptor,
-        schema: &SampleSchema,
-        plan: &CoveragePlan,
-        merge: bool,
-    ) -> Option<CoverageMerge> {
-        let boundary = (merge && !self.exact.is_empty())
-            .then(|| {
-                let stored = plan
-                    .samples
-                    .iter()
-                    .map(|id| Some(&*store.peek(*id)?.sample));
-                let scanned = self
-                    .scans
-                    .iter()
-                    .map(|s| Some(s.boundary.as_ref().unwrap_or(&s.sample)));
-                let inputs = stored.chain(scanned).map(|s| s.map(Cow::Borrowed));
-                Some(Sample::combine(inputs.collect::<Option<_>>()?, rng))
-            })
-            .flatten();
-        let scans = self
-            .scans
-            .into_iter()
-            .map(|s| (s.part, s.sample, s.clean))
-            .collect();
-        let merged = store.absorb_coverage(query, schema, plan, scans, merge, rng)?;
-        Some(CoverageMerge {
-            merged,
-            boundary,
-            exact: self.exact,
-        })
-    }
-}
-
 /// [`LaqyExecutor::run_online`]'s outcome.
 pub(crate) struct OnlineRun {
-    /// Full-region sample (lane-covered strata included).
+    /// The sample over the query's range.
     pub sample: Sample,
     /// Estimates, before any degradation is applied.
     pub groups: Vec<GroupEstimate>,
@@ -911,15 +705,8 @@ pub(crate) struct OnlineRun {
 
 /// Outcome of one sampling pipeline run.
 pub(crate) struct PipelineRun {
-    /// Stratified sample over the whole scanned region, lane-covered
-    /// strata included — statistically equivalent to a plain reservoir
-    /// pass, so it is what the store absorbs.
+    /// Stratified sample over the whole scanned region.
     pub sample: Sample,
-    /// Boundary-only sample (covered rows excluded) for estimation;
-    /// `None` when no lane mass was harvested (estimate from `sample`).
-    pub boundary: Option<Sample>,
-    /// Exact covered mass to blend into estimation alongside `boundary`.
-    pub exact: ExactMass,
     /// Timing/cardinality breakdown.
     pub stats: ExecStats,
 }
@@ -999,48 +786,6 @@ fn prune_stats(prune: PruneCounts) -> ExecStats {
         morsels_scanned: prune.scanned,
         ..Default::default()
     }
-}
-
-/// Whether a plan can take the hybrid lane path: lanes live on the fact
-/// table only and hold per-column sums, so joins, dimension-side group
-/// keys, and product-input aggregates are out.
-fn hybrid_eligible(query: &ApproxQuery) -> bool {
-    query.plan.joins.is_empty()
-        && query.plan.group_by.iter().all(|c| c.table.is_none())
-        && query
-            .plan
-            .aggs
-            .iter()
-            .all(|a| !matches!(a.input, AggInput::Mul(..)))
-}
-
-/// Floyd's algorithm: `take` distinct indices drawn uniformly from
-/// `0..n`. O(take²) membership checks — `take` is a reservoir capacity,
-/// so small.
-fn floyd_k_subset(n: u64, take: usize, rng: &mut Lehmer64) -> Vec<u64> {
-    let mut chosen: Vec<u64> = Vec::with_capacity(take);
-    for j in n.saturating_sub(take as u64)..n {
-        let t = rng.next_below(j + 1);
-        if chosen.contains(&t) {
-            chosen.push(j);
-        } else {
-            chosen.push(t);
-        }
-    }
-    chosen
-}
-
-/// Map a flat index into a list of disjoint row ranges.
-fn row_at(spans: &[std::ops::Range<usize>], idx: u64) -> usize {
-    let mut rem = idx as usize;
-    for r in spans {
-        if rem < r.len() {
-            return r.start + rem;
-        }
-        rem -= r.len();
-    }
-    // Unreachable when idx < total rows; clamp defensively.
-    spans.last().map(|r| r.end.saturating_sub(1)).unwrap_or(0)
 }
 
 /// Build a [`SupportReport`] from per-group estimates whose `support`
@@ -1262,7 +1007,7 @@ mod tests {
             schema: &schema,
             strata_hint: 0,
         };
-        exec.sample_pipeline(scope, &ranges, &Predicate::True, false, 0)
+        exec.sample_pipeline(scope, &ranges, &Predicate::True, 0)
             .unwrap()
             .sample
     }
@@ -1376,7 +1121,7 @@ mod tests {
                     SlotKind::Int,
                 ),
             ];
-            // The pipeline draws the lane seed, then the worker seed.
+            // The pipeline draws one unused seed, then the worker seed.
             let gamma = 0x9E37_79B9_7F4A_7C15u64;
             let worker_seed = seed.wrapping_add(gamma).wrapping_add(gamma) ^ 0xAD31_55A7_C0DE_5EED;
             let mut oracle = crate::sampler_ops::TupleSample::new(query.k);

@@ -126,10 +126,7 @@ pub mod wal;
 pub use bounded::{run_bounded, BoundedResult, ErrorTarget};
 pub use budget::{CancelToken, Degradation, DegradeReason, QueryBudget};
 pub use descriptor::{Predicates, SampleDescriptor};
-pub use estimate::{
-    estimate, AggEstimate, EstimateError, EstimateOptions, ExactGroup, ExactMass, ExactSlot,
-    GroupEstimate,
-};
+pub use estimate::{estimate, AggEstimate, EstimateError, EstimateOptions, GroupEstimate};
 pub use executor::{
     input_identity, range_predicate, ApproxQuery, ApproxResult, LaqyError, LaqyExecutor, Result,
 };

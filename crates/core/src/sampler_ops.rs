@@ -552,7 +552,7 @@ pub(crate) fn tuple_contents(oracle: &TupleSample, slots: usize) -> Contents {
 mod tests {
     use super::*;
     use crate::descriptor::{Predicates, SampleDescriptor};
-    use crate::estimate::{estimate, EstimateOptions, ExactMass, ExactSlot, GroupEstimate};
+    use crate::estimate::{estimate, EstimateOptions, GroupEstimate};
     use crate::interval::{Interval, IntervalSet};
     use crate::store::SampleStore;
     use laqy_engine::{AggInput, AggKind, AggSpec, Column, Table};
@@ -902,18 +902,15 @@ mod tests {
     }
 
     /// Every kind of aggregate over the first and last slot, their
-    /// product, and `COUNT(*)`-style `None`; without the product when lane
-    /// mass is blended.
-    fn wide_aggs(slots: usize, lanes: bool) -> Vec<AggSpec> {
+    /// product, and `COUNT(*)`-style `None`.
+    fn wide_aggs(slots: usize) -> Vec<AggSpec> {
         let last = format!("c{}", slots - 1);
-        let mut inputs = vec![
+        let inputs = [
             AggInput::Col("c0".into()),
             AggInput::Col(last.clone()),
             AggInput::None,
+            AggInput::Mul("c0".into(), last),
         ];
-        if !lanes {
-            inputs.push(AggInput::Mul("c0".into(), last));
-        }
         let kinds = [
             AggKind::Sum,
             AggKind::Count,
@@ -950,9 +947,8 @@ mod tests {
         /// after the sample came to rest, ingest absorb through the store —
         /// leave the same `(key, rows, weight)` sequence, and every estimate
         /// over it (no / `Range` / `Sets` tightening; `Col` over int and
-        /// float slots, `Mul`, `None`; with and without lane mass; before
-        /// and after the key order is extended) is the oracle's bit for bit,
-        /// groups in key order.
+        /// float slots, `Mul`, `None`; before and after the key order is
+        /// extended) is the oracle's bit for bit, groups in key order.
         #[test]
         fn width_exact_samples_match_the_64_byte_oracle(
             slots in 1usize..MAX_SAMPLE_COLS + 1,
@@ -1048,26 +1044,18 @@ mod tests {
                     IntervalSet::from_intervals(vec![Interval::new(lo, mid), Interval::new(hi, 120)]),
                 )),
             ];
-            let mut exact = ExactMass::new();
-            let lane = |sum: f64| vec![ExactSlot { sum, min: -1.5, max: 2.0 }; slots];
-            exact.add(&[0], 40, lane(100.0));
-            exact.add(&[-7], 3, lane(-2.5));
-            exact.add(&[99], 7, lane(21.0));
+            let aggs = wide_aggs(slots);
             for (sample, oracle) in [(&sample, &oracle), (&**absorbed, &ingested)] {
                 let wide = Sample::of_tuples(oracle.clone(), slots);
                 for tighten in &tightenings {
-                    for lanes in [None, Some(&exact)] {
-                        let aggs = wide_aggs(slots, lanes.is_some());
-                        let opts = EstimateOptions {
-                            tighten: tighten.as_ref(),
-                            exact: lanes,
-                            ..Default::default()
-                        };
-                        let groups = estimate(sample, &schema, &aggs, &opts).unwrap();
-                        let expected = estimate(&wide, &schema, &aggs, &opts).unwrap();
-                        prop_assert_eq!(bits(&groups), bits(&expected));
-                        prop_assert!(groups.windows(2).all(|w| w[0].key < w[1].key));
-                    }
+                    let opts = EstimateOptions {
+                        tighten: tighten.as_ref(),
+                        ..Default::default()
+                    };
+                    let groups = estimate(sample, &schema, &aggs, &opts).unwrap();
+                    let expected = estimate(&wide, &schema, &aggs, &opts).unwrap();
+                    prop_assert_eq!(bits(&groups), bits(&expected));
+                    prop_assert!(groups.windows(2).all(|w| w[0].key < w[1].key));
                 }
             }
         }

@@ -77,14 +77,14 @@ use laqy_sync::{Condvar, Mutex, RwLock, RwLockReadGuard};
 
 use crate::budget::{apply_degradation, blended_degradation, CancelToken, QueryBudget};
 use crate::descriptor::{Predicates, SampleDescriptor};
-use crate::estimate::{EstimateOptions, Estimator, GroupEstimate};
+use crate::estimate::{estimate, EstimateOptions, Estimator, GroupEstimate};
 use crate::executor::{
-    descriptor_for, payload_schema, support_from_groups, ApproxQuery, ApproxResult, CoverageMerge,
-    CoverageScans, LaqyError, LaqyExecutor, Result, Scope,
+    descriptor_for, payload_schema, support_from_groups, ApproxQuery, ApproxResult, CoverageScans,
+    LaqyError, LaqyExecutor, Result, Scope,
 };
 use crate::interval::IntervalSet;
 use crate::lazy::{plan_lazy_capped, LazyPlan, ReuseMode, MAX_COVERAGE_SAMPLES};
-use crate::sampler_ops::SampleSchema;
+use crate::sampler_ops::{Sample, SampleSchema};
 use crate::stats::{Counters, ExecStats, ReuseClass, ServiceStats};
 use crate::store::{CoveragePlan, SampleId, SampleStore, ShardedStore, STORE_SHARDS};
 use crate::support::{SupportPolicy, SupportReport};
@@ -477,7 +477,8 @@ impl LaqyService {
     /// Enable the ingest write-ahead log rooted at `dir`. Any intact
     /// records already in the log are replayed first — batches apply
     /// idempotently (a batch whose table already holds more than its
-    /// `base_rows` is skipped) and stored samples catch up — then the
+    /// `base_rows` is skipped) and stored samples catch up with the tables
+    /// the replay grew — then the
     /// appender opens at the end of the last intact record, truncating a
     /// torn tail. Subsequent [`LaqyService::ingest`] calls are durable:
     /// the batch is logged and fsynced before it is published.
@@ -492,8 +493,7 @@ impl LaqyService {
                 .counters
                 .wal_replays
                 .fetch_add(records.len() as u64, Ordering::Relaxed);
-            self.apply_wal_batches(&records)?;
-            for t in self.pinned_tables() {
+            for t in self.apply_wal_batches(&records)? {
                 self.absorb_published(&t);
             }
         }
@@ -508,8 +508,8 @@ impl LaqyService {
     /// on top of the registered tables (idempotently; a torn tail is
     /// discarded and truncated), drop any stored sample whose watermark
     /// runs past the recovered tables (it would reference rows the log
-    /// never made durable), catch the survivors up to the recovered
-    /// watermarks, and leave the WAL enabled for further ingest.
+    /// never made durable), catch the survivors up with the tables the
+    /// replay grew, and leave the WAL enabled for further ingest.
     pub fn recover_with_wal(
         &self,
         snapshot_dir: &std::path::Path,
@@ -524,15 +524,17 @@ impl LaqyService {
             .counters
             .wal_replays
             .fetch_add(replay.records, Ordering::Relaxed);
-        self.apply_wal_batches(&records)?;
+        let grown = self.apply_wal_batches(&records)?;
         // Restore against the recovered tables: the snapshot may postdate
         // the last durable batch (its samples were cut from a table state
         // whose rows never hit the log), so samples past each recovered
         // watermark go; the rest absorb forward. Either way the store
         // lands exactly at the recovered `(generation, WAL position)`
-        // point.
+        // point. Only a table the replay grew is absorbed: an absorb drops
+        // every sample joined through its table, so absorbing an unchanged
+        // dimension would drop every sample above a join for nothing.
         self.restore_store(loaded, report.fell_back());
-        for t in self.pinned_tables() {
+        for t in grown {
             self.absorb_published(&t);
         }
         // laqy-lint: allow(guard-blocking-op) -- recovery must hold `laqy.wal` from replay through appender open: an ingest slipping in between would append at a position the replay never saw.
@@ -540,15 +542,17 @@ impl LaqyService {
         Ok(report)
     }
 
-    /// Apply replayed WAL batches to the catalog in log order. A batch
-    /// is applied only when its table holds exactly `base_rows` rows;
-    /// fewer is a gap (corrupt log), more means the batch is already
-    /// reflected (idempotent replay over a newer snapshot).
+    /// Apply replayed WAL batches to the catalog in log order, returning
+    /// the last published version of every table they grew. A batch is
+    /// applied only when its table holds exactly `base_rows` rows; fewer
+    /// is a gap (corrupt log), more means the batch is already reflected
+    /// (idempotent replay over a newer snapshot).
     fn apply_wal_batches(
         &self,
         records: &[WalRecord],
-    ) -> std::result::Result<(), crate::persist::PersistError> {
+    ) -> std::result::Result<Vec<Arc<Table>>, crate::persist::PersistError> {
         use crate::persist::PersistError;
+        let mut grown: Vec<Arc<Table>> = Vec::new();
         for rec in records {
             let WalRecord::Batch {
                 table,
@@ -577,9 +581,11 @@ impl LaqyService {
             let next = current.append_batch(columns).map_err(|e| {
                 PersistError::Corrupt(format!("wal batch failed to apply to `{table}`: {e}"))
             })?;
-            self.timed(|i| i.catalog.write()).register(next);
+            let published = self.timed(|i| i.catalog.write()).register(next);
+            grown.retain(|t| t.name() != table);
+            grown.push(published);
         }
-        Ok(())
+        Ok(grown)
     }
 
     /// Snapshot the catalog's current table versions (cheap `Arc`
@@ -675,7 +681,7 @@ impl LaqyService {
     pub fn run_online_oblivious(&self, query: &ApproxQuery) -> Result<ApproxResult> {
         let mut at = self.begin(query, &CancelToken::unbounded(), Instant::now())?;
         let (executor, scope) = at.pipeline();
-        let run = executor.run_online(scope, false)?;
+        let run = executor.run_online(scope)?;
         let est = Estimated {
             groups: run.groups,
             stats: run.stats,
@@ -849,7 +855,7 @@ impl LaqyService {
         let estimator = Estimator::compile(&stored.schema, &at.query.plan.aggs, Some(&at.tighten))?;
         let sample = Arc::clone(&stored.sample);
         drop(store);
-        let groups = estimator.estimate(&sample, EstimateOptions::default().z, None)?;
+        let groups = estimator.estimate(&sample, EstimateOptions::default().z);
         let stats = ExecStats {
             estimate: started.elapsed(),
             ..Default::default()
@@ -911,7 +917,7 @@ impl LaqyService {
         plan: &CoveragePlan,
         snapshot: Option<&[(Predicates, u64)]>,
         scans: CoverageScans,
-    ) -> Option<CoverageMerge> {
+    ) -> Option<Arc<Sample>> {
         if snapshot.is_none() && !scans.scans.iter().any(|s| s.clean) {
             return None;
         }
@@ -925,8 +931,11 @@ impl LaqyService {
                         .is_some_and(|s| s.descriptor.predicates == snap.0 && s.watermark == snap.1)
                 })
         });
+        let scans = (scans.scans.into_iter())
+            .map(|s| (s.part, s.sample, s.clean))
+            .collect();
         let rng = at.executor.rng_mut();
-        scans.merge_into(&mut store, rng, &at.descriptor, &at.schema, plan, valid)
+        store.absorb_coverage(&at.descriptor, &at.schema, plan, scans, valid, rng)
     }
 
     /// Coverage execution: **scan** what we can claim, **merge** with the
@@ -971,7 +980,7 @@ impl LaqyService {
         stats.merge = t_merge.elapsed();
         // The store now holds the scan work: waiters may re-plan.
         drop(claims);
-        let Some(merge) = merge else {
+        let Some(merged) = merge else {
             add(&c.merge_retries, 1);
             return Ok(None);
         };
@@ -979,7 +988,11 @@ impl LaqyService {
         // **Estimate** — lock-free: the merged sample is shared with the
         // store, not borrowed from it.
         let t_est = Instant::now();
-        let groups = merge.estimate(&at.schema, &at.query.plan.aggs, &at.tighten)?;
+        let opts = EstimateOptions {
+            tighten: Some(&at.tighten),
+            ..Default::default()
+        };
+        let groups = estimate(&merged, &at.schema, &at.query.plan.aggs, &opts)?;
         stats.estimate += t_est.elapsed();
         stats.fragments_reused = plan.samples.len() as u64;
         add(&c.fragments_reused, plan.samples.len() as u64);
@@ -1008,7 +1021,7 @@ impl LaqyService {
         self.hold_for_test();
 
         let (executor, scope) = at.pipeline();
-        let run = executor.run_online(scope, true)?;
+        let run = executor.run_online(scope)?;
         add(&c.online_scans, 1);
         // Capture the sample for future reuse (sample-as-you-query: it was
         // needed anyway, so storing it costs only space) — unless the

@@ -110,13 +110,6 @@ exec_stats! {
     morsels_fast_pathed: u64 => morsels_fast_pathed,
     /// Morsels that needed per-row predicate evaluation.
     morsels_scanned: u64 => morsels_scanned,
-    /// Rows whose aggregate contribution came exactly from pre-aggregate
-    /// lanes — excluded from the scan *and* from the sampler's input
-    /// (hybrid estimation; "rows made free").
-    lane_covered_rows: u64 => lane_covered_rows,
-    /// Lane-covered spans (contiguous TakeAll, group-constant block runs)
-    /// this query's scans turned into exact mass.
-    lane_spans: u64,
     /// Stored samples this query's coverage plan merged (0 when the query
     /// ran online or hit a single subsuming sample).
     fragments_reused: u64,
@@ -195,9 +188,6 @@ service_counters! {
     morsels_fast_pathed,
     /// Morsels that needed per-row evaluation across all served scans.
     morsels_scanned,
-    /// Rows answered exactly from pre-aggregate lanes (never scanned or
-    /// sampled) across all served queries.
-    lane_covered_rows,
     /// Stored samples merged by coverage plans across all queries.
     fragments_reused,
     /// Residual coverage fragments Δ-scanned across all queries.
@@ -282,8 +272,6 @@ mod tests {
             morsels_skipped: 7,
             morsels_fast_pathed: 2,
             morsels_scanned: 3,
-            lane_covered_rows: 30,
-            lane_spans: 4,
             fragments_reused: 2,
             fragments_scanned: 1,
             degraded: None,
@@ -311,7 +299,6 @@ mod tests {
             morsels_skipped: 14,
             morsels_fast_pathed: 4,
             morsels_scanned: 6,
-            lane_covered_rows: 60,
             ..Default::default()
         };
         assert_eq!(counters.snapshot(), expected);

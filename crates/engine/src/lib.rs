@@ -43,8 +43,6 @@ pub use plan::{
     execute_exact, resolve_by_name, validate_plan, ColRef, GroupedRow, JoinSpec, PreparedJoins,
     QueryPlan, QueryResult,
 };
-pub use synopsis::{
-    ColumnLanes, CoveredSpan, LaneAgg, LaneValues, PruneCounts, TableSynopsis, Verdict,
-};
+pub use synopsis::{PruneCounts, TableSynopsis, Verdict};
 pub use table::{Catalog, Table};
 pub use types::{DataType, Value};

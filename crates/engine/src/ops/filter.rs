@@ -56,25 +56,14 @@ impl<'a> PreparedScan<'a> {
         })
     }
 
-    /// The compiled predicate (for verdict probes and reference paths).
-    pub fn compiled(&self) -> &Compiled<'a> {
-        &self.compiled
-    }
-
     /// Walk `range` consulting zone maps, emitting a [`ScanEvent`] for
     /// every piece that may hold matches. `counts` records one verdict
     /// per zone-map block (chunking within a `Scan` block does not
     /// multiply counts); a table without zone maps counts one `Scan`.
-    /// Blocks whose `covered` bit is set are left out (their aggregate
-    /// contribution comes exactly from pre-aggregate lanes) and their rows
-    /// accumulate into `lane_rows`; a mask shorter than the block count
-    /// treats missing entries as uncovered, so `&[]` walks every block.
     pub fn walk(
         &self,
         range: Range<usize>,
         counts: &mut PruneCounts,
-        covered: &[bool],
-        lane_rows: &mut u64,
         mut visit: impl FnMut(ScanEvent<'_>),
     ) {
         let Some(syn) = self.table.synopsis() else {
@@ -83,10 +72,6 @@ impl<'a> PreparedScan<'a> {
             return;
         };
         for (block, sub) in syn.blocks_of(range) {
-            if covered.get(block).copied().unwrap_or(false) {
-                *lane_rows += sub.len() as u64;
-                continue;
-            }
             match syn.verdict(&self.compiled, block) {
                 Verdict::Skip => counts.skipped += 1,
                 Verdict::TakeAll => {
@@ -119,24 +104,43 @@ impl<'a> PreparedScan<'a> {
     /// (verdicts are conservative; kernels are proptested equivalent to
     /// [`Compiled::matches`]).
     pub fn scan_pruned(&self, range: Range<usize>, counts: &mut PruneCounts) -> Vec<u32> {
-        self.scan_pruned_masked(range, counts, &[], &mut 0)
+        let mut out = Vec::new();
+        self.walk(range, counts, |ev| decode(ev, &mut out));
+        out
     }
 
-    /// [`PreparedScan::scan_pruned`] with lane-coverage exclusion (see
-    /// [`PreparedScan::walk`]).
+    /// [`PreparedScan::scan_pruned`] leaving out the zone-map blocks whose
+    /// `excluded` bit is set; their rows accumulate into `excluded_rows`
+    /// and they count no verdict. A mask shorter than the block count
+    /// treats missing entries as clear, so `&[]` is the plain pruned scan.
+    /// Kept for `benchmark/src/probes.rs`, which times it with `&[]`.
     pub fn scan_pruned_masked(
         &self,
         range: Range<usize>,
         counts: &mut PruneCounts,
-        covered: &[bool],
-        lane_rows: &mut u64,
+        excluded: &[bool],
+        excluded_rows: &mut u64,
     ) -> Vec<u32> {
+        let Some(syn) = self.table.synopsis().filter(|_| !excluded.is_empty()) else {
+            return self.scan_pruned(range, counts);
+        };
         let mut out = Vec::new();
-        self.walk(range, counts, covered, lane_rows, |ev| match ev {
-            ScanEvent::TakeAll(rows) => out.extend(rows.map(|r| r as u32)),
-            ScanEvent::Chunk(rows, mask) => decode_mask(mask, rows.start, &mut out),
-        });
+        for (block, sub) in syn.blocks_of(range) {
+            if excluded.get(block).copied().unwrap_or(false) {
+                *excluded_rows += sub.len() as u64;
+            } else {
+                self.walk(sub, counts, |ev| decode(ev, &mut out));
+            }
+        }
         out
+    }
+}
+
+/// Append the row ids one walk event selects to `out`.
+fn decode(ev: ScanEvent<'_>, out: &mut Vec<u32>) {
+    match ev {
+        ScanEvent::TakeAll(rows) => out.extend(rows.map(|r| r as u32)),
+        ScanEvent::Chunk(rows, mask) => decode_mask(mask, rows.start, out),
     }
 }
 
@@ -274,27 +278,28 @@ mod tests {
     fn masked_scan_excludes_covered_blocks_and_counts_rows() {
         let t = blocked_table();
         let p = Predicate::between("x", 10, 59);
-        // Blocks 1..6 fully match; mark 2 and 3 as lane-covered.
+        // Blocks 1..6 fully match; exclude 2 and 3.
         let mut covered = vec![false; 10];
         covered[2] = true;
         covered[3] = true;
         let mut counts = PruneCounts::default();
-        let mut lane_rows = 0u64;
+        let mut excluded_rows = 0u64;
         let scan = PreparedScan::new(&t, &p).unwrap();
-        let sel = scan.scan_pruned_masked(0..100, &mut counts, &covered, &mut lane_rows);
-        assert_eq!(lane_rows, 20);
+        let sel = scan.scan_pruned_masked(0..100, &mut counts, &covered, &mut excluded_rows);
+        assert_eq!(excluded_rows, 20);
         let expected: Vec<u32> = (10..60).filter(|r| !(20..40).contains(r)).collect();
         assert_eq!(sel, expected);
-        // Covered blocks are neither scanned nor fast-pathed.
+        // Excluded blocks are neither scanned nor fast-pathed.
         assert_eq!(counts.fast_pathed, 3);
+        assert_eq!(counts.total(), 8);
 
-        // An all-false (or short) mask degenerates to the plain pruned scan.
+        // An empty (or short) mask degenerates to the plain pruned scan.
         let mut counts2 = PruneCounts::default();
-        let mut lane_rows2 = 0u64;
-        let plain = scan.scan_pruned_masked(0..100, &mut counts2, &[], &mut lane_rows2);
+        let mut excluded_rows2 = 0u64;
+        let plain = scan.scan_pruned_masked(0..100, &mut counts2, &[], &mut excluded_rows2);
         let mut counts3 = PruneCounts::default();
         assert_eq!(plain, scan.scan_pruned(0..100, &mut counts3));
-        assert_eq!(lane_rows2, 0);
+        assert_eq!((counts2, excluded_rows2), (counts3, 0));
     }
 
     #[test]

@@ -258,7 +258,7 @@ pub fn execute_exact(
         threads,
         || (GroupTable::new(), PruneCounts::default(), None),
         |(acc, counts, error), range| match &fused {
-            Some((keys, inputs)) => scan.walk(range, counts, &[], &mut 0, |ev| match ev {
+            Some((keys, inputs)) => scan.walk(range, counts, |ev| match ev {
                 ScanEvent::TakeAll(rows) => group_by_range(keys, inputs, rows, acc, &factory),
                 ScanEvent::Chunk(rows, mask) => {
                     group_by_masked(keys, inputs, rows.start, rows.len(), mask, acc, &factory)

@@ -11,8 +11,8 @@ use crate::types::DataType;
 /// scans always see a frozen set of rows — but the table grows through
 /// [`Table::append_batch`], which produces the next version with the
 /// batch's rows at the tail, the epoch counter bumped, and the per-morsel
-/// zone maps / pre-aggregate lanes extended incrementally (only the
-/// appended rows are read; see [`TableSynopsis::extend`]). Versions are
+/// zone maps extended incrementally (only the appended rows are read; see
+/// [`TableSynopsis::extend`]). Versions are
 /// persistent values: consecutive ones share their columns' base piece
 /// and sealed chunks ([`StoredColumn`]), so the next version costs
 /// O(batch + one chunk per column) and a clone is reference-count bumps.
@@ -348,11 +348,7 @@ mod tests {
         }
         let syn = t.synopsis().unwrap();
         for (name, _) in t.columns() {
-            out += &format!(
-                "{name}: zone {:?} lanes {:?}\n",
-                syn.column(name),
-                syn.lane(name)
-            );
+            out += &format!("{name}: zone {:?}\n", syn.column(name));
         }
         out
     }

@@ -11,7 +11,7 @@
 //! rows), the grown table must be indistinguishable from `Table::new`
 //! over the concatenated flat columns — on kernel masks at every aligned
 //! and unaligned base, pruned scans, exact group-by sums (bitwise), star
-//! probes, gathers, and every level of the synopsis.
+//! probes, gathers, and the zone maps of every column.
 
 use laqy_engine::ops::{build_join_map, gather, materialize, star_probe, PreparedScan};
 use laqy_engine::{
@@ -275,7 +275,7 @@ proptest! {
             prop_assert_eq!(masks(&grown, p, &chunk_bases), masks(&flat, p, &chunk_bases), "{:?}", p);
         }
 
-        // Pruned and lane-masked scans over random ranges.
+        // Pruned and block-masked scans over random ranges.
         for p in &preds {
             let (gs, fs) = (PreparedScan::new(&grown, p).unwrap(), PreparedScan::new(&flat, p).unwrap());
             let a = rng.below(n as u64 + 1) as usize;
@@ -296,18 +296,14 @@ proptest! {
             }
         }
 
-        // Synopsis: zone maps, every lane level, lane sums.
+        // Synopsis: the zone-map bounds of every column, open blocks
+        // continued across appends included; floats have none.
         let (gsyn, fsyn) = (grown.synopsis().unwrap(), flat.synopsis().unwrap());
         prop_assert_eq!(gsyn.num_blocks(), fsyn.num_blocks());
-        prop_assert_eq!(gsyn.lane_levels(), fsyn.lane_levels());
-        for (name, _) in grown.columns() {
-            prop_assert_eq!(format!("{:?}", gsyn.column(name)), format!("{:?}", fsyn.column(name)), "{} zone", name);
-            prop_assert_eq!(format!("{:?}", gsyn.lane(name)), format!("{:?}", fsyn.lane(name)), "{} lanes", name);
-            for _ in 0..8 {
-                let a = rng.below(gsyn.num_blocks() as u64 + 1) as usize;
-                let b = rng.below(gsyn.num_blocks() as u64 + 1) as usize;
-                prop_assert_eq!(gsyn.lane_sum(name, a.min(b)..a.max(b)), fsyn.lane_sum(name, a.min(b)..a.max(b)));
-            }
+        for (name, col) in grown.columns() {
+            prop_assert_eq!(gsyn.column(name), fsyn.column(name), "{} zone", name);
+            let zoned = col.data_type() != laqy_engine::DataType::Float64;
+            prop_assert_eq!(gsyn.column(name).is_some(), zoned, "{} zone presence", name);
         }
 
         // Star probe and gather/materialize over a selection.

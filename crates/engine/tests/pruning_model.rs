@@ -7,8 +7,6 @@
 //! its per-block verdict counts must account for every block the range
 //! touches.
 
-use std::collections::HashMap;
-
 use laqy_engine::ops::{reference, PreparedScan};
 use laqy_engine::{dict_column, Column, Predicate, PruneCounts, Table};
 use proptest::prelude::*;
@@ -148,77 +146,6 @@ proptest! {
         // rows, so the selection fits inside non-skipped blocks' capacity.
         let capacity = (counts.fast_pathed + counts.scanned) * block as u64;
         prop_assert!(pruned.len() as u64 <= capacity.min((hi - lo) as u64));
-    }
-
-    /// Hybrid estimation's engine-level invariant: covered spans plus the
-    /// masked boundary scan partition the full-scan selection exactly, so
-    /// blended per-group counts (exact span rows + scanned rows) equal the
-    /// reference full-scan counts for every group.
-    #[test]
-    fn hybrid_partition_matches_full_scan(
-        seed in 0u64..100_000,
-        rows in 1usize..500,
-        block in 1usize..96,
-        depth in 0usize..3,
-    ) {
-        let table = build_table(seed, rows, block);
-        let mut rng = Rng(seed.rotate_left(11) ^ 0xABCD);
-        let tags_present = rows.div_ceil(block).clamp(1, 4);
-        let predicate = build_predicate(&mut rng, rows as i64, tags_present, depth);
-        let compiled = predicate.compile(&table).unwrap();
-        let syn = table.synopsis().unwrap();
-        let tag = table.column("tag").unwrap();
-        let ck = table.column("ck").unwrap();
-
-        let spans = syn.covered_spans(&compiled, &["tag"]);
-        let mut covered = vec![false; syn.num_blocks()];
-        let mut exact_counts: HashMap<i64, u64> = HashMap::new();
-        let mut span_rows: Vec<u32> = Vec::new();
-        let mut total_covered = 0u64;
-        for span in &spans {
-            // Spans are disjoint, in-bounds, predicate-true, and
-            // group-constant; their lane sums are exact.
-            let mut ck_sum = 0i64;
-            for r in span.rows.clone() {
-                prop_assert!(r < rows, "span row out of bounds");
-                prop_assert!(compiled.matches(r), "covered row fails predicate");
-                prop_assert_eq!(tag.i64_at(r), span.key[0], "group drifts inside span");
-                ck_sum += ck.i64_at(r);
-                span_rows.push(r as u32);
-            }
-            for b in span.blocks.clone() {
-                prop_assert!(!covered[b], "spans overlap at block {}", b);
-                covered[b] = true;
-            }
-            let lane = syn.lane_sum("ck", span.blocks.clone()).unwrap();
-            prop_assert_eq!(lane.sum, ck_sum as f64, "lane sum diverges from row scan");
-            *exact_counts.entry(span.key[0]).or_default() += span.rows.len() as u64;
-            total_covered += span.rows.len() as u64;
-        }
-
-        let mut counts = PruneCounts::default();
-        let mut lane_rows = 0u64;
-        let scan = PreparedScan::new(&table, &predicate).unwrap();
-        let sel = scan.scan_pruned_masked(0..rows, &mut counts, &covered, &mut lane_rows);
-        prop_assert_eq!(lane_rows, total_covered, "mask excluded a different row count");
-
-        // Partition: boundary selection ∪ span rows == reference, disjoint.
-        let reference = reference::eval_rows(&compiled, 0..rows);
-        let mut union: Vec<u32> = sel.iter().copied().chain(span_rows.iter().copied()).collect();
-        union.sort_unstable();
-        prop_assert_eq!(union.len(), sel.len() + span_rows.len(), "overlap between boundary and spans");
-        prop_assert_eq!(&union, &reference);
-
-        // Blended per-group counts ≡ full-scan per-group counts.
-        let mut blended: HashMap<i64, u64> = exact_counts;
-        for &r in &sel {
-            *blended.entry(tag.i64_at(r as usize)).or_default() += 1;
-        }
-        let mut full: HashMap<i64, u64> = HashMap::new();
-        for &r in &reference {
-            *full.entry(tag.i64_at(r as usize)).or_default() += 1;
-        }
-        prop_assert_eq!(blended, full);
     }
 
     #[test]

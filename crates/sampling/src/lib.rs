@@ -35,6 +35,4 @@ pub use merge::{merge_reservoirs, merge_reservoirs_k, merge_reservoirs_with_capa
 pub use reservoir::Reservoir;
 pub use rng::{Lehmer64, MinStd, SplitMix64};
 pub use stratified::{StratifiedSampler, StratumKey};
-pub use stratified_merge::{
-    merge_base, merge_stratified, merge_stratified_k, merge_stratified_refs,
-};
+pub use stratified_merge::{merge_base, merge_stratified, merge_stratified_k};

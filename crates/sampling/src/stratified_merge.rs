@@ -76,8 +76,8 @@ pub fn merge_stratified<K: StratumKey, T: Clone + Default>(
     merge_stratified_k(vec![a, b], rng)
 }
 
-/// Position of the input [`merge_stratified_k`] and
-/// [`merge_stratified_refs`] fold the others into, given each input's
+/// Position of the input [`merge_stratified_k`] folds the others into,
+/// given each input's
 /// `(capacity, strata)`: the largest capacity (the output's), then the
 /// most strata (the fewest appends), then the first. The merged sample's
 /// strata start with this input's, in its order.
@@ -115,20 +115,6 @@ pub fn merge_stratified_k<K: StratumKey, T: Clone + Default>(
 ) -> StratifiedSampler<K, T> {
     let mut out = inputs.remove(merge_base(inputs.iter().map(size)));
     for other in &inputs {
-        out.absorb(other, rng);
-    }
-    out
-}
-
-/// [`merge_stratified_k`] over borrowed inputs: the largest is copied once
-/// and the others absorbed into the copy.
-pub fn merge_stratified_refs<K: StratumKey, T: Clone + Default>(
-    inputs: &[&StratifiedSampler<K, T>],
-    rng: &mut Lehmer64,
-) -> StratifiedSampler<K, T> {
-    let base = merge_base(inputs.iter().map(|s| size(s)));
-    let mut out = inputs[base].clone();
-    for (_, other) in inputs.iter().enumerate().filter(|(i, _)| *i != base) {
         out.absorb(other, rng);
     }
     out
@@ -252,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn k_way_by_reference_passes_single_owner_strata_through() {
+    fn k_way_passes_single_owner_strata_through() {
         // Stratum 0 is shared by all three inputs, 1 by two, and 5, 6, 7
         // are each held by exactly one input.
         let mut rng = Lehmer64::new(30);
@@ -267,8 +253,7 @@ mod tests {
                 p.offer(5 + i as i64, 30_000 + j, &mut rng_p);
             }
         }
-        let refs: Vec<&StratifiedSampler<i64, i64>> = parts.iter().collect();
-        let m = merge_stratified_refs(&refs, &mut rng);
+        let m = merge_stratified_k(parts.to_vec(), &mut rng);
         let order: Vec<i64> = m.iter().map(|(k, _, _)| *k).collect();
         assert_eq!(order, vec![0, 1, 5, 6, 7], "first-seen key order");
         for (i, p) in parts.iter().enumerate() {
@@ -281,9 +266,6 @@ mod tests {
             m.total_weight(),
             parts.iter().map(|p| p.total_weight()).sum()
         );
-        // The borrowed inputs are untouched.
-        assert_eq!(parts[0].num_strata(), 3);
-        assert_eq!(parts[0].stratum(&0).unwrap().1, 200);
     }
 
     #[test]

@@ -4,13 +4,15 @@
 
 use laqy::{ApproxQuery, Interval, LaqyService, ReuseClass, SessionConfig};
 use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table};
-use laqy_workload::{generate, q1, q2, SsbConfig};
+use laqy_workload::{generate, lineorder_batch, q1, q2, SsbConfig};
+
+const SSB: SsbConfig = SsbConfig {
+    scale_factor: 0.003,
+    seed: 0x9E,
+};
 
 fn catalog() -> Catalog {
-    generate(&SsbConfig {
-        scale_factor: 0.003,
-        seed: 0x9E,
-    })
+    generate(&SSB)
 }
 
 fn session(cat: &Catalog, seed: u64) -> LaqyService {
@@ -137,4 +139,53 @@ fn restored_samples_never_answer_rows_the_table_does_not_hold() {
         let exact_total: f64 = exact.rows.iter().map(|r| r.values[0]).sum();
         assert_eq!((total, exact_total), (2_000.0, 2_000.0));
     }
+}
+
+#[test]
+fn wal_recovery_keeps_samples_above_a_join() {
+    // A Q2 sample joins `date`, `supplier` and `part`. Recovery absorbs
+    // only the tables its WAL replay grew, so the sample survives an empty
+    // log as a full hit, and a logged `lineorder` batch as a stored sample
+    // whose new rows one tail fragment scans.
+    const BATCH: usize = 500;
+    let cat = catalog();
+    let n = cat.table("lineorder").unwrap().num_rows();
+    let query = q2(Interval::new(0, (n + BATCH) as i64 - 1), 32);
+    let live = session(&cat, 8);
+    live.run(&query).unwrap();
+    let dir = std::env::temp_dir().join(format!("laqy-wal-join-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let snap = dir.join("snap");
+    live.save_snapshot(&snap).unwrap();
+
+    for batches in [0, 1] {
+        let wal = dir.join(format!("wal-{batches}"));
+        if batches > 0 {
+            let writer = session(&cat, 9);
+            writer.enable_wal(&wal).unwrap();
+            writer
+                .ingest("lineorder", lineorder_batch(&SSB, n, BATCH))
+                .unwrap();
+        }
+        let recovered = session(&cat, 10);
+        recovered.recover_with_wal(&snap, &wal).unwrap();
+        assert_eq!(
+            recovered.store().len(),
+            1,
+            "{batches} batches: sample dropped"
+        );
+        let r = recovered.run(&query).unwrap();
+        if batches == 0 {
+            assert_eq!(r.stats.reuse, Some(ReuseClass::Full));
+        } else {
+            assert_eq!(r.stats.reuse, Some(ReuseClass::Partial));
+            assert_eq!(r.stats.fragments_reused, 1);
+            assert_eq!(r.stats.fragments_scanned, 1);
+            assert_eq!(
+                r.stats.scanned_rows, BATCH as u64,
+                "the tail is the new rows"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -3,9 +3,7 @@
 //! tests measure estimator bias and CI coverage over repeated seeds, for
 //! fresh online samples and for merged (partial-reuse) samples alike.
 
-use laqy::{
-    save_store, ApproxQuery, Interval, LaqyService, ReuseClass, SampleStore, SessionConfig,
-};
+use laqy::{save_store, Interval, LaqyService, ReuseClass, SampleStore, SessionConfig};
 use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table, Value};
 use laqy_workload::{generate, q1, SsbConfig};
 
@@ -448,132 +446,6 @@ fn estimate_variance_shrinks_with_k() {
         ratio > 1.4 && ratio < 3.0,
         "4x k should roughly halve CI width: ratio {ratio}"
     );
-}
-
-#[test]
-fn lane_coverage_strictly_shrinks_ci_width_on_clustered_data() {
-    // Hybrid estimation: when pre-aggregate lanes cover blocks exactly
-    // (clustered data, group constant per block, predicate TakeAll), the
-    // covered mass enters the answer with zero variance, so every group's
-    // CI must be *strictly* narrower than the oblivious online sample's —
-    // while the estimates themselves stay unbiased.
-    let rows = 40_000i64;
-    let block = 1_000usize;
-    let run = rows / 4; // group constant over 10k-row runs = 10 blocks
-    let mut cat = Catalog::new();
-    cat.register(
-        Table::with_zone_map_rows(
-            "clustered",
-            vec![
-                ("key".into(), Column::Int64((0..rows).collect())),
-                (
-                    "grp".into(),
-                    Column::Int64((0..rows).map(|i| i / run).collect()),
-                ),
-                (
-                    "val".into(),
-                    Column::Int64((0..rows).map(|i| (i * 37) % 1000).collect()),
-                ),
-            ],
-            block,
-        )
-        .unwrap(),
-    );
-    // End the range off a block edge so a boundary block still gets
-    // scanned and sampled (the hybrid path, not a degenerate all-exact
-    // answer).
-    let query = ApproxQuery {
-        plan: QueryPlan {
-            fact: "clustered".into(),
-            predicate: Predicate::True,
-            joins: vec![],
-            group_by: vec![ColRef::fact("grp")],
-            aggs: vec![AggSpec::sum("val"), AggSpec::count()],
-        },
-        range_column: "key".into(),
-        range: Interval::new(0, rows - 5),
-        k: 48,
-    };
-    let config = |seed| SessionConfig {
-        threads: 1,
-        seed,
-        ..SessionConfig::default()
-    };
-    let (exact, _) = LaqyService::with_config(cat.clone(), config(0))
-        .run_exact(&query)
-        .unwrap();
-
-    for seed in [11u64, 12, 13] {
-        let hybrid_s = LaqyService::with_config(cat.clone(), config(seed));
-        let hybrid = hybrid_s.run(&query).unwrap();
-        let oblivious_s = LaqyService::with_config(cat.clone(), config(seed));
-        let oblivious = oblivious_s.run_online_oblivious(&query).unwrap();
-        assert_eq!(hybrid.stats.reuse, Some(ReuseClass::Online));
-        assert_eq!(oblivious.stats.reuse, Some(ReuseClass::Online));
-
-        // Lanes fired: most rows were answered exactly and never scanned.
-        assert!(
-            hybrid.stats.lane_covered_rows > 0,
-            "clustered table must produce lane coverage"
-        );
-        assert!(hybrid.stats.lane_spans >= 1);
-        assert!(
-            hybrid.stats.scanned_rows < oblivious.stats.scanned_rows,
-            "lane coverage must reduce scanned rows: {} vs {}",
-            hybrid.stats.scanned_rows,
-            oblivious.stats.scanned_rows
-        );
-
-        assert_eq!(hybrid.groups.len(), exact.rows.len());
-        for g in &hybrid.groups {
-            let truth = exact.row_by_key(&[Value::Int(g.key[0])]).unwrap();
-            let ob = oblivious
-                .groups
-                .iter()
-                .find(|o| o.key == g.key)
-                .expect("oblivious run lost a group");
-            assert!(
-                ob.values[0].ci_half_width > 0.0,
-                "oblivious SUM CI degenerate for group {:?}",
-                g.key
-            );
-            for (slot, (h, o)) in g.values.iter().zip(&ob.values).enumerate() {
-                // COUNT (slot 1) is exact in both paths (stratum weights
-                // are true row counts), so only SUM carries sampling
-                // variance to shrink.
-                if o.ci_half_width > 0.0 {
-                    assert!(
-                        h.ci_half_width < o.ci_half_width,
-                        "lane coverage must strictly shrink CI for group {:?} slot {slot}: {} vs {}",
-                        g.key,
-                        h.ci_half_width,
-                        o.ci_half_width
-                    );
-                } else {
-                    assert_eq!(
-                        h.ci_half_width, 0.0,
-                        "hybrid widened a degenerate CI for group {:?} slot {slot}",
-                        g.key
-                    );
-                }
-                // Blended estimates stay honest: within the (shrunken) CI
-                // of the exact answer, with slack for the boundary sample.
-                let truth_v = truth.values[slot];
-                assert!(
-                    (h.value - truth_v).abs() <= h.ci_half_width.max(0.02 * truth_v.abs()),
-                    "hybrid estimate drifted from exact: {} vs {truth_v}",
-                    h.value
-                );
-            }
-        }
-        // Fully lane-covered groups (0..2) are answered exactly: zero CI.
-        let g0 = hybrid.groups.iter().find(|g| g.key[0] == 0).unwrap();
-        assert_eq!(g0.values[0].ci_half_width, 0.0);
-        assert_eq!(g0.values[1].ci_half_width, 0.0);
-        let truth0 = exact.row_by_key(&[Value::Int(0)]).unwrap();
-        assert_eq!(g0.values[0].value, truth0.values[0]);
-        assert_eq!(g0.values[1].value, truth0.values[1]);
-    }
 }
 
 #[test]
