@@ -66,6 +66,7 @@ fn drive(
         stats.morsels_skipped += snap.morsels_skipped;
         stats.morsels_fast_pathed += snap.morsels_fast_pathed;
         stats.morsels_scanned += snap.morsels_scanned;
+        stats.morsels_indexed += snap.morsels_indexed;
     }
     (wall, stats)
 }

@@ -7,6 +7,7 @@ pub mod ingest;
 pub mod kernels;
 pub mod micro;
 pub mod pruning;
+pub mod range_index;
 pub mod sequence;
 pub mod serving;
 pub mod sharding;
@@ -19,6 +20,7 @@ pub use ingest::ingest;
 pub use kernels::kernels;
 pub use micro::{fig3, fig4};
 pub use pruning::pruning;
+pub use range_index::range_index;
 pub use sequence::{
     ablation, fig10, fig11, fig12_13, fig14_15, fig9, headline, rate_sensitivity, seed_sensitivity,
     table1, SequenceKind,
@@ -100,6 +102,7 @@ pub const ALL: &[&str] = &[
     "concurrent",
     "deadline",
     "pruning",
+    "range_index",
     "fragmentation",
     "sharding",
     "kernels",
@@ -136,6 +139,7 @@ pub fn run_experiment(name: &str, cfg: &BenchConfig, catalog: &Catalog) -> Optio
         "concurrent" => concurrent(cfg, catalog),
         "deadline" => deadline(cfg, catalog),
         "pruning" => pruning::pruning(cfg, catalog),
+        "range_index" => range_index(cfg, catalog),
         "fragmentation" => fragmentation(cfg, catalog),
         "sharding" => sharding(cfg, catalog),
         "kernels" => kernels(cfg, catalog),

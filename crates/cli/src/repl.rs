@@ -314,6 +314,7 @@ impl Repl {
                 format!(
                     "sample store: {} samples, {:.2} MiB; mode {:?}, k {}{}{}\n\
                      scan pruning: {} morsels skipped, {} fast-pathed, {} scanned ({} total)\n\
+                     range index: {} morsels read from the index instead of scanned\n\
                      coverage: {} stored fragments merged, {} residual fragments Δ-scanned\n\
                      full hits: {} answered from stored samples as they rest\n\
                      robustness: {} degraded answers, {} faults injected, {} snapshot recoveries\n\
@@ -333,6 +334,7 @@ impl Repl {
                     svc.morsels_fast_pathed,
                     svc.morsels_scanned,
                     morsels,
+                    svc.morsels_indexed,
                     svc.fragments_reused,
                     svc.fragments_scanned,
                     svc.full_hits,
@@ -912,6 +914,11 @@ mod tests {
         let out = r.handle(".stats").unwrap();
         assert!(out.contains("1 stored fragments merged"), "{out}");
         assert!(out.contains("1 residual fragments Δ-scanned"), "{out}");
+        // The first scan selects a third of the 6000 rows, where the
+        // cut-off keeps the walk; the two narrower ones read their one
+        // morsel from the range index.
+        assert!(out.contains("0 fast-pathed, 1 scanned"), "{out}");
+        assert!(out.contains("range index: 2 morsels read"), "{out}");
         // Two hits on the merged sample, each read where it rests.
         for _ in 0..2 {
             r.handle(

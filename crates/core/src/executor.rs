@@ -19,7 +19,7 @@
 
 use std::time::{Duration, Instant};
 
-use laqy_engine::ops::{star_probe, BoundCol, ResolvedCol};
+use laqy_engine::ops::{star_probe, BoundCol, PreparedScan, ResolvedCol};
 use laqy_engine::parallel::{parallel_fold, DEFAULT_MORSEL_ROWS};
 use laqy_engine::plan::PreparedJoins;
 use laqy_engine::{
@@ -125,6 +125,8 @@ pub struct LaqyExecutor {
     budget: CancelToken,
     /// Scan morsel size; fixed outside this module's tests.
     morsel_rows: usize,
+    /// The sampler's index-or-scan cut-off; tests pin either row source.
+    prefer_index: fn(usize, usize) -> bool,
 }
 
 impl LaqyExecutor {
@@ -137,6 +139,7 @@ impl LaqyExecutor {
             seed_counter: seed,
             budget: CancelToken::unbounded(),
             morsel_rows: DEFAULT_MORSEL_ROWS,
+            prefer_index: laqy_engine::index::prefer_index,
         }
     }
 
@@ -375,7 +378,8 @@ impl LaqyExecutor {
     ///
     /// `row_floor` restricts the scan to fact rows at or past the floor —
     /// the append-tail Δ-scan (rows below the floor are already represented
-    /// by a stored sample's reservoirs).
+    /// by a stored sample's reservoirs). Rows come from the range index when
+    /// cheaper (`PreparedScan::with_range_index`), with the same sample.
     pub(crate) fn sample_pipeline(
         &mut self,
         scope: Scope<'_>,
@@ -392,16 +396,25 @@ impl LaqyExecutor {
         let k = self.policy.effective_k(query.k);
         let payload_cols = schema.column_names();
         let fact = catalog.table(&query.plan.fact)?;
-        let full_pred = query
-            .plan
-            .predicate
+        let residual = query.plan.predicate.clone().and(extra.clone());
+        let full_pred = residual
             .clone()
-            .and(range_predicate(&query.range_column, ranges))
-            .and(extra.clone());
+            .and(range_predicate(&query.range_column, ranges));
+        let intervals: Vec<(i64, i64)> =
+            ranges.intervals().iter().map(|iv| (iv.lo, iv.hi)).collect();
         // Compile the predicate and flatten it into batch kernels once;
         // every morsel and residual fragment reuses this (validation
-        // happens here too — the scans themselves are infallible).
-        let prepared = laqy_engine::ops::PreparedScan::new(fact, &full_pred)?;
+        // happens here too — the scans themselves are infallible). Marking
+        // the Δ's rows in the range index is scan time too.
+        let t_rows = Instant::now();
+        let prepared = PreparedScan::new(fact, &full_pred)?.with_range_index(
+            &query.range_column,
+            &intervals,
+            &residual,
+            row_floor,
+            self.prefer_index,
+        )?;
+        let rows_wall = t_rows.elapsed();
         let joins = PreparedJoins::build(catalog, &query.plan)?;
 
         // One seed is drawn and discarded before the worker seed: every
@@ -613,7 +626,7 @@ impl LaqyExecutor {
         let cpu_total = (scan_ns + sample_ns).max(1);
         let wall = pipeline_wall.as_secs_f64();
         let stats = ExecStats {
-            scan: Duration::from_secs_f64(wall * scan_ns as f64 / cpu_total as f64),
+            scan: Duration::from_secs_f64(wall * scan_ns as f64 / cpu_total as f64) + rows_wall,
             processing: Duration::from_secs_f64(wall * sample_ns as f64 / cpu_total as f64)
                 + materialise_wall,
             scanned_rows: scanned,
@@ -621,6 +634,7 @@ impl LaqyExecutor {
             morsels_skipped: prune.skipped,
             morsels_fast_pathed: prune.fast_pathed,
             morsels_scanned: prune.scanned,
+            morsels_indexed: prune.indexed,
             degraded: degraded.map(|reason| {
                 Degradation::at_coverage(
                     reason,
@@ -784,6 +798,7 @@ fn prune_stats(prune: PruneCounts) -> ExecStats {
         morsels_skipped: prune.skipped,
         morsels_fast_pathed: prune.fast_pathed,
         morsels_scanned: prune.scanned,
+        morsels_indexed: prune.indexed,
         ..Default::default()
     }
 }
@@ -1059,17 +1074,10 @@ mod tests {
         cat
     }
 
-    #[test]
-    fn above_join_sample_matches_tuple_admission() {
-        // Sampler above a join, stratified on a dimension column, carrying
-        // a dimension-resident payload column: the pipeline admits fact row
-        // ids per morsel and reads `dw` once, through one probe of the
-        // survivors. The oracle is the admission it replaced — a tuple
-        // built from the probe's aligned rows whenever one is admitted —
-        // under the same worker seed.
-        let rows = 20_000i64;
-        let catalog = star_catalog(rows);
-        let query = ApproxQuery {
+    /// A sampler above the join of `star_catalog`, stratified on a
+    /// dimension column and carrying the dimension's `dw` as payload.
+    fn star_query(range: Interval) -> ApproxQuery {
+        ApproxQuery {
             plan: QueryPlan {
                 fact: "t".into(),
                 predicate: Predicate::True,
@@ -1083,9 +1091,22 @@ mod tests {
                 aggs: vec![AggSpec::sum("dw"), AggSpec::sum("v")],
             },
             range_column: "key".into(),
-            range: Interval::new(2_000, 15_999),
+            range,
             k: 8,
-        };
+        }
+    }
+
+    #[test]
+    fn above_join_sample_matches_tuple_admission() {
+        // Sampler above a join, stratified on a dimension column, carrying
+        // a dimension-resident payload column: the pipeline admits fact row
+        // ids per morsel and reads `dw` once, through one probe of the
+        // survivors. The oracle is the admission it replaced — a tuple
+        // built from the probe's aligned rows whenever one is admitted —
+        // under the same worker seed.
+        let rows = 20_000i64;
+        let catalog = star_catalog(rows);
+        let query = star_query(Interval::new(2_000, 15_999));
         let schema = payload_schema(&catalog, &query).unwrap();
         assert_eq!(schema.column_names(), vec!["dw", "v", "key"]);
         let seed = 11u64;
@@ -1223,6 +1244,137 @@ mod tests {
                     chi2 > df - 5.0 * (2.0 * df).sqrt(),
                     "threads={threads} stratum {g}: χ² {chi2:.1} suspiciously even"
                 );
+            }
+        }
+    }
+
+    /// The sample one pipeline run draws, and its stats, with the row
+    /// source pinned by `prefer`.
+    fn sample_through(
+        catalog: &Catalog,
+        query: &ApproxQuery,
+        (ranges, extra, row_floor): (&IntervalSet, &Predicate, usize),
+        morsel_rows: usize,
+        prefer: fn(usize, usize) -> bool,
+    ) -> (crate::sampler_ops::Contents, ExecStats) {
+        let mut exec = LaqyExecutor::new(1, SupportPolicy::default(), 5);
+        exec.morsel_rows = morsel_rows;
+        exec.prefer_index = prefer;
+        let schema = payload_schema(catalog, query).unwrap();
+        let scope = Scope {
+            catalog,
+            query,
+            schema: &schema,
+            strata_hint: 0,
+        };
+        let run = exec
+            .sample_pipeline(scope, ranges, extra, row_floor)
+            .unwrap();
+        (run.sample.contents(), run.stats)
+    }
+
+    /// Assert that the index and the scan give one Δ the same sample, byte
+    /// for byte, and the same cardinalities, and that each path ran.
+    fn assert_sources_agree(
+        catalog: &Catalog,
+        query: &ApproxQuery,
+        delta: (&IntervalSet, &Predicate, usize),
+    ) {
+        for morsel_rows in [16_384, DEFAULT_MORSEL_ROWS] {
+            let (indexed, by_index) =
+                sample_through(catalog, query, delta, morsel_rows, |_, _| true);
+            let (scanned, by_scan) =
+                sample_through(catalog, query, delta, morsel_rows, |_, _| false);
+            let context = format!("{delta:?}, {morsel_rows}-row morsels");
+            assert!(!scanned.is_empty(), "{context}: an empty Δ proves nothing");
+            assert_eq!(indexed, scanned, "{context}");
+            assert_eq!(
+                (by_index.scanned_rows, by_index.sampled_input_rows),
+                (by_scan.scanned_rows, by_scan.sampled_input_rows),
+                "{context}"
+            );
+            assert!(by_index.morsels_indexed > 0, "{context}: the index ran");
+            assert_eq!(by_scan.morsels_indexed, 0, "{context}: the scan ran");
+        }
+    }
+
+    #[test]
+    fn index_and_scan_give_byte_identical_samples() {
+        // Q1-shaped: a shuffled range key, a fact group column, two
+        // intervals.
+        let catalog = admission_catalog(150_000, 50);
+        let query = mini_query(0, 149_999);
+        let ranges = IntervalSet::from_intervals(vec![
+            Interval::new(9_000, 17_999),
+            Interval::new(70_000, 70_999),
+        ]);
+        assert_sources_agree(&catalog, &query, (&ranges, &Predicate::True, 0));
+        // A fragment with an extra predicate on another column.
+        let extra = Predicate::between("g", 3, 30);
+        assert_sources_agree(&catalog, &query, (&ranges, &extra, 0));
+        // Above the join, with a dimension payload column.
+        let catalog = star_catalog(60_000);
+        let query = star_query(Interval::new(0, 59_999));
+        let ranges = IntervalSet::of(Interval::new(20_000, 29_999));
+        assert_sources_agree(&catalog, &query, (&ranges, &Predicate::True, 0));
+    }
+
+    #[test]
+    fn tail_fragments_agree_with_the_floor_in_a_sealed_or_the_open_chunk() {
+        use laqy_engine::STORED_CHUNK_ROWS;
+        // 50 000 rows at construction, then three sealed chunks and an
+        // open one from one batch.
+        let (base, total) = (50_000i64, 50_000 + 3 * STORED_CHUNK_ROWS as i64 + 700);
+        let columns = |rows: std::ops::Range<i64>| -> Vec<(String, Column)> {
+            vec![
+                (
+                    "key".into(),
+                    Column::Int64(rows.clone().map(|i| (i * 7_919) % total).collect()),
+                ),
+                (
+                    "g".into(),
+                    Column::Int64(rows.clone().map(|i| (i * 31) % 40).collect()),
+                ),
+                ("v".into(), Column::Int64(rows.collect())),
+            ]
+        };
+        let grown = Table::new("t", columns(0..base))
+            .unwrap()
+            .append_batch(&columns(base..total))
+            .unwrap();
+        let mut catalog = Catalog::new();
+        catalog.register(grown);
+        let query = mini_query(0, total - 1);
+        let ranges = IntervalSet::of(Interval::new(1_000, 20_999));
+        let chunk = STORED_CHUNK_ROWS;
+        for row_floor in [base as usize + chunk + 123, base as usize + 3 * chunk + 50] {
+            let (_, stats) = sample_through(
+                &catalog,
+                &query,
+                (&ranges, &Predicate::True, row_floor),
+                DEFAULT_MORSEL_ROWS,
+                |_, _| false,
+            );
+            assert_eq!(stats.scanned_rows, total as u64 - row_floor as u64);
+            if row_floor < base as usize + 3 * chunk {
+                assert_sources_agree(&catalog, &query, (&ranges, &Predicate::True, row_floor));
+            } else {
+                // Past every sealed piece nothing is indexed: both pins
+                // walk the open chunk alike.
+                let pinned = |prefer| {
+                    sample_through(
+                        &catalog,
+                        &query,
+                        (&ranges, &Predicate::True, row_floor),
+                        DEFAULT_MORSEL_ROWS,
+                        prefer,
+                    )
+                };
+                let ((indexed, by_index), (scanned, _)) =
+                    (pinned(|_, _| true), pinned(|_, _| false));
+                assert!(!scanned.is_empty());
+                assert_eq!(indexed, scanned);
+                assert_eq!(by_index.morsels_indexed, 0);
             }
         }
     }

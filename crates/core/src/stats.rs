@@ -110,6 +110,8 @@ exec_stats! {
     morsels_fast_pathed: u64 => morsels_fast_pathed,
     /// Morsels that needed per-row predicate evaluation.
     morsels_scanned: u64 => morsels_scanned,
+    /// Morsels whose rows the range index supplied instead of a scan.
+    morsels_indexed: u64 => morsels_indexed,
     /// Stored samples this query's coverage plan merged (0 when the query
     /// ran online or hit a single subsuming sample).
     fragments_reused: u64,
@@ -188,6 +190,8 @@ service_counters! {
     morsels_fast_pathed,
     /// Morsels that needed per-row evaluation across all served scans.
     morsels_scanned,
+    /// Morsels whose rows the range index supplied, across all scans.
+    morsels_indexed,
     /// Stored samples merged by coverage plans across all queries.
     fragments_reused,
     /// Residual coverage fragments Δ-scanned across all queries.
@@ -272,6 +276,7 @@ mod tests {
             morsels_skipped: 7,
             morsels_fast_pathed: 2,
             morsels_scanned: 3,
+            morsels_indexed: 4,
             fragments_reused: 2,
             fragments_scanned: 1,
             degraded: None,
@@ -299,6 +304,7 @@ mod tests {
             morsels_skipped: 14,
             morsels_fast_pathed: 4,
             morsels_scanned: 6,
+            morsels_indexed: 8,
             ..Default::default()
         };
         assert_eq!(counters.snapshot(), expected);

@@ -11,8 +11,8 @@
 //! chunk) and every earlier version keeps reading its own pieces
 //! (DESIGN.md, "Table storage: base piece + shared chunks").
 
-use std::ops::Range;
-use std::sync::Arc;
+use std::ops::{Deref, Range};
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{EngineError, Result};
 use crate::kernel::CHUNK_ROWS;
@@ -275,23 +275,53 @@ const _: () = assert!(
         && DEFAULT_MORSEL_ROWS.is_multiple_of(STORED_CHUNK_ROWS)
 );
 
+/// An immutable piece of a stored column and, once built, its range index.
+#[derive(Debug)]
+pub(crate) struct Piece<T> {
+    values: Vec<T>,
+    pub(crate) sorted: OnceLock<Box<[u32]>>,
+}
+
+impl<T> Piece<T> {
+    fn new(values: Vec<T>) -> Arc<Self> {
+        let sorted = OnceLock::new();
+        Arc::new(Self { values, sorted })
+    }
+}
+
+impl<T> Deref for Piece<T> {
+    type Target = Vec<T>;
+
+    fn deref(&self) -> &Vec<T> {
+        &self.values
+    }
+}
+
 /// The values of one stored column: a base piece of any length, then
 /// chunks of exactly [`STORED_CHUNK_ROWS`] rows except the last (open)
 /// one. Every piece is immutable once shared; versions differ only in
 /// their open chunk and the chunks after it.
 #[derive(Debug, Clone)]
 pub struct Pieces<T> {
-    base: Arc<Vec<T>>,
-    chunks: Vec<Arc<Vec<T>>>,
+    base: Arc<Piece<T>>,
+    chunks: Vec<Arc<Piece<T>>>,
 }
 
 impl<T: Copy> Pieces<T> {
     /// Move `base` behind an `Arc`; no value is copied.
     fn new(base: Vec<T>) -> Self {
         Self {
-            base: Arc::new(base),
+            base: Piece::new(base),
             chunks: Vec::new(),
         }
+    }
+
+    /// The pieces no version writes again, each with its first row: the
+    /// base piece and every full chunk. Only the open chunk follows them.
+    pub(crate) fn sealed(&self) -> impl Iterator<Item = (usize, &Piece<T>)> {
+        let full = self.chunks[..(self.len() - self.base.len()) / STORED_CHUNK_ROWS].iter();
+        let at = |i| self.base.len() + i * STORED_CHUNK_ROWS;
+        std::iter::once((0, &*self.base)).chain(full.enumerate().map(move |(i, c)| (at(i), &**c)))
     }
 
     /// Number of rows.
@@ -324,21 +354,27 @@ impl<T: Copy> Pieces<T> {
                 let mut grown = Vec::with_capacity(open.len() + take);
                 grown.extend_from_slice(open);
                 grown.extend_from_slice(&rows[..take]);
-                *open = Arc::new(grown);
+                *open = Piece::new(grown);
                 rows = &rows[take..];
             }
         }
-        chunks.extend(rows.chunks(STORED_CHUNK_ROWS).map(|c| Arc::new(c.to_vec())));
+        for chunk in rows.chunks(STORED_CHUNK_ROWS) {
+            chunks.push(Piece::new(chunk.to_vec()));
+        }
         Self {
             base: Arc::clone(&self.base),
             chunks,
         }
     }
 
+    /// Values, chunk pointers and the range indexes built so far.
     fn heap_bytes(&self) -> usize {
-        let rows = self.base.capacity() + self.chunks.iter().map(|c| c.capacity()).sum::<usize>();
-        rows * std::mem::size_of::<T>()
-            + self.chunks.capacity() * std::mem::size_of::<Arc<Vec<T>>>()
+        let pieces = std::iter::once(&self.base).chain(&self.chunks);
+        let piece = |p: &Arc<Piece<T>>| {
+            p.capacity() * std::mem::size_of::<T>() + p.sorted.get().map_or(0, |s| 4 * s.len())
+        };
+        pieces.map(piece).sum::<usize>()
+            + self.chunks.capacity() * std::mem::size_of::<Arc<Piece<T>>>()
     }
 
     /// `(bytes, sealed)`: the bytes of this version's pieces that are not
@@ -367,7 +403,7 @@ impl<T: Copy> Pieces<T> {
 /// never appended to — cost the one compare a slice bounds check makes.
 pub struct Rows<'a, T> {
     base: &'a [T],
-    chunks: &'a [Arc<Vec<T>>],
+    chunks: &'a [Arc<Piece<T>>],
 }
 
 impl<T> Clone for Rows<'_, T> {
@@ -409,7 +445,7 @@ impl<'a, T: Copy> Rows<'a, T> {
             (self.base, row)
         } else {
             let at = row - self.base.len();
-            (&self.chunks[at >> CHUNK_SHIFT], at & CHUNK_MASK)
+            (&self.chunks[at >> CHUNK_SHIFT][..], at & CHUNK_MASK)
         }
     }
 

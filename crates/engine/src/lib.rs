@@ -20,6 +20,7 @@ pub mod column;
 pub mod error;
 pub mod expr;
 pub mod hash;
+pub mod index;
 pub mod io;
 pub mod kernel;
 pub mod ops;

@@ -13,13 +13,14 @@
 //! and the star join decode it to row ids ([`PreparedScan::scan_pruned`]),
 //! the exact group-by folds masks and ranges straight into its groups, and
 //! the scan floor — a keyless `COUNT(*)` through the same group-by — adds
-//! up popcounts. The paper's baselines therefore pay exactly the scan the
-//! sampler pays.
+//! up popcounts: the paper's baselines pay the scan the sampler pays unless
+//! it reads the range index ([`PreparedScan::with_range_index`]) instead.
 
 use std::ops::Range;
 
 use crate::error::Result;
 use crate::expr::{Compiled, Predicate};
+use crate::index::Marks;
 use crate::kernel::{decode_mask, BatchKernel, Mask, CHUNK_ROWS, MASK_WORDS};
 use crate::synopsis::{PruneCounts, Verdict};
 use crate::table::Table;
@@ -41,6 +42,8 @@ pub struct PreparedScan<'a> {
     table: &'a Table,
     compiled: Compiled<'a>,
     kernel: BatchKernel<'a>,
+    floor: usize,
+    marks: Option<Marks<'a>>,
 }
 
 impl<'a> PreparedScan<'a> {
@@ -53,7 +56,39 @@ impl<'a> PreparedScan<'a> {
             table,
             compiled,
             kernel,
+            floor: 0,
+            marks: None,
         })
+    }
+
+    /// Read only rows at or past `row_floor`, and those `column`'s range
+    /// index covers from it if `prefer(candidates, rows)` (normally
+    /// [`crate::index::prefer_index`]); `rows` counts the indexed rows in
+    /// `Scan`-verdict blocks, as skipped and taken-whole ones cost the walk
+    /// next to nothing. The predicate must be `residual ∧ column ∈ intervals`.
+    pub fn with_range_index(
+        mut self,
+        column: &str,
+        intervals: &[(i64, i64)],
+        residual: &'a Predicate,
+        row_floor: usize,
+        prefer: impl FnOnce(usize, usize) -> bool,
+    ) -> Result<Self> {
+        let col = self.table.column(column)?;
+        let residual = residual.compile(self.table)?;
+        let scanned = |rows: Range<usize>| match self.table.synopsis() {
+            Some(syn) => syn
+                .blocks_of(rows)
+                .filter(|&(block, _)| syn.verdict(&self.compiled, block) == Verdict::Scan)
+                .map(|(_, rows)| rows.len())
+                .sum(),
+            None => rows.len(),
+        };
+        let marks = Marks::new(col, intervals, row_floor, residual, |candidates, rows| {
+            prefer(candidates, scanned(rows))
+        });
+        (self.floor, self.marks) = (row_floor, marks);
+        Ok(self)
     }
 
     /// Walk `range` consulting zone maps, emitting a [`ScanEvent`] for
@@ -102,10 +137,22 @@ impl<'a> PreparedScan<'a> {
     /// The walk decoded to a selection vector, for consumers that need
     /// row ids. Always identical to the row-at-a-time reference scan's
     /// (verdicts are conservative; kernels are proptested equivalent to
-    /// [`Compiled::matches`]).
+    /// [`Compiled::matches`]) — and to the range index's marks decoded, one
+    /// `indexed` count per zone-map block they cover.
     pub fn scan_pruned(&self, range: Range<usize>, counts: &mut PruneCounts) -> Vec<u32> {
         let mut out = Vec::new();
-        self.walk(range, counts, |ev| decode(ev, &mut out));
+        let mut range = range.start.max(self.floor)..range.end;
+        if let Some(marks) = &self.marks {
+            let split = range.end.min(marks.rows).max(range.start);
+            if let Some(syn) = self.table.synopsis() {
+                counts.indexed += syn.blocks_of(range.start..split).count() as u64;
+            }
+            marks.decode(range.start..split, &mut out);
+            range.start = split;
+        }
+        if !range.is_empty() {
+            self.walk(range, counts, |ev| decode(ev, &mut out));
+        }
         out
     }
 

@@ -11,10 +11,10 @@
 //! - [`Verdict::Scan`] — the bounds straddle the predicate: rows are
 //!   evaluated as before.
 //!
-//! This is what makes Δ-scan cost track the *uncovered* interval rather
-//! than the table size (the paper's Figure 9 "effective selectivity"
-//! claim, realized at the storage layer): on a clustered key column, a Δ
-//! covering 10% of the value domain touches ~10% of the blocks.
+//! On a clustered key this makes a Δ-scan cost track the *uncovered*
+//! interval (a Δ over 10% of the domain touches ~10% of the blocks). On a
+//! shuffled key such as `lo_intkey` nothing prunes; there the Δ-sampler
+//! reads the range index instead (`index.rs`).
 //!
 //! Invariants (see DESIGN.md, "Scan pruning and the worker pool"):
 //!
@@ -78,12 +78,14 @@ pub struct PruneCounts {
     pub fast_pathed: u64,
     /// Blocks scanned row by row.
     pub scanned: u64,
+    /// Blocks whose rows the range index supplied instead (the Δ-sampler's).
+    pub indexed: u64,
 }
 
 impl PruneCounts {
     /// Total blocks considered.
     pub fn total(&self) -> u64 {
-        self.skipped + self.fast_pathed + self.scanned
+        self.skipped + self.fast_pathed + self.scanned + self.indexed
     }
 
     /// Fold another scan's counters into this one.
@@ -91,6 +93,7 @@ impl PruneCounts {
         self.skipped += other.skipped;
         self.fast_pathed += other.fast_pathed;
         self.scanned += other.scanned;
+        self.indexed += other.indexed;
     }
 }
 
@@ -510,13 +513,16 @@ mod tests {
             skipped: 1,
             fast_pathed: 2,
             scanned: 3,
+            indexed: 4,
         };
         a.accumulate(&PruneCounts {
             skipped: 10,
             fast_pathed: 20,
             scanned: 30,
+            indexed: 40,
         });
         assert_eq!(a.skipped, 11);
-        assert_eq!(a.total(), 66);
+        assert_eq!(a.indexed, 44);
+        assert_eq!(a.total(), 110);
     }
 }

@@ -196,7 +196,8 @@ impl Table {
         self.columns.iter().map(|(n, c)| (n.as_str(), c))
     }
 
-    /// Total heap footprint in bytes (columns plus zone maps).
+    /// Total heap footprint in bytes: columns, the range indexes built so
+    /// far, and zone maps.
     pub fn heap_bytes(&self) -> usize {
         self.columns
             .iter()
