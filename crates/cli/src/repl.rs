@@ -5,11 +5,8 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use laqy::{
-    approx_query, run_bounded, save_to_file, ErrorTarget, LaqyService, QueryBudget, ReuseMode,
-    SessionConfig,
-};
-use laqy_engine::{load_csv_file, Catalog, DataType, Value};
+use laqy::{approx_query, save_to_file, LaqyService, QueryBudget, ReuseMode, SessionConfig};
+use laqy_engine::{Catalog, Value};
 use laqy_workload::{generate, lineorder_batch, SsbConfig};
 
 /// How SQL statements are executed.
@@ -30,7 +27,6 @@ pub struct Repl {
     service: Option<LaqyService>,
     mode: ExecMode,
     k: usize,
-    error_target: Option<f64>,
     budget_ms: Option<u64>,
     seed: u64,
     /// Scale factor of the loaded SSB catalog, if any — `.ingest`
@@ -55,7 +51,6 @@ impl Repl {
             service: None,
             mode: ExecMode::Lazy,
             k: 128,
-            error_target: None,
             budget_ms: None,
             seed: 0xC11,
             ssb_sf: None,
@@ -110,20 +105,6 @@ impl Repl {
                     "mode = exact".into()
                 }
                 _ => "usage: .mode lazy|strict|online|exact".into(),
-            }),
-            Some("error") => Some(match parts.get(1) {
-                Some(&"off") => {
-                    self.error_target = None;
-                    "error target off".into()
-                }
-                Some(v) => match v.parse::<f64>() {
-                    Ok(e) if e > 0.0 => {
-                        self.error_target = Some(e);
-                        format!("error target = {e} (relative 95% CI half-width)")
-                    }
-                    _ => "usage: .error <positive float>|off".into(),
-                },
-                None => "usage: .error <positive float>|off".into(),
             }),
             Some("budget") => Some(match parts.get(1) {
                 Some(&"off") => {
@@ -193,36 +174,7 @@ impl Repl {
                 self.ssb_sf = Some(sf);
                 format!("loaded SSB at SF {sf}: lineorder has {rows} rows")
             }
-            Some("csv") => {
-                let (Some(name), Some(path), Some(schema_str)) =
-                    (args.get(1), args.get(2), args.get(3))
-                else {
-                    return "usage: .load csv <table> <path> <col:type,...> \
-                            (types: i32|i64|f64|str)"
-                        .into();
-                };
-                let schema = match parse_schema(schema_str) {
-                    Ok(s) => s,
-                    Err(e) => return e,
-                };
-                match load_csv_file(*name, path, &schema) {
-                    Ok(table) => {
-                        let rows = table.num_rows();
-                        match &self.service {
-                            Some(s) => s.register_table(table),
-                            None => {
-                                let mut catalog = Catalog::new();
-                                catalog.register(table);
-                                self.service = Some(self.make_service(catalog));
-                                self.ssb_sf = None;
-                            }
-                        }
-                        format!("loaded `{name}`: {rows} rows")
-                    }
-                    Err(e) => format!("load failed: {e}"),
-                }
-            }
-            _ => "usage: .load ssb [sf] | .load csv <table> <path> <schema>".into(),
+            _ => "usage: .load ssb [sf]".into(),
         }
     }
 
@@ -271,8 +223,9 @@ impl Repl {
     /// `.ingest <rows>`: append freshly generated `lineorder` rows to
     /// the loaded SSB catalog. The batch continues the key space from
     /// the current watermark, so the grown table keeps `lo_intkey` /
-    /// `lo_orderkey` unique; stored samples absorb the appended rows
-    /// incrementally instead of being invalidated.
+    /// `lo_orderkey` unique. Samples over the bare table absorb the
+    /// appended rows in place; samples with a fixed predicate or a join
+    /// catch up through tail fragments on their next query.
     fn ingest(&mut self, arg: Option<&str>) -> String {
         let Some(rows) = arg.and_then(|v| v.parse::<usize>().ok()).filter(|&r| r > 0) else {
             return "usage: .ingest <positive row count>".into();
@@ -296,59 +249,40 @@ impl Repl {
             start,
             rows,
         );
+        let absorbed = service.stats().absorbed_samples;
         match service.ingest("lineorder", batch) {
             Ok(watermark) => format!(
-                "appended {rows} rows to lineorder; row watermark now {watermark} \
-                 (stored samples absorbed the batch in place)"
+                "appended {rows} rows to lineorder; row watermark now {watermark}; \
+                 {} of {} stored samples absorbed the batch in place \
+                 (the rest catch up on their next query)",
+                service.stats().absorbed_samples - absorbed,
+                service.store().len(),
             ),
             Err(e) => format!("ingest failed: {e}"),
         }
     }
 
+    /// `.stats`: a header line (store size and shell settings), then
+    /// every service counter in declaration order.
     fn stats(&self) -> String {
-        match &self.service {
-            None => "no data loaded (try `.load ssb 0.01`)".into(),
-            Some(s) => {
-                let svc = s.stats();
-                let morsels = svc.morsels_skipped + svc.morsels_fast_pathed + svc.morsels_scanned;
-                format!(
-                    "sample store: {} samples, {:.2} MiB; mode {:?}, k {}{}{}\n\
-                     scan pruning: {} morsels skipped, {} fast-pathed, {} scanned ({} total)\n\
-                     range index: {} morsels read from the index instead of scanned\n\
-                     coverage: {} stored fragments merged, {} residual fragments Δ-scanned\n\
-                     full hits: {} answered from stored samples as they rest\n\
-                     robustness: {} degraded answers, {} faults injected, {} snapshot recoveries\n\
-                     streaming: {} append batches ({} rows) ingested, {} samples absorbed \
-                     {} rows, {} WAL appends",
-                    s.store().len(),
-                    s.store().total_bytes() as f64 / (1024.0 * 1024.0),
-                    self.mode,
-                    self.k,
-                    self.error_target
-                        .map(|e| format!(", error target {e}"))
-                        .unwrap_or_default(),
-                    self.budget_ms
-                        .map(|ms| format!(", budget {ms} ms"))
-                        .unwrap_or_default(),
-                    svc.morsels_skipped,
-                    svc.morsels_fast_pathed,
-                    svc.morsels_scanned,
-                    morsels,
-                    svc.morsels_indexed,
-                    svc.fragments_reused,
-                    svc.fragments_scanned,
-                    svc.full_hits,
-                    svc.degraded_answers,
-                    svc.faults_injected,
-                    svc.snapshots_recovered,
-                    svc.ingest_batches,
-                    svc.ingest_rows,
-                    svc.absorbed_samples,
-                    svc.absorbed_rows,
-                    svc.wal_appends,
-                )
-            }
+        let Some(s) = &self.service else {
+            return "no data loaded (try `.load ssb 0.01`)".into();
+        };
+        let store = s.store();
+        let mut out = format!(
+            "sample store: {} samples, {:.2} MiB; mode {:?}, k {}{}",
+            store.len(),
+            store.total_bytes() as f64 / (1024.0 * 1024.0),
+            self.mode,
+            self.k,
+            self.budget_ms
+                .map(|ms| format!(", budget {ms} ms"))
+                .unwrap_or_default(),
+        );
+        for (name, value) in s.stats().fields() {
+            let _ = write!(out, "\n  {name:<20} {value}");
         }
+        out
     }
 
     /// `.samples`: list stored samples grouped by descriptor family
@@ -600,28 +534,8 @@ impl Repl {
             Ok(q) => q,
             Err(e) => return format!("error: {e}"),
         };
-        let outcome = match (self.mode, self.error_target) {
-            (ExecMode::Online, _) => service.run_online_oblivious(&query),
-            (_, Some(target)) => {
-                return match run_bounded(service, &query, &ErrorTarget::relative(target)) {
-                    Ok(b) => {
-                        let mut out = render_approx(service, &query, &b.result);
-                        let _ = writeln!(
-                            out,
-                            "({} groups, reuse {}, k {} after {} attempt(s), worst rel err {:.4}{}, {:?})",
-                            b.result.groups.len(),
-                            b.result.stats.reuse.map(|r| r.label()).unwrap_or("?"),
-                            b.k_used,
-                            b.attempts,
-                            b.worst_relative_error,
-                            if b.met { "" } else { " — TARGET NOT MET" },
-                            b.result.stats.total
-                        );
-                        out
-                    }
-                    Err(e) => format!("error: {e}"),
-                };
-            }
+        let outcome = match self.mode {
+            ExecMode::Online => service.run_online_oblivious(&query),
             _ => match self.budget_ms {
                 Some(ms) => service.run_with_budget(
                     &query,
@@ -654,24 +568,6 @@ impl Repl {
             Err(e) => format!("error: {e}"),
         }
     }
-}
-
-fn parse_schema(spec: &str) -> Result<laqy_engine::CsvSchema, String> {
-    spec.split(',')
-        .map(|part| {
-            let (name, ty) = part
-                .split_once(':')
-                .ok_or_else(|| format!("bad schema entry `{part}` (want name:type)"))?;
-            let dt = match ty {
-                "i32" => DataType::Int32,
-                "i64" => DataType::Int64,
-                "f64" => DataType::Float64,
-                "str" => DataType::Dict,
-                other => return Err(format!("unknown type `{other}` (i32|i64|f64|str)")),
-            };
-            Ok((name.to_string(), dt))
-        })
-        .collect()
 }
 
 const MAX_ROWS: usize = 20;
@@ -772,15 +668,13 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
 const HELP: &str = "\
 laqy-cli — approximate SQL shell
   .load ssb [sf]                     generate Star Schema Benchmark data
-  .load csv <table> <path> <schema>  import a CSV (schema: name:i64,name:str,...)
   .tables                            list tables
   .k <n>                             reservoir capacity per stratum (default 128)
   .mode lazy|strict|online|exact     execution mode
-  .error <rel>|off                   bounded-error execution (escalates k)
   .budget <ms>|off                   deadline per query (degraded answer on expiry)
   .faults                            fault-injection status (laqy_faults builds)
-  .ingest <rows>                     append generated lineorder rows (samples absorb)
-  .stats                             sample-store statistics
+  .ingest <rows>                     append generated lineorder rows (counts the samples that absorb)
+  .stats                             store size, then every service counter
   .samples                           stored coverage fragments per descriptor family
   .concurrent <n> <sql>              run <sql> from n threads sharing the store
   .save <path> / .restore <path>     persist / restore materialized samples
@@ -798,6 +692,14 @@ mod tests {
         let out = r.handle(".load ssb 0.001").unwrap();
         assert!(out.contains("6000 rows"), "{out}");
         r
+    }
+
+    /// The value `.stats` prints for counter `name`.
+    fn counter(stats: &str, name: &str) -> u64 {
+        stats
+            .lines()
+            .find_map(|l| l.trim().strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no counter `{name}` in {stats}"))
     }
 
     #[test]
@@ -859,6 +761,7 @@ mod tests {
         assert!(out.contains("reuse online"), "{out}");
         let out = r.handle(".ingest 500").unwrap();
         assert!(out.contains("row watermark now 6500"), "{out}");
+        assert!(out.contains("1 of 1 stored samples absorbed"), "{out}");
         // The stored reservoir absorbed the batch in place, so the rerun
         // is a full hit at the new watermark — no re-sampling.
         let out = r
@@ -869,8 +772,27 @@ mod tests {
             .unwrap();
         assert!(out.contains("reuse full"), "{out}");
         let out = r.handle(".stats").unwrap();
-        assert!(out.contains("1 append batches (500 rows)"), "{out}");
-        assert!(out.contains("1 samples absorbed 500 rows"), "{out}");
+        assert_eq!(counter(&out, "ingest_batches"), 1);
+        assert_eq!(counter(&out, "ingest_rows"), 500);
+        assert_eq!(counter(&out, "absorbed_samples"), 1);
+        assert_eq!(counter(&out, "absorbed_rows"), 500);
+    }
+
+    #[test]
+    fn ingest_after_a_joined_query_claims_no_absorb() {
+        let mut r = loaded_repl();
+        let sql = "SELECT d_year, SUM(lo_revenue) FROM lineorder, date \
+                   WHERE lo_intkey BETWEEN 0 AND 6499 AND lo_orderdate = d_datekey \
+                   GROUP BY d_year";
+        let out = r.handle(sql).unwrap();
+        assert!(out.contains("reuse online"), "{out}");
+        // A sample above a join is not over the bare table: it keeps its
+        // watermark and catches up through a tail fragment when next used.
+        let out = r.handle(".ingest 500").unwrap();
+        assert!(out.contains("0 of 1 stored samples absorbed"), "{out}");
+        assert_eq!(counter(&r.handle(".stats").unwrap(), "absorbed_samples"), 0);
+        let out = r.handle(sql).unwrap();
+        assert!(out.contains("reuse partial"), "{out}");
     }
 
     #[test]
@@ -912,13 +834,14 @@ mod tests {
         )
         .unwrap();
         let out = r.handle(".stats").unwrap();
-        assert!(out.contains("1 stored fragments merged"), "{out}");
-        assert!(out.contains("1 residual fragments Δ-scanned"), "{out}");
+        assert_eq!(counter(&out, "fragments_reused"), 1);
+        assert_eq!(counter(&out, "fragments_scanned"), 1);
         // The first scan selects a third of the 6000 rows, where the
         // cut-off keeps the walk; the two narrower ones read their one
         // morsel from the range index.
-        assert!(out.contains("0 fast-pathed, 1 scanned"), "{out}");
-        assert!(out.contains("range index: 2 morsels read"), "{out}");
+        assert_eq!(counter(&out, "morsels_fast_pathed"), 0);
+        assert_eq!(counter(&out, "morsels_scanned"), 1);
+        assert_eq!(counter(&out, "morsels_indexed"), 2);
         // Two hits on the merged sample, each read where it rests.
         for _ in 0..2 {
             r.handle(
@@ -927,9 +850,7 @@ mod tests {
             )
             .unwrap();
         }
-        let out = r.handle(".stats").unwrap();
-        let line = "full hits: 2 answered from stored samples as they rest";
-        assert!(out.contains(line), "{out}");
+        assert_eq!(counter(&r.handle(".stats").unwrap(), "full_hits"), 2);
     }
 
     #[test]
@@ -953,19 +874,11 @@ mod tests {
     }
 
     #[test]
-    fn k_and_error_settings() {
+    fn k_setting() {
         let mut r = loaded_repl();
         assert!(r.handle(".k 64").unwrap().contains("64"));
         assert!(r.handle(".k potato").unwrap().contains("usage"));
-        assert!(r.handle(".error 0.1").unwrap().contains("0.1"));
-        let out = r
-            .handle(
-                "SELECT lo_quantity, SUM(lo_revenue) FROM lineorder \
-                 WHERE lo_intkey BETWEEN 0 AND 5999 GROUP BY lo_quantity",
-            )
-            .unwrap();
-        assert!(out.contains("worst rel err"), "{out}");
-        assert!(r.handle(".error off").unwrap().contains("off"));
+        assert!(r.handle(".stats").unwrap().contains("k 64"));
     }
 
     #[test]
@@ -1002,9 +915,26 @@ mod tests {
     fn stats_reports_robustness_counters() {
         let mut r = loaded_repl();
         let out = r.handle(".stats").unwrap();
-        assert!(out.contains("0 degraded answers"), "{out}");
-        assert!(out.contains("0 faults injected"), "{out}");
-        assert!(out.contains("0 snapshot recoveries"), "{out}");
+        assert_eq!(counter(&out, "degraded_answers"), 0);
+        assert_eq!(counter(&out, "faults_injected"), 0);
+        assert_eq!(counter(&out, "snapshots_recovered"), 0);
+    }
+
+    #[test]
+    fn stats_prints_every_counter_in_declaration_order() {
+        let mut r = loaded_repl();
+        let out = r.handle(".stats").unwrap();
+        let printed: Vec<&str> = out
+            .lines()
+            .skip(1)
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        let declared: Vec<&str> = laqy::ServiceStats::default()
+            .fields()
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(printed, declared);
     }
 
     #[test]
@@ -1109,33 +1039,6 @@ mod tests {
         let out = r.handle(".drain").unwrap();
         assert!(out.contains("drained 1 tenant(s)"), "{out}");
         assert!(out.contains("finished"), "{out}");
-    }
-
-    #[test]
-    fn csv_loading_via_command() {
-        let path = std::env::temp_dir().join(format!("laqy_cli_{}.csv", std::process::id()));
-        std::fs::write(&path, "k,grp,val\n0,a,1.5\n1,b,2.5\n2,a,3.5\n3,b,4.5\n").unwrap();
-        let mut r = Repl::new();
-        let out = r
-            .handle(&format!(
-                ".load csv events {} k:i64,grp:str,val:f64",
-                path.to_string_lossy()
-            ))
-            .unwrap();
-        assert!(out.contains("4 rows"), "{out}");
-        let out = r
-            .handle("SELECT grp, SUM(val) FROM events WHERE k BETWEEN 0 AND 3 GROUP BY grp")
-            .unwrap();
-        assert!(out.contains("reuse online"), "{out}");
-        assert!(out.contains('a') && out.contains('b'));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn schema_parsing_errors() {
-        assert!(parse_schema("a:i64,b:str").is_ok());
-        assert!(parse_schema("a").is_err());
-        assert!(parse_schema("a:wat").is_err());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   samples malleable;
 //! - [`store`] — sample lifetime management, coverage planning (greedy
 //!   set cover over stored samples) and the coverage write step that
-//!   brings a plan's Δ samples to rest (with optional byte-budgeted LRU
-//!   eviction);
+//!   brings a plan's Δ samples to rest;
+//!   [`ShardedStore`] adds the service's byte budget (LRU eviction);
 //! - [`lazy`] — Algorithm 1, the lazy sampling planner, generalized to
 //!   multi-sample, multi-fragment coverage reuse;
 //! - [`sampler_ops`] — the stored sample (rows as wide as their schema,
@@ -31,7 +31,6 @@
 //!   handle many client threads clone, with an in-flight registry
 //!   deduplicating concurrent Δ/online scans, plus the streaming-ingest
 //!   path (epoch-pinned appends with incremental sample absorption);
-//! - [`bounded`] — error-target execution (escalating `k`) on that handle;
 //! - [`persist`] / [`wal`] — crash-safe store snapshots and the ingest
 //!   write-ahead log; together they recover base rows and stored samples
 //!   to one consistent `(snapshot generation, WAL position)` point;
@@ -107,7 +106,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bounded;
 pub mod budget;
 pub mod descriptor;
 pub mod estimate;
@@ -123,7 +121,6 @@ pub mod store;
 pub mod support;
 pub mod wal;
 
-pub use bounded::{run_bounded, BoundedResult, ErrorTarget};
 pub use budget::{CancelToken, Degradation, DegradeReason, QueryBudget};
 pub use descriptor::{Predicates, SampleDescriptor};
 pub use estimate::{estimate, AggEstimate, EstimateError, EstimateOptions, GroupEstimate};

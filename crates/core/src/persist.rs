@@ -122,8 +122,9 @@ pub fn save_store(store: &SampleStore) -> Vec<u8> {
 }
 
 /// Deserialize a sample store from bytes. The restored store is unbounded;
-/// apply a budget by constructing with
-/// [`SampleStore::with_budget`] and re-absorbing if needed.
+/// a service's byte budget applies once
+/// [`ShardedStore::replace_from`](crate::store::ShardedStore::replace_from)
+/// routes the samples into its shards.
 pub fn load_store(mut data: &[u8]) -> Result<SampleStore, PersistError> {
     let buf = &mut data;
     let mut magic = [0u8; 4];

@@ -290,13 +290,6 @@ impl LaqyService {
         }
     }
 
-    /// Register (or replace) a table. Waits for in-progress queries'
-    /// catalog reads to drain. Samples built from a replaced table keep
-    /// their old contents until evicted or cleared.
-    pub fn register_table(&self, table: Table) {
-        self.inner.catalog.write().register(table);
-    }
-
     /// Shared read access to the catalog.
     pub fn catalog(&self) -> RwLockReadGuard<'_, Catalog> {
         self.timed(|i| i.catalog.read())

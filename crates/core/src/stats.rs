@@ -127,7 +127,8 @@ impl ExecStats {
 }
 
 /// Declares the service's counters once: the public [`ServiceStats`]
-/// snapshot, the live `Counters` behind it, and the copy between them.
+/// snapshot and its `(name, value)` list, the live `Counters` behind it,
+/// and the copy between them.
 macro_rules! service_counters {
     ($($(#[$doc:meta])* $name:ident,)*) => {
         /// Cumulative counters of a
@@ -136,6 +137,14 @@ macro_rules! service_counters {
         #[derive(Debug, Clone, Default, PartialEq, Eq)]
         pub struct ServiceStats {
             $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ServiceStats {
+            /// Every counter as `(name, value)`, in declaration order (the
+            /// REPL's `.stats` prints this list).
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
         }
 
         /// The live counters (all relaxed; they are telemetry, not

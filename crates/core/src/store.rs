@@ -185,28 +185,18 @@ pub struct SampleStore {
     // Atomic for the same reason as `StoredSample::last_used`: shared
     // readers advance the logical clock without exclusive access.
     clock: AtomicU64,
-    budget_bytes: Option<usize>,
     evictions: u64,
 }
 
 impl SampleStore {
-    /// Unbounded store.
+    /// Empty store. Its byte budget, if any, is its [`ShardedStore`]'s.
     pub fn new() -> Self {
         Self {
             samples: Vec::new(),
             next_id: 0,
             id_stride: 1,
             clock: AtomicU64::new(0),
-            budget_bytes: None,
             evictions: 0,
-        }
-    }
-
-    /// Store with an LRU-evicted byte budget.
-    pub fn with_budget(budget_bytes: usize) -> Self {
-        Self {
-            budget_bytes: Some(budget_bytes),
-            ..Self::new()
         }
     }
 
@@ -242,7 +232,8 @@ impl SampleStore {
         self.samples.iter().map(|(_, s)| s.bytes).sum()
     }
 
-    /// Number of budget-driven evictions so far.
+    /// Number of budget-driven evictions so far (see
+    /// [`ShardWriteGuard`]).
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -418,7 +409,7 @@ impl SampleStore {
 
     /// Insert a sample verbatim, bypassing merge/replace logic (snapshot
     /// restore). `watermark` is the base-row watermark the sample was
-    /// drawn at. The budget is still enforced.
+    /// drawn at.
     pub fn insert_raw(
         &mut self,
         descriptor: SampleDescriptor,
@@ -430,7 +421,6 @@ impl SampleStore {
         let id = self.alloc_id();
         let stored = StoredSample::new(descriptor, schema, sample.into(), watermark, clock);
         self.samples.push((id, stored));
-        self.enforce_budget(id);
         id
     }
 
@@ -457,8 +447,7 @@ impl SampleStore {
 
     /// Evict the least-recently-used sample, if more than one is held.
     /// Returns whether a sample was dropped. This is the single-step
-    /// primitive behind both the standalone byte budget and the
-    /// [`ShardedStore`]'s global-budget enforcement.
+    /// primitive behind the [`ShardedStore`]'s global byte budget.
     pub(crate) fn evict_one_lru(&mut self) -> bool {
         if self.samples.len() <= 1 {
             return false;
@@ -516,9 +505,7 @@ impl SampleStore {
             stored.watermark = stored.watermark.min(watermark);
             stored.last_used.store(clock, Ordering::Relaxed);
             stored.settle();
-            let id = *id;
-            self.enforce_budget(id);
-            return id;
+            return *id;
         }
         // Replace any stored sample this one strictly subsumes.
         self.samples.retain(|(_, s)| {
@@ -529,7 +516,6 @@ impl SampleStore {
         let id = self.alloc_id();
         let stored = StoredSample::new(descriptor, schema, sample, watermark, clock);
         self.samples.push((id, stored));
-        self.enforce_budget(id);
         id
     }
 
@@ -562,7 +548,6 @@ impl SampleStore {
         stored.watermark = stored.watermark.max(new_watermark);
         stored.last_used.store(clock, Ordering::Relaxed);
         stored.settle();
-        self.enforce_budget(id);
         true
     }
 
@@ -780,28 +765,6 @@ impl SampleStore {
     /// Drop everything.
     pub fn clear(&mut self) {
         self.samples.clear();
-    }
-
-    fn enforce_budget(&mut self, protect: SampleId) {
-        let Some(budget) = self.budget_bytes else {
-            return;
-        };
-        while self.total_bytes() > budget && self.samples.len() > 1 {
-            // Evict the least recently used sample, never the protected one.
-            let victim = self
-                .samples
-                .iter()
-                .filter(|(i, _)| *i != protect)
-                .min_by_key(|(_, s)| s.last_used.load(Ordering::Relaxed))
-                .map(|(i, _)| *i);
-            match victim {
-                Some(v) => {
-                    self.remove(v);
-                    self.evictions += 1;
-                }
-                None => break,
-            }
-        }
     }
 }
 
@@ -1038,9 +1001,10 @@ impl Drop for ShardWriteGuard<'_> {
                 .sum()
         };
         // Evict locally while the global total overflows. Other shards
-        // shrink themselves the next time they are written; keeping at
-        // least one sample per shard mirrors `enforce_budget`, so a
-        // single oversized sample is held rather than thrashed.
+        // shrink themselves the next time they are written. A shard keeps
+        // at least one sample, so a single oversized sample is held rather
+        // than thrashed; the sample this guard just wrote or touched holds
+        // the newest LRU stamp, so it goes last.
         while global(self.owner) > budget && self.guard.evict_one_lru() {
             let bytes = self.guard.total_bytes();
             self.owner.shard_bytes[self.idx].store(bytes, Ordering::Relaxed);
@@ -1283,20 +1247,27 @@ mod tests {
         // allocated.
         let one = toy_bytes();
         assert!(one >= 2 * 8 * 16);
-        let mut store = SampleStore::with_budget(one * 2);
-        let a = store.absorb(desc(0, 9), schema(), toy_sample(2, 10, 0), 0, &mut rng);
+        let store = ShardedStore::new(1, Some(one * 2));
+        let mut absorb = |d: SampleDescriptor, lo: i64| {
+            let s = toy_sample(2, 10, lo);
+            store.write_shard(0).absorb(d, schema(), s, 0, &mut rng)
+        };
+        let a = absorb(desc(0, 9), 0);
         // A different shape so it cannot merge with `a`.
         let mut qb = desc(2000, 2009);
         qb.qcs = vec!["lo_discount".into()];
-        let _b = store.absorb(qb, schema(), toy_sample(2, 10, 2000), 0, &mut rng);
+        let b = absorb(qb, 2000);
         // Touch `a` so the next insertion evicts `b`.
-        store.get(a);
+        store.read_shard(0).get(a);
         let mut q = desc(4000, 4009);
         q.qcs = vec!["lo_quantity".into()]; // different shape: no merge
-        let _c = store.absorb(q, schema(), toy_sample(2, 10, 4000), 0, &mut rng);
-        assert!(store.len() <= 2);
-        assert!(store.peek(a).is_some(), "recently used sample must survive");
-        assert!(store.evictions() >= 1);
+        let c = absorb(q, 4000);
+        let shard = store.read_shard(0);
+        assert_eq!(shard.len(), 2);
+        assert!(shard.peek(a).is_some(), "recently used sample must survive");
+        assert!(shard.peek(b).is_none(), "least recently used sample goes");
+        assert!(shard.peek(c).is_some(), "the write the guard made stays");
+        assert_eq!(shard.evictions(), 1);
     }
 
     #[test]

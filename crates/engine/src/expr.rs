@@ -94,31 +94,6 @@ impl Predicate {
         }
     }
 
-    /// Column names this predicate references.
-    pub fn referenced_columns(&self) -> Vec<&str> {
-        let mut cols = Vec::new();
-        self.collect_columns(&mut cols);
-        cols.sort_unstable();
-        cols.dedup();
-        cols
-    }
-
-    fn collect_columns<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Predicate::True | Predicate::False => {}
-            Predicate::Between { column, .. }
-            | Predicate::EqInt { column, .. }
-            | Predicate::EqStr { column, .. }
-            | Predicate::InInt { column, .. } => out.push(column),
-            Predicate::And(ps) | Predicate::Or(ps) => {
-                for p in ps {
-                    p.collect_columns(out);
-                }
-            }
-            Predicate::Not(p) => p.collect_columns(out),
-        }
-    }
-
     /// Resolve column references against a table, producing an evaluable
     /// form. Fails fast on unknown columns, type mismatches, and unknown
     /// dictionary values. The compiled form borrows both the table's
@@ -401,12 +376,6 @@ mod tests {
             Predicate::And(ps) => assert_eq!(ps.len(), 3),
             other => panic!("expected flattened And, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn referenced_columns_deduplicated() {
-        let p = Predicate::between("x", 0, 1).and(Predicate::between("x", 2, 3));
-        assert_eq!(p.referenced_columns(), vec!["x"]);
     }
 
     #[test]

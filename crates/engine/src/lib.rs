@@ -21,7 +21,6 @@ pub mod error;
 pub mod expr;
 pub mod hash;
 pub mod index;
-pub mod io;
 pub mod kernel;
 pub mod ops;
 // The worker pool's lifetime-erased task submission is the single
@@ -38,7 +37,6 @@ pub use column::{dict_column, Column, StoredColumn, STORED_CHUNK_ROWS};
 pub use error::{EngineError, Result};
 pub use expr::{AggInput, AggKind, AggSpec, Predicate};
 pub use hash::{FxBuildHasher, FxHashMap, GroupKey, MAX_KEY_COLS};
-pub use io::{load_csv, load_csv_file, CsvSchema};
 pub use kernel::{BatchKernel, Mask, CHUNK_ROWS, MASK_WORDS};
 pub use plan::{
     execute_exact, resolve_by_name, validate_plan, ColRef, GroupedRow, JoinSpec, PreparedJoins,

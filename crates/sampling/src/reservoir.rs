@@ -86,13 +86,6 @@ impl<T> Reservoir<T> {
         self.items.is_empty()
     }
 
-    /// True once the reservoir holds `capacity` items and admission becomes
-    /// probabilistic.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
-    }
-
     /// Number of elements considered so far.
     #[inline]
     pub fn weight(&self) -> u64 {
@@ -140,15 +133,6 @@ impl<T> Reservoir<T> {
     }
 }
 
-impl<T: Clone> Reservoir<T> {
-    /// Offer every element of a slice.
-    pub fn offer_all(&mut self, items: &[T], rng: &mut Lehmer64) {
-        for item in items {
-            self.offer(item.clone(), rng);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,7 +146,6 @@ mod tests {
         }
         assert_eq!(r.len(), 7);
         assert_eq!(r.weight(), 7);
-        assert!(!r.is_full());
         assert_eq!(r.items(), &[0, 1, 2, 3, 4, 5, 6]);
     }
 
@@ -175,7 +158,6 @@ mod tests {
         }
         assert_eq!(r.len(), 5);
         assert_eq!(r.weight(), 1000);
-        assert!(r.is_full());
         // All retained items must come from the offered stream.
         for &x in r.items() {
             assert!((0..1000).contains(&x));
@@ -259,20 +241,5 @@ mod tests {
     #[should_panic(expected = "capacity must be nonzero")]
     fn zero_capacity_rejected() {
         let _: Reservoir<i32> = Reservoir::new(0);
-    }
-
-    #[test]
-    fn offer_all_matches_individual_offers() {
-        let data: Vec<i64> = (0..100).collect();
-        let mut r1 = Reservoir::new(7);
-        let mut rng1 = Lehmer64::new(99);
-        r1.offer_all(&data, &mut rng1);
-
-        let mut r2 = Reservoir::new(7);
-        let mut rng2 = Lehmer64::new(99);
-        for &x in &data {
-            r2.offer(x, &mut rng2);
-        }
-        assert_eq!(r1, r2);
     }
 }

@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 
 use laqy::{
     plan_lazy, Interval, IntervalSet, LazyPlan, Predicates, Sample, SampleDescriptor, SampleId,
-    SampleSchema, SampleStore, SlotKind,
+    SampleSchema, SampleStore, ShardedStore, SlotKind,
 };
 use laqy_engine::GroupKey;
 use laqy_sampling::Lehmer64;
@@ -321,10 +321,12 @@ proptest! {
 
 // Second model: arbitrary interleavings of query-driven fetch / coverage
 // write / online absorb, raw insertion (snapshot restore), and explicit
-// eviction, optionally under a byte budget with LRU eviction. The
-// reference model tracks, after every single operation:
+// eviction, optionally under a byte budget — the service's: a one-shard
+// `ShardedStore` whose write guard evicts least-recently-used samples when
+// it drops. Each op runs under one write guard. The reference model
+// tracks, after every single operation:
 //
-// - the just-written sample is never evicted by its own insertion;
+// - the just-written sample is never evicted by its own write;
 // - the byte budget holds (down to a single protected sample);
 // - samples leave the store only as the write step allows — planned
 //   samples consolidated into their union, samples the absorbed coverage
@@ -354,11 +356,7 @@ proptest! {
             0,
         );
         let budget = scratch.total_bytes() * 2;
-        let mut store = if budgeted {
-            SampleStore::with_budget(budget)
-        } else {
-            SampleStore::new()
-        };
+        let store = ShardedStore::new(1, budgeted.then_some(budget));
         let mut requested = IntervalSet::empty();
         // Front = most recently used; mirrors the store's LRU stamps.
         let mut mru: Vec<SampleId> = Vec::new();
@@ -367,11 +365,12 @@ proptest! {
             let q = IntervalSet::of(Interval::new(*lo, lo + w));
             let evictions_before = store.evictions();
             let before: HashMap<SampleId, IntervalSet> = store
+                .read_shard(0)
                 .descriptors()
                 .map(|(id, d)| (id, d.predicates.get("x").unwrap().clone()))
                 .collect();
-            // The sample this op writes or touches; protected from the
-            // op's own budget enforcement.
+            // The sample this op writes or touches: the newest LRU stamp
+            // when the op's guard enforces the budget.
             let mut subject: Option<SampleId> = None;
             // Samples the op's write step itself takes out of the store.
             let mut superseded: Vec<SampleId> = Vec::new();
@@ -379,7 +378,7 @@ proptest! {
                 // Query-driven, exactly as the service behaves.
                 0 | 1 => {
                     requested = requested.union(&q);
-                    let driven = drive(&mut store, &q, &mut rng);
+                    let driven = drive(&mut store.write_shard(0), &q, &mut rng);
                     subject = Some(driven.subject);
                     superseded = driven.consolidated;
                     // A new sample replaces every stored one it subsumes;
@@ -399,18 +398,21 @@ proptest! {
                 2 => {
                     requested = requested.union(&q);
                     let s = sample_for(&q, &mut rng);
-                    subject = Some(store.insert_raw(descriptor(q.clone()), schema(), s, 0));
+                    let mut shard = store.write_shard(0);
+                    subject = Some(shard.insert_raw(descriptor(q.clone()), schema(), s, 0));
                 }
                 // Explicit eviction of an arbitrary stored sample.
                 _ => {
                     if !mru.is_empty() {
                         let victim = mru[(*pick as usize) % mru.len()];
-                        prop_assert!(store.remove(victim));
-                        prop_assert!(store.peek(victim).is_none());
+                        let mut shard = store.write_shard(0);
+                        prop_assert!(shard.remove(victim));
+                        prop_assert!(shard.peek(victim).is_none());
                         mru.retain(|i| *i != victim);
                     }
                 }
             }
+            let store = store.read_shard(0);
             for id in &superseded {
                 prop_assert!(store.peek(*id).is_none());
             }
@@ -418,7 +420,7 @@ proptest! {
             if let Some(id) = subject {
                 mru.retain(|i| *i != id);
                 mru.insert(0, id);
-                // Protected from its own insertion's budget enforcement.
+                // Not evicted by its own write's budget enforcement.
                 prop_assert!(store.peek(id).is_some());
             }
 
@@ -466,6 +468,7 @@ proptest! {
         }
 
         // Surviving coverage still plans consistently.
+        let store = store.read_shard(0);
         for (_, lo, w, _) in &ops {
             check_plan(&store, &IntervalSet::of(Interval::new(*lo, lo + w)));
         }
