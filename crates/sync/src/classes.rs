@@ -9,10 +9,9 @@
 //!    debug lock-order detector ([`crate`] docs) keys its graph on exactly
 //!    these class names.
 //! 2. **The static analyzer** — `cargo run -p xtask -- analyze` links
-//!    against this crate and reads [`ALL`] to learn which classes exist,
-//!    which are indexed *families* (e.g. the store shards, acquired in
-//!    ascending index order by construction), and which guard the query
-//!    hot path (where a `SeqCst` atomic needs a written justification).
+//!    against this crate and reads [`ALL`] to learn which classes exist
+//!    and which are indexed *families* (e.g. the store shards, acquired in
+//!    ascending index order by construction).
 //! 3. **Humans** — the `doc` strings say what each lock protects and where
 //!    it sits in the global acquisition order.
 //!
@@ -118,10 +117,6 @@ pub struct LockClassDef {
     /// static pass collapses the family to one node and ignores
     /// family-internal edges.
     pub family: bool,
-    /// On the per-query hot path: acquired while answering a query (as
-    /// opposed to ingest/persistence maintenance). `SeqCst` atomics in
-    /// code guarded by a hot class need a written justification.
-    pub hot: bool,
     /// What the lock protects and where it sits in the canonical order.
     pub doc: &'static str,
 }
@@ -132,55 +127,46 @@ pub const ALL: &[LockClassDef] = &[
     LockClassDef {
         name: SERVER_TENANTS,
         family: false,
-        hot: false,
         doc: "serving-layer tenant registry; write guard held across tenant WAL recovery",
     },
     LockClassDef {
         name: SERVER_GATE,
         family: false,
-        hot: true,
         doc: "per-tenant admission gate; released before the admitted query runs",
     },
     LockClassDef {
         name: SERVER_GATE_CV,
         family: false,
-        hot: true,
         doc: "condvar paired with laqy.server.gate",
     },
     LockClassDef {
         name: WAL,
         family: false,
-        hot: false,
         doc: "ingest serialization point; held across WAL append+fsync and catalog publish",
     },
     LockClassDef {
         name: CATALOG,
         family: false,
-        hot: true,
         doc: "table registry and epoch publication; queries take short read guards to pin an epoch",
     },
     LockClassDef {
         name: STORE_SHARD_PREFIX,
         family: true,
-        hot: true,
         doc: "one sample-store shard; whole-store operations acquire ascending",
     },
     LockClassDef {
         name: INFLIGHT_REGISTRY_PREFIX,
         family: true,
-        hot: true,
         doc: "in-flight scan dedup registry shard; claims are never held while waiting",
     },
     LockClassDef {
         name: INFLIGHT_DONE,
         family: false,
-        hot: true,
         doc: "per-entry completion flag; waiters hold only this while blocked on the condvar",
     },
     LockClassDef {
         name: INFLIGHT_CV,
         family: false,
-        hot: true,
         doc: "condvar paired with laqy.inflight.done",
     },
 ];

@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use laqy_sync::classes::STORE_SHARD_NAMES;
 use laqy_sync::{Condvar, Mutex, RwLock};
 
 /// Consistent A-then-B ordering across many threads never trips the
@@ -60,6 +61,25 @@ fn rwlock_and_mutex_share_the_graph() {
     }
     let _gl = l.read();
     let _gm = m.lock();
+}
+
+/// Each member of a lock family is a class of its own, so a whole-store
+/// walk that takes the shards descending after another took them
+/// ascending closes a cycle. The static `lock-order` pass collapses a
+/// family to one node and cannot see this; only this detector does.
+#[test]
+#[should_panic(expected = "lock-order cycle")]
+fn descending_shard_walk_panics() {
+    let shards: Vec<RwLock<()>> = STORE_SHARD_NAMES[..2]
+        .iter()
+        .map(|name| RwLock::named(name, ()))
+        .collect();
+    {
+        let _g0 = shards[0].write();
+        let _g1 = shards[1].write(); // shard0 -> shard1, the canonical order
+    }
+    let _g1 = shards[1].read();
+    let _g0 = shards[0].read(); // shard1 -> shard0 closes the cycle
 }
 
 /// Re-locking the same mutex on the same thread is a guaranteed

@@ -58,14 +58,6 @@ impl SsbConfig {
         }
     }
 
-    /// Laptop-scale default (~600k fact rows).
-    pub fn small() -> Self {
-        Self {
-            scale_factor: 0.1,
-            seed: 0x55B,
-        }
-    }
-
     /// Number of `lineorder` rows at this scale factor.
     pub fn lineorder_rows(&self) -> usize {
         ((6_000_000.0 * self.scale_factor).round() as usize).max(1)

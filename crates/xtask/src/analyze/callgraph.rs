@@ -481,17 +481,12 @@ fn lookup_const(consts: &BTreeMap<String, ConstVal>, name: &str, depth: usize) -
     }
 }
 
-/// Public wrapper over the binder back-scan; the atomic pass uses it to
-/// bind `Atomic*::new(…)` locals and statics.
-pub fn find_binder_pub(pf: &ParsedFile, site: usize) -> Option<String> {
-    find_binder(pf, site)
-}
-
 /// Walk backwards from a `Mutex::named(…)` construction site to the
 /// binder it initializes: a struct-literal field (`wal: Mutex::named…`,
 /// possibly through iterator closures), a `let` binding, or a
-/// `const`/`static` item.
-fn find_binder(pf: &ParsedFile, site: usize) -> Option<String> {
+/// `const`/`static` item. The atomic pass uses it to bind
+/// `Atomic*::new(…)` locals and statics the same way.
+pub(crate) fn find_binder(pf: &ParsedFile, site: usize) -> Option<String> {
     let mut depth = 0i32;
     let lo = site.saturating_sub(48);
     let mut j = site;

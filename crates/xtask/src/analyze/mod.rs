@@ -9,57 +9,28 @@
 //! * [`callgraph`] — per-workspace call graph with guard-lifetime
 //!   tracking and function summaries (classes acquired, may-block);
 //! * [`passes`] — the `lock-order`, `guard-blocking-op`, and
-//!   `atomic-ordering` passes plus `laqy-lint: allow(…)` suppressions;
-//! * [`baseline`] — the committed finding baseline (CI fails only on
-//!   new findings).
+//!   `atomic-ordering` passes plus `laqy-lint: allow(…)` suppressions.
+//!
+//! Any finding fails the task; an intentional one is accepted only by a
+//! reasoned `laqy-lint: allow(<rule>) -- <why>` at its site.
 //!
 //! The lock classes themselves come from `laqy_sync::classes`, the same
 //! registry the runtime lock-order detector keys on — the static pass
 //! reports inversions on *any* path through the call graph, executed or
 //! not, while the runtime detector catches whatever actually runs.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod parser;
 pub mod passes;
 
-use std::fmt;
 use std::path::Path;
 
 use crate::Finding;
 
-/// Finding severity, keyed per rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Should be fixed or explicitly baselined, but does not by itself
-    /// imply a bug (e.g. a justified fsync under the WAL mutex).
-    Warning,
-    /// A discipline violation: potential deadlock cycle or a
-    /// reason-less suppression.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
-
-/// Severity of an analyzer rule.
-pub fn severity_of(rule: &str) -> Severity {
-    match rule {
-        "lock-order" | "suppression-reason" => Severity::Error,
-        _ => Severity::Warning,
-    }
-}
-
 /// Analyze the workspace rooted at `root`: build the call graph, run
 /// the passes, and apply `laqy-lint: allow(…)` suppressions. Returns
-/// the surviving findings (plus a `suppression-reason` error for every
+/// the surviving findings (plus a `suppression-reason` finding for every
 /// reason-less suppression), sorted by location.
 pub fn analyze_tree(root: &Path) -> Result<Vec<Finding>, String> {
     let mut files = crate::collect_sources(root)?;

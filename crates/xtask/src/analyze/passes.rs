@@ -316,7 +316,7 @@ fn atomic_ordering(g: &Graph, findings: &mut Vec<Finding>) {
                 && pf.text(i + 1) == "::"
                 && pf.text(i + 2) == "new"
             {
-                if let Some(binder) = super::callgraph::find_binder_pub(pf, i) {
+                if let Some(binder) = super::callgraph::find_binder(pf, i) {
                     atomics.insert(binder);
                 }
             }

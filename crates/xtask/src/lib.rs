@@ -392,193 +392,6 @@ fn walk_rs(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) -> Result<(), String
 }
 
 // ---------------------------------------------------------------------------
-// Stripping: comments, strings, and #[cfg(test)] modules
-// ---------------------------------------------------------------------------
-
-/// Replace comments and string/char-literal contents with spaces, keeping
-/// every newline, so downstream token scans cannot be fooled by prose and
-/// line numbers survive.
-pub fn strip_comments_and_strings(text: &str) -> String {
-    #[derive(PartialEq)]
-    enum St {
-        Code,
-        Line,
-        Block(u32),
-        Str,
-        RawStr(u32),
-        Char,
-    }
-    let b = text.as_bytes();
-    let mut out: Vec<u8> = Vec::with_capacity(b.len());
-    let mut st = St::Code;
-    let mut i = 0;
-    while i < b.len() {
-        let c = b[i];
-        match st {
-            St::Code => {
-                if c == b'/' && b.get(i + 1) == Some(&b'/') {
-                    st = St::Line;
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                } else if c == b'/' && b.get(i + 1) == Some(&b'*') {
-                    st = St::Block(1);
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                } else if c == b'"' {
-                    st = St::Str;
-                    out.push(b'"');
-                    i += 1;
-                } else if c == b'r' && matches!(b.get(i + 1), Some(b'"') | Some(b'#')) {
-                    // r"..." or r#"..."# (also covers the tail of br"...").
-                    let mut hashes = 0u32;
-                    let mut j = i + 1;
-                    while b.get(j) == Some(&b'#') {
-                        hashes += 1;
-                        j += 1;
-                    }
-                    if b.get(j) == Some(&b'"') {
-                        st = St::RawStr(hashes);
-                        out.resize(out.len() + (j + 1 - i), b' ');
-                        i = j + 1;
-                    } else {
-                        out.push(c);
-                        i += 1;
-                    }
-                } else if c == b'\'' {
-                    // Char literal vs lifetime: 'x' / '\n' are literals,
-                    // 'static is a lifetime (no closing quote right after).
-                    let is_char = match b.get(i + 1) {
-                        Some(b'\\') => true,
-                        Some(_) => b.get(i + 2) == Some(&b'\''),
-                        None => false,
-                    };
-                    if is_char {
-                        st = St::Char;
-                        out.push(b'\'');
-                    } else {
-                        out.push(b'\'');
-                    }
-                    i += 1;
-                } else {
-                    out.push(c);
-                    i += 1;
-                }
-            }
-            St::Line => {
-                if c == b'\n' {
-                    st = St::Code;
-                    out.push(b'\n');
-                } else {
-                    out.push(b' ');
-                }
-                i += 1;
-            }
-            St::Block(depth) => {
-                if c == b'/' && b.get(i + 1) == Some(&b'*') {
-                    st = St::Block(depth + 1);
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                } else if c == b'*' && b.get(i + 1) == Some(&b'/') {
-                    st = if depth == 1 {
-                        St::Code
-                    } else {
-                        St::Block(depth - 1)
-                    };
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                } else {
-                    out.push(if c == b'\n' { b'\n' } else { b' ' });
-                    i += 1;
-                }
-            }
-            St::Str => {
-                if c == b'\\' && i + 1 < b.len() {
-                    out.push(b' ');
-                    out.push(if b[i + 1] == b'\n' { b'\n' } else { b' ' });
-                    i += 2;
-                } else if c == b'"' {
-                    st = St::Code;
-                    out.push(b'"');
-                    i += 1;
-                } else {
-                    out.push(if c == b'\n' { b'\n' } else { b' ' });
-                    i += 1;
-                }
-            }
-            St::RawStr(hashes) => {
-                if c == b'"' {
-                    let mut j = i + 1;
-                    let mut seen = 0u32;
-                    while seen < hashes && b.get(j) == Some(&b'#') {
-                        seen += 1;
-                        j += 1;
-                    }
-                    if seen == hashes {
-                        st = St::Code;
-                        out.resize(out.len() + (j - i), b' ');
-                        i = j;
-                        continue;
-                    }
-                }
-                out.push(if c == b'\n' { b'\n' } else { b' ' });
-                i += 1;
-            }
-            St::Char => {
-                if c == b'\\' && i + 1 < b.len() {
-                    out.extend_from_slice(b"  ");
-                    i += 2;
-                } else if c == b'\'' {
-                    st = St::Code;
-                    out.push(b'\'');
-                    i += 1;
-                } else {
-                    out.push(b' ');
-                    i += 1;
-                }
-            }
-        }
-    }
-    // Strings/comments only ever shrink to same-length space runs.
-    String::from_utf8(out).unwrap_or_default()
-}
-
-/// Blank out the bodies of `#[cfg(test)]`-gated items (and `#[test]` fns)
-/// in already-stripped text so test-only code is exempt from the hot-path
-/// rules. Brace-matching is exact because strings are already gone.
-pub fn blank_test_modules(stripped: &str) -> String {
-    let mut out = stripped.as_bytes().to_vec();
-    for marker in ["#[cfg(test)]", "#[test]"] {
-        let mut from = 0;
-        while let Some(pos) = stripped[from..].find(marker) {
-            let attr_end = from + pos + marker.len();
-            if let Some(open) = stripped[attr_end..].find('{') {
-                let open = attr_end + open;
-                let mut depth = 0usize;
-                for (off, ch) in stripped[open..].char_indices() {
-                    match ch {
-                        '{' => depth += 1,
-                        '}' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                for slot in &mut out[open + 1..open + off] {
-                                    if *slot != b'\n' {
-                                        *slot = b' ';
-                                    }
-                                }
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            from = attr_end;
-        }
-    }
-    String::from_utf8(out).unwrap_or_default()
-}
-
-// ---------------------------------------------------------------------------
 // Token scanning helpers (over the analyze::lexer stream)
 // ---------------------------------------------------------------------------
 

@@ -2,20 +2,21 @@
 //!
 //! ```text
 //! cargo run -p xtask -- lint [ROOT]
-//! cargo run -p xtask -- analyze [ROOT] [--write-baseline]
+//! cargo run -p xtask -- analyze [ROOT]
 //! ```
 //!
 //! `lint` runs the repo-policy lint over the workspace (default: the
-//! workspace this xtask binary was built from) and exits non-zero on any
-//! finding. `analyze` runs the interprocedural static analyzer (lock
-//! order, guard-across-blocking-op, atomic orderings) and exits non-zero
-//! on any finding not covered by the committed baseline;
-//! `--write-baseline` accepts the current findings instead.
+//! workspace this xtask binary was built from); `analyze` runs the
+//! interprocedural static analyzer (lock order, guard-across-blocking-op,
+//! atomic orderings). Both exit non-zero on any finding.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: cargo run -p xtask -- lint [ROOT]\n\
+                     \x20      cargo run -p xtask -- analyze [ROOT]";
 
 fn default_root() -> PathBuf {
     // crates/xtask -> crates -> workspace root
@@ -26,110 +27,49 @@ fn default_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-fn run_lint(root: PathBuf) -> ExitCode {
-    match xtask::lint_tree(&root) {
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (task, root) = match args.as_slice() {
+        [task] => (task.as_str(), default_root()),
+        [task, root] if !root.starts_with('-') => (task.as_str(), PathBuf::from(root)),
+        _ => {
+            // The first option, else whatever follows ROOT.
+            let extra = args.iter().skip(1).find(|a| a.starts_with('-'));
+            match extra.or(args.get(2)) {
+                Some(extra) => eprintln!("{USAGE}\nunexpected argument: {extra}"),
+                None => eprintln!("{USAGE}"),
+            }
+            return ExitCode::FAILURE;
+        }
+    };
+    let findings = match task {
+        "lint" => xtask::lint_tree(&root),
+        "analyze" => xtask::analyze::analyze_tree(&root),
+        other => {
+            eprintln!("{USAGE}\nunknown task: {other:?}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match findings {
         Ok(findings) if findings.is_empty() => {
-            eprintln!("xtask lint: clean ({})", root.display());
+            eprintln!("xtask {task}: clean ({})", root.display());
             ExitCode::SUCCESS
         }
         Ok(findings) => {
             for f in &findings {
                 eprintln!("{f}");
             }
-            eprintln!("xtask lint: {} finding(s)", findings.len());
+            let accept = if task == "analyze" {
+                "; fix them, or accept one with a reasoned \
+                 `laqy-lint: allow(<rule>) -- <why>` at its site"
+            } else {
+                ""
+            };
+            eprintln!("xtask {task}: {} finding(s){accept}", findings.len());
             ExitCode::FAILURE
         }
         Err(e) => {
-            eprintln!("xtask lint: error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_analyze(root: PathBuf, write_baseline: bool) -> ExitCode {
-    use xtask::analyze::{baseline, severity_of};
-
-    let findings = match xtask::analyze::analyze_tree(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("xtask analyze: error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let path = baseline::path_for(&root);
-    if write_baseline {
-        if let Err(e) = baseline::save(&path, &findings) {
-            eprintln!("xtask analyze: error: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "xtask analyze: wrote {} accepted finding(s) to {}",
-            findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let accepted = match baseline::load(&path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("xtask analyze: error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (new, stale) = baseline::diff(&findings, &accepted);
-    for f in &new {
-        eprintln!("{}: {f}", severity_of(f.rule));
-    }
-    for (rule, file, msg) in &stale {
-        eprintln!("stale baseline entry: [{rule}] {file}: {msg}");
-    }
-    if new.is_empty() && stale.is_empty() {
-        eprintln!(
-            "xtask analyze: clean ({}, {} baselined finding(s))",
-            root.display(),
-            accepted.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "xtask analyze: {} new finding(s), {} stale baseline entr(ies); \
-             fix, suppress with `laqy-lint: allow(<rule>) -- <reason>`, or \
-             rerun with --write-baseline to accept",
-            new.len(),
-            stale.len()
-        );
-        ExitCode::FAILURE
-    }
-}
-
-fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint") => {
-            let root = args.next().map(PathBuf::from).unwrap_or_else(default_root);
-            run_lint(root)
-        }
-        Some("analyze") => {
-            let mut root = None;
-            let mut write_baseline = false;
-            for a in args {
-                if a == "--write-baseline" {
-                    write_baseline = true;
-                } else if root.is_none() {
-                    root = Some(PathBuf::from(a));
-                } else {
-                    eprintln!("xtask analyze: unexpected argument: {a}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            run_analyze(root.unwrap_or_else(default_root), write_baseline)
-        }
-        other => {
-            eprintln!(
-                "usage: cargo run -p xtask -- lint [ROOT]\n\
-                 \x20      cargo run -p xtask -- analyze [ROOT] [--write-baseline]\n\
-                 unknown task: {other:?}"
-            );
+            eprintln!("xtask {task}: error: {e}");
             ExitCode::FAILURE
         }
     }
