@@ -596,7 +596,7 @@ fn render_approx(
     let mut rows: Vec<Vec<String>> = Vec::new();
     for (g, key) in result.groups.iter().zip(keys.iter()).take(MAX_ROWS) {
         let mut row: Vec<String> = key.iter().map(|v| v.to_string()).collect();
-        for est in &g.values {
+        for est in g.values {
             if est.ci_half_width.is_nan() {
                 row.push(format!("{:.2}", est.value));
             } else {

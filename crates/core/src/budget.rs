@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use laqy_engine::{AggKind, AggSpec};
 use laqy_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crate::estimate::GroupEstimate;
+use crate::estimate::Groups;
 
 /// Resource limits for one query. `Default` is unbounded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -293,23 +293,22 @@ impl Degradation {
 /// module docs for the model and its assumptions). `Min`/`Max` values
 /// are left untouched — a partial extremum cannot be extrapolated, only
 /// flagged via the attached [`Degradation`].
-pub fn apply_degradation(groups: &mut [GroupEstimate], aggs: &[AggSpec], deg: &Degradation) {
+pub fn apply_degradation(groups: &mut Groups, aggs: &[AggSpec], deg: &Degradation) {
     let c = deg.coverage.clamp(MIN_COVERAGE, 1.0);
     let extensive_scale = 1.0 / c;
     let extensive_ci = deg.ci_inflation;
     let intensive_ci = 1.0 / c.sqrt();
-    for g in groups.iter_mut() {
-        for (est, spec) in g.values.iter_mut().zip(aggs) {
-            match spec.kind {
-                AggKind::Sum | AggKind::Count => {
-                    est.value *= extensive_scale;
-                    est.ci_half_width *= extensive_ci;
-                }
-                AggKind::Avg => {
-                    est.ci_half_width *= intensive_ci;
-                }
-                AggKind::Min | AggKind::Max => {}
+    // One estimate per aggregate, group after group.
+    for (est, spec) in groups.values_mut().iter_mut().zip(aggs.iter().cycle()) {
+        match spec.kind {
+            AggKind::Sum | AggKind::Count => {
+                est.value *= extensive_scale;
+                est.ci_half_width *= extensive_ci;
             }
+            AggKind::Avg => {
+                est.ci_half_width *= intensive_ci;
+            }
+            AggKind::Min | AggKind::Max => {}
         }
     }
 }
@@ -439,34 +438,26 @@ mod tests {
 
     #[test]
     fn apply_degradation_scales_by_kind() {
-        let mut groups = vec![GroupEstimate {
-            key: vec![0],
-            values: vec![
-                AggEstimate {
-                    value: 100.0,
-                    ci_half_width: 10.0,
-                    support: 5,
-                },
-                AggEstimate {
-                    value: 40.0,
-                    ci_half_width: 4.0,
-                    support: 5,
-                },
-                AggEstimate {
-                    value: 2.5,
-                    ci_half_width: 0.5,
-                    support: 5,
-                },
-            ],
-        }];
+        let est = |value, ci_half_width| AggEstimate {
+            value,
+            ci_half_width,
+            support: 5,
+        };
+        // Two groups: every group's estimates are scaled, not the first's.
+        let mut groups = Groups::with_capacity(2, 3);
+        for key in [0, 1] {
+            groups.push(&[key], [est(100.0, 10.0), est(40.0, 4.0), est(2.5, 0.5)], 5);
+        }
         let aggs = vec![AggSpec::sum("v"), AggSpec::count(), AggSpec::avg("v")];
         let deg = Degradation::at_coverage(DegradeReason::DeadlineExceeded, 0.25);
         apply_degradation(&mut groups, &aggs, &deg);
-        let v = &groups[0].values;
-        assert_eq!(v[0].value, 400.0); // sum × 1/c
-        assert_eq!(v[0].ci_half_width, 80.0); // × 1/(c√c)
-        assert_eq!(v[1].value, 160.0); // count × 1/c
-        assert_eq!(v[2].value, 2.5); // avg unchanged
-        assert_eq!(v[2].ci_half_width, 1.0); // × 1/√c
+        for g in &groups {
+            let v = g.values;
+            assert_eq!(v[0].value, 400.0); // sum × 1/c
+            assert_eq!(v[0].ci_half_width, 80.0); // × 1/(c√c)
+            assert_eq!(v[1].value, 160.0); // count × 1/c
+            assert_eq!(v[2].value, 2.5); // avg unchanged
+            assert_eq!(v[2].ci_half_width, 1.0); // × 1/√c
+        }
     }
 }

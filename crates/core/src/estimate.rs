@@ -9,6 +9,9 @@
 //! the "approximation guarantees" the evaluation keeps intact while
 //! accelerating sampling.
 
+use std::iter::{repeat, Map, Repeat, Zip};
+use std::ops::Range;
+
 use laqy_engine::{AggInput, AggKind, AggSpec, GroupKey};
 
 use crate::descriptor::Predicates;
@@ -40,7 +43,7 @@ impl std::fmt::Display for EstimateError {
 impl std::error::Error for EstimateError {}
 
 /// One estimated aggregate value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggEstimate {
     /// Point estimate.
     pub value: f64,
@@ -51,13 +54,100 @@ pub struct AggEstimate {
     pub support: usize,
 }
 
-/// Estimates for one output group.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupEstimate {
+/// Every output group's estimates, in group-key order, in three flat
+/// buffers: `key_width` key parts, `aggs` estimates and one matching-row
+/// count a group. However many groups it holds, it is three allocations.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Groups {
+    key_width: usize,
+    aggs: usize,
+    keys: Vec<i64>,
+    values: Vec<AggEstimate>,
+    matching: Vec<usize>,
+}
+
+/// One group of [`Groups`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Group<'a> {
     /// Raw integer group-key parts (decode against source columns).
-    pub key: Vec<i64>,
+    pub key: &'a [i64],
     /// One estimate per requested aggregate.
-    pub values: Vec<AggEstimate>,
+    pub values: &'a [AggEstimate],
+    /// Retained rows of the group's stratum that match the query.
+    pub matching: usize,
+}
+
+impl Groups {
+    /// No groups, with room for `groups` groups of `aggs` estimates each.
+    pub fn with_capacity(groups: usize, aggs: usize) -> Self {
+        Self {
+            aggs,
+            values: Vec::with_capacity(groups * aggs),
+            matching: Vec::with_capacity(groups),
+            ..Self::default()
+        }
+    }
+
+    /// Append a group: its key, its `aggs` estimates and `mq`, its
+    /// matching-row count. The first group fixes the key width.
+    pub fn push(&mut self, key: &[i64], values: impl IntoIterator<Item = AggEstimate>, mq: usize) {
+        if self.is_empty() {
+            self.key_width = key.len();
+            self.keys.reserve(key.len() * self.matching.capacity());
+        }
+        self.keys.extend_from_slice(key);
+        self.values.extend(values);
+        self.matching.push(mq);
+        let n = self.len();
+        let whole = self.keys.len() == n * self.key_width && self.values.len() == n * self.aggs;
+        assert!(
+            whole,
+            "every group has the answer's key width and `aggs` estimates"
+        );
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.matching.len()
+    }
+
+    /// True if the answer has no group.
+    pub fn is_empty(&self) -> bool {
+        self.matching.is_empty()
+    }
+
+    /// The `i`-th group in key order; panics past the last.
+    pub fn get(&self, i: usize) -> Group<'_> {
+        let (kw, aggs) = (self.key_width, self.aggs);
+        Group {
+            key: &self.keys[i * kw..][..kw],
+            values: &self.values[i * aggs..][..aggs],
+            matching: self.matching[i],
+        }
+    }
+
+    /// The groups in key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Group<'_>> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Every group's estimates, group after group.
+    pub(crate) fn values_mut(&mut self) -> &mut [AggEstimate] {
+        &mut self.values
+    }
+}
+
+impl<'a> IntoIterator for &'a Groups {
+    type Item = Group<'a>;
+    // A closure's type cannot be named here; a function pointer's can.
+    type IntoIter =
+        Map<Zip<Repeat<&'a Groups>, Range<usize>>, fn((&'a Groups, usize)) -> Group<'a>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        repeat(self)
+            .zip(0..self.len())
+            .map(|(groups, i)| groups.get(i))
+    }
 }
 
 /// Estimation parameters.
@@ -283,22 +373,6 @@ fn hit_bits<const W: usize>(
     bits.iter().map(|word| word.count_ones() as usize).sum()
 }
 
-/// How many retained rows of each stratum of `sample` match `tighten`,
-/// in the sample's stratum order (a stratum retaining nothing counts 0):
-/// what a support check classifies.
-pub(crate) fn matching_rows(
-    sample: &Sample,
-    schema: &SampleSchema,
-    tighten: Option<&Predicates>,
-) -> Result<Vec<(GroupKey, usize)>, EstimateError> {
-    let tighten = tighten.map(|p| Tighten::compile(schema, p)).transpose()?;
-    let mut bits = Vec::new();
-    Ok(each_width!(&sample.rows, s => s
-        .iter()
-        .map(|(key, rows, _)| (*key, hit_bits(&mut bits, tighten.as_ref(), rows)))
-        .collect()))
-}
-
 /// The per-stratum estimator: fold a stratum of `len > 0` retained tuples
 /// standing for `weight` considered ones, `mq` of which match the
 /// tightening, into `accs` — one accumulator per aggregate, each fed the
@@ -384,12 +458,13 @@ impl Estimator {
     /// The estimator's one walk: every non-empty stratum of `strata`
     /// (`key`, `rows`, `weight`), in the order given, is tightened once
     /// into a hit bitset — not once per aggregate — and folded into fresh
-    /// accumulators, which `emit` receives. Output groups are the strata
-    /// themselves (QCS = GROUP BY, every query template).
+    /// accumulators, which `emit` receives with the stratum's matching-row
+    /// count. Output groups are the strata themselves (QCS = GROUP BY,
+    /// every query template).
     fn walk<'k, const W: usize>(
         &self,
         strata: impl Iterator<Item = (&'k GroupKey, &'k [[i64; W]], u64)>,
-        mut emit: impl FnMut(&'k GroupKey, &mut [EstAcc]),
+        mut emit: impl FnMut(&'k GroupKey, &[EstAcc], usize),
     ) {
         let mut accs = self.fresh.clone();
         let mut bits = Vec::new();
@@ -399,30 +474,22 @@ impl Estimator {
             fold_stratum(&mut accs, &self.inputs, rows.len(), weight, mq, |input| {
                 Moments::for_input(input, rows, &bits, mq)
             });
-            emit(key, &mut accs);
+            emit(key, &accs, mq);
         }
     }
 
     /// Estimate from `sample`, where it rests: its strata walked in the
-    /// group-key order it keeps, each finished group pushed straight into
-    /// the answer (no collect, no sort).
-    pub(crate) fn estimate(&self, sample: &Sample, z: f64) -> Vec<GroupEstimate> {
-        let mut groups = Vec::with_capacity(sample.num_strata());
+    /// group-key order it keeps, each finished group appended straight to
+    /// the answer's flat buffers (no collect, no sort, no per-group
+    /// allocation).
+    pub(crate) fn estimate(&self, sample: &Sample, z: f64) -> Groups {
+        let mut groups = Groups::with_capacity(sample.num_strata(), self.fresh.len());
         let order = sample.key_order();
         let indices = order.iter().map(|&i| i as usize);
-        each_width!(&sample.rows, s => self.walk(indices.map(|i| s.stratum_at(i)), |key, accs| {
-            groups.push(group_estimate(key.parts(), accs, z))
+        each_width!(&sample.rows, s => self.walk(indices.map(|i| s.stratum_at(i)), |key, accs, mq| {
+            groups.push(key.parts(), accs.iter().map(|a| a.finalize(z)), mq)
         }));
         groups
-    }
-}
-
-/// The answer row of the group keyed `key` whose aggregates folded to
-/// `accs`.
-fn group_estimate(key: &[i64], accs: &[EstAcc], z: f64) -> GroupEstimate {
-    GroupEstimate {
-        key: key.to_vec(),
-        values: accs.iter().map(|a| a.finalize(z)).collect(),
     }
 }
 
@@ -433,7 +500,7 @@ pub fn estimate(
     schema: &SampleSchema,
     aggs: &[AggSpec],
     opts: &EstimateOptions<'_>,
-) -> Result<Vec<GroupEstimate>, EstimateError> {
+) -> Result<Groups, EstimateError> {
     Ok(Estimator::compile(schema, aggs, opts.tighten)?.estimate(sample, opts.z))
 }
 
@@ -530,7 +597,7 @@ mod tests {
                 &EstimateOptions::default(),
             )
             .unwrap();
-            let est = &ests[0].values[0];
+            let est = &ests.get(0).values[0];
             let exact: f64 = (0..per).map(|i| i as f64).sum();
             if (est.value - exact).abs() <= est.ci_half_width {
                 covered += 1;
@@ -559,7 +626,7 @@ mod tests {
                 ..Default::default()
             };
             let ests = estimate(&s, &schema(), &[AggSpec::count()], &opts).unwrap();
-            total += ests[0].values[0].value;
+            total += ests.get(0).values[0].value;
         }
         let mean = total / trials as f64;
         assert!(
@@ -582,9 +649,9 @@ mod tests {
             },
         ];
         let ests = estimate(&s, &schema(), &specs, &EstimateOptions::default()).unwrap();
-        assert_eq!(ests[0].values[0].value, 0.0);
-        assert_eq!(ests[0].values[1].value, 49.0);
-        assert!(ests[0].values[0].ci_half_width.is_nan());
+        assert_eq!(ests.get(0).values[0].value, 0.0);
+        assert_eq!(ests.get(0).values[1].value, 49.0);
+        assert!(ests.get(0).values[0].ci_half_width.is_nan());
     }
 
     #[test]
@@ -663,6 +730,11 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        /// A group's matching rows are counted once, whatever the query
+        /// aggregates: a no-aggregate estimate's groups carry the rows of
+        /// each non-empty stratum that match the tightening (counted here
+        /// row by row), every aggregate of a full estimate reports them as
+        /// its support, and both answers classify alike.
         #[test]
         fn support_check_counts_what_the_estimate_counts(
             k in 1usize..40,
@@ -675,22 +747,29 @@ mod tests {
         ) {
             let sample = random_sample(k, g, h, per, seed);
             let tighten = tightening(cuts);
+            let hit = |x: i64| tighten.as_ref().is_none_or(|t| t.get("x").unwrap().contains(x));
+            let mut counted: Vec<(Vec<i64>, usize)> = sample
+                .iter()
+                .filter(|(_, rows, _)| !rows.is_empty())
+                .map(|(key, rows, _)| (key.parts().to_vec(), rows.iter().filter(|r| hit(r[0])).count()))
+                .collect();
+            counted.sort_unstable();
+            let opts = EstimateOptions { tighten: tighten.as_ref(), ..Default::default() };
+            let bare = estimate(&sample, &schema(), &[], &opts).unwrap();
+            let full = estimate(&sample, &schema(), &all_aggs(), &opts).unwrap();
+            let matching = |groups: &Groups| groups.iter().map(|g| (g.key.to_vec(), g.matching)).collect::<Vec<_>>();
+            prop_assert_eq!(matching(&bare), counted.clone());
+            prop_assert_eq!(matching(&full), counted);
+            prop_assert!(full.iter().all(|g| g.values.iter().all(|v| v.support == g.matching)));
             let policy = crate::SupportPolicy { min_rows_per_stratum: min_rows, ..Default::default() };
-            let checked = crate::check_support(&sample, &schema(), tighten.as_ref(), &policy).unwrap();
-            let groups = estimate(
-                &sample,
-                &schema(),
-                &all_aggs(),
-                &EstimateOptions { tighten: tighten.as_ref(), ..Default::default() },
-            )
-            .unwrap();
-            prop_assert_eq!(checked, crate::executor::support_from_groups(&groups, &policy));
+            let report = |groups| crate::executor::support_from_groups(groups, &policy);
+            prop_assert_eq!(report(&bare), report(&full));
         }
     }
 
     /// FNV-1a over every group's key, and every aggregate's value and
     /// half-width bit patterns and support.
-    fn digest(groups: &[GroupEstimate]) -> u64 {
+    fn digest(groups: &Groups) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |word: u64| {
             for byte in word.to_le_bytes() {
@@ -699,7 +778,7 @@ mod tests {
         };
         for g in groups {
             g.key.iter().for_each(|&part| eat(part as u64));
-            for a in &g.values {
+            for a in g.values {
                 eat(a.value.to_bits());
                 eat(a.ci_half_width.to_bits());
                 eat(a.support as u64);
@@ -793,6 +872,6 @@ mod tests {
         )
         .unwrap();
         let exact: f64 = (0..10).map(|i| i as f64 * (i as f64 * 0.5)).sum();
-        assert!((ests[0].values[0].value - exact).abs() < 1e-9);
+        assert!((ests.get(0).values[0].value - exact).abs() < 1e-9);
     }
 }

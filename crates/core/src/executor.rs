@@ -31,14 +31,14 @@ use laqy_sync::atomic::{AtomicU64, Ordering};
 
 use crate::budget::{CancelToken, Degradation, DegradeReason};
 use crate::descriptor::{Predicates, SampleDescriptor};
-use crate::estimate::{estimate, EstimateError, EstimateOptions, GroupEstimate};
+use crate::estimate::{estimate, EstimateError, EstimateOptions, Group, Groups};
 use crate::interval::{Interval, IntervalSet};
 use crate::sampler_ops::{
     materialise, retained_rows, Admission, Sample, SampleSchema, SlotKind, MAX_SAMPLE_COLS,
 };
 use crate::stats::{ExecStats, ReuseClass};
 use crate::store::CoveragePlan;
-use crate::support::{check_support, SupportPolicy, SupportReport};
+use crate::support::{SupportPolicy, SupportReport};
 
 /// Errors from the LAQy execution layer.
 #[derive(Debug)]
@@ -107,8 +107,8 @@ pub struct ApproxQuery {
 #[derive(Debug, Clone)]
 pub struct ApproxResult {
     /// Per-group estimates (keys are raw i64 parts; decode via
-    /// [`LaqyExecutor::decode_keys`]).
-    pub groups: Vec<GroupEstimate>,
+    /// [`LaqyExecutor::decode_keys`], or against [`key_columns`]).
+    pub groups: Groups,
     /// Timing/cardinality breakdown.
     pub stats: ExecStats,
     /// Post-tightening support report.
@@ -182,7 +182,7 @@ impl LaqyExecutor {
             &query.plan.aggs,
             &EstimateOptions::default(),
         )?;
-        let support = check_support(&run.sample, schema, None, &self.policy)?;
+        let support = support_from_groups(&groups, &self.policy);
         let mut stats = run.stats;
         stats.estimate = t_est.elapsed();
         Ok(OnlineRun {
@@ -249,7 +249,7 @@ impl LaqyExecutor {
     pub(crate) fn refine_support(
         &mut self,
         scope: Scope<'_>,
-        groups: &mut Vec<GroupEstimate>,
+        groups: &mut Groups,
         support: &mut SupportReport,
         stats: &mut ExecStats,
     ) -> Result<bool> {
@@ -258,7 +258,7 @@ impl LaqyExecutor {
         if query.plan.group_by.iter().any(|c| c.table.is_some()) {
             return Ok(false);
         }
-        let bad: Vec<GroupKey> = support
+        let mut bad: Vec<GroupKey> = support
             .under_supported
             .iter()
             .chain(support.empty.iter())
@@ -311,15 +311,21 @@ impl LaqyExecutor {
         // Splice: replace the bad strata's estimates with the validated
         // online ones. Strata absent from the fresh sample are genuinely
         // empty under this predicate — the probe confirmed the data
-        // distribution, so they are no longer "suspect" (§5.2.3).
-        let bad_keys: Vec<Vec<i64>> = bad.iter().map(|k| k.parts().to_vec()).collect();
-        groups.retain(|g| !bad_keys.contains(&g.key));
-        for g in fresh_groups {
-            if bad_keys.contains(&g.key) {
-                groups.push(g);
+        // distribution, so they are no longer "suspect" (§5.2.3). Both
+        // answers are in key order, so the splice is one merge.
+        bad.sort_unstable();
+        let is_bad = |key: &[i64]| bad.binary_search(&GroupKey::new(key)).is_ok();
+        let mut fresh = fresh_groups.iter().filter(|g| is_bad(g.key)).peekable();
+        let mut spliced = Groups::with_capacity(groups.len() + bad.len(), query.plan.aggs.len());
+        let mut push = |g: Group<'_>| spliced.push(g.key, g.values.iter().copied(), g.matching);
+        for kept in groups.iter().filter(|g| !is_bad(g.key)) {
+            while let Some(g) = fresh.next_if(|g| g.key < kept.key) {
+                push(g);
             }
+            push(kept);
         }
-        groups.sort_by(|a, b| a.key.cmp(&b.key));
+        fresh.for_each(push);
+        *groups = spliced;
         support.supported += bad.len();
         support.under_supported.clear();
         support.empty.clear();
@@ -652,20 +658,9 @@ impl LaqyExecutor {
         &self,
         catalog: &Catalog,
         query: &ApproxQuery,
-        groups: &[GroupEstimate],
+        groups: &Groups,
     ) -> Result<Vec<Vec<laqy_engine::Value>>> {
-        let cols: Vec<&StoredColumn> = query
-            .plan
-            .group_by
-            .iter()
-            .map(|c| {
-                let table = match &c.table {
-                    None => catalog.table(&query.plan.fact)?,
-                    Some(t) => catalog.table(t)?,
-                };
-                table.column(&c.column)
-            })
-            .collect::<laqy_engine::Result<_>>()?;
+        let cols = key_columns(catalog, query)?;
         Ok(groups
             .iter()
             .map(|g| {
@@ -677,6 +672,19 @@ impl LaqyExecutor {
             })
             .collect())
     }
+}
+
+/// The columns `query`'s group-key parts decode against, one per key
+/// part, in key order.
+pub fn key_columns<'c>(catalog: &'c Catalog, query: &ApproxQuery) -> Result<Vec<&'c StoredColumn>> {
+    let cols = query.plan.group_by.iter().map(|c| {
+        let table = match &c.table {
+            None => catalog.table(&query.plan.fact)?,
+            Some(t) => catalog.table(t)?,
+        };
+        table.column(&c.column)
+    });
+    Ok(cols.collect::<laqy_engine::Result<_>>()?)
 }
 
 /// One Δ-scan (residual fragment or append tail) of a coverage plan.
@@ -710,7 +718,7 @@ pub(crate) struct OnlineRun {
     /// The sample over the query's range.
     pub sample: Sample,
     /// Estimates, before any degradation is applied.
-    pub groups: Vec<GroupEstimate>,
+    pub groups: Groups,
     /// Per-stratum support of `sample`.
     pub support: SupportReport,
     /// Scan-side stats plus the estimate time.
@@ -803,16 +811,11 @@ fn prune_stats(prune: PruneCounts) -> ExecStats {
     }
 }
 
-/// Build a [`SupportReport`] from per-group estimates whose `support`
-/// fields carry the tightened matching counts (valid when output groups
-/// coincide with strata, i.e. no group projection).
-pub(crate) fn support_from_groups(
-    groups: &[GroupEstimate],
-    policy: &SupportPolicy,
-) -> SupportReport {
-    let matching = |g: &GroupEstimate| g.values.first().map_or(0, |v| v.support);
+/// Build a [`SupportReport`] from per-group matching-row counts (valid
+/// when output groups coincide with strata, i.e. no group projection).
+pub(crate) fn support_from_groups(groups: &Groups, policy: &SupportPolicy) -> SupportReport {
     SupportReport::classify(
-        groups.iter().map(|g| (GroupKey::new(&g.key), matching(g))),
+        groups.iter().map(|g| (GroupKey::new(g.key), g.matching)),
         policy,
     )
 }
@@ -869,7 +872,6 @@ pub fn range_predicate(column: &str, ranges: &IntervalSet) -> Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::AggEstimate;
     use laqy_engine::{AggSpec, ColRef, Column, Table};
 
     fn mini_catalog() -> Catalog {
@@ -958,15 +960,12 @@ mod tests {
             min_rows_per_stratum: 5,
             ..Default::default()
         };
-        let mk = |key: i64, support: usize| GroupEstimate {
-            key: vec![key],
-            values: vec![AggEstimate {
-                value: 0.0,
-                ci_half_width: 0.0,
-                support,
-            }],
-        };
-        let report = support_from_groups(&[mk(0, 10), mk(1, 2), mk(2, 0)], &policy);
+        // No aggregates: the counts, not the estimates, are classified.
+        let mut groups = Groups::default();
+        for (key, matching) in [(0, 10), (1, 2), (2, 0)] {
+            groups.push(&[key], std::iter::empty(), matching);
+        }
+        let report = support_from_groups(&groups, &policy);
         assert_eq!(report.supported, 1);
         assert_eq!(report.under_supported, vec![GroupKey::new(&[1])]);
         assert_eq!(report.empty, vec![GroupKey::new(&[2])]);

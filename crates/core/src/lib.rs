@@ -123,7 +123,7 @@ pub mod wal;
 
 pub use budget::{CancelToken, Degradation, DegradeReason, QueryBudget};
 pub use descriptor::{Predicates, SampleDescriptor};
-pub use estimate::{estimate, AggEstimate, EstimateError, EstimateOptions, GroupEstimate};
+pub use estimate::{estimate, AggEstimate, EstimateError, EstimateOptions, Group, Groups};
 pub use executor::{
     input_identity, range_predicate, ApproxQuery, ApproxResult, LaqyError, LaqyExecutor, Result,
 };
@@ -141,7 +141,7 @@ pub use store::{
     AbsorbReport, CoveragePlan, SampleId, SampleStore, ShardWriteGuard, ShardedStore, StoredSample,
     TailFragment, STORE_SHARDS,
 };
-pub use support::{check_support, SupportPolicy, SupportReport};
+pub use support::{SupportPolicy, SupportReport};
 pub use wal::{
     replay as replay_wal, WalAppender, WalPosition, WalRecord, WalReplayReport,
     MAX_WAL_SEGMENT_BYTES, WAL_SEGMENT_PREFIX,

@@ -552,7 +552,7 @@ pub(crate) fn tuple_contents(oracle: &TupleSample, slots: usize) -> Contents {
 mod tests {
     use super::*;
     use crate::descriptor::{Predicates, SampleDescriptor};
-    use crate::estimate::{estimate, EstimateOptions, GroupEstimate};
+    use crate::estimate::{estimate, EstimateOptions, Groups};
     use crate::interval::{Interval, IntervalSet};
     use crate::store::SampleStore;
     use laqy_engine::{AggInput, AggKind, AggSpec, Column, Table};
@@ -930,10 +930,10 @@ mod tests {
     /// One row per group and aggregate: the key, the value and half-width
     /// bit patterns and the support. `==` on these is bit identity, `NaN`s
     /// included.
-    fn bits(groups: &[GroupEstimate]) -> Vec<(&[i64], u64, u64, usize)> {
+    fn bits(groups: &Groups) -> Vec<(&[i64], u64, u64, usize)> {
         let rows = groups.iter().flat_map(|g| {
             let row = |a: &crate::AggEstimate| (a.value.to_bits(), a.ci_half_width.to_bits());
-            (g.values.iter()).map(move |a| (g.key.as_slice(), row(a).0, row(a).1, a.support))
+            (g.values.iter()).map(move |a| (g.key, row(a).0, row(a).1, a.support))
         });
         rows.collect()
     }
@@ -1055,7 +1055,7 @@ mod tests {
                     let groups = estimate(sample, &schema, &aggs, &opts).unwrap();
                     let expected = estimate(&wide, &schema, &aggs, &opts).unwrap();
                     prop_assert_eq!(bits(&groups), bits(&expected));
-                    prop_assert!(groups.windows(2).all(|w| w[0].key < w[1].key));
+                    prop_assert!((1..groups.len()).all(|i| groups.get(i - 1).key < groups.get(i).key));
                 }
             }
         }

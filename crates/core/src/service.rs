@@ -77,7 +77,7 @@ use laqy_sync::{Condvar, Mutex, RwLock, RwLockReadGuard};
 
 use crate::budget::{apply_degradation, blended_degradation, CancelToken, QueryBudget};
 use crate::descriptor::{Predicates, SampleDescriptor};
-use crate::estimate::{estimate, EstimateOptions, Estimator, GroupEstimate};
+use crate::estimate::{estimate, EstimateOptions, Estimator, Groups};
 use crate::executor::{
     descriptor_for, payload_schema, support_from_groups, ApproxQuery, ApproxResult, CoverageScans,
     LaqyError, LaqyExecutor, Result, Scope,
@@ -250,10 +250,10 @@ enum Arm {
 
 /// An arm's estimate on its way into [`LaqyService::finish`].
 struct Estimated {
-    groups: Vec<GroupEstimate>,
+    groups: Groups,
     stats: ExecStats,
     /// Support of the full-region sample, from the arms that drew one; a
-    /// reuse arm's is derived from the groups' tightened counts.
+    /// reuse arm's is classified from the groups' matching-row counts.
     support: Option<SupportReport>,
 }
 
@@ -1066,8 +1066,8 @@ impl LaqyService {
         if let Some(deg) = &stats.degraded {
             apply_degradation(&mut groups, &at.query.plan.aggs, deg);
         }
-        // Estimation already counted the tightened support per stratum
-        // (strata and output groups coincide: QCS = GROUP BY).
+        // Estimation already counted each stratum's matching rows (strata
+        // and output groups coincide: QCS = GROUP BY).
         let mut support = support.unwrap_or_else(|| support_from_groups(&groups, policy));
         stats.estimate += t.elapsed();
 
@@ -1438,9 +1438,69 @@ mod tests {
         }
     }
 
+    /// A bare `GROUP BY` (no aggregate: the planner accepts one) is
+    /// classified from its groups' matching rows on every arm: the full
+    /// hit reports what the online run that stored its sample reported,
+    /// not every stratum `empty` for want of an aggregate's support.
+    #[test]
+    fn a_query_without_aggregates_reports_the_same_support_on_every_arm() {
+        let service = single_threaded(N, false);
+        let mut q = query(0, 5_000);
+        // 200 strata of 25 matching rows each: under the default 30.
+        q.plan.group_by = vec![ColRef::fact("h")];
+        q.plan.aggs.clear();
+        let online = service.run(&q).unwrap();
+        let full = service.run(&q).unwrap();
+        assert_eq!(online.stats.reuse, Some(ReuseClass::Online));
+        assert_eq!(full.stats.reuse, Some(ReuseClass::Full));
+        assert_eq!(online.support.under_supported.len(), 200);
+        assert_eq!(full.support, online.support);
+        assert_eq!(full.groups, online.groups);
+    }
+
+    /// The §5.2.3 splice keeps key order: strata 1 and 3 (20 rows each,
+    /// all retained, under the support floor of 30) are re-sampled and
+    /// merged back between the supported strata 0 and 2 (10 000 rows
+    /// each) they interleave with.
+    #[test]
+    fn refined_strata_are_spliced_back_in_key_order() {
+        let n = 20_040;
+        let g = |i: i64| if i < 40 { 1 + 2 * (i % 2) } else { 2 * (i % 2) };
+        let mut cat = Catalog::new();
+        let table = Table::new(
+            "t",
+            vec![
+                ("key".into(), Column::Int64((0..n).collect())),
+                ("g".into(), Column::Int64((0..n).map(g).collect())),
+                ("v".into(), Column::Int64((0..n).map(|i| i % 100).collect())),
+            ],
+        );
+        cat.register(table.unwrap());
+        let policy = SupportPolicy {
+            conservative: true,
+            ..Default::default()
+        };
+        let config = SessionConfig {
+            threads: 1,
+            policy,
+            ..Default::default()
+        };
+        let service = LaqyService::with_config(cat, config);
+        let q = query(0, n - 1);
+        let online = service.run(&q).unwrap();
+        assert_eq!(online.support.under_supported.len(), 2);
+        let hit = service.run(&q).unwrap();
+        assert_eq!(hit.stats.reuse, Some(ReuseClass::Full));
+        assert_eq!(hit.support.supported, 4);
+        let keys: Vec<&[i64]> = hit.groups.iter().map(|g| g.key).collect();
+        assert_eq!(keys, [[0], [1], [2], [3]]);
+        let counts: Vec<f64> = hit.groups.iter().map(|g| g.values[1].value).collect();
+        assert_eq!(counts, [10_000.0, 20.0, 10_000.0, 20.0]);
+    }
+
     /// The stored sample a full hit on `q` reads *now*, and what
     /// `estimate()` answers `q` from it.
-    fn hit_oracle(service: &LaqyService, q: &ApproxQuery) -> (Arc<Sample>, Vec<GroupEstimate>) {
+    fn hit_oracle(service: &LaqyService, q: &ApproxQuery) -> (Arc<Sample>, Groups) {
         let catalog = service.catalog().clone();
         let executor = LaqyExecutor::new(1, SupportPolicy::default(), 0);
         let descriptor = executor.descriptor(&catalog, q).unwrap();

@@ -10,10 +10,6 @@
 
 use laqy_engine::GroupKey;
 
-use crate::descriptor::Predicates;
-use crate::estimate::{matching_rows, EstimateError};
-use crate::sampler_ops::{Sample, SampleSchema};
-
 /// Support requirements and the oversampling knob.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupportPolicy {
@@ -90,24 +86,33 @@ impl SupportReport {
     }
 }
 
-/// Count per-stratum tuples matching `tighten` (through the estimator's
-/// own tightening filter) and compare against the policy.
-pub fn check_support(
-    sample: &Sample,
-    schema: &SampleSchema,
-    tighten: Option<&Predicates>,
-    policy: &SupportPolicy,
-) -> Result<SupportReport, EstimateError> {
-    let matching = matching_rows(sample, schema, tighten)?;
-    Ok(SupportReport::classify(matching, policy))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::descriptor::Predicates;
+    use crate::estimate::{estimate, EstimateError, EstimateOptions};
+    use crate::executor::support_from_groups;
     use crate::interval::{Interval, IntervalSet};
-    use crate::sampler_ops::SlotKind;
+    use crate::sampler_ops::{Sample, SampleSchema, SlotKind};
     use laqy_sampling::Lehmer64;
+
+    /// The support of `sample` under `tighten`, classified from the
+    /// matching rows of a no-aggregate estimate's groups.
+    fn check_support(
+        sample: &Sample,
+        schema: &SampleSchema,
+        tighten: Option<&Predicates>,
+        policy: &SupportPolicy,
+    ) -> Result<SupportReport, EstimateError> {
+        let opts = EstimateOptions {
+            tighten,
+            ..Default::default()
+        };
+        Ok(support_from_groups(
+            &estimate(sample, schema, &[], &opts)?,
+            policy,
+        ))
+    }
 
     fn schema() -> SampleSchema {
         SampleSchema::new(vec![("x".into(), SlotKind::Int)])

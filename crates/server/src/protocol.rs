@@ -26,7 +26,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use laqy_engine::{Column, Value, MAX_KEY_COLS};
+use laqy_engine::{Column, StoredColumn, Value, MAX_KEY_COLS};
 use laqy_faults::points;
 
 pub use crate::tenant::TenantSnapshot;
@@ -442,6 +442,22 @@ fn put_value(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
+/// Append group-key part `part` of `col` as the value
+/// `StoredColumn::decode_key` decodes it to, a dictionary string borrowed
+/// instead of copied (a code outside the dictionary is `Null`).
+pub(crate) fn put_key_part(buf: &mut Vec<u8>, col: &StoredColumn, part: i64) {
+    match col {
+        StoredColumn::Dict { dict, .. } => match dict.get(part as usize) {
+            Some(s) => {
+                buf.push(3);
+                put_str(buf, s);
+            }
+            None => put_value(buf, &Value::Null),
+        },
+        _ => put_value(buf, &col.decode_key(part)),
+    }
+}
+
 /// Bounds-checked payload reader.
 struct Reader<'a> {
     buf: &'a [u8],
@@ -673,14 +689,16 @@ impl Request {
 }
 
 /// Append an answer payload to `buf`: the one encoder of the `0x82`
-/// message. `Response::Answer` feeds it from the decoded
-/// [`AnswerGroup`]s; the server feeds it straight from the engine's
-/// group estimates, without building those first.
-pub(crate) fn put_answer<'a, A>(
+/// message. `Response::Answer` feeds it the decoded [`AnswerGroup`]s'
+/// values; the server feeds it the engine's raw key parts and their
+/// columns, with `put_part` writing each part.
+pub(crate) fn put_answer<K, A>(
     buf: &mut Vec<u8>,
     degraded: Option<&DegradedInfo>,
-    groups: impl ExactSizeIterator<Item = (&'a [Value], A)>,
+    groups: impl ExactSizeIterator<Item = (K, A)>,
+    put_part: impl Fn(&mut Vec<u8>, K::Item),
 ) where
+    K: ExactSizeIterator,
     A: ExactSizeIterator<Item = AnswerAgg>,
 {
     buf.push(0x82);
@@ -695,8 +713,8 @@ pub(crate) fn put_answer<'a, A>(
     put_u32(buf, groups.len() as u32);
     for (key, aggs) in groups {
         put_u32(buf, key.len() as u32);
-        for v in key {
-            put_value(buf, v);
+        for part in key {
+            put_part(buf, part);
         }
         put_u32(buf, aggs.len() as u32);
         for e in aggs {
@@ -725,7 +743,8 @@ impl Response {
                 a.degraded.as_ref(),
                 a.groups
                     .iter()
-                    .map(|g| (g.key.as_slice(), g.values.iter().copied())),
+                    .map(|g| (g.key.iter(), g.values.iter().copied())),
+                put_value,
             ),
             Response::IngestAck { watermark } => {
                 buf.push(0x83);

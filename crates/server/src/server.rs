@@ -30,17 +30,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use laqy::estimate::GroupEstimate;
-use laqy::executor::LaqyError;
-use laqy::QueryBudget;
-use laqy_engine::{Catalog, Value};
+use laqy::executor::{key_columns, LaqyError};
+use laqy::{Groups, QueryBudget};
+use laqy_engine::{Catalog, StoredColumn};
 use laqy_faults::points;
 use laqy_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crate::admission::Admission;
 use crate::protocol::{
-    begin_frame, configure_stream, put_answer, read_frame, write_frame, AnswerAgg, DegradedInfo,
-    ErrorCode, FrameRead, Request, Response, TenantSnapshot,
+    begin_frame, configure_stream, put_answer, put_key_part, read_frame, write_frame, AnswerAgg,
+    DegradedInfo, ErrorCode, FrameRead, Request, Response, TenantSnapshot,
 };
 use crate::tenant::{queue_wait_cap, TenantRegistry, TenantState};
 
@@ -449,7 +448,8 @@ fn requested_budget(timeout_ms: u32, tenant_budget: QueryBudget) -> QueryBudget 
 }
 
 /// Plan and run `sql`, appending the answer payload to `out` straight
-/// from the engine's group estimates. Nothing is appended on `Err`.
+/// from the engine's group buffer and the query's key columns. Nothing is
+/// appended on `Err`.
 fn run_query(
     t: &TenantState,
     sql: &str,
@@ -459,37 +459,38 @@ fn run_query(
 ) -> Result<(), LaqyError> {
     let query = laqy::approx_query(&t.service.catalog(), sql, k)?;
     let result = t.service.run_with_budget(&query, budget)?;
-    let keys = t.service.decode_keys(&query, &result)?;
     let degraded = result.stats.degraded.as_ref().map(|d| DegradedInfo {
         coverage: d.coverage,
         ci_inflation: d.ci_inflation,
     });
-    put_estimates(out, degraded.as_ref(), &keys, &result.groups);
+    let catalog = t.service.catalog();
+    let cols = key_columns(&catalog, &query)?;
+    put_groups(out, degraded.as_ref(), &cols, &result.groups);
     t.counters.note_answer(degraded.is_some());
     Ok(())
 }
 
-/// The answer payload for `groups` under their decoded `keys`: the
-/// bytes `Response::Answer` would encode to, without the intermediate
-/// `AnswerGroup`/`AnswerAgg` vectors (two allocations per group that
-/// would live only until the encode).
-fn put_estimates(
+/// The answer payload for `groups`, their key parts decoded against
+/// `cols`: the bytes `Response::Answer` would encode to, without a
+/// `Value`, a `String` or a vector per group.
+fn put_groups(
     out: &mut Vec<u8>,
     degraded: Option<&DegradedInfo>,
-    keys: &[Vec<Value>],
-    groups: &[GroupEstimate],
+    cols: &[&StoredColumn],
+    groups: &Groups,
 ) {
     put_answer(
         out,
         degraded,
-        keys.iter().zip(groups).map(|(key, g)| {
+        groups.iter().map(|g| {
             let aggs = g.values.iter().map(|v| AnswerAgg {
                 value: v.value,
                 ci_half_width: v.ci_half_width,
                 support: v.support as u64,
             });
-            (key.as_slice(), aggs)
+            (g.key.iter().zip(cols), aggs)
         }),
+        |buf, (&part, col)| put_key_part(buf, col, part),
     );
 }
 
@@ -514,14 +515,20 @@ mod tests {
     use super::*;
     use crate::protocol::{Answer, AnswerGroup};
     use laqy::estimate::AggEstimate;
+    use laqy_engine::Column;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
-    fn value() -> impl Strategy<Value = Value> {
-        (0u8..4, any::<u64>(), "[a-zA-Z0-9#]{0,12}").prop_map(|(tag, bits, s)| match tag {
-            0 => Value::Null,
-            1 => Value::Int(bits as i64),
-            2 => Value::Float(f64::from_bits(bits)),
-            _ => Value::Str(s),
+    /// A key column of each kind the engine groups by: `Int64`, `Float64`
+    /// (parts are the value's bits) and a dictionary of `dict` entries.
+    fn key_column(kind: u8, dict: Vec<String>) -> StoredColumn {
+        StoredColumn::from(match kind {
+            0 => Column::Int64(Vec::new()),
+            1 => Column::Float64(Vec::new()),
+            _ => Column::Dict {
+                codes: Vec::new(),
+                dict: Arc::new(dict),
+            },
         })
     }
 
@@ -529,45 +536,57 @@ mod tests {
         #[test]
         fn direct_answer_bytes_equal_the_response_encoding(
             degraded in (0u8..2, any::<u64>(), any::<u64>()),
+            cols in prop::collection::vec(
+                (0u8..3, prop::collection::vec("[a-zA-Z0-9#]{0,12}", 0..5)),
+                0..4,
+            ),
+            // (key part bits, dict code) per column; a code past the
+            // dictionary (or negative) decodes to `Null`.
             shape in prop::collection::vec(
                 (
-                    prop::collection::vec(value(), 0..4),
+                    prop::collection::vec((any::<u64>(), -1i64..7), 4..5),
                     // (value bits, half-width bits, support); `any` bits
                     // cover NaN half-widths (MIN/MAX) and their payloads.
-                    prop::collection::vec((any::<u64>(), any::<u64>(), 0usize..1_000_000), 0..4),
+                    prop::collection::vec((any::<u64>(), any::<u64>(), 0usize..1_000_000), 3..4),
                 ),
                 0..24,
             ),
+            aggs in 0usize..4,
         ) {
             let degraded = (degraded.0 == 1).then(|| DegradedInfo {
                 coverage: f64::from_bits(degraded.1),
                 ci_inflation: f64::from_bits(degraded.2),
             });
-            let (keys, groups): (Vec<Vec<Value>>, Vec<GroupEstimate>) = shape
-                .into_iter()
-                .map(|(key, aggs)| {
-                    let values = aggs
-                        .into_iter()
-                        .map(|(value, half, support)| AggEstimate {
-                            value: f64::from_bits(value),
-                            ci_half_width: f64::from_bits(half),
-                            support,
-                        })
-                        .collect();
-                    (key, GroupEstimate { key: Vec::new(), values })
-                })
-                .unzip();
+            let cols: Vec<StoredColumn> =
+                cols.into_iter().map(|(kind, dict)| key_column(kind, dict)).collect();
+            let cols: Vec<&StoredColumn> = cols.iter().collect();
+            let mut groups = Groups::with_capacity(shape.len(), aggs);
+            for (parts, values) in &shape {
+                let key: Vec<i64> = parts
+                    .iter()
+                    .zip(&cols)
+                    .map(|(&(bits, code), col)| match col {
+                        StoredColumn::Dict { .. } => code,
+                        _ => bits as i64,
+                    })
+                    .collect();
+                let values = values[..aggs].iter().map(|&(value, half, support)| AggEstimate {
+                    value: f64::from_bits(value),
+                    ci_half_width: f64::from_bits(half),
+                    support,
+                });
+                groups.push(&key, values, 0);
+            }
 
             let mut direct = Vec::new();
-            put_estimates(&mut direct, degraded.as_ref(), &keys, &groups);
+            put_groups(&mut direct, degraded.as_ref(), &cols, &groups);
 
             let materialised = Response::Answer(Answer {
                 degraded,
-                groups: keys
+                groups: groups
                     .iter()
-                    .zip(&groups)
-                    .map(|(key, g)| AnswerGroup {
-                        key: key.clone(),
+                    .map(|g| AnswerGroup {
+                        key: g.key.iter().zip(&cols).map(|(&part, col)| col.decode_key(part)).collect(),
                         values: g
                             .values
                             .iter()

@@ -73,7 +73,8 @@ fn main() {
             result.stats.total,
             result.groups.len()
         );
-        if let (Some(g), Some(k)) = (result.groups.first(), keys.first()) {
+        let first = result.groups.iter().next();
+        if let (Some(g), Some(k)) = (first, keys.first()) {
             println!(
                 "    e.g. d_year={} p_brand1={} SUM(lo_revenue) ≈ {:.0} ± {:.0}",
                 k[0], k[1], g.values[0].value, g.values[0].ci_half_width

@@ -101,7 +101,7 @@ fn fault_seed_sweep_yields_answers_or_typed_errors() {
                     Ok(result) => {
                         answers += 1;
                         for g in &result.groups {
-                            for v in &g.values {
+                            for v in g.values {
                                 assert!(
                                     v.value.is_finite(),
                                     "seed {seed}: non-finite estimate {v:?}"

@@ -59,10 +59,10 @@ impl Digest {
     fn answer(&mut self, r: &ApproxResult) {
         self.word(r.groups.len() as u64);
         for g in &r.groups {
-            for &part in &g.key {
+            for &part in g.key {
                 self.word(part as u64);
             }
-            for v in &g.values {
+            for v in g.values {
                 self.word(v.value.to_bits());
                 self.word(v.ci_half_width.to_bits());
                 self.word(v.support as u64);
