@@ -349,9 +349,12 @@ fn hit_bits<const W: usize>(
     tighten: Option<&Tighten>,
     rows: &[[i64; W]],
 ) -> usize {
+    /// Row `j`'s bit lands at `j`: the chunk is walked last row first,
+    /// each step shifting the word by one, so no row takes a shift by its
+    /// own position.
     #[inline]
     fn pack<const W: usize>(chunk: &[[i64; W]], hit: impl Fn(&[i64; W]) -> bool) -> u64 {
-        (chunk.iter().enumerate()).fold(0, |word, (j, row)| word | u64::from(hit(row)) << j)
+        (chunk.iter().rev()).fold(0, |word, row| word << 1 | u64::from(hit(row)))
     }
     bits.clear();
     let chunks = rows.chunks(64);

@@ -160,17 +160,18 @@ pub(crate) use each_width;
 /// A stratified sample, strata keyed by the QCS values, of rows exactly as
 /// wide as their schema rounds up to ([`row_width`]; 16 B for either query
 /// template). Beside the strata's index (first-offer) order it keeps their
-/// group-key order, which every estimate walks (DESIGN.md, "One stored
-/// representation").
+/// group-key order, which every estimate walks, as the sampler's layout
+/// order: at rest the arena holds the strata in the order a walk reads
+/// them (DESIGN.md, "One stored representation").
+///
+/// The kept order lists the first strata in group-key order. Strata are
+/// only ever appended, never removed or re-keyed, so it stays valid;
+/// [`Sample::settle`] extends it over the strata appended since.
 #[derive(Debug, Clone)]
 pub struct Sample {
     pub(crate) rows: Rows,
     /// Payload slots a row carries: its schema's width.
     slots: usize,
-    /// Indices of the first `order.len()` strata in group-key order. Strata
-    /// are only ever appended, never removed or re-keyed, so it stays valid;
-    /// [`Sample::settle`] extends it over the strata appended since.
-    order: Vec<u32>,
 }
 
 impl Sample {
@@ -187,11 +188,7 @@ impl Sample {
             4 => Rows::W4(Sampler::with_strata_hint(k, strata_hint)),
             _ => Rows::W8(Sampler::with_strata_hint(k, strata_hint)),
         };
-        Sample {
-            rows,
-            slots,
-            order: Vec::new(),
-        }
+        Sample { rows, slots }
     }
 
     /// Per-stratum reservoir capacity.
@@ -209,10 +206,9 @@ impl Sample {
         each_width!(&self.rows, s => s.total_weight())
     }
 
-    /// Exact heap footprint in bytes: the sampler's and the key order's.
+    /// Exact heap footprint in bytes, the key order's included.
     pub fn heap_bytes(&self) -> usize {
-        let order = self.order.capacity() * std::mem::size_of::<u32>();
-        each_width!(&self.rows, s => s.heap_bytes()) + order
+        each_width!(&self.rows, s => s.heap_bytes())
     }
 
     /// Consider one row, `vals` its payload slots, for its stratum
@@ -237,13 +233,14 @@ impl Sample {
     }
 
     /// Merge `other`, a sample of the same schema over a disjoint population,
-    /// in place (Algorithm 3: the sampler's `absorb`, appending new strata).
+    /// in place (Algorithm 3: the sampler's `absorb`, appending new strata
+    /// where the key order puts them).
     pub fn absorb(&mut self, other: &Sample, rng: &mut Lehmer64) {
         match (&mut self.rows, &other.rows) {
-            (Rows::W1(s), Rows::W1(o)) => s.absorb(o, rng),
-            (Rows::W2(s), Rows::W2(o)) => s.absorb(o, rng),
-            (Rows::W4(s), Rows::W4(o)) => s.absorb(o, rng),
-            (Rows::W8(s), Rows::W8(o)) => s.absorb(o, rng),
+            (Rows::W1(s), Rows::W1(o)) => s.absorb_in_key_order(o, rng),
+            (Rows::W2(s), Rows::W2(o)) => s.absorb_in_key_order(o, rng),
+            (Rows::W4(s), Rows::W4(o)) => s.absorb_in_key_order(o, rng),
+            (Rows::W8(s), Rows::W8(o)) => s.absorb_in_key_order(o, rng),
             _ => panic!("samples of different row widths do not merge"),
         }
     }
@@ -260,43 +257,18 @@ impl Sample {
         out
     }
 
-    /// Come to rest: release growth slack, close relocation holes (the arena
-    /// ends up contiguous, in index order), and extend the key order.
+    /// Come to rest: release growth slack, extend the key order over the
+    /// strata appended since and lay the arena out along it — re-laid only
+    /// if a stratum was relocated or appended since the last settle — so a
+    /// walk in key order reads it front to back.
     pub fn settle(&mut self) {
-        each_width!(&mut self.rows, s => s.shrink_to_fit());
-        if self.order.len() < self.num_strata() {
-            self.order = self.extended_order();
-        }
+        each_width!(&mut self.rows, s => s.settle());
     }
 
     /// Every stratum's index in group-key order: the kept order, extended
     /// for this call alone if the sample grew since it came to rest.
     pub(crate) fn key_order(&self) -> Cow<'_, [u32]> {
-        if self.order.len() == self.num_strata() {
-            Cow::Borrowed(&self.order)
-        } else {
-            Cow::Owned(self.extended_order())
-        }
-    }
-
-    /// The kept key order with the strata appended since merged in: only
-    /// the new tail is sorted.
-    fn extended_order(&self) -> Vec<u32> {
-        let keys: Vec<&[i64]> =
-            each_width!(&self.rows, s => s.iter().map(|(key, _, _)| key.parts()).collect());
-        let key = |i: u32| keys[i as usize];
-        let mut tail: Vec<u32> = (self.order.len() as u32..keys.len() as u32).collect();
-        tail.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-        let mut tail = tail.into_iter().peekable();
-        let mut order = Vec::with_capacity(keys.len());
-        for &kept in &self.order {
-            while let Some(new) = tail.next_if(|&new| key(new) < key(kept)) {
-                order.push(new);
-            }
-            order.push(kept);
-        }
-        order.extend(tail);
-        order
+        each_width!(&self.rows, s => s.key_order())
     }
 
     /// Iterate over `(key, rows, weight)` for every stratum, in index
@@ -527,7 +499,6 @@ impl Sample {
         Sample {
             rows: Rows::W8(oracle.with_items(items)),
             slots,
-            order: Vec::new(),
         }
     }
 
@@ -728,17 +699,102 @@ mod tests {
         assert!(matches!(s.key_order(), Cow::Owned(_)), "never at rest yet");
         s.settle();
         assert!(matches!(s.key_order(), Cow::Borrowed(_)));
-        assert_eq!(s.order, vec![1, 0, 2]);
+        assert_eq!(*s.key_order(), [1, 0, 2]);
         // Appended strata interleave with the kept ones; an offer to a
         // stratum that exists appends nothing.
         for key in [1, 7, 3, 10] {
             s.offer(GroupKey::new(&[key]), &[key, 0], &mut rng);
         }
         assert_eq!(keys(&s), vec![1, 3, 5, 7, 9, 10]);
-        assert_eq!(s.order, vec![1, 0, 2], "the kept order is not touched");
+        assert!(matches!(s.key_order(), Cow::Owned(_)), "extended per call");
         s.settle();
         assert!(matches!(s.key_order(), Cow::Borrowed(_)));
         assert_eq!(keys(&s), vec![1, 3, 5, 7, 9, 10]);
+    }
+
+    /// Where each stratum's rows start in the arena, by stratum index.
+    fn addresses(s: &Sample) -> Vec<usize> {
+        let at = |i| each_width!(&s.rows, r => r.stratum_at(i).1.as_ptr() as usize);
+        (0..s.num_strata()).map(at).collect()
+    }
+
+    /// `s` with its arena re-laid along `layout`, its key order kept.
+    fn relaid(s: &Sample, layout: Vec<u32>) -> Sample {
+        let (mut out, order) = (s.clone(), s.key_order().into_owned());
+        each_width!(&mut out.rows, r => {
+            r.lay_out_along(layout);
+            r.settle();
+            r.lay_out_along(order);
+        });
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// A settled sample lies in the arena in its key order, whatever
+        /// order its strata were offered, appended, relocated and merged
+        /// in; and where strata lie changes nothing read from them: every
+        /// stratum, the heap footprint, the snapshot bytes and every
+        /// estimate are bit-identical under any layout.
+        #[test]
+        fn a_sample_at_rest_lies_in_key_order_and_its_layout_changes_no_read(
+            offers in prop::collection::vec((0i64..40, 0i64..1000), 1..200),
+            delta in prop::collection::vec((0i64..60, 0i64..1000), 0..60),
+            inserts in prop::collection::vec((0i64..60, 0usize..4), 0..6),
+            k in 1usize..6,
+            seed in 0u64..1_000,
+        ) {
+            let mut rng = Lehmer64::new(seed);
+            let row = |v: i64| [v, (v as f64 * 0.25).to_bits() as i64];
+            let mut s = Sample::new(&schema(), k);
+            for &(key, v) in &offers {
+                s.offer(GroupKey::new(&[key]), &row(v), &mut rng);
+            }
+            s.settle();
+            let mut d = Sample::new(&schema(), k);
+            for &(key, v) in &delta {
+                d.offer(GroupKey::new(&[key]), &row(v), &mut rng);
+            }
+            s.absorb(&d, &mut rng);
+            for &(key, n) in &inserts {
+                let rows: Vec<i64> = (0..n.min(k) as i64).flat_map(row).collect();
+                s.insert_rows(GroupKey::new(&[key]), &rows, n as u64 + 1);
+            }
+            s.settle();
+            let at = addresses(&s);
+            let walked: Vec<usize> = s.key_order().iter().map(|&i| at[i as usize]).collect();
+            prop_assert!(walked.is_sorted(), "strata out of key order: {walked:?}");
+
+            let mut layout: Vec<u32> = (0..s.num_strata() as u32).collect();
+            for i in (1..layout.len()).rev() {
+                layout.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let other = relaid(&s, layout);
+            prop_assert_eq!(other.contents(), s.contents());
+            prop_assert_eq!(other.heap_bytes(), s.heap_bytes());
+            let snapshot = |sample: &Sample| {
+                let descriptor = SampleDescriptor::new(
+                    "t[True]",
+                    vec!["g".into()],
+                    vec!["v".into(), "w".into()],
+                    Predicates::on("v", IntervalSet::of(Interval::new(0, 999))),
+                    k,
+                );
+                let mut store = SampleStore::new();
+                store.insert_raw(descriptor, schema(), sample.clone(), 1000);
+                crate::persist::save_store(&store)
+            };
+            prop_assert_eq!(snapshot(&other), snapshot(&s));
+            let max = AggSpec { kind: AggKind::Max, input: AggInput::Col("w".into()) };
+            let aggs = [AggSpec::sum("w"), AggSpec::count(), AggSpec::avg("v"), max];
+            let narrow = Predicates::on("v", IntervalSet::of(Interval::new(100, 700)));
+            for tighten in [None, Some(&narrow)] {
+                let opts = EstimateOptions { tighten, ..Default::default() };
+                let expected = estimate(&s, &schema(), &aggs, &opts).unwrap();
+                let groups = estimate(&other, &schema(), &aggs, &opts).unwrap();
+                prop_assert_eq!(bits(&groups), bits(&expected));
+            }
+        }
     }
 
     /// Fact columns `g1`, `g2` (stratum keys), `fk` (a dimension row), `v`

@@ -31,11 +31,22 @@ impl<K: StratumKey, T: Clone + Default> StratifiedSampler<K, T> {
     /// Statistical validity requires the two underlying populations to be
     /// disjoint (the §5.1 non-overlap requirement).
     pub fn absorb(&mut self, other: &Self, rng: &mut Lehmer64) {
-        let k = self.capacity;
         // Find the shared strata first, so the ones only `other` holds are
         // appended into exactly-sized storage.
         let hits: Vec<Option<usize>> = other.keys().map(|key| self.index_of(key)).collect();
         self.open(hits.iter().filter(|hit| hit.is_none()).count());
+        self.merge_strata(other, hits, rng);
+    }
+
+    /// Merge each of `other`'s strata into this sample's stratum `hits[j]`,
+    /// or a new one appended if `None`; this sample is [opened](Self::open).
+    pub(crate) fn merge_strata(
+        &mut self,
+        other: &Self,
+        hits: Vec<Option<usize>>,
+        rng: &mut Lehmer64,
+    ) {
+        let k = self.capacity;
         let mut scratch = MergeScratch::default();
         let mut merged: Vec<T> = Vec::new();
         for ((key, items, weight), hit) in other.iter().zip(hits) {

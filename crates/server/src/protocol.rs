@@ -163,7 +163,80 @@ pub struct Answer {
     /// extrapolated from the covered fraction with widened CIs.
     pub degraded: Option<DegradedInfo>,
     /// One row per output group.
-    pub groups: Vec<AnswerGroup>,
+    pub groups: AnswerGroups,
+}
+
+/// An answer's groups, flat: the client's mirror of the engine's
+/// `Groups` — every group's key parts in one buffer, its estimates in
+/// another, each group as wide as the first. A decoded answer is a
+/// handful of allocations however many groups it has.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AnswerGroups {
+    len: usize,
+    key_width: usize,
+    aggs: usize,
+    keys: Vec<Value>,
+    values: Vec<AnswerAgg>,
+}
+
+impl AnswerGroups {
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the answer has no group.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `i`-th group's key and estimates, borrowed in place; panics
+    /// past the last group.
+    pub fn get(&self, i: usize) -> (&[Value], &[AnswerAgg]) {
+        assert!(i < self.len, "group {i} of {}", self.len);
+        let (kw, aggs) = (self.key_width, self.aggs);
+        (&self.keys[i * kw..][..kw], &self.values[i * aggs..][..aggs])
+    }
+
+    /// The groups in answer order, each copied out as an owned
+    /// [`AnswerGroup`] — so every group yielded allocates; [`Self::get`]
+    /// reads one in place.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = AnswerGroup> + '_ {
+        (0..self.len).map(|i| {
+            let (key, values) = self.get(i);
+            AnswerGroup {
+                key: key.to_vec(),
+                values: values.to_vec(),
+            }
+        })
+    }
+}
+
+impl<'a> IntoIterator for &'a AnswerGroups {
+    type Item = AnswerGroup;
+    type IntoIter = Box<dyn ExactSizeIterator<Item = AnswerGroup> + 'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Box::new(self.iter())
+    }
+}
+
+/// Panics if the groups differ in key width or aggregate count.
+impl FromIterator<AnswerGroup> for AnswerGroups {
+    fn from_iter<I: IntoIterator<Item = AnswerGroup>>(groups: I) -> Self {
+        let mut out = AnswerGroups::default();
+        for g in groups {
+            if out.len == 0 {
+                (out.key_width, out.aggs) = (g.key.len(), g.values.len());
+            }
+            let shaped = (g.key.len(), g.values.len()) == (out.key_width, out.aggs);
+            assert!(shaped, "every group has the first one's shape");
+            out.keys.extend(g.key);
+            out.values.extend(g.values);
+            out.len += 1;
+        }
+        out
+    }
 }
 
 /// Degradation metadata attached to a partial-coverage answer.
@@ -517,7 +590,7 @@ impl<'a> Reader<'a> {
     /// element's least encoded size, or cap what is reserved.
     fn len(&mut self, unit: usize) -> Result<usize, WireError> {
         let n = self.u32()? as usize;
-        if n.saturating_mul(unit.max(1)) > self.buf.len() - self.at {
+        if n.saturating_mul(unit.max(1)) > self.remaining() {
             return Err(WireError(format!("length {n} exceeds remaining payload")));
         }
         Ok(n)
@@ -595,6 +668,51 @@ impl<'a> Reader<'a> {
             3 => Value::Str(self.str()?),
             t => return Err(WireError(format!("unknown value tag {t}"))),
         })
+    }
+
+    /// An answer's groups, into flat buffers: group 0's shape, which
+    /// every other group must have, sizes them once for as many groups
+    /// as the rest of the payload can hold.
+    fn answer_groups(&mut self) -> Result<AnswerGroups, WireError> {
+        let len = self.len(MIN_GROUP_BYTES)?;
+        let mut out = AnswerGroups {
+            len,
+            ..AnswerGroups::default()
+        };
+        let ragged = |g, n, what, first| format!("group {g} has {n} {what}, group 0 has {first}");
+        for g in 0..len {
+            let kn = self.len(1)?;
+            if g > 0 && kn != out.key_width {
+                return Err(WireError(ragged(g, kn, "key parts", out.key_width)));
+            }
+            for _ in 0..kn {
+                out.keys.push(self.value()?);
+            }
+            let vn = self.len(24)?;
+            if g > 0 && vn != out.aggs {
+                return Err(WireError(ragged(g, vn, "aggregates", out.aggs)));
+            }
+            for _ in 0..vn {
+                out.values.push(AnswerAgg {
+                    value: self.f64()?,
+                    ci_half_width: self.f64()?,
+                    support: self.u64()?,
+                });
+            }
+            if g == 0 {
+                (out.key_width, out.aggs) = (kn, vn);
+                // A value can be one byte on the wire and 32 in memory:
+                // reserve no more than an answer key holds.
+                let fit = (len - 1).min(self.remaining() / (MIN_GROUP_BYTES + kn + 24 * vn));
+                out.keys.reserve(fit * kn.min(MAX_KEY_COLS));
+                out.values.reserve(fit * vn);
+            }
+        }
+        Ok(out)
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.at
     }
 
     fn done(self) -> Result<(), WireError> {
@@ -741,9 +859,10 @@ impl Response {
             Response::Answer(a) => put_answer(
                 buf,
                 a.degraded.as_ref(),
-                a.groups
-                    .iter()
-                    .map(|g| (g.key.iter(), g.values.iter().copied())),
+                (0..a.groups.len()).map(|i| {
+                    let (key, values) = a.groups.get(i);
+                    (key.iter(), values.iter().copied())
+                }),
                 put_value,
             ),
             Response::IngestAck { watermark } => {
@@ -782,27 +901,7 @@ impl Response {
                     }),
                     t => return Err(WireError(format!("unknown degraded tag {t}"))),
                 };
-                let gn = r.len(MIN_GROUP_BYTES)?;
-                let mut groups = Vec::with_capacity(gn);
-                for _ in 0..gn {
-                    // A value can be one byte on the wire and 32 in
-                    // memory: reserve no more than an answer key holds.
-                    let kn = r.len(1)?;
-                    let mut key = Vec::with_capacity(kn.min(MAX_KEY_COLS));
-                    for _ in 0..kn {
-                        key.push(r.value()?);
-                    }
-                    let vn = r.len(24)?;
-                    let mut values = Vec::with_capacity(vn);
-                    for _ in 0..vn {
-                        values.push(AnswerAgg {
-                            value: r.f64()?,
-                            ci_half_width: r.f64()?,
-                            support: r.u64()?,
-                        });
-                    }
-                    groups.push(AnswerGroup { key, values });
-                }
+                let groups = r.answer_groups()?;
                 Response::Answer(Answer { degraded, groups })
             }
             0x83 => Response::IngestAck {
@@ -889,14 +988,16 @@ mod tests {
                 coverage: 0.25,
                 ci_inflation: 8.0,
             }),
-            groups: vec![AnswerGroup {
+            groups: [AnswerGroup {
                 key: vec![Value::Int(7), Value::Str("MFGR#12".into()), Value::Null],
                 values: vec![AnswerAgg {
                     value: 123.5,
                     ci_half_width: 4.5,
                     support: 42,
                 }],
-            }],
+            }]
+            .into_iter()
+            .collect(),
         }));
         roundtrip_resp(Response::IngestAck { watermark: 9001 });
         roundtrip_resp(Response::Overloaded {
@@ -968,6 +1069,112 @@ mod tests {
         ] {
             let err = err.expect_err("count past the payload");
             assert!(err.0.contains("exceeds remaining payload"), "{err}");
+        }
+        // 90 000 groups announced, eight bytes each of room, and group 0
+        // wide: 20 000 null key parts and 30 000 aggregates, then nothing.
+        // Reserved for the count alone that would be terabytes; reserved
+        // from group 0's shape it is one group's worth, and the missing
+        // group 1 is a typed error.
+        let (kn, vn) = (20_000, 30_000);
+        let mut wide = vec![0x82, 0];
+        put_u32(&mut wide, 90_000);
+        put_u32(&mut wide, kn);
+        wide.resize(wide.len() + kn as usize, 0);
+        put_u32(&mut wide, vn);
+        wide.resize(wide.len() + 24 * vn as usize, 0);
+        assert!(wide.len() > 90_000 * MIN_GROUP_BYTES, "the count fits");
+        let err = Response::decode(&wide).expect_err("group 1 is missing");
+        assert!(err.0.contains("truncated payload"), "{err}");
+    }
+
+    /// An answer payload of one group per `(key parts, aggregates)`.
+    fn answer_of(shapes: &[(usize, usize)]) -> Vec<u8> {
+        let mut buf = vec![0x82, 0];
+        put_u32(&mut buf, shapes.len() as u32);
+        for &(kn, vn) in shapes {
+            put_u32(&mut buf, kn as u32);
+            (0..kn).for_each(|i| put_value(&mut buf, &Value::Int(i as i64)));
+            put_u32(&mut buf, vn as u32);
+            buf.resize(buf.len() + 24 * vn, 0);
+        }
+        buf
+    }
+
+    #[test]
+    fn ragged_answers_are_refused_typed() {
+        let even = Response::decode(&answer_of(&[(2, 1), (2, 1), (2, 1)])).expect("decodes");
+        let Response::Answer(a) = even else {
+            panic!("{even:?}")
+        };
+        assert_eq!(a.groups.len(), 3);
+        assert_eq!(a.groups.get(2).0, [Value::Int(0), Value::Int(1)]);
+        for (shapes, what) in [
+            (
+                &[(2, 1), (2, 1), (1, 1)],
+                "group 2 has 1 key parts, group 0 has 2",
+            ),
+            (
+                &[(1, 2), (1, 3), (1, 2)],
+                "group 1 has 3 aggregates, group 0 has 2",
+            ),
+        ] {
+            let err = Response::decode(&answer_of(shapes)).expect_err("ragged");
+            assert!(err.0.contains(what), "{err}");
+        }
+    }
+
+    /// A Q1 answer over tiny SSB, encoded as the server sends it.
+    fn q1_answer() -> &'static [u8] {
+        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| {
+            let catalog = laqy_workload::generate(&laqy_workload::SsbConfig::tiny());
+            let svc = laqy::LaqyService::new(catalog);
+            let sql = laqy_workload::q1_sql(0, 2999);
+            let query = laqy::approx_query(&svc.catalog(), &sql, 64).expect("plans");
+            let result = svc.run(&query).expect("runs");
+            let keys = svc.decode_keys(&query, &result).expect("decodes");
+            let groups = keys
+                .into_iter()
+                .zip(&result.groups)
+                .map(|(key, g)| AnswerGroup {
+                    key,
+                    values: (g.values.iter())
+                        .map(|v| AnswerAgg {
+                            value: v.value,
+                            ci_half_width: v.ci_half_width,
+                            support: v.support as u64,
+                        })
+                        .collect(),
+                });
+            let answer = Answer {
+                degraded: None,
+                groups: groups.collect(),
+            };
+            assert!(answer.groups.len() > 100, "{} groups", answer.groups.len());
+            Response::Answer(answer).encode()
+        })
+    }
+
+    proptest::proptest! {
+        /// Up to three bytes flipped, then maybe a cut (`cut % (len + 1)`,
+        /// when `cut` is odd): a typed error, or an answer whose encoding
+        /// is the bytes that were decoded.
+        #[test]
+        fn a_cut_or_flipped_answer_decodes_typed_or_to_its_own_bytes(
+            flips in proptest::collection::vec((0usize..usize::MAX, 1u8..255), 0..4),
+            cut in 0usize..usize::MAX,
+        ) {
+            let mut bytes = q1_answer().to_vec();
+            for (at, mask) in flips {
+                let at = at % bytes.len();
+                bytes[at] ^= mask;
+            }
+            if cut % 2 == 1 {
+                bytes.truncate(cut / 2 % (bytes.len() + 1));
+            }
+            if let Ok(resp) = Response::decode(&bytes) {
+                proptest::prop_assert_eq!(resp.encode(), bytes);
+            }
         }
     }
 
@@ -1234,7 +1441,7 @@ mod tests {
                     coverage: 0.25,
                     ci_inflation: 8.0,
                 }),
-                groups: vec![AnswerGroup {
+                groups: [AnswerGroup {
                     key: vec![
                         Value::Int(7),
                         Value::Str("M".into()),
@@ -1246,11 +1453,13 @@ mod tests {
                         ci_half_width: f64::NAN,
                         support: 42,
                     }],
-                }],
+                }]
+                .into_iter()
+                .collect(),
             }),
             Response::Answer(Answer {
                 degraded: None,
-                groups: vec![],
+                groups: AnswerGroups::default(),
             }),
             Response::IngestAck { watermark: 9001 },
             Response::Overloaded {

@@ -1,45 +1,62 @@
-//! A full hit's answer costs the server the same allocations whatever its
-//! group count: the `0x82` payload is encoded straight from the engine's
-//! group buffer and the key columns, with no key value, string or vector
-//! built per group.
+//! An answer costs the same allocations whatever its group count, on both
+//! ends of the wire. The server encodes the `0x82` payload straight from
+//! the engine's group buffer and the key columns, with no key value,
+//! string or vector built per group; the client decodes it into one flat
+//! buffer of key parts and one of estimates.
 //!
-//! A counting global allocator tallies every allocation and reallocation
-//! in the process. This file holds one test, so while it measures, the
-//! only other threads are the server's; the client reads raw frames into
-//! a buffer sized up front, so its own allocations do not depend on the
-//! answer either.
+//! A counting global allocator tallies every allocation and reallocation.
+//! The server test reads the process-wide tally: while it measures, the
+//! only other threads are the server's, and the client reads raw frames
+//! into a buffer sized up front, so its own allocations do not depend on
+//! the answer either. The decode test counts its own thread's allocations
+//! apart, so they never reach that tally.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use laqy_engine::{Catalog, Column, Table};
-use laqy_server::{Request, Server, ServerConfig};
+use laqy_engine::{Catalog, Column, Table, Value};
+use laqy_server::protocol::{Answer, AnswerAgg, AnswerGroup};
+use laqy_server::{Request, Response, Server, ServerConfig};
 
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's allocations, once it counts its own: then they are
+    /// left out of [`ALLOCATIONS`].
+    static OWN: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_allocation() {
+    let own = OWN.try_with(|own| own.get().map(|n| own.set(Some(n + 1))));
+    if own.ok().flatten().is_none() {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
 // tally is an atomic that never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         // SAFETY: the caller's contract for `layout` is passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         // SAFETY: `ptr` came from this allocator, that is from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -155,5 +172,50 @@ fn a_full_hit_answer_allocates_the_same_whatever_its_group_count() {
     assert!(
         large <= small,
         "answering 2 000 groups made {large} allocations, 200 groups {small}"
+    );
+}
+
+fn own_allocations() -> u64 {
+    OWN.with(|own| own.get().expect("this thread counts its own"))
+}
+
+/// Allocations of decoding an answer of `groups` Int-keyed groups and
+/// dropping it, made on this thread.
+fn decode_allocations(groups: i64) -> u64 {
+    let agg = AnswerAgg {
+        value: 1.5,
+        ci_half_width: 0.25,
+        support: 40,
+    };
+    let answer = Answer {
+        degraded: None,
+        groups: (0..groups)
+            .map(|g| AnswerGroup {
+                key: vec![Value::Int(g)],
+                values: vec![agg; 2],
+            })
+            .collect(),
+    };
+    let bytes = Response::Answer(answer.clone()).encode();
+    let before = own_allocations();
+    let decoded = Response::decode(&bytes).unwrap();
+    let Response::Answer(decoded) = decoded else {
+        panic!("{decoded:?}")
+    };
+    let same = decoded == answer;
+    drop(decoded);
+    let allocations = own_allocations() - before;
+    assert!(same, "the answer round-trips");
+    allocations
+}
+
+#[test]
+fn a_decoded_answer_allocates_the_same_whatever_its_group_count() {
+    OWN.with(|own| own.set(Some(0)));
+    let small = decode_allocations(200);
+    let large = decode_allocations(2_000);
+    assert!(
+        large <= small,
+        "decoding 2 000 groups made {large} allocations, 200 groups {small}"
     );
 }
