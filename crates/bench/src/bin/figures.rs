@@ -1,8 +1,11 @@
 //! Regenerate the paper's tables and figures as text series.
 //!
 //! ```text
-//! figures [--sf 0.05] [--k 128] [--threads N] [--seed S] [all | table1 fig3 ... headline]
+//! figures [--sf 0.05] [--k 32] [--threads N] [--seed S] [--csv DIR] [all | table1 fig3 ... headline]
 //! ```
+//!
+//! An unknown experiment name is an error: the binary exits with status 2
+//! before generating any data.
 
 use laqy_bench::{run_experiment, BenchConfig, ALL};
 
@@ -35,6 +38,19 @@ fn main() {
     if names.is_empty() || names.iter().any(|n| n == "all") {
         names = ALL.iter().map(|s| s.to_string()).collect();
     }
+    let unknown: Vec<&str> = names
+        .iter()
+        .map(String::as_str)
+        .filter(|n| !ALL.contains(n))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "unknown experiment(s) {} (known: {})",
+            unknown.join(", "),
+            ALL.join(", ")
+        );
+        std::process::exit(2);
+    }
 
     eprintln!(
         "# LAQy figure harness: sf={} (~{} fact rows), k={}, k_micro={}, threads={}, seed={}",
@@ -51,16 +67,12 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create --csv directory");
     }
     for name in &names {
-        match run_experiment(name, &cfg, &catalog) {
-            Some(fig) => {
-                println!("{}", fig.render());
-                if let Some(dir) = &csv_dir {
-                    let path = dir.join(format!("{}.csv", fig.id));
-                    std::fs::write(&path, fig.to_csv()).expect("write csv");
-                    eprintln!("# wrote {}", path.display());
-                }
-            }
-            None => eprintln!("unknown experiment `{name}` (known: {})", ALL.join(", ")),
+        let fig = run_experiment(name, &cfg, &catalog).expect("names checked against ALL");
+        println!("{}", fig.render());
+        if let Some(dir) = &csv_dir {
+            let path = dir.join(format!("{}.csv", fig.id));
+            std::fs::write(&path, fig.to_csv()).expect("write csv");
+            eprintln!("# wrote {}", path.display());
         }
     }
 }
@@ -72,16 +84,20 @@ fn expect_num<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, fla
 }
 
 fn print_help() {
+    let d = BenchConfig::default();
     println!(
         "figures — regenerate the LAQy paper's tables and figures\n\n\
          usage: figures [options] [experiment ...]\n\n\
-         options:\n  --sf F        SSB scale factor (default 0.05)\n  \
-         --k N         sequence reservoir capacity (default 128)\n  \
-         --k-micro N   microbenchmark reservoir capacity (default 2000)\n  \
+         options:\n  --sf F        SSB scale factor (default {})\n  \
+         --k N         sequence reservoir capacity (default {})\n  \
+         --k-micro N   microbenchmark reservoir capacity (default {})\n  \
          --threads N   worker threads (default: all cores)\n  \
          --seed S      RNG seed\n  \
          --csv DIR     also write each figure as DIR/<id>.csv\n\n\
          experiments: {} or `all` (default)",
+        d.sf,
+        d.k,
+        d.k_micro,
         ALL.join(", ")
     );
 }

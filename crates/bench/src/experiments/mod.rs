@@ -1,23 +1,13 @@
 //! Experiment implementations, one per paper table/figure.
 
-pub mod concurrent;
 pub mod deadline;
-pub mod fragmentation;
-pub mod ingest;
-pub mod kernels;
 pub mod micro;
 pub mod pruning;
 pub mod range_index;
 pub mod sequence;
-pub mod serving;
-pub mod sharding;
 pub mod strategy;
 
-pub use concurrent::concurrent;
 pub use deadline::deadline;
-pub use fragmentation::fragmentation;
-pub use ingest::ingest;
-pub use kernels::kernels;
 pub use micro::{fig3, fig4};
 pub use pruning::pruning;
 pub use range_index::range_index;
@@ -25,8 +15,6 @@ pub use sequence::{
     ablation, fig10, fig11, fig12_13, fig14_15, fig9, headline, rate_sensitivity, seed_sensitivity,
     table1, SequenceKind,
 };
-pub use serving::serving;
-pub use sharding::sharding;
 pub use strategy::{fig6, fig8};
 
 use laqy_engine::Catalog;
@@ -99,15 +87,9 @@ pub const ALL: &[&str] = &[
     "ablation",
     "seeds",
     "rates",
-    "concurrent",
     "deadline",
     "pruning",
     "range_index",
-    "fragmentation",
-    "sharding",
-    "kernels",
-    "ingest",
-    "serving",
 ];
 
 /// Run one experiment by name against a pre-generated catalog.
@@ -136,15 +118,9 @@ pub fn run_experiment(name: &str, cfg: &BenchConfig, catalog: &Catalog) -> Optio
         "ablation" => ablation(cfg, catalog),
         "seeds" => seed_sensitivity(cfg, catalog),
         "rates" => rate_sensitivity(cfg, catalog),
-        "concurrent" => concurrent(cfg, catalog),
         "deadline" => deadline(cfg, catalog),
         "pruning" => pruning::pruning(cfg, catalog),
         "range_index" => range_index(cfg, catalog),
-        "fragmentation" => fragmentation(cfg, catalog),
-        "sharding" => sharding(cfg, catalog),
-        "kernels" => kernels(cfg, catalog),
-        "ingest" => ingest(cfg, catalog),
-        "serving" => serving(cfg, catalog),
         _ => return None,
     })
 }

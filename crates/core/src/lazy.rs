@@ -19,9 +19,9 @@
 //! else:                    S_lazy ← S                     (no reuse: online)
 //! ```
 //!
-//! With `m` capped at 1 this degenerates to the paper's single-sample
-//! Algorithm 1 (the `SingleSample` reuse mode keeps that behavior
-//! available as an ablation baseline).
+//! `m` is capped at [`MAX_COVERAGE_SAMPLES`]; `m = 1` is the paper's
+//! single-sample Algorithm 1. [`ReuseMode::FullMatchOnly`] is the
+//! strict-matching ablation: it demotes any coverage plan to online.
 
 use crate::descriptor::SampleDescriptor;
 use crate::store::{CoveragePlan, SampleId, SampleStore};
@@ -39,10 +39,6 @@ pub enum ReuseMode {
     /// (k-way Δ + merge) reuse, or online.
     #[default]
     Lazy,
-    /// The paper's original single-sample Algorithm 1: at most one stored
-    /// sample per query (coverage planning capped at one). Ablation
-    /// baseline for the fragmentation experiment.
-    SingleSample,
     /// Taster-style all-or-none caching: a stored sample is used only when
     /// it fully subsumes the query; otherwise full online sampling (the
     /// "strict sample matching" baseline of §2, Issue #1).
@@ -91,24 +87,12 @@ impl LazyPlan {
     }
 }
 
-/// Plan the lazy sampler for a query (generalized Algorithm 1) with the
-/// default sample cap. `watermark` is the fact table's row watermark at
-/// planning time (the pinned epoch's): samples drawn below it must have
-/// their append tails Δ-scanned, so a stale sample can never serve bare
-/// full reuse.
+/// Plan the lazy sampler for a query (generalized Algorithm 1).
+/// `watermark` is the fact table's row watermark at planning time (the
+/// pinned epoch's): samples drawn below it must have their append tails
+/// Δ-scanned, so a stale sample can never serve bare full reuse.
 pub fn plan_lazy(store: &SampleStore, query: &SampleDescriptor, watermark: u64) -> LazyPlan {
-    plan_lazy_capped(store, query, MAX_COVERAGE_SAMPLES, watermark)
-}
-
-/// Plan the lazy sampler with an explicit cap on merged stored samples.
-/// `max_samples == 1` reproduces the paper's single-sample dispatch.
-pub fn plan_lazy_capped(
-    store: &SampleStore,
-    query: &SampleDescriptor,
-    max_samples: usize,
-    watermark: u64,
-) -> LazyPlan {
-    let plan = store.plan_coverage_at(query, max_samples, watermark);
+    let plan = store.plan_coverage_at(query, watermark);
     if plan.samples.is_empty() {
         return LazyPlan::Online;
     }
@@ -232,8 +216,8 @@ mod tests {
 
     #[test]
     fn fragmented_store_plans_multi_sample_coverage() {
-        // Two disjoint stored samples, 40% each: coverage planning reports
-        // ≤ 0.2 uncovered where the single-sample cap reports 0.6.
+        // Two disjoint stored samples, 40% each: coverage planning merges
+        // both and reports ≤ 0.2 uncovered.
         let mut store = SampleStore::new();
         store.insert_raw(desc(0, 399), schema(), sample_over(0, 399), 0);
         store.insert_raw(desc(600, 999), schema(), sample_over(600, 999), 0);
@@ -250,9 +234,6 @@ mod tests {
             other => panic!("expected coverage reuse, got {other:?}"),
         }
         assert!(plan.uncovered_fraction(&q) <= 0.2 + 1e-12);
-
-        let single = plan_lazy_capped(&store, &q, 1, 0);
-        assert!((single.uncovered_fraction(&q) - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub use executor::{
     input_identity, range_predicate, ApproxQuery, ApproxResult, LaqyError, LaqyExecutor, Result,
 };
 pub use interval::{Interval, IntervalSet};
-pub use lazy::{plan_lazy, plan_lazy_capped, LazyPlan, ReuseMode, MAX_COVERAGE_SAMPLES};
+pub use lazy::{plan_lazy, LazyPlan, ReuseMode, MAX_COVERAGE_SAMPLES};
 pub use persist::{
     load_from_file, load_store, recover_snapshot, save_snapshot, save_store, save_to_file,
     PersistError, RecoveryReport, KEEP_GENERATIONS, MAX_SNAPSHOT_BYTES,

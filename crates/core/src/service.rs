@@ -83,7 +83,7 @@ use crate::executor::{
     LaqyError, LaqyExecutor, Result, Scope,
 };
 use crate::interval::IntervalSet;
-use crate::lazy::{plan_lazy_capped, LazyPlan, ReuseMode, MAX_COVERAGE_SAMPLES};
+use crate::lazy::{plan_lazy, LazyPlan, ReuseMode};
 use crate::sampler_ops::{Sample, SampleSchema};
 use crate::stats::{Counters, ExecStats, ReuseClass, ServiceStats};
 use crate::store::{CoveragePlan, SampleId, SampleStore, ShardedStore, STORE_SHARDS};
@@ -173,9 +173,6 @@ pub struct SessionConfig {
     pub store_budget_bytes: Option<usize>,
     /// Reuse aggressiveness (ablation switch; default lazy/partial reuse).
     pub reuse_mode: ReuseMode,
-    /// Sample-store shard count, clamped to `1..=`[`STORE_SHARDS`]. One
-    /// shard reproduces the single-lock layout (the bench baseline).
-    pub store_shards: usize,
 }
 
 impl Default for SessionConfig {
@@ -186,7 +183,6 @@ impl Default for SessionConfig {
             seed: 0xACE1,
             store_budget_bytes: None,
             reuse_mode: ReuseMode::default(),
-            store_shards: STORE_SHARDS,
         }
     }
 }
@@ -270,7 +266,7 @@ impl LaqyService {
 
     /// Create a service with explicit configuration.
     pub fn with_config(catalog: Catalog, config: SessionConfig) -> Self {
-        let store = ShardedStore::new(config.store_shards, config.store_budget_bytes);
+        let store = ShardedStore::new(STORE_SHARDS, config.store_budget_bytes);
         let registry_shards = store.num_shards();
         Self {
             inner: Arc::new(ServiceInner {
@@ -800,10 +796,10 @@ impl LaqyService {
 
     /// **Plan**: Algorithm 1 against the home shard, under its read guard
     /// (every reuse candidate shares the descriptor's fingerprint, so
-    /// planning never needs another shard). The reuse mode caps how many
-    /// samples a plan may select and, for all-or-none matching, demotes a
-    /// coverage plan to online. For a coverage plan the selected samples'
-    /// coverage *and* watermarks are snapshotted under the same guard:
+    /// planning never needs another shard). All-or-none matching
+    /// (`ReuseMode::FullMatchOnly`) demotes a coverage plan to online.
+    /// For a coverage plan the selected samples' coverage *and*
+    /// watermarks are snapshotted under the same guard:
     /// [`Self::merge`] revalidates the store against exactly this
     /// snapshot, so a concurrent absorb (which moves a watermark)
     /// invalidates the plan instead of double-counting tail rows.
@@ -813,11 +809,7 @@ impl LaqyService {
         }
         let home = self.inner.store.shard_for(&at.descriptor);
         let store = self.timed(|i| i.store.read_shard(home));
-        let cap = match self.inner.mode {
-            ReuseMode::SingleSample => 1,
-            _ => MAX_COVERAGE_SAMPLES,
-        };
-        match plan_lazy_capped(&store, &at.descriptor, cap, at.watermark) {
+        match plan_lazy(&store, &at.descriptor, at.watermark) {
             LazyPlan::CoverageReuse(_) if self.inner.mode == ReuseMode::FullMatchOnly => {
                 (LazyPlan::Online, Vec::new())
             }
@@ -1255,6 +1247,24 @@ mod tests {
         q
     }
 
+    /// `many_strata` at the first `k` ≥ 64 whose family has `query`'s
+    /// home shard, so a budget evicts one family to make room for the
+    /// other.
+    fn many_strata_beside_query(lo: i64, hi: i64) -> ApproxQuery {
+        let catalog = catalog(16);
+        let executor = LaqyExecutor::new(1, SupportPolicy::default(), 0);
+        let store = ShardedStore::new(STORE_SHARDS, None);
+        let home = |q: &ApproxQuery| store.shard_for(&executor.descriptor(&catalog, q).unwrap());
+        let target = home(&query(lo, hi));
+        (64..)
+            .map(|k| ApproxQuery {
+                k,
+                ..many_strata(lo, hi)
+            })
+            .find(|q| home(q) == target)
+            .unwrap()
+    }
+
     /// Store samples of `ranges` side by side (`absorb` would union them).
     fn import_apart(service: &LaqyService, ranges: &[(i64, i64)]) {
         let mut parts = SampleStore::new();
@@ -1506,7 +1516,7 @@ mod tests {
         let descriptor = executor.descriptor(&catalog, q).unwrap();
         let watermark = catalog.table("t").unwrap().row_watermark();
         let store = service.store();
-        let plan = plan_lazy_capped(&store, &descriptor, MAX_COVERAGE_SAMPLES, watermark);
+        let plan = plan_lazy(&store, &descriptor, watermark);
         let LazyPlan::FullReuse { id } = plan else {
             panic!("not a full hit: {plan:?}");
         };
@@ -1613,21 +1623,20 @@ mod tests {
                 query(10, N / 8),
             ),
             WriteCase {
-                // One shard with room for one sample: the second family
-                // evicts the first.
+                // Room for one sample, and a second family homed on the
+                // first's shard: writing it evicts the first.
                 config: || SessionConfig {
                     threads: 1,
                     store_budget_bytes: Some(1),
-                    store_shards: 1,
                     ..Default::default()
                 },
                 ..case(
                     "budget eviction: the survivor is the sample just written",
                     |s| {
-                        s.run(&many_strata(0, N / 4 - 1)).unwrap();
+                        s.run(&many_strata_beside_query(0, N / 4 - 1)).unwrap();
                         assert_eq!(s.store().len(), 1);
                     },
-                    many_strata(10, N / 8),
+                    many_strata_beside_query(10, N / 8),
                 )
             },
         ];

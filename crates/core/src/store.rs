@@ -25,6 +25,7 @@ use laqy_engine::GroupKey;
 use laqy_sampling::Lehmer64;
 
 use crate::descriptor::{Predicates, SampleDescriptor};
+use crate::lazy::MAX_COVERAGE_SAMPLES;
 use crate::sampler_ops::{Sample, SampleSchema};
 
 /// Stable identity of a stored sample.
@@ -252,11 +253,11 @@ impl SampleStore {
     /// Greedy weighted set cover over the query box: repeatedly select the
     /// candidate sample removing the largest residual measure, keeping the
     /// selected set pairwise disjoint in population (§5.1's merge
-    /// precondition), until `max_samples` are chosen or no candidate still
-    /// covers any residual. Returns the selection plus the residual as
-    /// pairwise-disjoint boxes, each disjoint from every selected sample's
-    /// population — so one Δ-scan per fragment followed by a k-way merge
-    /// never double-samples a row.
+    /// precondition), until [`MAX_COVERAGE_SAMPLES`] are chosen or no
+    /// candidate still covers any residual. Returns the selection plus
+    /// the residual as pairwise-disjoint boxes, each disjoint from every
+    /// selected sample's population — so one Δ-scan per fragment followed
+    /// by a k-way merge never double-samples a row.
     ///
     /// Candidates must match the query's characteristics; merge candidates
     /// additionally need QVS equality (a superset-QVS sample has a
@@ -270,13 +271,8 @@ impl SampleStore {
     /// pushed down) and the merge still covers every base row up to the
     /// watermark. Passing `0` is the static-table case (no sample can be
     /// stale).
-    pub fn plan_coverage_at(
-        &self,
-        query: &SampleDescriptor,
-        max_samples: usize,
-        watermark: u64,
-    ) -> CoveragePlan {
-        if query.predicates.is_unsatisfiable() || max_samples == 0 {
+    pub fn plan_coverage_at(&self, query: &SampleDescriptor, watermark: u64) -> CoveragePlan {
+        if query.predicates.is_unsatisfiable() {
             return CoveragePlan {
                 samples: Vec::new(),
                 fragments: Vec::new(),
@@ -323,7 +319,7 @@ impl SampleStore {
         }
         let mut fragments = vec![query.predicates.clone()];
         let mut selected: Vec<(SampleId, &Predicates, u64)> = Vec::new();
-        while selected.len() < max_samples && !fragments.is_empty() {
+        while selected.len() < MAX_COVERAGE_SAMPLES && !fragments.is_empty() {
             let mut best: Option<(usize, u128)> = None;
             for (i, (id, raw, cov, _)) in candidates.iter().enumerate() {
                 if selected.iter().any(|(sid, _, _)| sid == id) {
@@ -823,8 +819,8 @@ pub struct ShardedStore {
 
 impl ShardedStore {
     /// Build a store with `shards` shards (clamped to `1..=STORE_SHARDS`)
-    /// and an optional global byte budget. One shard degenerates to the
-    /// single-lock layout — the bench baseline.
+    /// and an optional global byte budget. The service always builds
+    /// [`STORE_SHARDS`]; other counts serve the store's own tests.
     pub fn new(shards: usize, budget_bytes: Option<usize>) -> Self {
         let n = shards.clamp(1, STORE_SHARDS);
         Self {
@@ -1127,19 +1123,19 @@ mod tests {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(4);
         store.absorb(desc(0, 99), schema(), toy_sample(2, 10, 0), 0, &mut rng);
-        assert_eq!(store.plan_coverage_at(&desc(10, 20), 4, 0).samples.len(), 1);
+        assert_eq!(store.plan_coverage_at(&desc(10, 20), 0).samples.len(), 1);
         // Different QCS.
         let mut q = desc(10, 20);
         q.qcs = vec!["lo_quantity".into()];
-        assert!(store.plan_coverage_at(&q, 4, 0).samples.is_empty());
+        assert!(store.plan_coverage_at(&q, 0).samples.is_empty());
         // Different k.
         let mut q = desc(10, 20);
         q.k = 16;
-        assert!(store.plan_coverage_at(&q, 4, 0).samples.is_empty());
+        assert!(store.plan_coverage_at(&q, 0).samples.is_empty());
         // QVS requiring a column the sample lacks.
         let mut q = desc(10, 20);
         q.qvs = vec!["lo_tax".into()];
-        assert!(store.plan_coverage_at(&q, 4, 0).samples.is_empty());
+        assert!(store.plan_coverage_at(&q, 0).samples.is_empty());
     }
 
     #[test]
@@ -1148,7 +1144,7 @@ mod tests {
         let mut rng = Lehmer64::new(5);
         let id = store.absorb(desc(0, 99), schema(), toy_sample(2, 30, 0), 0, &mut rng);
         let query = desc(0, 199);
-        let plan = store.plan_coverage_at(&query, 4, 0);
+        let plan = store.plan_coverage_at(&query, 0);
         assert_eq!(plan.samples, vec![id]);
         assert_eq!(plan.fragments, vec![desc(100, 199).predicates]);
         let scans = vec![(0, toy_sample(2, 30, 100), true)];
@@ -1163,7 +1159,7 @@ mod tests {
         let (_, s) = store.iter().next().unwrap();
         assert_eq!(s.descriptor.predicates, query.predicates);
         assert!(Arc::ptr_eq(&s.sample, &merged));
-        let full = store.plan_coverage_at(&desc(0, 150), 4, 0);
+        let full = store.plan_coverage_at(&desc(0, 150), 0);
         assert!(full.fragments.is_empty() && full.tails.is_empty());
     }
 
@@ -1173,7 +1169,7 @@ mod tests {
         let mut rng = Lehmer64::new(6);
         let id = store.absorb(desc(0, 99), schema(), toy_sample(2, 30, 0), 0, &mut rng);
         let query = desc(0, 299);
-        let mut plan = store.plan_coverage_at(&query, 4, 0);
+        let mut plan = store.plan_coverage_at(&query, 0);
         // Two fragments, as if the residual had been split.
         plan.fragments = vec![desc(100, 199).predicates, desc(200, 299).predicates];
         let scans = |second_clean| {
@@ -1274,8 +1270,7 @@ mod tests {
     fn coverage_plan_combines_disjoint_fragments() {
         // Acceptance scenario: two disjoint stored samples each covering
         // 40% of the query range. Multi-sample planning leaves 20%
-        // uncovered; the single-sample cap (the pre-refactor behavior)
-        // leaves 60%.
+        // uncovered.
         let mut store = SampleStore::new();
         // insert_raw keeps the samples separate (absorb would consolidate
         // disjoint same-shape coverage into one sample).
@@ -1284,7 +1279,7 @@ mod tests {
         let query = desc(0, 999);
         let query_measure = query.predicates.box_measure();
 
-        let plan = store.plan_coverage_at(&query, 4, 0);
+        let plan = store.plan_coverage_at(&query, 0);
         assert_eq!(plan.samples.len(), 2);
         assert!(plan.samples.contains(&a) && plan.samples.contains(&b));
         let frac = plan.residual_measure() as f64 / query_measure as f64;
@@ -1294,14 +1289,6 @@ mod tests {
         for f in &plan.fragments {
             assert_eq!(f.get("lo_intkey").unwrap(), &iv(400, 599));
         }
-
-        let single = store.plan_coverage_at(&query, 1, 0);
-        assert_eq!(single.samples.len(), 1);
-        let frac1 = single.residual_measure() as f64 / query_measure as f64;
-        assert!(
-            (frac1 - 0.6).abs() < 1e-9,
-            "single-sample residual should be 0.6, got {frac1}"
-        );
     }
 
     #[test]
@@ -1309,7 +1296,7 @@ mod tests {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(11);
         let id = store.absorb(desc(0, 999), schema(), toy_sample(2, 10, 0), 0, &mut rng);
-        let plan = store.plan_coverage_at(&desc(100, 200), 4, 0);
+        let plan = store.plan_coverage_at(&desc(100, 200), 0);
         assert_eq!(plan.samples, vec![id]);
         assert!(plan.fragments.is_empty());
         assert_eq!(plan.residual_measure(), 0);
@@ -1322,7 +1309,7 @@ mod tests {
         let mut store = SampleStore::new();
         store.insert_raw(desc(0, 599), schema(), toy_sample(2, 10, 0), 0);
         store.insert_raw(desc(400, 899), schema(), toy_sample(2, 10, 400), 0);
-        let plan = store.plan_coverage_at(&desc(0, 999), 4, 0);
+        let plan = store.plan_coverage_at(&desc(0, 999), 0);
         assert_eq!(
             plan.samples.len(),
             1,
@@ -1349,11 +1336,11 @@ mod tests {
         let mut wide = desc(0, 399);
         wide.qvs.push("lo_tax".into());
         store.insert_raw(wide.clone(), schema(), toy_sample(2, 10, 0), 0);
-        let plan = store.plan_coverage_at(&desc(0, 999), 4, 0);
+        let plan = store.plan_coverage_at(&desc(0, 999), 0);
         assert!(plan.samples.is_empty(), "superset QVS cannot merge");
         assert_eq!(plan.fragments, vec![desc(0, 999).predicates]);
         // Full subsumption still allowed.
-        let full = store.plan_coverage_at(&desc(100, 200), 4, 0);
+        let full = store.plan_coverage_at(&desc(100, 200), 0);
         assert_eq!(full.samples.len(), 1);
         assert!(full.fragments.is_empty());
     }
@@ -1366,7 +1353,7 @@ mod tests {
         store.insert_raw(d, schema(), toy_sample(2, 10, 0), 0);
         // Query leaves lo_extra free: the sample covers only a slice of
         // that dimension, so it cannot contribute box coverage.
-        let plan = store.plan_coverage_at(&desc(0, 999), 4, 0);
+        let plan = store.plan_coverage_at(&desc(0, 999), 0);
         assert!(plan.samples.is_empty());
         assert_eq!(plan.fragments, vec![desc(0, 999).predicates]);
     }
@@ -1378,7 +1365,7 @@ mod tests {
         store.absorb(desc(0, 99), schema(), toy_sample(2, 10, 0), 0, &mut rng);
         let mut q = desc(0, 0);
         q.predicates = Predicates::on("lo_intkey", IntervalSet::empty());
-        assert!(store.plan_coverage_at(&q, 4, 0).samples.is_empty());
+        assert!(store.plan_coverage_at(&q, 0).samples.is_empty());
     }
 
     /// A descriptor with a distinct fingerprint (different QCS).
@@ -1460,7 +1447,7 @@ mod tests {
             let idx = store.shard_for(&d);
             let g = store.read_shard(idx);
             assert_eq!(
-                g.plan_coverage_at(&d, 1, 0).samples.len(),
+                g.plan_coverage_at(&d, 0).samples.len(),
                 1,
                 "restored sample must live on its home shard"
             );
@@ -1592,12 +1579,12 @@ mod tests {
         let mut store = SampleStore::new();
         let id = store.insert_raw(desc_live(0, 99), schema(), toy_sample(3, 20, 0), 30);
         // Fresh at its own watermark: plain full reuse, no tail.
-        let fresh = store.plan_coverage_at(&desc_live(0, 99), 4, 30);
+        let fresh = store.plan_coverage_at(&desc_live(0, 99), 30);
         assert_eq!(fresh.samples, vec![id]);
         assert!(fresh.tails.is_empty() && fresh.fragments.is_empty());
         // The table has grown: the sample is still selected, the region is
         // fully covered, but its un-absorbed tail must be Δ-scanned.
-        let stale = store.plan_coverage_at(&desc_live(0, 99), 4, 50);
+        let stale = store.plan_coverage_at(&desc_live(0, 99), 50);
         assert_eq!(stale.samples, vec![id]);
         assert!(stale.fragments.is_empty());
         assert_eq!(stale.tails.len(), 1);
@@ -1612,7 +1599,7 @@ mod tests {
         let mut rng = Lehmer64::new(24);
         assert!(store.absorb_tail(id, &toy_sample(3, 2, 30), 30, 50, &mut rng));
         assert_eq!(store.peek(id).unwrap().watermark, 50);
-        let caught_up = store.plan_coverage_at(&desc_live(0, 99), 4, 50);
+        let caught_up = store.plan_coverage_at(&desc_live(0, 99), 50);
         assert_eq!(caught_up.samples, vec![id]);
         assert!(caught_up.tails.is_empty());
         // A concurrent client replaying the same tail is rejected — the

@@ -4,8 +4,8 @@
 //! a length-framed TCP protocol ([`protocol`]), per-tenant namespaces
 //! with their own sample stores, WALs, and budgets ([`tenant`]),
 //! bounded admission with explicit load shedding ([`admission`]), the
-//! serving front-end with graceful drain ([`server`]), a blocking
-//! client ([`client`]), and a closed-loop load generator ([`loadgen`]).
+//! serving front-end with graceful drain ([`server`]), and a blocking
+//! client ([`client`]).
 //!
 //! The serving contract, end to end:
 //!
@@ -32,14 +32,12 @@
 
 pub mod admission;
 pub mod client;
-pub mod loadgen;
 pub mod protocol;
 pub mod server;
 pub mod tenant;
 
 pub use admission::{Admission, Gate, Permit};
 pub use client::Client;
-pub use loadgen::{LoadReport, LoadgenConfig};
 pub use protocol::{Answer, ErrorCode, Request, Response, TenantSnapshot};
 pub use server::{DrainReport, Server, ServerConfig};
 pub use tenant::{TenantRegistry, TenantState};

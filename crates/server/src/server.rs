@@ -43,9 +43,9 @@ use crate::protocol::{
 };
 use crate::tenant::{queue_wait_cap, TenantRegistry, TenantState};
 
-/// Serving-layer knobs. `Default` is sized for tests and the loadgen
-/// (small permit counts so overload is easy to provoke); production
-/// callers set their own.
+/// Serving-layer knobs. `Default` is sized for tests (small permit
+/// counts so overload is easy to provoke); production callers set their
+/// own.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; `127.0.0.1:0` picks a free port.

@@ -451,30 +451,6 @@ fn drain_rejects_new_work_and_recovery_keeps_acked_ingest() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn loadgen_smoke_reports_sane_numbers() {
-    let server = start(test_config());
-    let cfg = laqy_server::LoadgenConfig {
-        clients: 4,
-        tenants: 2,
-        ops_per_client: 30,
-        ..Default::default()
-    };
-    let report = laqy_server::loadgen::run(server.addr(), &cfg);
-    assert_eq!(report.ops, 120);
-    assert!(report.answers > 0, "{}", report.summary());
-    assert!(report.ingest_acks > 0, "{}", report.summary());
-    assert_eq!(report.io_errors, 0, "{}", report.summary());
-    assert_eq!(
-        report.ops,
-        report.answers + report.sheds + report.ingest_acks + report.errors,
-        "every op has exactly one outcome: {}",
-        report.summary()
-    );
-    assert!(report.p99_ms >= report.p50_ms);
-    server.shutdown();
-}
-
 /// Median round trip of `n` copies of `request` on `client`, in ms.
 fn median_rtt_ms(client: &mut Client, request: &Request, n: usize) -> f64 {
     let mut samples: Vec<f64> = (0..n)

@@ -1,4 +1,4 @@
-//! Serving-mix generator for the multi-tenant load generator.
+//! Serving-mix generator for closed-loop load against the serving layer.
 //!
 //! Models a fleet of analysts hammering the serving layer: each client
 //! replays a deterministic stream of operations — mostly Q1-shaped

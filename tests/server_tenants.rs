@@ -8,12 +8,15 @@
 //!   shed is a typed `Overloaded`, never a hang or a torn frame;
 //! - the quiet tenant rides through *untouched*: zero sheds, zero
 //!   errors, every query answered — a neighbor's overload is invisible;
-//! - a noisy-tenant ingest never changes the quiet tenant's data.
+//! - a noisy-tenant ingest never changes the quiet tenant's data;
+//! - under mixed query and ingest traffic on two tenants, every op gets
+//!   exactly one outcome: an answer, a shed, an ingest ack or an error.
 
 use std::time::Duration;
 
 use laqy_server::protocol::{Request, Response};
 use laqy_server::{Client, Server, ServerConfig};
+use laqy_workload::serving::{op_stream, MixConfig, Op};
 use laqy_workload::ssb::SsbConfig;
 
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
@@ -50,19 +53,20 @@ fn query(tenant: &str, lo: i64, hi: i64) -> Request {
 struct Outcomes {
     answers: u64,
     sheds: u64,
+    ingest_acks: u64,
     errors: u64,
     io_errors: u64,
 }
 
-fn run_client(addr: std::net::SocketAddr, tenant: &str, seed: usize) -> Outcomes {
+/// Send `requests` in a closed loop, tallying each response.
+fn drive(addr: std::net::SocketAddr, requests: impl IntoIterator<Item = Request>) -> Outcomes {
     let mut out = Outcomes::default();
     let mut client = Client::connect(addr, IO_TIMEOUT).expect("connect");
-    for i in 0..OPS_PER_CLIENT {
-        let lo = ((seed * 7 + i * 13) % 50) as i64 * 100;
-        let hi = lo + 499;
-        match client.request(&query(tenant, lo, hi)) {
+    for request in requests {
+        match client.request(&request) {
             Ok(Response::Answer(_)) => out.answers += 1,
             Ok(Response::Overloaded { .. }) => out.sheds += 1,
+            Ok(Response::IngestAck { .. }) => out.ingest_acks += 1,
             Ok(Response::Error { .. }) => out.errors += 1,
             Ok(other) => panic!("unexpected response {other:?}"),
             Err(_) => {
@@ -72,6 +76,16 @@ fn run_client(addr: std::net::SocketAddr, tenant: &str, seed: usize) -> Outcomes
         }
     }
     out
+}
+
+fn run_client(addr: std::net::SocketAddr, tenant: &str, seed: usize) -> Outcomes {
+    drive(
+        addr,
+        (0..OPS_PER_CLIENT).map(|i| {
+            let lo = ((seed * 7 + i * 13) % 50) as i64 * 100;
+            query(tenant, lo, lo + 499)
+        }),
+    )
 }
 
 #[test]
@@ -165,6 +179,98 @@ fn noisy_ingest_is_invisible_to_the_quiet_tenant() {
     };
     assert_eq!(rows("noisy"), base_rows + 128, "ingest landed in noisy");
     assert_eq!(rows("quiet"), base_rows, "quiet tenant is untouched");
+
+    server.shutdown();
+}
+
+#[test]
+fn mixed_query_and_ingest_traffic_gives_every_op_one_outcome() {
+    // Three closed-loop clients per tenant on a one-permit, one-deep
+    // gate: queries and ingests queue behind each other, and some shed.
+    const CLIENTS_PER_TENANT: usize = 3;
+    const INGEST_ROWS: usize = 64;
+    let server = start_contended();
+    let addr = server.addr();
+    let ssb = SsbConfig::tiny();
+    let base_rows = ssb.lineorder_rows();
+    let mix = MixConfig {
+        ingest_every: 5,
+        ingest_rows: INGEST_ROWS,
+        ..MixConfig::for_rows(base_rows)
+    };
+
+    let outcomes: Vec<Outcomes> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2 * CLIENTS_PER_TENANT)
+            .map(|c| {
+                let (ssb, mix) = (&ssb, &mix);
+                scope.spawn(move || {
+                    let tenant = format!("mixed-{}", c % 2);
+                    // Disjoint row ids per client keep ingested keys
+                    // unique within a tenant.
+                    let mut next_row = base_rows + c * OPS_PER_CLIENT * INGEST_ROWS;
+                    let requests = op_stream(mix, 0x10AD ^ c as u64, OPS_PER_CLIENT)
+                        .into_iter()
+                        .map(|op| match op {
+                            Op::Query { lo, hi } => query(&tenant, lo, hi),
+                            Op::Ingest { rows } => {
+                                next_row += rows;
+                                Request::Ingest {
+                                    tenant: tenant.clone(),
+                                    table: "lineorder".to_string(),
+                                    columns: laqy_workload::lineorder_batch(
+                                        ssb,
+                                        next_row - rows,
+                                        rows,
+                                    ),
+                                }
+                            }
+                        })
+                        .collect::<Vec<_>>();
+                    drive(addr, requests)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client finished"))
+            .collect()
+    });
+
+    let mut total = Outcomes::default();
+    for o in &outcomes {
+        total.answers += o.answers;
+        total.sheds += o.sheds;
+        total.ingest_acks += o.ingest_acks;
+        total.errors += o.errors;
+        total.io_errors += o.io_errors;
+    }
+    let ops = (2 * CLIENTS_PER_TENANT * OPS_PER_CLIENT) as u64;
+    assert_eq!(total.io_errors, 0, "no connection-level failures");
+    assert_eq!(
+        total.answers + total.sheds + total.ingest_acks + total.errors,
+        ops,
+        "every op has exactly one outcome"
+    );
+    assert!(total.answers > 0 && total.ingest_acks > 0);
+
+    // The server counted the same outcomes the clients saw.
+    let (mut answers, mut sheds, mut acks, mut errors) = (0, 0, 0, 0);
+    for tenant in ["mixed-0", "mixed-1"] {
+        let snap = server
+            .registry()
+            .get_or_create(tenant)
+            .expect("tenant")
+            .counters
+            .snapshot();
+        answers += snap.answers;
+        sheds += snap.shed;
+        acks += snap.ingest_acks;
+        errors += snap.errors;
+    }
+    assert_eq!(
+        (answers, sheds, acks, errors),
+        (total.answers, total.sheds, total.ingest_acks, total.errors)
+    );
 
     server.shutdown();
 }

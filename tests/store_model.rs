@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 
 use laqy::{
     plan_lazy, Interval, IntervalSet, LazyPlan, Predicates, Sample, SampleDescriptor, SampleId,
-    SampleSchema, SampleStore, ShardedStore, SlotKind,
+    SampleSchema, SampleStore, ShardedStore, SlotKind, MAX_COVERAGE_SAMPLES,
 };
 use laqy_engine::GroupKey;
 use laqy_sampling::Lehmer64;
@@ -230,7 +230,8 @@ proptest! {
 // boxes, `plan_coverage_at` must produce a plan that exactly tiles the
 // query region:
 //
-// - at most `cap` selected samples, with pairwise-disjoint populations;
+// - at most `MAX_COVERAGE_SAMPLES` selected samples, with
+//   pairwise-disjoint populations;
 // - residual fragments pairwise disjoint and disjoint from every
 //   selected sample's population;
 // - measures add up: |query| = Σ|selected ∩ query| + Σ|fragment| — the
@@ -242,7 +243,6 @@ proptest! {
     fn coverage_plans_tile_the_query_region(
         stored in prop::collection::vec((interval(), interval(), any::<bool>()), 1..10),
         queries in prop::collection::vec((interval(), interval(), any::<bool>()), 1..8),
-        cap in 1usize..6,
     ) {
         fn boxed(x: &Interval, y: &Interval, constrain_y: bool) -> Predicates {
             let p = Predicates::on("x", IntervalSet::of(*x));
@@ -272,8 +272,8 @@ proptest! {
 
         for (x, y, cy) in &queries {
             let qp = boxed(x, y, *cy);
-            let plan = store.plan_coverage_at(&descriptor2(qp.clone()), cap, 0);
-            prop_assert!(plan.samples.len() <= cap);
+            let plan = store.plan_coverage_at(&descriptor2(qp.clone()), 0);
+            prop_assert!(plan.samples.len() <= MAX_COVERAGE_SAMPLES);
 
             let selected: Vec<Predicates> = plan
                 .samples
