@@ -301,13 +301,12 @@ impl SampleDescriptor {
     /// fingerprint differ at most in predicate coverage, which is exactly
     /// the axis Algorithm 1 relaxes.
     pub fn fingerprint(&self) -> String {
-        format!(
-            "{}|qcs={}|qvs={}|k={}",
-            self.input,
-            self.qcs.join(","),
-            self.qvs.join(","),
-            self.k
-        )
+        use std::fmt::Write;
+        // A star plan's input runs to hundreds of bytes: size it once.
+        let (qcs, qvs) = (self.qcs.join(","), self.qvs.join(","));
+        let mut fp = String::with_capacity(self.input.len() + qcs.len() + qvs.len() + 32);
+        let _ = write!(fp, "{}|qcs={qcs}|qvs={qvs}|k={}", self.input, self.k);
+        fp
     }
 
     /// True if a sample with descriptor `self` has the QCS/QVS/input/k
@@ -507,6 +506,11 @@ mod tests {
         // But not the reverse.
         assert!(!d2.matches_characteristics(&d1));
         assert_ne!(d1.fingerprint(), d2.fingerprint());
+        for d in [&d1, &d2] {
+            let (qcs, qvs) = (d.qcs.join(","), d.qvs.join(","));
+            let spelled = format!("{}|qcs={qcs}|qvs={qvs}|k={}", d.input, d.k);
+            assert_eq!(d.fingerprint(), spelled, "shard routing hashes these bytes");
+        }
 
         let d3 = SampleDescriptor::new(
             "lineorder",

@@ -17,11 +17,11 @@
 //! tables they index, go through one admission function
 //! ([`crate::sampler_ops`]).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use laqy_engine::ops::{star_probe, BoundCol, PreparedScan, ResolvedCol};
 use laqy_engine::parallel::{parallel_fold, DEFAULT_MORSEL_ROWS};
-use laqy_engine::plan::PreparedJoins;
 use laqy_engine::{
     execute_exact, resolve_by_name, AggInput, AggSpec, Catalog, EngineError, GroupKey, Predicate,
     PruneCounts, QueryPlan, QueryResult, StoredColumn,
@@ -36,6 +36,7 @@ use crate::interval::{Interval, IntervalSet};
 use crate::sampler_ops::{
     materialise, retained_rows, Admission, Sample, SampleSchema, SlotKind, MAX_SAMPLE_COLS,
 };
+use crate::star::JoinMemo;
 use crate::stats::{ExecStats, ReuseClass};
 use crate::store::CoveragePlan;
 use crate::support::{SupportPolicy, SupportReport};
@@ -127,6 +128,8 @@ pub struct LaqyExecutor {
     morsel_rows: usize,
     /// The sampler's index-or-scan cut-off; tests pin either row source.
     prefer_index: fn(usize, usize) -> bool,
+    /// Star joins kept across queries: its own, or the service's.
+    pub(crate) joins: Arc<JoinMemo>,
 }
 
 impl LaqyExecutor {
@@ -140,6 +143,7 @@ impl LaqyExecutor {
             budget: CancelToken::unbounded(),
             morsel_rows: DEFAULT_MORSEL_ROWS,
             prefer_index: laqy_engine::index::prefer_index,
+            joins: Arc::new(JoinMemo::new()),
         }
     }
 
@@ -399,6 +403,8 @@ impl LaqyExecutor {
             schema,
             strata_hint,
         } = scope;
+        // Everything up to the fold decides which rows the Δ reads: scan.
+        let t_rows = Instant::now();
         let k = self.policy.effective_k(query.k);
         let payload_cols = schema.column_names();
         let fact = catalog.table(&query.plan.fact)?;
@@ -410,9 +416,9 @@ impl LaqyExecutor {
             ranges.intervals().iter().map(|iv| (iv.lo, iv.hi)).collect();
         // Compile the predicate and flatten it into batch kernels once;
         // every morsel and residual fragment reuses this (validation
-        // happens here too — the scans themselves are infallible). Marking
-        // the Δ's rows in the range index is scan time too.
-        let t_rows = Instant::now();
+        // happens here too — the scans themselves are infallible). Then
+        // the Δ's rows are marked in the range index, and the star joins'
+        // maps and join filter are prepared.
         let prepared = PreparedScan::new(fact, &full_pred)?.with_range_index(
             &query.range_column,
             &intervals,
@@ -420,8 +426,9 @@ impl LaqyExecutor {
             row_floor,
             self.prefer_index,
         )?;
-        let rows_wall = t_rows.elapsed();
-        let joins = PreparedJoins::build(catalog, &query.plan)?;
+        let star = (self.joins).star(catalog, &query.plan, self.threads, &self.budget)?;
+        let (joins, filter) = (&*star.joins, &star.filter);
+        let probes = joins.probes();
 
         // One seed is drawn and discarded before the worker seed: every
         // admission stream is cut from the seed sequence after it, so
@@ -480,13 +487,14 @@ impl LaqyExecutor {
             // selection vector is kept because reservoir insertion needs
             // row ids (the sanctioned mask→selection decode).
             acc.scanned += range.len() as u64;
-            let sel = prepared.scan_pruned(range, &mut acc.prune);
+            let mut sel = prepared.scan_pruned(range, &mut acc.prune);
             // Sampler above a star join: the probe's aligned per-table row
-            // ids replace the selection.
+            // ids replace the selection, less the rows the filter drops.
             let probed = if query.plan.joins.is_empty() {
                 None
             } else {
-                Some(star_probe(fact, &sel, &joins.probes())?)
+                filter.retain(&mut sel);
+                Some(star_probe(fact, &sel, &probes)?)
             };
             acc.scan_ns += t0.elapsed().as_nanos() as u64;
             let t1 = Instant::now();
@@ -514,6 +522,7 @@ impl LaqyExecutor {
         // the service hands consecutive executors seeds one γ apart.
         let worker_seed = AtomicU64::new(self.next_seed() ^ 0xAD31_55A7_C0DE_5EED);
         let token = &self.budget;
+        let rows_wall = t_rows.elapsed();
         let t_pipeline = Instant::now();
         let n_rows = fact.num_rows();
         let partials = parallel_fold(
@@ -605,7 +614,7 @@ impl LaqyExecutor {
         let sample = {
             let survivors = retained_rows(&rows);
             let probed = if value_cols.iter().any(|(_, dim, _)| dim.is_some()) {
-                let probed = star_probe(fact, &survivors, &joins.probes())?;
+                let probed = star_probe(fact, &survivors, &probes)?;
                 if probed.fact_rows != survivors {
                     return Err(LaqyError::Unsupported(
                         "a sampled row no longer joins its dimensions".into(),
@@ -625,6 +634,11 @@ impl LaqyExecutor {
             materialise(rows, value_cols.len(), columns)
         };
         let materialise_wall = t_materialise.elapsed();
+        // Tearing the row source down is scan time too.
+        let t_drop = Instant::now();
+        drop(probes);
+        drop((prepared, star));
+        let rows_wall = rows_wall + t_drop.elapsed();
 
         // The per-thread phase timers measure CPU time; scale them onto the
         // wall-clock pipeline time so the breakdown sums to what a user
@@ -823,12 +837,12 @@ pub(crate) fn support_from_groups(groups: &Groups, policy: &SupportPolicy) -> Su
 /// Canonical identity of the sampler input: fact, fixed predicates, and
 /// join subtree (Figure 7's "Query Input").
 pub fn input_identity(plan: &QueryPlan) -> String {
-    let mut id = format!("{}[{:?}]", plan.fact, plan.predicate);
+    use std::fmt::Write;
+    let mut id = String::with_capacity(256);
+    let _ = write!(id, "{}[{:?}]", plan.fact, plan.predicate);
     for j in &plan.joins {
-        id.push_str(&format!(
-            "⋈{}({}={})[{:?}]",
-            j.dim_table, j.fact_key, j.dim_key, j.predicate
-        ));
+        let (dim, fk, pk) = (&j.dim_table, &j.fact_key, &j.dim_key);
+        let _ = write!(id, "⋈{dim}({fk}={pk})[{:?}]", j.predicate);
     }
     id
 }
@@ -872,6 +886,7 @@ pub fn range_predicate(column: &str, ranges: &IntervalSet) -> Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use laqy_engine::plan::PreparedJoins;
     use laqy_engine::{AggSpec, ColRef, Column, Table};
 
     fn mini_catalog() -> Catalog {

@@ -116,6 +116,7 @@ pub mod persist;
 pub mod sampler_ops;
 pub mod service;
 pub mod sql;
+mod star;
 pub mod stats;
 pub mod store;
 pub mod support;

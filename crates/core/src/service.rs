@@ -85,6 +85,7 @@ use crate::executor::{
 use crate::interval::IntervalSet;
 use crate::lazy::{plan_lazy, LazyPlan, ReuseMode};
 use crate::sampler_ops::{Sample, SampleSchema};
+use crate::star::JoinMemo;
 use crate::stats::{Counters, ExecStats, ReuseClass, ServiceStats};
 use crate::store::{CoveragePlan, SampleId, SampleStore, ShardedStore, STORE_SHARDS};
 use crate::support::{SupportPolicy, SupportReport};
@@ -141,6 +142,9 @@ struct ServiceInner {
     /// point: every ingest holds this mutex across log-append, catalog
     /// publish, and sample absorption, so batches apply in WAL order.
     wal: Mutex<Option<WalAppender>>,
+    /// Star joins and their join filters, per join shape; every query's
+    /// executor shares it, and `clear_samples` leaves it alone.
+    joins: Arc<JoinMemo>,
 }
 
 /// A shared, thread-safe LAQy query service.
@@ -282,6 +286,7 @@ impl LaqyService {
                 seed: AtomicU64::new(config.seed),
                 sampling_hold_nanos: AtomicU64::new(0),
                 wal: Mutex::named(classes::WAL, None),
+                joins: Arc::new(JoinMemo::new()),
             }),
         }
     }
@@ -732,7 +737,9 @@ impl LaqyService {
             .inner
             .seed
             .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-        LaqyExecutor::new(self.inner.threads, self.inner.policy, seed)
+        let mut executor = LaqyExecutor::new(self.inner.threads, self.inner.policy, seed);
+        executor.joins = Arc::clone(&self.inner.joins);
+        executor
     }
 
     fn hold_for_test(&self) {

@@ -56,6 +56,13 @@ pub enum EngineError {
         /// Rows the rejected batch would add.
         added: usize,
     },
+    /// Two qualifying rows of a join's dimension carry one key.
+    DuplicateKey {
+        /// Dimension table.
+        table: String,
+        /// The repeated key.
+        key: i64,
+    },
     /// Plan shape is invalid (e.g. group-by with no keys and no aggregates).
     InvalidPlan(String),
 }
@@ -93,6 +100,7 @@ impl fmt::Display for EngineError {
                 f,
                 "table `{table}` holds {rows} rows; {added} more would pass the u32 row-id limit"
             ),
+            EngineError::DuplicateKey { table, key } => write!(f, "key {key} repeats in `{table}`"),
             EngineError::InvalidPlan(msg) => write!(f, "invalid plan: {msg}"),
         }
     }

@@ -1,10 +1,11 @@
 //! Hash joins for star-schema plans.
 //!
 //! Dimension tables build compact key → row maps (optionally pre-filtered
-//! by a dimension predicate); the fact side probes all maps per tuple and
-//! keeps only fully-matching rows. The paper's Q2 places the sampler above
-//! this operator, so the join's random-access cost is what a reduced Δ
-//! input saves (Figures 12b/14b).
+//! by a dimension predicate); the fact side probes all maps per tuple,
+//! most selective first, and keeps only fully-matching rows; a
+//! [`JoinFilter`] remembers which fact rows join. The paper's Q2 places
+//! the sampler above this operator, so the join's random-access cost is
+//! what a reduced Δ input saves (Figures 12b/14b).
 
 use crate::column::ResolvedCol;
 use crate::error::{EngineError, Result};
@@ -18,34 +19,32 @@ use crate::table::Table;
 /// matched dimension rows in a fixed array of this length.
 pub const MAX_JOINS: usize = 8;
 
-/// A build-side hash map from join key to dimension row id. SSB dimension
-/// keys are unique, so a single row per key suffices; duplicate keys keep
-/// the last row (construction asserts uniqueness in debug builds).
+/// A build-side hash map from join key to dimension row id. Dimension
+/// keys are unique: construction fails on a repeated key.
 #[derive(Debug, Clone)]
 pub struct JoinMap {
     map: FxHashMap<i64, u32>,
+    /// Rows of the dimension the map was built from.
+    dim_rows: usize,
 }
 
 impl JoinMap {
-    /// Number of build-side entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no build rows qualified.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Probe one key.
     #[inline]
     pub fn get(&self, key: i64) -> Option<u32> {
         self.map.get(&key).copied()
     }
+
+    /// Share of the dimension's rows the map kept: the share of fact rows
+    /// a probe is expected to let through.
+    pub fn pass_share(&self) -> f64 {
+        self.map.len() as f64 / self.dim_rows.max(1) as f64
+    }
 }
 
 /// Build a join map over the dimension rows matching `predicate`, found
-/// by the same pruned walk every fact scan takes.
+/// by the same pruned walk every fact scan takes. Two qualifying rows
+/// with one key are an error: a fact row would join both.
 pub fn build_join_map(dim: &Table, key_column: &str, predicate: &Predicate) -> Result<JoinMap> {
     let rows = PreparedScan::new(dim, predicate)?
         .scan_pruned(0..dim.num_rows(), &mut PruneCounts::default());
@@ -56,10 +55,17 @@ pub fn build_join_map(dim: &Table, key_column: &str, predicate: &Predicate) -> R
     map.reserve(rows.len());
     for r in rows {
         let k = key.i64(r as usize);
-        let prev = map.insert(k, r);
-        debug_assert!(prev.is_none(), "duplicate dimension key {k}");
+        if map.insert(k, r).is_some() {
+            return Err(EngineError::DuplicateKey {
+                table: dim.name().to_string(),
+                key: k,
+            });
+        }
     }
-    Ok(JoinMap { map })
+    Ok(JoinMap {
+        map,
+        dim_rows: dim.num_rows(),
+    })
 }
 
 /// Output of a star-schema probe: aligned row-id vectors for the fact table
@@ -73,25 +79,29 @@ pub struct StarJoinOutput {
     pub dim_rows: Vec<Vec<u32>>,
 }
 
-impl StarJoinOutput {
-    /// Number of joined output rows.
-    pub fn len(&self) -> usize {
-        self.fact_rows.len()
-    }
-
-    /// True if nothing joined.
-    pub fn is_empty(&self) -> bool {
-        self.fact_rows.is_empty()
-    }
-}
-
 /// Probe a selection of fact rows against a set of `(map, fact key column)`
-/// pairs. Rows must match every map to survive. More than [`MAX_JOINS`]
+/// pairs. Rows must match every map to survive. Maps are tried in
+/// ascending [`JoinMap::pass_share`], so most rows fail at their first
+/// probe; the output is the same in any order. More than [`MAX_JOINS`]
 /// probes is an error.
 pub fn star_probe(
     fact: &Table,
     selection: &[u32],
     probes: &[(&JoinMap, &str)],
+) -> Result<StarJoinOutput> {
+    let share = |i: usize| probes[i].0.pass_share();
+    let mut order: Vec<usize> = (0..probes.len()).collect();
+    order.sort_by(|&a, &b| share(a).total_cmp(&share(b)));
+    star_probe_in(fact, selection, probes, &order)
+}
+
+/// [`star_probe`], trying the maps in `order` (a permutation of the probe
+/// indices). `dim_rows` stays aligned with `probes`, whatever the order.
+pub fn star_probe_in(
+    fact: &Table,
+    selection: &[u32],
+    probes: &[(&JoinMap, &str)],
+    order: &[usize],
 ) -> Result<StarJoinOutput> {
     if probes.len() > MAX_JOINS {
         return Err(too_many_joins(probes.len()));
@@ -106,8 +116,8 @@ pub fn star_probe(
     let mut dim_rows: Vec<Vec<u32>> = vec![Vec::new(); probes.len()];
     'rows: for &r in selection {
         let mut matched = [0u32; MAX_JOINS];
-        for (i, (map, _)) in probes.iter().enumerate() {
-            match map.get(key_cols[i].i64(r as usize)) {
+        for &i in order {
+            match probes[i].0.get(key_cols[i].i64(r as usize)) {
                 Some(d) => matched[i] = d,
                 None => continue 'rows,
             }
@@ -121,6 +131,38 @@ pub fn star_probe(
         fact_rows,
         dim_rows,
     })
+}
+
+/// One bit per row of a fact-table prefix `0..rows`, set when the row
+/// joins every map of a star: exact while the dimensions stay the same.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct JoinFilter {
+    bits: Vec<u64>,
+    rows: usize,
+}
+
+impl JoinFilter {
+    /// Fact rows the filter covers: `0..rows`.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Cover `0..rows`, setting the bits of `joined` (rows past the old
+    /// prefix that join).
+    pub fn extend(&mut self, rows: usize, joined: impl IntoIterator<Item = u32>) {
+        self.rows = self.rows.max(rows);
+        self.bits.resize(self.rows.div_ceil(64), 0);
+        for r in joined {
+            self.bits[r as usize / 64] |= 1 << (r % 64);
+        }
+    }
+
+    /// Drop the selected rows known to join nothing; rows past the prefix
+    /// stay for the probe to decide.
+    pub fn retain(&self, selection: &mut Vec<u32>) {
+        let (bits, rows) = (&self.bits, self.rows);
+        selection.retain(|&r| r as usize >= rows || bits[r as usize / 64] >> (r % 64) & 1 == 1);
+    }
 }
 
 /// The error for a plan joining `n` > [`MAX_JOINS`] dimensions.
@@ -160,7 +202,7 @@ mod tests {
     #[test]
     fn build_map_full() {
         let m = build_join_map(&dim(), "key", &Predicate::True).unwrap();
-        assert_eq!(m.len(), 4);
+        assert_eq!(m.pass_share(), 1.0);
         assert_eq!(m.get(20), Some(1));
         assert_eq!(m.get(99), None);
     }
@@ -168,7 +210,7 @@ mod tests {
     #[test]
     fn build_map_with_dimension_predicate() {
         let m = build_join_map(&dim(), "key", &Predicate::eq_str("region", "A")).unwrap();
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.pass_share(), 0.5);
         assert!(m.get(10).is_some());
         assert!(m.get(20).is_none());
     }
@@ -227,11 +269,36 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_dimension_key_is_an_error() {
+        let d = Table::new("d", vec![("key".into(), Column::Int64(vec![1, 2, 1]))]).unwrap();
+        let err = build_join_map(&d, "key", &Predicate::True).unwrap_err();
+        assert!(
+            matches!(err, EngineError::DuplicateKey { key: 1, .. }),
+            "{err}"
+        );
+        // A repeat the dimension predicate filters out is no repeat.
+        let keep = Predicate::between("key", 2, 2);
+        assert_eq!(
+            build_join_map(&d, "key", &keep).unwrap().pass_share(),
+            1.0 / 3.0
+        );
+    }
+
+    #[test]
+    fn a_filter_keeps_joining_rows_and_rows_past_its_prefix() {
+        let mut filter = JoinFilter::default();
+        filter.extend(70, [3, 65]);
+        let mut sel: Vec<u32> = vec![0, 3, 64, 65, 69, 70, 200];
+        filter.retain(&mut sel);
+        assert_eq!(sel, vec![3, 65, 70, 200]);
+    }
+
+    #[test]
     fn probe_empty_selection() {
         let d = dim();
         let f = fact();
         let m = build_join_map(&d, "key", &Predicate::True).unwrap();
         let out = star_probe(&f, &[], &[(&m, "fk")]).unwrap();
-        assert!(out.is_empty());
+        assert!(out.fact_rows.is_empty());
     }
 }

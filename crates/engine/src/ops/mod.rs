@@ -12,5 +12,7 @@ pub use aggregate::{
     Inputs,
 };
 pub use filter::{PreparedScan, ScanEvent};
-pub use join::{build_join_map, star_probe, JoinMap, StarJoinOutput, MAX_JOINS};
+pub use join::{
+    build_join_map, star_probe, star_probe_in, JoinFilter, JoinMap, StarJoinOutput, MAX_JOINS,
+};
 pub use project::{gather, materialize, materialize_view};

@@ -23,7 +23,7 @@ use crate::table::{Catalog, Table};
 use crate::types::Value;
 
 /// One dimension join in a star plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinSpec {
     /// Dimension table name.
     pub dim_table: String,
@@ -268,7 +268,7 @@ pub fn execute_exact(
                 let sel = scan.scan_pruned(range, counts);
                 let joined = star_probe(fact, &sel, &joins.probes()).and_then(|out| {
                     let (keys, inputs) = bind(catalog, plan, &joins, &agg_inputs, Some(&out))?;
-                    Ok(group_by(&keys, &inputs, out.len(), &factory))
+                    Ok(group_by(&keys, &inputs, out.fact_rows.len(), &factory))
                 });
                 match joined {
                     Ok(partial) => acc.merge(partial),

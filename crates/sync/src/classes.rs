@@ -21,6 +21,7 @@
 //! laqy.server.tenants  →  laqy.server.gate
 //!   →  laqy.wal  →  laqy.catalog  →  laqy.store.shard0..7 (ascending)
 //!                →  laqy.inflight.registry0..7  →  laqy.inflight.done
+//! laqy.join.memo   (a leaf: taken with no other lock held, none under it)
 //! ```
 //!
 //! The serving-layer classes sit strictly outside the engine's: the
@@ -70,6 +71,10 @@ pub const INFLIGHT_DONE: &str = "laqy.inflight.done";
 /// Condvar paired with [`INFLIGHT_DONE`]; waiters block here until the
 /// owning client finishes its scan.
 pub const INFLIGHT_CV: &str = "laqy.inflight.cv";
+
+/// The service's join memo (join shape → maps and join filter). A leaf:
+/// held only to look up or swap an `Arc`, never across a build.
+pub const JOIN_MEMO: &str = "laqy.join.memo";
 
 /// Family prefix of the per-shard store locks (`laqy.store.shard0`…).
 pub const STORE_SHARD_PREFIX: &str = "laqy.store.shard";
@@ -169,6 +174,11 @@ pub const ALL: &[LockClassDef] = &[
         family: false,
         doc: "condvar paired with laqy.inflight.done",
     },
+    LockClassDef {
+        name: JOIN_MEMO,
+        family: false,
+        doc: "join shape -> star maps and join filter; a leaf held only to look up or swap an Arc",
+    },
 ];
 
 /// Resolve a concrete lock name (e.g. `laqy.store.shard3`) to its class
@@ -197,6 +207,7 @@ mod tests {
             SERVER_TENANTS
         );
         assert_eq!(class_of("laqy.server.gate").unwrap().name, SERVER_GATE);
+        assert_eq!(class_of("laqy.join.memo").unwrap().name, JOIN_MEMO);
         assert_eq!(
             class_of("laqy.server.gate.cv").unwrap().name,
             SERVER_GATE_CV
