@@ -33,7 +33,8 @@
 //!   path (epoch-pinned appends with incremental sample absorption);
 //! - [`persist`] / [`wal`] — crash-safe store snapshots and the ingest
 //!   write-ahead log; together they recover base rows and stored samples
-//!   to one consistent `(snapshot generation, WAL position)` point;
+//!   to one consistent `(snapshot generation, WAL position)` point, read
+//!   and written through [`codec`], the byte codec wire frames share;
 //! - [`mod@estimate`] / [`support`] — Horvitz–Thompson estimation with CLT
 //!   error bounds, tightening, and sample-support policies.
 //!
@@ -107,6 +108,7 @@
 #![warn(missing_docs)]
 
 pub mod budget;
+pub mod codec;
 pub mod descriptor;
 pub mod estimate;
 pub mod executor;
@@ -136,7 +138,7 @@ pub use persist::{
 };
 pub use sampler_ops::{Sample, SampleRows, SampleSchema, SampleTuple, SlotKind, MAX_SAMPLE_COLS};
 pub use service::{LaqyService, SessionConfig};
-pub use sql::{approx_query, approx_query_on};
+pub use sql::approx_query;
 pub use stats::{ExecStats, ReuseClass, ServiceStats};
 pub use store::{
     AbsorbReport, CoveragePlan, SampleId, SampleStore, ShardWriteGuard, ShardedStore, StoredSample,

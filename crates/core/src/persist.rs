@@ -9,15 +9,20 @@
 //! reservoirs with their weights, so a restored store classifies and
 //! merges exactly as the original would.
 //!
-//! Format (little-endian, versioned):
+//! Format (little-endian, versioned; written with [`BufMut`], read
+//! through [`crate::codec::Reader`], strings as the codec's `u32 length |
+//! UTF-8`):
 //!
 //! ```text
 //! magic "LAQY" | u32 version | u32 sample count
-//! per sample:
-//!   descriptor: input, qcs[], qvs[], k, predicates{col -> [lo, hi]*}
-//!   schema: (name, kind)*
-//!   sampler: u32 capacity | u32 strata
-//!     per stratum: key parts | u64 weight | items (schema-width i64 slots)
+//! per sample (≥ 48 B):
+//!   descriptor: str input | u32 n | n × str qcs | u32 n | n × str qvs
+//!               | u64 k | u32 n | n × (str col | u32 m | m × (i64 lo, i64 hi))
+//!   schema:     u32 n | n × (str name | u8 kind)
+//!   u64 row watermark
+//!   sampler:    u64 capacity | u32 strata
+//!     per stratum (≥ 13 B): u8 key parts | parts × i64 | u64 weight
+//!                           | u32 items | items × width × i64
 //! ```
 //!
 //! # Durability
@@ -39,9 +44,9 @@
 use std::io::{Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut};
 use laqy_engine::GroupKey;
 
+use crate::codec::{put_str, BufMut, Reader};
 use crate::descriptor::{Predicates, SampleDescriptor};
 use crate::interval::{Interval, IntervalSet};
 use crate::sampler_ops::{row_width, Sample, SampleSchema, SlotKind, MAX_SAMPLE_COLS};
@@ -85,6 +90,9 @@ pub enum PersistError {
     Version(u32),
     /// Underlying I/O failure.
     Io(std::io::Error),
+    /// A record over its format's cap, refused before a byte was written
+    /// (its reader would refuse it).
+    TooLarge(String),
 }
 
 impl std::fmt::Display for PersistError {
@@ -93,6 +101,7 @@ impl std::fmt::Display for PersistError {
             PersistError::Corrupt(m) => write!(f, "corrupt snapshot: {m}"),
             PersistError::Version(v) => write!(f, "unsupported snapshot version {v}"),
             PersistError::Io(e) => write!(f, "io error: {e}"),
+            PersistError::TooLarge(m) => f.write_str(m),
         }
     }
 }
@@ -125,41 +134,26 @@ pub fn save_store(store: &SampleStore) -> Vec<u8> {
 /// a service's byte budget applies once
 /// [`ShardedStore::replace_from`](crate::store::ShardedStore::replace_from)
 /// routes the samples into its shards.
-pub fn load_store(mut data: &[u8]) -> Result<SampleStore, PersistError> {
-    let buf = &mut data;
-    let mut magic = [0u8; 4];
-    read_exact(buf, &mut magic)?;
-    if &magic != MAGIC {
+pub fn load_store(data: &[u8]) -> Result<SampleStore, PersistError> {
+    let mut r = Reader::new(data);
+    if r.take(MAGIC.len()).ok() != Some(&MAGIC[..]) {
         return Err(PersistError::Corrupt("bad magic".into()));
     }
-    let version = read_u32(buf)?;
+    let version = r.u32()?;
     if version != VERSION {
         return Err(PersistError::Version(version));
     }
-    let count = read_u32(buf)? as usize;
-    // Validate the sample count against the bytes actually present
-    // before any per-sample allocation: a corrupt length prefix must be
-    // a `PersistError`, not an attempted multi-GB reservation.
-    if count > buf.remaining() / MIN_SAMPLE_WIRE_BYTES {
-        return Err(PersistError::Corrupt(format!(
-            "sample count {count} exceeds snapshot size"
-        )));
-    }
+    let count = r.len(MIN_SAMPLE_WIRE_BYTES)?;
     let mut store = SampleStore::new();
     let mut arena_budget = MAX_RESTORED_ARENA_BYTES;
     for _ in 0..count {
-        let descriptor = read_descriptor(buf)?;
-        let schema = read_schema(buf)?;
-        let watermark = read_u64(buf)?;
-        let sampler = read_sampler(buf, schema.len(), descriptor.k, &mut arena_budget)?;
+        let descriptor = read_descriptor(&mut r)?;
+        let schema = read_schema(&mut r)?;
+        let watermark = r.u64()?;
+        let sampler = read_sampler(&mut r, schema.len(), descriptor.k, &mut arena_budget)?;
         store.insert_raw(descriptor, schema, sampler, watermark);
     }
-    if buf.has_remaining() {
-        return Err(PersistError::Corrupt(format!(
-            "{} trailing bytes",
-            buf.remaining()
-        )));
-    }
+    r.done()?;
     Ok(store)
 }
 
@@ -193,8 +187,15 @@ pub fn load_from_file(path: impl AsRef<Path>) -> Result<SampleStore, PersistErro
 /// Write `bytes` to `path` via tmp-file + fsync + rename + dir-fsync.
 /// Each stage hits a `laqy_faults` point first; an injected fault at
 /// `persist.write_all` additionally tears the tmp file (half the bytes
-/// land) to mimic a mid-write crash.
+/// land) to mimic a mid-write crash. A snapshot over
+/// [`MAX_SNAPSHOT_BYTES`], which [`load_from_file`] would refuse, is
+/// refused before anything is written.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+    let (len, cap) = (bytes.len(), MAX_SNAPSHOT_BYTES);
+    if len as u64 > cap {
+        let msg = format!("snapshot of {len} bytes exceeds the {cap}-byte cap");
+        return Err(PersistError::TooLarge(msg));
+    }
     let dir = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => std::path::PathBuf::from("."),
@@ -338,26 +339,17 @@ pub fn recover_snapshot(
 
 // ---- writers ----
 
-pub(crate) fn write_str(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
 fn write_descriptor(buf: &mut Vec<u8>, d: &SampleDescriptor) {
-    write_str(buf, &d.input);
-    buf.put_u32_le(d.qcs.len() as u32);
-    for c in &d.qcs {
-        write_str(buf, c);
-    }
-    buf.put_u32_le(d.qvs.len() as u32);
-    for c in &d.qvs {
-        write_str(buf, c);
+    put_str(buf, &d.input);
+    for names in [&d.qcs, &d.qvs] {
+        buf.put_u32_le(names.len() as u32);
+        names.iter().for_each(|c| put_str(buf, c));
     }
     buf.put_u64_le(d.k as u64);
     let cols: Vec<&str> = d.predicates.columns().collect();
     buf.put_u32_le(cols.len() as u32);
     for col in cols {
-        write_str(buf, col);
+        put_str(buf, col);
         let set = d.predicates.get(col).expect("listed column");
         buf.put_u32_le(set.intervals().len() as u32);
         for iv in set.intervals() {
@@ -371,7 +363,7 @@ fn write_schema(buf: &mut Vec<u8>, schema: &SampleSchema) {
     let names = schema.column_names();
     buf.put_u32_le(names.len() as u32);
     for (i, name) in names.iter().enumerate() {
-        write_str(buf, name);
+        put_str(buf, name);
         buf.put_u8(match schema.kind(i) {
             SlotKind::Int => 0,
             SlotKind::Float => 1,
@@ -404,78 +396,23 @@ fn write_sampler(buf: &mut Vec<u8>, sampler: &Sample) {
 
 // ---- readers ----
 
-pub(crate) fn read_exact(buf: &mut &[u8], out: &mut [u8]) -> Result<(), PersistError> {
-    if buf.remaining() < out.len() {
-        return Err(PersistError::Corrupt("unexpected end of snapshot".into()));
-    }
-    buf.copy_to_slice(out);
-    Ok(())
-}
-
-pub(crate) fn read_u8(buf: &mut &[u8]) -> Result<u8, PersistError> {
-    if !buf.has_remaining() {
-        return Err(PersistError::Corrupt("unexpected end of snapshot".into()));
-    }
-    Ok(buf.get_u8())
-}
-
-pub(crate) fn read_u32(buf: &mut &[u8]) -> Result<u32, PersistError> {
-    if buf.remaining() < 4 {
-        return Err(PersistError::Corrupt("unexpected end of snapshot".into()));
-    }
-    Ok(buf.get_u32_le())
-}
-
-pub(crate) fn read_u64(buf: &mut &[u8]) -> Result<u64, PersistError> {
-    if buf.remaining() < 8 {
-        return Err(PersistError::Corrupt("unexpected end of snapshot".into()));
-    }
-    Ok(buf.get_u64_le())
-}
-
-pub(crate) fn read_i64(buf: &mut &[u8]) -> Result<i64, PersistError> {
-    if buf.remaining() < 8 {
-        return Err(PersistError::Corrupt("unexpected end of snapshot".into()));
-    }
-    Ok(buf.get_i64_le())
-}
-
-pub(crate) fn read_str(buf: &mut &[u8]) -> Result<String, PersistError> {
-    let len = read_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(PersistError::Corrupt("truncated string".into()));
-    }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|e| PersistError::Corrupt(format!("bad utf8: {e}")))
-}
-
-fn read_descriptor(buf: &mut &[u8]) -> Result<SampleDescriptor, PersistError> {
-    let input = read_str(buf)?;
-    let qcs_n = read_u32(buf)? as usize;
-    let qcs = (0..qcs_n)
-        .map(|_| read_str(buf))
-        .collect::<Result<Vec<_>, _>>()?;
-    let qvs_n = read_u32(buf)? as usize;
-    let qvs = (0..qvs_n)
-        .map(|_| read_str(buf))
-        .collect::<Result<Vec<_>, _>>()?;
-    let k = read_u64(buf)? as usize;
-    let pred_cols = read_u32(buf)? as usize;
+fn read_descriptor(r: &mut Reader<'_>) -> Result<SampleDescriptor, PersistError> {
+    let input = r.str()?;
+    let mut strs = || {
+        (0..r.len(4)?)
+            .map(|_| r.str())
+            .collect::<Result<Vec<_>, _>>()
+    };
+    let (qcs, qvs) = (strs()?, strs()?);
+    let k = r.u64()? as usize;
+    let pred_cols = r.len(4)?;
     let mut predicates = Predicates::none();
     for _ in 0..pred_cols {
-        let col = read_str(buf)?;
-        let ivs = read_u32(buf)? as usize;
-        // 16 bytes per interval on the wire: bound the allocation.
-        if ivs > buf.remaining() / 16 {
-            return Err(PersistError::Corrupt(format!(
-                "interval count {ivs} exceeds snapshot size"
-            )));
-        }
+        let col = r.str()?;
+        let ivs = r.len(16)?;
         let mut intervals = Vec::with_capacity(ivs);
         for _ in 0..ivs {
-            let lo = read_i64(buf)?;
-            let hi = read_i64(buf)?;
+            let (lo, hi) = (r.i64()?, r.i64()?);
             if lo > hi {
                 return Err(PersistError::Corrupt(format!(
                     "interval bounds out of order: [{lo}, {hi}]"
@@ -488,8 +425,8 @@ fn read_descriptor(buf: &mut &[u8]) -> Result<SampleDescriptor, PersistError> {
     Ok(SampleDescriptor::new(input, qcs, qvs, predicates, k))
 }
 
-fn read_schema(buf: &mut &[u8]) -> Result<SampleSchema, PersistError> {
-    let n = read_u32(buf)? as usize;
+fn read_schema(r: &mut Reader<'_>) -> Result<SampleSchema, PersistError> {
+    let n = r.u32()? as usize;
     if n > MAX_SAMPLE_COLS {
         return Err(PersistError::Corrupt(format!(
             "schema width {n} exceeds maximum {MAX_SAMPLE_COLS}"
@@ -497,13 +434,11 @@ fn read_schema(buf: &mut &[u8]) -> Result<SampleSchema, PersistError> {
     }
     let mut cols = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = read_str(buf)?;
-        let kind = match read_u8(buf)? {
+        let name = r.str()?;
+        let kind = match r.u8()? {
             0 => SlotKind::Int,
             1 => SlotKind::Float,
-            other => {
-                return Err(PersistError::Corrupt(format!("bad slot kind {other}")));
-            }
+            other => return Err(PersistError::Corrupt(format!("bad slot kind {other}"))),
         };
         cols.push((name, kind));
     }
@@ -511,12 +446,12 @@ fn read_schema(buf: &mut &[u8]) -> Result<SampleSchema, PersistError> {
 }
 
 fn read_sampler(
-    buf: &mut &[u8],
+    r: &mut Reader<'_>,
     width: usize,
     expected_k: usize,
     arena_budget: &mut u64,
 ) -> Result<Sample, PersistError> {
-    let capacity = read_u64(buf)? as usize;
+    let capacity = r.u64()? as usize;
     if capacity == 0 {
         return Err(PersistError::Corrupt("zero reservoir capacity".into()));
     }
@@ -529,15 +464,8 @@ fn read_sampler(
         // Every payload carries at least the range column.
         return Err(PersistError::Corrupt("zero-width sample schema".into()));
     }
-    let strata = read_u32(buf)? as usize;
-    // Every stratum needs at least key-len(1) + weight(8) + count(4)
-    // bytes; bound the pre-allocation so corrupt counts cannot trigger
-    // giant allocations.
-    if strata > buf.remaining() / 13 {
-        return Err(PersistError::Corrupt(format!(
-            "stratum count {strata} exceeds snapshot size"
-        )));
-    }
+    // Every stratum needs at least key-len(1) + weight(8) + count(4) bytes.
+    let strata = r.len(13)?;
     // What one restored row occupies: the row width the schema rounds up
     // to, not the `width` slots it carries on the wire.
     let row_bytes = (row_width(width) * std::mem::size_of::<i64>()) as u64;
@@ -552,17 +480,17 @@ fn read_sampler(
     let mut sampler = Sample::with_strata_hint(width, capacity, strata);
     let mut vals = Vec::new();
     for _ in 0..strata {
-        let key_len = read_u8(buf)? as usize;
+        let key_len = r.u8()? as usize;
         if key_len > laqy_engine::MAX_KEY_COLS {
             return Err(PersistError::Corrupt(format!("key width {key_len}")));
         }
         let mut parts = [0i64; laqy_engine::MAX_KEY_COLS];
         for p in parts.iter_mut().take(key_len) {
-            *p = read_i64(buf)?;
+            *p = r.i64()?;
         }
         let key = GroupKey::new(&parts[..key_len]);
-        let weight = read_u64(buf)?;
-        let count = read_u32(buf)? as usize;
+        let weight = r.u64()?;
+        let count = r.len(width * 8)?;
         if count > capacity {
             return Err(PersistError::Corrupt(format!(
                 "stratum holds {count} items over capacity {capacity}"
@@ -573,11 +501,6 @@ fn read_sampler(
                 "stratum weight below item count".into(),
             ));
         }
-        if count > buf.remaining() / (width * 8) {
-            return Err(PersistError::Corrupt(format!(
-                "stratum item count {count} exceeds snapshot size"
-            )));
-        }
         // `count ≤ capacity`, whose bytes fit the budget's `u64`.
         match arena_budget.checked_sub(count as u64 * row_bytes) {
             Some(left) => *arena_budget = left,
@@ -587,10 +510,9 @@ fn read_sampler(
                 )));
             }
         }
+        let items = r.take(count * width * 8)?.chunks_exact(8);
         vals.clear();
-        for _ in 0..count * width {
-            vals.push(read_i64(buf)?);
-        }
+        vals.extend(items.map(|b| i64::from_le_bytes(b.try_into().expect("8 bytes"))));
         sampler.insert_rows(key, &vals, weight);
     }
     Ok(sampler)
@@ -849,6 +771,17 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_over_the_cap_is_refused_before_a_byte_is_written() {
+        let dir = scratch_dir("write_cap");
+        let path = dir.join("store.snap.1");
+        // Zeroed pages: untouched, so the over-cap buffer costs no memory.
+        let bytes = vec![0u8; MAX_SNAPSHOT_BYTES as usize + 1];
+        let err = write_atomic(&path, &bytes).expect_err("over the cap");
+        assert!(matches!(err, PersistError::TooLarge(_)), "{err}");
+        assert!(!dir.exists(), "nothing was created");
+    }
+
+    #[test]
     fn oversized_snapshot_file_rejected_before_read() {
         let dir = scratch_dir("big");
         std::fs::create_dir_all(&dir).unwrap();
@@ -916,28 +849,29 @@ mod tests {
         // budget could not hold even once is refused.
         let (bytes, sampler_at) = forge(4);
         let mut budget = 150u64;
-        let restored = read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut budget).unwrap();
+        let restored =
+            read_sampler(&mut Reader::new(&bytes[sampler_at..]), 2, 4, &mut budget).unwrap();
         assert_eq!(budget, 150 - 48);
         assert_eq!(restored.total_items(), 3);
         assert_eq!(restored.row_width(), 2);
-        assert!(read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut budget).is_ok());
+        assert!(read_sampler(&mut Reader::new(&bytes[sampler_at..]), 2, 4, &mut budget).is_ok());
         assert_eq!(budget, 150 - 2 * 48);
         assert!(matches!(
-            read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut budget),
+            read_sampler(&mut Reader::new(&bytes[sampler_at..]), 2, 4, &mut budget),
             Err(PersistError::Corrupt(_))
         ));
         // ... and so is a sample whose strata together hold more than is
         // left, though each alone would fit.
         let (bytes, sampler_at) = forge_strata(4, 3);
         assert!(matches!(
-            read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut 100),
+            read_sampler(&mut Reader::new(&bytes[sampler_at..]), 2, 4, &mut 100),
             Err(PersistError::Corrupt(_))
         ));
-        assert!(read_sampler(&mut &bytes[sampler_at..], 2, 4, &mut 144).is_ok());
+        assert!(read_sampler(&mut Reader::new(&bytes[sampler_at..]), 2, 4, &mut 144).is_ok());
         // No writer produces a zero-width schema; a snapshot claiming one
         // is corrupt, not a sample of empty rows.
         assert!(matches!(
-            read_sampler(&mut &bytes[sampler_at..], 0, 4, &mut (1 << 20)),
+            read_sampler(&mut Reader::new(&bytes[sampler_at..]), 0, 4, &mut (1 << 20)),
             Err(PersistError::Corrupt(_))
         ));
     }

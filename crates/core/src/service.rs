@@ -428,7 +428,8 @@ impl LaqyService {
     ///    log write fails, the batch is not published and the WAL is
     ///    disabled until [`LaqyService::enable_wal`] re-opens (and
     ///    truncates) it, so a torn segment tail can never be appended
-    ///    past;
+    ///    past; a batch whose record is over the WAL's record cap is
+    ///    refused before a byte is written, and the WAL stays enabled;
     /// 3. the new version is published in the catalog (appends never
     ///    mutate the version concurrent readers pinned);
     /// 4. stored samples absorb the appended rows via incremental
@@ -450,10 +451,17 @@ impl LaqyService {
                 columns: batch,
             });
             if let Err(e) = append {
-                *wal = None;
-                return Err(LaqyError::Unsupported(format!(
-                    "wal append failed (wal disabled): {e}"
-                )));
+                // A record over the cap never reached the log: the WAL stays on.
+                if !matches!(e, crate::persist::PersistError::TooLarge(_)) {
+                    *wal = None;
+                }
+                let wal_state = if wal.is_some() {
+                    "unchanged"
+                } else {
+                    "disabled"
+                };
+                let msg = format!("wal append failed (wal {wal_state}): {e}");
+                return Err(LaqyError::Unsupported(msg));
             }
             self.inner
                 .counters
@@ -1859,6 +1867,30 @@ mod tests {
         recovered.ingest("t", batch(2500, 100)).unwrap();
         assert_eq!(recovered.catalog().table("t").unwrap().num_rows(), 2600);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_ingest_over_the_wal_record_cap_is_refused_and_later_acks_survive() {
+        let dir = std::env::temp_dir().join(format!("laqy_svc_wal_cap_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (wal_dir, snap_dir) = (dir.join("wal"), dir.join("snap"));
+        let service = LaqyService::new(catalog(100));
+        service.enable_wal(&wal_dir).unwrap();
+        // Four `Int64` columns: 32 B a row in the record, one row too many.
+        let rows = crate::wal::MAX_WAL_RECORD_BYTES as i64 / 32 + 1;
+        let err = service.ingest("t", batch(100, rows)).unwrap_err();
+        assert!(err.to_string().contains("-byte cap"), "{err}");
+        assert_eq!(service.catalog().table("t").unwrap().row_watermark(), 100);
+        assert_eq!(service.stats().wal_appends, 0);
+        // Nothing reached the log, so the WAL is still on: the next batch
+        // is logged, and a recovery replays it.
+        assert_eq!(service.ingest("t", batch(100, 50)).unwrap(), 150);
+        assert_eq!(service.stats().wal_appends, 1);
+        let recovered = LaqyService::new(catalog(100));
+        let report = recovered.recover_with_wal(&snap_dir, &wal_dir).unwrap();
+        assert_eq!((report.wal_records, report.wal_torn_tail), (1, false));
+        assert_eq!(recovered.catalog().table("t").unwrap().num_rows(), 150);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,26 +18,6 @@ use crate::interval::Interval;
 /// the statement must contain exactly one `BETWEEN` conjunct on a fact
 /// column, which becomes the query's range.
 pub fn approx_query(catalog: &Catalog, sql: &str, k: usize) -> Result<ApproxQuery, LaqyError> {
-    build(catalog, sql, None, k)
-}
-
-/// Build an [`ApproxQuery`] from SQL, treating the `BETWEEN` on the named
-/// column as the explored range (for statements with several ranges).
-pub fn approx_query_on(
-    catalog: &Catalog,
-    sql: &str,
-    range_column: &str,
-    k: usize,
-) -> Result<ApproxQuery, LaqyError> {
-    build(catalog, sql, Some(range_column), k)
-}
-
-fn build(
-    catalog: &Catalog,
-    sql: &str,
-    range_column: Option<&str>,
-    k: usize,
-) -> Result<ApproxQuery, LaqyError> {
     let mut query_plan = plan(catalog, sql).map_err(sql_err)?;
 
     // Flatten the fact predicate into conjuncts and pull out the range.
@@ -49,28 +29,24 @@ fn build(
     let mut rest: Vec<Predicate> = Vec::new();
     for c in conjuncts {
         match &c {
-            Predicate::Between { column, lo, hi }
-                if range.is_none() && range_column.map(|r| r == column).unwrap_or(true) =>
-            {
+            Predicate::Between { column, lo, hi } if range.is_none() => {
                 range = Some((column.clone(), Interval::new(*lo, *hi)));
             }
-            Predicate::Between { column, .. }
-                if range_column.is_none() && range.as_ref().map(|(c, _)| c) != Some(column) =>
-            {
-                // A second BETWEEN with auto-detection: ambiguous.
+            Predicate::Between { column, .. } if range.as_ref().map(|(c, _)| c) != Some(column) => {
+                // A BETWEEN on a second column: which range is explored is
+                // ambiguous.
                 return Err(LaqyError::Unsupported(format!(
-                    "multiple BETWEEN predicates; name the explored range column \
-                     explicitly (candidates include `{column}`)"
+                    "multiple BETWEEN predicates; exactly one column's range can be \
+                     explored (candidates include `{column}`)"
                 )));
             }
             _ => rest.push(c),
         }
     }
     let Some((column, interval)) = range else {
-        return Err(LaqyError::Unsupported(match range_column {
-            Some(r) => format!("no BETWEEN predicate on `{r}` found"),
-            None => "no BETWEEN range predicate found to approximate over".to_string(),
-        }));
+        return Err(LaqyError::Unsupported(
+            "no BETWEEN range predicate found to approximate over".to_string(),
+        ));
     };
     query_plan.predicate = rest.into_iter().fold(Predicate::True, |acc, p| acc.and(p));
 
@@ -134,10 +110,9 @@ mod tests {
     #[test]
     fn keeps_other_conjuncts_as_fixed_predicate() {
         let cat = catalog();
-        let q = approx_query_on(
+        let q = approx_query(
             &cat,
             "SELECT g, SUM(v) FROM t WHERE key BETWEEN 0 AND 9 AND q = 2 GROUP BY g",
-            "key",
             32,
         )
         .unwrap();
@@ -152,31 +127,18 @@ mod tests {
     }
 
     #[test]
-    fn two_betweens_need_explicit_column() {
+    fn betweens_on_two_columns_are_refused() {
         let cat = catalog();
         let sql =
             "SELECT g, SUM(v) FROM t WHERE key BETWEEN 0 AND 9 AND q BETWEEN 1 AND 3 GROUP BY g";
         assert!(approx_query(&cat, sql, 8).is_err());
-        let q = approx_query_on(&cat, sql, "key", 8).unwrap();
-        assert_eq!(q.range_column, "key");
-        // The other BETWEEN stays in the fixed predicate.
-        assert_eq!(q.plan.predicate, Predicate::between("q", 1, 3));
-        // The explored column can also be the other one.
-        let q = approx_query_on(&cat, sql, "q", 8).unwrap();
-        assert_eq!(q.range, Interval::new(1, 3));
     }
 
     #[test]
     fn missing_range_is_an_error() {
         let cat = catalog();
         assert!(approx_query(&cat, "SELECT g, SUM(v) FROM t GROUP BY g", 8).is_err());
-        assert!(approx_query_on(
-            &cat,
-            "SELECT g, SUM(v) FROM t WHERE q = 1 GROUP BY g",
-            "key",
-            8
-        )
-        .is_err());
+        assert!(approx_query(&cat, "SELECT g, SUM(v) FROM t WHERE q = 1 GROUP BY g", 8).is_err());
     }
 
     #[test]

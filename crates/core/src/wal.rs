@@ -10,14 +10,19 @@
 //! `(snapshot generation, WAL position)` names the consistent point the
 //! process restarts from.
 //!
-//! Record framing (little-endian):
+//! Record framing (little-endian, written with [`BufMut`] and read
+//! through [`Reader`]; `str` and `batch` are [`crate::codec`]'s):
 //!
 //! ```text
-//! u32 payload length | u64 CRC-64 of payload | payload
+//! u32 payload length (≤ MAX_WAL_RECORD_BYTES) | u64 CRC-64 of payload | payload
 //! payload: u8 tag
-//!   tag 1 Batch:      table | u64 base_rows | columns (typed vectors)
-//!   tag 2 Checkpoint: u64 snapshot generation | {table -> u64 watermark}
+//!   tag 3 Batch:      str table | u64 base_rows | batch
+//!   tag 2 Checkpoint: u64 snapshot generation | u32 n | n × (str table, u64 watermark)
 //! ```
+//!
+//! Tag 1, a batch in an older column layout, fails replay with a typed
+//! `bad record tag 1` error rather than being misparsed. The appender
+//! refuses a record replay would read as torn (over the length cap).
 //!
 //! The `base_rows` field makes replay idempotent and gap-detecting: a
 //! batch applies only when the live table is exactly that long, so
@@ -34,12 +39,11 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
 use laqy_engine::Column;
 
-use crate::persist::{read_exact, read_str, read_u32, read_u64, read_u8, write_str, PersistError};
+use crate::codec::{put_batch, put_str, BufMut, Reader};
+use crate::persist::PersistError;
 
 /// File-name prefix for log segments in a WAL directory: `wal.seg.<N>`.
 pub const WAL_SEGMENT_PREFIX: &str = "wal.seg.";
@@ -48,9 +52,14 @@ pub const WAL_SEGMENT_PREFIX: &str = "wal.seg.";
 /// bytes opens the next segment first.
 pub const MAX_WAL_SEGMENT_BYTES: u64 = 16 * 1024 * 1024;
 
-/// Hard cap on one record's payload; a corrupt length prefix must fail
-/// validation, not drive a giant allocation.
+/// Hard cap on one record's payload, on both ends: replay reads a longer
+/// length prefix as a torn tail (a corrupt prefix must not drive a giant
+/// allocation), so the appender refuses to write one.
 pub const MAX_WAL_RECORD_BYTES: u32 = 64 * 1024 * 1024;
+
+/// Payload tags of [`WalRecord::Batch`] and [`WalRecord::Checkpoint`].
+const BATCH_TAG: u8 = 3;
+const CHECKPOINT_TAG: u8 = 2;
 
 /// Bytes of framing per record (`u32` length + `u64` CRC).
 const FRAME_HEADER_BYTES: usize = 12;
@@ -137,121 +146,6 @@ fn crc64(bytes: &[u8]) -> u64 {
 
 // ---- encoding ----
 
-fn encode_column(buf: &mut Vec<u8>, col: &Column) {
-    match col {
-        Column::Int32(v) => {
-            buf.put_u8(0);
-            buf.put_u32_le(v.len() as u32);
-            for &x in v {
-                // The bytes shim has no put_i32_le; the cast is lossless
-                // over the wire (decode reads back via from_le_bytes).
-                buf.put_u32_le(x as u32);
-            }
-        }
-        Column::Int64(v) => {
-            buf.put_u8(1);
-            buf.put_u32_le(v.len() as u32);
-            for &x in v {
-                buf.put_i64_le(x);
-            }
-        }
-        Column::Float64(v) => {
-            buf.put_u8(2);
-            buf.put_u32_le(v.len() as u32);
-            for &x in v {
-                buf.put_u64_le(x.to_bits());
-            }
-        }
-        Column::Dict { codes, dict } => {
-            buf.put_u8(3);
-            buf.put_u32_le(codes.len() as u32);
-            for &c in codes {
-                buf.put_u32_le(c);
-            }
-            buf.put_u32_le(dict.len() as u32);
-            for s in dict.iter() {
-                write_str(buf, s);
-            }
-        }
-    }
-}
-
-fn decode_column(buf: &mut &[u8]) -> Result<Column, PersistError> {
-    let tag = read_u8(buf)?;
-    let n = read_u32(buf)? as usize;
-    let width = match tag {
-        0 => 4,
-        1 | 2 => 8,
-        3 => 4,
-        other => {
-            return Err(PersistError::Corrupt(format!("bad column tag {other}")));
-        }
-    };
-    if n > buf.remaining() / width {
-        return Err(PersistError::Corrupt(format!(
-            "column length {n} exceeds record size"
-        )));
-    }
-    Ok(match tag {
-        0 => {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut b = [0u8; 4];
-                read_exact(buf, &mut b)?;
-                v.push(i32::from_le_bytes(b));
-            }
-            Column::Int32(v)
-        }
-        1 => {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut b = [0u8; 8];
-                read_exact(buf, &mut b)?;
-                v.push(i64::from_le_bytes(b));
-            }
-            Column::Int64(v)
-        }
-        2 => {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut b = [0u8; 8];
-                read_exact(buf, &mut b)?;
-                v.push(f64::from_bits(u64::from_le_bytes(b)));
-            }
-            Column::Float64(v)
-        }
-        _ => {
-            let mut codes = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut b = [0u8; 4];
-                read_exact(buf, &mut b)?;
-                codes.push(u32::from_le_bytes(b));
-            }
-            let dict_len = read_u32(buf)? as usize;
-            if dict_len > buf.remaining() / 4 {
-                return Err(PersistError::Corrupt(format!(
-                    "dictionary length {dict_len} exceeds record size"
-                )));
-            }
-            let mut dict = Vec::with_capacity(dict_len);
-            for _ in 0..dict_len {
-                dict.push(read_str(buf)?);
-            }
-            for &c in &codes {
-                if c as usize >= dict.len() {
-                    return Err(PersistError::Corrupt(format!(
-                        "dictionary code {c} out of range"
-                    )));
-                }
-            }
-            Column::Dict {
-                codes,
-                dict: Arc::new(dict),
-            }
-        }
-    })
-}
-
 /// Serialize one record's payload (framing added by the appender).
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
     let mut buf = Vec::with_capacity(256);
@@ -261,24 +155,20 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
             base_rows,
             columns,
         } => {
-            buf.put_u8(1);
-            write_str(&mut buf, table);
+            buf.put_u8(BATCH_TAG);
+            put_str(&mut buf, table);
             buf.put_u64_le(*base_rows);
-            buf.put_u32_le(columns.len() as u32);
-            for (name, col) in columns {
-                write_str(&mut buf, name);
-                encode_column(&mut buf, col);
-            }
+            put_batch(&mut buf, columns);
         }
         WalRecord::Checkpoint {
             generation,
             watermarks,
         } => {
-            buf.put_u8(2);
+            buf.put_u8(CHECKPOINT_TAG);
             buf.put_u64_le(*generation);
             buf.put_u32_le(watermarks.len() as u32);
             for (table, w) in watermarks {
-                write_str(&mut buf, table);
+                put_str(&mut buf, table);
                 buf.put_u64_le(*w);
             }
         }
@@ -288,48 +178,42 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
 
 /// Decode one record's payload. The frame CRC has already vouched for
 /// the bytes, so any failure here is real corruption, not a torn tail.
-pub fn decode_record(mut payload: &[u8]) -> Result<WalRecord, PersistError> {
-    let buf = &mut payload;
-    let record = match read_u8(buf)? {
-        1 => {
-            let table = read_str(buf)?;
-            let base_rows = read_u64(buf)?;
-            let n = read_u32(buf)? as usize;
-            let mut columns = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                let name = read_str(buf)?;
-                columns.push((name, decode_column(buf)?));
-            }
-            WalRecord::Batch {
-                table,
-                base_rows,
-                columns,
-            }
-        }
-        2 => {
-            let generation = read_u64(buf)?;
-            let n = read_u32(buf)? as usize;
-            let mut watermarks = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                let table = read_str(buf)?;
-                watermarks.push((table, read_u64(buf)?));
-            }
+pub fn decode_record(payload: &[u8]) -> Result<WalRecord, PersistError> {
+    let mut r = Reader::new(payload);
+    let record = match r.u8()? {
+        BATCH_TAG => WalRecord::Batch {
+            table: r.str()?,
+            base_rows: r.u64()?,
+            columns: r.batch()?,
+        },
+        CHECKPOINT_TAG => {
+            let generation = r.u64()?;
+            // A table name's length plus its watermark.
+            let n = r.len(4 + 8)?;
+            let watermarks = (0..n)
+                .map(|_| Ok((r.str()?, r.u64()?)))
+                .collect::<Result<_, PersistError>>()?;
             WalRecord::Checkpoint {
                 generation,
                 watermarks,
             }
         }
-        other => {
-            return Err(PersistError::Corrupt(format!("bad record tag {other}")));
-        }
+        other => return Err(PersistError::Corrupt(format!("bad record tag {other}"))),
     };
-    if buf.has_remaining() {
-        return Err(PersistError::Corrupt(format!(
-            "{} trailing bytes in record",
-            buf.remaining()
-        )));
-    }
+    r.done()?;
     Ok(record)
+}
+
+/// The payload of the next intact frame in `r`: `None` when the length
+/// prefix, the payload or its CRC is torn.
+fn next_frame<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
+    let len = r.u32().ok()?;
+    let crc = r.u64().ok()?;
+    if len > MAX_WAL_RECORD_BYTES {
+        return None;
+    }
+    let payload = r.take(len as usize).ok()?;
+    (crc64(payload) == crc).then_some(payload)
 }
 
 fn segment_path(dir: &Path, segment: u64) -> PathBuf {
@@ -411,8 +295,15 @@ impl WalAppender {
     /// live one past [`MAX_WAL_SEGMENT_BYTES`]. On an injected
     /// `wal.append.write` fault, half the frame reaches the file — a torn
     /// tail — before the error returns.
+    /// A payload over [`MAX_WAL_RECORD_BYTES`] is [`PersistError::TooLarge`]
+    /// before a byte is written: replay would read it as a torn tail.
     pub fn append(&mut self, record: &WalRecord) -> Result<WalPosition, PersistError> {
         let payload = encode_record(record);
+        if payload.len() > MAX_WAL_RECORD_BYTES as usize {
+            let (bytes, cap) = (payload.len(), MAX_WAL_RECORD_BYTES);
+            let msg = format!("record of {bytes} bytes exceeds the {cap}-byte cap");
+            return Err(PersistError::TooLarge(msg));
+        }
         let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
         frame.put_u32_le(payload.len() as u32);
         frame.put_u64_le(crc64(&payload));
@@ -456,37 +347,23 @@ pub fn replay(dir: impl AsRef<Path>) -> Result<(Vec<WalRecord>, WalReplayReport)
     if !dir.exists() {
         return Ok((records, report));
     }
-    let segments = list_segments(dir)?;
-    for &seg in &segments {
+    // An empty log ends at the start of its first segment.
+    report.end = WalPosition {
+        segment: 1,
+        offset: 0,
+    };
+    for seg in list_segments(dir)? {
         laqy_faults::io_point("wal.replay.read")?;
         let bytes = std::fs::read(segment_path(dir, seg))?;
-        let mut buf: &[u8] = &bytes;
+        let mut r = Reader::new(&bytes);
         let mut intact = 0u64;
-        loop {
-            if !buf.has_remaining() {
-                break;
-            }
-            if buf.remaining() < FRAME_HEADER_BYTES {
+        while r.remaining() > 0 {
+            let Some(payload) = next_frame(&mut r) else {
                 report.torn_tail = true;
                 break;
-            }
-            // Peek the frame without consuming, so a torn tail leaves
-            // `intact` pointing at the last full record boundary.
-            let mut peek = buf;
-            let len = read_u32(&mut peek)? as usize;
-            if len > MAX_WAL_RECORD_BYTES as usize || peek.remaining() < len + 8 {
-                report.torn_tail = true;
-                break;
-            }
-            let crc = read_u64(&mut peek)?;
-            let payload = &peek[..len];
-            if crc64(payload) != crc {
-                report.torn_tail = true;
-                break;
-            }
+            };
             records.push(decode_record(payload)?);
-            buf.advance(FRAME_HEADER_BYTES + len);
-            intact += FRAME_HEADER_BYTES as u64 + len as u64;
+            intact = (bytes.len() - r.remaining()) as u64;
             report.records += 1;
         }
         report.end = WalPosition {
@@ -500,18 +377,13 @@ pub fn replay(dir: impl AsRef<Path>) -> Result<(Vec<WalRecord>, WalReplayReport)
             break;
         }
     }
-    if segments.is_empty() {
-        report.end = WalPosition {
-            segment: 1,
-            offset: 0,
-        };
-    }
     Ok((records, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("laqy_wal_{tag}_{}", std::process::id()));
@@ -734,6 +606,48 @@ mod tests {
         let (records, report) = replay(&dir).unwrap();
         assert!(records.is_empty());
         assert_eq!(report, WalReplayReport::default());
+    }
+
+    /// A batch record as the previous layout wrote it: tag 1, and an
+    /// `Int64` column as tag 1 with its values.
+    fn old_layout_batch() -> Vec<u8> {
+        let mut payload = vec![1];
+        put_str(&mut payload, "lineorder");
+        payload.put_u64_le(0);
+        payload.put_u32_le(1);
+        put_str(&mut payload, "k");
+        payload.put_u8(1);
+        payload.put_u32_le(2);
+        payload.put_i64_le(7);
+        payload.put_i64_le(8);
+        payload
+    }
+
+    #[test]
+    fn a_batch_in_the_old_layout_is_a_typed_error_not_a_misparse() {
+        let payload = old_layout_batch();
+        let err = decode_record(&payload).expect_err("old tag");
+        assert_eq!(err.to_string(), "corrupt snapshot: bad record tag 1");
+        // Framed with an intact CRC, it fails replay rather than reading
+        // as a torn tail that would silently end the log there.
+        let dir = scratch_dir("old_layout");
+        let mut wal = WalAppender::open(&dir).unwrap();
+        wal.append(&batch(0, 4)).unwrap();
+        drop(wal);
+        let mut frame = Vec::new();
+        frame.put_u32_le(payload.len() as u32);
+        frame.put_u64_le(crc64(&payload));
+        frame.extend_from_slice(&payload);
+        let path = segment_path(&dir, 1);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&frame);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = replay(&dir).expect_err("old record in the log");
+        assert!(
+            matches!(&err, PersistError::Corrupt(m) if m == "bad record tag 1"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,7 +3,6 @@
 pub mod aggregate;
 pub mod filter;
 pub mod join;
-pub mod project;
 pub mod reference;
 
 pub use crate::column::ResolvedCol;
@@ -15,4 +14,3 @@ pub use filter::{PreparedScan, ScanEvent};
 pub use join::{
     build_join_map, star_probe, star_probe_in, JoinFilter, JoinMap, StarJoinOutput, MAX_JOINS,
 };
-pub use project::{gather, materialize, materialize_view};

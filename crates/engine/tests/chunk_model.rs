@@ -13,7 +13,7 @@
 //! and unaligned base, pruned scans, exact group-by sums (bitwise), star
 //! probes, gathers, and the zone maps of every column.
 
-use laqy_engine::ops::{build_join_map, gather, materialize, star_probe, PreparedScan};
+use laqy_engine::ops::{build_join_map, star_probe, PreparedScan};
 use laqy_engine::{
     dict_column, execute_exact, AggInput, AggKind, AggSpec, BatchKernel, Catalog, ColRef, Column,
     Predicate, PruneCounts, QueryPlan, Table, CHUNK_ROWS, MASK_WORDS, STORED_CHUNK_ROWS,
@@ -306,7 +306,7 @@ proptest! {
             prop_assert_eq!(gsyn.column(name).is_some(), zoned, "{} zone presence", name);
         }
 
-        // Star probe and gather/materialize over a selection.
+        // Star probe, and gathers of picked rows and of the joined rows.
         let selection = PreparedScan::new(&grown, &preds[0]).unwrap().scan_pruned(0..n, &mut PruneCounts::default());
         let dim = Table::new(
             "d",
@@ -323,21 +323,16 @@ proptest! {
         );
         prop_assert_eq!(&gp.fact_rows, &fp.fact_rows);
         prop_assert_eq!(&gp.dim_rows, &fp.dim_rows);
-        let picks: Vec<u32> = probe_rows.iter().map(|&r| r as u32).collect();
         for (name, g) in grown.columns() {
             prop_assert_eq!(
-                format!("{:?}", gather(g, &picks)),
-                format!("{:?}", gather(flat.column(name).unwrap(), &picks))
+                format!("{:?}", g.take(probe_rows.iter().copied())),
+                format!("{:?}", flat.column(name).unwrap().take(probe_rows.iter().copied()))
             );
             prop_assert_eq!(format!("{:?}", g.take(0..n)), format!("{:?}", flat.column(name).unwrap().take(0..n)));
         }
-        let (gm, fm) = (
-            materialize("m", &grown, &["f", "tag"], &gp.fact_rows).unwrap(),
-            materialize("m", &flat, &["f", "tag"], &fp.fact_rows).unwrap(),
-        );
-        prop_assert_eq!(gm.num_rows(), fm.num_rows());
-        for (name, g) in gm.columns() {
-            prop_assert_eq!(format!("{:?}", g.take(0..gm.num_rows())), format!("{:?}", fm.column(name).unwrap().take(0..fm.num_rows())));
+        for name in ["f", "tag"] {
+            let joined = |t: &Table, rows: &[u32]| t.column(name).unwrap().take(rows.iter().map(|&r| r as usize));
+            prop_assert_eq!(format!("{:?}", joined(&grown, &gp.fact_rows)), format!("{:?}", joined(&flat, &fp.fact_rows)));
         }
 
         // Exact group-by: f64 sums in row order, compared bitwise, and the

@@ -31,7 +31,7 @@ pub mod rng;
 pub mod stratified;
 pub mod stratified_merge;
 
-pub use merge::{merge_reservoirs, merge_reservoirs_k, merge_reservoirs_with_capacity};
+pub use merge::{merge_reservoirs, merge_reservoirs_with_capacity};
 pub use reservoir::Reservoir;
 pub use rng::{Lehmer64, MinStd, SplitMix64};
 pub use stratified::{StratifiedSampler, StratumKey};

@@ -200,45 +200,6 @@ pub fn merge_reservoirs_with_capacity<T: Clone>(
     merge_to_reservoir(&sources, capacity, rng)
 }
 
-/// Merge `k` reservoirs into one with the given output capacity — the
-/// generalized (k-way) Algorithm 2.
-///
-/// §5.1's merge argument is associative: folding [`merge_reservoirs`] over
-/// a list of pairwise-disjoint inputs yields a valid sample of the union,
-/// but a fold re-draws the already-merged prefix at every step. This draws
-/// the per-source composition once (see the module docs). For two inputs
-/// it is the pairwise merge exactly.
-///
-/// Panics if `inputs` is empty.
-///
-/// ```
-/// use laqy_sampling::{merge_reservoirs_k, Lehmer64, Reservoir};
-///
-/// let mut rng = Lehmer64::new(7);
-/// let parts: Vec<Reservoir<u64>> = (0..3)
-///     .map(|s| {
-///         let mut r = Reservoir::new(8);
-///         let mut rng = Lehmer64::new(s);
-///         for i in (s * 100)..(s * 100 + 100) {
-///             r.offer(i, &mut rng);
-///         }
-///         r
-///     })
-///     .collect();
-/// let merged = merge_reservoirs_k(parts, 8, &mut rng);
-/// assert_eq!(merged.weight(), 300);
-/// assert_eq!(merged.len(), 8);
-/// ```
-pub fn merge_reservoirs_k<T: Clone>(
-    inputs: Vec<Reservoir<T>>,
-    capacity: usize,
-    rng: &mut Lehmer64,
-) -> Reservoir<T> {
-    assert!(!inputs.is_empty(), "merge of zero reservoirs");
-    let sources: Vec<Source<'_, T>> = inputs.iter().map(Source::of).collect();
-    merge_to_reservoir(&sources, capacity, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,135 +356,6 @@ mod tests {
             assert!(
                 dev < 0.15,
                 "merged inclusion {c} deviates {dev:.3} from full-resample expectation {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn k_way_matches_pairwise_for_two_inputs() {
-        // The generalized draw must reproduce the pairwise proportional
-        // merge exactly (same RNG consumption, same items) so k-way and
-        // pairwise paths are interchangeable.
-        let a = full_reservoir(12, 0..4000, 21);
-        let b = full_reservoir(12, 4000..7000, 22);
-        let mut rng1 = Lehmer64::new(23);
-        let pairwise = merge_reservoirs(Some(&a), Some(&b), &mut rng1);
-        let mut rng2 = Lehmer64::new(23);
-        let kway = merge_reservoirs_k(vec![a, b], 12, &mut rng2);
-        assert_eq!(pairwise, kway);
-    }
-
-    #[test]
-    fn k_way_weight_is_sum_and_len_is_capped() {
-        let mut rng = Lehmer64::new(30);
-        let parts = vec![
-            full_reservoir(10, 0..500, 31),
-            full_reservoir(10, 500..900, 32),
-            full_reservoir(10, 900..2000, 33),
-            full_reservoir(10, 2000..2004, 34), // population: 4 items
-        ];
-        let m = merge_reservoirs_k(parts, 10, &mut rng);
-        assert_eq!(m.weight(), 2004);
-        assert_eq!(m.len(), 10);
-    }
-
-    #[test]
-    fn k_way_single_input_is_identity() {
-        let mut rng = Lehmer64::new(35);
-        let a = full_reservoir(8, 0..100, 36);
-        let m = merge_reservoirs_k(vec![a.clone()], 8, &mut rng);
-        assert_eq!(m, a);
-    }
-
-    #[test]
-    fn k_way_all_populations_concatenate() {
-        let mut rng = Lehmer64::new(37);
-        let parts = vec![
-            full_reservoir(10, 0..3, 38),
-            full_reservoir(10, 3..5, 39),
-            full_reservoir(10, 5..9, 40),
-        ];
-        let m = merge_reservoirs_k(parts, 10, &mut rng);
-        assert_eq!(m.weight(), 9);
-        let mut items = m.into_items();
-        items.sort_unstable();
-        assert_eq!(items, (0..9).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "zero reservoirs")]
-    fn k_way_empty_input_panics() {
-        let mut rng = Lehmer64::new(41);
-        let _: Reservoir<i64> = merge_reservoirs_k(vec![], 4, &mut rng);
-    }
-
-    #[test]
-    fn k_way_proportional_representation_tracks_weights() {
-        // Three sources with weights 6000 / 3000 / 1000: merged composition
-        // should track 60% / 30% / 10%.
-        let trials = 1500;
-        let mut from = [0usize; 3];
-        let mut total = 0usize;
-        for t in 0..trials {
-            let parts = vec![
-                full_reservoir(20, 0..6000, 300 + t),
-                full_reservoir(20, 6000..9000, 9000 + t),
-                full_reservoir(20, 9000..10_000, 18_000 + t),
-            ];
-            let mut rng = Lehmer64::new(27_000 + t);
-            let m = merge_reservoirs_k(parts, 20, &mut rng);
-            for &x in m.items() {
-                let src = if x < 6000 {
-                    0
-                } else if x < 9000 {
-                    1
-                } else {
-                    2
-                };
-                from[src] += 1;
-            }
-            total += m.len();
-        }
-        for (src, expect) in [(0usize, 0.6f64), (1, 0.3), (2, 0.1)] {
-            let frac = from[src] as f64 / total as f64;
-            assert!(
-                (frac - expect).abs() < 0.03,
-                "source {src} fraction {frac} should track weight share {expect}"
-            );
-        }
-    }
-
-    #[test]
-    fn k_way_merge_equals_full_resample_statistically() {
-        // §5.1 associativity: a 3-way merge over disjoint inputs matches
-        // the analytic inclusion probability k/n of one reservoir over the
-        // union.
-        let k = 10;
-        let n = 500; // 0..200, 200..450, 450..500
-        let trials = 6000;
-        let tracked = [0i64, 250, 499];
-        let mut incl = [0usize; 3];
-        for t in 0..trials {
-            let parts = vec![
-                full_reservoir(k, 0..200, 4 * t + 1),
-                full_reservoir(k, 200..450, 4 * t + 2),
-                full_reservoir(k, 450..500, 4 * t + 3),
-            ];
-            let mut rng = Lehmer64::new(4 * t + 4);
-            let m = merge_reservoirs_k(parts, k, &mut rng);
-            for (ci, &val) in tracked.iter().enumerate() {
-                if m.items().contains(&val) {
-                    incl[ci] += 1;
-                }
-            }
-        }
-        let expected = trials as f64 * k as f64 / n as f64; // 120
-        for (ci, &c) in incl.iter().enumerate() {
-            let dev = (c as f64 - expected).abs() / expected;
-            assert!(
-                dev < 0.15,
-                "element {} inclusion {c} deviates {dev:.3} from {expected}",
-                tracked[ci]
             );
         }
     }

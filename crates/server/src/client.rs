@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use crate::protocol::{
     begin_frame, configure_stream, read_frame, write_frame, FrameRead, Request, Response,
+    HEADER_BYTES, MAX_FRAME_BYTES,
 };
 
 /// A blocking protocol client. Not `Sync`; give each thread its own.
@@ -39,28 +40,37 @@ impl Client {
         })
     }
 
-    /// Send one request and read its response. Fails closed: after any
-    /// `Err` the stream may sit mid-frame, where the next read would
-    /// parse payload bytes as a length prefix, so the connection is
-    /// dropped and every later call returns `NotConnected` until the
-    /// caller reconnects.
+    /// Send one request and read its response. A payload over
+    /// [`MAX_FRAME_BYTES`] is `InvalidInput` before a byte is written, and
+    /// the connection is kept. Otherwise fails closed: after any `Err` the
+    /// stream may sit mid-frame, where the next read would parse payload
+    /// bytes as a length prefix, so the connection is dropped and every
+    /// later call returns `NotConnected` until the caller reconnects.
     pub fn request(&mut self, request: &Request) -> std::io::Result<Response> {
-        let result = self.exchange(request);
+        begin_frame(&mut self.outbox);
+        request.encode_into(&mut self.outbox);
+        let bytes = self.outbox.len() - HEADER_BYTES;
+        if bytes > MAX_FRAME_BYTES {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("request of {bytes} bytes exceeds the {MAX_FRAME_BYTES}-byte frame cap"),
+            ));
+        }
+        let result = self.exchange();
         if result.is_err() {
             self.stream = None;
         }
         result
     }
 
-    fn exchange(&mut self, request: &Request) -> std::io::Result<Response> {
+    /// Write the frame in `outbox` and read the response to it.
+    fn exchange(&mut self) -> std::io::Result<Response> {
         let stream = self.stream.as_mut().ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::NotConnected,
                 "connection dropped after an I/O error; reconnect",
             )
         })?;
-        begin_frame(&mut self.outbox);
-        request.encode_into(&mut self.outbox);
         write_frame(stream, &mut self.outbox)?;
         // An `Idle` here means the read timeout elapsed with no reply
         // started: for a client that just asked a question, that is a
@@ -93,6 +103,36 @@ mod tests {
             .expect("connect");
         let stream = client.stream.as_ref().expect("connected");
         assert!(stream.nodelay().expect("nodelay"));
+    }
+
+    #[test]
+    fn an_over_cap_request_is_refused_before_a_byte_and_keeps_the_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        // A peer that reads one ping frame and answers it with a pong.
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut request = [0u8; 5];
+            stream.read_exact(&mut request).expect("first frame");
+            stream.write_all(&[1, 0, 0, 0, 0x81]).expect("pong");
+            request
+        });
+        let mut client = Client::connect(addr, Duration::from_secs(2)).expect("connect");
+        // Eight bytes a row, one row more than a frame holds.
+        let rows = MAX_FRAME_BYTES / 8 + 1;
+        let over = Request::Ingest {
+            tenant: "t".into(),
+            table: "t".into(),
+            columns: vec![("k".into(), laqy_engine::Column::Int64(vec![0; rows]))],
+        };
+        let err = client.request(&over).expect_err("over the cap");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("-byte frame cap"), "{err}");
+        assert_eq!(
+            client.request(&Request::Ping).expect("pong"),
+            Response::Pong
+        );
+        assert_eq!(peer.join().expect("peer"), [1, 0, 0, 0, 0x01]);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! through [`laqy::approx_query`], so the protocol stays stable while
 //! the plan representation evolves. Ingest batches carry
 //! [`Column`]-typed vectors, mirroring
-//! [`LaqyService::ingest`](laqy::LaqyService::ingest).
+//! [`LaqyService::ingest`](laqy::LaqyService::ingest), in the one column
+//! layout of [`laqy::codec`], the byte codec every payload here is read
+//! through. This module holds only what is wire-only: values, answer
+//! groups, frames, requests and responses.
 //!
 //! A frame is built once, in its connection's reused write buffer, and
 //! handed to the socket in a single write; every socket runs with
@@ -23,17 +26,20 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
 
+use laqy::codec::{put_batch, put_str, BufMut, CodecError, Reader};
 use laqy_engine::{Column, StoredColumn, Value, MAX_KEY_COLS};
 use laqy_faults::points;
 
 pub use crate::tenant::TenantSnapshot;
 
-/// Hard cap on one frame's payload, requests and responses alike. Large
-/// enough for any realistic ingest batch at bench scale, small enough
-/// that a garbage length prefix cannot exhaust memory.
+/// Hard cap on one frame's payload, requests and responses alike, on
+/// both ends: the reader refuses a longer length prefix, so the server
+/// answers an over-cap response with a typed error and the client refuses
+/// to send an over-cap request. Large enough for any realistic ingest
+/// batch at bench scale, small enough that a garbage length prefix cannot
+/// exhaust memory.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// Typed decode failure: the peer sent bytes that are not a protocol
@@ -49,6 +55,12 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError(e.0)
+    }
+}
 
 /// One client request.
 ///
@@ -273,11 +285,7 @@ pub struct AnswerAgg {
 // ---------------------------------------------------------------------------
 
 /// Bytes of length prefix ahead of every payload.
-const HEADER_BYTES: usize = 4;
-
-/// Least encoded size of one ingest column entry: the name's length, the
-/// column tag and the row count.
-const MIN_COLUMN_ENTRY_BYTES: usize = 4 + 1 + 4;
+pub(crate) const HEADER_BYTES: usize = 4;
 
 /// Least encoded size of one answer group: its key and value counts.
 const MIN_GROUP_BYTES: usize = 4 + 4;
@@ -439,77 +447,19 @@ pub(crate) fn write_frame(stream: &mut impl Write, frame: &mut [u8]) -> std::io:
 // Payload encoding
 // ---------------------------------------------------------------------------
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_column(buf: &mut Vec<u8>, col: &Column) {
-    match col {
-        Column::Int32(v) => {
-            buf.push(1);
-            put_u32(buf, v.len() as u32);
-            for x in v {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        Column::Int64(v) => {
-            buf.push(2);
-            put_u32(buf, v.len() as u32);
-            for x in v {
-                put_i64(buf, *x);
-            }
-        }
-        Column::Float64(v) => {
-            buf.push(3);
-            put_u32(buf, v.len() as u32);
-            for x in v {
-                put_f64(buf, *x);
-            }
-        }
-        Column::Dict { codes, dict } => {
-            buf.push(4);
-            put_u32(buf, dict.len() as u32);
-            for s in dict.iter() {
-                put_str(buf, s);
-            }
-            put_u32(buf, codes.len() as u32);
-            for c in codes {
-                put_u32(buf, *c);
-            }
-        }
-    }
-}
-
 fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => buf.push(0),
+        Value::Null => buf.put_u8(0),
         Value::Int(x) => {
-            buf.push(1);
-            put_i64(buf, *x);
+            buf.put_u8(1);
+            buf.put_i64_le(*x);
         }
         Value::Float(x) => {
-            buf.push(2);
-            put_f64(buf, *x);
+            buf.put_u8(2);
+            buf.put_f64_le(*x);
         }
         Value::Str(s) => {
-            buf.push(3);
+            buf.put_u8(3);
             put_str(buf, s);
         }
     }
@@ -522,7 +472,7 @@ pub(crate) fn put_key_part(buf: &mut Vec<u8>, col: &StoredColumn, part: i64) {
     match col {
         StoredColumn::Dict { dict, .. } => match dict.get(part as usize) {
             Some(s) => {
-                buf.push(3);
+                buf.put_u8(3);
                 put_str(buf, s);
             }
             None => put_value(buf, &Value::Null),
@@ -531,199 +481,55 @@ pub(crate) fn put_key_part(buf: &mut Vec<u8>, col: &StoredColumn, part: i64) {
     }
 }
 
-/// Bounds-checked payload reader.
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
+fn value(r: &mut Reader<'_>) -> Result<Value, WireError> {
+    Ok(match r.u8()? {
+        0 => Value::Null,
+        1 => Value::Int(r.i64()?),
+        2 => Value::Float(r.f64()?),
+        3 => Value::Str(r.str()?),
+        t => return Err(WireError(format!("unknown value tag {t}"))),
+    })
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.at + n > self.buf.len() {
-            return Err(WireError(format!(
-                "truncated payload: wanted {n} bytes at offset {}, have {}",
-                self.at,
-                self.buf.len()
-            )));
+/// An answer's groups, into flat buffers: group 0's shape, which every
+/// other group must have, sizes them once for as many groups as the rest
+/// of the payload can hold.
+fn answer_groups(r: &mut Reader<'_>) -> Result<AnswerGroups, WireError> {
+    let len = r.len(MIN_GROUP_BYTES)?;
+    let mut out = AnswerGroups {
+        len,
+        ..AnswerGroups::default()
+    };
+    let ragged = |g, n, what, first| format!("group {g} has {n} {what}, group 0 has {first}");
+    for g in 0..len {
+        let kn = r.len(1)?;
+        if g > 0 && kn != out.key_width {
+            return Err(WireError(ragged(g, kn, "key parts", out.key_width)));
         }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// A count of elements that each take at least `unit` encoded bytes —
-    /// rejects counts that could not possibly fit the remaining bytes, so
-    /// a corrupt count never drives a huge allocation. A reservation of
-    /// `n` elements is bounded by `remaining / unit` of them: pass the
-    /// element's least encoded size, or cap what is reserved.
-    fn len(&mut self, unit: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(unit.max(1)) > self.remaining() {
-            return Err(WireError(format!("length {n} exceeds remaining payload")));
+        for _ in 0..kn {
+            out.keys.push(value(r)?);
         }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError("non-UTF-8 string".into()))
-    }
-
-    fn column(&mut self) -> Result<Column, WireError> {
-        Ok(match self.u8()? {
-            1 => {
-                let n = self.len(4)?;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(i32::from_le_bytes(
-                        self.take(4)?.try_into().expect("4 bytes"),
-                    ));
-                }
-                Column::Int32(v)
-            }
-            2 => {
-                let n = self.len(8)?;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(self.i64()?);
-                }
-                Column::Int64(v)
-            }
-            3 => {
-                let n = self.len(8)?;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(self.f64()?);
-                }
-                Column::Float64(v)
-            }
-            4 => {
-                let dn = self.len(4)?;
-                let mut dict = Vec::with_capacity(dn);
-                for _ in 0..dn {
-                    dict.push(self.str()?);
-                }
-                let cn = self.len(4)?;
-                let mut codes = Vec::with_capacity(cn);
-                for _ in 0..cn {
-                    // Every code must resolve in the dictionary that
-                    // rode this frame: an out-of-range code would
-                    // otherwise reach the engine's dictionary-merge
-                    // remap and index out of bounds.
-                    let c = self.u32()?;
-                    if c as usize >= dn {
-                        return Err(WireError(format!(
-                            "dict code {c} out of range for dictionary of {dn} entries"
-                        )));
-                    }
-                    codes.push(c);
-                }
-                Column::Dict {
-                    codes,
-                    dict: Arc::new(dict),
-                }
-            }
-            t => return Err(WireError(format!("unknown column tag {t}"))),
-        })
-    }
-
-    fn value(&mut self) -> Result<Value, WireError> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Int(self.i64()?),
-            2 => Value::Float(self.f64()?),
-            3 => Value::Str(self.str()?),
-            t => return Err(WireError(format!("unknown value tag {t}"))),
-        })
-    }
-
-    /// An answer's groups, into flat buffers: group 0's shape, which
-    /// every other group must have, sizes them once for as many groups
-    /// as the rest of the payload can hold.
-    fn answer_groups(&mut self) -> Result<AnswerGroups, WireError> {
-        let len = self.len(MIN_GROUP_BYTES)?;
-        let mut out = AnswerGroups {
-            len,
-            ..AnswerGroups::default()
-        };
-        let ragged = |g, n, what, first| format!("group {g} has {n} {what}, group 0 has {first}");
-        for g in 0..len {
-            let kn = self.len(1)?;
-            if g > 0 && kn != out.key_width {
-                return Err(WireError(ragged(g, kn, "key parts", out.key_width)));
-            }
-            for _ in 0..kn {
-                out.keys.push(self.value()?);
-            }
-            let vn = self.len(24)?;
-            if g > 0 && vn != out.aggs {
-                return Err(WireError(ragged(g, vn, "aggregates", out.aggs)));
-            }
-            for _ in 0..vn {
-                out.values.push(AnswerAgg {
-                    value: self.f64()?,
-                    ci_half_width: self.f64()?,
-                    support: self.u64()?,
-                });
-            }
-            if g == 0 {
-                (out.key_width, out.aggs) = (kn, vn);
-                // A value can be one byte on the wire and 32 in memory:
-                // reserve no more than an answer key holds.
-                let fit = (len - 1).min(self.remaining() / (MIN_GROUP_BYTES + kn + 24 * vn));
-                out.keys.reserve(fit * kn.min(MAX_KEY_COLS));
-                out.values.reserve(fit * vn);
-            }
+        let vn = r.len(24)?;
+        if g > 0 && vn != out.aggs {
+            return Err(WireError(ragged(g, vn, "aggregates", out.aggs)));
         }
-        Ok(out)
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
-    fn done(self) -> Result<(), WireError> {
-        if self.at != self.buf.len() {
-            return Err(WireError(format!(
-                "{} trailing bytes after message",
-                self.buf.len() - self.at
-            )));
+        for _ in 0..vn {
+            out.values.push(AnswerAgg {
+                value: r.f64()?,
+                ci_half_width: r.f64()?,
+                support: r.u64()?,
+            });
         }
-        Ok(())
+        if g == 0 {
+            (out.key_width, out.aggs) = (kn, vn);
+            // A value can be one byte on the wire and 32 in memory:
+            // reserve no more than an answer key holds.
+            let fit = (len - 1).min(r.remaining() / (MIN_GROUP_BYTES + kn + 24 * vn));
+            out.keys.reserve(fit * kn.min(MAX_KEY_COLS));
+            out.values.reserve(fit * vn);
+        }
     }
+    Ok(out)
 }
 
 impl Request {
@@ -738,35 +544,31 @@ impl Request {
     /// buffer, after [`begin_frame`]).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            Request::Ping => buf.push(0x01),
+            Request::Ping => buf.put_u8(0x01),
             Request::Query {
                 tenant,
                 sql,
                 k,
                 timeout_ms,
             } => {
-                buf.push(0x02);
+                buf.put_u8(0x02);
                 put_str(buf, tenant);
                 put_str(buf, sql);
-                put_u32(buf, *k);
-                put_u32(buf, *timeout_ms);
+                buf.put_u32_le(*k);
+                buf.put_u32_le(*timeout_ms);
             }
             Request::Ingest {
                 tenant,
                 table,
                 columns,
             } => {
-                buf.push(0x03);
+                buf.put_u8(0x03);
                 put_str(buf, tenant);
                 put_str(buf, table);
-                put_u32(buf, columns.len() as u32);
-                for (name, col) in columns {
-                    put_str(buf, name);
-                    put_column(buf, col);
-                }
+                put_batch(buf, columns);
             }
             Request::Stats { tenant } => {
-                buf.push(0x04);
+                buf.put_u8(0x04);
                 put_str(buf, tenant);
             }
         }
@@ -783,21 +585,11 @@ impl Request {
                 k: r.u32()?,
                 timeout_ms: r.u32()?,
             },
-            0x03 => {
-                let tenant = r.str()?;
-                let table = r.str()?;
-                let n = r.len(MIN_COLUMN_ENTRY_BYTES)?;
-                let mut columns = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = r.str()?;
-                    columns.push((name, r.column()?));
-                }
-                Request::Ingest {
-                    tenant,
-                    table,
-                    columns,
-                }
-            }
+            0x03 => Request::Ingest {
+                tenant: r.str()?,
+                table: r.str()?,
+                columns: r.batch()?,
+            },
             0x04 => Request::Stats { tenant: r.str()? },
             t => return Err(WireError(format!("unknown request tag {t:#x}"))),
         };
@@ -819,26 +611,26 @@ pub(crate) fn put_answer<K, A>(
     K: ExactSizeIterator,
     A: ExactSizeIterator<Item = AnswerAgg>,
 {
-    buf.push(0x82);
+    buf.put_u8(0x82);
     match degraded {
-        None => buf.push(0),
+        None => buf.put_u8(0),
         Some(d) => {
-            buf.push(1);
-            put_f64(buf, d.coverage);
-            put_f64(buf, d.ci_inflation);
+            buf.put_u8(1);
+            buf.put_f64_le(d.coverage);
+            buf.put_f64_le(d.ci_inflation);
         }
     }
-    put_u32(buf, groups.len() as u32);
+    buf.put_u32_le(groups.len() as u32);
     for (key, aggs) in groups {
-        put_u32(buf, key.len() as u32);
+        buf.put_u32_le(key.len() as u32);
         for part in key {
             put_part(buf, part);
         }
-        put_u32(buf, aggs.len() as u32);
+        buf.put_u32_le(aggs.len() as u32);
         for e in aggs {
-            put_f64(buf, e.value);
-            put_f64(buf, e.ci_half_width);
-            put_u64(buf, e.support);
+            buf.put_f64_le(e.value);
+            buf.put_f64_le(e.ci_half_width);
+            buf.put_u64_le(e.support);
         }
     }
 }
@@ -855,7 +647,7 @@ impl Response {
     /// buffer, after [`begin_frame`]).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            Response::Pong => buf.push(0x81),
+            Response::Pong => buf.put_u8(0x81),
             Response::Answer(a) => put_answer(
                 buf,
                 a.degraded.as_ref(),
@@ -866,22 +658,22 @@ impl Response {
                 put_value,
             ),
             Response::IngestAck { watermark } => {
-                buf.push(0x83);
-                put_u64(buf, *watermark);
+                buf.put_u8(0x83);
+                buf.put_u64_le(*watermark);
             }
             Response::Overloaded { retry_after_ms } => {
-                buf.push(0x84);
-                put_u32(buf, *retry_after_ms);
+                buf.put_u8(0x84);
+                buf.put_u32_le(*retry_after_ms);
             }
             Response::Error { code, message } => {
-                buf.push(0x85);
-                buf.push(*code as u8);
+                buf.put_u8(0x85);
+                buf.put_u8(*code as u8);
                 put_str(buf, message);
             }
             Response::StatsReply(s) => {
-                buf.push(0x86);
+                buf.put_u8(0x86);
                 for v in s.values() {
-                    put_u64(buf, v);
+                    buf.put_u64_le(v);
                 }
             }
         }
@@ -901,7 +693,7 @@ impl Response {
                     }),
                     t => return Err(WireError(format!("unknown degraded tag {t}"))),
                 };
-                let groups = r.answer_groups()?;
+                let groups = answer_groups(&mut r)?;
                 Response::Answer(Answer { degraded, groups })
             }
             0x83 => Response::IngestAck {
@@ -931,6 +723,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn roundtrip_req(req: Request) {
         // `Request` has no `PartialEq` (see the type docs); a decode
@@ -1042,7 +835,7 @@ mod tests {
         let mut bomb = vec![0x03];
         put_str(&mut bomb, "t");
         put_str(&mut bomb, "t");
-        put_u32(&mut bomb, u32::MAX);
+        bomb.put_u32_le(u32::MAX);
         assert!(Request::decode(&bomb).is_err());
         // Trailing garbage after a valid message is rejected.
         let mut padded = Request::Ping.encode();
@@ -1058,10 +851,10 @@ mod tests {
         let mut ingest = vec![0x03];
         put_str(&mut ingest, "t");
         put_str(&mut ingest, "t");
-        put_u32(&mut ingest, 10);
+        ingest.put_u32_le(10);
         ingest.extend_from_slice(&[0; 20]);
         let mut answer = vec![0x82, 0];
-        put_u32(&mut answer, 10);
+        answer.put_u32_le(10);
         answer.extend_from_slice(&[0; 20]);
         for err in [
             Request::decode(&ingest).map(drop),
@@ -1077,10 +870,10 @@ mod tests {
         // group 1 is a typed error.
         let (kn, vn) = (20_000, 30_000);
         let mut wide = vec![0x82, 0];
-        put_u32(&mut wide, 90_000);
-        put_u32(&mut wide, kn);
+        wide.put_u32_le(90_000);
+        wide.put_u32_le(kn);
         wide.resize(wide.len() + kn as usize, 0);
-        put_u32(&mut wide, vn);
+        wide.put_u32_le(vn);
         wide.resize(wide.len() + 24 * vn as usize, 0);
         assert!(wide.len() > 90_000 * MIN_GROUP_BYTES, "the count fits");
         let err = Response::decode(&wide).expect_err("group 1 is missing");
@@ -1090,11 +883,11 @@ mod tests {
     /// An answer payload of one group per `(key parts, aggregates)`.
     fn answer_of(shapes: &[(usize, usize)]) -> Vec<u8> {
         let mut buf = vec![0x82, 0];
-        put_u32(&mut buf, shapes.len() as u32);
+        buf.put_u32_le(shapes.len() as u32);
         for &(kn, vn) in shapes {
-            put_u32(&mut buf, kn as u32);
+            buf.put_u32_le(kn as u32);
             (0..kn).for_each(|i| put_value(&mut buf, &Value::Int(i as i64)));
-            put_u32(&mut buf, vn as u32);
+            buf.put_u32_le(vn as u32);
             buf.resize(buf.len() + 24 * vn, 0);
         }
         buf

@@ -39,7 +39,7 @@ use laqy_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::admission::Admission;
 use crate::protocol::{
     begin_frame, configure_stream, put_answer, put_key_part, read_frame, write_frame, AnswerAgg,
-    DegradedInfo, ErrorCode, FrameRead, Request, Response, TenantSnapshot,
+    DegradedInfo, ErrorCode, FrameRead, Request, Response, TenantSnapshot, MAX_FRAME_BYTES,
 };
 use crate::tenant::{queue_wait_cap, TenantRegistry, TenantState};
 
@@ -362,10 +362,26 @@ fn dispatch(shared: &Arc<Shared>, request: Request, t_recv: Instant, out: &mut V
             timeout_ms,
         } => with_admission(shared, &tenant, t_recv, out, |t, budget, out| {
             let budget = requested_budget(timeout_ms, budget);
-            if let Err(e) = run_query(t, &sql, k as usize, budget, out) {
-                t.counters.note_error();
-                error_response(&e).encode_into(out);
-            }
+            let start = out.len();
+            let failure = match run_query(t, &sql, k as usize, budget, out) {
+                Ok(degraded) if out.len() - start <= MAX_FRAME_BYTES => {
+                    return t.counters.note_answer(degraded);
+                }
+                // The client's frame reader would refuse this answer.
+                Ok(_) => {
+                    let (bytes, cap) = (out.len() - start, MAX_FRAME_BYTES);
+                    out.truncate(start);
+                    let message =
+                        format!("answer of {bytes} bytes exceeds the {cap}-byte frame cap");
+                    Response::Error {
+                        code: ErrorCode::Failed,
+                        message,
+                    }
+                }
+                Err(e) => error_response(&e),
+            };
+            t.counters.note_error();
+            failure.encode_into(out);
         }),
         Request::Ingest {
             tenant,
@@ -448,15 +464,15 @@ fn requested_budget(timeout_ms: u32, tenant_budget: QueryBudget) -> QueryBudget 
 }
 
 /// Plan and run `sql`, appending the answer payload to `out` straight
-/// from the engine's group buffer and the query's key columns. Nothing is
-/// appended on `Err`.
+/// from the engine's group buffer and the query's key columns; `Ok`
+/// says whether the answer is degraded. Nothing is appended on `Err`.
 fn run_query(
     t: &TenantState,
     sql: &str,
     k: usize,
     budget: QueryBudget,
     out: &mut Vec<u8>,
-) -> Result<(), LaqyError> {
+) -> Result<bool, LaqyError> {
     let query = laqy::approx_query(&t.service.catalog(), sql, k)?;
     let result = t.service.run_with_budget(&query, budget)?;
     let degraded = result.stats.degraded.as_ref().map(|d| DegradedInfo {
@@ -466,8 +482,7 @@ fn run_query(
     let catalog = t.service.catalog();
     let cols = key_columns(&catalog, &query)?;
     put_groups(out, degraded.as_ref(), &cols, &result.groups);
-    t.counters.note_answer(degraded.is_some());
-    Ok(())
+    Ok(degraded.is_some())
 }
 
 /// The answer payload for `groups`, their key parts decoded against

@@ -518,3 +518,63 @@ fn header_only_peer_is_dropped_at_the_read_timeout() {
     ));
     server.shutdown();
 }
+
+#[test]
+fn an_answer_over_the_frame_cap_is_a_typed_error_on_a_live_connection() {
+    use laqy_engine::{Catalog, Column, Table};
+    use laqy_server::protocol::MAX_FRAME_BYTES;
+    // One group a row, unique keys: an answer group is its two counts,
+    // one `Int` key part (9 B) and one estimate (24 B), 41 B in all.
+    let n = (MAX_FRAME_BYTES / 41 + 1_000) as i64;
+    let mut catalog = Catalog::new();
+    catalog.register(
+        Table::new(
+            "t",
+            vec![
+                ("key".into(), Column::Int64((0..n).collect())),
+                ("g".into(), Column::Int64((0..n).collect())),
+                ("v".into(), Column::Int64((0..n).map(|i| i % 100).collect())),
+            ],
+        )
+        .expect("table"),
+    );
+    let server = Server::start(
+        catalog,
+        ServerConfig {
+            default_allowance: Duration::from_secs(120),
+            ..test_config()
+        },
+    )
+    .expect("server binds");
+    let mut client = Client::connect(server.addr(), Duration::from_secs(120)).expect("connects");
+    let resp = client
+        .request(&Request::Query {
+            tenant: "t".to_string(),
+            sql: format!("SELECT g, SUM(v) FROM t WHERE key BETWEEN 0 AND {n} GROUP BY g"),
+            k: 1,
+            timeout_ms: 0,
+        })
+        .expect("a typed response, not a dropped connection");
+    let Response::Error { code, message } = resp else {
+        panic!("expected an error, got {resp:?}");
+    };
+    assert_eq!(code, ErrorCode::Failed);
+    assert!(
+        message.contains(&format!("exceeds the {MAX_FRAME_BYTES}-byte frame cap")),
+        "{message}"
+    );
+    assert!(matches!(
+        client.request(&Request::Ping).expect("ping"),
+        Response::Pong
+    ));
+    let Response::StatsReply(stats) = client
+        .request(&Request::Stats {
+            tenant: "t".to_string(),
+        })
+        .expect("stats")
+    else {
+        panic!("expected stats");
+    };
+    assert_eq!((stats.answers, stats.errors), (0, 1));
+    server.shutdown();
+}

@@ -16,7 +16,7 @@ pub mod serving;
 pub mod ssb;
 pub mod ssb_queries;
 
-pub use queries::{q1, q2, qcs_cardinality, qcs_columns, strat};
+pub use queries::{q1, q2, qcs_columns, strat};
 pub use sequences::{long_running, selectivity, short_running, ExploreConfig};
 pub use serving::{op_stream, q1_sql, MixConfig, Op};
 pub use ssb::{generate, lineorder_batch, SsbConfig, REGIONS};

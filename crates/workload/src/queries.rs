@@ -24,16 +24,6 @@ pub fn qcs_columns(n: usize) -> Vec<&'static str> {
     }
 }
 
-/// Expected stratum count for an n-column QCS (Table 1).
-pub fn qcs_cardinality(n: usize) -> usize {
-    match n {
-        1 => 50,
-        2 => 450,
-        3 => 4950,
-        _ => panic!("QCS column count must be 1..=3"),
-    }
-}
-
 /// The `Strat` template: stratified aggregation over `lineorder` with
 /// `qcs_cols` grouping columns. `range` applies to `range_column`
 /// (`lo_intkey` for QVS-selectivity experiments, `lo_quantity` for
@@ -132,9 +122,6 @@ mod tests {
     #[test]
     fn qcs_mappings_match_table1() {
         assert_eq!(qcs_columns(1), vec!["lo_quantity"]);
-        assert_eq!(qcs_cardinality(1), 50);
-        assert_eq!(qcs_cardinality(2), 450);
-        assert_eq!(qcs_cardinality(3), 4950);
     }
 
     #[test]

@@ -93,6 +93,15 @@ impl Source {
         items
     }
 
+    /// Token ranges of the `use` items: a name a `use` imports or
+    /// re-exports is no caller.
+    fn use_items(&self) -> Vec<Range<usize>> {
+        (0..self.toks.len())
+            .filter(|&i| self.text(i) == "use")
+            .map(|i| i..self.item_end(i))
+            .collect()
+    }
+
     /// `(name token, body)` of every `pub fn` outside `excluded`.
     fn pub_fns(&self, excluded: &[Range<usize>]) -> Vec<(usize, Range<usize>)> {
         let mut fns = Vec::new();
@@ -147,11 +156,22 @@ fn uncalled_pub_fns(root: &Path) -> Vec<String> {
     let sources: Vec<Source> = files.into_iter().map(Source::load).collect();
     let in_tree = |src: &Source, tree: &str| src.path.starts_with(root.join(tree));
     // Every use of every identifier, as (source, token); the name of a
-    // function being defined is no use.
+    // function being defined is no use, and neither is a name in a `use`
+    // item. A `use` that renames (`NAME as ALIAS`) makes a use of ALIAS
+    // one of NAME.
     let mut uses: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    let mut aliases: HashMap<&str, Vec<&str>> = HashMap::new();
     for (s, src) in sources.iter().enumerate() {
+        let imports = src.use_items();
         for i in 0..src.toks.len() {
-            if src.text(i.wrapping_sub(1)) != "fn" {
+            if imports.iter().any(|r| r.contains(&i)) {
+                if src.text(i + 1) == "as" && src.text(i + 2) != "_" {
+                    aliases
+                        .entry(src.text(i))
+                        .or_default()
+                        .push(src.text(i + 2));
+                }
+            } else if src.text(i.wrapping_sub(1)) != "fn" {
                 uses.entry(src.text(i)).or_default().push((s, i));
             }
         }
@@ -168,10 +188,12 @@ fn uncalled_pub_fns(root: &Path) -> Vec<String> {
             let name = src.text(name_tok);
             let own = |i: &usize| body.contains(i) || tests.iter().any(|r| r.contains(i));
             let caller = |s: usize| xtask_calls_in || !in_tree(&sources[s], "crates/xtask/src");
-            let called = uses.get(name).is_some_and(|at| {
-                at.iter()
-                    .any(|&(s, i)| (s != home || !own(&i)) && caller(s))
-            });
+            let names =
+                std::iter::once(name).chain(aliases.get(name).into_iter().flatten().copied());
+            let called = names
+                .filter_map(|n| uses.get(n))
+                .flatten()
+                .any(|&(s, i)| (s != home || !own(&i)) && caller(s));
             if !called {
                 let path = src.path.strip_prefix(root).unwrap_or(&src.path);
                 let line = src.toks[name_tok].line;
@@ -215,6 +237,20 @@ fn comments_strings_test_items_and_xtask_are_not_callers() {
         "crates/cli/src/main.rs",
         "fn dead() {}\nfn main() { laqy::live(); }\n",
     );
+    // A re-export, and an import nothing calls, are no callers; a call
+    // through a renaming import is one.
+    write(
+        "crates/core/src/reexported.rs",
+        "pub fn only_reexported() {}\npub fn imported_and_called() {}\n\
+         pub fn called_renamed() {}\n",
+    );
+    write(
+        "crates/engine/src/lib.rs",
+        "pub use laqy::reexported::{only_reexported, imported_and_called};\n\
+         use laqy::reexported::imported_and_called as _;\n\
+         use laqy::reexported::called_renamed as renamed;\n\
+         fn f() { imported_and_called(); renamed(); }\n",
+    );
     // xtask calls into laqy-sync and nowhere else.
     write("crates/core/src/xtask_only.rs", "pub fn for_xtask() {}\n");
     write("crates/sync/src/lib.rs", "pub fn class_of() {}\n");
@@ -228,6 +264,7 @@ fn comments_strings_test_items_and_xtask_are_not_callers() {
         uncalled,
         vec![
             "crates/core/src/lib.rs:2 dead".to_string(),
+            "crates/core/src/reexported.rs:1 only_reexported".to_string(),
             "crates/core/src/xtask_only.rs:1 for_xtask".to_string(),
         ]
     );

@@ -1,128 +1,57 @@
-//! Offline shim for the `bytes` crate: the [`Buf`]/[`BufMut`] subset the
-//! workspace's persistence layer uses (little-endian integer get/put over
-//! `&[u8]` readers and `Vec<u8>` writers). See `shims/README.md`.
-
-/// Read-side cursor over a contiguous byte buffer.
-///
-/// Like the real crate, the `get_*` methods panic when the buffer has
-/// fewer bytes than requested; callers are expected to check
-/// [`Buf::remaining`] first when the input is untrusted.
-pub trait Buf {
-    /// Bytes left to consume.
-    fn remaining(&self) -> usize;
-    /// The unconsumed bytes.
-    fn chunk(&self) -> &[u8];
-    /// Consume `cnt` bytes.
-    fn advance(&mut self, cnt: usize);
-
-    /// True if any bytes remain.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// Copy `dst.len()` bytes out, consuming them.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(
-            self.remaining() >= dst.len(),
-            "buffer underflow: need {} bytes, have {}",
-            dst.len(),
-            self.remaining()
-        );
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Consume one byte.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-
-    /// Consume a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Consume a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Consume a little-endian `i64`.
-    fn get_i64_le(&mut self) -> i64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        i64::from_le_bytes(b)
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance past end of buffer");
-        *self = &self[cnt..];
-    }
-}
-
-impl<T: Buf + ?Sized> Buf for &mut T {
-    fn remaining(&self) -> usize {
-        (**self).remaining()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        (**self).chunk()
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        (**self).advance(cnt)
-    }
-}
+//! Offline shim for the `bytes` crate: the [`BufMut`] subset the
+//! workspace's byte formats write with (little-endian integer and float
+//! puts into `Vec<u8>` writers). Reading is `laqy::codec::Reader`'s, which
+//! is bounds-checked; this crate has no reader. See `shims/README.md`.
 
 /// Write-side growable byte sink.
+///
+/// Every method is `#[inline]`, as upstream's are: encoders in other
+/// crates call them once per value, and an out-of-line call per value
+/// costs a third of an answer's encode rate.
 pub trait BufMut {
     /// Append raw bytes.
     fn put_slice(&mut self, src: &[u8]);
 
     /// Append one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Append a little-endian `u32`.
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u64`.
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `i64`.
+    #[inline]
     fn put_i64_le(&mut self, v: i64) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    /// Append a little-endian IEEE-754 `f64`.
+    #[inline]
+    fn put_f64_le(&mut self, v: f64) {
         self.put_slice(&v.to_le_bytes());
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }
 }
 
 impl<T: BufMut + ?Sized> BufMut for &mut T {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         (**self).put_slice(src)
     }
@@ -133,39 +62,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_all_widths() {
+    fn every_width_lands_little_endian() {
         let mut buf: Vec<u8> = Vec::new();
         buf.put_u8(0xAB);
         buf.put_u32_le(0xDEAD_BEEF);
         buf.put_u64_le(0x0123_4567_89AB_CDEF);
         buf.put_i64_le(-42);
+        buf.put_f64_le(0.5);
         buf.put_slice(b"xyz");
 
-        let mut r: &[u8] = &buf;
-        assert_eq!(r.get_u8(), 0xAB);
-        assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64_le(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(r.get_i64_le(), -42);
-        let mut tail = [0u8; 3];
-        r.copy_to_slice(&mut tail);
-        assert_eq!(&tail, b"xyz");
-        assert!(!r.has_remaining());
+        let mut want = vec![0xAB];
+        want.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        want.extend_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
+        want.extend_from_slice(&(-42i64).to_le_bytes());
+        want.extend_from_slice(&0.5f64.to_le_bytes());
+        want.extend_from_slice(b"xyz");
+        assert_eq!(buf, want);
     }
 
     #[test]
     fn works_through_mut_reference() {
-        let data = vec![1u8, 0, 0, 0];
-        let mut slice: &[u8] = &data;
-        let r = &mut slice;
-        assert_eq!(r.remaining(), 4);
-        assert_eq!(r.get_u32_le(), 1);
-        assert!(!r.has_remaining());
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer underflow")]
-    fn underflow_panics() {
-        let mut r: &[u8] = &[1, 2];
-        let _ = r.get_u32_le();
+        let mut data = Vec::new();
+        let w = &mut data;
+        w.put_u32_le(1);
+        assert_eq!(data, [1, 0, 0, 0]);
     }
 }
