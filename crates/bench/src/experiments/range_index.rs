@@ -58,7 +58,9 @@ fn delta(
     let dates = table.column("lo_orderdate").expect("lo_orderdate");
     let t = Instant::now();
     let scan = PreparedScan::new(table, &predicate)
-        .and_then(|s| s.with_range_index("lo_intkey", &[(lo, hi)], &Predicate::True, 0, prefer))
+        .and_then(|s| {
+            s.with_range_index("lo_intkey", &[(lo, hi)], &Predicate::True, None, 0, prefer)
+        })
         .expect("Δ predicate");
     let mut run = Run {
         rows: Vec::new(),

@@ -127,7 +127,7 @@ pub struct LaqyExecutor {
     /// Scan morsel size; fixed outside this module's tests.
     morsel_rows: usize,
     /// The sampler's index-or-scan cut-off; tests pin either row source.
-    prefer_index: fn(usize, usize) -> bool,
+    pub(crate) prefer_index: fn(usize, usize) -> bool,
     /// Star joins kept across queries: its own, or the service's.
     pub(crate) joins: Arc<JoinMemo>,
 }
@@ -414,21 +414,23 @@ impl LaqyExecutor {
             .and(range_predicate(&query.range_column, ranges));
         let intervals: Vec<(i64, i64)> =
             ranges.intervals().iter().map(|iv| (iv.lo, iv.hi)).collect();
-        // Compile the predicate and flatten it into batch kernels once;
-        // every morsel and residual fragment reuses this (validation
-        // happens here too — the scans themselves are infallible). Then
-        // the Δ's rows are marked in the range index, and the star joins'
-        // maps and join filter are prepared.
+        // The star joins' maps and join filter first: the range index marks
+        // only the rows that join. Then compile the predicate and flatten it
+        // into batch kernels once; every morsel and residual fragment reuses
+        // this (validation happens here too — the scans themselves are
+        // infallible).
+        let star = (self.joins).star(catalog, &query.plan, self.threads, &self.budget)?;
+        let (joins, filter) = (&*star.joins, star.index.filter());
+        let probes = joins.probes();
+        let joined = (!query.plan.joins.is_empty()).then_some(&star.index);
         let prepared = PreparedScan::new(fact, &full_pred)?.with_range_index(
             &query.range_column,
             &intervals,
             &residual,
+            joined,
             row_floor,
             self.prefer_index,
         )?;
-        let star = (self.joins).star(catalog, &query.plan, self.threads, &self.budget)?;
-        let (joins, filter) = (&*star.joins, &star.filter);
-        let probes = joins.probes();
 
         // One seed is drawn and discarded before the worker seed: every
         // admission stream is cut from the seed sequence after it, so

@@ -1,10 +1,12 @@
 //! The join memo: per join shape, a star plan's join maps and a
-//! [`JoinFilter`] over its fact table, shared by every scan of that shape,
-//! so a Δ probes only the rows that join. DESIGN.md "Join filter" gives
-//! the key, when an entry holds, how its prefix is extended and the lock.
+//! [`JoinFilter`] over its fact table with the range indexes it keeps
+//! ([`JoinedIndex`]), shared by every scan of that shape, so a Δ marks and
+//! probes only the rows that join. DESIGN.md "Join filter" gives the key,
+//! when an entry holds, how its prefix is extended and the lock.
 
 use std::sync::Arc;
 
+use laqy_engine::index::JoinedIndex;
 use laqy_engine::ops::{star_probe, JoinFilter};
 use laqy_engine::parallel::{isolate_unwind, parallel_fold, DEFAULT_MORSEL_ROWS};
 use laqy_engine::plan::PreparedJoins;
@@ -18,10 +20,11 @@ use crate::executor::Result;
 const JOIN_SHAPES: usize = 8;
 
 /// A join shape's maps against one set of dimension versions (`dims`), and
-/// the fact rows that join over a prefix of the fact table at `fact_epoch`.
+/// the fact rows that join over a prefix of the fact table at `fact_epoch`
+/// with, per range column, the sealed pieces' ids of those rows.
 pub(crate) struct Star {
     pub joins: Arc<PreparedJoins>,
-    pub filter: JoinFilter,
+    pub index: JoinedIndex,
     /// The fact table and the plan's joins.
     shape: (String, Vec<JoinSpec>),
     dims: Vec<Arc<Table>>,
@@ -30,7 +33,7 @@ pub(crate) struct Star {
 
 /// Join shapes' [`Star`]s, least recently used first. The lock is held to
 /// look up or swap an `Arc`, never across a build: two racing builds produce
-/// equal filters, so the last write may win.
+/// equal filters (and lists), so the last write may win.
 pub(crate) struct JoinMemo(Mutex<Vec<Arc<Star>>>);
 
 impl JoinMemo {
@@ -65,24 +68,30 @@ impl JoinMemo {
             Some(star)
         };
         let cached = joined.then(lookup).flatten();
-        let (joins, mut filter) = match cached.filter(|s| s.dims.iter().zip(&dims).all(same_dim)) {
+        let valid = cached.filter(|s| s.dims.iter().zip(&dims).all(same_dim));
+        let (joins, mut filter, carried) = match valid {
             // The rows of an earlier version of the fact table are a prefix.
-            Some(s) if s.filter.rows() >= fact.num_rows() => return Ok(s),
-            Some(s) if fact.epoch() >= s.fact_epoch => (Arc::clone(&s.joins), s.filter.clone()),
+            Some(s) if s.index.filter().rows() >= fact.num_rows() => return Ok(s),
+            Some(s) if fact.epoch() >= s.fact_epoch => {
+                let filter = s.index.filter().clone();
+                (Arc::clone(&s.joins), filter, Some(s))
+            }
             _ => {
                 #[cfg(test)]
                 tests::count_build();
                 let joins = PreparedJoins::build(catalog, plan)?;
-                (Arc::new(joins), JoinFilter::default())
+                (Arc::new(joins), JoinFilter::default(), None)
             }
         };
         let installed = joined
             && joining_rows(fact, &joins, filter.rows(), threads, token)
                 .map(|rows| filter.extend(fact.num_rows(), rows))
                 .is_some();
+        // An extension carries the lists of the pieces it covered already.
+        let index = JoinedIndex::new(fact, filter, carried.as_deref().map(|s| &s.index));
         let star = Arc::new(Star {
             joins,
-            filter,
+            index,
             shape: (plan.fact.clone(), plan.joins.clone()),
             dims,
             fact_epoch: fact.epoch(),
@@ -136,17 +145,22 @@ mod tests {
     use std::ops::Range;
     use std::time::Duration;
 
-    use laqy_engine::{AggSpec, ColRef, Column, EngineError, JoinSpec, Predicate};
+    use laqy_engine::{
+        AggSpec, ColRef, Column, EngineError, JoinSpec, Predicate, STORED_CHUNK_ROWS,
+    };
 
     use super::*;
     use crate::budget::QueryBudget;
-    use crate::executor::{ApproxQuery, LaqyError};
-    use crate::interval::Interval;
+    use crate::executor::{payload_schema, ApproxQuery, LaqyError, LaqyExecutor, Scope};
+    use crate::interval::{Interval, IntervalSet};
     use crate::service::{LaqyService, SessionConfig};
     use crate::stats::ReuseClass;
+    use crate::support::SupportPolicy;
 
     thread_local! {
         static BUILDS: Cell<usize> = const { Cell::new(0) };
+        /// The candidates the last Δ on this thread offered the cut-off.
+        static OFFERED: Cell<Option<usize>> = const { Cell::new(None) };
     }
 
     /// Count one build of a star's maps and filter on this thread.
@@ -216,6 +230,125 @@ mod tests {
         result.rows.iter().map(|r| r.values[1]).sum::<f64>() as u64
     }
 
+    /// Whether fact row `i` joins: `fk1 = i % 50` names a `d1` key (below
+    /// `d1_keys`) whose `dg` passes the predicate; every `fk2` joins.
+    fn joins(i: i64, d1_keys: i64) -> bool {
+        i % 50 < d1_keys && (1..=3).contains(&(i % 50 % 5))
+    }
+
+    /// One Δ over `[lo, hi]` against `catalog` through `memo`'s stars, the
+    /// index pinned: the candidates it offered the cut-off.
+    fn delta(memo: &Arc<JoinMemo>, catalog: &Catalog, lo: i64, hi: i64) -> usize {
+        let mut exec = LaqyExecutor::new(1, SupportPolicy::default(), 5);
+        exec.joins = Arc::clone(memo);
+        exec.prefer_index = |candidates, _| {
+            OFFERED.set(Some(candidates));
+            true
+        };
+        let query = query(lo, hi);
+        let schema = payload_schema(catalog, &query).unwrap();
+        let scope = Scope {
+            catalog,
+            query: &query,
+            schema: &schema,
+            strata_hint: 0,
+        };
+        let ranges = IntervalSet::of(Interval::new(lo, hi));
+        exec.sample_pipeline(scope, &ranges, &Predicate::True, 0)
+            .unwrap();
+        OFFERED.take().expect("the Δ read the range index")
+    }
+
+    #[test]
+    fn joined_lists_are_built_once_per_piece_carried_over_fact_appends_and_rebuilt_after_a_dimension_append(
+    ) {
+        const C: i64 = STORED_CHUNK_ROWS as i64;
+        let service = service();
+        let memo = Arc::new(JoinMemo::new());
+        let token = CancelToken::unbounded();
+        let star = |catalog: &Catalog| memo.star(catalog, &query(0, 0).plan, 2, &token).unwrap();
+        let lists = |star: &Star| -> Vec<Option<*const u32>> {
+            star.index
+                .built("key")
+                .map(|l| l.map(<[u32]>::as_ptr))
+                .collect()
+        };
+        let builds = || BUILDS.with(Cell::get);
+        let at_start = builds();
+
+        // One piece, its list built by the first Δ that reaches it: the
+        // base piece's ids by key (the row id), less the rows that do not
+        // join.
+        let catalog = service.catalog().clone();
+        let first = star(&catalog);
+        assert_eq!(lists(&first), vec![None]);
+        delta(&memo, &catalog, 0, 4_999);
+        let base = lists(&first)[0].expect("the Δ built the base piece's list");
+        delta(&memo, &catalog, 5_000, 9_999);
+        assert_eq!(lists(&first), vec![Some(base)], "a second Δ builds nothing");
+        let expected: Vec<u32> = (0..ROWS)
+            .filter(|&i| joins(i, 45))
+            .map(|i| i as u32)
+            .collect();
+        assert_eq!(
+            first.index.built("key").next().flatten(),
+            Some(&expected[..])
+        );
+
+        // Two sealed chunks and an open one: the extended star carries the
+        // base piece's list, and builds the chunks' on a Δ's first use.
+        service.ingest("t", fact(ROWS..ROWS + 2 * C + 100)).unwrap();
+        let catalog = service.catalog().clone();
+        let extended = star(&catalog);
+        assert!(!Arc::ptr_eq(&first, &extended));
+        assert_eq!(lists(&extended), vec![Some(base), None, None]);
+        delta(&memo, &catalog, 0, ROWS + 2 * C + 99);
+        let grown = lists(&extended);
+        assert_eq!(grown[0], Some(base), "a fact append rebuilds no list");
+        assert!(grown.iter().all(Option::is_some));
+        assert_eq!(builds(), at_start + 1);
+
+        // Keys 45..50 of `d1` now join (46..48 pass its predicate): a new
+        // star, whose lists are built again.
+        service.ingest("d1", dim(45..50)).unwrap();
+        let catalog = service.catalog().clone();
+        delta(&memo, &catalog, 0, 99);
+        assert_eq!(builds(), at_start + 2);
+        let rebuilt = star(&catalog);
+        assert_ne!(lists(&rebuilt)[0], Some(base));
+        let expected: Vec<u32> = (0..ROWS)
+            .filter(|&i| joins(i, 50))
+            .map(|i| i as u32)
+            .collect();
+        assert_eq!(
+            rebuilt.index.built("key").next().flatten(),
+            Some(&expected[..])
+        );
+        // `extended` is alive, so no allocation of its lists was reused.
+        drop(extended);
+    }
+
+    #[test]
+    fn a_q2_delta_is_offered_its_joining_uncovered_rows_alone() {
+        const C: i64 = STORED_CHUNK_ROWS as i64;
+        let service = service();
+        // The base piece, a sealed chunk and an open one, which is walked.
+        service.ingest("t", fact(ROWS..ROWS + C + 500)).unwrap();
+        let catalog = service.catalog().clone();
+        let memo = Arc::new(JoinMemo::new());
+        let sealed = ROWS + C;
+        for (lo, hi) in [(1_000, 2_999), (ROWS - 100, ROWS + 99), (0, sealed + 499)] {
+            let offered = delta(&memo, &catalog, lo, hi);
+            assert_eq!(
+                offered as u64,
+                joined(&service, lo, hi.min(sealed - 1)),
+                "[{lo}, {hi}]"
+            );
+            let rows = (lo..=hi.min(sealed - 1)).filter(|&i| joins(i, 45)).count();
+            assert_eq!(offered, rows, "[{lo}, {hi}]");
+        }
+    }
+
     #[test]
     fn a_join_filter_survives_fact_appends_and_is_rebuilt_after_a_dimension_append() {
         let service = service();
@@ -263,7 +396,7 @@ mod tests {
         let builds = || BUILDS.with(Cell::get);
         let at_start = builds();
         let longer = memo.star(&after, &plan, 2, &token).unwrap();
-        assert_eq!(longer.filter.rows(), (ROWS + 1_000) as usize);
+        assert_eq!(longer.index.filter().rows(), (ROWS + 1_000) as usize);
         let earlier = memo.star(&before, &plan, 2, &token).unwrap();
         assert!(
             Arc::ptr_eq(&longer, &earlier),

@@ -479,12 +479,13 @@ impl SampleStore {
     ) -> SampleId {
         let sample: Arc<Sample> = sample.into();
         let clock = self.tick();
+        let same_shape = |a: &SampleDescriptor, b: &SampleDescriptor| {
+            a.matches_characteristics(b) && b.matches_characteristics(a)
+        };
         // Try to merge with an existing disjoint sample of the same
         // shape; find the position and the varying column in one pass.
         let target = self.samples.iter().enumerate().find_map(|(pos, (_, s))| {
-            if s.descriptor.matches_characteristics(&descriptor)
-                && descriptor.matches_characteristics(&s.descriptor)
-            {
+            if same_shape(&s.descriptor, &descriptor) {
                 disjoint_single_column(&s.descriptor.predicates, &descriptor.predicates)
                     .map(|varying| (pos, varying))
             } else {
@@ -501,12 +502,19 @@ impl SampleStore {
             stored.watermark = stored.watermark.min(watermark);
             stored.last_used.store(clock, Ordering::Relaxed);
             stored.settle();
-            return *id;
+            // The union may now cover another stored sample: drop it, as
+            // an insert would, so no descriptor is stored twice.
+            let (id, union) = (*id, stored.descriptor.clone());
+            self.samples.retain(|(other, s)| {
+                *other == id
+                    || !(same_shape(&s.descriptor, &union)
+                        && union.predicates.subsumes(&s.descriptor.predicates))
+            });
+            return id;
         }
-        // Replace any stored sample this one strictly subsumes.
+        // Replace any stored sample this one subsumes.
         self.samples.retain(|(_, s)| {
-            !(s.descriptor.matches_characteristics(&descriptor)
-                && descriptor.matches_characteristics(&s.descriptor)
+            !(same_shape(&s.descriptor, &descriptor)
                 && descriptor.predicates.subsumes(&s.descriptor.predicates))
         });
         let id = self.alloc_id();
@@ -1221,6 +1229,32 @@ mod tests {
         let d = store.peek(a).unwrap();
         let set = d.descriptor.predicates.get("lo_intkey").unwrap();
         assert_eq!(set.intervals().len(), 2);
+    }
+
+    #[test]
+    fn a_merge_whose_union_covers_a_stored_sample_replaces_it() {
+        let mut store = SampleStore::new();
+        let mut rng = Lehmer64::new(8);
+        store.absorb(desc(0, 199), schema(), toy_sample(2, 20, 0), 0, &mut rng);
+        // Subsumed by the stored sample, not disjoint from it: stored too.
+        let narrow = store.absorb(desc(0, 99), schema(), toy_sample(2, 10, 0), 0, &mut rng);
+        assert_eq!(store.len(), 2);
+        // Disjoint from the narrow sample: merged into it, and the union
+        // is `[0, 199]`, which the wide sample holds already.
+        let merged = store.absorb(
+            desc(100, 199),
+            schema(),
+            toy_sample(2, 10, 100),
+            0,
+            &mut rng,
+        );
+        assert_eq!(merged, narrow);
+        let stored: Vec<_> = store.descriptors().map(|(id, d)| (id, d.clone())).collect();
+        assert_eq!(
+            stored,
+            vec![(narrow, desc(0, 199))],
+            "no descriptor stored twice"
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::ops::Range;
 
 use crate::error::Result;
 use crate::expr::{Compiled, Predicate};
-use crate::index::Marks;
+use crate::index::{JoinedIndex, Marks};
 use crate::kernel::{decode_mask, BatchKernel, Mask, CHUNK_ROWS, MASK_WORDS};
 use crate::synopsis::{PruneCounts, Verdict};
 use crate::table::Table;
@@ -65,12 +65,16 @@ impl<'a> PreparedScan<'a> {
     /// index covers from it if `prefer(candidates, rows)` (normally
     /// [`crate::index::prefer_index`]); `rows` counts the indexed rows in
     /// `Scan`-verdict blocks, as skipped and taken-whole ones cost the walk
-    /// next to nothing. The predicate must be `residual ∧ column ∈ intervals`.
+    /// next to nothing. The predicate must be `residual ∧ column ∈
+    /// intervals`. Above a star join, `joined` leaves out of the index the
+    /// rows its filter drops: a morsel's indexed rows are then the walk's
+    /// that the filter retains, and its walked rows the walk's.
     pub fn with_range_index(
         mut self,
         column: &str,
         intervals: &[(i64, i64)],
         residual: &'a Predicate,
+        joined: Option<&JoinedIndex>,
         row_floor: usize,
         prefer: impl FnOnce(usize, usize) -> bool,
     ) -> Result<Self> {
@@ -84,9 +88,8 @@ impl<'a> PreparedScan<'a> {
                 .sum(),
             None => rows.len(),
         };
-        let marks = Marks::new(col, intervals, row_floor, residual, |candidates, rows| {
-            prefer(candidates, scanned(rows))
-        });
+        let price = |candidates, rows| prefer(candidates, scanned(rows));
+        let marks = Marks::new(col, column, intervals, row_floor, residual, joined, price);
         (self.floor, self.marks) = (row_floor, marks);
         Ok(self)
     }

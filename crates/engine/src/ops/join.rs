@@ -157,11 +157,16 @@ impl JoinFilter {
         }
     }
 
+    /// Whether `row` may join: its bit, or past the prefix, yes.
+    #[inline]
+    pub(crate) fn keeps(&self, row: usize) -> bool {
+        row >= self.rows || self.bits[row / 64] >> (row % 64) & 1 == 1
+    }
+
     /// Drop the selected rows known to join nothing; rows past the prefix
     /// stay for the probe to decide.
     pub fn retain(&self, selection: &mut Vec<u32>) {
-        let (bits, rows) = (&self.bits, self.rows);
-        selection.retain(|&r| r as usize >= rows || bits[r as usize / 64] >> (r % 64) & 1 == 1);
+        selection.retain(|&r| self.keeps(r as usize));
     }
 }
 

@@ -16,12 +16,20 @@
 //! rows at or past the floor — through the index, through the scan, and
 //! through the measured cut-off — and the cut-off must be offered the
 //! candidates of every sealed piece that reaches past the floor, exactly.
+//!
+//! Above a star join the index meets the join filter first
+//! (`JoinedIndex`): over the same tables, for filters over random
+//! prefixes (empty, shorter than the table, every row) and densities,
+//! carried from a shorter prefix or built afresh, the indexed rows of each
+//! morsel must be the filter-retained selection of the plain index, row for
+//! row and in order, the walked rows the plain walk's, and the cut-off must
+//! be offered each covered piece's joining candidates alone.
 
 use std::cell::Cell;
 use std::ops::Range;
 
-use laqy_engine::index::prefer_index;
-use laqy_engine::ops::{reference, PreparedScan};
+use laqy_engine::index::{prefer_index, JoinedIndex};
+use laqy_engine::ops::{reference, JoinFilter, PreparedScan};
 use laqy_engine::{dict_column, Column, Predicate, PruneCounts, Table, STORED_CHUNK_ROWS};
 use proptest::prelude::*;
 
@@ -223,7 +231,7 @@ proptest! {
             let offered = Cell::new(None);
             let scan = PreparedScan::new(&table, &predicate)
                 .unwrap()
-                .with_range_index(column, &intervals, &residual, floor, |c, rows| {
+                .with_range_index(column, &intervals, &residual, None, floor, |c, rows| {
                     offered.set(Some(c));
                     match source {
                         "index" => true,
@@ -248,6 +256,130 @@ proptest! {
     }
 }
 
+/// A filter over rows `0..prefix` setting the rows `keeps` picks.
+fn filter_over(prefix: usize, keeps: impl Fn(usize) -> bool) -> JoinFilter {
+    let mut filter = JoinFilter::default();
+    filter.extend(prefix, (0..prefix).filter(|&r| keeps(r)).map(|r| r as u32));
+    filter
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn a_joined_index_marks_the_rows_the_filter_retains(
+        seed in 0u64..1_000_000,
+        base_pick in 0u64..6,
+        filler in 2usize..30_000,
+        batch_picks in prop::collection::vec((0u64..4, 1usize..2 * C), 0..4),
+        column_pick in 0usize..4,
+        shape in 0u64..8,
+        residual_pick in 0usize..2,
+        floor_pick in 0u64..4,
+        prefix_pick in 0u64..4,
+        density in 0u64..9,
+        carry in any::<bool>(),
+    ) {
+        let base = [0, 1, C - 1, C][..].get(base_pick as usize).copied().unwrap_or(filler);
+        let batches: Vec<usize> = batch_picks
+            .iter()
+            .map(|&(pick, len)| [0, 1, C][..].get(pick as usize).copied().unwrap_or(len))
+            .collect();
+        let table = grown(seed, base, &batches, 4_096);
+        let n = table.num_rows();
+        if n == 0 {
+            return;
+        }
+        let sealed = base + (n - base) / C * C;
+        let column = ["i32", "i64", "wide", "tag"][column_pick];
+        let intervals = intervals(&table, column, shape, seed);
+        let residual = [Predicate::True, Predicate::between("g", 1, 4)][residual_pick].clone();
+        let predicate = residual.clone().and(range_predicate(column, &intervals));
+        let floor = match floor_pick {
+            0 => 0,
+            1 => base / 2,
+            2 => base + C / 3,
+            _ => at(seed, 40, 0) as usize % (n + 1),
+        };
+        // Rows join at a density of eighths; the prefix is empty, inside
+        // the table, exactly the table or (carried) grown from a shorter one.
+        let joins = |r: usize| at(seed, 50, r) % 8 < density;
+        let prefix = match prefix_pick {
+            0 => 0,
+            1 | 2 => at(seed, 51, 0) as usize % (n + 1),
+            _ => n,
+        };
+        let filter = filter_over(prefix, joins);
+        let index = if carry {
+            let shorter = filter_over(at(seed, 52, 0) as usize % (prefix + 1), joins);
+            let old = JoinedIndex::new(&table, shorter, None);
+            // Build the shorter filter's lists, then carry them.
+            let _ = PreparedScan::new(&table, &predicate)
+                .unwrap()
+                .with_range_index(column, &intervals, &residual, Some(&old), 0, |_, _| true)
+                .unwrap();
+            JoinedIndex::new(&table, filter.clone(), Some(&old))
+        } else {
+            JoinedIndex::new(&table, filter.clone(), None)
+        };
+
+        // A covered piece offers its joining candidates, any other piece
+        // past the floor all of its own.
+        let col = table.column(column).unwrap();
+        let inside = |r: usize| intervals.iter().any(|&(lo, hi)| (lo..=hi).contains(&col.i64_at(r)));
+        let chunks = (base..sealed).step_by(C).map(|s| s..s + C);
+        let pieces: Vec<Range<usize>> = std::iter::once(0..base).chain(chunks).collect();
+        let candidates: usize = pieces
+            .iter()
+            .filter(|p| p.end > floor && !p.is_empty())
+            .map(|p| {
+                let covered = p.end <= prefix;
+                p.clone().filter(|&r| inside(r) && (!covered || joins(r))).count()
+            })
+            .sum();
+
+        let morsels = morsels(n, seed);
+        let plain = PreparedScan::new(&table, &predicate)
+            .unwrap()
+            .with_range_index(column, &intervals, &residual, None, floor, |_, _| true)
+            .unwrap();
+        for pinned in [true, false] {
+            let offered = Cell::new(None);
+            let joined = PreparedScan::new(&table, &predicate)
+                .unwrap()
+                .with_range_index(column, &intervals, &residual, Some(&index), floor, |c, rows| {
+                    offered.set(Some(c));
+                    pinned || prefer_index(c, rows)
+                })
+                .unwrap();
+            prop_assert_eq!(offered.get(), Some(candidates));
+            let (mut a, mut b) = (PruneCounts::default(), PruneCounts::default());
+            for m in &morsels {
+                let mut want = plain.scan_pruned(m.clone(), &mut a);
+                let got = joined.scan_pruned(m.clone(), &mut b);
+                if pinned {
+                    // The index rows retained, the walked rows as walked.
+                    let split = |rows: &[u32]| rows.partition_point(|&r| (r as usize) < sealed);
+                    let (got_indexed, got_walked) = got.split_at(split(&got));
+                    let (want_indexed, want_walked) = want.split_at(split(&want));
+                    let mut retained = want_indexed.to_vec();
+                    filter.retain(&mut retained);
+                    prop_assert_eq!(got_indexed, &retained[..], "morsel {:?} floor {}", m, floor);
+                    prop_assert_eq!(got_walked, want_walked, "morsel {:?}", m);
+                } else {
+                    let mut got = got;
+                    filter.retain(&mut got);
+                    filter.retain(&mut want);
+                    prop_assert_eq!(got, want, "morsel {:?} floor {}", m, floor);
+                }
+            }
+            if pinned {
+                prop_assert_eq!(a, b);
+            }
+        }
+    }
+}
+
 #[test]
 fn a_floor_inside_a_piece_leaves_the_rows_below_it_unread() {
     // Every value in the interval, so every row at or past the floor is
@@ -258,7 +390,7 @@ fn a_floor_inside_a_piece_leaves_the_rows_below_it_unread() {
     for floor in [0, 999, 1_000 + C + 7, n - 3] {
         let scan = PreparedScan::new(&table, &predicate)
             .unwrap()
-            .with_range_index("g", &[(0, 6)], &Predicate::True, floor, |_, _| true)
+            .with_range_index("g", &[(0, 6)], &Predicate::True, None, floor, |_, _| true)
             .unwrap();
         let rows = scan.scan_pruned(0..n, &mut PruneCounts::default());
         assert_eq!(

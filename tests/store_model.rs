@@ -383,12 +383,18 @@ proptest! {
                     superseded = driven.consolidated;
                     // A new sample replaces every stored one it subsumes;
                     // a write merged into a stored (disjoint) sample
-                    // replaces nothing.
-                    if !before.contains_key(&driven.subject) {
+                    // replaces every other one its union subsumes. A hit
+                    // writes nothing.
+                    let hit = matches!(driven.plan, LazyPlan::FullReuse { .. });
+                    let cover = match before.contains_key(&driven.subject) {
+                        true => coverage(&store.read_shard(0), driven.subject),
+                        false => driven.absorbed.clone(),
+                    };
+                    if !hit {
                         superseded.extend(
                             before
                                 .iter()
-                                .filter(|(_, set)| driven.absorbed.subsumes(set))
+                                .filter(|(id, set)| **id != driven.subject && cover.subsumes(set))
                                 .map(|(id, _)| *id),
                         );
                     }
