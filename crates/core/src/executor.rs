@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use laqy_engine::ops::{star_probe, BoundCol, PreparedScan, ResolvedCol};
+use laqy_engine::ops::{BoundCol, PreparedScan, ResolvedCol, StarJoinOutput, StarProbe};
 use laqy_engine::parallel::{parallel_fold, DEFAULT_MORSEL_ROWS};
 use laqy_engine::{
     execute_exact, resolve_by_name, AggInput, AggSpec, Catalog, EngineError, GroupKey, Predicate,
@@ -421,7 +421,7 @@ impl LaqyExecutor {
         // infallible).
         let star = (self.joins).star(catalog, &query.plan, self.threads, &self.budget)?;
         let (joins, filter) = (&*star.joins, star.index.filter());
-        let probes = joins.probes();
+        let probe = StarProbe::new(fact, &joins.probes())?;
         let joined = (!query.plan.joins.is_empty()).then_some(&star.index);
         let prepared = PreparedScan::new(fact, &full_pred)?.with_range_index(
             &query.range_column,
@@ -439,9 +439,9 @@ impl LaqyExecutor {
         // Resolve the stratum-key and payload columns once: the column and
         // the joined dimension whose row ids index it (`None` = the fact
         // table).
-        let mut key_cols: Vec<(&StoredColumn, Option<usize>)> = Vec::new();
+        let mut key_cols: Vec<(ResolvedCol<'_>, Option<usize>)> = Vec::new();
         for c in &query.plan.group_by {
-            key_cols.push(match &c.table {
+            let (col, dim) = match &c.table {
                 None => (fact.column(&c.column)?, None),
                 Some(t) => {
                     let idx = joins.dim_index(t).ok_or_else(|| {
@@ -451,7 +451,8 @@ impl LaqyExecutor {
                     })?;
                     (catalog.table(t)?.column(&c.column)?, Some(idx))
                 }
-            });
+            };
+            key_cols.push((ResolvedCol::from_column(col), dim));
         }
         let mut value_cols: Vec<(&StoredColumn, Option<usize>, SlotKind)> = Vec::new();
         for (slot, name) in payload_cols.iter().enumerate() {
@@ -463,6 +464,9 @@ impl LaqyExecutor {
             /// This worker's row-id sample: every morsel it pulls
             /// continues Algorithm R into it.
             admission: Admission,
+            /// The star probe's output for the current morsel, its
+            /// allocations kept from morsel to morsel.
+            probed: StarJoinOutput,
             scan_ns: u64,
             sample_ns: u64,
             scanned: u64,
@@ -489,30 +493,27 @@ impl LaqyExecutor {
             // selection vector is kept because reservoir insertion needs
             // row ids (the sanctioned mask→selection decode).
             acc.scanned += range.len() as u64;
-            let mut sel = prepared.scan_pruned(range, &mut acc.prune);
+            let sel = prepared.scan_pruned(range, &mut acc.prune);
             // Sampler above a star join: the probe's aligned per-table row
-            // ids replace the selection, less the rows the filter drops.
-            let probed = if query.plan.joins.is_empty() {
-                None
-            } else {
-                filter.retain(&mut sel);
-                Some(star_probe(fact, &sel, &probes)?)
-            };
+            // ids replace the selection, less the rows the filter drops;
+            // the join index answers for the rows it covers.
+            if joined.is_some() {
+                acc.probed.clear();
+                filter.probe(&probe, &sel, &mut acc.probed);
+            }
             acc.scan_ns += t0.elapsed().as_nanos() as u64;
             let t1 = Instant::now();
+            let probed = &acc.probed;
             let rows_of = |dim: Option<usize>| -> &[u32] {
-                match (&probed, dim) {
+                match (joined, dim) {
                     (None, _) => &sel,
-                    (Some(out), None) => &out.fact_rows,
-                    (Some(out), Some(d)) => &out.dim_rows[d],
+                    (Some(_), None) => &probed.fact_rows,
+                    (Some(_), Some(d)) => &probed.dim_rows[d],
                 }
             };
             let rows = rows_of(None);
-            let keys: Vec<BoundCol<'_>> = key_cols
-                .iter()
-                .map(|&(col, dim)| BoundCol::new(col, Some(rows_of(dim))))
-                .collect();
-            acc.admission.admit(&keys, rows);
+            let keys = (key_cols.iter()).map(|&(col, dim)| BoundCol::bind(col, Some(rows_of(dim))));
+            acc.admission.admit(keys, rows);
             acc.sampled_input += rows.len() as u64;
             acc.sample_ns += t1.elapsed().as_nanos() as u64;
             Ok(())
@@ -537,6 +538,7 @@ impl LaqyExecutor {
                     worker_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed),
                     strata_hint,
                 ),
+                probed: StarJoinOutput::new(probe.joins()),
                 scan_ns: 0,
                 sample_ns: 0,
                 scanned: 0,
@@ -616,7 +618,8 @@ impl LaqyExecutor {
         let sample = {
             let survivors = retained_rows(&rows);
             let probed = if value_cols.iter().any(|(_, dim, _)| dim.is_some()) {
-                let probed = star_probe(fact, &survivors, &probes)?;
+                let mut probed = StarJoinOutput::new(probe.joins());
+                filter.probe(&probe, &survivors, &mut probed);
                 if probed.fact_rows != survivors {
                     return Err(LaqyError::Unsupported(
                         "a sampled row no longer joins its dimensions".into(),
@@ -638,8 +641,8 @@ impl LaqyExecutor {
         let materialise_wall = t_materialise.elapsed();
         // Tearing the row source down is scan time too.
         let t_drop = Instant::now();
-        drop(probes);
-        drop((prepared, star));
+        drop((prepared, probe));
+        drop(star);
         let rows_wall = rows_wall + t_drop.elapsed();
 
         // The per-thread phase timers measure CPU time; scale them onto the
@@ -888,6 +891,7 @@ pub fn range_predicate(column: &str, ranges: &IntervalSet) -> Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use laqy_engine::ops::star_probe;
     use laqy_engine::plan::PreparedJoins;
     use laqy_engine::{AggSpec, ColRef, Column, Table};
 
@@ -1119,62 +1123,100 @@ mod tests {
         // ids per morsel and reads `dw` once, through one probe of the
         // survivors. The oracle is the admission it replaced — a tuple
         // built from the probe's aligned rows whenever one is admitted —
-        // under the same worker seed.
+        // under the same worker seed. The second table has grown by two
+        // sealed chunks and an open one since its star was built, so the
+        // Δ begins with a filter prefix shorter than the table: the
+        // extension probes the new rows and carries the join index.
         let rows = 20_000i64;
         let catalog = star_catalog(rows);
+        let mut grown = catalog.clone();
+        let end = rows + 2 * laqy_engine::STORED_CHUNK_ROWS as i64 + 700;
+        let appended = |f: fn(i64) -> i64| Column::Int64((rows..end).map(f).collect());
+        let batch = vec![
+            ("key".into(), appended(|i| (i * 7919) % 40_000)),
+            ("g".into(), appended(|i| (i * 31) % 7)),
+            ("v".into(), appended(|i| i)),
+            ("fk".into(), appended(|i| i % DIMS)),
+        ];
+        grown.register(grown.table("t").unwrap().append_batch(&batch).unwrap());
         let query = star_query(Interval::new(2_000, 15_999));
         let schema = payload_schema(&catalog, &query).unwrap();
         assert_eq!(schema.column_names(), vec!["dw", "v", "key"]);
         let seed = 11u64;
-        for morsel_rows in [1_024, rows as usize] {
-            let sample = sample_with(&catalog, &query, 1, morsel_rows, seed);
+        for (catalog, built_over) in [(&catalog, None), (&grown, Some(&catalog))] {
+            let fact = catalog.table("t").unwrap();
+            for morsel_rows in [1_024, fact.num_rows()] {
+                let mut exec = LaqyExecutor::new(1, SupportPolicy::default(), seed);
+                exec.morsel_rows = morsel_rows;
+                if let Some(base) = built_over {
+                    let token = CancelToken::unbounded();
+                    let star = exec.joins.star(base, &query.plan, 1, &token).unwrap();
+                    assert!(star.index.filter().rows() < fact.num_rows());
+                }
+                let scope = Scope {
+                    catalog,
+                    query: &query,
+                    schema: &schema,
+                    strata_hint: 0,
+                };
+                let ranges = IntervalSet::of(query.range);
+                let sample = (exec.sample_pipeline(scope, &ranges, &Predicate::True, 0))
+                    .unwrap()
+                    .sample;
 
-            let (fact, dim) = (catalog.table("t").unwrap(), catalog.table("d").unwrap());
-            let sel: Vec<u32> = (0..rows as u32)
-                .filter(|&r| {
-                    query
-                        .range
-                        .contains(fact.column("key").unwrap().i64_at(r as usize))
-                })
-                .collect();
-            let joins = PreparedJoins::build(&catalog, &query.plan).unwrap();
-            let probed = star_probe(fact, &sel, &joins.probes()).unwrap();
-            let (at_fact, at_dim) = (&probed.fact_rows[..], &probed.dim_rows[0][..]);
-            let keys = [
-                BoundCol::new(dim.column("dg").unwrap(), Some(at_dim)),
-                BoundCol::new(fact.column("g").unwrap(), Some(at_fact)),
-            ];
-            let payload = [
-                (
-                    BoundCol::new(dim.column("dw").unwrap(), Some(at_dim)),
-                    SlotKind::Float,
-                ),
-                (
-                    BoundCol::new(fact.column("v").unwrap(), Some(at_fact)),
-                    SlotKind::Int,
-                ),
-                (
-                    BoundCol::new(fact.column("key").unwrap(), Some(at_fact)),
-                    SlotKind::Int,
-                ),
-            ];
-            // The pipeline draws one unused seed, then the worker seed.
-            let gamma = 0x9E37_79B9_7F4A_7C15u64;
-            let worker_seed = seed.wrapping_add(gamma).wrapping_add(gamma) ^ 0xAD31_55A7_C0DE_5EED;
-            let mut oracle = crate::sampler_ops::TupleSample::new(query.k);
-            crate::sampler_ops::admit_tuples(
-                &mut oracle,
-                &mut Lehmer64::new(worker_seed),
-                &keys,
-                &payload,
-                at_fact.len(),
-            );
-            assert!(oracle.iter().any(|(_, items, w)| w > items.len() as u64));
-            assert_eq!(
-                sample.contents(),
-                crate::sampler_ops::tuple_contents(&oracle, schema.len()),
-                "{morsel_rows}-row morsels"
-            );
+                let dim = catalog.table("d").unwrap();
+                let sel: Vec<u32> = (0..fact.num_rows() as u32)
+                    .filter(|&r| {
+                        query
+                            .range
+                            .contains(fact.column("key").unwrap().i64_at(r as usize))
+                    })
+                    .collect();
+                let joins = PreparedJoins::build(catalog, &query.plan).unwrap();
+                let probed = star_probe(fact, &sel, &joins.probes()).unwrap();
+                let (at_fact, at_dim) = (&probed.fact_rows[..], &probed.dim_rows[0][..]);
+                let keys = [
+                    BoundCol::new(dim.column("dg").unwrap(), Some(at_dim)),
+                    BoundCol::new(fact.column("g").unwrap(), Some(at_fact)),
+                ];
+                let payload = [
+                    (
+                        BoundCol::new(dim.column("dw").unwrap(), Some(at_dim)),
+                        SlotKind::Float,
+                    ),
+                    (
+                        BoundCol::new(fact.column("v").unwrap(), Some(at_fact)),
+                        SlotKind::Int,
+                    ),
+                    (
+                        BoundCol::new(fact.column("key").unwrap(), Some(at_fact)),
+                        SlotKind::Int,
+                    ),
+                ];
+                // The pipeline draws one unused seed, then the worker seed.
+                let gamma = 0x9E37_79B9_7F4A_7C15u64;
+                let worker_seed =
+                    seed.wrapping_add(gamma).wrapping_add(gamma) ^ 0xAD31_55A7_C0DE_5EED;
+                let mut oracle = crate::sampler_ops::TupleSample::new(query.k);
+                crate::sampler_ops::admit_tuples(
+                    &mut oracle,
+                    &mut Lehmer64::new(worker_seed),
+                    &keys,
+                    &payload,
+                    at_fact.len(),
+                );
+                assert!(oracle.iter().any(|(_, items, w)| w > items.len() as u64));
+                assert_eq!(
+                    sample.contents(),
+                    crate::sampler_ops::tuple_contents(&oracle, schema.len()),
+                    "{} rows, {morsel_rows}-row morsels",
+                    fact.num_rows()
+                );
+                let star = exec
+                    .joins
+                    .star(catalog, &query.plan, 1, &CancelToken::unbounded());
+                assert_eq!(star.unwrap().index.filter().rows(), fact.num_rows());
+            }
         }
     }
 

@@ -356,13 +356,15 @@ impl Admission {
     /// Offer `fact_rows`, in order. `keys` are the stratum-key columns,
     /// bound so that logical position `i` is `fact_rows[i]`'s row in the
     /// table the column lives in.
-    pub fn admit(&mut self, keys: &[BoundCol<'_>], fact_rows: &[u32]) {
+    pub fn admit<'k>(&mut self, keys: impl IntoIterator<Item = BoundCol<'k>>, fact_rows: &[u32]) {
         self.keys.clear();
+        let mut width = 0;
         for col in keys {
             col.gather_i64(fact_rows.len(), &mut self.keys);
+            width += 1;
         }
         // A key of compile-time width is built with plain moves.
-        match keys.len() {
+        match width {
             0 => self.offer_rows::<0>(fact_rows),
             1 => self.offer_rows::<1>(fact_rows),
             2 => self.offer_rows::<2>(fact_rows),
@@ -564,7 +566,7 @@ mod tests {
                 .then(|| BoundCol::new(t.column("g").unwrap(), Some(rows)))
                 .into_iter()
                 .collect();
-            admission.admit(&keys, rows);
+            admission.admit(keys, rows);
         }
         let rows = admission.into_rows();
         let survivors = retained_rows(&rows);
@@ -880,7 +882,7 @@ mod tests {
                 ];
                 let (sample, rng) = &mut direct[b % workers];
                 admit_tuples(sample, rng, &keys, &payload, rows.len());
-                by_row[b % workers].admit(&keys, rows);
+                by_row[b % workers].admit(keys.iter().copied(), rows);
             }
 
             let direct = merge_stratified_k(
@@ -1027,7 +1029,7 @@ mod tests {
                     let payload: Vec<_> =
                         (0..slots).map(|c| (bound(&format!("c{c}")), schema.kind(c))).collect();
                     admit_tuples(&mut oracle, &mut rng, &keys, &payload, rows.len());
-                    admission.admit(&keys, rows);
+                    admission.admit(keys, rows);
                 }
                 let rows = admission.into_rows();
                 let survivors = retained_rows(&rows);

@@ -4,10 +4,11 @@
 //! probes only the rows that join. DESIGN.md "Join filter" gives the key,
 //! when an entry holds, how its prefix is extended and the lock.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use laqy_engine::index::JoinedIndex;
-use laqy_engine::ops::{star_probe, JoinFilter};
+use laqy_engine::ops::{JoinFilter, StarJoinOutput, StarProbe};
 use laqy_engine::parallel::{isolate_unwind, parallel_fold, DEFAULT_MORSEL_ROWS};
 use laqy_engine::plan::PreparedJoins;
 use laqy_engine::{Catalog, JoinSpec, QueryPlan, Table};
@@ -85,7 +86,7 @@ impl JoinMemo {
         };
         let installed = joined
             && joining_rows(fact, &joins, filter.rows(), threads, token)
-                .map(|rows| filter.extend(fact.num_rows(), rows))
+                .map(|joined| filter.extend(fact.num_rows(), &joined))
                 .is_some();
         // An extension carries the lists of the pieces it covered already.
         let index = JoinedIndex::new(fact, filter, carried.as_deref().map(|s| &s.index));
@@ -108,41 +109,55 @@ impl JoinMemo {
     }
 }
 
-/// The fact rows from `from` on that join every map, one isolated morsel
-/// at a time on the pool; `None` once `token` expires or a morsel fails.
+/// The fact rows from `from` on that join every map, ascending, with their
+/// dimension rows: one isolated morsel at a time on the pool; `None` once
+/// `token` expires or a morsel fails.
 fn joining_rows(
     fact: &Table,
     joins: &PreparedJoins,
     from: usize,
     threads: usize,
     token: &CancelToken,
-) -> Option<Vec<u32>> {
+) -> Option<StarJoinOutput> {
     let probes = joins.probes();
+    let probe = StarProbe::new(fact, &probes).ok()?;
+    // Per worker, each morsel's rows and its probe output.
     let partials = parallel_fold(
         fact.num_rows(),
         DEFAULT_MORSEL_ROWS,
         threads,
         || Some(Vec::new()),
-        |acc: &mut Option<Vec<u32>>, range| {
+        |acc: &mut Option<Vec<(Range<usize>, StarJoinOutput)>>, range| {
             let range = range.start.max(from)..range.end;
-            let Some(rows) = acc.as_mut().filter(|_| !range.is_empty()) else {
+            let Some(morsels) = acc.as_mut().filter(|_| !range.is_empty()) else {
                 return;
             };
-            let sel: Vec<u32> = (range.start as u32..range.end as u32).collect();
-            match isolate_unwind(|| star_probe(fact, &sel, &probes)) {
-                Ok(Ok(out)) if !token.expired() => rows.extend(out.fact_rows),
+            let mut out = StarJoinOutput::new(probes.len());
+            let rows = range.start as u32..range.end as u32;
+            match isolate_unwind(|| probe.probe(rows, &mut out)) {
+                Ok(()) if !token.expired() => morsels.push((range, out)),
                 _ => *acc = None,
             }
         },
     );
-    let partials: Option<Vec<Vec<u32>>> = partials.into_iter().collect();
-    partials.map(|rows| rows.concat())
+    let mut morsels = partials.into_iter().collect::<Option<Vec<_>>>()?.concat();
+    #[cfg(test)]
+    tests::count_probed(morsels.iter().map(|(rows, _)| rows.len()).sum());
+    // Workers pull morsels in any order; the join index wants row order.
+    morsels.sort_unstable_by_key(|(rows, _)| rows.start);
+    let mut joined = StarJoinOutput::new(probes.len());
+    for (_, out) in morsels {
+        joined.fact_rows.extend(out.fact_rows);
+        for (all, dim) in joined.dim_rows.iter_mut().zip(out.dim_rows) {
+            all.extend(dim);
+        }
+    }
+    Some(joined)
 }
 
 #[cfg(test)]
 mod tests {
     use std::cell::Cell;
-    use std::ops::Range;
     use std::time::Duration;
 
     use laqy_engine::{
@@ -159,6 +174,8 @@ mod tests {
 
     thread_local! {
         static BUILDS: Cell<usize> = const { Cell::new(0) };
+        /// Fact rows the builds and extensions on this thread probed.
+        static PROBED: Cell<usize> = const { Cell::new(0) };
         /// The candidates the last Δ on this thread offered the cut-off.
         static OFFERED: Cell<Option<usize>> = const { Cell::new(None) };
     }
@@ -166,6 +183,11 @@ mod tests {
     /// Count one build of a star's maps and filter on this thread.
     pub(super) fn count_build() {
         BUILDS.with(|b| b.set(b.get() + 1));
+    }
+
+    /// Count `rows` fact rows one build or extension probed.
+    pub(super) fn count_probed(rows: usize) {
+        PROBED.with(|p| p.set(p.get() + rows));
     }
 
     const ROWS: i64 = 20_000;
@@ -326,6 +348,58 @@ mod tests {
         );
         // `extended` is alive, so no allocation of its lists was reused.
         drop(extended);
+    }
+
+    #[test]
+    fn the_join_index_is_built_once_extended_over_new_rows_alone_and_dropped_with_a_dimension() {
+        const C: usize = STORED_CHUNK_ROWS;
+        let service = service();
+        let memo = JoinMemo::new();
+        let token = CancelToken::unbounded();
+        let star = |catalog: &Catalog| memo.star(catalog, &query(0, 0).plan, 2, &token).unwrap();
+        let counts = || (BUILDS.with(Cell::get), PROBED.with(Cell::get));
+        let (builds, probed) = counts();
+        // The join index answers every row as the maps do.
+        let probes_like_the_maps = |catalog: &Catalog, star: &Star| {
+            let fact = catalog.table("t").unwrap();
+            let probes = star.joins.probes();
+            let all: Vec<u32> = (0..fact.num_rows() as u32).collect();
+            let mut out = StarJoinOutput::new(probes.len());
+            let probe = StarProbe::new(fact, &probes).unwrap();
+            star.index.filter().probe(&probe, &all, &mut out);
+            assert_eq!(
+                out,
+                laqy_engine::ops::star_probe(fact, &all, &probes).unwrap()
+            );
+            assert_eq!(star.index.filter().rows(), fact.num_rows());
+        };
+
+        let rows = ROWS as usize;
+        let catalog = service.catalog().clone();
+        let first = star(&catalog);
+        assert_eq!(counts(), (builds + 1, probed + rows));
+        probes_like_the_maps(&catalog, &first);
+        assert!(Arc::ptr_eq(&first, &star(&catalog)));
+        assert_eq!(counts(), (builds + 1, probed + rows), "built once");
+
+        // A fact append: only the new rows are probed, and the old ranks
+        // and dimension rows are carried.
+        service
+            .ingest("t", fact(ROWS..ROWS + C as i64 + 100))
+            .unwrap();
+        let catalog = service.catalog().clone();
+        let extended = star(&catalog);
+        assert_eq!(counts(), (builds + 1, probed + rows + C + 100));
+        probes_like_the_maps(&catalog, &extended);
+
+        // A dimension append drops the join index with the star: every row
+        // is probed again, against the new dimension.
+        service.ingest("d1", dim(45..50)).unwrap();
+        let catalog = service.catalog().clone();
+        let rebuilt = star(&catalog);
+        assert_eq!(counts(), (builds + 2, probed + 2 * (rows + C + 100)));
+        probes_like_the_maps(&catalog, &rebuilt);
+        assert_ne!(rebuilt.index.filter(), extended.index.filter());
     }
 
     #[test]

@@ -200,10 +200,15 @@ fn covered_pieces<T: Copy>(pieces: &Pieces<T>, rows: usize) -> usize {
         .count()
 }
 
-/// One Δ's rows marked in a bitmap over the indexed prefix `0..rows` of
-/// the table, and the rest of the predicate, which a marked row must `keep`.
+/// One Δ's rows marked in a bitmap over the indexed rows from the floor's
+/// word to `rows`, with one summary bit per word that is not zero, and the
+/// rest of the predicate, which a marked row must `keep`.
 pub(crate) struct Marks<'a> {
+    /// Words `first..` of the bitmap over `0..rows`.
     bits: Vec<u64>,
+    /// Bit `i` set when `bits[i]` is not zero.
+    summary: Vec<u64>,
+    first: usize,
     pub(crate) rows: usize,
     keep: Compiled<'a>,
 }
@@ -225,42 +230,63 @@ impl<'a> Marks<'a> {
         prefer: impl FnOnce(usize, Range<usize>) -> bool,
     ) -> Option<Self> {
         let joins = joined.map(|j| (&j.filter, j.lists(column).unwrap_or_default()));
-        let (bits, rows) = match col {
+        let (bits, summary, first, rows) = match col {
             StoredColumn::Int32(p) => mark(p, intervals, row_floor, joins, prefer),
             StoredColumn::Int64(p) => mark(p, intervals, row_floor, joins, prefer),
             StoredColumn::Dict { codes, .. } => mark(codes, intervals, row_floor, joins, prefer),
             StoredColumn::Float64(_) => None,
         }?;
-        Some(Self { bits, rows, keep })
+        Some(Self {
+            bits,
+            summary,
+            first,
+            rows,
+            keep,
+        })
     }
 
-    /// Append the marked rows of `range` (inside `0..rows`) that `keep`
-    /// keeps to `out`, ascending.
+    /// Append the marked rows of `range` (inside the floor's word `..rows`)
+    /// that `keep` keeps to `out`, ascending: only the words the summary
+    /// marks are read.
     pub(crate) fn decode(&self, range: Range<usize>, out: &mut Vec<u32>) {
         if range.is_empty() {
             return;
         }
-        let words = range.start / 64..range.end.div_ceil(64);
         let all = matches!(self.keep, Compiled::True);
-        let base = words.start * 64;
-        for_each_masked(base, words.len() * 64, &self.bits[words], |row| {
+        let mut visit = |row: usize| {
             if range.contains(&row) && (all || self.keep.matches(row)) {
                 out.push(row as u32);
             }
-        });
+        };
+        // The words of `bits` the range touches, and their summary words.
+        let (lo, hi) = (
+            range.start / 64 - self.first,
+            range.end.div_ceil(64) - self.first,
+        );
+        for s in lo / 64..hi.div_ceil(64) {
+            let (from, to) = (lo.max(s * 64) - s * 64, hi.min(s * 64 + 64) - s * 64);
+            let mut set = self.summary[s] & (u64::MAX >> (64 - (to - from))) << from;
+            while set != 0 {
+                let w = s * 64 + set.trailing_zeros() as usize;
+                set &= set - 1;
+                let base = (self.first + w) * 64;
+                for_each_masked(base, 64, &self.bits[w..=w], &mut visit);
+            }
+        }
     }
 }
 
-/// [`Marks::new`] over one typed column: the bitmap and the indexed rows.
-/// The candidates are the ids the runs hold: a covered piece's joined list,
-/// else its sorted ids, whose rows the filter (if any) checks one by one.
+/// [`Marks::new`] over one typed column: the bitmap from the floor's word,
+/// its summary, that word and the indexed rows. The candidates are the ids
+/// the runs hold: a covered piece's joined list, else its sorted ids, whose
+/// rows the filter (if any) checks one by one.
 fn mark<T: Copy + Into<i64>>(
     pieces: &Pieces<T>,
     intervals: &[(i64, i64)],
     row_floor: usize,
     joins: Option<(&JoinFilter, &Lists)>,
     prefer: impl FnOnce(usize, Range<usize>) -> bool,
-) -> Option<(Vec<u64>, usize)> {
+) -> Option<(Vec<u64>, Vec<u64>, usize, usize)> {
     // Per run: its piece's first row, its ids, the filter its rows meet.
     let mut runs: Vec<(usize, &[u32], Option<&JoinFilter>)> = Vec::new();
     let (mut rows, mut candidates) = (0, 0);
@@ -296,18 +322,35 @@ fn mark<T: Copy + Into<i64>>(
             candidates += to - from;
         }
     }
-    if !prefer(candidates, row_floor.min(rows)..rows) {
+    let floor = row_floor.min(rows);
+    if !prefer(candidates, floor..rows) {
         return None;
     }
-    let mut bits = vec![0u64; rows.div_ceil(64)];
+    // Rows below the floor are never decoded: the bitmap starts at its word.
+    let first = floor / 64;
+    let words = rows.div_ceil(64) - first;
+    let (mut bits, mut summary) = (vec![0u64; words], vec![0u64; words.div_ceil(64)]);
+    // Fewer candidates than words (a Q2 Δ's joining rows): each mark sets
+    // its word's summary bit, so no clear word is ever read. Else (a Q1 Δ)
+    // one pass over the words derives the summary, and no mark pays for it.
+    let sparse = candidates < words;
     for (start, run, check) in runs {
         for row in run.iter().map(|&id| start + id as usize) {
-            if check.is_none_or(|filter| filter.keeps(row)) {
-                bits[row / 64] |= 1 << (row % 64);
+            if row >= floor && check.is_none_or(|filter| filter.keeps(row)) {
+                let word = row / 64 - first;
+                bits[word] |= 1 << (row % 64);
+                if sparse {
+                    summary[word / 64] |= 1 << (word % 64);
+                }
             }
         }
     }
-    Some((bits, rows))
+    if !sparse {
+        for (set, words) in summary.iter_mut().zip(bits.chunks(64)) {
+            *set = (words.iter().enumerate()).fold(0, |s, (i, &w)| s | u64::from(w != 0) << i);
+        }
+    }
+    Some((bits, summary, first, rows))
 }
 
 #[cfg(test)]
@@ -458,6 +501,34 @@ mod tests {
             .append_batch(&[("k".into(), Column::Int64(vec![5; 10]))])
             .unwrap();
         assert!(next.heap_bytes() >= 4 * indexed + 8 * next.num_rows());
+    }
+
+    #[test]
+    fn a_tail_deltas_marks_start_at_the_floors_word() {
+        let table = grown_table();
+        let (n, sealed) = (table.num_rows(), 10_000 + 3 * STORED_CHUNK_ROWS);
+        // Inside the last sealed chunk, mid-word.
+        let floor = sealed - STORED_CHUNK_ROWS / 2 + 5;
+        let interval = [(0, 60_000)];
+        let predicate = Predicate::between("k", 0, 60_000);
+        let keep = Predicate::True.compile(&table).unwrap();
+        let col = table.column("k").unwrap();
+        let marks = Marks::new(col, "k", &interval, floor, keep, None, |_, _| true).unwrap();
+        assert_eq!(marks.first, floor / 64);
+        assert_eq!(marks.bits.len(), sealed.div_ceil(64) - floor / 64);
+        assert_eq!(marks.summary.len(), marks.bits.len().div_ceil(64));
+        let below = (floor / 64 * 64..floor).filter(|&r| col.i64_at(r) <= 60_000);
+        assert!(below.count() > 0, "the floor's word holds rows below it");
+
+        let walked = PreparedScan::new(&table, &predicate)
+            .unwrap()
+            .scan_pruned(floor..n, &mut PruneCounts::default());
+        let indexed = PreparedScan::new(&table, &predicate)
+            .unwrap()
+            .with_range_index("k", &interval, &Predicate::True, None, floor, |_, _| true)
+            .unwrap()
+            .scan_pruned(0..n, &mut PruneCounts::default());
+        assert_eq!(indexed, walked);
     }
 
     #[test]

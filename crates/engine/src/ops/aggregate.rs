@@ -29,10 +29,12 @@ pub struct BoundCol<'a> {
 impl<'a> BoundCol<'a> {
     /// Bind a column to a row-id vector.
     pub fn new(col: &'a StoredColumn, rows: Option<&'a [u32]>) -> Self {
-        Self {
-            col: ResolvedCol::from_column(col),
-            rows,
-        }
+        Self::bind(ResolvedCol::from_column(col), rows)
+    }
+
+    /// Bind a column resolved once to a row-id vector.
+    pub fn bind(col: ResolvedCol<'a>, rows: Option<&'a [u32]>) -> Self {
+        Self { col, rows }
     }
 
     #[inline(always)]

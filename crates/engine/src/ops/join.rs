@@ -3,7 +3,8 @@
 //! Dimension tables build compact key → row maps (optionally pre-filtered
 //! by a dimension predicate); the fact side probes all maps per tuple,
 //! most selective first, and keeps only fully-matching rows; a
-//! [`JoinFilter`] remembers which fact rows join. The paper's Q2 places
+//! [`JoinFilter`] remembers which fact rows join, and with what dimension
+//! rows, so a later probe of them reads no key. The paper's Q2 places
 //! the sampler above this operator, so the join's random-access cost is
 //! what a reduced Δ input saves (Figures 12b/14b).
 
@@ -70,7 +71,7 @@ pub fn build_join_map(dim: &Table, key_column: &str, predicate: &Predicate) -> R
 
 /// Output of a star-schema probe: aligned row-id vectors for the fact table
 /// and each joined dimension.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StarJoinOutput {
     /// Fact rows that matched every dimension.
     pub fact_rows: Vec<u32>,
@@ -79,65 +80,122 @@ pub struct StarJoinOutput {
     pub dim_rows: Vec<Vec<u32>>,
 }
 
+impl StarJoinOutput {
+    /// No rows yet, for a star of `joins` probes.
+    pub fn new(joins: usize) -> Self {
+        Self {
+            fact_rows: Vec::new(),
+            dim_rows: vec![Vec::new(); joins],
+        }
+    }
+
+    /// Drop every row, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.fact_rows.clear();
+        self.dim_rows.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Append fact row `row` and its dimension rows, in probe order.
+    #[inline]
+    fn push(&mut self, row: u32, dims: &[u32]) {
+        self.fact_rows.push(row);
+        for (out, &d) in self.dim_rows.iter_mut().zip(dims) {
+            out.push(d);
+        }
+    }
+}
+
+/// A star probe prepared once for a fact table: the maps, their fact key
+/// columns resolved, and the order the maps are tried in. A Δ prepares one
+/// and every morsel probes through it.
+pub struct StarProbe<'a> {
+    maps: Vec<&'a JoinMap>,
+    keys: Vec<ResolvedCol<'a>>,
+    order: Vec<usize>,
+}
+
+impl<'a> StarProbe<'a> {
+    /// `probes` (`(map, fact key column)` pairs) against `fact`, tried in
+    /// ascending [`JoinMap::pass_share`], so most rows fail at their first
+    /// probe; the output is the same in any order. More than
+    /// [`MAX_JOINS`] probes is an error.
+    pub fn new(fact: &'a Table, probes: &[(&'a JoinMap, &str)]) -> Result<Self> {
+        let share = |i: usize| probes[i].0.pass_share();
+        let mut order: Vec<usize> = (0..probes.len()).collect();
+        order.sort_by(|&a, &b| share(a).total_cmp(&share(b)));
+        Self::in_order(fact, probes, order)
+    }
+
+    /// [`StarProbe::new`], trying the maps in `order` (a permutation of
+    /// the probe indices). `dim_rows` stays aligned with `probes`, whatever
+    /// the order.
+    pub fn in_order(
+        fact: &'a Table,
+        probes: &[(&'a JoinMap, &str)],
+        order: Vec<usize>,
+    ) -> Result<Self> {
+        if probes.len() > MAX_JOINS {
+            return Err(too_many_joins(probes.len()));
+        }
+        let mut keys = Vec::with_capacity(probes.len());
+        for (_, col) in probes {
+            let c = fact.column(col)?;
+            c.check_int(col)?;
+            keys.push(ResolvedCol::from_column(c));
+        }
+        let maps = probes.iter().map(|&(map, _)| map).collect();
+        Ok(Self { maps, keys, order })
+    }
+
+    /// Probes per row.
+    pub fn joins(&self) -> usize {
+        self.maps.len()
+    }
+
+    /// Append the rows of `selection` that match every map to `out`, in
+    /// selection order, with their dimension rows.
+    pub fn probe(&self, selection: impl IntoIterator<Item = u32>, out: &mut StarJoinOutput) {
+        let (maps, keys, order) = (&self.maps[..], &self.keys[..], &self.order[..]);
+        'rows: for r in selection {
+            let mut matched = [0u32; MAX_JOINS];
+            for &i in order {
+                match maps[i].get(keys[i].i64(r as usize)) {
+                    Some(d) => matched[i] = d,
+                    None => continue 'rows,
+                }
+            }
+            out.push(r, &matched);
+        }
+    }
+}
+
 /// Probe a selection of fact rows against a set of `(map, fact key column)`
-/// pairs. Rows must match every map to survive. Maps are tried in
-/// ascending [`JoinMap::pass_share`], so most rows fail at their first
-/// probe; the output is the same in any order. More than [`MAX_JOINS`]
-/// probes is an error.
+/// pairs: [`StarProbe::new`] and one [`StarProbe::probe`]. Rows must match
+/// every map to survive. More than [`MAX_JOINS`] probes is an error.
 pub fn star_probe(
     fact: &Table,
     selection: &[u32],
     probes: &[(&JoinMap, &str)],
 ) -> Result<StarJoinOutput> {
-    let share = |i: usize| probes[i].0.pass_share();
-    let mut order: Vec<usize> = (0..probes.len()).collect();
-    order.sort_by(|&a, &b| share(a).total_cmp(&share(b)));
-    star_probe_in(fact, selection, probes, &order)
-}
-
-/// [`star_probe`], trying the maps in `order` (a permutation of the probe
-/// indices). `dim_rows` stays aligned with `probes`, whatever the order.
-pub fn star_probe_in(
-    fact: &Table,
-    selection: &[u32],
-    probes: &[(&JoinMap, &str)],
-    order: &[usize],
-) -> Result<StarJoinOutput> {
-    if probes.len() > MAX_JOINS {
-        return Err(too_many_joins(probes.len()));
-    }
-    let mut key_cols = Vec::with_capacity(probes.len());
-    for (_, col) in probes {
-        let c = fact.column(col)?;
-        c.check_int(col)?;
-        key_cols.push(ResolvedCol::from_column(c));
-    }
-    let mut fact_rows = Vec::new();
-    let mut dim_rows: Vec<Vec<u32>> = vec![Vec::new(); probes.len()];
-    'rows: for &r in selection {
-        let mut matched = [0u32; MAX_JOINS];
-        for &i in order {
-            match probes[i].0.get(key_cols[i].i64(r as usize)) {
-                Some(d) => matched[i] = d,
-                None => continue 'rows,
-            }
-        }
-        fact_rows.push(r);
-        for (i, out) in dim_rows.iter_mut().enumerate() {
-            out.push(matched[i]);
-        }
-    }
-    Ok(StarJoinOutput {
-        fact_rows,
-        dim_rows,
-    })
+    let mut out = StarJoinOutput::new(probes.len());
+    StarProbe::new(fact, probes)?.probe(selection.iter().copied(), &mut out);
+    Ok(out)
 }
 
 /// One bit per row of a fact-table prefix `0..rows`, set when the row
 /// joins every map of a star: exact while the dimensions stay the same.
+/// Beside the bits, a join index: each joining row's dimension rows, by
+/// rank (the joining rows before it), so a probe of a row inside the
+/// prefix reads no fact key and probes no map.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JoinFilter {
     bits: Vec<u64>,
+    /// Per word of `bits`, the set bits before it.
+    ranks: Vec<u32>,
+    /// Per joining row in rank order, its dimension rows in probe order:
+    /// `width` apiece.
+    dims: Vec<u32>,
+    width: usize,
     rows: usize,
 }
 
@@ -147,13 +205,43 @@ impl JoinFilter {
         self.rows
     }
 
-    /// Cover `0..rows`, setting the bits of `joined` (rows past the old
-    /// prefix that join).
-    pub fn extend(&mut self, rows: usize, joined: impl IntoIterator<Item = u32>) {
-        self.rows = self.rows.max(rows);
+    /// Cover `0..rows`, adding `joined`: the rows past the old prefix that
+    /// join, ascending, with their dimension rows (a probe's output).
+    pub fn extend(&mut self, rows: usize, joined: &StarJoinOutput) {
+        let from = self.rows;
+        if self.dims.is_empty() {
+            self.width = joined.dim_rows.len();
+        }
+        assert_eq!(joined.dim_rows.len(), self.width, "a star's probes");
+        assert!(joined
+            .dim_rows
+            .iter()
+            .all(|d| d.len() == joined.fact_rows.len()));
+        self.rows = from.max(rows);
         self.bits.resize(self.rows.div_ceil(64), 0);
-        for r in joined {
-            self.bits[r as usize / 64] |= 1 << (r % 64);
+        let mut next = from;
+        for (i, &r) in joined.fact_rows.iter().enumerate() {
+            let r = r as usize;
+            // Ranks follow row order, so the rows must come ascending.
+            assert!(
+                next <= r && r < self.rows,
+                "row {r} outside {next}..{}",
+                self.rows
+            );
+            next = r + 1;
+            self.bits[r / 64] |= 1 << (r % 64);
+            self.dims.extend(joined.dim_rows.iter().map(|d| d[i]));
+        }
+        // Ranks change from the word holding the old prefix's end on.
+        let first = from / 64;
+        self.ranks.truncate(first);
+        let mut rank = match first {
+            0 => 0,
+            w => self.ranks[w - 1] + self.bits[w - 1].count_ones(),
+        };
+        for word in &self.bits[first..] {
+            self.ranks.push(rank);
+            rank += word.count_ones();
         }
     }
 
@@ -167,6 +255,28 @@ impl JoinFilter {
     /// stay for the probe to decide.
     pub fn retain(&self, selection: &mut Vec<u32>) {
         selection.retain(|&r| self.keeps(r as usize));
+    }
+
+    /// [`StarProbe::probe`] of `selection`, appended to `out`: a row inside
+    /// the prefix reads its dimension rows from the join index, or is
+    /// dropped when its bit is clear, and a row past the prefix is probed.
+    /// The rows, their order and their dimension rows are the probe's.
+    /// `probe` must be over the maps the filter was built from.
+    pub fn probe(&self, probe: &StarProbe<'_>, selection: &[u32], out: &mut StarJoinOutput) {
+        assert!(self.dims.is_empty() || self.width == probe.joins());
+        for &r in selection {
+            let row = r as usize;
+            if row >= self.rows {
+                probe.probe([r], out);
+                continue;
+            }
+            let (word, bit) = (self.bits[row / 64], row % 64);
+            if word >> bit & 1 == 1 {
+                let below = (word & ((1 << bit) - 1)).count_ones();
+                let rank = (self.ranks[row / 64] + below) as usize;
+                out.push(r, &self.dims[rank * self.width..][..self.width]);
+            }
+        }
     }
 }
 
@@ -292,7 +402,11 @@ mod tests {
     #[test]
     fn a_filter_keeps_joining_rows_and_rows_past_its_prefix() {
         let mut filter = JoinFilter::default();
-        filter.extend(70, [3, 65]);
+        let joined = StarJoinOutput {
+            fact_rows: vec![3, 65],
+            dim_rows: vec![],
+        };
+        filter.extend(70, &joined);
         let mut sel: Vec<u32> = vec![0, 3, 64, 65, 69, 70, 200];
         filter.retain(&mut sel);
         assert_eq!(sel, vec![3, 65, 70, 200]);

@@ -12,5 +12,5 @@ pub use aggregate::{
 };
 pub use filter::{PreparedScan, ScanEvent};
 pub use join::{
-    build_join_map, star_probe, star_probe_in, JoinFilter, JoinMap, StarJoinOutput, MAX_JOINS,
+    build_join_map, star_probe, JoinFilter, JoinMap, StarJoinOutput, StarProbe, MAX_JOINS,
 };

@@ -8,15 +8,21 @@
 //!
 //! 1. a `JoinFilter` built morsel by morsel (any morsel size) sets exactly
 //!    the bits of the fact rows plan-order probing keeps;
-//! 2. `star_probe_in` returns the same `fact_rows` and `dim_rows` under
-//!    every probe order, and so does `star_probe`'s own order;
+//! 2. `StarProbe::in_order` returns the same `fact_rows` and `dim_rows`
+//!    under every probe order, and so does `star_probe`'s own order;
 //! 3. a filter built over the table before an append and extended over
 //!    the appended rows equals one built afresh, and a selection it
-//!    filters probes to the same output as the unfiltered selection.
+//!    filters probes to the same output as the unfiltered selection;
+//! 4. the join index's probe (`JoinFilter::probe`: dimension rows by rank
+//!    inside the prefix, the maps past it) of any sorted selection — one
+//!    that crosses the prefix included — equals `star_probe`'s, for the
+//!    filter built over any prefix and for one carried over an append.
 
 use std::ops::Range;
 
-use laqy_engine::ops::{build_join_map, star_probe, star_probe_in, JoinFilter, JoinMap};
+use laqy_engine::ops::{
+    build_join_map, star_probe, JoinFilter, JoinMap, StarJoinOutput, StarProbe,
+};
 use laqy_engine::{Column, Predicate, Table};
 use proptest::prelude::*;
 
@@ -112,13 +118,30 @@ fn extended(
     morsel: usize,
 ) -> JoinFilter {
     let (from, n) = (filter.rows(), fact.num_rows());
-    let mut joined = Vec::new();
+    let mut joined = StarJoinOutput::new(probes.len());
     for start in (from..n).step_by(morsel) {
         let rows: Vec<u32> = (start as u32..n.min(start + morsel) as u32).collect();
-        joined.extend(star_probe(fact, &rows, probes).unwrap().fact_rows);
+        let out = star_probe(fact, &rows, probes).unwrap();
+        joined.fact_rows.extend(out.fact_rows);
+        for (all, dim) in joined.dim_rows.iter_mut().zip(out.dim_rows) {
+            all.extend(dim);
+        }
     }
-    filter.extend(n, joined);
+    filter.extend(n, &joined);
     filter
+}
+
+/// `selection` probed against `probes` in `order`.
+fn probe_in(
+    fact: &Table,
+    selection: &[u32],
+    probes: &[(&JoinMap, &str)],
+    order: &[usize],
+) -> StarJoinOutput {
+    let mut out = StarJoinOutput::new(probes.len());
+    let probe = StarProbe::in_order(fact, probes, order.to_vec()).unwrap();
+    probe.probe(selection.iter().copied(), &mut out);
+    out
 }
 
 /// Every ordering of `0..n`.
@@ -163,7 +186,7 @@ proptest! {
         let n = after.num_rows();
         let all: Vec<u32> = (0..n as u32).collect();
         let plan_order: Vec<usize> = (0..dims.len()).collect();
-        let reference = star_probe_in(&after, &all, &probes, &plan_order).unwrap();
+        let reference = probe_in(&after, &all, &probes, &plan_order);
 
         // 1. The set bits are the rows plan-order probing keeps.
         let fresh = extended(JoinFilter::default(), &after, &probes, morsel);
@@ -174,7 +197,7 @@ proptest! {
 
         // 2. Every probe order, and the selectivity order, agree.
         for order in permutations(dims.len()) {
-            let out = star_probe_in(&after, &all, &probes, &order).unwrap();
+            let out = probe_in(&after, &all, &probes, &order);
             prop_assert_eq!(&out.fact_rows, &reference.fact_rows, "order {:?}", order);
             prop_assert_eq!(&out.dim_rows, &reference.dim_rows, "order {:?}", order);
         }
@@ -194,5 +217,62 @@ proptest! {
         prop_assert_eq!(&probed.fact_rows, &unfiltered.fact_rows);
         prop_assert_eq!(&probed.dim_rows, &unfiltered.dim_rows);
         prop_assert_eq!(extended(prefix, &after, &probes, morsel), fresh);
+    }
+
+    #[test]
+    fn the_join_index_probes_like_the_maps(
+        dims in dims(),
+        seed in any::<u64>(),
+        base in 0usize..1_500,
+        batches in prop::collection::vec(1usize..700, 0..3),
+        morsel in 1usize..1_000,
+        prefix_pick in any::<u64>(),
+        pick in any::<u64>(),
+        density in 1u64..9,
+    ) {
+        let tables: Vec<Table> =
+            dims.iter().enumerate().map(|(d, dim)| dim.table(&format!("d{d}"))).collect();
+        let maps: Vec<JoinMap> = dims
+            .iter()
+            .zip(&tables)
+            .map(|(dim, t)| build_join_map(t, "key", &dim.predicate).unwrap())
+            .collect();
+        let fk: Vec<String> = (0..dims.len()).map(|d| format!("fk{d}")).collect();
+        let probes: Vec<(&JoinMap, &str)> =
+            maps.iter().zip(&fk).map(|(m, k)| (m, k.as_str())).collect();
+        let (before, after) = fact_versions(seed, dims.len(), base, &batches);
+        let n = after.num_rows();
+        let probe = StarProbe::new(&after, &probes).unwrap();
+        // A selection sorted as a scan's, of a density of eighths, and the
+        // table's last rows, which lie past any shorter prefix.
+        let selection: Vec<u32> = (0..n as u32)
+            .filter(|&r| at(pick, 9, r as usize) % 8 < density || r as usize + 3 >= n)
+            .collect();
+        let reference = star_probe(&after, &selection, &probes).unwrap();
+        let through = |filter: &JoinFilter| {
+            let mut out = StarJoinOutput::new(probes.len());
+            filter.probe(&probe, &selection, &mut out);
+            out
+        };
+
+        // Built over a prefix of the grown table: shorter than the table,
+        // the table, or nothing.
+        let prefix = match prefix_pick % 4 {
+            0 => 0,
+            1 => n,
+            _ => (prefix_pick >> 2) as usize % (n + 1),
+        };
+        let inside: Vec<u32> = (0..prefix as u32).collect();
+        let mut over_prefix = JoinFilter::default();
+        over_prefix.extend(prefix, &star_probe(&after, &inside, &probes).unwrap());
+        prop_assert_eq!(through(&over_prefix), reference.clone(), "prefix {}", prefix);
+
+        // Built over the table before the append, as it stands and carried
+        // over the appended rows morsel by morsel.
+        let short = extended(JoinFilter::default(), &before, &probes, morsel);
+        prop_assert_eq!(through(&short), reference.clone());
+        let carried = extended(short, &after, &probes, morsel);
+        prop_assert_eq!(carried.rows(), n);
+        prop_assert_eq!(through(&carried), reference);
     }
 }

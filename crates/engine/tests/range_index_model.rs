@@ -17,6 +17,12 @@
 //! through the measured cut-off — and the cut-off must be offered the
 //! candidates of every sealed piece that reaches past the floor, exactly.
 //!
+//! Marks are a bitmap from the floor's word on with one summary bit per
+//! word, and a decode reads only the words the summary marks: sparse marks
+//! (one row in 4 096) and dense ones (every row), decoded over ranges that
+//! start and end mid-word and mid-summary-word from any floor, must equal
+//! the walk row for row.
+//!
 //! Above a star join the index meets the join filter first
 //! (`JoinedIndex`): over the same tables, for filters over random
 //! prefixes (empty, shorter than the table, every row) and densities,
@@ -29,7 +35,7 @@ use std::cell::Cell;
 use std::ops::Range;
 
 use laqy_engine::index::{prefer_index, JoinedIndex};
-use laqy_engine::ops::{reference, JoinFilter, PreparedScan};
+use laqy_engine::ops::{reference, JoinFilter, PreparedScan, StarJoinOutput};
 use laqy_engine::{dict_column, Column, Predicate, PruneCounts, Table, STORED_CHUNK_ROWS};
 use proptest::prelude::*;
 
@@ -81,6 +87,11 @@ fn rows_of(seed: u64, rows: Range<usize>) -> Vec<(String, Column)> {
         (
             "g".into(),
             Column::Int64(v(5).map(|x| (x % 7) as i64).collect()),
+        ),
+        // One row in 4 096 holds a 1: sparse marks.
+        (
+            "s".into(),
+            Column::Int64(v(6).map(|x| i64::from(x % 4_096 == 0)).collect()),
         ),
     ]
 }
@@ -256,10 +267,80 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Marks one row in 4 096 apart (`s = 1`, most summary words clear)
+    /// and marks on every row (`g ∈ [0, 6]`), decoded over ranges that
+    /// start and end mid-word and mid-summary-word (a summary word spans
+    /// 4 096 rows), from any floor: row for row the walk's.
+    #[test]
+    fn sparse_and_dense_marks_decode_like_the_walk(
+        seed in 0u64..1_000_000,
+        base in 0usize..40_000,
+        batch_picks in prop::collection::vec(1usize..2 * C, 0..3),
+        dense in any::<bool>(),
+        floor_pick in 0u64..4,
+        cuts in prop::collection::vec((0u64..4, any::<u64>()), 0..12),
+    ) {
+        let table = grown(seed, base, &batch_picks, 4_096);
+        let n = table.num_rows();
+        let (column, interval) = if dense { ("g", (0, 6)) } else { ("s", (1, 1)) };
+        let predicate = Predicate::between(column, interval.0, interval.1);
+        let floor = match floor_pick {
+            0 => 0,
+            1 => (n / 3) | 37,
+            2 => (n / 2 / 4_096 * 4_096) + 4_095,
+            _ => at(seed, 41, 0) as usize % (n + 1),
+        }
+        .min(n);
+        // Range ends anywhere, one past or before a word or a summary
+        // word's edge, or on it.
+        let mut ends: Vec<usize> = cuts
+            .iter()
+            .map(|&(kind, r)| {
+                let r = r as usize % (n + 1);
+                match kind {
+                    0 => r,
+                    1 => (r / 64 * 64 + 1).min(n),
+                    2 => (r / 4_096 * 4_096).saturating_sub(1),
+                    _ => r / 4_096 * 4_096,
+                }
+            })
+            .chain([0, n])
+            .collect();
+        ends.sort_unstable();
+        let scan = |index: bool| {
+            PreparedScan::new(&table, &predicate)
+                .unwrap()
+                .with_range_index(column, &[interval], &Predicate::True, None, floor, |_, _| index)
+                .unwrap()
+        };
+        let (indexed, walked) = (scan(true), scan(false));
+        let compiled = predicate.compile(&table).unwrap();
+        let mut counts = PruneCounts::default();
+        for pair in ends.windows(2) {
+            let range = pair[0]..pair[1];
+            let want = walked.scan_pruned(range.clone(), &mut PruneCounts::default());
+            let got = indexed.scan_pruned(range.clone(), &mut counts);
+            prop_assert_eq!(&got, &want, "range {:?} floor {}", range, floor);
+            let reference = reference::eval_rows(&compiled, range.start.max(floor)..range.end.max(floor));
+            prop_assert_eq!(&got, &reference);
+        }
+    }
+}
+
 /// A filter over rows `0..prefix` setting the rows `keeps` picks.
 fn filter_over(prefix: usize, keeps: impl Fn(usize) -> bool) -> JoinFilter {
+    let joined = StarJoinOutput {
+        fact_rows: (0..prefix)
+            .filter(|&r| keeps(r))
+            .map(|r| r as u32)
+            .collect(),
+        dim_rows: vec![],
+    };
     let mut filter = JoinFilter::default();
-    filter.extend(prefix, (0..prefix).filter(|&r| keeps(r)).map(|r| r as u32));
+    filter.extend(prefix, &joined);
     filter
 }
 
