@@ -126,6 +126,11 @@ impl Groups {
         }
     }
 
+    /// Every group's matching-row count, in key order.
+    pub(crate) fn matching(&self) -> &[usize] {
+        &self.matching
+    }
+
     /// The groups in key order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Group<'_>> {
         (0..self.len()).map(|i| self.get(i))

@@ -34,11 +34,11 @@ use crate::descriptor::{Predicates, SampleDescriptor};
 use crate::estimate::{estimate, EstimateError, EstimateOptions, Group, Groups};
 use crate::interval::{Interval, IntervalSet};
 use crate::sampler_ops::{
-    materialise, retained_rows, Admission, Sample, SampleSchema, SlotKind, MAX_SAMPLE_COLS,
+    retained_rows, Admission, Delta, Part, Sample, SampleSchema, SlotKind, MAX_SAMPLE_COLS,
 };
-use crate::star::JoinMemo;
+use crate::star::{JoinMemo, JoinShape};
 use crate::stats::{ExecStats, ReuseClass};
-use crate::store::CoveragePlan;
+use crate::store::{consolidates, CoveragePlan};
 use crate::support::{SupportPolicy, SupportReport};
 
 /// Errors from the LAQy execution layer.
@@ -177,20 +177,20 @@ impl LaqyExecutor {
     pub(crate) fn run_online(&mut self, scope: Scope<'_>) -> Result<OnlineRun> {
         let Scope { query, schema, .. } = scope;
         let ranges = IntervalSet::of(query.range);
-        let mut run = self.sample_pipeline(scope, &ranges, &Predicate::True, 0)?;
+        let run = self.sample_pipeline(scope, &ranges, &Predicate::True, 0)?;
+        let (mut sample, mut stats) = run.read();
         let t_est = Instant::now();
-        run.sample.settle(); // so the store keeps the key order walked here
+        sample.settle(); // so the store keeps the key order walked here
         let groups = estimate(
-            &run.sample,
+            &sample,
             schema,
             &query.plan.aggs,
             &EstimateOptions::default(),
         )?;
         let support = support_from_groups(&groups, &self.policy);
-        let mut stats = run.stats;
         stats.estimate = t_est.elapsed();
         Ok(OnlineRun {
-            sample: run.sample,
+            sample,
             groups,
             support,
             stats,
@@ -301,11 +301,12 @@ impl LaqyExecutor {
             return Ok(false);
         }
         // A plain, clean pipeline run: only scan-side fields are set.
-        stats.accumulate(&fresh.stats);
+        let (fresh, fresh_stats) = fresh.read();
+        stats.accumulate(&fresh_stats);
 
         let t_est = Instant::now();
         let fresh_groups = estimate(
-            &fresh.sample,
+            &fresh,
             schema,
             &query.plan.aggs,
             &EstimateOptions::default(),
@@ -339,12 +340,16 @@ impl LaqyExecutor {
     /// Δ-scan `parts` of a coverage plan against `catalog`. A part indexes
     /// `plan.fragments` followed by `plan.tails`, so a caller may pass only
     /// the ones it owns. A tail scan pushes its sample's own predicates
-    /// down with the row floor at the sample's watermark.
+    /// down with the row floor at the sample's watermark. With `lazy` set,
+    /// a plan whose write step consolidates ([`consolidates`]) leaves each
+    /// Δ's payload to the merge, which reads it for the rows it keeps;
+    /// every other Δ comes to rest on its own and is read here.
     pub(crate) fn scan_coverage(
         &mut self,
         scope: Scope<'_>,
         plan: &CoveragePlan,
         parts: impl Iterator<Item = usize>,
+        lazy: bool,
     ) -> Result<CoverageScans> {
         let query = scope.query;
         let mut out = CoverageScans {
@@ -353,6 +358,7 @@ impl LaqyExecutor {
             skipped: 0,
             scans: Vec::new(),
         };
+        let mut runs = Vec::new();
         for part in parts {
             if self.budget.expired() {
                 out.skipped += 1;
@@ -372,11 +378,23 @@ impl LaqyExecutor {
             let extra = fragment_extra_predicate(preds, &query.range_column);
             let run = self.sample_pipeline(scope, &ranges, &extra, row_floor)?;
             out.coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
-            out.stats.accumulate(&run.stats);
+            runs.push((part, run));
+        }
+        let clean = runs.iter().map(|(_, run)| run.stats.degraded.is_none());
+        let lazy = lazy && out.skipped == 0 && consolidates(plan, clean);
+        for (part, run) in runs {
+            let clean = run.stats.degraded.is_none();
+            let (sample, stats) = if lazy {
+                (Part::Unread(run.delta), run.stats)
+            } else {
+                let (sample, stats) = run.read();
+                (sample.into(), stats)
+            };
+            out.stats.accumulate(&stats);
             out.scans.push(Scan {
                 part,
-                sample: run.sample,
-                clean: run.stats.degraded.is_none(),
+                sample,
+                clean,
             });
         }
         Ok(out)
@@ -401,6 +419,7 @@ impl LaqyExecutor {
             catalog,
             query,
             schema,
+            shape,
             strata_hint,
         } = scope;
         // Everything up to the fold decides which rows the Δ reads: scan.
@@ -419,7 +438,7 @@ impl LaqyExecutor {
         // into batch kernels once; every morsel and residual fragment reuses
         // this (validation happens here too — the scans themselves are
         // infallible).
-        let star = (self.joins).star(catalog, &query.plan, self.threads, &self.budget)?;
+        let star = (self.joins).star(shape, catalog, &query.plan, self.threads, &self.budget)?;
         let (joins, filter) = (&*star.joins, star.index.filter());
         let probe = StarProbe::new(fact, &joins.probes())?;
         let joined = (!query.plan.joins.is_empty()).then_some(&star.index);
@@ -454,10 +473,10 @@ impl LaqyExecutor {
             };
             key_cols.push((ResolvedCol::from_column(col), dim));
         }
-        let mut value_cols: Vec<(&StoredColumn, Option<usize>, SlotKind)> = Vec::new();
+        let mut value_cols = Vec::with_capacity(payload_cols.len());
         for (slot, name) in payload_cols.iter().enumerate() {
             let (dim, table) = resolve_by_name(catalog, &query.plan, name)?;
-            value_cols.push((table.column(name)?, dim, schema.kind(slot)));
+            value_cols.push((table.column(name)?.clone(), dim, schema.kind(slot)));
         }
 
         struct Partial {
@@ -606,39 +625,33 @@ impl LaqyExecutor {
         // Workers scanned disjoint row sets, so their row-id samples
         // combine by Algorithm 3 (into the largest, in place) before any
         // payload exists; a lone worker's sample is the result as it
-        // stands. From here to the finished sample is sampling work too:
-        // it is timed and reported as `processing`.
-        let t_materialise = Instant::now();
+        // stands. From here to the Δ is sampling work too: it is timed and
+        // reported as `processing`.
+        let t_combine = Instant::now();
         let rows = merge_stratified_k(samples, &mut self.rng);
 
-        // The retained rows' payload is read once per scan, here, one typed
-        // column at a time; dimension-resident columns through one probe of
+        // Where the retained rows' payload is read: the fact rows, and the
+        // dimension rows of dimension-resident columns through one probe of
         // the survivors (every survivor joined once already, so the probe
         // keeps them all, in order).
-        let sample = {
-            let survivors = retained_rows(&rows);
-            let probed = if value_cols.iter().any(|(_, dim, _)| dim.is_some()) {
-                let mut probed = StarJoinOutput::new(probe.joins());
-                filter.probe(&probe, &survivors, &mut probed);
-                if probed.fact_rows != survivors {
-                    return Err(LaqyError::Unsupported(
-                        "a sampled row no longer joins its dimensions".into(),
-                    ));
-                }
-                Some(probed)
-            } else {
-                None
-            };
-            let columns = value_cols.iter().map(|&(col, dim, kind)| {
-                let at: &[u32] = match (&probed, dim) {
-                    (Some(out), Some(d)) => &out.dim_rows[d],
-                    _ => &survivors,
-                };
-                (ResolvedCol::from_column(col), at, kind)
-            });
-            materialise(rows, value_cols.len(), columns)
+        let survivors = retained_rows(&rows);
+        let retained = if value_cols.iter().any(|(_, dim, _)| dim.is_some()) {
+            let mut probed = StarJoinOutput::new(probe.joins());
+            filter.probe(&probe, &survivors, &mut probed);
+            if probed.fact_rows != survivors {
+                return Err(LaqyError::Unsupported(
+                    "a sampled row no longer joins its dimensions".into(),
+                ));
+            }
+            probed
+        } else {
+            StarJoinOutput {
+                fact_rows: survivors,
+                dim_rows: Vec::new(),
+            }
         };
-        let materialise_wall = t_materialise.elapsed();
+        let delta = Delta::new(rows, value_cols, retained);
+        let combine_wall = t_combine.elapsed();
         // Tearing the row source down is scan time too.
         let t_drop = Instant::now();
         drop((prepared, probe));
@@ -653,7 +666,7 @@ impl LaqyExecutor {
         let stats = ExecStats {
             scan: Duration::from_secs_f64(wall * scan_ns as f64 / cpu_total as f64) + rows_wall,
             processing: Duration::from_secs_f64(wall * sample_ns as f64 / cpu_total as f64)
-                + materialise_wall,
+                + combine_wall,
             scanned_rows: scanned,
             sampled_input_rows: sampled_input,
             morsels_skipped: prune.skipped,
@@ -668,7 +681,7 @@ impl LaqyExecutor {
             }),
             ..Default::default()
         };
-        Ok(PipelineRun { sample, stats })
+        Ok(PipelineRun { delta, stats })
     }
 
     /// Decode raw group-key parts into display values using the plan's key
@@ -711,8 +724,9 @@ pub(crate) struct Scan {
     /// Which part of the plan: an index into `fragments` followed by
     /// `tails`.
     pub part: usize,
-    /// The scan's sample — what the store absorbs.
-    pub sample: Sample,
+    /// The scan's sample — what the store absorbs — read, or left for the
+    /// merge to read.
+    pub sample: Part<'static>,
     /// The scan ran to completion. Only clean scans may enter the store: a
     /// degraded sample's descriptor would overclaim coverage.
     pub clean: bool,
@@ -746,10 +760,23 @@ pub(crate) struct OnlineRun {
 
 /// Outcome of one sampling pipeline run.
 pub(crate) struct PipelineRun {
-    /// Stratified sample over the whole scanned region.
-    pub sample: Sample,
+    /// Stratified sample over the whole scanned region, its payload not
+    /// read yet.
+    pub delta: Delta,
     /// Timing/cardinality breakdown.
     pub stats: ExecStats,
+}
+
+impl PipelineRun {
+    /// The sample with its payload read, the read charged to
+    /// `processing`.
+    pub fn read(self) -> (Sample, ExecStats) {
+        let (t, mut stats) = (Instant::now(), self.stats);
+        stats.payload_rows += self.delta.len() as u64;
+        let sample = self.delta.read();
+        stats.processing += t.elapsed();
+        (sample, stats)
+    }
 }
 
 /// What every pipeline of one attempt runs against: one catalog epoch,
@@ -760,6 +787,9 @@ pub(crate) struct Scope<'a> {
     pub catalog: &'a Catalog,
     pub query: &'a ApproxQuery,
     pub schema: &'a SampleSchema,
+    /// The query's join shape in `catalog`, which its scans' stars are
+    /// looked up by.
+    pub shape: &'a JoinShape,
     /// Strata a scan of this attempt should expect: the largest selected
     /// stored sample's count (a Δ-scan stratifies the same population), 0
     /// for a cold start. Sizes each worker's key index once.
@@ -832,9 +862,11 @@ fn prune_stats(prune: PruneCounts) -> ExecStats {
 
 /// Build a [`SupportReport`] from per-group matching-row counts (valid
 /// when output groups coincide with strata, i.e. no group projection).
+/// Groups come in key order, so the report's lists do too.
 pub(crate) fn support_from_groups(groups: &Groups, policy: &SupportPolicy) -> SupportReport {
     SupportReport::classify(
-        groups.iter().map(|g| (GroupKey::new(g.key), g.matching)),
+        groups.matching(),
+        |i| GroupKey::new(groups.get(i).key),
         policy,
     )
 }
@@ -1036,15 +1068,16 @@ mod tests {
         exec.morsel_rows = morsel_rows;
         let ranges = IntervalSet::of(query.range);
         let schema = payload_schema(catalog, query).unwrap();
+        let shape = JoinShape::of(catalog, &query.plan).unwrap();
         let scope = Scope {
             catalog,
             query,
             schema: &schema,
+            shape: &shape,
             strata_hint: 0,
         };
-        exec.sample_pipeline(scope, &ranges, &Predicate::True, 0)
-            .unwrap()
-            .sample
+        let run = exec.sample_pipeline(scope, &ranges, &Predicate::True, 0);
+        run.unwrap().delta.read()
     }
 
     /// The admission path this pipeline replaced, kept as the oracle: one
@@ -1148,21 +1181,23 @@ mod tests {
             for morsel_rows in [1_024, fact.num_rows()] {
                 let mut exec = LaqyExecutor::new(1, SupportPolicy::default(), seed);
                 exec.morsel_rows = morsel_rows;
+                let token = CancelToken::unbounded();
                 if let Some(base) = built_over {
-                    let token = CancelToken::unbounded();
-                    let star = exec.joins.star(base, &query.plan, 1, &token).unwrap();
-                    assert!(star.index.filter().rows() < fact.num_rows());
+                    let shape = JoinShape::of(base, &query.plan).unwrap();
+                    let star = exec.joins.star(&shape, base, &query.plan, 1, &token);
+                    assert!(star.unwrap().index.filter().rows() < fact.num_rows());
                 }
+                let shape = JoinShape::of(catalog, &query.plan).unwrap();
                 let scope = Scope {
                     catalog,
                     query: &query,
                     schema: &schema,
+                    shape: &shape,
                     strata_hint: 0,
                 };
                 let ranges = IntervalSet::of(query.range);
-                let sample = (exec.sample_pipeline(scope, &ranges, &Predicate::True, 0))
-                    .unwrap()
-                    .sample;
+                let run = exec.sample_pipeline(scope, &ranges, &Predicate::True, 0);
+                let sample = run.unwrap().delta.read();
 
                 let dim = catalog.table("d").unwrap();
                 let sel: Vec<u32> = (0..fact.num_rows() as u32)
@@ -1212,9 +1247,7 @@ mod tests {
                     "{} rows, {morsel_rows}-row morsels",
                     fact.num_rows()
                 );
-                let star = exec
-                    .joins
-                    .star(catalog, &query.plan, 1, &CancelToken::unbounded());
+                let star = exec.joins.star(&shape, catalog, &query.plan, 1, &token);
                 assert_eq!(star.unwrap().index.filter().rows(), fact.num_rows());
             }
         }
@@ -1319,16 +1352,18 @@ mod tests {
         exec.morsel_rows = morsel_rows;
         exec.prefer_index = prefer;
         let schema = payload_schema(catalog, query).unwrap();
+        let shape = JoinShape::of(catalog, &query.plan).unwrap();
         let scope = Scope {
             catalog,
             query,
             schema: &schema,
+            shape: &shape,
             strata_hint: 0,
         };
         let run = exec
             .sample_pipeline(scope, ranges, extra, row_floor)
             .unwrap();
-        (run.sample.contents(), run.stats)
+        (run.delta.read().contents(), run.stats)
     }
 
     /// Assert that the index and the scan give one Δ the same sample, byte

@@ -621,7 +621,7 @@ mod tests {
             let stored: u64 = side.iter_samples().map(|s| s.sample.total_weight()).sum();
             let scans = vec![(0, delta, true)];
             let merged = side.absorb_coverage(&q, &schema(), &plan, scans, true, &mut rng);
-            assert_eq!(merged.unwrap().total_weight(), stored + 51);
+            assert_eq!(merged.unwrap().sample.total_weight(), stored + 51);
         }
         let coverage = |store: &SampleStore| -> Vec<SampleDescriptor> {
             store.descriptors().map(|(_, d)| d.clone()).collect()

@@ -8,17 +8,19 @@
 //! off the fact scan or above a star join — continue Algorithm R directly
 //! into it. No per-morsel hash table is built, nothing is merged until
 //! different workers' samples are combined (Algorithm 3), and no payload is
-//! read until the scan is over: [`materialise`] then gathers the retained
+//! read until the scan is over: a [`Delta`] then gathers the retained
 //! rows' payload, one typed column at a time (late materialisation), into a
-//! [`Sample`] whose rows are as wide as its schema. A scan therefore costs
-//! what it admits, not `strata × k` tuples, and a stored sample what it
-//! holds. DESIGN.md, "Sample layout and the admission path" and "One
-//! stored representation", has the layout and the cost model.
+//! [`Sample`] whose rows are as wide as its schema — or, merged into a
+//! stored sample, only the payload of the rows the merge keeps. A scan
+//! therefore costs what it admits, not `strata × k` tuples, and a stored
+//! sample what it holds. DESIGN.md, "Sample layout and the admission
+//! path", "One stored representation" and "The lazy union merge", has the
+//! layout and the cost model.
 
 use std::borrow::Cow;
 
-use laqy_engine::ops::{BoundCol, ResolvedCol};
-use laqy_engine::{GroupKey, MAX_KEY_COLS};
+use laqy_engine::ops::{BoundCol, ResolvedCol, StarJoinOutput};
+use laqy_engine::{GroupKey, StoredColumn, MAX_KEY_COLS};
 use laqy_sampling::{merge_base, Lehmer64, StratifiedSampler};
 
 /// Maximum payload columns carried per sampled row.
@@ -245,16 +247,37 @@ impl Sample {
         }
     }
 
+    /// [`Self::absorb`] of `delta` read: the same draws, run on its row
+    /// ids, then the payload of the rows the merge keeps gathered into the
+    /// slots they took. Returns how many rows that is.
+    pub(crate) fn absorb_delta(&mut self, delta: &Delta, rng: &mut Lehmer64) -> usize {
+        assert_eq!(
+            delta.columns.len(),
+            self.slots,
+            "one column per payload slot"
+        );
+        each_width!(&mut self.rows, s => {
+            let placed = s.absorb_positions_in_key_order(&delta.rows, rng);
+            delta.fill(s.slots_mut(), &placed);
+            placed.len()
+        })
+    }
+
     /// The k-way merge of `inputs` (`merge_stratified_k` over samples): the
     /// others absorbed, in input order, into the input [`merge_base`]
-    /// picks — copied only if borrowed — whose key order the result keeps.
-    pub fn combine(mut inputs: Vec<Cow<'_, Sample>>, rng: &mut Lehmer64) -> Sample {
-        let sizes = inputs.iter().map(|s| (s.capacity(), s.num_strata()));
-        let mut out = inputs.remove(merge_base(sizes)).into_owned();
+    /// picks — copied only if borrowed, read first if a [`Delta`] — whose
+    /// key order the result keeps. Returns it and the payload rows read.
+    pub fn combine(mut inputs: Vec<Part<'_>>, rng: &mut Lehmer64) -> (Sample, usize) {
+        let base = inputs.remove(merge_base(inputs.iter().map(Part::size)));
+        let mut read = base.payload_rows();
+        let mut out = base.into_sample();
         for other in &inputs {
-            out.absorb(other, rng);
+            match other {
+                Part::Read(sample) => out.absorb(sample, rng),
+                Part::Unread(delta) => read += out.absorb_delta(delta, rng),
+            }
         }
-        out
+        (out, read)
     }
 
     /// Come to rest: release growth slack, extend the key order over the
@@ -390,7 +413,7 @@ impl Admission {
 }
 
 /// The row ids `rows` retains, stratum after stratum in iteration order:
-/// the survivors whose payload [`materialise`] reads.
+/// the rows whose payload a [`Delta`] reads.
 pub(crate) fn retained_rows(rows: &RowSample) -> Vec<u32> {
     let mut out = Vec::with_capacity(rows.total_items());
     for (_, items, _) in rows.iter() {
@@ -399,39 +422,147 @@ pub(crate) fn retained_rows(rows: &RowSample) -> Vec<u32> {
     out
 }
 
-/// Turn a sample of row ids into the sample of those rows' payload: the
-/// same strata in the same order with the same weights, each owning
-/// exactly the rows it retains, each row as wide as `slots` rounds up to.
-/// `columns` yields, per payload slot, the column, the survivors' rows *in
-/// that column's table* (aligned with [`retained_rows`]) and the slot's
-/// kind; each column is read once, in one typed pass. The RNG took no part
-/// in what a row holds, so this is the sample row-building admission would
-/// have built.
-pub(crate) fn materialise<'a>(
+/// A scan's sample before its payload is read: the fact row ids it
+/// retains and where each payload slot reads them. [`Delta::read`] gathers
+/// every retained row's payload, [`Sample::absorb_delta`] only that of the
+/// rows a merge keeps; either way each column is read in one typed pass.
+/// The RNG took no part in what a row holds, so both give the sample
+/// row-building admission would have built.
+pub struct Delta {
     rows: RowSample,
-    slots: usize,
-    columns: impl Iterator<Item = (ResolvedCol<'a>, &'a [u32], SlotKind)>,
-) -> Sample {
-    let mut sample = Sample::with_strata_hint(slots, rows.capacity(), 0);
-    each_width!(&mut sample.rows, s => *s = fill(rows, columns));
-    sample
+    /// Per payload slot: the column as the scanned table version holds it
+    /// (its pieces shared, not copied), the joined dimension whose rows
+    /// index it (`None`: the fact table) and the slot's kind.
+    columns: Vec<(StoredColumn, Option<usize>, SlotKind)>,
+    /// The retained rows ([`retained_rows`]) and, aligned with them, their
+    /// rows in each joined dimension.
+    retained: StarJoinOutput,
 }
 
-/// [`materialise`] into rows of `W` slots.
-fn fill<'a, const W: usize>(
-    rows: RowSample,
-    columns: impl Iterator<Item = (ResolvedCol<'a>, &'a [u32], SlotKind)>,
-) -> Sampler<W> {
-    let mut payload = vec![[0i64; W]; rows.total_items()];
-    for (slot, (col, at, kind)) in columns.enumerate() {
-        assert_eq!(at.len(), payload.len(), "one row per survivor");
-        let mut survivor = 0;
-        kind.read_each(&col, at.iter().map(|&r| r as usize), |v| {
-            payload[survivor][slot] = v;
-            survivor += 1;
-        });
+impl Delta {
+    /// `rows` with the payload `columns` read at `retained`'s rows.
+    pub(crate) fn new(
+        rows: RowSample,
+        columns: Vec<(StoredColumn, Option<usize>, SlotKind)>,
+        retained: StarJoinOutput,
+    ) -> Self {
+        assert_eq!(
+            retained.fact_rows.len(),
+            rows.total_items(),
+            "one row per item"
+        );
+        Delta {
+            rows,
+            columns,
+            retained,
+        }
     }
-    rows.with_items(payload)
+
+    /// Rows retained: the payload rows [`Self::read`] reads.
+    pub(crate) fn len(&self) -> usize {
+        self.retained.fact_rows.len()
+    }
+
+    /// The sample of the retained rows' payload: the same strata in the
+    /// same order with the same weights, each owning exactly the rows it
+    /// retains, each row as wide as the columns round up to.
+    pub(crate) fn read(self) -> Sample {
+        let mut sample = Sample::with_strata_hint(self.columns.len(), self.rows.capacity(), 0);
+        each_width!(&mut sample.rows, s => {
+            let payload = self.payload();
+            *s = self.rows.with_items(payload);
+        });
+        sample
+    }
+
+    /// Every retained row's payload, in retained order.
+    fn payload<const W: usize>(&self) -> Vec<[i64; W]> {
+        let mut payload = vec![[0; W]; self.len()];
+        for (slot, col, at, kind) in self.sources() {
+            let mut row = 0;
+            kind.read_each(&col, at.iter().map(|&r| r as usize), |v| {
+                payload[row][slot] = v;
+                row += 1;
+            });
+        }
+        payload
+    }
+
+    /// Write the payload of each `(slot, j)` of `placed` — the `j`-th
+    /// retained row — into `arena[slot]`. Each column's rows are listed
+    /// first, so its typed pass is a plain loop over two arrays.
+    fn fill<const W: usize>(&self, arena: &mut [[i64; W]], placed: &[(usize, usize)]) {
+        let slots: Vec<usize> = placed.iter().map(|&(slot, _)| slot).collect();
+        let mut rows = Vec::with_capacity(placed.len());
+        for (slot, col, at, kind) in self.sources() {
+            rows.clear();
+            rows.extend(placed.iter().map(|&(_, j)| at[j] as usize));
+            let mut i = 0;
+            kind.read_each(&col, rows.iter().copied(), |v| {
+                arena[slots[i]][slot] = v;
+                i += 1;
+            });
+        }
+    }
+
+    /// Per payload slot: the slot, its column, the rows of the column's
+    /// table aligned with the retained rows, and the slot's kind.
+    fn sources(&self) -> impl Iterator<Item = (usize, ResolvedCol<'_>, &[u32], SlotKind)> {
+        self.columns
+            .iter()
+            .enumerate()
+            .map(|(slot, (col, dim, kind))| {
+                let at = dim.map_or(&self.retained.fact_rows, |d| &self.retained.dim_rows[d]);
+                (slot, ResolvedCol::from_column(col), &at[..], *kind)
+            })
+    }
+}
+
+/// One input of [`Sample::combine`].
+pub enum Part<'a> {
+    /// A sample, owned or borrowed.
+    Read(Cow<'a, Sample>),
+    /// A scan's sample whose payload is read only for the rows the merge
+    /// keeps.
+    Unread(Delta),
+}
+
+impl Part<'_> {
+    /// `(capacity, strata)`, what [`merge_base`] picks by.
+    fn size(&self) -> (usize, usize) {
+        match self {
+            Part::Read(s) => (s.capacity(), s.num_strata()),
+            Part::Unread(d) => (d.rows.capacity(), d.rows.num_strata()),
+        }
+    }
+
+    /// Payload rows [`Self::into_sample`] reads.
+    pub(crate) fn payload_rows(&self) -> usize {
+        match self {
+            Part::Read(_) => 0,
+            Part::Unread(d) => d.len(),
+        }
+    }
+
+    /// The sample, its payload read if it was not.
+    pub(crate) fn into_sample(self) -> Sample {
+        match self {
+            Part::Read(s) => s.into_owned(),
+            Part::Unread(d) => d.read(),
+        }
+    }
+}
+
+impl From<Sample> for Part<'_> {
+    fn from(sample: Sample) -> Self {
+        Part::Read(Cow::Owned(sample))
+    }
+}
+
+impl<'a> From<&'a Sample> for Part<'a> {
+    fn from(sample: &'a Sample) -> Self {
+        Part::Read(Cow::Borrowed(sample))
+    }
 }
 
 /// A sample of 64 B tuples: the representation every stored sample had
@@ -568,14 +699,19 @@ mod tests {
                 .collect();
             admission.admit(keys, rows);
         }
-        let rows = admission.into_rows();
-        let survivors = retained_rows(&rows);
-        let column = |name: &str, kind| {
-            let col = ResolvedCol::from_column(t.column(name).unwrap());
-            (col, &survivors[..], kind)
+        let columns = [("v", SlotKind::Int), ("w", SlotKind::Float)];
+        fact_delta(admission.into_rows(), t, &columns).read()
+    }
+
+    /// `rows` with payload `columns` of the fact table `t`.
+    fn fact_delta(rows: RowSample, t: &Table, columns: &[(&str, SlotKind)]) -> Delta {
+        let retained = StarJoinOutput {
+            fact_rows: retained_rows(&rows),
+            dim_rows: Vec::new(),
         };
-        let columns = [column("v", SlotKind::Int), column("w", SlotKind::Float)];
-        materialise(rows, 2, columns.into_iter())
+        let column =
+            |&(name, kind): &(&str, SlotKind)| (t.column(name).unwrap().clone(), None, kind);
+        Delta::new(rows, columns.iter().map(column).collect(), retained)
     }
 
     fn all_rows(t: &Table) -> Vec<u32> {
@@ -662,10 +798,7 @@ mod tests {
         // more a stratum is absorbed into it.
         let online = admit_batches(&t, k, true, &[&all[..12_000]]);
         let delta = admit_batches(&t, k, true, &[&all[12_000..]]);
-        let merged = Sample::combine(
-            vec![Cow::Owned(online), Cow::Owned(delta)],
-            &mut Lehmer64::new(3),
-        );
+        let (merged, _) = Sample::combine(vec![online.into(), delta.into()], &mut Lehmer64::new(3));
         let descriptor = SampleDescriptor::new(
             "t[True]",
             vec!["g".into()],
@@ -895,15 +1028,14 @@ mod tests {
             );
             let survivors = retained_rows(&rows);
             let at_dim = dim_rows_of(&survivors);
-            fn col<'a>(t: &'a Table, name: &str) -> ResolvedCol<'a> {
-                ResolvedCol::from_column(t.column(name).unwrap())
-            }
-            let columns = [
-                (col(&fact, "v"), &survivors[..], SlotKind::Int),
-                (col(&fact, "w"), &survivors[..], SlotKind::Float),
-                (col(&dim, "p"), &at_dim[..], SlotKind::Float),
+            let col = |t: &Table, name: &str| t.column(name).unwrap().clone();
+            let columns = vec![
+                (col(&fact, "v"), None, SlotKind::Int),
+                (col(&fact, "w"), None, SlotKind::Float),
+                (col(&dim, "p"), Some(0), SlotKind::Float),
             ];
-            let mut late = materialise(rows, 3, columns.into_iter());
+            let retained = StarJoinOutput { fact_rows: survivors, dim_rows: vec![at_dim] };
+            let mut late = Delta::new(rows, columns, retained).read();
             prop_assert_eq!(late.contents(), tuple_contents(&direct, 3));
             // Exact-fit strata of 32 B rows (three slots round up to four):
             // the arena holds the retained rows and nothing else (128 B: the
@@ -1000,7 +1132,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// The width-exact sample is the 64 B one, for every schema width:
         /// the same operations on a [`Sample`] and on the oracle — scan
-        /// admission and `materialise`, the k-way merge, offers and
+        /// admission and a [`Delta`] read, the k-way merge (one Δ's payload
+        /// read only for the rows it keeps), offers and
         /// `insert_items` (empty strata among them) to strata old and new
         /// after the sample came to rest, ingest absorb through the store —
         /// leave the same `(key, rows, weight)` sequence, and every estimate
@@ -1031,19 +1164,21 @@ mod tests {
                     admit_tuples(&mut oracle, &mut rng, &keys, &payload, rows.len());
                     admission.admit(keys, rows);
                 }
-                let rows = admission.into_rows();
-                let survivors = retained_rows(&rows);
-                let columns = (0..slots).map(|c| {
-                    let col = ResolvedCol::from_column(t.column(&format!("c{c}")).unwrap());
-                    (col, &survivors[..], schema.kind(c))
-                });
-                (materialise(rows, slots, columns), oracle)
+                let names: Vec<String> = (0..slots).map(|c| format!("c{c}")).collect();
+                let columns: Vec<_> = (0..slots).map(|c| (names[c].as_str(), schema.kind(c))).collect();
+                (fact_delta(admission.into_rows(), &t, &columns), oracle)
             };
             let half = batches.len() / 2;
             let (a, oa) = scanned(seed, &batches[..half]);
             let (b, ob) = scanned(seed ^ 1, &batches[half..]);
+            let a = a.read();
             prop_assert_eq!(a.row_width(), slots.next_power_of_two());
-            let mut sample = Sample::combine(vec![Cow::Owned(a), Cow::Owned(b)], &mut Lehmer64::new(seed ^ 2));
+            // The second scan's payload is read only for the rows the merge
+            // keeps, unless it is the larger and the merge goes into it.
+            let read = b.len();
+            let (mut sample, rows_read) =
+                Sample::combine(vec![a.into(), Part::Unread(b)], &mut Lehmer64::new(seed ^ 2));
+            prop_assert!(rows_read <= read);
             let mut oracle = merge_stratified_k(vec![oa, ob], &mut Lehmer64::new(seed ^ 2));
             sample.settle();
 

@@ -84,10 +84,10 @@ use crate::executor::{
 };
 use crate::interval::IntervalSet;
 use crate::lazy::{plan_lazy, LazyPlan, ReuseMode};
-use crate::sampler_ops::{Sample, SampleSchema};
-use crate::star::JoinMemo;
+use crate::sampler_ops::SampleSchema;
+use crate::star::{JoinMemo, JoinShape};
 use crate::stats::{Counters, ExecStats, ReuseClass, ServiceStats};
-use crate::store::{CoveragePlan, SampleId, SampleStore, ShardedStore, STORE_SHARDS};
+use crate::store::{CoveragePlan, Merged, SampleId, SampleStore, ShardedStore, STORE_SHARDS};
 use crate::support::{SupportPolicy, SupportReport};
 use crate::wal::{WalAppender, WalRecord};
 
@@ -210,6 +210,8 @@ struct Attempt<'q> {
     /// The payload layout the query's samples carry, resolved once
     /// against the pinned epoch.
     schema: SampleSchema,
+    /// The query's join shape in the pinned epoch.
+    shape: JoinShape,
     descriptor: SampleDescriptor,
     /// The pinned fact table's row watermark.
     watermark: u64,
@@ -224,12 +226,21 @@ struct Attempt<'q> {
 }
 
 impl Attempt<'_> {
+    /// The tightening an estimate from a sample whose rows all lie inside
+    /// `bounds` needs: none when they are the query's own predicates,
+    /// since every row would match and the walk packs the same hit bits
+    /// with or without it.
+    fn tightening(&self, bounds: Option<&Predicates>) -> Option<&Predicates> {
+        (bounds != Some(&self.tighten)).then_some(&self.tighten)
+    }
+
     /// The executor, and what its pipelines run against.
     fn pipeline(&mut self) -> (&mut LaqyExecutor, Scope<'_>) {
         let scope = Scope {
             catalog: &self.pinned,
             query: self.query,
             schema: &self.schema,
+            shape: &self.shape,
             strata_hint: self.strata_hint,
         };
         (&mut self.executor, scope)
@@ -769,6 +780,7 @@ impl LaqyService {
         executor.set_budget_token(token.clone());
         let pinned: Catalog = self.catalog().clone();
         let schema = payload_schema(&pinned, query)?;
+        let shape = JoinShape::of(&pinned, &query.plan)?;
         let descriptor = descriptor_for(query, &schema);
         let watermark = pinned.table(&query.plan.fact)?.row_watermark();
         Ok(Attempt {
@@ -776,6 +788,7 @@ impl LaqyService {
             query,
             pinned,
             schema,
+            shape,
             descriptor,
             watermark,
             tighten: Predicates::on(query.range_column.clone(), IntervalSet::of(query.range)),
@@ -852,7 +865,8 @@ impl LaqyService {
         let Some(stored) = store.get(id) else {
             return Ok(None);
         };
-        let estimator = Estimator::compile(&stored.schema, &at.query.plan.aggs, Some(&at.tighten))?;
+        let tighten = at.tightening(Some(&stored.descriptor.predicates));
+        let estimator = Estimator::compile(&stored.schema, &at.query.plan.aggs, tighten)?;
         let sample = Arc::clone(&stored.sample);
         drop(store);
         let groups = estimator.estimate(&sample, EstimateOptions::default().z);
@@ -892,7 +906,7 @@ impl LaqyService {
         }
         let owned = claims.owned.iter().map(|(part, _)| *part);
         let (executor, scope) = at.pipeline();
-        let scans = executor.scan_coverage(scope, plan, owned)?;
+        let scans = executor.scan_coverage(scope, plan, owned, claims.busy.is_empty())?;
         let scanned = scans.scans.len() as u64;
         add(&self.inner.counters.delta_scans, scanned);
         add(&self.inner.counters.fragments_scanned, scanned);
@@ -917,7 +931,7 @@ impl LaqyService {
         plan: &CoveragePlan,
         snapshot: Option<&[(Predicates, u64)]>,
         scans: CoverageScans,
-    ) -> Option<Arc<Sample>> {
+    ) -> Option<Merged> {
         if snapshot.is_none() && !scans.scans.iter().any(|s| s.clean) {
             return None;
         }
@@ -984,15 +998,16 @@ impl LaqyService {
             add(&c.merge_retries, 1);
             return Ok(None);
         };
+        stats.payload_rows += merged.payload_rows as u64;
 
         // **Estimate** — lock-free: the merged sample is shared with the
         // store, not borrowed from it.
         let t_est = Instant::now();
         let opts = EstimateOptions {
-            tighten: Some(&at.tighten),
+            tighten: at.tightening(merged.union.as_ref()),
             ..Default::default()
         };
-        let groups = estimate(&merged, &at.schema, &at.query.plan.aggs, &opts)?;
+        let groups = estimate(&merged.sample, &at.schema, &at.query.plan.aggs, &opts)?;
         stats.estimate += t_est.elapsed();
         stats.fragments_reused = plan.samples.len() as u64;
         add(&c.fragments_reused, plan.samples.len() as u64);
@@ -1745,6 +1760,80 @@ mod tests {
         service.run_online_oblivious(&query(0, 999)).unwrap();
         assert!(service.store().is_empty());
         assert_eq!(service.stats().online_runs, 0);
+    }
+
+    /// Every group's key, value and half-width bits and support: `==` on
+    /// these is bit identity.
+    fn answer_bits(groups: &Groups) -> Vec<(Vec<i64>, Vec<(u64, u64, usize)>)> {
+        let agg =
+            |a: &crate::AggEstimate| (a.value.to_bits(), a.ci_half_width.to_bits(), a.support);
+        let group =
+            |g: crate::estimate::Group<'_>| (g.key.to_vec(), g.values.iter().map(agg).collect());
+        groups.iter().map(group).collect()
+    }
+
+    #[test]
+    fn a_sample_estimated_over_its_own_box_needs_no_tightening() {
+        // Every row of a stored sample lies inside its box, so tightening
+        // to the box sets every hit bit: the walk's answer is the
+        // untightened one, bit for bit, whichever write left the sample.
+        // The service skips exactly that tightening and keeps one whose
+        // query is a key narrower than the box.
+        let writes: [(&str, fn(&LaqyService)); 4] = [
+            ("Δ-merge", |s| {
+                s.run(&query(0, N / 4 - 1)).unwrap();
+                let r = s.run(&query(0, N / 2 - 1)).unwrap();
+                assert_eq!(r.stats.reuse, Some(ReuseClass::Partial));
+            }),
+            ("tail absorb", |s| {
+                s.run(&gated(0, N + 999)).unwrap();
+                s.ingest("t", batch(N, 1000)).unwrap();
+                let r = s.run(&gated(0, N + 999)).unwrap();
+                assert_eq!(r.stats.fragments_scanned, 1, "the tail");
+            }),
+            ("ingest absorb", |s| {
+                s.run(&query(0, N + 999)).unwrap();
+                s.ingest("t", batch(N, 1000)).unwrap();
+                assert_eq!(s.stats().absorbed_samples, 1);
+            }),
+            ("snapshot restore", |s| {
+                s.run(&query(N / 4, N / 2)).unwrap();
+                let bytes = s.export_samples();
+                s.clear_samples();
+                s.import_samples(&bytes).unwrap();
+            }),
+        ];
+        let aggs = [AggSpec::sum("v"), AggSpec::count(), AggSpec::avg("v")];
+        for (name, write) in writes {
+            let service = single_threaded(N, false);
+            write(&service);
+            let store = service.store();
+            assert_eq!(store.len(), 1, "{name}");
+            for stored in store.iter_samples() {
+                let bounds = &stored.descriptor.predicates;
+                let answer = |tighten| {
+                    let opts = EstimateOptions {
+                        tighten,
+                        ..Default::default()
+                    };
+                    answer_bits(&estimate(&stored.sample, &stored.schema, &aggs, &opts).unwrap())
+                };
+                assert_eq!(answer(Some(bounds)), answer(None), "{name}");
+                let [box_] = bounds.get("key").unwrap().intervals() else {
+                    panic!("{name}: one interval");
+                };
+                let token = CancelToken::unbounded();
+                let (same, narrower) = (query(box_.lo, box_.hi), query(box_.lo, box_.hi - 1));
+                let at = |q| service.begin(q, &token, Instant::now()).unwrap();
+                assert_eq!(at(&same).tightening(Some(bounds)), None, "{name}");
+                let narrower = at(&narrower);
+                assert_eq!(
+                    narrower.tightening(Some(bounds)),
+                    Some(&narrower.tighten),
+                    "{name}"
+                );
+            }
+        }
     }
 
     /// Column batch continuing `catalog(n)`'s value patterns for rows

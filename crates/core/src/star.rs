@@ -4,6 +4,7 @@
 //! probes only the rows that join. DESIGN.md "Join filter" gives the key,
 //! when an entry holds, how its prefix is extended and the lock.
 
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -11,7 +12,7 @@ use laqy_engine::index::JoinedIndex;
 use laqy_engine::ops::{JoinFilter, StarJoinOutput, StarProbe};
 use laqy_engine::parallel::{isolate_unwind, parallel_fold, DEFAULT_MORSEL_ROWS};
 use laqy_engine::plan::PreparedJoins;
-use laqy_engine::{Catalog, JoinSpec, QueryPlan, Table};
+use laqy_engine::{Catalog, QueryPlan, Table};
 use laqy_sync::{classes, Mutex};
 
 use crate::budget::CancelToken;
@@ -20,14 +21,38 @@ use crate::executor::Result;
 /// Join shapes the memo keeps; the least recently used goes first.
 const JOIN_SHAPES: usize = 8;
 
+/// A plan's join shape and the dimension versions it reads in one catalog
+/// epoch, resolved once per query: what the memo looks a [`Star`] up by.
+pub(crate) struct JoinShape {
+    /// A hash of the fact table's name and the plan's joins.
+    fingerprint: u64,
+    /// The joined dimension tables, in join order.
+    dims: Vec<Arc<Table>>,
+}
+
+impl JoinShape {
+    /// `plan`'s shape against `catalog`.
+    pub fn of(catalog: &Catalog, plan: &QueryPlan) -> Result<Self> {
+        let mut hasher = std::hash::DefaultHasher::new();
+        (&plan.fact, &plan.joins).hash(&mut hasher);
+        let dims = (plan.joins.iter())
+            .map(|j| catalog.table(&j.dim_table).map(Arc::clone))
+            .collect::<laqy_engine::Result<Vec<_>>>()?;
+        Ok(JoinShape {
+            fingerprint: hasher.finish(),
+            dims,
+        })
+    }
+}
+
 /// A join shape's maps against one set of dimension versions (`dims`), and
 /// the fact rows that join over a prefix of the fact table at `fact_epoch`
 /// with, per range column, the sealed pieces' ids of those rows.
 pub(crate) struct Star {
     pub joins: Arc<PreparedJoins>,
     pub index: JoinedIndex,
-    /// The fact table and the plan's joins.
-    shape: (String, Vec<JoinSpec>),
+    /// The [`JoinShape`]'s fingerprint.
+    fingerprint: u64,
     dims: Vec<Arc<Table>>,
     fact_epoch: u64,
 }
@@ -42,23 +67,23 @@ impl JoinMemo {
         Self(Mutex::named(classes::JOIN_MEMO, Vec::new()))
     }
 
-    /// `plan`'s star against `catalog`: the memo's entry while it holds,
-    /// extended over the rows appended since, or else built here. What the
+    /// `plan`'s star against `catalog`, whose shape is `shape`: the memo's
+    /// entry while it holds, extended over the rows appended since, or else
+    /// built here. An entry holds while it has the shape's fingerprint and
+    /// its dimension versions are the shape's own (`Arc::ptr_eq`). What the
     /// budget cuts short or a morsel fails installs nothing, and the scan
     /// probes the rows the filter does not cover.
     pub fn star(
         &self,
+        shape: &JoinShape,
         catalog: &Catalog,
         plan: &QueryPlan,
         threads: usize,
         token: &CancelToken,
     ) -> Result<Arc<Star>> {
         let fact = catalog.table(&plan.fact)?;
-        let dims = (plan.joins.iter())
-            .map(|j| catalog.table(&j.dim_table).map(Arc::clone))
-            .collect::<laqy_engine::Result<Vec<_>>>()?;
         let same_dim = |(a, b): (&Arc<Table>, &Arc<Table>)| Arc::ptr_eq(a, b);
-        let same = |s: &Arc<Star>| s.shape.0 == plan.fact && s.shape.1 == plan.joins;
+        let same = |s: &Arc<Star>| s.fingerprint == shape.fingerprint;
         // A joinless plan has nothing to filter and leaves the memo alone.
         let joined = !plan.joins.is_empty();
         let lookup = || {
@@ -69,7 +94,7 @@ impl JoinMemo {
             Some(star)
         };
         let cached = joined.then(lookup).flatten();
-        let valid = cached.filter(|s| s.dims.iter().zip(&dims).all(same_dim));
+        let valid = cached.filter(|s| s.dims.iter().zip(&shape.dims).all(same_dim));
         let (joins, mut filter, carried) = match valid {
             // The rows of an earlier version of the fact table are a prefix.
             Some(s) if s.index.filter().rows() >= fact.num_rows() => return Ok(s),
@@ -93,8 +118,8 @@ impl JoinMemo {
         let star = Arc::new(Star {
             joins,
             index,
-            shape: (plan.fact.clone(), plan.joins.clone()),
-            dims,
+            fingerprint: shape.fingerprint,
+            dims: shape.dims.clone(),
             fact_epoch: fact.epoch(),
         });
         if installed {
@@ -178,6 +203,12 @@ mod tests {
         static PROBED: Cell<usize> = const { Cell::new(0) };
         /// The candidates the last Δ on this thread offered the cut-off.
         static OFFERED: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// `plan`'s star in `memo` against `catalog`, on two threads.
+    fn star_of(memo: &JoinMemo, catalog: &Catalog, plan: &QueryPlan) -> Result<Arc<Star>> {
+        let shape = JoinShape::of(catalog, plan)?;
+        memo.star(&shape, catalog, plan, 2, &CancelToken::unbounded())
     }
 
     /// Count one build of a star's maps and filter on this thread.
@@ -269,10 +300,12 @@ mod tests {
         };
         let query = query(lo, hi);
         let schema = payload_schema(catalog, &query).unwrap();
+        let shape = JoinShape::of(catalog, &query.plan).unwrap();
         let scope = Scope {
             catalog,
             query: &query,
             schema: &schema,
+            shape: &shape,
             strata_hint: 0,
         };
         let ranges = IntervalSet::of(Interval::new(lo, hi));
@@ -287,8 +320,7 @@ mod tests {
         const C: i64 = STORED_CHUNK_ROWS as i64;
         let service = service();
         let memo = Arc::new(JoinMemo::new());
-        let token = CancelToken::unbounded();
-        let star = |catalog: &Catalog| memo.star(catalog, &query(0, 0).plan, 2, &token).unwrap();
+        let star = |catalog: &Catalog| star_of(&memo, catalog, &query(0, 0).plan).unwrap();
         let lists = |star: &Star| -> Vec<Option<*const u32>> {
             star.index
                 .built("key")
@@ -355,8 +387,7 @@ mod tests {
         const C: usize = STORED_CHUNK_ROWS;
         let service = service();
         let memo = JoinMemo::new();
-        let token = CancelToken::unbounded();
-        let star = |catalog: &Catalog| memo.star(catalog, &query(0, 0).plan, 2, &token).unwrap();
+        let star = |catalog: &Catalog| star_of(&memo, catalog, &query(0, 0).plan).unwrap();
         let counts = || (BUILDS.with(Cell::get), PROBED.with(Cell::get));
         let (builds, probed) = counts();
         // The join index answers every row as the maps do.
@@ -466,19 +497,19 @@ mod tests {
         let before = service.catalog().clone();
         service.ingest("t", fact(ROWS..ROWS + 1_000)).unwrap();
         let after = service.catalog().clone();
-        let (memo, plan, token) = (JoinMemo::new(), query(0, 0).plan, CancelToken::unbounded());
+        let (memo, plan) = (JoinMemo::new(), query(0, 0).plan);
         let builds = || BUILDS.with(Cell::get);
         let at_start = builds();
-        let longer = memo.star(&after, &plan, 2, &token).unwrap();
+        let longer = star_of(&memo, &after, &plan).unwrap();
         assert_eq!(longer.index.filter().rows(), (ROWS + 1_000) as usize);
-        let earlier = memo.star(&before, &plan, 2, &token).unwrap();
+        let earlier = star_of(&memo, &before, &plan).unwrap();
         assert!(
             Arc::ptr_eq(&longer, &earlier),
             "the earlier version's rows are a prefix"
         );
         assert!(Arc::ptr_eq(
             &longer,
-            &memo.star(&after, &plan, 2, &token).unwrap()
+            &star_of(&memo, &after, &plan).unwrap()
         ));
         assert_eq!(builds(), at_start + 1);
     }

@@ -99,6 +99,10 @@ exec_stats! {
     scanned_rows: u64,
     /// Rows that reached the sampler after filters/joins.
     sampled_input_rows: u64,
+    /// Sampled rows whose payload was read: every row a scan retained,
+    /// except that a Δ merged into a stored sample reads only the rows the
+    /// merge keeps.
+    payload_rows: u64,
     /// Effective selectivity actually processed: Δ-range measure divided by
     /// the predicate-domain measure (Figure 9's y-axis).
     effective_selectivity: f64,
@@ -281,6 +285,7 @@ mod tests {
             total: Duration::from_millis(20),
             scanned_rows: 100,
             sampled_input_rows: 50,
+            payload_rows: 25,
             effective_selectivity: 0.5,
             morsels_skipped: 7,
             morsels_fast_pathed: 2,

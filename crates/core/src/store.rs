@@ -14,7 +14,6 @@
 //! eviction hooks this store into Taster-style storage management (paper
 //! §8).
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use laqy_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -26,7 +25,7 @@ use laqy_sampling::Lehmer64;
 
 use crate::descriptor::{Predicates, SampleDescriptor};
 use crate::lazy::MAX_COVERAGE_SAMPLES;
-use crate::sampler_ops::{Sample, SampleSchema};
+use crate::sampler_ops::{Part, Sample, SampleSchema};
 
 /// Stable identity of a stored sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,6 +97,29 @@ impl StoredSample {
     pub fn bytes(&self) -> usize {
         self.bytes
     }
+}
+
+/// A coverage plan's lazy sample, as [`SampleStore::absorb_coverage`]
+/// returns it.
+pub struct Merged {
+    /// The k-way merge of the planned samples and every Δ.
+    pub sample: Arc<Sample>,
+    /// When the merge replaced the planned samples: the union of their and
+    /// the Δs' predicates, which every row of `sample` lies inside.
+    pub union: Option<Predicates>,
+    /// Δ payload rows the write step read.
+    pub payload_rows: usize,
+}
+
+/// Whether the write step of `plan` can replace its samples by their merge
+/// with the Δs, given each scan's `clean` flag: every fragment was scanned
+/// to completion and nothing was stale. Only then may a Δ's payload wait
+/// for the merge to pick the rows it keeps.
+pub(crate) fn consolidates(
+    plan: &CoveragePlan,
+    mut clean: impl ExactSizeIterator<Item = bool>,
+) -> bool {
+    plan.tails.is_empty() && clean.len() == plan.fragments.len() && clean.all(|clean| clean)
 }
 
 /// A multi-sample reuse plan — the coverage-planning generalization of
@@ -564,11 +586,14 @@ impl SampleStore {
     /// scan order; `part` indexes `plan.fragments` followed by `plan.tails`,
     /// and `clean` is false for a scan the budget cut short. The policy:
     ///
-    /// - When every part of a tail-free plan was scanned cleanly and the
-    ///   merged region is itself a predicate box, the planned samples
-    ///   leave the store, the Δs are merged into the largest of them *in
-    ///   place*, and the result replaces them under the union descriptor
-    ///   (shared with the caller, not copied).
+    /// - When every part of a tail-free plan was scanned cleanly
+    ///   (`consolidates`) and the merged region is itself a predicate
+    ///   box, the planned samples leave the store, the Δs are merged into
+    ///   the largest of them *in place* — a Δ whose payload was not read
+    ///   yet ([`Part::Unread`]) is read for the rows the merge keeps alone
+    ///   — and the result replaces them under the union descriptor
+    ///   (shared with the caller, not copied), which [`Merged::union`]
+    ///   reports.
     /// - Otherwise the merge is made on a copy and each clean scan is
     ///   absorbed on its own — tails back into their source samples (the
     ///   `from_row` guard of [`SampleStore::absorb_tail`] rejects a
@@ -577,7 +602,8 @@ impl SampleStore {
     ///   is not expressible as one descriptor, a union replacement would
     ///   drop per-sample watermark bookkeeping mid catch-up, and a sample
     ///   of a cut-short scan would overclaim coverage, so unclean scans
-    ///   take part in the returned merge only.
+    ///   take part in the returned merge only. Every Δ is read in full
+    ///   here.
     ///
     /// With `merge` unset (the caller's plan went stale, or other clients
     /// are still scanning the rest of it) only the second half runs: the
@@ -588,19 +614,19 @@ impl SampleStore {
         query: &SampleDescriptor,
         schema: &SampleSchema,
         plan: &CoveragePlan,
-        scans: Vec<(usize, Sample, bool)>,
+        scans: Vec<(usize, impl Into<Part<'static>>, bool)>,
         merge: bool,
         rng: &mut Lehmer64,
-    ) -> Option<Arc<Sample>> {
+    ) -> Option<Merged> {
+        let scans: Vec<(usize, Part<'_>, bool)> = (scans.into_iter())
+            .map(|(part, sample, clean)| (part, sample.into(), clean))
+            .collect();
         let n_fragments = plan.fragments.len();
         let stored: Option<Vec<&StoredSample>> = merge
             .then(|| plan.samples.iter().map(|id| self.get(*id)).collect())
             .flatten();
-        let complete = plan.tails.is_empty()
-            && scans.len() == n_fragments
-            && scans.iter().all(|(_, _, clean)| *clean);
         let union = match &stored {
-            Some(stored) if complete => {
+            Some(stored) if consolidates(plan, scans.iter().map(|(_, _, clean)| *clean)) => {
                 let parts: Vec<&Predicates> = stored
                     .iter()
                     .map(|s| &s.descriptor.predicates)
@@ -616,25 +642,45 @@ impl SampleStore {
         };
         if let Some(union) = union {
             let stored = plan.samples.iter().filter_map(|id| self.take(*id));
-            let mut inputs: Vec<_> = stored
-                .map(|s| Cow::Owned(Arc::unwrap_or_clone(s.sample)))
+            let mut inputs: Vec<Part<'_>> = stored
+                .map(|s| Arc::unwrap_or_clone(s.sample).into())
                 .collect();
-            inputs.extend(scans.into_iter().map(|(_, sample, _)| Cow::Owned(sample)));
-            let mut merged = Sample::combine(inputs, rng);
+            inputs.extend(scans.into_iter().map(|(_, part, _)| part));
+            let (mut merged, payload_rows) = Sample::combine(inputs, rng);
             // Shared with the caller from here on, so `settle` cannot
             // reach it.
             merged.settle();
             let merged = Arc::new(merged);
             let shared = Arc::clone(&merged);
-            self.absorb(at(union), schema.clone(), shared, plan.watermark, rng);
-            return Some(merged);
+            self.absorb(
+                at(union.clone()),
+                schema.clone(),
+                shared,
+                plan.watermark,
+                rng,
+            );
+            return Some(Merged {
+                sample: merged,
+                union: Some(union),
+                payload_rows,
+            });
         }
+        // Each Δ comes to rest on its own: read what was not read yet.
+        let mut payload_rows = 0;
+        let scans: Vec<(usize, Sample, bool)> = (scans.into_iter())
+            .map(|(part, sample, clean)| {
+                payload_rows += sample.payload_rows();
+                (part, sample.into_sample(), clean)
+            })
+            .collect();
         let merged = stored.map(|stored| {
-            let inputs = stored
-                .iter()
-                .map(|s| Cow::Borrowed(&*s.sample))
-                .chain(scans.iter().map(|(_, sample, _)| Cow::Borrowed(sample)));
-            Arc::new(Sample::combine(inputs.collect(), rng))
+            let inputs = (stored.iter().map(|s| Part::from(&*s.sample)))
+                .chain(scans.iter().map(|(_, sample, _)| Part::from(sample)));
+            Merged {
+                sample: Arc::new(Sample::combine(inputs.collect(), rng).0),
+                union: None,
+                payload_rows,
+            }
         });
         let (fragments, tails): (Vec<_>, Vec<_>) = scans
             .into_iter()
@@ -1159,14 +1205,15 @@ mod tests {
         let merged = store
             .absorb_coverage(&query, &schema(), &plan, scans, true, &mut rng)
             .expect("planned sample is stored");
-        assert_eq!(merged.total_weight(), 120);
+        assert_eq!(merged.sample.total_weight(), 120);
         // The planned sample left the store; the union replaced it and is
         // the very sample the caller estimates from.
         assert!(store.peek(id).is_none());
         assert_eq!(store.len(), 1);
         let (_, s) = store.iter().next().unwrap();
         assert_eq!(s.descriptor.predicates, query.predicates);
-        assert!(Arc::ptr_eq(&s.sample, &merged));
+        assert_eq!(merged.union.as_ref(), Some(&query.predicates));
+        assert!(Arc::ptr_eq(&s.sample, &merged.sample));
         let full = store.plan_coverage_at(&desc(0, 150), 0);
         assert!(full.fragments.is_empty() && full.tails.is_empty());
     }
@@ -1192,7 +1239,8 @@ mod tests {
         let merged = store
             .absorb_coverage(&query, &schema(), &plan, scans(false), true, &mut rng)
             .unwrap();
-        assert_eq!(merged.total_weight(), 180);
+        assert_eq!(merged.sample.total_weight(), 180);
+        assert_eq!(merged.union, None, "its rows span no stored box");
         let kept = store.peek(id).expect("no consolidation on a degraded plan");
         assert_eq!(kept.sample.total_weight(), 120);
         assert_eq!(kept.descriptor.predicates, desc(0, 199).predicates);

@@ -61,27 +61,31 @@ impl SupportReport {
         self.under_supported.is_empty() && self.empty.is_empty()
     }
 
-    /// Compare each stratum's matching-tuple count against the policy.
+    /// Compare each stratum's matching-tuple count against the policy:
+    /// `matching[i]` is stratum `i`'s, `key(i)` its key. Strata come in
+    /// key order, so both lists are filled sorted, each allocated once at
+    /// the size a first pass over the counts finds.
     pub(crate) fn classify(
-        matching: impl IntoIterator<Item = (GroupKey, usize)>,
+        matching: &[usize],
+        key: impl Fn(usize) -> GroupKey,
         policy: &SupportPolicy,
     ) -> Self {
+        let min = policy.min_rows_per_stratum;
+        let empty = matching.iter().filter(|&&m| m == 0).count();
+        let under = matching.iter().filter(|&&m| m > 0 && m < min).count();
         let mut report = SupportReport {
-            supported: 0,
-            under_supported: Vec::new(),
-            empty: Vec::new(),
+            supported: matching.len() - empty - under,
+            under_supported: Vec::with_capacity(under),
+            empty: Vec::with_capacity(empty),
         };
-        for (key, matching) in matching {
-            if matching == 0 {
-                report.empty.push(key);
-            } else if matching < policy.min_rows_per_stratum {
-                report.under_supported.push(key);
-            } else {
-                report.supported += 1;
+        for (i, &m) in matching.iter().enumerate() {
+            if m == 0 {
+                report.empty.push(key(i));
+            } else if m < min {
+                report.under_supported.push(key(i));
             }
         }
-        report.under_supported.sort();
-        report.empty.sort();
+        debug_assert!(report.under_supported.is_sorted() && report.empty.is_sorted());
         report
     }
 }
@@ -185,5 +189,38 @@ mod tests {
         let s = sample(&[(0, 0..10)]);
         let tighten = Predicates::on("nope", IntervalSet::of(Interval::new(0, 1)));
         assert!(check_support(&s, &schema(), Some(&tighten), &SupportPolicy::default()).is_err());
+    }
+
+    #[test]
+    fn strata_in_key_order_classify_into_sorted_lists_of_exact_size() {
+        // Two-part keys in key order, every class present: the lists come
+        // out as sorting them would leave them, allocated once at size.
+        let mut rng = Lehmer64::new(3);
+        let keys: Vec<GroupKey> = (0..500)
+            .map(|i| GroupKey::new(&[i / 7, i % 7 - 3]))
+            .collect();
+        let counts: Vec<usize> = keys.iter().map(|_| rng.next_below(45) as usize).collect();
+        let report = SupportReport::classify(&counts, |i| keys[i], &SupportPolicy::default());
+        let matching: Vec<(GroupKey, usize)> = keys.iter().copied().zip(counts).collect();
+        let class = |f: fn(usize) -> bool| -> Vec<GroupKey> {
+            let mut keys: Vec<_> = matching
+                .iter()
+                .filter(|(_, m)| f(*m))
+                .map(|(k, _)| *k)
+                .collect();
+            keys.sort();
+            keys
+        };
+        assert_eq!(report.empty, class(|m| m == 0));
+        assert_eq!(report.under_supported, class(|m| m > 0 && m < 30));
+        assert_eq!(
+            report.supported,
+            matching.iter().filter(|(_, m)| *m >= 30).count()
+        );
+        assert_eq!(report.empty.capacity(), report.empty.len());
+        assert_eq!(
+            report.under_supported.capacity(),
+            report.under_supported.len()
+        );
     }
 }

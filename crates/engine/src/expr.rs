@@ -10,7 +10,7 @@ use crate::error::Result;
 use crate::table::Table;
 
 /// A boolean predicate over one table's rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Predicate {
     /// Matches every row.
     True,

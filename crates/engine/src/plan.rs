@@ -23,7 +23,7 @@ use crate::table::{Catalog, Table};
 use crate::types::Value;
 
 /// One dimension join in a star plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JoinSpec {
     /// Dimension table name.
     pub dim_table: String,

@@ -15,8 +15,11 @@
 //! rarely fills a reservoir — simply continues Algorithm R into the
 //! stored stratum's slots, so a Δ-merge costs work proportional to the Δ,
 //! allocates nothing and leaves every stratum the Δ does not touch alone.
-//! The merge functions pick the input to merge into and fold the others
-//! over it.
+//! The draws never read an item, so
+//! [`StratifiedSampler::absorb_positions_in_key_order`] runs them on item
+//! positions and reports where the kept ones land: a caller holding a
+//! sample of row ids reads payload for those rows alone. The merge
+//! functions pick the input to merge into and fold the others over it.
 
 use crate::merge::{merge_sources, MergeScratch, Source};
 use crate::rng::Lehmer64;
@@ -43,7 +46,7 @@ impl<K: StratumKey, T: Clone + Default> StratifiedSampler<K, T> {
     pub(crate) fn merge_strata(
         &mut self,
         other: &Self,
-        hits: Vec<Option<usize>>,
+        hits: impl IntoIterator<Item = Option<usize>>,
         rng: &mut Lehmer64,
     ) {
         let k = self.capacity;
@@ -73,6 +76,76 @@ impl<K: StratumKey, T: Clone + Default> StratifiedSampler<K, T> {
             self.weights[i] = merge_sources(&sources, k, rng, &mut merged, &mut scratch);
             self.set_items(i, &merged);
         }
+    }
+
+    /// [`Self::absorb_in_key_order`] of a sample whose items are not read
+    /// yet — a sample of row ids, say, before the rows' payload is
+    /// gathered. The draws are the same, in the same order, run on the
+    /// *positions* of `other`'s items: stratum after stratum in its
+    /// iteration order, as [`StratifiedSampler::with_items`] numbers them.
+    ///
+    /// Returns `(slot, position)` for every item of `other` the merge
+    /// keeps, one per slot. Those arena slots are left for the caller to
+    /// fill ([`StratifiedSampler::slots_mut`]) with the items at those
+    /// positions; then this sample is what
+    /// `absorb_in_key_order(&other.with_items(items))` leaves, and no item
+    /// the merge drops was ever read.
+    pub fn absorb_positions_in_key_order<U>(
+        &mut self,
+        other: &StratifiedSampler<K, U>,
+        rng: &mut Lehmer64,
+    ) -> Vec<(usize, usize)> {
+        let hits = self.open_in_key_order(other);
+        let k = self.capacity;
+        let mut placed = Vec::new();
+        let mut entry = vec![usize::MAX; k];
+        let mut scratch = MergeScratch::default();
+        let (mut tags, mut merged, mut moved) = (Vec::new(), Vec::new(), Vec::new());
+        let mut next = 0;
+        for (j, i) in hits.into_iter().enumerate() {
+            let (len, weight) = (other.lens[j] as usize, other.weights[j]);
+            let positions = next..next + len;
+            next += len;
+            if len < other.capacity && weight == len as u64 {
+                self.offer_positions_at(i, positions, rng, &mut placed, &mut entry);
+                continue;
+            }
+            // The draws see tags: this stratum's items by offset, then
+            // `other`'s by `k` + their index in the stratum.
+            let held = self.lens[i] as usize;
+            tags.clear();
+            tags.extend((0..held).chain(k..k + len));
+            let sources = [
+                Source {
+                    items: &tags[..held],
+                    weight: self.weights[i],
+                    capacity: k,
+                },
+                Source {
+                    items: &tags[held..],
+                    weight,
+                    capacity: other.capacity,
+                },
+            ];
+            merged.clear();
+            self.weights[i] = merge_sources(&sources, k, rng, &mut merged, &mut scratch);
+            // Kept items move to their merged places; `other`'s wait for
+            // the caller.
+            moved.clear();
+            let items = self.items_at(i);
+            moved.extend((merged.iter()).map(|&t| {
+                if t < k {
+                    items[t].clone()
+                } else {
+                    T::default()
+                }
+            }));
+            self.set_items(i, &moved);
+            let start = self.starts[i];
+            let theirs = merged.iter().enumerate().filter(|(_, &t)| t >= k);
+            placed.extend(theirs.map(|(at, &t)| (start + at, positions.start + t - k)));
+        }
+        placed
     }
 }
 
@@ -134,6 +207,8 @@ pub fn merge_stratified_k<K: StratumKey, T: Clone + Default>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stratified::Layout;
+    use proptest::prelude::*;
 
     fn build(keys: i64, n: i64, k: usize, seed: u64, offset: i64) -> StratifiedSampler<i64, i64> {
         let mut rng = Lehmer64::new(seed);
@@ -323,5 +398,106 @@ mod tests {
             (kway - chain).abs() < 0.05,
             "k-way ({kway}) and chained pairwise ({chain}) merges must agree in distribution"
         );
+    }
+
+    /// The payload of row `row` of Δ `d`: distinct across Δs, so a merged
+    /// item tells which Δ it came from.
+    fn payload(d: usize, row: u32) -> i64 {
+        (d as i64 + 1) * 1_000_000 + row as i64
+    }
+
+    /// A Δ of row ids drawn by `workers` samplers, each offered every
+    /// `workers`-th of `offers`, merged by Algorithm 3 before any payload
+    /// is read: the scan's worker merge.
+    fn row_delta(
+        k: usize,
+        offers: &[i64],
+        workers: usize,
+        rng: &mut Lehmer64,
+    ) -> StratifiedSampler<i64, u32> {
+        let mut parts: Vec<StratifiedSampler<i64, u32>> =
+            (0..workers).map(|_| StratifiedSampler::new(k)).collect();
+        for (row, &key) in offers.iter().enumerate() {
+            parts[row % workers].offer(key, row as u32, rng);
+        }
+        merge_stratified_k(parts, rng)
+    }
+
+    /// Everything a merge leaves that a later read or write can see: the
+    /// strata with their items and weights, in index order, and where
+    /// they lie.
+    fn layout(s: &StratifiedSampler<i64, i64>) -> (Vec<(i64, Vec<i64>, u64)>, Layout) {
+        let strata = s
+            .iter()
+            .map(|(k, items, w)| (*k, items.to_vec(), w))
+            .collect();
+        (strata, s.layout())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// A lazy merge is the eager one: a stored sample at rest and up
+        /// to three Δs of row ids — strata that are complete populations,
+        /// strata that overflow `k` (the `merge_sources` path), strata the
+        /// stored sample lacks, each Δ drawn by one to three workers — are
+        /// merged in input order into the input `merge_base` picks (a Δ
+        /// base is read in full first), once with every Δ's payload read
+        /// up front and absorbed in key order, once with each Δ absorbed
+        /// by position and only the slots it reports filled. Contents,
+        /// weights, layout and the RNG state afterwards are equal, after
+        /// every absorb and at rest; and each lazy absorb reads payload
+        /// for exactly the Δ rows the merged sample then holds.
+        #[test]
+        fn absorbing_positions_then_filling_them_is_absorbing_the_items(
+            k in 1usize..7,
+            stored in prop::collection::vec(0i64..12, 0..120),
+            deltas in prop::collection::vec(prop::collection::vec(0i64..16, 1..50), 1..4),
+            workers in 1usize..4,
+            settled in any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let mut rng = Lehmer64::new(seed);
+            let mut base: StratifiedSampler<i64, i64> = StratifiedSampler::new(k);
+            for (v, &key) in stored.iter().enumerate() {
+                base.offer(key, -(v as i64), &mut rng);
+            }
+            if settled {
+                base.settle();
+            }
+            let deltas: Vec<_> = deltas.iter().map(|offers| row_delta(k, offers, workers, &mut rng)).collect();
+            let read = |d: usize| {
+                let rows = deltas[d].iter().flat_map(|(_, rows, _)| rows.to_vec());
+                deltas[d].clone().with_items(rows.map(|row| payload(d, row)).collect())
+            };
+            // Input 0 is the stored sample, input `1 + d` Δ `d`.
+            let sizes = std::iter::once(size(&base)).chain(deltas.iter().map(size));
+            let first = merge_base(sizes);
+            let mut eager = if first == 0 { base.clone() } else { read(first - 1) };
+            let mut lazy = eager.clone();
+            let (mut eager_rng, mut lazy_rng) = (Lehmer64::new(seed ^ 1), Lehmer64::new(seed ^ 1));
+            for input in (0..=deltas.len()).filter(|&input| input != first) {
+                if input == 0 {
+                    eager.absorb_in_key_order(&base, &mut eager_rng);
+                    lazy.absorb_in_key_order(&base, &mut lazy_rng);
+                } else {
+                    let d = input - 1;
+                    eager.absorb_in_key_order(&read(d), &mut eager_rng);
+                    let placed = lazy.absorb_positions_in_key_order(&deltas[d], &mut lazy_rng);
+                    let rows: Vec<u32> = deltas[d].iter().flat_map(|(_, rows, _)| rows.to_vec()).collect();
+                    let slots = lazy.slots_mut();
+                    for &(slot, position) in &placed {
+                        slots[slot] = payload(d, rows[position]);
+                    }
+                    let from_d = |v: &i64| v / 1_000_000 == d as i64 + 1;
+                    let held: usize = lazy.iter().map(|(_, items, _)| items.iter().filter(|v| from_d(v)).count()).sum();
+                    prop_assert_eq!(placed.len(), held, "payload read for rows the merge dropped");
+                }
+                prop_assert_eq!(layout(&lazy), layout(&eager));
+            }
+            prop_assert_eq!(lazy_rng.next_u64(), eager_rng.next_u64());
+            lazy.settle();
+            eager.settle();
+            prop_assert_eq!(layout(&lazy), layout(&eager));
+        }
     }
 }

@@ -105,7 +105,7 @@ fn drive(store: &mut SampleStore, q: &IntervalSet, rng: &mut Lehmer64) -> Driven
             let merged = store.absorb_coverage(&desc, &schema(), cover, scans, true, rng);
             // The lazy sample covers the planned samples and the query,
             // every integer exactly once.
-            let merged = merged.expect("every planned sample is stored");
+            let merged = merged.expect("every planned sample is stored").sample;
             prop_assert_eq!(merged.total_weight(), absorbed.measure());
             // One predicate column: the merged region is always a box, so
             // the planned samples were consolidated.
