@@ -69,7 +69,8 @@ pub fn put_column(buf: &mut Vec<u8>, col: &Column) {
     }
 }
 
-/// Append `tag` if any, `v`'s length, and its elements, `N` bytes each.
+/// Append `tag` if any, `v`'s length, and its elements, `N` bytes each:
+/// the bytes grown once, then filled a chunk an element.
 #[inline]
 fn put_fixed<const N: usize, T: Copy>(
     buf: &mut Vec<u8>,
@@ -79,8 +80,11 @@ fn put_fixed<const N: usize, T: Copy>(
 ) {
     buf.extend(tag);
     buf.put_u32_le(v.len() as u32);
-    buf.reserve(v.len() * N);
-    v.iter().for_each(|&x| buf.put_slice(&to(x)));
+    let start = buf.len();
+    buf.resize(start + v.len() * N, 0);
+    for (dst, &x) in buf[start..].chunks_exact_mut(N).zip(v) {
+        dst.copy_from_slice(&to(x));
+    }
 }
 
 /// Append a batch of named columns: `u32 count | (str name, column)*`.
@@ -90,6 +94,26 @@ pub fn put_batch(buf: &mut Vec<u8>, columns: &[(String, Column)]) {
         put_str(buf, name);
         put_column(buf, col);
     }
+}
+
+/// Bytes [`put_column`] appends for `col`.
+fn column_len(col: &Column) -> usize {
+    1 + 4
+        + match col {
+            Column::Int32(v) => 4 * v.len(),
+            Column::Int64(v) => 8 * v.len(),
+            Column::Float64(v) => 8 * v.len(),
+            Column::Dict { codes, dict } => {
+                dict.iter().map(|s| 4 + s.len()).sum::<usize>() + 4 + 4 * codes.len()
+            }
+        }
+}
+
+/// Bytes [`put_batch`] appends for `columns`, so a writer can size its
+/// buffer once.
+pub(crate) fn batch_len(columns: &[(String, Column)]) -> usize {
+    let entry = |(name, col): &(String, Column)| 4 + name.len() + column_len(col);
+    4 + columns.iter().map(entry).sum::<usize>()
 }
 
 /// Bounds-checked cursor over a byte buffer: every read returns what the
@@ -256,6 +280,7 @@ mod tests {
     fn a_batch_reads_back_to_its_own_bytes() {
         let mut bytes = Vec::new();
         put_batch(&mut bytes, &columns());
+        assert_eq!(bytes.len(), batch_len(&columns()));
         let mut r = Reader::new(&bytes);
         let decoded = r.batch().expect("decodes");
         r.done().expect("every byte read");

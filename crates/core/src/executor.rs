@@ -263,10 +263,8 @@ impl LaqyExecutor {
             return Ok(false);
         }
         let mut bad: Vec<GroupKey> = support
-            .under_supported
-            .iter()
-            .chain(support.empty.iter())
-            .copied()
+            .under_supported_keys(groups)
+            .chain(support.empty_keys(groups))
             .collect();
         if bad.is_empty() {
             return Ok(true);
@@ -331,9 +329,7 @@ impl LaqyExecutor {
         }
         fresh.for_each(push);
         *groups = spliced;
-        support.supported += bad.len();
-        support.under_supported.clear();
-        support.empty.clear();
+        support.mark_supported();
         Ok(true)
     }
 
@@ -862,13 +858,9 @@ fn prune_stats(prune: PruneCounts) -> ExecStats {
 
 /// Build a [`SupportReport`] from per-group matching-row counts (valid
 /// when output groups coincide with strata, i.e. no group projection).
-/// Groups come in key order, so the report's lists do too.
+/// The report names short strata by their position in `groups`.
 pub(crate) fn support_from_groups(groups: &Groups, policy: &SupportPolicy) -> SupportReport {
-    SupportReport::classify(
-        groups.matching(),
-        |i| GroupKey::new(groups.get(i).key),
-        policy,
-    )
+    SupportReport::classify(groups.matching(), policy)
 }
 
 /// Canonical identity of the sampler input: fact, fixed predicates, and
@@ -1020,8 +1012,10 @@ mod tests {
         }
         let report = support_from_groups(&groups, &policy);
         assert_eq!(report.supported, 1);
-        assert_eq!(report.under_supported, vec![GroupKey::new(&[1])]);
-        assert_eq!(report.empty, vec![GroupKey::new(&[2])]);
+        let under: Vec<_> = report.under_supported_keys(&groups).collect();
+        assert_eq!(under, vec![GroupKey::new(&[1])]);
+        let empty: Vec<_> = report.empty_keys(&groups).collect();
+        assert_eq!(empty, vec![GroupKey::new(&[2])]);
     }
 
     /// Rows of the dimension `fk` points into.

@@ -60,10 +60,11 @@
 //! write-ahead log is enabled ([`LaqyService::enable_wal`]), the batch
 //! is durably logged and fsynced *before* the new table version is
 //! published or any stored sample absorbs the appended rows, so the
-//! sample store can never run ahead of what recovery can replay. The
-//! whole ingest flow serializes on the `laqy.wal` mutex; it acquires the
-//! catalog and shard locks strictly after it (wal → catalog → shards),
-//! which keeps the lock graph acyclic.
+//! sample store can never run ahead of what recovery can replay. Build,
+//! log and publish serialize on the `laqy.wal` mutex, which is taken
+//! before the catalog lock (wal → catalog → shards, keeping the lock
+//! graph acyclic); the sample absorb runs after it is released, under
+//! each shard's write lock, and is idempotent by watermark.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -139,8 +140,9 @@ struct ServiceInner {
     sampling_hold_nanos: AtomicU64,
     /// Write-ahead log appender (`None` until
     /// [`LaqyService::enable_wal`]). Doubles as the ingest serialization
-    /// point: every ingest holds this mutex across log-append, catalog
-    /// publish, and sample absorption, so batches apply in WAL order.
+    /// point: every ingest holds this mutex across log-append and catalog
+    /// publish, so batches publish in WAL order; the sample absorb runs
+    /// after it is released.
     wal: Mutex<Option<WalAppender>>,
     /// Star joins and their join filters, per join shape; every query's
     /// executor shares it, and `clear_samples` leaves it alone.
@@ -429,9 +431,9 @@ impl LaqyService {
     /// new row watermark. The batch must carry exactly the table's
     /// columns (matched by name, any order) with equal lengths.
     ///
-    /// Ordering guarantees, all under the `laqy.wal` mutex (ingests are
-    /// serialized; queries are not — they keep reading their pinned
-    /// epoch):
+    /// Ordering guarantees. Steps 1–3 run under the `laqy.wal` mutex, so
+    /// ingests publish in log order; queries are not serialized — they
+    /// keep reading their pinned epoch:
     ///
     /// 1. the next table version is *built* first (pure validation — a
     ///    malformed batch changes nothing);
@@ -443,43 +445,56 @@ impl LaqyService {
     ///    refused before a byte is written, and the WAL stays enabled;
     /// 3. the new version is published in the catalog (appends never
     ///    mutate the version concurrent readers pinned);
-    /// 4. stored samples absorb the appended rows via incremental
-    ///    reservoir maintenance ([`SampleStore::absorb_appended`]), shard
-    ///    by shard in ascending lock order.
+    /// 4. after `laqy.wal` is released, stored samples absorb the appended
+    ///    rows via incremental reservoir maintenance
+    ///    ([`SampleStore::absorb_appended`]), shard by shard in ascending
+    ///    lock order, and only then does the call return, so a caller
+    ///    reads its own writes.
+    ///
+    /// A late absorb is idempotent, so step 4 needs no log lock. Each
+    /// shard absorbs under its write lock, offers a sample only the rows
+    /// `[its watermark, the published watermark)` and skips a sample
+    /// already at or past it. When two ingests' absorbs race, whichever
+    /// runs first on a shard carries its samples to its version; the
+    /// other offers only rows past that, or nothing. No row is lost or
+    /// offered twice in either order. With a WAL enabled, every row an
+    /// absorb offers is already durable (step 2 ran for it).
     pub fn ingest(&self, table: &str, batch: Vec<(String, Column)>) -> Result<u64> {
         let rows = batch.first().map(|(_, c)| c.len()).unwrap_or(0) as u64;
-        let mut wal = self.timed(|i| i.wal.lock());
-        let (new_table, base_rows) = {
-            let catalog = self.catalog();
-            let current = catalog.table(table)?;
-            (current.append_batch(&batch)?, current.num_rows() as u64)
-        };
-        if let Some(w) = wal.as_mut() {
-            // laqy-lint: allow(guard-blocking-op) -- durable-before-publish: the append+fsync under `laqy.wal` is the ingest serialization point (see the ordering contract in the doc comment).
-            let append = w.append(&WalRecord::Batch {
-                table: table.to_string(),
-                base_rows,
-                columns: batch,
-            });
-            if let Err(e) = append {
-                // A record over the cap never reached the log: the WAL stays on.
-                if !matches!(e, crate::persist::PersistError::TooLarge(_)) {
-                    *wal = None;
+        let published = {
+            let mut wal = self.timed(|i| i.wal.lock());
+            let (new_table, base_rows) = {
+                let catalog = self.catalog();
+                let current = catalog.table(table)?;
+                (current.append_batch(&batch)?, current.num_rows() as u64)
+            };
+            if let Some(w) = wal.as_mut() {
+                // laqy-lint: allow(guard-blocking-op) -- durable-before-publish: the append+fsync under `laqy.wal` is the ingest serialization point (see the ordering contract in the doc comment).
+                let append = w.append(&WalRecord::Batch {
+                    table: table.to_string(),
+                    base_rows,
+                    columns: batch,
+                });
+                if let Err(e) = append {
+                    // A record over the cap never reached the log: the WAL stays on.
+                    if !matches!(e, crate::persist::PersistError::TooLarge(_)) {
+                        *wal = None;
+                    }
+                    let wal_state = if wal.is_some() {
+                        "unchanged"
+                    } else {
+                        "disabled"
+                    };
+                    let msg = format!("wal append failed (wal {wal_state}): {e}");
+                    return Err(LaqyError::Unsupported(msg));
                 }
-                let wal_state = if wal.is_some() {
-                    "unchanged"
-                } else {
-                    "disabled"
-                };
-                let msg = format!("wal append failed (wal {wal_state}): {e}");
-                return Err(LaqyError::Unsupported(msg));
+                self.inner
+                    .counters
+                    .wal_appends
+                    .fetch_add(1, Ordering::Relaxed);
             }
-            self.inner
-                .counters
-                .wal_appends
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let published = self.timed(|i| i.catalog.write()).register(new_table);
+            self.timed(|i| i.catalog.write()).register(new_table)
+        };
         self.absorb_published(&published);
         let c = &self.inner.counters;
         c.ingest_batches.fetch_add(1, Ordering::Relaxed);
@@ -1493,7 +1508,7 @@ mod tests {
         let full = service.run(&q).unwrap();
         assert_eq!(online.stats.reuse, Some(ReuseClass::Online));
         assert_eq!(full.stats.reuse, Some(ReuseClass::Full));
-        assert_eq!(online.support.under_supported.len(), 200);
+        assert_eq!(online.support.under_supported_len(), 200);
         assert_eq!(full.support, online.support);
         assert_eq!(full.groups, online.groups);
     }
@@ -1528,7 +1543,7 @@ mod tests {
         let service = LaqyService::with_config(cat, config);
         let q = query(0, n - 1);
         let online = service.run(&q).unwrap();
-        assert_eq!(online.support.under_supported.len(), 2);
+        assert_eq!(online.support.under_supported_len(), 2);
         let hit = service.run(&q).unwrap();
         assert_eq!(hit.stats.reuse, Some(ReuseClass::Full));
         assert_eq!(hit.support.supported, 4);

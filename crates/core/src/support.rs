@@ -10,6 +10,8 @@
 
 use laqy_engine::GroupKey;
 
+use crate::estimate::Groups;
+
 /// Support requirements and the oversampling knob.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupportPolicy {
@@ -43,16 +45,22 @@ impl SupportPolicy {
     }
 }
 
-/// Outcome of a support check over a tightened sample.
+/// Outcome of a support check over a tightened sample: counts, plus the
+/// position of each short stratum in the answer's [`Groups`] (strata and
+/// output groups coincide). Keys are read from those groups only when
+/// asked for — the §5.2.3 fallback is the one reader — so a hit pays
+/// 4 bytes a short stratum, not a key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupportReport {
     /// Strata whose matching tuple count meets the policy.
     pub supported: usize,
-    /// Strata keys that fall short (candidates for the online fallback).
-    pub under_supported: Vec<GroupKey>,
-    /// Strata with zero matching tuples. May be a true empty region or a
-    /// sampling artifact — only an online probe can tell (§5.2.3).
-    pub empty: Vec<GroupKey>,
+    /// Positions of the strata that fall short (candidates for the online
+    /// fallback), ascending.
+    under_supported: Vec<u32>,
+    /// Positions of the strata with zero matching tuples, ascending. May
+    /// be a true empty region or a sampling artifact — only an online
+    /// probe can tell (§5.2.3).
+    empty: Vec<u32>,
 }
 
 impl SupportReport {
@@ -61,15 +69,55 @@ impl SupportReport {
         self.under_supported.is_empty() && self.empty.is_empty()
     }
 
+    /// Strata that fall short of the policy but match some tuples.
+    pub fn under_supported_len(&self) -> usize {
+        self.under_supported.len()
+    }
+
+    /// Strata with zero matching tuples.
+    pub fn empty_len(&self) -> usize {
+        self.empty.len()
+    }
+
+    /// Keys of the under-supported strata in key order, read from
+    /// `groups`: the answer this report was made for.
+    pub fn under_supported_keys<'a>(
+        &'a self,
+        groups: &'a Groups,
+    ) -> impl ExactSizeIterator<Item = GroupKey> + 'a {
+        Self::keys(&self.under_supported, groups)
+    }
+
+    /// Keys of the empty strata in key order, read from `groups`: the
+    /// answer this report was made for.
+    pub fn empty_keys<'a>(
+        &'a self,
+        groups: &'a Groups,
+    ) -> impl ExactSizeIterator<Item = GroupKey> + 'a {
+        Self::keys(&self.empty, groups)
+    }
+
+    fn keys<'a>(
+        positions: &'a [u32],
+        groups: &'a Groups,
+    ) -> impl ExactSizeIterator<Item = GroupKey> + 'a {
+        positions
+            .iter()
+            .map(|&i| GroupKey::new(groups.get(i as usize).key))
+    }
+
+    /// Every stratum validated (the §5.2.3 probe confirmed the short ones).
+    pub(crate) fn mark_supported(&mut self) {
+        self.supported += self.under_supported.len() + self.empty.len();
+        self.under_supported.clear();
+        self.empty.clear();
+    }
+
     /// Compare each stratum's matching-tuple count against the policy:
-    /// `matching[i]` is stratum `i`'s, `key(i)` its key. Strata come in
-    /// key order, so both lists are filled sorted, each allocated once at
-    /// the size a first pass over the counts finds.
-    pub(crate) fn classify(
-        matching: &[usize],
-        key: impl Fn(usize) -> GroupKey,
-        policy: &SupportPolicy,
-    ) -> Self {
+    /// `matching[i]` is the count of the answer's group `i`. Both position
+    /// lists come out ascending, each allocated once at the size a first
+    /// pass over the counts finds.
+    pub(crate) fn classify(matching: &[usize], policy: &SupportPolicy) -> Self {
         let min = policy.min_rows_per_stratum;
         let empty = matching.iter().filter(|&&m| m == 0).count();
         let under = matching.iter().filter(|&&m| m > 0 && m < min).count();
@@ -80,12 +128,11 @@ impl SupportReport {
         };
         for (i, &m) in matching.iter().enumerate() {
             if m == 0 {
-                report.empty.push(key(i));
+                report.empty.push(i as u32);
             } else if m < min {
-                report.under_supported.push(key(i));
+                report.under_supported.push(i as u32);
             }
         }
-        debug_assert!(report.under_supported.is_sorted() && report.empty.is_sorted());
         report
     }
 }
@@ -101,21 +148,19 @@ mod tests {
     use laqy_sampling::Lehmer64;
 
     /// The support of `sample` under `tighten`, classified from the
-    /// matching rows of a no-aggregate estimate's groups.
+    /// matching rows of a no-aggregate estimate's groups, and the groups.
     fn check_support(
         sample: &Sample,
         schema: &SampleSchema,
         tighten: Option<&Predicates>,
         policy: &SupportPolicy,
-    ) -> Result<SupportReport, EstimateError> {
+    ) -> Result<(SupportReport, Groups), EstimateError> {
         let opts = EstimateOptions {
             tighten,
             ..Default::default()
         };
-        Ok(support_from_groups(
-            &estimate(sample, schema, &[], &opts)?,
-            policy,
-        ))
+        let groups = estimate(sample, schema, &[], &opts)?;
+        Ok((support_from_groups(&groups, policy), groups))
     }
 
     fn schema() -> SampleSchema {
@@ -136,7 +181,7 @@ mod tests {
     #[test]
     fn all_supported_without_tightening() {
         let s = sample(&[(0, 0..100), (1, 0..100)]);
-        let r = check_support(&s, &schema(), None, &SupportPolicy::default()).unwrap();
+        let (r, _) = check_support(&s, &schema(), None, &SupportPolicy::default()).unwrap();
         assert!(r.fully_supported());
         assert_eq!(r.supported, 2);
     }
@@ -148,10 +193,13 @@ mod tests {
         // the default 30).
         let s = sample(&[(0, 0..100), (1, 200..300), (2, 40..60)]);
         let tighten = Predicates::on("x", IntervalSet::of(Interval::new(0, 49)));
-        let r = check_support(&s, &schema(), Some(&tighten), &SupportPolicy::default()).unwrap();
+        let (r, groups) =
+            check_support(&s, &schema(), Some(&tighten), &SupportPolicy::default()).unwrap();
         assert_eq!(r.supported, 1);
-        assert_eq!(r.under_supported, vec![GroupKey::new(&[2])]);
-        assert_eq!(r.empty, vec![GroupKey::new(&[1])]);
+        let under: Vec<_> = r.under_supported_keys(&groups).collect();
+        assert_eq!(under, vec![GroupKey::new(&[2])]);
+        let empty: Vec<_> = r.empty_keys(&groups).collect();
+        assert_eq!(empty, vec![GroupKey::new(&[1])]);
         assert!(!r.fully_supported());
     }
 
@@ -162,13 +210,13 @@ mod tests {
             min_rows_per_stratum: 11,
             ..Default::default()
         };
-        let r = check_support(&s, &schema(), None, &strict).unwrap();
-        assert_eq!(r.under_supported.len(), 1);
+        let (r, _) = check_support(&s, &schema(), None, &strict).unwrap();
+        assert_eq!(r.under_supported_len(), 1);
         let lax = SupportPolicy {
             min_rows_per_stratum: 10,
             ..Default::default()
         };
-        let r = check_support(&s, &schema(), None, &lax).unwrap();
+        let (r, _) = check_support(&s, &schema(), None, &lax).unwrap();
         assert!(r.fully_supported());
     }
 
@@ -193,14 +241,19 @@ mod tests {
 
     #[test]
     fn strata_in_key_order_classify_into_sorted_lists_of_exact_size() {
-        // Two-part keys in key order, every class present: the lists come
-        // out as sorting them would leave them, allocated once at size.
+        // Two-part keys in key order, every class present: the keys come
+        // out as sorting them would leave them, and the position lists
+        // are allocated once at size.
         let mut rng = Lehmer64::new(3);
         let keys: Vec<GroupKey> = (0..500)
             .map(|i| GroupKey::new(&[i / 7, i % 7 - 3]))
             .collect();
         let counts: Vec<usize> = keys.iter().map(|_| rng.next_below(45) as usize).collect();
-        let report = SupportReport::classify(&counts, |i| keys[i], &SupportPolicy::default());
+        let mut groups = Groups::default();
+        for (key, &m) in keys.iter().zip(&counts) {
+            groups.push(key.parts(), std::iter::empty(), m);
+        }
+        let report = SupportReport::classify(groups.matching(), &SupportPolicy::default());
         let matching: Vec<(GroupKey, usize)> = keys.iter().copied().zip(counts).collect();
         let class = |f: fn(usize) -> bool| -> Vec<GroupKey> {
             let mut keys: Vec<_> = matching
@@ -211,16 +264,22 @@ mod tests {
             keys.sort();
             keys
         };
-        assert_eq!(report.empty, class(|m| m == 0));
-        assert_eq!(report.under_supported, class(|m| m > 0 && m < 30));
+        assert_eq!(
+            report.empty_keys(&groups).collect::<Vec<_>>(),
+            class(|m| m == 0)
+        );
+        assert_eq!(
+            report.under_supported_keys(&groups).collect::<Vec<_>>(),
+            class(|m| m > 0 && m < 30)
+        );
         assert_eq!(
             report.supported,
             matching.iter().filter(|(_, m)| *m >= 30).count()
         );
-        assert_eq!(report.empty.capacity(), report.empty.len());
+        assert_eq!(report.empty.capacity(), report.empty_len());
         assert_eq!(
             report.under_supported.capacity(),
-            report.under_supported.len()
+            report.under_supported_len()
         );
     }
 }

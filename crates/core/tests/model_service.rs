@@ -294,8 +294,8 @@ fn append_batch() -> Vec<(String, Column)> {
 /// *some* published version — exactly `ROWS` or exactly `ROWS + APPEND`,
 /// never a torn in-between (a scan spanning the publish) and never a
 /// double-count (a stale sample merged past its watermark). The absorb
-/// walks shards in canonical order under the ingest lock, so no
-/// interleaving with the evictor's whole-store sweep may deadlock.
+/// walks shards in canonical order after the ingest lock is released, so
+/// no interleaving with the evictor's whole-store sweep may deadlock.
 #[test]
 fn ingest_races_query_epoch_pin_and_shard_eviction() {
     let report = model_with(
@@ -342,6 +342,84 @@ fn ingest_races_query_epoch_pin_and_shard_eviction() {
         },
     );
     eprintln!("ingest race model: {report:?}");
+    assert!(
+        report.complete && report.interleavings >= 200,
+        "expected an exhaustive search over hundreds of interleavings, got {report:?}"
+    );
+}
+
+/// `APPEND` rows whose keys start at `from`.
+fn append_batch_at(from: i64) -> Vec<(String, Column)> {
+    vec![
+        ("key".into(), Column::Int64((from..from + APPEND).collect())),
+        (
+            "g".into(),
+            Column::Int64((from..from + APPEND).map(|i| i % GROUPS).collect()),
+        ),
+        (
+            "v".into(),
+            Column::Int64((from..from + APPEND).map(|i| i % 10).collect()),
+        ),
+    ]
+}
+
+/// Two ingests race a query. Each publishes under `laqy.wal` and absorbs
+/// after releasing it, so the absorbs may run in either order or take
+/// turns shard by shard; each offers a sample only the rows past its
+/// watermark, so neither loses nor double-counts a row. The query pins
+/// one of the three published versions and counts it exactly; once both
+/// ingests return, the stored sample sits at the final watermark and
+/// answers it as a full hit, exactly.
+#[test]
+fn racing_ingests_absorb_every_row_once() {
+    const FINAL: i64 = ROWS + 2 * APPEND;
+    let report = model_with(
+        ModelOptions {
+            preemption_bound: 2,
+            max_interleavings: 40_000,
+        },
+        || {
+            let svc = service();
+            // A sample whose box spans the final watermark, so both
+            // batches land inside it and both absorbs have work to do.
+            svc.run(&query(0, FINAL - 1)).unwrap();
+            let ingests: Vec<_> = [ROWS, ROWS + APPEND]
+                .into_iter()
+                .map(|from| {
+                    let ingester = svc.clone();
+                    thread::spawn(move || {
+                        let w = ingester.ingest("t", append_batch_at(from)).unwrap();
+                        assert!(w == (ROWS + APPEND) as u64 || w == FINAL as u64, "{w}");
+                    })
+                })
+                .collect();
+            let r = svc.run(&query(0, FINAL - 1)).unwrap();
+            let total: f64 = r.groups.iter().map(|g| g.values[1].value).sum();
+            assert!(
+                [ROWS, ROWS + APPEND, FINAL].contains(&(total as i64)) && total.fract() == 0.0,
+                "COUNT {total} matches no published version"
+            );
+            for t in ingests {
+                t.join().unwrap();
+            }
+
+            {
+                let store = svc.store();
+                assert_eq!(store.len(), 1);
+                for (id, stored) in store.iter() {
+                    assert_eq!(stored.watermark, FINAL as u64, "{id:?} caught up");
+                    assert_eq!(stored.sample.total_weight(), FINAL as u64, "{id:?}");
+                }
+            }
+            let r = svc.run(&query(0, FINAL - 1)).unwrap();
+            assert_eq!(r.stats.reuse, Some(ReuseClass::Full));
+            assert_weight_identity(&r, 0, FINAL - 1);
+            let stats = svc.stats();
+            assert_eq!(stats.ingest_batches, 2);
+            assert_eq!(stats.ingest_rows, 2 * APPEND as u64);
+        },
+    );
+    eprintln!("racing ingests model: {report:?}");
     assert!(
         report.complete && report.interleavings >= 200,
         "expected an exhaustive search over hundreds of interleavings, got {report:?}"

@@ -69,7 +69,9 @@ impl Digest {
             }
         }
         self.word(r.support.supported as u64);
-        for keys in [&r.support.under_supported, &r.support.empty] {
+        let under = r.support.under_supported_keys(&r.groups);
+        let empty = r.support.empty_keys(&r.groups);
+        for keys in [under.collect::<Vec<_>>(), empty.collect()] {
             self.word(keys.len() as u64);
             for key in keys {
                 for &part in key.parts() {

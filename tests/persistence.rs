@@ -189,3 +189,117 @@ fn wal_recovery_keeps_samples_above_a_join() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `rows` of a table whose keys spread over `0..100_000` (7919 is coprime
+/// to 100 000, so the keys of distinct rows differ), with two group
+/// columns.
+fn scattered_columns(rows: std::ops::Range<i64>) -> Vec<(String, Column)> {
+    vec![
+        (
+            "key".into(),
+            Column::Int64(rows.clone().map(|r| r * 7919 % 100_000).collect()),
+        ),
+        (
+            "g".into(),
+            Column::Int64(rows.clone().map(|r| r % 4).collect()),
+        ),
+        ("h".into(), Column::Int64(rows.map(|r| r % 3).collect())),
+    ]
+}
+
+#[test]
+fn racing_ingests_absorb_every_row_once_and_recover_to_the_same_watermark() {
+    // Ingest absorbs stored samples after releasing the log's lock, so
+    // these ingests' absorbs may interleave in either order; each is
+    // bounded by its sample's watermark, so no row is lost or counted
+    // twice.
+    const BASE: i64 = 2_000;
+    const THREADS: i64 = 3;
+    const BATCHES: i64 = 4;
+    const ROWS: i64 = 250;
+    let mut base = Catalog::new();
+    base.register(Table::new("t", scattered_columns(0..BASE)).unwrap());
+    let query = |group: &str, lo: i64, hi: i64| ApproxQuery {
+        plan: QueryPlan {
+            fact: "t".into(),
+            predicate: Predicate::True,
+            joins: vec![],
+            group_by: vec![ColRef::fact(group)],
+            aggs: vec![AggSpec::count()],
+        },
+        range_column: "key".into(),
+        range: Interval::new(lo, hi),
+        k: 16,
+    };
+    let dir = std::env::temp_dir().join(format!("laqy-racing-ingest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let live = session(&base, 11);
+    live.enable_wal(&dir.join("wal")).unwrap();
+    // Two simple samples (no fixed predicate, so both absorb): one over
+    // every key, one over a box inside it, of different families.
+    let whole = query("g", 0, 99_999);
+    live.run(&whole).unwrap();
+    live.run(&query("h", 20_000, 69_999)).unwrap();
+    assert_eq!(live.store().len(), 2);
+
+    let start = std::sync::Barrier::new(THREADS as usize);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (live, start) = (&live, &start);
+            scope.spawn(move || {
+                start.wait();
+                for b in 0..BATCHES {
+                    let from = BASE + (t * BATCHES + b) * ROWS;
+                    live.ingest("t", scattered_columns(from..from + ROWS))
+                        .unwrap();
+                }
+            });
+        }
+    });
+
+    let watermark = (BASE + THREADS * BATCHES * ROWS) as u64;
+    let table = live.catalog().table("t").unwrap().clone();
+    assert_eq!(table.row_watermark(), watermark);
+    let key = table.column("key").unwrap();
+    {
+        let store = live.store();
+        assert_eq!(store.len(), 2);
+        for (id, stored) in store.iter() {
+            assert_eq!(stored.watermark, watermark, "{id:?} caught up");
+            let range = stored.descriptor.predicates.get("key").unwrap();
+            let inside = (0..watermark as usize)
+                .filter(|&r| range.contains(key.i64_at(r)))
+                .count();
+            assert_eq!(
+                stored.sample.total_weight(),
+                inside as u64,
+                "{id:?}: Σ stratum weights must equal the rows inside its box"
+            );
+        }
+    }
+    let r = live.run(&whole).unwrap();
+    assert_eq!(r.stats.reuse, Some(ReuseClass::Full));
+    assert_eq!(r.stats.scanned_rows, 0);
+    let count: f64 = r.groups.iter().map(|g| g.values[0].value).sum();
+    assert_eq!(count, watermark as f64);
+    let stats = live.stats();
+    assert_eq!(stats.wal_appends, (THREADS * BATCHES) as u64);
+    assert_eq!(stats.ingest_rows, (THREADS * BATCHES * ROWS) as u64);
+
+    // A copy of the log alone rebuilds the table to the same watermark.
+    let copy = dir.join("wal-copy");
+    std::fs::create_dir_all(&copy).unwrap();
+    for entry in std::fs::read_dir(dir.join("wal")).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+    }
+    let recovered = session(&base, 12);
+    let report = recovered
+        .recover_with_wal(&dir.join("no-snapshot"), &copy)
+        .unwrap();
+    assert_eq!(report.wal_records, (THREADS * BATCHES) as u64);
+    assert!(!report.wal_torn_tail);
+    let t = recovered.catalog().table("t").unwrap().clone();
+    assert_eq!(t.row_watermark(), watermark);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
