@@ -4,10 +4,10 @@
 //! 1. Derive the logical sampler's [`SampleDescriptor`] from the query.
 //! 2. The store plans the reuse ([`crate::lazy`], **Algorithm 1**).
 //! 3. Full reuse → estimate straight from the stored sample (tightening to
-//!    the query predicate); coverage reuse → push each Δ predicate down the
-//!    plan, build only the Δ samples, merge (**Algorithms 2–3**), estimate;
-//!    no reuse → full online sampling, which the store then absorbs for
-//!    future queries.
+//!    the query predicate); otherwise push each Δ predicate down the plan,
+//!    build only the Δ samples, merge (**Algorithms 2–3**), estimate. With
+//!    no stored sample to reuse the one Δ is the query box — full online
+//!    sampling — and the store absorbs it for future queries.
 //!
 //! [`crate::service`] sequences these steps as named stages against the
 //! shared store; this module holds what each stage runs. Two sampler
@@ -33,12 +33,13 @@ use crate::budget::{CancelToken, Degradation, DegradeReason};
 use crate::descriptor::{Predicates, SampleDescriptor};
 use crate::estimate::{estimate, EstimateError, EstimateOptions, Group, Groups};
 use crate::interval::{Interval, IntervalSet};
+use crate::lazy::CoveragePlan;
 use crate::sampler_ops::{
     retained_rows, Admission, Delta, Part, Sample, SampleSchema, SlotKind, MAX_SAMPLE_COLS,
 };
 use crate::star::{JoinMemo, JoinShape};
 use crate::stats::{ExecStats, ReuseClass};
-use crate::store::{consolidates, CoveragePlan};
+use crate::store::consolidates;
 use crate::support::{SupportPolicy, SupportReport};
 
 /// Errors from the LAQy execution layer.
@@ -170,31 +171,17 @@ impl LaqyExecutor {
         Ok(descriptor_for(query, &payload_schema(catalog, query)?))
     }
 
-    /// Online sampling over the query's full range, estimated: the one
-    /// body behind both the workload-oblivious "Online Sampling" baseline
-    /// and the lazy flow's no-reuse arm. The sample is what the support
-    /// check inspects and what a caller may hand the store.
-    pub(crate) fn run_online(&mut self, scope: Scope<'_>) -> Result<OnlineRun> {
+    /// Online sampling over the query's full range, estimated, with the
+    /// sample dropped: the workload-oblivious "Online Sampling" baseline.
+    pub(crate) fn run_online(&mut self, scope: Scope<'_>) -> Result<(Groups, ExecStats)> {
         let Scope { query, schema, .. } = scope;
         let ranges = IntervalSet::of(query.range);
         let run = self.sample_pipeline(scope, &ranges, &Predicate::True, 0)?;
-        let (mut sample, mut stats) = run.read();
-        let t_est = Instant::now();
-        sample.settle(); // so the store keeps the key order walked here
-        let groups = estimate(
-            &sample,
-            schema,
-            &query.plan.aggs,
-            &EstimateOptions::default(),
-        )?;
-        let support = support_from_groups(&groups, &self.policy);
+        let (sample, mut stats) = run.read();
+        let (t_est, opts) = (Instant::now(), EstimateOptions::default());
+        let groups = estimate(&sample, schema, &query.plan.aggs, &opts)?;
         stats.estimate = t_est.elapsed();
-        Ok(OnlineRun {
-            sample,
-            groups,
-            support,
-            stats,
-        })
+        Ok((groups, stats))
     }
 
     /// Exact execution of the same query (the "GroupBy"/exact baseline).
@@ -337,9 +324,10 @@ impl LaqyExecutor {
     /// `plan.fragments` followed by `plan.tails`, so a caller may pass only
     /// the ones it owns. A tail scan pushes its sample's own predicates
     /// down with the row floor at the sample's watermark. With `lazy` set,
-    /// a plan whose write step consolidates ([`consolidates`]) leaves each
-    /// Δ's payload to the merge, which reads it for the rows it keeps;
-    /// every other Δ comes to rest on its own and is read here.
+    /// a plan that reuses stored samples and whose write step consolidates
+    /// ([`consolidates`]) leaves each Δ's payload to the merge, which reads
+    /// it for the rows it keeps; every other Δ comes to rest on its own
+    /// and is read here.
     pub(crate) fn scan_coverage(
         &mut self,
         scope: Scope<'_>,
@@ -348,6 +336,11 @@ impl LaqyExecutor {
         lazy: bool,
     ) -> Result<CoverageScans> {
         let query = scope.query;
+        // A plan with no stored sample (m = 0, online sampling) has no
+        // answer without its one Δ: it runs even past the budget, degrading
+        // per morsel. Nothing merges into it, so it is read here, before
+        // the store's write lock.
+        let reuses = !plan.samples.is_empty();
         let mut out = CoverageScans {
             stats: ExecStats::default(),
             coverage: 0.0,
@@ -356,7 +349,7 @@ impl LaqyExecutor {
         };
         let mut runs = Vec::new();
         for part in parts {
-            if self.budget.expired() {
+            if reuses && self.budget.expired() {
                 out.skipped += 1;
                 continue;
             }
@@ -377,7 +370,7 @@ impl LaqyExecutor {
             runs.push((part, run));
         }
         let clean = runs.iter().map(|(_, run)| run.stats.degraded.is_none());
-        let lazy = lazy && out.skipped == 0 && consolidates(plan, clean);
+        let lazy = lazy && reuses && out.skipped == 0 && consolidates(plan, clean);
         for (part, run) in runs {
             let clean = run.stats.degraded.is_none();
             let (sample, stats) = if lazy {
@@ -742,18 +735,6 @@ pub(crate) struct CoverageScans {
     pub scans: Vec<Scan>,
 }
 
-/// [`LaqyExecutor::run_online`]'s outcome.
-pub(crate) struct OnlineRun {
-    /// The sample over the query's range.
-    pub sample: Sample,
-    /// Estimates, before any degradation is applied.
-    pub groups: Groups,
-    /// Per-stratum support of `sample`.
-    pub support: SupportReport,
-    /// Scan-side stats plus the estimate time.
-    pub stats: ExecStats,
-}
-
 /// Outcome of one sampling pipeline run.
 pub(crate) struct PipelineRun {
     /// Stratified sample over the whole scanned region, its payload not
@@ -764,12 +745,14 @@ pub(crate) struct PipelineRun {
 }
 
 impl PipelineRun {
-    /// The sample with its payload read, the read charged to
-    /// `processing`.
+    /// The sample with its payload read and at rest (settled, so a store
+    /// keeps it as it is and an estimate walks it front to back), the
+    /// read charged to `processing`.
     pub fn read(self) -> (Sample, ExecStats) {
         let (t, mut stats) = (Instant::now(), self.stats);
         stats.payload_rows += self.delta.len() as u64;
-        let sample = self.delta.read();
+        let mut sample = self.delta.read();
+        sample.settle();
         stats.processing += t.elapsed();
         (sample, stats)
     }

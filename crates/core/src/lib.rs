@@ -14,12 +14,13 @@
 //! - [`interval`] / [`descriptor`] — predicate algebra and the sample
 //!   metadata (Query Input, QCS, QVS, Query Predicate, k) that makes
 //!   samples malleable;
-//! - [`store`] — sample lifetime management, coverage planning (greedy
-//!   set cover over stored samples) and the coverage write step that
-//!   brings a plan's Δ samples to rest;
-//!   [`ShardedStore`] adds the service's byte budget (LRU eviction);
+//! - [`store`] — sample lifetime management and the coverage write step
+//!   that brings a plan's Δ samples to rest; [`ShardedStore`] adds the
+//!   service's byte budget (LRU eviction);
 //! - [`lazy`] — Algorithm 1, the lazy sampling planner, generalized to
-//!   multi-sample, multi-fragment coverage reuse;
+//!   multi-sample, multi-fragment coverage reuse (greedy set cover over
+//!   stored samples): one [`CoveragePlan`] type, online sampling being
+//!   the plan that reuses no stored sample;
 //! - [`sampler_ops`] — the stored sample (rows as wide as their schema,
 //!   strata kept in key order beside first-offer order) and the admission
 //!   path (every scan worker continues Algorithm R into one dense sample);
@@ -29,8 +30,9 @@
 //! - [`service`] — the flow itself, as named stages (plan → fetch / scan →
 //!   merge → estimate → finish) against a shared store: a `Send + Sync`
 //!   handle many client threads clone, with an in-flight registry
-//!   deduplicating concurrent Δ/online scans, plus the streaming-ingest
-//!   path (epoch-pinned appends with incremental sample absorption);
+//!   deduplicating concurrent Δ scans (an online run's included), plus
+//!   the streaming-ingest path (epoch-pinned appends with incremental
+//!   sample absorption);
 //! - [`persist`] / [`wal`] — crash-safe store snapshots and the ingest
 //!   write-ahead log; together they recover base rows and stored samples
 //!   to one consistent `(snapshot generation, WAL position)` point, read
@@ -131,7 +133,7 @@ pub use executor::{
     input_identity, range_predicate, ApproxQuery, ApproxResult, LaqyError, LaqyExecutor, Result,
 };
 pub use interval::{Interval, IntervalSet};
-pub use lazy::{plan_lazy, LazyPlan, ReuseMode, MAX_COVERAGE_SAMPLES};
+pub use lazy::{plan_lazy, CoveragePlan, ReuseMode, TailFragment, MAX_COVERAGE_SAMPLES};
 pub use persist::{
     load_from_file, load_store, recover_snapshot, save_snapshot, save_store, save_to_file,
     PersistError, RecoveryReport, KEEP_GENERATIONS, MAX_SNAPSHOT_BYTES,
@@ -141,8 +143,7 @@ pub use service::{LaqyService, SessionConfig};
 pub use sql::approx_query;
 pub use stats::{ExecStats, ReuseClass, ServiceStats};
 pub use store::{
-    AbsorbReport, CoveragePlan, SampleId, SampleStore, ShardWriteGuard, ShardedStore, StoredSample,
-    TailFragment, STORE_SHARDS,
+    AbsorbReport, SampleId, SampleStore, ShardWriteGuard, ShardedStore, StoredSample, STORE_SHARDS,
 };
 pub use support::{SupportPolicy, SupportReport};
 pub use wal::{

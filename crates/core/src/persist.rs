@@ -585,34 +585,37 @@ mod tests {
 
     #[test]
     fn restored_store_plans_and_merges_like_original() {
-        use crate::lazy::{plan_lazy, LazyPlan};
+        use crate::lazy::plan_lazy;
         let mut store = populated_store();
         let mut restored = load_store(&save_store(&store)).unwrap();
-        // Full reuse, coverage reuse (Δ = [100, 150]), no reuse: the same
-        // plan on both sides (ids differ, so compare what they select).
-        for (lo, hi, kind) in [(10, 50, 0), (50, 150, 1), (1000, 2000, 2)] {
+        // A hit, coverage reuse (Δ = [100, 150]), online: the same plan on
+        // both sides (ids differ, so compare what they select).
+        for (lo, hi, selects) in [(10, 50, 1), (50, 150, 1), (1000, 2000, 0)] {
             let q = descriptor(lo, hi);
-            let shape = |store: &SampleStore| match plan_lazy(store, &q, 0) {
-                LazyPlan::FullReuse { id } => {
-                    (0, vec![store.peek(id).unwrap().descriptor.clone()], vec![])
-                }
-                LazyPlan::CoverageReuse(plan) => {
-                    let selected = plan.samples.iter().map(|id| store.peek(*id).unwrap());
-                    let selected = selected.map(|s| s.descriptor.clone()).collect();
-                    (1, selected, plan.fragments)
-                }
-                LazyPlan::Online => (2, vec![], vec![]),
+            let shape = |store: &SampleStore| {
+                let plan = plan_lazy(store, &q, 0);
+                let selected = plan.samples.iter().map(|id| store.peek(*id).unwrap());
+                let selected: Vec<_> = selected.map(|s| s.descriptor.clone()).collect();
+                (plan.hit().is_some(), selected, plan.fragments)
             };
             let expected = shape(&store);
-            assert_eq!(expected.0, kind);
+            assert_eq!(expected.0, lo == 10, "only [10, 50] is a hit");
+            assert_eq!(expected.1.len(), selects);
+            if selects == 0 {
+                assert_eq!(
+                    expected.2,
+                    vec![q.predicates.clone()],
+                    "online: Δ = the query"
+                );
+            }
             assert_eq!(expected, shape(&restored));
         }
         // And the coverage write step lands both stores in the same place.
         let q = descriptor(50, 150);
         for side in [&mut store, &mut restored] {
-            let LazyPlan::CoverageReuse(plan) = plan_lazy(side, &q, 0) else {
-                panic!("expected coverage reuse");
-            };
+            let plan = plan_lazy(side, &q, 0);
+            assert_eq!(plan.samples.len(), 1, "expected coverage reuse");
+            assert_eq!(plan.fragments.len(), 1, "expected coverage reuse");
             let mut rng = Lehmer64::new(9);
             let mut delta = Sample::new(&schema(), 4);
             for x in 100..=150 {
@@ -627,10 +630,7 @@ mod tests {
             store.descriptors().map(|(_, d)| d.clone()).collect()
         };
         assert_eq!(coverage(&store), coverage(&restored));
-        assert!(matches!(
-            plan_lazy(&restored, &q, 0),
-            LazyPlan::FullReuse { .. }
-        ));
+        assert!(plan_lazy(&restored, &q, 0).hit().is_some());
     }
 
     #[test]

@@ -22,16 +22,16 @@
 //! - **Write path** (absorb / Δ-merge / eviction) takes the home shard's
 //!   write lock only around the in-memory merge — never around the
 //!   sampling scan, which is the expensive part and runs lock-free.
-//! - **Per-part in-flight dedup registry**: a coverage plan try-claims
-//!   (never blocking) one registry slot per residual fragment and per
-//!   append tail; an online miss claims one slot for the whole query. All
-//!   of an attempt's slots live in one `Claims` value. When two clients'
-//!   plans share parts, each part is scanned by exactly one of them: a
-//!   client that could not claim everything scans and absorbs what it did
-//!   claim, releases *all* its claims, waits for the others, and re-plans
-//!   (typically upgrading to full or pure-merge reuse). `Claims` is
-//!   consumed by the one function that waits, so overlapping claim sets
-//!   cannot deadlock.
+//! - **Per-part in-flight dedup registry**: a plan try-claims (never
+//!   blocking) one registry slot per residual fragment and per append
+//!   tail; an online run's one fragment is the query box, so it claims one
+//!   slot for the whole query. All of an attempt's slots live in one
+//!   `Claims` value. When two clients' plans share parts, each part is
+//!   scanned by exactly one of them: a client that could not claim
+//!   everything scans and absorbs what it did claim, releases *all* its
+//!   claims, waits for the others, and re-plans (typically upgrading to
+//!   full or pure-merge reuse). `Claims` is consumed by the one function
+//!   that waits, so overlapping claim sets cannot deadlock.
 //! - **Optimistic revalidation**: a coverage merge is validated under the
 //!   write lock (every selected sample still present with the exact
 //!   coverage and watermark it was planned against). If another client's
@@ -84,12 +84,12 @@ use crate::executor::{
     LaqyError, LaqyExecutor, Result, Scope,
 };
 use crate::interval::IntervalSet;
-use crate::lazy::{plan_lazy, LazyPlan, ReuseMode};
+use crate::lazy::{plan_lazy, CoveragePlan, ReuseMode};
 use crate::sampler_ops::SampleSchema;
 use crate::star::{JoinMemo, JoinShape};
 use crate::stats::{Counters, ExecStats, ReuseClass, ServiceStats};
-use crate::store::{CoveragePlan, Merged, SampleId, SampleStore, ShardedStore, STORE_SHARDS};
-use crate::support::{SupportPolicy, SupportReport};
+use crate::store::{Merged, SampleId, SampleStore, ShardedStore, STORE_SHARDS};
+use crate::support::SupportPolicy;
 use crate::wal::{WalAppender, WalRecord};
 
 // One static lock-class name per in-flight registry shard, from the
@@ -261,13 +261,23 @@ enum Arm {
     Oblivious,
 }
 
+impl Arm {
+    /// The arm a plan's answer comes from, read off its shape once: a hit,
+    /// a plan that reuses no stored sample (m = 0: online), or a coverage
+    /// merge.
+    fn of(plan: &CoveragePlan) -> Arm {
+        match (plan.hit(), plan.samples.is_empty()) {
+            (Some(_), _) => Arm::Full,
+            (None, true) => Arm::Online,
+            (None, false) => Arm::Coverage,
+        }
+    }
+}
+
 /// An arm's estimate on its way into [`LaqyService::finish`].
 struct Estimated {
     groups: Groups,
     stats: ExecStats,
-    /// Support of the full-region sample, from the arms that drew one; a
-    /// reuse arm's is classified from the groups' matching-row counts.
-    support: Option<SupportReport>,
 }
 
 /// `counter += n` (relaxed: telemetry).
@@ -709,13 +719,8 @@ impl LaqyService {
     pub fn run_online_oblivious(&self, query: &ApproxQuery) -> Result<ApproxResult> {
         let mut at = self.begin(query, &CancelToken::unbounded(), Instant::now())?;
         let (executor, scope) = at.pipeline();
-        let run = executor.run_online(scope)?;
-        let est = Estimated {
-            groups: run.groups,
-            stats: run.stats,
-            support: Some(run.support),
-        };
-        match self.finish(&mut at, Arm::Oblivious, 1.0, est)? {
+        let (groups, stats) = executor.run_online(scope)?;
+        match self.finish(&mut at, Arm::Oblivious, 1.0, Estimated { groups, stats })? {
             Outcome::Done(result) => Ok(*result),
             Outcome::Retry => Err(LaqyError::Unsupported(
                 "an oblivious run has no plan to retry".into(),
@@ -822,53 +827,68 @@ impl LaqyService {
     ) -> Result<Outcome> {
         let mut at = self.begin(query, token, t_start)?;
         let (plan, snapshot) = self.plan(&mut at, force_online);
+        self.run_plan(&mut at, &plan, &snapshot)
+    }
+
+    /// Run `plan` through the stages its shape calls for: a hit is
+    /// **fetch**ed where it rests, lock-free; every other plan — online
+    /// (m = 0) included — is **scan**ned, **merge**d and **estimate**d by
+    /// [`Self::run_coverage`]. Either way the answer leaves through
+    /// **finish**.
+    fn run_plan(
+        &self,
+        at: &mut Attempt<'_>,
+        plan: &CoveragePlan,
+        snapshot: &[(Predicates, u64)],
+    ) -> Result<Outcome> {
+        let arm = Arm::of(plan);
         let effective = plan.uncovered_fraction(&at.descriptor);
-        let (arm, estimated) = match plan {
-            LazyPlan::FullReuse { id } => (Arm::Full, self.fetch(&at, id)?),
-            LazyPlan::CoverageReuse(plan) => {
-                let estimated = self.run_coverage(&mut at, &plan, &snapshot, effective)?;
-                (Arm::Coverage, estimated)
-            }
-            LazyPlan::Online => return self.run_online_absorbing(&mut at),
+        let estimated = match plan.hit() {
+            Some(id) => self.fetch(at, id)?,
+            None => self.run_coverage(at, arm, plan, snapshot, effective)?,
         };
         match estimated {
-            Some(est) => self.finish(&mut at, arm, effective, est),
+            Some(est) => self.finish(at, arm, effective, est),
             None => Ok(Outcome::Retry),
         }
     }
 
     /// **Plan**: Algorithm 1 against the home shard, under its read guard
     /// (every reuse candidate shares the descriptor's fingerprint, so
-    /// planning never needs another shard). All-or-none matching
-    /// (`ReuseMode::FullMatchOnly`) demotes a coverage plan to online.
-    /// For a coverage plan the selected samples' coverage *and*
-    /// watermarks are snapshotted under the same guard:
-    /// [`Self::merge`] revalidates the store against exactly this
+    /// planning never needs another shard). A forced attempt, and under
+    /// all-or-none matching (`ReuseMode::FullMatchOnly`) any plan but a
+    /// hit, runs the online plan instead. For any other plan the selected
+    /// samples' coverage *and* watermarks are snapshotted under the same
+    /// guard: [`Self::merge`] revalidates the store against exactly this
     /// snapshot, so a concurrent absorb (which moves a watermark)
     /// invalidates the plan instead of double-counting tail rows.
-    fn plan(&self, at: &mut Attempt<'_>, force_online: bool) -> (LazyPlan, Vec<(Predicates, u64)>) {
+    fn plan(
+        &self,
+        at: &mut Attempt<'_>,
+        force_online: bool,
+    ) -> (CoveragePlan, Vec<(Predicates, u64)>) {
+        let online = |at: &Attempt<'_>| CoveragePlan::online(&at.descriptor, at.watermark);
         if force_online {
-            return (LazyPlan::Online, Vec::new());
+            return (online(at), Vec::new());
         }
         let home = self.inner.store.shard_for(&at.descriptor);
         let store = self.timed(|i| i.store.read_shard(home));
-        match plan_lazy(&store, &at.descriptor, at.watermark) {
-            LazyPlan::CoverageReuse(_) if self.inner.mode == ReuseMode::FullMatchOnly => {
-                (LazyPlan::Online, Vec::new())
-            }
-            LazyPlan::CoverageReuse(plan) => {
-                // Were a planned sample somehow missing, the snapshot comes
-                // up short, revalidation fails, and the attempt re-plans
-                // instead of panicking on a hot path.
-                let selected = || plan.samples.iter().filter_map(|id| store.peek(*id));
-                at.strata_hint = selected().map(|s| s.sample.num_strata()).max().unwrap_or(0);
-                let snapshot = selected()
-                    .map(|s| (s.descriptor.predicates.clone(), s.watermark))
-                    .collect();
-                (LazyPlan::CoverageReuse(plan), snapshot)
-            }
-            other => (other, Vec::new()),
+        let plan = plan_lazy(&store, &at.descriptor, at.watermark);
+        if plan.hit().is_some() {
+            return (plan, Vec::new());
         }
+        if self.inner.mode == ReuseMode::FullMatchOnly {
+            return (online(at), Vec::new());
+        }
+        // Were a planned sample somehow missing, the snapshot comes up
+        // short, revalidation fails, and the attempt re-plans instead of
+        // panicking on a hot path.
+        let selected = || plan.samples.iter().filter_map(|id| store.peek(*id));
+        at.strata_hint = selected().map(|s| s.sample.num_strata()).max().unwrap_or(0);
+        let snapshot = selected()
+            .map(|s| (s.descriptor.predicates.clone(), s.watermark))
+            .collect();
+        (plan, snapshot)
     }
 
     /// **Fetch**: estimate the query from stored sample `id` where it
@@ -889,11 +909,7 @@ impl LaqyService {
             estimate: started.elapsed(),
             ..Default::default()
         };
-        Ok(Some(Estimated {
-            groups,
-            stats,
-            support: None,
-        }))
+        Ok(Some(Estimated { groups, stats }))
     }
 
     /// **Scan**: try-claim every fragment and tail of the plan, then
@@ -922,9 +938,6 @@ impl LaqyService {
         let owned = claims.owned.iter().map(|(part, _)| *part);
         let (executor, scope) = at.pipeline();
         let scans = executor.scan_coverage(scope, plan, owned, claims.busy.is_empty())?;
-        let scanned = scans.scans.len() as u64;
-        add(&self.inner.counters.delta_scans, scanned);
-        add(&self.inner.counters.fragments_scanned, scanned);
         Ok((claims, scans))
     }
 
@@ -968,19 +981,37 @@ impl LaqyService {
     }
 
     /// Coverage execution: **scan** what we can claim, **merge** with the
-    /// selected stored samples, **estimate**. `None` when the attempt must
-    /// re-plan: other clients own part of the plan, or it went stale.
+    /// selected stored samples, **estimate** — for any plan but a hit; an
+    /// online plan's one Δ is its whole sample. `None` when the attempt
+    /// must re-plan: other clients own part of the plan, or it went stale.
     fn run_coverage(
         &self,
         at: &mut Attempt<'_>,
+        arm: Arm,
         plan: &CoveragePlan,
         snapshot: &[(Predicates, u64)],
         effective: f64,
     ) -> Result<Option<Estimated>> {
         let c = &self.inner.counters;
+        // What the run counts, by its arm: an online run counts its scan
+        // and its dedup as online, and never a Δ-scan, a fragment or a
+        // merge.
+        let (scan_counter, dedup_counter, fragments) = match arm {
+            Arm::Online => (&c.online_scans, &c.online_deduped, None),
+            _ => (
+                &c.delta_scans,
+                &c.merges_deduped,
+                Some((&c.fragments_scanned, &c.fragments_deduped)),
+            ),
+        };
         let (claims, mut scans) = self.scan(at, plan)?;
         let mut stats = std::mem::take(&mut scans.stats);
-        stats.fragments_scanned = scans.scans.len() as u64;
+        let scanned = scans.scans.len() as u64;
+        add(scan_counter, scanned);
+        if let Some((fragments_scanned, _)) = fragments {
+            add(fragments_scanned, scanned);
+            stats.fragments_scanned = scanned;
+        }
 
         if !claims.busy.is_empty() {
             // Concurrent clients are scanning the rest of our plan. Keep
@@ -988,8 +1019,10 @@ impl LaqyService {
             // its box — then release our claims, wait for the others, and
             // re-plan (normally upgrading to full or pure-merge reuse).
             self.merge(at, plan, None, scans);
-            add(&c.fragments_deduped, claims.busy.len() as u64);
-            add(&c.merges_deduped, 1);
+            if let Some((_, fragments_deduped)) = fragments {
+                add(fragments_deduped, claims.busy.len() as u64);
+            }
+            add(dedup_counter, 1);
             claims.release_and_wait();
             return Ok(None);
         }
@@ -1026,56 +1059,7 @@ impl LaqyService {
         stats.estimate += t_est.elapsed();
         stats.fragments_reused = plan.samples.len() as u64;
         add(&c.fragments_reused, plan.samples.len() as u64);
-        Ok(Some(Estimated {
-            groups,
-            stats,
-            support: None,
-        }))
-    }
-
-    /// The no-reuse arm: full online sampling, deduplicating identical
-    /// concurrent misses, absorbed into the shared store.
-    fn run_online_absorbing(&self, at: &mut Attempt<'_>) -> Result<Outcome> {
-        let c = &self.inner.counters;
-        let key = format!(
-            "O|{}|{:?}",
-            at.descriptor.fingerprint(),
-            at.descriptor.predicates
-        );
-        let claims = self.claim(std::iter::once(key));
-        if !claims.busy.is_empty() {
-            add(&c.online_deduped, 1);
-            claims.release_and_wait();
-            return Ok(Outcome::Retry);
-        }
-        self.hold_for_test();
-
-        let (executor, scope) = at.pipeline();
-        let run = executor.run_online(scope)?;
-        add(&c.online_scans, 1);
-        // Capture the sample for future reuse (sample-as-you-query: it was
-        // needed anyway, so storing it costs only space) — unless the
-        // budget cut the scan short: a degraded sample's descriptor would
-        // claim coverage the scan never delivered, poisoning every future
-        // reuse decision.
-        if run.stats.degraded.is_none() {
-            let home = self.inner.store.shard_for(&at.descriptor);
-            let mut store = self.timed(|i| i.store.write_shard(home));
-            store.absorb(
-                at.descriptor.clone(),
-                at.schema.clone(),
-                run.sample,
-                at.watermark,
-                at.executor.rng_mut(),
-            );
-        }
-        drop(claims);
-        let est = Estimated {
-            groups: run.groups,
-            stats: run.stats,
-            support: Some(run.support),
-        };
-        self.finish(at, Arm::Online, 1.0, est)
+        Ok(Some(Estimated { groups, stats }))
     }
 
     /// **Finish** — the one exit every arm's estimate takes: apply the
@@ -1083,7 +1067,7 @@ impl LaqyService {
     /// conservative fallback (re-sample online, filter pushed down, only
     /// the under-supported strata of a reused sample — validating whether
     /// low support reflects the data or a sampling artifact — or, where
-    /// that does not apply, answer from a full online run instead), stamp
+    /// that does not apply, answer from the online plan instead), stamp
     /// the arm and the clock, count the answer.
     fn finish(
         &self,
@@ -1097,7 +1081,6 @@ impl LaqyService {
         let Estimated {
             mut groups,
             mut stats,
-            support,
         } = est;
         let t = Instant::now();
         if let Some(deg) = &stats.degraded {
@@ -1105,7 +1088,7 @@ impl LaqyService {
         }
         // Estimation already counted each stratum's matching rows (strata
         // and output groups coincide: QCS = GROUP BY).
-        let mut support = support.unwrap_or_else(|| support_from_groups(&groups, policy));
+        let mut support = support_from_groups(&groups, policy);
         stats.estimate += t.elapsed();
 
         let (class, counter) = match arm {
@@ -1122,7 +1105,8 @@ impl LaqyService {
             && !executor.refine_support(scope, &mut groups, &mut support, &mut stats)?
         {
             add(&c.support_fallbacks, 1);
-            return self.run_online_absorbing(at);
+            let online = CoveragePlan::online(&at.descriptor, at.watermark);
+            return self.run_plan(at, &online, &[]);
         }
         stats.reuse = Some(class);
         stats.effective_selectivity = effective;
@@ -1164,9 +1148,9 @@ impl LaqyService {
     }
 }
 
-/// Every in-flight slot one attempt claimed — fragments, tails, or the
-/// online key alike — and the slots it found taken. Dropping it releases
-/// the owned slots, waking their waiters.
+/// Every in-flight slot one attempt claimed — fragments and tails alike —
+/// and the slots it found taken. Dropping it releases the owned slots,
+/// waking their waiters.
 struct Claims<'a> {
     /// `(position among the claimed keys, guard)` per slot this attempt
     /// owns.
@@ -1562,7 +1546,7 @@ mod tests {
         let watermark = catalog.table("t").unwrap().row_watermark();
         let store = service.store();
         let plan = plan_lazy(&store, &descriptor, watermark);
-        let LazyPlan::FullReuse { id } = plan else {
+        let Some(id) = plan.hit() else {
             panic!("not a full hit: {plan:?}");
         };
         let stored = store.peek(id).unwrap();

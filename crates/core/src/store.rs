@@ -4,11 +4,8 @@
 //! queries").
 //!
 //! The store owns materialized stratified samples together with their
-//! [`SampleDescriptor`]s. For an incoming logical sampler
-//! [`SampleStore::plan_coverage_at`] runs a greedy set cover — the
-//! store-side half of Algorithm 1: several pairwise-disjoint stored samples
-//! plus the residual uncovered region as interval boxes, feeding the k-way
-//! reservoir merge — and [`SampleStore::absorb_coverage`] is the matching
+//! [`SampleDescriptor`]s. [`crate::lazy::plan_lazy`] plans a query against
+//! them (Algorithm 1), and [`SampleStore::absorb_coverage`] is the matching
 //! write step: it decides which planned samples a finished plan replaces
 //! and how each Δ sample comes to rest. An optional byte budget with LRU
 //! eviction hooks this store into Taster-style storage management (paper
@@ -24,7 +21,7 @@ use laqy_engine::GroupKey;
 use laqy_sampling::Lehmer64;
 
 use crate::descriptor::{Predicates, SampleDescriptor};
-use crate::lazy::MAX_COVERAGE_SAMPLES;
+use crate::lazy::CoveragePlan;
 use crate::sampler_ops::{Part, Sample, SampleSchema};
 
 /// Stable identity of a stored sample.
@@ -122,47 +119,6 @@ pub(crate) fn consolidates(
     plan.tails.is_empty() && clean.len() == plan.fragments.len() && clean.all(|clean| clean)
 }
 
-/// A multi-sample reuse plan — the coverage-planning generalization of
-/// Algorithm 1's one stored sample and one Δ interval: a *set* of stored
-/// samples (pairwise disjoint in population, §5.1's merge precondition)
-/// plus the residual uncovered region of the query box as a union of
-/// pairwise-disjoint per-column interval boxes. Each fragment is Δ-scanned
-/// once; the lazy sample is the k-way reservoir merge of the selected
-/// samples and the fragment samples.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoveragePlan {
-    /// Selected stored samples, pairwise disjoint in population.
-    pub samples: Vec<SampleId>,
-    /// Residual uncovered region: pairwise-disjoint predicate boxes, each
-    /// disjoint from every selected sample's population. Every box
-    /// constrains exactly the query's constrained columns.
-    pub fragments: Vec<Predicates>,
-    /// Un-absorbed append tails of the selected samples: for each selected
-    /// sample drawn at a watermark below the table's, the rows
-    /// `[from_row, table watermark)` within its population are not yet
-    /// represented and must be Δ-scanned (with the row floor pushed down)
-    /// before the k-way merge. Row-disjoint from the sample itself, so the
-    /// merge precondition still holds.
-    pub tails: Vec<TailFragment>,
-    /// The table row watermark the plan was made against: what `tails` are
-    /// measured up to, and what every Δ sample of this plan is drawn at.
-    pub watermark: u64,
-}
-
-/// One selected sample's un-absorbed append tail (see
-/// [`CoveragePlan::tails`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TailFragment {
-    /// The stale selected sample.
-    pub id: SampleId,
-    /// First base row the sample does not represent (its watermark).
-    pub from_row: u64,
-    /// The sample's full population predicates: scanning the tail over
-    /// them (not just the query box) lets the tail sample be absorbed
-    /// back into the stored sample, advancing its watermark.
-    pub predicates: Predicates,
-}
-
 /// Outcome of one [`SampleStore::absorb_appended`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AbsorbReport {
@@ -183,18 +139,6 @@ impl AbsorbReport {
         self.samples_invalidated += other.samples_invalidated;
     }
 }
-
-impl CoveragePlan {
-    /// Total residual measure (sum of fragment box measures).
-    pub fn residual_measure(&self) -> u128 {
-        self.fragments.iter().map(|f| f.box_measure()).sum()
-    }
-}
-
-/// Fragment-count guard: greedy selection stops before a candidate whose
-/// subtraction would shatter the residual into more boxes than separate
-/// Δ-scans are worth.
-const MAX_COVERAGE_FRAGMENTS: usize = 16;
 
 /// The sample store.
 pub struct SampleStore {
@@ -266,132 +210,6 @@ impl SampleStore {
     /// inspection (REPL `.samples`, tests), not for reuse.
     pub fn iter(&self) -> impl Iterator<Item = (SampleId, &StoredSample)> {
         self.samples.iter().map(|(id, s)| (*id, s))
-    }
-
-    /// Plan multi-sample coverage for a query against a table at row
-    /// watermark `watermark` — the store-side decision of **Algorithm 1**,
-    /// generalized to several stored samples.
-    ///
-    /// Greedy weighted set cover over the query box: repeatedly select the
-    /// candidate sample removing the largest residual measure, keeping the
-    /// selected set pairwise disjoint in population (§5.1's merge
-    /// precondition), until [`MAX_COVERAGE_SAMPLES`] are chosen or no
-    /// candidate still covers any residual. Returns the selection plus
-    /// the residual as pairwise-disjoint boxes, each disjoint from every
-    /// selected sample's population — so one Δ-scan per fragment followed
-    /// by a k-way merge never double-samples a row.
-    ///
-    /// Candidates must match the query's characteristics; merge candidates
-    /// additionally need QVS equality (a superset-QVS sample has a
-    /// different tuple layout, so it can serve full reuse but cannot be
-    /// merged with fragment samples) and must not constrain columns the
-    /// query leaves free (their residual would be unbounded).
-    ///
-    /// Selected samples drawn below `watermark` additionally contribute a
-    /// [`TailFragment`] — the appended rows of their own population they
-    /// have not absorbed — so the executor Δ-scans the tail (row floor
-    /// pushed down) and the merge still covers every base row up to the
-    /// watermark. Passing `0` is the static-table case (no sample can be
-    /// stale).
-    pub fn plan_coverage_at(&self, query: &SampleDescriptor, watermark: u64) -> CoveragePlan {
-        if query.predicates.is_unsatisfiable() {
-            return CoveragePlan {
-                samples: Vec::new(),
-                fragments: Vec::new(),
-                tails: Vec::new(),
-                watermark,
-            };
-        }
-        // Full subsumption short-circuits: no merge happens, so a
-        // superset-QVS sample qualifies — but only when the sample is
-        // fresh; a stale subsuming sample must go through the greedy path
-        // so its append tail gets scanned and merged in.
-        for (id, stored) in &self.samples {
-            if stored.descriptor.matches_characteristics(query)
-                && stored.descriptor.predicates.subsumes(&query.predicates)
-                && stored.watermark >= watermark
-            {
-                return CoveragePlan {
-                    samples: vec![*id],
-                    fragments: Vec::new(),
-                    tails: Vec::new(),
-                    watermark,
-                };
-            }
-        }
-        // (id, raw population predicates, coverage box within the query,
-        // drawn-at watermark).
-        let mut candidates: Vec<(SampleId, &Predicates, Predicates, u64)> = Vec::new();
-        for (id, stored) in &self.samples {
-            let d = &stored.descriptor;
-            if !d.matches_characteristics(query) || d.qvs != query.qvs {
-                continue;
-            }
-            if !d
-                .predicates
-                .columns()
-                .all(|c| query.predicates.get(c).is_some())
-            {
-                continue;
-            }
-            let Some(cov) = query.predicates.intersect(&d.predicates) else {
-                continue;
-            };
-            candidates.push((*id, &d.predicates, cov, stored.watermark));
-        }
-        let mut fragments = vec![query.predicates.clone()];
-        let mut selected: Vec<(SampleId, &Predicates, u64)> = Vec::new();
-        while selected.len() < MAX_COVERAGE_SAMPLES && !fragments.is_empty() {
-            let mut best: Option<(usize, u128)> = None;
-            for (i, (id, raw, cov, _)) in candidates.iter().enumerate() {
-                if selected.iter().any(|(sid, _, _)| sid == id) {
-                    continue;
-                }
-                // Populations of merged samples must be pairwise disjoint.
-                if selected
-                    .iter()
-                    .any(|(_, sel_raw, _)| raw.intersect(sel_raw).is_some())
-                {
-                    continue;
-                }
-                let gain: u128 = fragments
-                    .iter()
-                    .filter_map(|f| f.intersect(cov))
-                    .map(|x| x.box_measure())
-                    .sum();
-                if gain == 0 {
-                    continue;
-                }
-                if best.map(|(_, g)| gain > g).unwrap_or(true) {
-                    best = Some((i, gain));
-                }
-            }
-            let Some((i, _)) = best else {
-                break;
-            };
-            let (id, raw, cov, w) = &candidates[i];
-            let next: Vec<Predicates> = fragments.iter().flat_map(|f| f.subtract(cov)).collect();
-            if next.len() > MAX_COVERAGE_FRAGMENTS {
-                break;
-            }
-            selected.push((*id, raw, *w));
-            fragments = next;
-        }
-        let tails = selected
-            .iter()
-            .filter(|(_, _, w)| *w < watermark)
-            .map(|(id, raw, w)| TailFragment {
-                id: *id,
-                from_row: *w,
-                predicates: (*raw).clone(),
-            })
-            .collect();
-        CoveragePlan {
-            samples: selected.into_iter().map(|(id, _, _)| id).collect(),
-            fragments,
-            tails,
-            watermark,
-        }
     }
 
     /// Access a stored sample, updating its LRU stamp. Shared access
@@ -602,8 +420,8 @@ impl SampleStore {
     ///   is not expressible as one descriptor, a union replacement would
     ///   drop per-sample watermark bookkeeping mid catch-up, and a sample
     ///   of a cut-short scan would overclaim coverage, so unclean scans
-    ///   take part in the returned merge only. Every Δ is read in full
-    ///   here.
+    ///   take part in the returned merge only, moved into it rather than
+    ///   copied. Every Δ is read in full here.
     ///
     /// With `merge` unset (the caller's plan went stale, or other clients
     /// are still scanning the rest of it) only the second half runs: the
@@ -665,32 +483,40 @@ impl SampleStore {
                 payload_rows,
             });
         }
-        // Each Δ comes to rest on its own: read what was not read yet.
-        let mut payload_rows = 0;
-        let scans: Vec<(usize, Sample, bool)> = (scans.into_iter())
-            .map(|(part, sample, clean)| {
-                payload_rows += sample.payload_rows();
-                (part, sample.into_sample(), clean)
-            })
-            .collect();
+        // Each Δ comes to rest on its own: read what was not read yet. The
+        // merge borrows the clean scans, `kept` for the store, and takes over
+        // the unclean ones; `order` lists both in scan order (a kept scan by
+        // its index), so the merge draws alike.
+        let (mut payload_rows, mut kept, mut order) = (0, Vec::new(), Vec::new());
+        for (part, sample, clean) in scans {
+            payload_rows += sample.payload_rows();
+            let sample = sample.into_sample();
+            if clean {
+                order.push(Ok(kept.len()));
+                kept.push((part, sample));
+            } else {
+                order.push(Err(sample));
+            }
+        }
         let merged = stored.map(|stored| {
-            let inputs = (stored.iter().map(|s| Part::from(&*s.sample)))
-                .chain(scans.iter().map(|(_, sample, _)| Part::from(sample)));
+            let scans = order.into_iter().map(|scan| match scan {
+                Ok(kept_at) => Part::from(&kept[kept_at].1),
+                Err(unclean) => Part::from(unclean),
+            });
+            let inputs = stored.iter().map(|s| Part::from(&*s.sample)).chain(scans);
             Merged {
                 sample: Arc::new(Sample::combine(inputs.collect(), rng).0),
                 union: None,
                 payload_rows,
             }
         });
-        let (fragments, tails): (Vec<_>, Vec<_>) = scans
-            .into_iter()
-            .filter(|(_, _, clean)| *clean)
-            .partition(|(part, _, _)| *part < n_fragments);
-        for (part, sample, _) in tails {
+        let (fragments, tails): (Vec<_>, Vec<_>) =
+            kept.into_iter().partition(|(part, _)| *part < n_fragments);
+        for (part, sample) in tails {
             let tail = &plan.tails[part - n_fragments];
             self.absorb_tail(tail.id, &sample, tail.from_row, plan.watermark, rng);
         }
-        for (part, sample, _) in fragments {
+        for (part, sample) in fragments {
             let descriptor = at(plan.fragments[part].clone());
             self.absorb(descriptor, schema.clone(), sample, plan.watermark, rng);
         }
@@ -1128,6 +954,7 @@ fn disjoint_single_column(a: &Predicates, b: &Predicates) -> Option<String> {
 mod tests {
     use super::*;
     use crate::interval::{Interval, IntervalSet};
+    use crate::lazy::plan_lazy;
     use crate::sampler_ops::SlotKind;
     use laqy_sampling::Lehmer64;
 
@@ -1177,19 +1004,19 @@ mod tests {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(4);
         store.absorb(desc(0, 99), schema(), toy_sample(2, 10, 0), 0, &mut rng);
-        assert_eq!(store.plan_coverage_at(&desc(10, 20), 0).samples.len(), 1);
+        assert_eq!(plan_lazy(&store, &desc(10, 20), 0).samples.len(), 1);
         // Different QCS.
         let mut q = desc(10, 20);
         q.qcs = vec!["lo_quantity".into()];
-        assert!(store.plan_coverage_at(&q, 0).samples.is_empty());
+        assert!(plan_lazy(&store, &q, 0).samples.is_empty());
         // Different k.
         let mut q = desc(10, 20);
         q.k = 16;
-        assert!(store.plan_coverage_at(&q, 0).samples.is_empty());
+        assert!(plan_lazy(&store, &q, 0).samples.is_empty());
         // QVS requiring a column the sample lacks.
         let mut q = desc(10, 20);
         q.qvs = vec!["lo_tax".into()];
-        assert!(store.plan_coverage_at(&q, 0).samples.is_empty());
+        assert!(plan_lazy(&store, &q, 0).samples.is_empty());
     }
 
     #[test]
@@ -1198,7 +1025,7 @@ mod tests {
         let mut rng = Lehmer64::new(5);
         let id = store.absorb(desc(0, 99), schema(), toy_sample(2, 30, 0), 0, &mut rng);
         let query = desc(0, 199);
-        let plan = store.plan_coverage_at(&query, 0);
+        let plan = plan_lazy(&store, &query, 0);
         assert_eq!(plan.samples, vec![id]);
         assert_eq!(plan.fragments, vec![desc(100, 199).predicates]);
         let scans = vec![(0, toy_sample(2, 30, 100), true)];
@@ -1214,7 +1041,7 @@ mod tests {
         assert_eq!(s.descriptor.predicates, query.predicates);
         assert_eq!(merged.union.as_ref(), Some(&query.predicates));
         assert!(Arc::ptr_eq(&s.sample, &merged.sample));
-        let full = store.plan_coverage_at(&desc(0, 150), 0);
+        let full = plan_lazy(&store, &desc(0, 150), 0);
         assert!(full.fragments.is_empty() && full.tails.is_empty());
     }
 
@@ -1224,7 +1051,7 @@ mod tests {
         let mut rng = Lehmer64::new(6);
         let id = store.absorb(desc(0, 99), schema(), toy_sample(2, 30, 0), 0, &mut rng);
         let query = desc(0, 299);
-        let mut plan = store.plan_coverage_at(&query, 0);
+        let mut plan = plan_lazy(&store, &query, 0);
         // Two fragments, as if the residual had been split.
         plan.fragments = vec![desc(100, 199).predicates, desc(200, 299).predicates];
         let scans = |second_clean| {
@@ -1361,7 +1188,7 @@ mod tests {
         let query = desc(0, 999);
         let query_measure = query.predicates.box_measure();
 
-        let plan = store.plan_coverage_at(&query, 0);
+        let plan = plan_lazy(&store, &query, 0);
         assert_eq!(plan.samples.len(), 2);
         assert!(plan.samples.contains(&a) && plan.samples.contains(&b));
         let frac = plan.residual_measure() as f64 / query_measure as f64;
@@ -1378,7 +1205,7 @@ mod tests {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(11);
         let id = store.absorb(desc(0, 999), schema(), toy_sample(2, 10, 0), 0, &mut rng);
-        let plan = store.plan_coverage_at(&desc(100, 200), 0);
+        let plan = plan_lazy(&store, &desc(100, 200), 0);
         assert_eq!(plan.samples, vec![id]);
         assert!(plan.fragments.is_empty());
         assert_eq!(plan.residual_measure(), 0);
@@ -1391,7 +1218,7 @@ mod tests {
         let mut store = SampleStore::new();
         store.insert_raw(desc(0, 599), schema(), toy_sample(2, 10, 0), 0);
         store.insert_raw(desc(400, 899), schema(), toy_sample(2, 10, 400), 0);
-        let plan = store.plan_coverage_at(&desc(0, 999), 0);
+        let plan = plan_lazy(&store, &desc(0, 999), 0);
         assert_eq!(
             plan.samples.len(),
             1,
@@ -1418,11 +1245,11 @@ mod tests {
         let mut wide = desc(0, 399);
         wide.qvs.push("lo_tax".into());
         store.insert_raw(wide.clone(), schema(), toy_sample(2, 10, 0), 0);
-        let plan = store.plan_coverage_at(&desc(0, 999), 0);
+        let plan = plan_lazy(&store, &desc(0, 999), 0);
         assert!(plan.samples.is_empty(), "superset QVS cannot merge");
         assert_eq!(plan.fragments, vec![desc(0, 999).predicates]);
         // Full subsumption still allowed.
-        let full = store.plan_coverage_at(&desc(100, 200), 0);
+        let full = plan_lazy(&store, &desc(100, 200), 0);
         assert_eq!(full.samples.len(), 1);
         assert!(full.fragments.is_empty());
     }
@@ -1435,7 +1262,7 @@ mod tests {
         store.insert_raw(d, schema(), toy_sample(2, 10, 0), 0);
         // Query leaves lo_extra free: the sample covers only a slice of
         // that dimension, so it cannot contribute box coverage.
-        let plan = store.plan_coverage_at(&desc(0, 999), 0);
+        let plan = plan_lazy(&store, &desc(0, 999), 0);
         assert!(plan.samples.is_empty());
         assert_eq!(plan.fragments, vec![desc(0, 999).predicates]);
     }
@@ -1447,7 +1274,7 @@ mod tests {
         store.absorb(desc(0, 99), schema(), toy_sample(2, 10, 0), 0, &mut rng);
         let mut q = desc(0, 0);
         q.predicates = Predicates::on("lo_intkey", IntervalSet::empty());
-        assert!(store.plan_coverage_at(&q, 0).samples.is_empty());
+        assert!(plan_lazy(&store, &q, 0).samples.is_empty());
     }
 
     /// A descriptor with a distinct fingerprint (different QCS).
@@ -1529,7 +1356,7 @@ mod tests {
             let idx = store.shard_for(&d);
             let g = store.read_shard(idx);
             assert_eq!(
-                g.plan_coverage_at(&d, 0).samples.len(),
+                plan_lazy(&g, &d, 0).samples.len(),
                 1,
                 "restored sample must live on its home shard"
             );
@@ -1657,16 +1484,16 @@ mod tests {
     }
 
     #[test]
-    fn plan_coverage_at_emits_tail_for_stale_sample() {
+    fn plan_lazy_emits_tail_for_stale_sample() {
         let mut store = SampleStore::new();
         let id = store.insert_raw(desc_live(0, 99), schema(), toy_sample(3, 20, 0), 30);
         // Fresh at its own watermark: plain full reuse, no tail.
-        let fresh = store.plan_coverage_at(&desc_live(0, 99), 30);
+        let fresh = plan_lazy(&store, &desc_live(0, 99), 30);
         assert_eq!(fresh.samples, vec![id]);
         assert!(fresh.tails.is_empty() && fresh.fragments.is_empty());
         // The table has grown: the sample is still selected, the region is
         // fully covered, but its un-absorbed tail must be Δ-scanned.
-        let stale = store.plan_coverage_at(&desc_live(0, 99), 50);
+        let stale = plan_lazy(&store, &desc_live(0, 99), 50);
         assert_eq!(stale.samples, vec![id]);
         assert!(stale.fragments.is_empty());
         assert_eq!(stale.tails.len(), 1);
@@ -1681,7 +1508,7 @@ mod tests {
         let mut rng = Lehmer64::new(24);
         assert!(store.absorb_tail(id, &toy_sample(3, 2, 30), 30, 50, &mut rng));
         assert_eq!(store.peek(id).unwrap().watermark, 50);
-        let caught_up = store.plan_coverage_at(&desc_live(0, 99), 50);
+        let caught_up = plan_lazy(&store, &desc_live(0, 99), 50);
         assert_eq!(caught_up.samples, vec![id]);
         assert!(caught_up.tails.is_empty());
         // A concurrent client replaying the same tail is rejected — the

@@ -196,3 +196,30 @@ fn deadline_answers_within_twice_the_budget() {
         break;
     }
 }
+
+/// A zero deadline on a cold store: the online plan has no stored sample
+/// to answer from, so its one Δ still starts, degrades at its first morsel
+/// and answers with nothing — counted as the online run and scan it is,
+/// never as a Δ-scan, and not stored.
+#[test]
+fn a_zero_deadline_on_a_cold_store_is_a_degraded_online_run() {
+    let service = service(N);
+    let result = service
+        .run_with_budget(&query(0, N - 1), QueryBudget::with_deadline(Duration::ZERO))
+        .unwrap();
+    assert_eq!(result.groups.len(), 0);
+    let deg = result.stats.degraded.expect("a zero deadline degrades");
+    assert_eq!(deg.reason, DegradeReason::DeadlineExceeded);
+    assert_eq!(deg.coverage, 1e-4);
+    assert_eq!(result.stats.reuse, Some(ReuseClass::Online));
+    assert_eq!(result.stats.fragments_scanned, 0);
+    assert!(service.store().is_empty());
+    let stats = service.stats();
+    let online = (
+        stats.online_runs,
+        stats.online_scans,
+        stats.degraded_answers,
+    );
+    assert_eq!(online, (1, 1, 1));
+    assert_eq!((stats.delta_scans, stats.fragments_scanned), (0, 0));
+}

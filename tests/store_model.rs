@@ -1,17 +1,17 @@
 //! Model-based property tests for the sample store: random sequences of
 //! queries are driven through the planner and write step the service runs
-//! ([`plan_lazy`] → fetch / [`SampleStore::absorb_coverage`] / `absorb`)
-//! and checked against a simple reference model (a coverage `IntervalSet`
-//! per sample family).
+//! ([`plan_lazy`] → fetch / [`SampleStore::absorb_coverage`]) and checked
+//! against a simple reference model (a coverage `IntervalSet` per sample
+//! family).
 //!
 //! The invariants under test are the ones Algorithm 1's correctness rests
-//! on:
-//! - full reuse is planned iff some stored sample's coverage subsumes the
-//!   query range;
-//! - coverage reuse implies the residual fragments equal `query −
-//!   coverage` of the selected samples and are strictly smaller than the
-//!   query;
-//! - online implies no stored same-family sample overlaps the query;
+//! on, over the shapes of its one plan type:
+//! - a hit (one sample, nothing to scan) is planned iff some stored
+//!   sample's coverage subsumes the query range;
+//! - a plan that selects samples has residual fragments equal to `query −
+//!   coverage` of the selected samples, strictly smaller than the query;
+//! - a plan that selects none (online) has the query as its one fragment,
+//!   and no stored same-family sample overlaps the query;
 //! - stored weights always equal the number of tuples absorbed into the
 //!   family region (no tuple is ever double-counted by a merge) — Σ
 //!   stratum weights == covered measure after every write.
@@ -19,7 +19,7 @@
 use std::collections::{HashMap, HashSet};
 
 use laqy::{
-    plan_lazy, Interval, IntervalSet, LazyPlan, Predicates, Sample, SampleDescriptor, SampleId,
+    plan_lazy, CoveragePlan, Interval, IntervalSet, Predicates, Sample, SampleDescriptor, SampleId,
     SampleSchema, SampleStore, ShardedStore, SlotKind, MAX_COVERAGE_SAMPLES,
 };
 use laqy_engine::GroupKey;
@@ -66,7 +66,7 @@ fn coverage(store: &SampleStore, id: SampleId) -> IntervalSet {
 /// What one query did to the store.
 struct Driven {
     /// The plan it ran.
-    plan: LazyPlan,
+    plan: CoveragePlan,
     /// The sample it read (full reuse) or that holds what it wrote.
     subject: SampleId,
     /// Planned samples the write step took out of the store (their union
@@ -76,58 +76,51 @@ struct Driven {
     absorbed: IntervalSet,
 }
 
-/// Drive one query exactly as the service does: plan, then full reuse
-/// touches the sample (fetch), coverage reuse Δ-scans every fragment and
-/// runs the store's coverage write step, no reuse samples online and
-/// absorbs.
+/// Drive one query exactly as the service does: plan, then a hit touches
+/// the sample (fetch); any other plan — online included — Δ-scans every
+/// fragment and runs the store's coverage write step.
 fn drive(store: &mut SampleStore, q: &IntervalSet, rng: &mut Lehmer64) -> Driven {
     let desc = descriptor(q.clone());
     let plan = plan_lazy(store, &desc, 0);
     let mut absorbed = IntervalSet::empty();
     let mut consolidated = Vec::new();
-    let subject = match &plan {
-        LazyPlan::FullReuse { id } => {
-            store.get(*id);
-            *id
+    let subject = match plan.hit() {
+        Some(id) => {
+            store.get(id);
+            id
         }
-        LazyPlan::CoverageReuse(cover) => {
-            prop_assert!(cover.tails.is_empty(), "static table: nothing is stale");
+        None => {
+            prop_assert!(plan.tails.is_empty(), "static table: nothing is stale");
             absorbed = q.clone();
-            for id in &cover.samples {
+            for id in &plan.samples {
                 absorbed = absorbed.union(&coverage(store, *id));
             }
-            let scans = cover
+            let scans = plan
                 .fragments
                 .iter()
                 .enumerate()
                 .map(|(part, f)| (part, sample_for(f.get("x").unwrap(), rng), true))
                 .collect();
-            let merged = store.absorb_coverage(&desc, &schema(), cover, scans, true, rng);
+            let merged = store.absorb_coverage(&desc, &schema(), &plan, scans, true, rng);
             // The lazy sample covers the planned samples and the query,
             // every integer exactly once.
-            let merged = merged.expect("every planned sample is stored").sample;
-            prop_assert_eq!(merged.total_weight(), absorbed.measure());
+            let merged = merged.expect("every planned sample is stored");
+            prop_assert_eq!(merged.sample.total_weight(), absorbed.measure());
             // One predicate column: the merged region is always a box, so
             // the planned samples were consolidated.
-            for id in &cover.samples {
+            prop_assert!(merged.union.is_some());
+            for id in &plan.samples {
                 prop_assert!(store.peek(*id).is_none());
             }
-            consolidated = cover.samples.clone();
+            consolidated = plan.samples.clone();
             let holder = store
                 .descriptors()
                 .find(|(_, d)| d.predicates.get("x").unwrap().subsumes(&absorbed));
             holder.expect("the union is stored").0
         }
-        LazyPlan::Online => {
-            absorbed = q.clone();
-            store.absorb(desc, schema(), sample_for(q, rng), 0, rng)
-        }
     };
     // Whatever arm ran, the store now answers the query as a full hit.
-    let hit = matches!(
-        plan_lazy(store, &descriptor(q.clone()), 0),
-        LazyPlan::FullReuse { .. }
-    );
+    let hit = plan_lazy(store, &descriptor(q.clone()), 0).hit().is_some();
     prop_assert!(hit);
     Driven {
         plan,
@@ -139,33 +132,32 @@ fn drive(store: &mut SampleStore, q: &IntervalSet, rng: &mut Lehmer64) -> Driven
 
 /// A plan for `qset` agrees with the stored coverages it was made from.
 fn check_plan(store: &SampleStore, qset: &IntervalSet) {
-    match plan_lazy(store, &descriptor(qset.clone()), 0) {
-        LazyPlan::FullReuse { id } => {
-            prop_assert!(coverage(store, id).subsumes(qset));
+    let plan = plan_lazy(store, &descriptor(qset.clone()), 0);
+    if let Some(id) = plan.hit() {
+        prop_assert!(coverage(store, id).subsumes(qset));
+    } else if plan.samples.is_empty() {
+        // Online: the query is the one fragment, and no stored sample may
+        // subsume or usefully overlap it.
+        prop_assert_eq!(&plan.fragments, &vec![Predicates::on("x", qset.clone())]);
+        for (_, d) in store.descriptors() {
+            let set = d.predicates.get("x").unwrap();
+            prop_assert!(!set.subsumes(qset));
+            prop_assert!(!set.overlaps(qset));
         }
-        LazyPlan::CoverageReuse(cover) => {
-            let mut selected = IntervalSet::empty();
-            for id in &cover.samples {
-                let set = coverage(store, *id);
-                prop_assert!(!set.overlaps(&selected), "selected populations overlap");
-                selected = selected.union(&set);
-            }
-            let mut residual = IntervalSet::empty();
-            for f in &cover.fragments {
-                residual = residual.union(f.get("x").unwrap());
-            }
-            prop_assert_eq!(&residual, &qset.difference(&selected));
-            prop_assert_eq!(cover.residual_measure(), residual.measure() as u128);
-            prop_assert!(residual.measure() < qset.measure());
+    } else {
+        let mut selected = IntervalSet::empty();
+        for id in &plan.samples {
+            let set = coverage(store, *id);
+            prop_assert!(!set.overlaps(&selected), "selected populations overlap");
+            selected = selected.union(&set);
         }
-        LazyPlan::Online => {
-            // No stored sample may subsume or usefully overlap the query.
-            for (_, d) in store.descriptors() {
-                let set = d.predicates.get("x").unwrap();
-                prop_assert!(!set.subsumes(qset));
-                prop_assert!(!set.overlaps(qset));
-            }
+        let mut residual = IntervalSet::empty();
+        for f in &plan.fragments {
+            residual = residual.union(f.get("x").unwrap());
         }
+        prop_assert_eq!(&residual, &qset.difference(&selected));
+        prop_assert_eq!(plan.residual_measure(), residual.measure() as u128);
+        prop_assert!(residual.measure() < qset.measure());
     }
 }
 
@@ -179,29 +171,28 @@ proptest! {
         let mut rng = Lehmer64::new(7);
         let mut store = SampleStore::new();
 
-        // Drive the store exactly as the service would: plan, then reuse /
-        // Δ-scan + coverage write / online absorb according to the plan.
-        // The model tracks total covered ground.
+        // Drive the store exactly as the service would: plan, then reuse,
+        // or Δ-scan + coverage write, according to the plan's shape. The
+        // model tracks total covered ground.
         let mut model_coverage = IntervalSet::empty();
         for iv in &ops {
             let q = IntervalSet::of(*iv);
-            match drive(&mut store, &q, &mut rng).plan {
-                LazyPlan::FullReuse { .. } => {
-                    // Model: already covered.
-                    prop_assert!(model_coverage.subsumes(&q));
+            let plan = drive(&mut store, &q, &mut rng).plan;
+            if plan.hit().is_some() {
+                // Model: already covered.
+                prop_assert!(model_coverage.subsumes(&q));
+            } else if plan.samples.is_empty() {
+                prop_assert!(!q.overlaps(&model_coverage));
+            } else {
+                for f in &plan.fragments {
+                    // The selected samples' coverage may be a subset of
+                    // the union model when several families split
+                    // coverage; but single-family workloads keep them
+                    // equal.
+                    prop_assert!(
+                        !f.get("x").unwrap().overlaps(&model_coverage) || store.len() > 1
+                    );
                 }
-                LazyPlan::CoverageReuse(cover) => {
-                    for f in &cover.fragments {
-                        // The selected samples' coverage may be a subset of
-                        // the union model when several families split
-                        // coverage; but single-family workloads keep them
-                        // equal.
-                        prop_assert!(
-                            !f.get("x").unwrap().overlaps(&model_coverage) || store.len() > 1
-                        );
-                    }
-                }
-                LazyPlan::Online => prop_assert!(!q.overlaps(&model_coverage)),
             }
             model_coverage = model_coverage.union(&q);
         }
@@ -227,7 +218,7 @@ proptest! {
 
 // Coverage-planner model: for arbitrary fragmented stores (raw-inserted,
 // possibly overlapping boxes on up to two columns) and arbitrary query
-// boxes, `plan_coverage_at` must produce a plan that exactly tiles the
+// boxes, `plan_lazy` must produce a plan that exactly tiles the
 // query region:
 //
 // - at most `MAX_COVERAGE_SAMPLES` selected samples, with
@@ -272,7 +263,7 @@ proptest! {
 
         for (x, y, cy) in &queries {
             let qp = boxed(x, y, *cy);
-            let plan = store.plan_coverage_at(&descriptor2(qp.clone()), 0);
+            let plan = plan_lazy(&store, &descriptor2(qp.clone()), 0);
             prop_assert!(plan.samples.len() <= MAX_COVERAGE_SAMPLES);
 
             let selected: Vec<Predicates> = plan
@@ -385,7 +376,7 @@ proptest! {
                     // a write merged into a stored (disjoint) sample
                     // replaces every other one its union subsumes. A hit
                     // writes nothing.
-                    let hit = matches!(driven.plan, LazyPlan::FullReuse { .. });
+                    let hit = driven.plan.hit().is_some();
                     let cover = match before.contains_key(&driven.subject) {
                         true => coverage(&store.read_shard(0), driven.subject),
                         false => driven.absorbed.clone(),
