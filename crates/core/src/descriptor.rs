@@ -509,7 +509,11 @@ mod tests {
         for d in [&d1, &d2] {
             let (qcs, qvs) = (d.qcs.join(","), d.qvs.join(","));
             let spelled = format!("{}|qcs={qcs}|qvs={qvs}|k={}", d.input, d.k);
-            assert_eq!(d.fingerprint(), spelled, "shard routing hashes these bytes");
+            assert_eq!(
+                d.fingerprint(),
+                spelled,
+                "in-flight claim keys embed these bytes"
+            );
         }
 
         let d3 = SampleDescriptor::new(

@@ -15,8 +15,8 @@
 //!   metadata (Query Input, QCS, QVS, Query Predicate, k) that makes
 //!   samples malleable;
 //! - [`store`] — sample lifetime management and the coverage write step
-//!   that brings a plan's Δ samples to rest; [`ShardedStore`] adds the
-//!   service's byte budget (LRU eviction);
+//!   that brings a plan's Δ samples to rest; [`StoreWriteGuard`] enforces
+//!   the service's byte budget (LRU eviction) after each write step;
 //! - [`lazy`] — Algorithm 1, the lazy sampling planner, generalized to
 //!   multi-sample, multi-fragment coverage reuse (greedy set cover over
 //!   stored samples): one [`CoveragePlan`] type, online sampling being
@@ -142,9 +142,7 @@ pub use sampler_ops::{Sample, SampleRows, SampleSchema, SampleTuple, SlotKind, M
 pub use service::{LaqyService, SessionConfig};
 pub use sql::approx_query;
 pub use stats::{ExecStats, ReuseClass, ServiceStats};
-pub use store::{
-    AbsorbReport, SampleId, SampleStore, ShardWriteGuard, ShardedStore, StoredSample, STORE_SHARDS,
-};
+pub use store::{AbsorbReport, SampleId, SampleStore, StoreWriteGuard, StoredSample};
 pub use support::{SupportPolicy, SupportReport};
 pub use wal::{
     replay as replay_wal, WalAppender, WalPosition, WalRecord, WalReplayReport,

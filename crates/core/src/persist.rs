@@ -131,9 +131,9 @@ pub fn save_store(store: &SampleStore) -> Vec<u8> {
 }
 
 /// Deserialize a sample store from bytes. The restored store is unbounded;
-/// a service's byte budget applies once
-/// [`ShardedStore::replace_from`](crate::store::ShardedStore::replace_from)
-/// routes the samples into its shards.
+/// a service's byte budget applies once the samples replace its store's,
+/// when the [`StoreWriteGuard`](crate::store::StoreWriteGuard) of that
+/// write drops.
 pub fn load_store(data: &[u8]) -> Result<SampleStore, PersistError> {
     let mut r = Reader::new(data);
     if r.take(MAGIC.len()).ok() != Some(&MAGIC[..]) {

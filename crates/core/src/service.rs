@@ -10,18 +10,16 @@
 //!
 //! Concurrency design:
 //!
-//! - **Sharded store**: the sample store is a [`ShardedStore`] — N
-//!   independent `SampleStore`s, each behind its own named
-//!   `laqy_sync::RwLock`, routed by descriptor fingerprint. Queries with
-//!   different fingerprints never contend; all reuse/merge candidates
-//!   for one query share its fingerprint and therefore its shard, so the
-//!   whole plan→scan→merge→absorb flow is single-shard.
+//! - **One store, one lock**: the sample store is one [`SampleStore`]
+//!   behind one named `laqy_sync::RwLock` (`laqy.store`), shared by every
+//!   query family; its byte budget is enforced by a [`StoreWriteGuard`]
+//!   when a write step drops it.
 //! - **Read path** (classification + full-reuse estimation) runs under
-//!   the home shard's *read* guard. LRU touches are relaxed atomic
-//!   stores ([`SampleStore::get`]), so readers never take the write lock.
-//! - **Write path** (absorb / Δ-merge / eviction) takes the home shard's
-//!   write lock only around the in-memory merge — never around the
-//!   sampling scan, which is the expensive part and runs lock-free.
+//!   the store's *read* guard. LRU touches are relaxed atomic stores
+//!   ([`SampleStore::get`]), so readers never take the write lock.
+//! - **Write path** (absorb / Δ-merge / eviction) takes the write lock
+//!   only around the in-memory merge — never around the sampling scan,
+//!   which is the expensive part and runs lock-free.
 //! - **Per-part in-flight dedup registry**: a plan try-claims (never
 //!   blocking) one registry slot per residual fragment and per append
 //!   tail; an online run's one fragment is the query box, so it claims one
@@ -45,13 +43,9 @@
 //! arm goes through — over one per-attempt context; DESIGN.md "Query
 //! flow: stages" says what each reads, writes and locks.
 //!
-//! Lock ordering: registry mutexes, shard locks, and the catalog lock
-//! are never held while waiting on an in-flight entry; a query path
-//! holds at most one shard lock and one registry mutex at a time, never
-//! nested; and whole-store operations (snapshot, clear, restore) lock
-//! shards in ascending index order. Each shard lock carries its own
-//! static class name, so the `laqy_sync` lock-order detector enforces
-//! the canonical order instead of skipping same-name edges.
+//! Lock ordering: the registry mutex, the store lock, and the catalog
+//! lock are never held while waiting on an in-flight entry, and a query
+//! path never holds the store lock and the registry mutex together.
 //!
 //! Streaming ingest: [`LaqyService::ingest`] appends a batch of rows to
 //! a registered table. Each query attempt pins one table epoch by
@@ -62,9 +56,9 @@
 //! published or any stored sample absorbs the appended rows, so the
 //! sample store can never run ahead of what recovery can replay. Build,
 //! log and publish serialize on the `laqy.wal` mutex, which is taken
-//! before the catalog lock (wal → catalog → shards, keeping the lock
+//! before the catalog lock (wal → catalog → store, keeping the lock
 //! graph acyclic); the sample absorb runs after it is released, under
-//! each shard's write lock, and is idempotent by watermark.
+//! the store's write lock, and is idempotent by watermark.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -88,15 +82,9 @@ use crate::lazy::{plan_lazy, CoveragePlan, ReuseMode};
 use crate::sampler_ops::SampleSchema;
 use crate::star::{JoinMemo, JoinShape};
 use crate::stats::{Counters, ExecStats, ReuseClass, ServiceStats};
-use crate::store::{Merged, SampleId, SampleStore, ShardedStore, STORE_SHARDS};
+use crate::store::{Merged, SampleId, SampleStore, StoreWriteGuard};
 use crate::support::SupportPolicy;
 use crate::wal::{WalAppender, WalRecord};
-
-// One static lock-class name per in-flight registry shard, from the
-// canonical registry (`laqy_sync::classes`), mirroring the store's
-// per-shard lock names: distinct names keep the lock-order detector's
-// edges meaningful, and the static analyzer reads the same registry.
-const INFLIGHT_LOCK_NAMES: [&str; STORE_SHARDS] = laqy_sync::classes::INFLIGHT_REGISTRY_NAMES;
 
 /// Attempts before a query stops chasing invalidated reuse plans and
 /// forces online sampling. Each retry means another client changed the
@@ -121,13 +109,12 @@ impl Inflight {
 
 struct ServiceInner {
     catalog: RwLock<Catalog>,
-    store: ShardedStore,
-    /// In-flight dedup registry, sharded like the store (one mutex per
-    /// registry shard, keys routed by [`ShardedStore::registry_shard`]).
-    /// A query's fragment keys embed the fragment predicates, so one
-    /// coverage plan's claims spread across registry shards instead of
-    /// serializing on one mutex.
-    inflight: Vec<Mutex<HashMap<String, Arc<Inflight>>>>,
+    store: RwLock<SampleStore>,
+    /// The store's byte budget, enforced by every [`StoreWriteGuard`].
+    budget_bytes: Option<usize>,
+    /// In-flight dedup registry: one slot per part being scanned, keyed
+    /// by the sample fingerprint and the part.
+    inflight: Mutex<HashMap<String, Arc<Inflight>>>,
     counters: Counters,
     threads: usize,
     policy: SupportPolicy,
@@ -174,8 +161,7 @@ pub struct SessionConfig {
     pub policy: SupportPolicy,
     /// Base RNG seed (determinism across runs).
     pub seed: u64,
-    /// Optional sample-store byte budget (LRU-evicted, global across
-    /// shards).
+    /// Optional sample-store byte budget (LRU-evicted).
     pub store_budget_bytes: Option<usize>,
     /// Reuse aggressiveness (ablation switch; default lazy/partial reuse).
     pub reuse_mode: ReuseMode,
@@ -293,15 +279,12 @@ impl LaqyService {
 
     /// Create a service with explicit configuration.
     pub fn with_config(catalog: Catalog, config: SessionConfig) -> Self {
-        let store = ShardedStore::new(STORE_SHARDS, config.store_budget_bytes);
-        let registry_shards = store.num_shards();
         Self {
             inner: Arc::new(ServiceInner {
                 catalog: RwLock::named(classes::CATALOG, catalog),
-                store,
-                inflight: (0..registry_shards)
-                    .map(|i| Mutex::named(INFLIGHT_LOCK_NAMES[i], HashMap::new()))
-                    .collect(),
+                store: RwLock::named(classes::STORE, SampleStore::new()),
+                budget_bytes: config.store_budget_bytes,
+                inflight: Mutex::named(classes::INFLIGHT_REGISTRY, HashMap::new()),
                 counters: Counters::default(),
                 threads: config.threads,
                 policy: config.policy,
@@ -320,10 +303,10 @@ impl LaqyService {
     }
 
     /// A coherent owned snapshot of the sample store (inspection / tests
-    /// / persistence). Sample ids are preserved; shards are locked in
-    /// canonical ascending order while the snapshot is cut.
+    /// / persistence), cut under the store's read guard. Sample ids and
+    /// LRU stamps are preserved.
     pub fn store(&self) -> SampleStore {
-        self.timed(|i| i.store.snapshot())
+        self.timed(|i| i.store.read()).snapshot()
     }
 
     /// Snapshot of the per-service counters.
@@ -333,7 +316,7 @@ impl LaqyService {
 
     /// Clear all materialized samples (cold-start experiments).
     pub fn clear_samples(&self) {
-        self.timed(|i| i.store.clear());
+        self.write_store().clear();
     }
 
     /// Serialize the sample store (offline-sample persistence).
@@ -358,7 +341,7 @@ impl LaqyService {
         &self,
         dir: &std::path::Path,
     ) -> std::result::Result<u64, crate::persist::PersistError> {
-        // wal → shards, the canonical ingest order: holding the WAL mutex
+        // wal → store, the canonical ingest order: holding the WAL mutex
         // across the store snapshot pins the snapshot to a WAL position —
         // no ingest can slip between the store cut and the checkpoint.
         let mut wal = self.timed(|i| i.wal.lock());
@@ -422,18 +405,17 @@ impl LaqyService {
     /// snapshot cut from a longer table than this one would otherwise
     /// answer with rows the table does not hold.
     fn restore_store(&self, loaded: SampleStore, fell_back: bool) {
-        self.timed(|i| i.store.replace_from(loaded));
+        self.write_store().replace_from(loaded);
         if fell_back {
             self.inner
                 .counters
                 .snapshots_recovered
                 .fetch_add(1, Ordering::Relaxed);
         }
-        for t in self.pinned_tables() {
-            for shard in 0..self.inner.store.num_shards() {
-                self.timed(|i| i.store.write_shard(shard))
-                    .drop_beyond(t.name(), t.row_watermark());
-            }
+        let tables = self.pinned_tables();
+        let mut store = self.write_store();
+        for t in tables {
+            store.drop_beyond(t.name(), t.row_watermark());
         }
     }
 
@@ -457,18 +439,18 @@ impl LaqyService {
     ///    mutate the version concurrent readers pinned);
     /// 4. after `laqy.wal` is released, stored samples absorb the appended
     ///    rows via incremental reservoir maintenance
-    ///    ([`SampleStore::absorb_appended`]), shard by shard in ascending
-    ///    lock order, and only then does the call return, so a caller
-    ///    reads its own writes.
+    ///    ([`SampleStore::absorb_appended`]) under the store's write lock,
+    ///    and only then does the call return, so a caller reads its own
+    ///    writes.
     ///
-    /// A late absorb is idempotent, so step 4 needs no log lock. Each
-    /// shard absorbs under its write lock, offers a sample only the rows
-    /// `[its watermark, the published watermark)` and skips a sample
-    /// already at or past it. When two ingests' absorbs race, whichever
-    /// runs first on a shard carries its samples to its version; the
-    /// other offers only rows past that, or nothing. No row is lost or
-    /// offered twice in either order. With a WAL enabled, every row an
-    /// absorb offers is already durable (step 2 ran for it).
+    /// A late absorb is idempotent, so step 4 needs no log lock. The
+    /// absorb offers a sample only the rows `[its watermark, the
+    /// published watermark)` and skips a sample already at or past it.
+    /// When two ingests' absorbs race, whichever runs first carries the
+    /// samples to its version; the other offers only rows past that, or
+    /// nothing. No row is lost or offered twice in either order. With a
+    /// WAL enabled, every row an absorb offers is already durable (step 2
+    /// ran for it).
     pub fn ingest(&self, table: &str, batch: Vec<(String, Column)>) -> Result<u64> {
         let rows = batch.first().map(|(_, c)| c.len()).unwrap_or(0) as u64;
         let published = {
@@ -639,21 +621,15 @@ impl LaqyService {
     }
 
     /// Offer a newly published table version's appended rows to every
-    /// shard's stored samples (ascending shard order), folding the
-    /// absorb telemetry into the service counters.
+    /// stored sample, folding the absorb telemetry into the service
+    /// counters.
     fn absorb_published(&self, table: &Table) {
         let seed = self
             .inner
             .seed
             .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
         let mut rng = Lehmer64::new(seed);
-        let mut report = crate::store::AbsorbReport::default();
-        for shard in 0..self.inner.store.num_shards() {
-            let shard_report = self
-                .timed(|i| i.store.write_shard(shard))
-                .absorb_appended(table, &mut rng);
-            report.merge(&shard_report);
-        }
+        let report = self.write_store().absorb_appended(table, &mut rng);
         let c = &self.inner.counters;
         c.absorbed_samples
             .fetch_add(report.samples_absorbed, Ordering::Relaxed);
@@ -769,6 +745,12 @@ impl LaqyService {
         guard
     }
 
+    /// Write-lock the store; its byte budget is enforced when the guard
+    /// drops, after the whole write step.
+    fn write_store(&self) -> StoreWriteGuard<'_> {
+        StoreWriteGuard::new(self.timed(|i| i.store.write()), self.inner.budget_bytes)
+    }
+
     /// A fresh per-query executor. Seeds advance through a service-wide
     /// atomic so concurrent queries draw distinct, reproducible streams.
     fn executor(&self) -> LaqyExecutor {
@@ -853,13 +835,12 @@ impl LaqyService {
         }
     }
 
-    /// **Plan**: Algorithm 1 against the home shard, under its read guard
-    /// (every reuse candidate shares the descriptor's fingerprint, so
-    /// planning never needs another shard). A forced attempt, and under
-    /// all-or-none matching (`ReuseMode::FullMatchOnly`) any plan but a
-    /// hit, runs the online plan instead. For any other plan the selected
-    /// samples' coverage *and* watermarks are snapshotted under the same
-    /// guard: [`Self::merge`] revalidates the store against exactly this
+    /// **Plan**: Algorithm 1 against the store, under its read guard. A
+    /// forced attempt, and under all-or-none matching
+    /// (`ReuseMode::FullMatchOnly`) any plan but a hit, runs the online
+    /// plan instead. For any other plan the selected samples' coverage
+    /// *and* watermarks are snapshotted under the same guard:
+    /// [`Self::merge`] revalidates the store against exactly this
     /// snapshot, so a concurrent absorb (which moves a watermark)
     /// invalidates the plan instead of double-counting tail rows.
     fn plan(
@@ -871,8 +852,7 @@ impl LaqyService {
         if force_online {
             return (online(at), Vec::new());
         }
-        let home = self.inner.store.shard_for(&at.descriptor);
-        let store = self.timed(|i| i.store.read_shard(home));
+        let store = self.timed(|i| i.store.read());
         let plan = plan_lazy(&store, &at.descriptor, at.watermark);
         if plan.hit().is_some() {
             return (plan, Vec::new());
@@ -892,10 +872,10 @@ impl LaqyService {
     }
 
     /// **Fetch**: estimate the query from stored sample `id` where it
-    /// rests, compiled against its schema under the shard's read guard and
+    /// rests, compiled against its schema under the store's read guard and
     /// walked after releasing it. `None` if the sample vanished since.
     fn fetch(&self, at: &Attempt<'_>, id: SampleId) -> Result<Option<Estimated>> {
-        let store = self.timed(|i| i.store.read_shard(i.store.shard_for_id(id)));
+        let store = self.timed(|i| i.store.read());
         let started = Instant::now();
         let Some(stored) = store.get(id) else {
             return Ok(None);
@@ -914,9 +894,7 @@ impl LaqyService {
 
     /// **Scan**: try-claim every fragment and tail of the plan, then
     /// Δ-scan the ones we own — lock-free, the expensive part — against
-    /// the pinned epoch. Keys hash to different registry shards, so
-    /// concurrent plans spanning many parts spread their claims instead of
-    /// serializing on one mutex.
+    /// the pinned epoch.
     fn scan(
         &self,
         at: &mut Attempt<'_>,
@@ -941,7 +919,7 @@ impl LaqyService {
         Ok((claims, scans))
     }
 
-    /// **Merge**: under the home shard's write guard, revalidate that
+    /// **Merge**: under the store's write guard, revalidate that
     /// every selected sample still has exactly the coverage *and* the
     /// watermark of the plan-time `snapshot` (a competing merge, eviction,
     /// or tail absorb would otherwise double-count rows or lose the sample
@@ -963,8 +941,7 @@ impl LaqyService {
         if snapshot.is_none() && !scans.scans.iter().any(|s| s.clean) {
             return None;
         }
-        let home = self.inner.store.shard_for(&at.descriptor);
-        let mut store = self.timed(|i| i.store.write_shard(home));
+        let mut store = self.write_store();
         let valid = snapshot.is_some_and(|snapshot| {
             plan.samples.len() == snapshot.len()
                 && plan.samples.iter().zip(snapshot).all(|(id, snap)| {
@@ -1128,16 +1105,14 @@ impl LaqyService {
             owned: Vec::new(),
             busy: Vec::new(),
         };
+        let mut registry = self.inner.inflight.lock();
         for (position, key) in keys.enumerate() {
-            let shard = self.inner.store.registry_shard(&key);
-            let mut registry = self.inner.inflight[shard].lock();
             match registry.get(&key) {
                 Some(entry) => claims.busy.push(Arc::clone(entry)),
                 None => {
                     registry.insert(key.clone(), Arc::new(Inflight::new()));
                     let guard = InflightGuard {
                         inner: &self.inner,
-                        shard,
                         key,
                     };
                     claims.owned.push((position, guard));
@@ -1180,13 +1155,12 @@ impl Claims<'_> {
 /// panic or error unwinding, so waiters can never hang on a dead owner.
 struct InflightGuard<'a> {
     inner: &'a ServiceInner,
-    shard: usize,
     key: String,
 }
 
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        let entry = self.inner.inflight[self.shard].lock().remove(&self.key);
+        let entry = self.inner.inflight.lock().remove(&self.key);
         if let Some(entry) = entry {
             *entry.done.lock() = true;
             entry.cv.notify_all();
@@ -1274,24 +1248,6 @@ mod tests {
         let mut q = query(lo, hi);
         q.plan.group_by = vec![ColRef::fact("h")];
         q
-    }
-
-    /// `many_strata` at the first `k` ≥ 64 whose family has `query`'s
-    /// home shard, so a budget evicts one family to make room for the
-    /// other.
-    fn many_strata_beside_query(lo: i64, hi: i64) -> ApproxQuery {
-        let catalog = catalog(16);
-        let executor = LaqyExecutor::new(1, SupportPolicy::default(), 0);
-        let store = ShardedStore::new(STORE_SHARDS, None);
-        let home = |q: &ApproxQuery| store.shard_for(&executor.descriptor(&catalog, q).unwrap());
-        let target = home(&query(lo, hi));
-        (64..)
-            .map(|k| ApproxQuery {
-                k,
-                ..many_strata(lo, hi)
-            })
-            .find(|q| home(q) == target)
-            .unwrap()
     }
 
     /// Store samples of `ranges` side by side (`absorb` would union them).
@@ -1652,8 +1608,8 @@ mod tests {
                 query(10, N / 8),
             ),
             WriteCase {
-                // Room for one sample, and a second family homed on the
-                // first's shard: writing it evicts the first.
+                // Room for one sample, and a second family: writing it
+                // evicts the first.
                 config: || SessionConfig {
                     threads: 1,
                     store_budget_bytes: Some(1),
@@ -1662,10 +1618,10 @@ mod tests {
                 ..case(
                     "budget eviction: the survivor is the sample just written",
                     |s| {
-                        s.run(&many_strata_beside_query(0, N / 4 - 1)).unwrap();
+                        s.run(&many_strata(0, N / 4 - 1)).unwrap();
                         assert_eq!(s.store().len(), 1);
                     },
-                    many_strata_beside_query(10, N / 8),
+                    many_strata(10, N / 8),
                 )
             },
         ];
@@ -1698,6 +1654,20 @@ mod tests {
             (case.write)(&service);
             hit_twice(&case.hit);
         }
+    }
+
+    /// A stored sample whose value columns are a superset of a query's
+    /// (another fingerprint: `COUNT` alone carries only the range column)
+    /// answers it as a full hit: every family shares the one store.
+    #[test]
+    fn a_sample_with_more_value_columns_answers_a_query_needing_fewer() {
+        let service = single_threaded(N, false);
+        service.run(&query(0, N / 2 - 1)).unwrap();
+        let mut count_only = query(10, N / 8);
+        count_only.plan.aggs = vec![AggSpec::count()];
+        let r = service.run(&count_only).unwrap();
+        assert_eq!(r.stats.reuse, Some(ReuseClass::Full));
+        assert_eq!(service.store().len(), 1);
     }
 
     #[test]
@@ -1761,9 +1731,13 @@ mod tests {
         assert_eq!(service.stats().online_runs, 0);
     }
 
+    /// One group's key, and its aggregates' value and half-width bits and
+    /// support.
+    type GroupBits = (Vec<i64>, Vec<(u64, u64, usize)>);
+
     /// Every group's key, value and half-width bits and support: `==` on
     /// these is bit identity.
-    fn answer_bits(groups: &Groups) -> Vec<(Vec<i64>, Vec<(u64, u64, usize)>)> {
+    fn answer_bits(groups: &Groups) -> Vec<GroupBits> {
         let agg =
             |a: &crate::AggEstimate| (a.value.to_bits(), a.ci_half_width.to_bits(), a.support);
         let group =
@@ -1778,7 +1752,8 @@ mod tests {
         // untightened one, bit for bit, whichever write left the sample.
         // The service skips exactly that tightening and keeps one whose
         // query is a key narrower than the box.
-        let writes: [(&str, fn(&LaqyService)); 4] = [
+        type Write = (&'static str, fn(&LaqyService));
+        let writes: [Write; 4] = [
             ("Δ-merge", |s| {
                 s.run(&query(0, N / 4 - 1)).unwrap();
                 let r = s.run(&query(0, N / 2 - 1)).unwrap();

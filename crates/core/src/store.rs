@@ -8,13 +8,14 @@
 //! them (Algorithm 1), and [`SampleStore::absorb_coverage`] is the matching
 //! write step: it decides which planned samples a finished plan replaces
 //! and how each Δ sample comes to rest. An optional byte budget with LRU
-//! eviction hooks this store into Taster-style storage management (paper
-//! §8).
+//! eviction, enforced by [`StoreWriteGuard`] after each write step, hooks
+//! this store into Taster-style storage management (paper §8). The
+//! service holds one store behind one lock: every query family shares it.
 
 use std::sync::Arc;
 
-use laqy_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use laqy_sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use laqy_sync::atomic::{AtomicU64, Ordering};
+use laqy_sync::RwLockWriteGuard;
 
 use laqy_engine::ops::ResolvedCol;
 use laqy_engine::GroupKey;
@@ -35,7 +36,7 @@ pub struct StoredSample {
     /// Payload tuple layout.
     pub schema: SampleSchema,
     /// The stratified sample itself. Shared, so a query that just merged
-    /// it can estimate from it after releasing the shard lock and a store
+    /// it can estimate from it after releasing the store lock and a store
     /// snapshot copies a pointer; mutation (append absorb) is
     /// copy-on-write and replaces are a pointer swap.
     pub sample: Arc<Sample>,
@@ -131,24 +132,10 @@ pub struct AbsorbReport {
     pub samples_invalidated: u64,
 }
 
-impl AbsorbReport {
-    /// Accumulate another shard's report into this one.
-    pub fn merge(&mut self, other: &AbsorbReport) {
-        self.samples_absorbed += other.samples_absorbed;
-        self.rows_absorbed += other.rows_absorbed;
-        self.samples_invalidated += other.samples_invalidated;
-    }
-}
-
 /// The sample store.
 pub struct SampleStore {
     samples: Vec<(SampleId, StoredSample)>,
     next_id: u64,
-    // Shard-aware id allocation: shard `i` of an N-way [`ShardedStore`]
-    // starts at `i` and strides by `N`, so ids are globally unique and
-    // `id mod N` recovers the owning shard. A standalone store strides
-    // by 1.
-    id_stride: u64,
     // Atomic for the same reason as `StoredSample::last_used`: shared
     // readers advance the logical clock without exclusive access.
     clock: AtomicU64,
@@ -156,31 +143,20 @@ pub struct SampleStore {
 }
 
 impl SampleStore {
-    /// Empty store. Its byte budget, if any, is its [`ShardedStore`]'s.
+    /// Empty store. Its byte budget, if any, is the [`StoreWriteGuard`]'s.
     pub fn new() -> Self {
         Self {
             samples: Vec::new(),
             next_id: 0,
-            id_stride: 1,
             clock: AtomicU64::new(0),
             evictions: 0,
         }
     }
 
-    /// Store allocating ids `start, start + stride, start + 2·stride, …` —
-    /// the per-shard constructor used by [`ShardedStore`].
-    pub(crate) fn with_id_stride(start: u64, stride: u64) -> Self {
-        Self {
-            next_id: start,
-            id_stride: stride.max(1),
-            ..Self::new()
-        }
-    }
-
-    /// Allocate the next id in this store's stride class.
+    /// Allocate the next id.
     fn alloc_id(&mut self) -> SampleId {
         let id = SampleId(self.next_id);
-        self.next_id += self.id_stride;
+        self.next_id += 1;
         id
     }
 
@@ -200,7 +176,7 @@ impl SampleStore {
     }
 
     /// Number of budget-driven evictions so far (see
-    /// [`ShardWriteGuard`]).
+    /// [`StoreWriteGuard`]).
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -260,31 +236,41 @@ impl SampleStore {
         id
     }
 
-    /// Insert a sample under a caller-chosen id (snapshot reconstruction:
-    /// a [`ShardedStore::snapshot`] must present stored samples under the
-    /// ids the shards assigned, so `SampleId`s remain meaningful across
-    /// the snapshot boundary).
-    pub(crate) fn insert_with_id(
-        &mut self,
-        id: SampleId,
-        descriptor: SampleDescriptor,
-        schema: SampleSchema,
-        sample: Arc<Sample>,
-        watermark: u64,
-        last_used: u64,
-    ) {
-        let stored = StoredSample::new(descriptor, schema, sample, watermark, last_used);
-        self.samples.push((id, stored));
-        if id.0 >= self.next_id {
-            self.next_id = id.0 + self.id_stride;
+    /// An owned copy of the store: ids, LRU stamps and the eviction count
+    /// kept, each sample shared rather than copied.
+    pub fn snapshot(&self) -> SampleStore {
+        let samples = self.samples.iter().map(|(id, s)| {
+            let stored = StoredSample {
+                descriptor: s.descriptor.clone(),
+                schema: s.schema.clone(),
+                sample: Arc::clone(&s.sample),
+                watermark: s.watermark,
+                last_used: AtomicU64::new(s.last_used.load(Ordering::Relaxed)),
+                bytes: s.bytes,
+            };
+            (*id, stored)
+        });
+        SampleStore {
+            samples: samples.collect(),
+            next_id: self.next_id,
+            clock: AtomicU64::new(self.clock.load(Ordering::Relaxed)),
+            evictions: self.evictions,
         }
-        self.clock.fetch_max(last_used, Ordering::Relaxed);
+    }
+
+    /// Replace every sample with `loaded`'s (snapshot restore, sample
+    /// import), each inserted verbatim under a fresh id.
+    pub(crate) fn replace_from(&mut self, loaded: SampleStore) {
+        self.clear();
+        for (_, s) in loaded.samples {
+            self.insert_raw(s.descriptor, s.schema, s.sample, s.watermark);
+        }
     }
 
     /// Evict the least-recently-used sample, if more than one is held.
     /// Returns whether a sample was dropped. This is the single-step
-    /// primitive behind the [`ShardedStore`]'s global byte budget.
-    pub(crate) fn evict_one_lru(&mut self) -> bool {
+    /// primitive behind the [`StoreWriteGuard`]'s byte budget.
+    fn evict_one_lru(&mut self) -> bool {
         if self.samples.len() <= 1 {
             return false;
         }
@@ -650,241 +636,48 @@ impl Default for SampleStore {
     }
 }
 
-/// Maximum (and default) shard count of a [`ShardedStore`].
-pub const STORE_SHARDS: usize = laqy_sync::classes::MAX_STORE_SHARDS;
-
-// One static lock-class name per shard index, from the canonical registry
-// (`laqy_sync::classes`): distinct names make each shard its own node in
-// the lock-order graph, so the runtime detector *and* the static
-// lock-order pass enforce the canonical ascending acquisition order used
-// by whole-store operations (a same-name pool would have its edges
-// skipped — see `laqy_sync::order`).
-const SHARD_LOCK_NAMES: [&str; STORE_SHARDS] = laqy_sync::classes::STORE_SHARD_NAMES;
-
-/// FNV-1a over `bytes`. The *only* descriptor→shard hashing primitive in
-/// the workspace; an xtask lint rule keeps it (and any other shard
-/// hashing) from leaking out of this file, so rehashing policy stays a
-/// one-file change.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// A descriptor-hash-sharded [`SampleStore`]: N independent stores, each
-/// behind its own named `laqy_sync::RwLock`, so concurrent queries with
-/// different sample fingerprints never contend on one global lock.
-///
-/// Routing hashes the descriptor *fingerprint* (table + QCS + QVS + k —
-/// everything except predicates). All reuse, coverage-planning, and merge
-/// candidates for a query share its fingerprint by construction, so
-/// classification, planning, absorption, and consolidation are all
-/// single-shard operations; no cross-shard transaction is ever needed on
-/// the query path. Whole-store operations (snapshot, clear, restore) lock
-/// shards in ascending index order — the canonical order the lock-order
-/// detector enforces via the per-shard lock-class names.
-///
-/// The byte budget is global: each shard tracks its payload bytes in a
-/// `laqy_sync::atomic` counter, and [`ShardWriteGuard`] re-checks the
-/// global total on drop, evicting LRU entries from the shard it just
-/// mutated until the total fits (or the shard is down to one sample).
-pub struct ShardedStore {
-    shards: Vec<RwLock<SampleStore>>,
-    shard_bytes: Vec<AtomicUsize>,
+/// Exclusive access to the service's store under its byte budget.
+/// Dereferences to the [`SampleStore`]; when it drops — after the whole
+/// write step — it evicts least-recently-used samples while the store
+/// holds more than the budget. The store keeps at least one sample, so a
+/// single oversized sample is held rather than thrashed, and the sample
+/// the step just wrote or touched holds the newest LRU stamp, so it goes
+/// last.
+pub struct StoreWriteGuard<'a> {
+    store: RwLockWriteGuard<'a, SampleStore>,
     budget_bytes: Option<usize>,
 }
 
-impl ShardedStore {
-    /// Build a store with `shards` shards (clamped to `1..=STORE_SHARDS`)
-    /// and an optional global byte budget. The service always builds
-    /// [`STORE_SHARDS`]; other counts serve the store's own tests.
-    pub fn new(shards: usize, budget_bytes: Option<usize>) -> Self {
-        let n = shards.clamp(1, STORE_SHARDS);
+impl<'a> StoreWriteGuard<'a> {
+    /// Guard a write-locked store, enforcing `budget_bytes` (if any) when
+    /// the guard drops.
+    pub fn new(store: RwLockWriteGuard<'a, SampleStore>, budget_bytes: Option<usize>) -> Self {
         Self {
-            shards: (0..n)
-                .map(|i| {
-                    RwLock::named(
-                        SHARD_LOCK_NAMES[i],
-                        SampleStore::with_id_stride(i as u64, n as u64),
-                    )
-                })
-                .collect(),
-            shard_bytes: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            store,
             budget_bytes,
         }
     }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Global byte budget, if any.
-    pub fn budget_bytes(&self) -> Option<usize> {
-        self.budget_bytes
-    }
-
-    /// Home shard of a descriptor (and of everything that could ever be
-    /// reused, planned against, or merged with it).
-    pub fn shard_for(&self, descriptor: &SampleDescriptor) -> usize {
-        (fnv1a(descriptor.fingerprint().as_bytes()) % self.shards.len() as u64) as usize
-    }
-
-    /// Home shard of a stored sample id (ids are strided by shard).
-    pub fn shard_for_id(&self, id: SampleId) -> usize {
-        (id.0 % self.shards.len() as u64) as usize
-    }
-
-    /// Hash an in-flight registry key to a registry shard. Lives here so
-    /// the service never hashes anything itself (one hashing site, one
-    /// lint rule).
-    pub fn registry_shard(&self, key: &str) -> usize {
-        (fnv1a(key.as_bytes()) % self.shards.len() as u64) as usize
-    }
-
-    /// Shared access to one shard.
-    pub fn read_shard(&self, idx: usize) -> RwLockReadGuard<'_, SampleStore> {
-        self.shards[idx].read()
-    }
-
-    /// Exclusive access to one shard; budget is re-enforced when the
-    /// returned guard drops.
-    pub fn write_shard(&self, idx: usize) -> ShardWriteGuard<'_> {
-        ShardWriteGuard {
-            guard: self.shards[idx].write(),
-            owner: self,
-            idx,
-        }
-    }
-
-    /// Total stored samples across shards (ascending lock order).
-    pub fn len(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.shards[i].read().len())
-            .sum()
-    }
-
-    /// True when no shard holds a sample.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total payload bytes across shards (ascending lock order).
-    pub fn total_bytes(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.shards[i].read().total_bytes())
-            .sum()
-    }
-
-    /// Total budget-driven evictions across shards.
-    pub fn evictions(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|i| self.shards[i].read().evictions())
-            .sum()
-    }
-
-    /// A coherent owned copy of the whole store, sample ids preserved.
-    /// Locks every shard in ascending canonical order and holds all the
-    /// read guards simultaneously so the snapshot is a consistent cut.
-    pub fn snapshot(&self) -> SampleStore {
-        let guards: Vec<RwLockReadGuard<'_, SampleStore>> = (0..self.shards.len())
-            .map(|i| self.shards[i].read())
-            .collect();
-        let mut out = SampleStore::new();
-        for g in &guards {
-            for (id, s) in g.iter() {
-                out.insert_with_id(
-                    id,
-                    s.descriptor.clone(),
-                    s.schema.clone(),
-                    Arc::clone(&s.sample),
-                    s.watermark,
-                    s.last_used.load(Ordering::Relaxed),
-                );
-            }
-            out.evictions += g.evictions();
-        }
-        out
-    }
-
-    /// Drop everything (ascending lock order, all writes held at once so
-    /// no concurrent insert survives in a lower shard).
-    pub fn clear(&self) {
-        let mut guards: Vec<ShardWriteGuard<'_>> = (0..self.shards.len())
-            .map(|i| self.write_shard(i))
-            .collect();
-        for g in &mut guards {
-            g.clear();
-        }
-    }
-
-    /// Replace all contents from a flat store (snapshot restore / sample
-    /// import): clears every shard, then routes each sample to its home
-    /// shard. Ids are re-allocated in the shards' stride classes.
-    pub fn replace_from(&self, loaded: SampleStore) {
-        let mut guards: Vec<ShardWriteGuard<'_>> = (0..self.shards.len())
-            .map(|i| self.write_shard(i))
-            .collect();
-        for g in &mut guards {
-            g.clear();
-        }
-        for (_, s) in loaded.samples {
-            let idx =
-                (fnv1a(s.descriptor.fingerprint().as_bytes()) % self.shards.len() as u64) as usize;
-            guards[idx].insert_raw(s.descriptor, s.schema, s.sample, s.watermark);
-        }
-    }
 }
 
-/// Write guard over one shard of a [`ShardedStore`]. Dereferences to the
-/// shard's [`SampleStore`]; on drop it refreshes the shard's byte counter
-/// and enforces the store's *global* budget by LRU-evicting from this
-/// shard while the global total overflows.
-pub struct ShardWriteGuard<'a> {
-    guard: RwLockWriteGuard<'a, SampleStore>,
-    owner: &'a ShardedStore,
-    idx: usize,
-}
-
-impl std::ops::Deref for ShardWriteGuard<'_> {
+impl std::ops::Deref for StoreWriteGuard<'_> {
     type Target = SampleStore;
     fn deref(&self) -> &SampleStore {
-        &self.guard
+        &self.store
     }
 }
 
-impl std::ops::DerefMut for ShardWriteGuard<'_> {
+impl std::ops::DerefMut for StoreWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut SampleStore {
-        &mut self.guard
+        &mut self.store
     }
 }
 
-impl Drop for ShardWriteGuard<'_> {
+impl Drop for StoreWriteGuard<'_> {
     fn drop(&mut self) {
-        let bytes = self.guard.total_bytes();
-        self.owner.shard_bytes[self.idx].store(bytes, Ordering::Relaxed);
-        let Some(budget) = self.owner.budget_bytes else {
+        let Some(budget) = self.budget_bytes else {
             return;
         };
-        let global = |owner: &ShardedStore| -> usize {
-            owner
-                .shard_bytes
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .sum()
-        };
-        // Evict locally while the global total overflows. Other shards
-        // shrink themselves the next time they are written. A shard keeps
-        // at least one sample, so a single oversized sample is held rather
-        // than thrashed; the sample this guard just wrote or touched holds
-        // the newest LRU stamp, so it goes last.
-        while global(self.owner) > budget && self.guard.evict_one_lru() {
-            let bytes = self.guard.total_bytes();
-            self.owner.shard_bytes[self.idx].store(bytes, Ordering::Relaxed);
-        }
+        while self.store.total_bytes() > budget && self.store.evict_one_lru() {}
     }
 }
 
@@ -1144,6 +937,11 @@ mod tests {
         assert_eq!(d.predicates.get("lo_intkey").unwrap(), &iv(0, 99));
     }
 
+    /// `SampleStore` behind the lock the service holds it in.
+    fn locked() -> laqy_sync::RwLock<SampleStore> {
+        laqy_sync::RwLock::new(SampleStore::new())
+    }
+
     #[test]
     fn budget_evicts_lru() {
         let mut rng = Lehmer64::new(9);
@@ -1152,10 +950,10 @@ mod tests {
         // allocated.
         let one = toy_bytes();
         assert!(one >= 2 * 8 * 16);
-        let store = ShardedStore::new(1, Some(one * 2));
+        let store = locked();
         let mut absorb = |d: SampleDescriptor, lo: i64| {
             let s = toy_sample(2, 10, lo);
-            store.write_shard(0).absorb(d, schema(), s, 0, &mut rng)
+            StoreWriteGuard::new(store.write(), Some(one * 2)).absorb(d, schema(), s, 0, &mut rng)
         };
         let a = absorb(desc(0, 9), 0);
         // A different shape so it cannot merge with `a`.
@@ -1163,16 +961,16 @@ mod tests {
         qb.qcs = vec!["lo_discount".into()];
         let b = absorb(qb, 2000);
         // Touch `a` so the next insertion evicts `b`.
-        store.read_shard(0).get(a);
+        store.read().get(a);
         let mut q = desc(4000, 4009);
         q.qcs = vec!["lo_quantity".into()]; // different shape: no merge
         let c = absorb(q, 4000);
-        let shard = store.read_shard(0);
-        assert_eq!(shard.len(), 2);
-        assert!(shard.peek(a).is_some(), "recently used sample must survive");
-        assert!(shard.peek(b).is_none(), "least recently used sample goes");
-        assert!(shard.peek(c).is_some(), "the write the guard made stays");
-        assert_eq!(shard.evictions(), 1);
+        let store = store.read();
+        assert_eq!(store.len(), 2);
+        assert!(store.peek(a).is_some(), "recently used sample must survive");
+        assert!(store.peek(b).is_none(), "least recently used sample goes");
+        assert!(store.peek(c).is_some(), "the write the guard made stays");
+        assert_eq!(store.evictions(), 1);
     }
 
     #[test]
@@ -1285,120 +1083,74 @@ mod tests {
     }
 
     #[test]
-    fn shard_routing_is_stable_and_fingerprint_based() {
-        let store = ShardedStore::new(STORE_SHARDS, None);
-        // Same fingerprint, different predicates ⇒ same shard: every
-        // reuse/merge candidate for a query lives on its home shard.
-        assert_eq!(
-            store.shard_for(&desc(0, 99)),
-            store.shard_for(&desc(500, 999))
-        );
-        // Shapes spread: with 64 distinct fingerprints and 8 shards, at
-        // least two shards must be hit (a constant hash would pin one).
-        let hit: std::collections::HashSet<usize> = (0..64)
-            .map(|s| store.shard_for(&desc_shaped(s, 0, 99)))
+    fn snapshot_preserves_ids_stamps_and_contents() {
+        let mut store = SampleStore::new();
+        let ids: Vec<SampleId> = (0..6)
+            .map(|s| store.insert_raw(desc_shaped(s, 0, 99), schema(), toy_sample(2, 10, 0), 0))
             .collect();
-        assert!(hit.len() > 1, "hashing pinned every shape to one shard");
-    }
-
-    #[test]
-    fn sharded_ids_are_globally_unique_and_route_back() {
-        let store = ShardedStore::new(STORE_SHARDS, None);
-        let mut ids = Vec::new();
-        for s in 0..16 {
-            let d = desc_shaped(s, 0, 99);
-            let idx = store.shard_for(&d);
-            let id = store
-                .write_shard(idx)
-                .insert_raw(d, schema(), toy_sample(2, 10, 0), 0);
-            assert_eq!(store.shard_for_id(id), idx, "id must encode its shard");
-            ids.push(id);
-        }
-        let uniq: std::collections::HashSet<SampleId> = ids.iter().copied().collect();
-        assert_eq!(uniq.len(), ids.len(), "strided ids must never collide");
-        assert_eq!(store.len(), 16);
-    }
-
-    #[test]
-    fn snapshot_preserves_ids_and_contents() {
-        let store = ShardedStore::new(STORE_SHARDS, None);
-        let mut ids = Vec::new();
-        for s in 0..6 {
-            let d = desc_shaped(s, 0, 99);
-            let idx = store.shard_for(&d);
-            ids.push(
-                store
-                    .write_shard(idx)
-                    .insert_raw(d, schema(), toy_sample(2, 10, 0), 0),
-            );
-        }
+        let unique: std::collections::HashSet<SampleId> = ids.iter().copied().collect();
+        assert_eq!(unique.len(), ids.len(), "ids never collide");
+        store.get(ids[2]);
         let snap = store.snapshot();
         assert_eq!(snap.len(), 6);
         for id in ids {
-            let s = snap
-                .peek(id)
-                .expect("snapshot must keep shard-assigned ids");
+            let (s, original) = (snap.peek(id).expect("ids kept"), store.peek(id).unwrap());
             assert_eq!(s.sample.total_weight(), 20);
+            assert!(
+                Arc::ptr_eq(&s.sample, &original.sample),
+                "shared, not copied"
+            );
+            let stamp = |s: &StoredSample| s.last_used.load(Ordering::Relaxed);
+            assert_eq!(stamp(s), stamp(original), "LRU stamps kept");
         }
     }
 
     #[test]
-    fn replace_from_reroutes_to_home_shards() {
-        let store = ShardedStore::new(STORE_SHARDS, None);
+    fn replace_from_restores_every_sample_under_fresh_ids() {
+        let mut store = SampleStore::new();
+        let old = store.insert_raw(desc(0, 99), schema(), toy_sample(2, 10, 0), 0);
         let mut flat = SampleStore::new();
         for s in 0..8 {
             flat.insert_raw(desc_shaped(s, 0, 99), schema(), toy_sample(2, 10, 0), 0);
         }
         store.replace_from(flat);
         assert_eq!(store.len(), 8);
+        assert!(store.peek(old).is_none(), "the old contents are gone");
         for s in 0..8 {
             let d = desc_shaped(s, 0, 99);
-            let idx = store.shard_for(&d);
-            let g = store.read_shard(idx);
-            assert_eq!(
-                plan_lazy(&g, &d, 0).samples.len(),
-                1,
-                "restored sample must live on its home shard"
-            );
+            let plan = plan_lazy(&store, &d, 0);
+            assert!(plan.hit().is_some_and(|id| id != old), "restored: {plan:?}");
         }
     }
 
     #[test]
-    fn global_budget_enforced_across_guard_drops() {
-        // Samples sharing a fingerprint land on one shard, so overflow
-        // there is evictable; insert_raw keeps them as separate entries.
+    fn budget_holds_across_guard_drops_down_to_one_sample() {
+        // insert_raw keeps the samples as separate entries, and a budget
+        // of two samples holds once each guard drops, whatever family the
+        // samples belong to.
         let one = toy_bytes();
-        let store = ShardedStore::new(STORE_SHARDS, Some(one * 2));
-        let home = store.shard_for(&desc(0, 99));
-        for s in 0..4 {
-            store.write_shard(home).insert_raw(
-                desc(s * 100, s * 100 + 99),
-                schema(),
-                toy_sample(2, 10, 0),
-                0,
+        let store = locked();
+        let write = || StoreWriteGuard::new(store.write(), Some(one * 2));
+        for s in 0..6 {
+            let d = desc_shaped(s % 2, s as i64 * 100, s as i64 * 100 + 99);
+            write().insert_raw(d, schema(), toy_sample(2, 10, 0), 0);
+            let store = store.read();
+            assert!(
+                store.total_bytes() <= one * 2,
+                "budget holds once the guard drops"
             );
         }
-        assert!(
-            store.total_bytes() <= one * 2,
-            "global budget must hold once guards drop"
-        );
-        assert!(store.evictions() >= 1, "overflow must evict");
+        assert_eq!(store.read().evictions(), 4, "overflow evicts");
 
-        // Spread across shards, each shard keeps its last sample even if
-        // the global total overflows (the per-shard `len > 1` floor) —
-        // but no shard may hold *two* samples while over budget.
-        let spread = ShardedStore::new(STORE_SHARDS, Some(one * 2));
-        for s in 0..6 {
-            let d = desc_shaped(s, 0, 99);
-            let idx = spread.shard_for(&d);
-            spread
-                .write_shard(idx)
-                .insert_raw(d, schema(), toy_sample(2, 10, 0), 0);
-        }
-        for i in 0..spread.num_shards() {
-            let g = spread.read_shard(i);
-            assert!(g.len() <= 1 || spread.total_bytes() <= one * 2);
-        }
+        // The floor is one sample for the whole store: a sample over the
+        // budget on its own is held, and the next write evicts it.
+        let tight = || StoreWriteGuard::new(store.write(), Some(one / 2));
+        let big = tight().insert_raw(desc_shaped(7, 0, 99), schema(), toy_sample(2, 10, 0), 0);
+        assert_eq!(store.read().len(), 1);
+        let next = tight().insert_raw(desc_shaped(8, 0, 99), schema(), toy_sample(2, 10, 0), 0);
+        let store = store.read();
+        assert!(store.peek(big).is_none() && store.peek(next).is_some());
+        assert_eq!(store.len(), 1);
     }
 
     /// A live table matching `desc_live` descriptors: the input identity
@@ -1537,19 +1289,5 @@ mod tests {
         assert!(store.peek(drop).is_none());
         assert!(store.peek(other).is_some());
         assert!(store.peek(through).is_some());
-    }
-
-    #[test]
-    fn single_shard_store_degenerates_to_one_lock() {
-        let store = ShardedStore::new(1, None);
-        assert_eq!(store.num_shards(), 1);
-        for s in 0..4 {
-            let d = desc_shaped(s, 0, 99);
-            assert_eq!(store.shard_for(&d), 0);
-            assert_eq!(store.registry_shard("any-key"), 0);
-        }
-        // Clamp: zero and oversized requests stay in range.
-        assert_eq!(ShardedStore::new(0, None).num_shards(), 1);
-        assert_eq!(ShardedStore::new(64, None).num_shards(), STORE_SHARDS);
     }
 }

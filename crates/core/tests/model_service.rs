@@ -22,9 +22,7 @@
 
 #![cfg(laqy_check)]
 
-use laqy::{
-    ApproxQuery, Interval, LaqyService, ReuseClass, SessionConfig, ShardedStore, STORE_SHARDS,
-};
+use laqy::{ApproxQuery, Interval, LaqyService, ReuseClass, SessionConfig};
 use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table};
 use laqy_sync::model::{model_with, ModelOptions};
 use laqy_sync::thread;
@@ -150,22 +148,19 @@ fn concurrent_delta_claims_never_lose_or_double_scan() {
     );
 }
 
-// Two q1 families whose descriptor fingerprints (which differ only in k)
-// route to *different* home shards — asserted inside the scenarios via a
-// probe router, so a rehash that collides them fails loudly instead of
-// silently degrading the tests to single-shard.
+// Two q1 families whose descriptor fingerprints differ only in k: they
+// share the one store and the one in-flight registry.
 const K_A: usize = 16;
 const K_B: usize = 24;
 
-/// Shard claim/absorb/release across two shards: one client Δ-extends a
-/// warm family on its home shard (registry claim → Δ-scan → absorb →
-/// release) while a second client's online run absorbs a different
-/// family onto a different shard. Under every interleaving, neither
-/// absorb may be lost, cross-wired onto the wrong shard, or merged into
-/// the other family — both answers and the quiescent store stay
-/// exact-weight correct.
+/// Claim/absorb/release of two families on one store: one client
+/// Δ-extends a warm family (registry claim → Δ-scan → absorb → release)
+/// while a second client's online run absorbs a different family. Under
+/// every interleaving, neither absorb may be lost or merged into the
+/// other family — both answers and the quiescent store stay exact-weight
+/// correct.
 #[test]
-fn shard_claim_absorb_release_is_isolated_per_shard() {
+fn family_claim_absorb_release_is_isolated_per_family() {
     let report = model_with(
         ModelOptions {
             preemption_bound: 2,
@@ -174,7 +169,7 @@ fn shard_claim_absorb_release_is_isolated_per_shard() {
         || {
             let svc = service();
             // Warm family A outside the race: its Δ path claims, scans,
-            // absorbs, and releases on A's home shard.
+            // absorbs, and releases.
             svc.run(&query_k(0, 119, K_A)).unwrap();
             let svc_b = svc.clone();
             let t = thread::spawn(move || {
@@ -185,24 +180,9 @@ fn shard_claim_absorb_release_is_isolated_per_shard() {
             assert_weight_identity(&r, 0, 179);
             t.join().unwrap();
 
-            // The families really live on distinct shards.
-            let snap = svc.store();
-            let probe = ShardedStore::new(STORE_SHARDS, None);
-            let shard_of = |k: usize| {
-                snap.descriptors()
-                    .find(|(_, d)| d.k == k)
-                    .map(|(_, d)| probe.shard_for(d))
-                    .expect("family stored")
-            };
-            assert_ne!(
-                shard_of(K_A),
-                shard_of(K_B),
-                "test families must route to distinct shards"
-            );
-
-            // Quiescent coherence per shard: both families answer their
-            // own coverage exactly from the sample on their home shard
-            // (an absorb that landed elsewhere is one no plan finds).
+            // Quiescent coherence per family: both families answer their
+            // own coverage exactly from their own sample (an absorb merged
+            // into the other family would break the weight identity).
             for k in [K_A, K_B] {
                 let r = svc.run(&query_k(0, 179, k)).unwrap();
                 assert_weight_identity(&r, 0, 179);
@@ -212,26 +192,25 @@ fn shard_claim_absorb_release_is_isolated_per_shard() {
             assert_eq!(stats.queries, 5);
             assert!(
                 stats.delta_scans <= stats.queries,
-                "a lost shard claim re-ran a Δ-scan: {stats:?}"
+                "a lost claim re-ran a Δ-scan: {stats:?}"
             );
         },
     );
-    eprintln!("shard claim model: {report:?}");
+    eprintln!("family claim model: {report:?}");
     assert!(
         report.interleavings >= 200,
         "expected hundreds of interleavings, got {report:?}"
     );
 }
 
-/// Canonical-order two-shard locking: whole-store operations (snapshot,
-/// clear) lock every shard in ascending index order while clients hold
-/// single shards for absorbs. Any interleaving that could acquire two
-/// shard locks in conflicting orders would deadlock the model (the
-/// scheduler would hang the blocked interleaving) or trip the lock-order
-/// detector; every interleaving must instead complete with exact-weight
-/// answers on whatever store state the race left behind.
+/// Whole-store operations (snapshot, clear) race two families' clients
+/// absorbing into the one store. Any interleaving that acquired the
+/// service's locks in conflicting orders would deadlock the model (the
+/// scheduler would hang the blocked interleaving); every interleaving must
+/// instead complete with exact-weight answers on whatever store state the
+/// race left behind.
 #[test]
-fn whole_store_ops_lock_shards_in_canonical_order() {
+fn whole_store_ops_race_two_families_absorbing() {
     let report = model_with(
         ModelOptions {
             preemption_bound: 2,
@@ -242,13 +221,13 @@ fn whole_store_ops_lock_shards_in_canonical_order() {
             svc.run(&query_k(0, 119, K_A)).unwrap();
             let sweeper = svc.clone();
             let t = thread::spawn(move || {
-                // Ascending read-locks across all shards…
+                // A snapshot under the read guard…
                 let bytes = sweeper.export_samples();
                 assert!(!bytes.is_empty());
-                // …then ascending write-locks across all shards.
+                // …then a clear under the write guard.
                 sweeper.clear_samples();
             });
-            // Meanwhile clients absorb onto two different shards.
+            // Meanwhile clients of two families absorb.
             let r = svc.run(&query_k(0, 179, K_B)).unwrap();
             assert_weight_identity(&r, 0, 179);
             let r = svc.run(&query_k(0, 179, K_A)).unwrap();
@@ -264,7 +243,7 @@ fn whole_store_ops_lock_shards_in_canonical_order() {
             assert_eq!(svc.stats().queries, 5);
         },
     );
-    eprintln!("canonical order model: {report:?}");
+    eprintln!("whole-store model: {report:?}");
     assert!(
         report.interleavings >= 200,
         "expected hundreds of interleavings, got {report:?}"
@@ -289,18 +268,18 @@ fn append_batch() -> Vec<(String, Column)> {
 }
 
 /// A streaming append (catalog publish + incremental sample absorb) and a
-/// full shard eviction race a client query. The query pins an epoch by
+/// full store eviction race a client query. The query pins an epoch by
 /// cloning the catalog, so its exact COUNT must equal the row count of
 /// *some* published version — exactly `ROWS` or exactly `ROWS + APPEND`,
 /// never a torn in-between (a scan spanning the publish) and never a
 /// double-count (a stale sample merged past its watermark). The absorb
-/// walks shards in canonical order after the ingest lock is released, so
-/// no interleaving with the evictor's whole-store sweep may deadlock.
+/// takes the store lock after the ingest lock is released, so no
+/// interleaving with the evictor's whole-store clear may deadlock.
 #[test]
-fn ingest_races_query_epoch_pin_and_shard_eviction() {
+fn ingest_races_query_epoch_pin_and_store_eviction() {
     let report = model_with(
         ModelOptions {
-            // Exhaustive at bound 2 takes ≈ 10 600 interleavings; a cap
+            // Exhaustive at bound 2 takes ≈ 3 200 interleavings; a cap
             // below that can stop before the schedules that tear the
             // epoch pin or invert `laqy.catalog` and `laqy.wal`.
             preemption_bound: 2,
@@ -364,9 +343,9 @@ fn append_batch_at(from: i64) -> Vec<(String, Column)> {
 }
 
 /// Two ingests race a query. Each publishes under `laqy.wal` and absorbs
-/// after releasing it, so the absorbs may run in either order or take
-/// turns shard by shard; each offers a sample only the rows past its
-/// watermark, so neither loses nor double-counts a row. The query pins
+/// after releasing it, so the absorbs may run in either order; each
+/// offers a sample only the rows past its watermark, so neither loses
+/// nor double-counts a row. The query pins
 /// one of the three published versions and counts it exactly; once both
 /// ingests return, the stored sample sits at the final watermark and
 /// answers it as a full hit, exactly.
@@ -437,7 +416,7 @@ fn revalidation_survives_concurrent_eviction() {
             // The evictor thread has few scheduling points, so bound 2
             // explores exhaustively below the hundreds-of-interleavings
             // bar; bound 3 covers strictly more schedules. Exhaustive at
-            // bound 3 takes 5 000–6 000 interleavings; a cap below that
+            // bound 3 takes ≈ 600 interleavings; a cap below that
             // can stop before the merge that follows a clear.
             preemption_bound: 3,
             max_interleavings: 20_000,

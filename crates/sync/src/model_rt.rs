@@ -1000,12 +1000,6 @@ pub mod atomic {
                     touch();
                     self.inner.fetch_sub(v, StdOrdering::SeqCst)
                 }
-
-                /// Max, returning the previous value (scheduling point).
-                pub fn fetch_max(&self, v: $prim, _order: Ordering) -> $prim {
-                    touch();
-                    self.inner.fetch_max(v, StdOrdering::SeqCst)
-                }
             }
         };
     }

@@ -5,7 +5,6 @@
 
 use std::sync::Arc;
 
-use laqy_sync::classes::STORE_SHARD_NAMES;
 use laqy_sync::{Condvar, Mutex, RwLock};
 
 /// Consistent A-then-B ordering across many threads never trips the
@@ -63,23 +62,23 @@ fn rwlock_and_mutex_share_the_graph() {
     let _gm = m.lock();
 }
 
-/// Each member of a lock family is a class of its own, so a whole-store
-/// walk that takes the shards descending after another took them
-/// ascending closes a cycle. The static `lock-order` pass collapses a
-/// family to one node and cannot see this; only this detector does.
+/// Each member of an indexed lock pool is a class of its own, so a walk
+/// that takes the pool descending after another took it ascending closes
+/// a cycle. The static `lock-order` pass collapses a pool to one node and
+/// cannot see this; only this detector does.
 #[test]
 #[should_panic(expected = "lock-order cycle")]
-fn descending_shard_walk_panics() {
-    let shards: Vec<RwLock<()>> = STORE_SHARD_NAMES[..2]
+fn descending_pool_walk_panics() {
+    let pool: Vec<RwLock<()>> = ["od.pool0", "od.pool1"]
         .iter()
         .map(|name| RwLock::named(name, ()))
         .collect();
     {
-        let _g0 = shards[0].write();
-        let _g1 = shards[1].write(); // shard0 -> shard1, the canonical order
+        let _g0 = pool[0].write();
+        let _g1 = pool[1].write(); // pool0 -> pool1, the canonical order
     }
-    let _g1 = shards[1].read();
-    let _g0 = shards[0].read(); // shard1 -> shard0 closes the cycle
+    let _g1 = pool[1].read();
+    let _g0 = pool[0].read(); // pool1 -> pool0 closes the cycle
 }
 
 /// Re-locking the same mutex on the same thread is a guaranteed

@@ -17,8 +17,8 @@
 //!
 //! Lock classes come from `Mutex::named` / `RwLock::named` /
 //! `Condvar::named` construction sites: the name argument is resolved
-//! statically (string literal, local `const`, or an indexed array such
-//! as the `laqy_sync::classes` registry arrays) and attributed to the
+//! statically (string literal, local or `laqy_sync::classes` `const`,
+//! or an indexed array of names) and attributed to the
 //! struct field or binding under construction, so later `.lock()` /
 //! `.read()` / `.write()` calls on that receiver resolve to the class.
 //!
@@ -121,15 +121,12 @@ const KEYWORDS: [&str; 24] = [
     "yield",
 ];
 
-/// Collapse a concrete lock name to its class label. Registered family
-/// members (via `laqy_sync::classes`) become `<prefix>*`; unregistered
-/// names with a trailing index collapse the same way, so fixture trees
-/// get family semantics without touching the registry.
+/// Collapse a concrete lock name to its class label. Names registered
+/// in `laqy_sync::classes` are their own class; unregistered names with a
+/// trailing index collapse to `<prefix>*`, so an indexed family of locks
+/// (a lock pool named from an array) is one class.
 pub fn class_label(name: &str) -> String {
     if let Some(def) = laqy_sync::classes::class_of(name) {
-        if def.family {
-            return format!("{}*", def.name);
-        }
         return def.name.to_string();
     }
     let stripped = name.trim_end_matches(|c: char| c.is_ascii_digit());
@@ -140,7 +137,7 @@ pub fn class_label(name: &str) -> String {
 }
 
 /// The registry constants exported by `laqy_sync::classes`, addressable
-/// from analyzed source as `classes::WAL`, `STORE_SHARD_NAMES[i]`, etc.
+/// from analyzed source as `classes::WAL`, `classes::STORE`, etc.
 fn registry_consts() -> BTreeMap<String, ConstVal> {
     use laqy_sync::classes as c;
     let mut m = BTreeMap::new();
@@ -151,18 +148,10 @@ fn registry_consts() -> BTreeMap<String, ConstVal> {
         ConstVal::Str(c::INFLIGHT_DONE.into()),
     );
     m.insert("INFLIGHT_CV".into(), ConstVal::Str(c::INFLIGHT_CV.into()));
+    m.insert("STORE".into(), ConstVal::Str(c::STORE.into()));
     m.insert(
-        "STORE_SHARD_NAMES".into(),
-        ConstVal::StrArray(c::STORE_SHARD_NAMES.iter().map(|s| s.to_string()).collect()),
-    );
-    m.insert(
-        "INFLIGHT_REGISTRY_NAMES".into(),
-        ConstVal::StrArray(
-            c::INFLIGHT_REGISTRY_NAMES
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        ),
+        "INFLIGHT_REGISTRY".into(),
+        ConstVal::Str(c::INFLIGHT_REGISTRY.into()),
     );
     m
 }
@@ -964,11 +953,11 @@ mod tests {
     }
 
     #[test]
-    fn registry_families_collapse_to_starred_labels() {
-        assert_eq!(class_label("laqy.store.shard3"), "laqy.store.shard*");
+    fn registered_names_stay_and_indexed_names_collapse() {
+        assert_eq!(class_label("laqy.store"), "laqy.store");
         assert_eq!(
-            class_label("laqy.inflight.registry0"),
-            "laqy.inflight.registry*"
+            class_label("laqy.inflight.registry"),
+            "laqy.inflight.registry"
         );
         assert_eq!(class_label("laqy.wal"), "laqy.wal");
         assert_eq!(class_label("fix.pool7"), "fix.pool*");

@@ -11,7 +11,7 @@
 //! * struct fields of atomic type (for the atomic-ordering pass);
 //! * `const`/`static` string and string-array values (so lock-class
 //!   names routed through constants — e.g. the `laqy_sync::classes`
-//!   registry arrays — resolve statically).
+//!   registry — resolve statically).
 //!
 //! Bodies are kept as token ranges; the call-graph layer walks them with
 //! its own block/statement tracking.
@@ -676,7 +676,7 @@ mod tests {
         let pf = parse(
             "struct C { n: AtomicU64, v: Vec<AtomicUsize>, s: String }\n\
              const NAME: &str = \"laqy.wal\";\n\
-             const ARR: [&str; 2] = [\"laqy.store.shard0\", \"laqy.store.shard1\"];\n\
+             const ARR: [&str; 2] = [\"fix.pool0\", \"fix.pool1\"];\n\
              static NEXT: AtomicU64 = AtomicU64::new(1);",
         );
         assert_eq!(pf.atomic_fields, vec!["n", "v", "NEXT"]);

@@ -3,10 +3,9 @@
 //! * **`lock-order`** — collapses every acquisition into class-level
 //!   edges `held → acquired` (direct, and through calls via the callee's
 //!   transitive acquisition summary), then reports any cycle in the
-//!   class digraph. Family self-edges (`laqy.store.shard*` →
-//!   `laqy.store.shard*`) are ignored: intra-family ascending order is
-//!   the runtime detector's job, and a collapsed family node would
-//!   otherwise always self-loop.
+//!   class digraph. Self-edges are ignored: an indexed lock pool
+//!   collapses to one `<prefix>*` node, whose intra-pool order is the
+//!   runtime detector's job, and it would otherwise always self-loop.
 //! * **`guard-blocking-op`** — reports any site where a lock guard is
 //!   live across a filesystem barrier: a direct `sync_all` /
 //!   `sync_data` / `fs::rename`, or a call whose callee may reach one.

@@ -34,29 +34,22 @@
 //!    is centralized in the `QueryBudget`/`CancelToken` machinery so
 //!    expiry is checked at sanctioned cooperative points with one clock,
 //!    not re-derived ad hoc (plain section timing stays fine).
-//! 8. **shard-hashing** — the descriptor→shard hash (`fnv1a`) exists only
-//!    in `crates/core/src/store.rs`. Every consumer must route through
-//!    `ShardedStore::{shard_for, shard_for_id, registry_shard}`; a second
-//!    hashing site could silently disagree with the store's routing and
-//!    split one sample family across shards, breaking the single-shard
-//!    query-path invariant. Keeping one site also makes rehashing policy
-//!    a one-file change.
-//! 9. **row-at-a-time** — no per-row predicate/value scan loops
+//! 8. **row-at-a-time** — no per-row predicate/value scan loops
 //!    (`.matches(...)`, `.i64_at(...)`) in engine operators outside the
 //!    sanctioned `ops/reference.rs` evaluator. Operators must evaluate
 //!    through the vectorized `BatchKernel` chunk path; the reference
 //!    module exists precisely so the proptests have a slow oracle to
 //!    compare against, and a second per-row loop would silently bypass
 //!    the kernels the paper's scan performance depends on.
-//! 10. **wal-io** — no write-ahead-log file I/O (`OpenOptions::new`,
-//!     `sync_data`) in `crates/core/src` or `crates/cli/src` outside
-//!     `wal.rs`. The log's durability contract — records are appended,
-//!     fsynced, and never rewritten under their real name; a torn tail is
-//!     detected and truncated exactly once, at recovery — only holds if
-//!     every handle to a segment file goes through `WalAppender`/`replay`.
-//!     A second append site could interleave records across segment
-//!     rotation or sync out of order with the catalog publish.
-//! 11. **socket-io** — no socket types (`TcpListener`, `TcpStream`,
+//! 9. **wal-io** — no write-ahead-log file I/O (`OpenOptions::new`,
+//!    `sync_data`) in `crates/core/src` or `crates/cli/src` outside
+//!    `wal.rs`. The log's durability contract — records are appended,
+//!    fsynced, and never rewritten under their real name; a torn tail is
+//!    detected and truncated exactly once, at recovery — only holds if
+//!    every handle to a segment file goes through `WalAppender`/`replay`.
+//!    A second append site could interleave records across segment
+//!    rotation or sync out of order with the catalog publish.
+//! 10. **socket-io** — no socket types (`TcpListener`, `TcpStream`,
 //!     `UdpSocket`) outside `crates/server/src`. The serving crate owns
 //!     the wire: its framing layer is where slow-client timeouts, frame
 //!     caps, and the `net.*` chaos points live, and a second socket site
@@ -150,11 +143,11 @@ const PERSIST_ALLOWLIST: &str = "crates/core/src/persist.rs";
 const SNAPSHOT_IO_TOKENS: [&str; 3] = ["File::create", "fs::rename", "fs::write"];
 
 /// The one file sanctioned to open, append to, and fsync write-ahead-log
-/// segments (rule 10): the `WalAppender`/`replay` machinery.
+/// segments (rule 9): the `WalAppender`/`replay` machinery.
 const WAL_ALLOWLIST: &str = "crates/core/src/wal.rs";
 
 /// WAL file-handle tokens banned outside [`WAL_ALLOWLIST`] within the
-/// snapshot-handling crates (rule 10). `OpenOptions::new` is the only way
+/// snapshot-handling crates (rule 9). `OpenOptions::new` is the only way
 /// to get an append-mode handle and `sync_data` is the log's fsync; the
 /// snapshot layer uses `File::create`/`sync_all` and is covered by rule 6.
 const WAL_IO_TOKENS: [&str; 2] = ["OpenOptions::new", "sync_data"];
@@ -163,24 +156,20 @@ const WAL_IO_TOKENS: [&str; 2] = ["OpenOptions::new", "sync_data"];
 /// deadline (rule 7): the query-budget machinery.
 const BUDGET_ALLOWLIST: &str = "crates/core/src/budget.rs";
 
-/// The one module sanctioned to hash descriptors to shard indices
-/// (rule 8): the sharded store itself.
-const SHARD_HASH_ALLOWLIST: &str = "crates/core/src/store.rs";
-
 /// The one engine-operator module sanctioned to evaluate predicates
-/// row-at-a-time (rule 9): the proptest reference oracle.
+/// row-at-a-time (rule 8): the proptest reference oracle.
 const ROW_SCAN_ALLOWLIST: &str = "crates/engine/src/ops/reference.rs";
 
 /// Per-row scan tokens banned from engine operators outside
-/// [`ROW_SCAN_ALLOWLIST`] (rule 9).
+/// [`ROW_SCAN_ALLOWLIST`] (rule 8).
 const ROW_SCAN_TOKENS: [&str; 2] = [".matches(", ".i64_at("];
 
-/// The one source subtree sanctioned to touch sockets (rule 11): the
+/// The one source subtree sanctioned to touch sockets (rule 10): the
 /// serving crate, where framing, timeouts, and the `net.*` fault points
 /// wrap every socket operation.
 const SOCKET_ALLOWLIST_PREFIX: &str = "crates/server/src/";
 
-/// Socket types banned outside [`SOCKET_ALLOWLIST_PREFIX`] (rule 11).
+/// Socket types banned outside [`SOCKET_ALLOWLIST_PREFIX`] (rule 10).
 const SOCKET_TOKENS: [&str; 3] = ["TcpListener", "TcpStream", "UdpSocket"];
 
 /// `std::sync::` heads that must be routed through `laqy-sync`.
@@ -278,19 +267,6 @@ fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) {
     }
     if rel != BUDGET_ALLOWLIST {
         check_deadline_checks(&pf, findings);
-    }
-    if rel != SHARD_HASH_ALLOWLIST {
-        for ci in ident_hits(&pf, "fnv1a", false) {
-            findings.push(finding_at(
-                &pf,
-                ci,
-                "shard-hashing",
-                format!(
-                    "`fnv1a` outside {SHARD_HASH_ALLOWLIST}; descriptor→shard routing must \
-                     go through `ShardedStore` so one hashing site owns the policy"
-                ),
-            ));
-        }
     }
     if rel.starts_with("crates/engine/src/ops/") && rel != ROW_SCAN_ALLOWLIST {
         for tok in ROW_SCAN_TOKENS {

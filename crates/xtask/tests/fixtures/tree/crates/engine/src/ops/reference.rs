@@ -1,5 +1,5 @@
 //! The sanctioned row-at-a-time oracle: uses every banned token and
-//! must stay silent under rule 9.
+//! must stay silent under rule 8.
 
 pub fn eval_rows(compiled: &Compiled, rows: usize) -> Vec<u32> {
     (0..rows as u32)

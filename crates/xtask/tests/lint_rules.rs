@@ -210,21 +210,6 @@ fn deadline_checks_fire_outside_budget_only() {
 }
 
 #[test]
-fn shard_hashing_fires_outside_store_only() {
-    let findings = fixture_findings();
-    let hits = matching(&findings, "shard-hashing", "crates/demo/src/bad_hash.rs");
-    // The rogue call site and the rogue definition; the comment and
-    // string mentions of fnv1a are not identifier tokens, so never match.
-    let lines: Vec<usize> = hits.iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![6, 9], "{hits:?}");
-    // The sanctioned store module never fires.
-    assert!(
-        matching(&findings, "shard-hashing", "crates/core/src/store.rs").is_empty(),
-        "{findings:?}"
-    );
-}
-
-#[test]
 fn row_scans_fire_outside_reference_only() {
     let findings = fixture_findings();
     let hits = matching(

@@ -1,25 +1,21 @@
-//! Stress tests for the descriptor-hash-sharded sample store.
+//! Stress tests for several query families sharing one sample store.
 //!
-//! The PR-1 concurrent-service battery (see `concurrent_service.rs`)
-//! exercised one shared store behind one lock. This suite re-runs those
-//! invariants with the workload deliberately spread across *shards*:
-//! several q1 families (same plan, different reservoir capacity `k`)
-//! whose descriptor fingerprints route to different home shards, hammered
-//! by 8 client threads at once. On top of the original invariants —
-//! CLT-bounded estimates, no duplicate descriptors, oracle-replay
-//! coverage equality, exactly-once Δ-scans — it checks the sharding
-//! contract itself:
+//! The concurrent-service battery (see `concurrent_service.rs`) runs one
+//! q1 family. This suite re-runs those invariants with four families on
+//! the one store behind its one lock: q1 at four reservoir capacities `k`,
+//! whose descriptor fingerprints differ, hammered by 8 client threads at
+//! once. On top of the original invariants — CLT-bounded estimates, no
+//! duplicate descriptors, oracle-replay coverage equality, exactly-once
+//! Δ-scans — it checks that families never cross-wire:
 //!
-//! - routing is deterministic and predicate-independent (all samples of
-//!   one family co-locate on one shard, across store instances);
-//! - the *global* byte budget holds under concurrent insertion into
-//!   different shards (or every shard is down to its one-sample floor);
-//! - families on distinct shards dedup their in-flight scans
-//!   independently and never contend on each other's locks;
-//! - two clients coverage-planning over fragmented families on distinct
-//!   shards — with fragment claims spread across registry shards —
-//!   neither deadlock (canonical lock order) nor double-claim a
-//!   residual fragment.
+//! - the byte budget holds for the whole store under concurrent insertion
+//!   by four families (or the store is down to its one-sample floor);
+//! - two families dedup their in-flight scans independently in the one
+//!   registry;
+//! - two clients per family coverage-planning over fragmented families
+//!   neither deadlock nor double-claim a residual fragment.
+//!
+//! The `k`s are literals, so the workload is the same on every commit.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Barrier;
@@ -27,10 +23,13 @@ use std::time::Duration;
 
 use laqy::{
     save_store, ApproxResult, Interval, IntervalSet, LaqyService, ReuseClass, SampleStore,
-    SessionConfig, ShardedStore, STORE_SHARDS,
+    SessionConfig,
 };
 use laqy_engine::{Catalog, QueryResult, Value};
 use laqy_workload::{generate, q1, SsbConfig};
+
+/// The four families' reservoir capacities.
+const KS: [usize; 4] = [16, 24, 32, 40];
 
 const THREADS: usize = 8;
 const QUERIES_PER_THREAD: usize = 10;
@@ -56,34 +55,6 @@ fn range_for(n: i64, t: usize, j: usize) -> Interval {
     let lo = ((t * 3 + j * 5) % 8) as i64 * n / 10;
     let hi = (lo + n / 4 + ((t + j) % 3) as i64 * n / 10).min(n - 1);
     Interval::new(lo, hi)
-}
-
-/// Home shard of the q1 family with reservoir capacity `k`, resolved by
-/// materializing one sample in a scratch service and routing its stored
-/// descriptor through a probe store with the full shard count.
-fn family_shard(cat: &Catalog, n: i64, k: usize) -> usize {
-    let probe = ShardedStore::new(STORE_SHARDS, None);
-    let scratch = LaqyService::with_config(cat.clone(), config(None));
-    scratch.run(&q1(Interval::new(0, n / 10), k)).unwrap();
-    let store = scratch.store();
-    let (_, d) = store.descriptors().next().expect("sample materialized");
-    probe.shard_for(d)
-}
-
-/// `count` q1 reservoir capacities whose families land on pairwise
-/// distinct home shards — so the workload provably crosses shards.
-fn shard_distinct_ks(cat: &Catalog, n: i64, count: usize) -> Vec<usize> {
-    let mut ks = Vec::new();
-    let mut shards = HashSet::new();
-    for k in (16..16 + 8 * STORE_SHARDS).step_by(8) {
-        if shards.insert(family_shard(cat, n, k)) {
-            ks.push(k);
-            if ks.len() == count {
-                return ks;
-            }
-        }
-    }
-    panic!("could not find {count} shard-distinct k values");
 }
 
 /// Every estimate must sit within a generous multiple of its 95% CI of
@@ -150,48 +121,10 @@ fn hammer(service: &LaqyService, n: i64, ks: &[usize]) -> Vec<(usize, Interval, 
 }
 
 #[test]
-fn routing_is_deterministic_and_predicate_independent() {
-    let cat = catalog();
-    let n = cat.table("lineorder").unwrap().num_rows() as i64;
-    let k = 24;
-
-    // Two samples of the same family with *different* predicates must
-    // share a home shard (the fingerprint excludes predicates), on any
-    // store instance with the same shard count. Materialize them in
-    // separate services so coverage planning cannot consolidate them.
-    let mut descriptors = Vec::new();
-    for range in [Interval::new(0, n / 10), Interval::new(n / 2, 7 * n / 10)] {
-        let scratch = LaqyService::with_config(cat.clone(), config(None));
-        scratch.run(&q1(range, k)).unwrap();
-        let store = scratch.store();
-        let (_, d) = store.descriptors().next().expect("sample materialized");
-        descriptors.push(d.clone());
-    }
-    assert_ne!(
-        descriptors[0].predicates, descriptors[1].predicates,
-        "the two samples must differ in predicate coverage"
-    );
-
-    let a = ShardedStore::new(STORE_SHARDS, None);
-    let b = ShardedStore::new(STORE_SHARDS, None);
-    let home = a.shard_for(&descriptors[0]);
-    for d in &descriptors {
-        assert_eq!(a.shard_for(d), home, "family split across shards: {d:?}");
-        assert_eq!(a.shard_for(d), b.shard_for(d), "routing not deterministic");
-    }
-
-    // A single-shard store (the bench baseline) routes everything to 0.
-    let single = ShardedStore::new(1, None);
-    for d in &descriptors {
-        assert_eq!(single.shard_for(d), 0);
-    }
-}
-
-#[test]
 fn sharded_stress_preserves_store_invariants_per_family() {
     let cat = catalog();
     let n = cat.table("lineorder").unwrap().num_rows() as i64;
-    let ks = shard_distinct_ks(&cat, n, 4);
+    let ks = KS;
     let service = LaqyService::with_config(cat.clone(), config(None));
 
     let outcomes = hammer(&service, n, &ks);
@@ -214,9 +147,8 @@ fn sharded_stress_preserves_store_invariants_per_family() {
         assert_within_clt_bound(*range, result, &exact[&(range.lo, range.hi)]);
     }
 
-    // No duplicate descriptors anywhere in the sharded store: competing
-    // absorbs within a shard must still serialize, and families must not
-    // leak copies onto foreign shards.
+    // No duplicate descriptors anywhere in the store: competing absorbs
+    // must serialize, within a family and across families.
     let store = service.store();
     let mut seen = HashSet::new();
     for (_, d) in store.descriptors() {
@@ -225,7 +157,8 @@ fn sharded_stress_preserves_store_invariants_per_family() {
     }
 
     // Per-family coverage matches a single-threaded oracle replay of the
-    // same query multiset: sharding must not lose or cross-wire coverage.
+    // same query multiset: sharing the store must not lose or cross-wire
+    // coverage.
     let replay = LaqyService::with_config(cat, config(None));
     let mut requested: HashMap<usize, IntervalSet> = HashMap::new();
     for t in 0..THREADS {
@@ -253,13 +186,13 @@ fn sharded_stress_preserves_store_invariants_per_family() {
 }
 
 #[test]
-fn global_byte_budget_holds_across_shards() {
+fn global_byte_budget_holds_across_families() {
     let cat = catalog();
     let n = cat.table("lineorder").unwrap().num_rows() as i64;
-    let ks = shard_distinct_ks(&cat, n, 4);
+    let ks = KS;
 
     // Size the budget off one materialized sample so roughly three fit —
-    // while four families insert into four different shards.
+    // while four families insert into the one store.
     let probe = LaqyService::with_config(cat.clone(), config(None));
     probe.run(&q1(range_for(n, 0, 0), ks[0])).unwrap();
     let one = probe.store().total_bytes();
@@ -272,25 +205,15 @@ fn global_byte_budget_holds_across_shards() {
         assert!(!result.groups.is_empty(), "no estimates for {range:?}");
     }
 
-    // The budget is global across shards. Eviction floors at one sample
-    // *per shard*, so either the total fits or every occupied shard is
-    // down to its floor.
+    // The budget is the whole store's, and eviction floors at one sample
+    // for the whole store: either the total fits or one sample is left.
     let store = service.store();
-    if store.total_bytes() > budget {
-        let router = ShardedStore::new(STORE_SHARDS, None);
-        let mut per_shard: HashMap<usize, usize> = HashMap::new();
-        for (_, d) in store.descriptors() {
-            *per_shard.entry(router.shard_for(d)).or_default() += 1;
-        }
-        for (shard, count) in per_shard {
-            assert!(
-                count <= 1,
-                "budget {budget} exceeded ({} bytes) with shard {shard} above \
-                 its one-sample eviction floor ({count} samples)",
-                store.total_bytes()
-            );
-        }
-    }
+    assert!(
+        store.total_bytes() <= budget || store.len() == 1,
+        "budget {budget} exceeded ({} bytes) by {} samples",
+        store.total_bytes(),
+        store.len()
+    );
     let mut seen = HashSet::new();
     for (_, d) in store.descriptors() {
         let signature = format!("{}|{:?}", d.fingerprint(), d.predicates);
@@ -302,7 +225,7 @@ fn global_byte_budget_holds_across_shards() {
 fn families_on_distinct_shards_dedup_independently() {
     let cat = catalog();
     let n = cat.table("lineorder").unwrap().num_rows() as i64;
-    let ks = shard_distinct_ks(&cat, n, 2);
+    let ks = [KS[0], KS[1]];
     let service = LaqyService::with_config(cat, config(None));
 
     // Warm both families over the first half.
@@ -312,8 +235,8 @@ fn families_on_distinct_shards_dedup_independently() {
     assert_eq!(service.stats().online_runs, 2);
 
     // Four clients — two per family — miss on the same uncovered interval
-    // at once. Each family's Δ must run exactly once, deduped on its own
-    // shard's registry, with no cross-family interference.
+    // at once. Each family's Δ must run exactly once, deduped in the one
+    // registry under its own key, with no cross-family interference.
     service.set_sampling_hold(Some(Duration::from_millis(300)));
     let before = service.stats();
     let barrier = Barrier::new(4);
@@ -399,14 +322,14 @@ fn fragmented_families_snapshot(cat: &Catalog, n: i64, ks: &[usize]) -> Vec<u8> 
 #[test]
 fn cross_shard_coverage_planning_race_neither_deadlocks_nor_double_claims() {
     // The regression the canonical lock order exists for: two clients per
-    // family, two families on distinct home shards, all four planning
-    // coverage at once over fragmented stores. Fragment claims hash
-    // across registry shards, absorbs take different store shards — a
-    // cyclic acquisition order would deadlock here, and a broken
-    // per-fragment registry would scan a residual fragment twice.
+    // family, two families, all four planning coverage at once over
+    // fragmented stores. Fragment claims and absorbs of both families
+    // interleave on the one registry and the one store lock — a cyclic
+    // acquisition order would deadlock here, and a broken per-fragment
+    // registry would scan a residual fragment twice.
     let cat = catalog();
     let n = cat.table("lineorder").unwrap().num_rows() as i64;
-    let ks = shard_distinct_ks(&cat, n, 2);
+    let ks = [KS[0], KS[1]];
     let service = LaqyService::with_config(cat.clone(), config(None));
     service
         .import_samples(&fragmented_families_snapshot(&cat, n, &ks))
@@ -467,7 +390,7 @@ fn cross_shard_coverage_planning_race_neither_deadlocks_nor_double_claims() {
         assert_eq!(family, vec![ReuseClass::Full, ReuseClass::Partial]);
     }
 
-    // Each family consolidated to one full-coverage sample on its shard.
+    // Each family consolidated to one full-coverage sample.
     let store = service.store();
     assert_eq!(store.len(), 2, "fragments consolidated away");
     for &k in &ks {

@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 
 use laqy::{
     plan_lazy, CoveragePlan, Interval, IntervalSet, Predicates, Sample, SampleDescriptor, SampleId,
-    SampleSchema, SampleStore, ShardedStore, SlotKind, MAX_COVERAGE_SAMPLES,
+    SampleSchema, SampleStore, SlotKind, StoreWriteGuard, MAX_COVERAGE_SAMPLES,
 };
 use laqy_engine::GroupKey;
 use laqy_sampling::Lehmer64;
@@ -312,9 +312,10 @@ proptest! {
 
 // Second model: arbitrary interleavings of query-driven fetch / coverage
 // write / online absorb, raw insertion (snapshot restore), and explicit
-// eviction, optionally under a byte budget — the service's: a one-shard
-// `ShardedStore` whose write guard evicts least-recently-used samples when
-// it drops. Each op runs under one write guard. The reference model
+// eviction, optionally under a byte budget — the service's: the store
+// behind its lock, written through a `StoreWriteGuard` that evicts
+// least-recently-used samples when it drops. Each op runs under one write
+// guard. The reference model
 // tracks, after every single operation:
 //
 // - the just-written sample is never evicted by its own write;
@@ -347,16 +348,17 @@ proptest! {
             0,
         );
         let budget = scratch.total_bytes() * 2;
-        let store = ShardedStore::new(1, budgeted.then_some(budget));
+        let store = laqy_sync::RwLock::new(SampleStore::new());
+        let write = || StoreWriteGuard::new(store.write(), budgeted.then_some(budget));
         let mut requested = IntervalSet::empty();
         // Front = most recently used; mirrors the store's LRU stamps.
         let mut mru: Vec<SampleId> = Vec::new();
 
         for (kind, lo, w, pick) in &ops {
             let q = IntervalSet::of(Interval::new(*lo, lo + w));
-            let evictions_before = store.evictions();
+            let evictions_before = store.read().evictions();
             let before: HashMap<SampleId, IntervalSet> = store
-                .read_shard(0)
+                .read()
                 .descriptors()
                 .map(|(id, d)| (id, d.predicates.get("x").unwrap().clone()))
                 .collect();
@@ -369,7 +371,7 @@ proptest! {
                 // Query-driven, exactly as the service behaves.
                 0 | 1 => {
                     requested = requested.union(&q);
-                    let driven = drive(&mut store.write_shard(0), &q, &mut rng);
+                    let driven = drive(&mut write(), &q, &mut rng);
                     subject = Some(driven.subject);
                     superseded = driven.consolidated;
                     // A new sample replaces every stored one it subsumes;
@@ -378,7 +380,7 @@ proptest! {
                     // writes nothing.
                     let hit = driven.plan.hit().is_some();
                     let cover = match before.contains_key(&driven.subject) {
-                        true => coverage(&store.read_shard(0), driven.subject),
+                        true => coverage(&store.read(), driven.subject),
                         false => driven.absorbed.clone(),
                     };
                     if !hit {
@@ -395,21 +397,20 @@ proptest! {
                 2 => {
                     requested = requested.union(&q);
                     let s = sample_for(&q, &mut rng);
-                    let mut shard = store.write_shard(0);
-                    subject = Some(shard.insert_raw(descriptor(q.clone()), schema(), s, 0));
+                    subject = Some(write().insert_raw(descriptor(q.clone()), schema(), s, 0));
                 }
                 // Explicit eviction of an arbitrary stored sample.
                 _ => {
                     if !mru.is_empty() {
                         let victim = mru[(*pick as usize) % mru.len()];
-                        let mut shard = store.write_shard(0);
-                        prop_assert!(shard.remove(victim));
-                        prop_assert!(shard.peek(victim).is_none());
+                        let mut store = write();
+                        prop_assert!(store.remove(victim));
+                        prop_assert!(store.peek(victim).is_none());
                         mru.retain(|i| *i != victim);
                     }
                 }
             }
-            let store = store.read_shard(0);
+            let store = store.read();
             for id in &superseded {
                 prop_assert!(store.peek(*id).is_none());
             }
@@ -465,7 +466,7 @@ proptest! {
         }
 
         // Surviving coverage still plans consistently.
-        let store = store.read_shard(0);
+        let store = store.read();
         for (_, lo, w, _) in &ops {
             check_plan(&store, &IntervalSet::of(Interval::new(*lo, lo + w)));
         }
