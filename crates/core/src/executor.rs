@@ -320,11 +320,10 @@ impl LaqyExecutor {
         Ok(true)
     }
 
-    /// Δ-scan `parts` of a coverage plan against `catalog`. A part indexes
-    /// `plan.fragments` followed by `plan.tails`, so a caller may pass only
-    /// the ones it owns. A tail scan pushes its sample's own predicates
-    /// down with the row floor at the sample's watermark. With `lazy` set,
-    /// a plan that reuses stored samples and whose write step consolidates
+    /// Δ-scan every part of a coverage plan against `catalog`: its
+    /// fragments, then its tails. A tail scan pushes its sample's own
+    /// predicates down with the row floor at the sample's watermark. A
+    /// plan that reuses stored samples and whose write step consolidates
     /// ([`consolidates`]) leaves each Δ's payload to the merge, which reads
     /// it for the rows it keeps; every other Δ comes to rest on its own
     /// and is read here.
@@ -332,8 +331,6 @@ impl LaqyExecutor {
         &mut self,
         scope: Scope<'_>,
         plan: &CoveragePlan,
-        parts: impl Iterator<Item = usize>,
-        lazy: bool,
     ) -> Result<CoverageScans> {
         let query = scope.query;
         // A plan with no stored sample (m = 0, online sampling) has no
@@ -348,7 +345,7 @@ impl LaqyExecutor {
             scans: Vec::new(),
         };
         let mut runs = Vec::new();
-        for part in parts {
+        for part in 0..plan.fragments.len() + plan.tails.len() {
             if reuses && self.budget.expired() {
                 out.skipped += 1;
                 continue;
@@ -370,7 +367,7 @@ impl LaqyExecutor {
             runs.push((part, run));
         }
         let clean = runs.iter().map(|(_, run)| run.stats.degraded.is_none());
-        let lazy = lazy && reuses && out.skipped == 0 && consolidates(plan, clean);
+        let lazy = reuses && out.skipped == 0 && consolidates(plan, clean);
         for (part, run) in runs {
             let clean = run.stats.degraded.is_none();
             let (sample, stats) = if lazy {
@@ -731,7 +728,7 @@ pub(crate) struct CoverageScans {
     /// (their regions contribute nothing; the CI widening accounts for the
     /// hole).
     pub skipped: u64,
-    /// The scans that ran, in the order their parts were given.
+    /// The scans that ran, in plan order.
     pub scans: Vec<Scan>,
 }
 

@@ -20,16 +20,15 @@
 //! - **Write path** (absorb / Δ-merge / eviction) takes the write lock
 //!   only around the in-memory merge — never around the sampling scan,
 //!   which is the expensive part and runs lock-free.
-//! - **Per-part in-flight dedup registry**: a plan try-claims (never
-//!   blocking) one registry slot per residual fragment and per append
-//!   tail; an online run's one fragment is the query box, so it claims one
-//!   slot for the whole query. All of an attempt's slots live in one
-//!   `Claims` value. When two clients' plans share parts, each part is
-//!   scanned by exactly one of them: a client that could not claim
-//!   everything scans and absorbs what it did claim, releases *all* its
-//!   claims, waits for the others, and re-plans (typically upgrading to
-//!   full or pure-merge reuse). `Claims` is consumed by the one function
-//!   that waits, so overlapping claim sets cannot deadlock.
+//! - **In-flight dedup registry**: a plan claims one registry key per
+//!   residual fragment and per append tail — an online run's one fragment
+//!   is the query box, so it claims one key for the whole query — all at
+//!   once or none. An attempt that claimed its plan scans every part of
+//!   it and releases the keys once the store holds the work. An attempt
+//!   that found any key taken claims nothing, waits until its busy keys
+//!   are released, and re-plans (typically upgrading to full or
+//!   pure-merge reuse). A waiter owns no claim, so no two attempts can
+//!   wait on each other, and each part is scanned by exactly one client.
 //! - **Optimistic revalidation**: a coverage merge is validated under the
 //!   write lock (every selected sample still present with the exact
 //!   coverage and watermark it was planned against). If another client's
@@ -43,9 +42,10 @@
 //! arm goes through — over one per-attempt context; DESIGN.md "Query
 //! flow: stages" says what each reads, writes and locks.
 //!
-//! Lock ordering: the registry mutex, the store lock, and the catalog
-//! lock are never held while waiting on an in-flight entry, and a query
-//! path never holds the store lock and the registry mutex together.
+//! Lock ordering: an attempt waits for in-flight keys on the registry's
+//! condvar, which releases the registry mutex while it blocks, and holds
+//! no store or catalog lock there; a query path never holds the store lock
+//! and the registry mutex together.
 //!
 //! Streaming ingest: [`LaqyService::ingest`] appends a batch of rows to
 //! a registered table. Each query attempt pins one table epoch by
@@ -60,7 +60,7 @@
 //! graph acyclic); the sample absorb runs after it is released, under
 //! the store's write lock, and is idempotent by watermark.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,30 +91,16 @@ use crate::wal::{WalAppender, WalRecord};
 /// store meanwhile, so contention this deep is already pathological.
 const MAX_PLAN_RETRIES: u32 = 16;
 
-/// One in-flight sampling operation; waiters block on `cv` until the
-/// owner completes (successfully or not) and then re-plan.
-struct Inflight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Inflight {
-    fn new() -> Self {
-        Self {
-            done: Mutex::named(classes::INFLIGHT_DONE, false),
-            cv: Condvar::named(classes::INFLIGHT_CV),
-        }
-    }
-}
-
 struct ServiceInner {
     catalog: RwLock<Catalog>,
     store: RwLock<SampleStore>,
     /// The store's byte budget, enforced by every [`StoreWriteGuard`].
     budget_bytes: Option<usize>,
-    /// In-flight dedup registry: one slot per part being scanned, keyed
-    /// by the sample fingerprint and the part.
-    inflight: Mutex<HashMap<String, Arc<Inflight>>>,
+    /// In-flight dedup registry: the key of every part being scanned, by
+    /// the sample fingerprint and the part.
+    inflight: Mutex<HashSet<String>>,
+    /// Paired with `inflight`: woken whenever a claim releases its keys.
+    inflight_released: Condvar,
     counters: Counters,
     threads: usize,
     policy: SupportPolicy,
@@ -284,7 +270,8 @@ impl LaqyService {
                 catalog: RwLock::named(classes::CATALOG, catalog),
                 store: RwLock::named(classes::STORE, SampleStore::new()),
                 budget_bytes: config.store_budget_bytes,
-                inflight: Mutex::named(classes::INFLIGHT_REGISTRY, HashMap::new()),
+                inflight: Mutex::named(classes::INFLIGHT_REGISTRY, HashSet::new()),
+                inflight_released: Condvar::named(classes::INFLIGHT_CV),
                 counters: Counters::default(),
                 threads: config.threads,
                 policy: config.policy,
@@ -892,33 +879,6 @@ impl LaqyService {
         Ok(Some(Estimated { groups, stats }))
     }
 
-    /// **Scan**: try-claim every fragment and tail of the plan, then
-    /// Δ-scan the ones we own — lock-free, the expensive part — against
-    /// the pinned epoch.
-    fn scan(
-        &self,
-        at: &mut Attempt<'_>,
-        plan: &CoveragePlan,
-    ) -> Result<(Claims<'_>, CoverageScans)> {
-        let fingerprint = at.descriptor.fingerprint();
-        let fragments = plan
-            .fragments
-            .iter()
-            .map(|f| format!("F|{fingerprint}|{f:?}"));
-        let tails = plan
-            .tails
-            .iter()
-            .map(|t| format!("T|{fingerprint}|{:?}|{}", t.id, t.from_row));
-        let claims = self.claim(fragments.chain(tails));
-        if !claims.owned.is_empty() {
-            self.hold_for_test();
-        }
-        let owned = claims.owned.iter().map(|(part, _)| *part);
-        let (executor, scope) = at.pipeline();
-        let scans = executor.scan_coverage(scope, plan, owned, claims.busy.is_empty())?;
-        Ok((claims, scans))
-    }
-
     /// **Merge**: under the store's write guard, revalidate that
     /// every selected sample still has exactly the coverage *and* the
     /// watermark of the plan-time `snapshot` (a competing merge, eviction,
@@ -926,30 +886,24 @@ impl LaqyService {
     /// entirely), then run the store's coverage write step. The stored
     /// samples are read in place and the merged sample is shared with the
     /// store, not copied, so the lock is held for the merge itself and
-    /// nothing else. A stale plan — or no snapshot at all, when other
-    /// clients are still scanning the rest of the plan — keeps the clean
-    /// scan work without merging (tail absorbs stay safe against whatever
-    /// invalidated the plan: the `from_row` guard rejects a tail whose
-    /// sample moved on) and returns `None`.
+    /// nothing else. A stale plan keeps the clean scan work without
+    /// merging (tail absorbs stay safe against whatever invalidated the
+    /// plan: the `from_row` guard rejects a tail whose sample moved on) and
+    /// returns `None`.
     fn merge(
         &self,
         at: &mut Attempt<'_>,
         plan: &CoveragePlan,
-        snapshot: Option<&[(Predicates, u64)]>,
+        snapshot: &[(Predicates, u64)],
         scans: CoverageScans,
     ) -> Option<Merged> {
-        if snapshot.is_none() && !scans.scans.iter().any(|s| s.clean) {
-            return None;
-        }
         let mut store = self.write_store();
-        let valid = snapshot.is_some_and(|snapshot| {
-            plan.samples.len() == snapshot.len()
-                && plan.samples.iter().zip(snapshot).all(|(id, snap)| {
-                    store
-                        .peek(*id)
-                        .is_some_and(|s| s.descriptor.predicates == snap.0 && s.watermark == snap.1)
-                })
-        });
+        let valid = plan.samples.len() == snapshot.len()
+            && plan.samples.iter().zip(snapshot).all(|(id, snap)| {
+                store
+                    .peek(*id)
+                    .is_some_and(|s| s.descriptor.predicates == snap.0 && s.watermark == snap.1)
+            });
         let scans = (scans.scans.into_iter())
             .map(|s| (s.part, s.sample, s.clean))
             .collect();
@@ -957,10 +911,11 @@ impl LaqyService {
         store.absorb_coverage(&at.descriptor, &at.schema, plan, scans, valid, rng)
     }
 
-    /// Coverage execution: **scan** what we can claim, **merge** with the
-    /// selected stored samples, **estimate** — for any plan but a hit; an
-    /// online plan's one Δ is its whole sample. `None` when the attempt
-    /// must re-plan: other clients own part of the plan, or it went stale.
+    /// Coverage execution: claim the whole plan, **scan** it, **merge**
+    /// with the selected stored samples, **estimate** — for any plan but a
+    /// hit; an online plan's one Δ is its whole sample. `None` when the
+    /// attempt must re-plan: other clients held part of the plan, or it
+    /// went stale.
     fn run_coverage(
         &self,
         at: &mut Attempt<'_>,
@@ -981,7 +936,28 @@ impl LaqyService {
                 Some((&c.fragments_scanned, &c.fragments_deduped)),
             ),
         };
-        let (claims, mut scans) = self.scan(at, plan)?;
+        let claim = match self.claim(part_keys(&at.descriptor, plan)) {
+            Ok(claim) => claim,
+            Err(busy) => {
+                // Concurrent clients are scanning part of our plan: claim
+                // none of it, wait for them, and re-plan (normally
+                // upgrading to full or pure-merge reuse).
+                if let Some((_, fragments_deduped)) = fragments {
+                    add(fragments_deduped, busy.len() as u64);
+                }
+                add(dedup_counter, 1);
+                self.wait_released(&busy);
+                return Ok(None);
+            }
+        };
+
+        // **Scan** every part — lock-free, the expensive part — against
+        // the pinned epoch.
+        if !claim.keys.is_empty() {
+            self.hold_for_test();
+        }
+        let (executor, scope) = at.pipeline();
+        let mut scans = executor.scan_coverage(scope, plan)?;
         let mut stats = std::mem::take(&mut scans.stats);
         let scanned = scans.scans.len() as u64;
         add(scan_counter, scanned);
@@ -989,24 +965,8 @@ impl LaqyService {
             add(fragments_scanned, scanned);
             stats.fragments_scanned = scanned;
         }
-
-        if !claims.busy.is_empty() {
-            // Concurrent clients are scanning the rest of our plan. Keep
-            // our own scan work — each clean Δ sample is a valid sample of
-            // its box — then release our claims, wait for the others, and
-            // re-plan (normally upgrading to full or pure-merge reuse).
-            self.merge(at, plan, None, scans);
-            if let Some((_, fragments_deduped)) = fragments {
-                add(fragments_deduped, claims.busy.len() as u64);
-            }
-            add(dedup_counter, 1);
-            claims.release_and_wait();
-            return Ok(None);
-        }
-
-        // Every part is ours: fold the per-scan coverage into one
-        // query-level degradation record (None when every scan ran to
-        // completion).
+        // Fold the per-scan coverage into one query-level degradation
+        // record (None when every scan ran to completion).
         stats.degraded = blended_degradation(
             stats.degraded.take(),
             scans.coverage,
@@ -1015,10 +975,10 @@ impl LaqyService {
             effective,
         );
         let t_merge = Instant::now();
-        let merge = self.merge(at, plan, Some(snapshot), scans);
+        let merge = self.merge(at, plan, snapshot, scans);
         stats.merge = t_merge.elapsed();
         // The store now holds the scan work: waiters may re-plan.
-        drop(claims);
+        drop(claim);
         let Some(merged) = merge else {
             add(&c.merge_retries, 1);
             return Ok(None);
@@ -1098,73 +1058,59 @@ impl LaqyService {
         })))
     }
 
-    /// Try-claim — never blocking — the in-flight slot of every key, in
-    /// order.
-    fn claim(&self, keys: impl Iterator<Item = String>) -> Claims<'_> {
-        let mut claims = Claims {
-            owned: Vec::new(),
-            busy: Vec::new(),
-        };
+    /// Claim every key at once, or none: `Err` lists the keys other
+    /// attempts hold, and the registry is left as it was.
+    fn claim(&self, keys: Vec<String>) -> std::result::Result<Claim<'_>, Vec<String>> {
         let mut registry = self.inner.inflight.lock();
-        for (position, key) in keys.enumerate() {
-            match registry.get(&key) {
-                Some(entry) => claims.busy.push(Arc::clone(entry)),
-                None => {
-                    registry.insert(key.clone(), Arc::new(Inflight::new()));
-                    let guard = InflightGuard {
-                        inner: &self.inner,
-                        key,
-                    };
-                    claims.owned.push((position, guard));
-                }
-            }
+        let busy: Vec<String> = (keys.iter())
+            .filter(|key| registry.contains(*key))
+            .cloned()
+            .collect();
+        if !busy.is_empty() {
+            return Err(busy);
         }
-        claims
+        registry.extend(keys.iter().cloned());
+        Ok(Claim {
+            inner: &self.inner,
+            keys,
+        })
     }
-}
 
-/// Every in-flight slot one attempt claimed — fragments and tails alike —
-/// and the slots it found taken. Dropping it releases the owned slots,
-/// waking their waiters.
-struct Claims<'a> {
-    /// `(position among the claimed keys, guard)` per slot this attempt
-    /// owns.
-    owned: Vec<(usize, InflightGuard<'a>)>,
-    /// Slots other clients own.
-    busy: Vec<Arc<Inflight>>,
-}
-
-impl Claims<'_> {
-    /// Release every owned slot, then block until each busy slot's owner
-    /// completes (successfully or not). The one place the service waits on
-    /// an in-flight entry, and it consumes the claims to get here: call it
-    /// with no registry, store, or catalog lock held, and two clients with
-    /// overlapping claim sets can never wait on each other.
-    fn release_and_wait(self) {
-        drop(self.owned);
-        for entry in self.busy {
-            let mut done = entry.done.lock();
-            while !*done {
-                entry.cv.wait(&mut done);
-            }
+    /// Block until no attempt holds any of `keys` — the one place the
+    /// service waits on the registry. The caller owns no claim, so no two
+    /// waiters can wait on each other.
+    fn wait_released(&self, keys: &[String]) {
+        let mut registry = self.inner.inflight.lock();
+        while keys.iter().any(|key| registry.contains(key)) {
+            self.inner.inflight_released.wait(&mut registry);
         }
     }
 }
 
-/// Releases an in-flight slot on drop, waking all waiters — also on
-/// panic or error unwinding, so waiters can never hang on a dead owner.
-struct InflightGuard<'a> {
+/// The in-flight registry keys of a plan's parts: one per residual
+/// fragment and one per append tail, by the sample fingerprint.
+fn part_keys(descriptor: &SampleDescriptor, plan: &CoveragePlan) -> Vec<String> {
+    let fingerprint = descriptor.fingerprint();
+    let fragments = (plan.fragments.iter()).map(|f| format!("F|{fingerprint}|{f:?}"));
+    let tails = (plan.tails.iter()).map(|t| format!("T|{fingerprint}|{:?}|{}", t.id, t.from_row));
+    fragments.chain(tails).collect()
+}
+
+/// Every in-flight key of one attempt's plan, claimed at once. Dropping
+/// it — also on error or panic unwinding, so a waiter never hangs on a
+/// dead owner — releases the keys and wakes every waiter.
+struct Claim<'a> {
     inner: &'a ServiceInner,
-    key: String,
+    keys: Vec<String>,
 }
 
-impl Drop for InflightGuard<'_> {
+impl Drop for Claim<'_> {
     fn drop(&mut self) {
-        let entry = self.inner.inflight.lock().remove(&self.key);
-        if let Some(entry) = entry {
-            *entry.done.lock() = true;
-            entry.cv.notify_all();
+        let mut registry = self.inner.inflight.lock();
+        for key in &self.keys {
+            registry.remove(key);
         }
+        self.inner.inflight_released.notify_all();
     }
 }
 
@@ -1958,19 +1904,24 @@ mod tests {
     }
 
     #[test]
-    fn inflight_guard_releases_on_drop() {
+    fn a_claim_takes_every_key_or_none_and_a_waiter_wakes_on_release() {
         let service = LaqyService::new(catalog(100));
-        let claim = || service.claim(std::iter::once("k".to_string()));
-        {
-            let first = claim();
-            assert_eq!((first.owned.len(), first.busy.len()), (1, 0));
-            let second = claim();
-            assert_eq!((second.owned.len(), second.busy.len()), (0, 1));
-            drop(first);
-            // The owner is done: waiting returns at once.
-            second.release_and_wait();
-        }
-        // Slot free again: claiming succeeds.
-        assert_eq!(claim().owned.len(), 1);
+        let keys = |names: &[&str]| names.iter().map(|k| k.to_string()).collect::<Vec<_>>();
+        let held = service.claim(keys(&["b"])).unwrap();
+        assert_eq!(service.claim(keys(&["a", "b"])).err(), Some(keys(&["b"])));
+        // The busy claim left `a` unclaimed.
+        drop(service.claim(keys(&["a"])).unwrap());
+        let waiter = {
+            let service = service.clone();
+            std::thread::spawn(move || service.wait_released(&keys(&["b"])))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(
+            !waiter.is_finished(),
+            "a waiter returned while `b` was held"
+        );
+        drop(held);
+        waiter.join().unwrap();
+        assert!(service.claim(keys(&["a", "b"])).is_ok());
     }
 }

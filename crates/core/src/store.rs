@@ -409,10 +409,9 @@ impl SampleStore {
     ///   take part in the returned merge only, moved into it rather than
     ///   copied. Every Δ is read in full here.
     ///
-    /// With `merge` unset (the caller's plan went stale, or other clients
-    /// are still scanning the rest of it) only the second half runs: the
-    /// scan work is kept, nothing is merged. Returns `None` then, and when
-    /// a planned sample is no longer stored.
+    /// With `merge` unset (the caller's plan went stale) only the second
+    /// half runs: the scan work is kept, nothing is merged. Returns `None`
+    /// then, and when a planned sample is no longer stored.
     pub fn absorb_coverage(
         &mut self,
         query: &SampleDescriptor,

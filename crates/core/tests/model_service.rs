@@ -456,11 +456,12 @@ fn gated_query(lo: i64, hi: i64) -> ApproxQuery {
 }
 
 /// Two clients issue the same covering query over two stale stored samples
-/// of one family: the plan has a fragment and *two* tails, so the clients
-/// can each own one tail and be `Busy` on the other. Claims — fragment and
-/// tail alike — must all be released before either waits, or the two wait
-/// on each other forever (the scheduler reports that interleaving as a
-/// deadlock). Every interleaving must terminate with exact-weight answers.
+/// of one family: the plan has a fragment and *two* tails. A client claims
+/// all three keys or none, so neither can own one tail while the other
+/// owns the second: the client that finds any key taken waits owning
+/// nothing, and no two clients wait on each other. Every interleaving must
+/// terminate — the scheduler reports an all-blocked one as a deadlock —
+/// with exact-weight answers.
 #[test]
 fn clients_sharing_two_stale_tails_never_wait_on_each_other() {
     let report = model_with(

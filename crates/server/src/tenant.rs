@@ -277,18 +277,13 @@ impl TenantRegistry {
                 std::fs::create_dir_all(&snap)
                     .and_then(|()| std::fs::create_dir_all(&wal))
                     .map_err(|e| TenantError::Persist(e.to_string()))?;
-                let has_state = dir_has_entries(&snap) || dir_has_entries(&wal);
-                if has_state {
-                    // laqy-lint: allow(guard-blocking-op) -- tenant creation is exclusive by design: the registry write guard must cover WAL recovery so a racing connection cannot open a second appender on this tenant's log.
-                    service
-                        .recover_with_wal(&snap, &wal)
-                        .map_err(|e| TenantError::Persist(e.to_string()))?;
-                } else {
-                    // laqy-lint: allow(guard-blocking-op) -- same exclusivity argument as recovery: the appender open is covered by the registry write guard.
-                    service
-                        .enable_wal(&wal)
-                        .map_err(|e| TenantError::Persist(e.to_string()))?;
-                }
+                // An empty snapshot directory recovers to an empty store and
+                // an empty log replays nothing, so a fresh tenant opens
+                // through the same call as a restarted one.
+                // laqy-lint: allow(guard-blocking-op) -- tenant creation is exclusive by design: the registry write guard must cover WAL recovery so a racing connection cannot open a second appender on this tenant's log.
+                service
+                    .recover_with_wal(&snap, &wal)
+                    .map_err(|e| TenantError::Persist(e.to_string()))?;
                 Some((snap, wal))
             }
         };
@@ -319,12 +314,6 @@ fn name_seed(name: &str) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
-}
-
-fn dir_has_entries(dir: &std::path::Path) -> bool {
-    std::fs::read_dir(dir)
-        .map(|mut it| it.next().is_some())
-        .unwrap_or(false)
 }
 
 /// The admission wait budget is part of the tenant contract: waiting

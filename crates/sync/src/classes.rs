@@ -17,8 +17,7 @@
 //!
 //! ```text
 //! laqy.server.tenants  →  laqy.server.gate
-//!   →  laqy.wal  →  laqy.catalog  →  laqy.store
-//!                →  laqy.inflight.registry  →  laqy.inflight.done
+//!   →  laqy.wal  →  laqy.catalog  →  laqy.store  →  laqy.inflight.registry
 //! laqy.join.memo   (a leaf: taken with no other lock held, none under it)
 //! ```
 //!
@@ -63,15 +62,13 @@ pub const WAL: &str = "laqy.wal";
 /// `laqy.wal` is released.
 pub const STORE: &str = "laqy.store";
 
-/// The in-flight scan dedup registry `Mutex`: held only to claim or
-/// release a slot, never while waiting on one.
+/// The in-flight scan dedup registry `Mutex`: held to claim a plan's
+/// keys (all or none) or release them, and by a waiter, which owns no
+/// claim, between waits on [`INFLIGHT_CV`].
 pub const INFLIGHT_REGISTRY: &str = "laqy.inflight.registry";
 
-/// Per-entry completion flag of an in-flight sampling operation.
-pub const INFLIGHT_DONE: &str = "laqy.inflight.done";
-
-/// Condvar paired with [`INFLIGHT_DONE`]; waiters block here until the
-/// owning client finishes its scan.
+/// Condvar paired with [`INFLIGHT_REGISTRY`]; an attempt that found part
+/// of its plan claimed blocks here until those keys are released.
 pub const INFLIGHT_CV: &str = "laqy.inflight.cv";
 
 /// The service's join memo (join shape → maps and join filter). A leaf:
@@ -116,15 +113,11 @@ pub const ALL: &[LockClassDef] = &[
     },
     LockClassDef {
         name: INFLIGHT_REGISTRY,
-        doc: "in-flight scan dedup registry; claims are never held while waiting",
-    },
-    LockClassDef {
-        name: INFLIGHT_DONE,
-        doc: "per-entry completion flag; waiters hold only this while blocked on the condvar",
+        doc: "in-flight scan dedup registry; a plan's keys are claimed all or none, and a waiter owns none",
     },
     LockClassDef {
         name: INFLIGHT_CV,
-        doc: "condvar paired with laqy.inflight.done",
+        doc: "condvar paired with laqy.inflight.registry",
     },
     LockClassDef {
         name: JOIN_MEMO,

@@ -143,10 +143,6 @@ fn registry_consts() -> BTreeMap<String, ConstVal> {
     let mut m = BTreeMap::new();
     m.insert("WAL".into(), ConstVal::Str(c::WAL.into()));
     m.insert("CATALOG".into(), ConstVal::Str(c::CATALOG.into()));
-    m.insert(
-        "INFLIGHT_DONE".into(),
-        ConstVal::Str(c::INFLIGHT_DONE.into()),
-    );
     m.insert("INFLIGHT_CV".into(), ConstVal::Str(c::INFLIGHT_CV.into()));
     m.insert("STORE".into(), ConstVal::Str(c::STORE.into()));
     m.insert(
@@ -516,6 +512,9 @@ struct Held {
 struct Walker<'a> {
     pf: &'a ParsedFile,
     lock_fields: &'a BTreeMap<String, String>,
+    /// Known atomic receivers: a method called on one is an atomic
+    /// operation, never a workspace function.
+    atomic_names: &'a BTreeSet<String>,
     /// Guard-returning candidates by callee name (phase 2 only).
     guard_returns: &'a GuardIndex,
     impl_type: Option<String>,
@@ -535,6 +534,7 @@ fn walk_all(g: &mut Graph, guard_returns: &GuardIndex) {
         let mut w = Walker {
             pf,
             lock_fields: &g.lock_fields,
+            atomic_names: &g.atomic_names,
             guard_returns,
             impl_type: g.fns[i].item.impl_type.clone(),
             crate_key: crate_key(&pf.rel).to_string(),
@@ -758,6 +758,7 @@ impl Walker<'_> {
                 && !KEYWORDS.contains(&t)
                 && !NON_CALL_NAMES.contains(&t)
                 && t != "drop"
+                && !self.on_atomic(i)
             {
                 let hint = self.call_hint(i);
                 let name = t.to_string();
@@ -811,6 +812,12 @@ impl Walker<'_> {
     /// Qualifier hint for a call at ident `i`: `Type::f(…)` → `Type`
     /// (`Self` resolving to the enclosing impl type), `self.f(…)` → the
     /// enclosing impl type, `x.f(…)` → none.
+    /// Is the method name at `i` called on a known atomic receiver
+    /// (`hits.store(…)`, `self.seed.fetch_add(…)`)?
+    fn on_atomic(&self, i: usize) -> bool {
+        i >= 2 && self.text(i - 1) == "." && self.atomic_names.contains(self.text(i - 2))
+    }
+
     fn call_hint(&self, i: usize) -> Option<String> {
         if i >= 2 && self.text(i - 1) == "::" && self.is_ident(i - 2) {
             let q = self.text(i - 2);
@@ -967,8 +974,6 @@ mod tests {
 
 #[cfg(test)]
 mod debug_dump {
-    use super::*;
-
     #[test]
     #[ignore]
     fn dump_real_tree() {
@@ -977,18 +982,7 @@ mod debug_dump {
             .unwrap()
             .parent()
             .unwrap();
-        let mut files = crate::collect_sources(root).unwrap();
-        files.sort();
-        let sources: Vec<(String, String)> = files
-            .iter()
-            .map(|rel| {
-                (
-                    rel.to_str().unwrap().replace('\\', "/"),
-                    std::fs::read_to_string(root.join(rel)).unwrap(),
-                )
-            })
-            .collect();
-        let g = build(sources);
+        let g = crate::analyze::graph_of(root).unwrap();
         for f in &g.fns {
             if !f.may_block && f.acquires_any.is_empty() {
                 continue;

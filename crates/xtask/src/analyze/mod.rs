@@ -33,19 +33,7 @@ use crate::Finding;
 /// the surviving findings (plus a `suppression-reason` finding for every
 /// reason-less suppression), sorted by location.
 pub fn analyze_tree(root: &Path) -> Result<Vec<Finding>, String> {
-    let mut files = crate::collect_sources(root)?;
-    files.sort();
-    let mut sources = Vec::new();
-    for rel in &files {
-        let text = std::fs::read_to_string(root.join(rel))
-            .map_err(|e| format!("read {}: {e}", rel.display()))?;
-        let rel = rel
-            .to_str()
-            .ok_or_else(|| format!("non-UTF-8 path {}", rel.display()))?
-            .replace('\\', "/");
-        sources.push((rel, text));
-    }
-    let g = callgraph::build(sources);
+    let g = graph_of(root)?;
     let mut findings = passes::run(&g);
 
     for pf in &g.files {
@@ -79,4 +67,22 @@ pub fn analyze_tree(root: &Path) -> Result<Vec<Finding>, String> {
             .cmp(&(&b.file, b.line, b.col, b.rule, &b.message))
     });
     Ok(findings)
+}
+
+/// The call graph of the workspace rooted at `root`, as [`analyze_tree`]
+/// builds it before running the passes.
+pub fn graph_of(root: &Path) -> Result<callgraph::Graph, String> {
+    let mut files = crate::collect_sources(root)?;
+    files.sort();
+    let mut sources = Vec::new();
+    for rel in &files {
+        let text = std::fs::read_to_string(root.join(rel))
+            .map_err(|e| format!("read {}: {e}", rel.display()))?;
+        let rel = rel
+            .to_str()
+            .ok_or_else(|| format!("non-UTF-8 path {}", rel.display()))?
+            .replace('\\', "/");
+        sources.push((rel, text));
+    }
+    Ok(callgraph::build(sources))
 }

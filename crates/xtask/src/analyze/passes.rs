@@ -79,8 +79,15 @@ struct Witness {
     detail: String,
 }
 
-fn lock_order(g: &Graph, findings: &mut Vec<Finding>) {
-    // First witness per class edge, in deterministic walk order.
+/// Every class-level `held → acquired` edge of the graph, as
+/// [`lock_order`] collects them.
+pub fn lock_edges(g: &Graph) -> BTreeSet<(String, String)> {
+    witnessed_edges(g).into_keys().collect()
+}
+
+/// Every class-level `held → acquired` edge with its first witness, in
+/// deterministic walk order.
+fn witnessed_edges(g: &Graph) -> BTreeMap<(String, String), Witness> {
     let mut edges: BTreeMap<(String, String), Witness> = BTreeMap::new();
     for f in &g.fns {
         for a in &f.acqs {
@@ -119,7 +126,11 @@ fn lock_order(g: &Graph, findings: &mut Vec<Finding>) {
             }
         }
     }
+    edges
+}
 
+fn lock_order(g: &Graph, findings: &mut Vec<Finding>) {
+    let edges = witnessed_edges(g);
     // Adjacency + cycle search: for each node, BFS for a shortest path
     // back to itself; report each cycle once (keyed on its node set).
     let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();

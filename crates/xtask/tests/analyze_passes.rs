@@ -1,13 +1,15 @@
 //! End-to-end tests for the interprocedural analyzer: each fixture tree
 //! under `tests/fixtures/analyze/` seeds exactly one discipline
 //! violation, and the analyzer must report exactly that finding at the
-//! expected span. The final test runs the analyzer over the real
-//! workspace, which must be clean (the same check CI runs via `cargo run
-//! -p xtask -- analyze`).
+//! expected span; `atomiccall` seeds none and must stay clean. The last
+//! tests run the analyzer over the real workspace, which must be clean
+//! (the same check CI runs via `cargo run -p xtask -- analyze`) and take
+//! no lock under the in-flight registry.
 
 use std::path::PathBuf;
 
-use xtask::analyze::analyze_tree;
+use xtask::analyze::passes::lock_edges;
+use xtask::analyze::{analyze_tree, graph_of};
 use xtask::Finding;
 
 fn fixture_root(name: &str) -> PathBuf {
@@ -18,6 +20,14 @@ fn fixture_root(name: &str) -> PathBuf {
 
 fn analyze_fixture(name: &str) -> Vec<Finding> {
     analyze_tree(&fixture_root(name)).expect("fixture analyzes")
+}
+
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(|p| p.parent())
+        .map(PathBuf::from)
+        .expect("workspace root")
 }
 
 #[test]
@@ -74,6 +84,17 @@ fn atomicord_flags_non_literal_ordering() {
 }
 
 #[test]
+fn atomiccall_an_atomic_store_is_no_call_to_a_store_fn() {
+    let g = graph_of(&fixture_root("atomiccall")).expect("fixture analyzes");
+    let edges = lock_edges(&g);
+    let edge = |from: &str, to: &str| edges.contains(&(from.to_string(), to.to_string()));
+    assert!(edge("fix.beta", "fix.alpha"), "the real edge: {edges:?}");
+    assert!(!edge("fix.alpha", "fix.beta"), "spurious edge: {edges:?}");
+    let findings = analyze_fixture("atomiccall");
+    assert!(findings.is_empty(), "no cycle: {findings:?}");
+}
+
+#[test]
 fn suppreason_suppresses_but_demands_a_reason() {
     let findings = analyze_fixture("suppreason");
     assert_eq!(
@@ -97,12 +118,7 @@ fn suppreason_suppresses_but_demands_a_reason() {
 
 #[test]
 fn real_workspace_analyzes_clean() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .map(PathBuf::from)
-        .expect("workspace root");
-    let findings = analyze_tree(&root).expect("workspace analyzes");
+    let findings = analyze_tree(&workspace_root()).expect("workspace analyzes");
     assert!(
         findings.is_empty(),
         "analyzer findings in the real tree — fix them, or accept one with a \
@@ -112,6 +128,20 @@ fn real_workspace_analyzes_clean() {
             .map(|f| f.to_string())
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+/// The in-flight registry is the innermost lock of the canonical order:
+/// nothing is acquired under it.
+#[test]
+fn no_lock_is_taken_under_the_inflight_registry() {
+    let g = graph_of(&workspace_root()).expect("workspace analyzes");
+    let under: Vec<_> = (lock_edges(&g).into_iter())
+        .filter(|(held, _)| held == "laqy.inflight.registry")
+        .collect();
+    assert!(
+        under.is_empty(),
+        "edges out of laqy.inflight.registry: {under:?}"
     );
 }
 
