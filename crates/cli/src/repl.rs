@@ -304,30 +304,15 @@ impl Repl {
         let mut families: Vec<(String, Vec<String>)> = Vec::new();
         for (id, stored) in store.iter() {
             let fp = stored.descriptor.fingerprint();
-            let coverage = stored
-                .descriptor
-                .predicates
-                .columns()
-                .map(|c| {
-                    let set = stored.descriptor.predicates.get(c).expect("listed column");
-                    let parts = set
-                        .intervals()
-                        .iter()
-                        .map(|iv| format!("[{}, {}]", iv.lo, iv.hi))
-                        .collect::<Vec<_>>()
-                        .join(" ∪ ");
-                    format!("{c} ∈ {parts}")
-                })
+            let predicates = &stored.descriptor.predicates;
+            let parts = (predicates.set.intervals().iter())
+                .map(|iv| format!("[{}, {}]", iv.lo, iv.hi))
                 .collect::<Vec<_>>()
-                .join(", ");
+                .join(" ∪ ");
             let line = format!(
-                "  sample {:?}: {} ({} strata, {} bytes)",
+                "  sample {:?}: {} ∈ {parts} ({} strata, {} bytes)",
                 id,
-                if coverage.is_empty() {
-                    "unconstrained".to_string()
-                } else {
-                    coverage
-                },
+                predicates.column,
                 stored.sample.num_strata(),
                 stored.bytes(),
             );

@@ -226,8 +226,9 @@ pub enum DegradeReason {
     DeadlineExceeded,
     /// The scanned-row cap was reached mid-scan.
     RowBudgetExhausted,
-    /// The budget expired before one or more residual coverage fragments
-    /// could be scanned at all; their regions contribute nothing.
+    /// The budget expired before one or more parts of a coverage plan
+    /// (its residual or a tail) could be scanned at all; their rows
+    /// contribute nothing.
     FragmentSkipped,
 }
 

@@ -205,30 +205,27 @@ enum Tighten {
     /// One column, one interval — a narrower query reusing a sample: two
     /// compares per tuple.
     Range { slot: usize, lo: i64, hi: i64 },
-    /// Any conjunction of per-column interval sets.
-    Sets(Vec<(usize, IntervalSet)>),
+    /// Any other interval set on the range column.
+    Set { slot: usize, set: IntervalSet },
 }
 
 impl Tighten {
     fn compile(schema: &SampleSchema, preds: &Predicates) -> Result<Self, EstimateError> {
-        let mut checks = Vec::new();
-        for (col, set) in preds.iter() {
-            let (slot, kind) = resolve_slot(schema, col)?;
-            if kind != SlotKind::Int {
-                return Err(EstimateError::NonIntegerPredicate(col.to_string()));
-            }
-            checks.push((slot, set.clone()));
+        let (slot, kind) = resolve_slot(schema, &preds.column)?;
+        if kind != SlotKind::Int {
+            return Err(EstimateError::NonIntegerPredicate(preds.column.clone()));
         }
-        if let [(slot, set)] = checks.as_slice() {
-            if let [iv] = set.intervals() {
-                return Ok(Tighten::Range {
-                    slot: *slot,
-                    lo: iv.lo,
-                    hi: iv.hi,
-                });
-            }
-        }
-        Ok(Tighten::Sets(checks))
+        Ok(match preds.set.intervals() {
+            &[iv] => Tighten::Range {
+                slot,
+                lo: iv.lo,
+                hi: iv.hi,
+            },
+            _ => Tighten::Set {
+                slot,
+                set: preds.set.clone(),
+            },
+        })
     }
 }
 
@@ -372,11 +369,9 @@ fn hit_bits<const W: usize>(
             let hit = |row: &[i64; W]| row[slot].wrapping_sub(lo) as u64 <= span;
             bits.extend(chunks.map(|chunk| pack(chunk, hit)));
         }
-        Some(Tighten::Sets(checks)) => bits.extend(chunks.map(|chunk| {
-            pack(chunk, |row| {
-                checks.iter().all(|(slot, set)| set.contains(row[*slot]))
-            })
-        })),
+        Some(Tighten::Set { slot, set }) => {
+            bits.extend(chunks.map(|chunk| pack(chunk, |row| set.contains(row[*slot]))))
+        }
     }
     bits.iter().map(|word| word.count_ones() as usize).sum()
 }

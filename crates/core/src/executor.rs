@@ -6,8 +6,8 @@
 //! 3. Full reuse → estimate straight from the stored sample (tightening to
 //!    the query predicate); otherwise push each Δ predicate down the plan,
 //!    build only the Δ samples, merge (**Algorithms 2–3**), estimate. With
-//!    no stored sample to reuse the one Δ is the query box — full online
-//!    sampling — and the store absorbs it for future queries.
+//!    no stored sample to reuse the one Δ is the query's range — full
+//!    online sampling — and the store absorbs it for future queries.
 //!
 //! [`crate::service`] sequences these steps as named stages against the
 //! shared store; this module holds what each stage runs. Two sampler
@@ -321,18 +321,17 @@ impl LaqyExecutor {
     }
 
     /// Δ-scan every part of a coverage plan against `catalog`: its
-    /// fragments, then its tails. A tail scan pushes its sample's own
-    /// predicates down with the row floor at the sample's watermark. A
-    /// plan that reuses stored samples and whose write step consolidates
-    /// ([`consolidates`]) leaves each Δ's payload to the merge, which reads
-    /// it for the rows it keeps; every other Δ comes to rest on its own
-    /// and is read here.
+    /// residual, then its tails ([`CoveragePlan::parts`]). A tail scan
+    /// pushes its sample's own set down with the row floor at the sample's
+    /// watermark. A plan that reuses stored samples and whose write step
+    /// consolidates ([`consolidates`]) leaves each Δ's payload to the
+    /// merge, which reads it for the rows it keeps; every other Δ comes to
+    /// rest on its own and is read here.
     pub(crate) fn scan_coverage(
         &mut self,
         scope: Scope<'_>,
         plan: &CoveragePlan,
     ) -> Result<CoverageScans> {
-        let query = scope.query;
         // A plan with no stored sample (m = 0, online sampling) has no
         // answer without its one Δ: it runs even past the budget, degrading
         // per morsel. Nothing merges into it, so it is read here, before
@@ -345,24 +344,12 @@ impl LaqyExecutor {
             scans: Vec::new(),
         };
         let mut runs = Vec::new();
-        for part in 0..plan.fragments.len() + plan.tails.len() {
+        for (part, (ranges, row_floor)) in plan.parts().enumerate() {
             if reuses && self.budget.expired() {
                 out.skipped += 1;
                 continue;
             }
-            let (preds, row_floor) = match plan.fragments.get(part) {
-                Some(fragment) => (fragment, 0),
-                None => {
-                    let tail = &plan.tails[part - plan.fragments.len()];
-                    (&tail.predicates, tail.from_row as usize)
-                }
-            };
-            let ranges = preds
-                .get(&query.range_column)
-                .cloned()
-                .unwrap_or_else(|| IntervalSet::of(query.range));
-            let extra = fragment_extra_predicate(preds, &query.range_column);
-            let run = self.sample_pipeline(scope, &ranges, &extra, row_floor)?;
+            let run = self.sample_pipeline(scope, ranges, &Predicate::True, row_floor as usize)?;
             out.coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
             runs.push((part, run));
         }
@@ -705,10 +692,9 @@ pub fn key_columns<'c>(catalog: &'c Catalog, query: &ApproxQuery) -> Result<Vec<
     Ok(cols.collect::<laqy_engine::Result<_>>()?)
 }
 
-/// One Δ-scan (residual fragment or append tail) of a coverage plan.
+/// One Δ-scan (the residual or an append tail) of a coverage plan.
 pub(crate) struct Scan {
-    /// Which part of the plan: an index into `fragments` followed by
-    /// `tails`.
+    /// Which part of the plan: an index into [`CoveragePlan::parts`].
     pub part: usize,
     /// The scan's sample — what the store absorbs — read, or left for the
     /// merge to read.
@@ -854,25 +840,6 @@ pub fn input_identity(plan: &QueryPlan) -> String {
         let _ = write!(id, "⋈{dim}({fk}={pk})[{:?}]", j.predicate);
     }
     id
-}
-
-/// Engine predicate for a coverage fragment's constraints on every column
-/// *except* the range column (which is pushed down separately as the scan
-/// range). `True` for single-column fragments.
-pub(crate) fn fragment_extra_predicate(frag: &Predicates, range_column: &str) -> Predicate {
-    let mut parts: Vec<Predicate> = frag
-        .columns()
-        .filter(|c| *c != range_column)
-        .filter_map(|c| frag.get(c).map(|set| range_predicate(c, set)))
-        .collect();
-    match parts.pop() {
-        None => Predicate::True,
-        Some(single) if parts.is_empty() => single,
-        Some(last) => {
-            parts.push(last);
-            Predicate::And(parts)
-        }
-    }
 }
 
 /// Engine predicate matching an [`IntervalSet`] on one column.
@@ -1376,7 +1343,8 @@ mod tests {
             Interval::new(70_000, 70_999),
         ]);
         assert_sources_agree(&catalog, &query, (&ranges, &Predicate::True, 0));
-        // A fragment with an extra predicate on another column.
+        // A Δ with an extra predicate on another column (the per-stratum
+        // fallback's).
         let extra = Predicate::between("g", 3, 30);
         assert_sources_agree(&catalog, &query, (&ranges, &extra, 0));
         // Above the join, with a dimension payload column.

@@ -6,39 +6,35 @@
 //! plan. The original algorithm dispatches on a single stored sample;
 //! because reservoir merging (§5.1) is associative, the same dispatch
 //! extends to a *set* of pairwise-disjoint stored samples plus the
-//! residual region of the query box:
+//! residual of the query's interval set on its range column:
 //!
 //! ```text
-//! {S'_1..S'_m}, Δ ← plan_lazy(store, S)          (greedy set cover; the
-//!                                                 Δ residual is a union of
-//!                                                 per-column interval boxes)
+//! {S'_1..S'_m}, Δ ← plan_lazy(store, S)          (greedy set cover; Δ is
+//!                                                 the query's set minus the
+//!                                                 selected samples' sets)
 //! if m = 1 and Δ = ∅:      S_lazy ← S'_1                  (full reuse: offline)
-//! else:                    S_Δi   ← DeltaSample(Δ_i)  ∀ fragments Δ_i
-//!                          S_lazy ← SampleMerge_k(S'_1..S'_m, S_Δ1..S_Δn)
+//! else:                    S_Δ    ← DeltaSample(Δ)
+//!                          S_lazy ← SampleMerge_k(S'_1..S'_m, S_Δ)
 //!                                    (m ≥ 1: coverage reuse, lazy;
-//!                                     m = 0: Δ = S's box, online)
+//!                                     m = 0: Δ = S's set, online)
 //! ```
 //!
 //! Every arm is one [`CoveragePlan`]: a full hit selects one fresh sample
 //! and leaves nothing to scan ([`CoveragePlan::hit`]); online sampling
-//! selects none, and its one fragment is the query box
+//! selects none, and its residual is the query's set
 //! (`CoveragePlan::online`). `m` is capped at [`MAX_COVERAGE_SAMPLES`];
 //! `m = 1` is the paper's single-sample Algorithm 1.
 //! [`ReuseMode::FullMatchOnly`] is the strict-matching ablation: it runs
 //! the online plan for anything but a hit.
 
-use crate::descriptor::{Predicates, SampleDescriptor};
+use crate::descriptor::SampleDescriptor;
+use crate::interval::IntervalSet;
 use crate::store::{SampleId, SampleStore};
 
 /// Default cap on how many stored samples one coverage plan may merge.
 /// Beyond a handful the per-sample clone + merge cost outweighs the
 /// residual-measure reduction.
 pub const MAX_COVERAGE_SAMPLES: usize = 4;
-
-/// Fragment-count guard: greedy selection stops before a candidate whose
-/// subtraction would shatter the residual into more boxes than separate
-/// Δ-scans are worth.
-const MAX_COVERAGE_FRAGMENTS: usize = 16;
 
 /// How aggressively stored samples are reused — the axis the paper's
 /// contribution moves along (Figure 2's design space).
@@ -57,19 +53,18 @@ pub enum ReuseMode {
 /// The lazy sampler plan — the coverage-planning generalization of
 /// Algorithm 1's one stored sample and one Δ interval: a *set* of stored
 /// samples (pairwise disjoint in population, §5.1's merge precondition)
-/// plus the residual uncovered region of the query box as a union of
-/// pairwise-disjoint per-column interval boxes. Each fragment is Δ-scanned
-/// once; the lazy sample is the k-way reservoir merge of the selected
-/// samples and the fragment samples. With no sample selected (m = 0) the
-/// one fragment is the query box and the plan is online sampling.
+/// plus the residual of the query's set on its range column. The residual
+/// is Δ-scanned once; the lazy sample is the k-way reservoir merge of the
+/// selected samples and the residual's sample. With no sample selected
+/// (m = 0) the residual is the query's set and the plan is online
+/// sampling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoveragePlan {
     /// Selected stored samples, pairwise disjoint in population.
     pub samples: Vec<SampleId>,
-    /// Residual uncovered region: pairwise-disjoint predicate boxes, each
-    /// disjoint from every selected sample's population. Every box
-    /// constrains exactly the query's constrained columns.
-    pub fragments: Vec<Predicates>,
+    /// The query's set on its range column minus every selected sample's
+    /// set: what is left to Δ-scan. Empty means nothing is.
+    pub residual: IntervalSet,
     /// Un-absorbed append tails of the selected samples: for each selected
     /// sample drawn at a watermark below the table's, the rows
     /// `[from_row, table watermark)` within its population are not yet
@@ -90,19 +85,19 @@ pub struct TailFragment {
     pub id: SampleId,
     /// First base row the sample does not represent (its watermark).
     pub from_row: u64,
-    /// The sample's full population predicates: scanning the tail over
-    /// them (not just the query box) lets the tail sample be absorbed
-    /// back into the stored sample, advancing its watermark.
-    pub predicates: Predicates,
+    /// The sample's whole set on the range column: scanning the tail over
+    /// it (not just the query's) lets the tail sample be absorbed back
+    /// into the stored sample, advancing its watermark.
+    pub set: IntervalSet,
 }
 
 impl CoveragePlan {
     /// The plan that reuses no stored sample (m = 0): online sampling, one
-    /// Δ over the whole query box at `watermark`.
+    /// Δ over the query's whole set at `watermark`.
     pub(crate) fn online(query: &SampleDescriptor, watermark: u64) -> Self {
         CoveragePlan {
             samples: Vec::new(),
-            fragments: vec![query.predicates.clone()],
+            residual: query.predicates.set.clone(),
             tails: Vec::new(),
             watermark,
         }
@@ -112,50 +107,48 @@ impl CoveragePlan {
     /// sample when nothing is left to scan.
     pub fn hit(&self) -> Option<SampleId> {
         match self.samples[..] {
-            [id] if self.fragments.is_empty() && self.tails.is_empty() => Some(id),
+            [id] if self.residual.is_empty() && self.tails.is_empty() => Some(id),
             _ => None,
         }
     }
 
-    /// Total residual measure (sum of fragment box measures).
-    pub fn residual_measure(&self) -> u128 {
-        self.fragments.iter().map(|f| f.box_measure()).sum()
+    /// The plan's Δ-scan parts in order — the residual unless it is empty,
+    /// then every tail — each as its set on the range column and the first
+    /// row it scans.
+    pub fn parts(&self) -> impl Iterator<Item = (&IntervalSet, u64)> {
+        let residual = (!self.residual.is_empty()).then_some((&self.residual, 0));
+        let tails = self.tails.iter().map(|t| (&t.set, t.from_row));
+        residual.into_iter().chain(tails)
     }
 
-    /// Fraction of the query's predicate region that must actually be
-    /// scanned and sampled, relative to the full query box — 0.0 for a
-    /// hit, 1.0 for online (Figure 9's "effective selectivity").
-    ///
-    /// Computed from the total measure of *all* Δ fragment boxes over the
-    /// query's box measure, so it is correct for multi-column predicates
-    /// (the old formula divided along the single varying column only).
+    /// Fraction of the query's set that must actually be scanned and
+    /// sampled — 0.0 for a hit, 1.0 for online (Figure 9's "effective
+    /// selectivity").
     pub fn uncovered_fraction(&self, query: &SampleDescriptor) -> f64 {
-        let query_m = query.predicates.box_measure();
+        let query_m = query.predicates.set.measure();
         if query_m == 0 {
             return 0.0;
         }
-        self.residual_measure() as f64 / query_m as f64
+        self.residual.measure() as f64 / query_m as f64
     }
 }
 
 /// Plan the lazy sampler for a query against a table at row watermark
 /// `watermark` (generalized Algorithm 1).
 ///
-/// Greedy weighted set cover over the query box: repeatedly select the
+/// Greedy weighted set cover over the query's set: repeatedly select the
 /// candidate sample removing the largest residual measure, keeping the
 /// selected set pairwise disjoint in population (§5.1's merge
 /// precondition), until [`MAX_COVERAGE_SAMPLES`] are chosen or no
-/// candidate still covers any residual. Returns the selection plus
-/// the residual as pairwise-disjoint boxes, each disjoint from every
-/// selected sample's population — so one Δ-scan per fragment followed
-/// by a k-way merge never double-samples a row. Selecting nothing leaves
-/// the online plan.
+/// candidate still covers any residual. The residual left is disjoint
+/// from every selected sample's population — so one Δ-scan of it
+/// followed by a k-way merge never double-samples a row. Selecting
+/// nothing leaves the online plan.
 ///
-/// Candidates must match the query's characteristics; merge candidates
-/// additionally need QVS equality (a superset-QVS sample has a
-/// different tuple layout, so it can serve full reuse but cannot be
-/// merged with fragment samples) and must not constrain columns the
-/// query leaves free (their residual would be unbounded).
+/// Candidates must match the query's characteristics (range column
+/// included); merge candidates additionally need QVS equality (a
+/// superset-QVS sample has a different tuple layout, so it can serve full
+/// reuse but cannot be merged with the residual's sample).
 ///
 /// Samples drawn below `watermark` are stale: they never serve bare full
 /// reuse, and each one selected contributes a [`TailFragment`] — the
@@ -164,8 +157,9 @@ impl CoveragePlan {
 /// covers every base row up to the watermark. Passing `0` is the
 /// static-table case (no sample can be stale).
 pub fn plan_lazy(store: &SampleStore, query: &SampleDescriptor, watermark: u64) -> CoveragePlan {
-    if query.predicates.is_unsatisfiable() {
-        return CoveragePlan::online(query, watermark);
+    let mut plan = CoveragePlan::online(query, watermark);
+    if plan.residual.is_empty() {
+        return plan;
     }
     // Full subsumption short-circuits: no merge happens, so a
     // superset-QVS sample qualifies — but only when the sample is
@@ -177,56 +171,35 @@ pub fn plan_lazy(store: &SampleStore, query: &SampleDescriptor, watermark: u64) 
             && stored.watermark >= watermark
     });
     if let Some((id, _)) = hit {
-        return CoveragePlan {
-            samples: vec![id],
-            fragments: Vec::new(),
-            tails: Vec::new(),
-            watermark,
-        };
+        plan.samples.push(id);
+        plan.residual = IntervalSet::empty();
+        return plan;
     }
-    let mut plan = CoveragePlan::online(query, watermark);
-    // (id, raw population predicates, coverage box within the query,
-    // drawn-at watermark).
-    let mut candidates: Vec<(SampleId, &Predicates, Predicates, u64)> = Vec::new();
+    // (id, population set, coverage within the query, drawn-at watermark).
+    let mut candidates: Vec<(SampleId, &IntervalSet, IntervalSet, u64)> = Vec::new();
     for (id, stored) in store.iter() {
         let d = &stored.descriptor;
         if !d.matches_characteristics(query) || d.qvs != query.qvs {
             continue;
         }
-        if !d
-            .predicates
-            .columns()
-            .all(|c| query.predicates.get(c).is_some())
-        {
-            continue;
+        let cov = query.predicates.set.intersect(&d.predicates.set);
+        if !cov.is_empty() {
+            candidates.push((id, &d.predicates.set, cov, stored.watermark));
         }
-        let Some(cov) = query.predicates.intersect(&d.predicates) else {
-            continue;
-        };
-        candidates.push((id, &d.predicates, cov, stored.watermark));
     }
-    let mut selected: Vec<(SampleId, &Predicates, u64)> = Vec::new();
-    while selected.len() < MAX_COVERAGE_SAMPLES && !plan.fragments.is_empty() {
-        let mut best: Option<(usize, u128)> = None;
+    let mut selected: Vec<(SampleId, &IntervalSet, u64)> = Vec::new();
+    while selected.len() < MAX_COVERAGE_SAMPLES && !plan.residual.is_empty() {
+        let mut best: Option<(usize, u64)> = None;
         for (i, (id, raw, cov, _)) in candidates.iter().enumerate() {
-            if selected.iter().any(|(sid, _, _)| sid == id) {
-                continue;
-            }
             // Populations of merged samples must be pairwise disjoint.
             if selected
                 .iter()
-                .any(|(_, sel_raw, _)| raw.intersect(sel_raw).is_some())
+                .any(|(sid, sel_raw, _)| sid == id || raw.overlaps(sel_raw))
             {
                 continue;
             }
-            let gain: u128 = (plan.fragments.iter())
-                .filter_map(|f| f.intersect(cov))
-                .map(|x| x.box_measure())
-                .sum();
-            if gain == 0 {
-                continue;
-            }
-            if best.map(|(_, g)| gain > g).unwrap_or(true) {
+            let gain = plan.residual.intersect(cov).measure();
+            if gain > 0 && best.is_none_or(|(_, g)| gain > g) {
                 best = Some((i, gain));
             }
         }
@@ -234,21 +207,15 @@ pub fn plan_lazy(store: &SampleStore, query: &SampleDescriptor, watermark: u64) 
             break;
         };
         let (id, raw, cov, w) = &candidates[i];
-        let next: Vec<Predicates> = (plan.fragments.iter())
-            .flat_map(|f| f.subtract(cov))
-            .collect();
-        if next.len() > MAX_COVERAGE_FRAGMENTS {
-            break;
-        }
         selected.push((*id, raw, *w));
-        plan.fragments = next;
+        plan.residual = plan.residual.difference(cov);
     }
     plan.tails = (selected.iter())
         .filter(|(_, _, w)| *w < watermark)
         .map(|(id, raw, w)| TailFragment {
             id: *id,
             from_row: *w,
-            predicates: (*raw).clone(),
+            set: (*raw).clone(),
         })
         .collect();
     plan.samples = selected.into_iter().map(|(id, _, _)| id).collect();
@@ -258,7 +225,8 @@ pub fn plan_lazy(store: &SampleStore, query: &SampleDescriptor, watermark: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::{Interval, IntervalSet};
+    use crate::descriptor::Predicates;
+    use crate::interval::Interval;
     use crate::sampler_ops::{Sample, SampleSchema, SlotKind};
     use laqy_engine::GroupKey;
     use laqy_sampling::Lehmer64;
@@ -298,7 +266,7 @@ mod tests {
         let store = SampleStore::new();
         let plan = plan_lazy(&store, &desc(0, 9), 0);
         assert_eq!(plan, CoveragePlan::online(&desc(0, 9), 0));
-        assert_eq!(plan.fragments, vec![desc(0, 9).predicates]);
+        assert_eq!(plan.residual, desc(0, 9).predicates.set);
         assert_eq!(plan.hit(), None);
     }
 
@@ -319,7 +287,7 @@ mod tests {
         let plan = plan_lazy(&store, &desc(10, 20), 500);
         assert_eq!(plan.hit(), None);
         assert_eq!(plan.samples.len(), 1);
-        assert!(plan.fragments.is_empty());
+        assert!(plan.residual.is_empty());
         assert_eq!(plan.tails.len(), 1);
         assert_eq!(plan.tails[0].from_row, 0);
     }
@@ -330,12 +298,8 @@ mod tests {
         let q = desc(50, 149);
         let plan = plan_lazy(&store, &q, 0);
         assert_eq!(plan.samples.len(), 1);
-        assert_eq!(plan.fragments.len(), 1);
         assert!(plan.tails.is_empty());
-        assert_eq!(
-            plan.fragments[0].get("x").unwrap(),
-            &IntervalSet::of(Interval::new(100, 149))
-        );
+        assert_eq!(plan.residual, IntervalSet::of(Interval::new(100, 149)));
         // Uncovered fraction: 50 of 100 points.
         assert!((plan.uncovered_fraction(&q) - 0.5).abs() < 1e-12);
     }
@@ -358,7 +322,7 @@ mod tests {
 
         let plan = plan_lazy(&store, &q, 0);
         assert_eq!(plan.samples.len(), 2);
-        assert_eq!(plan.fragments.len(), 1);
+        assert_eq!(plan.residual, IntervalSet::of(Interval::new(400, 599)));
         assert!(plan.uncovered_fraction(&q) <= 0.2 + 1e-12);
     }
 
@@ -375,27 +339,5 @@ mod tests {
             plan_lazy(&store, &online, 0).uncovered_fraction(&online),
             1.0
         );
-    }
-
-    #[test]
-    fn uncovered_fraction_uses_all_delta_dimensions() {
-        // Multi-column residual: query box 100×10 = 1000 points, fragments
-        // covering 460 of them ⇒ 0.46 — the old single-varying-column
-        // formula cannot express this.
-        let mut q = desc(0, 99);
-        q.predicates = Predicates::on("x", IntervalSet::of(Interval::new(0, 99)))
-            .with("y", IntervalSet::of(Interval::new(0, 9)));
-        let plan = CoveragePlan {
-            samples: vec![],
-            fragments: vec![
-                Predicates::on("x", IntervalSet::of(Interval::new(0, 39)))
-                    .with("y", IntervalSet::of(Interval::new(0, 9))),
-                Predicates::on("x", IntervalSet::of(Interval::new(40, 99)))
-                    .with("y", IntervalSet::of(Interval::new(0, 0))),
-            ],
-            tails: vec![],
-            watermark: 0,
-        };
-        assert!((plan.uncovered_fraction(&q) - 0.46).abs() < 1e-12);
     }
 }

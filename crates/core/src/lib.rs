@@ -18,9 +18,9 @@
 //!   that brings a plan's Δ samples to rest; [`StoreWriteGuard`] enforces
 //!   the service's byte budget (LRU eviction) after each write step;
 //! - [`lazy`] — Algorithm 1, the lazy sampling planner, generalized to
-//!   multi-sample, multi-fragment coverage reuse (greedy set cover over
-//!   stored samples): one [`CoveragePlan`] type, online sampling being
-//!   the plan that reuses no stored sample;
+//!   multi-sample coverage reuse (greedy set cover of the query's interval
+//!   set on its range column): one [`CoveragePlan`] type, online sampling
+//!   being the plan that reuses no stored sample;
 //! - [`sampler_ops`] — the stored sample (rows as wide as their schema,
 //!   strata kept in key order beside first-offer order) and the admission
 //!   path (every scan worker continues Algorithm R into one dense sample);

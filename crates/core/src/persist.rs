@@ -346,16 +346,15 @@ fn write_descriptor(buf: &mut Vec<u8>, d: &SampleDescriptor) {
         names.iter().for_each(|c| put_str(buf, c));
     }
     buf.put_u64_le(d.k as u64);
-    let cols: Vec<&str> = d.predicates.columns().collect();
-    buf.put_u32_le(cols.len() as u32);
-    for col in cols {
-        put_str(buf, col);
-        let set = d.predicates.get(col).expect("listed column");
-        buf.put_u32_le(set.intervals().len() as u32);
-        for iv in set.intervals() {
-            buf.put_i64_le(iv.lo);
-            buf.put_i64_le(iv.hi);
-        }
+    // One predicate column: the count is kept so the layout stays the one
+    // every snapshot has been written in.
+    buf.put_u32_le(1);
+    put_str(buf, &d.predicates.column);
+    let intervals = d.predicates.set.intervals();
+    buf.put_u32_le(intervals.len() as u32);
+    for iv in intervals {
+        buf.put_i64_le(iv.lo);
+        buf.put_i64_le(iv.hi);
     }
 }
 
@@ -405,23 +404,25 @@ fn read_descriptor(r: &mut Reader<'_>) -> Result<SampleDescriptor, PersistError>
     };
     let (qcs, qvs) = (strs()?, strs()?);
     let k = r.u64()? as usize;
-    let pred_cols = r.len(4)?;
-    let mut predicates = Predicates::none();
-    for _ in 0..pred_cols {
-        let col = r.str()?;
-        let ivs = r.len(16)?;
-        let mut intervals = Vec::with_capacity(ivs);
-        for _ in 0..ivs {
-            let (lo, hi) = (r.i64()?, r.i64()?);
-            if lo > hi {
-                return Err(PersistError::Corrupt(format!(
-                    "interval bounds out of order: [{lo}, {hi}]"
-                )));
-            }
-            intervals.push(Interval::new(lo, hi));
-        }
-        predicates = predicates.with(col, IntervalSet::from_intervals(intervals));
+    let pred_cols = r.u32()?;
+    if pred_cols != 1 {
+        return Err(PersistError::Corrupt(format!(
+            "{pred_cols} predicate columns, not 1"
+        )));
     }
+    let column = r.str()?;
+    let ivs = r.len(16)?;
+    let mut intervals = Vec::with_capacity(ivs);
+    for _ in 0..ivs {
+        let (lo, hi) = (r.i64()?, r.i64()?);
+        if lo > hi {
+            return Err(PersistError::Corrupt(format!(
+                "interval bounds out of order: [{lo}, {hi}]"
+            )));
+        }
+        intervals.push(Interval::new(lo, hi));
+    }
+    let predicates = Predicates::on(column, IntervalSet::from_intervals(intervals));
     Ok(SampleDescriptor::new(input, qcs, qvs, predicates, k))
 }
 
@@ -596,17 +597,13 @@ mod tests {
                 let plan = plan_lazy(store, &q, 0);
                 let selected = plan.samples.iter().map(|id| store.peek(*id).unwrap());
                 let selected: Vec<_> = selected.map(|s| s.descriptor.clone()).collect();
-                (plan.hit().is_some(), selected, plan.fragments)
+                (plan.hit().is_some(), selected, plan.residual)
             };
             let expected = shape(&store);
             assert_eq!(expected.0, lo == 10, "only [10, 50] is a hit");
             assert_eq!(expected.1.len(), selects);
             if selects == 0 {
-                assert_eq!(
-                    expected.2,
-                    vec![q.predicates.clone()],
-                    "online: Δ = the query"
-                );
+                assert_eq!(expected.2, q.predicates.set, "online: Δ = the query");
             }
             assert_eq!(expected, shape(&restored));
         }
@@ -615,7 +612,7 @@ mod tests {
         for side in [&mut store, &mut restored] {
             let plan = plan_lazy(side, &q, 0);
             assert_eq!(plan.samples.len(), 1, "expected coverage reuse");
-            assert_eq!(plan.fragments.len(), 1, "expected coverage reuse");
+            assert!(!plan.residual.is_empty(), "expected coverage reuse");
             let mut rng = Lehmer64::new(9);
             let mut delta = Sample::new(&schema(), 4);
             for x in 100..=150 {
@@ -886,6 +883,48 @@ mod tests {
             let mut b = bytes.clone();
             b[pos] ^= 0xFF;
             let _ = load_store(&b); // must not panic
+        }
+    }
+
+    #[test]
+    fn a_descriptor_over_other_than_one_predicate_column_is_rejected() {
+        // Snapshot bytes come from outside the program: a predicate-column
+        // count other than the 1 every writer puts is corrupt, not a panic.
+        let mut store = SampleStore::new();
+        let mut sample = Sample::new(&schema(), 4);
+        sample.offer(GroupKey::new(&[0]), &[5, 0], &mut Lehmer64::new(3));
+        store.insert_raw(descriptor(0, 9), schema(), sample, 0);
+        let valid = save_store(&store);
+        let header = MAGIC.len() + 4 + 4;
+        let mut one = Vec::new();
+        write_descriptor(&mut one, &descriptor(0, 9));
+        assert_eq!(&valid[header..header + one.len()], &one[..]);
+        // The predicate section: a count, column "x", one interval.
+        let pred_at = one.len() - (4 + (4 + 1) + 4 + 16);
+        let rest = &valid[header + one.len()..];
+        let forge = |count: u32, columns: &[u8]| {
+            let mut bytes = valid[..header + pred_at].to_vec();
+            bytes.put_u32_le(count);
+            bytes.extend_from_slice(columns);
+            bytes.extend_from_slice(rest);
+            bytes
+        };
+        let x = &one[pred_at + 4..];
+        assert_eq!(forge(1, x), valid);
+        assert_eq!(load_store(&forge(1, x)).unwrap().len(), 1);
+        let mut two = x.to_vec();
+        put_str(&mut two, "y");
+        two.put_u32_le(1);
+        two.put_i64_le(0);
+        two.put_i64_le(9);
+        for (count, columns) in [(0, &[][..]), (2, &two[..]), (2, x), (u32::MAX, x)] {
+            assert!(
+                matches!(
+                    load_store(&forge(count, columns)),
+                    Err(PersistError::Corrupt(_))
+                ),
+                "{count} predicate columns"
+            );
         }
     }
 }

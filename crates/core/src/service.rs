@@ -20,9 +20,9 @@
 //! - **Write path** (absorb / Δ-merge / eviction) takes the write lock
 //!   only around the in-memory merge — never around the sampling scan,
 //!   which is the expensive part and runs lock-free.
-//! - **In-flight dedup registry**: a plan claims one registry key per
-//!   residual fragment and per append tail — an online run's one fragment
-//!   is the query box, so it claims one key for the whole query — all at
+//! - **In-flight dedup registry**: a plan claims one registry key for its
+//!   residual and one per append tail — an online run's residual is the
+//!   query's range, so it claims one key for the whole query — all at
 //!   once or none. An attempt that claimed its plan scans every part of
 //!   it and releases the keys once the store holds the work. An attempt
 //!   that found any key taken claims nothing, waits until its busy keys
@@ -970,7 +970,7 @@ impl LaqyService {
         stats.degraded = blended_degradation(
             stats.degraded.take(),
             scans.coverage,
-            plan.fragments.len() + plan.tails.len(),
+            plan.parts().count(),
             scans.skipped,
             effective,
         );
@@ -1087,13 +1087,15 @@ impl LaqyService {
     }
 }
 
-/// The in-flight registry keys of a plan's parts: one per residual
-/// fragment and one per append tail, by the sample fingerprint.
+/// The in-flight registry keys of a plan's parts: one for the residual,
+/// by the sample fingerprint and range column, and one per append tail.
 fn part_keys(descriptor: &SampleDescriptor, plan: &CoveragePlan) -> Vec<String> {
     let fingerprint = descriptor.fingerprint();
-    let fragments = (plan.fragments.iter()).map(|f| format!("F|{fingerprint}|{f:?}"));
+    let column = &descriptor.predicates.column;
+    let residual = (!plan.residual.is_empty())
+        .then(|| format!("F|{fingerprint}|{column}|{:?}", plan.residual));
     let tails = (plan.tails.iter()).map(|t| format!("T|{fingerprint}|{:?}|{}", t.id, t.from_row));
-    fragments.chain(tails).collect()
+    residual.into_iter().chain(tails).collect()
 }
 
 /// Every in-flight key of one attempt's plan, claimed at once. Dropping

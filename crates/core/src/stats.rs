@@ -119,7 +119,8 @@ exec_stats! {
     /// Stored samples this query's coverage plan merged (0 when the query
     /// ran online or hit a single subsuming sample).
     fragments_reused: u64,
-    /// Residual coverage fragments Δ-scanned for this query.
+    /// Coverage-plan parts (the residual and append tails) Δ-scanned for
+    /// this query.
     fragments_scanned: u64,
 }
 
@@ -207,10 +208,11 @@ service_counters! {
     morsels_indexed,
     /// Stored samples merged by coverage plans across all queries.
     fragments_reused,
-    /// Residual coverage fragments Δ-scanned across all queries.
+    /// Coverage-plan parts (the residual and append tails) Δ-scanned
+    /// across all queries.
     fragments_scanned,
-    /// Fragment Δ-scans avoided because a concurrent client was already
-    /// scanning the identical fragment (per-fragment piggyback).
+    /// Part Δ-scans avoided because a concurrent client was already
+    /// scanning the identical part (per-part piggyback).
     fragments_deduped,
     /// Queries answered from a partial sample after their budget expired
     /// (degraded answers with widened CIs).

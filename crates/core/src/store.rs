@@ -7,10 +7,12 @@
 //! [`SampleDescriptor`]s. [`crate::lazy::plan_lazy`] plans a query against
 //! them (Algorithm 1), and [`SampleStore::absorb_coverage`] is the matching
 //! write step: it decides which planned samples a finished plan replaces
-//! and how each Δ sample comes to rest. An optional byte budget with LRU
-//! eviction, enforced by [`StoreWriteGuard`] after each write step, hooks
-//! this store into Taster-style storage management (paper §8). The
-//! service holds one store behind one lock: every query family shares it.
+//! and how each Δ sample comes to rest. Every sample covers one interval
+//! set on its range column, so a merge's coverage is the union of its
+//! inputs' sets. An optional byte budget with LRU eviction, enforced by
+//! [`StoreWriteGuard`] after each write step, hooks this store into
+//! Taster-style storage management (paper §8). The service holds one
+//! store behind one lock: every query family shares it.
 
 use std::sync::Arc;
 
@@ -22,6 +24,7 @@ use laqy_engine::GroupKey;
 use laqy_sampling::Lehmer64;
 
 use crate::descriptor::{Predicates, SampleDescriptor};
+use crate::interval::IntervalSet;
 use crate::lazy::CoveragePlan;
 use crate::sampler_ops::{Part, Sample, SampleSchema};
 
@@ -41,10 +44,10 @@ pub struct StoredSample {
     /// copy-on-write and replaces are a pointer swap.
     pub sample: Arc<Sample>,
     /// Row watermark this sample was drawn at: it fully represents its
-    /// predicate box over base rows `0..watermark`. Appended rows land
+    /// predicate set over base rows `0..watermark`. Appended rows land
     /// past the watermark; [`SampleStore::absorb_appended`] offers them to
     /// the reservoirs (advancing the watermark), and the coverage planner
-    /// treats any remaining gap as a residual tail fragment.
+    /// treats any remaining gap as a tail.
     pub watermark: u64,
     // Atomic so the concurrent service's read path (classification +
     // full-reuse lookup under a shared `RwLock` read guard) can refresh
@@ -103,21 +106,21 @@ pub struct Merged {
     /// The k-way merge of the planned samples and every Δ.
     pub sample: Arc<Sample>,
     /// When the merge replaced the planned samples: the union of their and
-    /// the Δs' predicates, which every row of `sample` lies inside.
+    /// the residual's sets, which every row of `sample` lies inside.
     pub union: Option<Predicates>,
     /// Δ payload rows the write step read.
     pub payload_rows: usize,
 }
 
 /// Whether the write step of `plan` can replace its samples by their merge
-/// with the Δs, given each scan's `clean` flag: every fragment was scanned
-/// to completion and nothing was stale. Only then may a Δ's payload wait
-/// for the merge to pick the rows it keeps.
+/// with the Δ, given each scan's `clean` flag: the residual was scanned to
+/// completion and nothing was stale. Only then may a Δ's payload wait for
+/// the merge to pick the rows it keeps.
 pub(crate) fn consolidates(
     plan: &CoveragePlan,
     mut clean: impl ExactSizeIterator<Item = bool>,
 ) -> bool {
-    plan.tails.is_empty() && clean.len() == plan.fragments.len() && clean.all(|clean| clean)
+    plan.tails.is_empty() && clean.len() == plan.parts().count() && clean.all(|clean| clean)
 }
 
 /// Outcome of one [`SampleStore::absorb_appended`] pass.
@@ -290,11 +293,11 @@ impl SampleStore {
     }
 
     /// Insert a freshly built sample, combining it with a stored
-    /// same-characteristics sample when their coverages are disjoint along
-    /// a single column (valid union coverage — §5's non-overlap
-    /// requirement). `watermark` is the row watermark the new sample was
-    /// scanned at; a merge takes the conservative minimum of both sides'
-    /// watermarks. Returns the id holding the data afterwards.
+    /// same-characteristics sample when their sets are disjoint (valid
+    /// union coverage — §5's non-overlap requirement). `watermark` is the
+    /// row watermark the new sample was scanned at; a merge takes the
+    /// conservative minimum of both sides' watermarks. Returns the id
+    /// holding the data afterwards.
     pub fn absorb(
         &mut self,
         descriptor: SampleDescriptor,
@@ -308,23 +311,20 @@ impl SampleStore {
         let same_shape = |a: &SampleDescriptor, b: &SampleDescriptor| {
             a.matches_characteristics(b) && b.matches_characteristics(a)
         };
-        // Try to merge with an existing disjoint sample of the same
-        // shape; find the position and the varying column in one pass.
-        let target = self.samples.iter().enumerate().find_map(|(pos, (_, s))| {
-            if same_shape(&s.descriptor, &descriptor) {
-                disjoint_single_column(&s.descriptor.predicates, &descriptor.predicates)
-                    .map(|varying| (pos, varying))
-            } else {
-                None
-            }
+        // Try to merge with an existing disjoint sample of the same shape.
+        let target = self.samples.iter().position(|(_, s)| {
+            same_shape(&s.descriptor, &descriptor)
+                && !s
+                    .descriptor
+                    .predicates
+                    .set
+                    .overlaps(&descriptor.predicates.set)
         });
-        if let Some((pos, varying)) = target {
+        if let Some(pos) = target {
             let (id, stored) = &mut self.samples[pos];
             stored.merge_in(&sample, rng);
-            stored.descriptor.predicates = stored
-                .descriptor
-                .predicates
-                .union_on(&varying, &descriptor.predicates);
+            let set = &mut stored.descriptor.predicates.set;
+            *set = set.union(&descriptor.predicates.set);
             stored.watermark = stored.watermark.min(watermark);
             stored.last_used.store(clock, Ordering::Relaxed);
             stored.settle();
@@ -387,26 +387,25 @@ impl SampleStore {
     /// lazy sample `query` is answered from.
     ///
     /// `scans` holds one `(part, sample, clean)` per Δ-scan that ran, in
-    /// scan order; `part` indexes `plan.fragments` followed by `plan.tails`,
-    /// and `clean` is false for a scan the budget cut short. The policy:
+    /// scan order; `part` indexes [`CoveragePlan::parts`] (the residual,
+    /// then the tails), and `clean` is false for a scan the budget cut
+    /// short. The policy:
     ///
     /// - When every part of a tail-free plan was scanned cleanly
-    ///   (`consolidates`) and the merged region is itself a predicate
-    ///   box, the planned samples leave the store, the Δs are merged into
-    ///   the largest of them *in place* — a Δ whose payload was not read
-    ///   yet ([`Part::Unread`]) is read for the rows the merge keeps alone
-    ///   — and the result replaces them under the union descriptor
-    ///   (shared with the caller, not copied), which [`Merged::union`]
-    ///   reports.
+    ///   (`consolidates`), the planned samples leave the store, the Δs are
+    ///   merged into the largest of them *in place* — a Δ whose payload was
+    ///   not read yet ([`Part::Unread`]) is read for the rows the merge
+    ///   keeps alone — and the result replaces them under the union
+    ///   descriptor (shared with the caller, not copied), which
+    ///   [`Merged::union`] reports.
     /// - Otherwise the merge is made on a copy and each clean scan is
     ///   absorbed on its own — tails back into their source samples (the
     ///   `from_row` guard of [`SampleStore::absorb_tail`] rejects a
     ///   replayed or overlapping tail instead of double-counting it), then
-    ///   fragments under their own predicate boxes: a multi-column union
-    ///   is not expressible as one descriptor, a union replacement would
-    ///   drop per-sample watermark bookkeeping mid catch-up, and a sample
-    ///   of a cut-short scan would overclaim coverage, so unclean scans
-    ///   take part in the returned merge only, moved into it rather than
+    ///   the residual under its own set: a union replacement would drop
+    ///   per-sample watermark bookkeeping mid catch-up, and a sample of a
+    ///   cut-short scan would overclaim coverage, so unclean scans take
+    ///   part in the returned merge only, moved into it rather than
     ///   copied. Every Δ is read in full here.
     ///
     /// With `merge` unset (the caller's plan went stale) only the second
@@ -424,23 +423,19 @@ impl SampleStore {
         let scans: Vec<(usize, Part<'_>, bool)> = (scans.into_iter())
             .map(|(part, sample, clean)| (part, sample.into(), clean))
             .collect();
-        let n_fragments = plan.fragments.len();
+        let n_residual = usize::from(!plan.residual.is_empty());
         let stored: Option<Vec<&StoredSample>> = merge
             .then(|| plan.samples.iter().map(|id| self.get(*id)).collect())
             .flatten();
         let union = match &stored {
             Some(stored) if consolidates(plan, scans.iter().map(|(_, _, clean)| *clean)) => {
-                let parts: Vec<&Predicates> = stored
-                    .iter()
-                    .map(|s| &s.descriptor.predicates)
-                    .chain(&plan.fragments)
-                    .collect();
-                union_single_column(&parts)
+                let sets = stored.iter().map(|s| &s.descriptor.predicates.set);
+                Some(sets.fold(plan.residual.clone(), |union, set| union.union(set)))
             }
             _ => None,
         };
-        let at = |predicates: Predicates| SampleDescriptor {
-            predicates,
+        let at = |set: IntervalSet| SampleDescriptor {
+            predicates: Predicates::on(query.predicates.column.clone(), set),
             ..query.clone()
         };
         if let Some(union) = union {
@@ -455,16 +450,12 @@ impl SampleStore {
             merged.settle();
             let merged = Arc::new(merged);
             let shared = Arc::clone(&merged);
-            self.absorb(
-                at(union.clone()),
-                schema.clone(),
-                shared,
-                plan.watermark,
-                rng,
-            );
+            let union = at(union);
+            let predicates = union.predicates.clone();
+            self.absorb(union, schema.clone(), shared, plan.watermark, rng);
             return Some(Merged {
                 sample: merged,
-                union: Some(union),
+                union: Some(predicates),
                 payload_rows,
             });
         }
@@ -495,14 +486,14 @@ impl SampleStore {
                 payload_rows,
             }
         });
-        let (fragments, tails): (Vec<_>, Vec<_>) =
-            kept.into_iter().partition(|(part, _)| *part < n_fragments);
+        let (residual, tails): (Vec<_>, Vec<_>) =
+            kept.into_iter().partition(|(part, _)| *part < n_residual);
         for (part, sample) in tails {
-            let tail = &plan.tails[part - n_fragments];
+            let tail = &plan.tails[part - n_residual];
             self.absorb_tail(tail.id, &sample, tail.from_row, plan.watermark, rng);
         }
-        for (part, sample) in fragments {
-            let descriptor = at(plan.fragments[part].clone());
+        for (_, sample) in residual {
+            let descriptor = at(plan.residual.clone());
             self.absorb(descriptor, schema.clone(), sample, plan.watermark, rng);
         }
         merged
@@ -518,7 +509,7 @@ impl SampleStore {
     /// the appended table are invalidated instead (their join output for
     /// already-sampled rows may have changed); samples over the table with
     /// extra fixed predicates keep their stale watermark and are caught up
-    /// lazily via coverage-plan tail fragments.
+    /// lazily via coverage-plan tails.
     pub fn absorb_appended(
         &mut self,
         table: &laqy_engine::Table,
@@ -541,17 +532,11 @@ impl SampleStore {
             }
             // Resolve every column the absorb loop touches to its typed
             // view up front; a miss (schema drift) leaves the sample stale
-            // rather than corrupting it — the planner's tail fragments
+            // rather than corrupting it — the planner's tails
             // still apply.
             let resolve = |c: &str| table.column(c).map(ResolvedCol::from_column);
-            let Ok(pred_cols) = stored
-                .descriptor
-                .predicates
-                .columns()
-                .filter_map(|c| Some((c, stored.descriptor.predicates.get(c)?)))
-                .map(|(c, set)| Ok((resolve(c)?, set)))
-                .collect::<laqy_engine::Result<Vec<_>>>()
-            else {
+            let predicates = &stored.descriptor.predicates;
+            let Ok(range_col) = resolve(&predicates.column) else {
                 continue;
             };
             let Ok(key_cols) = stored
@@ -577,10 +562,7 @@ impl SampleStore {
             let mut vals = Vec::with_capacity(val_cols.len());
             let sample = Arc::make_mut(&mut stored.sample);
             for row in stored.watermark as usize..new_w as usize {
-                if !pred_cols
-                    .iter()
-                    .all(|(col, set)| set.contains(col.i64(row)))
-                {
+                if !predicates.set.contains(range_col.i64(row)) {
                     continue;
                 }
                 key.clear();
@@ -680,72 +662,10 @@ impl Drop for StoreWriteGuard<'_> {
     }
 }
 
-/// If all predicate boxes constrain the same columns and differ along at
-/// most one of them, return the union predicates (that column's sets
-/// unioned, everything else shared). This is when a coverage plan's
-/// merged region is itself expressible as a predicate box, so the merged
-/// sample can be absorbed back into the store (a multi-column union of
-/// boxes is generally not a box and must stay ephemeral).
-fn union_single_column(preds: &[&Predicates]) -> Option<Predicates> {
-    let first = *preds.first()?;
-    let cols: Vec<&str> = first.columns().collect();
-    for p in &preds[1..] {
-        if p.columns().collect::<Vec<&str>>() != cols {
-            return None;
-        }
-    }
-    let mut varying: Option<&str> = None;
-    for &c in &cols {
-        if preds.iter().any(|p| p.get(c) != first.get(c)) {
-            match varying {
-                None => varying = Some(c),
-                Some(_) => return None,
-            }
-        }
-    }
-    let Some(c) = varying else {
-        return Some(first.clone());
-    };
-    let merged = preds
-        .iter()
-        .filter_map(|p| p.get(c))
-        .fold(crate::interval::IntervalSet::empty(), |acc, s| acc.union(s));
-    Some(first.clone().with(c, merged))
-}
-
-/// If `a` and `b` are identical except for one column whose coverage sets
-/// are disjoint, return that column.
-fn disjoint_single_column(a: &Predicates, b: &Predicates) -> Option<String> {
-    let cols_a: Vec<&str> = a.columns().collect();
-    let cols_b: Vec<&str> = b.columns().collect();
-    if cols_a != cols_b {
-        return None;
-    }
-    let mut varying: Option<&str> = None;
-    for col in cols_a {
-        let (Some(sa), Some(sb)) = (a.get(col), b.get(col)) else {
-            // `col` came from `a.columns()` ∩ `b.columns()`; a miss here
-            // means the predicate sets disagree after all.
-            return None;
-        };
-        if sa == sb {
-            continue;
-        }
-        if sa.overlaps(sb) {
-            return None;
-        }
-        match varying {
-            None => varying = Some(col),
-            Some(_) => return None,
-        }
-    }
-    varying.map(|v| v.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::{Interval, IntervalSet};
+    use crate::interval::Interval;
     use crate::lazy::plan_lazy;
     use crate::sampler_ops::SlotKind;
     use laqy_sampling::Lehmer64;
@@ -819,7 +739,7 @@ mod tests {
         let query = desc(0, 199);
         let plan = plan_lazy(&store, &query, 0);
         assert_eq!(plan.samples, vec![id]);
-        assert_eq!(plan.fragments, vec![desc(100, 199).predicates]);
+        assert_eq!(plan.residual, iv(100, 199));
         let scans = vec![(0, toy_sample(2, 30, 100), true)];
         let merged = store
             .absorb_coverage(&query, &schema(), &plan, scans, true, &mut rng)
@@ -834,7 +754,7 @@ mod tests {
         assert_eq!(merged.union.as_ref(), Some(&query.predicates));
         assert!(Arc::ptr_eq(&s.sample, &merged.sample));
         let full = plan_lazy(&store, &desc(0, 150), 0);
-        assert!(full.fragments.is_empty() && full.tails.is_empty());
+        assert!(full.residual.is_empty() && full.tails.is_empty());
     }
 
     #[test]
@@ -842,41 +762,37 @@ mod tests {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(6);
         let id = store.absorb(desc(0, 99), schema(), toy_sample(2, 30, 0), 0, &mut rng);
-        let query = desc(0, 299);
-        let mut plan = plan_lazy(&store, &query, 0);
-        // Two fragments, as if the residual had been split.
-        plan.fragments = vec![desc(100, 199).predicates, desc(200, 299).predicates];
-        let scans = |second_clean| {
-            vec![
-                (0, toy_sample(2, 30, 100), true),
-                (1, toy_sample(2, 30, 200), second_clean),
-            ]
-        };
+        let query = desc(0, 199);
+        let plan = plan_lazy(&store, &query, 0);
+        assert_eq!(plan.residual, iv(100, 199));
+        let scans = |clean| vec![(0, toy_sample(2, 30, 100), clean)];
         // A cut-short scan takes part in the answer's merge but is not
-        // stored, and the plan is not consolidated: the clean fragment is
-        // absorbed on its own (here: unioned into the stored sample).
+        // stored, and the plan is not consolidated.
         let merged = store
             .absorb_coverage(&query, &schema(), &plan, scans(false), true, &mut rng)
             .unwrap();
-        assert_eq!(merged.sample.total_weight(), 180);
-        assert_eq!(merged.union, None, "its rows span no stored box");
+        assert_eq!(merged.sample.total_weight(), 120);
+        assert_eq!(merged.union, None, "its rows span no stored set");
         let kept = store.peek(id).expect("no consolidation on a degraded plan");
-        assert_eq!(kept.sample.total_weight(), 120);
-        assert_eq!(kept.descriptor.predicates, desc(0, 199).predicates);
-        // Without `merge` the clean scans are kept and nothing is returned.
+        assert_eq!(kept.sample.total_weight(), 60);
+        assert_eq!(kept.descriptor.predicates, desc(0, 99).predicates);
+        // Without `merge` the clean scan comes to rest on its own (here:
+        // unioned into the stored sample) and nothing is returned.
         let mut other = SampleStore::new();
         let oid = other.absorb(desc(0, 99), schema(), toy_sample(2, 30, 0), 0, &mut rng);
         assert!(other
             .absorb_coverage(&query, &schema(), &plan, scans(true), false, &mut rng)
             .is_none());
-        assert_eq!(other.peek(oid).unwrap().sample.total_weight(), 180);
+        let kept = other.peek(oid).unwrap();
+        assert_eq!(kept.sample.total_weight(), 120);
+        assert_eq!(kept.descriptor.predicates, query.predicates);
         // A vanished planned sample: same, whatever `merge` says.
         let mut gone = SampleStore::new();
         assert!(gone
             .absorb_coverage(&query, &schema(), &plan, scans(true), true, &mut rng)
             .is_none());
         let kept: u64 = gone.iter_samples().map(|s| s.sample.total_weight()).sum();
-        assert_eq!(kept, 120);
+        assert_eq!(kept, 60);
     }
 
     #[test]
@@ -983,35 +899,30 @@ mod tests {
         let a = store.insert_raw(desc(0, 399), schema(), toy_sample(2, 10, 0), 0);
         let b = store.insert_raw(desc(600, 999), schema(), toy_sample(2, 10, 600), 0);
         let query = desc(0, 999);
-        let query_measure = query.predicates.box_measure();
 
         let plan = plan_lazy(&store, &query, 0);
         assert_eq!(plan.samples.len(), 2);
         assert!(plan.samples.contains(&a) && plan.samples.contains(&b));
-        let frac = plan.residual_measure() as f64 / query_measure as f64;
+        let frac = plan.uncovered_fraction(&query);
         assert!(frac <= 0.2 + 1e-9, "multi-sample residual {frac} > 0.2");
         // Residual is exactly the middle gap.
-        assert_eq!(plan.residual_measure(), 200);
-        for f in &plan.fragments {
-            assert_eq!(f.get("lo_intkey").unwrap(), &iv(400, 599));
-        }
+        assert_eq!(plan.residual, iv(400, 599));
     }
 
     #[test]
-    fn coverage_plan_full_subsumption_has_no_fragments() {
+    fn coverage_plan_full_subsumption_leaves_no_residual() {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(11);
         let id = store.absorb(desc(0, 999), schema(), toy_sample(2, 10, 0), 0, &mut rng);
         let plan = plan_lazy(&store, &desc(100, 200), 0);
         assert_eq!(plan.samples, vec![id]);
-        assert!(plan.fragments.is_empty());
-        assert_eq!(plan.residual_measure(), 0);
+        assert!(plan.residual.is_empty());
     }
 
     #[test]
     fn coverage_plan_keeps_selected_populations_disjoint() {
         // Two overlapping stored samples: only one may be selected, and
-        // every fragment must avoid both selected populations.
+        // the residual must avoid the selected population.
         let mut store = SampleStore::new();
         store.insert_raw(desc(0, 599), schema(), toy_sample(2, 10, 0), 0);
         store.insert_raw(desc(400, 899), schema(), toy_sample(2, 10, 400), 0);
@@ -1023,9 +934,7 @@ mod tests {
         );
         let sel = plan.samples[0];
         let sel_preds = store.peek(sel).unwrap().descriptor.predicates.clone();
-        for f in &plan.fragments {
-            assert!(f.intersect(&sel_preds).is_none());
-        }
+        assert!(!plan.residual.overlaps(&sel_preds.set));
         // The larger-coverage candidate wins the greedy round.
         assert_eq!(
             sel_preds.get("lo_intkey").unwrap(),
@@ -1044,24 +953,36 @@ mod tests {
         store.insert_raw(wide.clone(), schema(), toy_sample(2, 10, 0), 0);
         let plan = plan_lazy(&store, &desc(0, 999), 0);
         assert!(plan.samples.is_empty(), "superset QVS cannot merge");
-        assert_eq!(plan.fragments, vec![desc(0, 999).predicates]);
+        assert_eq!(plan.residual, iv(0, 999));
         // Full subsumption still allowed.
         let full = plan_lazy(&store, &desc(100, 200), 0);
         assert_eq!(full.samples.len(), 1);
-        assert!(full.fragments.is_empty());
+        assert!(full.residual.is_empty());
     }
 
     #[test]
-    fn coverage_plan_ignores_samples_constraining_free_columns() {
+    fn a_sample_over_another_range_column_is_never_planned() {
         let mut store = SampleStore::new();
-        let mut d = desc(0, 399);
-        d.predicates = Predicates::on("lo_intkey", iv(0, 399)).with("lo_extra", iv(0, 10));
-        store.insert_raw(d, schema(), toy_sample(2, 10, 0), 0);
-        // Query leaves lo_extra free: the sample covers only a slice of
-        // that dimension, so it cannot contribute box coverage.
+        let mut rng = Lehmer64::new(12);
+        let mut d = desc(0, 999);
+        d.predicates = Predicates::on("lo_orderkey", iv(0, 999));
+        let other = store.absorb(d, schema(), toy_sample(2, 10, 0), 0, &mut rng);
+        // The same set on another column covers none of the query's rows:
+        // neither a hit nor a merge candidate.
         let plan = plan_lazy(&store, &desc(0, 999), 0);
         assert!(plan.samples.is_empty());
-        assert_eq!(plan.fragments, vec![desc(0, 999).predicates]);
+        assert_eq!(plan.residual, iv(0, 999));
+        assert!(plan_lazy(&store, &desc(100, 200), 0).samples.is_empty());
+        // Nor does a sample over the query's column merge into it.
+        let own = store.absorb(
+            desc(2000, 2999),
+            schema(),
+            toy_sample(2, 10, 0),
+            0,
+            &mut rng,
+        );
+        assert_ne!(own, other);
+        assert_eq!(store.len(), 2);
     }
 
     #[test]
@@ -1241,19 +1162,16 @@ mod tests {
         // Fresh at its own watermark: plain full reuse, no tail.
         let fresh = plan_lazy(&store, &desc_live(0, 99), 30);
         assert_eq!(fresh.samples, vec![id]);
-        assert!(fresh.tails.is_empty() && fresh.fragments.is_empty());
+        assert!(fresh.tails.is_empty() && fresh.residual.is_empty());
         // The table has grown: the sample is still selected, the region is
         // fully covered, but its un-absorbed tail must be Δ-scanned.
         let stale = plan_lazy(&store, &desc_live(0, 99), 50);
         assert_eq!(stale.samples, vec![id]);
-        assert!(stale.fragments.is_empty());
+        assert!(stale.residual.is_empty());
         assert_eq!(stale.tails.len(), 1);
         assert_eq!(stale.tails[0].id, id);
         assert_eq!(stale.tails[0].from_row, 30);
-        assert_eq!(
-            stale.tails[0].predicates.get("lo_intkey").unwrap(),
-            &iv(0, 99)
-        );
+        assert_eq!(stale.tails[0].set, iv(0, 99));
         // absorb_tail advances the watermark, after which the same plan is
         // tail-free full reuse again.
         let mut rng = Lehmer64::new(24);

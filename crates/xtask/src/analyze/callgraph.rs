@@ -28,7 +28,10 @@
 //! `helper(…)`) resolves only within the caller's **own crate** —
 //! linking common method names like `.get(…)` or `.append(…)` to every
 //! same-named function workspace-wide would saturate the summaries with
-//! false may-block/may-acquire facts. Two fixpoints then summarize each
+//! false may-block/may-acquire facts — and a bare `helper(…)` only to
+//! free functions. Every call links to a non-`pub` function only from
+//! where Rust lets it be seen: its own file and the files under its
+//! module's directory. Two fixpoints then summarize each
 //! function: the set of lock classes it may acquire (directly or
 //! transitively) and whether it may reach a blocking filesystem barrier
 //! (`sync_all` / `sync_data` / `fs::rename`).
@@ -55,6 +58,9 @@ pub struct CallSite {
     pub name: String,
     /// Qualifier hint: `Type::name(…)` / `self.name(…)` / module path.
     pub hint: Option<String>,
+    /// Written as a bare `name(…)`: only a free function can be the
+    /// callee.
+    pub bare: bool,
     /// Code-token index of the callee name.
     pub ci: usize,
     /// Class labels held when the call runs.
@@ -247,6 +253,8 @@ pub fn build(sources: Vec<(String, String)>) -> Graph {
                 impl_type: f.item.impl_type.clone(),
                 module_last: f.item.module.last().cloned(),
                 file_stem: file_stem(rel).to_string(),
+                rel: rel.clone(),
+                is_pub: f.item.is_pub,
                 classes: classes.clone(),
             });
     }
@@ -265,6 +273,10 @@ struct GuardCand {
     impl_type: Option<String>,
     module_last: Option<String>,
     file_stem: String,
+    /// Where the candidate is defined and whether it is `pub`, for
+    /// [`visible`].
+    rel: String,
+    is_pub: bool,
     classes: BTreeSet<String>,
 }
 
@@ -305,6 +317,19 @@ fn crate_key(rel: &str) -> &str {
     }
 }
 
+/// Can a call written in file `from` see a function defined in file
+/// `def`? A `pub` one, yes; a private one from its own file and from the
+/// files under its module's directory (`src/a.rs` → `src/a/`, `src/lib.rs`
+/// → `src/`).
+fn visible(is_pub: bool, def: &str, from: &str) -> bool {
+    let (dir, file) = def.rsplit_once('/').unwrap_or(("", def));
+    let module_dir = match file {
+        "lib.rs" | "main.rs" | "mod.rs" => format!("{dir}/"),
+        _ => format!("{dir}/{}/", file.trim_end_matches(".rs")),
+    };
+    is_pub || from == def || from.starts_with(&module_dir)
+}
+
 /// Does candidate node `t` match a qualifier hint `h`? True when the
 /// hint names the candidate's impl type, innermost module, or file.
 fn hint_matches(g: &Graph, t: usize, h: &str) -> bool {
@@ -317,27 +342,29 @@ fn hint_matches(g: &Graph, t: usize, h: &str) -> bool {
 /// Resolve every call site. Hinted calls link to the candidates the
 /// hint selects (possibly none — a hint that matches nothing means the
 /// callee is outside the workspace, e.g. `HashMap::new`). Hint-less
-/// calls link to same-crate candidates only.
+/// calls link to same-crate candidates only, a bare call to free
+/// functions only. Either way a candidate the caller's file cannot see
+/// ([`visible`]) is no target.
 fn resolve_calls(g: &mut Graph, by_name: &BTreeMap<String, Vec<usize>>) {
     for i in 0..g.fns.len() {
-        let caller_crate = crate_key(&g.files[g.fns[i].file].rel).to_string();
+        let caller = g.files[g.fns[i].file].rel.as_str();
+        let caller_crate = crate_key(caller);
         let calls = std::mem::take(&mut g.fns[i].calls);
         let resolved: Vec<CallSite> = calls
             .into_iter()
             .map(|mut c| {
                 let all: &[usize] = by_name.get(&c.name).map(|v| &v[..]).unwrap_or(&[]);
-                c.targets = match &c.hint {
-                    Some(h) => all
-                        .iter()
-                        .copied()
-                        .filter(|&t| hint_matches(g, t, h))
-                        .collect(),
-                    None => all
-                        .iter()
-                        .copied()
-                        .filter(|&t| crate_key(&g.files[g.fns[t].file].rel) == caller_crate)
-                        .collect(),
+                let reaches = |t: usize| {
+                    let (item, def) = (&g.fns[t].item, g.files[g.fns[t].file].rel.as_str());
+                    let hinted = match &c.hint {
+                        Some(h) => hint_matches(g, t, h),
+                        None => {
+                            crate_key(def) == caller_crate && !(c.bare && item.impl_type.is_some())
+                        }
+                    };
+                    hinted && visible(item.is_pub, def, caller)
                 };
+                c.targets = all.iter().copied().filter(|&t| reaches(t)).collect();
                 c
             })
             .collect();
@@ -520,6 +547,8 @@ struct Walker<'a> {
     impl_type: Option<String>,
     /// Crate key of the file being walked, for hint-less resolution.
     crate_key: String,
+    /// Path of the file being walked, for [`visible`].
+    rel: &'a str,
     acqs: Vec<Acq>,
     calls: Vec<CallSite>,
     blocks: Vec<BlockSite>,
@@ -538,6 +567,7 @@ fn walk_all(g: &mut Graph, guard_returns: &GuardIndex) {
             guard_returns,
             impl_type: g.fns[i].item.impl_type.clone(),
             crate_key: crate_key(&pf.rel).to_string(),
+            rel: &pf.rel,
             acqs: Vec::new(),
             calls: Vec::new(),
             blocks: Vec::new(),
@@ -761,10 +791,12 @@ impl Walker<'_> {
                 && !self.on_atomic(i)
             {
                 let hint = self.call_hint(i);
+                let bare = i == 0 || !matches!(self.text(i - 1), "." | "::");
                 let name = t.to_string();
                 self.calls.push(CallSite {
                     name: name.clone(),
                     hint: hint.clone(),
+                    bare,
                     ci: i,
                     held: Self::snapshot(held, &temps),
                     targets: Vec::new(),
@@ -774,7 +806,7 @@ impl Walker<'_> {
                 // Resolved with the same hint/crate rules as call
                 // resolution so an unrelated same-named fn in another
                 // crate does not conjure a guard.
-                let classes = self.guard_classes_for(name.as_str(), hint.as_deref());
+                let classes = self.guard_classes_for(name.as_str(), hint.as_deref(), bare);
                 if !classes.is_empty() {
                     let close = self.match_close(i + 1, hi);
                     let bound = is_let && self.tail_of_let(close, hi);
@@ -834,7 +866,7 @@ impl Walker<'_> {
 
     /// Guard classes returned by a call to `name` under `hint`, using
     /// the same resolution rules as [`resolve_calls`].
-    fn guard_classes_for(&self, name: &str, hint: Option<&str>) -> Vec<String> {
+    fn guard_classes_for(&self, name: &str, hint: Option<&str>, bare: bool) -> Vec<String> {
         let Some(cands) = self.guard_returns.get(name) else {
             return Vec::new();
         };
@@ -846,9 +878,9 @@ impl Walker<'_> {
                         || c.module_last.as_deref() == Some(h)
                         || c.file_stem == h
                 }
-                None => c.crate_key == self.crate_key,
+                None => c.crate_key == self.crate_key && !(bare && c.impl_type.is_some()),
             };
-            if matches {
+            if matches && visible(c.is_pub, &c.rel, self.rel) {
                 out.extend(c.classes.iter().cloned());
             }
         }

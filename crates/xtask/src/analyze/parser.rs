@@ -5,7 +5,8 @@
 //! interprocedural passes need:
 //!
 //! * every `fn` item, with its module path, enclosing `impl` type, body
-//!   token range, and whether its return type carries a lock guard;
+//!   token range, visibility, and whether its return type carries a lock
+//!   guard;
 //! * `#[cfg(test)]` / `#[test]` gating, marked per token so test-only
 //!   code is exempt from the production-path rules;
 //! * struct fields of atomic type (for the atomic-ordering pass);
@@ -27,6 +28,10 @@ pub struct FnItem {
     pub impl_type: Option<String>,
     /// Module path within the file (inline `mod` nesting only).
     pub module: Vec<String>,
+    /// Declared `pub` in any form, or an item of a trait or trait impl
+    /// (visible wherever the trait is). Anything else is private to its
+    /// module.
+    pub is_pub: bool,
     /// Body as a half-open range of *code* token indices, excluding the
     /// outer braces. `None` for bodiless declarations.
     pub body: Option<(usize, usize)>,
@@ -120,6 +125,7 @@ pub fn parse_file(rel: &str, src: String) -> ParsedFile {
     let mut ctx = Ctx {
         module: Vec::new(),
         impl_type: None,
+        trait_items: false,
         in_test: false,
     };
     let end = pf.code.len();
@@ -130,6 +136,8 @@ pub fn parse_file(rel: &str, src: String) -> ParsedFile {
 struct Ctx {
     module: Vec<String>,
     impl_type: Option<String>,
+    /// Inside a `trait` or an `impl Trait for Type` block.
+    trait_items: bool,
     in_test: bool,
 }
 
@@ -235,7 +243,9 @@ fn parse_items(pf: &mut ParsedFile, lo: usize, hi: usize, ctx: &mut Ctx) {
             break;
         }
         // Skip visibility and misc qualifiers.
+        let mut is_pub = ctx.trait_items;
         while i < hi && matches!(pf.text(i), "pub" | "async" | "unsafe" | "default") {
+            is_pub |= pf.text(i) == "pub";
             if pf.text(i) == "pub" && i + 1 < hi && pf.text(i + 1) == "(" {
                 let close = match_delim(pf, i + 1, hi);
                 i = close + 1;
@@ -248,7 +258,7 @@ fn parse_items(pf: &mut ParsedFile, lo: usize, hi: usize, ctx: &mut Ctx) {
         }
         let kw = pf.text(i).to_string();
         match kw.as_str() {
-            "fn" => i = parse_fn(pf, i, hi, ctx, item_test),
+            "fn" => i = parse_fn(pf, i, hi, ctx, item_test, is_pub),
             "mod" => {
                 // `mod name { … }` or `mod name;`
                 let name = if i + 1 < hi {
@@ -288,6 +298,7 @@ fn parse_items(pf: &mut ParsedFile, lo: usize, hi: usize, ctx: &mut Ctx) {
                 // Collect header tokens until `{` or `;`, tracking `for`.
                 let mut seg_start = j;
                 let mut body_open = None;
+                let mut trait_items = kw == "trait";
                 while j < hi {
                     match pf.text(j) {
                         "{" => {
@@ -295,7 +306,10 @@ fn parse_items(pf: &mut ParsedFile, lo: usize, hi: usize, ctx: &mut Ctx) {
                             break;
                         }
                         ";" => break,
-                        "for" => seg_start = j + 1,
+                        "for" => {
+                            seg_start = j + 1;
+                            trait_items = true;
+                        }
                         "where" => break,
                         "<" => j = skip_generics(pf, j, hi).saturating_sub(1),
                         _ => {}
@@ -323,9 +337,12 @@ fn parse_items(pf: &mut ParsedFile, lo: usize, hi: usize, ctx: &mut Ctx) {
                     }
                     let saved_ty = ctx.impl_type.take();
                     let saved_test = ctx.in_test;
+                    let saved_trait = ctx.trait_items;
                     ctx.impl_type = ty;
                     ctx.in_test = item_test;
+                    ctx.trait_items = trait_items;
                     parse_items(pf, open + 1, close, ctx);
+                    ctx.trait_items = saved_trait;
                     ctx.in_test = saved_test;
                     ctx.impl_type = saved_ty;
                     i = close + 1;
@@ -552,7 +569,14 @@ pub fn unquote(lit: &str) -> String {
 
 /// Parse a `fn` item starting at the `fn` keyword (code index `i`).
 /// Returns the index just past the item.
-fn parse_fn(pf: &mut ParsedFile, i: usize, hi: usize, ctx: &Ctx, item_test: bool) -> usize {
+fn parse_fn(
+    pf: &mut ParsedFile,
+    i: usize,
+    hi: usize,
+    ctx: &Ctx,
+    item_test: bool,
+    is_pub: bool,
+) -> usize {
     let name_ci = i + 1;
     if name_ci >= hi {
         return hi;
@@ -598,6 +622,7 @@ fn parse_fn(pf: &mut ParsedFile, i: usize, hi: usize, ctx: &Ctx, item_test: bool
                 name,
                 impl_type: ctx.impl_type.clone(),
                 module: ctx.module.clone(),
+                is_pub,
                 body: Some((open + 1, close)),
                 ret_guard,
                 is_test: item_test,
@@ -610,6 +635,7 @@ fn parse_fn(pf: &mut ParsedFile, i: usize, hi: usize, ctx: &Ctx, item_test: bool
                 name,
                 impl_type: ctx.impl_type.clone(),
                 module: ctx.module.clone(),
+                is_pub,
                 body: None,
                 ret_guard,
                 is_test: item_test,
@@ -651,6 +677,33 @@ mod tests {
     fn impl_trait_for_type_uses_the_type() {
         let pf = parse("impl std::ops::Drop for Wal<'_> { fn drop(&mut self) {} }");
         assert_eq!(pf.fns[0].impl_type.as_deref(), Some("Wal"));
+    }
+
+    #[test]
+    fn visibility_is_pub_or_a_trait_item() {
+        let pf = parse(
+            "fn a() {}\n\
+             pub(crate) fn b() {}\n\
+             impl S { fn c(&self) {} pub fn d(&self) {} }\n\
+             impl Hasher for S { fn finish(&self) -> u64 { 0 } }\n\
+             trait T { fn e(&self); }\n\
+             mod inner { fn f() {} }",
+        );
+        let vis: Vec<(&str, bool)> = (pf.fns.iter())
+            .map(|f| (f.name.as_str(), f.is_pub))
+            .collect();
+        assert_eq!(
+            vis,
+            vec![
+                ("a", false),
+                ("b", true),
+                ("c", false),
+                ("d", true),
+                ("finish", true),
+                ("e", true),
+                ("f", false),
+            ]
+        );
     }
 
     #[test]

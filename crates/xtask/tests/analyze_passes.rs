@@ -1,13 +1,15 @@
 //! End-to-end tests for the interprocedural analyzer: each fixture tree
 //! under `tests/fixtures/analyze/` seeds exactly one discipline
 //! violation, and the analyzer must report exactly that finding at the
-//! expected span; `atomiccall` seeds none and must stay clean. The last
+//! expected span; `atomiccall` and `visibility` seed none and must stay
+//! clean, with exactly the lock edges Rust's name resolution allows. The last
 //! tests run the analyzer over the real workspace, which must be clean
 //! (the same check CI runs via `cargo run -p xtask -- analyze`) and take
 //! no lock under the in-flight registry.
 
 use std::path::PathBuf;
 
+use xtask::analyze::callgraph::Graph;
 use xtask::analyze::passes::lock_edges;
 use xtask::analyze::{analyze_tree, graph_of};
 use xtask::Finding;
@@ -94,6 +96,34 @@ fn atomiccall_an_atomic_store_is_no_call_to_a_store_fn() {
     assert!(findings.is_empty(), "no cycle: {findings:?}");
 }
 
+/// The lock classes function `name` in a file ending in `file` may
+/// acquire.
+fn acquired(g: &Graph, file: &str, name: &str) -> Vec<String> {
+    let node = (g.fns.iter())
+        .find(|f| f.item.name == name && g.files[f.file].rel.ends_with(file))
+        .unwrap_or_else(|| panic!("no fn {name} in {file}"));
+    node.acquires_any.iter().cloned().collect()
+}
+
+#[test]
+fn visibility_a_call_links_only_to_fns_it_can_reach() {
+    let g = graph_of(&fixture_root("visibility")).expect("fixture analyzes");
+    let alpha = vec!["fix.alpha".to_string()];
+    let beta = vec!["fix.beta".to_string()];
+    assert_eq!(acquired(&g, "service.rs", "close"), alpha, "own file");
+    assert_eq!(acquired(&g, "other.rs", "settle"), alpha, "a public method");
+    assert_eq!(acquired(&g, "other.rs", "count"), beta, "a free function");
+    assert!(
+        acquired(&g, "other.rs", "digest").is_empty(),
+        "`hasher.finish()` cannot reach the private `Service::finish`"
+    );
+    assert!(
+        acquired(&g, "other.rs", "approx").is_empty(),
+        "a bare `plan(…)` calls no method"
+    );
+    assert!(analyze_fixture("visibility").is_empty());
+}
+
 #[test]
 fn suppreason_suppresses_but_demands_a_reason() {
     let findings = analyze_fixture("suppreason");
@@ -129,6 +159,22 @@ fn real_workspace_analyzes_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// Calls named like private `LaqyService` methods, from other files or as
+/// bare calls, reach none of them: a formatter's and a hasher's
+/// `.finish()`, and the SQL front end's `plan(catalog, sql)`.
+#[test]
+fn calls_named_like_service_methods_take_no_lock() {
+    let g = graph_of(&workspace_root()).expect("workspace analyzes");
+    for (file, name) in [
+        ("crates/core/src/budget.rs", "fmt"),
+        ("crates/core/src/star.rs", "of"),
+        ("crates/core/src/sql.rs", "approx_query"),
+    ] {
+        let held = acquired(&g, file, name);
+        assert!(held.is_empty(), "{file}: `{name}` acquires {held:?}");
+    }
 }
 
 /// The in-flight registry is the innermost lock of the canonical order:

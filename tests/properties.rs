@@ -225,21 +225,4 @@ proptest! {
         let expected = vals.iter().filter(|&&v| v <= cut).count() as f64;
         prop_assert!((ests.get(0).values[0].value - expected).abs() < 1e-9);
     }
-
-    #[test]
-    fn delta_against_decomposition_is_sound(
-        q_lo in 0i64..500, q_w in 0i64..300,
-        s_lo in 0i64..500, s_w in 0i64..300,
-    ) {
-        // For arbitrary 1-D query/sample ranges, the descriptor-level delta
-        // must satisfy the same laws as the raw interval difference.
-        let q = Predicates::on("x", IntervalSet::of(Interval::new(q_lo, q_lo + q_w)));
-        let s = Predicates::on("x", IntervalSet::of(Interval::new(s_lo, s_lo + s_w)));
-        let (delta, varying) = q.delta_against(&s).expect("1-D deltas always decompose");
-        prop_assert_eq!(&varying, "x");
-        let dset = delta.get("x").cloned().unwrap_or_else(IntervalSet::empty);
-        let qset = q.get("x").unwrap();
-        let sset = s.get("x").unwrap();
-        prop_assert_eq!(&dset, &qset.difference(sset));
-    }
 }

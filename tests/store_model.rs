@@ -8,10 +8,10 @@
 //! on, over the shapes of its one plan type:
 //! - a hit (one sample, nothing to scan) is planned iff some stored
 //!   sample's coverage subsumes the query range;
-//! - a plan that selects samples has residual fragments equal to `query −
+//! - a plan that selects samples has a residual equal to `query −
 //!   coverage` of the selected samples, strictly smaller than the query;
-//! - a plan that selects none (online) has the query as its one fragment,
-//!   and no stored same-family sample overlaps the query;
+//! - a plan that selects none (online) has the query as its residual, and
+//!   no stored same-family sample overlaps the query;
 //! - stored weights always equal the number of tuples absorbed into the
 //!   family region (no tuple is ever double-counted by a merge) — Σ
 //!   stratum weights == covered measure after every write.
@@ -58,6 +58,11 @@ fn interval() -> impl Strategy<Value = Interval> {
     (0i64..300, 0i64..80).prop_map(|(lo, w)| Interval::new(lo, lo + w))
 }
 
+/// A set of one or two intervals.
+fn set() -> impl Strategy<Value = IntervalSet> {
+    prop::collection::vec(interval(), 1..3).prop_map(IntervalSet::from_intervals)
+}
+
 fn coverage(store: &SampleStore, id: SampleId) -> IntervalSet {
     let stored = store.peek(id).expect("sample is stored");
     stored.descriptor.predicates.get("x").unwrap().clone()
@@ -77,8 +82,8 @@ struct Driven {
 }
 
 /// Drive one query exactly as the service does: plan, then a hit touches
-/// the sample (fetch); any other plan — online included — Δ-scans every
-/// fragment and runs the store's coverage write step.
+/// the sample (fetch); any other plan — online included — Δ-scans its
+/// residual and runs the store's coverage write step.
 fn drive(store: &mut SampleStore, q: &IntervalSet, rng: &mut Lehmer64) -> Driven {
     let desc = descriptor(q.clone());
     let plan = plan_lazy(store, &desc, 0);
@@ -95,19 +100,16 @@ fn drive(store: &mut SampleStore, q: &IntervalSet, rng: &mut Lehmer64) -> Driven
             for id in &plan.samples {
                 absorbed = absorbed.union(&coverage(store, *id));
             }
-            let scans = plan
-                .fragments
-                .iter()
-                .enumerate()
-                .map(|(part, f)| (part, sample_for(f.get("x").unwrap(), rng), true))
+            let scans = (plan.parts().enumerate())
+                .map(|(part, (set, _))| (part, sample_for(set, rng), true))
                 .collect();
             let merged = store.absorb_coverage(&desc, &schema(), &plan, scans, true, rng);
             // The lazy sample covers the planned samples and the query,
             // every integer exactly once.
             let merged = merged.expect("every planned sample is stored");
             prop_assert_eq!(merged.sample.total_weight(), absorbed.measure());
-            // One predicate column: the merged region is always a box, so
-            // the planned samples were consolidated.
+            // One predicate column: the merged region is always one set,
+            // so the planned samples were consolidated.
             prop_assert!(merged.union.is_some());
             for id in &plan.samples {
                 prop_assert!(store.peek(*id).is_none());
@@ -136,9 +138,9 @@ fn check_plan(store: &SampleStore, qset: &IntervalSet) {
     if let Some(id) = plan.hit() {
         prop_assert!(coverage(store, id).subsumes(qset));
     } else if plan.samples.is_empty() {
-        // Online: the query is the one fragment, and no stored sample may
+        // Online: the query is the residual, and no stored sample may
         // subsume or usefully overlap it.
-        prop_assert_eq!(&plan.fragments, &vec![Predicates::on("x", qset.clone())]);
+        prop_assert_eq!(&plan.residual, qset);
         for (_, d) in store.descriptors() {
             let set = d.predicates.get("x").unwrap();
             prop_assert!(!set.subsumes(qset));
@@ -151,13 +153,8 @@ fn check_plan(store: &SampleStore, qset: &IntervalSet) {
             prop_assert!(!set.overlaps(&selected), "selected populations overlap");
             selected = selected.union(&set);
         }
-        let mut residual = IntervalSet::empty();
-        for f in &plan.fragments {
-            residual = residual.union(f.get("x").unwrap());
-        }
-        prop_assert_eq!(&residual, &qset.difference(&selected));
-        prop_assert_eq!(plan.residual_measure(), residual.measure() as u128);
-        prop_assert!(residual.measure() < qset.measure());
+        prop_assert_eq!(&plan.residual, &qset.difference(&selected));
+        prop_assert!(plan.residual.measure() < qset.measure());
     }
 }
 
@@ -184,15 +181,10 @@ proptest! {
             } else if plan.samples.is_empty() {
                 prop_assert!(!q.overlaps(&model_coverage));
             } else {
-                for f in &plan.fragments {
-                    // The selected samples' coverage may be a subset of
-                    // the union model when several families split
-                    // coverage; but single-family workloads keep them
-                    // equal.
-                    prop_assert!(
-                        !f.get("x").unwrap().overlaps(&model_coverage) || store.len() > 1
-                    );
-                }
+                // The selected samples' coverage may be a subset of the
+                // union model when several families split coverage; but
+                // single-family workloads keep them equal.
+                prop_assert!(!plan.residual.overlaps(&model_coverage) || store.len() > 1);
             }
             model_coverage = model_coverage.union(&q);
         }
@@ -217,94 +209,60 @@ proptest! {
 }
 
 // Coverage-planner model: for arbitrary fragmented stores (raw-inserted,
-// possibly overlapping boxes on up to two columns) and arbitrary query
-// boxes, `plan_lazy` must produce a plan that exactly tiles the
-// query region:
+// possibly overlapping sets on the range column) and arbitrary query
+// sets, `plan_lazy` must produce a plan that exactly tiles the query's
+// set:
 //
 // - at most `MAX_COVERAGE_SAMPLES` selected samples, with
 //   pairwise-disjoint populations;
-// - residual fragments pairwise disjoint and disjoint from every
-//   selected sample's population;
-// - measures add up: |query| = Σ|selected ∩ query| + Σ|fragment| — the
-//   plan neither double-covers nor drops any part of the query region;
-// - an empty residual means the selection alone covers the query.
+// - the residual disjoint from every selected sample's population and
+//   inside the query;
+// - measures add up: |query| = Σ|selected ∩ query| + |residual| — the
+//   plan neither double-covers nor drops any part of the query;
+// - the residual is exactly `query − ⋃ selected`, so an empty residual
+//   means the selection alone covers the query.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
     #[test]
     fn coverage_plans_tile_the_query_region(
-        stored in prop::collection::vec((interval(), interval(), any::<bool>()), 1..10),
-        queries in prop::collection::vec((interval(), interval(), any::<bool>()), 1..8),
+        stored in prop::collection::vec(set(), 1..10),
+        queries in prop::collection::vec(set(), 1..8),
     ) {
-        fn boxed(x: &Interval, y: &Interval, constrain_y: bool) -> Predicates {
-            let p = Predicates::on("x", IntervalSet::of(*x));
-            if constrain_y {
-                p.with("y", IntervalSet::of(*y))
-            } else {
-                p
-            }
-        }
-        fn descriptor2(preds: Predicates) -> SampleDescriptor {
-            SampleDescriptor::new(
-                "t",
-                vec!["g".into()],
-                vec!["x".into(), "y".into()],
-                preds,
-                K,
-            )
-        }
-
         let mut rng = Lehmer64::new(23);
         let mut store = SampleStore::new();
-        for (x, y, cy) in &stored {
-            let p = boxed(x, y, *cy);
-            let s = sample_for(p.get("x").unwrap(), &mut rng);
-            store.insert_raw(descriptor2(p), schema(), s, 0);
+        for set in &stored {
+            let s = sample_for(set, &mut rng);
+            store.insert_raw(descriptor(set.clone()), schema(), s, 0);
         }
 
-        for (x, y, cy) in &queries {
-            let qp = boxed(x, y, *cy);
-            let plan = plan_lazy(&store, &descriptor2(qp.clone()), 0);
+        for q in &queries {
+            let plan = plan_lazy(&store, &descriptor(q.clone()), 0);
             prop_assert!(plan.samples.len() <= MAX_COVERAGE_SAMPLES);
 
-            let selected: Vec<Predicates> = plan
-                .samples
-                .iter()
-                .map(|id| store.peek(*id).unwrap().descriptor.predicates.clone())
-                .collect();
+            let selected: Vec<IntervalSet> =
+                plan.samples.iter().map(|id| coverage(&store, *id)).collect();
             // Selected populations pairwise disjoint (merging two
             // overlapping samples would double-count their shared rows).
             for i in 0..selected.len() {
                 for j in i + 1..selected.len() {
-                    prop_assert!(selected[i].intersect(&selected[j]).is_none());
+                    prop_assert!(!selected[i].overlaps(&selected[j]));
                 }
             }
-            // Fragments pairwise disjoint and disjoint from every
-            // selected population.
-            for i in 0..plan.fragments.len() {
-                for j in i + 1..plan.fragments.len() {
-                    prop_assert!(plan.fragments[i].intersect(&plan.fragments[j]).is_none());
-                }
-                for s in &selected {
-                    prop_assert!(plan.fragments[i].intersect(s).is_none());
-                }
-                // Fragments live inside the query box.
-                let inside = plan.fragments[i].intersect(&qp);
-                prop_assert_eq!(
-                    inside.map(|p| p.box_measure()),
-                    Some(plan.fragments[i].box_measure())
-                );
+            // The residual avoids every selected population and lives
+            // inside the query.
+            for s in &selected {
+                prop_assert!(!plan.residual.overlaps(s));
             }
-            // Exact tiling: covered + residual measures sum to the query
-            // box measure.
-            let covered: u128 = selected
-                .iter()
-                .map(|s| s.intersect(&qp).map(|p| p.box_measure()).unwrap_or(0))
-                .sum();
-            let residual: u128 = plan.fragments.iter().map(|f| f.box_measure()).sum();
-            prop_assert_eq!(covered + residual, qp.box_measure());
-            prop_assert_eq!(plan.residual_measure(), residual);
-            if plan.fragments.is_empty() {
-                prop_assert_eq!(covered, qp.box_measure());
+            prop_assert!(q.subsumes(&plan.residual));
+            // Exact tiling: covered + residual measures sum to the
+            // query's measure.
+            let covered: u64 = selected.iter().map(|s| s.intersect(q).measure()).sum();
+            prop_assert_eq!(covered + plan.residual.measure(), q.measure());
+            // And the residual is the query minus the selection, as sets.
+            let union = (selected.iter()).fold(IntervalSet::empty(), |u, s| u.union(s));
+            prop_assert_eq!(&plan.residual, &q.difference(&union));
+            if plan.residual.is_empty() {
+                prop_assert_eq!(covered, q.measure());
             }
         }
     }
