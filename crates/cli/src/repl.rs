@@ -287,7 +287,8 @@ impl Repl {
 
     /// `.samples`: list stored samples grouped by descriptor family
     /// (query input + QCS + QVS + k), showing each family's coverage
-    /// fragments, and report the store's fragmentation ratio — the share
+    /// fragments and whether each holds a range index (its bytes) or how
+    /// many rows its tightened walks tested toward one, and report the store's fragmentation ratio — the share
     /// of stored samples that are extra fragments of an already-covered
     /// family. 0.00 means one sample per family; values near 1.00 mean
     /// the store has shattered into many small fragments that coverage
@@ -309,8 +310,15 @@ impl Repl {
                 .map(|iv| format!("[{}, {}]", iv.lo, iv.hi))
                 .collect::<Vec<_>>()
                 .join(" ∪ ");
+            let index = match stored.sample.range_index_bytes() {
+                Some(bytes) => format!("range index {bytes} bytes"),
+                None => format!(
+                    "no range index, {} rows walked toward it",
+                    stored.sample.rows_walked()
+                ),
+            };
             let line = format!(
-                "  sample {:?}: {} ∈ {parts} ({} strata, {} bytes)",
+                "  sample {:?}: {} ∈ {parts} ({} strata, {} bytes; {index})",
                 id,
                 predicates.column,
                 stored.sample.num_strata(),
@@ -788,6 +796,29 @@ mod tests {
         assert!(r.handle(".ingest").unwrap().contains("usage"));
         assert!(r.handle(".ingest potato").unwrap().contains("usage"));
         assert!(r.handle(".ingest 0").unwrap().contains("usage"));
+    }
+
+    #[test]
+    fn samples_command_shows_the_range_index() {
+        let mut r = loaded_repl();
+        let sql = |hi: i64| {
+            format!(
+                "SELECT lo_orderdate, SUM(lo_revenue) FROM lineorder \
+                 WHERE lo_intkey BETWEEN 0 AND {hi} GROUP BY lo_orderdate"
+            )
+        };
+        r.handle(&sql(1999)).unwrap();
+        let out = r.handle(".samples").unwrap();
+        assert!(out.contains("no range index, 0 rows walked"), "{out}");
+        // Tightened hits walk the sample until the walks cost a build.
+        r.handle(&sql(999)).unwrap();
+        let out = r.handle(".samples").unwrap();
+        assert!(out.contains("no range index, 2000 rows walked"), "{out}");
+        for _ in 0..20 {
+            r.handle(&sql(999)).unwrap();
+        }
+        let out = r.handle(".samples").unwrap();
+        assert!(out.contains("; range index "), "{out}");
     }
 
     #[test]

@@ -8,6 +8,19 @@
 //! intervals are CLT-based with a finite-population correction; they are
 //! the "approximation guarantees" the evaluation keeps intact while
 //! accelerating sampling.
+//!
+//! Every estimate runs in two phases over the sample's strata in key
+//! order (`Estimator::estimate`). *Gather* marks each stratum's matching
+//! rows in one flat hit bitset — walking every row, or, once a sample's
+//! tightened walks have cost about one build, reading the rows inside the
+//! tightening off the sample's range index (`Sample::range_index`), so a
+//! hit costs the rows it selects — and lays each stratum's key, matching
+//! count and shape out in columns. *Fold* then takes one aggregate at a time: its input's
+//! moments over every stratum's hit rows, each folded and finalized into
+//! the answer. Both ways of marking set the same bits and the fold runs
+//! the per-stratum estimator's expressions in the same order, so an
+//! answer is the same bit for bit either way (DESIGN.md, "The estimator:
+//! two phases and a range index").
 
 use std::iter::{repeat, Map, Repeat, Zip};
 use std::ops::Range;
@@ -15,8 +28,8 @@ use std::ops::Range;
 use laqy_engine::{AggInput, AggKind, AggSpec, GroupKey};
 
 use crate::descriptor::Predicates;
-use crate::interval::IntervalSet;
-use crate::sampler_ops::{each_width, Sample, SampleSchema, SlotKind};
+use crate::interval::{Interval, IntervalSet};
+use crate::sampler_ops::{each_width, RangeIndex, Sample, SampleSchema, SlotKind};
 
 /// Estimation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +56,7 @@ impl std::fmt::Display for EstimateError {
 impl std::error::Error for EstimateError {}
 
 /// One estimated aggregate value.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AggEstimate {
     /// Point estimate.
     pub value: f64,
@@ -91,19 +104,25 @@ impl Groups {
     /// Append a group: its key, its `aggs` estimates and `mq`, its
     /// matching-row count. The first group fixes the key width.
     pub fn push(&mut self, key: &[i64], values: impl IntoIterator<Item = AggEstimate>, mq: usize) {
-        if self.is_empty() {
-            self.key_width = key.len();
-            self.keys.reserve(key.len() * self.matching.capacity());
-        }
-        self.keys.extend_from_slice(key);
+        self.push_key(key, mq);
         self.values.extend(values);
-        self.matching.push(mq);
         let n = self.len();
         let whole = self.keys.len() == n * self.key_width && self.values.len() == n * self.aggs;
         assert!(
             whole,
             "every group has the answer's key width and `aggs` estimates"
         );
+    }
+
+    /// Append a group's key and matching-row count, its estimates to be
+    /// written.
+    fn push_key(&mut self, key: &[i64], mq: usize) {
+        if self.is_empty() {
+            self.key_width = key.len();
+            self.keys.reserve(key.len() * self.matching.capacity());
+        }
+        self.keys.extend_from_slice(key);
+        self.matching.push(mq);
     }
 
     /// Number of groups.
@@ -204,7 +223,7 @@ fn resolve_input(schema: &SampleSchema, input: &AggInput) -> Result<ResolvedInpu
 enum Tighten {
     /// One column, one interval — a narrower query reusing a sample: two
     /// compares per tuple.
-    Range { slot: usize, lo: i64, hi: i64 },
+    Range { slot: usize, iv: Interval },
     /// Any other interval set on the range column.
     Set { slot: usize, set: IntervalSet },
 }
@@ -216,16 +235,25 @@ impl Tighten {
             return Err(EstimateError::NonIntegerPredicate(preds.column.clone()));
         }
         Ok(match preds.set.intervals() {
-            &[iv] => Tighten::Range {
-                slot,
-                lo: iv.lo,
-                hi: iv.hi,
-            },
+            &[iv] => Tighten::Range { slot, iv },
             _ => Tighten::Set {
                 slot,
                 set: preds.set.clone(),
             },
         })
+    }
+
+    fn slot(&self) -> usize {
+        match *self {
+            Tighten::Range { slot, .. } | Tighten::Set { slot, .. } => slot,
+        }
+    }
+
+    fn intervals(&self) -> &[Interval] {
+        match self {
+            Tighten::Range { iv, .. } => std::slice::from_ref(iv),
+            Tighten::Set { set, .. } => set.intervals(),
+        }
     }
 }
 
@@ -259,6 +287,50 @@ impl EstAcc {
         }
     }
 
+    /// The per-stratum estimator: fold a stratum of `shape`, `mq` of
+    /// whose retained tuples match the tightening, fed `mo`, the moments
+    /// of this aggregate's input over them. A fresh accumulator adds to
+    /// `+0.0`, which turns a `-0.0` term into `+0.0`.
+    fn fold(&mut self, shape: &Shape, mq: usize, mo: &Moments) {
+        let Shape { m, w, scale, fpc } = *shape;
+        // Var(w·ȳ) = w² · s²_y / m · fpc, s²_y the sample variance of y
+        // over all m items (non-matching are 0).
+        let sum_var = || {
+            let mean_y = mo.s1 / m;
+            let var_y = if m > 1.0 {
+                ((mo.s2 - m * mean_y * mean_y) / (m - 1.0)).max(0.0)
+            } else {
+                0.0
+            };
+            w * w * var_y / m * fpc
+        };
+        match self.kind {
+            AggKind::Sum => {
+                self.value += scale * mo.s1;
+                self.var += sum_var();
+            }
+            AggKind::Count => {
+                let p = mq as f64 / m;
+                self.value += w * p;
+                let var_p = if m > 1.0 {
+                    p * (1.0 - p) * m / (m - 1.0)
+                } else {
+                    0.0
+                };
+                self.var += w * w * var_p / m * fpc;
+            }
+            AggKind::Avg => {
+                self.value += scale * mo.s1;
+                self.var += sum_var();
+                self.n_est += w * mq as f64 / m;
+            }
+            AggKind::Min if mq > 0 => self.value = self.value.min(mo.lo),
+            AggKind::Max if mq > 0 => self.value = self.value.max(mo.hi),
+            AggKind::Min | AggKind::Max => {}
+        }
+        self.support += mq;
+    }
+
     fn finalize(&self, z: f64) -> AggEstimate {
         let half_width = z * self.var.max(0.0).sqrt();
         let (value, ci_half_width) = match self.kind {
@@ -277,9 +349,35 @@ impl EstAcc {
     }
 }
 
+/// A stratum as every aggregate's fold reads it: `m > 0` retained of `w`
+/// considered tuples, each standing for `scale = w / m`, and the
+/// finite-population correction `fpc`.
+#[derive(Clone, Copy)]
+struct Shape {
+    m: f64,
+    w: f64,
+    scale: f64,
+    fpc: f64,
+}
+
+impl Shape {
+    fn of(len: usize, weight: u64) -> Self {
+        let m = len as f64;
+        let w = weight as f64;
+        Shape {
+            m,
+            w,
+            scale: w / m,
+            // The reservoir holds m of w tuples.
+            fpc: (1.0 - m / w).max(0.0),
+        }
+    }
+}
+
 /// One aggregate input's sums over a stratum's matching tuples: sum, sum
 /// of squares and extrema of the zero-extended variable `y_i` (`x_i` if
 /// matching else 0).
+#[derive(Clone, Copy)]
 struct Moments {
     s1: f64,
     s2: f64,
@@ -321,36 +419,38 @@ impl Moments {
         Moments { s1, s2, lo, hi }
     }
 
-    /// Moments of `input` over the rows of `rows` set in `bits` (`mq` of
-    /// them). The slot kind is resolved outside the row loop.
-    fn for_input<const W: usize>(
+    /// Moments of `input` over each stratum's rows set in its bits (`mq`
+    /// of them), pushed to `column` stratum after stratum. The slot kind
+    /// is resolved outside the loop.
+    fn column<'r, const W: usize>(
+        column: &mut Vec<Moments>,
         input: &ResolvedInput,
-        rows: &[[i64; W]],
-        bits: &[u64],
-        mq: usize,
-    ) -> Self {
+        strata: impl Iterator<Item = (&'r [[i64; W]], &'r [u64], usize)>,
+    ) {
+        fn over<'r, const W: usize>(
+            column: &mut Vec<Moments>,
+            strata: impl Iterator<Item = (&'r [[i64; W]], &'r [u64], usize)>,
+            x: impl Fn(&[i64; W]) -> f64,
+        ) {
+            column.extend(strata.map(|(rows, bits, _)| Moments::over_bits(bits, |i| x(&rows[i]))));
+        }
         match *input {
-            ResolvedInput::One => Moments::ones(mq),
-            ResolvedInput::Col(s, SlotKind::Int) => Moments::over_bits(bits, |i| rows[i][s] as f64),
+            ResolvedInput::One => column.extend(strata.map(|(_, _, mq)| Moments::ones(mq))),
+            ResolvedInput::Col(s, SlotKind::Int) => over(column, strata, |row| row[s] as f64),
             ResolvedInput::Col(s, SlotKind::Float) => {
-                Moments::over_bits(bits, |i| f64::from_bits(rows[i][s] as u64))
+                over(column, strata, |row| f64::from_bits(row[s] as u64))
             }
-            ResolvedInput::Mul((a, ka), (b, kb)) => {
-                Moments::over_bits(bits, |i| ka.numeric(rows[i][a]) * kb.numeric(rows[i][b]))
-            }
+            ResolvedInput::Mul((a, ka), (b, kb)) => over(column, strata, |row| {
+                ka.numeric(row[a]) * kb.numeric(row[b])
+            }),
         }
     }
 }
 
-/// Fill `bits` with the hit bitset of a stratum's `rows` under `tighten`
-/// (bit `i` = row `i` matches), 64 rows a word, the last one zero-padded;
-/// returns its popcount. The one place a tightening meets rows: each word
-/// is packed from one 64-row chunk of the stratum.
-fn hit_bits<const W: usize>(
-    bits: &mut Vec<u64>,
-    tighten: Option<&Tighten>,
-    rows: &[[i64; W]],
-) -> usize {
+/// Append to `bits` the hit bitset of a stratum's `rows` under `tighten`
+/// (bit `i` = row `i` matches), 64 rows a word, the last one zero-padded.
+/// The walk: each word is packed from one 64-row chunk of the stratum.
+fn hit_bits<const W: usize>(bits: &mut Vec<u64>, tighten: Option<&Tighten>, rows: &[[i64; W]]) {
     /// Row `j`'s bit lands at `j`: the chunk is walked last row first,
     /// each step shifting the word by one, so no row takes a shift by its
     /// own position.
@@ -358,84 +458,25 @@ fn hit_bits<const W: usize>(
     fn pack<const W: usize>(chunk: &[[i64; W]], hit: impl Fn(&[i64; W]) -> bool) -> u64 {
         (chunk.iter().rev()).fold(0, |word, row| word << 1 | u64::from(hit(row)))
     }
-    bits.clear();
     let chunks = rows.chunks(64);
     match tighten {
         None => bits.extend(chunks.map(|chunk| u64::MAX >> (64 - chunk.len()))),
-        Some(&Tighten::Range { slot, lo, hi }) => {
+        Some(&Tighten::Range { slot, iv }) => {
             assert!(slot < W, "tightening slot outside the row");
             // `lo ≤ v ≤ hi` as one unsigned compare (`lo ≤ hi` always).
-            let span = hi.wrapping_sub(lo) as u64;
-            let hit = |row: &[i64; W]| row[slot].wrapping_sub(lo) as u64 <= span;
+            let span = iv.hi.wrapping_sub(iv.lo) as u64;
+            let hit = |row: &[i64; W]| row[slot].wrapping_sub(iv.lo) as u64 <= span;
             bits.extend(chunks.map(|chunk| pack(chunk, hit)));
         }
         Some(Tighten::Set { slot, set }) => {
             bits.extend(chunks.map(|chunk| pack(chunk, |row| set.contains(row[*slot]))))
         }
     }
-    bits.iter().map(|word| word.count_ones() as usize).sum()
-}
-
-/// The per-stratum estimator: fold a stratum of `len > 0` retained tuples
-/// standing for `weight` considered ones, `mq` of which match the
-/// tightening, into `accs` — one accumulator per aggregate, each fed the
-/// `moments` of its input over the matching tuples.
-fn fold_stratum(
-    accs: &mut [EstAcc],
-    inputs: &[ResolvedInput],
-    len: usize,
-    weight: u64,
-    mq: usize,
-    moments: impl Fn(&ResolvedInput) -> Moments,
-) {
-    let m = len as f64;
-    let w = weight as f64;
-    let scale = w / m;
-    // Finite-population correction: the reservoir holds m of w tuples.
-    let fpc = (1.0 - m / w).max(0.0);
-    for (acc, input) in accs.iter_mut().zip(inputs) {
-        let mo = moments(input);
-        let mean_y = mo.s1 / m;
-        // Sample variance of y over all m items (non-matching are 0).
-        let var_y = if m > 1.0 {
-            ((mo.s2 - m * mean_y * mean_y) / (m - 1.0)).max(0.0)
-        } else {
-            0.0
-        };
-        let sum_est = scale * mo.s1;
-        // Var(w·ȳ) = w² · s²_y / m · fpc
-        let sum_var = w * w * var_y / m * fpc;
-        match acc.kind {
-            AggKind::Sum => {
-                acc.value += sum_est;
-                acc.var += sum_var;
-            }
-            AggKind::Count => {
-                let p = mq as f64 / m;
-                acc.value += w * p;
-                let var_p = if m > 1.0 {
-                    p * (1.0 - p) * m / (m - 1.0)
-                } else {
-                    0.0
-                };
-                acc.var += w * w * var_p / m * fpc;
-            }
-            AggKind::Avg => {
-                acc.value += sum_est;
-                acc.var += sum_var;
-                acc.n_est += w * mq as f64 / m;
-            }
-            AggKind::Min if mq > 0 => acc.value = acc.value.min(mo.lo),
-            AggKind::Max if mq > 0 => acc.value = acc.value.max(mo.hi),
-            AggKind::Min | AggKind::Max => {}
-        }
-        acc.support += mq;
-    }
 }
 
 /// An estimate resolved against a schema up front — each aggregate's
 /// input, the tightening filter, one fresh accumulator per aggregate —
-/// ready to walk any sample of that schema's rows.
+/// ready to estimate from any sample of that schema's rows.
 pub(crate) struct Estimator {
     inputs: Vec<ResolvedInput>,
     tighten: Option<Tighten>,
@@ -458,40 +499,81 @@ impl Estimator {
         })
     }
 
-    /// The estimator's one walk: every non-empty stratum of `strata`
-    /// (`key`, `rows`, `weight`), in the order given, is tightened once
-    /// into a hit bitset — not once per aggregate — and folded into fresh
-    /// accumulators, which `emit` receives with the stratum's matching-row
-    /// count. Output groups are the strata themselves (QCS = GROUP BY,
-    /// every query template).
-    fn walk<'k, const W: usize>(
-        &self,
-        strata: impl Iterator<Item = (&'k GroupKey, &'k [[i64; W]], u64)>,
-        mut emit: impl FnMut(&'k GroupKey, &[EstAcc], usize),
-    ) {
-        let mut accs = self.fresh.clone();
-        let mut bits = Vec::new();
-        for (key, rows, weight) in strata.filter(|(_, rows, _)| !rows.is_empty()) {
-            let mq = hit_bits(&mut bits, self.tighten.as_ref(), rows);
-            accs.copy_from_slice(&self.fresh);
-            fold_stratum(&mut accs, &self.inputs, rows.len(), weight, mq, |input| {
-                Moments::for_input(input, rows, &bits, mq)
-            });
-            emit(key, &accs, mq);
-        }
+    /// Estimate from `sample`, where it rests, its strata read in the
+    /// group-key order it keeps. Output groups are the non-empty strata
+    /// themselves (QCS = GROUP BY, every query template), written straight
+    /// into the answer's flat buffers (no sort, no per-group allocation).
+    pub(crate) fn estimate(&self, sample: &Sample, z: f64) -> Groups {
+        let order = sample.key_order();
+        let index = (self.tighten.as_ref()).and_then(|t| Some((t, sample.range_index(t.slot())?)));
+        each_width!(&sample.rows, s => {
+            let strata = (order.iter().map(|&i| s.stratum_at(i as usize)))
+                .filter(|(_, rows, _)| !rows.is_empty());
+            let words = s.total_items() / 64 + order.len();
+            self.fold(strata, index, (order.len(), words), z)
+        })
     }
 
-    /// Estimate from `sample`, where it rests: its strata walked in the
-    /// group-key order it keeps, each finished group appended straight to
-    /// the answer's flat buffers (no collect, no sort, no per-group
-    /// allocation).
-    pub(crate) fn estimate(&self, sample: &Sample, z: f64) -> Groups {
-        let mut groups = Groups::with_capacity(sample.num_strata(), self.fresh.len());
-        let order = sample.key_order();
-        let indices = order.iter().map(|&i| i as usize);
-        each_width!(&sample.rows, s => self.walk(indices.map(|i| s.stratum_at(i)), |key, accs, mq| {
-            groups.push(key.parts(), accs.iter().map(|a| a.finalize(z)), mq)
-        }));
+    /// The estimate over `strata` (`key`, `rows`, `weight`), at most
+    /// `strata_bound` of them packing into at most `words_bound` words of
+    /// hit bits, in two phases.
+    ///
+    /// **Gather**: the flat hit bitset of every stratum — stratum after
+    /// stratum, `⌈rows/64⌉` words each — is read off the sample's range
+    /// index when it has one for the tightening, else walked stratum by
+    /// stratum in the one pass that sends each stratum's key and
+    /// matching-row count to the answer, and its shape and hit rows to
+    /// two columns.
+    ///
+    /// **Fold**: one aggregate at a time, its input's moments over every
+    /// stratum's hit rows are gathered into a column, then each folded into
+    /// a fresh accumulator and finalized into the answer.
+    fn fold<'k, const W: usize>(
+        &self,
+        strata: impl Iterator<Item = (&'k GroupKey, &'k [[i64; W]], u64)>,
+        index: Option<(&Tighten, &RangeIndex)>,
+        (strata_bound, words_bound): (usize, usize),
+        z: f64,
+    ) -> Groups {
+        let mut bits = Vec::with_capacity(words_bound);
+        if let Some((tighten, index)) = index {
+            bits.resize(index.words(), 0);
+            index.hit_bits(tighten.intervals(), &mut bits);
+        }
+        let aggs = self.fresh.len();
+        let mut groups = Groups::with_capacity(strata_bound, aggs);
+        let mut shapes = Vec::with_capacity(strata_bound);
+        // Each stratum's rows and the range of its words in `bits`.
+        let mut hits = Vec::with_capacity(strata_bound);
+        let mut words = 0..0;
+        for (key, rows, weight) in strata {
+            words = words.end..words.end + rows.len().div_ceil(64);
+            if index.is_none() {
+                hit_bits(&mut bits, self.tighten.as_ref(), rows);
+            }
+            let mq = bits[words.clone()].iter().map(|w| w.count_ones() as usize);
+            groups.push_key(key.parts(), mq.sum());
+            shapes.push(Shape::of(rows.len(), weight));
+            hits.push((rows, words.clone()));
+        }
+
+        let n = groups.len();
+        groups.values.resize(n * aggs, AggEstimate::default());
+        let mut moments = Vec::with_capacity(n);
+        for (a, (input, fresh)) in self.inputs.iter().zip(&self.fresh).enumerate() {
+            moments.clear();
+            let hits = hits.iter().zip(&groups.matching);
+            Moments::column(
+                &mut moments,
+                input,
+                hits.map(|((rows, words), &mq)| (*rows, &bits[words.clone()], mq)),
+            );
+            for (i, (mo, shape)) in moments.iter().zip(&shapes).enumerate() {
+                let mut acc = *fresh;
+                acc.fold(shape, groups.matching[i], mo);
+                groups.values[i * aggs + a] = acc.finalize(z);
+            }
+        }
         groups
     }
 }
@@ -510,7 +592,7 @@ pub fn estimate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::{Interval, IntervalSet};
+    use crate::sampler_ops::RANGE_INDEX_BUILD_WALKS;
     use laqy_engine::GroupKey;
     use laqy_sampling::Lehmer64;
     use proptest::prelude::*;
@@ -840,16 +922,19 @@ mod tests {
             random_sample(32, 3, 4, 120, 12),
             random_sample(70, 2, 2, 30, 13),
         ];
-        let mut digests = Vec::new();
-        for sample in &samples {
-            for tighten in &tightenings {
-                let opts = EstimateOptions {
-                    tighten: tighten.as_ref(),
-                    ..Default::default()
-                };
-                digests.push(digest(&estimate(sample, &schema(), &aggs, &opts).unwrap()));
+        let digests = |samples: &[Sample]| {
+            let mut digests = Vec::new();
+            for sample in samples {
+                for tighten in &tightenings {
+                    let opts = EstimateOptions {
+                        tighten: tighten.as_ref(),
+                        ..Default::default()
+                    };
+                    digests.push(digest(&estimate(sample, &schema(), &aggs, &opts).unwrap()));
+                }
             }
-        }
+            digests
+        };
         let at_the_parent: [u64; 9] = [
             0x9d3015647aeffe7d,
             0x423cc61a41a4ce77,
@@ -861,7 +946,93 @@ mod tests {
             0x06750f0248381071,
             0x0b977ebe980002f6,
         ];
-        assert_eq!(digests, at_the_parent);
+        assert_eq!(digests(&samples), at_the_parent);
+        // Every tightened answer again, its hits read off a range index.
+        let indexed = samples.map(|sample| sample.indexed(0));
+        assert_eq!(digests(&indexed), at_the_parent);
+        assert!(indexed.iter().all(|s| s.range_index_bytes().is_some()));
+    }
+
+    /// The flat hit bitset of `sample` under `tighten` in key order, as
+    /// the walk packs it and as its range index sets it.
+    fn walked_and_indexed_bits(sample: &Sample, tighten: &Tighten) -> (Vec<u64>, Vec<u64>) {
+        let order = sample.key_order();
+        let mut walked = Vec::new();
+        each_width!(&sample.rows, s => for &i in order.iter() {
+            hit_bits(&mut walked, Some(tighten), s.stratum_at(i as usize).1);
+        });
+        let index = sample.range_index(tighten.slot()).expect("indexed");
+        let mut indexed = vec![0; walked.len()];
+        index.hit_bits(tighten.intervals(), &mut indexed);
+        (walked, indexed)
+    }
+
+    /// A value of `x`: mostly small, sometimes an extreme of `i64`.
+    fn x_value() -> impl Strategy<Value = i64> {
+        (0u8..12, -60i64..60).prop_map(|(pick, x)| match pick {
+            0 => i64::MIN,
+            1 => i64::MIN + 1,
+            2 => i64::MAX - 1,
+            3 => i64::MAX,
+            _ => x,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// The range index is the walk: for random samples (`k` up to 130,
+        /// so a stratum spans several words; empty strata among them) and
+        /// any tightening — one interval or several, bounds at the extremes
+        /// of `i64` — the bits it sets are the bits the walk packs.
+        #[test]
+        fn the_range_index_sets_the_bits_the_walk_packs(
+            k in 1usize..131,
+            offers in prop::collection::vec((0i64..12, x_value()), 0..600),
+            empty in prop::collection::vec(0i64..20, 0..4),
+            cuts in prop::collection::vec(x_value(), 1..7),
+            seed in 0u64..1_000,
+        ) {
+            let mut rng = Lehmer64::new(seed);
+            let mut sample = Sample::new(&schema(), k);
+            for &(g, x) in &offers {
+                sample.offer(GroupKey::new(&[g]), &[x, 0], &mut rng);
+            }
+            for &g in &empty {
+                sample.insert_rows(GroupKey::new(&[g + 100]), &[], 3);
+            }
+            let sample = sample.indexed(0);
+            let tighten = Tighten::compile(&schema(), &tightening(cuts).unwrap()).unwrap();
+            let (walked, indexed) = walked_and_indexed_bits(&sample, &tighten);
+            prop_assert_eq!(walked, indexed);
+        }
+    }
+
+    /// Rent or buy: a sample's tightened estimates walk it until their
+    /// rows add up to [`RANGE_INDEX_BUILD_WALKS`] walks, the next one
+    /// builds its range index, and estimates with no tightening count
+    /// nothing toward it.
+    #[test]
+    fn the_range_index_is_built_once_the_walks_cost_a_build() {
+        let sample = random_sample(32, 3, 4, 120, 12);
+        let rows = sample.total_items() as u64;
+        let narrow = Predicates::on("x", IntervalSet::of(Interval::new(100, 449)));
+        let tightened = EstimateOptions {
+            tighten: Some(&narrow),
+            ..Default::default()
+        };
+        let untightened = EstimateOptions::default();
+        let run = |opts| digest(&estimate(&sample, &schema(), &all_aggs(), opts).unwrap());
+        let walked = run(&tightened);
+        for walks in 2..RANGE_INDEX_BUILD_WALKS {
+            run(&untightened);
+            assert_eq!(run(&tightened), walked);
+            assert_eq!(sample.rows_walked(), walks * rows);
+            assert_eq!(sample.range_index_bytes(), None);
+        }
+        assert_eq!(run(&tightened), walked);
+        assert_eq!(sample.range_index_bytes(), Some(rows as usize * 12));
+        assert_eq!(run(&tightened), walked);
+        assert_eq!(sample.rows_walked(), RANGE_INDEX_BUILD_WALKS * rows);
     }
 
     #[test]

@@ -114,23 +114,21 @@ impl SupportReport {
     }
 
     /// Compare each stratum's matching-tuple count against the policy:
-    /// `matching[i]` is the count of the answer's group `i`. Both position
-    /// lists come out ascending, each allocated once at the size a first
-    /// pass over the counts finds.
+    /// `matching[i]` is the count of the answer's group `i`. One pass; both
+    /// position lists come out ascending, and stay unallocated when no
+    /// stratum is short.
     pub(crate) fn classify(matching: &[usize], policy: &SupportPolicy) -> Self {
         let min = policy.min_rows_per_stratum;
-        let empty = matching.iter().filter(|&&m| m == 0).count();
-        let under = matching.iter().filter(|&&m| m > 0 && m < min).count();
         let mut report = SupportReport {
-            supported: matching.len() - empty - under,
-            under_supported: Vec::with_capacity(under),
-            empty: Vec::with_capacity(empty),
+            supported: 0,
+            under_supported: Vec::new(),
+            empty: Vec::new(),
         };
         for (i, &m) in matching.iter().enumerate() {
-            if m == 0 {
-                report.empty.push(i as u32);
-            } else if m < min {
-                report.under_supported.push(i as u32);
+            match m {
+                0 => report.empty.push(i as u32),
+                m if m < min => report.under_supported.push(i as u32),
+                _ => report.supported += 1,
             }
         }
         report
@@ -240,10 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn strata_in_key_order_classify_into_sorted_lists_of_exact_size() {
+    fn strata_in_key_order_classify_into_sorted_lists() {
         // Two-part keys in key order, every class present: the keys come
-        // out as sorting them would leave them, and the position lists
-        // are allocated once at size.
+        // out as sorting them would leave them. With no short stratum the
+        // position lists allocate nothing.
         let mut rng = Lehmer64::new(3);
         let keys: Vec<GroupKey> = (0..500)
             .map(|i| GroupKey::new(&[i / 7, i % 7 - 3]))
@@ -276,10 +274,9 @@ mod tests {
             report.supported,
             matching.iter().filter(|(_, m)| *m >= 30).count()
         );
-        assert_eq!(report.empty.capacity(), report.empty_len());
-        assert_eq!(
-            report.under_supported.capacity(),
-            report.under_supported_len()
-        );
+        let supported = SupportReport::classify(&[30, 31, 400], &SupportPolicy::default());
+        assert_eq!(supported.supported, 3);
+        assert_eq!(supported.empty.capacity(), 0);
+        assert_eq!(supported.under_supported.capacity(), 0);
     }
 }

@@ -34,8 +34,9 @@ const RADIX_BITS: u32 = 11;
 
 /// Row ids ordered by (value, id): [`radix`] on `value − min` when the span
 /// fits in 32 bits, with keys as narrow as the values and ids allow, else
-/// `sort_unstable`.
-fn sort_by_value<T: Copy + Into<i64>>(values: &[T]) -> Box<[u32]> {
+/// `sort_unstable`. A stored sample's range index sorts its rows with it
+/// too.
+pub fn sort_by_value<T: Copy + Into<i64>>(values: &[T]) -> Box<[u32]> {
     let value = |v: &T| -> i64 { (*v).into() };
     let min = values.iter().map(value).min().unwrap_or(0);
     let max = values.iter().map(value).max().unwrap_or(0);

@@ -14,15 +14,18 @@
 //!   no stored same-family sample overlaps the query;
 //! - stored weights always equal the number of tuples absorbed into the
 //!   family region (no tuple is ever double-counted by a merge) — Σ
-//!   stratum weights == covered measure after every write.
+//!   stratum weights == covered measure after every write;
+//! - a tightened estimate from a stored sample is a walk's, whether or not
+//!   the sample holds a range index, built before or since its last write.
 
 use std::collections::{HashMap, HashSet};
 
 use laqy::{
-    plan_lazy, CoveragePlan, Interval, IntervalSet, Predicates, Sample, SampleDescriptor, SampleId,
-    SampleSchema, SampleStore, SlotKind, StoreWriteGuard, MAX_COVERAGE_SAMPLES,
+    estimate, plan_lazy, CoveragePlan, EstimateOptions, Interval, IntervalSet, Predicates, Sample,
+    SampleDescriptor, SampleId, SampleSchema, SampleStore, SlotKind, StoreWriteGuard,
+    MAX_COVERAGE_SAMPLES,
 };
-use laqy_engine::GroupKey;
+use laqy_engine::{AggSpec, GroupKey};
 use laqy_sampling::Lehmer64;
 use proptest::prelude::*;
 
@@ -130,6 +133,46 @@ fn drive(store: &mut SampleStore, q: &IntervalSet, rng: &mut Lehmer64) -> Driven
         consolidated,
         absorbed,
     }
+}
+
+/// Every tightened estimate of `sample` over `set`, up to and past the one
+/// that builds its range index, is bit for bit one walk over a copy (a
+/// copy never carries the index).
+fn check_tightened(sample: &Sample, set: &IntervalSet) {
+    let tighten = Predicates::on("x", set.clone());
+    let opts = EstimateOptions {
+        tighten: Some(&tighten),
+        ..Default::default()
+    };
+    let aggs = [AggSpec::sum("x"), AggSpec::count(), AggSpec::avg("x")];
+    // Every group's key and matching rows, and each estimate's value and
+    // half-width bits and support, in one list.
+    let answer = |s: &Sample| {
+        let mut bits = Vec::new();
+        for g in &estimate(s, &schema(), &aggs, &opts).unwrap() {
+            bits.extend(g.key.iter().map(|&part| part as u64));
+            bits.push(g.matching as u64);
+            for a in g.values {
+                bits.extend([
+                    a.value.to_bits(),
+                    a.ci_half_width.to_bits(),
+                    a.support as u64,
+                ]);
+            }
+        }
+        bits
+    };
+    let walked = answer(&sample.clone());
+    let mut estimates = 0;
+    while sample.range_index_bytes().is_none() {
+        prop_assert_eq!(answer(sample), walked.clone());
+        estimates += 1;
+        prop_assert!(
+            estimates <= 64,
+            "no range index after {estimates} estimates"
+        );
+    }
+    prop_assert_eq!(answer(sample), walked);
 }
 
 /// A plan for `qset` agrees with the stored coverages it was made from.
@@ -410,10 +453,17 @@ proptest! {
             prop_assert_eq!(gone_sorted, expected);
             mru.retain(|i| alive.contains(i));
 
-            // Weight conservation per sample, under any interleaving.
+            // Weight conservation per sample, under any interleaving; the
+            // index built here must not outlive the sample's next write.
+            let apart = IntervalSet::from_intervals(vec![
+                Interval::new(*lo, lo + w / 2),
+                Interval::new(lo + w / 2 + 5, lo + w + 40),
+            ]);
             for s in store.iter_samples() {
                 let cover = s.descriptor.predicates.get("x").unwrap();
                 prop_assert_eq!(s.sample.total_weight(), cover.measure());
+                check_tightened(&s.sample, &q);
+                check_tightened(&s.sample, &apart);
             }
             // Nothing stored that was never requested.
             let mut union = IntervalSet::empty();
