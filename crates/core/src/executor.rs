@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use laqy_engine::ops::{BoundCol, PreparedScan, ResolvedCol, StarJoinOutput, StarProbe};
 use laqy_engine::parallel::{parallel_fold, DEFAULT_MORSEL_ROWS};
 use laqy_engine::{
-    execute_exact, resolve_by_name, AggInput, AggSpec, Catalog, EngineError, GroupKey, Predicate,
+    execute_exact, resolve_by_name, AggInput, AggSpec, Catalog, EngineError, Predicate,
     PruneCounts, QueryPlan, QueryResult, StoredColumn,
 };
 use laqy_sampling::{merge_stratified_k, Lehmer64};
@@ -31,7 +31,7 @@ use laqy_sync::atomic::{AtomicU64, Ordering};
 
 use crate::budget::{CancelToken, Degradation, DegradeReason};
 use crate::descriptor::{Predicates, SampleDescriptor};
-use crate::estimate::{estimate, EstimateError, EstimateOptions, Group, Groups};
+use crate::estimate::{estimate, EstimateError, EstimateOptions, Groups};
 use crate::interval::{Interval, IntervalSet};
 use crate::lazy::CoveragePlan;
 use crate::sampler_ops::{
@@ -58,6 +58,11 @@ pub enum LaqyError {
     /// A `laqy_faults` point injected a failure into this query
     /// (`--cfg laqy_faults` chaos builds only).
     Injected(String),
+    /// The ingest write-ahead log failed: this batch's append, or an
+    /// earlier one since the log was last opened. The batch was not
+    /// published, and every ingest is refused until
+    /// [`crate::LaqyService::recover_with_wal`] re-opens the log.
+    WalFailed(String),
 }
 
 impl std::fmt::Display for LaqyError {
@@ -68,6 +73,7 @@ impl std::fmt::Display for LaqyError {
             LaqyError::Unsupported(m) => write!(f, "unsupported query: {m}"),
             LaqyError::WorkerPanic(m) => write!(f, "worker panic (isolated): {m}"),
             LaqyError::Injected(m) => write!(f, "injected fault: {m}"),
+            LaqyError::WalFailed(m) => write!(f, "wal failed, ingest refused: {m}"),
         }
     }
 }
@@ -176,7 +182,7 @@ impl LaqyExecutor {
     pub(crate) fn run_online(&mut self, scope: Scope<'_>) -> Result<(Groups, ExecStats)> {
         let Scope { query, schema, .. } = scope;
         let ranges = IntervalSet::of(query.range);
-        let run = self.sample_pipeline(scope, &ranges, &Predicate::True, 0)?;
+        let run = self.sample_pipeline(scope, &ranges, 0)?;
         let (sample, mut stats) = run.read();
         let (t_est, opts) = (Instant::now(), EstimateOptions::default());
         let groups = estimate(&sample, schema, &query.plan.aggs, &opts)?;
@@ -227,99 +233,6 @@ impl LaqyExecutor {
         })
     }
 
-    /// Maximum number of under-supported strata the per-stratum fallback
-    /// re-samples; beyond this a full online query is cheaper.
-    const MAX_FALLBACK_STRATA: usize = 128;
-
-    /// §5.2.3 per-stratum conservative fallback: re-sample exactly the
-    /// under-supported/empty strata (filter pushed down to the query range
-    /// AND the stratum keys) and splice exact-fidelity estimates for those
-    /// groups into the result. Returns `false` when the fallback does not
-    /// apply (dimension-table group keys, or too many bad strata) and the
-    /// caller should fall back to a full online query instead.
-    pub(crate) fn refine_support(
-        &mut self,
-        scope: Scope<'_>,
-        groups: &mut Groups,
-        support: &mut SupportReport,
-        stats: &mut ExecStats,
-    ) -> Result<bool> {
-        let Scope { query, schema, .. } = scope;
-        // The stratum filter must be expressible on the fact table.
-        if query.plan.group_by.iter().any(|c| c.table.is_some()) {
-            return Ok(false);
-        }
-        let mut bad: Vec<GroupKey> = support
-            .under_supported_keys(groups)
-            .chain(support.empty_keys(groups))
-            .collect();
-        if bad.is_empty() {
-            return Ok(true);
-        }
-        if bad.len() > Self::MAX_FALLBACK_STRATA {
-            return Ok(false);
-        }
-        // OR over per-stratum key equalities.
-        let stratum_pred = Predicate::Or(
-            bad.iter()
-                .map(|key| {
-                    Predicate::And(
-                        query
-                            .plan
-                            .group_by
-                            .iter()
-                            .zip(key.parts())
-                            .map(|(c, &v)| Predicate::EqInt {
-                                column: c.column.clone(),
-                                value: v,
-                            })
-                            .collect(),
-                    )
-                })
-                .collect(),
-        );
-        let ranges = IntervalSet::of(query.range);
-        let fresh = self.sample_pipeline(scope, &ranges, &stratum_pred, 0)?;
-        if fresh.stats.degraded.is_some() {
-            // The probe itself was cut short by the budget: an empty or
-            // partial probe must not be read as "stratum confirmed empty".
-            return Ok(false);
-        }
-        // A plain, clean pipeline run: only scan-side fields are set.
-        let (fresh, fresh_stats) = fresh.read();
-        stats.accumulate(&fresh_stats);
-
-        let t_est = Instant::now();
-        let fresh_groups = estimate(
-            &fresh,
-            schema,
-            &query.plan.aggs,
-            &EstimateOptions::default(),
-        )?;
-        stats.estimate += t_est.elapsed();
-
-        // Splice: replace the bad strata's estimates with the validated
-        // online ones. Strata absent from the fresh sample are genuinely
-        // empty under this predicate — the probe confirmed the data
-        // distribution, so they are no longer "suspect" (§5.2.3). Both
-        // answers are in key order, so the splice is one merge.
-        bad.sort_unstable();
-        let is_bad = |key: &[i64]| bad.binary_search(&GroupKey::new(key)).is_ok();
-        let mut fresh = fresh_groups.iter().filter(|g| is_bad(g.key)).peekable();
-        let mut spliced = Groups::with_capacity(groups.len() + bad.len(), query.plan.aggs.len());
-        let mut push = |g: Group<'_>| spliced.push(g.key, g.values.iter().copied(), g.matching);
-        for kept in groups.iter().filter(|g| !is_bad(g.key)) {
-            while let Some(g) = fresh.next_if(|g| g.key < kept.key) {
-                push(g);
-            }
-            push(kept);
-        }
-        fresh.for_each(push);
-        *groups = spliced;
-        support.mark_supported();
-        Ok(true)
-    }
-
     /// Δ-scan every part of a coverage plan against `catalog`: its
     /// residual, then its tails ([`CoveragePlan::parts`]). A tail scan
     /// pushes its sample's own set down with the row floor at the sample's
@@ -349,7 +262,7 @@ impl LaqyExecutor {
                 out.skipped += 1;
                 continue;
             }
-            let run = self.sample_pipeline(scope, ranges, &Predicate::True, row_floor as usize)?;
+            let run = self.sample_pipeline(scope, ranges, row_floor as usize)?;
             out.coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
             runs.push((part, run));
         }
@@ -385,7 +298,6 @@ impl LaqyExecutor {
         &mut self,
         scope: Scope<'_>,
         ranges: &IntervalSet,
-        extra: &Predicate,
         row_floor: usize,
     ) -> Result<PipelineRun> {
         let Scope {
@@ -400,7 +312,7 @@ impl LaqyExecutor {
         let k = self.policy.effective_k(query.k);
         let payload_cols = schema.column_names();
         let fact = catalog.table(&query.plan.fact)?;
-        let residual = query.plan.predicate.clone().and(extra.clone());
+        let residual = &query.plan.predicate;
         let full_pred = residual
             .clone()
             .and(range_predicate(&query.range_column, ranges));
@@ -418,7 +330,7 @@ impl LaqyExecutor {
         let prepared = PreparedScan::new(fact, &full_pred)?.with_range_index(
             &query.range_column,
             &intervals,
-            &residual,
+            residual,
             joined,
             row_floor,
             self.prefer_index,
@@ -864,7 +776,7 @@ mod tests {
     use super::*;
     use laqy_engine::ops::star_probe;
     use laqy_engine::plan::PreparedJoins;
-    use laqy_engine::{AggSpec, ColRef, Column, Table};
+    use laqy_engine::{AggSpec, ColRef, Column, GroupKey, Table};
 
     fn mini_catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -1017,7 +929,7 @@ mod tests {
             shape: &shape,
             strata_hint: 0,
         };
-        let run = exec.sample_pipeline(scope, &ranges, &Predicate::True, 0);
+        let run = exec.sample_pipeline(scope, &ranges, 0);
         run.unwrap().delta.read()
     }
 
@@ -1137,7 +1049,7 @@ mod tests {
                     strata_hint: 0,
                 };
                 let ranges = IntervalSet::of(query.range);
-                let run = exec.sample_pipeline(scope, &ranges, &Predicate::True, 0);
+                let run = exec.sample_pipeline(scope, &ranges, 0);
                 let sample = run.unwrap().delta.read();
 
                 let dim = catalog.table("d").unwrap();
@@ -1285,7 +1197,7 @@ mod tests {
     fn sample_through(
         catalog: &Catalog,
         query: &ApproxQuery,
-        (ranges, extra, row_floor): (&IntervalSet, &Predicate, usize),
+        (ranges, row_floor): (&IntervalSet, usize),
         morsel_rows: usize,
         prefer: fn(usize, usize) -> bool,
     ) -> (crate::sampler_ops::Contents, ExecStats) {
@@ -1301,19 +1213,13 @@ mod tests {
             shape: &shape,
             strata_hint: 0,
         };
-        let run = exec
-            .sample_pipeline(scope, ranges, extra, row_floor)
-            .unwrap();
+        let run = exec.sample_pipeline(scope, ranges, row_floor).unwrap();
         (run.delta.read().contents(), run.stats)
     }
 
     /// Assert that the index and the scan give one Δ the same sample, byte
     /// for byte, and the same cardinalities, and that each path ran.
-    fn assert_sources_agree(
-        catalog: &Catalog,
-        query: &ApproxQuery,
-        delta: (&IntervalSet, &Predicate, usize),
-    ) {
+    fn assert_sources_agree(catalog: &Catalog, query: &ApproxQuery, delta: (&IntervalSet, usize)) {
         for morsel_rows in [16_384, DEFAULT_MORSEL_ROWS] {
             let (indexed, by_index) =
                 sample_through(catalog, query, delta, morsel_rows, |_, _| true);
@@ -1342,16 +1248,17 @@ mod tests {
             Interval::new(9_000, 17_999),
             Interval::new(70_000, 70_999),
         ]);
-        assert_sources_agree(&catalog, &query, (&ranges, &Predicate::True, 0));
-        // A Δ with an extra predicate on another column (the per-stratum
-        // fallback's).
-        let extra = Predicate::between("g", 3, 30);
-        assert_sources_agree(&catalog, &query, (&ranges, &extra, 0));
+        assert_sources_agree(&catalog, &query, (&ranges, 0));
+        // A fixed predicate on another column: the residual the index
+        // leaves to the kernels.
+        let mut gated = query.clone();
+        gated.plan.predicate = Predicate::between("g", 3, 30);
+        assert_sources_agree(&catalog, &gated, (&ranges, 0));
         // Above the join, with a dimension payload column.
         let catalog = star_catalog(60_000);
         let query = star_query(Interval::new(0, 59_999));
         let ranges = IntervalSet::of(Interval::new(20_000, 29_999));
-        assert_sources_agree(&catalog, &query, (&ranges, &Predicate::True, 0));
+        assert_sources_agree(&catalog, &query, (&ranges, 0));
     }
 
     #[test]
@@ -1386,13 +1293,13 @@ mod tests {
             let (_, stats) = sample_through(
                 &catalog,
                 &query,
-                (&ranges, &Predicate::True, row_floor),
+                (&ranges, row_floor),
                 DEFAULT_MORSEL_ROWS,
                 |_, _| false,
             );
             assert_eq!(stats.scanned_rows, total as u64 - row_floor as u64);
             if row_floor < base as usize + 3 * chunk {
-                assert_sources_agree(&catalog, &query, (&ranges, &Predicate::True, row_floor));
+                assert_sources_agree(&catalog, &query, (&ranges, row_floor));
             } else {
                 // Past every sealed piece nothing is indexed: both pins
                 // walk the open chunk alike.
@@ -1400,7 +1307,7 @@ mod tests {
                     sample_through(
                         &catalog,
                         &query,
-                        (&ranges, &Predicate::True, row_floor),
+                        (&ranges, row_floor),
                         DEFAULT_MORSEL_ROWS,
                         prefer,
                     )

@@ -51,10 +51,12 @@
 //! a registered table. Each query attempt pins one table epoch by
 //! cloning the catalog once up front, so a query concurrent with appends
 //! reads a frozen set of rows — never a torn mix of old and new. When a
-//! write-ahead log is enabled ([`LaqyService::enable_wal`]), the batch
+//! write-ahead log is open ([`LaqyService::recover_with_wal`]), the batch
 //! is durably logged and fsynced *before* the new table version is
 //! published or any stored sample absorbs the appended rows, so the
-//! sample store can never run ahead of what recovery can replay. Build,
+//! sample store can never run ahead of what recovery can replay; once an
+//! append has failed, every ingest is refused until recovery re-opens the
+//! log. Build,
 //! log and publish serialize on the `laqy.wal` mutex, which is taken
 //! before the catalog lock (wal → catalog → store, keeping the lock
 //! graph acyclic); the sample absorb runs after it is released, under
@@ -111,15 +113,27 @@ struct ServiceInner {
     /// widening the race window so tests can deterministically exercise
     /// the dedup/piggyback path.
     sampling_hold_nanos: AtomicU64,
-    /// Write-ahead log appender (`None` until
-    /// [`LaqyService::enable_wal`]). Doubles as the ingest serialization
+    /// The ingest write-ahead log. Doubles as the ingest serialization
     /// point: every ingest holds this mutex across log-append and catalog
     /// publish, so batches publish in WAL order; the sample absorb runs
     /// after it is released.
-    wal: Mutex<Option<WalAppender>>,
+    wal: Mutex<Wal>,
     /// Star joins and their join filters, per join shape; every query's
     /// executor shares it, and `clear_samples` leaves it alone.
     joins: Arc<JoinMemo>,
+}
+
+/// The ingest write-ahead log, as `laqy.wal` holds it.
+enum Wal {
+    /// No log was opened: ingest publishes without one.
+    Off,
+    /// Every ingest appends and fsyncs here before it publishes.
+    Open(WalAppender),
+    /// An append failed and may have torn the segment tail, which a later
+    /// append would make unreachable at replay: every ingest is refused
+    /// until [`LaqyService::recover_with_wal`] re-opens the log (and
+    /// truncates the tail).
+    Failed,
 }
 
 /// A shared, thread-safe LAQy query service.
@@ -278,7 +292,7 @@ impl LaqyService {
                 mode: config.reuse_mode,
                 seed: AtomicU64::new(config.seed),
                 sampling_hold_nanos: AtomicU64::new(0),
-                wal: Mutex::named(classes::WAL, None),
+                wal: Mutex::named(classes::WAL, Wal::Off),
                 joins: Arc::new(JoinMemo::new()),
             }),
         }
@@ -335,7 +349,7 @@ impl LaqyService {
         let store = self.store();
         // laqy-lint: allow(guard-blocking-op) -- intentional: the snapshot write is pinned to a frozen WAL position; releasing `laqy.wal` before the fsync would let ingest move the log past the cut.
         let generation = crate::persist::save_snapshot(&store, dir)?;
-        if let Some(w) = wal.as_mut() {
+        if let Wal::Open(w) = &mut *wal {
             let watermarks: Vec<(String, u64)> = {
                 let catalog = self.catalog();
                 catalog
@@ -355,12 +369,9 @@ impl LaqyService {
                 watermarks,
             });
             if let Err(e) = append {
-                // Same discipline as `ingest`: a failed append may have
-                // torn the segment tail, and appending past it would make
-                // every later record unreachable at replay. Disable the
-                // WAL until `enable_wal` re-opens (and truncates) it. The
-                // snapshot itself is already durable.
-                *wal = None;
+                // Same discipline as `ingest`: the log has failed until
+                // recovery re-opens it. The snapshot itself is durable.
+                *wal = Wal::Failed;
                 return Err(e);
             }
             self.inner
@@ -371,26 +382,12 @@ impl LaqyService {
         Ok(generation)
     }
 
-    /// Replace the sample store from the newest loadable snapshot
-    /// generation in `dir`, falling back past corrupt or truncated tails
-    /// (see [`crate::persist::recover_snapshot`]). Advances the
-    /// `snapshots_recovered` counter when recovery had to discard a
-    /// newer, damaged generation.
-    pub fn recover_from_dir(
-        &self,
-        dir: &std::path::Path,
-    ) -> std::result::Result<crate::persist::RecoveryReport, crate::persist::PersistError> {
-        let (loaded, report) = crate::persist::recover_snapshot(dir)?;
-        self.restore_store(loaded, report.fell_back());
-        Ok(report)
-    }
-
     /// Replace the sample store with `loaded` — the one step behind every
-    /// restore (import, snapshot recovery, WAL recovery). Counts a
-    /// snapshot recovery that `fell_back` past a damaged generation, and
-    /// drops every sample whose watermark runs past its live table: a
-    /// snapshot cut from a longer table than this one would otherwise
-    /// answer with rows the table does not hold.
+    /// restore (import, recovery). Counts a snapshot recovery that
+    /// `fell_back` past a damaged generation, and drops every sample
+    /// whose watermark runs past its live table: a snapshot cut from a
+    /// longer table than this one would otherwise answer with rows the
+    /// table does not hold.
     fn restore_store(&self, loaded: SampleStore, fell_back: bool) {
         self.write_store().replace_from(loaded);
         if fell_back {
@@ -416,12 +413,14 @@ impl LaqyService {
     ///
     /// 1. the next table version is *built* first (pure validation — a
     ///    malformed batch changes nothing);
-    /// 2. with a WAL enabled, the batch is appended and fsynced — if the
-    ///    log write fails, the batch is not published and the WAL is
-    ///    disabled until [`LaqyService::enable_wal`] re-opens (and
-    ///    truncates) it, so a torn segment tail can never be appended
-    ///    past; a batch whose record is over the WAL's record cap is
-    ///    refused before a byte is written, and the WAL stays enabled;
+    /// 2. with a WAL open, the batch is appended and fsynced — if the log
+    ///    write fails, the batch is not published and the log has failed:
+    ///    this and every later ingest is [`LaqyError::WalFailed`] until
+    ///    [`LaqyService::recover_with_wal`] re-opens (and truncates) it,
+    ///    so a torn segment tail is never appended past and no batch is
+    ///    acked that recovery would not replay; a batch whose record is
+    ///    over the WAL's record cap is refused before a byte is written,
+    ///    and the WAL stays open;
     /// 3. the new version is published in the catalog (appends never
     ///    mutate the version concurrent readers pinned);
     /// 4. after `laqy.wal` is released, stored samples absorb the appended
@@ -436,7 +435,7 @@ impl LaqyService {
     /// When two ingests' absorbs race, whichever runs first carries the
     /// samples to its version; the other offers only rows past that, or
     /// nothing. No row is lost or offered twice in either order. With a
-    /// WAL enabled, every row an absorb offers is already durable (step 2
+    /// WAL open, every row an absorb offers is already durable (step 2
     /// ran for it).
     pub fn ingest(&self, table: &str, batch: Vec<(String, Column)>) -> Result<u64> {
         let rows = batch.first().map(|(_, c)| c.len()).unwrap_or(0) as u64;
@@ -447,30 +446,31 @@ impl LaqyService {
                 let current = catalog.table(table)?;
                 (current.append_batch(&batch)?, current.num_rows() as u64)
             };
-            if let Some(w) = wal.as_mut() {
-                // laqy-lint: allow(guard-blocking-op) -- durable-before-publish: the append+fsync under `laqy.wal` is the ingest serialization point (see the ordering contract in the doc comment).
-                let append = w.append(&WalRecord::Batch {
-                    table: table.to_string(),
-                    base_rows,
-                    columns: batch,
-                });
-                if let Err(e) = append {
-                    // A record over the cap never reached the log: the WAL stays on.
-                    if !matches!(e, crate::persist::PersistError::TooLarge(_)) {
-                        *wal = None;
-                    }
-                    let wal_state = if wal.is_some() {
-                        "unchanged"
-                    } else {
-                        "disabled"
-                    };
-                    let msg = format!("wal append failed (wal {wal_state}): {e}");
-                    return Err(LaqyError::Unsupported(msg));
+            match &mut *wal {
+                Wal::Off => {}
+                Wal::Failed => {
+                    return Err(LaqyError::WalFailed("an earlier append failed".into()));
                 }
-                self.inner
-                    .counters
-                    .wal_appends
-                    .fetch_add(1, Ordering::Relaxed);
+                Wal::Open(w) => {
+                    // laqy-lint: allow(guard-blocking-op) -- durable-before-publish: the append+fsync under `laqy.wal` is the ingest serialization point (see the ordering contract in the doc comment).
+                    let append = w.append(&WalRecord::Batch {
+                        table: table.to_string(),
+                        base_rows,
+                        columns: batch,
+                    });
+                    match append {
+                        Ok(_) => add(&self.inner.counters.wal_appends, 1),
+                        // A record over the cap never reached the log: the WAL stays open.
+                        Err(e @ crate::persist::PersistError::TooLarge(_)) => {
+                            let msg = format!("wal append failed (wal unchanged): {e}");
+                            return Err(LaqyError::Unsupported(msg));
+                        }
+                        Err(e) => {
+                            *wal = Wal::Failed;
+                            return Err(LaqyError::WalFailed(e.to_string()));
+                        }
+                    }
+                }
             }
             self.timed(|i| i.catalog.write()).register(new_table)
         };
@@ -481,34 +481,6 @@ impl LaqyService {
         Ok(published.row_watermark())
     }
 
-    /// Enable the ingest write-ahead log rooted at `dir`. Any intact
-    /// records already in the log are replayed first — batches apply
-    /// idempotently (a batch whose table already holds more than its
-    /// `base_rows` is skipped) and stored samples catch up with the tables
-    /// the replay grew — then the
-    /// appender opens at the end of the last intact record, truncating a
-    /// torn tail. Subsequent [`LaqyService::ingest`] calls are durable:
-    /// the batch is logged and fsynced before it is published.
-    pub fn enable_wal(
-        &self,
-        dir: &std::path::Path,
-    ) -> std::result::Result<crate::wal::WalReplayReport, crate::persist::PersistError> {
-        let mut wal = self.timed(|i| i.wal.lock());
-        let (records, replay) = crate::wal::replay(dir)?;
-        if !records.is_empty() {
-            self.inner
-                .counters
-                .wal_replays
-                .fetch_add(records.len() as u64, Ordering::Relaxed);
-            for t in self.apply_wal_batches(&records)? {
-                self.absorb_published(&t);
-            }
-        }
-        // laqy-lint: allow(guard-blocking-op) -- torn-tail truncation and appender open must be atomic with respect to ingest; `laqy.wal` is held across the open by design.
-        *wal = Some(WalAppender::open_at(dir, replay.end)?);
-        Ok(replay)
-    }
-
     /// Crash recovery to one consistent `(snapshot generation, WAL
     /// position)` point: restore the sample store from the newest
     /// loadable snapshot in `snapshot_dir`, replay the WAL in `wal_dir`
@@ -516,7 +488,10 @@ impl LaqyService {
     /// discarded and truncated), drop any stored sample whose watermark
     /// runs past the recovered tables (it would reference rows the log
     /// never made durable), catch the survivors up with the tables the
-    /// replay grew, and leave the WAL enabled for further ingest.
+    /// replay grew, and leave the WAL open for further ingest — also after
+    /// a failed append. Over an empty snapshot directory and an empty log
+    /// this opens a fresh service's log: the one way to open durable
+    /// state.
     pub fn recover_with_wal(
         &self,
         snapshot_dir: &std::path::Path,
@@ -545,7 +520,7 @@ impl LaqyService {
             self.absorb_published(&t);
         }
         // laqy-lint: allow(guard-blocking-op) -- recovery must hold `laqy.wal` from replay through appender open: an ingest slipping in between would append at a position the replay never saw.
-        *wal = Some(WalAppender::open_at(wal_dir, replay.end)?);
+        *wal = Wal::Open(WalAppender::open_at(wal_dir, replay.end)?);
         Ok(report)
     }
 
@@ -1001,11 +976,10 @@ impl LaqyService {
 
     /// **Finish** — the one exit every arm's estimate takes: apply the
     /// degradation record, derive the support report, run the §5.2.3
-    /// conservative fallback (re-sample online, filter pushed down, only
-    /// the under-supported strata of a reused sample — validating whether
-    /// low support reflects the data or a sampling artifact — or, where
-    /// that does not apply, answer from the online plan instead), stamp
-    /// the arm and the clock, count the answer.
+    /// conservative fallback (a reused answer that is not degraded and
+    /// short of support is answered by the online plan instead, whose
+    /// sample the store keeps), stamp the arm and the clock, count the
+    /// answer.
     fn finish(
         &self,
         at: &mut Attempt<'_>,
@@ -1025,7 +999,7 @@ impl LaqyService {
         }
         // Estimation already counted each stratum's matching rows (strata
         // and output groups coincide: QCS = GROUP BY).
-        let mut support = support_from_groups(&groups, policy);
+        let support = support_from_groups(&groups, policy);
         stats.estimate += t.elapsed();
 
         let (class, counter) = match arm {
@@ -1034,12 +1008,10 @@ impl LaqyService {
             Arm::Online => (ReuseClass::Online, Some(&c.online_runs)),
             Arm::Oblivious => (ReuseClass::Online, None),
         };
-        let (executor, scope) = at.pipeline();
         if matches!(arm, Arm::Full | Arm::Coverage)
             && policy.conservative
             && stats.degraded.is_none()
             && !support.fully_supported()
-            && !executor.refine_support(scope, &mut groups, &mut support, &mut stats)?
         {
             add(&c.support_fallbacks, 1);
             let online = CoveragePlan::online(&at.descriptor, at.watermark);
@@ -1190,8 +1162,7 @@ mod tests {
         q
     }
 
-    /// `query` over 200 strata: a narrow window under-supports more of
-    /// them than the per-stratum fallback re-samples.
+    /// `query` over 200 strata: a family of its own.
     fn many_strata(lo: i64, hi: i64) -> ApproxQuery {
         let mut q = query(lo, hi);
         q.plan.group_by = vec![ColRef::fact("h")];
@@ -1298,14 +1269,6 @@ mod tests {
                 conservative: true,
                 setup: warm_half,
                 run: |s| s.run(&query(1000, 5000)),
-                ..case("conservative: refined", ReuseClass::Full, Some(0), 0.0)
-            },
-            ArmCase {
-                conservative: true,
-                setup: |s| {
-                    s.run(&many_strata(0, N / 2 - 1)).unwrap();
-                },
-                run: |s| s.run(&many_strata(1000, 5000)),
                 ..case("conservative: fell back", ReuseClass::Online, Some(2), 1.0)
             },
         ];
@@ -1371,12 +1334,21 @@ mod tests {
                 after.full_hits + after.partial_merges + after.online_runs,
                 "{name}"
             );
-            let fell_back = name == "conservative: fell back";
-            assert_eq!(after.support_fallbacks, u64::from(fell_back), "{name}");
+            assert_eq!(
+                after.support_fallbacks,
+                u64::from(case.conservative),
+                "{name}"
+            );
             if case.conservative {
+                // The hit was short of support: the online plan scanned
+                // the window, and the store keeps its sample.
                 assert!(result.stats.scanned_rows > 0, "{name}: the fallback scans");
-                // A per-stratum probe validates every thin stratum.
-                assert!(fell_back || result.support.fully_supported(), "{name}");
+                let window = Predicates::on("key", IntervalSet::of(Interval::new(1000, 5000)));
+                let added: Vec<_> = (stored(&service).into_iter())
+                    .filter(|s| !stored_before.contains(s))
+                    .collect();
+                assert_eq!(added.len(), 1, "{name}: {added:?}");
+                assert_eq!(added[0].0, window, "{name}: the window's sample is stored");
             }
         }
     }
@@ -1399,46 +1371,6 @@ mod tests {
         assert_eq!(online.support.under_supported_len(), 200);
         assert_eq!(full.support, online.support);
         assert_eq!(full.groups, online.groups);
-    }
-
-    /// The §5.2.3 splice keeps key order: strata 1 and 3 (20 rows each,
-    /// all retained, under the support floor of 30) are re-sampled and
-    /// merged back between the supported strata 0 and 2 (10 000 rows
-    /// each) they interleave with.
-    #[test]
-    fn refined_strata_are_spliced_back_in_key_order() {
-        let n = 20_040;
-        let g = |i: i64| if i < 40 { 1 + 2 * (i % 2) } else { 2 * (i % 2) };
-        let mut cat = Catalog::new();
-        let table = Table::new(
-            "t",
-            vec![
-                ("key".into(), Column::Int64((0..n).collect())),
-                ("g".into(), Column::Int64((0..n).map(g).collect())),
-                ("v".into(), Column::Int64((0..n).map(|i| i % 100).collect())),
-            ],
-        );
-        cat.register(table.unwrap());
-        let policy = SupportPolicy {
-            conservative: true,
-            ..Default::default()
-        };
-        let config = SessionConfig {
-            threads: 1,
-            policy,
-            ..Default::default()
-        };
-        let service = LaqyService::with_config(cat, config);
-        let q = query(0, n - 1);
-        let online = service.run(&q).unwrap();
-        assert_eq!(online.support.under_supported_len(), 2);
-        let hit = service.run(&q).unwrap();
-        assert_eq!(hit.stats.reuse, Some(ReuseClass::Full));
-        assert_eq!(hit.support.supported, 4);
-        let keys: Vec<&[i64]> = hit.groups.iter().map(|g| g.key).collect();
-        assert_eq!(keys, [[0], [1], [2], [3]]);
-        let counts: Vec<f64> = hit.groups.iter().map(|g| g.values[1].value).collect();
-        assert_eq!(counts, [10_000.0, 20.0, 10_000.0, 20.0]);
     }
 
     /// The stored sample a full hit on `q` reads *now*, and what
@@ -1846,7 +1778,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        service.enable_wal(&wal_dir).unwrap();
+        service.recover_with_wal(&snap_dir, &wal_dir).unwrap();
         service.run(&query(0, 1999)).unwrap();
         service.ingest("t", batch(2000, 300)).unwrap();
         service.save_snapshot(&snap_dir).unwrap();
@@ -1887,7 +1819,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let (wal_dir, snap_dir) = (dir.join("wal"), dir.join("snap"));
         let service = LaqyService::new(catalog(100));
-        service.enable_wal(&wal_dir).unwrap();
+        service.recover_with_wal(&snap_dir, &wal_dir).unwrap();
         // Four `Int64` columns: 32 B a row in the record, one row too many.
         let rows = crate::wal::MAX_WAL_RECORD_BYTES as i64 / 32 + 1;
         let err = service.ingest("t", batch(100, rows)).unwrap_err();

@@ -309,8 +309,7 @@ mod tests {
             strata_hint: 0,
         };
         let ranges = IntervalSet::of(Interval::new(lo, hi));
-        exec.sample_pipeline(scope, &ranges, &Predicate::True, 0)
-            .unwrap();
+        exec.sample_pipeline(scope, &ranges, 0).unwrap();
         OFFERED.take().expect("the Δ read the range index")
     }
 

@@ -2,11 +2,12 @@
 //!
 //! Tightening a predicate on a stored sample (§5.2.1) is admissible only if
 //! enough sampled tuples survive the stricter predicate to honour the
-//! requested error guarantees. This module checks per-stratum support,
-//! implements the conservative fallback (§5.2.3: strata with insufficient
-//! support are re-sampled online with the filter pushed down), and exposes
-//! the oversampling factor α that trades space for reusability under
-//! stricter predicates.
+//! requested error guarantees. This module counts per-stratum support and
+//! holds the policy: the floor a stratum must reach, the conservative
+//! switch under which a reused answer short of support is re-sampled
+//! online over the query's whole range (§5.2.3, run by
+//! [`crate::service`]), and the oversampling factor α that trades space
+//! for reusability under stricter predicates.
 
 use laqy_engine::GroupKey;
 
@@ -22,9 +23,10 @@ pub struct SupportPolicy {
     /// predicates still leave enough support (§5.2.3). Tuning is out of the
     /// paper's scope; exposed as a plain multiplier.
     pub oversampling_alpha: f64,
-    /// Conservative mode: if true, under-supported strata demand an online
-    /// fallback; if false, estimates are reported with the available
-    /// (wider) error bounds.
+    /// Conservative mode: if true, a reused answer with any short stratum
+    /// is answered instead by online sampling of the query's range, and
+    /// that sample is stored; if false, estimates are reported with the
+    /// available (wider) error bounds.
     pub conservative: bool,
 }
 
@@ -45,94 +47,86 @@ impl SupportPolicy {
     }
 }
 
-/// Outcome of a support check over a tightened sample: counts, plus the
-/// position of each short stratum in the answer's [`Groups`] (strata and
-/// output groups coincide). Keys are read from those groups only when
-/// asked for — the §5.2.3 fallback is the one reader — so a hit pays
-/// 4 bytes a short stratum, not a key.
+/// Outcome of a support check over a tightened sample: how many strata
+/// meet the policy, fall short, or match nothing, and the floor they were
+/// classified against. Strata and output groups coincide, so the short
+/// strata's keys are read back from the answer's [`Groups`] only when
+/// asked for: a report allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupportReport {
     /// Strata whose matching tuple count meets the policy.
     pub supported: usize,
-    /// Positions of the strata that fall short (candidates for the online
-    /// fallback), ascending.
-    under_supported: Vec<u32>,
-    /// Positions of the strata with zero matching tuples, ascending. May
-    /// be a true empty region or a sampling artifact — only an online
-    /// probe can tell (§5.2.3).
-    empty: Vec<u32>,
+    /// Strata that fall short of the policy but match some tuples.
+    under_supported: usize,
+    /// Strata with zero matching tuples. May be a true empty region or a
+    /// sampling artifact — only an online re-sample can tell (§5.2.3).
+    empty: usize,
+    /// The policy's `min_rows_per_stratum` the counts were made with.
+    min_rows: usize,
 }
 
 impl SupportReport {
     /// True if every stratum meets the policy.
     pub fn fully_supported(&self) -> bool {
-        self.under_supported.is_empty() && self.empty.is_empty()
+        self.under_supported == 0 && self.empty == 0
     }
 
     /// Strata that fall short of the policy but match some tuples.
     pub fn under_supported_len(&self) -> usize {
-        self.under_supported.len()
+        self.under_supported
     }
 
     /// Strata with zero matching tuples.
     pub fn empty_len(&self) -> usize {
-        self.empty.len()
+        self.empty
     }
 
     /// Keys of the under-supported strata in key order, read from
     /// `groups`: the answer this report was made for.
     pub fn under_supported_keys<'a>(
-        &'a self,
+        &self,
         groups: &'a Groups,
-    ) -> impl ExactSizeIterator<Item = GroupKey> + 'a {
-        Self::keys(&self.under_supported, groups)
+    ) -> impl Iterator<Item = GroupKey> + 'a {
+        let min = self.min_rows;
+        keys_where(groups, move |m| m > 0 && m < min)
     }
 
     /// Keys of the empty strata in key order, read from `groups`: the
     /// answer this report was made for.
-    pub fn empty_keys<'a>(
-        &'a self,
-        groups: &'a Groups,
-    ) -> impl ExactSizeIterator<Item = GroupKey> + 'a {
-        Self::keys(&self.empty, groups)
-    }
-
-    fn keys<'a>(
-        positions: &'a [u32],
-        groups: &'a Groups,
-    ) -> impl ExactSizeIterator<Item = GroupKey> + 'a {
-        positions
-            .iter()
-            .map(|&i| GroupKey::new(groups.get(i as usize).key))
-    }
-
-    /// Every stratum validated (the §5.2.3 probe confirmed the short ones).
-    pub(crate) fn mark_supported(&mut self) {
-        self.supported += self.under_supported.len() + self.empty.len();
-        self.under_supported.clear();
-        self.empty.clear();
+    pub fn empty_keys<'a>(&self, groups: &'a Groups) -> impl Iterator<Item = GroupKey> + 'a {
+        keys_where(groups, |m| m == 0)
     }
 
     /// Compare each stratum's matching-tuple count against the policy:
-    /// `matching[i]` is the count of the answer's group `i`. One pass; both
-    /// position lists come out ascending, and stay unallocated when no
-    /// stratum is short.
+    /// `matching[i]` is the count of the answer's group `i`.
     pub(crate) fn classify(matching: &[usize], policy: &SupportPolicy) -> Self {
-        let min = policy.min_rows_per_stratum;
+        let min_rows = policy.min_rows_per_stratum;
         let mut report = SupportReport {
             supported: 0,
-            under_supported: Vec::new(),
-            empty: Vec::new(),
+            under_supported: 0,
+            empty: 0,
+            min_rows,
         };
-        for (i, &m) in matching.iter().enumerate() {
+        for &m in matching {
             match m {
-                0 => report.empty.push(i as u32),
-                m if m < min => report.under_supported.push(i as u32),
+                0 => report.empty += 1,
+                m if m < min_rows => report.under_supported += 1,
                 _ => report.supported += 1,
             }
         }
         report
     }
+}
+
+/// The keys of the groups whose matching count passes `class`, in the
+/// groups' (key) order.
+fn keys_where<'a>(
+    groups: &'a Groups,
+    class: impl Fn(usize) -> bool + 'a,
+) -> impl Iterator<Item = GroupKey> + 'a {
+    (groups.iter())
+        .filter(move |g| class(g.matching))
+        .map(|g| GroupKey::new(g.key))
 }
 
 #[cfg(test)]
@@ -144,6 +138,7 @@ mod tests {
     use crate::interval::{Interval, IntervalSet};
     use crate::sampler_ops::{Sample, SampleSchema, SlotKind};
     use laqy_sampling::Lehmer64;
+    use proptest::prelude::*;
 
     /// The support of `sample` under `tighten`, classified from the
     /// matching rows of a no-aggregate estimate's groups, and the groups.
@@ -237,46 +232,49 @@ mod tests {
         assert!(check_support(&s, &schema(), Some(&tighten), &SupportPolicy::default()).is_err());
     }
 
-    #[test]
-    fn strata_in_key_order_classify_into_sorted_lists() {
-        // Two-part keys in key order, every class present: the keys come
-        // out as sorting them would leave them. With no short stratum the
-        // position lists allocate nothing.
-        let mut rng = Lehmer64::new(3);
-        let keys: Vec<GroupKey> = (0..500)
-            .map(|i| GroupKey::new(&[i / 7, i % 7 - 3]))
-            .collect();
-        let counts: Vec<usize> = keys.iter().map(|_| rng.next_below(45) as usize).collect();
-        let mut groups = Groups::default();
-        for (key, &m) in keys.iter().zip(&counts) {
-            groups.push(key.parts(), std::iter::empty(), m);
-        }
-        let report = SupportReport::classify(groups.matching(), &SupportPolicy::default());
-        let matching: Vec<(GroupKey, usize)> = keys.iter().copied().zip(counts).collect();
-        let class = |f: fn(usize) -> bool| -> Vec<GroupKey> {
-            let mut keys: Vec<_> = matching
-                .iter()
-                .filter(|(_, m)| f(*m))
-                .map(|(k, _)| *k)
+    proptest! {
+        /// The counts and both key iterators equal a reference
+        /// classification of random matching counts — empty, below the
+        /// floor and at or above it — over two-part keys in key order.
+        #[test]
+        fn classify_agrees_with_a_reference_classification(
+            min_rows in 1usize..40,
+            strata in prop::collection::vec((0u8..3, 0usize..1_000), 0..300),
+        ) {
+            let policy = SupportPolicy { min_rows_per_stratum: min_rows, ..Default::default() };
+            let matching: Vec<(GroupKey, usize)> = (strata.iter().enumerate())
+                .map(|(i, &(class, r))| {
+                    let i = i as i64;
+                    let m = match class {
+                        0 => 0,
+                        1 if min_rows > 1 => 1 + r % (min_rows - 1),
+                        _ => min_rows + r % 3,
+                    };
+                    (GroupKey::new(&[i / 7, i % 7 - 3]), m)
+                })
                 .collect();
-            keys.sort();
-            keys
-        };
-        assert_eq!(
-            report.empty_keys(&groups).collect::<Vec<_>>(),
-            class(|m| m == 0)
-        );
-        assert_eq!(
-            report.under_supported_keys(&groups).collect::<Vec<_>>(),
-            class(|m| m > 0 && m < 30)
-        );
-        assert_eq!(
-            report.supported,
-            matching.iter().filter(|(_, m)| *m >= 30).count()
-        );
-        let supported = SupportReport::classify(&[30, 31, 400], &SupportPolicy::default());
-        assert_eq!(supported.supported, 3);
-        assert_eq!(supported.empty.capacity(), 0);
-        assert_eq!(supported.under_supported.capacity(), 0);
+            let mut groups = Groups::default();
+            for (key, m) in &matching {
+                groups.push(key.parts(), std::iter::empty(), *m);
+            }
+            let report = SupportReport::classify(groups.matching(), &policy);
+            let class = |f: &dyn Fn(usize) -> bool| -> Vec<GroupKey> {
+                let mut keys: Vec<_> = (matching.iter())
+                    .filter(|(_, m)| f(*m))
+                    .map(|(k, _)| *k)
+                    .collect();
+                keys.sort();
+                keys
+            };
+            let empty = class(&|m| m == 0);
+            let under = class(&|m| m > 0 && m < min_rows);
+            let supported = class(&|m| m >= min_rows);
+            prop_assert_eq!(report.empty_keys(&groups).collect::<Vec<_>>(), empty.clone());
+            prop_assert_eq!(report.under_supported_keys(&groups).collect::<Vec<_>>(), under.clone());
+            prop_assert_eq!(report.empty_len(), empty.len());
+            prop_assert_eq!(report.under_supported_len(), under.len());
+            prop_assert_eq!(report.supported, supported.len());
+            prop_assert_eq!(report.fully_supported(), empty.is_empty() && under.is_empty());
+        }
     }
 }

@@ -323,11 +323,10 @@ impl Execution {
     }
 
     fn can_acquire(hold: &Hold, exclusive: bool) -> bool {
-        match (hold, exclusive) {
-            (Hold::Unlocked, _) => true,
-            (Hold::Read(_), false) => true,
-            _ => false,
-        }
+        matches!(
+            (hold, exclusive),
+            (Hold::Unlocked, _) | (Hold::Read(_), false)
+        )
     }
 
     /// Logically acquire `obj`. Blocks (cooperatively) until granted.

@@ -15,8 +15,8 @@
 use std::path::PathBuf;
 
 use laqy::{
-    replay_wal, ApproxQuery, Interval, LaqyService, ReuseClass, SessionConfig, WalAppender,
-    WalRecord,
+    replay_wal, ApproxQuery, Interval, LaqyError, LaqyService, ReuseClass, SessionConfig,
+    WalAppender, WalRecord,
 };
 use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table};
 use laqy_faults::{FaultKind, FaultPlan};
@@ -95,7 +95,7 @@ fn assert_consistent(recovered: &LaqyService, min_batches: usize, max_batches: u
     let watermark = recovered.catalog().table("stream").unwrap().row_watermark() as usize;
     assert!(
         watermark >= BASE_ROWS
-            && (watermark - BASE_ROWS) % BATCH_ROWS == 0
+            && (watermark - BASE_ROWS).is_multiple_of(BATCH_ROWS)
             && (BASE_ROWS + min_batches * BATCH_ROWS..=BASE_ROWS + max_batches * BATCH_ROWS)
                 .contains(&watermark),
         "recovered watermark {watermark} is not a consistent batch boundary"
@@ -129,7 +129,7 @@ fn killing_ingest_at_every_wal_fault_point_recovers_consistently() {
         let snap_dir = dir.join("snap");
 
         let live = service(0x5EED ^ seed);
-        live.enable_wal(&wal_dir).unwrap();
+        live.recover_with_wal(&snap_dir, &wal_dir).unwrap();
         live.run(&query()).unwrap();
         live.save_snapshot(&snap_dir).unwrap();
 
@@ -160,8 +160,8 @@ fn killing_ingest_at_every_wal_fault_point_recovers_consistently() {
                 Ok(_) => acked += 1,
                 Err(e) => {
                     assert!(
-                        e.to_string().contains("injected I/O fault")
-                            && e.to_string().contains("wal disabled"),
+                        matches!(e, LaqyError::WalFailed(_))
+                            && e.to_string().contains("injected I/O fault"),
                         "{point}: unexpected ingest error {e}"
                     );
                     break;
@@ -170,7 +170,7 @@ fn killing_ingest_at_every_wal_fault_point_recovers_consistently() {
         }
         if kind == 3 {
             // The snapshot itself lands; the checkpoint frame tears and
-            // the WAL is disabled rather than appended past.
+            // the log fails rather than being appended past.
             laqy_faults::install(FaultPlan::new(seed).fail_nth(point, FaultKind::Io, 1));
             let err = live.save_snapshot(&snap_dir).expect_err("checkpoint torn");
             assert!(err.to_string().contains("injected I/O fault"), "{err}");
@@ -221,48 +221,114 @@ fn killing_ingest_at_every_wal_fault_point_recovers_consistently() {
 }
 
 #[test]
+fn a_failed_log_refuses_every_ingest_until_recovery_reopens_it() {
+    // A failed append may have torn the log's tail, so an ingest acked
+    // after it could never be replayed. Whether an ingest's append or a
+    // snapshot's checkpoint failed, every later ingest is refused, and
+    // recovery lands on the last acked watermark.
+    let _guard = CHAOS_LOCK.lock();
+    for torn in ["append", "checkpoint"] {
+        laqy_faults::clear();
+        let dir = scratch_dir(&format!("failed-{torn}"));
+        let (wal_dir, snap_dir) = (dir.join("wal"), dir.join("snap"));
+        let live = service(0xFA1);
+        live.recover_with_wal(&snap_dir, &wal_dir).unwrap();
+        live.run(&query()).unwrap();
+        let acked = live
+            .ingest("stream", stream_columns(BASE_ROWS, BATCH_ROWS))
+            .unwrap();
+        live.save_snapshot(&snap_dir).unwrap();
+
+        let next = || stream_columns(acked as usize, BATCH_ROWS);
+        laqy_faults::install(FaultPlan::new(3).fail_nth("wal.append.write", FaultKind::Io, 1));
+        if torn == "append" {
+            let err = live.ingest("stream", next()).unwrap_err();
+            assert!(matches!(err, LaqyError::WalFailed(_)), "{torn}: {err}");
+        } else {
+            live.save_snapshot(&snap_dir).expect_err("checkpoint torn");
+        }
+        laqy_faults::clear();
+        for _ in 0..2 {
+            let err = live.ingest("stream", next()).unwrap_err();
+            assert!(matches!(err, LaqyError::WalFailed(_)), "{torn}: {err}");
+        }
+        let published = live.catalog().table("stream").unwrap().row_watermark();
+        assert_eq!(published, acked, "{torn}: a refused batch is not published");
+
+        let recovered = service(0xFA2);
+        let report = recovered.recover_with_wal(&snap_dir, &wal_dir).unwrap();
+        assert!(report.wal_torn_tail, "{torn}");
+        assert_eq!(
+            assert_consistent(&recovered, 1, 1),
+            acked as usize,
+            "{torn}"
+        );
+        drop(recovered);
+
+        // Recovery re-opens the log, truncated: ingest is durable again.
+        live.recover_with_wal(&snap_dir, &wal_dir).unwrap();
+        let w = live.ingest("stream", next()).unwrap();
+        let again = service(0xFA3);
+        again.recover_with_wal(&snap_dir, &wal_dir).unwrap();
+        let replayed = again.catalog().table("stream").unwrap().row_watermark();
+        assert_eq!(replayed, w, "{torn}: the ingest after recovery is durable");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn snapshot_of_unlogged_rows_is_dropped_back_to_the_replayed_watermark() {
-    // A killed append disables the WAL; rows published after that are
-    // never durable. A snapshot cut from that state holds samples whose
-    // watermark outruns anything replay can rebuild — recovery must drop
-    // them rather than serve estimates over rows that no longer exist.
+    // A snapshot can hold rows its log does not: one cut by a process
+    // that ingested without a log, beside a log with fewer batches and a
+    // torn tail. Recovery must drop the snapshot's samples rather than
+    // serve estimates over rows that no longer exist.
     let _guard = CHAOS_LOCK.lock();
     laqy_faults::clear();
     let dir = scratch_dir("unlogged");
     let wal_dir = dir.join("wal");
     let snap_dir = dir.join("snap");
 
-    let live = service(0xAB5);
-    live.enable_wal(&wal_dir).unwrap();
-    live.run(&query()).unwrap();
-    live.ingest("stream", stream_columns(BASE_ROWS, BATCH_ROWS))
+    // The log: two batches, then a third whose frame tears.
+    let logged = service(0xAB5);
+    logged
+        .recover_with_wal(&dir.join("no-snapshot"), &wal_dir)
         .unwrap();
-    live.ingest("stream", stream_columns(BASE_ROWS + BATCH_ROWS, BATCH_ROWS))
+    logged
+        .ingest("stream", stream_columns(BASE_ROWS, BATCH_ROWS))
         .unwrap();
-
-    // Batch 3 tears the log (WAL disabled); batch 4 publishes unlogged.
+    logged
+        .ingest("stream", stream_columns(BASE_ROWS + BATCH_ROWS, BATCH_ROWS))
+        .unwrap();
     laqy_faults::install(FaultPlan::new(7).fail_nth("wal.append.write", FaultKind::Io, 1));
-    assert!(live
+    assert!(logged
         .ingest(
             "stream",
             stream_columns(BASE_ROWS + 2 * BATCH_ROWS, BATCH_ROWS)
         )
         .is_err());
     laqy_faults::clear();
-    live.ingest(
-        "stream",
-        stream_columns(BASE_ROWS + 2 * BATCH_ROWS, BATCH_ROWS),
-    )
-    .unwrap();
-    let unlogged = live.catalog().table("stream").unwrap().row_watermark();
-    assert_eq!(unlogged as usize, BASE_ROWS + 3 * BATCH_ROWS);
-    live.save_snapshot(&snap_dir).unwrap();
-    {
-        let store = live.store();
-        let (_, s) = store.iter().next().unwrap();
-        assert_eq!(s.watermark, unlogged, "snapshot samples outrun the log");
+    drop(logged);
+
+    // The snapshot: three batches published with no log.
+    let unlogged = service(0xAB7);
+    unlogged.run(&query()).unwrap();
+    for b in 0..3 {
+        unlogged
+            .ingest(
+                "stream",
+                stream_columns(BASE_ROWS + b * BATCH_ROWS, BATCH_ROWS),
+            )
+            .unwrap();
     }
-    drop(live);
+    let published = unlogged.catalog().table("stream").unwrap().row_watermark();
+    assert_eq!(published as usize, BASE_ROWS + 3 * BATCH_ROWS);
+    unlogged.save_snapshot(&snap_dir).unwrap();
+    {
+        let store = unlogged.store();
+        let (_, s) = store.iter().next().unwrap();
+        assert_eq!(s.watermark, published, "snapshot samples outrun the log");
+    }
+    drop(unlogged);
 
     let recovered = service(0xAB6);
     let report = recovered.recover_with_wal(&snap_dir, &wal_dir).unwrap();

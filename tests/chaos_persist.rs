@@ -11,9 +11,9 @@
 //! its real name.
 #![cfg(laqy_faults)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use laqy::{Interval, LaqyService, ReuseClass, SessionConfig};
+use laqy::{Interval, LaqyService, RecoveryReport, ReuseClass, SessionConfig};
 use laqy_engine::Catalog;
 use laqy_faults::{FaultKind, FaultPlan};
 use laqy_sync::Mutex;
@@ -56,6 +56,15 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Recover `service` from the snapshots in `dir`, over an empty log of
+/// its own that is removed again.
+fn recover(service: &LaqyService, dir: &Path) -> RecoveryReport {
+    let wal = dir.with_extension("wal");
+    let report = service.recover_with_wal(dir, &wal).unwrap();
+    let _ = std::fs::remove_dir_all(&wal);
+    report
+}
+
 #[test]
 fn killing_save_at_every_fault_point_keeps_last_good_generation() {
     let _guard = CHAOS_LOCK.lock();
@@ -95,7 +104,7 @@ fn killing_save_at_every_fault_point_keeps_last_good_generation() {
                 ..Default::default()
             },
         );
-        let report = fresh.recover_from_dir(&dir).unwrap();
+        let report = recover(&fresh, &dir);
         let expected = if *point == "persist.sync_dir" {
             good + 1
         } else {
@@ -175,7 +184,7 @@ fn recovery_counter_advances_when_falling_back_past_corruption() {
         },
     );
     assert_eq!(fresh.stats().snapshots_recovered, 0);
-    let report = fresh.recover_from_dir(&dir).unwrap();
+    let report = recover(&fresh, &dir);
     assert!(report.fell_back());
     assert_eq!(report.loaded, Some(good));
     assert_eq!(fresh.stats().snapshots_recovered, 1);

@@ -119,12 +119,14 @@ fn restored_samples_never_answer_rows_the_table_does_not_hold() {
     let snapshot = grown.export_samples();
     let dir = std::env::temp_dir().join(format!("laqy-phantom-rows-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    grown.save_snapshot(&dir).unwrap();
+    grown.save_snapshot(&dir.join("snap")).unwrap();
 
     let imported = session(&base, 6);
     imported.import_samples(&snapshot).unwrap();
     let recovered = session(&base, 7);
-    recovered.recover_from_dir(&dir).unwrap();
+    recovered
+        .recover_with_wal(&dir.join("snap"), &dir.join("wal"))
+        .unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     for restored in [imported, recovered] {
         assert_eq!(
@@ -162,7 +164,9 @@ fn wal_recovery_keeps_samples_above_a_join() {
         let wal = dir.join(format!("wal-{batches}"));
         if batches > 0 {
             let writer = session(&cat, 9);
-            writer.enable_wal(&wal).unwrap();
+            writer
+                .recover_with_wal(&dir.join("no-snapshot"), &wal)
+                .unwrap();
             writer
                 .ingest("lineorder", lineorder_batch(&SSB, n, BATCH))
                 .unwrap();
@@ -234,7 +238,8 @@ fn racing_ingests_absorb_every_row_once_and_recover_to_the_same_watermark() {
     let dir = std::env::temp_dir().join(format!("laqy-racing-ingest-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let live = session(&base, 11);
-    live.enable_wal(&dir.join("wal")).unwrap();
+    live.recover_with_wal(&dir.join("no-snapshot"), &dir.join("wal"))
+        .unwrap();
     // Two simple samples (no fixed predicate, so both absorb): one over
     // every key, one over a box inside it, of different families.
     let whole = query("g", 0, 99_999);
