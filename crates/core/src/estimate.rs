@@ -174,22 +174,14 @@ impl<'a> IntoIterator for &'a Groups {
     }
 }
 
+/// Normal quantile every confidence interval is drawn at (≈ 95 %).
+const Z: f64 = 1.96;
+
 /// Estimation parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EstimateOptions<'a> {
     /// Stricter predicate applied to sampled tuples (tightening, §5.2.1).
     pub tighten: Option<&'a Predicates>,
-    /// Normal quantile for the confidence interval (1.96 ≈ 95 %).
-    pub z: f64,
-}
-
-impl Default for EstimateOptions<'_> {
-    fn default() -> Self {
-        Self {
-            tighten: None,
-            z: 1.96,
-        }
-    }
 }
 
 /// Pre-resolved aggregate input: slot positions into the sample payload.
@@ -331,8 +323,8 @@ impl EstAcc {
         self.support += mq;
     }
 
-    fn finalize(&self, z: f64) -> AggEstimate {
-        let half_width = z * self.var.max(0.0).sqrt();
+    fn finalize(&self) -> AggEstimate {
+        let half_width = Z * self.var.max(0.0).sqrt();
         let (value, ci_half_width) = match self.kind {
             AggKind::Sum | AggKind::Count => (self.value, half_width),
             // Ratio estimate sum/n; the CI scales the sum CI by 1/n.
@@ -503,14 +495,14 @@ impl Estimator {
     /// group-key order it keeps. Output groups are the non-empty strata
     /// themselves (QCS = GROUP BY, every query template), written straight
     /// into the answer's flat buffers (no sort, no per-group allocation).
-    pub(crate) fn estimate(&self, sample: &Sample, z: f64) -> Groups {
+    pub(crate) fn estimate(&self, sample: &Sample) -> Groups {
         let order = sample.key_order();
         let index = (self.tighten.as_ref()).and_then(|t| Some((t, sample.range_index(t.slot())?)));
         each_width!(&sample.rows, s => {
             let strata = (order.iter().map(|&i| s.stratum_at(i as usize)))
                 .filter(|(_, rows, _)| !rows.is_empty());
             let words = s.total_items() / 64 + order.len();
-            self.fold(strata, index, (order.len(), words), z)
+            self.fold(strata, index, (order.len(), words))
         })
     }
 
@@ -533,7 +525,6 @@ impl Estimator {
         strata: impl Iterator<Item = (&'k GroupKey, &'k [[i64; W]], u64)>,
         index: Option<(&Tighten, &RangeIndex)>,
         (strata_bound, words_bound): (usize, usize),
-        z: f64,
     ) -> Groups {
         let mut bits = Vec::with_capacity(words_bound);
         if let Some((tighten, index)) = index {
@@ -571,7 +562,7 @@ impl Estimator {
             for (i, (mo, shape)) in moments.iter().zip(&shapes).enumerate() {
                 let mut acc = *fresh;
                 acc.fold(shape, groups.matching[i], mo);
-                groups.values[i * aggs + a] = acc.finalize(z);
+                groups.values[i * aggs + a] = acc.finalize();
             }
         }
         groups
@@ -586,7 +577,7 @@ pub fn estimate(
     aggs: &[AggSpec],
     opts: &EstimateOptions<'_>,
 ) -> Result<Groups, EstimateError> {
-    Ok(Estimator::compile(schema, aggs, opts.tighten)?.estimate(sample, opts.z))
+    Ok(Estimator::compile(schema, aggs, opts.tighten)?.estimate(sample))
 }
 
 #[cfg(test)]
@@ -649,7 +640,6 @@ mod tests {
         let tighten = Predicates::on("x", IntervalSet::of(Interval::new(0, 49)));
         let opts = EstimateOptions {
             tighten: Some(&tighten),
-            ..Default::default()
         };
         let ests = estimate(&s, &schema(), &[AggSpec::count()], &opts).unwrap();
         // Group 0 has x in 0..100 → 50 match; group 1 has x in 100..200 → 0.
@@ -708,7 +698,6 @@ mod tests {
             let tighten = Predicates::on("x", IntervalSet::of(Interval::new(0, 999)));
             let opts = EstimateOptions {
                 tighten: Some(&tighten),
-                ..Default::default()
             };
             let ests = estimate(&s, &schema(), &[AggSpec::count()], &opts).unwrap();
             total += ests.get(0).values[0].value;
@@ -758,7 +747,6 @@ mod tests {
         let tighten = Predicates::on("v", IntervalSet::of(Interval::new(0, 1)));
         let opts = EstimateOptions {
             tighten: Some(&tighten),
-            ..Default::default()
         };
         let err = estimate(&s, &schema(), &[AggSpec::count()], &opts).unwrap_err();
         assert_eq!(err, EstimateError::NonIntegerPredicate("v".into()));
@@ -839,7 +827,7 @@ mod tests {
                 .map(|(key, rows, _)| (key.parts().to_vec(), rows.iter().filter(|r| hit(r[0])).count()))
                 .collect();
             counted.sort_unstable();
-            let opts = EstimateOptions { tighten: tighten.as_ref(), ..Default::default() };
+            let opts = EstimateOptions { tighten: tighten.as_ref() };
             let bare = estimate(&sample, &schema(), &[], &opts).unwrap();
             let full = estimate(&sample, &schema(), &all_aggs(), &opts).unwrap();
             let matching = |groups: &Groups| groups.iter().map(|g| (g.key.to_vec(), g.matching)).collect::<Vec<_>>();
@@ -928,7 +916,6 @@ mod tests {
                 for tighten in &tightenings {
                     let opts = EstimateOptions {
                         tighten: tighten.as_ref(),
-                        ..Default::default()
                     };
                     digests.push(digest(&estimate(sample, &schema(), &aggs, &opts).unwrap()));
                 }
@@ -1018,7 +1005,6 @@ mod tests {
         let narrow = Predicates::on("x", IntervalSet::of(Interval::new(100, 449)));
         let tightened = EstimateOptions {
             tighten: Some(&narrow),
-            ..Default::default()
         };
         let untightened = EstimateOptions::default();
         let run = |opts| digest(&estimate(&sample, &schema(), &all_aggs(), opts).unwrap());

@@ -1,47 +1,39 @@
-//! The lazy sampling planner — paper **Algorithm 1**, generalized from
-//! one stored sample to a coverage plan over several (Figure 7).
+//! The lazy sampling planner — paper **Algorithm 1**, as one coverage
+//! plan type (Figure 7).
 //!
 //! Given a query's logical sampler `S` (expressed as a
 //! [`SampleDescriptor`]) and the sample store, produce the lazy sampler
-//! plan. The original algorithm dispatches on a single stored sample;
-//! because reservoir merging (§5.1) is associative, the same dispatch
-//! extends to a *set* of pairwise-disjoint stored samples plus the
-//! residual of the query's interval set on its range column:
+//! plan: at most one stored sample `S'` plus the residual `Δ` of the
+//! query's interval set on its range column.
 //!
 //! ```text
-//! {S'_1..S'_m}, Δ ← plan_lazy(store, S)          (greedy set cover; Δ is
-//!                                                 the query's set minus the
-//!                                                 selected samples' sets)
-//! if m = 1 and Δ = ∅:      S_lazy ← S'_1                  (full reuse: offline)
-//! else:                    S_Δ    ← DeltaSample(Δ)
-//!                          S_lazy ← SampleMerge_k(S'_1..S'_m, S_Δ)
-//!                                    (m ≥ 1: coverage reuse, lazy;
-//!                                     m = 0: Δ = S's set, online)
+//! S', Δ ← plan_lazy(store, S)        (S' the candidate covering most of
+//!                                     the query; Δ = S's set − S''s set)
+//! if S' and Δ = ∅:   S_lazy ← S'                      (full reuse: offline)
+//! else:              S_Δ    ← DeltaSample(Δ)
+//!                    S_lazy ← SampleMerge(S', S_Δ)    (S': partial reuse, lazy;
+//!                                                      no S': Δ = S's set, online)
 //! ```
 //!
-//! Every arm is one [`CoveragePlan`]: a full hit selects one fresh sample
+//! One sample is all a plan can use: [`SampleStore::absorb`] keeps every
+//! two stored samples of one family overlapping on the range column, and
+//! merging two overlapping samples would count their shared rows twice.
+//! Every arm is one [`CoveragePlan`]: a full hit selects a fresh sample
 //! and leaves nothing to scan ([`CoveragePlan::hit`]); online sampling
 //! selects none, and its residual is the query's set
-//! (`CoveragePlan::online`). `m` is capped at [`MAX_COVERAGE_SAMPLES`];
-//! `m = 1` is the paper's single-sample Algorithm 1.
-//! [`ReuseMode::FullMatchOnly`] is the strict-matching ablation: it runs
-//! the online plan for anything but a hit.
+//! (`CoveragePlan::online`). [`ReuseMode::FullMatchOnly`] is the
+//! strict-matching ablation: it runs the online plan for anything but a
+//! hit.
 
 use crate::descriptor::SampleDescriptor;
 use crate::interval::IntervalSet;
 use crate::store::{SampleId, SampleStore};
 
-/// Default cap on how many stored samples one coverage plan may merge.
-/// Beyond a handful the per-sample clone + merge cost outweighs the
-/// residual-measure reduction.
-pub const MAX_COVERAGE_SAMPLES: usize = 4;
-
 /// How aggressively stored samples are reused — the axis the paper's
 /// contribution moves along (Figure 2's design space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReuseMode {
-    /// LAQy with coverage planning: full reuse, multi-sample coverage
-    /// (k-way Δ + merge) reuse, or online.
+    /// LAQy: full reuse, partial reuse (Δ + merge), or online.
     #[default]
     Lazy,
     /// Taster-style all-or-none caching: a stored sample is used only when
@@ -50,39 +42,35 @@ pub enum ReuseMode {
     FullMatchOnly,
 }
 
-/// The lazy sampler plan — the coverage-planning generalization of
-/// Algorithm 1's one stored sample and one Δ interval: a *set* of stored
-/// samples (pairwise disjoint in population, §5.1's merge precondition)
-/// plus the residual of the query's set on its range column. The residual
-/// is Δ-scanned once; the lazy sample is the k-way reservoir merge of the
-/// selected samples and the residual's sample. With no sample selected
-/// (m = 0) the residual is the query's set and the plan is online
-/// sampling.
+/// The lazy sampler plan — Algorithm 1's one stored sample and one Δ:
+/// at most one stored sample plus the residual of the query's set on its
+/// range column, and the sample's append tail when it is stale. The
+/// residual is Δ-scanned once; the lazy sample is the reservoir merge of
+/// the stored sample and the Δ samples. With no sample selected the
+/// residual is the query's set and the plan is online sampling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoveragePlan {
-    /// Selected stored samples, pairwise disjoint in population.
-    pub samples: Vec<SampleId>,
-    /// The query's set on its range column minus every selected sample's
+    /// The stored sample the plan reuses, if any.
+    pub sample: Option<SampleId>,
+    /// The query's set on its range column minus the selected sample's
     /// set: what is left to Δ-scan. Empty means nothing is.
     pub residual: IntervalSet,
-    /// Un-absorbed append tails of the selected samples: for each selected
-    /// sample drawn at a watermark below the table's, the rows
-    /// `[from_row, table watermark)` within its population are not yet
-    /// represented and must be Δ-scanned (with the row floor pushed down)
-    /// before the k-way merge. Row-disjoint from the sample itself, so the
-    /// merge precondition still holds.
-    pub tails: Vec<TailFragment>,
-    /// The table row watermark the plan was made against: what `tails` are
+    /// The selected sample's un-absorbed append tail: when it was drawn
+    /// at a watermark below the table's, the rows `[from_row, table
+    /// watermark)` within its population are not yet represented and must
+    /// be Δ-scanned (with the row floor pushed down) before the merge.
+    /// Row-disjoint from the sample itself, so the merge precondition
+    /// still holds.
+    pub tail: Option<TailFragment>,
+    /// The table row watermark the plan was made against: what `tail` is
     /// measured up to, and what every Δ sample of this plan is drawn at.
     pub watermark: u64,
 }
 
-/// One selected sample's un-absorbed append tail (see
-/// [`CoveragePlan::tails`]).
+/// The selected sample's un-absorbed append tail (see
+/// [`CoveragePlan::tail`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TailFragment {
-    /// The stale selected sample.
-    pub id: SampleId,
     /// First base row the sample does not represent (its watermark).
     pub from_row: u64,
     /// The sample's whole set on the range column: scanning the tail over
@@ -92,33 +80,31 @@ pub struct TailFragment {
 }
 
 impl CoveragePlan {
-    /// The plan that reuses no stored sample (m = 0): online sampling, one
-    /// Δ over the query's whole set at `watermark`.
+    /// The plan that reuses no stored sample: online sampling, one Δ over
+    /// the query's whole set at `watermark`.
     pub(crate) fn online(query: &SampleDescriptor, watermark: u64) -> Self {
         CoveragePlan {
-            samples: Vec::new(),
+            sample: None,
             residual: query.predicates.set.clone(),
-            tails: Vec::new(),
+            tail: None,
             watermark,
         }
     }
 
-    /// The stored sample a full hit answers from: the plan's one selected
-    /// sample when nothing is left to scan.
+    /// The stored sample a full hit answers from: the plan's sample when
+    /// nothing is left to scan.
     pub fn hit(&self) -> Option<SampleId> {
-        match self.samples[..] {
-            [id] if self.residual.is_empty() && self.tails.is_empty() => Some(id),
-            _ => None,
-        }
+        self.sample
+            .filter(|_| self.residual.is_empty() && self.tail.is_none())
     }
 
     /// The plan's Δ-scan parts in order — the residual unless it is empty,
-    /// then every tail — each as its set on the range column and the first
+    /// then the tail — each as its set on the range column and the first
     /// row it scans.
     pub fn parts(&self) -> impl Iterator<Item = (&IntervalSet, u64)> {
         let residual = (!self.residual.is_empty()).then_some((&self.residual, 0));
-        let tails = self.tails.iter().map(|t| (&t.set, t.from_row));
-        residual.into_iter().chain(tails)
+        let tail = self.tail.as_ref().map(|t| (&t.set, t.from_row));
+        residual.into_iter().chain(tail)
     }
 
     /// Fraction of the query's set that must actually be scanned and
@@ -134,28 +120,24 @@ impl CoveragePlan {
 }
 
 /// Plan the lazy sampler for a query against a table at row watermark
-/// `watermark` (generalized Algorithm 1).
+/// `watermark` (Algorithm 1).
 ///
-/// Greedy weighted set cover over the query's set: repeatedly select the
-/// candidate sample removing the largest residual measure, keeping the
-/// selected set pairwise disjoint in population (§5.1's merge
-/// precondition), until [`MAX_COVERAGE_SAMPLES`] are chosen or no
-/// candidate still covers any residual. The residual left is disjoint
-/// from every selected sample's population — so one Δ-scan of it
-/// followed by a k-way merge never double-samples a row. Selecting
-/// nothing leaves the online plan.
+/// A fresh sample whose set subsumes the query's is a full hit. Otherwise
+/// the plan reuses the candidate covering the largest measure of the
+/// query's set (the first one on a tie) and Δ-scans the rest; with no
+/// candidate covering any of it, the plan is online sampling.
 ///
 /// Candidates must match the query's characteristics (range column
 /// included); merge candidates additionally need QVS equality (a
 /// superset-QVS sample has a different tuple layout, so it can serve full
 /// reuse but cannot be merged with the residual's sample).
 ///
-/// Samples drawn below `watermark` are stale: they never serve bare full
-/// reuse, and each one selected contributes a [`TailFragment`] — the
-/// appended rows of its own population it has not absorbed — so the
-/// executor Δ-scans the tail (row floor pushed down) and the merge still
-/// covers every base row up to the watermark. Passing `0` is the
-/// static-table case (no sample can be stale).
+/// A sample drawn below `watermark` is stale: it never serves bare full
+/// reuse, and once selected contributes a [`TailFragment`] — the appended
+/// rows of its own population it has not absorbed — so the executor
+/// Δ-scans the tail (row floor pushed down) and the merge still covers
+/// every base row up to the watermark. Passing `0` is the static-table
+/// case (no sample can be stale).
 pub fn plan_lazy(store: &SampleStore, query: &SampleDescriptor, watermark: u64) -> CoveragePlan {
     let mut plan = CoveragePlan::online(query, watermark);
     if plan.residual.is_empty() {
@@ -163,62 +145,41 @@ pub fn plan_lazy(store: &SampleStore, query: &SampleDescriptor, watermark: u64) 
     }
     // Full subsumption short-circuits: no merge happens, so a
     // superset-QVS sample qualifies — but only when the sample is
-    // fresh; a stale subsuming sample must go through the greedy path
-    // so its append tail gets scanned and merged in.
+    // fresh; a stale subsuming sample must be merged with its append
+    // tail.
     let hit = store.iter().find(|(_, stored)| {
         stored.descriptor.matches_characteristics(query)
             && stored.descriptor.predicates.subsumes(&query.predicates)
             && stored.watermark >= watermark
     });
     if let Some((id, _)) = hit {
-        plan.samples.push(id);
+        plan.sample = Some(id);
         plan.residual = IntervalSet::empty();
         return plan;
     }
-    // (id, population set, coverage within the query, drawn-at watermark).
-    let mut candidates: Vec<(SampleId, &IntervalSet, IntervalSet, u64)> = Vec::new();
+    // The candidate covering most of the query's set: (id, its stored
+    // sample, that coverage).
+    let mut best = None;
+    let mut best_gain = 0;
     for (id, stored) in store.iter() {
         let d = &stored.descriptor;
         if !d.matches_characteristics(query) || d.qvs != query.qvs {
             continue;
         }
         let cov = query.predicates.set.intersect(&d.predicates.set);
-        if !cov.is_empty() {
-            candidates.push((id, &d.predicates.set, cov, stored.watermark));
+        let gain = cov.measure();
+        if gain > best_gain {
+            (best, best_gain) = (Some((id, stored, cov)), gain);
         }
     }
-    let mut selected: Vec<(SampleId, &IntervalSet, u64)> = Vec::new();
-    while selected.len() < MAX_COVERAGE_SAMPLES && !plan.residual.is_empty() {
-        let mut best: Option<(usize, u64)> = None;
-        for (i, (id, raw, cov, _)) in candidates.iter().enumerate() {
-            // Populations of merged samples must be pairwise disjoint.
-            if selected
-                .iter()
-                .any(|(sid, sel_raw, _)| sid == id || raw.overlaps(sel_raw))
-            {
-                continue;
-            }
-            let gain = plan.residual.intersect(cov).measure();
-            if gain > 0 && best.is_none_or(|(_, g)| gain > g) {
-                best = Some((i, gain));
-            }
-        }
-        let Some((i, _)) = best else {
-            break;
-        };
-        let (id, raw, cov, w) = &candidates[i];
-        selected.push((*id, raw, *w));
-        plan.residual = plan.residual.difference(cov);
+    if let Some((id, stored, cov)) = best {
+        plan.sample = Some(id);
+        plan.residual = plan.residual.difference(&cov);
+        plan.tail = (stored.watermark < watermark).then(|| TailFragment {
+            from_row: stored.watermark,
+            set: stored.descriptor.predicates.set.clone(),
+        });
     }
-    plan.tails = (selected.iter())
-        .filter(|(_, _, w)| *w < watermark)
-        .map(|(id, raw, w)| TailFragment {
-            id: *id,
-            from_row: *w,
-            set: (*raw).clone(),
-        })
-        .collect();
-    plan.samples = selected.into_iter().map(|(id, _, _)| id).collect();
     plan
 }
 
@@ -286,10 +247,9 @@ mod tests {
         let store = store_with(0, 99);
         let plan = plan_lazy(&store, &desc(10, 20), 500);
         assert_eq!(plan.hit(), None);
-        assert_eq!(plan.samples.len(), 1);
+        assert!(plan.sample.is_some());
         assert!(plan.residual.is_empty());
-        assert_eq!(plan.tails.len(), 1);
-        assert_eq!(plan.tails[0].from_row, 0);
+        assert_eq!(plan.tail.map(|t| t.from_row), Some(0));
     }
 
     #[test]
@@ -297,8 +257,8 @@ mod tests {
         let store = store_with(0, 99);
         let q = desc(50, 149);
         let plan = plan_lazy(&store, &q, 0);
-        assert_eq!(plan.samples.len(), 1);
-        assert!(plan.tails.is_empty());
+        assert!(plan.sample.is_some());
+        assert!(plan.tail.is_none());
         assert_eq!(plan.residual, IntervalSet::of(Interval::new(100, 149)));
         // Uncovered fraction: 50 of 100 points.
         assert!((plan.uncovered_fraction(&q) - 0.5).abs() < 1e-12);
@@ -309,21 +269,6 @@ mod tests {
         let store = store_with(0, 99);
         let q = desc(500, 599);
         assert_eq!(plan_lazy(&store, &q, 0), CoveragePlan::online(&q, 0));
-    }
-
-    #[test]
-    fn fragmented_store_plans_multi_sample_coverage() {
-        // Two disjoint stored samples, 40% each: coverage planning merges
-        // both and reports ≤ 0.2 uncovered.
-        let mut store = SampleStore::new();
-        store.insert_raw(desc(0, 399), schema(), sample_over(0, 399), 0);
-        store.insert_raw(desc(600, 999), schema(), sample_over(600, 999), 0);
-        let q = desc(0, 999);
-
-        let plan = plan_lazy(&store, &q, 0);
-        assert_eq!(plan.samples.len(), 2);
-        assert_eq!(plan.residual, IntervalSet::of(Interval::new(400, 599)));
-        assert!(plan.uncovered_fraction(&q) <= 0.2 + 1e-12);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! - [`store`] — sample lifetime management and the coverage write step
 //!   that brings a plan's Δ samples to rest; [`StoreWriteGuard`] enforces
 //!   the service's byte budget (LRU eviction) after each write step;
-//! - [`lazy`] — Algorithm 1, the lazy sampling planner, generalized to
-//!   multi-sample coverage reuse (greedy set cover of the query's interval
-//!   set on its range column): one [`CoveragePlan`] type, online sampling
+//! - [`lazy`] — Algorithm 1, the lazy sampling planner: one
+//!   [`CoveragePlan`] type — at most one stored sample plus the residual
+//!   of the query's interval set on its range column — online sampling
 //!   being the plan that reuses no stored sample;
 //! - [`sampler_ops`] — the stored sample (rows as wide as their schema,
 //!   strata kept in key order beside first-offer order) and the admission
@@ -133,7 +133,7 @@ pub use executor::{
     input_identity, range_predicate, ApproxQuery, ApproxResult, LaqyError, LaqyExecutor, Result,
 };
 pub use interval::{Interval, IntervalSet};
-pub use lazy::{plan_lazy, CoveragePlan, ReuseMode, TailFragment, MAX_COVERAGE_SAMPLES};
+pub use lazy::{plan_lazy, CoveragePlan, ReuseMode, TailFragment};
 pub use persist::{
     load_from_file, load_store, recover_snapshot, save_snapshot, save_store, save_to_file,
     PersistError, RecoveryReport, KEEP_GENERATIONS, MAX_SNAPSHOT_BYTES,

@@ -1081,7 +1081,7 @@ mod tests {
             let aggs = [AggSpec::sum("w"), AggSpec::count(), AggSpec::avg("v"), max];
             let narrow = Predicates::on("v", IntervalSet::of(Interval::new(100, 700)));
             for tighten in [None, Some(&narrow)] {
-                let opts = EstimateOptions { tighten, ..Default::default() };
+                let opts = EstimateOptions { tighten };
                 let expected = estimate(&s, &schema(), &aggs, &opts).unwrap();
                 let groups = estimate(&other, &schema(), &aggs, &opts).unwrap();
                 prop_assert_eq!(bits(&groups), bits(&expected));
@@ -1400,7 +1400,6 @@ mod tests {
                 for tighten in &tightenings {
                     let opts = EstimateOptions {
                         tighten: tighten.as_ref(),
-                        ..Default::default()
                     };
                     let groups = estimate(sample, &schema, &aggs, &opts).unwrap();
                     let expected = estimate(&wide, &schema, &aggs, &opts).unwrap();
@@ -1426,7 +1425,6 @@ mod tests {
         let answer = |s: &Sample| {
             let opts = EstimateOptions {
                 tighten: Some(&narrow),
-                ..Default::default()
             };
             let aggs = [AggSpec::sum("w"), AggSpec::count(), AggSpec::avg("v")];
             let groups = estimate(s, &schema(), &aggs, &opts).unwrap();

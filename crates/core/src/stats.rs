@@ -116,11 +116,11 @@ exec_stats! {
     morsels_scanned: u64 => morsels_scanned,
     /// Morsels whose rows the range index supplied instead of a scan.
     morsels_indexed: u64 => morsels_indexed,
-    /// Stored samples this query's coverage plan merged (0 when the query
-    /// ran online or hit a single subsuming sample).
+    /// Stored samples this query's coverage plan merged: 1 for a partial
+    /// merge, 0 when the query ran online or hit a subsuming sample.
     fragments_reused: u64,
-    /// Coverage-plan parts (the residual and append tails) Δ-scanned for
-    /// this query.
+    /// Coverage-plan parts (the residual and the append tail) Δ-scanned
+    /// for this query.
     fragments_scanned: u64,
 }
 
@@ -208,7 +208,7 @@ service_counters! {
     morsels_indexed,
     /// Stored samples merged by coverage plans across all queries.
     fragments_reused,
-    /// Coverage-plan parts (the residual and append tails) Δ-scanned
+    /// Coverage-plan parts (the residual and the append tail) Δ-scanned
     /// across all queries.
     fragments_scanned,
     /// Part Δ-scans avoided because a concurrent client was already

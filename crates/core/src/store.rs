@@ -6,12 +6,13 @@
 //! The store owns materialized stratified samples together with their
 //! [`SampleDescriptor`]s. [`crate::lazy::plan_lazy`] plans a query against
 //! them (Algorithm 1), and [`SampleStore::absorb_coverage`] is the matching
-//! write step: it decides which planned samples a finished plan replaces
-//! and how each Δ sample comes to rest. Every sample covers one interval
-//! set on its range column, so a merge's coverage is the union of its
-//! inputs' sets. An optional byte budget with LRU eviction, enforced by
-//! [`StoreWriteGuard`] after each write step, hooks this store into
-//! Taster-style storage management (paper §8). The service holds one
+//! write step: it decides whether a finished plan replaces its sample and
+//! how each Δ sample comes to rest. Every sample covers one interval set
+//! on its range column, so a merge's coverage is the union of its inputs'
+//! sets, and any two stored samples of one family overlap
+//! ([`SampleStore::absorb`]). An optional byte budget with LRU eviction,
+//! enforced by [`StoreWriteGuard`] after each write step, hooks this store
+//! into Taster-style storage management (paper §8). The service holds one
 //! store behind one lock: every query family shares it.
 
 use std::sync::Arc;
@@ -103,16 +104,16 @@ impl StoredSample {
 /// A coverage plan's lazy sample, as [`SampleStore::absorb_coverage`]
 /// returns it.
 pub struct Merged {
-    /// The k-way merge of the planned samples and every Δ.
+    /// The merge of the planned sample and every Δ.
     pub sample: Arc<Sample>,
-    /// When the merge replaced the planned samples: the union of their and
+    /// When the merge replaced the planned sample: the union of its and
     /// the residual's sets, which every row of `sample` lies inside.
     pub union: Option<Predicates>,
     /// Δ payload rows the write step read.
     pub payload_rows: usize,
 }
 
-/// Whether the write step of `plan` can replace its samples by their merge
+/// Whether the write step of `plan` can replace its sample by its merge
 /// with the Δ, given each scan's `clean` flag: the residual was scanned to
 /// completion and nothing was stale. Only then may a Δ's payload wait for
 /// the merge to pick the rows it keeps.
@@ -120,7 +121,7 @@ pub(crate) fn consolidates(
     plan: &CoveragePlan,
     mut clean: impl ExactSizeIterator<Item = bool>,
 ) -> bool {
-    plan.tails.is_empty() && clean.len() == plan.parts().count() && clean.all(|clean| clean)
+    plan.tail.is_none() && clean.len() == plan.parts().count() && clean.all(|clean| clean)
 }
 
 /// Outcome of one [`SampleStore::absorb_appended`] pass.
@@ -292,12 +293,20 @@ impl SampleStore {
         }
     }
 
-    /// Insert a freshly built sample, combining it with a stored
-    /// same-characteristics sample when their sets are disjoint (valid
+    /// Insert a freshly built sample, combining it with the first stored
+    /// same-characteristics sample whose set it does not overlap (valid
     /// union coverage — §5's non-overlap requirement). `watermark` is the
     /// row watermark the new sample was scanned at; a merge takes the
     /// conservative minimum of both sides' watermarks. Returns the id
     /// holding the data afterwards.
+    ///
+    /// This keeps the store's invariant: any two stored samples of one
+    /// family overlap on the range column. An incoming sample either
+    /// merges into one it does not overlap or overlaps every one of its
+    /// family, and every other write only removes samples or leaves sets
+    /// as they are. So a plan never has two samples to merge
+    /// ([`crate::lazy::plan_lazy`]). Only [`Self::insert_raw`] bypasses
+    /// it.
     pub fn absorb(
         &mut self,
         descriptor: SampleDescriptor,
@@ -381,36 +390,36 @@ impl SampleStore {
         true
     }
 
-    /// The write step of a coverage plan (Figure 7 step 4, generalized):
-    /// bring the plan's Δ samples to rest and, when `merge` is set, return
-    /// the k-way merge of the planned stored samples with every Δ — the
-    /// lazy sample `query` is answered from.
+    /// The write step of a coverage plan (Figure 7 step 4): bring the
+    /// plan's Δ samples to rest and, when `merge` is set, return the merge
+    /// of the planned stored sample with every Δ — the lazy sample `query`
+    /// is answered from.
     ///
     /// `scans` holds one `(part, sample, clean)` per Δ-scan that ran, in
     /// scan order; `part` indexes [`CoveragePlan::parts`] (the residual,
-    /// then the tails), and `clean` is false for a scan the budget cut
+    /// then the tail), and `clean` is false for a scan the budget cut
     /// short. The policy:
     ///
     /// - When every part of a tail-free plan was scanned cleanly
-    ///   (`consolidates`), the planned samples leave the store, the Δs are
-    ///   merged into the largest of them *in place* — a Δ whose payload was
+    ///   (`consolidates`), the planned sample leaves the store, the Δs are
+    ///   merged into the largest input *in place* — a Δ whose payload was
     ///   not read yet ([`Part::Unread`]) is read for the rows the merge
-    ///   keeps alone — and the result replaces them under the union
+    ///   keeps alone — and the result replaces it under the union
     ///   descriptor (shared with the caller, not copied), which
     ///   [`Merged::union`] reports.
     /// - Otherwise the merge is made on a copy and each clean scan is
-    ///   absorbed on its own — tails back into their source samples (the
+    ///   absorbed on its own — the tail back into the planned sample (the
     ///   `from_row` guard of [`SampleStore::absorb_tail`] rejects a
     ///   replayed or overlapping tail instead of double-counting it), then
     ///   the residual under its own set: a union replacement would drop
-    ///   per-sample watermark bookkeeping mid catch-up, and a sample of a
+    ///   the sample's watermark bookkeeping mid catch-up, and a sample of a
     ///   cut-short scan would overclaim coverage, so unclean scans take
     ///   part in the returned merge only, moved into it rather than
     ///   copied. Every Δ is read in full here.
     ///
     /// With `merge` unset (the caller's plan went stale) only the second
     /// half runs: the scan work is kept, nothing is merged. Returns `None`
-    /// then, and when a planned sample is no longer stored.
+    /// then, and when the planned sample is no longer stored.
     pub fn absorb_coverage(
         &mut self,
         query: &SampleDescriptor,
@@ -423,14 +432,16 @@ impl SampleStore {
         let scans: Vec<(usize, Part<'_>, bool)> = (scans.into_iter())
             .map(|(part, sample, clean)| (part, sample.into(), clean))
             .collect();
-        let n_residual = usize::from(!plan.residual.is_empty());
-        let stored: Option<Vec<&StoredSample>> = merge
-            .then(|| plan.samples.iter().map(|id| self.get(*id)).collect())
-            .flatten();
-        let union = match &stored {
+        // `Some(None)`: an online plan, with no stored sample to merge.
+        let stored = match (merge, plan.sample) {
+            (false, _) => None,
+            (true, None) => Some(None),
+            (true, Some(id)) => self.get(id).map(Some),
+        };
+        let union = match stored {
             Some(stored) if consolidates(plan, scans.iter().map(|(_, _, clean)| *clean)) => {
-                let sets = stored.iter().map(|s| &s.descriptor.predicates.set);
-                Some(sets.fold(plan.residual.clone(), |union, set| union.union(set)))
+                let set = stored.map(|s| &s.descriptor.predicates.set);
+                Some(set.map_or_else(|| plan.residual.clone(), |set| plan.residual.union(set)))
             }
             _ => None,
         };
@@ -439,9 +450,10 @@ impl SampleStore {
             ..query.clone()
         };
         if let Some(union) = union {
-            let stored = plan.samples.iter().filter_map(|id| self.take(*id));
+            let stored = plan.sample.and_then(|id| self.take(id));
             let mut inputs: Vec<Part<'_>> = stored
                 .map(|s| Arc::unwrap_or_clone(s.sample).into())
+                .into_iter()
                 .collect();
             inputs.extend(scans.into_iter().map(|(_, part, _)| part));
             let (mut merged, payload_rows) = Sample::combine(inputs, rng);
@@ -479,22 +491,28 @@ impl SampleStore {
                 Ok(kept_at) => Part::from(&kept[kept_at].1),
                 Err(unclean) => Part::from(unclean),
             });
-            let inputs = stored.iter().map(|s| Part::from(&*s.sample)).chain(scans);
+            let inputs = stored
+                .map(|s| Part::from(&*s.sample))
+                .into_iter()
+                .chain(scans);
             Merged {
                 sample: Arc::new(Sample::combine(inputs.collect(), rng).0),
                 union: None,
                 payload_rows,
             }
         });
-        let (residual, tails): (Vec<_>, Vec<_>) =
-            kept.into_iter().partition(|(part, _)| *part < n_residual);
-        for (part, sample) in tails {
-            let tail = &plan.tails[part - n_residual];
-            self.absorb_tail(tail.id, &sample, tail.from_row, plan.watermark, rng);
-        }
-        for (_, sample) in residual {
-            let descriptor = at(plan.residual.clone());
-            self.absorb(descriptor, schema.clone(), sample, plan.watermark, rng);
+        // The tail is the plan's last part: it goes back into the planned
+        // sample before the residual comes to rest.
+        for (part, sample) in kept.into_iter().rev() {
+            match (&plan.tail, plan.sample) {
+                (Some(tail), Some(id)) if part + 1 == plan.parts().count() => {
+                    self.absorb_tail(id, &sample, tail.from_row, plan.watermark, rng);
+                }
+                _ => {
+                    let descriptor = at(plan.residual.clone());
+                    self.absorb(descriptor, schema.clone(), sample, plan.watermark, rng);
+                }
+            }
         }
         merged
     }
@@ -716,19 +734,19 @@ mod tests {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(4);
         store.absorb(desc(0, 99), schema(), toy_sample(2, 10, 0), 0, &mut rng);
-        assert_eq!(plan_lazy(&store, &desc(10, 20), 0).samples.len(), 1);
+        assert!(plan_lazy(&store, &desc(10, 20), 0).sample.is_some());
         // Different QCS.
         let mut q = desc(10, 20);
         q.qcs = vec!["lo_quantity".into()];
-        assert!(plan_lazy(&store, &q, 0).samples.is_empty());
+        assert!(plan_lazy(&store, &q, 0).sample.is_none());
         // Different k.
         let mut q = desc(10, 20);
         q.k = 16;
-        assert!(plan_lazy(&store, &q, 0).samples.is_empty());
+        assert!(plan_lazy(&store, &q, 0).sample.is_none());
         // QVS requiring a column the sample lacks.
         let mut q = desc(10, 20);
         q.qvs = vec!["lo_tax".into()];
-        assert!(plan_lazy(&store, &q, 0).samples.is_empty());
+        assert!(plan_lazy(&store, &q, 0).sample.is_none());
     }
 
     #[test]
@@ -738,7 +756,7 @@ mod tests {
         let id = store.absorb(desc(0, 99), schema(), toy_sample(2, 30, 0), 0, &mut rng);
         let query = desc(0, 199);
         let plan = plan_lazy(&store, &query, 0);
-        assert_eq!(plan.samples, vec![id]);
+        assert_eq!(plan.sample, Some(id));
         assert_eq!(plan.residual, iv(100, 199));
         let scans = vec![(0, toy_sample(2, 30, 100), true)];
         let merged = store
@@ -754,7 +772,7 @@ mod tests {
         assert_eq!(merged.union.as_ref(), Some(&query.predicates));
         assert!(Arc::ptr_eq(&s.sample, &merged.sample));
         let full = plan_lazy(&store, &desc(0, 150), 0);
-        assert!(full.residual.is_empty() && full.tails.is_empty());
+        assert!(full.residual.is_empty() && full.tail.is_none());
     }
 
     #[test]
@@ -889,74 +907,44 @@ mod tests {
     }
 
     #[test]
-    fn coverage_plan_combines_disjoint_fragments() {
-        // Acceptance scenario: two disjoint stored samples each covering
-        // 40% of the query range. Multi-sample planning leaves 20%
-        // uncovered.
-        let mut store = SampleStore::new();
-        // insert_raw keeps the samples separate (absorb would consolidate
-        // disjoint same-shape coverage into one sample).
-        let a = store.insert_raw(desc(0, 399), schema(), toy_sample(2, 10, 0), 0);
-        let b = store.insert_raw(desc(600, 999), schema(), toy_sample(2, 10, 600), 0);
-        let query = desc(0, 999);
-
-        let plan = plan_lazy(&store, &query, 0);
-        assert_eq!(plan.samples.len(), 2);
-        assert!(plan.samples.contains(&a) && plan.samples.contains(&b));
-        let frac = plan.uncovered_fraction(&query);
-        assert!(frac <= 0.2 + 1e-9, "multi-sample residual {frac} > 0.2");
-        // Residual is exactly the middle gap.
-        assert_eq!(plan.residual, iv(400, 599));
-    }
-
-    #[test]
     fn coverage_plan_full_subsumption_leaves_no_residual() {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(11);
         let id = store.absorb(desc(0, 999), schema(), toy_sample(2, 10, 0), 0, &mut rng);
         let plan = plan_lazy(&store, &desc(100, 200), 0);
-        assert_eq!(plan.samples, vec![id]);
+        assert_eq!(plan.sample, Some(id));
         assert!(plan.residual.is_empty());
     }
 
     #[test]
-    fn coverage_plan_keeps_selected_populations_disjoint() {
-        // Two overlapping stored samples: only one may be selected, and
-        // the residual must avoid the selected population.
+    fn coverage_plan_reuses_the_candidate_covering_most() {
+        // Two overlapping stored samples (only a raw insert stores them
+        // side by side): the plan reuses the one covering more of the
+        // query, and the residual avoids its population.
         let mut store = SampleStore::new();
         store.insert_raw(desc(0, 599), schema(), toy_sample(2, 10, 0), 0);
         store.insert_raw(desc(400, 899), schema(), toy_sample(2, 10, 400), 0);
         let plan = plan_lazy(&store, &desc(0, 999), 0);
-        assert_eq!(
-            plan.samples.len(),
-            1,
-            "overlapping populations must not be merged together"
-        );
-        let sel = plan.samples[0];
+        let sel = plan.sample.expect("a candidate covers the query");
         let sel_preds = store.peek(sel).unwrap().descriptor.predicates.clone();
-        assert!(!plan.residual.overlaps(&sel_preds.set));
-        // The larger-coverage candidate wins the greedy round.
-        assert_eq!(
-            sel_preds.get("lo_intkey").unwrap(),
-            &iv(0, 599),
-            "greedy picks the candidate with the larger residual gain"
-        );
+        assert_eq!(sel_preds.get("lo_intkey").unwrap(), &iv(0, 599));
+        assert_eq!(plan.residual, iv(600, 999));
     }
 
     #[test]
     fn coverage_plan_excludes_superset_qvs_from_merges() {
         let mut store = SampleStore::new();
         // Superset-QVS sample: may serve full reuse, but has a different
-        // tuple layout so it cannot participate in a k-way merge.
+        // tuple layout so it cannot be merged with a Δ.
         let mut wide = desc(0, 399);
         wide.qvs.push("lo_tax".into());
         store.insert_raw(wide.clone(), schema(), toy_sample(2, 10, 0), 0);
         let plan = plan_lazy(&store, &desc(0, 999), 0);
-        assert!(plan.samples.is_empty(), "superset QVS cannot merge");
+        assert!(plan.sample.is_none(), "superset QVS cannot merge");
         assert_eq!(plan.residual, iv(0, 999));
         // Full subsumption still allowed.
         let full = plan_lazy(&store, &desc(100, 200), 0);
-        assert_eq!(full.samples.len(), 1);
+        assert!(full.sample.is_some());
         assert!(full.residual.is_empty());
     }
 
@@ -970,9 +958,9 @@ mod tests {
         // The same set on another column covers none of the query's rows:
         // neither a hit nor a merge candidate.
         let plan = plan_lazy(&store, &desc(0, 999), 0);
-        assert!(plan.samples.is_empty());
+        assert!(plan.sample.is_none());
         assert_eq!(plan.residual, iv(0, 999));
-        assert!(plan_lazy(&store, &desc(100, 200), 0).samples.is_empty());
+        assert!(plan_lazy(&store, &desc(100, 200), 0).sample.is_none());
         // Nor does a sample over the query's column merge into it.
         let own = store.absorb(
             desc(2000, 2999),
@@ -992,7 +980,7 @@ mod tests {
         store.absorb(desc(0, 99), schema(), toy_sample(2, 10, 0), 0, &mut rng);
         let mut q = desc(0, 0);
         q.predicates = Predicates::on("lo_intkey", IntervalSet::empty());
-        assert!(plan_lazy(&store, &q, 0).samples.is_empty());
+        assert!(plan_lazy(&store, &q, 0).sample.is_none());
     }
 
     /// A descriptor with a distinct fingerprint (different QCS).
@@ -1161,25 +1149,23 @@ mod tests {
         let id = store.insert_raw(desc_live(0, 99), schema(), toy_sample(3, 20, 0), 30);
         // Fresh at its own watermark: plain full reuse, no tail.
         let fresh = plan_lazy(&store, &desc_live(0, 99), 30);
-        assert_eq!(fresh.samples, vec![id]);
-        assert!(fresh.tails.is_empty() && fresh.residual.is_empty());
+        assert_eq!(fresh.sample, Some(id));
+        assert!(fresh.tail.is_none() && fresh.residual.is_empty());
         // The table has grown: the sample is still selected, the region is
         // fully covered, but its un-absorbed tail must be Δ-scanned.
         let stale = plan_lazy(&store, &desc_live(0, 99), 50);
-        assert_eq!(stale.samples, vec![id]);
+        assert_eq!(stale.sample, Some(id));
         assert!(stale.residual.is_empty());
-        assert_eq!(stale.tails.len(), 1);
-        assert_eq!(stale.tails[0].id, id);
-        assert_eq!(stale.tails[0].from_row, 30);
-        assert_eq!(stale.tails[0].set, iv(0, 99));
+        let tail = stale.tail.expect("the stale sample's tail");
+        assert_eq!((tail.from_row, tail.set), (30, iv(0, 99)));
         // absorb_tail advances the watermark, after which the same plan is
         // tail-free full reuse again.
         let mut rng = Lehmer64::new(24);
         assert!(store.absorb_tail(id, &toy_sample(3, 2, 30), 30, 50, &mut rng));
         assert_eq!(store.peek(id).unwrap().watermark, 50);
         let caught_up = plan_lazy(&store, &desc_live(0, 99), 50);
-        assert_eq!(caught_up.samples, vec![id]);
-        assert!(caught_up.tails.is_empty());
+        assert_eq!(caught_up.sample, Some(id));
+        assert!(caught_up.tail.is_none());
         // A concurrent client replaying the same tail is rejected — the
         // from_row guard makes tail absorption idempotent.
         assert!(!store.absorb_tail(id, &toy_sample(3, 2, 30), 30, 50, &mut rng));

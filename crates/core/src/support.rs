@@ -148,10 +148,7 @@ mod tests {
         tighten: Option<&Predicates>,
         policy: &SupportPolicy,
     ) -> Result<(SupportReport, Groups), EstimateError> {
-        let opts = EstimateOptions {
-            tighten,
-            ..Default::default()
-        };
+        let opts = EstimateOptions { tighten };
         let groups = estimate(sample, schema, &[], &opts)?;
         Ok((support_from_groups(&groups, policy), groups))
     }

@@ -379,11 +379,11 @@ fn concurrent_coverage_misses_scan_each_fragment_exactly_once() {
         .expect("snapshot imports");
     assert_eq!(service.store().len(), 2, "store must start fragmented");
 
-    // Both clients plan the same CoverageReuse: the two stored fragments
-    // plus one residual Δ-fragment (the gaps share the single varying
-    // column, so they collapse into one multi-interval scan). The sampling
-    // hold keeps the owner inside that scan long enough that the second
-    // client must hit the per-fragment in-flight registry.
+    // Both clients plan the same coverage reuse: the stored fragment
+    // covering more of the query plus one residual Δ over the rest (the
+    // other fragment included: a plan merges one stored sample). The
+    // sampling hold keeps the owner inside that scan long enough that the
+    // second client must hit the per-fragment in-flight registry.
     service.set_sampling_hold(Some(Duration::from_millis(300)));
     let target = q1(Interval::new(0, n - 1), k);
     let before = service.stats();
@@ -425,8 +425,8 @@ fn concurrent_coverage_misses_scan_each_fragment_exactly_once() {
     );
     assert_eq!(
         after.fragments_reused - before.fragments_reused,
-        2,
-        "the winning merge must reuse both stored fragments"
+        1,
+        "the winning merge reuses one stored fragment"
     );
     assert_eq!(after.partial_merges - before.partial_merges, 1);
     // The piggybacking client re-plans against the consolidated coverage.
@@ -436,7 +436,7 @@ fn concurrent_coverage_misses_scan_each_fragment_exactly_once() {
     assert_eq!(reuse, vec![ReuseClass::Full, ReuseClass::Partial]);
 
     // Consolidation reproduces the single-sample end state: full coverage
-    // stored once.
+    // stored once, the fragment it was not merged with replaced.
     assert_eq!(
         stored_coverage(&service),
         IntervalSet::of(Interval::new(0, n - 1))
@@ -506,7 +506,6 @@ fn clients_racing_the_first_hit_after_a_write_share_one_image() {
         let tighten = Predicates::on("lo_intkey", IntervalSet::of(hit.range));
         let opts = EstimateOptions {
             tighten: Some(&tighten),
-            ..Default::default()
         };
         let oracle = estimate(&stored.sample, &stored.schema, &hit.plan.aggs, &opts).unwrap();
         for answer in &answers {

@@ -219,7 +219,6 @@ proptest! {
         let tighten = Predicates::on("v", IntervalSet::of(Interval::new(0, cut)));
         let opts = laqy::EstimateOptions {
             tighten: Some(&tighten),
-            ..Default::default()
         };
         let ests = laqy::estimate(&s, &schema, &[AggSpec::count()], &opts).unwrap();
         let expected = vals.iter().filter(|&&v| v <= cut).count() as f64;

@@ -3,8 +3,15 @@
 //! tests measure estimator bias and CI coverage over repeated seeds, for
 //! fresh online samples and for merged (partial-reuse) samples alike.
 
-use laqy::{save_store, Interval, LaqyService, ReuseClass, SampleStore, SessionConfig};
+use std::sync::Arc;
+
+use laqy::sampler_ops::Part;
+use laqy::{
+    estimate, save_store, EstimateOptions, Interval, LaqyService, ReuseClass, Sample, SampleSchema,
+    SampleStore, SessionConfig,
+};
 use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table, Value};
+use laqy_sampling::Lehmer64;
 use laqy_workload::{generate, q1, SsbConfig};
 
 fn catalog() -> Catalog {
@@ -326,14 +333,41 @@ fn fragmented_snapshot(cat: &Catalog, m: usize, covered_hi: i64, k: usize, seed:
     save_store(&store)
 }
 
+/// Both estimators' across-seed means sit inside a 3σ CLT interval
+/// around `truth` (σ estimated from the trials themselves), and the
+/// reusing one's spread is no more than 3× a fresh resample's: reuse must
+/// not inflate variance.
+fn assert_equivalent_to_resample(truth: f64, (label, reused): (&str, &[f64]), resample: &[f64]) {
+    for (label, ests) in [(label, reused), ("resample", resample)] {
+        let mean = ests.iter().sum::<f64>() / ests.len() as f64;
+        let var = ests.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / (ests.len() - 1) as f64;
+        let se = (var / ests.len() as f64).sqrt();
+        assert!(
+            (mean - truth).abs() <= 3.0 * se.max(0.002 * truth.abs()),
+            "{label} mean {mean} vs exact {truth} outside 3σ ({se})"
+        );
+    }
+    let spread = |v: &[f64]| {
+        let mean = v.iter().sum::<f64>() / v.len() as f64;
+        (v.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / (v.len() - 1) as f64).sqrt()
+    };
+    let (reused_sd, resample_sd) = (spread(reused), spread(resample));
+    assert!(
+        reused_sd <= 3.0 * resample_sd.max(0.002 * truth.abs()),
+        "{label} spread {reused_sd} far exceeds resample spread {resample_sd}"
+    );
+}
+
 #[test]
 fn coverage_planned_merge_matches_full_resample_of_the_union() {
-    // The tentpole guarantee: a lazy sample assembled by the coverage
-    // planner from ≥3 disjoint stored fragments plus residual Δ-scans
-    // must be statistically equivalent to a full online resample of the
-    // whole query region — same groups, per-group reservoir cardinality
-    // within the budget, and an unbiased total whose mean across seeds
-    // lands inside a CLT interval.
+    // Algorithm 1's one stored sample plus one residual, at the store
+    // level, over a hand-made fragmented snapshot (three disjoint
+    // fragments, which only a raw insert keeps apart): the plan reuses
+    // one fragment and Δ-scans the rest of the query. Its answer must be
+    // statistically equivalent to a full online resample of the query's
+    // region — same groups, per-group reservoir cardinality within the
+    // budget, and an unbiased total whose mean across seeds lands inside a
+    // CLT interval.
     let cat = catalog();
     let n = cat.table("lineorder").unwrap().num_rows() as i64;
     let k = 12;
@@ -345,8 +379,8 @@ fn coverage_planned_merge_matches_full_resample_of_the_union() {
     let trials = 20;
     let (mut planned_ests, mut resample_ests) = (Vec::new(), Vec::new());
     for t in 0..trials {
-        // (a) Coverage-planned: 3 disjoint fragments merged k-way, plus
-        // Δ-scans of the gaps and tail.
+        // (a) Coverage-planned: one fragment of the three, merged with
+        // the Δ-scan of everything else.
         let snapshot = fragmented_snapshot(&cat, 3, (0.75 * n as f64) as i64, k, 60_000 + 10 * t);
         let service = LaqyService::with_config(
             cat.clone(),
@@ -359,20 +393,16 @@ fn coverage_planned_merge_matches_full_resample_of_the_union() {
         service.import_samples(&snapshot).unwrap();
         let r = service.run(&target).unwrap();
         assert_eq!(r.stats.reuse, Some(ReuseClass::Partial));
+        assert_eq!(r.stats.fragments_reused, 1, "one stored fragment reused");
         assert_eq!(
-            r.stats.fragments_reused, 3,
-            "plan must merge all three stored fragments"
+            r.stats.fragments_scanned, 1,
+            "the rest of the query is one residual Δ"
         );
-        // All gaps share the one varying column, so the residual region
-        // collapses into a single multi-interval fragment — scanned once.
+        // One fragment is ≈ 0.2n of the query's 0.9n.
+        let selectivity = r.stats.effective_selectivity;
         assert!(
-            r.stats.fragments_scanned >= 1,
-            "gaps between fragments must be Δ-scanned"
-        );
-        assert!(
-            r.stats.effective_selectivity < 0.45,
-            "coverage plan should scan only the residual, got {}",
-            r.stats.effective_selectivity
+            (0.7..0.8).contains(&selectivity),
+            "the plan should scan all but one fragment, got {selectivity}"
         );
         assert_eq!(r.groups.len(), exact_groups, "planned merge lost a group");
         for g in &r.groups {
@@ -384,37 +414,79 @@ fn coverage_planned_merge_matches_full_resample_of_the_union() {
         }
         planned_ests.push(r.groups.iter().map(|g| g.values[0].value).sum::<f64>());
 
-        // (b) Full online resample of the same union at a matched seed.
+        // (b) Full online resample of the same region at a matched seed.
         let s = session(&cat, 70_000 + t);
         let r = s.run(&target).unwrap();
         assert_eq!(r.stats.reuse, Some(ReuseClass::Online));
         assert_eq!(r.groups.len(), exact_groups, "resample lost a group");
         resample_ests.push(r.groups.iter().map(|g| g.values[0].value).sum::<f64>());
     }
+    assert_equivalent_to_resample(truth, ("planned", &planned_ests), &resample_ests);
+}
 
-    // Mean-within-CI: the across-seed mean of each estimator must sit
-    // inside a 3σ CLT interval around the exact total (σ estimated from
-    // the trials themselves).
-    for (label, ests) in [("planned", &planned_ests), ("resample", &resample_ests)] {
-        let mean = ests.iter().sum::<f64>() / ests.len() as f64;
-        let var = ests.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / (ests.len() - 1) as f64;
-        let se = (var / ests.len() as f64).sqrt();
-        assert!(
-            (mean - truth).abs() <= 3.0 * se.max(0.002 * truth.abs()),
-            "{label} mean {mean} vs exact {truth} outside 3σ ({se})"
+/// The sample a scratch service stores for `query`, and its schema.
+fn sampled(cat: &Catalog, query: &laqy::ApproxQuery, seed: u64) -> (SampleSchema, Arc<Sample>) {
+    let scratch = session(cat, seed);
+    scratch.run(query).unwrap();
+    let store = scratch.store();
+    let stored = store.iter_samples().next().unwrap();
+    (stored.schema.clone(), Arc::clone(&stored.sample))
+}
+
+#[test]
+fn combining_disjoint_samples_matches_full_resample_of_their_union() {
+    // The merge primitive (`Sample::combine`, which a write step runs over
+    // the stored sample and its Δs, and the executor over its workers'
+    // samples) over four samples of disjoint slices of one region must be
+    // statistically equivalent to a full resample of the region: the same
+    // groups, per-group cardinality within the reservoir budget, an
+    // unbiased total and no wider a spread.
+    let cat = catalog();
+    let n = cat.table("lineorder").unwrap().num_rows() as i64;
+    let k = 12;
+    let hi = (0.9 * n as f64) as i64;
+    let target = q1(Interval::new(0, hi), k);
+    let (exact, _) = session(&cat, 0).run_exact(&target).unwrap();
+    let truth: f64 = exact.rows.iter().map(|r| r.values[0]).sum();
+    let exact_groups = exact.rows.len();
+
+    let slices = 4;
+    let stride = (hi + 1) / slices;
+    let trials = 20;
+    let (mut combined_ests, mut resample_ests) = (Vec::new(), Vec::new());
+    for t in 0..trials {
+        let sampled: Vec<_> = (0..slices)
+            .map(|i| {
+                let lo = i * stride;
+                let end = if i + 1 == slices { hi } else { lo + stride - 1 };
+                let seed = 80_000 + 10 * t + i as u64;
+                sampled(&cat, &q1(Interval::new(lo, end), k), seed)
+            })
+            .collect();
+        let inputs = sampled.iter().map(|(_, s)| Part::from(&**s)).collect();
+        let (combined, _) = Sample::combine(inputs, &mut Lehmer64::new(90_000 + t));
+        let schema = &sampled[0].0;
+        let opts = EstimateOptions::default();
+        let groups = estimate(&combined, schema, &target.plan.aggs, &opts).unwrap();
+        assert_eq!(
+            groups.len(),
+            exact_groups,
+            "the combined sample lost a group"
         );
+        for g in &groups {
+            let support = g.values[0].support;
+            assert!(
+                support >= 1 && support <= k,
+                "per-group cardinality out of reservoir bounds: {support}"
+            );
+        }
+        combined_ests.push(groups.iter().map(|g| g.values[0].value).sum::<f64>());
+
+        let r = session(&cat, 70_000 + t).run(&target).unwrap();
+        assert_eq!(r.stats.reuse, Some(ReuseClass::Online));
+        resample_ests.push(r.groups.iter().map(|g| g.values[0].value).sum::<f64>());
     }
-    // Same error regime: the planner's merge must not inflate variance
-    // relative to a fresh resample of the union.
-    let spread = |v: &[f64]| {
-        let mean = v.iter().sum::<f64>() / v.len() as f64;
-        (v.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / (v.len() - 1) as f64).sqrt()
-    };
-    let (planned_sd, resample_sd) = (spread(&planned_ests), spread(&resample_ests));
-    assert!(
-        planned_sd <= 3.0 * resample_sd.max(0.002 * truth.abs()),
-        "planned-merge spread {planned_sd} far exceeds resample spread {resample_sd}"
-    );
+    assert_equivalent_to_resample(truth, ("combined", &combined_ests), &resample_ests);
 }
 
 #[test]
