@@ -286,13 +286,16 @@ fn list_segments(dir: &Path) -> Result<Vec<u64>, PersistError> {
 }
 
 /// The append half of the log: owns the live segment file handle and the
-/// running `(segment, offset)` position.
+/// running `(segment, offset)` position. After a failed append it keeps
+/// the position that append started at — the end of the last acked
+/// record — and the next append first cuts the log back to it.
 #[derive(Debug)]
 pub struct WalAppender {
     dir: PathBuf,
     segment: u64,
     offset: u64,
     file: std::fs::File,
+    failed: Option<WalPosition>,
 }
 
 impl WalAppender {
@@ -315,19 +318,32 @@ impl WalAppender {
             segment,
             offset,
             file,
+            failed: None,
         })
     }
 
-    /// Open the log and truncate the newest segment to `end` — the intact
-    /// prefix [`replay`] measured — so a torn tail from a crashed append
-    /// can never prefix-corrupt the next record.
+    /// Open the log cut back to `end` — the intact prefix [`replay`]
+    /// measured, or the end of the last acked record after a failed
+    /// append. The cut is durable: `end`'s segment is truncated to it and
+    /// every later one emptied, so neither a torn tail nor a whole record
+    /// whose fsync failed is appended past or replayed.
     pub fn open_at(dir: impl AsRef<Path>, end: WalPosition) -> Result<Self, PersistError> {
-        let mut wal = Self::open(dir)?;
-        if end.segment == wal.segment && end.offset < wal.offset {
-            wal.file.set_len(end.offset)?;
-            wal.offset = end.offset;
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        for seg in list_segments(dir)?
+            .into_iter()
+            .filter(|&s| s >= end.segment)
+        {
+            let keep = if seg == end.segment { end.offset } else { 0 };
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(segment_path(dir, seg))?;
+            if file.metadata()?.len() > keep {
+                file.set_len(keep)?;
+                file.sync_all()?;
+            }
         }
-        Ok(wal)
+        Self::open(dir)
     }
 
     /// Position the *next* append will start at.
@@ -345,6 +361,9 @@ impl WalAppender {
     /// tail — before the error returns.
     /// A payload over [`MAX_WAL_RECORD_BYTES`] is [`PersistError::TooLarge`]
     /// before a byte is written: replay would read it as a torn tail.
+    /// After any other error, the next append first re-opens the log cut
+    /// back to where the failed one started ([`Self::open_at`]), and fails
+    /// while that fails.
     pub fn append(&mut self, record: &WalRecord) -> Result<WalPosition, PersistError> {
         let len = record_len(record);
         if len > MAX_WAL_RECORD_BYTES as usize {
@@ -362,6 +381,15 @@ impl WalAppender {
         header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         header[4..].copy_from_slice(&crc64(payload).to_le_bytes());
 
+        if let Some(acked) = self.failed {
+            *self = Self::open_at(&self.dir, acked)?;
+        }
+        let acked = self.position();
+        self.write_frame(&frame)
+            .inspect_err(|_| self.failed = Some(acked))
+    }
+
+    fn write_frame(&mut self, frame: &[u8]) -> Result<WalPosition, PersistError> {
         if self.offset > 0 && self.offset + frame.len() as u64 > MAX_WAL_SEGMENT_BYTES {
             laqy_faults::io_point("wal.rotate.create")?;
             let next = self.segment + 1;
@@ -378,10 +406,9 @@ impl WalAppender {
             // detects the torn tail via the length/CRC frame.
             let _ = self.file.write_all(&frame[..frame.len() / 2]);
             let _ = self.file.sync_data();
-            self.offset += (frame.len() / 2) as u64;
             return Err(PersistError::Io(e.into()));
         }
-        self.file.write_all(&frame)?;
+        self.file.write_all(frame)?;
         laqy_faults::io_point("wal.append.sync")?;
         self.file.sync_data()?;
         let at = self.position();
@@ -657,6 +684,31 @@ mod tests {
         let (records, report) = replay(&dir).unwrap();
         assert_eq!(records.len(), 2);
         assert!(!report.torn_tail);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_at_cuts_every_record_past_the_end() {
+        let dir = scratch_dir("reopen-at");
+        let mut wal = WalAppender::open(&dir).unwrap();
+        wal.append(&batch(0, 4)).unwrap();
+        let acked = wal.position();
+        // A whole record past `acked` (its fsync "failed"), then a segment
+        // the failed append rotated into, holding half a frame.
+        wal.append(&batch(4, 4)).unwrap();
+        drop(wal);
+        let frame = encode(&batch(8, 4));
+        std::fs::write(segment_path(&dir, 2), &frame[..frame.len() / 2]).unwrap();
+
+        let mut wal = WalAppender::open_at(&dir, acked).unwrap();
+        let (records, report) = replay(&dir).unwrap();
+        assert_eq!(records.len(), 1, "only the acked record survives");
+        assert!(!report.torn_tail);
+        wal.append(&batch(4, 4)).unwrap();
+        let (records, report) = replay(&dir).unwrap();
+        assert_eq!(records.len(), 2);
+        assert!(!report.torn_tail);
+        assert!(matches!(records[1], WalRecord::Batch { base_rows: 4, .. }));
         std::fs::remove_dir_all(&dir).ok();
     }
 

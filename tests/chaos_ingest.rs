@@ -12,7 +12,7 @@
 //! acknowledged one.
 #![cfg(laqy_faults)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use laqy::{
     replay_wal, ApproxQuery, Interval, LaqyError, LaqyService, ReuseClass, SessionConfig,
@@ -80,6 +80,14 @@ fn service(seed: u64) -> LaqyService {
             ..Default::default()
         },
     )
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -221,15 +229,22 @@ fn killing_ingest_at_every_wal_fault_point_recovers_consistently() {
 }
 
 #[test]
-fn a_failed_log_refuses_every_ingest_until_recovery_reopens_it() {
-    // A failed append may have torn the log's tail, so an ingest acked
-    // after it could never be replayed. Whether an ingest's append or a
-    // snapshot's checkpoint failed, every later ingest is refused, and
-    // recovery lands on the last acked watermark.
+fn a_failed_append_is_cut_from_the_log_and_the_next_ingest_reopens_it() {
+    // A failed append leaves a torn tail (`wal.append.write`) or a whole
+    // record whose fsync failed (`wal.append.sync`) past the last acked
+    // record; a snapshot's checkpoint can fail the same way. The refused
+    // batch is never published, and the next ingest cuts the log back to
+    // the last acked record, re-opens it and is acked durably — with the
+    // live store untouched, so the sample stored before the fault still
+    // answers every row exactly.
     let _guard = CHAOS_LOCK.lock();
-    for torn in ["append", "checkpoint"] {
+    for (fault, point) in [
+        ("append", "wal.append.write"),
+        ("sync", "wal.append.sync"),
+        ("checkpoint", "wal.append.write"),
+    ] {
         laqy_faults::clear();
-        let dir = scratch_dir(&format!("failed-{torn}"));
+        let dir = scratch_dir(&format!("failed-{fault}"));
         let (wal_dir, snap_dir) = (dir.join("wal"), dir.join("snap"));
         let live = service(0xFA1);
         live.recover_with_wal(&snap_dir, &wal_dir).unwrap();
@@ -240,38 +255,49 @@ fn a_failed_log_refuses_every_ingest_until_recovery_reopens_it() {
         live.save_snapshot(&snap_dir).unwrap();
 
         let next = || stream_columns(acked as usize, BATCH_ROWS);
-        laqy_faults::install(FaultPlan::new(3).fail_nth("wal.append.write", FaultKind::Io, 1));
-        if torn == "append" {
-            let err = live.ingest("stream", next()).unwrap_err();
-            assert!(matches!(err, LaqyError::WalFailed(_)), "{torn}: {err}");
-        } else {
+        laqy_faults::install(FaultPlan::new(3).fail_nth(point, FaultKind::Io, 1));
+        if fault == "checkpoint" {
             live.save_snapshot(&snap_dir).expect_err("checkpoint torn");
+        } else {
+            let err = live.ingest("stream", next()).unwrap_err();
+            assert!(matches!(err, LaqyError::WalFailed(_)), "{fault}: {err}");
         }
         laqy_faults::clear();
-        for _ in 0..2 {
-            let err = live.ingest("stream", next()).unwrap_err();
-            assert!(matches!(err, LaqyError::WalFailed(_)), "{torn}: {err}");
-        }
         let published = live.catalog().table("stream").unwrap().row_watermark();
-        assert_eq!(published, acked, "{torn}: a refused batch is not published");
-
-        let recovered = service(0xFA2);
-        let report = recovered.recover_with_wal(&snap_dir, &wal_dir).unwrap();
-        assert!(report.wal_torn_tail, "{torn}");
         assert_eq!(
-            assert_consistent(&recovered, 1, 1),
-            acked as usize,
-            "{torn}"
+            published, acked,
+            "{fault}: a refused batch is not published"
         );
-        drop(recovered);
 
-        // Recovery re-opens the log, truncated: ingest is durable again.
-        live.recover_with_wal(&snap_dir, &wal_dir).unwrap();
+        // A crash before the cut: a torn tail is dropped at replay, but a
+        // whole record whose fsync failed replays — the refused batch is
+        // indeterminate across a crash. Recovery cuts the log it opens,
+        // so it runs over a copy: the live log stays as the fault left it.
+        let crash_dir = dir.join("crashed");
+        copy_dir(&wal_dir, &crash_dir.join("wal"));
+        copy_dir(&snap_dir, &crash_dir.join("snap"));
+        let crashed = service(0xFA2);
+        let report = crashed
+            .recover_with_wal(&crash_dir.join("snap"), &crash_dir.join("wal"))
+            .unwrap();
+        assert_eq!(report.wal_torn_tail, fault != "sync", "{fault}");
+        let batches = if fault == "sync" { 2 } else { 1 };
+        assert_consistent(&crashed, batches, batches);
+        drop(crashed);
+
+        // The next ingest re-opens the log, cut back to the acked record.
         let w = live.ingest("stream", next()).unwrap();
+        assert_eq!(w, acked + BATCH_ROWS as u64, "{fault}");
+        assert_eq!(assert_consistent(&live, 2, 2), w as usize, "{fault}");
+        let (records, report) = replay_wal(&wal_dir).unwrap();
+        assert!(!report.torn_tail, "{fault}: the cut left no torn tail");
+        let batches = records
+            .iter()
+            .filter(|r| matches!(r, WalRecord::Batch { .. }));
+        assert_eq!(batches.count(), 2, "{fault}: the refused record was cut");
         let again = service(0xFA3);
         again.recover_with_wal(&snap_dir, &wal_dir).unwrap();
-        let replayed = again.catalog().table("stream").unwrap().row_watermark();
-        assert_eq!(replayed, w, "{torn}: the ingest after recovery is durable");
+        assert_eq!(assert_consistent(&again, 2, 2), w as usize, "{fault}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
