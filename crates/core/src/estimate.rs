@@ -1016,7 +1016,10 @@ mod tests {
             assert_eq!(sample.range_index_bytes(), None);
         }
         assert_eq!(run(&tightened), walked);
-        assert_eq!(sample.range_index_bytes(), Some(rows as usize * 12));
+        assert_eq!(
+            sample.range_index_bytes(),
+            Some(rows as usize * 12 + sample.num_strata() * 4)
+        );
         assert_eq!(run(&tightened), walked);
         assert_eq!(sample.rows_walked(), RANGE_INDEX_BUILD_WALKS * rows);
     }

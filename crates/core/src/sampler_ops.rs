@@ -18,12 +18,13 @@
 //! layout and the cost model.
 
 use std::borrow::Cow;
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use laqy_engine::index::sort_by_value;
 use laqy_engine::ops::{BoundCol, ResolvedCol, StarJoinOutput};
 use laqy_engine::{GroupKey, StoredColumn, MAX_KEY_COLS};
-use laqy_sampling::{merge_base, Lehmer64, StratifiedSampler};
+use laqy_sampling::{merge_base, Lehmer64, Placed, StratifiedSampler};
 use laqy_sync::atomic::{AtomicU64, Ordering};
 
 use crate::interval::Interval;
@@ -176,7 +177,8 @@ pub(crate) use each_width;
 /// [`Sample::settle`] extends it over the strata appended since.
 ///
 /// A sample that keeps answering tightened estimates also gets a
-/// [`RangeIndex`] ([`Sample::range_index`]); every change of its rows
+/// [`RangeIndex`] ([`Sample::range_index`]). Offers of appended rows
+/// ([`Sample::offer_appended`]) patch it; every other change of its rows
 /// drops it.
 #[derive(Debug, Clone)]
 pub struct Sample {
@@ -208,8 +210,8 @@ impl Sample {
     }
 
     /// The rows, to be changed: the range index and the rows walked
-    /// toward it are dropped first. Every change of a sample's rows goes
-    /// through here.
+    /// toward it are dropped first. Every change of a sample's rows but
+    /// [`Self::offer_appended`]'s goes through here.
     fn rows_mut(&mut self) -> &mut Rows {
         self.range = RangeCache::default();
         &mut self.rows
@@ -307,12 +309,54 @@ impl Sample {
         (out, read)
     }
 
+    /// Offer `rows` — each a stratum key and a closure that writes the
+    /// row's payload slots, called only if Algorithm R admits it — as
+    /// [`Self::offer`] would, draw for draw. Returns how many were offered.
+    ///
+    /// The range index, if the sample has one, is patched to the rows as
+    /// they are now, not dropped: the entries of every overwritten slot go
+    /// and the new values' come in ([`RangeIndex::patch`]), and the rows
+    /// walked toward an index are kept. Only a change of the walk's word
+    /// layout — a stratum growing into another 64-bit word, a new
+    /// stratum's first row among them — drops both, as any other change
+    /// does.
+    pub(crate) fn offer_appended<F: FnOnce(&mut [i64])>(
+        &mut self,
+        rows: impl IntoIterator<Item = (GroupKey, F)>,
+        rng: &mut Lehmer64,
+    ) -> u64 {
+        let index = self.range.index.get().and_then(Option::as_deref);
+        let mut writes = Appended {
+            slot: index.map(|index| index.slot),
+            written: Vec::new(),
+            relaid: false,
+        };
+        let slots = self.slots;
+        let offered = each_width!(&mut self.rows, s => {
+            let mut offered = 0;
+            for (key, read) in rows {
+                writes.record(s.offer_placed(key, rng, || read_row(slots, read)));
+                offered += 1;
+            }
+            offered
+        });
+        if writes.relaid {
+            self.range = RangeCache::default();
+        } else if let Some(Some(index)) = self.range.index.get_mut() {
+            each_width!(&self.rows, s => {
+                Arc::make_mut(index).patch(s, &mut writes.written)
+            });
+        }
+        offered
+    }
+
     /// Come to rest: release growth slack, extend the key order over the
     /// strata appended since and lay the arena out along it — re-laid only
     /// if a stratum was relocated or appended since the last settle — so a
-    /// walk in key order reads it front to back.
+    /// walk in key order reads it front to back. No row and no stratum's
+    /// place in key order moves, so the range index holds.
     pub fn settle(&mut self) {
-        each_width!(self.rows_mut(), s => s.settle());
+        each_width!(&mut self.rows, s => s.settle());
     }
 
     /// Every stratum's index in group-key order: the kept order, extended
@@ -353,17 +397,18 @@ impl Sample {
     fn build_range_index(&self, slot: usize) -> Option<&RangeIndex> {
         let build = || {
             let order = self.key_order();
-            each_width!(&self.rows, s => RangeIndex::build(s, &order, slot))
+            each_width!(&self.rows, s => RangeIndex::build(s, &order, slot)).map(Arc::new)
         };
-        let index = self.range.index.get_or_init(build).as_ref();
+        let index = self.range.index.get_or_init(build).as_deref();
         index.filter(|index| index.slot == slot)
     }
 
     /// Heap bytes of the range index, if the sample holds one. It is not
-    /// part of [`Self::heap_bytes`]: nothing charges it to a budget.
+    /// part of [`Self::heap_bytes`]: nothing charges it to a budget, and
+    /// copies of the sample share it.
     pub fn range_index_bytes(&self) -> Option<usize> {
         let index = self.range.index.get()?.as_ref()?;
-        Some(index.values.capacity() * 8 + index.bits.capacity() * 4)
+        Some(index.values.capacity() * 8 + (index.bits.capacity() + index.firsts.capacity()) * 4)
     }
 
     /// Rows the tightened walks since the sample last changed have tested
@@ -371,30 +416,91 @@ impl Sample {
     pub fn rows_walked(&self) -> u64 {
         self.range.walked.load(Ordering::Relaxed)
     }
+
+    /// A copy with no range index and no rows walked toward one: its
+    /// tightened estimates walk its rows until they pay for an index of
+    /// their own. What an answer read off an index is checked against.
+    pub fn without_range_index(&self) -> Sample {
+        Sample {
+            rows: self.rows.clone(),
+            slots: self.slots,
+            range: RangeCache::default(),
+        }
+    }
+}
+
+/// A row of `W` slots whose first `slots` `read` writes, zeros after them.
+fn read_row<const W: usize>(slots: usize, read: impl FnOnce(&mut [i64])) -> [i64; W] {
+    let mut row = [0i64; W];
+    read(&mut row[..slots]);
+    row
+}
+
+/// The writes of [`Sample::offer_appended`], as its range index follows
+/// them.
+struct Appended {
+    /// The index's payload slot; `None`: no index, nothing recorded.
+    slot: Option<usize>,
+    /// Every admitted row's write, in offer order.
+    written: Vec<Written>,
+    /// A stratum grew into another 64-bit word of the walk's bitset (a new
+    /// stratum into its first): the index's bits no longer hold.
+    relaid: bool,
+}
+
+/// Where one admitted row went: its stratum (index order), the offset in
+/// it and, for a replacement, the overwritten row's value in the index's
+/// slot.
+struct Written {
+    stratum: usize,
+    offset: usize,
+    replaced: Option<i64>,
+}
+
+impl Appended {
+    fn record<const W: usize>(&mut self, placed: Option<Placed<[i64; W]>>) {
+        let Some(placed) = placed else { return };
+        // A fill at a word's first offset is the stratum's next word; a
+        // new stratum's first row is one at offset 0.
+        self.relaid |= placed.replaced.is_none() && placed.offset.is_multiple_of(64);
+        if let Some(slot) = self.slot.filter(|_| !self.relaid) {
+            self.written.push(Written {
+                stratum: placed.stratum,
+                offset: placed.offset,
+                replaced: placed.replaced.map(|row| row[slot]),
+            });
+        }
+    }
 }
 
 /// How many of a sample's walks a [`RangeIndex`] build costs: the
-/// tightened walks since a sample last changed test this many times its
-/// rows before it gets one. The ratio of two timings on the `serve_hot`
-/// sample (2 557 strata, 81 824 rows, `k` = 32, a 5 % window; 2-core x86
-/// box, p50s of seven runs): a build 0.96–1.75 ms, a tightened walk
-/// 211–355 µs, 4.5–5 walks a build in every run.
+/// tightened walks since a sample's rows last changed — an ingest's
+/// offers, which patch the index, do not count as a change — test this
+/// many times its rows before it gets one. The ratio of two timings on
+/// the `serve_hot` sample (2 557 strata, 81 824 rows, `k` = 32, a 5 %
+/// window; 2-core x86 box, p50s of seven runs): a build 0.96–1.75 ms, a
+/// tightened walk 211–355 µs, 4.5–5 walks a build in every run.
 pub(crate) const RANGE_INDEX_BUILD_WALKS: u64 = 5;
 
 /// A sample's range index, and the rows its tightened walks tested since
-/// it last changed. Neither is persisted or charged, and a clone starts
-/// with neither, so a copy made to change the sample never carries an
-/// index of the rows it had.
+/// it last changed. Neither is persisted or charged. A clone shares the
+/// index — a copy holds the same rows — so a copy made to change the
+/// sample while a reader holds it patches the index
+/// ([`Sample::offer_appended`], copying it first) or drops it, as the
+/// sample itself would.
 #[derive(Debug, Default)]
 struct RangeCache {
     /// `None` inside: the sample has too many strata to index.
-    index: OnceLock<Option<RangeIndex>>,
+    index: OnceLock<Option<Arc<RangeIndex>>>,
     walked: AtomicU64,
 }
 
 impl Clone for RangeCache {
     fn clone(&self) -> Self {
-        Self::default()
+        Self {
+            index: self.index.clone(),
+            walked: AtomicU64::new(self.walked.load(Ordering::Relaxed)),
+        }
     }
 }
 
@@ -405,12 +511,15 @@ impl Clone for RangeCache {
 /// tightening finds the rows inside each of its intervals as one run (two
 /// `partition_point`s) and sets their bits, so its cost is the rows that
 /// match, not the rows retained; the bits are those a walk sets.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct RangeIndex {
     slot: usize,
     values: Vec<i64>,
     /// Aligned with `values`.
     bits: Vec<u32>,
+    /// Each stratum's first bit, in index order.
+    firsts: Vec<u32>,
     /// Words of the bitset.
     words: usize,
 }
@@ -422,12 +531,14 @@ impl RangeIndex {
     fn build<const W: usize>(s: &Sampler<W>, order: &[u32], slot: usize) -> Option<Self> {
         let mut values = Vec::with_capacity(s.total_items());
         let mut bits = Vec::with_capacity(s.total_items());
+        let mut firsts = vec![0; s.num_strata()];
         let mut first_bit = 0;
         for &i in order {
             let (_, items, _) = s.stratum_at(i as usize);
             let end = u32::try_from(first_bit + items.len().div_ceil(64) * 64).ok()?;
             values.extend(items.iter().map(|row| row[slot]));
             bits.extend(first_bit as u32..first_bit as u32 + items.len() as u32);
+            firsts[i as usize] = first_bit as u32;
             first_bit = end as usize;
         }
         let sorted = sort_by_value(&values);
@@ -435,8 +546,125 @@ impl RangeIndex {
             slot,
             values: sorted.iter().map(|&i| values[i as usize]).collect(),
             bits: sorted.iter().map(|&i| bits[i as usize]).collect(),
+            firsts,
             words: first_bit / 64,
         })
+    }
+
+    /// Follow `written`, the writes offers made to `s` since this index
+    /// last held, none of which changed the word layout of its walk (no
+    /// stratum is new, none grew into another word, so every stratum's
+    /// first bit holds): the entry of every slot a replacement overwrote
+    /// goes, and the value every written slot holds now comes in, each
+    /// found by value and bit. The entries stay sorted by (value, bit),
+    /// the order a build sorts them in, so the patched index is a
+    /// rebuild's. In place, unless fills need room past the entries'
+    /// capacity.
+    fn patch<const W: usize>(&mut self, s: &Sampler<W>, written: &mut Vec<Written>) {
+        if written.is_empty() {
+            return;
+        }
+        // A slot written twice keeps its first write: the one whose
+        // replaced value is the slot's entry here.
+        written.sort_by_key(|w| (w.stratum, w.offset));
+        written.dedup_by_key(|w| (w.stratum, w.offset));
+        let bit = |w: &Written| self.firsts[w.stratum] + w.offset as u32;
+        let mut gone: Vec<(i64, u32)> = (written.iter())
+            .filter_map(|w| Some((w.replaced?, bit(w))))
+            .collect();
+        let mut new: Vec<(i64, u32)> = (written.iter())
+            .map(|w| (s.stratum_at(w.stratum).1[w.offset][self.slot], bit(w)))
+            .collect();
+        gone.sort_unstable();
+        new.sort_unstable();
+        let gone_at = self.ranks(&gone);
+        let present = |(&at, &(value, bit)): (&usize, &(i64, u32))| {
+            self.values.get(at) == Some(&value) && self.bits[at] == bit
+        };
+        debug_assert!(
+            gone_at.iter().zip(&gone).all(present),
+            "an entry to drop is missing"
+        );
+        self.splice(&gone_at, &new);
+    }
+
+    /// The position of `entry` in, or where it would go into, the entries
+    /// from `from` on, none of which sort before `from`: a gallop from
+    /// `from`, then a binary search, so a sorted run of lookups reads
+    /// entries near the last one's.
+    fn rank_from(&self, from: usize, entry: (i64, u32)) -> usize {
+        let before = |at: usize| (self.values[at], self.bits[at]) < entry;
+        let len = self.values.len();
+        let (mut lo, mut step) = (from, 1);
+        while lo + step <= len && before(lo + step - 1) {
+            lo += step;
+            step *= 2;
+        }
+        let mut hi = (lo + step - 1).min(len);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match before(mid) {
+                true => lo = mid + 1,
+                false => hi = mid,
+            }
+        }
+        lo
+    }
+
+    /// The positions of `entries`, sorted, in the entries.
+    fn ranks(&self, entries: &[(i64, u32)]) -> Vec<usize> {
+        let mut at = 0;
+        (entries.iter())
+            .map(|&entry| {
+                at = self.rank_from(at, entry);
+                at
+            })
+            .collect()
+    }
+
+    /// Replace the entries at positions `gone` (ascending) by `new`
+    /// (sorted, none present), moving every kept entry at most once.
+    /// Between two changes the kept entries form a run that shifts by the
+    /// entries inserted before it less those dropped before it. Runs that
+    /// shift down move first, front to back, then runs that shift up, back
+    /// to front: no run's destination holds entries still to move, so the
+    /// new entries' slots are free once all have moved.
+    fn splice(&mut self, gone: &[usize], new: &[(i64, u32)]) {
+        let len = self.values.len();
+        let ranks = self.ranks(new);
+        let mut runs: Vec<(Range<usize>, isize)> = Vec::with_capacity(gone.len() + new.len() + 1);
+        let mut slots = Vec::with_capacity(new.len());
+        let (mut g, mut r, mut shift, mut from) = (0, 0, 0isize, 0);
+        loop {
+            let (next_gone, next_new) = (gone.get(g), ranks.get(r));
+            let at = *next_gone.unwrap_or(&len).min(next_new.unwrap_or(&len));
+            runs.push((from..at, shift));
+            match (next_gone, next_new) {
+                (None, None) => break,
+                // An insertion before the entry at `at` goes where it
+                // would have shifted to.
+                (_, Some(&rank)) if rank == at => {
+                    slots.push(at.wrapping_add_signed(shift));
+                    (shift, r, from) = (shift + 1, r + 1, at);
+                }
+                _ => (shift, g, from) = (shift - 1, g + 1, at + 1),
+            }
+        }
+        let out = len - gone.len() + new.len();
+        self.values.resize(out.max(len), 0);
+        self.bits.resize(out.max(len), 0);
+        let down = runs.iter().filter(|(_, shift)| *shift < 0);
+        let up = runs.iter().rev().filter(|(_, shift)| *shift > 0);
+        for (run, shift) in down.chain(up) {
+            let to = run.start.wrapping_add_signed(*shift);
+            self.values.copy_within(run.clone(), to);
+            self.bits.copy_within(run.clone(), to);
+        }
+        for (&at, &entry) in slots.iter().zip(new) {
+            (self.values[at], self.bits[at]) = entry;
+        }
+        self.values.truncate(out);
+        self.bits.truncate(out);
     }
 
     /// Words of the walk's flat bitset.
@@ -768,6 +996,19 @@ impl Sample {
             "indexed over {slot}"
         );
         self
+    }
+
+    /// The range index the sample holds, if any.
+    pub(crate) fn held_range_index(&self) -> Option<&RangeIndex> {
+        self.range.index.get()?.as_deref()
+    }
+
+    /// A fresh build of the range index the sample holds, over its rows
+    /// as they are now.
+    pub(crate) fn rebuilt_range_index(&self) -> Option<RangeIndex> {
+        let slot = self.held_range_index()?.slot;
+        let order = self.key_order();
+        each_width!(&self.rows, s => RangeIndex::build(s, &order, slot))
     }
 
     /// Slots a row occupies, as the instantiation holding it says.
@@ -1410,32 +1651,34 @@ mod tests {
         }
     }
 
-    /// Every change of a sample's rows drops its range index: after each
-    /// way in — an offer, a snapshot insert, a merge, a lazy merge of a
-    /// Δ, coming to rest — the sample holds no index and no walked rows,
-    /// and a tightened estimate is that of a walk over a copy; a copy
-    /// never carries the index either.
+    /// Every tightened estimate of `s` over `v ∈ [150, 850]`, as bits.
+    fn tightened(s: &Sample) -> Vec<(Vec<i64>, u64, u64, usize)> {
+        let narrow = Predicates::on("v", IntervalSet::of(Interval::new(150, 850)));
+        let opts = EstimateOptions {
+            tighten: Some(&narrow),
+        };
+        let aggs = [AggSpec::sum("w"), AggSpec::count(), AggSpec::avg("v")];
+        let groups = estimate(s, &schema(), &aggs, &opts).unwrap();
+        let owned =
+            |(key, value, half, support): (&[i64], _, _, _)| (key.to_vec(), value, half, support);
+        bits(&groups).into_iter().map(owned).collect()
+    }
+
+    /// Every change of a sample's rows but an ingest's offers drops its
+    /// range index: after each way in — an offer, a snapshot insert, a
+    /// merge, a lazy merge of a Δ — the sample holds no index and no
+    /// walked rows, and a tightened estimate is that of a walk over a copy.
+    /// Coming to rest moves no row and keeps it. A copy shares the index,
+    /// and it is a rebuild of the copy, before and after the change.
     #[test]
     fn every_change_of_the_rows_drops_the_range_index() {
         let t = table();
         let all = all_rows(&t);
         let base = admit_batches(&t, 8, true, &[&all[..600]]);
         let other = admit_batches(&t, 8, true, &[&all[600..800]]);
-        let narrow = Predicates::on("v", IntervalSet::of(Interval::new(150, 850)));
-        let answer = |s: &Sample| {
-            let opts = EstimateOptions {
-                tighten: Some(&narrow),
-            };
-            let aggs = [AggSpec::sum("w"), AggSpec::count(), AggSpec::avg("v")];
-            let groups = estimate(s, &schema(), &aggs, &opts).unwrap();
-            let owned = |(key, value, half, support): (&[i64], _, _, _)| {
-                (key.to_vec(), value, half, support)
-            };
-            bits(&groups).into_iter().map(owned).collect::<Vec<_>>()
-        };
         let rng = || Lehmer64::new(5);
         type Change<'a> = (&'a str, &'a dyn Fn(&mut Sample));
-        let changes: [Change<'_>; 5] = [
+        let changes: [Change<'_>; 4] = [
             ("offer", &|s| {
                 s.offer(GroupKey::new(&[9]), &[700, 0], &mut rng())
             }),
@@ -1450,23 +1693,107 @@ mod tests {
                 let columns = [("v", SlotKind::Int), ("w", SlotKind::Float)];
                 s.absorb_delta(&fact_delta(admission.into_rows(), &t, &columns), &mut rng());
             }),
-            ("settle", &|s| s.settle()),
         ];
         for (name, change) in changes {
             let mut s = base.clone().indexed(0);
             assert_eq!(
-                answer(&s),
-                answer(&base.clone()),
+                tightened(&s),
+                tightened(&base.without_range_index()),
                 "{name}: indexed ≡ walked"
             );
+            let copy = s.clone();
             assert!(
-                s.clone().range_index_bytes().is_none(),
-                "a copy has no index"
+                copy.range_index_bytes().is_some(),
+                "a copy shares the index"
             );
+            assert_eq!(copy.held_range_index(), copy.rebuilt_range_index().as_ref());
             change(&mut s);
             assert_eq!(s.range_index_bytes(), None, "{name} kept the index");
             assert_eq!(s.rows_walked(), 0, "{name} kept the walked rows");
-            assert_eq!(answer(&s), answer(&s.clone()), "{name}");
+            assert_eq!(tightened(&s), tightened(&s.without_range_index()), "{name}");
+            assert_eq!(
+                copy.held_range_index(),
+                copy.rebuilt_range_index().as_ref(),
+                "{name} changed the copy's index"
+            );
+        }
+        let mut s = base.clone().indexed(0);
+        s.settle();
+        assert!(s.range_index_bytes().is_some(), "settle dropped the index");
+        assert_eq!(s.held_range_index(), s.rebuilt_range_index().as_ref());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// Ingest offers patch the range index into a rebuild of it: from
+        /// strata restored in one piece (so the first fill relocates them;
+        /// some empty, some full), batches of offers fill some strata and
+        /// overflow others, at `k` = 1, 8, 32, 65 and 130 (above 64 a
+        /// stratum spans several words). After every batch the sample is
+        /// the one plain offers make, draw for draw; it holds an index iff
+        /// the batch kept every stratum's word count (a new stratum, which
+        /// sorts first, and a stratum's first row in a new word each drop
+        /// it); the index is a rebuild, entry for entry; and a tightened
+        /// estimate is a walk's over a copy, bit for bit. A batch applied
+        /// to a copy while a clone is held (a reader still holding the
+        /// stored sample) leaves the held clone's index a rebuild of it.
+        #[test]
+        fn a_patched_range_index_is_a_rebuild(
+            k in prop::sample::select(vec![1usize, 8, 32, 65, 130]),
+            restored in prop::collection::vec(0usize..140, 1..6),
+            batches in prop::collection::vec(
+                (prop::collection::vec((0usize..64, 0i64..1000), 0..400), 0u8..4),
+                1..6,
+            ),
+            seed in 0u64..1_000,
+        ) {
+            let mut rng = Lehmer64::new(seed);
+            let mut s = Sample::new(&schema(), k);
+            for (g, &n) in restored.iter().enumerate() {
+                let n = n.min(k);
+                let vals: Vec<i64> = (0..n).flat_map(|j| [(g * 389 + j * 97) as i64 % 1000, 0]).collect();
+                s.insert_rows(GroupKey::new(&[g as i64]), &vals, (n + g) as u64);
+            }
+            s.settle();
+            let mut s = Arc::new(s.indexed(0));
+            for (b, (offers, flags)) in batches.iter().enumerate() {
+                let mut rows: Vec<(GroupKey, i64)> = (offers.iter())
+                    .map(|&(r, x)| (GroupKey::new(&[(r % restored.len()) as i64]), x))
+                    .collect();
+                if flags & 1 != 0 {
+                    rows.insert(rows.len() / 2, (GroupKey::new(&[-1 - b as i64]), 500));
+                }
+                let held = (flags & 2 != 0).then(|| Arc::clone(&s));
+                let words = |s: &Sample| -> Vec<usize> {
+                    s.iter().map(|(_, rows, _)| rows.len().div_ceil(64)).collect()
+                };
+                let before = words(&s);
+                let mut plain = s.without_range_index();
+                let mut plain_rng = rng.clone();
+                for &(key, x) in &rows {
+                    plain.offer(key, &[x, 0], &mut plain_rng);
+                }
+                let sample = Arc::make_mut(&mut s);
+                let payload = |&(key, x): &(GroupKey, i64)| {
+                    (key, move |vals: &mut [i64]| vals.copy_from_slice(&[x, 0]))
+                };
+                let offered = sample.offer_appended(rows.iter().map(payload), &mut rng);
+                prop_assert_eq!(offered, rows.len() as u64);
+                sample.settle();
+                prop_assert_eq!(s.contents(), plain.contents());
+                prop_assert_eq!(rng.next_u64(), plain_rng.next_u64());
+                let kept = before == words(&s)[..before.len()] && s.num_strata() == before.len();
+                prop_assert_eq!(s.range_index_bytes().is_some(), kept);
+                prop_assert_eq!(s.held_range_index(), s.rebuilt_range_index().as_ref());
+                prop_assert_eq!(tightened(&s), tightened(&s.without_range_index()));
+                if let Some(held) = held {
+                    prop_assert!(held.range_index_bytes().is_some());
+                    prop_assert_eq!(held.held_range_index(), held.rebuilt_range_index().as_ref());
+                }
+                if !kept {
+                    s = Arc::new(Arc::unwrap_or_clone(s).indexed(0));
+                }
+            }
         }
     }
 

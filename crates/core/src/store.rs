@@ -21,7 +21,7 @@ use laqy_sync::atomic::{AtomicU64, Ordering};
 use laqy_sync::RwLockWriteGuard;
 
 use laqy_engine::ops::ResolvedCol;
-use laqy_engine::GroupKey;
+use laqy_engine::{GroupKey, MAX_KEY_COLS};
 use laqy_sampling::Lehmer64;
 
 use crate::descriptor::{Predicates, SampleDescriptor};
@@ -576,20 +576,24 @@ impl SampleStore {
             else {
                 continue;
             };
-            let mut key = Vec::with_capacity(key_cols.len());
-            let mut vals = Vec::with_capacity(val_cols.len());
+            // A row's payload is read only if Algorithm R admits it.
+            let val_cols = &val_cols;
+            let rows = (stored.watermark as usize..new_w as usize)
+                .filter(|&row| predicates.set.contains(range_col.i64(row)))
+                .map(|row| {
+                    let mut key = [0; MAX_KEY_COLS];
+                    for (part, col) in key.iter_mut().zip(&key_cols) {
+                        *part = col.i64(row);
+                    }
+                    let payload = move |vals: &mut [i64]| {
+                        for (val, (col, kind)) in vals.iter_mut().zip(val_cols) {
+                            *val = kind.read(col, row);
+                        }
+                    };
+                    (GroupKey::new(&key[..key_cols.len()]), payload)
+                });
             let sample = Arc::make_mut(&mut stored.sample);
-            for row in stored.watermark as usize..new_w as usize {
-                if !predicates.set.contains(range_col.i64(row)) {
-                    continue;
-                }
-                key.clear();
-                key.extend(key_cols.iter().map(|c| c.i64(row)));
-                vals.clear();
-                vals.extend(val_cols.iter().map(|(col, kind)| kind.read(col, row)));
-                sample.offer(GroupKey::new(&key), &vals, rng);
-                report.rows_absorbed += 1;
-            }
+            report.rows_absorbed += sample.offer_appended(rows, rng);
             stored.watermark = new_w;
             stored.last_used.store(clock, Ordering::Relaxed);
             stored.settle();

@@ -34,5 +34,5 @@ pub mod stratified_merge;
 pub use merge::{merge_reservoirs, merge_reservoirs_with_capacity};
 pub use reservoir::Reservoir;
 pub use rng::{Lehmer64, MinStd, SplitMix64};
-pub use stratified::{StratifiedSampler, StratumKey};
+pub use stratified::{Placed, StratifiedSampler, StratumKey};
 pub use stratified_merge::{merge_base, merge_stratified, merge_stratified_k};

@@ -248,6 +248,39 @@ fn short_q2_digest(sf: f64) -> Digests {
     (d.0, access_path(&svc), store.0)
 }
 
+/// Digests (answers and query counters, store bytes) of an ingest run at
+/// `sf` and reservoir capacity `k`: a full-domain Q1 sample warmed, then
+/// `rounds` 2 000-row ingests inside the domain, each followed by five
+/// 5 % windows the sample answers as tightened full hits — walked at
+/// first, then off its range index, which the later ingests' absorbs
+/// change.
+fn ingest_digest(sf: f64, k: usize, rounds: usize) -> (u64, u64) {
+    let (svc, domain) = service(sf);
+    let mut d = Digest::new();
+    d.answer(&svc.run(&q1(domain, k)).unwrap());
+    let rows = domain.hi as u64 + 1;
+    let window = rows / 20;
+    let mut draws = SplitMix64::new(0x1_6E57);
+    for _ in 0..rounds {
+        let config = SsbConfig {
+            scale_factor: sf,
+            seed: draws.next_u64(),
+        };
+        let start = draws.next_u64() % (rows - 2_000);
+        let batch = lineorder_batch(&config, start as usize, 2_000);
+        svc.ingest("lineorder", batch).unwrap();
+        for _ in 0..5 {
+            let lo = (draws.next_u64() % (rows - window)) as i64;
+            let range = Interval::new(lo, lo + window as i64 - 1);
+            d.answer(&svc.run(&q1(range, k)).unwrap());
+        }
+    }
+    d.counters(&svc.stats());
+    let mut store = Digest::new();
+    store.bytes(&svc.export_samples());
+    (d.0, store.0)
+}
+
 #[test]
 fn explore_q1_answers_and_snapshot_bytes_are_the_parents() {
     assert_eq!(
@@ -258,6 +291,17 @@ fn explore_q1_answers_and_snapshot_bytes_are_the_parents() {
             11531443906033912511
         ),
         "(answers, access path, store bytes) moved"
+    );
+}
+
+/// SF 0.01 at `k` = 8: about 23 rows a stratum, so every ingest replaces
+/// many of a stratum's eight rows.
+#[test]
+fn answers_across_ingests_are_the_parents() {
+    assert_eq!(
+        ingest_digest(0.01, 8, 12),
+        (51162502356980957, 8779293883567274283),
+        "(answers, store bytes) moved"
     );
 }
 
@@ -293,5 +337,17 @@ fn full_scale_answers_and_snapshot_bytes_are_the_parents() {
             1598462428724985659
         ),
         "Q2 moved"
+    );
+}
+
+/// Ingests at the benchmark's own scale: SF 0.1, `k` = 32, the
+/// `serve_ingest` sample's shape (2 557 strata of 32 rows).
+#[test]
+#[ignore = "full benchmark scale; run in release"]
+fn full_scale_answers_across_ingests_are_the_parents() {
+    assert_eq!(
+        ingest_digest(0.1, 32, 24),
+        (12656890667816187262, 4175551201718874398),
+        "(answers, store bytes) moved"
     );
 }

@@ -19,7 +19,8 @@
 //!   family region (no tuple is ever double-counted by a merge) — Σ
 //!   stratum weights == covered measure after every write;
 //! - a tightened estimate from a stored sample is a walk's, whether or not
-//!   the sample holds a range index, built before or since its last write.
+//!   the sample holds a range index, built before or since its last write
+//!   or patched by an ingest's offers.
 
 use std::collections::{HashMap, HashSet};
 
@@ -138,8 +139,8 @@ fn drive(store: &mut SampleStore, q: &IntervalSet, rng: &mut Lehmer64) -> Driven
 }
 
 /// Every tightened estimate of `sample` over `set`, up to and past the one
-/// that builds its range index, is bit for bit one walk over a copy (a
-/// copy never carries the index).
+/// that builds its range index, is bit for bit one walk over a copy that
+/// carries no index.
 fn check_tightened(sample: &Sample, set: &IntervalSet) {
     let tighten = Predicates::on("x", set.clone());
     let opts = EstimateOptions {
@@ -163,7 +164,7 @@ fn check_tightened(sample: &Sample, set: &IntervalSet) {
         }
         bits
     };
-    let walked = answer(&sample.clone());
+    let walked = answer(&sample.without_range_index());
     let mut estimates = 0;
     while sample.range_index_bytes().is_none() {
         prop_assert_eq!(answer(sample), walked.clone());
@@ -485,7 +486,10 @@ proptest! {
 // - any two stored samples of one family overlap on the range column;
 // - `plan_lazy` agrees, for every probe query, with the greedy k-way cover
 //   the planner used to run (`greedy_cover`), and that cover never selects
-//   more than one sample.
+//   more than one sample;
+// - every stored sample's tightened estimates over the probes are a walk's,
+//   so a range index built after one op and patched by a later ingest's
+//   `absorb_appended` answers as a walk does.
 
 /// Row `i`'s range-column value; every row is in group 0.
 fn x_of(row: u64) -> i64 {
@@ -743,6 +747,11 @@ proptest! {
             check_families_overlap(&store);
             for (fam, set) in &probes {
                 check_plan_is_the_greedy_cover(&store, &family(*fam, set.clone()), rows);
+            }
+            for s in store.iter_samples() {
+                for (_, set) in &probes {
+                    check_tightened(&s.sample, set);
+                }
             }
         }
     }
